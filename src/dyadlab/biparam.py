@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DyadicInterval
-from .maximal import dyadic_class
+from .maximal import next_class
 from .plane import (
     DyadicRectangle,
     Grid2D,
@@ -313,12 +313,7 @@ def rect_full_decompose(
         mu = rect_mass(current, f_set, g_set)
         if sigma == 0.0 and mu == 0.0:
             break
-        n = dyadic_class(sigma) if sigma > 0 else (0 if n_prev is None else n_prev + 1)
-        m = dyadic_class(mu) if mu > 0 else (0 if m_prev is None else m_prev + 1)
-        if n_prev is not None:
-            n = max(n, n_prev + 1)
-        if m_prev is not None:
-            m = max(m, m_prev + 1)
+        n, m = next_class(sigma, n_prev), next_class(mu, m_prev)
         trees: list[RectTree] = []
         if sigma > 0:
             current, forest = rect_size_decompose(current, coeffs, 2.0 ** -(n + 1))

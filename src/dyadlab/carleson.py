@@ -75,12 +75,12 @@ def carve_g(g: GridSet, h: GridSet, c: float = 4.0) -> GridSet:
 
 def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
     """Bi-tiles whose spatial interval meets the surviving set."""
-    kept = {
-        p
-        for p in collection.bitiles
-        if np.any(keep.mask[p.spatial.cell_slice(collection.resolution)])
-    }
-    return TileCollection(collection.resolution, frozenset(kept), convex=False)
+    L = collection.resolution
+    kept = tuple(
+        mask & keep.mask.reshape(1 << k, 1 << (L - k)).any(axis=1)[:, None]
+        for k, mask in enumerate(collection.masks)
+    )
+    return TileCollection(L, kept, convex=False)
 
 
 def restricted_norm(
@@ -108,14 +108,10 @@ def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
     cells = np.arange(n_cells)
     total = np.zeros((n_cells, n_cells), dtype=np.complex128)
     nu = np.arange(n_cells)
-    by_scale: dict[int, list[BiTile]] = {}
-    for p in collection.bitiles:
-        by_scale.setdefault(p.scale, []).append(p)
-    for k, members in sorted(by_scale.items()):
+    for k, present in enumerate(collection.masks):
+        if not present.any():
+            continue
         coef = packet_coefficients(f.values, L, k)
-        present = np.zeros((1 << k, 1 << (L - k - 1)), dtype=bool)
-        for p in members:
-            present[p.offset, p.freq_index] = True
         n_idx = cells >> (L - k)
         u = cells & ((1 << (L - k)) - 1)
         rev_u = bit_reverse(u, L - k)

@@ -24,11 +24,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run one verification experiment")
+    # no abbreviated flags: a removed flag such as --s must not turn into --seed
+    verify = sub.add_parser("verify", allow_abbrev=False, help="run one verification experiment")
     verify.add_argument("theorem", choices=THEOREMS)
     _common_flags(verify)
 
-    decompose = sub.add_parser("decompose", help="bucket a tile collection into forests")
+    decompose = sub.add_parser(
+        "decompose", allow_abbrev=False, help="bucket a tile collection into forests"
+    )
     decompose.add_argument("collection", help="tile collection CSV (k,n,freq_offset)")
     decompose.add_argument("signal", help="signal CSV (index,re,im)")
     decompose.add_argument("--resolution", type=int, required=True)
@@ -36,10 +39,13 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--choice-file", default=None, help="choice CSV (index,freq)")
     decompose.add_argument("--out", default="decomposition.csv")
 
-    estimate = sub.add_parser("estimate-22", help="restricted-norm decay ladder")
+    estimate = sub.add_parser(
+        "estimate-22", allow_abbrev=False, help="restricted-norm decay ladder"
+    )
     _common_flags(estimate)
     estimate.add_argument("--ladder", type=int, default=8, help="ratios 2^-1 .. 2^-ladder")
     estimate.add_argument("--branch", choices=("h", "g", "both"), default="both")
+    estimate.add_argument("--plot", action="store_true", help="emit a PNG of the ratio ladder")
 
     return parser
 
@@ -51,12 +57,9 @@ def _common_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--p", type=float, default=None)
     cmd.add_argument("--q", type=float, default=None)
     cmd.add_argument("--p1", type=float, default=None)
-    cmd.add_argument("--s", type=float, default=2.0)
-    cmd.add_argument("--t", type=float, default=2.5)
     cmd.add_argument("--epsilon", type=float, default=0.1)
     cmd.add_argument("--family-size", type=int, default=4)
     cmd.add_argument("--out", default=None)
-    cmd.add_argument("--plot", action="store_true", help="emit a PNG of the ratio ladder")
 
 
 _DEFAULT_P = {
@@ -82,12 +85,9 @@ def _config_from_args(args) -> ExperimentConfig:
         family_size=args.family_size,
         p=p,
         q=q,
-        s=args.s,
-        t=args.t,
         eps=args.epsilon,
         p1=args.p1,
         out=args.out,
-        plot=args.plot,
     )
 
 

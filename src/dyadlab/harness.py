@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import GridSet, GridSignal, VectorSignal
+from .grid import MAX_RESOLUTION, GridSet, GridSignal, VectorSignal
 from .maximal import ScaleChoice, verify_vector_maximal
 from .plane import Grid2D, GridSet2D
 from .principle import (
@@ -50,27 +50,22 @@ class ExperimentConfig:
     family_size: int = 4
     p: float = 3.0
     q: float = 2.5
-    s: float = 2.0
-    t: float = 2.5
     eps: float = 0.1
     p1: float | None = None
     out: str | None = None
-    plot: bool = False
 
     def validate(self) -> None:
         """Total validation; every rejection names the violated range."""
         if self.theorem not in THEOREMS:
             raise ValueError(f"theorem must be one of {THEOREMS}, got {self.theorem!r}")
-        if not 0 <= self.resolution <= 12:
-            raise ValueError(f"resolution must satisfy 0 <= L <= 12, got {self.resolution}")
+        if not 0 <= self.resolution <= MAX_RESOLUTION:
+            raise ValueError(
+                f"resolution must satisfy 0 <= L <= {MAX_RESOLUTION}, got {self.resolution}"
+            )
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
         if self.family_size < 1:
             raise ValueError(f"family size must be at least 1, got {self.family_size}")
-        if not 1 < self.s < math.inf:
-            raise ValueError(f"restricted-sum exponent needs 1 < s < inf, got s={self.s}")
-        if not self.t > 2:
-            raise ValueError(f"pairing exponent needs t > 2, got t={self.t}")
         if self.theorem == "fs" and not 1 < self.p < math.inf:
             raise ValueError(f"fs needs 1 < p < inf, got p={self.p}")
         if self.theorem == "biparam":

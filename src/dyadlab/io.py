@@ -35,6 +35,14 @@ def _resolution_for(count: int, path) -> int:
     return resolution
 
 
+def _claim_index(path, row_number, index: int, seen: np.ndarray) -> None:
+    """Reject a cell index outside [0, len(seen)) or already seen; with one
+    row per cell this also rules out missing indices."""
+    if not 0 <= index < len(seen) or seen[index]:
+        _fail(path, row_number, f"index {index} out of range or repeated")
+    seen[index] = True
+
+
 def write_signal(path, signal: GridSignal) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -51,12 +59,11 @@ def read_signal(path) -> GridSignal:
     for number, row in enumerate(rows, start=1):
         try:
             index = int(row[0])
-            values[index] = float(row[1]) + 1j * float(row[2])
+            value = float(row[1]) + 1j * float(row[2])
         except (IndexError, ValueError) as exc:
             _fail(path, number, f"bad signal row {row!r} ({exc})")
-        if not 0 <= index < len(rows) or seen[index]:
-            _fail(path, number, f"index {index} out of range or repeated")
-        seen[index] = True
+        _claim_index(path, number, index, seen)
+        values[index] = value
     return GridSignal(resolution, values)
 
 
@@ -72,6 +79,7 @@ def read_grid_set(path) -> GridSet:
     rows = _open_rows(path, ["index", "member"])
     resolution = _resolution_for(len(rows), path)
     mask = np.zeros(len(rows), dtype=bool)
+    seen = np.zeros(len(rows), dtype=bool)
     for number, row in enumerate(rows, start=1):
         try:
             index = int(row[0])
@@ -80,8 +88,7 @@ def read_grid_set(path) -> GridSet:
             _fail(path, number, f"bad set row {row!r} ({exc})")
         if member not in (0, 1):
             _fail(path, number, f"member must be 0 or 1, got {member}")
-        if not 0 <= index < len(rows):
-            _fail(path, number, f"index {index} out of range")
+        _claim_index(path, number, index, seen)
         mask[index] = bool(member)
     return GridSet(resolution, mask)
 
@@ -96,7 +103,7 @@ def write_tile_collection(path, collection: TileCollection) -> None:
 
 def read_tile_collection(path, resolution: int) -> TileCollection:
     rows = _open_rows(path, ["k", "n", "freq_offset"])
-    bitiles = []
+    bitiles = set()
     for number, row in enumerate(rows, start=1):
         try:
             p = BiTile(int(row[0]), int(row[1]), int(row[2]))
@@ -104,7 +111,9 @@ def read_tile_collection(path, resolution: int) -> TileCollection:
             _fail(path, number, f"bad bi-tile row {row!r} ({exc})")
         if not p.fits(resolution):
             _fail(path, number, f"bi-tile {row!r} does not fit resolution {resolution}")
-        bitiles.append(p)
+        if p in bitiles:
+            _fail(path, number, f"bi-tile {row!r} is repeated")
+        bitiles.add(p)
     return TileCollection.from_bitiles(resolution, bitiles)
 
 
@@ -120,12 +129,17 @@ def read_choice(path) -> ChoiceFunction:
     rows = _open_rows(path, ["index", "freq"])
     resolution = _resolution_for(len(rows), path)
     freqs = np.zeros(len(rows), dtype=np.int64)
+    seen = np.zeros(len(rows), dtype=bool)
     for number, row in enumerate(rows, start=1):
         try:
             index = int(row[0])
-            freqs[index] = int(row[1])
+            freq = int(row[1])
         except (IndexError, ValueError) as exc:
             _fail(path, number, f"bad choice row {row!r} ({exc})")
+        _claim_index(path, number, index, seen)
+        if not 0 <= freq < len(rows):
+            _fail(path, number, f"frequency {freq} outside [0, {len(rows)})")
+        freqs[index] = freq
     return ChoiceFunction(resolution, freqs)
 
 

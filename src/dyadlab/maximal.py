@@ -44,7 +44,7 @@ def dyadic_maximal(f: GridSignal) -> GridSignal:
     avgs = scale_averages(np.abs(f.values), L)
     out = avgs[L].copy()
     for k in range(L):
-        np.maximum(out, np.repeat(avgs[k], 1 << (L - k)), out)
+        np.maximum(out, np.repeat(avgs[k], 1 << (L - k)), out=out)
     return GridSignal(L, out)
 
 
@@ -185,9 +185,18 @@ def interval_size_mass(
 def dyadic_class(value: float) -> int:
     """Class index n with 2**-(n+1) < value <= 2**-n; exact powers go to n.
     Negative for values above one (sizes can exceed one; densities cannot)."""
-    if not value > 0:
-        raise ValueError(f"class index needs a positive value, got {value}")
-    return int(math.floor(-math.log2(value) + 1e-9))
+    if not 0 < value < math.inf:
+        raise ValueError(f"class index needs a positive finite value, got {value}")
+    mantissa, exponent = math.frexp(value)  # value = mantissa * 2**exponent, 0.5 <= mantissa < 1
+    return 1 - exponent if mantissa == 0.5 else -exponent
+
+
+def next_class(value: float, prev: int | None) -> int:
+    """Class index of one round of a size or mass decomposition: the dyadic
+    class of the value, strictly above the previous round's index (halving
+    guarantees it for positive values; a zero value takes the next slot)."""
+    n = dyadic_class(value) if value > 0 else (0 if prev is None else prev + 1)
+    return n if prev is None else max(n, prev + 1)
 
 
 def _maximal_members(intervals: list[DyadicInterval]) -> list[DyadicInterval]:

@@ -167,7 +167,7 @@ def strong_maximal(f: Grid2D) -> Grid2D:
             np.maximum(
                 out,
                 np.repeat(np.repeat(avg, 1 << (L - kx), axis=0), 1 << (L - ky), axis=1),
-                out,
+                out=out,
             )
     return Grid2D(L, out)
 

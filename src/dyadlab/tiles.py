@@ -26,7 +26,7 @@ from .grid import (
     lp_norm,
     measure,
 )
-from .maximal import dyadic_maximal, dyadic_class
+from .maximal import dyadic_maximal, next_class
 from .reports import RatioReport
 from .walsh import walsh_analysis, walsh_synthesis, walsh_values, walsh_values_at
 
@@ -141,18 +141,6 @@ class BiTile:
         return other < self
 
 
-def order_interval(lo: BiTile, hi: BiTile) -> list[BiTile]:
-    """All bi-tiles P with lo <= P <= hi (one per intermediate scale)."""
-    if not lo <= hi:
-        return []
-    out = []
-    for scale in range(hi.scale, lo.scale + 1):
-        offset = lo.offset >> (lo.scale - scale)
-        freq_index = hi.freq.lo >> (scale + 1)
-        out.append(BiTile(scale, offset, freq_index))
-    return out
-
-
 def all_bitiles(resolution: int) -> list[BiTile]:
     out = []
     for scale in range(resolution):
@@ -162,60 +150,97 @@ def all_bitiles(resolution: int) -> list[BiTile]:
     return out
 
 
-@dataclass(frozen=True)
+def _mask_shape(resolution: int, scale: int) -> tuple[int, int]:
+    return (1 << scale, 1 << (resolution - scale - 1))
+
+
+@dataclass(frozen=True, eq=False)
 class TileCollection:
-    """Finite set of bi-tiles at one resolution, with a convexity flag."""
+    """Finite set of bi-tiles at one resolution, with a convexity flag.
+
+    The members are stored only as one read-only boolean occupancy mask per
+    scale k < L, shaped (2**k, 2**(L-k-1)) and indexed [offset, freq_index].
+    """
 
     resolution: int
-    bitiles: frozenset[BiTile]
+    masks: tuple[np.ndarray, ...] = field(repr=False)
     convex: bool = False
 
     def __post_init__(self):
         check_resolution(self.resolution)
-        for p in self.bitiles:
-            if not p.fits(self.resolution):
-                raise ValueError(f"bi-tile {p} does not fit resolution {self.resolution}")
+        masks = tuple(np.array(m, dtype=bool) for m in self.masks)
+        expected = [_mask_shape(self.resolution, k) for k in range(self.resolution)]
+        if [m.shape for m in masks] != expected:
+            raise ValueError(f"expected occupancy masks shaped {expected}")
+        for m in masks:
+            m.setflags(write=False)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
-    def from_bitiles(cls, resolution: int, bitiles, check_convex: bool = True) -> "TileCollection":
-        tiles = frozenset(bitiles)
-        convex = collection_is_convex(tiles) if check_convex else False
-        return cls(resolution, tiles, convex)
+    def from_bitiles(cls, resolution: int, bitiles) -> "TileCollection":
+        masks = _masks_of(resolution, bitiles)
+        return cls(resolution, masks, collection_is_convex(masks))
 
     @classmethod
     def all(cls, resolution: int) -> "TileCollection":
-        return cls(resolution, frozenset(all_bitiles(resolution)), convex=True)
+        shapes = (_mask_shape(resolution, k) for k in range(resolution))
+        return cls(resolution, tuple(np.ones(shape, dtype=bool) for shape in shapes), convex=True)
 
     @classmethod
     def convex_closure(cls, resolution: int, seed) -> "TileCollection":
-        tiles = set(seed)
-        grown = True
-        while grown:
-            grown = False
-            pairs = [(p, q) for p in tiles for q in tiles if p <= q]
-            for p, q in pairs:
-                for mid in order_interval(p, q):
-                    if mid not in tiles:
-                        tiles.add(mid)
-                        grown = True
-        return cls(resolution, frozenset(tiles), convex=True)
+        return cls(resolution, _hull(_masks_of(resolution, seed)), convex=True)
+
+    @property
+    def bitiles(self) -> frozenset[BiTile]:
+        """The members as bi-tile objects, built from the masks."""
+        return frozenset(_members(self.masks))
 
     def __len__(self) -> int:
-        return len(self.bitiles)
-
-    def without(self, removed) -> "TileCollection":
-        return TileCollection(self.resolution, self.bitiles - frozenset(removed), self.convex)
+        return sum(int(np.count_nonzero(m)) for m in self.masks)
 
 
-def collection_is_convex(bitiles) -> bool:
-    tiles = set(bitiles)
-    for p in tiles:
-        for q in tiles:
-            if p <= q:
-                for mid in order_interval(p, q):
-                    if mid not in tiles:
-                        return False
-    return True
+def _masks_of(resolution: int, bitiles) -> list[np.ndarray]:
+    check_resolution(resolution)
+    masks = [np.zeros(_mask_shape(resolution, k), dtype=bool) for k in range(resolution)]
+    for p in bitiles:
+        if not p.fits(resolution):
+            raise ValueError(f"bi-tile {p} does not fit resolution {resolution}")
+        masks[p.scale][p.offset, p.freq_index] = True
+    return masks
+
+
+def _members(masks):
+    """Members of per-scale masks as bi-tiles, in `bitile_key` order."""
+    for k, mask in enumerate(masks):
+        for offset, freq_index in zip(*np.nonzero(mask)):
+            yield BiTile(k, int(offset), int(freq_index))
+
+
+def _hull(masks) -> tuple[np.ndarray, ...]:
+    """Order-convex hull: every bi-tile R with P <= R <= Q for members P, Q,
+    that is the down-set of the members intersected with their up-set.
+
+    The bi-tiles directly below (offset n, freq f) at scale k are (2n, f >> 1)
+    and (2n + 1, f >> 1) at scale k + 1, so one coarse-to-fine sweep builds
+    the down-set and one fine-to-coarse sweep the up-set.
+    """
+    if not masks:
+        return ()
+    down = [masks[0]]
+    for mask in masks[1:]:
+        above = down[-1][:, 0::2] | down[-1][:, 1::2]
+        down.append(mask | np.repeat(above, 2, axis=0))
+    up = [masks[-1]]
+    for mask in masks[-2::-1]:
+        below = up[-1][0::2] | up[-1][1::2]
+        up.append(mask | np.repeat(below, 2, axis=1))
+    return tuple(d & u for d, u in zip(down, reversed(up)))
+
+
+def collection_is_convex(masks) -> bool:
+    """Whether per-scale occupancy masks hold every bi-tile between two of
+    their members, i.e. equal their order-convex hull."""
+    return all(np.array_equal(h, m) for h, m in zip(_hull(masks), masks))
 
 
 @dataclass(frozen=True)
@@ -277,23 +302,37 @@ def bitile_key(p: BiTile) -> tuple[int, int, int]:
     return (p.scale, p.offset, p.freq_index)
 
 
-def _members_by_scale(collection: TileCollection) -> dict[int, list[BiTile]]:
-    by_scale: dict[int, list[BiTile]] = {}
-    for p in collection.bitiles:
-        by_scale.setdefault(p.scale, []).append(p)
-    return {k: sorted(v, key=bitile_key) for k, v in sorted(by_scale.items())}
-
-
 def member_coefficients(collection: TileCollection, f: GridSignal) -> dict[BiTile, complex]:
-    """<f, lower-packet of P> for every member, via per-scale fast transforms."""
+    """<f, lower-packet of P> for every member, via per-scale fast transforms,
+    in `bitile_key` order."""
     if f.resolution != collection.resolution:
         raise ValueError("resolution mismatch")
     out: dict[BiTile, complex] = {}
-    for k, members in _members_by_scale(collection).items():
+    for k, mask in enumerate(collection.masks):
+        if not mask.any():
+            continue
         coef = packet_coefficients(f.values, f.resolution, k)
-        for p in members:
-            out[p] = complex(coef[p.offset, 2 * p.freq_index])
+        for offset, freq_index in zip(*np.nonzero(mask)):
+            out[BiTile(k, int(offset), int(freq_index))] = complex(coef[offset, 2 * freq_index])
     return out
+
+
+def _upper_hits(choice: ChoiceFunction, collection: TileCollection):
+    """Per scale k, the cells whose chosen frequency lies in the upper tile of
+    a member at scale k: (k, cell mask, member offsets, member frequency
+    indices, upper-packet signs at those cells)."""
+    L = collection.resolution
+    cells = np.arange(1 << L)
+    for k, present in enumerate(collection.masks):
+        tile_idx = choice.freqs >> k
+        m = tile_idx >> 1
+        n = cells >> (L - k)
+        valid = ((tile_idx & 1) == 1) & present[n, m]
+        if not np.any(valid):
+            continue
+        u = cells & ((1 << (L - k)) - 1)
+        w = walsh_values_at(2 * m[valid] + 1, u[valid], L - k)
+        yield k, valid, n[valid], m[valid], w
 
 
 def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:
@@ -305,23 +344,10 @@ def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection)
     L = f.resolution
     if choice.resolution != L or collection.resolution != L:
         raise ValueError("resolution mismatch")
-    n_cells = 1 << L
-    cells = np.arange(n_cells)
-    out = np.zeros(n_cells, dtype=np.complex128)
-    for k, members in _members_by_scale(collection).items():
+    out = np.zeros(1 << L, dtype=np.complex128)
+    for k, valid, n, m, w in _upper_hits(choice, collection):
         coef = packet_coefficients(f.values, L, k)
-        present = np.zeros((1 << k, 1 << (L - k - 1)), dtype=bool)
-        for p in members:
-            present[p.offset, p.freq_index] = True
-        tile_idx = choice.freqs >> k
-        m = tile_idx >> 1
-        n = cells >> (L - k)
-        valid = ((tile_idx & 1) == 1) & present[n, m]
-        if not np.any(valid):
-            continue
-        u = cells & ((1 << (L - k)) - 1)
-        w = walsh_values_at(2 * m[valid] + 1, u[valid], L - k)
-        out[valid] += coef[n[valid], 2 * m[valid]] * (2.0 ** (k / 2.0)) * w
+        out[valid] += coef[n, 2 * m] * (2.0 ** (k / 2.0)) * w
     return GridSignal(L, out)
 
 
@@ -331,27 +357,10 @@ def adjoint_model_sum(g: GridSignal, choice: ChoiceFunction, collection: TileCol
     L = g.resolution
     if choice.resolution != L or collection.resolution != L:
         raise ValueError("resolution mismatch")
-    n_cells = 1 << L
-    cells = np.arange(n_cells)
-    out = np.zeros(n_cells, dtype=np.complex128)
-    for k, members in _members_by_scale(collection).items():
-        present = np.zeros((1 << k, 1 << (L - k - 1)), dtype=bool)
-        for p in members:
-            present[p.offset, p.freq_index] = True
-        tile_idx = choice.freqs >> k
-        m = tile_idx >> 1
-        n = cells >> (L - k)
-        valid = ((tile_idx & 1) == 1) & present[n, m]
-        if not np.any(valid):
-            continue
-        u = cells & ((1 << (L - k)) - 1)
-        w = walsh_values_at(2 * m[valid] + 1, u[valid], L - k)
-        pair = np.zeros((1 << k, 1 << (L - k - 1)), dtype=np.complex128)
-        np.add.at(
-            pair,
-            (n[valid], m[valid]),
-            g.values[valid] * (2.0 ** (k / 2.0)) * w * cell_width(L),
-        )
+    out = np.zeros(1 << L, dtype=np.complex128)
+    for k, valid, n, m, w in _upper_hits(choice, collection):
+        pair = np.zeros(_mask_shape(L, k), dtype=np.complex128)
+        np.add.at(pair, (n, m), g.values[valid] * (2.0 ** (k / 2.0)) * w * cell_width(L))
         coef = np.zeros((1 << k, 1 << (L - k)), dtype=np.complex128)
         coef[:, 0::2] = pair
         out += packet_synthesis(coef, L, k)
@@ -382,11 +391,6 @@ class Tree:
     def top_length(self) -> float:
         return self.top_interval.length
 
-    def two_overlap_members(self) -> frozenset[BiTile]:
-        return frozenset(
-            p for p in self.members if p.upper.freq.contains_point(self.top_freq)
-        )
-
 
 def _top_tables(members_with_weight) -> dict[DyadicInterval, list[tuple[int, int, float]]]:
     """Group (upper-frequency interval, weight) by every admissible top interval."""
@@ -399,23 +403,9 @@ def _top_tables(members_with_weight) -> dict[DyadicInterval, list[tuple[int, int
     return tables
 
 
-def _sweep_max(entries) -> tuple[float, int]:
-    """Max over integer xi of the weight of entries whose interval covers xi,
-    and the lowest xi attaining it."""
-    events: dict[int, float] = {}
-    for lo, hi, w in entries:
-        events[lo] = events.get(lo, 0.0) + w
-        events[hi] = events.get(hi, 0.0) - w
-    best, best_xi, running = 0.0, 0, 0.0
-    for xi in sorted(events):
-        running += events[xi]
-        if running > best:
-            best, best_xi = running, xi
-    return best, best_xi
-
-
-def _sweep_first_exceeding(entries, cap: float) -> int | None:
-    """Lowest integer xi whose covering weight strictly exceeds the cap."""
+def _covering_weights(entries):
+    """(xi, total weight of the entries whose interval covers xi) at every
+    interval endpoint xi, in ascending order of xi."""
     events: dict[int, float] = {}
     for lo, hi, w in entries:
         events[lo] = events.get(lo, 0.0) + w
@@ -423,9 +413,7 @@ def _sweep_first_exceeding(entries, cap: float) -> int | None:
     running = 0.0
     for xi in sorted(events):
         running += events[xi]
-        if running > cap:
-            return xi
-    return None
+        yield xi, running
 
 
 def size(collection: TileCollection, f: GridSignal) -> float:
@@ -437,50 +425,54 @@ def size(collection: TileCollection, f: GridSignal) -> float:
     weighted = [(p, abs(c) ** 2) for p, c in coeffs.items()]
     best = 0.0
     for top, entries in _top_tables(weighted).items():
-        value, _ = _sweep_max(entries)
+        value = max(w for _, w in _covering_weights(entries))
         best = max(best, value / top.length)
     return math.sqrt(best)
 
 
-def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> dict[BiTile, float]:
-    """Per member P: |E ∩ {N in freq(P)} ∩ I_P| / |I_P|."""
+def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> tuple[np.ndarray, ...]:
+    """Per scale k, the array over [offset, freq_index] of
+    |E ∩ {N in freq(P)} ∩ I_P| / |I_P| at members P, zero elsewhere."""
     L = collection.resolution
     cells = np.arange(1 << L)
-    out: dict[BiTile, float] = {}
-    for k, members in _members_by_scale(collection).items():
-        counts = np.zeros((1 << k, 1 << (L - k - 1)), dtype=np.int64)
+    out = []
+    for k, mask in enumerate(collection.masks):
+        counts = np.zeros(_mask_shape(L, k), dtype=np.int64)
         n = cells >> (L - k)
         t = choice.freqs >> (k + 1)
         np.add.at(counts, (n[e.mask], t[e.mask]), 1)
-        for p in members:
-            out[p] = counts[p.offset, p.freq_index] * 2.0 ** (k - L)
-    return out
+        out.append(np.where(mask, counts * 2.0 ** (k - L), 0.0))
+    return tuple(out)
 
 
 def mass(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> float:
     """max over members of the stopping density |E_P ∩ I_P| / |I_P|."""
     table = member_mass_table(collection, e, choice)
-    return max(table.values(), default=0.0)
+    return max((float(t.max()) for t in table), default=0.0)
+
+
+def _sup_of_interval_min(collection: TileCollection, values: np.ndarray) -> float:
+    """sup over members P of min over the cells of I_P of the values."""
+    L = collection.resolution
+    best = 0.0
+    for k, mask in enumerate(collection.masks):
+        occupied = mask.any(axis=1)
+        if occupied.any():
+            mins = values.reshape(1 << k, 1 << (L - k)).min(axis=1)
+            best = max(best, float(mins[occupied].max()))
+    return best
 
 
 def size_bound(collection: TileCollection, f: GridSignal) -> float:
     """sup over members of inf over the spatial interval of M f; the computed
     size never exceeds sqrt(L + 1) times this quantity."""
-    mf = dyadic_maximal(f).values.real
-    best = 0.0
-    for p in collection.bitiles:
-        best = max(best, float(mf[p.spatial.cell_slice(collection.resolution)].min()))
-    return best
+    return _sup_of_interval_min(collection, dyadic_maximal(f).values.real)
 
 
 def mass_bound(collection: TileCollection, e: GridSet) -> float:
     """sup over members of inf over the spatial interval of M 1_E; the
     computed mass never exceeds this quantity."""
-    me = dyadic_maximal(e.indicator()).values.real
-    best = 0.0
-    for p in collection.bitiles:
-        best = max(best, float(me[p.spatial.cell_slice(collection.resolution)].min()))
-    return best
+    return _sup_of_interval_min(collection, dyadic_maximal(e.indicator()).values.real)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +488,18 @@ class DecompositionStats:
     counting_constant: float
 
 
-def _one_overlap_tree(current: set[BiTile], top: DyadicInterval, xi: int) -> set[BiTile]:
-    picked = set()
-    for p in current:
-        if top.contains(p.spatial) and p.freq.contains_point(xi):
-            picked.add(p)
-    return picked
+def _take_tree(masks: list[np.ndarray], top: DyadicInterval, xi: int) -> frozenset[BiTile]:
+    """Clear from the per-scale masks, and return, every member whose spatial
+    interval lies in the top interval and whose frequency interval contains
+    xi: at each scale k those sit in one column, xi >> (k + 1)."""
+    picked = []
+    for k in range(top.scale, len(masks)):
+        rows = slice(top.offset << (k - top.scale), (top.offset + 1) << (k - top.scale))
+        col = xi >> (k + 1)
+        hits = np.flatnonzero(masks[k][rows, col])
+        picked.extend(BiTile(k, rows.start + int(i), col) for i in hits)
+        masks[k][rows, col] = False
+    return frozenset(picked)
 
 
 def size_decompose(
@@ -518,32 +516,31 @@ def size_decompose(
     """
     sigma = size(collection, f)
     thr = sigma / 2.0 if threshold is None else threshold
-    current = set(collection.bitiles)
+    current = [m.copy() for m in collection.masks]
     coeffs = member_coefficients(collection, f)
     forest: list[Tree] = []
     tops_length = 0.0
 
     while True:
-        weighted = [(p, abs(coeffs[p]) ** 2) for p in current]
+        weighted = [(p, abs(coeffs[p]) ** 2) for p in _members(current)]
         tables = _top_tables(weighted)
         selection = None
         for top in sorted(tables, key=lambda t: (t.scale, t.offset)):
-            xi = _sweep_first_exceeding(tables[top], thr * thr * top.length)
+            cap = thr * thr * top.length
+            xi = next((xi for xi, w in _covering_weights(tables[top]) if w > cap), None)
             if xi is not None:
                 selection = (top, xi)
                 break
         if selection is None:
             break
         top, xi = selection
-        removed = _one_overlap_tree(current, top, xi)
-        current -= removed
-        forest.append(Tree(top, xi, frozenset(removed)))
+        forest.append(Tree(top, xi, _take_tree(current, top, xi)))
         tops_length += top.length
 
     norm_sq = lp_norm(f, 2.0) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
     stats = DecompositionStats(sigma, thr, tops_length, len(forest), constant)
-    return collection.without(collection.bitiles - current), forest, stats
+    return TileCollection(collection.resolution, current, collection.convex), forest, stats
 
 
 def mass_decompose(
@@ -561,28 +558,25 @@ def mass_decompose(
     sum |I_T| <= |E| / threshold exactly.
     """
     table = member_mass_table(collection, e, choice)
-    mu = max(table.values(), default=0.0)
+    mu = max((float(t.max()) for t in table), default=0.0)
     thr = mu / 2.0 if threshold is None else threshold
-    current = set(collection.bitiles)
+    current = [m.copy() for m in collection.masks]
     forest: list[Tree] = []
     tops_length = 0.0
 
-    heavy = sorted(
-        (p for p in current if table[p] > thr),
-        key=lambda p: (p.scale, p.offset, p.freq_index),
-    )
+    heavy = list(_members(tuple(m & (t > thr) for m, t in zip(current, table))))
     for top in heavy:
-        if top not in current:
+        if not current[top.scale][top.offset, top.freq_index]:
             continue
-        removed = {p for p in current if p <= top}
-        current -= removed
-        forest.append(Tree(top.spatial, top.freq.lo, frozenset(removed)))
+        # the members below a top are the tree under its interval and its
+        # lowest frequency
+        forest.append(Tree(top.spatial, top.freq.lo, _take_tree(current, top.spatial, top.freq.lo)))
         tops_length += top.spatial.length
 
     e_measure = measure(e)
     constant = tops_length * mu / e_measure if e_measure > 0 else 0.0
     stats = DecompositionStats(mu, thr, tops_length, len(forest), constant)
-    return collection.without(collection.bitiles - current), forest, stats
+    return TileCollection(collection.resolution, current, collection.convex), forest, stats
 
 
 @dataclass
@@ -635,14 +629,7 @@ def full_decompose(
         mu = mass(current, e, choice)
         if sigma == 0.0 and mu == 0.0:
             break
-        # classes strictly advance per round (halving guarantees it when the
-        # quantity is positive; zero quantities just inherit the next slot)
-        n = dyadic_class(sigma) if sigma > 0 else (0 if n_prev is None else n_prev + 1)
-        m = dyadic_class(mu) if mu > 0 else (0 if m_prev is None else m_prev + 1)
-        if n_prev is not None:
-            n = max(n, n_prev + 1)
-        if m_prev is not None:
-            m = max(m, m_prev + 1)
+        n, m = next_class(sigma, n_prev), next_class(mu, m_prev)
         trees: list[Tree] = []
         if sigma > 0:
             current, forest, _ = size_decompose(current, f, threshold=2.0 ** -(n + 1))
@@ -675,7 +662,7 @@ def tree_estimate(
     """Single tree estimate: the absolute coefficient pairing against
     |I_T| * size(tree) * mass(tree)."""
     L = f.resolution
-    as_collection = TileCollection(L, tree.members, convex=False)
+    as_collection = TileCollection.from_bitiles(L, tree.members)
     coeffs = member_coefficients(as_collection, f)
     lhs = 0.0
     for p in tree.members:

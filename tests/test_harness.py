@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dyadlab.cli import main
+from dyadlab.cli import build_parser, main
 from dyadlab.grid import GridSignal
 from dyadlab.harness import (
     ExperimentConfig,
@@ -226,8 +226,42 @@ class TestIOErrors:
         with pytest.raises(ValueError, match="row 1"):
             read_tile_collection(path, 4)
 
+    def test_repeated_tile_row(self, tmp_path):
+        path = tmp_path / "tiles.csv"
+        path.write_text("k,n,freq_offset\n1,0,0\n0,0,1\n1,0,0\n")
+        with pytest.raises(ValueError, match="row 3"):
+            read_tile_collection(path, 3)
+
+    def test_repeated_set_index(self, tmp_path):
+        path = tmp_path / "set.csv"
+        path.write_text("index,member\n0,1\n1,0\n1,1\n3,0\n")
+        with pytest.raises(ValueError, match="row 3"):
+            read_grid_set(path)
+
+    @pytest.mark.parametrize(
+        "rows, bad_row",
+        [
+            ("0,1\n1,2\n-1,3\n3,0\n", 3),  # negative index would wrap to 3
+            ("0,1\n1,2\n1,3\n3,0\n", 3),  # repeated index
+            ("0,1\n1,2\n3,0\n4,0\n", 4),  # index 2 missing
+            ("0,1\n1,2\n2,4\n3,0\n", 3),  # frequency outside [0, 4)
+        ],
+        ids=["negative", "repeated", "missing", "frequency"],
+    )
+    def test_bad_choice_index(self, tmp_path, rows, bad_row):
+        path = tmp_path / "choice.csv"
+        path.write_text("index,freq\n" + rows)
+        with pytest.raises(ValueError, match=f"row {bad_row}"):
+            read_choice(path)
+
 
 class TestCLI:
+    def test_only_estimate22_takes_plot(self):
+        assert build_parser().parse_args(["estimate-22", "--plot"]).plot
+        for flag in (["--plot"], ["--s", "2"], ["--t", "3"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["verify", "fs", *flag])
+
     def test_verify_exit_zero(self, tmp_path, capsys):
         code = main(
             [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyadlab.grid import (
     DyadicInterval,
@@ -213,8 +215,25 @@ class TestSizeMass:
         assert dyadic_class(0.3) == 1
         assert dyadic_class(0.25) == 2
         assert dyadic_class(3.0) == -2
-        with pytest.raises(ValueError):
-            dyadic_class(0.0)
+        assert dyadic_class(0.125 * (1 + 1e-12)) == 2
+        assert dyadic_class(4.0 * (1 + 1e-12)) == -3
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                dyadic_class(bad)
+
+    @given(st.integers(-1022, 1073), st.sampled_from([-1, 0, 1]))
+    def test_class_index_exact_at_powers_of_two(self, n, ulps):
+        value = math.ldexp(1.0, -n)
+        if ulps:
+            value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
+        k = dyadic_class(value)
+        assert math.ldexp(1.0, -(k + 1)) < value <= math.ldexp(1.0, -k)
+        assert k == (n if ulps <= 0 else n - 1)
+
+    @given(st.floats(min_value=5e-324, max_value=1e300))
+    def test_class_index_contract(self, value):
+        k = dyadic_class(value)
+        assert math.ldexp(1.0, -(k + 1)) < value <= math.ldexp(1.0, -k)
 
 
 class TestRestrictedDoubleSum:

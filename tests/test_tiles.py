@@ -27,6 +27,7 @@ from dyadlab.tiles import (
     Tree,
     adjoint_model_sum,
     all_bitiles,
+    bitile_key,
     collection_is_convex,
     full_decompose,
     mass,
@@ -40,6 +41,45 @@ from dyadlab.tiles import (
     tree_estimate,
     walsh_packet,
 )
+
+
+def order_interval(lo: BiTile, hi: BiTile) -> list[BiTile]:
+    """All bi-tiles P with lo <= P <= hi (one per intermediate scale)."""
+    if not lo <= hi:
+        return []
+    out = []
+    for scale in range(hi.scale, lo.scale + 1):
+        offset = lo.offset >> (lo.scale - scale)
+        freq_index = hi.freq.lo >> (scale + 1)
+        out.append(BiTile(scale, offset, freq_index))
+    return out
+
+
+def pairwise_is_convex(bitiles) -> bool:
+    """Reference convexity check over every comparable pair of members."""
+    tiles = set(bitiles)
+    for p in tiles:
+        for q in tiles:
+            if p <= q:
+                for mid in order_interval(p, q):
+                    if mid not in tiles:
+                        return False
+    return True
+
+
+def pairwise_closure(bitiles) -> set[BiTile]:
+    """Reference convex closure: add order intervals until nothing grows."""
+    tiles = set(bitiles)
+    grown = True
+    while grown:
+        grown = False
+        pairs = [(p, q) for p in tiles for q in tiles if p <= q]
+        for p, q in pairs:
+            for mid in order_interval(p, q):
+                if mid not in tiles:
+                    tiles.add(mid)
+                    grown = True
+    return tiles
 
 
 def oracle_size(collection: TileCollection, f: GridSignal) -> float:
@@ -159,7 +199,7 @@ class TestTilesAndOrder:
 class TestModelSum:
     def test_empty_collection(self):
         f = GridSignal.constant(4, 1.0)
-        empty = TileCollection(4, frozenset())
+        empty = TileCollection.from_bitiles(4, [])
         out = model_sum(f, ChoiceFunction.constant(4, 0), empty)
         assert np.all(out.values == 0.0)
 
@@ -275,7 +315,7 @@ class TestSizeAndMass:
 
 class TestDecompositions:
     def test_empty_collection(self):
-        empty = TileCollection(5, frozenset(), convex=True)
+        empty = TileCollection.from_bitiles(5, [])
         small, forest, stats = size_decompose(empty, GridSignal.zeros(5))
         assert not forest and len(small) == 0
 
@@ -304,9 +344,9 @@ class TestDecompositions:
         assert removed | set(small.bitiles) == set(collection.bitiles)
         assert not removed & set(small.bitiles)
         # remainder and every stored tree are convex
-        assert collection_is_convex(small.bitiles)
+        assert collection_is_convex(small.masks)
         for tree in forest:
-            assert collection_is_convex(tree.members)
+            assert TileCollection.from_bitiles(resolution, tree.members).convex
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mass_postconditions(self, seed):
@@ -319,9 +359,9 @@ class TestDecompositions:
         assert mass(small, e, choice) <= stats.initial / 2 + 1e-15
         removed = set().union(*(t.members for t in forest)) if forest else set()
         assert removed | set(small.bitiles) == set(collection.bitiles)
-        assert collection_is_convex(small.bitiles)
+        assert collection_is_convex(small.masks)
         for tree in forest:
-            assert collection_is_convex(tree.members)
+            assert TileCollection.from_bitiles(resolution, tree.members).convex
         # incomparable-top counting: sum |I_T| < |E| / threshold exactly
         if stats.initial > 0 and measure(e) > 0:
             assert stats.tops_length <= measure(e) / stats.threshold * (1 + 1e-12)
@@ -352,7 +392,7 @@ class TestDecompositions:
                 assert p not in seen
             seen.extend(union)
             if union:
-                as_collection = TileCollection(resolution, frozenset(union))
+                as_collection = TileCollection.from_bitiles(resolution, union)
                 assert size(as_collection, f) <= bucket.size_cap * (1 + 1e-12)
                 assert mass(as_collection, e, choice) <= bucket.mass_cap * (1 + 1e-12)
         # remainder carries no coefficient or stopping mass at all
@@ -415,7 +455,8 @@ class TestCollections:
         for _ in range(10):
             collection = random_convex_collection(rng, 5)
             assert collection.convex
-            assert collection_is_convex(collection.bitiles)
+            assert collection_is_convex(collection.masks)
+            assert pairwise_is_convex(collection.bitiles)
 
     def test_all_bitiles_count(self):
         # L * 2^(L-1) bi-tiles at resolution L
@@ -426,7 +467,53 @@ class TestCollections:
         lo = BiTile(2, 0, 0)
         hi = BiTile(0, 0, 0)
         assert lo <= hi
-        assert not collection_is_convex({lo, hi})
+        assert not pairwise_is_convex({lo, hi})
+        assert not TileCollection.from_bitiles(3, {lo, hi}).convex
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3])
+    def test_convexity_and_closure_match_pairwise_on_every_subset(self, resolution):
+        tiles = all_bitiles(resolution)
+        for bits in range(1 << len(tiles)):
+            subset = [p for i, p in enumerate(tiles) if (bits >> i) & 1]
+            collection = TileCollection.from_bitiles(resolution, subset)
+            assert collection.convex == pairwise_is_convex(subset)
+            closure = TileCollection.convex_closure(resolution, subset)
+            assert closure.bitiles == pairwise_closure(subset)
+
+    @pytest.mark.parametrize("resolution", [4, 5])
+    def test_convexity_and_closure_match_pairwise_on_random_subsets(self, resolution):
+        rng = np.random.default_rng(14 + resolution)
+        tiles = all_bitiles(resolution)
+        verdicts = set()
+        for _ in range(150):
+            density = rng.choice([0.05, 0.15, 0.4])
+            subset = [p for p in tiles if rng.random() < density]
+            collection = TileCollection.from_bitiles(resolution, subset)
+            verdicts.add(collection.convex)
+            assert collection.convex == pairwise_is_convex(subset)
+            closure = TileCollection.convex_closure(resolution, subset)
+            assert closure.bitiles == pairwise_closure(subset)
+        assert verdicts == {True, False}
+
+    def test_masks_enumerate_in_bitile_key_order(self):
+        rng = np.random.default_rng(15)
+        collection = random_convex_collection(rng, 5)
+        members = list(member_coefficients(collection, random_signal(rng, 5)))
+        assert members == sorted(collection.bitiles, key=bitile_key)
+        assert len(members) == len(collection)
+
+    def test_masks_are_read_only(self):
+        collection = TileCollection.all(3)
+        with pytest.raises(ValueError):
+            collection.masks[0][0, 0] = False
+
+    def test_bitile_outside_resolution_rejected(self):
+        with pytest.raises(ValueError):
+            TileCollection.from_bitiles(3, [BiTile(3, 0, 0)])
+        with pytest.raises(ValueError):
+            TileCollection.from_bitiles(3, [BiTile(1, 0, 2)])
+        with pytest.raises(ValueError):
+            TileCollection(3, (np.ones((1, 4), dtype=bool),))
 
     def test_tree_validation(self):
         p = BiTile(1, 0, 1)
