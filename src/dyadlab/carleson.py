@@ -11,7 +11,7 @@ caps they force hold as stated, with explicit constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,24 +22,26 @@ from .reports import BucketStat, DecayReport, LadderPoint, RatioReport, safe_rat
 from .tiles import (
     BiTile,
     ChoiceFunction,
+    ModelSumPlan,
     TileCollection,
-    adjoint_model_sum,
     full_decompose,
     member_coefficients,
     model_sum,
     packet_coefficients,
 )
-from .walsh import bit_reverse
+from .walsh import bit_reversal
 
 
 @dataclass(frozen=True)
 class RestrictedOp:
-    """Model sum localized between two sets: f -> 1_A T(f 1_B)."""
+    """Model sum localized between two sets: f -> 1_A T(f 1_B), with the
+    model-sum plan of its (choice, collection) built once."""
 
     a: GridSet
     b: GridSet
     choice: ChoiceFunction
     collection: TileCollection
+    plan: ModelSumPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (
@@ -49,17 +51,18 @@ class RestrictedOp:
             == self.collection.resolution
         ):
             raise ValueError("restricted operator pieces must share one resolution")
+        object.__setattr__(self, "plan", ModelSumPlan(self.choice, self.collection))
 
 
 def apply_restricted(f: GridSignal, op: RestrictedOp) -> GridSignal:
     masked = GridSignal(f.resolution, f.values * op.b.mask)
-    out = model_sum(masked, op.choice, op.collection)
+    out = op.plan.apply(masked)
     return GridSignal(f.resolution, out.values * op.a.mask)
 
 
 def adjoint_restricted(g: GridSignal, op: RestrictedOp) -> GridSignal:
     masked = GridSignal(g.resolution, g.values * op.a.mask)
-    out = adjoint_model_sum(masked, op.choice, op.collection)
+    out = op.plan.adjoint(masked)
     return GridSignal(g.resolution, out.values * op.b.mask)
 
 
@@ -114,7 +117,7 @@ def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
         coef = packet_coefficients(f.values, L, k)
         n_idx = cells >> (L - k)
         u = cells & ((1 << (L - k)) - 1)
-        rev_u = bit_reverse(u, L - k)
+        rev_u = bit_reversal(L - k)[u]
         mm = np.arange(1 << (L - k - 1))
         # packet value of the upper tile at every (cell, freq-index) pair
         signs = 1.0 - 2.0 * (np.bitwise_count((2 * mm[None, :] + 1) & rev_u[:, None]) & 1)
@@ -255,7 +258,11 @@ def norm_decay_point(
 ) -> dict:
     """Measured norm of the restricted operator for one (G, H) pair, taking
     the worst choice function over a family that includes a greedy adversary
-    re-fit to the current top singular vector."""
+    re-fit to the current top singular vector.
+
+    Besides the norm, reports the iteration count and convergence flag of
+    the power iteration that gave it, and `unconverged`, the number of power
+    iterations of the point that stopped at the cap `iters` unconverged."""
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
@@ -269,12 +276,14 @@ def norm_decay_point(
     else:
         raise ValueError(f"unknown branch {branch!r}")
     surviving = retain_meeting(collection, keep)
-    best = 0.0
+    winner = None
     best_choice = None
+    unconverged = 0
     probe = GridSignal(L, rng.standard_normal(1 << L))
     for idx, choice in enumerate(_choice_family(surviving, L, rng, extra_signal=probe)):
         op = RestrictedOp(a_set, b_set, choice, surviving)
         res = restricted_norm(op, iters=iters, seed=seed + idx)
+        unconverged += not res.converged
         vec = res.top_vector
         for round_ in range(adversary_rounds):
             if vec is None:
@@ -282,13 +291,22 @@ def norm_decay_point(
             refit = greedy_choice(GridSignal(L, np.asarray(vec) * b_set.mask), surviving)
             op = RestrictedOp(a_set, b_set, refit, surviving)
             res2 = restricted_norm(op, iters=iters, seed=seed + 131 + round_)
+            unconverged += not res2.converged
             if res2.norm > res.norm:
                 res, choice, vec = res2, refit, res2.top_vector
             else:
                 break
-        if res.norm > best:
-            best, best_choice = res.norm, choice
-    return {"norm": best, "ratio": ratio, "choice": best_choice, "kept": measure(keep)}
+        if winner is None or res.norm > winner.norm:
+            winner, best_choice = res, choice
+    return {
+        "norm": winner.norm,
+        "ratio": ratio,
+        "choice": best_choice,
+        "kept": measure(keep),
+        "iterations": winner.iterations,
+        "converged": winner.converged,
+        "unconverged": unconverged,
+    }
 
 
 def norm_decay_ladder(
@@ -302,11 +320,14 @@ def norm_decay_ladder(
 ) -> DecayReport:
     """Norm decay along a ladder of measure ratios, with the fitted log-log
     slope.  The large set is the whole grid; the small set is drawn at the
-    exact ladder measure; for the g branch the roles are swapped."""
+    exact ladder measure; for the g branch the roles are swapped.  The
+    report's `unconverged` counts the power iterations of the whole ladder
+    that stopped unconverged."""
     rng = np.random.default_rng(seed)
     n = 1 << resolution
     collection = collection or TileCollection.all(resolution)
     points = []
+    unconverged = 0
     for i, ratio in enumerate(ratios):
         count = max(1, round(ratio * n))
         mask = np.zeros(n, dtype=bool)
@@ -318,6 +339,7 @@ def norm_decay_ladder(
         else:
             point = norm_decay_point(small, big, collection, seed=seed + 7 * i, c=c, iters=iters, branch="g")
         points.append(LadderPoint(math.log2(point["ratio"]), math.log2(max(point["norm"], 1e-300))))
+        unconverged += point["unconverged"]
     xs = np.array([pt.log_ratio for pt in points])
     ys = np.array([pt.log_norm for pt in points])
     design = np.vstack([xs, np.ones_like(xs)]).T
@@ -327,7 +349,7 @@ def norm_decay_ladder(
         slope=float(slope),
         intercept=float(intercept),
         thm71=None,
-        extra={"branch": branch, "resolution": resolution},
+        extra={"branch": branch, "resolution": resolution, "unconverged": unconverged},
     )
 
 

@@ -120,7 +120,7 @@ class GridSignal:
         n = 1 << self.resolution
         if values.shape != (n,):
             raise ValueError(f"expected {n} values, got shape {values.shape}")
-        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
+        if not np.isfinite(values).all():
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", values)
 

@@ -35,12 +35,14 @@ def _resolution_for(count: int, path) -> int:
     return resolution
 
 
-def _claim_index(path, row_number, index: int, seen: np.ndarray) -> None:
-    """Reject a cell index outside [0, len(seen)) or already seen; with one
-    row per cell this also rules out missing indices."""
-    if not 0 <= index < len(seen) or seen[index]:
+def _claim_index(path, row_number, index, seen: np.ndarray) -> None:
+    """Reject a cell index (an int, or a (row, col) pair for a 2D `seen`)
+    outside `seen` or already seen; with one row per cell this also rules out
+    missing indices."""
+    cell = index if isinstance(index, tuple) else (index,)
+    if not all(0 <= i < n for i, n in zip(cell, seen.shape)) or seen[cell]:
         _fail(path, row_number, f"index {index} out of range or repeated")
-    seen[index] = True
+    seen[cell] = True
 
 
 def write_signal(path, signal: GridSignal) -> None:
@@ -161,12 +163,15 @@ def read_grid2d(path) -> Grid2D:
     if side * side != count or side & (side - 1):
         raise ValueError(f"{path}: row count {count} is not a square power of two")
     values = np.zeros((side, side), dtype=np.complex128)
+    seen = np.zeros((side, side), dtype=bool)
     for number, row in enumerate(rows, start=1):
         try:
-            r, c = int(row[0]), int(row[1])
-            values[r, c] = float(row[2]) + 1j * float(row[3])
+            cell = (int(row[0]), int(row[1]))
+            value = float(row[2]) + 1j * float(row[3])
         except (IndexError, ValueError) as exc:
             _fail(path, number, f"bad plane row {row!r} ({exc})")
+        _claim_index(path, number, cell, seen)
+        values[cell] = value
     return Grid2D(side.bit_length() - 1, values)
 
 

@@ -28,7 +28,14 @@ from .grid import (
 )
 from .maximal import dyadic_maximal, next_class
 from .reports import RatioReport
-from .walsh import walsh_analysis, walsh_synthesis, walsh_values, walsh_values_at
+from .walsh import (
+    bit_reversal,
+    block_hadamard,
+    walsh_analysis,
+    walsh_synthesis,
+    walsh_values,
+    walsh_values_at,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -317,22 +324,99 @@ def member_coefficients(collection: TileCollection, f: GridSignal) -> dict[BiTil
     return out
 
 
-def _upper_hits(choice: ChoiceFunction, collection: TileCollection):
-    """Per scale k, the cells whose chosen frequency lies in the upper tile of
-    a member at scale k: (k, cell mask, member offsets, member frequency
-    indices, upper-packet signs at those cells)."""
-    L = collection.resolution
-    cells = np.arange(1 << L)
-    for k, present in enumerate(collection.masks):
-        tile_idx = choice.freqs >> k
-        m = tile_idx >> 1
-        n = cells >> (L - k)
-        valid = ((tile_idx & 1) == 1) & present[n, m]
-        if not np.any(valid):
-            continue
-        u = cells & ((1 << (L - k)) - 1)
-        w = walsh_values_at(2 * m[valid] + 1, u[valid], L - k)
-        yield k, valid, n[valid], m[valid], w
+def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+class ModelSumPlan:
+    """The model sum and its adjoint for one (choice, collection), with
+    everything that depends only on those two computed once, so that each
+    apply is one stacked fast transform, gathers and sums.
+
+    At scale k, a cell x receives the term of the member P whose upper tile
+    holds N(x), if there is one: P sits at offset n = x >> (L - k) and
+    frequency index m = N(x) >> (k + 1), and N(x) >> k must be odd. Per
+    scale with at least one such cell the plan keeps one row of a stack of
+    packet-coefficient blocks, shaped (2**k, 2**(L-k)) and flattened, and
+    for the cells it hits: the cells, the flat indices n * 2**(L-k) + 2m of
+    their lower-tile coefficients in the stack, and the upper-packet values
+    2**(k/2) W(x) there. The arithmetic and its order are those of the
+    per-scale evaluation, so outputs are equal bit for bit: every sum starts
+    from zero and adds its terms by ascending scale, and within one scale by
+    ascending cell.
+    """
+
+    def __init__(self, choice: ChoiceFunction, collection: TileCollection):
+        L = collection.resolution
+        if choice.resolution != L:
+            raise ValueError("resolution mismatch")
+        self.resolution = L
+        cells = np.arange(1 << L)
+        bits, factors, perms, hits, coef_index, norms, uppers = [], [], [], [], [], [], []
+        for k, present in enumerate(collection.masks):
+            tile_idx = choice.freqs >> k
+            m = tile_idx >> 1
+            n = cells >> (L - k)
+            hit = np.flatnonzero(((tile_idx & 1) == 1) & present[n, m])
+            if not hit.size:
+                continue
+            row = len(bits) << L
+            within = (1 << (L - k)) - 1
+            factor = 2.0 ** (k / 2.0)
+            bits.append(L - k)
+            factors.append(factor)
+            # bit reversal within each block, the gather of walsh_analysis
+            perms.append((cells & ~within) + bit_reversal(L - k)[cells & within])
+            hits.append(hit)
+            coef_index.append(row + (n[hit] << (L - k)) + 2 * m[hit])
+            norms.append(np.full(hit.size, factor * cell_width(L)))
+            # the signs are +-1, so one multiply by factor * sign equals the
+            # two multiplies, by the factor and then the sign
+            uppers.append(factor * walsh_values_at(2 * m[hit] + 1, hit & within, L - k))
+        self._bits = tuple(bits)
+        self._perm = _joined(perms, np.int64)
+        self._stack_perm = self._perm + np.repeat(np.arange(len(bits)) << L, 1 << L)
+        self._hit = _joined(hits, np.int64)
+        self._coef_index = _joined(coef_index, np.int64)
+        self._norm = _joined(norms, np.float64)
+        self._upper = _joined(uppers, np.float64)
+        self._factor = np.array(factors).reshape(-1, 1)
+
+    def _check(self, f: GridSignal) -> int:
+        if f.resolution != self.resolution:
+            raise ValueError("resolution mismatch")
+        return f.resolution
+
+    def apply(self, f: GridSignal) -> GridSignal:
+        """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
+        L = self._check(f)
+        n = 1 << L
+        # per scale: the packet coefficients of f, up to the normalization
+        # that packet_coefficients applies, here after the gather
+        stack = f.values[self._perm].reshape(-1, n)
+        coef = block_hadamard(stack, self._bits).ravel()[self._coef_index] * self._norm
+        terms = coef * self._upper
+        out = np.empty(n, dtype=np.complex128)
+        out.real = np.bincount(self._hit, terms.real, minlength=n)
+        out.imag = np.bincount(self._hit, terms.imag, minlength=n)
+        return GridSignal(L, out)
+
+    def adjoint(self, g: GridSignal) -> GridSignal:
+        """sum over P of <g, psi_P> packet(P1), where psi_P = packet(P2)
+        restricted to the choice-function preimage."""
+        L = self._check(g)
+        n = 1 << L
+        terms = g.values[self._hit] * self._upper * cell_width(L)
+        size = len(self._bits) << L
+        coef = np.empty(size, dtype=np.complex128)
+        coef.real = np.bincount(self._coef_index, terms.real, minlength=size)
+        coef.imag = np.bincount(self._coef_index, terms.imag, minlength=size)
+        stack = block_hadamard(coef.reshape(-1, n), self._bits)
+        parts = stack.ravel()[self._stack_perm].reshape(-1, n) * self._factor
+        out = np.zeros(n, dtype=np.complex128)
+        for part in parts:
+            out += part
+        return GridSignal(L, out)
 
 
 def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:
@@ -340,31 +424,15 @@ def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection)
 
     Each cell can receive at most one term per spatial scale, because the
     choice function pins down a single upper-half frequency interval there.
+    Build a `ModelSumPlan` instead when applying one operator repeatedly.
     """
-    L = f.resolution
-    if choice.resolution != L or collection.resolution != L:
-        raise ValueError("resolution mismatch")
-    out = np.zeros(1 << L, dtype=np.complex128)
-    for k, valid, n, m, w in _upper_hits(choice, collection):
-        coef = packet_coefficients(f.values, L, k)
-        out[valid] += coef[n, 2 * m] * (2.0 ** (k / 2.0)) * w
-    return GridSignal(L, out)
+    return ModelSumPlan(choice, collection).apply(f)
 
 
 def adjoint_model_sum(g: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:
     """Adjoint of the model sum: sum over P of <g, psi_P> packet(P1), where
     psi_P = packet(P2) restricted to the choice-function preimage."""
-    L = g.resolution
-    if choice.resolution != L or collection.resolution != L:
-        raise ValueError("resolution mismatch")
-    out = np.zeros(1 << L, dtype=np.complex128)
-    for k, valid, n, m, w in _upper_hits(choice, collection):
-        pair = np.zeros(_mask_shape(L, k), dtype=np.complex128)
-        np.add.at(pair, (n, m), g.values[valid] * (2.0 ** (k / 2.0)) * w * cell_width(L))
-        coef = np.zeros((1 << k, 1 << (L - k)), dtype=np.complex128)
-        coef[:, 0::2] = pair
-        out += packet_synthesis(coef, L, k)
-    return GridSignal(L, out)
+    return ModelSumPlan(choice, collection).adjoint(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -256,11 +257,31 @@ class TestNormDecay:
         g = random_grid_set(rng, resolution)
         point = norm_decay_point(h, g, collection, seed=3, iters=60)
         assert point["norm"] > 0 and point["kept"] >= 0.5 * measure(h)
+        assert 1 <= point["iterations"] <= 60
+        assert point["unconverged"] >= int(not point["converged"])
         ladder = norm_decay_ladder(
             resolution, [0.5, 0.25, 0.125], seed=4, iters=50, collection=collection
         )
         assert len(ladder.ratio_ladder) == 3
         assert math.isfinite(ladder.slope)
+        assert ladder.extra["unconverged"] >= 0
+
+    def test_decay_reports_unconverged_runs(self):
+        # two iterations never meet the 1e-9 tolerance: every power iteration
+        # of the point (four choice functions, plus adversary refits) stops
+        # at the cap, and the norm is reported anyway
+        rng = np.random.default_rng(16)
+        resolution = 5
+        collection = TileCollection.all(resolution)
+        h = GridSet.full(resolution)
+        g = random_grid_set(rng, resolution)
+        point = norm_decay_point(h, g, collection, seed=3, iters=2)
+        assert point["norm"] > 0
+        assert point["iterations"] == 2 and not point["converged"]
+        assert point["unconverged"] >= 4
+        ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5, iters=2, collection=collection)
+        assert ladder.extra["unconverged"] >= 8
+        assert json.loads(ladder.to_json())["unconverged"] == ladder.extra["unconverged"]
 
     def test_g_branch_runs(self):
         resolution = 5

@@ -107,7 +107,7 @@ class TestReportSerialization:
 
         decay = norm_decay_ladder(5, [0.5, 0.25], seed=9, iters=30)
         parsed = json.loads(decay.to_json())
-        assert set(parsed) >= {"ratio_ladder", "slope", "intercept", "thm71"}
+        assert set(parsed) >= {"ratio_ladder", "slope", "intercept", "thm71", "unconverged"}
         assert all(set(pt) == {"log_ratio", "log_norm"} for pt in parsed["ratio_ladder"])
 
     def test_directional_report_fields(self):
@@ -253,6 +253,22 @@ class TestIOErrors:
         path.write_text("index,freq\n" + rows)
         with pytest.raises(ValueError, match=f"row {bad_row}"):
             read_choice(path)
+
+    @pytest.mark.parametrize(
+        "cells, bad_row",
+        [
+            ("0,0 0,1 1,0 -1,-1", 4),  # negative pair would wrap to (1, 1)
+            ("0,0 0,1 1,0 1,2", 4),  # column outside [0, 2)
+            ("0,0 0,1 0,1 1,1", 3),  # repeated cell
+            ("0,0 0,1 1,0 0,0", 4),  # cell (1, 1) missing
+        ],
+        ids=["negative", "out-of-range", "repeated", "missing"],
+    )
+    def test_bad_grid2d_cell(self, tmp_path, cells, bad_row):
+        path = tmp_path / "plane.csv"
+        path.write_text("row,col,re,im\n" + "".join(f"{c},1.0,0.0\n" for c in cells.split()))
+        with pytest.raises(ValueError, match=f"row {bad_row}"):
+            read_grid2d(path)
 
 
 class TestCLI:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dyadlab.grid import (
@@ -222,13 +222,16 @@ class TestSizeMass:
                 dyadic_class(bad)
 
     @given(st.integers(-1022, 1073), st.sampled_from([-1, 0, 1]))
+    @example(1073, -1)
     def test_class_index_exact_at_powers_of_two(self, n, ulps):
         value = math.ldexp(1.0, -n)
         if ulps:
             value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
         k = dyadic_class(value)
         assert math.ldexp(1.0, -(k + 1)) < value <= math.ldexp(1.0, -k)
-        assert k == (n if ulps <= 0 else n - 1)
+        # one ulp below 2**-1073 is 2**-1074, itself a power of two
+        below_is_power = ulps < 0 and value == math.ldexp(1.0, -(n + 1))
+        assert k == (n + 1 if below_is_power else n if ulps <= 0 else n - 1)
 
     @given(st.floats(min_value=5e-324, max_value=1e300))
     def test_class_index_contract(self, value):

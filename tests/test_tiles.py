@@ -8,6 +8,7 @@ from dyadlab.grid import (
     DyadicInterval,
     GridSet,
     GridSignal,
+    cell_width,
     inner_product,
     lp_norm,
     measure,
@@ -22,6 +23,7 @@ from dyadlab.tiles import (
     BiTile,
     ChoiceFunction,
     FreqInterval,
+    ModelSumPlan,
     Tile,
     TileCollection,
     Tree,
@@ -35,11 +37,23 @@ from dyadlab.tiles import (
     mass_decompose,
     member_coefficients,
     model_sum,
+    packet_coefficients,
+    packet_synthesis,
     size,
     size_bound,
     size_decompose,
     tree_estimate,
     walsh_packet,
+)
+from dyadlab.principle import densify
+from dyadlab.walsh import (
+    bit_reversal,
+    bit_reverse,
+    block_hadamard,
+    hadamard,
+    walsh_analysis,
+    walsh_synthesis,
+    walsh_values_at,
 )
 
 
@@ -108,6 +122,85 @@ def oracle_size(collection: TileCollection, f: GridSignal) -> float:
         value = weights[sel].sum() / 2.0**-hull_scale
         best = max(best, value)
     return math.sqrt(best)
+
+
+def _oracle_upper_hits(choice: ChoiceFunction, collection: TileCollection):
+    """Per-call derivation of the cells each scale's members reach, as the
+    model sum did before plans."""
+    L = collection.resolution
+    cells = np.arange(1 << L)
+    for k, present in enumerate(collection.masks):
+        tile_idx = choice.freqs >> k
+        m = tile_idx >> 1
+        n = cells >> (L - k)
+        valid = ((tile_idx & 1) == 1) & present[n, m]
+        if not np.any(valid):
+            continue
+        u = cells & ((1 << (L - k)) - 1)
+        w = walsh_values_at(2 * m[valid] + 1, u[valid], L - k)
+        yield k, valid, n[valid], m[valid], w
+
+
+def oracle_model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection):
+    """Reference model sum, evaluated anew on every call."""
+    L = f.resolution
+    out = np.zeros(1 << L, dtype=np.complex128)
+    for k, valid, n, m, w in _oracle_upper_hits(choice, collection):
+        coef = packet_coefficients(f.values, L, k)
+        out[valid] += coef[n, 2 * m] * (2.0 ** (k / 2.0)) * w
+    return out
+
+
+def oracle_adjoint_model_sum(g: GridSignal, choice: ChoiceFunction, collection: TileCollection):
+    """Reference adjoint model sum, evaluated anew on every call."""
+    L = g.resolution
+    out = np.zeros(1 << L, dtype=np.complex128)
+    for k, valid, n, m, w in _oracle_upper_hits(choice, collection):
+        pair = np.zeros((1 << k, 1 << (L - k - 1)), dtype=np.complex128)
+        np.add.at(pair, (n, m), g.values[valid] * (2.0 ** (k / 2.0)) * w * cell_width(L))
+        coef = np.zeros((1 << k, 1 << (L - k)), dtype=np.complex128)
+        coef[:, 0::2] = pair
+        out += packet_synthesis(coef, L, k)
+    return out
+
+
+def reference_hadamard(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stage-by-stage butterflies on a moved-axis copy, as the transform
+    was first written; the stages and their additions are the same."""
+    a = np.moveaxis(np.asarray(a), axis, -1)
+    n = a.shape[-1]
+    out = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64).copy()
+    h = 1
+    while h < n:
+        v = out.reshape(out.shape[:-1] + (n // (2 * h), 2, h))
+        top = v[..., 0, :] + v[..., 1, :]
+        bot = v[..., 0, :] - v[..., 1, :]
+        v[..., 0, :] = top
+        v[..., 1, :] = bot
+        h *= 2
+    return np.moveaxis(out, -1, axis)
+
+
+def plan_cases(rng, resolution):
+    """(choice, collection) pairs: a random convex collection, random subsets
+    with some scales left empty, the full and the empty collection."""
+    shapes = [(1 << k, 1 << (resolution - k - 1)) for k in range(resolution)]
+    collections = [
+        random_convex_collection(rng, resolution),
+        TileCollection.all(resolution),
+        TileCollection.from_bitiles(resolution, []),
+    ]
+    for density in (0.1, 0.6):
+        empty_scales = rng.random(resolution) < 0.4
+        masks = [
+            (rng.random(shape) < density) & ~empty
+            for shape, empty in zip(shapes, empty_scales)
+        ]
+        collections.append(TileCollection(resolution, masks))
+    for collection in collections:
+        yield random_choice(rng, resolution), collection
+    # a constant choice sends every cell to one upper tile per scale
+    yield ChoiceFunction.constant(resolution, (1 << resolution) - 1), collections[1]
 
 
 def random_small_convex(rng, resolution, max_members=12):
@@ -245,6 +338,101 @@ class TestModelSum:
             direct += coef * psi * sel
         out = model_sum(f, choice, collection)
         assert np.allclose(out.values, direct, atol=1e-12)
+
+
+class TestModelSumPlan:
+    @pytest.mark.parametrize("resolution", range(1, 8))
+    def test_equals_per_call_evaluation(self, resolution):
+        rng = np.random.default_rng(100 + resolution)
+        n = 1 << resolution
+        for choice, collection in plan_cases(rng, resolution):
+            plan = ModelSumPlan(choice, collection)
+            for _ in range(3):
+                f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                assert np.array_equal(plan.apply(f).values, oracle_model_sum(f, choice, collection))
+                assert np.array_equal(
+                    plan.adjoint(f).values, oracle_adjoint_model_sum(f, choice, collection)
+                )
+                assert np.array_equal(model_sum(f, choice, collection).values, plan.apply(f).values)
+                assert np.array_equal(
+                    adjoint_model_sum(f, choice, collection).values, plan.adjoint(f).values
+                )
+
+    @pytest.mark.parametrize("resolution", range(1, 8))
+    def test_adjoint_identity(self, resolution):
+        rng = np.random.default_rng(200 + resolution)
+        n = 1 << resolution
+        for choice, collection in plan_cases(rng, resolution):
+            plan = ModelSumPlan(choice, collection)
+            f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            g = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            lhs = inner_product(plan.apply(f), g)
+            rhs = inner_product(f, plan.adjoint(g))
+            assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("resolution", range(1, 5))
+    def test_dense_matrix_is_sum_of_packet_terms(self, resolution):
+        rng = np.random.default_rng(300 + resolution)
+        n = 1 << resolution
+        for choice, collection in plan_cases(rng, resolution):
+            plan = ModelSumPlan(choice, collection)
+            expected = np.zeros((n, n), dtype=np.complex128)
+            for p in collection.bitiles:
+                lower = walsh_packet(p.lower, resolution).values
+                upper = walsh_packet(p.upper, resolution).values
+                hit = (choice.freqs >= p.upper.freq.lo) & (choice.freqs < p.upper.freq.hi)
+                expected += np.outer(upper * hit, np.conj(lower)) * cell_width(resolution)
+            dense = densify(lambda v: plan.apply(GridSignal(resolution, v)).values, n)
+            assert np.allclose(dense, expected, rtol=0.0, atol=1e-12)
+            dense_adj = densify(lambda v: plan.adjoint(GridSignal(resolution, v)).values, n)
+            assert np.allclose(dense_adj, expected.conj().T, rtol=0.0, atol=1e-12)
+
+    def test_resolution_mismatch(self):
+        with pytest.raises(ValueError):
+            ModelSumPlan(ChoiceFunction.constant(3, 0), TileCollection.all(4))
+        plan = ModelSumPlan(ChoiceFunction.constant(4, 0), TileCollection.all(4))
+        with pytest.raises(ValueError):
+            plan.apply(GridSignal.zeros(3))
+        with pytest.raises(ValueError):
+            plan.adjoint(GridSignal.zeros(5))
+
+    @pytest.mark.parametrize(
+        "shape, axis", [((64,), -1), ((4, 16), 1), ((16, 4), 0), ((2, 8, 4), 1), ((1,), 0)]
+    )
+    def test_transforms_equal_reference_butterflies(self, shape, axis):
+        rng = np.random.default_rng(sum(shape))
+        real = rng.standard_normal(shape)
+        for values in (real, real + 1j * rng.standard_normal(shape)):
+            rev = bit_reverse(np.arange(shape[axis]), shape[axis].bit_length() - 1)
+            moved = np.moveaxis(values, axis, -1)
+            analysis = np.moveaxis(reference_hadamard(moved[..., rev]), -1, axis)
+            synthesis = np.moveaxis(reference_hadamard(moved)[..., rev], -1, axis)
+            assert np.array_equal(hadamard(values, axis), reference_hadamard(values, axis))
+            assert np.array_equal(walsh_analysis(values, axis), analysis)
+            assert np.array_equal(walsh_synthesis(values, axis), synthesis)
+
+    def test_block_hadamard_rows(self):
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        expected = [
+            reference_hadamard(row.reshape(-1, 1 << b)).ravel() for row, b in zip(stack, (4, 2, 1))
+        ]
+        assert np.array_equal(block_hadamard(stack.copy(), (4, 2, 1)), np.array(expected))
+        with pytest.raises(ValueError):
+            block_hadamard(stack.T, (2, 1))
+        with pytest.raises(ValueError):
+            hadamard(np.ones(6))
+        with pytest.raises(ValueError):
+            walsh_analysis(np.ones(6))
+
+    def test_cached_bit_reversal(self):
+        for bits in range(0, 13):
+            rev = bit_reversal(bits)
+            assert np.array_equal(rev, bit_reverse(np.arange(1 << bits), bits))
+            assert bit_reversal(bits) is rev
+            assert not rev.flags.writeable
+            with pytest.raises(ValueError):
+                rev[0] = 1
 
 
 class TestSizeAndMass:
