@@ -348,7 +348,6 @@ def norm_decay_ladder(
         ratio_ladder=points,
         slope=float(slope),
         intercept=float(intercept),
-        thm71=None,
         extra={"branch": branch, "resolution": resolution, "unconverged": unconverged},
     )
 

@@ -27,11 +27,6 @@ def cell_width(resolution: int) -> float:
     return 2.0 ** -resolution
 
 
-def cell_centers(resolution: int) -> np.ndarray:
-    n = 1 << resolution
-    return (np.arange(n) + 0.5) / n
-
-
 @dataclass(frozen=True, order=True)
 class DyadicInterval:
     """Half-open interval [offset * 2**-scale, (offset + 1) * 2**-scale).

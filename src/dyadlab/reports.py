@@ -109,7 +109,6 @@ class DecayReport:
     ratio_ladder: list[LadderPoint] = field(default_factory=list)
     slope: float = 0.0
     intercept: float = 0.0
-    thm71: dict | None = None
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -117,7 +116,6 @@ class DecayReport:
             "ratio_ladder": [asdict(pt) for pt in self.ratio_ladder],
             "slope": self.slope,
             "intercept": self.intercept,
-            "thm71": self.thm71,
         }
         out.update(self.extra)
         return out

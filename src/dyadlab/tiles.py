@@ -316,11 +316,12 @@ def member_coefficients(collection: TileCollection, f: GridSignal) -> dict[BiTil
         raise ValueError("resolution mismatch")
     out: dict[BiTile, complex] = {}
     for k, mask in enumerate(collection.masks):
-        if not mask.any():
+        n, m = np.nonzero(mask)
+        if not n.size:
             continue
-        coef = packet_coefficients(f.values, f.resolution, k)
-        for offset, freq_index in zip(*np.nonzero(mask)):
-            out[BiTile(k, int(offset), int(freq_index))] = complex(coef[offset, 2 * freq_index])
+        coef = packet_coefficients(f.values, f.resolution, k)[n, 2 * m]
+        members = (BiTile(k, offset, freq_index) for offset, freq_index in zip(n.tolist(), m.tolist()))
+        out.update(zip(members, coef.tolist()))
     return out
 
 
@@ -460,28 +461,85 @@ class Tree:
         return self.top_interval.length
 
 
-def _top_tables(members_with_weight) -> dict[DyadicInterval, list[tuple[int, int, float]]]:
-    """Group (upper-frequency interval, weight) by every admissible top interval."""
-    tables: dict[DyadicInterval, list[tuple[int, int, float]]] = {}
-    for p, w in members_with_weight:
-        upper = p.upper.freq
-        for s in range(p.scale + 1):
-            top = p.spatial.ancestor(s)
-            tables.setdefault(top, []).append((upper.lo, upper.hi, w))
-    return tables
+class _SizeTable:
+    """Covering weights of every admissible top of a collection's members.
+
+    An entry is one (member P, ancestor top I) pair: members in `bitile_key`
+    order, then ancestor scales s = 0..k. It carries the weight
+    w = |<f, P1>|**2 of its member on the upper frequency interval
+    [lo, hi) = [(2m+1) 2**k, (2m+2) 2**k). Every endpoint of an entry whose
+    top has scale s is a multiple of 2**s, so the tops at scale s share one
+    block shaped (2**s, 2**(L-s) + 1), row the top's offset and column c
+    standing for xi = c * 2**s; the blocks lie one after another in one flat
+    array. `running` scatter-adds +w at lo and -w at hi, entry by entry, and
+    then takes the running sum along each row: at column c it holds the
+    total weight of the top's entries whose interval covers xi.
+
+    Results equal bit for bit those of accumulating the events per endpoint
+    and walking the endpoints in ascending order, one top at a time (the
+    reference in the tests): each endpoint receives its additions in entry
+    order, starting from zero, and a column that is no endpoint adds an
+    exact zero. For the same reason the weights are Python floats, abs of
+    the Python complex that `member_coefficients` returns, squared; numpy's
+    `np.abs(c) ** 2` rounds differently.
+    """
+
+    def __init__(self, collection: TileCollection, f: GridSignal):
+        L = collection.resolution
+        weights = [abs(c) ** 2 for c in member_coefficients(collection, f).values()]
+        widths = np.array([(1 << (L - s)) + 1 for s in range(L)], dtype=np.int64)
+        self._bases = np.concatenate([[0], np.cumsum(widths << np.arange(L))])
+        self._widths = widths
+        self._positions = [(k, *np.nonzero(mask)) for k, mask in enumerate(collection.masks) if mask.any()]
+        scale = _joined([np.full(n.size, k) for k, n, _ in self._positions], np.int64)
+        offset = _joined([n for _, n, _ in self._positions], np.int64)
+        freq = _joined([m for _, _, m in self._positions], np.int64)
+        reps = scale + 1
+        self._member = np.repeat(np.arange(scale.size), reps)
+        s = np.arange(self._member.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        shift = scale[self._member] - s
+        row = self._bases[s] + (offset[self._member] >> shift) * widths[s]
+        lo = row + ((2 * freq[self._member] + 1) << shift)
+        w = np.array(weights, dtype=np.float64)[self._member]
+        # interleaved per entry: (lo, +w), (hi, -w)
+        self._keys = np.stack([lo, lo + (1 << shift)], axis=1)
+        self._weights = np.stack([w, -w], axis=1)
+
+    def running(self, masks=None) -> list[np.ndarray]:
+        """Per scale s the block of running covering weights, over the
+        entries whose member is set in the masks (default: every entry)."""
+        keys, weights = self._keys, self._weights
+        if masks is not None:
+            present = [masks[k][n, m] for k, n, m in self._positions]
+            keep = _joined(present, bool)[self._member]
+            keys, weights = keys[keep], weights[keep]
+        flat = np.bincount(keys.ravel(), weights.ravel(), minlength=int(self._bases[-1]))
+        flat = flat.astype(np.float64, copy=False)
+        blocks = []
+        for s, width in enumerate(self._widths):
+            block = flat[self._bases[s] : self._bases[s + 1]].reshape(1 << s, width)
+            np.cumsum(block, axis=1, out=block)
+            blocks.append(block)
+        return blocks
 
 
-def _covering_weights(entries):
-    """(xi, total weight of the entries whose interval covers xi) at every
-    interval endpoint xi, in ascending order of xi."""
-    events: dict[int, float] = {}
-    for lo, hi, w in entries:
-        events[lo] = events.get(lo, 0.0) + w
-        events[hi] = events.get(hi, 0.0) - w
-    running = 0.0
-    for xi in sorted(events):
-        running += events[xi]
-        yield xi, running
+def _peak(running: list[np.ndarray]) -> float:
+    """max over tops and xi of the covering weight over the top length."""
+    best = 0.0
+    for s, block in enumerate(running):
+        best = max(best, float(block.max()) / 2.0**-s)
+    return best
+
+
+def _first_exceeding(running: list[np.ndarray], thr: float) -> tuple[DyadicInterval, int] | None:
+    """The first top in (scale, offset) order, and its lowest xi, at which
+    the covering weight exceeds thr**2 times the top length."""
+    for s, block in enumerate(running):
+        hit = np.flatnonzero(block > thr * thr * 2.0**-s)
+        if hit.size:
+            offset, col = divmod(int(hit[0]), block.shape[1])
+            return DyadicInterval(s, offset), col << s
+    return None
 
 
 def size(collection: TileCollection, f: GridSignal) -> float:
@@ -489,13 +547,7 @@ def size(collection: TileCollection, f: GridSignal) -> float:
     max over tops (I_T, xi) of ((1/|I_T|) sum over members with spatial
     interval in I_T and xi in the upper frequency half of |<f, P1>|^2)**0.5.
     """
-    coeffs = member_coefficients(collection, f)
-    weighted = [(p, abs(c) ** 2) for p, c in coeffs.items()]
-    best = 0.0
-    for top, entries in _top_tables(weighted).items():
-        value = max(w for _, w in _covering_weights(entries))
-        best = max(best, value / top.length)
-    return math.sqrt(best)
+    return math.sqrt(_peak(_SizeTable(collection, f).running()))
 
 
 def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> tuple[np.ndarray, ...]:
@@ -582,28 +634,19 @@ def size_decompose(
     leftmost then lowest frequency; each selection removes the full
     1-overlapping tree under its top, which keeps the remainder convex.
     """
-    sigma = size(collection, f)
+    table = _SizeTable(collection, f)
+    running = table.running()
+    sigma = math.sqrt(_peak(running))
     thr = sigma / 2.0 if threshold is None else threshold
     current = [m.copy() for m in collection.masks]
-    coeffs = member_coefficients(collection, f)
     forest: list[Tree] = []
     tops_length = 0.0
 
-    while True:
-        weighted = [(p, abs(coeffs[p]) ** 2) for p in _members(current)]
-        tables = _top_tables(weighted)
-        selection = None
-        for top in sorted(tables, key=lambda t: (t.scale, t.offset)):
-            cap = thr * thr * top.length
-            xi = next((xi for xi, w in _covering_weights(tables[top]) if w > cap), None)
-            if xi is not None:
-                selection = (top, xi)
-                break
-        if selection is None:
-            break
+    while (selection := _first_exceeding(running, thr)) is not None:
         top, xi = selection
         forest.append(Tree(top, xi, _take_tree(current, top, xi)))
         tops_length += top.length
+        running = table.running(current)
 
     norm_sq = lp_norm(f, 2.0) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0

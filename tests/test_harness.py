@@ -107,7 +107,7 @@ class TestReportSerialization:
 
         decay = norm_decay_ladder(5, [0.5, 0.25], seed=9, iters=30)
         parsed = json.loads(decay.to_json())
-        assert set(parsed) >= {"ratio_ladder", "slope", "intercept", "thm71", "unconverged"}
+        assert set(parsed) >= {"ratio_ladder", "slope", "intercept", "unconverged"}
         assert all(set(pt) == {"log_ratio", "log_norm"} for pt in parsed["ratio_ladder"])
 
     def test_directional_report_fields(self):
@@ -323,6 +323,34 @@ class TestCLI:
         code = main(["decompose", str(bad), str(sig), "--resolution", "4", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "resolution, tiles, forest",
+        [
+            (0, [], []),
+            (1, [], []),
+            (1, ["0,0,0"], ["0,0,0,0,0,1,1,1.0"]),
+        ],
+    )
+    def test_decompose_edge_inputs(self, tmp_path, capsys, resolution, tiles, forest):
+        col = tmp_path / "col.csv"
+        col.write_text("\n".join(["k,n,freq_offset", *tiles]) + "\n")
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, GridSignal.constant(resolution, 1.0))
+        out = tmp_path / "dec.csv"
+        code = main(["decompose", str(col), str(sig), "--resolution", str(resolution), "--out", str(out)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["trees"] == len(forest)
+        header = "n,m,tree,top_scale,top_offset,top_freq,members,count_ratio"
+        assert out.read_text().splitlines() == [header, *forest]
+
+    def test_estimate22_reports_thm71_per_branch(self, capsys):
+        code = main(["estimate-22", "--resolution", "4", "--ladder", "2", "--seed", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert code in (0, 1)
+        assert set(report) == {"h", "g"}
+        for branch in report.values():
+            assert set(branch["thm71"]) == {"lhs", "rhs", "ratio"}
 
     def test_estimate22_short_deterministic(self, tmp_path, capsys):
         code = main(

@@ -19,9 +19,11 @@ from dyadlab.harness import (
     random_grid_set,
     random_signal,
 )
+from dyadlab import tiles as tiles_module
 from dyadlab.tiles import (
     BiTile,
     ChoiceFunction,
+    DecompositionStats,
     FreqInterval,
     ModelSumPlan,
     Tile,
@@ -122,6 +124,97 @@ def oracle_size(collection: TileCollection, f: GridSignal) -> float:
         value = weights[sel].sum() / 2.0**-hull_scale
         best = max(best, value)
     return math.sqrt(best)
+
+
+def _dict_top_tables(members_with_weight):
+    """Group (upper-frequency interval, weight) by every admissible top
+    interval, as size and size_decompose did before the array tables."""
+    tables: dict[DyadicInterval, list[tuple[int, int, float]]] = {}
+    for p, w in members_with_weight:
+        upper = p.upper.freq
+        for s in range(p.scale + 1):
+            top = p.spatial.ancestor(s)
+            tables.setdefault(top, []).append((upper.lo, upper.hi, w))
+    return tables
+
+
+def _dict_covering_weights(entries):
+    """(xi, total weight of the entries whose interval covers xi) at every
+    interval endpoint xi, in ascending order of xi."""
+    events: dict[int, float] = {}
+    for lo, hi, w in entries:
+        events[lo] = events.get(lo, 0.0) + w
+        events[hi] = events.get(hi, 0.0) - w
+    running = 0.0
+    for xi in sorted(events):
+        running += events[xi]
+        yield xi, running
+
+
+def dict_size(collection: TileCollection, f: GridSignal) -> float:
+    """Reference size over per-top dicts of covering weights."""
+    coeffs = member_coefficients(collection, f)
+    weighted = [(p, abs(c) ** 2) for p, c in coeffs.items()]
+    best = 0.0
+    for top, entries in _dict_top_tables(weighted).items():
+        value = max(w for _, w in _dict_covering_weights(entries))
+        best = max(best, value / top.length)
+    return math.sqrt(best)
+
+
+def dict_size_decompose(collection: TileCollection, f: GridSignal, threshold=None):
+    """Reference size decomposition: rebuild every top table after each
+    selection and take the first top, in (scale, offset) order, whose
+    covering weight exceeds the threshold."""
+    sigma = dict_size(collection, f)
+    thr = sigma / 2.0 if threshold is None else threshold
+    coeffs = member_coefficients(collection, f)
+    remaining = sorted(collection.bitiles, key=bitile_key)
+    forest = []
+    tops_length = 0.0
+    while True:
+        tables = _dict_top_tables((p, abs(coeffs[p]) ** 2) for p in remaining)
+        selection = None
+        for top in sorted(tables, key=lambda t: (t.scale, t.offset)):
+            cap = thr * thr * top.length
+            xi = next((xi for xi, w in _dict_covering_weights(tables[top]) if w > cap), None)
+            if xi is not None:
+                selection = (top, xi)
+                break
+        if selection is None:
+            break
+        top, xi = selection
+        members = frozenset(
+            p for p in remaining if top.contains(p.spatial) and p.freq.contains_point(xi)
+        )
+        remaining = [p for p in remaining if p not in members]
+        forest.append(Tree(top, xi, members))
+        tops_length += top.length
+    norm_sq = lp_norm(f, 2.0) ** 2
+    constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
+    stats = DecompositionStats(sigma, thr, tops_length, len(forest), constant)
+    return TileCollection.from_bitiles(collection.resolution, remaining), forest, stats
+
+
+def size_cases(rng, resolution):
+    """Collections for the size oracle: full, empty, random masks with some
+    scales left empty, and convex closures of random seeds at four
+    densities."""
+    shapes = [(1 << k, 1 << (resolution - k - 1)) for k in range(resolution)]
+    yield TileCollection.all(resolution)
+    yield TileCollection.from_bitiles(resolution, [])
+    empty_scales = np.arange(resolution) % 2 == rng.integers(0, 2)
+    masks = [(rng.random(shape) < 0.3) & ~empty for shape, empty in zip(shapes, empty_scales)]
+    yield TileCollection(resolution, masks)
+    for density in (0.01, 0.05, 0.2, 0.5):
+        seed = TileCollection(resolution, [rng.random(shape) < density for shape in shapes])
+        yield TileCollection.convex_closure(resolution, seed.bitiles)
+
+
+def masks_equal(a: TileCollection, b: TileCollection) -> bool:
+    return len(a.masks) == len(b.masks) and all(
+        np.array_equal(x, y) for x, y in zip(a.masks, b.masks)
+    )
 
 
 def _oracle_upper_hits(choice: ChoiceFunction, collection: TileCollection):
@@ -457,6 +550,13 @@ class TestSizeAndMass:
             oracle_size(collection, f), abs=1e-13
         )
 
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_equals_dict_tables(self, resolution):
+        rng = np.random.default_rng(700 + resolution)
+        for collection in size_cases(rng, resolution):
+            for f in (random_signal(rng, resolution, complex_values=True), GridSignal.zeros(resolution)):
+                assert size(collection, f) == dict_size(collection, f)
+
     def test_mass_empty(self):
         rng = np.random.default_rng(8)
         collection = random_convex_collection(rng, 4)
@@ -517,6 +617,40 @@ class TestDecompositions:
         # interval (value 1 > (sqrt(2)/2)^2), so that tree is selected
         assert forest[0].top_interval == DyadicInterval(0, 0)
         assert stats.tops_length == 1.0
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_size_decompose_equals_dict_tables(self, resolution):
+        rng = np.random.default_rng(800 + resolution)
+        for collection in size_cases(rng, resolution):
+            f = random_signal(rng, resolution, complex_values=True)
+            cases = [(f, None), (f, dict_size(collection, f) / 6.0), (f, 0.0)]
+            cases.append((GridSignal.zeros(resolution), None))
+            for signal, threshold in cases:
+                small, forest, stats = size_decompose(collection, signal, threshold)
+                ref_small, ref_forest, ref_stats = dict_size_decompose(collection, signal, threshold)
+                assert stats == ref_stats
+                assert [(t.top_interval, t.top_freq) for t in forest] == [
+                    (t.top_interval, t.top_freq) for t in ref_forest
+                ]
+                assert [t.members for t in forest] == [t.members for t in ref_forest]
+                assert masks_equal(small, ref_small)
+
+    @pytest.mark.parametrize("resolution", range(1, 8))
+    def test_full_decompose_equals_dict_tables(self, resolution, monkeypatch):
+        rng = np.random.default_rng(900 + resolution)
+        for collection in size_cases(rng, resolution):
+            f = random_signal(rng, resolution, complex_values=True)
+            e = random_grid_set(rng, resolution)
+            choice = random_choice(rng, resolution)
+            decomposition = full_decompose(collection, f, e, choice)
+            with monkeypatch.context() as patch:
+                patch.setattr(tiles_module, "size", dict_size)
+                patch.setattr(tiles_module, "size_decompose", dict_size_decompose)
+                reference = full_decompose(collection, f, e, choice)
+            assert list(decomposition.buckets) == list(reference.buckets)
+            for key, bucket in decomposition.buckets.items():
+                assert bucket == reference.buckets[key]
+            assert masks_equal(decomposition.remainder, reference.remainder)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_size_postconditions(self, seed):
@@ -689,6 +823,14 @@ class TestCollections:
         members = list(member_coefficients(collection, random_signal(rng, 5)))
         assert members == sorted(collection.bitiles, key=bitile_key)
         assert len(members) == len(collection)
+
+    def test_member_coefficients_are_packet_inner_products(self):
+        rng = np.random.default_rng(16)
+        collection = random_convex_collection(rng, 5)
+        f = random_signal(rng, 5, complex_values=True)
+        for p, c in member_coefficients(collection, f).items():
+            assert type(c) is complex
+            assert abs(c - inner_product(f, walsh_packet(p.lower, 5))) <= 1e-12
 
     def test_masks_are_read_only(self):
         collection = TileCollection.all(3)
