@@ -9,6 +9,7 @@ from .grid import (
     GridSignal,
     VectorSignal,
     all_intervals,
+    bundle_norm,
     inner_product,
     interval_cutoff,
     lp_norm,
@@ -22,6 +23,7 @@ __all__ = [
     "GridSignal",
     "VectorSignal",
     "all_intervals",
+    "bundle_norm",
     "inner_product",
     "interval_cutoff",
     "lp_norm",

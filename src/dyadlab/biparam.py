@@ -16,20 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicInterval
+from .grid import DyadicInterval, bundle_norm, lp_norm
 from .maximal import next_class
 from .plane import (
     DyadicRectangle,
     Grid2D,
     GridSet2D,
-    array_norm2d,
     cell_area,
     certified_rectangle_threshold,
     exceptional_complement_2d,
     measure2,
-    norm2d,
 )
-from .principle import power_iteration
+from .principle import LinearOperator, power_iteration
 from .reports import RatioReport, safe_ratio
 from .walsh import walsh_analysis, walsh_synthesis
 
@@ -301,7 +299,7 @@ def rect_full_decompose(
     masked = Grid2D(f.resolution, f.values * h_prime.mask)
     current = collection
     coeffs = rect_coefficients(collection, masked)
-    norm_sq = norm2d(masked, 2.0) ** 2
+    norm_sq = lp_norm(masked.values, 2.0, f.resolution) ** 2
     fg_measure = measure2(GridSet2D(f.resolution, f_set.mask & g_set.mask))
     buckets: dict[tuple[int, int], list[RectTree]] = {}
     ratios: dict[tuple[int, int], float] = {}
@@ -392,6 +390,8 @@ def verify_biparam(
     if not fams:
         raise ValueError("need at least one family member")
     L = fams[0].resolution
+    if L < 1:
+        raise ValueError(f"biparam needs resolution L >= 1, got {L}")
     n = 1 << L
     rng = np.random.default_rng(seed)
 
@@ -415,8 +415,8 @@ def verify_biparam(
     stack_out = np.stack(
         [fixed_scale_operator(fams[j], scales[j]).values for j in range(len(fams))]
     )
-    lhs = array_norm2d(np.sqrt(np.sum(np.abs(stack_out) ** 2, axis=0)), p, L)
-    rhs = array_norm2d(np.sqrt(np.sum(np.abs(stack_in) ** 2, axis=0)), p, L)
+    lhs = bundle_norm(stack_out, p, L)
+    rhs = bundle_norm(stack_in, p, L)
     report = RatioReport.from_sides(lhs, rhs, family_size=len(fams), p=p, eps=eps)
 
     # exceptional set with the per-instance certified threshold
@@ -452,15 +452,12 @@ def verify_biparam(
         restricted_ratios_p.append(safe_ratio(pairing, rhs_p))
         restricted_ratios_q.append(safe_ratio(pairing, rhs_q))
 
-        def fwd(v, jj=j):
-            masked = Grid2D(L, np.asarray(v).reshape(n, n) * h_prime.mask)
-            return fixed_scale_operator(masked, jj).values * g.mask
+        # the fixed-scale operator is an orthogonal projection: self-adjoint
+        def project(v, jj=j):
+            return fixed_scale_operator(Grid2D(L, v), jj).values
 
-        def adj(v, jj=j):
-            masked = Grid2D(L, np.asarray(v).reshape(n, n) * g.mask)
-            return fixed_scale_operator(masked, jj).values * h_prime.mask
-
-        res = power_iteration(fwd, adj, (n, n), iters=power_iters, seed=seed + j)
+        local = LinearOperator(project, project).localized(g.mask, h_prime.mask)
+        res = power_iteration(local, (n, n), iters=power_iters, seed=seed + j)
         norm_constants.append(res.norm**2 / ratio ** (1.0 - 2.0 / p))
         report.extra.setdefault("localized_norms", []).append(res.norm)
 
@@ -485,6 +482,6 @@ def verify_biparam(
         total_banded += fixed_scale_operator(vertical_band_project(f0, j + 1), j).values
     report.extra["band_reduction_gap"] = float(np.max(np.abs(total - total_banded)))
     report.extra["scalar_model_ratio"] = safe_ratio(
-        array_norm2d(total, p, L), norm2d(f0, p)
+        lp_norm(total, p, L), lp_norm(f0.values, p, L)
     )
     return report

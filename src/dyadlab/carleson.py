@@ -15,9 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSet, GridSignal, VectorSignal, array_lp_norm, cell_width, measure
+from .grid import (
+    GridSet,
+    GridSignal,
+    VectorSignal,
+    bundle_norm,
+    cell_width,
+    measure,
+    vector_lq_norm,
+)
 from .maximal import exceptional_complement
-from .principle import power_iteration
+from .principle import LinearOperator, power_iteration
 from .reports import BucketStat, DecayReport, LadderPoint, RatioReport, safe_ratio
 from .tiles import (
     BiTile,
@@ -34,14 +42,15 @@ from .walsh import bit_reversal
 
 @dataclass(frozen=True)
 class RestrictedOp:
-    """Model sum localized between two sets: f -> 1_A T(f 1_B), with the
-    model-sum plan of its (choice, collection) built once."""
+    """Model sum localized between two sets: f -> 1_A T(f 1_B).  Its
+    `operator` acts on cell arrays, over the model-sum plan of its (choice,
+    collection) built once."""
 
     a: GridSet
     b: GridSet
     choice: ChoiceFunction
     collection: TileCollection
-    plan: ModelSumPlan = field(init=False, repr=False, compare=False)
+    operator: LinearOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (
@@ -51,19 +60,13 @@ class RestrictedOp:
             == self.collection.resolution
         ):
             raise ValueError("restricted operator pieces must share one resolution")
-        object.__setattr__(self, "plan", ModelSumPlan(self.choice, self.collection))
-
-
-def apply_restricted(f: GridSignal, op: RestrictedOp) -> GridSignal:
-    masked = GridSignal(f.resolution, f.values * op.b.mask)
-    out = op.plan.apply(masked)
-    return GridSignal(f.resolution, out.values * op.a.mask)
-
-
-def adjoint_restricted(g: GridSignal, op: RestrictedOp) -> GridSignal:
-    masked = GridSignal(g.resolution, g.values * op.a.mask)
-    out = op.plan.adjoint(masked)
-    return GridSignal(g.resolution, out.values * op.b.mask)
+        L = self.a.resolution
+        plan = ModelSumPlan(self.choice, self.collection)
+        model = LinearOperator(
+            lambda v: plan.apply(GridSignal(L, v)).values,
+            lambda v: plan.adjoint(GridSignal(L, v)).values,
+        )
+        object.__setattr__(self, "operator", model.localized(self.a.mask, self.b.mask))
 
 
 def carve_h(h: GridSet, g: GridSet, c: float = 4.0) -> GridSet:
@@ -91,15 +94,7 @@ def restricted_norm(
 ):
     """L2 -> L2 norm of the restricted operator for its fixed choice
     function, via power iteration with the exact adjoint."""
-    n = 1 << op.a.resolution
-
-    def fwd(v):
-        return apply_restricted(GridSignal(op.a.resolution, v), op).values
-
-    def adj(v):
-        return adjoint_restricted(GridSignal(op.a.resolution, v), op).values
-
-    return power_iteration(fwd, adj, (n,), iters=iters, tol=tol, seed=seed)
+    return power_iteration(op.operator, (1 << op.a.resolution,), iters=iters, tol=tol, seed=seed)
 
 
 def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
@@ -161,8 +156,8 @@ def restricted_pairing(
     surviving = retain_meeting(op.collection, keep)
     op0 = RestrictedOp(op.a, op.b, op.choice, surviving)
 
-    sf = apply_restricted(f, op0)
-    pairing = abs(complex(np.sum(sf.values * np.conj(g.values)) * cell_width(L)))
+    sf = op0.operator.apply(f.values)
+    pairing = abs(complex(np.sum(sf * np.conj(g.values)) * cell_width(L)))
 
     masked_f = GridSignal(L, f.values * op.b.mask)
     mass_target = GridSet(L, f_set.mask & op.a.mask)
@@ -374,6 +369,6 @@ def verify_vector_carleson(
             for j in range(len(fams))
         ]
     )
-    lhs = array_lp_norm(np.sqrt(np.sum(np.abs(stack) ** 2, axis=0)), p, L)
-    rhs = array_lp_norm(fams.pointwise_l2(), p, L)
+    lhs = bundle_norm(stack, p, L)
+    rhs = vector_lq_norm(fams, p)
     return RatioReport.from_sides(lhs, rhs, p=p, family_size=len(fams))

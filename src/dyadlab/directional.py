@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSignal, check_resolution
+from .grid import GridSignal, bundle_norm, check_resolution, lp_norm
 from .maximal import dyadic_maximal
-from .plane import Grid2D, GridSet2D, array_norm2d, cell_area, measure2
-from .principle import power_iteration
+from .plane import Grid2D, GridSet2D, cell_area, measure2
+from .principle import LinearOperator, power_iteration
 from .reports import RatioReport, safe_ratio
 
 
@@ -30,6 +30,8 @@ class Direction:
     vy: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.vx) and math.isfinite(self.vy)):
+            raise ValueError(f"direction components must be finite, got ({self.vx}, {self.vy})")
         norm = math.hypot(self.vx, self.vy)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"direction must be a unit vector, |v| = {norm}")
@@ -192,13 +194,13 @@ class DirectionalAverager:
         v = np.abs(rng.standard_normal((n, n))) + 0.1
         best = 0.0
         for _ in range(iters):
-            vn = array_norm2d(v, p, self.resolution)
+            vn = lp_norm(v, p, self.resolution)
             if vn == 0:
                 break
             v = v / vn
             slabs = self.all_averages(v)
             u = slabs.max(axis=0)
-            best = max(best, array_norm2d(u, p, self.resolution))
+            best = max(best, lp_norm(u, p, self.resolution))
             choice = slabs.argmax(axis=0)
             z = u ** (p - 1.0)
             back = np.zeros((n, n))
@@ -276,7 +278,7 @@ def build_majorant_weight(
     iterates = [vals]
     for _ in range(terms + 1):
         iterates.append(avg.apply(iterates[-1]))
-    norms = [array_norm2d(h, p, L) for h in iterates]
+    norms = [lp_norm(h, p, L) for h in iterates]
     step_ratios = [
         norms[k + 1] / norms[k] for k in range(terms + 1) if norms[k] > 0
     ]
@@ -295,8 +297,8 @@ def build_majorant_weight(
         norm_used=n_used,
         tail_bound=tail,
         excess=excess,
-        input_norm=array_norm2d(vals, p, L),
-        weight_norm=array_norm2d(w, p, L),
+        input_norm=lp_norm(vals, p, L),
+        weight_norm=lp_norm(w, p, L),
     )
 
 
@@ -381,10 +383,6 @@ def square_function_equivalence(
     return report
 
 
-def _bundle_norm(stack: np.ndarray, q: float, resolution: int) -> float:
-    return array_norm2d(np.sqrt(np.sum(np.abs(stack) ** 2, axis=0)), q, resolution)
-
-
 def directional_level_complement(
     h: GridSet2D,
     g: GridSet2D,
@@ -437,8 +435,8 @@ def verify_directional(
             for j in range(len(fams))
         ]
     )
-    lhs = _bundle_norm(stack_out, q, L)
-    rhs = _bundle_norm(stack_in, q, L)
+    lhs = bundle_norm(stack_out, q, L)
+    rhs = bundle_norm(stack_in, q, L)
     report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
 
     averager = DirectionalAverager(L, directions)
@@ -464,14 +462,12 @@ def verify_directional(
         hp = halfplane_mask(L, v)
         for k in range(L + 1):
             multiplier = bands[k] * hp
-
-            def fwd(x, m=multiplier):
-                return np.fft.ifft2(np.fft.fft2(np.asarray(x) * h_prime.mask) * m) * g.mask
-
-            def adj(x, m=multiplier):
-                return np.fft.ifft2(np.fft.fft2(np.asarray(x) * g.mask) * np.conj(m)) * h_prime.mask
-
-            res = power_iteration(fwd, adj, (n, n), iters=power_iters, seed=seed + 31 * j + k)
+            op = LinearOperator(
+                lambda x, m=multiplier: np.fft.ifft2(np.fft.fft2(x) * m),
+                lambda x, m=np.conj(multiplier): np.fft.ifft2(np.fft.fft2(x) * m),
+            )
+            local = op.localized(g.mask, h_prime.mask)
+            res = power_iteration(local, (n, n), iters=power_iters, seed=seed + 31 * j + k)
             norms.append(res.norm)
     alpha = 0.25
     report.extra["localized_norm_max"] = max(norms, default=0.0)
@@ -514,22 +510,22 @@ def verify_weighted_directional(
         ]
     )
     stack_in = np.stack([f.values for f in fams])
-    lhs = _bundle_norm(stack_out, q, L)
+    lhs = bundle_norm(stack_out, q, L)
     norm_p = avg.estimate_norm(p, iters=12, seed=seed)
-    rhs = norm_p ** abs(1.0 - 2.0 / q) * _bundle_norm(stack_in, q, L)
+    rhs = norm_p ** abs(1.0 - 2.0 / q) * bundle_norm(stack_in, q, L)
     report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
     report.extra["norm_MSigma"] = norm_p
 
     # dual extremal of ||F||_{p'} for F = sum |H_v f_j|^2, normalized in L^p
     big_f = np.sum(np.abs(stack_out) ** 2, axis=0)
     p_conj = p / (p - 1.0)
-    f_norm = array_norm2d(big_f, p_conj, L)
+    f_norm = lp_norm(big_f, p_conj, L)
     if f_norm > 0:
         g_dual = (big_f / f_norm) ** (p_conj / p)
-        g_dual = g_dual / max(array_norm2d(g_dual, p, L), 1e-300)
+        g_dual = g_dual / max(lp_norm(g_dual, p, L), 1e-300)
     else:
         g_dual = np.ones_like(big_f)
-        g_dual = g_dual / array_norm2d(g_dual, p, L)
+        g_dual = g_dual / lp_norm(g_dual, p, L)
 
     weight = build_majorant_weight(
         Grid2D(L, g_dual.astype(np.complex128)), directions, p, terms, averager=avg, norm_seed=seed

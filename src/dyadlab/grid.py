@@ -234,10 +234,6 @@ class VectorSignal:
     def member(self, j: int) -> GridSignal:
         return GridSignal(self.resolution, self.stack[j])
 
-    def pointwise_l2(self) -> np.ndarray:
-        """sqrt(sum_j |f_j|^2) cell by cell."""
-        return np.sqrt(np.sum(np.abs(self.stack) ** 2, axis=0))
-
 
 def inner_product(f: GridSignal, g: GridSignal) -> complex:
     """sum_i f_i * conj(g_i) * 2**-L; conjugation is on the second slot."""
@@ -246,27 +242,27 @@ def inner_product(f: GridSignal, g: GridSignal) -> complex:
     return complex(np.sum(f.values * np.conj(g.values)) * cell_width(f.resolution))
 
 
-def lp_norm(f: GridSignal, p: float) -> float:
-    """(sum_i |f_i|^p * 2**-L)**(1/p); sup-norm when p is infinite."""
-    a = np.abs(f.values)
-    if np.isinf(p):
-        return float(a.max(initial=0.0))
+def lp_norm(values, p: float, resolution: int) -> float:
+    """(sum_i |v_i|**p * cell measure)**(1/p) over the cells of a line or
+    plane grid, with cell measure cell_width(resolution) ** values.ndim;
+    sup-norm when p is infinite."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    return float(np.sum(a**p) * cell_width(f.resolution)) ** (1.0 / p)
-
-
-def array_lp_norm(values: np.ndarray, p: float, resolution: int) -> float:
-    """lp_norm on a bare array; used where signals stay unwrapped."""
     a = np.abs(np.asarray(values))
     if np.isinf(p):
         return float(a.max(initial=0.0))
-    return float(np.sum(a**p) * cell_width(resolution)) ** (1.0 / p)
+    return float(np.sum(a**p) * cell_width(resolution) ** a.ndim) ** (1.0 / p)
+
+
+def bundle_norm(stack, q: float, resolution: int) -> float:
+    """L^q norm of the pointwise l2 bundle sqrt(sum_j |stack_j|**2) of a
+    family stacked along the first axis."""
+    return lp_norm(np.sqrt(np.sum(np.abs(stack) ** 2, axis=0)), q, resolution)
 
 
 def vector_lq_norm(fam: VectorSignal, q: float) -> float:
     """L^q norm of the pointwise l2 bundle (squares inside)."""
-    return array_lp_norm(fam.pointwise_l2(), q, fam.resolution)
+    return bundle_norm(fam.stack, q, fam.resolution)
 
 
 def interval_cutoff(interval: DyadicInterval, x, power: float = 1.0):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import MAX_RESOLUTION, GridSet, GridSignal, VectorSignal
+from .grid import MAX_RESOLUTION, GridSet, GridSignal, VectorSignal, lp_norm
 from .maximal import ScaleChoice, verify_vector_maximal
 from .plane import Grid2D, GridSet2D
 from .principle import (
@@ -27,8 +27,7 @@ from .principle import (
     OperatorFamily,
     measure_condition,
     splitting_cascade,
-    trim_both_builder,
-    trim_h_builder,
+    trim_builder,
     vector_inequality_ratio,
 )
 from .reports import PrincipleReport
@@ -61,6 +60,10 @@ class ExperimentConfig:
         if not 0 <= self.resolution <= MAX_RESOLUTION:
             raise ValueError(
                 f"resolution must satisfy 0 <= L <= {MAX_RESOLUTION}, got {self.resolution}"
+            )
+        if self.theorem in ("biparam", "principle") and self.resolution < 1:
+            raise ValueError(
+                f"{self.theorem} needs resolution 1 <= L <= {MAX_RESOLUTION}, got {self.resolution}"
             )
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
@@ -211,7 +214,6 @@ def collection_spanning_signal(
     """Gaussian combination of the collection's own lower packets, unit L2
     norm; keeps decomposition constants scale-comparable because the signal
     energy lives where the collection can see it."""
-    from .grid import lp_norm
     from .tiles import bitile_key, walsh_packet
 
     n = 1 << collection.resolution
@@ -219,8 +221,7 @@ def collection_spanning_signal(
     for p in sorted(collection.bitiles, key=bitile_key):
         g = complex(rng.standard_normal(), rng.standard_normal())
         values += g * walsh_packet(p.lower, collection.resolution).values
-    signal = GridSignal(collection.resolution, values)
-    norm = lp_norm(signal, 2.0)
+    norm = lp_norm(values, 2.0, collection.resolution)
     if norm == 0.0:
         return random_signal(rng, collection.resolution)
     return GridSignal(collection.resolution, values / norm)
@@ -422,10 +423,10 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
     family, _ = maximal_operator_family(setup, config.resolution, config.family_size)
     h = random_grid_set(setup, config.resolution)
     g = random_grid_set(setup, config.resolution)
-    builder = trim_h_builder(4.0)
+    builder = trim_builder(4.0, "h")
     cond0 = measure_condition(family, h, g, builder, p0, seed=config.seed)
     cond1 = measure_condition(family, h, g, builder, p1, seed=config.seed)
-    levels = splitting_cascade(h, g, trim_both_builder(4.0), p0, k_max=10)
+    levels = splitting_cascade(h, g, trim_builder(4.0, "both"), p0, k_max=10)
 
     ratios = []
     baseline = []

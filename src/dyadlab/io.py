@@ -7,6 +7,7 @@ header).
 
 from __future__ import annotations
 
+import cmath
 import csv
 
 import numpy as np
@@ -45,6 +46,11 @@ def _claim_index(path, row_number, index, seen: np.ndarray) -> None:
     seen[cell] = True
 
 
+def _claim_finite(path, row_number, value: complex) -> None:
+    if not cmath.isfinite(value):
+        _fail(path, row_number, f"value {value} is not finite")
+
+
 def write_signal(path, signal: GridSignal) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -65,6 +71,7 @@ def read_signal(path) -> GridSignal:
         except (IndexError, ValueError) as exc:
             _fail(path, number, f"bad signal row {row!r} ({exc})")
         _claim_index(path, number, index, seen)
+        _claim_finite(path, number, value)
         values[index] = value
     return GridSignal(resolution, values)
 
@@ -171,6 +178,7 @@ def read_grid2d(path) -> Grid2D:
         except (IndexError, ValueError) as exc:
             _fail(path, number, f"bad plane row {row!r} ({exc})")
         _claim_index(path, number, cell, seen)
+        _claim_finite(path, number, value)
         values[cell] = value
     return Grid2D(side.bit_length() - 1, values)
 
@@ -188,9 +196,14 @@ def read_directions(path):
 
     rows = _open_rows(path, ["vx", "vy"])
     members = []
+    seen = set()
     for number, row in enumerate(rows, start=1):
         try:
-            members.append(Direction(float(row[0]), float(row[1])))
+            v = Direction(float(row[0]), float(row[1]))
         except (IndexError, ValueError) as exc:
             _fail(path, number, f"bad direction row {row!r} ({exc})")
+        if (v.vx, v.vy) in seen:
+            _fail(path, number, f"direction {row!r} is repeated")
+        seen.add((v.vx, v.vy))
+        members.append(v)
     return DirectionSet(tuple(members))

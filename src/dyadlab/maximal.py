@@ -20,9 +20,10 @@ from .grid import (
     GridSignal,
     VectorSignal,
     all_intervals,
-    array_lp_norm,
+    bundle_norm,
     check_resolution,
     measure,
+    vector_lq_norm,
 )
 from .reports import BucketStat, RatioReport
 
@@ -296,8 +297,6 @@ def verify_vector_maximal(fam: VectorSignal, p: float) -> RatioReport:
     maximal_stack = np.vstack(
         [dyadic_maximal(fam.member(j)).values.real for j in range(len(fam))]
     )
-    lhs = array_lp_norm(
-        np.sqrt(np.sum(maximal_stack**2, axis=0)), p, fam.resolution
-    )
-    rhs = array_lp_norm(fam.pointwise_l2(), p, fam.resolution)
+    lhs = bundle_norm(maximal_stack, p, fam.resolution)
+    rhs = vector_lq_norm(fam, p)
     return RatioReport.from_sides(lhs, rhs, family_size=len(fam), p=p)

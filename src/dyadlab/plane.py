@@ -98,20 +98,6 @@ def inner2(f: Grid2D, g: Grid2D) -> complex:
     return complex(np.sum(f.values * np.conj(g.values)) * cell_area(f.resolution))
 
 
-def norm2d(f: Grid2D, p: float) -> float:
-    a = np.abs(f.values)
-    if np.isinf(p):
-        return float(a.max(initial=0.0))
-    return float(np.sum(a**p) * cell_area(f.resolution)) ** (1.0 / p)
-
-
-def array_norm2d(values: np.ndarray, p: float, resolution: int) -> float:
-    a = np.abs(np.asarray(values))
-    if np.isinf(p):
-        return float(a.max(initial=0.0))
-    return float(np.sum(a**p) * cell_area(resolution)) ** (1.0 / p)
-
-
 @dataclass(frozen=True, order=True)
 class DyadicRectangle:
     """Product of a horizontal and a vertical dyadic interval."""

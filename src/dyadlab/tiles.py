@@ -648,7 +648,7 @@ def size_decompose(
         tops_length += top.length
         running = table.running(current)
 
-    norm_sq = lp_norm(f, 2.0) ** 2
+    norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
     stats = DecompositionStats(sigma, thr, tops_length, len(forest), constant)
     return TileCollection(collection.resolution, current, collection.convex), forest, stats
@@ -730,7 +730,7 @@ def full_decompose(
     """
     current = collection
     buckets: dict[tuple[int, int], ForestBucket] = {}
-    norm_sq = lp_norm(f, 2.0) ** 2
+    norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
     e_measure = measure(e)
     n_prev: int | None = None
     m_prev: int | None = None

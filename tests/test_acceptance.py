@@ -30,8 +30,7 @@ from dyadlab.principle import (
     level_budget,
     measure_condition,
     splitting_cascade,
-    trim_both_builder,
-    trim_h_builder,
+    trim_builder,
     vector_inequality_ratio,
 )
 from dyadlab.tiles import (
@@ -77,7 +76,7 @@ def test_criterion_1_maximal_oracle():
             oracle[sl] = np.maximum(oracle[sl], tree_average(a[sl]))
         exact = exact and bool(np.array_equal(mf, oracle))
         width = 2.0**-resolution
-        norm1 = lp_norm(f, 1.0)
+        norm1 = lp_norm(f.values, 1.0, f.resolution)
         for v in np.unique(mf):
             if v > 0 and v * np.count_nonzero(mf >= v) * width > norm1 * (1 + 1e-12):
                 weak_ok = False
@@ -266,7 +265,7 @@ def test_criterion_5_principle_internals():
         abs(level_budget(p, 1) - 0.5) < 1e-12 for p in (1.1, 1.5, 2.0, 3.0, 10.0)
     )
     rng = np.random.default_rng(1005)
-    builder = trim_both_builder(4.0)
+    builder = trim_builder(4.0, "both")
     cascade_ok = True
     for _ in range(100):
         h = random_grid_set(rng, 6)
@@ -452,7 +451,7 @@ def test_criterion_10_principle_end_to_end():
     family, _ = maximal_operator_family(rng, resolution, 4)
     h = random_grid_set(rng, resolution)
     g = random_grid_set(rng, resolution)
-    builder = trim_h_builder(4.0)
+    builder = trim_builder(4.0, "h")
     p0, p1, q = 1.5, 3.0, 2.0
     cond0 = measure_condition(family, h, g, builder, p0, seed=10)
     cond1 = measure_condition(family, h, g, builder, p1, seed=11)

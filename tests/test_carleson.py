@@ -6,7 +6,6 @@ import pytest
 
 from dyadlab.carleson import (
     RestrictedOp,
-    apply_restricted,
     carve_g,
     carve_h,
     collection_caps,
@@ -26,8 +25,38 @@ from dyadlab.grid import (
     inner_product,
     measure,
 )
-from dyadlab.harness import random_choice, random_grid_set, random_signal, random_vector
-from dyadlab.tiles import ChoiceFunction, TileCollection, mass, model_sum, size_bound
+from dyadlab.harness import (
+    random_choice,
+    random_convex_collection,
+    random_grid_set,
+    random_signal,
+    random_vector,
+)
+from dyadlab.principle import LinearOperator, power_iteration
+from dyadlab.tiles import ChoiceFunction, ModelSumPlan, TileCollection, mass, model_sum, size_bound
+
+
+def old_restricted_pair(op: RestrictedOp):
+    """The apply_restricted / adjoint_restricted pair and the closures
+    restricted_norm built on them before RestrictedOp.operator."""
+    L = op.a.resolution
+    plan = ModelSumPlan(op.choice, op.collection)
+
+    def apply_restricted(f):
+        masked = GridSignal(f.resolution, f.values * op.b.mask)
+        return GridSignal(f.resolution, plan.apply(masked).values * op.a.mask)
+
+    def adjoint_restricted(g):
+        masked = GridSignal(g.resolution, g.values * op.a.mask)
+        return GridSignal(g.resolution, plan.adjoint(masked).values * op.b.mask)
+
+    def fwd(v):
+        return apply_restricted(GridSignal(L, v)).values
+
+    def adj(v):
+        return adjoint_restricted(GridSignal(L, v)).values
+
+    return fwd, adj
 
 
 class TestRestrictedOperator:
@@ -40,8 +69,8 @@ class TestRestrictedOperator:
         empty = GridSet.empty(resolution)
         full = GridSet.full(resolution)
         for a, b in ((empty, full), (full, empty)):
-            out = apply_restricted(f, RestrictedOp(a, b, choice, collection))
-            assert np.all(out.values == 0.0)
+            out = RestrictedOp(a, b, choice, collection).operator.apply(f.values)
+            assert np.all(out == 0.0)
 
     def test_full_sets_recover_model_sum(self):
         rng = np.random.default_rng(1)
@@ -50,8 +79,8 @@ class TestRestrictedOperator:
         f = random_signal(rng, resolution, complex_values=True)
         choice = random_choice(rng, resolution)
         full = GridSet.full(resolution)
-        out = apply_restricted(f, RestrictedOp(full, full, choice, collection))
-        assert np.array_equal(out.values, model_sum(f, choice, collection).values)
+        out = RestrictedOp(full, full, choice, collection).operator.apply(f.values)
+        assert np.array_equal(out, model_sum(f, choice, collection).values)
 
     def test_unfolds_identically(self):
         rng = np.random.default_rng(2)
@@ -65,7 +94,26 @@ class TestRestrictedOperator:
         direct = model_sum(
             GridSignal(resolution, f.values * b.mask), choice, collection
         ).values * a.mask
-        assert np.array_equal(apply_restricted(f, op).values, direct)
+        assert np.array_equal(op.operator.apply(f.values), direct)
+
+
+    def test_operator_matches_closure_oracle(self):
+        rng = np.random.default_rng(3)
+        resolution = 5
+        n = 1 << resolution
+        for collection in (TileCollection.all(resolution), random_convex_collection(rng, resolution)):
+            for _ in range(3):
+                a = random_grid_set(rng, resolution)
+                b = random_grid_set(rng, resolution)
+                op = RestrictedOp(a, b, random_choice(rng, resolution), collection)
+                fwd, adj = old_restricted_pair(op)
+                for _ in range(3):
+                    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    assert np.array_equal(op.operator.apply(v), fwd(v))
+                    assert np.array_equal(op.operator.adjoint(v), adj(v))
+                old = power_iteration(LinearOperator(fwd, adj), (n,), iters=60, seed=5)
+                new = restricted_norm(op, iters=60, seed=5)
+                assert (new.norm, new.iterations, new.converged) == (old.norm, old.iterations, old.converged)
 
 
 class TestCarving:

@@ -22,10 +22,10 @@ from dyadlab.directional import (
     verify_weighted_directional,
     weighted_hilbert_ratio,
 )
-from dyadlab.grid import GridSignal, all_intervals
+from dyadlab.grid import GridSignal, all_intervals, bundle_norm, lp_norm
 from dyadlab.harness import random_signal
 from dyadlab.maximal import dyadic_maximal
-from dyadlab.plane import Grid2D, array_norm2d, norm2d
+from dyadlab.plane import Grid2D
 
 
 def random_plane(rng, resolution):
@@ -37,6 +37,9 @@ class TestHalfplane:
     def test_direction_validation(self):
         with pytest.raises(ValueError):
             Direction(1.0, 1.0)
+        for bad in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (1.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                Direction(*bad)
         with pytest.raises(ValueError):
             DirectionSet(())
         with pytest.raises(ValueError):
@@ -53,7 +56,7 @@ class TestHalfplane:
         other = halfplane_project(f, v.negated)
         assert np.allclose(once.values, twice.values, atol=1e-10)
         assert np.allclose(once.values + other.values, f.values, atol=1e-10)
-        assert norm2d(once, 2.0) <= norm2d(f, 2.0) + 1e-12
+        assert lp_norm(once.values, 2.0, 3) <= lp_norm(f.values, 2.0, 3) + 1e-12
 
     def test_mask_partition_exact(self):
         for theta in (0.0, 0.3, math.pi / 4, math.pi / 2, 2.0):
@@ -104,10 +107,8 @@ class TestAnnularBands:
                 pieces = np.stack(
                     [annular_band(f, k).values for k in range(resolution + 1)]
                 )
-                sq = array_norm2d(
-                    np.sqrt(np.sum(np.abs(pieces) ** 2, axis=0)), q, resolution
-                )
-                ratios.append(sq / norm2d(f, q))
+                sq = bundle_norm(pieces, q, resolution)
+                ratios.append(sq / lp_norm(f.values, q, f.resolution))
             assert 0.2 <= min(ratios) and max(ratios) <= 5.0
 
 
@@ -288,6 +289,48 @@ class TestEquivalenceAndTheorems:
         )
         assert report.ratio <= 1.0 + 1e-6
         assert report.extra["h_kept"] >= 0.5
+
+    def test_localized_multiplier_matches_closure_oracle(self, monkeypatch):
+        import dyadlab.directional as directional
+        from dyadlab.directional import directional_level_complement
+        from dyadlab.plane import GridSet2D, measure2
+
+        rng = np.random.default_rng(16)
+        L, n, seed = 4, 16, 7
+        dirs = DirectionSet.uniform(4)
+        fams = [random_plane(rng, L) for _ in range(2)]
+        captured = []
+        real = directional.power_iteration
+
+        def recording(op, shape, **kwargs):
+            captured.append((op, kwargs["seed"] - seed))
+            return real(op, shape, **kwargs)
+
+        monkeypatch.setattr(directional, "power_iteration", recording)
+        verify_directional(fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=3)
+        # the sets verify_directional localizes between, drawn the same way
+        averager = DirectionalAverager(L, dirs)
+        norm_l2 = averager.estimate_norm(2.0, iters=12, seed=seed)
+        g = GridSet2D(L, np.random.default_rng(seed).random((n, n)) < 0.25)
+        h = GridSet2D.full(L)
+        ratio = measure2(g) / measure2(h)
+        h_prime, _ = directional_level_complement(h, g, averager, math.sqrt(ratio) * norm_l2)
+        assert 0 < measure2(h_prime) < 1
+        assert len(captured) == len(dirs) * (L + 1)
+        for local, index in captured:
+            j, k = divmod(index, 31)
+            multiplier = band_window(L, k) * halfplane_mask(L, dirs.members[j])
+
+            # the closure pair verify_directional built before the localized multiplier
+            def fwd(x, m=multiplier):
+                return np.fft.ifft2(np.fft.fft2(np.asarray(x) * h_prime.mask) * m) * g.mask
+
+            def adj(x, m=multiplier):
+                return np.fft.ifft2(np.fft.fft2(np.asarray(x) * g.mask) * np.conj(m)) * h_prime.mask
+
+            v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            assert np.array_equal(local.apply(v), fwd(v))
+            assert np.array_equal(local.adjoint(v), adj(v))
 
     def test_weighted_directional_report(self):
         rng = np.random.default_rng(16)

@@ -11,6 +11,7 @@ from dyadlab.grid import (
     GridSignal,
     VectorSignal,
     all_intervals,
+    bundle_norm,
     inner_product,
     interval_cutoff,
     lp_norm,
@@ -119,23 +120,51 @@ class TestInnerProduct:
         rng = np.random.default_rng(seed)
         n = 1 << resolution
         f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        assert abs(inner_product(f, f) - lp_norm(f, 2.0) ** 2) < 1e-12
+        assert abs(inner_product(f, f) - lp_norm(f.values, 2.0, f.resolution) ** 2) < 1e-12
 
 
 class TestLpNorm:
     def test_constant_any_p(self):
         f = GridSignal.constant(4, 1.0)
         for p in (0.5, 1.0, 2.0, 3.7, math.inf):
-            assert lp_norm(f, p) == 1.0
+            assert lp_norm(f.values, p, f.resolution) == 1.0
 
     def test_single_cell(self):
         f = GridSignal.indicator(2, DyadicInterval(2, 1))
-        assert lp_norm(f, 1.0) == 0.25
-        assert lp_norm(f, 2.0) == 0.5
+        assert lp_norm(f.values, 1.0, f.resolution) == 0.25
+        assert lp_norm(f.values, 2.0, f.resolution) == 0.5
+
+    def test_single_plane_cell(self):
+        values = np.zeros((4, 4))
+        values[1, 2] = 3.0
+        assert lp_norm(values, 1.0, 2) == 3.0 / 16
+        assert lp_norm(values, 2.0, 2) == 0.75
+        assert lp_norm(values, math.inf, 2) == 3.0
 
     def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            lp_norm(GridSignal.constant(2, 1.0), 0.0)
+        for p in (0.0, -1.0, -math.inf):
+            with pytest.raises(ValueError):
+                lp_norm(GridSignal.constant(2, 1.0).values, p, 2)
+            with pytest.raises(ValueError):
+                lp_norm(np.ones((4, 4)), p, 2)
+
+    @pytest.mark.parametrize("resolution", range(7))
+    def test_bit_identical_to_line_and_plane_norms(self, resolution):
+        # the separate line and plane norms lp_norm replaces, with their cell
+        # measures 2**-L and 4**-L
+        rng = np.random.default_rng(resolution)
+        n = 1 << resolution
+        for shape, measure in (((n,), 2.0**-resolution), ((n, n), 4.0**-resolution)):
+            values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            stack = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+            bundle = np.sqrt(np.sum(np.abs(stack) ** 2, axis=0))
+            for p in (1.0, 1.5, 2.0, 3.7):
+                assert lp_norm(values, p, resolution) == float(
+                    np.sum(np.abs(values) ** p) * measure
+                ) ** (1.0 / p)
+                assert bundle_norm(stack, p, resolution) == float(
+                    np.sum(bundle**p) * measure
+                ) ** (1.0 / p)
 
 
 class TestVectorLqNorm:
@@ -144,13 +173,13 @@ class TestVectorLqNorm:
         f = GridSignal(4, rng.standard_normal(16))
         fam = VectorSignal.from_signals([f])
         for q in (1.5, 2.0, 3.0):
-            assert abs(vector_lq_norm(fam, q) - lp_norm(f, q)) < 1e-12
+            assert abs(vector_lq_norm(fam, q) - lp_norm(f.values, q, f.resolution)) < 1e-12
 
     def test_copies_scale_by_sqrt(self):
         rng = np.random.default_rng(1)
         f = GridSignal(4, rng.standard_normal(16))
         fam = VectorSignal.from_signals([f] * 9)
-        assert abs(vector_lq_norm(fam, 2.5) - 3.0 * lp_norm(f, 2.5)) < 1e-12
+        assert abs(vector_lq_norm(fam, 2.5) - 3.0 * lp_norm(f.values, 2.5, f.resolution)) < 1e-12
 
     def test_disjoint_indicators(self):
         a = GridSignal.indicator(3, DyadicInterval(2, 0))

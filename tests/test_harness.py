@@ -92,13 +92,13 @@ class TestReportSerialization:
 
     def test_principle_report_json(self):
         from dyadlab.harness import maximal_operator_family
-        from dyadlab.principle import measure_condition, trim_h_builder
+        from dyadlab.principle import measure_condition, trim_builder
 
         rng = np.random.default_rng(21)
         family, _ = maximal_operator_family(rng, 5, 2)
         h = random_grid_set(rng, 5)
         g = random_grid_set(rng, 5)
-        report = measure_condition(family, h, g, trim_h_builder(), 2.5)
+        report = measure_condition(family, h, g, trim_builder(4.0, "h"), 2.5)
         parsed = json.loads(report.to_json())
         assert set(parsed) >= {"p", "C_p", "B_p", "A_p", "q", "lhs3", "rhs3", "ratio", "levels"}
 
@@ -130,6 +130,15 @@ class TestConfigValidation:
     def test_resolution_cap(self):
         with pytest.raises(ValueError, match="0 <= L <= 12"):
             ExperimentConfig(theorem="fs", resolution=13).validate()
+
+    def test_resolution_zero_only_where_defined(self):
+        exponents = {"principle": {"p": 1.5, "q": 2.0}}
+        for theorem in ("biparam", "principle"):
+            with pytest.raises(ValueError, match=f"{theorem} needs resolution 1 <= L <= 12"):
+                ExperimentConfig(theorem, resolution=0, **exponents.get(theorem, {})).validate()
+            ExperimentConfig(theorem, resolution=1, **exponents.get(theorem, {})).validate()
+        for theorem in ("fs", "cordoba", "cordoba-weighted", "carleson"):
+            ExperimentConfig(theorem, resolution=0).validate()
 
     def test_fs_exponent(self):
         with pytest.raises(ValueError, match="1 < p < inf"):
@@ -270,6 +279,42 @@ class TestIOErrors:
         with pytest.raises(ValueError, match=f"row {bad_row}"):
             read_grid2d(path)
 
+    @pytest.mark.parametrize(
+        "lines, bad_row",
+        [
+            ("0,1.0,0.0\n1,nan,0.0\n", 2),
+            ("0,inf,0.0\n1,1.0,0.0\n", 1),
+            ("0,1.0,0.0\n1,0.0,-inf\n", 2),
+        ],
+        ids=["nan", "inf", "imaginary-inf"],
+    )
+    def test_nonfinite_signal_value(self, tmp_path, lines, bad_row):
+        path = tmp_path / "signal.csv"
+        path.write_text("index,re,im\n" + lines)
+        with pytest.raises(ValueError, match=f"row {bad_row}: value .* is not finite"):
+            read_signal(path)
+
+    def test_nonfinite_grid2d_value(self, tmp_path):
+        path = tmp_path / "plane.csv"
+        path.write_text("row,col,re,im\n0,0,1.0,0.0\n0,1,1.0,0.0\n1,0,1.0,nan\n1,1,1.0,0.0\n")
+        with pytest.raises(ValueError, match="row 3: value .* is not finite"):
+            read_grid2d(path)
+
+    @pytest.mark.parametrize(
+        "lines, bad_row, message",
+        [
+            ("1.0,0.0\nnan,0.0\n", 2, "finite"),
+            ("1.0,0.0\n0.0,inf\n", 2, "finite"),
+            ("1.0,0.0\n0.0,1.0\n1.0,0.0\n", 3, "repeated"),
+        ],
+        ids=["nan", "inf", "repeated"],
+    )
+    def test_bad_direction_row(self, tmp_path, lines, bad_row, message):
+        path = tmp_path / "dirs.csv"
+        path.write_text("vx,vy\n" + lines)
+        with pytest.raises(ValueError, match=f"row {bad_row}: .*{message}"):
+            read_directions(path)
+
 
 class TestCLI:
     def test_only_estimate22_takes_plot(self):
@@ -298,6 +343,11 @@ class TestCLI:
         assert main(["verify", "fs", "--p", "0.5"]) == 2
         err = capsys.readouterr().err
         assert "1 < p < inf" in err
+
+    @pytest.mark.parametrize("theorem", ["biparam", "principle"])
+    def test_resolution_zero_exits_two(self, theorem, capsys):
+        assert main(["verify", theorem, "--resolution", "0"]) == 2
+        assert f"{theorem} needs resolution 1 <= L <= 12, got 0" in capsys.readouterr().err
 
     def test_decompose(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

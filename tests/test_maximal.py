@@ -88,7 +88,7 @@ class TestDyadicMaximal:
         rng = np.random.default_rng(7)
         for _ in range(30):
             f = random_signal(rng, 6)
-            assert weak_11_sup(f) <= lp_norm(f, 1.0) * (1 + 1e-12)
+            assert weak_11_sup(f) <= lp_norm(f.values, 1.0, f.resolution) * (1 + 1e-12)
 
     def test_sublinear_and_monotone(self):
         rng = np.random.default_rng(9)

@@ -8,6 +8,7 @@ from dyadlab.harness import (
     random_signal,
     random_vector,
 )
+from dyadlab.maximal import exceptional_complement
 from dyadlab.principle import (
     LinearOperator,
     OperatorFamily,
@@ -19,11 +20,36 @@ from dyadlab.principle import (
     measure_condition,
     power_iteration,
     splitting_cascade,
-    trim_both_builder,
-    trim_g_builder,
-    trim_h_builder,
+    trim_builder,
     vector_inequality_ratio,
 )
+
+
+def old_localized(op, h_mask, g_mask):
+    """The closure pair measure_condition built before LinearOperator.localized."""
+
+    def fwd(v):
+        return op.apply(v * h_mask) * g_mask
+
+    def adj(v):
+        return op.adjoint(v * g_mask) * h_mask
+
+    return fwd, adj
+
+
+def old_trim_builders(c):
+    """The three builders trim_builder replaces, keyed by their sides."""
+
+    def trim_h(h, g):
+        return (exceptional_complement(h, g, c) if measure(h) > 0 else h), g
+
+    def trim_g(h, g):
+        return h, (exceptional_complement(g, h, c) if measure(g) > 0 else g)
+
+    def trim_both(h, g):
+        return trim_h(h, g)[0], trim_g(h, g)[1]
+
+    return {"h": trim_h, "g": trim_g, "both": trim_both}
 
 
 def identity_family(count=1):
@@ -63,8 +89,7 @@ class TestPowerIteration:
         rng = np.random.default_rng(n)
         matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         res = power_iteration(
-            lambda v: matrix @ v,
-            lambda v: matrix.conj().T @ v,
+            LinearOperator(lambda v: matrix @ v, lambda v: matrix.conj().T @ v),
             (n,),
             iters=2000,
             tol=1e-14,
@@ -80,8 +105,7 @@ class TestPowerIteration:
         norms = []
         for iters in (1, 2, 4, 8, 16, 32, 64):
             res = power_iteration(
-                lambda v: matrix @ v,
-                lambda v: matrix.T @ v,
+                LinearOperator(lambda v: matrix @ v, lambda v: matrix.T @ v),
                 (n,),
                 iters=iters,
                 tol=0.0,
@@ -92,7 +116,7 @@ class TestPowerIteration:
 
     def test_zero_operator(self):
         res = power_iteration(
-            lambda v: np.zeros_like(v), lambda v: np.zeros_like(v), (16,), seed=0
+            LinearOperator(lambda v: np.zeros_like(v), lambda v: np.zeros_like(v)), (16,), seed=0
         )
         assert res.norm == 0.0 and res.converged
 
@@ -106,7 +130,8 @@ class TestPowerIteration:
 class TestSubsetBuilders:
     def test_trim_builders_keep_half(self):
         rng = np.random.default_rng(6)
-        for builder in (trim_h_builder(), trim_g_builder(), trim_both_builder()):
+        for sides in ("h", "g", "both"):
+            builder = trim_builder(4.0, sides)
             for _ in range(20):
                 h = random_grid_set(rng, 6)
                 g = random_grid_set(rng, 6)
@@ -115,6 +140,21 @@ class TestSubsetBuilders:
                 assert measure(g_sub) >= 0.5 * measure(g)
                 assert not np.any(h_sub.mask & ~h.mask)
                 assert not np.any(g_sub.mask & ~g.mask)
+
+    def test_trim_builder_matches_separate_builders(self):
+        rng = np.random.default_rng(61)
+        for c in (4.0, 8.0):
+            for sides, oracle in old_trim_builders(c).items():
+                builder = trim_builder(c, sides)
+                assert builder.label == f"trim-{sides}(c={c})"
+                for _ in range(10):
+                    h = random_grid_set(rng, 6)
+                    g = random_grid_set(rng, 6)
+                    got, want = builder(h, g), oracle(h, g)
+                    assert np.array_equal(got[0].mask, want[0].mask)
+                    assert np.array_equal(got[1].mask, want[1].mask)
+        with pytest.raises(ValueError, match="sides"):
+            trim_builder(4.0, "hg")
 
     def test_violating_builder_raises(self):
         bad = SubsetBuilder(lambda h, g: (GridSet.empty(h.resolution), g), label="bad")
@@ -154,7 +194,7 @@ class TestMeasureCondition:
         family, _ = maximal_operator_family(rng, resolution, 3)
         h = random_grid_set(rng, resolution)
         g = random_grid_set(rng, resolution)
-        builder = trim_h_builder(4.0)
+        builder = trim_builder(4.0, "h")
         report = measure_condition(family, h, g, builder, p=3.0, iters=3000, tol=1e-14)
         h_sub, g_sub = builder(h, g)
         dense_best = 0.0
@@ -169,7 +209,7 @@ class TestMeasureCondition:
         family, _ = maximal_operator_family(rng, 5, 2)
         h = random_grid_set(rng, 5)
         g = random_grid_set(rng, 5)
-        report = measure_condition(family, h, g, trim_h_builder(), p=2.5)
+        report = measure_condition(family, h, g, trim_builder(4.0, "h"), p=2.5)
         assert report.A_p == pytest.approx(2.0 * report.B_p, rel=1e-12)
 
     def test_requires_positive_measures(self):
@@ -183,7 +223,7 @@ class TestSplittingCascade:
         rng = np.random.default_rng(10)
         h = random_grid_set(rng, 6)
         g = random_grid_set(rng, 6)
-        levels = splitting_cascade(h, g, trim_both_builder(), p=2.0, k_max=1)
+        levels = splitting_cascade(h, g, trim_builder(4.0, "both"), p=2.0, k_max=1)
         assert levels[0].k == 1
         assert levels[0].max_product_measure <= 0.5 * measure(g) * measure(h) + 1e-15
         assert levels[0].budget == pytest.approx(0.5, abs=1e-12)
@@ -193,7 +233,7 @@ class TestSplittingCascade:
         for _ in range(10):
             h = random_grid_set(rng, 6)
             g = random_grid_set(rng, 6)
-            levels = splitting_cascade(h, g, trim_both_builder(), p=1.5, k_max=10)
+            levels = splitting_cascade(h, g, trim_builder(4.0, "both"), p=1.5, k_max=10)
             assert len(levels) == 10
             base = measure(g) * measure(h)
             for stat in levels:
@@ -204,12 +244,12 @@ class TestSplittingCascade:
         rng = np.random.default_rng(12)
         h = random_grid_set(rng, 5)
         g = random_grid_set(rng, 5)
-        levels = splitting_cascade(h, g, trim_h_builder(), p=2.0, k_max=6)
+        levels = splitting_cascade(h, g, trim_builder(4.0, "h"), p=2.0, k_max=6)
         assert len(levels) == 6
 
     def test_requires_depth(self):
         with pytest.raises(ValueError):
-            splitting_cascade(GridSet.full(3), GridSet.full(3), trim_h_builder(), 2.0, 0)
+            splitting_cascade(GridSet.full(3), GridSet.full(3), trim_builder(4.0, "h"), 2.0, 0)
 
 
 class TestVectorConclusion:
@@ -241,3 +281,51 @@ class TestVectorConclusion:
             forward = densify(op.apply, 16)
             backward = densify(op.adjoint, 16)
             assert np.allclose(backward, forward.conj().T, atol=1e-12)
+
+
+class TestLocalizedOperator:
+    def test_adjoint_is_required(self):
+        with pytest.raises(TypeError):
+            LinearOperator(lambda v: v)
+
+    def test_maximal_family_matches_closure_oracle(self):
+        rng = np.random.default_rng(17)
+        resolution = 5
+        n = 1 << resolution
+        family, _ = maximal_operator_family(rng, resolution, 4)
+        for op in family.operators:
+            h_mask = rng.random(n) < 0.5
+            g_mask = rng.random(n) < 0.5
+            local = op.localized(g_mask, h_mask)
+            fwd, adj = old_localized(op, h_mask, g_mask)
+            for _ in range(3):
+                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                assert np.array_equal(local.apply(v), fwd(v))
+                assert np.array_equal(local.adjoint(v), adj(v))
+
+    def test_adjoint_is_conjugate_transpose(self):
+        rng = np.random.default_rng(18)
+        resolution = 4
+        n = 1 << resolution
+        family, _ = maximal_operator_family(rng, resolution, 3)
+        matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ops = [*family.operators, LinearOperator(lambda v: matrix @ v, lambda v: matrix.conj().T @ v)]
+        for op in ops:
+            local = op.localized(rng.random(n) < 0.5, rng.random(n) < 0.5)
+            forward = densify(local.apply, n)
+            assert np.allclose(densify(local.adjoint, n), forward.conj().T, rtol=0.0, atol=1e-12)
+
+    def test_measure_condition_runs_the_localized_operator(self):
+        rng = np.random.default_rng(19)
+        resolution = 5
+        family, _ = maximal_operator_family(rng, resolution, 3)
+        h = random_grid_set(rng, resolution)
+        g = random_grid_set(rng, resolution)
+        builder = trim_builder(4.0, "h")
+        report = measure_condition(family, h, g, builder, p=2.5, seed=4)
+        h_sub, g_sub = builder(h, g)
+        for j, op in enumerate(family.operators):
+            fwd, adj = old_localized(op, h_sub.mask, g_sub.mask)
+            res = power_iteration(LinearOperator(fwd, adj), (1 << resolution,), seed=4 + j)
+            assert report.extra["norms"][j] == res.norm
+            assert report.extra["iterations"][j] == res.iterations

@@ -190,7 +190,7 @@ def dict_size_decompose(collection: TileCollection, f: GridSignal, threshold=Non
         remaining = [p for p in remaining if p not in members]
         forest.append(Tree(top, xi, members))
         tops_length += top.length
-    norm_sq = lp_norm(f, 2.0) ** 2
+    norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
     stats = DecompositionStats(sigma, thr, tops_length, len(forest), constant)
     return TileCollection.from_bitiles(collection.resolution, remaining), forest, stats
@@ -335,7 +335,7 @@ class TestTilesAndOrder:
     def test_packet_norm_exact(self):
         for k in range(4):
             for q in range(1 << (4 - k)):
-                assert lp_norm(walsh_packet(Tile(k, 0, q), 4), 2.0) == 1.0
+                assert lp_norm(walsh_packet(Tile(k, 0, q), 4).values, 2.0, 4) == 1.0
 
     def test_disjoint_tiles_orthogonal(self):
         resolution = 4
