@@ -11,6 +11,7 @@ ordered by inclusion inside vertical strips.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,47 +33,77 @@ from .reports import RatioReport, safe_ratio
 from .walsh import walsh_analysis, walsh_synthesis
 
 
-def _block_sums(values: np.ndarray, scale: int, axis: int) -> np.ndarray:
-    """Sums of cell values over dyadic blocks at the scale, along one axis."""
-    v = np.moveaxis(np.asarray(values), axis, 0)
-    n = v.shape[0]
-    v = v.reshape(1 << scale, n >> scale, *v.shape[1:]).sum(axis=1)
-    return np.moveaxis(v, 0, axis)
+class _FixedScalePlan:
+    """Tensor Haar analysis and synthesis at one vertical scale j on a
+    2**L grid, for every horizontal scale kx < L.
+
+    Analysis sums dyadic blocks along the rows and then along a transposed
+    view of the columns, the same strided views and reductions as moving the
+    axis to the front, so the coefficients are those of the axis-by-axis
+    formula bit for bit.  Synthesis is one broadcast product of the scaled
+    coefficients with the sign tensor sx (x) sy of the packets, shaped
+    (rx, 1, ry) against blocks (2**kx, rx, 2**j, ry): repetition commutes
+    with elementwise products and the signs are +-1, so every nonzero value
+    equals repeating the coefficients and multiplying by each sign in turn.
+    """
+
+    def __init__(self, resolution: int, j: int):
+        self.resolution, self.j = resolution, j
+        self.area = cell_area(resolution)
+        sy = _haar_half_signs(1 << (resolution - j))
+        self.signs = [
+            _haar_half_signs(1 << (resolution - kx))[:, None, None] * sy
+            for kx in range(resolution)
+        ]
+
+    def analysis(self, values: np.ndarray, kx: int) -> np.ndarray:
+        n = 1 << self.resolution
+        rows = values.reshape(2 << kx, n >> (kx + 1), n).sum(axis=1)
+        rows = (rows[0::2] - rows[1::2]) * 2.0 ** (kx / 2.0)
+        cols = rows.T.reshape(2 << self.j, n >> (self.j + 1), 1 << kx).sum(axis=1)
+        cols = (cols[0::2] - cols[1::2]) * 2.0 ** (self.j / 2.0)
+        return cols.T * self.area
+
+    def synthesis(self, coeffs: np.ndarray, kx: int) -> np.ndarray:
+        n = 1 << self.resolution
+        scaled = coeffs * 2.0 ** ((kx + self.j) / 2.0)
+        return (scaled[:, None, :, None] * self.signs[kx]).reshape(n, n)
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Sum over kx of the scale-(kx, j) packet expansions of values."""
+        out = np.zeros_like(values)
+        for kx in range(self.resolution):
+            out += self.synthesis(self.analysis(values, kx), kx)
+        return out
 
 
-def _haar_details(values: np.ndarray, scale: int, axis: int) -> np.ndarray:
-    """<., haar at scale> along one axis, up to the global cell weight:
-    2**(k/2) (left-half sum - right-half sum) per block."""
-    child = _block_sums(values, scale + 1, axis)
-    child = np.moveaxis(child, axis, 0)
-    out = (child[0::2] - child[1::2]) * 2.0 ** (scale / 2.0)
-    return np.moveaxis(out, 0, axis)
+def _haar_half_signs(length: int) -> np.ndarray:
+    """+1 on the left half of a block, -1 on the right; int8 keeps a plan at
+    2 * 4**L / 2**j bytes, and the cast to complex is exact."""
+    half = length >> 1
+    return np.repeat(np.array([1, -1], dtype=np.int8), half)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(resolution: int, j: int) -> _FixedScalePlan:
+    return _FixedScalePlan(resolution, j)
+
+
+def _check_scales(resolution: int, kx: int, ky: int) -> None:
+    if not (0 <= kx < resolution and 0 <= ky < resolution):
+        raise ValueError("haar scales must lie in [0, L)")
 
 
 def haar_coefficients(f: Grid2D, kx: int, ky: int) -> np.ndarray:
     """coef[nx, ny] = <f, haar_I x haar_J> over all rectangles at (kx, ky)."""
-    L = f.resolution
-    if not (0 <= kx < L and 0 <= ky < L):
-        raise ValueError("haar scales must lie in [0, L)")
-    out = _haar_details(_haar_details(f.values, kx, 0), ky, 1)
-    return out * cell_area(L)
-
-
-def _haar_sign_pattern(resolution: int, scale: int) -> np.ndarray:
-    n = 1 << resolution
-    half = n >> (scale + 1)
-    pattern = np.tile(np.concatenate([np.ones(half), -np.ones(half)]), 1 << scale)
-    return pattern
+    _check_scales(f.resolution, kx, ky)
+    return _plan(f.resolution, ky).analysis(f.values, kx)
 
 
 def haar_synthesis(coeffs: np.ndarray, resolution: int, kx: int, ky: int) -> np.ndarray:
     """sum over (nx, ny) of coeffs[nx, ny] times the tensor Haar packet."""
-    L = resolution
-    rx, ry = 1 << (L - kx), 1 << (L - ky)
-    expanded = np.repeat(np.repeat(coeffs, rx, axis=0), ry, axis=1)
-    sx = _haar_sign_pattern(L, kx)
-    sy = _haar_sign_pattern(L, ky)
-    return expanded * 2.0 ** ((kx + ky) / 2.0) * sx[:, None] * sy[None, :]
+    _check_scales(resolution, kx, ky)
+    return _plan(resolution, ky).synthesis(np.asarray(coeffs), kx)
 
 
 def tensor_packet(rect: DyadicRectangle, resolution: int) -> Grid2D:
@@ -93,11 +124,7 @@ def fixed_scale_operator(f: Grid2D, j: int) -> Grid2D:
     L = f.resolution
     if not 0 <= j < L:
         raise ValueError(f"vertical scale {j} out of range for resolution {L}")
-    out = np.zeros_like(f.values)
-    for kx in range(L):
-        coef = haar_coefficients(f, kx, j)
-        out += haar_synthesis(coef, L, kx, j)
-    return Grid2D(L, out)
+    return Grid2D(L, _plan(L, j).project(f.values))
 
 
 def vertical_band_project(f: Grid2D, band: int) -> Grid2D:
@@ -140,14 +167,10 @@ class RectCollection:
 
     @classmethod
     def all_at_scale(cls, resolution: int, vscale: int) -> "RectCollection":
-        rects = set()
-        for kx in range(resolution):
-            for nx in range(1 << kx):
-                for ny in range(1 << vscale):
-                    rects.add(
-                        DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny))
-                    )
-        return cls(resolution, vscale, frozenset(rects))
+        """Every rectangle at the vertical scale; the collection is immutable,
+        so one build per (resolution, vscale) is shared, and its `.rects`
+        iterate in the order of the insertion loop below."""
+        return _all_at_scale(resolution, vscale)
 
     def __len__(self) -> int:
         return len(self.rects)
@@ -160,6 +183,16 @@ class RectCollection:
 
     def without(self, removed) -> "RectCollection":
         return RectCollection(self.resolution, self.vscale, self.rects - frozenset(removed))
+
+
+@functools.lru_cache(maxsize=32)
+def _all_at_scale(resolution: int, vscale: int) -> RectCollection:
+    rects = set()
+    for kx in range(resolution):
+        for nx in range(1 << kx):
+            for ny in range(1 << vscale):
+                rects.add(DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny)))
+    return RectCollection(resolution, vscale, frozenset(rects))
 
 
 def rect_is_convex(rects) -> bool:
@@ -453,9 +486,7 @@ def verify_biparam(
         restricted_ratios_q.append(safe_ratio(pairing, rhs_q))
 
         # the fixed-scale operator is an orthogonal projection: self-adjoint
-        def project(v, jj=j):
-            return fixed_scale_operator(Grid2D(L, v), jj).values
-
+        project = _plan(L, j).project
         local = LinearOperator(project, project).localized(g.mask, h_prime.mask)
         res = power_iteration(local, (n, n), iters=power_iters, seed=seed + j)
         norm_constants.append(res.norm**2 / ratio ** (1.0 - 2.0 / p))

@@ -74,6 +74,7 @@ _DEFAULT_Q = {"cordoba": 2.5, "principle": 2.0}
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    # estimate-22 validates as the carleson theorem, whose bound it checks
     theorem = getattr(args, "theorem", "carleson")
     p = args.p if args.p is not None else _DEFAULT_P.get(theorem, 3.0)
     q = args.q if args.q is not None else _DEFAULT_Q.get(theorem, 2.5)
@@ -132,6 +133,15 @@ def main(argv=None) -> int:
         print(json.dumps(summary, sort_keys=True))
         return 0
 
+    config = _config_from_args(args)
+    try:
+        config.validate()
+        if args.command == "estimate-22" and args.ladder < 2:
+            raise ValueError(f"the ladder needs at least 2 ratios to fit a slope, got {args.ladder}")
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+
     if args.command == "estimate-22":
         from .carleson import norm_decay_ladder, verify_vector_carleson
         from .harness import random_vector, trial_generators
@@ -146,8 +156,7 @@ def main(argv=None) -> int:
             ok = ok and decay.slope >= 0.5 - args.epsilon
         gens, _ = trial_generators(args.seed, 1)
         fam = random_vector(gens[0], args.resolution, args.family_size)
-        p = args.p if args.p is not None else 3.0
-        thm71 = verify_vector_carleson(fam, None, p, seed=args.seed)
+        thm71 = verify_vector_carleson(fam, None, config.p, seed=args.seed)
         for branch in branches:
             report[branch]["thm71"] = {
                 "lhs": thm71.lhs,
@@ -166,12 +175,6 @@ def main(argv=None) -> int:
             _plot_ladder(report, Path("."))
         return 0 if ok else 1
 
-    config = _config_from_args(args)
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
     _, report, ok = run(config)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0 if ok else 1

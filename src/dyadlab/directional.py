@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSignal, bundle_norm, check_resolution, lp_norm
+from .grid import GridSignal, bundle_norm, check_resolution, lp_norm, stack_slices
 from .maximal import dyadic_maximal
 from .plane import Grid2D, GridSet2D, cell_area, measure2
-from .principle import LinearOperator, power_iteration
+from .principle import LinearOperator, power_iterations
 from .reports import RatioReport, safe_ratio
 
 
@@ -66,10 +66,6 @@ class DirectionSet:
     @classmethod
     def uniform(cls, count: int) -> "DirectionSet":
         return cls(tuple(Direction.from_angle(math.pi * k / count) for k in range(count)))
-
-    @classmethod
-    def axes(cls) -> "DirectionSet":
-        return cls((Direction(1.0, 0.0), Direction(0.0, 1.0)))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -143,7 +139,10 @@ class DirectionalAverager:
     {1, 1/2, ..., 2**-L}; a box holds the cells whose center displacement,
     wrapped to [-1/2, 1/2) per axis, lies inside it, so the anchor cell is
     always a member.  Averages are circular correlations computed in the
-    frequency domain (every kernel is symmetric), clamped at zero.
+    frequency domain (every kernel is symmetric), clamped at zero.  The
+    distinct kernels' normalized spectra form one `(K, n, n)` array, and the
+    transforms run on the stacks of kernels `stack_slices` gives; each slab
+    of a stacked FFT equals the single-array transform bit for bit.
     """
 
     def __init__(self, resolution: int, directions: DirectionSet):
@@ -155,8 +154,7 @@ class DirectionalAverager:
         delta = (((idx + n // 2) % n) - n // 2) / n
         dx = delta[:, None]
         dy = delta[None, :]
-        self.kernel_ffts: list[np.ndarray] = []
-        self.kernel_counts: list[int] = []
+        kernels: list[np.ndarray] = []
         seen = set()
         for v in directions:
             px, py = v.perp
@@ -170,16 +168,20 @@ class DirectionalAverager:
                     if key in seen:
                         continue
                     seen.add(key)
-                    count = int(np.count_nonzero(kernel))
-                    self.kernel_ffts.append(np.fft.fft2(kernel.astype(float)) / count)
-                    self.kernel_counts.append(count)
+                    kernels.append(kernel)
+        self.kernel_counts = [int(np.count_nonzero(k)) for k in kernels]
+        self.kernel_ffts = np.empty((len(kernels), n, n), dtype=np.complex128)
+        for s in stack_slices(len(kernels), n * n):
+            block = np.stack(kernels[s]).astype(float)
+            counts = np.array(self.kernel_counts[s], dtype=float)[:, None, None]
+            self.kernel_ffts[s] = np.fft.fft2(block) / counts
 
     def all_averages(self, values: np.ndarray) -> np.ndarray:
         """Stack of box averages of |values|, one slab per kernel."""
         spectrum = np.fft.fft2(np.abs(np.asarray(values)))
         out = np.empty((len(self.kernel_ffts),) + values.shape)
-        for i, kf in enumerate(self.kernel_ffts):
-            out[i] = np.fft.ifft2(spectrum * np.conj(kf)).real
+        for s in stack_slices(len(self.kernel_ffts), values.size):
+            out[s] = np.fft.ifft2(spectrum * np.conj(self.kernel_ffts[s])).real
         np.clip(out, 0.0, None, out)
         return out
 
@@ -188,7 +190,10 @@ class DirectionalAverager:
 
     def estimate_norm(self, p: float, iters: int = 30, seed: int = 0) -> float:
         """Family-relative lower estimate of the L^p operator norm via
-        linearized power ascent; every reported ratio is attained."""
+        linearized power ascent; every reported ratio is attained.
+
+        The back-projection transforms, in stacks, only the kernels that win
+        at some cell, and adds their parts in kernel order."""
         n = 1 << self.resolution
         rng = np.random.default_rng(seed)
         v = np.abs(rng.standard_normal((n, n))) + 0.1
@@ -203,17 +208,33 @@ class DirectionalAverager:
             best = max(best, lp_norm(u, p, self.resolution))
             choice = slabs.argmax(axis=0)
             z = u ** (p - 1.0)
+            winners = np.flatnonzero(np.bincount(choice.ravel(), minlength=len(self.kernel_ffts)))
             back = np.zeros((n, n))
-            for i, kf in enumerate(self.kernel_ffts):
-                sel = choice == i
-                if not np.any(sel):
-                    continue
-                back += np.fft.ifft2(np.fft.fft2(z * sel) * kf).real
+            for s in stack_slices(len(winners), n * n):
+                sel = choice == winners[s, None, None]
+                parts = np.fft.ifft2(np.fft.fft2(z * sel) * self.kernel_ffts[winners[s]]).real
+                for part in parts:
+                    back += part
             back = np.clip(back, 0.0, None)
             v = back ** (1.0 / (p - 1.0))
             if not np.any(v > 0):
                 break
         return max(best, 1.0)
+
+
+def _averager_for(
+    averager: DirectionalAverager | None, resolution: int, directions: DirectionSet
+) -> DirectionalAverager:
+    """The averager a caller passed, checked against the grid and the
+    directions it must average over, or a new one."""
+    if averager is None:
+        return DirectionalAverager(resolution, directions)
+    if averager.resolution != resolution or averager.directions != directions:
+        raise ValueError(
+            f"averager built for L={averager.resolution} over {len(averager.directions)} "
+            f"directions does not match L={resolution} over the {len(directions)} given"
+        )
+    return averager
 
 
 def directional_maximal(f: Grid2D, directions: DirectionSet) -> Grid2D:
@@ -272,7 +293,7 @@ def build_majorant_weight(
     vals = g.values.real
     if np.any(vals < 0) or not np.any(vals > 0):
         raise ValueError("weight seed must be nonnegative and not identically zero")
-    avg = averager or DirectionalAverager(L, directions)
+    avg = _averager_for(averager, L, directions)
     norm_est = avg.estimate_norm(p, iters=12, seed=norm_seed)
 
     iterates = [vals]
@@ -412,6 +433,7 @@ def verify_directional(
     p: float = 2.0,
     seed: int = 0,
     power_iters: int = 80,
+    averager: DirectionalAverager | None = None,
 ) -> RatioReport:
     """Square-function bound for directional half-plane projections, plus the
     localized-operator route at p = 2.
@@ -439,7 +461,7 @@ def verify_directional(
     rhs = bundle_norm(stack_in, q, L)
     report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
 
-    averager = DirectionalAverager(L, directions)
+    averager = _averager_for(averager, L, directions)
     norm_l2 = averager.estimate_norm(2.0, iters=12, seed=seed)
     report.extra["norm_MSigma"] = norm_l2
 
@@ -456,19 +478,21 @@ def verify_directional(
     report.extra["h_kept"] = safe_ratio(measure2(h_prime), measure2(h))
     report.extra["exceptional_c"] = c_used
 
-    bands = [band_window(L, k) for k in range(L + 1)]
-    norms = []
-    for j, v in enumerate(directions):
-        hp = halfplane_mask(L, v)
-        for k in range(L + 1):
-            multiplier = bands[k] * hp
-            op = LinearOperator(
-                lambda x, m=multiplier: np.fft.ifft2(np.fft.fft2(x) * m),
-                lambda x, m=np.conj(multiplier): np.fft.ifft2(np.fft.fft2(x) * m),
-            )
-            local = op.localized(g.mask, h_prime.mask)
-            res = power_iteration(local, (n, n), iters=power_iters, seed=seed + 31 * j + k)
-            norms.append(res.norm)
+    # the band-times-half-plane multipliers, member j * (L + 1) + k, run as
+    # stacks through one fft2/ifft2 pair per apply
+    bands = np.stack([band_window(L, k) for k in range(L + 1)])
+    multipliers = np.concatenate([bands * halfplane_mask(L, v) for v in directions])
+    conjugates = np.conj(multipliers)
+
+    def op_for(members):
+        m, m_conj = multipliers[members], conjugates[members]
+        return LinearOperator(
+            lambda x: np.fft.ifft2(np.fft.fft2(x) * m),
+            lambda x: np.fft.ifft2(np.fft.fft2(x) * m_conj),
+        ).localized(g.mask, h_prime.mask)
+
+    seeds = [seed + 31 * j + k for j in range(len(directions)) for k in range(L + 1)]
+    norms = [res.norm for res in power_iterations(op_for, (n, n), seeds, iters=power_iters)]
     alpha = 0.25
     report.extra["localized_norm_max"] = max(norms, default=0.0)
     report.extra["condition_constant"] = safe_ratio(max(norms, default=0.0), ratio**alpha)
@@ -501,7 +525,7 @@ def verify_weighted_directional(
     if not fams:
         raise ValueError("need at least one family member")
     L = fams[0].resolution
-    avg = averager or DirectionalAverager(L, directions)
+    avg = _averager_for(averager, L, directions)
 
     stack_out = np.stack(
         [

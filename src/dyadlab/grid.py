@@ -15,6 +15,19 @@ import numpy as np
 
 MAX_RESOLUTION = 12
 
+# Cells in one stack of same-shape arrays sent through a single numpy call
+# (power iteration members, averaging kernels).  Stacking amortizes per-call
+# overhead on small grids and was measured to lose from 2**14-cell planes
+# (L = 7) up, where a stack holds one member: 16 members at L = 5, 4 at L = 6.
+STACK_CELLS = 1 << 14
+
+
+def stack_slices(count: int, cells: int) -> list[slice]:
+    """Consecutive stacks covering `count` members of `cells` cells each,
+    as many members per stack as fit (at least one)."""
+    step = max(1, STACK_CELLS // cells)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
 
 def check_resolution(resolution) -> int:
     resolution = int(resolution)

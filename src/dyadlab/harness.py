@@ -346,14 +346,17 @@ def run_biparam(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
 
 
 def run_cordoba(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
-    from .directional import DirectionSet, verify_directional
+    from .directional import DirectionalAverager, DirectionSet, verify_directional
 
     dirs = DirectionSet.uniform(8)
+    averager = DirectionalAverager(config.resolution, dirs)
     ratios = []
     ok = True
     for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
-        rep = verify_directional(fams, dirs, config.q, config.p, seed=config.seed + i)
+        rep = verify_directional(
+            fams, dirs, config.q, config.p, seed=config.seed + i, averager=averager
+        )
         ratios.append(rep.ratio)
         ok = ok and rep.extra["h_kept"] >= 0.5 and math.isfinite(rep.ratio)
     report = {

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridSet, VectorSignal, bundle_norm, measure, vector_lq_norm
+from .grid import GridSet, VectorSignal, bundle_norm, measure, stack_slices, vector_lq_norm
 from .maximal import exceptional_complement
 from .reports import LevelStat, PrincipleReport, RatioReport
 
@@ -127,6 +127,95 @@ class PowerIterationResult:
     top_vector: np.ndarray | None = None
 
 
+def power_iterations(
+    op_for: Callable[[list[int]], LinearOperator],
+    shape,
+    seeds,
+    iters: int = 200,
+    tol: float = 1e-9,
+) -> list[PowerIterationResult]:
+    """Largest singular values of a family of operators by power iteration
+    on A*A, run on stacks of members.
+
+    Member i starts from its own seed and `op_for(members)` returns the
+    operator acting on a `(len(members), *shape)` stack of the listed
+    members, one slab each; it is called again only when the membership
+    changes.  Every per-member reduction (Rayleigh quotient, norm) runs on
+    that member's slab alone and the normalization is elementwise, so each
+    result is the one a single-member run with that seed gives, bit for
+    bit.  A member leaves its stack as soon as it stops; the stacks are the
+    consecutive runs of members that `grid.stack_slices` gives.
+
+    The Rayleigh quotient is monotone nondecreasing along the iteration; the
+    returned flag records whether the relative increment fell below tol.
+    """
+    shape, seeds = tuple(shape), list(seeds)
+    results: list[PowerIterationResult] = []
+    for s in stack_slices(len(seeds), math.prod(shape)):
+        members = list(range(s.start, s.stop))
+        results.extend(_power_stack(op_for, shape, members, seeds, iters, tol))
+    return results
+
+
+def _power_stack(op_for, shape, members, seeds, iters, tol) -> list[PowerIterationResult]:
+    starts = []
+    for i in members:
+        rng = np.random.default_rng(seeds[i])
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        starts.append(v / np.linalg.norm(np.ravel(v)))
+    v = np.stack(starts)
+    slab = (-1,) + (1,) * len(shape)
+    done: dict[int, PowerIterationResult] = {}
+    # per-row state of the members still in the stack
+    lam = [0.0] * len(members)
+    lam_prev = [-1.0] * len(members)
+    op = op_for(members)
+
+    def leave(rows, *stacks):
+        nonlocal members, lam, lam_prev, op
+        keep = [r for r in range(len(members)) if r not in rows]
+        members = [members[r] for r in keep]
+        lam = [lam[r] for r in keep]
+        lam_prev = [lam_prev[r] for r in keep]
+        if members:
+            op = op_for(members)
+        return [s[keep] for s in stacks]
+
+    for it in range(1, iters + 1):
+        w = op.apply(v)
+        stopped = []
+        for row in range(len(members)):
+            wr = w[row].ravel()
+            lam_r = lam[row] = float(np.vdot(wr, wr).real)
+            if lam_r == 0.0:
+                done[members[row]] = PowerIterationResult(0.0, it, True, None)
+            elif lam_prev[row] >= 0 and abs(lam_r - lam_prev[row]) <= tol * lam_r:
+                top = v[row].copy()
+                done[members[row]] = PowerIterationResult(math.sqrt(lam_r), it, True, top)
+            else:
+                lam_prev[row] = lam_r
+                continue
+            stopped.append(row)
+        if stopped:
+            v, w = leave(stopped, v, w)
+            if not members:
+                break
+        v = op.adjoint(w)
+        nv = [np.linalg.norm(v[row].ravel()) for row in range(len(members))]
+        if 0.0 in nv:
+            stopped = [row for row, norm in enumerate(nv) if norm == 0.0]
+            for row in stopped:
+                done[members[row]] = PowerIterationResult(math.sqrt(lam[row]), it, True, None)
+            v, nv = leave(stopped, v, np.array(nv))
+            if not members:
+                break
+        # one divisor per slab; a lone slab divides by the scalar itself
+        v = v / (nv[0] if len(nv) == 1 else np.array(nv).reshape(slab))
+    for row in range(len(members)):
+        done[members[row]] = PowerIterationResult(math.sqrt(lam[row]), iters, False, v[row].copy())
+    return [done[i] for i in sorted(done)]
+
+
 def power_iteration(
     op: LinearOperator,
     shape,
@@ -134,31 +223,10 @@ def power_iteration(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> PowerIterationResult:
-    """Largest singular value of a linear operator via power iteration on A*A.
-
-    The Rayleigh quotient is monotone nondecreasing along the iteration; the
-    returned flag records whether the relative increment fell below tol.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    nv = np.linalg.norm(np.ravel(v))
-    v = v / nv
-    lam_prev = -1.0
-    lam = 0.0
-    for it in range(1, iters + 1):
-        w = op.apply(v)
-        lam = float(np.real(np.vdot(np.ravel(w), np.ravel(w))))
-        if lam == 0.0:
-            return PowerIterationResult(0.0, it, True, None)
-        if lam_prev >= 0 and abs(lam - lam_prev) <= tol * lam:
-            return PowerIterationResult(math.sqrt(lam), it, True, v)
-        lam_prev = lam
-        v = op.adjoint(w)
-        nv = np.linalg.norm(np.ravel(v))
-        if nv == 0.0:
-            return PowerIterationResult(math.sqrt(lam), it, True, None)
-        v = v / nv
-    return PowerIterationResult(math.sqrt(lam), iters, False, v)
+    """Largest singular value of one operator: the one-member stack of
+    `power_iterations`."""
+    one = LinearOperator(lambda v: op.apply(v[0])[None], lambda v: op.adjoint(v[0])[None])
+    return power_iterations(lambda members: one, shape, [seed], iters, tol)[0]
 
 
 def densify(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:

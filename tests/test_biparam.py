@@ -8,6 +8,7 @@ from dyadlab.biparam import (
     RectTree,
     fixed_scale_operator,
     haar_coefficients,
+    haar_synthesis,
     rect_full_decompose,
     rect_is_convex,
     rect_mass,
@@ -19,6 +20,7 @@ from dyadlab.biparam import (
 )
 from dyadlab.grid import DyadicInterval, lp_norm
 from dyadlab.harness import random_grid2d, random_set2d
+from dyadlab.principle import LinearOperator
 from dyadlab.plane import (
     DyadicRectangle,
     Grid2D,
@@ -31,6 +33,56 @@ from dyadlab.plane import (
     rectangle_level_set,
     strong_maximal,
 )
+from test_principle import assert_same_result, old_power_iteration
+
+
+def old_block_sums(values, scale, axis):
+    v = np.moveaxis(np.asarray(values), axis, 0)
+    n = v.shape[0]
+    v = v.reshape(1 << scale, n >> scale, *v.shape[1:]).sum(axis=1)
+    return np.moveaxis(v, 0, axis)
+
+
+def old_haar_details(values, scale, axis):
+    child = old_block_sums(values, scale + 1, axis)
+    child = np.moveaxis(child, axis, 0)
+    out = (child[0::2] - child[1::2]) * 2.0 ** (scale / 2.0)
+    return np.moveaxis(out, 0, axis)
+
+
+def old_haar_coefficients(values, resolution, kx, ky):
+    """The moveaxis Haar analysis that preceded the fixed-scale plan."""
+    return old_haar_details(old_haar_details(values, kx, 0), ky, 1) * 4.0**-resolution
+
+
+def old_haar_synthesis(coeffs, resolution, kx, ky):
+    """The repeat-and-sign Haar synthesis that preceded the fixed-scale plan."""
+
+    def signs(scale):
+        half = (1 << resolution) >> (scale + 1)
+        return np.tile(np.concatenate([np.ones(half), -np.ones(half)]), 1 << scale)
+
+    rx, ry = 1 << (resolution - kx), 1 << (resolution - ky)
+    expanded = np.repeat(np.repeat(coeffs, rx, axis=0), ry, axis=1)
+    return expanded * 2.0 ** ((kx + ky) / 2.0) * signs(kx)[:, None] * signs(ky)[None, :]
+
+
+def old_fixed_scale_operator(values, resolution, j):
+    out = np.zeros_like(values)
+    for kx in range(resolution):
+        coef = old_haar_coefficients(values, resolution, kx, j)
+        out += old_haar_synthesis(coef, resolution, kx, j)
+    return out
+
+
+def old_all_at_scale(resolution, vscale):
+    """The insertion loop RectCollection.all_at_scale ran on every call."""
+    rects = set()
+    for kx in range(resolution):
+        for nx in range(1 << kx):
+            for ny in range(1 << vscale):
+                rects.add(rect(kx, nx, vscale, ny))
+    return RectCollection(resolution, vscale, frozenset(rects))
 
 
 def rect(kx, nx, ky, ny):
@@ -167,6 +219,65 @@ class TestModelOperator:
             assert np.allclose(direct.values, banded.values, atol=1e-10)
 
 
+class TestFixedScalePlan:
+    """The cached per-(L, j) plan against the moveaxis/repeat formulas."""
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_moveaxis_path(self, resolution):
+        rng = np.random.default_rng(60 + resolution)
+        f = random_grid2d(rng, resolution)
+        for j in range(resolution):
+            for kx in range(resolution):
+                coef = haar_coefficients(f, kx, j)
+                assert np.array_equal(coef, old_haar_coefficients(f.values, resolution, kx, j))
+                shape = (1 << kx, 1 << j)
+                c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                assert np.array_equal(
+                    haar_synthesis(c, resolution, kx, j), old_haar_synthesis(c, resolution, kx, j)
+                )
+            assert np.array_equal(
+                fixed_scale_operator(f, j).values, old_fixed_scale_operator(f.values, resolution, j)
+            )
+
+    def test_plan_is_built_once_per_scale(self):
+        from dyadlab.biparam import _plan
+
+        assert _plan(5, 2) is _plan(5, 2)
+        assert _plan(5, 2) is not _plan(5, 3)
+
+    @pytest.mark.parametrize("resolution", [4, 5])
+    def test_localized_norms_match_closure_loop(self, monkeypatch, resolution):
+        import dyadlab.biparam as biparam
+
+        rng = np.random.default_rng(64 + resolution)
+        L, n, seed, eps = resolution, 1 << resolution, 11, 0.45
+        fams = [random_grid2d(rng, L) for _ in range(L)]
+        h = GridSet2D.full(L)
+        g = random_set2d(rng, L, 0.25)
+        h_prime = exceptional_complement_2d(h, g, certified_rectangle_threshold(h, g, eps))
+        assert 0 < measure2(h_prime) < 1
+        results = []
+        real = biparam.power_iteration
+
+        def recording(op, shape, **kwargs):
+            results.append((kwargs["seed"] - seed, real(op, shape, **kwargs)))
+            return results[-1][1]
+
+        monkeypatch.setattr(biparam, "power_iteration", recording)
+        verify_biparam(fams, p=3.0, eps=eps, seed=seed, h=h, g=g, power_iters=60)
+        assert [j for j, _ in results] == list(range(L))
+        for j, res in results:
+
+            def fwd(v, j=j):
+                return old_fixed_scale_operator(v * h_prime.mask, L, j) * g.mask
+
+            def adj(v, j=j):
+                return old_fixed_scale_operator(v * g.mask, L, j) * h_prime.mask
+
+            old = old_power_iteration(LinearOperator(fwd, adj), (n, n), iters=60, seed=seed + j)
+            assert_same_result(res, old)
+
+
 class TestExceptionalSet2D:
     def test_empty_marker(self):
         base = GridSet2D.full(3)
@@ -206,6 +317,15 @@ class TestExceptionalSet2D:
 
 
 class TestRectCombinatorics:
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
+    def test_all_at_scale_shared_in_insertion_order(self, resolution):
+        # random_rect_tree draws one number per rectangle in .rects order, so
+        # the shared collection must iterate exactly as a fresh build does
+        for vscale in range(resolution):
+            cached = RectCollection.all_at_scale(resolution, vscale)
+            assert RectCollection.all_at_scale(resolution, vscale) is cached
+            assert list(cached.rects) == list(old_all_at_scale(resolution, vscale).rects)
+
     def test_collection_requires_uniform_vscale(self):
         with pytest.raises(ValueError):
             RectCollection(3, 1, frozenset([rect(1, 0, 2, 0)]))

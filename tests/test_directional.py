@@ -22,15 +22,163 @@ from dyadlab.directional import (
     verify_weighted_directional,
     weighted_hilbert_ratio,
 )
-from dyadlab.grid import GridSignal, all_intervals, bundle_norm, lp_norm
+from dyadlab.grid import GridSignal, all_intervals, bundle_norm, lp_norm, stack_slices
 from dyadlab.harness import random_signal
 from dyadlab.maximal import dyadic_maximal
-from dyadlab.plane import Grid2D
+from dyadlab.plane import Grid2D, GridSet2D, measure2
+from dyadlab.principle import LinearOperator
+from test_principle import assert_same_result, old_power_iteration
 
 
 def random_plane(rng, resolution):
     n = 1 << resolution
     return Grid2D(resolution, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def capture_stacked_power(monkeypatch):
+    """Record what verify_directional hands the stacked power iteration: the
+    seeds, every (members, operator) its op_for builds, and the results."""
+    import dyadlab.directional as directional
+
+    captured = {"calls": []}
+    real = directional.power_iterations
+
+    def recording(op_for, shape, seeds, **kwargs):
+        def op_for_recorded(members):
+            op = op_for(members)
+            captured["calls"].append((list(members), op))
+            return op
+
+        captured["seeds"] = list(seeds)
+        captured["results"] = real(op_for_recorded, shape, seeds, **kwargs)
+        return captured["results"]
+
+    monkeypatch.setattr(directional, "power_iterations", recording)
+    return captured
+
+
+def localization_sets(resolution, dirs, seed):
+    """The sets (G, H') verify_directional localizes between, drawn the same way."""
+    from dyadlab.directional import directional_level_complement
+
+    n = 1 << resolution
+    averager = DirectionalAverager(resolution, dirs)
+    norm_l2 = averager.estimate_norm(2.0, iters=12, seed=seed)
+    g_mask = np.random.default_rng(seed).random((n, n)) < 0.25
+    if not np.any(g_mask):
+        g_mask[0, 0] = True
+    g = GridSet2D(resolution, g_mask)
+    h = GridSet2D.full(resolution)
+    ratio = measure2(g) / measure2(h)
+    h_prime, _ = directional_level_complement(h, g, averager, math.sqrt(ratio) * norm_l2)
+    return g, h_prime
+
+
+def old_multiplier_closures(resolution, direction, k, g_mask, h_mask):
+    """The closure pair verify_directional built before the localized multiplier."""
+    m = band_window(resolution, k) * halfplane_mask(resolution, direction)
+
+    def fwd(x):
+        return np.fft.ifft2(np.fft.fft2(np.asarray(x) * h_mask) * m) * g_mask
+
+    def adj(x):
+        return np.fft.ifft2(np.fft.fft2(np.asarray(x) * g_mask) * np.conj(m)) * h_mask
+
+    return fwd, adj
+
+
+def old_kernel_ffts(resolution, directions):
+    """The per-kernel spectrum list DirectionalAverager kept before the stack."""
+    n = 1 << resolution
+    idx = np.arange(n)
+    delta = (((idx + n // 2) % n) - n // 2) / n
+    dx, dy = delta[:, None], delta[None, :]
+    ffts, seen = [], set()
+    for v in directions:
+        px, py = v.perp
+        along = dx * v.vx + dy * v.vy
+        across = dx * px + dy * py
+        for ia in range(resolution + 1):
+            for ib in range(resolution + 1):
+                a, b = 2.0**-ia, 2.0**-ib
+                kernel = (np.abs(along) <= a / 2 + 1e-12) & (np.abs(across) <= b / 2 + 1e-12)
+                if kernel.tobytes() in seen:
+                    continue
+                seen.add(kernel.tobytes())
+                ffts.append(np.fft.fft2(kernel.astype(float)) / int(np.count_nonzero(kernel)))
+    return ffts
+
+
+def old_all_averages(kernel_ffts, values):
+    spectrum = np.fft.fft2(np.abs(np.asarray(values)))
+    out = np.empty((len(kernel_ffts),) + values.shape)
+    for i, kf in enumerate(kernel_ffts):
+        out[i] = np.fft.ifft2(spectrum * np.conj(kf)).real
+    np.clip(out, 0.0, None, out)
+    return out
+
+
+def old_estimate_norm(kernel_ffts, resolution, p, iters, seed):
+    """The kernel-by-kernel back-projection loop of estimate_norm."""
+    n = 1 << resolution
+    rng = np.random.default_rng(seed)
+    v = np.abs(rng.standard_normal((n, n))) + 0.1
+    best = 0.0
+    for _ in range(iters):
+        vn = lp_norm(v, p, resolution)
+        if vn == 0:
+            break
+        v = v / vn
+        slabs = old_all_averages(kernel_ffts, v)
+        u = slabs.max(axis=0)
+        best = max(best, lp_norm(u, p, resolution))
+        choice = slabs.argmax(axis=0)
+        z = u ** (p - 1.0)
+        back = np.zeros((n, n))
+        for i, kf in enumerate(kernel_ffts):
+            sel = choice == i
+            if not np.any(sel):
+                continue
+            back += np.fft.ifft2(np.fft.fft2(z * sel) * kf).real
+        back = np.clip(back, 0.0, None)
+        v = back ** (1.0 / (p - 1.0))
+        if not np.any(v > 0):
+            break
+    return max(best, 1.0)
+
+
+class TestStackedAverager:
+    """The (K, n, n) kernel stack and its chunked transforms against the
+    kernel-by-kernel loops."""
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
+    def test_matches_kernel_loop(self, resolution):
+        dirs = DirectionSet.uniform(8)
+        averager = DirectionalAverager(resolution, dirs)
+        old = old_kernel_ffts(resolution, dirs)
+        assert np.array_equal(averager.kernel_ffts, np.stack(old))
+        rng = np.random.default_rng(30 + resolution)
+        n = 1 << resolution
+        values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.array_equal(averager.all_averages(values), old_all_averages(old, values))
+        for p in (2.0, 1.5):
+            assert averager.estimate_norm(p, iters=12, seed=resolution) == old_estimate_norm(
+                old, resolution, p, 12, resolution
+            )
+
+    def test_kernel_stacks_cover_uneven_counts(self):
+        # 129 kernels in stacks of 16 at L = 5, 181 in stacks of 4 at L = 6
+        for resolution, cap in ((5, 16), (6, 4)):
+            n = 1 << resolution
+            count = len(DirectionalAverager(resolution, DirectionSet.uniform(8)).kernel_ffts)
+            assert count % cap != 0
+            stacks = stack_slices(count, n * n)
+            assert stacks[0].start == 0 and stacks[-1].stop == count
+            assert all(a.stop == b.start for a, b in zip(stacks, stacks[1:]))
+            assert max(s.stop - s.start for s in stacks) == cap
+        # from L = 7 up a stack holds one plane
+        assert stack_slices(3, 1 << 14) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert stack_slices(2, 1 << 24) == [slice(0, 1), slice(1, 2)]
 
 
 class TestHalfplane:
@@ -291,46 +439,70 @@ class TestEquivalenceAndTheorems:
         assert report.extra["h_kept"] >= 0.5
 
     def test_localized_multiplier_matches_closure_oracle(self, monkeypatch):
-        import dyadlab.directional as directional
-        from dyadlab.directional import directional_level_complement
-        from dyadlab.plane import GridSet2D, measure2
-
         rng = np.random.default_rng(16)
         L, n, seed = 4, 16, 7
         dirs = DirectionSet.uniform(4)
         fams = [random_plane(rng, L) for _ in range(2)]
-        captured = []
-        real = directional.power_iteration
-
-        def recording(op, shape, **kwargs):
-            captured.append((op, kwargs["seed"] - seed))
-            return real(op, shape, **kwargs)
-
-        monkeypatch.setattr(directional, "power_iteration", recording)
+        captured = capture_stacked_power(monkeypatch)
         verify_directional(fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=3)
-        # the sets verify_directional localizes between, drawn the same way
-        averager = DirectionalAverager(L, dirs)
-        norm_l2 = averager.estimate_norm(2.0, iters=12, seed=seed)
-        g = GridSet2D(L, np.random.default_rng(seed).random((n, n)) < 0.25)
-        h = GridSet2D.full(L)
-        ratio = measure2(g) / measure2(h)
-        h_prime, _ = directional_level_complement(h, g, averager, math.sqrt(ratio) * norm_l2)
-        assert 0 < measure2(h_prime) < 1
-        assert len(captured) == len(dirs) * (L + 1)
-        for local, index in captured:
-            j, k = divmod(index, 31)
-            multiplier = band_window(L, k) * halfplane_mask(L, dirs.members[j])
+        g, h_prime = localization_sets(L, dirs, seed)
+        assert 0 < h_prime.mask.mean() < 1
+        members = len(dirs) * (L + 1)
+        assert captured["seeds"] == [seed + 31 * j + k for j in range(len(dirs)) for k in range(L + 1)]
+        assert set().union(*(stack for stack, _ in captured["calls"])) == set(range(members))
+        for stack, local in captured["calls"]:
+            v = rng.standard_normal((len(stack), n, n)) + 1j * rng.standard_normal((len(stack), n, n))
+            out, back = local.apply(v), local.adjoint(v)
+            for row, index in enumerate(stack):
+                j, k = divmod(index, L + 1)
+                fwd, adj = old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask)
+                assert np.array_equal(out[row], fwd(v[row]))
+                assert np.array_equal(back[row], adj(v[row]))
 
-            # the closure pair verify_directional built before the localized multiplier
-            def fwd(x, m=multiplier):
-                return np.fft.ifft2(np.fft.fft2(np.asarray(x) * h_prime.mask) * m) * g.mask
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
+    def test_stacked_norms_match_per_member_loop(self, monkeypatch, resolution):
+        rng = np.random.default_rng(20 + resolution)
+        L, n, seed, iters = resolution, 1 << resolution, 3, 40
+        dirs = DirectionSet.uniform(8)
+        fams = [random_plane(rng, L) for _ in range(2)]
+        captured = capture_stacked_power(monkeypatch)
+        report = verify_directional(fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=iters)
+        g, h_prime = localization_sets(L, dirs, seed)
+        results = captured["results"]
+        assert len(results) == len(dirs) * (L + 1)
+        for index, res in enumerate(results):
+            j, k = divmod(index, L + 1)
+            fwd, adj = old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask)
+            old = old_power_iteration(
+                LinearOperator(fwd, adj), (n, n), iters=iters, seed=seed + 31 * j + k
+            )
+            assert_same_result(res, old)
+        assert report.extra["localized_norm_max"] == max(r.norm for r in results)
 
-            def adj(x, m=multiplier):
-                return np.fft.ifft2(np.fft.fft2(np.asarray(x) * g.mask) * np.conj(m)) * h_prime.mask
+    def test_one_averager_serves_every_trial(self):
+        rng = np.random.default_rng(21)
+        dirs = DirectionSet.uniform(8)
+        fams = [random_plane(rng, 4) for _ in range(2)]
+        shared = DirectionalAverager(4, dirs)
+        for seed in (0, 1):
+            own = verify_directional(fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=10)
+            reused = verify_directional(
+                fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=10, averager=shared
+            )
+            assert own.to_json() == reused.to_json()
 
-            v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            assert np.array_equal(local.apply(v), fwd(v))
-            assert np.array_equal(local.adjoint(v), adj(v))
+    def test_mismatched_averager_rejected(self):
+        rng = np.random.default_rng(22)
+        dirs = DirectionSet.uniform(8)
+        fams = [random_plane(rng, 3) for _ in range(2)]
+        g = Grid2D(3, np.ones((8, 8), dtype=np.complex128))
+        for other in (DirectionalAverager(3, DirectionSet.uniform(2)), DirectionalAverager(4, dirs)):
+            with pytest.raises(ValueError, match="does not match"):
+                verify_directional(fams, dirs, q=2.5, p=2.0, averager=other)
+            with pytest.raises(ValueError, match="does not match"):
+                verify_weighted_directional(fams, dirs, p=2.0, averager=other)
+            with pytest.raises(ValueError, match="does not match"):
+                build_majorant_weight(g, dirs, 2.0, 4, averager=other)
 
     def test_weighted_directional_report(self):
         rng = np.random.default_rng(16)

@@ -1,0 +1,128 @@
+"""Golden reports, compared byte for byte.
+
+Each case runs a fixed, small configuration and serializes its report with
+`json.dumps(..., sort_keys=True, indent=2)`; the bytes must equal the file
+under `tests/golden/`.  The CLI cases are the `report.json` files that
+`dyadlab verify` and `dyadlab estimate-22` write; the library cases keep the
+whole `extra` dict of the plane pipelines, which the CLI reports reduce to a
+maximum.
+
+A golden is only meaningful on the numpy it was recorded with (FFT and
+reduction kernels may round differently elsewhere), so `recorded_with.json`
+stores that version per file and a case skips when the installed numpy
+differs.  A change that moves a number on purpose re-records the files and
+says which numbers moved and why:
+
+    PYTHONPATH=src python tests/test_golden.py --record [name ...]
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_BASE = ["--resolution", "4", "--trials", "2", "--seed", "0"]
+CLI_CASES = {
+    "verify-fs": ["verify", "fs", *_BASE],
+    "verify-biparam": ["verify", "biparam", *_BASE, "--epsilon", "0.45"],
+    "verify-cordoba": ["verify", "cordoba", *_BASE],
+    "verify-cordoba-weighted": ["verify", "cordoba-weighted", *_BASE],
+    "verify-carleson": ["verify", "carleson", *_BASE],
+    "verify-principle": ["verify", "principle", *_BASE],
+    "estimate-22": ["estimate-22", "--resolution", "5", "--ladder", "3", "--seed", "3"],
+}
+
+
+def _cli_report(argv: list[str]) -> str:
+    from dyadlab.cli import main
+
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main([*argv, "--out", out])
+        if status != 0:
+            raise AssertionError(f"{argv} exited with status {status}")
+        return (Path(out) / "report.json").read_text()
+
+
+def _plane_inputs(resolution: int, seed: int):
+    from dyadlab.harness import random_grid2d, random_set2d
+
+    rng = np.random.default_rng(seed)
+    fams = [random_grid2d(rng, resolution) for _ in range(4)]
+    return fams, random_set2d(rng, resolution, 0.25)
+
+
+def _directional(resolution: int) -> dict:
+    from dyadlab.directional import DirectionSet, verify_directional
+
+    fams, _ = _plane_inputs(resolution, 61)
+    return verify_directional(fams, DirectionSet.uniform(8), q=2.5, p=2.0, seed=5).to_dict()
+
+
+def _weighted_directional() -> dict:
+    from dyadlab.directional import DirectionSet, verify_weighted_directional
+
+    fams, _ = _plane_inputs(4, 62)
+    return verify_weighted_directional(fams, DirectionSet.uniform(8), p=2.0, seed=6).to_dict()
+
+
+def _biparam() -> dict:
+    from dyadlab.biparam import verify_biparam
+
+    fams, g = _plane_inputs(4, 63)
+    return verify_biparam(fams, p=3.0, eps=0.45, seed=7, g=g).to_dict()
+
+
+LIBRARY_CASES = {
+    "lib-directional": lambda: _directional(4),
+    "lib-directional-L5": lambda: _directional(5),
+    "lib-weighted-directional": _weighted_directional,
+    "lib-biparam": _biparam,
+}
+
+
+def produce(name: str) -> str:
+    if name in CLI_CASES:
+        return _cli_report(CLI_CASES[name])
+    return json.dumps(LIBRARY_CASES[name](), sort_keys=True, indent=2) + "\n"
+
+
+def _recorded_with() -> dict:
+    path = GOLDEN / "recorded_with.json"
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+@pytest.mark.parametrize("name", [*CLI_CASES, *LIBRARY_CASES])
+def test_golden_report(name):
+    recorded = _recorded_with().get(name)
+    if recorded is None:
+        pytest.fail(f"no golden recorded for {name}")
+    if recorded != np.__version__:
+        pytest.skip(f"golden recorded with numpy {recorded}, installed numpy is {np.__version__}")
+    assert produce(name) == (GOLDEN / f"{name}.json").read_text()
+
+
+def record(names: list[str]) -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    versions = _recorded_with()
+    for name in names:
+        (GOLDEN / f"{name}.json").write_text(produce(name))
+        versions[name] = np.__version__
+        print(f"recorded {name}")
+    (GOLDEN / "recorded_with.json").write_text(json.dumps(versions, sort_keys=True, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    if not args or args[0] != "--record":
+        raise SystemExit("usage: python tests/test_golden.py --record [name ...]")
+    record(args[1:] or [*CLI_CASES, *LIBRARY_CASES])

@@ -349,6 +349,29 @@ class TestCLI:
         assert main(["verify", theorem, "--resolution", "0"]) == 2
         assert f"{theorem} needs resolution 1 <= L <= 12, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--resolution", "13"], "resolution must satisfy 0 <= L <= 12, got 13"),
+            (["--ladder", "0"], "at least 2 ratios to fit a slope, got 0"),
+            (["--ladder", "1"], "at least 2 ratios to fit a slope, got 1"),
+            (["--family-size", "0"], "family size must be at least 1, got 0"),
+            (["--p", "0.5"], "1 < p < inf, got p=0.5"),
+        ],
+    )
+    def test_estimate22_invalid_flags_exit_two(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "est"
+        assert main(["estimate-22", "--resolution", "3", "--ladder", "2", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: ")
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_estimate22_smallest_valid_ladder(self, capsys):
+        assert main(["estimate-22", "--resolution", "3", "--ladder", "2", "--branch", "h"]) in (0, 1)
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["h"]["ratio_ladder"]) == 2
+
     def test_decompose(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         collection = random_convex_collection(rng, 5)

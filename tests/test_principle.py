@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dyadlab.grid import GridSet, VectorSignal, measure
+from dyadlab.grid import STACK_CELLS, GridSet, VectorSignal, measure
 from dyadlab.harness import (
     maximal_operator_family,
     random_grid_set,
@@ -18,7 +20,9 @@ from dyadlab.principle import (
     densify,
     level_budget,
     measure_condition,
+    PowerIterationResult,
     power_iteration,
+    power_iterations,
     splitting_cascade,
     trim_builder,
     vector_inequality_ratio,
@@ -35,6 +39,41 @@ def old_localized(op, h_mask, g_mask):
         return op.adjoint(v * g_mask) * h_mask
 
     return fwd, adj
+
+
+def old_power_iteration(op, shape, iters=200, tol=1e-9, seed=0):
+    """The one-operator loop power_iteration ran before the stacked engine."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nv = np.linalg.norm(np.ravel(v))
+    v = v / nv
+    lam_prev = -1.0
+    lam = 0.0
+    for it in range(1, iters + 1):
+        w = op.apply(v)
+        lam = float(np.real(np.vdot(np.ravel(w), np.ravel(w))))
+        if lam == 0.0:
+            return PowerIterationResult(0.0, it, True, None)
+        if lam_prev >= 0 and abs(lam - lam_prev) <= tol * lam:
+            return PowerIterationResult(math.sqrt(lam), it, True, v)
+        lam_prev = lam
+        v = op.adjoint(w)
+        nv = np.linalg.norm(np.ravel(v))
+        if nv == 0.0:
+            return PowerIterationResult(math.sqrt(lam), it, True, None)
+        v = v / nv
+    return PowerIterationResult(math.sqrt(lam), iters, False, v)
+
+
+def assert_same_result(new, old):
+    assert new.norm == old.norm
+    assert new.iterations == old.iterations
+    assert new.converged == old.converged
+    if old.top_vector is None:
+        assert new.top_vector is None
+    else:
+        assert new.top_vector.shape == old.top_vector.shape
+        assert np.array_equal(new.top_vector, old.top_vector)
 
 
 def old_trim_builders(c):
@@ -329,3 +368,123 @@ class TestLocalizedOperator:
             res = power_iteration(LinearOperator(fwd, adj), (1 << resolution,), seed=4 + j)
             assert report.extra["norms"][j] == res.norm
             assert report.extra["iterations"][j] == res.iterations
+
+
+def multiplier_family(rng, resolution, count):
+    """Fourier multipliers on the plane whose spectral gaps differ, so their
+    power iterations stop at different steps; member 1 is the zero
+    multiplier (the lam == 0 exit)."""
+    n = 1 << resolution
+    spectra = rng.random((count, n, n)) * 0.9
+    for i in range(count):
+        spectra[i].flat[i % (n * n)] = 1.0
+        spectra[i].flat[(i + 1) % (n * n)] = 1.0 - 0.5 ** (i % 7 + 2)
+    if count > 1:
+        spectra[1] = 0.0
+    return spectra
+
+
+def stacked_multiplier(spectra, out_mask, in_mask, calls=None):
+    def op_for(members):
+        if calls is not None:
+            calls.append(list(members))
+        m = spectra[members]
+        return LinearOperator(
+            lambda x: np.fft.ifft2(np.fft.fft2(x) * m),
+            lambda x: np.fft.ifft2(np.fft.fft2(x) * np.conj(m)),
+        ).localized(out_mask, in_mask)
+
+    return op_for
+
+
+def single_multiplier(spectrum, out_mask, in_mask):
+    return LinearOperator(
+        lambda x: np.fft.ifft2(np.fft.fft2(x) * spectrum),
+        lambda x: np.fft.ifft2(np.fft.fft2(x) * np.conj(spectrum)),
+    ).localized(out_mask, in_mask)
+
+
+class TestStackedPowerIteration:
+    """power_iterations against the one-operator loop, member by member."""
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_member_loop(self, resolution):
+        rng = np.random.default_rng(40 + resolution)
+        n = 1 << resolution
+        cap = max(1, STACK_CELLS // (n * n))
+        # one member, a full stack, and a count that is not a multiple of the cap
+        for count in sorted({1, min(cap, 20), min(cap, 20) + 3}):
+            spectra = multiplier_family(rng, resolution, count)
+            out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
+            seeds = [7 + 3 * i for i in range(count)]
+            calls = []
+            op_for = stacked_multiplier(spectra, out_mask, in_mask, calls)
+            results = power_iterations(op_for, (n, n), seeds, iters=60, tol=1e-6)
+            assert len(results) == count
+            assert all(len(members) <= cap for members in calls)
+            for i, res in enumerate(results):
+                old = old_power_iteration(
+                    single_multiplier(spectra[i], out_mask, in_mask),
+                    (n, n),
+                    iters=60,
+                    tol=1e-6,
+                    seed=seeds[i],
+                )
+                assert_same_result(res, old)
+
+    def test_members_stop_at_different_iterations(self):
+        rng = np.random.default_rng(50)
+        resolution, n = 5, 32
+        spectra = multiplier_family(rng, resolution, STACK_CELLS // (n * n))
+        ones = np.ones((n, n), dtype=bool)
+        calls = []
+        results = power_iterations(
+            stacked_multiplier(spectra, ones, ones, calls), (n, n), range(len(spectra)),
+            iters=80, tol=1e-8,
+        )
+        iterations = [r.iterations for r in results]
+        assert results[1].norm == 0.0 and results[1].iterations == 1
+        assert len(set(iterations)) > 3
+        assert any(r.converged for r in results) and not all(r.converged for r in results)
+        # the operator is rebuilt only when members leave, over shrinking stacks
+        assert calls[0] == list(range(len(spectra)))
+        assert all(set(b) < set(a) for a, b in zip(calls, calls[1:]))
+        for i, res in enumerate(results):
+            old = old_power_iteration(
+                single_multiplier(spectra[i], ones, ones), (n, n), iters=80, tol=1e-8, seed=i
+            )
+            assert_same_result(res, old)
+
+    def test_zero_adjoint_leaves_the_stack(self):
+        # a member whose (deliberately wrong) adjoint vanishes takes the
+        # nv == 0 exit of the loop; its neighbours carry on unchanged
+        rng = np.random.default_rng(51)
+        n = 16
+        diagonals = rng.standard_normal((3, n))
+
+        def op_for(members):
+            d = diagonals[members]
+            dead = np.array([0.0 if i == 1 else 1.0 for i in members])[:, None]
+            return LinearOperator(lambda v: v * d, lambda w: w * d * dead)
+
+        results = power_iterations(op_for, (n,), [1, 2, 3], iters=50)
+        for i, res in enumerate(results):
+            d = diagonals[i]
+            adjoint = (lambda w: w * 0.0) if i == 1 else (lambda w, d=d: w * d * 1.0)
+            old = old_power_iteration(
+                LinearOperator(lambda v, d=d: v * d, adjoint), (n,), iters=50, seed=i + 1
+            )
+            assert_same_result(res, old)
+        assert results[1].iterations == 1 and results[1].top_vector is None
+
+    @pytest.mark.parametrize("iters", [0, 1, 2, 200])
+    def test_one_member_call_matches_old_loop(self, iters):
+        rng = np.random.default_rng(52)
+        resolution = 6
+        n = 1 << resolution
+        family, _ = maximal_operator_family(rng, resolution, 3)
+        h, g = random_grid_set(rng, resolution), random_grid_set(rng, resolution)
+        for j, op in enumerate(family.operators):
+            local = op.localized(g.mask, h.mask)
+            new = power_iteration(local, (n,), iters=iters, seed=9 + j)
+            assert_same_result(new, old_power_iteration(local, (n,), iters=iters, seed=9 + j))
