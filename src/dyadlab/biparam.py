@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .plane import (
     certified_rectangle_threshold,
     exceptional_complement_2d,
     measure2,
+    rectangle_averages,
 )
 from .principle import LinearOperator, power_iteration
 from .reports import RatioReport, safe_ratio
@@ -89,9 +90,9 @@ def _plan(resolution: int, j: int) -> _FixedScalePlan:
     return _FixedScalePlan(resolution, j)
 
 
-def _check_scales(resolution: int, kx: int, ky: int) -> None:
-    if not (0 <= kx < resolution and 0 <= ky < resolution):
-        raise ValueError("haar scales must lie in [0, L)")
+def _check_scales(resolution: int, *scales: int) -> None:
+    if not all(0 <= s < resolution for s in scales):
+        raise ValueError(f"scales {scales} out of range for resolution {resolution}")
 
 
 def haar_coefficients(f: Grid2D, kx: int, ky: int) -> np.ndarray:
@@ -103,7 +104,10 @@ def haar_coefficients(f: Grid2D, kx: int, ky: int) -> np.ndarray:
 def haar_synthesis(coeffs: np.ndarray, resolution: int, kx: int, ky: int) -> np.ndarray:
     """sum over (nx, ny) of coeffs[nx, ny] times the tensor Haar packet."""
     _check_scales(resolution, kx, ky)
-    return _plan(resolution, ky).synthesis(np.asarray(coeffs), kx)
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape != (1 << kx, 1 << ky):
+        raise ValueError(f"expected coefficients shaped {(1 << kx, 1 << ky)}, got {coeffs.shape}")
+    return _plan(resolution, ky).synthesis(coeffs, kx)
 
 
 def tensor_packet(rect: DyadicRectangle, resolution: int) -> Grid2D:
@@ -121,10 +125,8 @@ def fixed_scale_operator(f: Grid2D, j: int) -> Grid2D:
     With orthonormal tensor packets this is the orthogonal projection onto
     the vertical-scale-j packet span.
     """
-    L = f.resolution
-    if not 0 <= j < L:
-        raise ValueError(f"vertical scale {j} out of range for resolution {L}")
-    return Grid2D(L, _plan(L, j).project(f.values))
+    _check_scales(f.resolution, j)
+    return Grid2D(f.resolution, _plan(f.resolution, j).project(f.values))
 
 
 def vertical_band_project(f: Grid2D, band: int) -> Grid2D:
@@ -149,62 +151,71 @@ def vertical_band_project(f: Grid2D, band: int) -> Grid2D:
 # rectangle collections at one vertical scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RectCollection:
     """Rectangles sharing one vertical scale; ordered by inclusion within
-    vertical strips, so trees are one-dimensional objects."""
+    vertical strips, so trees are one-dimensional objects.
+
+    The members are stored only as one read-only boolean mask per horizontal
+    scale kx < L, shaped (2**kx, 2**vscale) and indexed [nx, ny].
+    """
 
     resolution: int
     vscale: int
-    rects: frozenset[DyadicRectangle]
+    masks: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        for r in self.rects:
-            if r.vertical.scale != self.vscale:
-                raise ValueError("all rectangles must share the vertical scale")
-            if r.horizontal.scale >= self.resolution or self.vscale >= self.resolution:
-                raise ValueError("rectangle scales must stay below the resolution")
+        L, j = self.resolution, self.vscale
+        _check_scales(L, j)
+        masks = tuple(np.array(m, dtype=bool) for m in self.masks)
+        expected = [(1 << kx, 1 << j) for kx in range(L)]
+        if [m.shape for m in masks] != expected:
+            raise ValueError(f"expected rectangle masks shaped {expected}")
+        for m in masks:
+            m.setflags(write=False)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
+    def from_rects(cls, resolution: int, vscale: int, rects) -> "RectCollection":
+        _check_scales(resolution, vscale)
+        masks = [np.zeros((1 << kx, 1 << vscale), dtype=bool) for kx in range(resolution)]
+        for r in rects:
+            if r.vertical.scale != vscale or r.horizontal.scale >= resolution:
+                raise ValueError(f"{r} does not fit vertical scale {vscale} below L={resolution}")
+            masks[r.horizontal.scale][r.horizontal.offset, r.vertical.offset] = True
+        return cls(resolution, vscale, tuple(masks))
+
+    @classmethod
+    @functools.lru_cache(maxsize=32)
     def all_at_scale(cls, resolution: int, vscale: int) -> "RectCollection":
         """Every rectangle at the vertical scale; the collection is immutable,
-        so one build per (resolution, vscale) is shared, and its `.rects`
-        iterate in the order of the insertion loop below."""
-        return _all_at_scale(resolution, vscale)
+        so one build per (resolution, vscale) is shared with its `.rects`."""
+        masks = (np.ones((1 << kx, 1 << vscale), dtype=bool) for kx in range(resolution))
+        return cls(resolution, vscale, tuple(masks))
+
+    @functools.cached_property
+    def rects(self) -> frozenset[DyadicRectangle]:
+        """The members as rectangle objects, built as the insertion loop did:
+        a set filled in ascending (kx, nx, ny) order, then frozen. A frozenset
+        filled straight from the generator iterates in another order for about
+        half of all (L, vscale); code drawing one random number per member in
+        `.rects` order depends on this one."""
+        return frozenset(set(_members(self.masks, self.vscale)))
 
     def __len__(self) -> int:
-        return len(self.rects)
+        return sum(int(np.count_nonzero(m)) for m in self.masks)
 
     def restrict_to_meeting(self, keep: GridSet2D) -> "RectCollection":
-        kept = {
-            r for r in self.rects if np.any(keep.mask[r.cell_slices(self.resolution)])
-        }
-        return RectCollection(self.resolution, self.vscale, frozenset(kept))
-
-    def without(self, removed) -> "RectCollection":
-        return RectCollection(self.resolution, self.vscale, self.rects - frozenset(removed))
+        L, j = self.resolution, self.vscale
+        meets = (rectangle_averages(keep.mask, L, kx, j) > 0 for kx in range(L))
+        return RectCollection(L, j, tuple(m & hit for m, hit in zip(self.masks, meets)))
 
 
-@functools.lru_cache(maxsize=32)
-def _all_at_scale(resolution: int, vscale: int) -> RectCollection:
-    rects = set()
-    for kx in range(resolution):
-        for nx in range(1 << kx):
-            for ny in range(1 << vscale):
-                rects.add(DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny)))
-    return RectCollection(resolution, vscale, frozenset(rects))
-
-
-def rect_is_convex(rects) -> bool:
-    rects = set(rects)
-    for a in rects:
-        for b in rects:
-            if b.contains(a) and a != b:
-                for s in range(b.horizontal.scale, a.horizontal.scale + 1):
-                    mid = DyadicRectangle(a.horizontal.ancestor(s), a.vertical)
-                    if mid not in rects:
-                        return False
-    return True
+def _members(masks, vscale: int):
+    """Members of per-scale masks as rectangles, in ascending (kx, nx, ny)."""
+    for kx, mask in enumerate(masks):
+        for nx, ny in zip(*(a.tolist() for a in np.nonzero(mask))):
+            yield DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny))
 
 
 @dataclass(frozen=True)
@@ -219,56 +230,61 @@ class RectTree:
             if not self.top.contains(r):
                 raise ValueError(f"member {r} escapes the tree top")
 
-    @property
-    def top_area(self) -> float:
-        return self.top.area
+
+def rect_coefficients(collection: RectCollection, f: Grid2D) -> tuple[np.ndarray, ...]:
+    """Per horizontal scale kx, <f, packet_R> at every member R = (kx, nx, ny)
+    of the (2**kx, 2**vscale) mask, and zero off the members."""
+    j = collection.vscale
+    return tuple(
+        haar_coefficients(f, kx, j) * mask if mask.any() else np.zeros(mask.shape, np.complex128)
+        for kx, mask in enumerate(collection.masks)
+    )
 
 
-def rect_key(r: DyadicRectangle) -> tuple:
-    return (r.horizontal.scale, r.horizontal.offset, r.vertical.offset)
+def _tree_sums(masks, coeffs) -> list[np.ndarray]:
+    """W[kx][nx, ny]: sum of |c_R|**2 over the members R below the rectangle
+    (kx, nx, ny) in its vertical strip, by one fine-to-coarse sweep
+    W_k = w_k + W_{k+1}[0::2] + W_{k+1}[1::2]."""
+    sums: list[np.ndarray] = []
+    for mask, c in zip(reversed(masks), reversed(coeffs)):
+        w = np.where(mask, np.abs(c) ** 2, 0.0)
+        if sums:
+            w = w + sums[-1][0::2] + sums[-1][1::2]
+        sums.append(w)
+    return sums[::-1]
 
 
-def rect_coefficients(collection: RectCollection, f: Grid2D) -> dict[DyadicRectangle, complex]:
-    out: dict[DyadicRectangle, complex] = {}
-    by_kx: dict[int, list[DyadicRectangle]] = {}
-    for r in collection.rects:
-        by_kx.setdefault(r.horizontal.scale, []).append(r)
-    for kx, rects in sorted(by_kx.items()):
-        coef = haar_coefficients(f, kx, collection.vscale)
-        for r in rects:
-            out[r] = complex(coef[r.horizontal.offset, r.vertical.offset])
-    return out
+def _size_of(collection: RectCollection, coeffs) -> float:
+    j = collection.vscale
+    sums = _tree_sums(collection.masks, coeffs)
+    return math.sqrt(max(float(w.max()) * 2.0 ** (kx + j) for kx, w in enumerate(sums)))
 
 
 def rect_size(collection: RectCollection, f: Grid2D, h_prime: GridSet2D) -> float:
     """Largest normalized l2 coefficient mass of f 1_{H'} over trees."""
     masked = Grid2D(f.resolution, f.values * h_prime.mask)
-    coeffs = rect_coefficients(collection, masked)
-    best = 0.0
-    for top, total in _rect_top_sums(coeffs).items():
-        best = max(best, total / top.area)
-    return math.sqrt(best)
+    return _size_of(collection, rect_coefficients(collection, masked))
 
 
-def _rect_top_sums(coeffs) -> dict[DyadicRectangle, float]:
-    sums: dict[DyadicRectangle, float] = {}
-    for r, c in coeffs.items():
-        w = abs(c) ** 2
-        for s in range(r.horizontal.scale + 1):
-            top = DyadicRectangle(r.horizontal.ancestor(s), r.vertical)
-            sums[top] = sums.get(top, 0.0) + w
-    return sums
+def _densities(collection: RectCollection, f_set: GridSet2D, g_set: GridSet2D) -> list[np.ndarray]:
+    """|F ∩ G ∩ R| / |R| for every rectangle R at each horizontal scale;
+    each is an exact count * 2**(kx + vscale - 2L)."""
+    target = f_set.mask & g_set.mask
+    L, j = collection.resolution, collection.vscale
+    return [rectangle_averages(target, L, kx, j) for kx in range(L)]
 
 
 def rect_mass(collection: RectCollection, f_set: GridSet2D, g_set: GridSet2D) -> float:
     """max over members of |F ∩ G ∩ R| / |R|."""
-    target = f_set.mask & g_set.mask
-    area = cell_area(collection.resolution)
-    best = 0.0
-    for r in collection.rects:
-        count = int(np.count_nonzero(target[r.cell_slices(collection.resolution)]))
-        best = max(best, count * area / r.area)
-    return best
+    dens = _densities(collection, f_set, g_set)
+    return max(float(d[m].max(initial=0.0)) for d, m in zip(dens, collection.masks))
+
+
+def _pairing(masks, coeffs_f, coeffs_g) -> float:
+    """sum over members R of |<f, packet_R>| |<g, packet_R>|, added in
+    ascending (kx, nx, ny) order."""
+    terms = [np.abs(cf[m]) * np.abs(cg[m]) for m, cf, cg in zip(masks, coeffs_f, coeffs_g)]
+    return sum(np.concatenate(terms).tolist())
 
 
 @dataclass
@@ -279,46 +295,45 @@ class RectDecomposition:
     caps: dict[tuple[int, int], tuple[float, float]]
 
 
+def _take_tree(masks: list[np.ndarray], vscale: int, kx: int, nx: int, ny: int) -> RectTree:
+    """Clear from the per-scale masks, and return as a tree under the top
+    (kx, nx, ny), every member inside the top: at each finer scale those
+    sit in one column ny."""
+    taken = [np.zeros_like(m) for m in masks]
+    for k in range(kx, len(masks)):
+        rows = slice(nx << (k - kx), (nx + 1) << (k - kx))
+        taken[k][rows, ny] = masks[k][rows, ny]
+        masks[k][rows, ny] = False
+    top = DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny))
+    return RectTree(top, frozenset(_members(taken, vscale)))
+
+
 def rect_size_decompose(collection, coeffs, threshold):
-    """Remove per-strip trees until no top exceeds the size threshold."""
-    current = set(collection.rects)
+    """Remove per-strip trees until no top exceeds the size threshold; the
+    top taken first is the least (kx, nx, ny) above it."""
+    j = collection.vscale
+    masks = [m.copy() for m in collection.masks]
     forest: list[RectTree] = []
     while True:
-        sums = _rect_top_sums({r: coeffs[r] for r in current})
-        selection = None
-        for top in sorted(sums, key=rect_key):
-            if sums[top] > threshold**2 * top.area:
-                selection = top
-                break
-        if selection is None:
-            break
-        removed = {r for r in current if selection.contains(r)}
-        current -= removed
-        forest.append(RectTree(selection, frozenset(removed)))
-    return collection.without(collection.rects - current), forest
+        sums = _tree_sums(masks, coeffs)
+        tops = [np.argwhere(w > threshold**2 * 2.0 ** -(kx + j)) for kx, w in enumerate(sums)]
+        kx = next((kx for kx, hits in enumerate(tops) if len(hits)), None)
+        if kx is None:
+            return RectCollection(collection.resolution, j, tuple(masks)), forest
+        forest.append(_take_tree(masks, j, kx, *tops[kx][0].tolist()))
 
 
 def rect_mass_decompose(collection, f_set, g_set, threshold):
     """Remove down-sets under mass-heavy rectangles; tops end up pairwise
     incomparable, giving the exact counting bound sum |R_T| <= |F∩G|/thr."""
-    target = f_set.mask & g_set.mask
-    area = cell_area(collection.resolution)
-    current = set(collection.rects)
-    dens = {
-        r: int(np.count_nonzero(target[r.cell_slices(collection.resolution)]))
-        * area
-        / r.area
-        for r in current
-    }
+    j = collection.vscale
+    masks = [m.copy() for m in collection.masks]
     forest: list[RectTree] = []
-    heavy = sorted((r for r in current if dens[r] > threshold), key=rect_key)
-    for top in heavy:
-        if top not in current:
-            continue
-        removed = {r for r in current if top.contains(r)}
-        current -= removed
-        forest.append(RectTree(top, frozenset(removed)))
-    return collection.without(collection.rects - current), forest
+    # coarse scales first: a heavy member below an earlier top is gone
+    for kx, dens in enumerate(_densities(collection, f_set, g_set)):
+        for nx, ny in np.argwhere(masks[kx] & (dens > threshold)).tolist():
+            forest.append(_take_tree(masks, j, kx, nx, ny))
+    return RectCollection(collection.resolution, j, tuple(masks)), forest
 
 
 def rect_full_decompose(
@@ -337,10 +352,9 @@ def rect_full_decompose(
     buckets: dict[tuple[int, int], list[RectTree]] = {}
     ratios: dict[tuple[int, int], float] = {}
     caps: dict[tuple[int, int], tuple[float, float]] = {}
-    n_prev: int | None = None
-    m_prev: int | None = None
+    n_prev = m_prev = None
     while len(current):
-        sigma = rect_size(current, f, h_prime)
+        sigma = _size_of(current, coeffs)
         mu = rect_mass(current, f_set, g_set)
         if sigma == 0.0 and mu == 0.0:
             break
@@ -352,10 +366,9 @@ def rect_full_decompose(
         if mu > 0:
             current, forest = rect_mass_decompose(current, f_set, g_set, 2.0 ** -(m + 1))
             trees.extend(forest)
-        tops_area = sum(t.top_area for t in trees)
         cap = min(2.0 ** (2 * n) * norm_sq, 2.0**m * fg_measure)
         buckets[(n, m)] = trees
-        ratios[(n, m)] = tops_area / cap if cap > 0 else math.inf
+        ratios[(n, m)] = sum(t.top.area for t in trees) / cap if cap > 0 else math.inf
         caps[(n, m)] = (2.0**-n, 2.0**-m)
         n_prev, m_prev = n, m
     return RectDecomposition(buckets, current, ratios, caps)
@@ -371,17 +384,14 @@ def rect_tree_estimate(
     """Single rectangle-tree estimate: coefficient pairing against
     |R_T| size(T) mass(T), with the dual set F read off the support of g."""
     L = f.resolution
-    collection = RectCollection(L, tree.top.vertical.scale, frozenset(tree.members))
-    masked_f = Grid2D(L, f.values * h_prime.mask)
-    masked_g = Grid2D(L, g.values * g_set.mask)
-    coeffs_f = rect_coefficients(collection, masked_f)
-    coeffs_g = rect_coefficients(collection, masked_g)
-    lhs = sum(abs(coeffs_f[r]) * abs(coeffs_g[r]) for r in tree.members)
-    f_support = GridSet2D(L, np.abs(g.values) > 0)
-    t_size = rect_size(collection, f, h_prime)
-    t_mass = rect_mass(collection, f_support, g_set)
-    rhs = tree.top_area * t_size * t_mass
-    return RatioReport.from_sides(lhs, rhs, size=t_size, mass=t_mass, top_area=tree.top_area)
+    collection = RectCollection.from_rects(L, tree.top.vertical.scale, tree.members)
+    coeffs_f = rect_coefficients(collection, Grid2D(L, f.values * h_prime.mask))
+    coeffs_g = rect_coefficients(collection, Grid2D(L, g.values * g_set.mask))
+    lhs = _pairing(collection.masks, coeffs_f, coeffs_g)
+    t_size = _size_of(collection, coeffs_f)
+    t_mass = rect_mass(collection, GridSet2D(L, np.abs(g.values) > 0), g_set)
+    rhs = tree.top.area * t_size * t_mass
+    return RatioReport.from_sides(lhs, rhs, size=t_size, mass=t_mass, top_area=tree.top.area)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +454,8 @@ def verify_biparam(
         scales = [j % L for j in range(len(fams))]
     if len(scales) != len(fams) or any(not 0 <= j < L for j in scales):
         raise ValueError("scale assignment must give each member a scale below L")
-    stack_in = np.stack([fams[j].values for j in range(len(fams))])
-    stack_out = np.stack(
-        [fixed_scale_operator(fams[j], scales[j]).values for j in range(len(fams))]
-    )
+    stack_in = np.stack([f.values for f in fams])
+    stack_out = np.stack([fixed_scale_operator(f, j).values for f, j in zip(fams, scales)])
     lhs = bundle_norm(stack_out, p, L)
     rhs = bundle_norm(stack_in, p, L)
     report = RatioReport.from_sides(lhs, rhs, family_size=len(fams), p=p, eps=eps)
@@ -455,33 +463,25 @@ def verify_biparam(
     # exceptional set with the per-instance certified threshold
     ratio = measure2(g) / measure2(h)
     threshold = certified_rectangle_threshold(h, g, eps)
-    c_eps = threshold / ratio ** (1.0 - eps)
     h_prime = exceptional_complement_2d(h, g, threshold)
-    report.extra["c_eps"] = c_eps
+    report.extra["c_eps"] = threshold / ratio ** (1.0 - eps)
     report.extra["mass_threshold"] = threshold
     report.extra["h_kept"] = safe_ratio(measure2(h_prime), measure2(h))
 
     # surviving collections: mass cap holds by construction
-    mass_caps = []
-    restricted_ratios_p = []
-    restricted_ratios_q = []
-    norm_constants = []
+    mass_caps, restricted_ratios_p, restricted_ratios_q, norm_constants = [], [], [], []
     e_measure, f_measure = measure2(e_set), measure2(f_set)
-    f_ind = Grid2D(L, e_set.mask.astype(np.complex128))
-    g_ind = Grid2D(L, f_set.mask.astype(np.complex128))
-    p_conj = p / (p - 1.0)
-    q_conj = q_low / (q_low - 1.0)
+    p_conj, q_conj = p / (p - 1.0), q_low / (q_low - 1.0)
+    rhs_p = ratio ** ((1.0 - eps) / p) * e_measure ** (1.0 / p) * f_measure ** (1.0 / p_conj)
+    rhs_q = e_measure ** (1.0 / q_low) * f_measure ** (1.0 / q_conj)
     for j in sorted(set(scales)):
         collection = RectCollection.all_at_scale(L, j).restrict_to_meeting(h_prime)
         if not len(collection):
             continue
-        mass_j = rect_mass(collection, f_set, g)
-        mass_caps.append(safe_ratio(mass_j, threshold))
-        coeffs_f = rect_coefficients(collection, Grid2D(L, f_ind.values * h_prime.mask))
-        coeffs_g = rect_coefficients(collection, Grid2D(L, g_ind.values * g.mask))
-        pairing = sum(abs(coeffs_f[r]) * abs(coeffs_g[r]) for r in collection.rects)
-        rhs_p = ratio ** ((1.0 - eps) / p) * e_measure ** (1.0 / p) * f_measure ** (1.0 / p_conj)
-        rhs_q = e_measure ** (1.0 / q_low) * f_measure ** (1.0 / q_conj)
+        mass_caps.append(safe_ratio(rect_mass(collection, f_set, g), threshold))
+        coeffs_f = rect_coefficients(collection, Grid2D(L, e_set.mask & h_prime.mask))
+        coeffs_g = rect_coefficients(collection, Grid2D(L, f_set.mask & g.mask))
+        pairing = _pairing(collection.masks, coeffs_f, coeffs_g)
         restricted_ratios_p.append(safe_ratio(pairing, rhs_p))
         restricted_ratios_q.append(safe_ratio(pairing, rhs_q))
 
@@ -493,15 +493,13 @@ def verify_biparam(
         report.extra.setdefault("localized_norms", []).append(res.norm)
 
     report.extra["mass_cap_ratios"] = mass_caps
-    report.extra["restricted_ratio_p"] = max(restricted_ratios_p, default=0.0)
-    report.extra["restricted_ratio_q"] = max(restricted_ratios_q, default=0.0)
+    c15 = report.extra["restricted_ratio_p"] = max(restricted_ratios_p, default=0.0)
+    c16 = report.extra["restricted_ratio_q"] = max(restricted_ratios_q, default=0.0)
     report.extra["condition_constant"] = max(norm_constants, default=0.0)
 
     theta = _interp_theta(p, q_low)
     report.extra["interp_theta"] = theta
     report.extra["interp_exponent"] = (1.0 - eps) * theta / p
-    c15 = max(restricted_ratios_p, default=0.0)
-    c16 = max(restricted_ratios_q, default=0.0)
     report.extra["interp_constant"] = c15**theta * c16 ** (1.0 - theta) if c15 and c16 else 0.0
 
     # band reduction: the scalar model sum applied through band restrictions

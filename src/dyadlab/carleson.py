@@ -60,12 +60,8 @@ class RestrictedOp:
             == self.collection.resolution
         ):
             raise ValueError("restricted operator pieces must share one resolution")
-        L = self.a.resolution
         plan = ModelSumPlan(self.choice, self.collection)
-        model = LinearOperator(
-            lambda v: plan.apply(GridSignal(L, v)).values,
-            lambda v: plan.adjoint(GridSignal(L, v)).values,
-        )
+        model = LinearOperator(plan.apply, plan.adjoint)
         object.__setattr__(self, "operator", model.localized(self.a.mask, self.b.mask))
 
 
@@ -315,16 +311,18 @@ def norm_decay_ladder(
 ) -> DecayReport:
     """Norm decay along a ladder of measure ratios, with the fitted log-log
     slope.  The large set is the whole grid; the small set is drawn at the
-    exact ladder measure; for the g branch the roles are swapped.  The
-    report's `unconverged` counts the power iterations of the whole ladder
-    that stopped unconverged."""
+    exact ladder measure (a ratio that rounds to no cell is rejected); for the
+    g branch the roles are swapped.  The report's `unconverged` counts the
+    power iterations of the whole ladder that stopped unconverged."""
     rng = np.random.default_rng(seed)
     n = 1 << resolution
+    counts = [round(ratio * n) for ratio in ratios]
+    if any(count < 1 for count in counts):
+        raise ValueError(f"ratio {min(ratios)} draws no cell at resolution {resolution}")
     collection = collection or TileCollection.all(resolution)
     points = []
     unconverged = 0
-    for i, ratio in enumerate(ratios):
-        count = max(1, round(ratio * n))
+    for i, count in enumerate(counts):
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, size=count, replace=False)] = True
         small = GridSet(resolution, mask)

@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate-22", allow_abbrev=False, help="restricted-norm decay ladder"
     )
     _common_flags(estimate)
-    estimate.add_argument("--ladder", type=int, default=8, help="ratios 2^-1 .. 2^-ladder")
+    estimate.add_argument("--ladder", type=int, help="ratios 2^-1 .. 2^-ladder (<= L, default L)")
     estimate.add_argument("--branch", choices=("h", "g", "both"), default="both")
     estimate.add_argument("--plot", action="store_true", help="emit a PNG of the ratio ladder")
 
@@ -134,10 +134,14 @@ def main(argv=None) -> int:
         return 0
 
     config = _config_from_args(args)
+    ladder = args.resolution if getattr(args, "ladder", None) is None else args.ladder
     try:
         config.validate()
-        if args.command == "estimate-22" and args.ladder < 2:
-            raise ValueError(f"the ladder needs at least 2 ratios to fit a slope, got {args.ladder}")
+        if args.command == "estimate-22" and not 2 <= ladder <= args.resolution:
+            raise ValueError(
+                f"the ladder needs at least 2 ratios to fit a slope, got {ladder}, and at most "
+                f"the resolution {args.resolution}, since a ratio below 2^-L draws no cell"
+            )
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -146,7 +150,7 @@ def main(argv=None) -> int:
         from .carleson import norm_decay_ladder, verify_vector_carleson
         from .harness import random_vector, trial_generators
 
-        ratios = [2.0**-i for i in range(1, args.ladder + 1)]
+        ratios = [2.0**-i for i in range(1, ladder + 1)]
         branches = ("h", "g") if args.branch == "both" else (args.branch,)
         report = {}
         ok = True

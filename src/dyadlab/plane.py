@@ -120,12 +120,6 @@ class DyadicRectangle:
             self.vertical.cell_slice(resolution),
         )
 
-    def mask(self, resolution: int) -> np.ndarray:
-        out = np.zeros((1 << resolution, 1 << resolution), dtype=bool)
-        sx, sy = self.cell_slices(resolution)
-        out[sx, sy] = True
-        return out
-
 
 def all_rectangles(resolution: int):
     for kx in range(resolution + 1):

@@ -332,7 +332,8 @@ def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
 class ModelSumPlan:
     """The model sum and its adjoint for one (choice, collection), with
     everything that depends only on those two computed once, so that each
-    apply is one stacked fast transform, gathers and sums.
+    apply is one stacked fast transform, gathers and sums. `apply` and
+    `adjoint` take and return the 2**L cell values as arrays.
 
     At scale k, a cell x receives the term of the member P whose upper tile
     holds N(x), if there is one: P sits at offset n = x >> (L - k) and
@@ -383,31 +384,32 @@ class ModelSumPlan:
         self._upper = _joined(uppers, np.float64)
         self._factor = np.array(factors).reshape(-1, 1)
 
-    def _check(self, f: GridSignal) -> int:
-        if f.resolution != self.resolution:
-            raise ValueError("resolution mismatch")
-        return f.resolution
+    def _check(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape != (1 << self.resolution,):
+            raise ValueError(f"expected 2**{self.resolution} cell values, got {values.shape}")
+        return values
 
-    def apply(self, f: GridSignal) -> GridSignal:
+    def apply(self, f: np.ndarray) -> np.ndarray:
         """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
-        L = self._check(f)
-        n = 1 << L
+        f = self._check(f)
+        n = f.size
         # per scale: the packet coefficients of f, up to the normalization
         # that packet_coefficients applies, here after the gather
-        stack = f.values[self._perm].reshape(-1, n)
+        stack = f[self._perm].reshape(-1, n)
         coef = block_hadamard(stack, self._bits).ravel()[self._coef_index] * self._norm
         terms = coef * self._upper
         out = np.empty(n, dtype=np.complex128)
         out.real = np.bincount(self._hit, terms.real, minlength=n)
         out.imag = np.bincount(self._hit, terms.imag, minlength=n)
-        return GridSignal(L, out)
+        return out
 
-    def adjoint(self, g: GridSignal) -> GridSignal:
+    def adjoint(self, g: np.ndarray) -> np.ndarray:
         """sum over P of <g, psi_P> packet(P1), where psi_P = packet(P2)
         restricted to the choice-function preimage."""
-        L = self._check(g)
-        n = 1 << L
-        terms = g.values[self._hit] * self._upper * cell_width(L)
+        g = self._check(g)
+        L, n = self.resolution, g.size
+        terms = g[self._hit] * self._upper * cell_width(L)
         size = len(self._bits) << L
         coef = np.empty(size, dtype=np.complex128)
         coef.real = np.bincount(self._coef_index, terms.real, minlength=size)
@@ -417,7 +419,7 @@ class ModelSumPlan:
         out = np.zeros(n, dtype=np.complex128)
         for part in parts:
             out += part
-        return GridSignal(L, out)
+        return out
 
 
 def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:
@@ -427,13 +429,13 @@ def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection)
     choice function pins down a single upper-half frequency interval there.
     Build a `ModelSumPlan` instead when applying one operator repeatedly.
     """
-    return ModelSumPlan(choice, collection).apply(f)
+    return GridSignal(f.resolution, ModelSumPlan(choice, collection).apply(f.values))
 
 
 def adjoint_model_sum(g: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:
     """Adjoint of the model sum: sum over P of <g, psi_P> packet(P1), where
     psi_P = packet(P2) restricted to the choice-function preimage."""
-    return ModelSumPlan(choice, collection).adjoint(g)
+    return GridSignal(g.resolution, ModelSumPlan(choice, collection).adjoint(g.values))
 
 
 # ---------------------------------------------------------------------------

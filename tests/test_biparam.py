@@ -9,10 +9,12 @@ from dyadlab.biparam import (
     fixed_scale_operator,
     haar_coefficients,
     haar_synthesis,
+    rect_coefficients,
     rect_full_decompose,
-    rect_is_convex,
     rect_mass,
+    rect_mass_decompose,
     rect_size,
+    rect_size_decompose,
     rect_tree_estimate,
     tensor_packet,
     verify_biparam,
@@ -82,11 +84,130 @@ def old_all_at_scale(resolution, vscale):
         for nx in range(1 << kx):
             for ny in range(1 << vscale):
                 rects.add(rect(kx, nx, vscale, ny))
-    return RectCollection(resolution, vscale, frozenset(rects))
+    return frozenset(rects)
 
 
 def rect(kx, nx, ky, ny):
     return DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(ky, ny))
+
+
+# The dict and frozenset rectangle code that preceded the per-scale masks,
+# kept as the oracle: every function takes the members as a set of
+# DyadicRectangle objects.
+
+
+def rect_key(r):
+    return (r.horizontal.scale, r.horizontal.offset, r.vertical.offset)
+
+
+def rect_is_convex(rects) -> bool:
+    rects = set(rects)
+    for a in rects:
+        for b in rects:
+            if b.contains(a) and a != b:
+                for s in range(b.horizontal.scale, a.horizontal.scale + 1):
+                    mid = DyadicRectangle(a.horizontal.ancestor(s), a.vertical)
+                    if mid not in rects:
+                        return False
+    return True
+
+
+def oracle_restrict(rects, keep, resolution):
+    return {r for r in rects if np.any(keep.mask[r.cell_slices(resolution)])}
+
+
+def oracle_rect_coefficients(rects, vscale, f):
+    out = {}
+    for r in rects:
+        coef = haar_coefficients(f, r.horizontal.scale, vscale)
+        out[r] = complex(coef[r.horizontal.offset, r.vertical.offset])
+    return out
+
+
+def oracle_top_sums(coeffs):
+    sums = {}
+    for r, c in coeffs.items():
+        w = abs(c) ** 2
+        for s in range(r.horizontal.scale + 1):
+            top = DyadicRectangle(r.horizontal.ancestor(s), r.vertical)
+            sums[top] = sums.get(top, 0.0) + w
+    return sums
+
+
+def oracle_size(rects, vscale, f, h_prime):
+    masked = Grid2D(f.resolution, f.values * h_prime.mask)
+    coeffs = oracle_rect_coefficients(rects, vscale, masked)
+    best = 0.0
+    for top, total in oracle_top_sums(coeffs).items():
+        best = max(best, total / top.area)
+    return math.sqrt(best)
+
+
+def oracle_mass(rects, f_set, g_set):
+    target = f_set.mask & g_set.mask
+    L = f_set.resolution
+    best = 0.0
+    for r in rects:
+        count = int(np.count_nonzero(target[r.cell_slices(L)]))
+        best = max(best, count * 4.0**-L / r.area)
+    return best
+
+
+def oracle_size_decompose(rects, coeffs, threshold):
+    current = set(rects)
+    forest = []
+    while True:
+        sums = oracle_top_sums({r: coeffs[r] for r in current})
+        selection = None
+        for top in sorted(sums, key=rect_key):
+            if sums[top] > threshold**2 * top.area:
+                selection = top
+                break
+        if selection is None:
+            break
+        removed = {r for r in current if selection.contains(r)}
+        current -= removed
+        forest.append((selection, frozenset(removed)))
+    return current, forest
+
+
+def oracle_mass_decompose(rects, f_set, g_set, threshold):
+    target = f_set.mask & g_set.mask
+    L = f_set.resolution
+    current = set(rects)
+    dens = {
+        r: int(np.count_nonzero(target[r.cell_slices(L)])) * 4.0**-L / r.area for r in current
+    }
+    forest = []
+    for top in sorted((r for r in current if dens[r] > threshold), key=rect_key):
+        if top not in current:
+            continue
+        removed = {r for r in current if top.contains(r)}
+        current -= removed
+        forest.append((top, frozenset(removed)))
+    return current, forest
+
+
+def random_rect_collection(rng, resolution, vscale, density):
+    masks = tuple(rng.random((1 << kx, 1 << vscale)) < density for kx in range(resolution))
+    return RectCollection(resolution, vscale, masks)
+
+
+def oracle_cases():
+    """Random collections at L = 3..5 and every vertical scale, each with a
+    signal and mass sets, and the collection restricted to a random set."""
+    rng = np.random.default_rng(900)
+    for resolution in (3, 4, 5):
+        for vscale in range(resolution):
+            for density in (0.3, 0.7, 1.0):
+                collection = random_rect_collection(rng, resolution, vscale, density)
+                f = random_grid2d(rng, resolution)
+                h_prime = random_set2d(rng, resolution, 0.6)
+                f_set = random_set2d(rng, resolution, 0.5)
+                g_set = random_set2d(rng, resolution, 0.5)
+                keep = random_set2d(rng, resolution, 0.02)
+                yield collection, f, h_prime, f_set, g_set
+                yield collection.restrict_to_meeting(keep), f, h_prime, f_set, g_set
 
 
 def oracle_strong_maximal(f: Grid2D) -> np.ndarray:
@@ -100,10 +221,8 @@ def oracle_strong_maximal(f: Grid2D) -> np.ndarray:
 
 def oracle_rect_size(collection, f, h_prime) -> float:
     """Exhaustive subset enumeration with the smallest in-strip hull."""
-    from dyadlab.biparam import rect_coefficients
-
     masked = Grid2D(f.resolution, f.values * h_prime.mask)
-    coeffs = rect_coefficients(collection, masked)
+    coeffs = oracle_rect_coefficients(collection.rects, collection.vscale, masked)
     members = sorted(collection.rects)
     best = 0.0
     L = f.resolution
@@ -239,6 +358,13 @@ class TestFixedScalePlan:
                 fixed_scale_operator(f, j).values, old_fixed_scale_operator(f.values, resolution, j)
             )
 
+    def test_synthesis_rejects_transposed_coefficients(self):
+        # at L=3, kx=1, ky=2 the coefficients are (2, 4); a (4, 2) array
+        # would broadcast into an 8 x 8 result
+        with pytest.raises(ValueError, match=r"\(2, 4\)"):
+            haar_synthesis(np.ones((4, 2)), 3, 1, 2)
+        assert haar_synthesis(np.ones((2, 4)), 3, 1, 2).shape == (8, 8)
+
     def test_plan_is_built_once_per_scale(self):
         from dyadlab.biparam import _plan
 
@@ -324,11 +450,127 @@ class TestRectCombinatorics:
         for vscale in range(resolution):
             cached = RectCollection.all_at_scale(resolution, vscale)
             assert RectCollection.all_at_scale(resolution, vscale) is cached
-            assert list(cached.rects) == list(old_all_at_scale(resolution, vscale).rects)
+            assert list(cached.rects) == list(old_all_at_scale(resolution, vscale))
 
     def test_collection_requires_uniform_vscale(self):
         with pytest.raises(ValueError):
-            RectCollection(3, 1, frozenset([rect(1, 0, 2, 0)]))
+            RectCollection.from_rects(3, 1, frozenset([rect(1, 0, 2, 0)]))
+
+    @pytest.mark.parametrize("vscale", [-1, 3, 4])
+    def test_collection_rejects_vscale_out_of_range(self, vscale):
+        masks = tuple(np.zeros((1 << kx, 1 << max(vscale, 0)), dtype=bool) for kx in range(3))
+        with pytest.raises(ValueError, match="out of range"):
+            RectCollection(3, vscale, masks)
+        with pytest.raises(ValueError, match="out of range"):
+            RectCollection.from_rects(3, vscale, [])
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(1, 2), (2, 2)],
+            [(1, 2), (2, 2), (4, 2), (8, 2)],
+            [(1, 2), (2, 2), (2, 4)],
+            [(2, 1), (2, 2), (4, 2)],
+        ],
+    )
+    def test_collection_rejects_mask_shapes(self, shapes):
+        with pytest.raises(ValueError, match="shaped"):
+            RectCollection(3, 1, tuple(np.ones(shape, dtype=bool) for shape in shapes))
+
+    def test_masks_are_read_only_and_rects_derived(self):
+        collection = RectCollection.from_rects(3, 1, [rect(0, 0, 1, 1), rect(2, 3, 1, 0)])
+        assert len(collection) == 2
+        assert collection.rects == {rect(0, 0, 1, 1), rect(2, 3, 1, 0)}
+        assert collection.rects is collection.rects
+        with pytest.raises(ValueError):
+            collection.masks[0][0, 0] = True
+
+    def test_restrict_and_mass_match_oracle(self):
+        for collection, f, h_prime, f_set, g_set in oracle_cases():
+            rects = collection.rects
+            assert collection.restrict_to_meeting(h_prime).rects == oracle_restrict(
+                rects, h_prime, collection.resolution
+            )
+            assert rect_mass(collection, f_set, g_set) == oracle_mass(rects, f_set, g_set)
+
+    def test_size_matches_oracle(self):
+        for collection, f, h_prime, _, _ in oracle_cases():
+            got = rect_size(collection, f, h_prime)
+            assert got == pytest.approx(
+                oracle_size(collection.rects, collection.vscale, f, h_prime), rel=1e-12, abs=1e-12
+            )
+
+    def test_coefficients_match_oracle(self):
+        for collection, f, _, _, _ in oracle_cases():
+            coeffs = rect_coefficients(collection, f)
+            expected = oracle_rect_coefficients(collection.rects, collection.vscale, f)
+            got = {
+                r: coeffs[r.horizontal.scale][r.horizontal.offset, r.vertical.offset]
+                for r in collection.rects
+            }
+            assert got == expected
+            assert sum(np.count_nonzero(c) for c in coeffs) <= len(collection)
+
+    def test_decompositions_match_oracle(self):
+        trees = 0
+        for collection, f, h_prime, f_set, g_set in oracle_cases():
+            rects, j = collection.rects, collection.vscale
+            masked = Grid2D(f.resolution, f.values * h_prime.mask)
+            coeffs = rect_coefficients(collection, masked)
+            sigma = rect_size(collection, f, h_prime)
+            for threshold in (sigma / 2, sigma / 1.1):
+                remainder, forest = rect_size_decompose(collection, coeffs, threshold)
+                rest, expected = oracle_size_decompose(
+                    rects, oracle_rect_coefficients(rects, j, masked), threshold
+                )
+                assert remainder.rects == rest
+                assert [(t.top, t.members) for t in forest] == expected
+                trees += len(forest)
+            mu = rect_mass(collection, f_set, g_set)
+            for threshold in (mu / 2, mu / 1.1):
+                remainder, forest = rect_mass_decompose(collection, f_set, g_set, threshold)
+                rest, expected = oracle_mass_decompose(rects, f_set, g_set, threshold)
+                assert remainder.rects == rest
+                assert [(t.top, t.members) for t in forest] == expected
+                trees += len(forest)
+        assert trees > 500
+
+    def test_tree_estimate_pairs_in_ascending_order(self):
+        rng = np.random.default_rng(901)
+        for collection, f, h_prime, f_set, g_set in oracle_cases():
+            L, j = collection.resolution, collection.vscale
+            kx = int(rng.integers(0, L))
+            top = rect(kx, int(rng.integers(0, 1 << kx)), j, int(rng.integers(0, 1 << j)))
+            members = frozenset(r for r in collection.rects if top.contains(r))
+            if not members:
+                continue
+            g = random_grid2d(rng, L)
+            report = rect_tree_estimate(RectTree(top, members), f, g, h_prime, g_set)
+            cf = oracle_rect_coefficients(members, j, Grid2D(L, f.values * h_prime.mask))
+            cg = oracle_rect_coefficients(members, j, Grid2D(L, g.values * g_set.mask))
+            ascending = sum(abs(cf[r]) * abs(cg[r]) for r in sorted(members, key=rect_key))
+            assert report.lhs == ascending
+            # the frozenset order that the pairing followed before
+            unordered = sum(abs(cf[r]) * abs(cg[r]) for r in members)
+            assert report.lhs == pytest.approx(unordered, rel=1e-14)
+            assert report.extra["size"] == pytest.approx(
+                oracle_size(members, j, f, h_prime), rel=1e-12, abs=1e-12
+            )
+            support = GridSet2D(L, np.abs(g.values) > 0)
+            assert report.extra["mass"] == oracle_mass(members, support, g_set)
+
+    def test_full_decompose_computes_coefficients_once(self, monkeypatch):
+        import dyadlab.biparam as biparam
+
+        calls = []
+        real = biparam.rect_coefficients
+        monkeypatch.setattr(biparam, "rect_coefficients", lambda *a: calls.append(a) or real(*a))
+        rng = np.random.default_rng(902)
+        collection = RectCollection.all_at_scale(4, 1)
+        f = random_grid2d(rng, 4)
+        sets = [random_set2d(rng, 4, 0.4) for _ in range(3)]
+        decomposition = rect_full_decompose(collection, f, *sets)
+        assert len(decomposition.buckets) > 1 and len(calls) == 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_size_oracle(self, seed):
@@ -338,7 +580,7 @@ class TestRectCombinatorics:
         members = [r for r in full.rects if rng.random() < 0.35]
         if not members:
             members = [next(iter(full.rects))]
-        collection = RectCollection(resolution, 1, frozenset(members[:10]))
+        collection = RectCollection.from_rects(resolution, 1, frozenset(members[:10]))
         f = random_grid2d(rng, resolution)
         h_prime = GridSet2D.full(resolution)
         assert rect_size(collection, f, h_prime) == pytest.approx(
@@ -347,7 +589,7 @@ class TestRectCombinatorics:
 
     def test_mass_examples(self):
         resolution = 3
-        collection = RectCollection(resolution, 1, frozenset([rect(1, 0, 1, 0)]))
+        collection = RectCollection.from_rects(resolution, 1, frozenset([rect(1, 0, 1, 0)]))
         empty = GridSet2D.empty(resolution)
         full = GridSet2D.full(resolution)
         assert rect_mass(collection, empty, full) == 0.0
@@ -388,7 +630,7 @@ class TestRectCombinatorics:
             assert not covered & union
             covered |= union
             if union:
-                sub = RectCollection(resolution, 1, frozenset(union))
+                sub = RectCollection.from_rects(resolution, 1, frozenset(union))
                 size_cap, mass_cap = decomposition.caps[(n, m)]
                 assert rect_size(sub, f, h_prime) <= size_cap * (1 + 1e-12)
                 assert rect_mass(sub, e2, f2) <= mass_cap * (1 + 1e-12)

@@ -44,11 +44,11 @@ def old_restricted_pair(op: RestrictedOp):
 
     def apply_restricted(f):
         masked = GridSignal(f.resolution, f.values * op.b.mask)
-        return GridSignal(f.resolution, plan.apply(masked).values * op.a.mask)
+        return GridSignal(f.resolution, plan.apply(masked.values) * op.a.mask)
 
     def adjoint_restricted(g):
         masked = GridSignal(g.resolution, g.values * op.a.mask)
-        return GridSignal(g.resolution, plan.adjoint(masked).values * op.b.mask)
+        return GridSignal(g.resolution, plan.adjoint(masked.values) * op.b.mask)
 
     def fwd(v):
         return apply_restricted(GridSignal(L, v)).values
@@ -330,6 +330,13 @@ class TestNormDecay:
         ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5, iters=2, collection=collection)
         assert ladder.extra["unconverged"] >= 8
         assert json.loads(ladder.to_json())["unconverged"] == ladder.extra["unconverged"]
+
+    def test_ladder_rejects_ratio_without_a_cell(self):
+        # at L=3 the ratio 2^-4 rounds to no cell, which must not become one
+        with pytest.raises(ValueError, match="draws no cell"):
+            norm_decay_ladder(3, [0.5, 2.0**-4], seed=5, iters=5)
+        ladder = norm_decay_ladder(3, [0.5, 2.0**-3], seed=5, iters=5)
+        assert [pt.log_ratio for pt in ladder.ratio_ladder] == [-1.0, -3.0]
 
     def test_g_branch_runs(self):
         resolution = 5

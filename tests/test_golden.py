@@ -3,7 +3,8 @@
 Each case runs a fixed, small configuration and serializes its report with
 `json.dumps(..., sort_keys=True, indent=2)`; the bytes must equal the file
 under `tests/golden/`.  The CLI cases are the `report.json` files that
-`dyadlab verify` and `dyadlab estimate-22` write; the library cases keep the
+`dyadlab verify` and `dyadlab estimate-22` write, and the forest CSV that
+`dyadlab decompose` writes for fixed input files; the library cases keep the
 whole `extra` dict of the plane pipelines, which the CLI reports reduce to a
 maximum.
 
@@ -53,6 +54,33 @@ def _cli_report(argv: list[str]) -> str:
         return (Path(out) / "report.json").read_text()
 
 
+def _decompose_csv() -> str:
+    """`dyadlab decompose` of every bi-tile at L=5 against a fixed signal,
+    set and choice, each written to a CSV file first."""
+    from dyadlab.cli import main
+    from dyadlab.harness import random_choice, random_grid_set, random_signal
+    from dyadlab.io import write_choice, write_grid_set, write_signal, write_tile_collection
+    from dyadlab.tiles import TileCollection
+
+    rng = np.random.default_rng(71)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_tile_collection(d / "tiles.csv", TileCollection.all(5))
+        write_signal(d / "signal.csv", random_signal(rng, 5, complex_values=True))
+        write_grid_set(d / "set.csv", random_grid_set(rng, 5))
+        write_choice(d / "choice.csv", random_choice(rng, 5))
+        argv = [
+            "decompose", str(d / "tiles.csv"), str(d / "signal.csv"), "--resolution", "5",
+            "--set-file", str(d / "set.csv"), "--choice-file", str(d / "choice.csv"),
+            "--out", str(d / "forest.csv"),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main(argv)
+        if status != 0:
+            raise AssertionError(f"decompose exited with status {status}")
+        return (d / "forest.csv").read_text()
+
+
 def _plane_inputs(resolution: int, seed: int):
     from dyadlab.harness import random_grid2d, random_set2d
 
@@ -87,12 +115,20 @@ LIBRARY_CASES = {
     "lib-directional-L5": lambda: _directional(5),
     "lib-weighted-directional": _weighted_directional,
     "lib-biparam": _biparam,
+    "decompose": _decompose_csv,
 }
+TEXT_CASES = {"decompose"}
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN / (f"{name}.csv" if name in TEXT_CASES else f"{name}.json")
 
 
 def produce(name: str) -> str:
     if name in CLI_CASES:
         return _cli_report(CLI_CASES[name])
+    if name in TEXT_CASES:
+        return LIBRARY_CASES[name]()
     return json.dumps(LIBRARY_CASES[name](), sort_keys=True, indent=2) + "\n"
 
 
@@ -108,14 +144,14 @@ def test_golden_report(name):
         pytest.fail(f"no golden recorded for {name}")
     if recorded != np.__version__:
         pytest.skip(f"golden recorded with numpy {recorded}, installed numpy is {np.__version__}")
-    assert produce(name) == (GOLDEN / f"{name}.json").read_text()
+    assert produce(name) == golden_path(name).read_text()
 
 
 def record(names: list[str]) -> None:
     GOLDEN.mkdir(exist_ok=True)
     versions = _recorded_with()
     for name in names:
-        (GOLDEN / f"{name}.json").write_text(produce(name))
+        golden_path(name).write_text(produce(name))
         versions[name] = np.__version__
         print(f"recorded {name}")
     (GOLDEN / "recorded_with.json").write_text(json.dumps(versions, sort_keys=True, indent=2) + "\n")

@@ -357,6 +357,9 @@ class TestCLI:
             (["--ladder", "1"], "at least 2 ratios to fit a slope, got 1"),
             (["--family-size", "0"], "family size must be at least 1, got 0"),
             (["--p", "0.5"], "1 < p < inf, got p=0.5"),
+            # the small set at ratio 2^-ladder must hold at least one cell
+            (["--resolution", "0"], "got 2, and at most the resolution 0"),
+            (["--resolution", "4", "--ladder", "5"], "got 5, and at most the resolution 4"),
         ],
     )
     def test_estimate22_invalid_flags_exit_two(self, flags, message, tmp_path, capsys):
@@ -366,6 +369,12 @@ class TestCLI:
         assert captured.err.startswith("invalid configuration: ")
         assert message in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("resolution", [2, 4])
+    def test_estimate22_ladder_defaults_to_resolution(self, resolution, capsys):
+        assert main(["estimate-22", "--resolution", str(resolution), "--branch", "h"]) in (0, 1)
+        ladder = json.loads(capsys.readouterr().out)["h"]["ratio_ladder"]
+        assert [pt["log_ratio"] for pt in ladder] == [-float(i) for i in range(1, resolution + 1)]
 
     def test_estimate22_smallest_valid_ladder(self, capsys):
         assert main(["estimate-22", "--resolution", "3", "--ladder", "2", "--branch", "h"]) in (0, 1)

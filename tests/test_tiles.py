@@ -442,13 +442,13 @@ class TestModelSumPlan:
             plan = ModelSumPlan(choice, collection)
             for _ in range(3):
                 f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                assert np.array_equal(plan.apply(f).values, oracle_model_sum(f, choice, collection))
+                assert np.array_equal(plan.apply(f.values), oracle_model_sum(f, choice, collection))
                 assert np.array_equal(
-                    plan.adjoint(f).values, oracle_adjoint_model_sum(f, choice, collection)
+                    plan.adjoint(f.values), oracle_adjoint_model_sum(f, choice, collection)
                 )
-                assert np.array_equal(model_sum(f, choice, collection).values, plan.apply(f).values)
+                assert np.array_equal(model_sum(f, choice, collection).values, plan.apply(f.values))
                 assert np.array_equal(
-                    adjoint_model_sum(f, choice, collection).values, plan.adjoint(f).values
+                    adjoint_model_sum(f, choice, collection).values, plan.adjoint(f.values)
                 )
 
     @pytest.mark.parametrize("resolution", range(1, 8))
@@ -459,8 +459,8 @@ class TestModelSumPlan:
             plan = ModelSumPlan(choice, collection)
             f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             g = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            lhs = inner_product(plan.apply(f), g)
-            rhs = inner_product(f, plan.adjoint(g))
+            lhs = inner_product(GridSignal(resolution, plan.apply(f.values)), g)
+            rhs = inner_product(f, GridSignal(resolution, plan.adjoint(g.values)))
             assert abs(lhs - rhs) < 1e-12
 
     @pytest.mark.parametrize("resolution", range(1, 5))
@@ -475,19 +475,27 @@ class TestModelSumPlan:
                 upper = walsh_packet(p.upper, resolution).values
                 hit = (choice.freqs >= p.upper.freq.lo) & (choice.freqs < p.upper.freq.hi)
                 expected += np.outer(upper * hit, np.conj(lower)) * cell_width(resolution)
-            dense = densify(lambda v: plan.apply(GridSignal(resolution, v)).values, n)
+            dense = densify(plan.apply, n)
             assert np.allclose(dense, expected, rtol=0.0, atol=1e-12)
-            dense_adj = densify(lambda v: plan.adjoint(GridSignal(resolution, v)).values, n)
+            dense_adj = densify(plan.adjoint, n)
             assert np.allclose(dense_adj, expected.conj().T, rtol=0.0, atol=1e-12)
 
     def test_resolution_mismatch(self):
         with pytest.raises(ValueError):
             ModelSumPlan(ChoiceFunction.constant(3, 0), TileCollection.all(4))
-        plan = ModelSumPlan(ChoiceFunction.constant(4, 0), TileCollection.all(4))
+        choice, collection = ChoiceFunction.constant(4, 0), TileCollection.all(4)
+        plan = ModelSumPlan(choice, collection)
+        with pytest.raises(ValueError, match=r"expected 2\*\*4 cell values"):
+            plan.apply(np.zeros(8))
+        with pytest.raises(ValueError, match=r"expected 2\*\*4 cell values"):
+            plan.adjoint(np.zeros(32))
+        with pytest.raises(ValueError, match=r"expected 2\*\*4 cell values"):
+            plan.apply(np.zeros((4, 4)))
+        # the GridSignal entry points reject a signal of another resolution
         with pytest.raises(ValueError):
-            plan.apply(GridSignal.zeros(3))
+            model_sum(GridSignal.zeros(3), choice, collection)
         with pytest.raises(ValueError):
-            plan.adjoint(GridSignal.zeros(5))
+            adjoint_model_sum(GridSignal.zeros(5), choice, collection)
 
     @pytest.mark.parametrize(
         "shape, axis", [((64,), -1), ((4, 16), 1), ((16, 4), 0), ((2, 8, 4), 1), ((1,), 0)]
