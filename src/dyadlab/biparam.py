@@ -17,16 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicInterval, bundle_norm, lp_norm
-from .maximal import next_class
+from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, lp_norm, measure
+from .maximal import Decomposition, bucket_decompose
 from .plane import (
     DyadicRectangle,
-    Grid2D,
-    GridSet2D,
-    cell_area,
     certified_rectangle_threshold,
     exceptional_complement_2d,
-    measure2,
     rectangle_averages,
 )
 from .principle import LinearOperator, power_iteration
@@ -50,7 +46,7 @@ class _FixedScalePlan:
 
     def __init__(self, resolution: int, j: int):
         self.resolution, self.j = resolution, j
-        self.area = cell_area(resolution)
+        self.area = cell_width(resolution) ** 2
         sy = _haar_half_signs(1 << (resolution - j))
         self.signs = [
             _haar_half_signs(1 << (resolution - kx))[:, None, None] * sy
@@ -230,6 +226,10 @@ class RectTree:
             if not self.top.contains(r):
                 raise ValueError(f"member {r} escapes the tree top")
 
+    @property
+    def top_measure(self) -> float:
+        return self.top.area
+
 
 def rect_coefficients(collection: RectCollection, f: Grid2D) -> tuple[np.ndarray, ...]:
     """Per horizontal scale kx, <f, packet_R> at every member R = (kx, nx, ny)
@@ -287,14 +287,6 @@ def _pairing(masks, coeffs_f, coeffs_g) -> float:
     return sum(np.concatenate(terms).tolist())
 
 
-@dataclass
-class RectDecomposition:
-    buckets: dict[tuple[int, int], list[RectTree]]
-    remainder: RectCollection
-    count_ratios: dict[tuple[int, int], float]
-    caps: dict[tuple[int, int], tuple[float, float]]
-
-
 def _take_tree(masks: list[np.ndarray], vscale: int, kx: int, nx: int, ny: int) -> RectTree:
     """Clear from the per-scale masks, and return as a tree under the top
     (kx, nx, ny), every member inside the top: at each finer scale those
@@ -342,36 +334,20 @@ def rect_full_decompose(
     h_prime: GridSet2D,
     f_set: GridSet2D,
     g_set: GridSet2D,
-) -> RectDecomposition:
-    """Iterate size and mass halvings into (n, m) buckets with certified caps."""
+) -> Decomposition:
+    """Iterate size and mass halvings into (n, m) buckets with certified caps,
+    by `bucket_decompose` on f 1_{H'} with the mass set F ∩ G."""
     masked = Grid2D(f.resolution, f.values * h_prime.mask)
-    current = collection
     coeffs = rect_coefficients(collection, masked)
-    norm_sq = lp_norm(masked.values, 2.0, f.resolution) ** 2
-    fg_measure = measure2(GridSet2D(f.resolution, f_set.mask & g_set.mask))
-    buckets: dict[tuple[int, int], list[RectTree]] = {}
-    ratios: dict[tuple[int, int], float] = {}
-    caps: dict[tuple[int, int], tuple[float, float]] = {}
-    n_prev = m_prev = None
-    while len(current):
-        sigma = _size_of(current, coeffs)
-        mu = rect_mass(current, f_set, g_set)
-        if sigma == 0.0 and mu == 0.0:
-            break
-        n, m = next_class(sigma, n_prev), next_class(mu, m_prev)
-        trees: list[RectTree] = []
-        if sigma > 0:
-            current, forest = rect_size_decompose(current, coeffs, 2.0 ** -(n + 1))
-            trees.extend(forest)
-        if mu > 0:
-            current, forest = rect_mass_decompose(current, f_set, g_set, 2.0 ** -(m + 1))
-            trees.extend(forest)
-        cap = min(2.0 ** (2 * n) * norm_sq, 2.0**m * fg_measure)
-        buckets[(n, m)] = trees
-        ratios[(n, m)] = sum(t.top.area for t in trees) / cap if cap > 0 else math.inf
-        caps[(n, m)] = (2.0**-n, 2.0**-m)
-        n_prev, m_prev = n, m
-    return RectDecomposition(buckets, current, ratios, caps)
+    return bucket_decompose(
+        collection,
+        masked,
+        f_set & g_set,
+        size=lambda c: _size_of(c, coeffs),
+        mass=lambda c: rect_mass(c, f_set, g_set),
+        split_size=lambda c, thr: rect_size_decompose(c, coeffs, thr),
+        split_mass=lambda c, thr: rect_mass_decompose(c, f_set, g_set, thr),
+    )
 
 
 def rect_tree_estimate(
@@ -390,8 +366,8 @@ def rect_tree_estimate(
     lhs = _pairing(collection.masks, coeffs_f, coeffs_g)
     t_size = _size_of(collection, coeffs_f)
     t_mass = rect_mass(collection, GridSet2D(L, np.abs(g.values) > 0), g_set)
-    rhs = tree.top.area * t_size * t_mass
-    return RatioReport.from_sides(lhs, rhs, size=t_size, mass=t_mass, top_area=tree.top.area)
+    rhs = tree.top_measure * t_size * t_mass
+    return RatioReport.from_sides(lhs, rhs, size=t_size, mass=t_mass, top_area=tree.top_measure)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +419,7 @@ def verify_biparam(
 
     h = h if h is not None else GridSet2D(L, np.ones((n, n), dtype=bool))
     g = g if g is not None else random_set(0.25)
-    if measure2(g) == 0.0 or measure2(h) == 0.0:
+    if measure(g) == 0.0 or measure(h) == 0.0:
         raise ValueError("sets h and g need positive measure")
     e_set = e_set if e_set is not None else random_set(0.4)
     f_set = f_set if f_set is not None else random_set(0.4)
@@ -461,16 +437,16 @@ def verify_biparam(
     report = RatioReport.from_sides(lhs, rhs, family_size=len(fams), p=p, eps=eps)
 
     # exceptional set with the per-instance certified threshold
-    ratio = measure2(g) / measure2(h)
+    ratio = measure(g) / measure(h)
     threshold = certified_rectangle_threshold(h, g, eps)
     h_prime = exceptional_complement_2d(h, g, threshold)
     report.extra["c_eps"] = threshold / ratio ** (1.0 - eps)
     report.extra["mass_threshold"] = threshold
-    report.extra["h_kept"] = safe_ratio(measure2(h_prime), measure2(h))
+    report.extra["h_kept"] = safe_ratio(measure(h_prime), measure(h))
 
     # surviving collections: mass cap holds by construction
     mass_caps, restricted_ratios_p, restricted_ratios_q, norm_constants = [], [], [], []
-    e_measure, f_measure = measure2(e_set), measure2(f_set)
+    e_measure, f_measure = measure(e_set), measure(f_set)
     p_conj, q_conj = p / (p - 1.0), q_low / (q_low - 1.0)
     rhs_p = ratio ** ((1.0 - eps) / p) * e_measure ** (1.0 / p) * f_measure ** (1.0 / p_conj)
     rhs_q = e_measure ** (1.0 / q_low) * f_measure ** (1.0 / q_conj)

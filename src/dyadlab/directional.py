@@ -15,9 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSignal, bundle_norm, check_resolution, lp_norm, stack_slices
+from .grid import (
+    Grid2D,
+    GridSet2D,
+    GridSignal,
+    bundle_norm,
+    cell_width,
+    check_resolution,
+    lp_norm,
+    measure,
+    stack_slices,
+)
 from .maximal import dyadic_maximal
-from .plane import Grid2D, GridSet2D, cell_area, measure2
 from .principle import LinearOperator, power_iterations
 from .reports import RatioReport, safe_ratio
 
@@ -389,14 +398,14 @@ def square_function_equivalence(
         [[annular_band(f, k).values for k in range(L + 1)] for f in fams]
     )  # (J, K, n, n)
     square = float(
-        np.sum(np.sum(np.abs(pieces) ** 2, axis=(0, 1)) ** (q / 2.0)) * cell_area(L)
+        np.sum(np.sum(np.abs(pieces) ** 2, axis=(0, 1)) ** (q / 2.0)) * cell_width(L) ** 2
     )
     samples = []
     for _ in range(max(1, trials)):
         rj = rng.choice([-1.0, 1.0], size=pieces.shape[0])
         rk = rng.choice([-1.0, 1.0], size=pieces.shape[1])
         mix = np.einsum("j,k,jkxy->xy", rj, rk, pieces)
-        samples.append(float(np.sum(np.abs(mix) ** q) * cell_area(L)))
+        samples.append(float(np.sum(np.abs(mix) ** q) * cell_width(L) ** 2))
     mean = float(np.mean(samples))
     report = RatioReport.from_sides(mean, square, q=q, trials=len(samples))
     report.extra["ratio_lo"] = safe_ratio(min(samples), square)
@@ -421,7 +430,7 @@ def directional_level_complement(
     c = 1.0
     while True:
         kept = GridSet2D(h.resolution, h.mask & ~(field_vals >= c * base_threshold))
-        if measure2(kept) >= 0.5 * measure2(h):
+        if measure(kept) >= 0.5 * measure(h):
             return kept, c
         c *= 2.0
 
@@ -471,11 +480,11 @@ def verify_directional(
         g_mask[0, 0] = True
     g = GridSet2D(L, g_mask)
     h = GridSet2D(L, np.ones((n, n), dtype=bool))
-    ratio = measure2(g) / measure2(h)
+    ratio = measure(g) / measure(h)
     h_prime, c_used = directional_level_complement(
         h, g, averager, math.sqrt(ratio) * norm_l2
     )
-    report.extra["h_kept"] = safe_ratio(measure2(h_prime), measure2(h))
+    report.extra["h_kept"] = safe_ratio(measure(h_prime), measure(h))
     report.extra["exceptional_c"] = c_used
 
     # the band-times-half-plane multipliers, member j * (L + 1) + k, run as
@@ -555,7 +564,7 @@ def verify_weighted_directional(
         Grid2D(L, g_dual.astype(np.complex128)), directions, p, terms, averager=avg, norm_seed=seed
     )
     report.extra["weight"] = weight.certificates
-    area = cell_area(L)
+    area = cell_width(L) ** 2
     pairing = float(np.sum(big_f * g_dual) * area)
     pairing_w = float(np.sum(big_f * weight.values) * area)
     per_direction = []

@@ -1,15 +1,18 @@
-"""Dyadic grids on the unit circle.
+"""Dyadic grids on the unit circle and the unit square.
 
 Everything downstream acts on functions and sets defined on the 2**L cells of
-[0, 1).  Cell i covers [i * 2**-L, (i + 1) * 2**-L).  Measures, inner products
-and norms carry the cell weight 2**-L, so counting-measure identities on the
-grid reproduce the Lebesgue ones exactly (all quantities are dyadic rationals
-in double precision).
+[0, 1), or on the 2**L x 2**L cells of [0, 1)^2.  Cell i covers
+[i * 2**-L, (i + 1) * 2**-L).  One signal type and one set type serve both:
+the plane cases `Grid2D` and `GridSet2D` differ only in their number of axes.
+Measures, inner products and norms carry the cell measure 2**-L per axis, so
+counting-measure identities on the grid reproduce the Lebesgue ones exactly
+(all quantities are dyadic rationals in double precision).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -115,30 +118,41 @@ def all_intervals(resolution: int):
         yield from intervals_at_scale(scale)
 
 
+def _shape(resolution: int, ndim: int) -> tuple[int, ...]:
+    """Cell array shape of a line (ndim 1) or plane (ndim 2) grid."""
+    return (1 << resolution,) * ndim
+
+
+def _check_cells(grid, array: np.ndarray) -> None:
+    check_resolution(grid.resolution)
+    shape = _shape(grid.resolution, grid.ndim)
+    if array.shape != shape:
+        raise ValueError(f"expected cells shaped {shape}, got shape {array.shape}")
+
+
 @dataclass(frozen=True)
 class GridSignal:
-    """Complex-valued function on the 2**resolution cells of [0, 1)."""
+    """Complex-valued function on the 2**resolution cells of [0, 1); its
+    plane case `Grid2D` lives on the 2**L x 2**L cells of the unit square."""
 
+    ndim: ClassVar[int] = 1
     resolution: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check_resolution(self.resolution)
         values = np.asarray(self.values, dtype=np.complex128)
-        n = 1 << self.resolution
-        if values.shape != (n,):
-            raise ValueError(f"expected {n} values, got shape {values.shape}")
+        _check_cells(self, values)
         if not np.isfinite(values).all():
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", values)
 
     @classmethod
     def zeros(cls, resolution: int) -> "GridSignal":
-        return cls(resolution, np.zeros(1 << resolution, dtype=np.complex128))
+        return cls(resolution, np.zeros(_shape(resolution, cls.ndim), dtype=np.complex128))
 
     @classmethod
     def constant(cls, resolution: int, value=1.0) -> "GridSignal":
-        return cls(resolution, np.full(1 << resolution, value, dtype=np.complex128))
+        return cls(resolution, np.full(_shape(resolution, cls.ndim), value, dtype=np.complex128))
 
     @classmethod
     def indicator(cls, resolution: int, where) -> "GridSignal":
@@ -158,59 +172,74 @@ class GridSignal:
         return np.abs(self.values)
 
 
+class Grid2D(GridSignal):
+    """Complex-valued function on the 2**L x 2**L cells of the unit square;
+    cell (ix, iy) covers [ix 2**-L, (ix+1) 2**-L) x [iy 2**-L, (iy+1) 2**-L)."""
+
+    ndim = 2
+
+
 @dataclass(frozen=True)
 class GridSet:
-    """Boolean mask over grid cells; measure is the cell count times 2**-L."""
+    """Boolean mask over the cells of a line grid, or of a plane grid for its
+    plane case `GridSet2D`; measure is the cell count times the cell measure."""
 
+    ndim: ClassVar[int] = 1
+    signal_type: ClassVar[type] = GridSignal
     resolution: int
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check_resolution(self.resolution)
         mask = np.asarray(self.mask, dtype=bool)
-        n = 1 << self.resolution
-        if mask.shape != (n,):
-            raise ValueError(f"expected mask of {n} cells, got shape {mask.shape}")
+        _check_cells(self, mask)
         object.__setattr__(self, "mask", mask)
 
     @classmethod
     def empty(cls, resolution: int) -> "GridSet":
-        return cls(resolution, np.zeros(1 << resolution, dtype=bool))
+        return cls(resolution, np.zeros(_shape(resolution, cls.ndim), dtype=bool))
 
     @classmethod
     def full(cls, resolution: int) -> "GridSet":
-        return cls(resolution, np.ones(1 << resolution, dtype=bool))
+        return cls(resolution, np.ones(_shape(resolution, cls.ndim), dtype=bool))
 
     @classmethod
     def from_interval(cls, resolution: int, interval: DyadicInterval) -> "GridSet":
         return cls(resolution, interval.indicator(resolution))
 
     def _check_mate(self, other: "GridSet"):
-        if self.resolution != other.resolution:
-            raise ValueError("resolution mismatch between grid sets")
+        if self.ndim != other.ndim or self.resolution != other.resolution:
+            raise ValueError("grid sets must share their number of axes and resolution")
 
     def __and__(self, other: "GridSet") -> "GridSet":
         self._check_mate(other)
-        return GridSet(self.resolution, self.mask & other.mask)
+        return type(self)(self.resolution, self.mask & other.mask)
 
     def __or__(self, other: "GridSet") -> "GridSet":
         self._check_mate(other)
-        return GridSet(self.resolution, self.mask | other.mask)
+        return type(self)(self.resolution, self.mask | other.mask)
 
     def __sub__(self, other: "GridSet") -> "GridSet":
         self._check_mate(other)
-        return GridSet(self.resolution, self.mask & ~other.mask)
+        return type(self)(self.resolution, self.mask & ~other.mask)
 
     def __invert__(self) -> "GridSet":
-        return GridSet(self.resolution, ~self.mask)
+        return type(self)(self.resolution, ~self.mask)
 
     def indicator(self) -> GridSignal:
-        return GridSignal.indicator(self.resolution, self)
+        return self.signal_type.indicator(self.resolution, self)
+
+
+class GridSet2D(GridSet):
+    """Boolean mask over the 2**L x 2**L cells of the unit square."""
+
+    ndim = 2
+    signal_type = Grid2D
 
 
 def measure(s: GridSet) -> float:
-    """Lebesgue measure of the set: true-cell count times the cell width."""
-    return int(np.count_nonzero(s.mask)) * cell_width(s.resolution)
+    """Lebesgue measure of a line or plane set: true-cell count times the
+    cell measure cell_width(L) ** ndim (an exact power of two)."""
+    return int(np.count_nonzero(s.mask)) * cell_width(s.resolution) ** s.ndim
 
 
 @dataclass(frozen=True)
@@ -249,10 +278,11 @@ class VectorSignal:
 
 
 def inner_product(f: GridSignal, g: GridSignal) -> complex:
-    """sum_i f_i * conj(g_i) * 2**-L; conjugation is on the second slot."""
-    if f.resolution != g.resolution:
+    """sum over cells of f * conj(g) * cell measure, for two line or two
+    plane signals; conjugation is on the second slot."""
+    if f.ndim != g.ndim or f.resolution != g.resolution:
         raise ValueError("resolution mismatch in inner product")
-    return complex(np.sum(f.values * np.conj(g.values)) * cell_width(f.resolution))
+    return complex(np.sum(f.values * np.conj(g.values)) * cell_width(f.resolution) ** f.ndim)
 
 
 def lp_norm(values, p: float, resolution: int) -> float:

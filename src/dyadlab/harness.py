@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import MAX_RESOLUTION, GridSet, GridSignal, VectorSignal, lp_norm
+from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, lp_norm
 from .maximal import ScaleChoice, verify_vector_maximal
-from .plane import Grid2D, GridSet2D
 from .principle import (
     LinearOperator,
     OperatorFamily,

@@ -12,8 +12,7 @@ import csv
 
 import numpy as np
 
-from .grid import GridSet, GridSignal
-from .plane import Grid2D
+from .grid import Grid2D, GridSet, GridSignal
 from .tiles import BiTile, ChoiceFunction, TileCollection
 
 
@@ -165,10 +164,10 @@ def write_grid2d(path, f: Grid2D) -> None:
 
 def read_grid2d(path) -> Grid2D:
     rows = _open_rows(path, ["row", "col", "re", "im"])
-    count = len(rows)
-    side = int(round(count**0.5))
-    if side * side != count or side & (side - 1):
-        raise ValueError(f"{path}: row count {count} is not a square power of two")
+    resolution, odd = divmod(_resolution_for(len(rows), path), 2)
+    if odd:
+        raise ValueError(f"{path}: row count {len(rows)} is not a square power of two")
+    side = 1 << resolution
     values = np.zeros((side, side), dtype=np.complex128)
     seen = np.zeros((side, side), dtype=bool)
     for number, row in enumerate(rows, start=1):
@@ -180,7 +179,7 @@ def read_grid2d(path) -> Grid2D:
         _claim_index(path, number, cell, seen)
         _claim_finite(path, number, value)
         values[cell] = value
-    return Grid2D(side.bit_length() - 1, values)
+    return Grid2D(resolution, values)
 
 
 def write_directions(path, directions) -> None:

@@ -1,6 +1,6 @@
-"""Dyadic maximal function, its stopping-scale linearization, and the
-interval size/mass counting machinery behind the vector-valued maximal
-inequality.
+"""Dyadic maximal function, its stopping-scale linearization, the interval
+size/mass counting machinery behind the vector-valued maximal inequality,
+and the size/mass bucket loop that tile and rectangle decompositions share.
 
 The grid makes every statement exact: level sets of the dyadic maximal
 function are disjoint unions of dyadic intervals, the weak (1,1) bound holds
@@ -22,6 +22,7 @@ from .grid import (
     all_intervals,
     bundle_norm,
     check_resolution,
+    lp_norm,
     measure,
     vector_lq_norm,
 )
@@ -198,6 +199,82 @@ def next_class(value: float, prev: int | None) -> int:
     guarantees it for positive values; a zero value takes the next slot)."""
     n = dyadic_class(value) if value > 0 else (0 if prev is None else prev + 1)
     return n if prev is None else max(n, prev + 1)
+
+
+@dataclass
+class ForestBucket:
+    """The trees split off in one round of a size and mass decomposition,
+    with their certified caps size <= 2**-n and mass <= 2**-m."""
+
+    n: int
+    m: int
+    trees: list
+    size_cap: float
+    mass_cap: float
+    tops_measure: float
+    count_ratio: float
+
+
+@dataclass
+class Decomposition:
+    buckets: dict[tuple[int, int], ForestBucket]
+    remainder: object
+
+    def covered(self) -> set:
+        out: set = set()
+        for bucket in self.buckets.values():
+            for tree in bucket.trees:
+                out |= tree.members
+        return out
+
+
+def bucket_decompose(
+    collection, f: GridSignal, e: GridSet, size, mass, split_size, split_mass
+) -> Decomposition:
+    """Iterate the size and mass splittings into (n, m) buckets of trees with
+    certified caps size <= 2**-n and mass <= 2**-m, for tiles on the line and
+    rectangles in the plane alike.
+
+    `size(c)` and `mass(c)` measure a collection; `split_size(c, thr)` and
+    `split_mass(c, thr)` return the remainder, whose size (mass) is at most
+    thr, and the list of trees split off. Members with exactly zero size and
+    mass can never be selected and are returned as the remainder. Per bucket
+    the counting ratio sum |top| / min(2**(2n) ||f||_2^2, 2**m |e|) is
+    recorded, with |top| the trees' `top_measure`.
+    """
+    current = collection
+    buckets: dict[tuple[int, int], ForestBucket] = {}
+    norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
+    e_measure = measure(e)
+    n_prev: int | None = None
+    m_prev: int | None = None
+
+    while len(current):
+        sigma, mu = size(current), mass(current)
+        if sigma == 0.0 and mu == 0.0:
+            break
+        n, m = next_class(sigma, n_prev), next_class(mu, m_prev)
+        trees = []
+        if sigma > 0:
+            current, forest = split_size(current, 2.0 ** -(n + 1))
+            trees.extend(forest)
+        if mu > 0:
+            current, forest = split_mass(current, 2.0 ** -(m + 1))
+            trees.extend(forest)
+        tops_measure = sum(t.top_measure for t in trees)
+        cap = min(2.0 ** (2 * n) * norm_sq, 2.0**m * e_measure)
+        buckets[(n, m)] = ForestBucket(
+            n=n,
+            m=m,
+            trees=trees,
+            size_cap=2.0**-n,
+            mass_cap=2.0**-m,
+            tops_measure=tops_measure,
+            count_ratio=tops_measure / cap if cap > 0 else math.inf,
+        )
+        n_prev, m_prev = n, m
+
+    return Decomposition(buckets=buckets, remainder=current)
 
 
 def _maximal_members(intervals: list[DyadicInterval]) -> list[DyadicInterval]:

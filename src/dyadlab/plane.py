@@ -1,101 +1,15 @@
-"""Two-dimensional substrate: square grids on [0,1)^2, dyadic rectangles,
-and the strong maximal function.
-
-Cell (ix, iy) covers [ix 2**-L, (ix+1) 2**-L) x [iy 2**-L, (iy+1) 2**-L);
-the cell area 4**-L weights all integrals.
+"""Two-dimensional substrate: dyadic rectangles, rectangle averages and the
+strong maximal function on the square grids `Grid2D` and `GridSet2D` of
+[0,1)^2, whose cell area 4**-L weights all integrals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicInterval, check_resolution
-
-
-def cell_area(resolution: int) -> float:
-    return 4.0 ** -resolution
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    """Complex-valued function on the 2**L x 2**L cells of the unit square."""
-
-    resolution: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        check_resolution(self.resolution)
-        values = np.asarray(self.values, dtype=np.complex128)
-        n = 1 << self.resolution
-        if values.shape != (n, n):
-            raise ValueError(f"expected ({n}, {n}) values, got shape {values.shape}")
-        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zeros(cls, resolution: int) -> "Grid2D":
-        n = 1 << resolution
-        return cls(resolution, np.zeros((n, n), dtype=np.complex128))
-
-    @classmethod
-    def constant(cls, resolution: int, value=1.0) -> "Grid2D":
-        n = 1 << resolution
-        return cls(resolution, np.full((n, n), value, dtype=np.complex128))
-
-
-@dataclass(frozen=True)
-class GridSet2D:
-    """Boolean mask over the square grid."""
-
-    resolution: int
-    mask: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        check_resolution(self.resolution)
-        mask = np.asarray(self.mask, dtype=bool)
-        n = 1 << self.resolution
-        if mask.shape != (n, n):
-            raise ValueError(f"expected ({n}, {n}) mask, got shape {mask.shape}")
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def empty(cls, resolution: int) -> "GridSet2D":
-        n = 1 << resolution
-        return cls(resolution, np.zeros((n, n), dtype=bool))
-
-    @classmethod
-    def full(cls, resolution: int) -> "GridSet2D":
-        n = 1 << resolution
-        return cls(resolution, np.ones((n, n), dtype=bool))
-
-    def _check_mate(self, other: "GridSet2D"):
-        if self.resolution != other.resolution:
-            raise ValueError("resolution mismatch between plane sets")
-
-    def __and__(self, other):
-        self._check_mate(other)
-        return GridSet2D(self.resolution, self.mask & other.mask)
-
-    def __or__(self, other):
-        self._check_mate(other)
-        return GridSet2D(self.resolution, self.mask | other.mask)
-
-    def __sub__(self, other):
-        self._check_mate(other)
-        return GridSet2D(self.resolution, self.mask & ~other.mask)
-
-
-def measure2(s: GridSet2D) -> float:
-    return int(np.count_nonzero(s.mask)) * cell_area(s.resolution)
-
-
-def inner2(f: Grid2D, g: Grid2D) -> complex:
-    if f.resolution != g.resolution:
-        raise ValueError("resolution mismatch")
-    return complex(np.sum(f.values * np.conj(g.values)) * cell_area(f.resolution))
+from .grid import DyadicInterval, Grid2D, GridSet2D, cell_width, measure
 
 
 @dataclass(frozen=True, order=True)
@@ -169,7 +83,7 @@ def rectangle_level_set(marker: GridSet2D, threshold: float, strict: bool = True
 def exceptional_complement_2d(base: GridSet2D, marker: GridSet2D, threshold: float) -> GridSet2D:
     """base minus the union of dyadic rectangles with marker density strictly
     above the threshold; thresholds at or above 1 remove nothing."""
-    if measure2(marker) == 0.0 or threshold >= 1.0:
+    if measure(marker) == 0.0 or threshold >= 1.0:
         return base
     return base - rectangle_level_set(marker, threshold, strict=True)
 
@@ -183,10 +97,10 @@ def certified_rectangle_threshold(base: GridSet2D, marker: GridSet2D, eps: float
     """
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    base_measure = measure2(base)
+    base_measure = measure(base)
     if base_measure <= 0:
         raise ValueError("base set must have positive measure")
     p = 1.0 / (1.0 - eps)
     field_vals = strong_maximal(Grid2D(marker.resolution, marker.mask.astype(np.complex128)))
-    integral = float(np.sum(field_vals.values.real**p) * cell_area(marker.resolution))
+    integral = float(np.sum(field_vals.values.real**p) * cell_width(marker.resolution) ** 2)
     return (2.0 * integral / base_measure) ** (1.0 / p)

@@ -26,7 +26,7 @@ from .grid import (
     lp_norm,
     measure,
 )
-from .maximal import dyadic_maximal, next_class
+from .maximal import Decomposition, bucket_decompose, dyadic_maximal
 from .reports import RatioReport
 from .walsh import (
     bit_reversal,
@@ -459,7 +459,7 @@ class Tree:
                 raise ValueError(f"top frequency misses member {p}")
 
     @property
-    def top_length(self) -> float:
+    def top_measure(self) -> float:
         return self.top_interval.length
 
 
@@ -556,6 +556,11 @@ def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunc
     """Per scale k, the array over [offset, freq_index] of
     |E ∩ {N in freq(P)} ∩ I_P| / |I_P| at members P, zero elsewhere."""
     L = collection.resolution
+    if not e.resolution == choice.resolution == L:
+        raise ValueError(
+            f"resolution mismatch: set at L={e.resolution} and choice at "
+            f"L={choice.resolution} against a collection at L={L}"
+        )
     cells = np.arange(1 << L)
     out = []
     for k, mask in enumerate(collection.masks):
@@ -692,30 +697,6 @@ def mass_decompose(
     return TileCollection(collection.resolution, current, collection.convex), forest, stats
 
 
-@dataclass
-class ForestBucket:
-    n: int
-    m: int
-    trees: list[Tree]
-    size_cap: float
-    mass_cap: float
-    tops_length: float
-    count_ratio: float
-
-
-@dataclass
-class Decomposition:
-    buckets: dict[tuple[int, int], ForestBucket]
-    remainder: TileCollection
-
-    def covered(self) -> set[BiTile]:
-        out: set[BiTile] = set()
-        for bucket in self.buckets.values():
-            for tree in bucket.trees:
-                out |= tree.members
-        return out
-
-
 def full_decompose(
     collection: TileCollection,
     f: GridSignal,
@@ -723,47 +704,18 @@ def full_decompose(
     choice: ChoiceFunction,
 ) -> Decomposition:
     """Iterate the size and mass splittings into (n, m) buckets of trees with
-    certified caps size <= 2**-n and mass <= 2**-m.
-
-    Bi-tiles with exactly zero size and mass can never be selected (they
-    contribute nothing to any pairing) and are returned as the remainder.
-    Per bucket the counting ratio sum |I_T| / min(2**(2n) ||f||_2^2, 2**m |E|)
-    is recorded.
-    """
-    current = collection
-    buckets: dict[tuple[int, int], ForestBucket] = {}
-    norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
-    e_measure = measure(e)
-    n_prev: int | None = None
-    m_prev: int | None = None
-
-    while len(current):
-        sigma = size(current, f)
-        mu = mass(current, e, choice)
-        if sigma == 0.0 and mu == 0.0:
-            break
-        n, m = next_class(sigma, n_prev), next_class(mu, m_prev)
-        trees: list[Tree] = []
-        if sigma > 0:
-            current, forest, _ = size_decompose(current, f, threshold=2.0 ** -(n + 1))
-            trees.extend(forest)
-        if mu > 0:
-            current, forest, _ = mass_decompose(current, e, choice, threshold=2.0 ** -(m + 1))
-            trees.extend(forest)
-        tops_length = sum(t.top_length for t in trees)
-        cap = min(2.0 ** (2 * n) * norm_sq, 2.0**m * e_measure)
-        buckets[(n, m)] = ForestBucket(
-            n=n,
-            m=m,
-            trees=trees,
-            size_cap=2.0**-n,
-            mass_cap=2.0**-m,
-            tops_length=tops_length,
-            count_ratio=tops_length / cap if cap > 0 else math.inf,
-        )
-        n_prev, m_prev = n, m
-
-    return Decomposition(buckets=buckets, remainder=current)
+    certified caps size <= 2**-n and mass <= 2**-m, by `bucket_decompose`;
+    bi-tiles with zero size and mass contribute nothing to any pairing and
+    are the remainder."""
+    return bucket_decompose(
+        collection,
+        f,
+        e,
+        size=lambda c: size(c, f),
+        mass=lambda c: mass(c, e, choice),
+        split_size=lambda c, thr: size_decompose(c, f, threshold=thr)[:2],
+        split_mass=lambda c, thr: mass_decompose(c, e, choice, threshold=thr)[:2],
+    )
 
 
 def tree_estimate(
@@ -785,5 +737,5 @@ def tree_estimate(
         lhs += abs(coeffs[p]) * abs(pairing)
     tree_size = size(as_collection, f)
     tree_mass = mass(as_collection, e, choice)
-    rhs = tree.top_length * tree_size * tree_mass
-    return RatioReport.from_sides(lhs, rhs, size=tree_size, mass=tree_mass, top_length=tree.top_length)
+    rhs = tree.top_measure * tree_size * tree_mass
+    return RatioReport.from_sides(lhs, rhs, size=tree_size, mass=tree_mass, top_length=tree.top_measure)

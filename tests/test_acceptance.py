@@ -1,10 +1,12 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one pass/fail line (visible with `pytest tests/test_acceptance.py -s`)."""
 
+import functools
 import math
 import time
 
 import numpy as np
+import pytest
 
 from dyadlab.grid import (
     DyadicInterval,
@@ -200,7 +202,9 @@ def random_tile_tree(rng, resolution):
             return Tree(top, xi, frozenset(keep))
 
 
-def random_rect_tree(rng, resolution):
+def old_random_rect_tree(rng, resolution):
+    """Reference sampler: one `DyadicRectangle.contains` test per rectangle
+    at the scale, and one draw per contained rectangle in `.rects` order."""
     from dyadlab.biparam import RectCollection, RectTree
     from dyadlab.plane import DyadicRectangle
 
@@ -218,6 +222,50 @@ def random_rect_tree(rng, resolution):
         ]
         if members:
             return RectTree(top, frozenset(members))
+
+
+@functools.lru_cache(maxsize=None)
+def rect_listing(resolution, vscale):
+    """Every rectangle at the vertical scale in `.rects` order, with its
+    (kx, nx, ny) as integer arrays."""
+    from dyadlab.biparam import RectCollection
+
+    rects = list(RectCollection.all_at_scale(resolution, vscale).rects)
+    coords = np.array(
+        [(r.horizontal.scale, r.horizontal.offset, r.vertical.offset) for r in rects]
+    )
+    return rects, coords[:, 0], coords[:, 1], coords[:, 2]
+
+
+def random_rect_tree(rng, resolution):
+    """`old_random_rect_tree` with the containment test on integer arrays:
+    the same draws in the same order, so the same trees and generator state."""
+    from dyadlab.biparam import RectTree
+    from dyadlab.plane import DyadicRectangle
+
+    while True:
+        vscale = int(rng.integers(0, resolution))
+        kx = int(rng.integers(0, resolution))
+        nx = int(rng.integers(0, 1 << kx))
+        ny = int(rng.integers(0, 1 << vscale))
+        rects, kxs, nxs, nys = rect_listing(resolution, vscale)
+        inside = (kxs >= kx) & ((nxs >> np.maximum(kxs - kx, 0)) == nx) & (nys == ny)
+        contained = np.flatnonzero(inside)
+        draws = rng.random(contained.size)
+        members = [rects[i] for i in contained[draws < 0.7]]
+        if members:
+            top = DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny))
+            return RectTree(top, frozenset(members))
+
+
+@pytest.mark.parametrize("resolution", [6, 8])
+def test_rect_tree_sampler_matches_reference(resolution):
+    fast, slow = np.random.default_rng(1004), np.random.default_rng(1004)
+    for _ in range(60):
+        tree, expected = random_rect_tree(fast, resolution), old_random_rect_tree(slow, resolution)
+        assert tree.top == expected.top
+        assert list(tree.members) == list(expected.members)
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_criterion_4_tree_estimates():

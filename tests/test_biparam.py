@@ -20,18 +20,14 @@ from dyadlab.biparam import (
     verify_biparam,
     vertical_band_project,
 )
-from dyadlab.grid import DyadicInterval, lp_norm
+from dyadlab.grid import DyadicInterval, Grid2D, GridSet2D, inner_product, lp_norm, measure
 from dyadlab.harness import random_grid2d, random_set2d
 from dyadlab.principle import LinearOperator
 from dyadlab.plane import (
     DyadicRectangle,
-    Grid2D,
-    GridSet2D,
     all_rectangles,
     certified_rectangle_threshold,
     exceptional_complement_2d,
-    inner2,
-    measure2,
     rectangle_level_set,
     strong_maximal,
 )
@@ -279,7 +275,7 @@ class TestTensorPackets:
                 for ky in range(resolution):
                     for ny in range(1 << ky):
                         packets.append(tensor_packet(rect(kx, nx, ky, ny), resolution))
-        gram = np.array([[inner2(a, b) for b in packets] for a in packets])
+        gram = np.array([[inner_product(a, b) for b in packets] for a in packets])
         assert np.allclose(gram, np.eye(len(packets)), atol=1e-12)
 
     def test_coefficients_match_inner_products(self):
@@ -291,7 +287,7 @@ class TestTensorPackets:
                 coef = haar_coefficients(f, kx, ky)
                 for nx in range(1 << kx):
                     for ny in range(1 << ky):
-                        direct = inner2(f, tensor_packet(rect(kx, nx, ky, ny), resolution))
+                        direct = inner_product(f, tensor_packet(rect(kx, nx, ky, ny), resolution))
                         assert coef[nx, ny] == pytest.approx(direct, abs=1e-13)
 
 
@@ -381,7 +377,7 @@ class TestFixedScalePlan:
         h = GridSet2D.full(L)
         g = random_set2d(rng, L, 0.25)
         h_prime = exceptional_complement_2d(h, g, certified_rectangle_threshold(h, g, eps))
-        assert 0 < measure2(h_prime) < 1
+        assert 0 < measure(h_prime) < 1
         results = []
         real = biparam.power_iteration
 
@@ -408,7 +404,7 @@ class TestExceptionalSet2D:
     def test_empty_marker(self):
         base = GridSet2D.full(3)
         marker = GridSet2D.empty(3)
-        assert measure2(exceptional_complement_2d(base, marker, 0.5)) == 1.0
+        assert measure(exceptional_complement_2d(base, marker, 0.5)) == 1.0
 
     def test_pinned_small_instance(self):
         # marker on one full row at L=3; rectangle enumeration oracle
@@ -439,7 +435,7 @@ class TestExceptionalSet2D:
             marker = random_set2d(rng, 4, 0.2)
             threshold = certified_rectangle_threshold(base, marker, 0.1)
             kept = exceptional_complement_2d(base, marker, threshold)
-            assert measure2(kept) >= 0.5 * measure2(base)
+            assert measure(kept) >= 0.5 * measure(base)
 
 
 class TestRectCombinatorics:
@@ -625,15 +621,15 @@ class TestRectCombinatorics:
         f2 = random_set2d(rng, resolution, 0.4)
         decomposition = rect_full_decompose(collection, f, h_prime, e2, f2)
         covered = set()
-        for (n, m), trees in decomposition.buckets.items():
+        for bucket in decomposition.buckets.values():
+            trees = bucket.trees
             union = set().union(*(t.members for t in trees)) if trees else set()
             assert not covered & union
             covered |= union
             if union:
                 sub = RectCollection.from_rects(resolution, 1, frozenset(union))
-                size_cap, mass_cap = decomposition.caps[(n, m)]
-                assert rect_size(sub, f, h_prime) <= size_cap * (1 + 1e-12)
-                assert rect_mass(sub, e2, f2) <= mass_cap * (1 + 1e-12)
+                assert rect_size(sub, f, h_prime) <= bucket.size_cap * (1 + 1e-12)
+                assert rect_mass(sub, e2, f2) <= bucket.mass_cap * (1 + 1e-12)
         assert covered | set(decomposition.remainder.rects) == set(collection.rects)
 
     def test_decomposition_preserves_convexity(self):
@@ -646,8 +642,8 @@ class TestRectCombinatorics:
         f2 = random_set2d(rng, resolution, 0.4)
         decomposition = rect_full_decompose(collection, f, h_prime, e2, f2)
         assert rect_is_convex(decomposition.remainder.rects)
-        for trees in decomposition.buckets.values():
-            for tree in trees:
+        for bucket in decomposition.buckets.values():
+            for tree in bucket.trees:
                 assert rect_is_convex(tree.members)
 
 
@@ -677,7 +673,7 @@ class TestPipeline:
         h = GridSet2D.full(L)
         g = random_set2d(rng, L, 0.25)
         h_prime = exceptional_complement_2d(h, g, certified_rectangle_threshold(h, g, eps))
-        assert 0 < measure2(h_prime) < 1
+        assert 0 < measure(h_prime) < 1
         captured = []
         real = biparam.power_iteration
 

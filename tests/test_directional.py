@@ -22,10 +22,18 @@ from dyadlab.directional import (
     verify_weighted_directional,
     weighted_hilbert_ratio,
 )
-from dyadlab.grid import GridSignal, all_intervals, bundle_norm, lp_norm, stack_slices
+from dyadlab.grid import (
+    Grid2D,
+    GridSet2D,
+    GridSignal,
+    all_intervals,
+    bundle_norm,
+    lp_norm,
+    measure,
+    stack_slices,
+)
 from dyadlab.harness import random_signal
 from dyadlab.maximal import dyadic_maximal
-from dyadlab.plane import Grid2D, GridSet2D, measure2
 from dyadlab.principle import LinearOperator
 from test_principle import assert_same_result, old_power_iteration
 
@@ -69,7 +77,7 @@ def localization_sets(resolution, dirs, seed):
         g_mask[0, 0] = True
     g = GridSet2D(resolution, g_mask)
     h = GridSet2D.full(resolution)
-    ratio = measure2(g) / measure2(h)
+    ratio = measure(g) / measure(h)
     h_prime, _ = directional_level_complement(h, g, averager, math.sqrt(ratio) * norm_l2)
     return g, h_prime
 
@@ -529,7 +537,6 @@ class TestEquivalenceAndTheorems:
         # a marker covering most of the base: the exceptional threshold must
         # climb past one (removing nothing) rather than carve out the marker
         from dyadlab.directional import directional_level_complement
-        from dyadlab.plane import GridSet2D, measure2
 
         resolution, n = 3, 8
         mask = np.ones((n, n), dtype=bool)
@@ -538,4 +545,4 @@ class TestEquivalenceAndTheorems:
         h = GridSet2D.full(resolution)
         averager = DirectionalAverager(resolution, DirectionSet.uniform(2))
         kept, c = directional_level_complement(h, g, averager, 0.9)
-        assert measure2(kept) >= 0.5 * measure2(h)
+        assert measure(kept) >= 0.5 * measure(h)

@@ -6,7 +6,8 @@ under `tests/golden/`.  The CLI cases are the `report.json` files that
 `dyadlab verify` and `dyadlab estimate-22` write, and the forest CSV that
 `dyadlab decompose` writes for fixed input files; the library cases keep the
 whole `extra` dict of the plane pipelines, which the CLI reports reduce to a
-maximum.
+maximum, and the buckets of the rectangle decomposition and of the
+restricted pairing, which no CLI report shows.
 
 A golden is only meaningful on the numpy it was recorded with (FFT and
 reduction kernels may round differently elsewhere), so `recorded_with.json`
@@ -110,11 +111,72 @@ def _biparam() -> dict:
     return verify_biparam(fams, p=3.0, eps=0.45, seed=7, g=g).to_dict()
 
 
+def _rect_decompose() -> dict:
+    """`rect_full_decompose` at L=4 for every vertical scale, for a random
+    signal and for the indicator of a sparse set (whose zero coefficients
+    leave a remainder): per bucket the key, the tops (kx, nx, ny), the member
+    counts, the count ratio and both caps, and the remainder size."""
+    from dyadlab.biparam import RectCollection, rect_full_decompose
+    from dyadlab.grid import Grid2D
+    from dyadlab.harness import random_grid2d, random_set2d
+
+    rng = np.random.default_rng(64)
+    f = random_grid2d(rng, 4)
+    sets = [random_set2d(rng, 4, density) for density in (0.7, 0.4, 0.5)]
+    rng = np.random.default_rng(65)
+    e_set, *sparse_sets = (random_set2d(rng, 4, d) for d in (0.05, 0.5, 0.1, 0.3))
+    out = {}
+    for name, signal, (h_prime, f_set, g_set) in (
+        ("signal", f, sets),
+        ("indicator", Grid2D(4, e_set.mask), sparse_sets),
+    ):
+        for j in range(4):
+            collection = RectCollection.all_at_scale(4, j).restrict_to_meeting(h_prime)
+            decomposition = rect_full_decompose(collection, signal, h_prime, f_set, g_set)
+            buckets = []
+            for (n, m), bucket in decomposition.buckets.items():
+                buckets.append({
+                    "key": [n, m],
+                    "tops": [
+                        [t.top.horizontal.scale, t.top.horizontal.offset, t.top.vertical.offset]
+                        for t in bucket.trees
+                    ],
+                    "members": [len(t.members) for t in bucket.trees],
+                    "count_ratio": repr(bucket.count_ratio),
+                    "size_cap": repr(bucket.size_cap),
+                    "mass_cap": repr(bucket.mass_cap),
+                })
+            out[f"{name} vscale {j}"] = {
+                "buckets": buckets,
+                "remainder": len(decomposition.remainder),
+            }
+    return out
+
+
+def _restricted_pairing() -> dict:
+    """`restricted_pairing` at L=5 with every bi-tile, a carved H' and a
+    random choice; its buckets come from `full_decompose`."""
+    from dyadlab.carleson import RestrictedOp, carve_h, restricted_pairing
+    from dyadlab.grid import GridSet, GridSignal
+    from dyadlab.harness import random_choice, random_grid_set
+    from dyadlab.tiles import TileCollection
+
+    rng = np.random.default_rng(72)
+    e_set, f_set, g_set = (random_grid_set(rng, 5) for _ in range(3))
+    h_prime = carve_h(GridSet.full(5), g_set, 4.0)
+    op = RestrictedOp(g_set, h_prime, random_choice(rng, 5), TileCollection.all(5))
+    f = GridSignal.indicator(5, e_set)
+    g = GridSignal.indicator(5, f_set)
+    return restricted_pairing(f, g, e_set, f_set, op, t=2.5).to_dict()
+
+
 LIBRARY_CASES = {
     "lib-directional": lambda: _directional(4),
     "lib-directional-L5": lambda: _directional(5),
     "lib-weighted-directional": _weighted_directional,
     "lib-biparam": _biparam,
+    "lib-rect-decompose": _rect_decompose,
+    "lib-restricted-pairing": _restricted_pairing,
     "decompose": _decompose_csv,
 }
 TEXT_CASES = {"decompose"}

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from dyadlab.grid import (
     DyadicInterval,
+    Grid2D,
     GridSet,
+    GridSet2D,
     GridSignal,
     VectorSignal,
     all_intervals,
@@ -89,6 +91,21 @@ class TestMeasure:
         b = GridSet(resolution, mask & ~part)
         assert measure(a) + measure(b) == measure(GridSet(resolution, mask))
 
+    @pytest.mark.parametrize("resolution", range(8))
+    def test_plane_bit_identical_to_cell_area(self, resolution):
+        # the plane measure and inner product that measure and inner_product
+        # replace, with the cell area 4**-L
+        rng = np.random.default_rng(resolution)
+        n = 1 << resolution
+        mask = rng.random((n, n)) < 0.4
+        assert measure(GridSet2D(resolution, mask)) == np.count_nonzero(mask) * 4.0**-resolution
+        f, g = (
+            Grid2D(resolution, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for _ in range(2)
+        )
+        expected = complex(np.sum(f.values * np.conj(g.values)) * 4.0**-resolution)
+        assert inner_product(f, g) == expected
+
 
 class TestInnerProduct:
     def test_constants(self):
@@ -108,6 +125,13 @@ class TestInnerProduct:
     def test_resolution_mismatch(self):
         with pytest.raises(ValueError):
             inner_product(GridSignal.constant(2, 1.0), GridSignal.constant(3, 1.0))
+        with pytest.raises(ValueError):
+            inner_product(Grid2D.constant(2, 1.0), Grid2D.constant(3, 1.0))
+
+    def test_line_against_plane_rejected(self):
+        # 4 line cells would broadcast against 4 x 4 plane cells
+        with pytest.raises(ValueError):
+            inner_product(GridSignal.constant(2, 1.0), Grid2D.constant(2, 1.0))
 
     def test_conjugates_second_slot(self):
         f = GridSignal.constant(2, 1j)
@@ -240,3 +264,41 @@ class TestValidation:
         assert measure(a | b) == 0.5
         assert measure(a - b) == 0.25
         assert measure(~a) == 0.5
+
+    def test_line_and_plane_shapes_rejected(self):
+        for grid in (GridSignal, GridSet):
+            with pytest.raises(ValueError, match="shaped"):
+                grid(2, np.zeros((4, 4)))
+        for grid in (Grid2D, GridSet2D):
+            with pytest.raises(ValueError, match="shaped"):
+                grid(2, np.zeros(4))
+            with pytest.raises(ValueError, match="shaped"):
+                grid(2, np.zeros((4, 8)))
+            with pytest.raises(ValueError, match="resolution"):
+                grid(13, np.zeros((1, 1)))
+
+    def test_plane_signal_finite(self):
+        for bad in (np.inf, 1j * np.nan):
+            values = np.zeros((4, 4), dtype=complex)
+            values[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Grid2D(2, values)
+
+    def test_plane_constructors(self):
+        assert np.array_equal(Grid2D.zeros(2).values, np.zeros((4, 4)))
+        assert np.array_equal(Grid2D.constant(2, 3.0).values, np.full((4, 4), 3.0))
+        assert measure(GridSet2D.empty(2)) == 0.0 and measure(GridSet2D.full(2)) == 1.0
+        ones = GridSet2D.full(2).indicator()
+        assert type(ones) is Grid2D and np.array_equal(ones.values, np.ones((4, 4)))
+
+    def test_plane_set_ops(self):
+        a = GridSet2D(2, np.arange(16).reshape(4, 4) < 8)
+        b = GridSet2D(2, np.arange(16).reshape(4, 4) % 4 == 0)
+        for result, expected in ((a & b, 0.125), (a | b, 0.625), (a - b, 0.375), (~a, 0.5)):
+            assert type(result) is GridSet2D and measure(result) == expected
+        with pytest.raises(ValueError):
+            a & GridSet2D.full(3)
+        with pytest.raises(ValueError):
+            GridSet.full(2) | GridSet2D.full(2)
+        with pytest.raises(ValueError):
+            a - GridSet.full(2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dyadlab.cli import build_parser, main
-from dyadlab.grid import GridSignal
+from dyadlab.grid import Grid2D, GridSet, GridSignal
 from dyadlab.harness import (
     ExperimentConfig,
     run,
@@ -27,7 +27,6 @@ from dyadlab.io import (
     write_signal,
     write_tile_collection,
 )
-from dyadlab.plane import Grid2D
 from dyadlab.tiles import ChoiceFunction
 
 
@@ -229,6 +228,16 @@ class TestIOErrors:
         with pytest.raises(ValueError, match="power of two"):
             read_grid_set(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(0, "row count 0 is not a power of two"), (8, "row count 8 is not a square power of two")],
+    )
+    def test_bad_grid2d_row_count_names_file(self, tmp_path, rows, message):
+        path = tmp_path / "plane.csv"
+        path.write_text("row,col,re,im\n" + "".join(f"0,{c},0,0\n" for c in range(rows)))
+        with pytest.raises(ValueError, match=f"plane.csv: {message}"):
+            read_grid2d(path)
+
     def test_tile_out_of_resolution(self, tmp_path):
         path = tmp_path / "tiles.csv"
         path.write_text("k,n,freq_offset\n7,0,0\n")
@@ -405,6 +414,23 @@ class TestCLI:
         code = main(["decompose", str(bad), str(sig), "--resolution", "4", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, write",
+        [
+            ("--set-file", lambda path: write_grid_set(path, GridSet.full(4))),
+            ("--choice-file", lambda path: write_choice(path, ChoiceFunction.constant(4, 1))),
+        ],
+    )
+    def test_decompose_mass_file_at_other_resolution_exits_two(self, tmp_path, capsys, flag, write):
+        # tiles and signal at L=3, the set or choice file at L=4
+        col, sig, other = tmp_path / "col.csv", tmp_path / "sig.csv", tmp_path / "other.csv"
+        write_tile_collection(col, random_convex_collection(np.random.default_rng(7), 3))
+        write_signal(sig, GridSignal.constant(3, 1.0))
+        write(other)
+        argv = ["decompose", str(col), str(sig), "--resolution", "3", flag, str(other)]
+        assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "error: resolution mismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "resolution, tiles, forest",

@@ -589,6 +589,15 @@ class TestSizeAndMass:
         choice = ChoiceFunction(3, freqs)
         assert mass(collection, e, choice) == 0.5
 
+    def test_mass_rejects_set_or_choice_at_other_resolution(self):
+        collection = TileCollection.all(3)
+        for e, choice in (
+            (GridSet.full(4), ChoiceFunction.constant(3, 0)),
+            (GridSet.full(3), ChoiceFunction.constant(4, 0)),
+        ):
+            with pytest.raises(ValueError, match="resolution mismatch"):
+                mass(collection, e, choice)
+
     def test_size_bound_and_mass_bound(self):
         rng = np.random.default_rng(9)
         resolution = 6
