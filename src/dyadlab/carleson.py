@@ -22,10 +22,11 @@ from .grid import (
     bundle_norm,
     cell_width,
     measure,
+    stack_slices,
     vector_lq_norm,
 )
 from .maximal import exceptional_complement
-from .principle import LinearOperator, power_iteration
+from .principle import LinearOperator, PowerIterationResult, power_iterations
 from .reports import BucketStat, DecayReport, LadderPoint, RatioReport, safe_ratio
 from .tiles import (
     BiTile,
@@ -43,13 +44,14 @@ from .walsh import bit_reversal
 @dataclass(frozen=True)
 class RestrictedOp:
     """Model sum localized between two sets: f -> 1_A T(f 1_B).  Its
-    `operator` acts on cell arrays, over the model-sum plan of its (choice,
-    collection) built once."""
+    `operator` acts on cell arrays, over the model-sum `plan` of its
+    (choice, collection) built once."""
 
     a: GridSet
     b: GridSet
     choice: ChoiceFunction
     collection: TileCollection
+    plan: ModelSumPlan = field(init=False, repr=False, compare=False)
     operator: LinearOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,8 +63,12 @@ class RestrictedOp:
         ):
             raise ValueError("restricted operator pieces must share one resolution")
         plan = ModelSumPlan(self.choice, self.collection)
-        model = LinearOperator(plan.apply, plan.adjoint)
-        object.__setattr__(self, "operator", model.localized(self.a.mask, self.b.mask))
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "operator", _localized(plan, self.a, self.b))
+
+
+def _localized(plan: ModelSumPlan, a: GridSet, b: GridSet) -> LinearOperator:
+    return LinearOperator(plan.apply, plan.adjoint).localized(a.mask, b.mask)
 
 
 def carve_h(h: GridSet, g: GridSet, c: float = 4.0) -> GridSet:
@@ -86,11 +92,35 @@ def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
 
 
 def restricted_norm(
-    op: RestrictedOp, iters: int = 200, tol: float = 1e-9, seed: int = 0
-):
-    """L2 -> L2 norm of the restricted operator for its fixed choice
-    function, via power iteration with the exact adjoint."""
-    return power_iteration(op.operator, (1 << op.a.resolution,), iters=iters, tol=tol, seed=seed)
+    ops: list[RestrictedOp], seeds, iters: int = 200, tol: float = 1e-9
+) -> list[PowerIterationResult]:
+    """L2 -> L2 norms of restricted operators that share A and B, each for
+    its fixed choice function, via power iteration with the exact adjoint.
+
+    Operator i starts from seeds[i].  The operators run as stacks over one
+    stacked model-sum plan, rebuilt only when a member stops, so each
+    result is the one a run of that operator alone gives, bit for bit."""
+    ops, seeds = list(ops), list(seeds)
+    if len(seeds) != len(ops):
+        raise ValueError(f"expected one seed per operator, got {len(seeds)} for {len(ops)}")
+    if not ops:
+        return []
+    a, b = ops[0].a, ops[0].b
+    if not all(np.array_equal(op.a.mask, a.mask) and np.array_equal(op.b.mask, b.mask) for op in ops):
+        raise ValueError("restricted operators normed together must share A and B")
+
+    L = a.resolution
+
+    def op_for(plans: list[ModelSumPlan]):
+        return lambda members: _localized(ModelSumPlan.stack(plans[i] for i in members), a, b)
+
+    results: list[PowerIterationResult] = []
+    # the array of one numpy call is the stacked plan's block stack, up to
+    # L rows of 2**L cells per member (and none at L = 0)
+    for s in stack_slices(len(ops), max(L, 1) << L):
+        plans = [op.plan for op in ops[s]]
+        results += power_iterations(op_for(plans), (1 << L,), seeds[s], iters=iters, tol=tol)
+    return results
 
 
 def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
@@ -267,27 +297,41 @@ def norm_decay_point(
     else:
         raise ValueError(f"unknown branch {branch!r}")
     surviving = retain_meeting(collection, keep)
-    winner = None
-    best_choice = None
-    unconverged = 0
     probe = GridSignal(L, rng.standard_normal(1 << L))
-    for idx, choice in enumerate(_choice_family(surviving, L, rng, extra_signal=probe)):
-        op = RestrictedOp(a_set, b_set, choice, surviving)
-        res = restricted_norm(op, iters=iters, seed=seed + idx)
-        unconverged += not res.converged
-        vec = res.top_vector
-        for round_ in range(adversary_rounds):
-            if vec is None:
-                break
-            refit = greedy_choice(GridSignal(L, np.asarray(vec) * b_set.mask), surviving)
-            op = RestrictedOp(a_set, b_set, refit, surviving)
-            res2 = restricted_norm(op, iters=iters, seed=seed + 131 + round_)
-            unconverged += not res2.converged
-            if res2.norm > res.norm:
-                res, choice, vec = res2, refit, res2.top_vector
-            else:
-                break
-        if winner is None or res.norm > winner.norm:
+    family = _choice_family(surviving, L, rng, extra_signal=probe)
+    # chain i: the best (result, choice) so far for family member i, refit
+    # while a round raises its norm; each round runs as one stack
+    results = restricted_norm(
+        [RestrictedOp(a_set, b_set, choice, surviving) for choice in family],
+        [seed + idx for idx in range(len(family))],
+        iters=iters,
+    )
+    chains = list(zip(results, family))
+    unconverged = sum(not res.converged for res in results)
+    active = [i for i, res in enumerate(results) if res.top_vector is not None]
+    for round_ in range(adversary_rounds):
+        if not active:
+            break
+        refits = [
+            greedy_choice(GridSignal(L, chains[i][0].top_vector * b_set.mask), surviving)
+            for i in active
+        ]
+        results = restricted_norm(
+            [RestrictedOp(a_set, b_set, refit, surviving) for refit in refits],
+            [seed + 131 + round_] * len(active),
+            iters=iters,
+        )
+        unconverged += sum(not res.converged for res in results)
+        improving = []
+        for i, refit, res in zip(active, refits, results):
+            if res.norm > chains[i][0].norm:
+                chains[i] = (res, refit)
+                if res.top_vector is not None:
+                    improving.append(i)
+        active = improving
+    winner, best_choice = chains[0]
+    for res, choice in chains[1:]:
+        if res.norm > winner.norm:
             winner, best_choice = res, choice
     return {
         "norm": winner.norm,

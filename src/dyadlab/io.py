@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from .grid import Grid2D, GridSet, GridSignal
+from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSignal
 from .tiles import BiTile, ChoiceFunction, TileCollection
 
 
@@ -28,10 +28,20 @@ def _fail(path, row_number, message):
     raise ValueError(f"{path}: row {row_number}: {message}")
 
 
-def _resolution_for(count: int, path) -> int:
-    resolution = count.bit_length() - 1
-    if count <= 0 or (1 << resolution) != count:
+def _resolution_for(count: int, path, axes: int = 1) -> int:
+    """The resolution L of a file with one row per cell of a grid with
+    `axes` axes, so that count = 2**(axes * L); L above MAX_RESOLUTION is
+    rejected before the values of any row are parsed."""
+    bits = count.bit_length() - 1
+    if count <= 0 or (1 << bits) != count:
         raise ValueError(f"{path}: row count {count} is not a power of two")
+    resolution, odd = divmod(bits, axes)
+    if odd:
+        raise ValueError(f"{path}: row count {count} is not a square power of two")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(
+            f"{path}: row count {count} gives resolution {resolution}, above the maximum {MAX_RESOLUTION}"
+        )
     return resolution
 
 
@@ -164,9 +174,7 @@ def write_grid2d(path, f: Grid2D) -> None:
 
 def read_grid2d(path) -> Grid2D:
     rows = _open_rows(path, ["row", "col", "re", "im"])
-    resolution, odd = divmod(_resolution_for(len(rows), path), 2)
-    if odd:
-        raise ValueError(f"{path}: row count {len(rows)} is not a square power of two")
+    resolution = _resolution_for(len(rows), path, axes=2)
     side = 1 << resolution
     values = np.zeros((side, side), dtype=np.complex128)
     seen = np.zeros((side, side), dtype=bool)

@@ -12,6 +12,7 @@ cell, and tree top frequencies are left endpoints of frequency cells.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -329,32 +330,64 @@ def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
+@functools.cache
+def _block_gather(resolution: int, scale: int) -> np.ndarray:
+    """The gather of walsh_analysis on each block of 2**(L - k) cells of one
+    row: the bit reversal within the block, as read-only cell indices."""
+    L, k = resolution, scale
+    cells = np.arange(1 << L)
+    within = (1 << (L - k)) - 1
+    gather = (cells & ~within) + bit_reversal(L - k)[cells & within]
+    gather.setflags(write=False)
+    return gather
+
+
+@dataclass(frozen=True)
+class _ScaleTerms:
+    """One member's terms at one spatial scale k: the cells it hits, the
+    flat indices n * 2**(L-k) + 2m of their lower-tile coefficients within
+    the scale's row of packet-coefficient blocks, and the upper-packet values
+    2**(k/2) W(x) there."""
+
+    scale: int
+    hit: np.ndarray
+    coef: np.ndarray
+    upper: np.ndarray
+
+
 class ModelSumPlan:
-    """The model sum and its adjoint for one (choice, collection), with
-    everything that depends only on those two computed once, so that each
-    apply is one stacked fast transform, gathers and sums. `apply` and
-    `adjoint` take and return the 2**L cell values as arrays.
+    """The model sum and its adjoint for a stack of (choice, collection)
+    members, with everything that depends only on those computed once, so
+    that each apply is one stacked fast transform, gathers and sums.
+
+    `ModelSumPlan(choice, collection)` is the one-member stack, and
+    `ModelSumPlan.stack(plans)` joins the members of several plans, in
+    order. `apply` and `adjoint` take and return an (m, 2**L) array whose
+    row i holds the cell values of member i; a one-member plan also takes a
+    lone (2**L,) array and returns one.
 
     At scale k, a cell x receives the term of the member P whose upper tile
     holds N(x), if there is one: P sits at offset n = x >> (L - k) and
     frequency index m = N(x) >> (k + 1), and N(x) >> k must be odd. Per
-    scale with at least one such cell the plan keeps one row of a stack of
-    packet-coefficient blocks, shaped (2**k, 2**(L-k)) and flattened, and
-    for the cells it hits: the cells, the flat indices n * 2**(L-k) + 2m of
-    their lower-tile coefficients in the stack, and the upper-packet values
-    2**(k/2) W(x) there. The arithmetic and its order are those of the
-    per-scale evaluation, so outputs are equal bit for bit: every sum starts
-    from zero and adds its terms by ascending scale, and within one scale by
-    ascending cell.
+    member and scale with at least one such cell the plan keeps one row of a
+    stack of packet-coefficient blocks, shaped (2**k, 2**(L-k)) and
+    flattened. The rows run by ascending scale, and within one scale by
+    member, so their blocks are longest first and each stage of the block
+    transform runs on a prefix of the stack. The hit cells, coefficient
+    indices and upper values of every member are concatenated in member
+    order, each member's by ascending scale, and offset by the member's row
+    of cells and the scale's row of the stack. So each member's arithmetic
+    and its order are those of its own per-scale evaluation, and outputs are
+    equal bit for bit: every sum starts from zero and adds its terms by
+    ascending scale, and within one scale by ascending cell.
     """
 
     def __init__(self, choice: ChoiceFunction, collection: TileCollection):
         L = collection.resolution
         if choice.resolution != L:
             raise ValueError("resolution mismatch")
-        self.resolution = L
         cells = np.arange(1 << L)
-        bits, factors, perms, hits, coef_index, norms, uppers = [], [], [], [], [], [], []
+        terms = []
         for k, present in enumerate(collection.masks):
             tile_idx = choice.freqs >> k
             m = tile_idx >> 1
@@ -362,64 +395,99 @@ class ModelSumPlan:
             hit = np.flatnonzero(((tile_idx & 1) == 1) & present[n, m])
             if not hit.size:
                 continue
-            row = len(bits) << L
             within = (1 << (L - k)) - 1
-            factor = 2.0 ** (k / 2.0)
-            bits.append(L - k)
-            factors.append(factor)
-            # bit reversal within each block, the gather of walsh_analysis
-            perms.append((cells & ~within) + bit_reversal(L - k)[cells & within])
-            hits.append(hit)
-            coef_index.append(row + (n[hit] << (L - k)) + 2 * m[hit])
-            norms.append(np.full(hit.size, factor * cell_width(L)))
             # the signs are +-1, so one multiply by factor * sign equals the
             # two multiplies, by the factor and then the sign
-            uppers.append(factor * walsh_values_at(2 * m[hit] + 1, hit & within, L - k))
-        self._bits = tuple(bits)
-        self._perm = _joined(perms, np.int64)
-        self._stack_perm = self._perm + np.repeat(np.arange(len(bits)) << L, 1 << L)
+            upper = 2.0 ** (k / 2.0) * walsh_values_at(2 * m[hit] + 1, hit & within, L - k)
+            terms.append(_ScaleTerms(k, hit, (n[hit] << (L - k)) + 2 * m[hit], upper))
+        self._layout(L, (tuple(terms),))
+
+    @classmethod
+    def stack(cls, plans) -> "ModelSumPlan":
+        """One plan for the members of `plans`, in order, all at one
+        resolution."""
+        plans = list(plans)
+        resolutions = {plan.resolution for plan in plans}
+        if len(resolutions) != 1:
+            raise ValueError("a stacked plan needs at least one plan, all at one resolution")
+        stacked = cls.__new__(cls)
+        stacked._layout(resolutions.pop(), tuple(m for plan in plans for m in plan._members))
+        return stacked
+
+    def _layout(self, resolution: int, members: tuple[tuple[_ScaleTerms, ...], ...]) -> None:
+        L, n = resolution, 1 << resolution
+        self.resolution = L
+        self._members = members
+        rows = sorted((t.scale, i) for i, terms in enumerate(members) for t in terms)
+        row_of = {key: r for r, key in enumerate(rows)}
+        self._bits = tuple(L - k for k, _ in rows)
+        self._perm = _joined([i * n + _block_gather(L, k) for k, i in rows], np.int64)
+        # the adjoint's part j of member i is its j-th scale's row, through
+        # the same gather; a member with fewer scales reads the zero just
+        # past the stack instead (with a factor 0). Adding +0 changes no
+        # value but -0, and a sum that starts at +0 never becomes -0, so
+        # the padding leaves every sum unchanged bit for bit
+        depth = max(len(terms) for terms in members)
+        self._gather = np.full((depth, len(members), n), len(rows) * n)
+        self._factor = np.zeros((depth, len(members), 1))
+        hits, coef_index, norms, uppers = [], [], [], []
+        for i, terms in enumerate(members):
+            for j, t in enumerate(terms):
+                row = row_of[t.scale, i] * n
+                factor = 2.0 ** (t.scale / 2.0)
+                hits.append(i * n + t.hit)
+                coef_index.append(row + t.coef)
+                norms.append(np.full(t.hit.size, factor * cell_width(L)))
+                uppers.append(t.upper)
+                self._gather[j, i] = row + _block_gather(L, t.scale)
+                self._factor[j, i] = factor
         self._hit = _joined(hits, np.int64)
         self._coef_index = _joined(coef_index, np.int64)
         self._norm = _joined(norms, np.float64)
         self._upper = _joined(uppers, np.float64)
-        self._factor = np.array(factors).reshape(-1, 1)
 
-    def _check(self, values: np.ndarray) -> np.ndarray:
+    def _check(self, values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The values as an (m, 2**L) stack, and the shape to return."""
         values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (1 << self.resolution,):
-            raise ValueError(f"expected 2**{self.resolution} cell values, got {values.shape}")
-        return values
+        m, n = len(self._members), 1 << self.resolution
+        if values.shape != (m, n) and (m, values.shape) != (1, (n,)):
+            raise ValueError(
+                f"expected 2**{self.resolution} cell values for each of {m} members, "
+                f"got shape {values.shape}"
+            )
+        return values.reshape(m, n), values.shape
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
-        f = self._check(f)
-        n = f.size
-        # per scale: the packet coefficients of f, up to the normalization
-        # that packet_coefficients applies, here after the gather
-        stack = f[self._perm].reshape(-1, n)
+        f, shape = self._check(f)
+        n = f.shape[1]
+        # per member and scale: the packet coefficients of f, up to the
+        # normalization that packet_coefficients applies, here after the gather
+        stack = f.ravel()[self._perm].reshape(-1, n)
         coef = block_hadamard(stack, self._bits).ravel()[self._coef_index] * self._norm
         terms = coef * self._upper
-        out = np.empty(n, dtype=np.complex128)
-        out.real = np.bincount(self._hit, terms.real, minlength=n)
-        out.imag = np.bincount(self._hit, terms.imag, minlength=n)
-        return out
+        out = np.empty(f.size, dtype=np.complex128)
+        out.real = np.bincount(self._hit, terms.real, minlength=f.size)
+        out.imag = np.bincount(self._hit, terms.imag, minlength=f.size)
+        return out.reshape(shape)
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         """sum over P of <g, psi_P> packet(P1), where psi_P = packet(P2)
         restricted to the choice-function preimage."""
-        g = self._check(g)
-        L, n = self.resolution, g.size
-        terms = g[self._hit] * self._upper * cell_width(L)
-        size = len(self._bits) << L
-        coef = np.empty(size, dtype=np.complex128)
-        coef.real = np.bincount(self._coef_index, terms.real, minlength=size)
-        coef.imag = np.bincount(self._coef_index, terms.imag, minlength=size)
-        stack = block_hadamard(coef.reshape(-1, n), self._bits)
-        parts = stack.ravel()[self._stack_perm].reshape(-1, n) * self._factor
-        out = np.zeros(n, dtype=np.complex128)
+        g, shape = self._check(g)
+        n = g.shape[1]
+        terms = g.ravel()[self._hit] * self._upper * cell_width(self.resolution)
+        size = len(self._bits) * n
+        # one entry past the stack, the zero of the gather's padding
+        coef = np.empty(size + 1, dtype=np.complex128)
+        coef.real = np.bincount(self._coef_index, terms.real, minlength=size + 1)
+        coef.imag = np.bincount(self._coef_index, terms.imag, minlength=size + 1)
+        block_hadamard(coef[:size].reshape(-1, n), self._bits)
+        parts = coef[self._gather] * self._factor
+        out = np.zeros(g.shape, dtype=np.complex128)
         for part in parts:
             out += part
-        return out
+        return out.reshape(shape)
 
 
 def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:

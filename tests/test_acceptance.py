@@ -187,7 +187,10 @@ def test_criterion_3_lemma_postconditions():
     )
 
 
-def random_tile_tree(rng, resolution):
+def old_random_tile_tree(rng, resolution):
+    """Reference sampler: every bi-tile of `all_bitiles` tested with
+    `contains`/`contains_point`, and one draw per compatible bi-tile in that
+    order."""
     while True:
         scale = int(rng.integers(0, resolution))
         top = DyadicInterval(scale, int(rng.integers(0, 1 << scale)))
@@ -200,6 +203,45 @@ def random_tile_tree(rng, resolution):
         keep = [p for p in compatible if rng.random() < 0.6]
         if keep:
             return Tree(top, xi, frozenset(keep))
+
+
+@functools.lru_cache(maxsize=None)
+def bitile_listing(resolution):
+    """Every bi-tile in `all_bitiles` order, with its (scale, offset,
+    freq_index) as integer arrays."""
+    bitiles = all_bitiles(resolution)
+    coords = np.array([(p.scale, p.offset, p.freq_index) for p in bitiles])
+    return bitiles, coords[:, 0], coords[:, 1], coords[:, 2]
+
+
+def random_tile_tree(rng, resolution):
+    """`old_random_tile_tree` with the compatibility test on integer arrays:
+    the same draws in the same order, so the same trees and generator state.
+    A bi-tile is compatible when its spatial interval lies in the top and
+    its frequency interval [q 2**(k+1), (q+1) 2**(k+1)) holds xi."""
+    bitiles, ks, ns, qs = bitile_listing(resolution)
+    while True:
+        scale = int(rng.integers(0, resolution))
+        offset = int(rng.integers(0, 1 << scale))
+        xi = int(rng.integers(0, 1 << resolution))
+        inside = (ks >= scale) & ((ns >> np.maximum(ks - scale, 0)) == offset) & ((xi >> (ks + 1)) == qs)
+        compatible = np.flatnonzero(inside)
+        draws = rng.random(compatible.size)
+        keep = [bitiles[i] for i in compatible[draws < 0.6]]
+        if keep:
+            return Tree(DyadicInterval(scale, offset), xi, frozenset(keep))
+
+
+@pytest.mark.parametrize("resolution", [6, 8])
+def test_tile_tree_sampler_matches_reference(resolution):
+    # the samplers consume the same draws from any generator state, so
+    # criterion 4's seed-1004 trees are unchanged
+    fast, slow = np.random.default_rng(1004), np.random.default_rng(1004)
+    for _ in range(200):
+        tree, expected = random_tile_tree(fast, resolution), old_random_tile_tree(slow, resolution)
+        assert (tree.top_interval, tree.top_freq) == (expected.top_interval, expected.top_freq)
+        assert list(tree.members) == list(expected.members)
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def old_random_rect_tree(rng, resolution):

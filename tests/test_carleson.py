@@ -6,6 +6,7 @@ import pytest
 
 from dyadlab.carleson import (
     RestrictedOp,
+    _choice_family,
     carve_g,
     carve_h,
     collection_caps,
@@ -17,6 +18,7 @@ from dyadlab.carleson import (
     retain_meeting,
     verify_vector_carleson,
 )
+from dyadlab.reports import safe_ratio
 from dyadlab.grid import (
     DyadicInterval,
     GridSet,
@@ -57,6 +59,69 @@ def old_restricted_pair(op: RestrictedOp):
         return adjoint_restricted(GridSignal(L, v)).values
 
     return fwd, adj
+
+
+def old_norm_decay_point(
+    h, g, collection, seed=0, c=4.0, iters=150, adversary_rounds=2, branch="h"
+):
+    """The loop norm_decay_point ran before the choice family and each refit
+    round ran as one stack: one power iteration per choice function, in
+    family order, each chain refit right after its own run."""
+    L = h.resolution
+    rng = np.random.default_rng(seed)
+    if branch == "h":
+        h_prime = carve_h(h, g, c)
+        a_set, b_set, keep = g, h_prime, h_prime
+        ratio = safe_ratio(measure(g), measure(h))
+    else:
+        g_prime = carve_g(g, h, c)
+        a_set, b_set, keep = g_prime, h, g_prime
+        ratio = safe_ratio(measure(h), measure(g))
+    surviving = retain_meeting(collection, keep)
+
+    def alone(choice, seed):
+        op = RestrictedOp(a_set, b_set, choice, surviving)
+        return power_iteration(op.operator, (1 << L,), iters=iters, seed=seed)
+
+    winner = None
+    best_choice = None
+    unconverged = 0
+    probe = GridSignal(L, rng.standard_normal(1 << L))
+    for idx, choice in enumerate(_choice_family(surviving, L, rng, extra_signal=probe)):
+        res = alone(choice, seed + idx)
+        unconverged += not res.converged
+        vec = res.top_vector
+        for round_ in range(adversary_rounds):
+            if vec is None:
+                break
+            refit = greedy_choice(GridSignal(L, np.asarray(vec) * b_set.mask), surviving)
+            res2 = alone(refit, seed + 131 + round_)
+            unconverged += not res2.converged
+            if res2.norm > res.norm:
+                res, choice, vec = res2, refit, res2.top_vector
+            else:
+                break
+        if winner is None or res.norm > winner.norm:
+            winner, best_choice = res, choice
+    return {
+        "norm": winner.norm,
+        "ratio": ratio,
+        "choice": best_choice,
+        "kept": measure(keep),
+        "iterations": winner.iterations,
+        "converged": winner.converged,
+        "unconverged": unconverged,
+    }
+
+
+def assert_same_point(point, expected):
+    assert point.keys() == expected.keys()
+    for key, value in expected.items():
+        if key == "choice":
+            assert point[key].resolution == value.resolution
+            assert np.array_equal(point[key].freqs, value.freqs)
+        else:
+            assert point[key] == value, key
 
 
 class TestRestrictedOperator:
@@ -112,7 +177,7 @@ class TestRestrictedOperator:
                     assert np.array_equal(op.operator.apply(v), fwd(v))
                     assert np.array_equal(op.operator.adjoint(v), adj(v))
                 old = power_iteration(LinearOperator(fwd, adj), (n,), iters=60, seed=5)
-                new = restricted_norm(op, iters=60, seed=5)
+                (new,) = restricted_norm([op], [5], iters=60)
                 assert (new.norm, new.iterations, new.converged) == (old.norm, old.iterations, old.converged)
 
 
@@ -257,15 +322,11 @@ class TestNormDecay:
         collection = TileCollection.all(resolution)
         full = GridSet.full(resolution)
         choice = random_choice(rng, resolution)
-        restricted = restricted_norm(
-            RestrictedOp(full, full, choice, collection), iters=100, seed=1
-        ).norm
+        (restricted,) = restricted_norm([RestrictedOp(full, full, choice, collection)], [1], iters=100)
         h = random_grid_set(rng, resolution)
         h_prime = carve_h(full, h, 4.0)
-        localized = restricted_norm(
-            RestrictedOp(h, h_prime, choice, collection), iters=100, seed=1
-        ).norm
-        assert localized <= restricted * (1 + 1e-9)
+        (localized,) = restricted_norm([RestrictedOp(h, h_prime, choice, collection)], [1], iters=100)
+        assert localized.norm <= restricted.norm * (1 + 1e-9)
 
     def test_monotone_in_localization(self):
         rng = np.random.default_rng(10)
@@ -281,9 +342,9 @@ class TestNormDecay:
                     return RestrictedOp(localized, full, choice, collection)
                 return RestrictedOp(full, localized, choice, collection)
 
-            norm_small = restricted_norm(op(small), iters=400, tol=1e-12, seed=2).norm
-            norm_big = restricted_norm(op(big), iters=400, tol=1e-12, seed=2).norm
-            assert norm_small <= norm_big * (1 + 1e-6)
+            (small_run,) = restricted_norm([op(small)], [2], iters=400, tol=1e-12)
+            (big_run,) = restricted_norm([op(big)], [2], iters=400, tol=1e-12)
+            assert small_run.norm <= big_run.norm * (1 + 1e-6)
 
     def test_greedy_dominates_alternatives_pointwise(self):
         rng = np.random.default_rng(11)
@@ -313,6 +374,68 @@ class TestNormDecay:
         assert len(ladder.ratio_ladder) == 3
         assert math.isfinite(ladder.slope)
         assert ladder.extra["unconverged"] >= 0
+
+    @pytest.mark.parametrize("branch", ["h", "g"])
+    @pytest.mark.parametrize("resolution", range(3, 7))
+    def test_point_equals_sequential_loop(self, resolution, branch):
+        rng = np.random.default_rng(30 + resolution)
+        n = 1 << resolution
+        full = GridSet.full(resolution)
+        collections = (TileCollection.all(resolution), random_convex_collection(rng, resolution))
+        for seed in range(3):
+            for collection in collections:
+                small = GridSet(resolution, rng.random(n) < 2.0 ** -(seed + 1))
+                if branch == "h":
+                    h, g = full, small
+                else:
+                    h, g = small, full
+                for iters in (150, 12):
+                    point = norm_decay_point(h, g, collection, seed=seed, iters=iters, branch=branch)
+                    expected = old_norm_decay_point(h, g, collection, seed=seed, iters=iters, branch=branch)
+                    assert_same_point(point, expected)
+
+    @pytest.mark.parametrize("branch", ["h", "g"])
+    def test_point_without_surviving_tiles(self, branch):
+        resolution = 4
+        h = GridSet.full(resolution)
+        g = GridSet.from_interval(resolution, DyadicInterval(2, 1))
+        empty = TileCollection.from_bitiles(resolution, [])
+        point = norm_decay_point(h, g, empty, seed=2, branch=branch)
+        assert_same_point(point, old_norm_decay_point(h, g, empty, seed=2, branch=branch))
+        assert (point["norm"], point["iterations"], point["converged"], point["unconverged"]) == (0.0, 1, True, 0)
+
+    @pytest.mark.parametrize("resolution", [0, 1, 2])
+    def test_small_point_equals_sequential_loop(self, resolution):
+        collection = TileCollection.all(resolution)
+        full = GridSet.full(resolution)
+        for branch in ("h", "g"):
+            point = norm_decay_point(full, full, collection, seed=4, iters=40, branch=branch)
+            assert_same_point(point, old_norm_decay_point(full, full, collection, seed=4, iters=40, branch=branch))
+
+    # at L=9 a stacked plan's block stack holds up to 9 * 2**9 cells, so
+    # six operators run as stacks of 3 and 3 under grid.STACK_CELLS
+    @pytest.mark.parametrize("resolution, iters", [(5, (200, 7)), (9, (4,))])
+    def test_stacked_norms_equal_runs_alone(self, resolution, iters):
+        rng = np.random.default_rng(17)
+        collection = random_convex_collection(rng, resolution)
+        a, b = random_grid_set(rng, resolution), random_grid_set(rng, resolution)
+        ops = [RestrictedOp(a, b, random_choice(rng, resolution), collection) for _ in range(5)]
+        ops.append(RestrictedOp(a, b, ChoiceFunction.constant(resolution, 0), collection))
+        seeds = [3, 3, 8, 1, 4, 9]
+        for iters in iters:
+            stacked = restricted_norm(ops, seeds, iters=iters)
+            for op, seed, res in zip(ops, seeds, stacked):
+                alone = power_iteration(op.operator, (1 << resolution,), iters=iters, seed=seed)
+                assert (res.norm, res.iterations, res.converged) == (alone.norm, alone.iterations, alone.converged)
+                assert (res.top_vector is None) == (alone.top_vector is None)
+                if alone.top_vector is not None:
+                    assert np.array_equal(res.top_vector, alone.top_vector)
+        assert restricted_norm([], []) == []
+        with pytest.raises(ValueError, match="one seed per operator"):
+            restricted_norm(ops, seeds[:-1])
+        other = RestrictedOp(b, a, ops[0].choice, collection)
+        with pytest.raises(ValueError, match="share A and B"):
+            restricted_norm([ops[0], other], [1, 2])
 
     def test_decay_reports_unconverged_runs(self):
         # two iterations never meet the 1e-9 tolerance: every power iteration

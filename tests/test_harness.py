@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from dyadlab import io as io_module
 from dyadlab.cli import build_parser, main
-from dyadlab.grid import Grid2D, GridSet, GridSignal
+from dyadlab.grid import MAX_RESOLUTION, Grid2D, GridSet, GridSignal
 from dyadlab.harness import (
     ExperimentConfig,
     run,
@@ -27,7 +28,7 @@ from dyadlab.io import (
     write_signal,
     write_tile_collection,
 )
-from dyadlab.tiles import ChoiceFunction
+from dyadlab.tiles import ChoiceFunction, TileCollection
 
 
 class TestDeterminism:
@@ -238,6 +239,33 @@ class TestIOErrors:
         with pytest.raises(ValueError, match=f"plane.csv: {message}"):
             read_grid2d(path)
 
+    @pytest.mark.parametrize(
+        "reader, header, row",
+        [
+            (read_signal, "index,re,im", "{},0,0"),
+            (read_grid_set, "index,member", "{},1"),
+            (read_choice, "index,freq", "{},0"),
+        ],
+    )
+    def test_line_reader_rejects_resolution_above_maximum(self, tmp_path, reader, header, row):
+        path = tmp_path / "big.csv"
+        count = 1 << (MAX_RESOLUTION + 1)
+        path.write_text(header + "\n" + "".join(row.format(i) + "\n" for i in range(count)))
+        message = f"big.csv: row count {count} gives resolution {MAX_RESOLUTION + 1}, above the maximum"
+        with pytest.raises(ValueError, match=message):
+            reader(path)
+
+    def test_plane_reader_rejects_resolution_above_maximum(self, tmp_path, monkeypatch):
+        # a plane file above the real maximum has 4**13 rows, so the maximum
+        # is lowered to 2 and the file has 4**3 rows
+        monkeypatch.setattr(io_module, "MAX_RESOLUTION", 2)
+        path = tmp_path / "plane.csv"
+        write_grid2d(path, Grid2D(3, np.zeros((8, 8))))
+        with pytest.raises(ValueError, match="plane.csv: row count 64 gives resolution 3, above the maximum 2"):
+            read_grid2d(path)
+        write_grid2d(path, Grid2D(2, np.ones((4, 4))))
+        assert read_grid2d(path).resolution == 2
+
     def test_tile_out_of_resolution(self, tmp_path):
         path = tmp_path / "tiles.csv"
         path.write_text("k,n,freq_offset\n7,0,0\n")
@@ -414,6 +442,15 @@ class TestCLI:
         code = main(["decompose", str(bad), str(sig), "--resolution", "4", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "row 1" in capsys.readouterr().err
+
+    def test_decompose_signal_above_maximum_resolution_exits_two(self, tmp_path, capsys):
+        col, sig = tmp_path / "col.csv", tmp_path / "sig.csv"
+        write_tile_collection(col, TileCollection.from_bitiles(4, []))
+        count = 1 << (MAX_RESOLUTION + 1)
+        sig.write_text("index,re,im\n" + "".join(f"{i},0,0\n" for i in range(count)))
+        code = main(["decompose", str(col), str(sig), "--resolution", "4", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"sig.csv: row count {count} gives resolution {MAX_RESOLUTION + 1}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, write",

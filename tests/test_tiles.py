@@ -480,6 +480,49 @@ class TestModelSumPlan:
             dense_adj = densify(plan.adjoint, n)
             assert np.allclose(dense_adj, expected.conj().T, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("resolution", range(1, 8))
+    def test_stacked_plan_equals_per_choice_plans(self, resolution):
+        rng = np.random.default_rng(400 + resolution)
+        n = 1 << resolution
+        for _, collection in plan_cases(rng, resolution):
+            choices = [
+                random_choice(rng, resolution),
+                # frequency 0 lies in a lower tile at every scale: no hit at all
+                ChoiceFunction.constant(resolution, 0),
+                # n/2 lies in an upper tile at scale L-1 only
+                ChoiceFunction.constant(resolution, n // 2),
+                random_choice(rng, resolution),
+                # n-1 lies in an upper tile at every scale
+                ChoiceFunction.constant(resolution, n - 1),
+            ]
+            plans = [ModelSumPlan(choice, collection) for choice in choices]
+            stacked = ModelSumPlan.stack(plans)
+            nested = ModelSumPlan.stack([ModelSumPlan.stack(plans[:2]), ModelSumPlan.stack(plans[2:])])
+            for _ in range(2):
+                f = rng.standard_normal((len(plans), n)) + 1j * rng.standard_normal((len(plans), n))
+                for plan in (stacked, nested):
+                    forward, backward = plan.apply(f), plan.adjoint(f)
+                    assert forward.shape == backward.shape == f.shape
+                    for row, member in enumerate(plans):
+                        assert np.array_equal(forward[row], member.apply(f[row]))
+                        assert np.array_equal(backward[row], member.adjoint(f[row]))
+                # a one-member plan takes its row as a lone array or a (1, n) stack
+                assert np.array_equal(plans[0].apply(f[:1]), plans[0].apply(f[0])[None])
+                assert np.array_equal(plans[0].adjoint(f[:1]), plans[0].adjoint(f[0])[None])
+
+    def test_stacked_plan_rejects_other_shapes(self):
+        choices = [ChoiceFunction.constant(4, q) for q in (0, 8, 15)]
+        stacked = ModelSumPlan.stack(ModelSumPlan(choice, TileCollection.all(4)) for choice in choices)
+        for shape in ((16,), (48,), (2, 16), (4, 16), (3, 8), (3, 16, 1), (1, 3, 16)):
+            with pytest.raises(ValueError, match=r"expected 2\*\*4 cell values for each of 3 members"):
+                stacked.apply(np.zeros(shape))
+            with pytest.raises(ValueError, match=r"expected 2\*\*4 cell values for each of 3 members"):
+                stacked.adjoint(np.zeros(shape))
+        with pytest.raises(ValueError, match="one resolution"):
+            ModelSumPlan.stack([stacked, ModelSumPlan(ChoiceFunction.constant(3, 0), TileCollection.all(3))])
+        with pytest.raises(ValueError, match="at least one plan"):
+            ModelSumPlan.stack([])
+
     def test_resolution_mismatch(self):
         with pytest.raises(ValueError):
             ModelSumPlan(ChoiceFunction.constant(3, 0), TileCollection.all(4))
