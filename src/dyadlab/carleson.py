@@ -116,7 +116,9 @@ def restricted_norm(
 
     results: list[PowerIterationResult] = []
     # the array of one numpy call is the stacked plan's block stack, up to
-    # L rows of 2**L cells per member (and none at L = 0)
+    # L rows of 2**(L-1) cells per member (and none at L = 0); the cap
+    # still counts 2**L cells a row, the figure it was measured at, and is
+    # not re-tuned for the half spectrum
     for s in stack_slices(len(ops), max(L, 1) << L):
         plans = [op.plan for op in ops[s]]
         results += power_iterations(op_for(plans), (1 << L,), seeds[s], iters=iters, tol=tol)

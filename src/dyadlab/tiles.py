@@ -31,7 +31,6 @@ from .maximal import Decomposition, bucket_decompose, dyadic_maximal
 from .reports import RatioReport
 from .walsh import (
     bit_reversal,
-    block_hadamard,
     walsh_analysis,
     walsh_synthesis,
     walsh_values,
@@ -342,12 +341,77 @@ def _block_gather(resolution: int, scale: int) -> np.ndarray:
     return gather
 
 
+def _butterfly_views(buffers: np.ndarray, active: tuple[int, ...]) -> list[tuple[np.ndarray, ...]]:
+    """Per butterfly stage j, the views (a, b, top, bottom) of the two rows
+    of `buffers`: a and b are the halves of the first active[j] entries of
+    row j % 2, and top and bottom the even and odd ones of row (j + 1) % 2."""
+    views = []
+    for j, size in enumerate(active):
+        src, dst = buffers[j & 1], buffers[~j & 1]
+        views.append((src[: size // 2], src[size // 2 : size], dst[0:size:2], dst[1:size:2]))
+    return views
+
+
+@functools.lru_cache(maxsize=64)
+def _butterfly_layout(
+    stages: tuple[int, ...], half: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
+    """Where the entries of a stack of half blocks sit in two work buffers,
+    so that every butterfly stage runs on one-dimensional views.
+
+    Row r of the stack has `half` entries in blocks of 2**stages[r], with
+    `stages` nonincreasing; the in-place transform pairs entry P = r * half
+    + q with P + 2**j at stage j, when bit j of q is clear and stages[r] > j.
+    The stages here compute the same sums and differences, but put them in
+    the places of `_butterfly_views`. Before stage 0, the first buffer holds
+    the entries sorted by the key (s == 0, b_0, s == 1, b_1, ..., P), where
+    s is the row's stage count and b_t bit t of q (0 from t = s on): the
+    active rows come first, each pair of stage 0 sits half the active
+    length apart, and the order of the pairs is again that key without its
+    first bit. Each stage moves the bit it consumed to the least significant
+    place and the rows it ends to the tail of the entries it writes, so the
+    pairs of the next stage line up the same way, and the finished rows are
+    never written again.
+
+    Returns `order`, the index P of each entry of the first buffer before
+    stage 0; `start`, its inverse; `active`, the number of entries each
+    stage reads; and `final`, the flat index into the two buffers of each P
+    after its row's last stage. The arrays are read-only and built once
+    per stack shape: the 48 ops of the decay benchmark at L=6 meet 39.
+    """
+    size = len(stages) * half
+    s = np.repeat(np.asarray(stages, dtype=np.int64), half)
+    q = np.tile(np.arange(half), len(stages))
+    keys = [np.arange(size)]
+    for t in reversed(range(max(stages, default=0))):
+        keys += [np.where(t < s, (q >> t) & 1, 0), s == t]
+    order = np.lexsort(keys)
+    active = tuple(int(np.count_nonzero(s > j)) for j in range(max(stages, default=0)))
+    # follow the index P of every entry through the stages; the rows that a
+    # stage ends are the tail of what it writes
+    labels = np.zeros((2, size), dtype=np.int64)
+    labels[0] = order
+    final = np.empty(size, dtype=np.int64)
+    ends = active + (0,)
+    final[order[ends[0] :]] = np.arange(ends[0], size)
+    for j, (a, b, top, bottom) in enumerate(_butterfly_views(labels, active)):
+        top[:], bottom[:] = a, b
+        done = slice(ends[j + 1], ends[j])
+        final[labels[~j & 1, done]] = (~j & 1) * size + np.arange(size)[done]
+    start = np.empty_like(order)
+    start[order] = np.arange(size)
+    for a in (order, start, final):
+        a.setflags(write=False)
+    return order, start, active, final
+
+
 @dataclass(frozen=True)
 class _ScaleTerms:
     """One member's terms at one spatial scale k: the cells it hits, the
-    flat indices n * 2**(L-k) + 2m of their lower-tile coefficients within
-    the scale's row of packet-coefficient blocks, and the upper-packet values
-    2**(k/2) W(x) there."""
+    flat indices n * 2**(L-k-1) + m of their lower-tile coefficients within
+    the scale's row of half packet-coefficient blocks (coefficient 2m of a
+    block is entry m of its half), and the upper-packet values 2**(k/2) W(x)
+    there."""
 
     scale: int
     hit: np.ndarray
@@ -380,6 +444,13 @@ class ModelSumPlan:
     and its order are those of its own per-scale evaluation, and outputs are
     equal bit for bit: every sum starts from zero and adds its terms by
     ascending scale, and within one scale by ascending cell.
+
+    The sum reads only the lower-tile coefficients, at the even positions
+    2m of a block, so the plan keeps the half spectrum: position m of a
+    half-length block. The butterflies run on one-dimensional views of two
+    work buffers the plan owns, in the order of `_butterfly_layout`, so a
+    plan must not be applied from two threads at once; `apply` and
+    `adjoint` return fresh arrays.
     """
 
     def __init__(self, choice: ChoiceFunction, collection: TileCollection):
@@ -399,7 +470,7 @@ class ModelSumPlan:
             # the signs are +-1, so one multiply by factor * sign equals the
             # two multiplies, by the factor and then the sign
             upper = 2.0 ** (k / 2.0) * walsh_values_at(2 * m[hit] + 1, hit & within, L - k)
-            terms.append(_ScaleTerms(k, hit, (n[hit] << (L - k)) + 2 * m[hit], upper))
+            terms.append(_ScaleTerms(k, hit, (n[hit] << (L - k - 1)) + m[hit], upper))
         self._layout(L, (tuple(terms),))
 
     @classmethod
@@ -416,33 +487,49 @@ class ModelSumPlan:
 
     def _layout(self, resolution: int, members: tuple[tuple[_ScaleTerms, ...], ...]) -> None:
         L, n = resolution, 1 << resolution
+        half = n >> 1
         self.resolution = L
         self._members = members
         rows = sorted((t.scale, i) for i, terms in enumerate(members) for t in terms)
         row_of = {key: r for r, key in enumerate(rows)}
-        self._bits = tuple(L - k for k, _ in rows)
-        self._perm = _joined([i * n + _block_gather(L, k) for k, i in rows], np.int64)
+        # a member's scales lie below L, so every block has an even length
+        # 2**(L-k) and L-k-1 butterfly stages at half length
+        stages = tuple(L - k - 1 for k, _ in rows)
+        order, start, active, final = _butterfly_layout(stages, half)
+        perm = _joined([i * n + _block_gather(L, k) for k, i in rows], np.int64)
+        self._even, self._odd = perm[0::2][order], perm[1::2][order]
+        # two work buffers for the stages, then the zero of the adjoint
+        # gather's padding
+        size = order.size
+        self._work = np.zeros(2 * size + 1, dtype=np.complex128)
+        buffers = self._work[:-1].reshape(2, size)
+        self._start = buffers[0]
+        self._stages = _butterfly_views(buffers, active)
         # the adjoint's part j of member i is its j-th scale's row, through
         # the same gather; a member with fewer scales reads the zero just
-        # past the stack instead (with a factor 0). Adding +0 changes no
+        # past the buffers instead (with a factor 0). Adding +0 changes no
         # value but -0, and a sum that starts at +0 never becomes -0, so
-        # the padding leaves every sum unchanged bit for bit
+        # the padding leaves every sum unchanged bit for bit. Indices are
+        # those of the in-place stack until the end, with `size` for the zero
         depth = max(len(terms) for terms in members)
-        self._gather = np.full((depth, len(members), n), len(rows) * n)
+        gather = np.full((depth, len(members), n), size)
         self._factor = np.zeros((depth, len(members), 1))
-        hits, coef_index, norms, uppers = [], [], [], []
+        hits, coef, norms, uppers = [], [], [], []
         for i, terms in enumerate(members):
             for j, t in enumerate(terms):
-                row = row_of[t.scale, i] * n
+                r = row_of[t.scale, i]
                 factor = 2.0 ** (t.scale / 2.0)
                 hits.append(i * n + t.hit)
-                coef_index.append(row + t.coef)
+                coef.append(r * half + t.coef)
                 norms.append(np.full(t.hit.size, factor * cell_width(L)))
                 uppers.append(t.upper)
-                self._gather[j, i] = row + _block_gather(L, t.scale)
+                # full-length position p of a block reads half position p >> 1
+                gather[j, i] = r * half + (_block_gather(L, t.scale) >> 1)
                 self._factor[j, i] = factor
         self._hit = _joined(hits, np.int64)
-        self._coef_index = _joined(coef_index, np.int64)
+        coef = _joined(coef, np.int64)
+        self._coef_start, self._coef_final = start[coef], final[coef]
+        self._gather = np.append(final, 2 * size)[gather]
         self._norm = _joined(norms, np.float64)
         self._upper = _joined(uppers, np.float64)
 
@@ -457,14 +544,24 @@ class ModelSumPlan:
             )
         return values.reshape(m, n), values.shape
 
+    def _transform(self) -> None:
+        """The butterfly stages after the first, on the half blocks that
+        start in the first work buffer."""
+        for a, b, top, bottom in self._stages:
+            np.add(a, b, out=top)
+            np.subtract(a, b, out=bottom)
+
     def apply(self, f: np.ndarray) -> np.ndarray:
         """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
         f, shape = self._check(f)
-        n = f.shape[1]
+        flat = f.ravel()
         # per member and scale: the packet coefficients of f, up to the
-        # normalization that packet_coefficients applies, here after the gather
-        stack = f.ravel()[self._perm].reshape(-1, n)
-        coef = block_hadamard(stack, self._bits).ravel()[self._coef_index] * self._norm
+        # normalization that packet_coefficients applies, here after the
+        # gather. Butterfly stage 0 pairs the gathered entries 2i and 2i+1,
+        # and its sums are the half spectrum's input
+        np.add(flat[self._even], flat[self._odd], out=self._start)
+        self._transform()
+        coef = self._work[self._coef_final] * self._norm
         terms = coef * self._upper
         out = np.empty(f.size, dtype=np.complex128)
         out.real = np.bincount(self._hit, terms.real, minlength=f.size)
@@ -475,15 +572,18 @@ class ModelSumPlan:
         """sum over P of <g, psi_P> packet(P1), where psi_P = packet(P2)
         restricted to the choice-function preimage."""
         g, shape = self._check(g)
-        n = g.shape[1]
         terms = g.ravel()[self._hit] * self._upper * cell_width(self.resolution)
-        size = len(self._bits) * n
-        # one entry past the stack, the zero of the gather's padding
-        coef = np.empty(size + 1, dtype=np.complex128)
-        coef.real = np.bincount(self._coef_index, terms.real, minlength=size + 1)
-        coef.imag = np.bincount(self._coef_index, terms.imag, minlength=size + 1)
-        block_hadamard(coef[:size].reshape(-1, n), self._bits)
-        parts = coef[self._gather] * self._factor
+        start = self._start
+        start.real = np.bincount(self._coef_start, terms.real, minlength=start.size)
+        start.imag = np.bincount(self._coef_start, terms.imag, minlength=start.size)
+        # the full transform would hold each coefficient c at an even
+        # position beside a +0 at the odd one, and its stage 0 maps (c, +0)
+        # to (c + 0, c - 0) = (c, c) exactly: x + 0 equals x for every x but
+        # -0, and a bincount sum starts at +0 and never returns -0. Both
+        # halves then run the same stages, so the full transform's entry p
+        # is the half transform's entry p >> 1
+        self._transform()
+        parts = self._work[self._gather] * self._factor
         out = np.zeros(g.shape, dtype=np.complex128)
         for part in parts:
             out += part

@@ -54,25 +54,18 @@ def _bits(n: int) -> int:
     return n.bit_length() - 1
 
 
-def block_hadamard(stack: np.ndarray, bits) -> np.ndarray:
-    """Unnormalized Hadamard transform, in place, of the aligned blocks of
-    2**bits[r] entries along row r of a C-contiguous 2D float64 or
-    complex128 array, with `bits` nonincreasing; returns the array.
-
-    Stage j pairs entries 2**j apart, so it runs on the rows whose blocks
-    are longer than that, a prefix of the stack.
-    """
-    if not stack.flags.c_contiguous:
+def block_hadamard(a: np.ndarray, bits: int) -> np.ndarray:
+    """Unnormalized Hadamard transform, in place, of each aligned block of
+    2**bits entries of a C-contiguous float64 or complex128 array, read
+    flat; returns the array. Stage j pairs entries 2**j apart."""
+    if not a.flags.c_contiguous:
         raise ValueError("block_hadamard works in place on a C-contiguous array")
-    rows = len(bits)
-    for j in range(bits[0] if rows else 0):
-        while bits[rows - 1] <= j:
-            rows -= 1
-        x = stack[:rows].reshape(-1, 2, 1 << j)
+    for j in range(bits):
+        x = a.reshape(-1, 2, 1 << j)
         top = x[:, 0] + x[:, 1]
         np.subtract(x[:, 0], x[:, 1], out=x[:, 1])
         x[:, 0] = top
-    return stack
+    return a
 
 
 def _float_dtype(a: np.ndarray):
@@ -86,8 +79,7 @@ def _is_last(a: np.ndarray, axis: int) -> bool:
 def _transform_last(buf: np.ndarray) -> np.ndarray:
     """Hadamard transform along the last axis of a C-contiguous array the
     caller owns: every row is one block of the flattened array."""
-    block_hadamard(buf.reshape(1, -1), [_bits(buf.shape[-1])])
-    return buf
+    return block_hadamard(buf, _bits(buf.shape[-1]))
 
 
 def hadamard(a: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -274,6 +274,61 @@ def reference_hadamard(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
+def block_hadamard_rows(stack: np.ndarray, bits, stages=None) -> np.ndarray:
+    """The in-place block transform of a stack of rows, as the model-sum plan
+    first ran it: row r holds aligned blocks of 2**bits[r] entries, with
+    `bits` nonincreasing, and stage j pairs entries 2**j apart on the rows
+    whose blocks are longer than that, a prefix of the stack. Runs the first
+    `stages` stages (all by default); returns the array."""
+    if not stack.flags.c_contiguous:
+        raise ValueError("block_hadamard_rows works in place on a C-contiguous array")
+    rows = len(bits)
+    for j in range(bits[0] if rows else 0):
+        if stages is not None and j >= stages:
+            break
+        while bits[rows - 1] <= j:
+            rows -= 1
+        x = stack[:rows].reshape(-1, 2, 1 << j)
+        top = x[:, 0] + x[:, 1]
+        np.subtract(x[:, 0], x[:, 1], out=x[:, 1])
+        x[:, 0] = top
+    return stack
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal raw bytes. Unlike np.array_equal this tells
+    -0.0 from +0.0 (and compares NaNs by payload)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def signed_stacks(rng, m: int, n: int):
+    """(m, n) complex inputs: random values, random values with some parts
+    set to -0.0 and the first row all -0.0, and stacks whose parts are all
+    +0.0, all -0.0 or a random mix of the two."""
+    values = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    yield values
+    signed = values.copy()
+    signed.real[rng.random((m, n)) < 0.3] = -0.0
+    signed.imag[rng.random((m, n)) < 0.3] = -0.0
+    signed.real[:1] = signed.imag[:1] = -0.0
+    yield signed
+    for negative in (0.0, 1.0, 0.5):
+        zeros = np.zeros((m, n), dtype=np.complex128)
+        zeros.real[rng.random((m, n)) < negative] = -0.0
+        zeros.imag[rng.random((m, n)) < negative] = -0.0
+        yield zeros
+
+
+def exact_cases(rng, resolution):
+    """`plan_cases`, and at L = 0, where a plan has no rows, the full
+    collection under the one choice there is."""
+    if resolution == 0:
+        yield ChoiceFunction.constant(0, 0), TileCollection.all(0)
+    else:
+        yield from plan_cases(rng, resolution)
+
+
 def plan_cases(rng, resolution):
     """(choice, collection) pairs: a random convex collection, random subsets
     with some scales left empty, the full and the empty collection."""
@@ -434,22 +489,20 @@ class TestModelSum:
 
 
 class TestModelSumPlan:
-    @pytest.mark.parametrize("resolution", range(1, 8))
+    @pytest.mark.parametrize("resolution", range(0, 8))
     def test_equals_per_call_evaluation(self, resolution):
+        # bit for bit, signed zeros included: the adjoint's half spectrum
+        # rests on its coefficient sums never being -0.0
         rng = np.random.default_rng(100 + resolution)
         n = 1 << resolution
-        for choice, collection in plan_cases(rng, resolution):
+        for choice, collection in exact_cases(rng, resolution):
             plan = ModelSumPlan(choice, collection)
-            for _ in range(3):
-                f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                assert np.array_equal(plan.apply(f.values), oracle_model_sum(f, choice, collection))
-                assert np.array_equal(
-                    plan.adjoint(f.values), oracle_adjoint_model_sum(f, choice, collection)
-                )
-                assert np.array_equal(model_sum(f, choice, collection).values, plan.apply(f.values))
-                assert np.array_equal(
-                    adjoint_model_sum(f, choice, collection).values, plan.adjoint(f.values)
-                )
+            for (values,) in signed_stacks(rng, 1, n):
+                f = GridSignal(resolution, values)
+                assert same_bits(plan.apply(f.values), oracle_model_sum(f, choice, collection))
+                assert same_bits(plan.adjoint(f.values), oracle_adjoint_model_sum(f, choice, collection))
+                assert same_bits(model_sum(f, choice, collection).values, plan.apply(f.values))
+                assert same_bits(adjoint_model_sum(f, choice, collection).values, plan.adjoint(f.values))
 
     @pytest.mark.parametrize("resolution", range(1, 8))
     def test_adjoint_identity(self, resolution):
@@ -480,11 +533,11 @@ class TestModelSumPlan:
             dense_adj = densify(plan.adjoint, n)
             assert np.allclose(dense_adj, expected.conj().T, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("resolution", range(1, 8))
+    @pytest.mark.parametrize("resolution", range(0, 8))
     def test_stacked_plan_equals_per_choice_plans(self, resolution):
         rng = np.random.default_rng(400 + resolution)
         n = 1 << resolution
-        for _, collection in plan_cases(rng, resolution):
+        for _, collection in exact_cases(rng, resolution):
             choices = [
                 random_choice(rng, resolution),
                 # frequency 0 lies in a lower tile at every scale: no hit at all
@@ -498,17 +551,77 @@ class TestModelSumPlan:
             plans = [ModelSumPlan(choice, collection) for choice in choices]
             stacked = ModelSumPlan.stack(plans)
             nested = ModelSumPlan.stack([ModelSumPlan.stack(plans[:2]), ModelSumPlan.stack(plans[2:])])
-            for _ in range(2):
-                f = rng.standard_normal((len(plans), n)) + 1j * rng.standard_normal((len(plans), n))
+            for f in signed_stacks(rng, len(plans), n):
                 for plan in (stacked, nested):
                     forward, backward = plan.apply(f), plan.adjoint(f)
                     assert forward.shape == backward.shape == f.shape
                     for row, member in enumerate(plans):
-                        assert np.array_equal(forward[row], member.apply(f[row]))
-                        assert np.array_equal(backward[row], member.adjoint(f[row]))
+                        assert same_bits(forward[row], member.apply(f[row]))
+                        assert same_bits(backward[row], member.adjoint(f[row]))
                 # a one-member plan takes its row as a lone array or a (1, n) stack
-                assert np.array_equal(plans[0].apply(f[:1]), plans[0].apply(f[0])[None])
-                assert np.array_equal(plans[0].adjoint(f[:1]), plans[0].adjoint(f[0])[None])
+                assert same_bits(plans[0].apply(f[:1]), plans[0].apply(f[0])[None])
+                assert same_bits(plans[0].adjoint(f[:1]), plans[0].adjoint(f[0])[None])
+
+    @pytest.mark.parametrize("resolution", range(0, 8))
+    def test_planned_stages_follow_the_row_oracle(self, resolution):
+        """Each butterfly stage of the plan's layout computes the even
+        entries of the in-place multi-row transform after as many stages,
+        bit for bit, and a plan's work holds that transform after an apply."""
+        rng = np.random.default_rng(450 + resolution)
+        n, half = 1 << resolution, (1 << resolution) >> 1
+        for choice, collection in exact_cases(rng, resolution):
+            choices = [choice, random_choice(rng, resolution), ChoiceFunction.constant(resolution, n - 1)]
+            plan = ModelSumPlan.stack(ModelSumPlan(c, collection) for c in choices)
+            rows = sorted((t.scale, i) for i, terms in enumerate(plan._members) for t in terms)
+            bits = [resolution - k for k, _ in rows]
+            order, start, active, final = tiles_module._butterfly_layout(tuple(b - 1 for b in bits), half)
+            assert same_bits(start[order], np.arange(order.size))
+            for stack in signed_stacks(rng, len(rows), n):
+                work = np.zeros((2, order.size), dtype=np.complex128)
+                labels = np.zeros((2, order.size), dtype=np.int64)
+                work[0] = block_hadamard_rows(stack.copy(), bits, stages=1)[:, 0::2].ravel()[order]
+                labels[0] = order
+                views = tiles_module._butterfly_views(work, active)
+                label_views = tiles_module._butterfly_views(labels, active)
+                for j, ((a, b, top, bottom), (la, lb, ltop, lbottom)) in enumerate(zip(views, label_views)):
+                    # each pair is an entry with bit j of its row position
+                    # clear and the entry 2**j after it
+                    assert np.array_equal(lb, la + (1 << j))
+                    assert not np.any((la % half) >> j & 1)
+                    np.add(a, b, out=top)
+                    np.subtract(a, b, out=bottom)
+                    ltop[:], lbottom[:] = la, lb
+                    expected = block_hadamard_rows(stack.copy(), bits, stages=j + 2)[:, 0::2].ravel()
+                    written = ~j & 1, slice(0, active[j])
+                    assert same_bits(work[written], expected[labels[written]])
+                expected = block_hadamard_rows(stack.copy(), bits)[:, 0::2].ravel()
+                assert same_bits(work.ravel()[final], expected)
+            # the plan's own apply: its gather, then the same stages
+            f = rng.standard_normal((len(choices), n)) + 1j * rng.standard_normal((len(choices), n))
+            gathered = np.zeros((len(rows), n), dtype=np.complex128)
+            for r, (k, i) in enumerate(rows):
+                gathered[r] = f[i][tiles_module._block_gather(resolution, k)]
+            plan.apply(f)
+            expected = block_hadamard_rows(gathered, bits)[:, 0::2].ravel()
+            assert same_bits(plan._work[final], expected)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_returned_arrays_do_not_alias_the_work(self, members):
+        rng = np.random.default_rng(480 + members)
+        L, n = 5, 32
+        collection = TileCollection.all(L)
+        plan = ModelSumPlan.stack(ModelSumPlan(random_choice(rng, L), collection) for _ in range(members))
+        shape = (n,) if members == 1 else (members, n)
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        outs = [plan.apply(f), plan.adjoint(f)]
+        kept = [out.copy() for out in outs]
+        for _ in range(3):
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            plan.apply(g)
+            plan.adjoint(g)
+        for out, copy in zip(outs, kept):
+            assert same_bits(out, copy)
+            assert not np.shares_memory(out, plan._work)
 
     def test_stacked_plan_rejects_other_shapes(self):
         choices = [ChoiceFunction.constant(4, q) for q in (0, 8, 15)]
@@ -561,9 +674,16 @@ class TestModelSumPlan:
         expected = [
             reference_hadamard(row.reshape(-1, 1 << b)).ravel() for row, b in zip(stack, (4, 2, 1))
         ]
-        assert np.array_equal(block_hadamard(stack.copy(), (4, 2, 1)), np.array(expected))
+        assert np.array_equal(block_hadamard_rows(stack.copy(), (4, 2, 1)), np.array(expected))
         with pytest.raises(ValueError):
-            block_hadamard(stack.T, (2, 1))
+            block_hadamard_rows(stack.T, (2, 1))
+        # the library's butterfly is the one-block-size case
+        for b in range(5):
+            assert same_bits(
+                block_hadamard(stack.copy(), b), block_hadamard_rows(stack.copy(), (b, b, b))
+            )
+        with pytest.raises(ValueError):
+            block_hadamard(stack.T, 2)
         with pytest.raises(ValueError):
             hadamard(np.ones(6))
         with pytest.raises(ValueError):
