@@ -18,6 +18,7 @@ import numpy as np
 from .grid import (
     GridSet,
     GridSignal,
+    STACK_CELLS,
     VectorSignal,
     bundle_norm,
     cell_width,
@@ -128,32 +129,34 @@ def restricted_norm(
 def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
     """Adversarial choice function: at each cell, the frequency maximizing the
     magnitude of the partial model sum, scanning the finitely many upper
-    frequency halves that can contain the candidate."""
+    frequency halves that can contain the candidate.
+
+    The sums are built a chunk of `STACK_CELLS` (cell, frequency) pairs at
+    a time, so memory does not grow as 4**L; each scale's table is added
+    into the strided view of the frequencies whose bit k is set."""
+    if f.resolution != collection.resolution:
+        raise ValueError("resolution mismatch")
     L = f.resolution
-    n_cells = 1 << L
-    cells = np.arange(n_cells)
-    total = np.zeros((n_cells, n_cells), dtype=np.complex128)
-    nu = np.arange(n_cells)
+    n = 1 << L
+    scales = []
     for k, present in enumerate(collection.masks):
-        if not present.any():
-            continue
-        coef = packet_coefficients(f.values, L, k)
-        n_idx = cells >> (L - k)
-        u = cells & ((1 << (L - k)) - 1)
-        rev_u = bit_reversal(L - k)[u]
-        mm = np.arange(1 << (L - k - 1))
-        # packet value of the upper tile at every (cell, freq-index) pair
-        signs = 1.0 - 2.0 * (np.bitwise_count((2 * mm[None, :] + 1) & rev_u[:, None]) & 1)
-        table = (
-            coef[n_idx[:, None], 2 * mm[None, :]]
-            * (2.0 ** (k / 2.0))
-            * signs
-            * present[n_idx[:, None], mm[None, :]]
-        )
-        upper_bit = ((nu >> k) & 1) == 1
-        col = nu >> (k + 1)
-        total[:, upper_bit] += table[:, col[upper_bit]]
-    return ChoiceFunction(L, np.argmax(np.abs(total), axis=1).astype(np.int64))
+        if present.any():
+            coef = packet_coefficients(f.values, L, k)[:, 0::2] * (2.0 ** (k / 2.0))
+            scales.append((k, coef, present, 2 * np.arange(1 << (L - k - 1)) + 1))
+    freqs = np.empty(n, dtype=np.int64)
+    chunk = max(1, STACK_CELLS // n)
+    for lo in range(0, n, chunk):
+        cells = np.arange(lo, min(lo + chunk, n))
+        total = np.zeros((cells.size, n), dtype=np.complex128)
+        for k, coef, present, odd in scales:
+            blocks = cells >> (L - k)
+            rev_u = bit_reversal(L - k)[cells & ((1 << (L - k)) - 1)]
+            # packet value of the upper tile at every (cell, freq-index) pair
+            signs = 1.0 - 2.0 * (np.bitwise_count(odd & rev_u[:, None]) & 1)
+            table = coef[blocks] * signs * present[blocks]
+            total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table[:, :, None]
+        freqs[cells] = np.argmax(np.abs(total), axis=1)
+    return ChoiceFunction(L, freqs)
 
 
 def restricted_pairing(

@@ -34,7 +34,6 @@ from .walsh import (
     walsh_analysis,
     walsh_synthesis,
     walsh_values,
-    walsh_values_at,
 )
 
 
@@ -330,15 +329,18 @@ def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
 
 
 @functools.cache
-def _block_gather(resolution: int, scale: int) -> np.ndarray:
-    """The gather of walsh_analysis on each block of 2**(L - k) cells of one
-    row: the bit reversal within the block, as read-only cell indices."""
-    L, k = resolution, scale
+def _block_gathers(resolution: int) -> np.ndarray:
+    """Row k is the gather of walsh_analysis on each block of 2**(L - k)
+    cells of one row: the bit reversal within the block, as cell indices.
+    A read-only (L, 2**L) table, built once per resolution."""
+    L = resolution
     cells = np.arange(1 << L)
-    within = (1 << (L - k)) - 1
-    gather = (cells & ~within) + bit_reversal(L - k)[cells & within]
-    gather.setflags(write=False)
-    return gather
+    table = np.empty((L, 1 << L), dtype=np.int64)
+    for k in range(L):
+        within = (1 << (L - k)) - 1
+        table[k] = (cells & ~within) + bit_reversal(L - k)[cells & within]
+    table.setflags(write=False)
+    return table
 
 
 def _butterfly_views(buffers: np.ndarray, active: tuple[int, ...]) -> list[tuple[np.ndarray, ...]]:
@@ -405,20 +407,6 @@ def _butterfly_layout(
     return order, start, active, final
 
 
-@dataclass(frozen=True)
-class _ScaleTerms:
-    """One member's terms at one spatial scale k: the cells it hits, the
-    flat indices n * 2**(L-k-1) + m of their lower-tile coefficients within
-    the scale's row of half packet-coefficient blocks (coefficient 2m of a
-    block is entry m of its half), and the upper-packet values 2**(k/2) W(x)
-    there."""
-
-    scale: int
-    hit: np.ndarray
-    coef: np.ndarray
-    upper: np.ndarray
-
-
 class ModelSumPlan:
     """The model sum and its adjoint for a stack of (choice, collection)
     members, with everything that depends only on those computed once, so
@@ -432,16 +420,18 @@ class ModelSumPlan:
 
     At scale k, a cell x receives the term of the member P whose upper tile
     holds N(x), if there is one: P sits at offset n = x >> (L - k) and
-    frequency index m = N(x) >> (k + 1), and N(x) >> k must be odd. Per
-    member and scale with at least one such cell the plan keeps one row of a
-    stack of packet-coefficient blocks, shaped (2**k, 2**(L-k)) and
-    flattened. The rows run by ascending scale, and within one scale by
+    frequency index m = N(x) >> (k + 1), and N(x) >> k must be odd. A plan
+    keeps per-member arrays: the scales with such a cell (its entries) and,
+    per term, by scale, then cell: the entry, the cell, the flat index
+    n * 2**(L-k-1) + m of the lower-tile coefficient in the scale's row of
+    half blocks, the normalization and the upper value 2**(k/2) W(x). A
+    stack joins them; the layout waits for the first apply or adjoint.
+
+    The layout gives each entry one row of a stack of packet-coefficient
+    blocks, shaped (2**k, 2**(L-k)) and flattened, by ascending scale, then
     member, so their blocks are longest first and each stage of the block
-    transform runs on a prefix of the stack. The hit cells, coefficient
-    indices and upper values of every member are concatenated in member
-    order, each member's by ascending scale, and offset by the member's row
-    of cells and the scale's row of the stack. So each member's arithmetic
-    and its order are those of its own per-scale evaluation, and outputs are
+    transform runs on a prefix of the stack. Each member's arithmetic and
+    its order are those of its own per-scale evaluation, so outputs are
     equal bit for bit: every sum starts from zero and adds its terms by
     ascending scale, and within one scale by ascending cell.
 
@@ -457,21 +447,32 @@ class ModelSumPlan:
         L = collection.resolution
         if choice.resolution != L:
             raise ValueError("resolution mismatch")
-        cells = np.arange(1 << L)
-        terms = []
-        for k, present in enumerate(collection.masks):
-            tile_idx = choice.freqs >> k
-            m = tile_idx >> 1
-            n = cells >> (L - k)
-            hit = np.flatnonzero(((tile_idx & 1) == 1) & present[n, m])
-            if not hit.size:
-                continue
-            within = (1 << (L - k)) - 1
-            # the signs are +-1, so one multiply by factor * sign equals the
-            # two multiplies, by the factor and then the sign
-            upper = 2.0 ** (k / 2.0) * walsh_values_at(2 * m[hit] + 1, hit & within, L - k)
-            terms.append(_ScaleTerms(k, hit, (n[hit] << (L - k - 1)) + m[hit], upper))
-        self._layout(L, (tuple(terms),))
+        scales = np.arange(L)[:, None]
+        tile_idx = choice.freqs >> scales
+        m = tile_idx >> 1
+        index = ((np.arange(1 << L) >> (L - scales)) << (L - scales - 1)) + m
+        # each scale's mask holds 2**(L-1) bi-tiles, [n, m] at flat `index`;
+        # the empty array makes the join (0, 0) at L = 0
+        masks = np.concatenate((np.zeros(0, dtype=bool),) + collection.masks, axis=None)
+        present = np.take_along_axis(masks.reshape(L, (1 << L) >> 1), index, axis=1)
+        scale, cell = np.nonzero(((tile_idx & 1) == 1) & present)
+        odd = 2 * m[scale, cell] + 1
+        # W_{2m+1} at the cell's place u in its block is the parity of
+        # (2m + 1) & bit_reverse(u), and the block gather holds bit_reverse(u)
+        # in its low L - k bits, the only bits 2m + 1 has
+        signs = np.bitwise_count(odd & _block_gathers(L)[scale, cell]) & 1
+        factors = np.array([2.0 ** (k / 2.0) for k in range(L)], dtype=np.float64)
+        self.resolution = L
+        self._count = 1
+        self._entry_scale = np.flatnonzero(np.bincount(scale, minlength=L))
+        self._entry_member = np.zeros(self._entry_scale.size, dtype=np.int64)
+        self._entry_factor = factors[self._entry_scale]
+        self._term_entry = np.searchsorted(self._entry_scale, scale)
+        self._cell = cell
+        self._index = index[scale, cell]
+        self._norm = (factors * cell_width(L))[scale]
+        self._upper = factors[scale] * (1.0 - 2.0 * signs)
+        self._work = None
 
     @classmethod
     def stack(cls, plans) -> "ModelSumPlan":
@@ -481,22 +482,30 @@ class ModelSumPlan:
         resolutions = {plan.resolution for plan in plans}
         if len(resolutions) != 1:
             raise ValueError("a stacked plan needs at least one plan, all at one resolution")
+        members = np.cumsum([0] + [plan._count for plan in plans])
+        entries = np.cumsum([0] + [plan._entry_scale.size for plan in plans])
         stacked = cls.__new__(cls)
-        stacked._layout(resolutions.pop(), tuple(m for plan in plans for m in plan._members))
+        stacked.resolution = resolutions.pop()
+        stacked._count = int(members[-1])
+        for name in ("_entry_scale", "_entry_factor", "_cell", "_index", "_norm", "_upper"):
+            setattr(stacked, name, np.concatenate([getattr(plan, name) for plan in plans]))
+        stacked._entry_member = np.concatenate([p._entry_member + i for p, i in zip(plans, members)])
+        stacked._term_entry = np.concatenate([p._term_entry + e for p, e in zip(plans, entries)])
+        stacked._work = None
         return stacked
 
-    def _layout(self, resolution: int, members: tuple[tuple[_ScaleTerms, ...], ...]) -> None:
-        L, n = resolution, 1 << resolution
+    def _layout(self) -> None:
+        L, n = self.resolution, 1 << self.resolution
         half = n >> 1
-        self.resolution = L
-        self._members = members
-        rows = sorted((t.scale, i) for i, terms in enumerate(members) for t in terms)
-        row_of = {key: r for r, key in enumerate(rows)}
+        member, scale = self._entry_member, self._entry_scale
+        rows = np.lexsort((member, scale))
+        row_of = np.empty_like(rows)
+        row_of[rows] = np.arange(rows.size)
         # a member's scales lie below L, so every block has an even length
         # 2**(L-k) and L-k-1 butterfly stages at half length
-        stages = tuple(L - k - 1 for k, _ in rows)
-        order, start, active, final = _butterfly_layout(stages, half)
-        perm = _joined([i * n + _block_gather(L, k) for k, i in rows], np.int64)
+        order, start, active, final = _butterfly_layout(tuple((L - 1 - scale[rows]).tolist()), half)
+        gathers = _block_gathers(L)
+        perm = (member[rows, None] * n + gathers[scale[rows]]).ravel()
         self._even, self._odd = perm[0::2][order], perm[1::2][order]
         # two work buffers for the stages, then the zero of the adjoint
         # gather's padding
@@ -511,37 +520,29 @@ class ModelSumPlan:
         # value but -0, and a sum that starts at +0 never becomes -0, so
         # the padding leaves every sum unchanged bit for bit. Indices are
         # those of the in-place stack until the end, with `size` for the zero
-        depth = max(len(terms) for terms in members)
-        gather = np.full((depth, len(members), n), size)
-        self._factor = np.zeros((depth, len(members), 1))
-        hits, coef, norms, uppers = [], [], [], []
-        for i, terms in enumerate(members):
-            for j, t in enumerate(terms):
-                r = row_of[t.scale, i]
-                factor = 2.0 ** (t.scale / 2.0)
-                hits.append(i * n + t.hit)
-                coef.append(r * half + t.coef)
-                norms.append(np.full(t.hit.size, factor * cell_width(L)))
-                uppers.append(t.upper)
-                # full-length position p of a block reads half position p >> 1
-                gather[j, i] = r * half + (_block_gather(L, t.scale) >> 1)
-                self._factor[j, i] = factor
-        self._hit = _joined(hits, np.int64)
-        coef = _joined(coef, np.int64)
-        self._coef_start, self._coef_final = start[coef], final[coef]
+        part = np.arange(member.size) - np.searchsorted(member, member)
+        gather = np.full((int(part.max(initial=-1)) + 1, self._count, n), size)
+        # full-length position p of a block reads half position p >> 1
+        gather[part, member] = row_of[:, None] * half + (gathers[scale] >> 1)
         self._gather = np.append(final, 2 * size)[gather]
-        self._norm = _joined(norms, np.float64)
-        self._upper = _joined(uppers, np.float64)
+        self._factor = np.zeros(gather.shape[:2] + (1,))
+        self._factor[part, member, 0] = self._entry_factor
+        self._hit = member[self._term_entry] * n + self._cell
+        coef = row_of[self._term_entry] * half + self._index
+        self._coef_start, self._coef_final = start[coef], final[coef]
 
-    def _check(self, values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The values as an (m, 2**L) stack, and the shape to return."""
+    def _prepare(self, values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The values as an (m, 2**L) stack, and the shape to return; lays
+        the plan out on first use."""
         values = np.asarray(values, dtype=np.complex128)
-        m, n = len(self._members), 1 << self.resolution
+        m, n = self._count, 1 << self.resolution
         if values.shape != (m, n) and (m, values.shape) != (1, (n,)):
             raise ValueError(
                 f"expected 2**{self.resolution} cell values for each of {m} members, "
                 f"got shape {values.shape}"
             )
+        if self._work is None:
+            self._layout()
         return values.reshape(m, n), values.shape
 
     def _transform(self) -> None:
@@ -553,7 +554,7 @@ class ModelSumPlan:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
-        f, shape = self._check(f)
+        f, shape = self._prepare(f)
         flat = f.ravel()
         # per member and scale: the packet coefficients of f, up to the
         # normalization that packet_coefficients applies, here after the
@@ -571,7 +572,7 @@ class ModelSumPlan:
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         """sum over P of <g, psi_P> packet(P1), where psi_P = packet(P2)
         restricted to the choice-function preimage."""
-        g, shape = self._check(g)
+        g, shape = self._prepare(g)
         terms = g.ravel()[self._hit] * self._upper * cell_width(self.resolution)
         start = self._start
         start.real = np.bincount(self._coef_start, terms.real, minlength=start.size)
@@ -584,10 +585,9 @@ class ModelSumPlan:
         # is the half transform's entry p >> 1
         self._transform()
         parts = self._work[self._gather] * self._factor
-        out = np.zeros(g.shape, dtype=np.complex128)
-        for part in parts:
-            out += part
-        return out.reshape(shape)
+        # the reduce over the outer axis adds the parts one after another,
+        # in ascending scale order, onto +0
+        return np.add.reduce(parts, axis=0, initial=0.0).reshape(shape)
 
 
 def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:

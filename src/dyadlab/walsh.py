@@ -41,13 +41,6 @@ def walsh_values(m: int, bits: int) -> np.ndarray:
     return 1.0 - 2.0 * signs
 
 
-def walsh_values_at(m_per_cell: np.ndarray, rel_cell: np.ndarray, bits: int) -> np.ndarray:
-    """W_{m[i]}(cell u[i]) for paired arrays of indices and relative cells."""
-    rev = bit_reversal(bits)[np.asarray(rel_cell, dtype=np.int64)]
-    signs = np.bitwise_count(np.asarray(m_per_cell, dtype=np.int64) & rev) & 1
-    return 1.0 - 2.0 * signs
-
-
 def _bits(n: int) -> int:
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")

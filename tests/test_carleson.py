@@ -35,7 +35,16 @@ from dyadlab.harness import (
     random_vector,
 )
 from dyadlab.principle import LinearOperator, power_iteration
-from dyadlab.tiles import ChoiceFunction, ModelSumPlan, TileCollection, mass, model_sum, size_bound
+from dyadlab.tiles import (
+    ChoiceFunction,
+    ModelSumPlan,
+    TileCollection,
+    mass,
+    model_sum,
+    packet_coefficients,
+    size_bound,
+)
+from dyadlab.walsh import bit_reversal
 
 
 def old_restricted_pair(op: RestrictedOp):
@@ -112,6 +121,36 @@ def old_norm_decay_point(
         "converged": winner.converged,
         "unconverged": unconverged,
     }
+
+
+def dense_greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
+    """greedy_choice as first written: a dense (2**L, 2**L) table of every
+    cell against every frequency, each scale's table added in through a
+    masked fancy-index update."""
+    L = f.resolution
+    n_cells = 1 << L
+    cells = np.arange(n_cells)
+    total = np.zeros((n_cells, n_cells), dtype=np.complex128)
+    nu = np.arange(n_cells)
+    for k, present in enumerate(collection.masks):
+        if not present.any():
+            continue
+        coef = packet_coefficients(f.values, L, k)
+        n_idx = cells >> (L - k)
+        u = cells & ((1 << (L - k)) - 1)
+        rev_u = bit_reversal(L - k)[u]
+        mm = np.arange(1 << (L - k - 1))
+        signs = 1.0 - 2.0 * (np.bitwise_count((2 * mm[None, :] + 1) & rev_u[:, None]) & 1)
+        table = (
+            coef[n_idx[:, None], 2 * mm[None, :]]
+            * (2.0 ** (k / 2.0))
+            * signs
+            * present[n_idx[:, None], mm[None, :]]
+        )
+        upper_bit = ((nu >> k) & 1) == 1
+        col = nu >> (k + 1)
+        total[:, upper_bit] += table[:, col[upper_bit]]
+    return ChoiceFunction(L, np.argmax(np.abs(total), axis=1).astype(np.int64))
 
 
 def assert_same_point(point, expected):
@@ -357,6 +396,36 @@ class TestNormDecay:
             other = random_choice(rng, resolution)
             out_other = np.abs(model_sum(f, other, collection).values)
             assert np.all(out_best >= out_other - 1e-9)
+
+    @pytest.mark.parametrize("resolution", range(0, 10))
+    def test_greedy_choice_equals_dense_table(self, resolution):
+        """The chunked, strided greedy choice picks what the dense table
+        picked, ties included (the zero signal ties every frequency); from
+        L = 8 on the cells span several chunks."""
+        rng = np.random.default_rng(520 + resolution)
+        n = 1 << resolution
+        full = TileCollection.all(resolution)
+        collections = [
+            full,
+            retain_meeting(full, GridSet(resolution, rng.random(n) < 0.3)),
+            TileCollection.from_bitiles(resolution, []),
+        ]
+        if resolution >= 1:
+            collections.append(random_convex_collection(rng, resolution))
+        signals = [
+            random_signal(rng, resolution),
+            random_signal(rng, resolution, complex_values=True),
+            GridSignal.zeros(resolution),
+        ]
+        for collection in collections:
+            for f in signals:
+                chosen = greedy_choice(f, collection)
+                assert np.array_equal(chosen.freqs, dense_greedy_choice(f, collection).freqs)
+
+    def test_greedy_choice_rejects_resolution_mismatch(self):
+        for signal_l, collection_l in ((3, 0), (5, 4), (4, 5), (0, 3)):
+            with pytest.raises(ValueError, match="resolution mismatch"):
+                greedy_choice(GridSignal.zeros(signal_l), TileCollection.all(collection_l))
 
     def test_decay_point_and_short_ladder(self):
         rng = np.random.default_rng(12)

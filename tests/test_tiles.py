@@ -20,6 +20,7 @@ from dyadlab.harness import (
     random_signal,
 )
 from dyadlab import tiles as tiles_module
+from dyadlab.carleson import RestrictedOp, restricted_norm
 from dyadlab.tiles import (
     BiTile,
     ChoiceFunction,
@@ -55,7 +56,6 @@ from dyadlab.walsh import (
     hadamard,
     walsh_analysis,
     walsh_synthesis,
-    walsh_values_at,
 )
 
 
@@ -217,6 +217,13 @@ def masks_equal(a: TileCollection, b: TileCollection) -> bool:
     )
 
 
+def walsh_values_at(m_per_cell: np.ndarray, rel_cell: np.ndarray, bits: int) -> np.ndarray:
+    """W_{m[i]}(cell u[i]) for paired arrays of indices and relative cells."""
+    rev = bit_reversal(bits)[np.asarray(rel_cell, dtype=np.int64)]
+    signs = np.bitwise_count(np.asarray(m_per_cell, dtype=np.int64) & rev) & 1
+    return 1.0 - 2.0 * signs
+
+
 def _oracle_upper_hits(choice: ChoiceFunction, collection: TileCollection):
     """Per-call derivation of the cells each scale's members reach, as the
     model sum did before plans."""
@@ -349,6 +356,90 @@ def plan_cases(rng, resolution):
         yield random_choice(rng, resolution), collection
     # a constant choice sends every cell to one upper tile per scale
     yield ChoiceFunction.constant(resolution, (1 << resolution) - 1), collections[1]
+
+
+def oracle_scale_terms(choice: ChoiceFunction, collection: TileCollection):
+    """Per scale with a hit, the (scale, hit cells, coefficient indices,
+    upper values) of one member, as the plan built them scale by scale."""
+    L = collection.resolution
+    cells = np.arange(1 << L)
+    terms = []
+    for k, present in enumerate(collection.masks):
+        tile_idx = choice.freqs >> k
+        m = tile_idx >> 1
+        n = cells >> (L - k)
+        hit = np.flatnonzero(((tile_idx & 1) == 1) & present[n, m])
+        if not hit.size:
+            continue
+        within = (1 << (L - k)) - 1
+        upper = 2.0 ** (k / 2.0) * walsh_values_at(2 * m[hit] + 1, hit & within, L - k)
+        terms.append((k, hit, (n[hit] << (L - k - 1)) + m[hit], upper))
+    return tuple(terms)
+
+
+def oracle_block_gather(resolution: int, scale: int) -> np.ndarray:
+    L, k = resolution, scale
+    cells = np.arange(1 << L)
+    within = (1 << (L - k)) - 1
+    return (cells & ~within) + bit_reversal(L - k)[cells & within]
+
+
+def _joined(parts, dtype):
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def oracle_layout(resolution: int, members) -> dict[str, np.ndarray]:
+    """The plan arrays of a stack of (choice, collection) members, laid out
+    term by term as the plan did before its layout was deferred and
+    vectorized."""
+    L, n = resolution, 1 << resolution
+    half = n >> 1
+    members = [oracle_scale_terms(choice, collection) for choice, collection in members]
+    rows = sorted((k, i) for i, terms in enumerate(members) for k, *_ in terms)
+    row_of = {key: r for r, key in enumerate(rows)}
+    order, start, active, final = tiles_module._butterfly_layout(tuple(L - k - 1 for k, _ in rows), half)
+    perm = _joined([i * n + oracle_block_gather(L, k) for k, i in rows], np.int64)
+    size = order.size
+    depth = max(len(terms) for terms in members)
+    gather = np.full((depth, len(members), n), size)
+    out = {"_even": perm[0::2][order], "_odd": perm[1::2][order], "_factor": np.zeros((depth, len(members), 1))}
+    hits, coef, norms, uppers = [], [], [], []
+    for i, terms in enumerate(members):
+        for j, (k, hit, index, upper) in enumerate(terms):
+            r = row_of[k, i]
+            factor = 2.0 ** (k / 2.0)
+            hits.append(i * n + hit)
+            coef.append(r * half + index)
+            norms.append(np.full(hit.size, factor * cell_width(L)))
+            uppers.append(upper)
+            gather[j, i] = r * half + (oracle_block_gather(L, k) >> 1)
+            out["_factor"][j, i] = factor
+    coef = _joined(coef, np.int64)
+    out.update(
+        _hit=_joined(hits, np.int64),
+        _coef_start=start[coef],
+        _coef_final=final[coef],
+        _gather=np.append(final, 2 * size)[gather],
+        _norm=_joined(norms, np.float64),
+        _upper=_joined(uppers, np.float64),
+    )
+    return out
+
+
+def loop_adjoint(plan: ModelSumPlan, g: np.ndarray) -> np.ndarray:
+    """plan.adjoint with the scale parts added in a Python loop onto +0, as
+    the plan did before its reduce."""
+    g, shape = plan._prepare(g)
+    terms = g.ravel()[plan._hit] * plan._upper * cell_width(plan.resolution)
+    start = plan._start
+    start.real = np.bincount(plan._coef_start, terms.real, minlength=start.size)
+    start.imag = np.bincount(plan._coef_start, terms.imag, minlength=start.size)
+    plan._transform()
+    parts = plan._work[plan._gather] * plan._factor
+    out = np.zeros(g.shape, dtype=np.complex128)
+    for part in parts:
+        out += part
+    return out.reshape(shape)
 
 
 def random_small_convex(rng, resolution, max_members=12):
@@ -563,6 +654,94 @@ class TestModelSumPlan:
                 assert same_bits(plans[0].adjoint(f[:1]), plans[0].adjoint(f[0])[None])
 
     @pytest.mark.parametrize("resolution", range(0, 8))
+    def test_layout_equals_per_term_oracle(self, resolution):
+        """Every array of the vectorized layout equals the per-term one bit
+        for bit, on whole stacks, stacks of stacks, one-member plans, the
+        member-dropping restacks of restricted_norm and random stacks; and
+        the adjoint's reduce gives the bytes of the loop it replaced."""
+        rng = np.random.default_rng(420 + resolution)
+        n = 1 << resolution
+        cases = list(exact_cases(rng, resolution))
+        collection = cases[0][1]
+        choices = [
+            random_choice(rng, resolution),
+            ChoiceFunction.constant(resolution, 0),  # no term at any scale
+            ChoiceFunction.constant(resolution, n // 2),
+            random_choice(rng, resolution),
+            ChoiceFunction.constant(resolution, n - 1),
+        ]
+        members = [(choice, collection) for choice in choices]
+        plans = [ModelSumPlan(choice, collection) for choice in choices]
+        stacks = [(plan, [pair]) for plan, pair in zip(plans, members)]
+        stacks.append((ModelSumPlan.stack([ModelSumPlan.stack(plans[:2]), ModelSumPlan.stack(plans[2:])]), members))
+        # restricted_norm restacks the members still running, in order
+        for kept in ([0, 1, 2, 3, 4], [1, 2, 3, 4], [0, 2, 4], [1, 3], [1], [4]):
+            stacks.append((ModelSumPlan.stack(plans[i] for i in kept), [members[i] for i in kept]))
+        # members of other collections, repeated members, empty collections
+        for _ in range(4):
+            picked = [cases[i] for i in rng.integers(0, len(cases), size=int(rng.integers(1, 7)))]
+            stacks.append((ModelSumPlan.stack(ModelSumPlan(c, k) for c, k in picked), picked))
+        for plan, stacked in stacks:
+            plan.apply(np.zeros((len(stacked), n)))
+            for name, expected in oracle_layout(resolution, stacked).items():
+                assert same_bits(getattr(plan, name), expected), name
+            for g in signed_stacks(rng, len(stacked), n):
+                assert same_bits(plan.adjoint(g), loop_adjoint(plan, g))
+
+    @pytest.mark.parametrize("resolution", [0, 1, 6, 12])
+    def test_adjoint_reduce_adds_like_the_loop(self, resolution):
+        """np.add.reduce over the outer axis adds the parts one by one in
+        order onto +0, as the loop did, signed zeros included, for every
+        depth a plan can have; and a depth-L plan's adjoint at L = 12."""
+        rng = np.random.default_rng(470 + resolution)
+        n = 1 << resolution
+        for depth in sorted({0, min(1, resolution), resolution}):
+            for m in (1, 3):
+                for parts in signed_stacks(rng, depth * m, n):
+                    parts = parts.reshape(depth, m, n)
+                    loop = np.zeros((m, n), dtype=np.complex128)
+                    for part in parts:
+                        loop += part
+                    assert same_bits(np.add.reduce(parts, axis=0, initial=0.0), loop)
+        if resolution == 12:
+            collection = TileCollection.all(resolution)
+            choices = [ChoiceFunction.constant(resolution, n - 1), random_choice(rng, resolution)]
+            plan = ModelSumPlan.stack(ModelSumPlan(choice, collection) for choice in choices)
+            for g in signed_stacks(rng, 2, n):
+                assert same_bits(plan.adjoint(g), loop_adjoint(plan, g))
+            assert plan._gather.shape == (resolution, 2, n)
+
+    def test_layout_waits_for_the_first_apply(self, monkeypatch):
+        laid_out = []
+        layout = ModelSumPlan._layout
+
+        def counting(plan):
+            laid_out.append(plan)
+            layout(plan)
+
+        monkeypatch.setattr(ModelSumPlan, "_layout", counting)
+        rng = np.random.default_rng(490)
+        L, n = 4, 16
+        collection = TileCollection.all(L)
+        a, b = GridSet(L, rng.random(n) < 0.5), GridSet.full(L)
+        op = RestrictedOp(a, b, random_choice(rng, L), collection)
+        plan = ModelSumPlan(random_choice(rng, L), collection)
+        stacked = ModelSumPlan.stack([op.plan, plan])
+        assert laid_out == []
+        f = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        stacked.apply(f)
+        stacked.adjoint(f)
+        assert laid_out == [stacked]
+        op.operator.adjoint(f[0])
+        assert laid_out == [stacked, op.plan]
+        # restricted_norm lays out only the stacks it runs
+        laid_out.clear()
+        ops = [RestrictedOp(a, b, random_choice(rng, L), collection) for _ in range(3)]
+        restricted_norm(ops, [1, 2, 3], iters=5)
+        assert laid_out and not any(p is op.plan for p in laid_out for op in ops)
+        assert all(op.plan._work is None for op in ops)
+
+    @pytest.mark.parametrize("resolution", range(0, 8))
     def test_planned_stages_follow_the_row_oracle(self, resolution):
         """Each butterfly stage of the plan's layout computes the even
         entries of the in-place multi-row transform after as many stages,
@@ -572,7 +751,7 @@ class TestModelSumPlan:
         for choice, collection in exact_cases(rng, resolution):
             choices = [choice, random_choice(rng, resolution), ChoiceFunction.constant(resolution, n - 1)]
             plan = ModelSumPlan.stack(ModelSumPlan(c, collection) for c in choices)
-            rows = sorted((t.scale, i) for i, terms in enumerate(plan._members) for t in terms)
+            rows = sorted(zip(plan._entry_scale.tolist(), plan._entry_member.tolist()))
             bits = [resolution - k for k, _ in rows]
             order, start, active, final = tiles_module._butterfly_layout(tuple(b - 1 for b in bits), half)
             assert same_bits(start[order], np.arange(order.size))
@@ -600,7 +779,7 @@ class TestModelSumPlan:
             f = rng.standard_normal((len(choices), n)) + 1j * rng.standard_normal((len(choices), n))
             gathered = np.zeros((len(rows), n), dtype=np.complex128)
             for r, (k, i) in enumerate(rows):
-                gathered[r] = f[i][tiles_module._block_gather(resolution, k)]
+                gathered[r] = f[i][tiles_module._block_gathers(resolution)[k]]
             plan.apply(f)
             expected = block_hadamard_rows(gathered, bits)[:, 0::2].ravel()
             assert same_bits(plan._work[final], expected)
