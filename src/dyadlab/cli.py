@@ -149,6 +149,7 @@ def main(argv=None) -> int:
     if args.command == "estimate-22":
         from .carleson import norm_decay_ladder, verify_vector_carleson
         from .harness import random_vector, trial_generators
+        from .io import open_new
 
         ratios = [2.0**-i for i in range(1, ladder + 1)]
         branches = ("h", "g") if args.branch == "both" else (args.branch,)
@@ -172,7 +173,8 @@ def main(argv=None) -> int:
         if args.out:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+            with open_new(out_dir / "report.json") as fh:
+                fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
             if args.plot:
                 _plot_ladder(report, out_dir)
         elif args.plot:

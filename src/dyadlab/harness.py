@@ -501,14 +501,26 @@ def run(config: ExperimentConfig) -> tuple[RunManifest, dict, bool]:
 
 
 def write_outputs(out_dir: Path, config, manifest, report: dict, ratios: list[float]) -> None:
+    from .io import open_new
+
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    (out_dir / "manifest.json").write_text(manifest.to_json() + "\n")
-    with open(out_dir / "trials.csv", "w", newline="") as fh:
+    with open_new(out_dir / "report.json") as fh:
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    with open_new(out_dir / "manifest.json") as fh:
+        fh.write(manifest.to_json() + "\n")
+    with open_new(out_dir / "trials.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "ratio"])
         for i, r in enumerate(ratios):
             writer.writerow([i, repr(float(r))])
+
+
+def _at_resolution(data, path, resolution: int):
+    if data.resolution != resolution:
+        raise ValueError(
+            f"resolution mismatch: {path} is at resolution {data.resolution}, the decomposition at {resolution}"
+        )
+    return data
 
 
 def run_decompose(
@@ -520,19 +532,20 @@ def run_decompose(
     choice_file=None,
 ) -> dict:
     """Decompose a tile collection file against a signal file; emits the
-    (n, m) bucket forests with tops and counting ratios as CSV."""
-    from .io import read_choice, read_grid_set, read_signal, read_tile_collection
+    (n, m) bucket forests with tops and counting ratios as CSV. The signal,
+    set and choice files must be at the given resolution."""
+    from .io import open_new, read_choice, read_grid_set, read_signal, read_tile_collection
 
     collection = read_tile_collection(collection_file, resolution)
-    signal = read_signal(signal_file)
+    signal = _at_resolution(read_signal(signal_file), signal_file, resolution)
     if set_file is not None:
-        e_set = read_grid_set(set_file)
+        e_set = _at_resolution(read_grid_set(set_file), set_file, resolution)
     else:
-        e_set = GridSet.full(signal.resolution)
+        e_set = GridSet.full(resolution)
     if choice_file is not None:
-        choice = read_choice(choice_file)
+        choice = _at_resolution(read_choice(choice_file), choice_file, resolution)
     else:
-        choice = ChoiceFunction.constant(signal.resolution, 0)
+        choice = ChoiceFunction.constant(resolution, 0)
     decomposition = full_decompose(collection, signal, e_set, choice)
     rows = []
     for (n, m), bucket in sorted(decomposition.buckets.items()):
@@ -549,7 +562,7 @@ def run_decompose(
                     repr(bucket.count_ratio),
                 ]
             )
-    with open(out_file, "w", newline="") as fh:
+    with open_new(out_file, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["n", "m", "tree", "top_scale", "top_offset", "top_freq", "members", "count_ratio"]

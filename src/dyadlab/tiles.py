@@ -12,6 +12,7 @@ cell, and tree top frequencies are left endpoints of frequency cells.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -308,17 +309,23 @@ def bitile_key(p: BiTile) -> tuple[int, int, int]:
     return (p.scale, p.offset, p.freq_index)
 
 
+def _scale_coefficients(collection: TileCollection, f: GridSignal):
+    """Per scale k with members: k, the members' offsets and frequency
+    indices in `bitile_key` order, and <f, lower-packet> at each, gathered
+    from one fast transform of the scale."""
+    if f.resolution != collection.resolution:
+        raise ValueError("resolution mismatch")
+    for k, mask in enumerate(collection.masks):
+        n, m = np.nonzero(mask)
+        if n.size:
+            yield k, n, m, packet_coefficients(f.values, f.resolution, k)[n, 2 * m]
+
+
 def member_coefficients(collection: TileCollection, f: GridSignal) -> dict[BiTile, complex]:
     """<f, lower-packet of P> for every member, via per-scale fast transforms,
     in `bitile_key` order."""
-    if f.resolution != collection.resolution:
-        raise ValueError("resolution mismatch")
     out: dict[BiTile, complex] = {}
-    for k, mask in enumerate(collection.masks):
-        n, m = np.nonzero(mask)
-        if not n.size:
-            continue
-        coef = packet_coefficients(f.values, f.resolution, k)[n, 2 * m]
+    for k, n, m, coef in _scale_coefficients(collection, f):
         members = (BiTile(k, offset, freq_index) for offset, freq_index in zip(n.tolist(), m.tolist()))
         out.update(zip(members, coef.tolist()))
     return out
@@ -631,6 +638,18 @@ class Tree:
         return self.top_interval.length
 
 
+def _flat_copy(masks) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A writable copy of per-scale masks laid end to end in one flat array,
+    each scale in row-major order, so that members come in `bitile_key`
+    order and scale k starts at k * 2**(L-1); and per-scale views into it."""
+    flat = np.concatenate([m.ravel() for m in masks]) if masks else np.zeros(0, dtype=bool)
+    views, start = [], 0
+    for m in masks:
+        views.append(flat[start : start + m.size].reshape(m.shape))
+        start += m.size
+    return flat, views
+
+
 class _SizeTable:
     """Covering weights of every admissible top of a collection's members.
 
@@ -650,38 +669,53 @@ class _SizeTable:
     reference in the tests): each endpoint receives its additions in entry
     order, starting from zero, and a column that is no endpoint adds an
     exact zero. For the same reason the weights are Python floats, abs of
-    the Python complex that `member_coefficients` returns, squared; numpy's
+    the Python complex gathered from the packet transforms, squared; numpy's
     `np.abs(c) ** 2` rounds differently.
+
+    A member's weight and entries do not depend on the members around it, so
+    the table of a sub-collection is this table with only that
+    sub-collection's entries, in the same order (`restricted`).
     """
 
     def __init__(self, collection: TileCollection, f: GridSignal):
         L = collection.resolution
-        weights = [abs(c) ** 2 for c in member_coefficients(collection, f).values()]
+        parts = list(_scale_coefficients(collection, f))
+        weights = [abs(c) ** 2 for *_, coef in parts for c in coef.tolist()]
         widths = np.array([(1 << (L - s)) + 1 for s in range(L)], dtype=np.int64)
         self._bases = np.concatenate([[0], np.cumsum(widths << np.arange(L))])
         self._widths = widths
-        self._positions = [(k, *np.nonzero(mask)) for k, mask in enumerate(collection.masks) if mask.any()]
-        scale = _joined([np.full(n.size, k) for k, n, _ in self._positions], np.int64)
-        offset = _joined([n for _, n, _ in self._positions], np.int64)
-        freq = _joined([m for _, _, m in self._positions], np.int64)
+        scale = _joined([np.full(n.size, k) for k, n, _, _ in parts], np.int64)
+        offset = _joined([n for _, n, _, _ in parts], np.int64)
+        freq = _joined([m for _, _, m, _ in parts], np.int64)
         reps = scale + 1
-        self._member = np.repeat(np.arange(scale.size), reps)
-        s = np.arange(self._member.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        shift = scale[self._member] - s
-        row = self._bases[s] + (offset[self._member] >> shift) * widths[s]
-        lo = row + ((2 * freq[self._member] + 1) << shift)
-        w = np.array(weights, dtype=np.float64)[self._member]
+        member = np.repeat(np.arange(scale.size), reps)
+        s = np.arange(member.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        shift = scale[member] - s
+        row = self._bases[s] + (offset[member] >> shift) * widths[s]
+        lo = row + ((2 * freq[member] + 1) << shift)
+        w = np.array(weights, dtype=np.float64)[member]
+        # each entry's member as a position in the flat masks of `_flat_copy`
+        slot = scale * ((1 << L) >> 1) + (offset << (L - 1 - scale)) + freq
+        self._slots = slot[member]
         # interleaved per entry: (lo, +w), (hi, -w)
         self._keys = np.stack([lo, lo + (1 << shift)], axis=1)
         self._weights = np.stack([w, -w], axis=1)
 
-    def running(self, masks=None) -> list[np.ndarray]:
+    def restricted(self, masks) -> "_SizeTable":
+        """The table of the sub-collection with these per-scale masks: the
+        entries of its members, in the same order."""
+        keep = _flat_copy(masks)[0][self._slots]
+        sub = copy.copy(self)
+        sub._slots, sub._keys, sub._weights = self._slots[keep], self._keys[keep], self._weights[keep]
+        return sub
+
+    def running(self, present=None) -> list[np.ndarray]:
         """Per scale s the block of running covering weights, over the
-        entries whose member is set in the masks (default: every entry)."""
+        entries whose member is set in `present`, flat masks laid out as by
+        `_flat_copy` (default: every entry)."""
         keys, weights = self._keys, self._weights
-        if masks is not None:
-            present = [masks[k][n, m] for k, n, m in self._positions]
-            keep = _joined(present, bool)[self._member]
+        if present is not None:
+            keep = present[self._slots]
             keys, weights = keys[keep], weights[keep]
         flat = np.bincount(keys.ravel(), weights.ravel(), minlength=int(self._bases[-1]))
         flat = flat.astype(np.float64, copy=False)
@@ -712,12 +746,15 @@ def _first_exceeding(running: list[np.ndarray], thr: float) -> tuple[DyadicInter
     return None
 
 
-def size(collection: TileCollection, f: GridSignal) -> float:
+def size(collection: TileCollection, f: GridSignal, table: _SizeTable | None = None) -> float:
     """Largest normalized l2 coefficient mass over 2-overlapping trees:
     max over tops (I_T, xi) of ((1/|I_T|) sum over members with spatial
     interval in I_T and xi in the upper frequency half of |<f, P1>|^2)**0.5.
+
+    `table` is the collection's size table for f, built here when omitted.
     """
-    return math.sqrt(_peak(_SizeTable(collection, f).running()))
+    table = _SizeTable(collection, f) if table is None else table
+    return math.sqrt(_peak(table.running()))
 
 
 def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> tuple[np.ndarray, ...]:
@@ -740,9 +777,20 @@ def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunc
     return tuple(out)
 
 
-def mass(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> float:
-    """max over members of the stopping density |E_P ∩ I_P| / |I_P|."""
-    table = member_mass_table(collection, e, choice)
+def _restricted_masses(table: tuple[np.ndarray, ...], collection: TileCollection) -> tuple[np.ndarray, ...]:
+    """The member mass table of a sub-collection, from that of a collection
+    holding it: a member's density does not depend on the other members."""
+    return tuple(np.where(mask, t, 0.0) for mask, t in zip(collection.masks, table))
+
+
+def mass(
+    collection: TileCollection, e: GridSet, choice: ChoiceFunction, table: tuple[np.ndarray, ...] | None = None
+) -> float:
+    """max over members of the stopping density |E_P ∩ I_P| / |I_P|.
+
+    `table` is the collection's `member_mass_table`, built here when omitted.
+    """
+    table = member_mass_table(collection, e, choice) if table is None else table
     return max((float(t.max()) for t in table), default=0.0)
 
 
@@ -801,6 +849,7 @@ def size_decompose(
     collection: TileCollection,
     f: GridSignal,
     threshold: float | None = None,
+    table: _SizeTable | None = None,
 ) -> tuple[TileCollection, list[Tree], DecompositionStats]:
     """Split off a forest of trees so the remainder has size at most the
     threshold (default: half the input size).
@@ -808,12 +857,15 @@ def size_decompose(
     Tops exceeding the threshold are selected largest interval first, ties
     leftmost then lowest frequency; each selection removes the full
     1-overlapping tree under its top, which keeps the remainder convex.
+    `table` is the collection's size table for f, built here when omitted;
+    after each removal the covering weights are summed again over its
+    entries whose member remains.
     """
-    table = _SizeTable(collection, f)
+    table = _SizeTable(collection, f) if table is None else table
     running = table.running()
     sigma = math.sqrt(_peak(running))
     thr = sigma / 2.0 if threshold is None else threshold
-    current = [m.copy() for m in collection.masks]
+    present, current = _flat_copy(collection.masks)
     forest: list[Tree] = []
     tops_length = 0.0
 
@@ -821,7 +873,7 @@ def size_decompose(
         top, xi = selection
         forest.append(Tree(top, xi, _take_tree(current, top, xi)))
         tops_length += top.length
-        running = table.running(current)
+        running = table.running(present)
 
     norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
@@ -834,6 +886,7 @@ def mass_decompose(
     e: GridSet,
     choice: ChoiceFunction,
     threshold: float | None = None,
+    table: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[TileCollection, list[Tree], DecompositionStats]:
     """Split off trees topped by heavy bi-tiles so the remainder has mass at
     most the threshold (default: half the input mass).
@@ -841,9 +894,10 @@ def mass_decompose(
     Heavy bi-tiles are taken largest interval first; removing the full order
     down-set under each selected top keeps the remainder convex and makes the
     selected tops pairwise incomparable, which gives the counting bound
-    sum |I_T| <= |E| / threshold exactly.
+    sum |I_T| <= |E| / threshold exactly. `table` is the collection's
+    `member_mass_table`, built here when omitted.
     """
-    table = member_mass_table(collection, e, choice)
+    table = member_mass_table(collection, e, choice) if table is None else table
     mu = max((float(t.max()) for t in table), default=0.0)
     thr = mu / 2.0 if threshold is None else threshold
     current = [m.copy() for m in collection.masks]
@@ -874,15 +928,25 @@ def full_decompose(
     """Iterate the size and mass splittings into (n, m) buckets of trees with
     certified caps size <= 2**-n and mass <= 2**-m, by `bucket_decompose`;
     bi-tiles with zero size and mass contribute nothing to any pairing and
-    are the remainder."""
+    are the remainder.
+
+    The size and mass tables are built once, for the whole collection; each
+    collection met is given its tables restricted from those, which is bit
+    for bit the same as building them for it. A bucket measures and splits
+    one collection by size, so its restricted size table is kept for the
+    split.
+    """
+    sizes = _SizeTable(collection, f)
+    masses = member_mass_table(collection, e, choice)
+    size_table = functools.lru_cache(maxsize=1)(lambda c: sizes.restricted(c.masks))
     return bucket_decompose(
         collection,
         f,
         e,
-        size=lambda c: size(c, f),
-        mass=lambda c: mass(c, e, choice),
-        split_size=lambda c, thr: size_decompose(c, f, threshold=thr)[:2],
-        split_mass=lambda c, thr: mass_decompose(c, e, choice, threshold=thr)[:2],
+        size=lambda c: size(c, f, size_table(c)),
+        mass=lambda c: mass(c, e, choice, _restricted_masses(masses, c)),
+        split_size=lambda c, thr: size_decompose(c, f, thr, size_table(c))[:2],
+        split_mass=lambda c, thr: mass_decompose(c, e, choice, thr, _restricted_masses(masses, c))[:2],
     )
 
 

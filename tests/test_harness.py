@@ -15,6 +15,7 @@ from dyadlab.harness import (
     trial_generators,
 )
 from dyadlab.io import (
+    open_new,
     read_choice,
     read_directions,
     read_grid2d,
@@ -28,7 +29,7 @@ from dyadlab.io import (
     write_signal,
     write_tile_collection,
 )
-from dyadlab.tiles import ChoiceFunction, TileCollection
+from dyadlab.tiles import BiTile, ChoiceFunction, TileCollection, all_bitiles
 
 
 class TestDeterminism:
@@ -204,6 +205,54 @@ class TestIORoundTrips:
         assert [(v.vx, v.vy) for v in back] == [(v.vx, v.vy) for v in dirs]
 
 
+def loop_read_tile_collection(path, resolution: int) -> TileCollection:
+    """The row loop that `read_tile_collection` replaced, kept as its oracle,
+    with the field-count check every reader now makes first in a row."""
+    rows = io_module._open_rows(path, ["k", "n", "freq_offset"])
+    bitiles = set()
+    for number, row in enumerate(rows, start=1):
+        if len(row) != 3:
+            io_module._fail(path, number, f"bad bi-tile row {row!r} (expected 3 fields, got {len(row)})")
+        try:
+            p = BiTile(int(row[0]), int(row[1]), int(row[2]))
+        except (IndexError, ValueError) as exc:
+            io_module._fail(path, number, f"bad bi-tile row {row!r} ({exc})")
+        if not p.fits(resolution):
+            io_module._fail(path, number, f"bi-tile {row!r} does not fit resolution {resolution}")
+        if p in bitiles:
+            io_module._fail(path, number, f"bi-tile {row!r} is repeated")
+        bitiles.add(p)
+    return TileCollection.from_bitiles(resolution, bitiles)
+
+
+def _outcome(reader, path, resolution):
+    """A reader's error message, or its collection's masks and convex flag."""
+    try:
+        collection = reader(path, resolution)
+    except ValueError as exc:
+        return str(exc)
+    return [m.tobytes() for m in collection.masks], collection.convex
+
+
+def _bad_tile_row(rng, resolution, earlier):
+    """One malformed or unfitting k,n,freq_offset row, or a repeat."""
+    L = resolution
+    k = int(rng.integers(max(L, 1)))
+    span, freqs = 1 << k, 1 << max(L - k - 1, 0)
+    n, q = int(rng.integers(span)), int(rng.integers(freqs))
+    choices = [
+        [str(L), "0", "0"], [str(L + 3), "0", "0"], ["-1", "0", "0"],
+        [str(k), "-1", str(q)], [str(k), str(span), str(q)], [str(k), str(1 << 70), str(q)],
+        [str(k), str(n), "-1"], [str(k), str(n), str(freqs)], [str(k), str(n), str(1 << 70)],
+        [str(k), "x", str(q)], [str(k), str(n), "1.5"], ["", str(n), str(q)],
+        [str(k), str(n)], [str(k), str(n), str(q), "5"], [],
+        [f" {k}", f"+{n}", str(q)],
+    ]  # fmt: skip
+    if earlier:
+        choices.append(list(earlier[int(rng.integers(len(earlier)))]))
+    return choices[int(rng.integers(len(choices)))]
+
+
 class TestIOErrors:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -265,6 +314,40 @@ class TestIOErrors:
             read_grid2d(path)
         write_grid2d(path, Grid2D(2, np.ones((4, 4))))
         assert read_grid2d(path).resolution == 2
+
+    @pytest.mark.parametrize("resolution", range(6))
+    def test_tile_reader_equals_row_loop(self, tmp_path, resolution):
+        rng = np.random.default_rng(50 + resolution)
+        members = [[str(p.scale), str(p.offset), str(p.freq_index)] for p in all_bitiles(resolution)]
+        for case in range(150):
+            path = tmp_path / f"tiles{case}.csv"  # a new file: rewriting one can stall on writeback
+            rows = [members[i] for i in rng.permutation(len(members)) if rng.random() < 0.6]
+            for _ in range(int(rng.integers(4))):
+                spot = int(rng.integers(len(rows) + 1))
+                rows.insert(spot, _bad_tile_row(rng, resolution, rows[:spot]))
+            path.write_text("k,n,freq_offset\n" + "".join(",".join(row) + "\n" for row in rows))
+            expected = _outcome(loop_read_tile_collection, path, resolution)
+            assert _outcome(read_tile_collection, path, resolution) == expected
+
+    @pytest.mark.parametrize(
+        "reader, text, bad_row",
+        [
+            (read_signal, "index,re,im\n0,1,0\n1,0,0,9\n", 2),
+            (read_grid_set, "index,member\n0,1\n1,0,1\n", 2),
+            (read_choice, "index,freq\n0,0\n1,1,0\n", 2),
+            (read_grid2d, "row,col,re,im\n0,0,1,0,0\n", 1),
+            (read_directions, "vx,vy\n1,0\n0,1,2\n", 2),
+            (lambda path: read_tile_collection(path, 2), "k,n,freq_offset\n0,0,0\n1,0,0,5\n", 2),
+        ],
+        ids=["signal", "set", "choice", "plane", "directions", "tiles"],
+    )
+    def test_row_with_extra_field(self, tmp_path, reader, text, bad_row):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        header_fields = text.split("\n")[0].count(",") + 1
+        message = f"row {bad_row}: .*expected {header_fields} fields, got {header_fields + 1}"
+        with pytest.raises(ValueError, match=message):
+            reader(path)
 
     def test_tile_out_of_resolution(self, tmp_path):
         path = tmp_path / "tiles.csv"
@@ -351,6 +434,32 @@ class TestIOErrors:
         path.write_text("vx,vy\n" + lines)
         with pytest.raises(ValueError, match=f"row {bad_row}: .*{message}"):
             read_directions(path)
+
+
+class TestOpenNew:
+    def test_replaces_a_regular_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old contents, longer than the new\n")
+        before = path.stat().st_ino
+        held = open(path)  # keeps the old inode alive, so its number is not reused
+        with open_new(path, newline="") as fh:
+            fh.write("new\r\n")
+        held.close()
+        assert path.read_bytes() == b"new\r\n"
+        assert path.stat().st_ino != before
+
+    def test_writes_through_links(self, tmp_path):
+        target, link, twin = tmp_path / "target.txt", tmp_path / "link.txt", tmp_path / "twin.txt"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        twin.hardlink_to(target)
+        with open_new(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink()
+        assert target.read_text() == twin.read_text() == "new\n"
+        with open_new(twin) as fh:
+            fh.write("newer\n")
+        assert target.read_text() == "newer\n"
 
 
 class TestCLI:
@@ -451,6 +560,16 @@ class TestCLI:
         code = main(["decompose", str(col), str(sig), "--resolution", "4", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert f"sig.csv: row count {count} gives resolution {MAX_RESOLUTION + 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tiles", [[], ["0,0,0"]], ids=["header-only", "one-tile"])
+    def test_decompose_signal_at_other_resolution_exits_two(self, tmp_path, capsys, tiles):
+        col, sig = tmp_path / "col.csv", tmp_path / "sig.csv"
+        col.write_text("\n".join(["k,n,freq_offset", *tiles]) + "\n")
+        write_signal(sig, GridSignal.constant(2, 1.0))
+        out = tmp_path / "o.csv"
+        assert main(["decompose", str(col), str(sig), "--resolution", "3", "--out", str(out)]) == 2
+        assert "sig.csv is at resolution 2, the decomposition at 3" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, write",

@@ -151,8 +151,9 @@ def _dict_covering_weights(entries):
         yield xi, running
 
 
-def dict_size(collection: TileCollection, f: GridSignal) -> float:
-    """Reference size over per-top dicts of covering weights."""
+def dict_size(collection: TileCollection, f: GridSignal, table=None) -> float:
+    """Reference size over per-top dicts of covering weights; a size table
+    passed in, as `full_decompose` does, is ignored."""
     coeffs = member_coefficients(collection, f)
     weighted = [(p, abs(c) ** 2) for p, c in coeffs.items()]
     best = 0.0
@@ -162,10 +163,11 @@ def dict_size(collection: TileCollection, f: GridSignal) -> float:
     return math.sqrt(best)
 
 
-def dict_size_decompose(collection: TileCollection, f: GridSignal, threshold=None):
+def dict_size_decompose(collection: TileCollection, f: GridSignal, threshold=None, table=None):
     """Reference size decomposition: rebuild every top table after each
     selection and take the first top, in (scale, offset) order, whose
-    covering weight exceeds the threshold."""
+    covering weight exceeds the threshold; a size table passed in is
+    ignored."""
     sigma = dict_size(collection, f)
     thr = sigma / 2.0 if threshold is None else threshold
     coeffs = member_coefficients(collection, f)
@@ -1080,6 +1082,86 @@ class TestDecompositions:
         if len(decomposition.remainder):
             assert size(decomposition.remainder, f) == 0.0
             assert mass(decomposition.remainder, e, choice) == 0.0
+
+
+def zero_coefficient_signals(rng, resolution):
+    """Signals with exact zero packet coefficients: the zero signal, a
+    constant, and one lower packet of a random member plus a constant."""
+    yield GridSignal.zeros(resolution)
+    yield GridSignal.constant(resolution, 1.0)
+    if resolution:
+        k = int(rng.integers(resolution))
+        tile = BiTile(k, int(rng.integers(1 << k)), int(rng.integers(1 << (resolution - k - 1)))).lower
+        yield GridSignal(resolution, walsh_packet(tile, resolution).values + 0.5)
+
+
+class TestSharedTables:
+    """`full_decompose` builds the size and mass tables once and restricts
+    them to every collection it meets; the oracles build them afresh."""
+
+    @staticmethod
+    def _tables_met(monkeypatch, collection, f, e, choice):
+        """(collection, table) for every size, size_decompose, mass and
+        mass_decompose call of one `full_decompose`."""
+        met = {"size": [], "mass": []}
+        for name in ("size", "size_decompose", "mass", "mass_decompose"):
+            real = getattr(tiles_module, name)
+
+            def spy(c, *args, _real=real, _kind=name.split("_")[0]):
+                met[_kind].append((c, args[-1]))
+                return _real(c, *args)
+
+            monkeypatch.setattr(tiles_module, name, spy)
+        decomposition = full_decompose(collection, f, e, choice)
+        monkeypatch.undo()
+        return met, decomposition
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_restricted_size_table_equals_fresh_table(self, resolution, monkeypatch):
+        rng = np.random.default_rng(1200 + resolution)
+        for collection in size_cases(rng, resolution):
+            signals = [random_signal(rng, resolution, complex_values=True)]
+            signals += zero_coefficient_signals(rng, resolution)
+            for f in signals:
+                e, choice = GridSet.full(resolution), ChoiceFunction.constant(resolution, 0)
+                if resolution:
+                    e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
+                met, _ = self._tables_met(monkeypatch, collection, f, e, choice)
+                # one restriction per bucket: size and size_decompose share it
+                tables = {}
+                for c, table in met["size"]:
+                    assert tables.setdefault(id(c), table) is table
+                for c, table in met["size"]:
+                    fresh = tiles_module._SizeTable(c, f)
+                    assert all(same_bits(a, b) for a, b in zip(table.running(), fresh.running(), strict=True))
+                    # a further subset, as size_decompose filters after a removal
+                    masks = [m & (rng.random(m.shape) < 0.6) for m in c.masks]
+                    present = tiles_module._flat_copy(masks)[0]
+                    sub = tiles_module._SizeTable(TileCollection(resolution, masks), f)
+                    assert all(same_bits(a, b) for a, b in zip(table.running(present), sub.running(), strict=True))
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_gathered_weights_equal_member_coefficients(self, resolution):
+        rng = np.random.default_rng(1300 + resolution)
+        for collection in size_cases(rng, resolution):
+            for f in [random_signal(rng, resolution, complex_values=True), *zero_coefficient_signals(rng, resolution)]:
+                table = tiles_module._SizeTable(collection, f)
+                weights = [abs(c) ** 2 for c in member_coefficients(collection, f).values()]
+                reps = [p.scale + 1 for p in sorted(collection.bitiles, key=bitile_key)]
+                expected = np.repeat(np.array(weights, dtype=np.float64), reps)
+                assert same_bits(table._weights[:, 0], expected)
+                assert same_bits(table._weights[:, 1], -expected)
+
+    @pytest.mark.parametrize("resolution", range(1, 9))
+    def test_shared_mass_table_equals_member_mass_table(self, resolution, monkeypatch):
+        rng = np.random.default_rng(1400 + resolution)
+        for collection in size_cases(rng, resolution):
+            f = random_signal(rng, resolution, complex_values=True)
+            e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
+            met, _ = self._tables_met(monkeypatch, collection, f, e, choice)
+            for c, table in met["mass"]:
+                fresh = tiles_module.member_mass_table(c, e, choice)
+                assert all(same_bits(a, b) for a, b in zip(table, fresh, strict=True))
 
 
 class TestTreeEstimate:
