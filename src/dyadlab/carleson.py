@@ -39,7 +39,7 @@ from .tiles import (
     model_sum,
     packet_coefficients,
 )
-from .walsh import bit_reversal
+from .walsh import block_gathers
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,10 @@ def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
         total = np.zeros((cells.size, n), dtype=np.complex128)
         for k, coef, present, odd in scales:
             blocks = cells >> (L - k)
-            rev_u = bit_reversal(L - k)[cells & ((1 << (L - k)) - 1)]
-            # packet value of the upper tile at every (cell, freq-index) pair
+            # packet value of the upper tile at every (cell, freq-index) pair;
+            # odd has only the low L - k bits, where the block gather holds
+            # the bit reversal of the cell's place in its block
+            rev_u = block_gathers(L)[k][cells]
             signs = 1.0 - 2.0 * (np.bitwise_count(odd & rev_u[:, None]) & 1)
             table = coef[blocks] * signs * present[blocks]
             total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table[:, :, None]

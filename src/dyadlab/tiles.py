@@ -31,7 +31,10 @@ from .grid import (
 from .maximal import Decomposition, bucket_decompose, dyadic_maximal
 from .reports import RatioReport
 from .walsh import (
-    bit_reversal,
+    block_gathers,
+    butterfly_layout,
+    butterfly_stages,
+    butterfly_views,
     walsh_analysis,
     walsh_synthesis,
     walsh_values,
@@ -335,85 +338,6 @@ def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
-@functools.cache
-def _block_gathers(resolution: int) -> np.ndarray:
-    """Row k is the gather of walsh_analysis on each block of 2**(L - k)
-    cells of one row: the bit reversal within the block, as cell indices.
-    A read-only (L, 2**L) table, built once per resolution."""
-    L = resolution
-    cells = np.arange(1 << L)
-    table = np.empty((L, 1 << L), dtype=np.int64)
-    for k in range(L):
-        within = (1 << (L - k)) - 1
-        table[k] = (cells & ~within) + bit_reversal(L - k)[cells & within]
-    table.setflags(write=False)
-    return table
-
-
-def _butterfly_views(buffers: np.ndarray, active: tuple[int, ...]) -> list[tuple[np.ndarray, ...]]:
-    """Per butterfly stage j, the views (a, b, top, bottom) of the two rows
-    of `buffers`: a and b are the halves of the first active[j] entries of
-    row j % 2, and top and bottom the even and odd ones of row (j + 1) % 2."""
-    views = []
-    for j, size in enumerate(active):
-        src, dst = buffers[j & 1], buffers[~j & 1]
-        views.append((src[: size // 2], src[size // 2 : size], dst[0:size:2], dst[1:size:2]))
-    return views
-
-
-@functools.lru_cache(maxsize=64)
-def _butterfly_layout(
-    stages: tuple[int, ...], half: int
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
-    """Where the entries of a stack of half blocks sit in two work buffers,
-    so that every butterfly stage runs on one-dimensional views.
-
-    Row r of the stack has `half` entries in blocks of 2**stages[r], with
-    `stages` nonincreasing; the in-place transform pairs entry P = r * half
-    + q with P + 2**j at stage j, when bit j of q is clear and stages[r] > j.
-    The stages here compute the same sums and differences, but put them in
-    the places of `_butterfly_views`. Before stage 0, the first buffer holds
-    the entries sorted by the key (s == 0, b_0, s == 1, b_1, ..., P), where
-    s is the row's stage count and b_t bit t of q (0 from t = s on): the
-    active rows come first, each pair of stage 0 sits half the active
-    length apart, and the order of the pairs is again that key without its
-    first bit. Each stage moves the bit it consumed to the least significant
-    place and the rows it ends to the tail of the entries it writes, so the
-    pairs of the next stage line up the same way, and the finished rows are
-    never written again.
-
-    Returns `order`, the index P of each entry of the first buffer before
-    stage 0; `start`, its inverse; `active`, the number of entries each
-    stage reads; and `final`, the flat index into the two buffers of each P
-    after its row's last stage. The arrays are read-only and built once
-    per stack shape: the 48 ops of the decay benchmark at L=6 meet 39.
-    """
-    size = len(stages) * half
-    s = np.repeat(np.asarray(stages, dtype=np.int64), half)
-    q = np.tile(np.arange(half), len(stages))
-    keys = [np.arange(size)]
-    for t in reversed(range(max(stages, default=0))):
-        keys += [np.where(t < s, (q >> t) & 1, 0), s == t]
-    order = np.lexsort(keys)
-    active = tuple(int(np.count_nonzero(s > j)) for j in range(max(stages, default=0)))
-    # follow the index P of every entry through the stages; the rows that a
-    # stage ends are the tail of what it writes
-    labels = np.zeros((2, size), dtype=np.int64)
-    labels[0] = order
-    final = np.empty(size, dtype=np.int64)
-    ends = active + (0,)
-    final[order[ends[0] :]] = np.arange(ends[0], size)
-    for j, (a, b, top, bottom) in enumerate(_butterfly_views(labels, active)):
-        top[:], bottom[:] = a, b
-        done = slice(ends[j + 1], ends[j])
-        final[labels[~j & 1, done]] = (~j & 1) * size + np.arange(size)[done]
-    start = np.empty_like(order)
-    start[order] = np.arange(size)
-    for a in (order, start, final):
-        a.setflags(write=False)
-    return order, start, active, final
-
-
 class ModelSumPlan:
     """The model sum and its adjoint for a stack of (choice, collection)
     members, with everything that depends only on those computed once, so
@@ -445,7 +369,7 @@ class ModelSumPlan:
     The sum reads only the lower-tile coefficients, at the even positions
     2m of a block, so the plan keeps the half spectrum: position m of a
     half-length block. The butterflies run on one-dimensional views of two
-    work buffers the plan owns, in the order of `_butterfly_layout`, so a
+    work buffers the plan owns, in the order of `butterfly_layout`, so a
     plan must not be applied from two threads at once; `apply` and
     `adjoint` return fresh arrays.
     """
@@ -467,7 +391,7 @@ class ModelSumPlan:
         # W_{2m+1} at the cell's place u in its block is the parity of
         # (2m + 1) & bit_reverse(u), and the block gather holds bit_reverse(u)
         # in its low L - k bits, the only bits 2m + 1 has
-        signs = np.bitwise_count(odd & _block_gathers(L)[scale, cell]) & 1
+        signs = np.bitwise_count(odd & block_gathers(L)[scale, cell]) & 1
         factors = np.array([2.0 ** (k / 2.0) for k in range(L)], dtype=np.float64)
         self.resolution = L
         self._count = 1
@@ -510,8 +434,8 @@ class ModelSumPlan:
         row_of[rows] = np.arange(rows.size)
         # a member's scales lie below L, so every block has an even length
         # 2**(L-k) and L-k-1 butterfly stages at half length
-        order, start, active, final = _butterfly_layout(tuple((L - 1 - scale[rows]).tolist()), half)
-        gathers = _block_gathers(L)
+        order, start, active, final = butterfly_layout(tuple((L - 1 - scale[rows]).tolist()), half)
+        gathers = block_gathers(L)
         perm = (member[rows, None] * n + gathers[scale[rows]]).ravel()
         self._even, self._odd = perm[0::2][order], perm[1::2][order]
         # two work buffers for the stages, then the zero of the adjoint
@@ -520,7 +444,7 @@ class ModelSumPlan:
         self._work = np.zeros(2 * size + 1, dtype=np.complex128)
         buffers = self._work[:-1].reshape(2, size)
         self._start = buffers[0]
-        self._stages = _butterfly_views(buffers, active)
+        self._stages = butterfly_views(buffers, active)
         # the adjoint's part j of member i is its j-th scale's row, through
         # the same gather; a member with fewer scales reads the zero just
         # past the buffers instead (with a factor 0). Adding +0 changes no
@@ -552,13 +476,6 @@ class ModelSumPlan:
             self._layout()
         return values.reshape(m, n), values.shape
 
-    def _transform(self) -> None:
-        """The butterfly stages after the first, on the half blocks that
-        start in the first work buffer."""
-        for a, b, top, bottom in self._stages:
-            np.add(a, b, out=top)
-            np.subtract(a, b, out=bottom)
-
     def apply(self, f: np.ndarray) -> np.ndarray:
         """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
         f, shape = self._prepare(f)
@@ -568,7 +485,7 @@ class ModelSumPlan:
         # gather. Butterfly stage 0 pairs the gathered entries 2i and 2i+1,
         # and its sums are the half spectrum's input
         np.add(flat[self._even], flat[self._odd], out=self._start)
-        self._transform()
+        butterfly_stages(self._stages)
         coef = self._work[self._coef_final] * self._norm
         terms = coef * self._upper
         out = np.empty(f.size, dtype=np.complex128)
@@ -590,7 +507,7 @@ class ModelSumPlan:
         # -0, and a bincount sum starts at +0 and never returns -0. Both
         # halves then run the same stages, so the full transform's entry p
         # is the half transform's entry p >> 1
-        self._transform()
+        butterfly_stages(self._stages)
         parts = self._work[self._gather] * self._factor
         # the reduce over the outer axis adds the parts one after another,
         # in ascending scale order, onto +0

@@ -6,6 +6,9 @@ W_m(cell i) = (-1)**popcount(m & bitrev_r(i)), i.e. a Hadamard matrix with
 bit-reversed columns.  The key structural fact used throughout: restricted to
 a dyadic subinterval, W_m is (a sign times) the Walsh function of the shifted
 index, which makes packets of disjoint phase-plane tiles exactly orthogonal.
+
+Every transform, here and in the model-sum plans, runs one butterfly kernel:
+the constant-geometry stages of `butterfly_layout` (Pease, J. ACM 15(2), 1968).
 """
 
 from __future__ import annotations
@@ -35,66 +38,136 @@ def bit_reversal(bits: int) -> np.ndarray:
 
 def walsh_values(m: int, bits: int) -> np.ndarray:
     """W_m sampled on the 2**bits cells of [0, 1), values in {-1, +1}."""
-    if not 0 <= m < (1 << bits) and not (m == 0 and bits == 0):
+    if not 0 <= m < (1 << bits):
         raise ValueError(f"Walsh index {m} out of range for {bits} bits")
     signs = np.bitwise_count(np.int64(m) & bit_reversal(bits)) & 1
     return 1.0 - 2.0 * signs
 
 
 def _bits(n: int) -> int:
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
     return n.bit_length() - 1
 
 
-def block_hadamard(a: np.ndarray, bits: int) -> np.ndarray:
-    """Unnormalized Hadamard transform, in place, of each aligned block of
-    2**bits entries of a C-contiguous float64 or complex128 array, read
-    flat; returns the array. Stage j pairs entries 2**j apart."""
-    if not a.flags.c_contiguous:
-        raise ValueError("block_hadamard works in place on a C-contiguous array")
-    for j in range(bits):
-        x = a.reshape(-1, 2, 1 << j)
-        top = x[:, 0] + x[:, 1]
-        np.subtract(x[:, 0], x[:, 1], out=x[:, 1])
-        x[:, 0] = top
-    return a
+@functools.cache
+def block_gathers(resolution: int) -> np.ndarray:
+    """Row k is the gather of walsh_analysis on each block of 2**(L - k)
+    cells of one row: the bit reversal within the block, as cell indices.
+    A read-only (L, 2**L) table, built once per resolution."""
+    L = resolution
+    cells = np.arange(1 << L)
+    table = np.empty((L, 1 << L), dtype=np.int64)
+    for k in range(L):
+        within = (1 << (L - k)) - 1
+        table[k] = (cells & ~within) + bit_reversal(L - k)[cells & within]
+    table.setflags(write=False)
+    return table
 
 
-def _float_dtype(a: np.ndarray):
-    return np.complex128 if np.iscomplexobj(a) else np.float64
+def butterfly_views(buffers: np.ndarray, active: tuple[int, ...]) -> list[tuple[np.ndarray, ...]]:
+    """Per butterfly stage j, the views (a, b, top, bottom) of the two rows
+    of `buffers`: a and b are the halves of the first active[j] entries of
+    row j % 2, and top and bottom the even and odd ones of row (j + 1) % 2."""
+    views = []
+    for j, size in enumerate(active):
+        src, dst = buffers[j & 1], buffers[~j & 1]
+        views.append((src[: size // 2], src[size // 2 : size], dst[0:size:2], dst[1:size:2]))
+    return views
 
 
-def _is_last(a: np.ndarray, axis: int) -> bool:
-    return axis in (-1, a.ndim - 1)
+def butterfly_stages(views: list[tuple[np.ndarray, ...]]) -> None:
+    """Run the butterfly stages of `butterfly_views`, in order."""
+    for a, b, top, bottom in views:
+        np.add(a, b, out=top)
+        np.subtract(a, b, out=bottom)
 
 
-def _transform_last(buf: np.ndarray) -> np.ndarray:
-    """Hadamard transform along the last axis of a C-contiguous array the
-    caller owns: every row is one block of the flattened array."""
-    return block_hadamard(buf, _bits(buf.shape[-1]))
+@functools.lru_cache(maxsize=64)
+def butterfly_layout(
+    stages: tuple[int, ...], half: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
+    """Where the entries of a stack of half blocks sit in two work buffers,
+    so that every butterfly stage runs on one-dimensional views.
+
+    Row r of the stack has `half` entries in blocks of 2**stages[r], with
+    `stages` nonincreasing; the in-place transform pairs entry P = r * half
+    + q with P + 2**j at stage j, when bit j of q is clear and stages[r] > j.
+    The stages here compute the same sums and differences, but put them in
+    the places of `butterfly_views`. Before stage 0, the first buffer holds
+    the entries sorted by the key (s == 0, b_0, s == 1, b_1, ..., P), where
+    s is the row's stage count and b_t bit t of q (0 from t = s on): the
+    active rows come first, each pair of stage 0 sits half the active
+    length apart, and the order of the pairs is again that key without its
+    first bit. Each stage moves the bit it consumed to the least significant
+    place and the rows it ends to the tail of the entries it writes, so the
+    pairs of the next stage line up the same way, and the finished rows are
+    never written again.
+
+    Returns `order`, the index P of each entry of the first buffer before
+    stage 0; `start`, its inverse; `active`, the number of entries each
+    stage reads; and `final`, the flat index into the two buffers of each P
+    after its row's last stage. The arrays are read-only and built once
+    per stack shape: the 48 ops of the decay benchmark at L=6 meet 34.
+    """
+    size = len(stages) * half
+    s = np.repeat(np.asarray(stages, dtype=np.int64), half)
+    q = np.tile(np.arange(half), len(stages))
+    keys = [np.arange(size)]
+    for t in reversed(range(max(stages, default=0))):
+        keys += [np.where(t < s, (q >> t) & 1, 0), s == t]
+    order = np.lexsort(keys)
+    active = tuple(int(np.count_nonzero(s > j)) for j in range(max(stages, default=0)))
+    # follow the index P of every entry through the stages; the rows that a
+    # stage ends are the tail of what it writes
+    labels = np.zeros((2, size), dtype=np.int64)
+    labels[0] = order
+    final = np.empty(size, dtype=np.int64)
+    ends = active + (0,)
+    final[order[ends[0] :]] = np.arange(ends[0], size)
+    for j, (a, b, top, bottom) in enumerate(butterfly_views(labels, active)):
+        top[:], bottom[:] = a, b
+        done = slice(ends[j + 1], ends[j])
+        final[labels[~j & 1, done]] = (~j & 1) * size + np.arange(size)[done]
+    start = np.empty_like(order)
+    start[order] = np.arange(size)
+    for a in (order, start, final):
+        a.setflags(write=False)
+    return order, start, active, final
+
+
+def _hadamard_moved(a: np.ndarray, axis: int, analysis: bool = False) -> np.ndarray:
+    """Unnormalized Hadamard transform along one axis of `a` (of its
+    bit-reversed lines, for `analysis`), as a new float64 or complex128
+    array, C-ordered with that axis moved last.
+
+    For lines of equal blocks, `butterfly_layout` places entry q of line r
+    at rev(q) * lines + r before stage 0, and its output q at r * 2**bits +
+    rev(q) after the last stage, so the gathers in and out are a transpose
+    and a bit reversal; analysis reads its input through the same reversal,
+    which cancels the first."""
+    lines = np.moveaxis(np.asarray(a), axis, 0)
+    bits = _bits(lines.shape[0])
+    rev = bit_reversal(bits)
+    work = np.empty((2, lines.size), dtype=np.complex128 if np.iscomplexobj(lines) else np.float64)
+    work[0].reshape(lines.shape)[... if analysis else rev] = lines
+    butterfly_stages(butterfly_views(work, (lines.size,) * bits))
+    return np.take(work[bits & 1].reshape(lines.shape[1:] + lines.shape[:1]), rev, axis=-1)
 
 
 def hadamard(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Unnormalized Hadamard butterfly along one axis (length a power of two)."""
-    a = np.asarray(a)
-    if not _is_last(a, axis):
-        return np.moveaxis(hadamard(np.moveaxis(a, axis, -1)), -1, axis)
-    return _transform_last(np.array(a, dtype=_float_dtype(a), order="C"))
+    return np.moveaxis(_hadamard_moved(a, axis), -1, axis)
 
 
 def walsh_analysis(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Coefficients a_m = sum_i values_i W_m(cell i), Paley order."""
-    values = np.asarray(values)
-    if not _is_last(values, axis):
-        return np.moveaxis(walsh_analysis(np.moveaxis(values, axis, -1)), -1, axis)
-    rev = bit_reversal(_bits(values.shape[-1]))
-    return _transform_last(values[..., rev].astype(_float_dtype(values), order="C", copy=False))
+    return np.moveaxis(_hadamard_moved(values, axis, analysis=True), -1, axis)
 
 
 def walsh_synthesis(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
     """values_i = sum_m coeffs_m W_m(cell i); inverse of analysis up to n."""
-    coeffs = np.asarray(coeffs)
-    if not _is_last(coeffs, axis):
-        return np.moveaxis(walsh_synthesis(np.moveaxis(coeffs, axis, -1)), -1, axis)
-    return hadamard(coeffs)[..., bit_reversal(_bits(coeffs.shape[-1]))]
+    out = _hadamard_moved(coeffs, axis)
+    # a fancy index, not a folded final gather: its memory order (F order
+    # for 2-D) is the one the sums and FFTs downstream read, bit for bit
+    return np.moveaxis(out[..., bit_reversal(_bits(out.shape[-1]))], -1, axis)

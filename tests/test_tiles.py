@@ -52,7 +52,10 @@ from dyadlab.principle import densify
 from dyadlab.walsh import (
     bit_reversal,
     bit_reverse,
-    block_hadamard,
+    block_gathers,
+    butterfly_layout,
+    butterfly_stages,
+    butterfly_views,
     hadamard,
     walsh_analysis,
     walsh_synthesis,
@@ -399,7 +402,7 @@ def oracle_layout(resolution: int, members) -> dict[str, np.ndarray]:
     members = [oracle_scale_terms(choice, collection) for choice, collection in members]
     rows = sorted((k, i) for i, terms in enumerate(members) for k, *_ in terms)
     row_of = {key: r for r, key in enumerate(rows)}
-    order, start, active, final = tiles_module._butterfly_layout(tuple(L - k - 1 for k, _ in rows), half)
+    order, start, active, final = butterfly_layout(tuple(L - k - 1 for k, _ in rows), half)
     perm = _joined([i * n + oracle_block_gather(L, k) for k, i in rows], np.int64)
     size = order.size
     depth = max(len(terms) for terms in members)
@@ -436,7 +439,7 @@ def loop_adjoint(plan: ModelSumPlan, g: np.ndarray) -> np.ndarray:
     start = plan._start
     start.real = np.bincount(plan._coef_start, terms.real, minlength=start.size)
     start.imag = np.bincount(plan._coef_start, terms.imag, minlength=start.size)
-    plan._transform()
+    butterfly_stages(plan._stages)
     parts = plan._work[plan._gather] * plan._factor
     out = np.zeros(g.shape, dtype=np.complex128)
     for part in parts:
@@ -755,15 +758,15 @@ class TestModelSumPlan:
             plan = ModelSumPlan.stack(ModelSumPlan(c, collection) for c in choices)
             rows = sorted(zip(plan._entry_scale.tolist(), plan._entry_member.tolist()))
             bits = [resolution - k for k, _ in rows]
-            order, start, active, final = tiles_module._butterfly_layout(tuple(b - 1 for b in bits), half)
+            order, start, active, final = butterfly_layout(tuple(b - 1 for b in bits), half)
             assert same_bits(start[order], np.arange(order.size))
             for stack in signed_stacks(rng, len(rows), n):
                 work = np.zeros((2, order.size), dtype=np.complex128)
                 labels = np.zeros((2, order.size), dtype=np.int64)
                 work[0] = block_hadamard_rows(stack.copy(), bits, stages=1)[:, 0::2].ravel()[order]
                 labels[0] = order
-                views = tiles_module._butterfly_views(work, active)
-                label_views = tiles_module._butterfly_views(labels, active)
+                views = butterfly_views(work, active)
+                label_views = butterfly_views(labels, active)
                 for j, ((a, b, top, bottom), (la, lb, ltop, lbottom)) in enumerate(zip(views, label_views)):
                     # each pair is an entry with bit j of its row position
                     # clear and the entry 2**j after it
@@ -781,10 +784,24 @@ class TestModelSumPlan:
             f = rng.standard_normal((len(choices), n)) + 1j * rng.standard_normal((len(choices), n))
             gathered = np.zeros((len(rows), n), dtype=np.complex128)
             for r, (k, i) in enumerate(rows):
-                gathered[r] = f[i][tiles_module._block_gathers(resolution)[k]]
+                gathered[r] = f[i][block_gathers(resolution)[k]]
             plan.apply(f)
             expected = block_hadamard_rows(gathered, bits)[:, 0::2].ravel()
             assert same_bits(plan._work[final], expected)
+
+    @pytest.mark.parametrize("bits", range(0, 6))
+    def test_equal_lines_follow_the_layout(self, bits):
+        """For lines of one block each, the layout puts entry q of line r at
+        rev(q) * lines + r before stage 0 and at r * 2**bits + rev(q) of
+        buffer bits % 2 after the last: the transpose and the bit reversal
+        that the generic transforms gather through."""
+        n, rev = 1 << bits, bit_reversal(bits)
+        for lines in (0, 1, 2, 3, 5, 8):
+            order, start, active, final = butterfly_layout((bits,) * lines, n)
+            r, q = np.divmod(np.arange(lines * n), n)
+            assert np.array_equal(start, rev[q] * lines + r)
+            assert np.array_equal(final, (bits & 1) * lines * n + r * n + rev[q])
+            assert active == ((lines * n,) * bits if lines else ())
 
     @pytest.mark.parametrize("members", [1, 3])
     def test_returned_arrays_do_not_alias_the_work(self, members):
@@ -835,19 +852,57 @@ class TestModelSumPlan:
             adjoint_model_sum(GridSignal.zeros(5), choice, collection)
 
     @pytest.mark.parametrize(
-        "shape, axis", [((64,), -1), ((4, 16), 1), ((16, 4), 0), ((2, 8, 4), 1), ((1,), 0)]
+        "shape, axis",
+        [
+            ((64,), -1),
+            ((4, 16), 1),
+            ((16, 4), 0),
+            ((2, 8, 4), 1),
+            ((1,), 0),
+            ((2, 8, 4), 0),
+            ((2, 8, 4), 2),
+            ((2,), 0),
+            ((4, 1), 1),
+            ((1, 4), 0),
+            ((2, 4), 0),
+        ],
     )
     def test_transforms_equal_reference_butterflies(self, shape, axis):
+        """Each transform equals the stage loop on a moved-axis copy, with
+        analysis reading and synthesis writing through the bit reversal, in
+        raw bytes and in strides: for real, complex, signed-zero, int, bool
+        and float32 inputs (the last three become float64), each also
+        transposed, so not contiguous."""
         rng = np.random.default_rng(sum(shape))
         real = rng.standard_normal(shape)
-        for values in (real, real + 1j * rng.standard_normal(shape)):
-            rev = bit_reverse(np.arange(shape[axis]), shape[axis].bit_length() - 1)
-            moved = np.moveaxis(values, axis, -1)
-            analysis = np.moveaxis(reference_hadamard(moved[..., rev]), -1, axis)
-            synthesis = np.moveaxis(reference_hadamard(moved)[..., rev], -1, axis)
-            assert np.array_equal(hadamard(values, axis), reference_hadamard(values, axis))
-            assert np.array_equal(walsh_analysis(values, axis), analysis)
-            assert np.array_equal(walsh_synthesis(values, axis), synthesis)
+        signed = np.zeros(shape, dtype=np.complex128)
+        signed.real = np.where(rng.random(shape) < 0.5, -0.0, real)
+        signed.imag = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        inputs = [
+            real,
+            real + 1j * rng.standard_normal(shape),
+            signed.real.copy(),
+            signed,
+            np.full(shape, -0.0),
+            rng.integers(-9, 10, shape),
+            rng.random(shape) < 0.5,
+            real.astype(np.float32),
+        ]
+        n = shape[axis]
+        rev = bit_reverse(np.arange(n), n.bit_length() - 1)
+        for values in inputs:
+            for v, ax in ((values, axis), (values.T, values.ndim - 1 - axis % values.ndim)):
+                moved = np.moveaxis(v, ax, -1)
+                expected = {
+                    hadamard: reference_hadamard(v, ax),
+                    walsh_analysis: np.moveaxis(reference_hadamard(moved[..., rev]), -1, ax),
+                    walsh_synthesis: np.moveaxis(reference_hadamard(moved)[..., rev], -1, ax),
+                }
+                for transform, oracle in expected.items():
+                    out = transform(v, ax)
+                    assert out.dtype == (np.complex128 if np.iscomplexobj(v) else np.float64)
+                    assert same_bits(out, oracle), transform.__name__
+                    assert out.strides == oracle.strides, transform.__name__
 
     def test_block_hadamard_rows(self):
         rng = np.random.default_rng(7)
@@ -858,17 +913,27 @@ class TestModelSumPlan:
         assert np.array_equal(block_hadamard_rows(stack.copy(), (4, 2, 1)), np.array(expected))
         with pytest.raises(ValueError):
             block_hadamard_rows(stack.T, (2, 1))
-        # the library's butterfly is the one-block-size case
+        # the library's transform of rows of 2**b entries is the
+        # one-block-size case
         for b in range(5):
             assert same_bits(
-                block_hadamard(stack.copy(), b), block_hadamard_rows(stack.copy(), (b, b, b))
+                hadamard(stack.reshape(-1, 1 << b)).reshape(stack.shape),
+                block_hadamard_rows(stack.copy(), (b, b, b)),
             )
-        with pytest.raises(ValueError):
-            block_hadamard(stack.T, 2)
         with pytest.raises(ValueError):
             hadamard(np.ones(6))
         with pytest.raises(ValueError):
             walsh_analysis(np.ones(6))
+
+    @pytest.mark.parametrize("transform", [hadamard, walsh_analysis, walsh_synthesis])
+    def test_zero_length_axes_are_rejected(self, transform):
+        for shape, axis in (((0,), -1), ((3, 0), 1), ((0, 4), 0), ((2, 0, 4), 1)):
+            with pytest.raises(ValueError, match="length must be a power of two, got 0"):
+                transform(np.zeros(shape), axis)
+        # no lines at all is an empty transform
+        for shape, axis in (((0, 4), 1), ((4, 0), 0)):
+            out = transform(np.zeros(shape), axis)
+            assert out.shape == shape and out.dtype == np.float64
 
     def test_cached_bit_reversal(self):
         for bits in range(0, 13):
