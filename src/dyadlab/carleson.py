@@ -401,13 +401,14 @@ def verify_vector_carleson(
     choices: list[ChoiceFunction] | None,
     p: float,
     collection: TileCollection | None = None,
-    seed: int = 0,
 ) -> RatioReport:
     """Both sides of the vector model-operator bound with per-member choice
-    functions; when none are supplied each member gets the greedy adversary
-    fitted to itself."""
+    functions, member j taking choice j modulo their number; when none are
+    supplied each member gets the greedy adversary fitted to itself."""
     if not 1 < p < math.inf:
         raise ValueError(f"p must lie in (1, inf), got {p}")
+    if choices is not None and not choices:
+        raise ValueError("choices must name at least one choice function")
     L = fams.resolution
     collection = collection or TileCollection.all(L)
     if choices is None:

@@ -161,7 +161,7 @@ def main(argv=None) -> int:
             ok = ok and decay.slope >= 0.5 - args.epsilon
         gens, _ = trial_generators(args.seed, 1)
         fam = random_vector(gens[0], args.resolution, args.family_size)
-        thm71 = verify_vector_carleson(fam, None, config.p, seed=args.seed)
+        thm71 = verify_vector_carleson(fam, None, config.p)
         for branch in branches:
             report[branch]["thm71"] = {
                 "lhs": thm71.lhs,

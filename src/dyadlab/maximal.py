@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .grid import (
-    DyadicInterval,
     GridSet,
     GridSignal,
     VectorSignal,
-    all_intervals,
     bundle_norm,
     check_resolution,
     lp_norm,
@@ -50,18 +49,9 @@ def dyadic_maximal(f: GridSignal) -> GridSignal:
     return GridSignal(L, out)
 
 
-def maximal_argmax_scales(f: GridSignal) -> np.ndarray:
-    """Per cell, the coarsest scale whose average of |f| attains the maximum."""
-    L = f.resolution
-    avgs = scale_averages(np.abs(f.values), L)
-    best = np.repeat(avgs[0], 1 << L).astype(float)
-    scales = np.zeros(1 << L, dtype=np.int64)
-    for k in range(1, L + 1):
-        cand = np.repeat(avgs[k], 1 << (L - k))
-        better = cand > best
-        best[better] = cand[better]
-        scales[better] = k
-    return scales
+def slot_scales(resolution: int) -> np.ndarray:
+    """Scale of every interval in `all_intervals` order: 2**k entries k."""
+    return np.repeat(np.arange(resolution + 1), 1 << np.arange(resolution + 1))
 
 
 @dataclass(frozen=True)
@@ -73,12 +63,13 @@ class ScaleChoice:
 
     def __post_init__(self):
         check_resolution(self.resolution)
-        scales = np.asarray(self.scales, dtype=np.int64)
+        scales = np.array(self.scales, dtype=np.int64)
         n = 1 << self.resolution
         if scales.shape != (n,):
             raise ValueError(f"expected {n} scale entries, got shape {scales.shape}")
         if scales.min(initial=0) < 0 or scales.max(initial=0) > self.resolution:
             raise ValueError("scales must lie in [0, resolution]")
+        scales.flags.writeable = False
         object.__setattr__(self, "scales", scales)
 
     @classmethod
@@ -93,39 +84,51 @@ class ScaleChoice:
             raise ValueError("every length must be a dyadic 2**-k at the grid resolution")
         return cls(resolution, scales)
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return 2.0**-self.scales
-
-    def stopping_mask(self, interval: DyadicInterval) -> np.ndarray:
-        """V_I = {x in I : kappa(x) = |I|} as a boolean cell mask."""
-        mask = np.zeros(1 << self.resolution, dtype=bool)
-        sl = interval.cell_slice(self.resolution)
-        mask[sl] = self.scales[sl] == interval.scale
-        return mask
+    @cached_property
+    def slot(self) -> np.ndarray:
+        """Per cell x, the position of its stopping interval in
+        `all_intervals` order: 2**k - 1 + (x >> (L - k)) with k = scales[x]."""
+        L, k = self.resolution, self.scales
+        slot = (1 << k) - 1 + (np.arange(1 << L) >> (L - k))
+        slot.flags.writeable = False
+        return slot
 
 
 def greedy_scales(f: GridSignal) -> ScaleChoice:
-    """Stopping scales that make the linearized operator attain M|f|."""
-    return ScaleChoice(f.resolution, maximal_argmax_scales(f))
+    """Stopping scales that make the linearized operator attain M|f|: per
+    cell, the coarsest scale whose average of |f| attains the maximum."""
+    L = f.resolution
+    avgs = scale_averages(np.abs(f.values), L)
+    stack = [np.repeat(avg, 1 << (L - k)) for k, avg in enumerate(avgs)]
+    return ScaleChoice(L, np.argmax(stack, axis=0))
 
 
 def linearized_maximal(f: GridSignal, choice: ScaleChoice) -> GridSignal:
     """T f(x) = average of f over the interval of length kappa(x) containing x.
 
     Equals sum over dyadic I of (1/|I|) <f, 1_I> 1_{V_I}; each cell receives
-    exactly one term because the stopping sets V_I tile the grid.
+    exactly one term because the stopping sets V_I tile the grid, so T is one
+    gather from the averages pyramid at the cells' slots.
     """
     if f.resolution != choice.resolution:
         raise ValueError("resolution mismatch between signal and scale choice")
-    L = f.resolution
-    avgs = scale_averages(f.values, L)
-    cells = np.arange(1 << L)
-    out = np.empty(1 << L, dtype=np.complex128)
+    pyramid = np.concatenate(scale_averages(f.values, f.resolution))
+    return GridSignal(f.resolution, pyramid[choice.slot])
+
+
+def linearized_maximal_adjoint(g: GridSignal, choice: ScaleChoice) -> GridSignal:
+    """T* g = sum over dyadic I of (1/|I|) <g, 1_{V_I}> 1_I: one `bincount`
+    of g over the slots, real and imaginary parts apart, spread back over
+    the intervals scale by scale (a scale no cell stops at adds +0.0, which
+    changes no bit of a sum that started at +0.0)."""
+    if g.resolution != choice.resolution:
+        raise ValueError("resolution mismatch between signal and scale choice")
+    L = g.resolution
+    sums = np.bincount(choice.slot, g.values.real, minlength=(2 << L) - 1).astype(np.complex128)
+    sums.imag = np.bincount(choice.slot, g.values.imag, minlength=(2 << L) - 1)
+    out = np.zeros(1 << L, dtype=np.complex128)
     for k in range(L + 1):
-        sel = choice.scales == k
-        if np.any(sel):
-            out[sel] = avgs[k][cells[sel] >> (L - k)]
+        out += np.repeat(sums[(1 << k) - 1 : (2 << k) - 1], 1 << (L - k)) * 2.0 ** (k - L)
     return GridSignal(L, out)
 
 
@@ -156,32 +159,19 @@ def exceptional_complement(base: GridSet, marker: GridSet, c: float = 4.0) -> Gr
     return base - maximal_level_set(marker, threshold)
 
 
-def stopping_partition_ok(choice: ScaleChoice) -> bool:
-    """Each cell lies in exactly one stopping set V_I."""
-    total = np.zeros(1 << choice.resolution, dtype=np.int64)
-    for interval in all_intervals(choice.resolution):
-        total += choice.stopping_mask(interval)
-    return bool(np.all(total == 1))
-
-
 def interval_size_mass(
-    interval: DyadicInterval,
     e: GridSet,
     h_prime: GridSet,
     f_set: GridSet,
     g: GridSet,
     choice: ScaleChoice,
-) -> tuple[float, float]:
-    """size(I) = |E ∩ H' ∩ I| / |I| and mass(I) = |F ∩ G ∩ V_I| / |I|."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """size(I) = |E ∩ H' ∩ I| / |I| and mass(I) = |F ∩ G ∩ V_I| / |I| for
+    every dyadic I, as pyramids in `all_intervals` (slot) order."""
     L = e.resolution
-    sl = interval.cell_slice(L)
-    width = 1 << (L - interval.scale)
-    source = (e.mask & h_prime.mask)[sl]
-    target = (f_set.mask & g.mask)[sl] & (choice.scales[sl] == interval.scale)
-    return (
-        int(np.count_nonzero(source)) / width,
-        int(np.count_nonzero(target)) / width,
-    )
+    sizes = np.concatenate(scale_averages((e.mask & h_prime.mask).astype(float), L))
+    counts = np.bincount(choice.slot[f_set.mask & g.mask], minlength=(2 << L) - 1)
+    return sizes, counts / (1 << (L - slot_scales(L)))
 
 
 def dyadic_class(value: float) -> int:
@@ -277,26 +267,9 @@ def bucket_decompose(
     return Decomposition(buckets=buckets, remainder=current)
 
 
-def _maximal_members(intervals: list[DyadicInterval]) -> list[DyadicInterval]:
-    kept: set[DyadicInterval] = set()
-    for interval in sorted(intervals, key=lambda i: (i.scale, i.offset)):
-        if not any(
-            interval.ancestor(s) in kept for s in range(interval.scale + 1)
-        ):
-            kept.add(interval)
-    return sorted(kept, key=lambda i: (i.scale, i.offset))
-
-
-@dataclass
-class IntervalClass:
-    """One (n, m) size/mass bucket with its member and maximal intervals."""
-
-    n: int
-    m: int
-    intervals: list[DyadicInterval] = field(default_factory=list)
-    maximal: list[DyadicInterval] = field(default_factory=list)
-    sum: float = 0.0
-    count_bound_ratio: float = 0.0
+def _ordered_sum(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., added left to right."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
 
 
 def restricted_double_sum(
@@ -318,47 +291,37 @@ def restricted_double_sum(
     if not 1 < s < math.inf:
         raise ValueError(f"s must lie in (1, inf), got {s}")
     L = e.resolution
-    buckets: dict[tuple[int, int], IntervalClass] = {}
-    total = 0.0
-    for interval in all_intervals(L):
-        sl = interval.cell_slice(L)
-        if not np.any(h_prime.mask[sl]):
-            continue
-        size_i, mass_i = interval_size_mass(interval, e, h_prime, f_set, g, choice)
-        term = size_i * mass_i * interval.length
-        if term == 0.0:
-            continue
-        key = (dyadic_class(size_i), dyadic_class(mass_i))
-        bucket = buckets.setdefault(key, IntervalClass(n=key[0], m=key[1]))
-        bucket.intervals.append(interval)
-        bucket.sum += term
-        total += term
-
+    sizes, masses = interval_size_mass(e, h_prime, f_set, g, choice)
+    lengths = np.ldexp(1.0, -slot_scales(L))
+    terms = sizes * masses * lengths
+    # an interval missing H' has size 0, so the live terms are those of
+    # intervals meeting H'; every sum runs in slot order
+    live = np.flatnonzero(terms)
+    pairs = [(dyadic_class(a), dyadic_class(b)) for a, b in zip(sizes[live], masses[live])]
+    classes, label = np.unique(np.reshape(pairs, (-1, 2)), axis=0, return_inverse=True)
+    members = np.zeros((len(classes), terms.size), dtype=bool)
+    members[label.ravel(), live] = True
+    # a class's maximal intervals: its members with no ancestor in the class
+    tops, covered = members.copy(), np.zeros((len(classes), 1), dtype=bool)
+    for k in range(L + 1):
+        row = slice((1 << k) - 1, (2 << k) - 1)
+        tops[:, row] &= ~covered
+        covered = np.repeat(covered | members[:, row], 2, axis=1)
     e_measure, f_measure = measure(e), measure(f_set)
     stats = []
-    for key in sorted(buckets):
-        bucket = buckets[key]
-        bucket.maximal = _maximal_members(bucket.intervals)
-        tops_length = sum(j.length for j in bucket.maximal)
-        cap = min(2.0 ** bucket.n * e_measure, 2.0 ** bucket.m * f_measure)
-        bucket.count_bound_ratio = tops_length / cap if cap > 0 else math.inf
-        stats.append(
-            BucketStat(bucket.n, bucket.m, bucket.sum, bucket.count_bound_ratio)
-        )
+    for (n, m), in_class, top in zip(classes.tolist(), members, tops):
+        cap = min(2.0**n * e_measure, 2.0**m * f_measure)
+        ratio = _ordered_sum(lengths[top]) / cap if cap > 0 else math.inf
+        stats.append(BucketStat(n, m, _ordered_sum(terms[in_class]), ratio))
 
     h_measure = measure(h) if h is not None else measure(h_prime)
-    g_measure = measure(g)
     rhs = 0.0
     if h_measure > 0 and e_measure > 0 and f_measure > 0:
-        s_conj = s / (s - 1.0)
-        rhs = (
-            (g_measure / h_measure) ** (1.0 / s)
-            * e_measure ** (1.0 / s)
-            * f_measure ** (1.0 / s_conj)
-        )
-    report = RatioReport.from_sides(total, rhs, buckets=stats)
+        rhs = (measure(g) / h_measure) ** (1.0 / s) * e_measure ** (1.0 / s)
+        rhs *= f_measure ** (1.0 / (s / (s - 1.0)))
+    report = RatioReport.from_sides(_ordered_sum(terms[live]), rhs, buckets=stats)
     report.extra["h_measure_used"] = h_measure
-    report.extra["classes"] = {f"{n},{m}": buckets[(n, m)].sum for (n, m) in sorted(buckets)}
+    report.extra["classes"] = {f"{b.n},{b.m}": b.sum for b in stats}
     return report
 
 

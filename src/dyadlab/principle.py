@@ -239,6 +239,12 @@ def densify(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def condition_constant(norms: list[float], ratio: float, p: float) -> float:
+    """The two-set constant max_j ||T_j||**2 / (|G|/|H|)**(1 - 2/p) of
+    measured localized norms at exponent p, with ratio = |G|/|H|."""
+    return max((nm**2 for nm in norms), default=0.0) / ratio ** (1.0 - 2.0 / p)
+
+
 def measure_condition(
     family: OperatorFamily,
     h: GridSet,
@@ -262,7 +268,6 @@ def measure_condition(
     conjugate_exponent(p)
     h_sub, g_sub = builder(h, g)
     ratio = measure(g) / measure(h)
-    ratio_pow = ratio ** (1.0 - 2.0 / p)
 
     norms: list[float] = []
     top_vectors: list[np.ndarray | None] = []
@@ -281,7 +286,7 @@ def measure_condition(
         iterations.append(best.iterations)
         converged_all = converged_all and best.converged
 
-    c_p = max((nm**2 for nm in norms), default=0.0) / ratio_pow
+    c_p = condition_constant(norms, ratio, p)
 
     # restricted weak-type probe: vector input with pointwise l2 at most 1_{H'}
     j_count = max(1, len(family))

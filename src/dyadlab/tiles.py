@@ -544,10 +544,11 @@ class Tree:
     members: frozenset[BiTile]
 
     def __post_init__(self):
+        s, offset = self.top_interval.scale, self.top_interval.offset
         for p in self.members:
-            if not self.top_interval.contains(p.spatial):
+            if p.scale < s or p.offset >> (p.scale - s) != offset:
                 raise ValueError(f"member {p} escapes the top interval")
-            if not p.freq.contains_point(self.top_freq):
+            if self.top_freq >> (p.scale + 1) != p.freq_index:
                 raise ValueError(f"top frequency misses member {p}")
 
     @property

@@ -561,3 +561,8 @@ class TestVectorCarleson:
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError):
             verify_vector_carleson(random_vector(rng, 4, 2), None, 1.0)
+
+    def test_rejects_empty_choices(self):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValueError, match="at least one choice function"):
+            verify_vector_carleson(random_vector(rng, 4, 2), [], 2.5)

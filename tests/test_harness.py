@@ -490,6 +490,17 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "1 < p < inf" in err
 
+    def test_cordoba_weighted_ignores_q(self, tmp_path, capsys):
+        # the runner works at q = 2p/(p-1) whatever --q says, so the default
+        # q = 2.5 must not reject p = 10
+        out = tmp_path / "cw"
+        args = ["verify", "cordoba-weighted", "--p", "10", "--trials", "1", "--resolution", "3"]
+        assert main([*args, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["q"] == 2.0 * 10.0 / 9.0
+        assert main(["verify", "cordoba-weighted", "--p", "1.0"]) == 2
+        assert "cordoba-weighted needs 1 < p < inf, got p=1.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("theorem", ["biparam", "principle"])
     def test_resolution_zero_exits_two(self, theorem, capsys):
         assert main(["verify", theorem, "--resolution", "0"]) == 2

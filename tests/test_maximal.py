@@ -23,11 +23,14 @@ from dyadlab.maximal import (
     greedy_scales,
     interval_size_mass,
     linearized_maximal,
+    linearized_maximal_adjoint,
     maximal_level_set,
     restricted_double_sum,
-    stopping_partition_ok,
+    scale_averages,
     verify_vector_maximal,
 )
+from dyadlab.principle import densify
+from dyadlab.reports import BucketStat, RatioReport
 
 
 def tree_average(values: np.ndarray) -> float:
@@ -49,6 +52,11 @@ def brute_force_maximal(f: GridSignal) -> np.ndarray:
     return out
 
 
+def random_bits_set(rng, resolution: int) -> GridSet:
+    """Cells drawn at a random density, so sets may be empty or full."""
+    return GridSet(resolution, rng.random(1 << resolution) < rng.random())
+
+
 def weak_11_sup(f: GridSignal) -> float:
     """sup over lam > 0 of lam * |{Mf > lam}| equals the max over achieved
     values v of v * |{Mf >= v}|."""
@@ -59,6 +67,115 @@ def weak_11_sup(f: GridSignal) -> float:
         if v > 0:
             best = max(best, v * np.count_nonzero(mf >= v) * width)
     return best
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def slot_of(interval: DyadicInterval) -> int:
+    """Position of an interval in `all_intervals` order."""
+    return (1 << interval.scale) - 1 + interval.offset
+
+
+def signed_zero_inputs(rng, resolution: int):
+    """A random complex vector, an all -0.0 one and a mix of +-0.0 with a
+    few nonzero entries."""
+    n = 1 << resolution
+    yield rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    yield np.full(n, complex(-0.0, -0.0))
+    mixed = np.zeros(n, dtype=np.complex128)
+    mixed.real = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    mixed.imag = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    hit = rng.random(n) < 0.3
+    mixed[hit] = rng.standard_normal(int(hit.sum())) - 1j * rng.standard_normal(int(hit.sum()))
+    yield mixed
+
+
+# Oracles: the per-scale mask loop, the per-scale add.at adjoint and the
+# per-interval double sum that the slot array replaced.
+
+
+def oracle_linearized_maximal(values: np.ndarray, choice: ScaleChoice) -> np.ndarray:
+    L = choice.resolution
+    avgs = scale_averages(values, L)
+    cells = np.arange(1 << L)
+    out = np.empty(1 << L, dtype=np.complex128)
+    for k in range(L + 1):
+        sel = choice.scales == k
+        if np.any(sel):
+            out[sel] = avgs[k][cells[sel] >> (L - k)]
+    return out
+
+
+def oracle_adjoint(values: np.ndarray, choice: ScaleChoice) -> np.ndarray:
+    L = choice.resolution
+    out = np.zeros(1 << L, dtype=np.complex128)
+    vals = np.asarray(values)
+    for k in range(L + 1):
+        sel = choice.scales == k
+        if not np.any(sel):
+            continue
+        sums = np.zeros(1 << k, dtype=np.complex128)
+        np.add.at(sums, np.arange(1 << L)[sel] >> (L - k), vals[sel])
+        out += np.repeat(sums, 1 << (L - k)) * 2.0 ** (k - L)
+    return out
+
+
+def oracle_size_mass(interval, e, h_prime, f_set, g, choice):
+    L = e.resolution
+    sl = interval.cell_slice(L)
+    width = 1 << (L - interval.scale)
+    source = (e.mask & h_prime.mask)[sl]
+    target = (f_set.mask & g.mask)[sl] & (choice.scales[sl] == interval.scale)
+    return (
+        int(np.count_nonzero(source)) / width,
+        int(np.count_nonzero(target)) / width,
+    )
+
+
+def oracle_maximal_members(intervals):
+    kept = set()
+    for interval in sorted(intervals, key=lambda i: (i.scale, i.offset)):
+        if not any(interval.ancestor(s) in kept for s in range(interval.scale + 1)):
+            kept.add(interval)
+    return sorted(kept, key=lambda i: (i.scale, i.offset))
+
+
+def oracle_double_sum(e, f_set, h_prime, g, choice, s, h=None) -> RatioReport:
+    L = e.resolution
+    members: dict = {}
+    sums: dict = {}
+    total = 0.0
+    for interval in all_intervals(L):
+        if not np.any(h_prime.mask[interval.cell_slice(L)]):
+            continue
+        size_i, mass_i = oracle_size_mass(interval, e, h_prime, f_set, g, choice)
+        term = size_i * mass_i * interval.length
+        if term == 0.0:
+            continue
+        key = (dyadic_class(size_i), dyadic_class(mass_i))
+        members.setdefault(key, []).append(interval)
+        sums[key] = sums.get(key, 0.0) + term
+        total += term
+    e_measure, f_measure = measure(e), measure(f_set)
+    stats = []
+    for n, m in sorted(sums):
+        tops_length = sum(j.length for j in oracle_maximal_members(members[(n, m)]))
+        cap = min(2.0**n * e_measure, 2.0**m * f_measure)
+        stats.append(BucketStat(n, m, sums[(n, m)], tops_length / cap if cap > 0 else math.inf))
+    h_measure = measure(h) if h is not None else measure(h_prime)
+    rhs = 0.0
+    if h_measure > 0 and e_measure > 0 and f_measure > 0:
+        rhs = (
+            (measure(g) / h_measure) ** (1.0 / s)
+            * e_measure ** (1.0 / s)
+            * f_measure ** (1.0 / (s / (s - 1.0)))
+        )
+    report = RatioReport.from_sides(total, rhs, buckets=stats)
+    report.extra["h_measure_used"] = h_measure
+    report.extra["classes"] = {f"{n},{m}": sums[(n, m)] for (n, m) in sorted(sums)}
+    return report
 
 
 class TestDyadicMaximal:
@@ -118,6 +235,23 @@ class TestLinearizedMaximal:
         expected = np.array([1.0, 0.25, 0.25, 0.25])
         assert np.array_equal(linearized_maximal(f, choice).values.real, expected)
 
+    def test_greedy_scales_are_coarsest_argmax(self):
+        # the old per-scale update: move to a finer scale only on a strictly
+        # larger average
+        rng = np.random.default_rng(4)
+        for resolution in (0, 1, 5):
+            for _ in range(5):
+                f = random_signal(rng, resolution, complex_values=True)
+                f = GridSignal(resolution, np.round(f.values, 1))  # ties across scales
+                avgs = scale_averages(np.abs(f.values), resolution)
+                best = np.repeat(avgs[0], 1 << resolution)
+                expected = np.zeros(1 << resolution, dtype=np.int64)
+                for k in range(1, resolution + 1):
+                    cand = np.repeat(avgs[k], 1 << (resolution - k))
+                    expected[cand > best] = k
+                    best = np.maximum(best, cand)
+                assert np.array_equal(greedy_scales(f).scales, expected)
+
     def test_greedy_attains_maximal(self):
         rng = np.random.default_rng(5)
         for resolution in (3, 5, 6):
@@ -136,9 +270,66 @@ class TestLinearizedMaximal:
             assert np.all(out <= mf + 1e-14)
 
     def test_stopping_partition(self):
+        # V_I = {x in I : kappa(x) = |I|}: each cell lies in exactly one V_I,
+        # the one its slot names
         rng = np.random.default_rng(8)
         for _ in range(10):
-            assert stopping_partition_ok(random_scale_choice(rng, 5))
+            choice = random_scale_choice(rng, 5)
+            total = np.zeros(32, dtype=np.int64)
+            for position, interval in enumerate(all_intervals(5)):
+                v_i = interval.indicator(5) & (choice.scales == interval.scale)
+                assert np.array_equal(v_i, choice.slot == position)
+                total += v_i
+            assert np.all(total == 1)
+
+    def test_slot_order_is_all_intervals_order(self):
+        rng = np.random.default_rng(10)
+        for resolution in (0, 1, 4):
+            choice = random_scale_choice(rng, resolution)
+            for position, interval in enumerate(all_intervals(resolution)):
+                assert slot_of(interval) == position
+                v_i = interval.indicator(resolution) & (choice.scales == interval.scale)
+                assert np.array_equal(choice.slot == position, v_i)
+        with pytest.raises(ValueError):
+            choice.slot[0] = 0
+        with pytest.raises(ValueError):
+            choice.scales[0] = 0
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_forward_matches_mask_loop_bits(self, resolution):
+        rng = np.random.default_rng(40 + resolution)
+        for _ in range(4):
+            choice = random_scale_choice(rng, resolution)
+            for values in signed_zero_inputs(rng, resolution):
+                out = linearized_maximal(GridSignal(resolution, values), choice).values
+                assert same_bits(out, oracle_linearized_maximal(values, choice))
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_adjoint_matches_add_at_bits(self, resolution):
+        rng = np.random.default_rng(50 + resolution)
+        for _ in range(4):
+            choice = random_scale_choice(rng, resolution)
+            for values in signed_zero_inputs(rng, resolution):
+                out = linearized_maximal_adjoint(GridSignal(resolution, values), choice).values
+                assert same_bits(out, oracle_adjoint(values, choice))
+
+    @pytest.mark.parametrize("resolution", range(6))
+    def test_adjoint_is_conjugate_transpose(self, resolution):
+        rng = np.random.default_rng(60 + resolution)
+        for _ in range(3):
+            choice = random_scale_choice(rng, resolution)
+            n = 1 << resolution
+            fwd = densify(lambda v: linearized_maximal(GridSignal(resolution, v), choice).values, n)
+            adj = densify(
+                lambda v: linearized_maximal_adjoint(GridSignal(resolution, v), choice).values, n
+            )
+            assert np.array_equal(adj, fwd.conj().T)
+
+    def test_resolution_mismatch_rejected(self):
+        choice = ScaleChoice.constant(3, 1)
+        for operator in (linearized_maximal, linearized_maximal_adjoint):
+            with pytest.raises(ValueError, match="resolution mismatch"):
+                operator(GridSignal.zeros(2), choice)
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -192,22 +383,34 @@ class TestSizeMass:
         e = GridSet.full(3)
         h = GridSet.full(3)
         choice = ScaleChoice.constant(3, 1)
-        size, _ = interval_size_mass(DyadicInterval(1, 0), e, h, e, h, choice)
-        assert size == 1.0
+        sizes, _ = interval_size_mass(e, h, e, h, choice)
+        assert sizes[slot_of(DyadicInterval(1, 0))] == 1.0
 
     def test_empty_target(self):
         e = GridSet.full(3)
         f_set = GridSet.empty(3)
         choice = ScaleChoice.constant(3, 1)
-        _, mass = interval_size_mass(DyadicInterval(1, 0), e, e, f_set, e, choice)
-        assert mass == 0.0
+        _, masses = interval_size_mass(e, e, f_set, e, choice)
+        assert masses[slot_of(DyadicInterval(1, 0))] == 0.0
 
     def test_half_source(self):
         e = GridSet.from_interval(3, DyadicInterval(2, 0))
         h = GridSet.full(3)
         choice = ScaleChoice.constant(3, 1)
-        size, _ = interval_size_mass(DyadicInterval(1, 0), e, h, e, h, choice)
-        assert size == 0.5
+        sizes, _ = interval_size_mass(e, h, e, h, choice)
+        assert sizes[slot_of(DyadicInterval(1, 0))] == 0.5
+
+    @pytest.mark.parametrize("resolution", [0, 3, 6])
+    def test_pyramids_match_per_interval_counts(self, resolution):
+        rng = np.random.default_rng(70 + resolution)
+        for _ in range(5):
+            e, h, f_set, g = (random_bits_set(rng, resolution) for _ in range(4))
+            choice = random_scale_choice(rng, resolution)
+            sizes, masses = interval_size_mass(e, h, f_set, g, choice)
+            assert sizes.shape == masses.shape == ((2 << resolution) - 1,)
+            for interval in all_intervals(resolution):
+                expected = oracle_size_mass(interval, e, h, f_set, g, choice)
+                assert (sizes[slot_of(interval)], masses[slot_of(interval)]) == expected
 
     def test_class_index(self):
         assert dyadic_class(1.0) == 0
@@ -293,6 +496,31 @@ class TestRestrictedDoubleSum:
                     2.0**bucket.n * measure(e), 2.0**bucket.m * measure(f_set)
                 )
                 assert bucket.sum <= (resolution + 1) * cap * (1 + 1e-9)
+
+    @pytest.mark.parametrize("resolution", range(8))
+    def test_matches_per_interval_loop(self, resolution):
+        rng = np.random.default_rng(80 + resolution)
+        for trial in range(12):
+            e, f_set, h_prime, g, h = (random_bits_set(rng, resolution) for _ in range(5))
+            choice = random_scale_choice(rng, resolution)
+            s = 1.0 + float(rng.uniform(0.1, 3.0))
+            h = h if trial % 2 else None
+            report = restricted_double_sum(e, f_set, h_prime, g, choice, s, h=h)
+            expected = oracle_double_sum(e, f_set, h_prime, g, choice, s, h=h)
+            assert report.to_json() == expected.to_json()
+
+    def test_maximal_members_skip_nested_classmates(self):
+        # E = F = G = H' full and kappa = (1, 1, 1/2, 1/4): [0, 1) and
+        # [1/2, 1) both have size 1 and mass 1/2, so class (0, 1) counts only
+        # [0, 1) among its maximal members; the last cell alone is class (0, 0)
+        full = GridSet.full(2)
+        choice = ScaleChoice(2, [0, 0, 1, 2])
+        report = restricted_double_sum(full, full, full, full, choice, 2.0)
+        assert [(b.n, b.m, b.sum, b.count_bound_ratio) for b in report.buckets] == [
+            (0, 0, 0.25, 0.25),
+            (0, 1, 0.75, 1.0),
+        ]
+        assert report.lhs == 1.0
 
     def test_requires_valid_s(self):
         full = GridSet.full(3)

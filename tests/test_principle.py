@@ -3,18 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab.grid import STACK_CELLS, GridSet, VectorSignal, measure
+from dyadlab import harness
+from dyadlab.grid import STACK_CELLS, GridSet, GridSignal, VectorSignal, measure
 from dyadlab.harness import (
+    ExperimentConfig,
     maximal_operator_family,
     random_grid_set,
     random_signal,
     random_vector,
 )
-from dyadlab.maximal import exceptional_complement
+from dyadlab.maximal import (
+    exceptional_complement,
+    linearized_maximal,
+    linearized_maximal_adjoint,
+)
 from dyadlab.principle import (
     LinearOperator,
     OperatorFamily,
     SubsetBuilder,
+    condition_constant,
     conjugate_exponent,
     decay_base,
     densify,
@@ -321,6 +328,43 @@ class TestVectorConclusion:
             backward = densify(op.adjoint, 16)
             assert np.allclose(backward, forward.conj().T, atol=1e-12)
 
+
+    def test_family_runs_the_library_pair(self):
+        rng = np.random.default_rng(20)
+        resolution = 5
+        family, choices = maximal_operator_family(rng, resolution, 3)
+        for op, choice in zip(family.operators, choices):
+            v = rng.standard_normal(1 << resolution) + 1j * rng.standard_normal(1 << resolution)
+            f = GridSignal(resolution, v)
+            assert op.apply(v).tobytes() == linearized_maximal(f, choice).values.tobytes()
+            assert op.adjoint(v).tobytes() == linearized_maximal_adjoint(f, choice).values.tobytes()
+
+
+class TestConditionConstant:
+    def test_second_exponent_from_the_first_measurement(self):
+        rng = np.random.default_rng(21)
+        resolution = 5
+        family, _ = maximal_operator_family(rng, resolution, 3)
+        h, g = random_grid_set(rng, resolution), random_grid_set(rng, resolution)
+        builder = trim_builder(4.0, "h")
+        first = measure_condition(family, h, g, builder, 2.0, seed=3)
+        norms, ratio = first.extra["norms"], first.extra["measure_ratio"]
+        assert condition_constant(norms, ratio, 2.0) == first.C_p
+        for p1 in (2.5, 3.0, 7.0):
+            again = measure_condition(family, h, g, builder, p1, seed=3)
+            assert condition_constant(norms, ratio, p1) == again.C_p
+
+    def test_verify_principle_measures_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[4])
+            return measure_condition(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "measure_condition", counting)
+        _, report, _ = harness.run(ExperimentConfig("principle", resolution=4, trials=1, p=2.0, q=2.5))
+        assert calls == [2.0]
+        assert report["principle"]["p1"] == 3.0
 
 class TestLocalizedOperator:
     def test_adjoint_is_required(self):

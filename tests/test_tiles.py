@@ -1351,6 +1351,22 @@ class TestCollections:
         with pytest.raises(ValueError):
             TileCollection(3, (np.ones((1, 4), dtype=bool),))
 
+    def test_tree_check_matches_interval_containment(self):
+        # the integer check accepts a member exactly when its spatial
+        # interval lies in the top and its frequency interval holds top_freq
+        resolution = 3
+        tops = [DyadicInterval(k, n) for k in range(resolution + 1) for n in range(1 << k)]
+        for top in tops:
+            for top_freq in [-9, -1, *range(10), (1 << 20) + 3]:
+                for p in all_bitiles(resolution):
+                    fits = top.contains(p.spatial) and p.freq.contains_point(top_freq)
+                    try:
+                        Tree(top, top_freq, frozenset([p]))
+                    except ValueError:
+                        assert not fits
+                    else:
+                        assert fits
+
     def test_tree_validation(self):
         p = BiTile(1, 0, 1)
         with pytest.raises(ValueError):
