@@ -214,17 +214,23 @@ def _members(masks, vscale: int):
             yield DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RectTree:
-    """Convex rectangles under one top, all at the top's vertical scale."""
+    """Convex rectangles under one top, all at the top's vertical scale; the
+    members are a `RectCollection`."""
 
     top: DyadicRectangle
-    members: frozenset[DyadicRectangle]
+    members: RectCollection
 
     def __post_init__(self):
-        for r in self.members:
-            if not self.top.contains(r):
-                raise ValueError(f"member {r} escapes the tree top")
+        c, top = self.members, self.top
+        kx, nx, j, ny = top.horizontal.scale, top.horizontal.offset, top.vertical.scale, top.vertical.offset
+        if c.vscale != j:
+            raise ValueError(f"members at vertical scale {c.vscale} under a top at vertical scale {j}")
+        inside = (c.masks[k][nx << (k - kx) : (nx + 1) << (k - kx), ny] for k in range(kx, c.resolution))
+        if sum(int(np.count_nonzero(m)) for m in inside) < len(c):
+            r = next(r for r in _members(c.masks, c.vscale) if not top.contains(r))
+            raise ValueError(f"member {r} escapes the tree top")
 
     @property
     def top_measure(self) -> float:
@@ -297,7 +303,7 @@ def _take_tree(masks: list[np.ndarray], vscale: int, kx: int, nx: int, ny: int) 
         taken[k][rows, ny] = masks[k][rows, ny]
         masks[k][rows, ny] = False
     top = DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny))
-    return RectTree(top, frozenset(_members(taken, vscale)))
+    return RectTree(top, RectCollection(len(masks), vscale, tuple(taken)))
 
 
 def rect_size_decompose(collection, coeffs, threshold):
@@ -359,8 +365,7 @@ def rect_tree_estimate(
 ) -> RatioReport:
     """Single rectangle-tree estimate: coefficient pairing against
     |R_T| size(T) mass(T), with the dual set F read off the support of g."""
-    L = f.resolution
-    collection = RectCollection.from_rects(L, tree.top.vertical.scale, tree.members)
+    L, collection = f.resolution, tree.members
     coeffs_f = rect_coefficients(collection, Grid2D(L, f.values * h_prime.mask))
     coeffs_g = rect_coefficients(collection, Grid2D(L, g.values * g_set.mask))
     lhs = _pairing(collection.masks, coeffs_f, coeffs_g)

@@ -30,14 +30,15 @@ from .maximal import exceptional_complement
 from .principle import LinearOperator, PowerIterationResult, power_iterations
 from .reports import BucketStat, DecayReport, LadderPoint, RatioReport, safe_ratio
 from .tiles import (
-    BiTile,
     ChoiceFunction,
     ModelSumPlan,
     TileCollection,
     full_decompose,
-    member_coefficients,
+    member_weights,
     model_sum,
     packet_coefficients,
+    tree_sum,
+    upper_cells,
 )
 from .walsh import block_gathers
 
@@ -89,7 +90,7 @@ def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
         mask & keep.mask.reshape(1 << k, 1 << (L - k)).any(axis=1)[:, None]
         for k, mask in enumerate(collection.masks)
     )
-    return TileCollection(L, kept, convex=False)
+    return TileCollection.from_masks(L, kept)
 
 
 def restricted_norm(
@@ -196,16 +197,12 @@ def restricted_pairing(
     mass_target = GridSet(L, f_set.mask & op.a.mask)
     decomposition = full_decompose(surviving, masked_f, mass_target, op.choice)
 
-    coeffs = member_coefficients(surviving, masked_f)
-    g_in_a = np.abs(g.values) * f_set.mask * op.a.mask
-    width = cell_width(L)
-    freqs = op.choice.freqs
-
-    def member_majorant(p: BiTile) -> float:
-        sel_slice = p.spatial.cell_slice(L)
-        sel = (freqs[sel_slice] >= p.upper.freq.lo) & (freqs[sel_slice] < p.upper.freq.hi)
-        weight = float(np.sum((g_in_a[sel_slice] > 0)[sel]) * width)
-        return abs(coeffs[p]) * 2.0 ** (p.scale / 2.0) * weight
+    # a member P's term is |<f 1_B, P1>| 2**(k/2) |cell| times the count of
+    # the cells of I_P in F ∩ A where g is nonzero and N lies in P2
+    _, cell, slot, _ = upper_cells(op.choice)
+    hit = (np.abs(g.values) * f_set.mask * op.a.mask > 0)[cell]
+    counts = np.bincount(slot[hit], minlength=surviving.occupied.size)
+    member_majorant = member_weights(surviving, masked_f, counts * cell_width(L))
 
     t_conj = t / (t - 1.0)
     e_measure, f_measure = measure(e_set), measure(f_set)
@@ -215,7 +212,7 @@ def restricted_pairing(
     for (n, m), bucket in sorted(decomposition.buckets.items()):
         bucket_sum = 0.0
         for tree in bucket.trees:
-            bucket_sum += sum(member_majorant(p) for p in tree.members)
+            bucket_sum += tree_sum(tree, member_majorant)
         majorant += bucket_sum
         model_term = (
             2.0 ** (-n - m)

@@ -130,7 +130,7 @@ def _check_cells(grid, array: np.ndarray) -> None:
         raise ValueError(f"expected cells shaped {shape}, got shape {array.shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSignal:
     """Complex-valued function on the 2**resolution cells of [0, 1); its
     plane case `Grid2D` lives on the 2**L x 2**L cells of the unit square."""
@@ -179,7 +179,7 @@ class Grid2D(GridSignal):
     ndim = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSet:
     """Boolean mask over the cells of a line grid, or of a plane grid for its
     plane case `GridSet2D`; measure is the cell count times the cell measure."""
@@ -242,7 +242,7 @@ def measure(s: GridSet) -> float:
     return int(np.count_nonzero(s.mask)) * cell_width(s.resolution) ** s.ndim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSignal:
     """Finite ordered family of signals at one resolution, stored as a matrix."""
 

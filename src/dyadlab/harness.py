@@ -20,12 +20,7 @@ import numpy as np
 
 from . import __version__
 from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, lp_norm
-from .maximal import (
-    ScaleChoice,
-    linearized_maximal,
-    linearized_maximal_adjoint,
-    verify_vector_maximal,
-)
+from .maximal import ScaleChoice, verify_vector_maximal
 from .principle import (
     LinearOperator,
     OperatorFamily,
@@ -36,7 +31,7 @@ from .principle import (
     vector_inequality_ratio,
 )
 from .reports import PrincipleReport
-from .tiles import BiTile, ChoiceFunction, TileCollection, full_decompose
+from .tiles import BiTile, ChoiceFunction, Tile, TileCollection, full_decompose, member_indices, walsh_packet
 from .walsh import walsh_synthesis
 
 THEOREMS = ("fs", "biparam", "cordoba", "cordoba-weighted", "carleson", "principle")
@@ -215,13 +210,10 @@ def collection_spanning_signal(
     """Gaussian combination of the collection's own lower packets, unit L2
     norm; keeps decomposition constants scale-comparable because the signal
     energy lives where the collection can see it."""
-    from .tiles import bitile_key, walsh_packet
-
-    n = 1 << collection.resolution
-    values = np.zeros(n, dtype=np.complex128)
-    for p in sorted(collection.bitiles, key=bitile_key):
+    values = np.zeros(1 << collection.resolution, dtype=np.complex128)
+    for k, offset, freq_index in member_indices(collection.occupied):
         g = complex(rng.standard_normal(), rng.standard_normal())
-        values += g * walsh_packet(p.lower, collection.resolution).values
+        values += g * walsh_packet(Tile(k, offset, 2 * freq_index), collection.resolution).values
     norm = lp_norm(values, 2.0, collection.resolution)
     if norm == 0.0:
         return random_signal(rng, collection.resolution)
@@ -234,22 +226,16 @@ def collection_adapted_choice(
     """Choice function sampling the collection's own frequency intervals: at
     each cell, a uniform frequency from a random member whose spatial
     interval covers the cell (uniform over the lattice elsewhere)."""
-    from .tiles import bitile_key
-
-    resolution = collection.resolution
-    n = 1 << resolution
+    L, n = collection.resolution, 1 << collection.resolution
     freqs = rng.integers(0, n, size=n)
-    members = sorted(collection.bitiles, key=bitile_key)
-    covering: list[list] = [[] for _ in range(n)]
-    for p in members:
-        sl = p.spatial.cell_slice(resolution)
-        for cell in range(sl.start, sl.stop):
-            covering[cell].append(p)
-    for cell, candidates in enumerate(covering):
-        if candidates:
-            p = candidates[int(rng.integers(0, len(candidates)))]
-            freqs[cell] = int(rng.integers(p.freq.lo, p.freq.hi))
-    return ChoiceFunction(resolution, freqs)
+    members = np.array(list(member_indices(collection.occupied)), dtype=np.int64).reshape(-1, 3)
+    for cell in range(n):
+        # the members covering the cell, in `bitile_key` order
+        candidates = members[cell >> (L - members[:, 0]) == members[:, 1]]
+        if len(candidates):
+            k, _, m = candidates[int(rng.integers(0, len(candidates)))].tolist()
+            freqs[cell] = int(rng.integers(m << (k + 1), (m + 1) << (k + 1)))
+    return ChoiceFunction(L, freqs)
 
 
 def maximal_operator_family(
@@ -258,13 +244,7 @@ def maximal_operator_family(
     """Linearized stopping-scale operators: random scale choices; all share
     the exact L2 bound 1 of the underlying averaging."""
     choices = [random_scale_choice(rng, resolution) for _ in range(members)]
-    ops = [
-        LinearOperator(
-            lambda v, ch=ch: linearized_maximal(GridSignal(resolution, v), ch).values,
-            lambda v, ch=ch: linearized_maximal_adjoint(GridSignal(resolution, v), ch).values,
-        )
-        for ch in choices
-    ]
+    ops = [LinearOperator(ch.average, ch.average_adjoint) for ch in choices]
     return OperatorFamily(ops, l2_bound=1.0), choices
 
 

@@ -15,7 +15,7 @@ import stat
 import numpy as np
 
 from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSignal, check_resolution
-from .tiles import BiTile, ChoiceFunction, TileCollection, _mask_shape, collection_is_convex
+from .tiles import BiTile, ChoiceFunction, TileCollection, member_indices, tile_slot
 
 
 def open_new(path, newline=None):
@@ -148,8 +148,7 @@ def write_tile_collection(path, collection: TileCollection) -> None:
     with open_new(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "n", "freq_offset"])
-        for p in sorted(collection.bitiles, key=lambda p: (p.scale, p.offset, p.freq_index)):
-            writer.writerow([p.scale, p.offset, p.freq_index])
+        writer.writerows(member_indices(collection.occupied))
 
 
 def _leading_int_rows(rows, width: int) -> tuple[list[int], int]:
@@ -201,9 +200,7 @@ def read_tile_collection(path, resolution: int) -> TileCollection:
     limits = 1 << np.arange(max(L, 1))  # 2**j; at L=0 no scale is known
     fits = known & (0 <= offset) & (offset < limits[k]) & (0 <= freq) & (freq < limits[L - 1 - k])
     bad = parsed if fits.all() else int(np.argmin(fits))
-    # position in the masks laid end to end, scale k from k * 2**(L-1) on
-    k, n, q = table[:bad].T
-    slots = k * ((1 << L) >> 1) + (n << (L - 1 - k)) + q
+    slots = tile_slot(L, *table[:bad].T)
     _, first = np.unique(slots, return_index=True)
     if first.size < bad:
         repeated = np.ones(bad, dtype=bool)
@@ -213,8 +210,7 @@ def read_tile_collection(path, resolution: int) -> TileCollection:
         _fail(path, bad + 1, _tile_row_problem(rows[bad], L))
     occupied = np.zeros((L, (1 << L) >> 1), dtype=bool)
     occupied.reshape(-1)[slots] = True
-    masks = [occupied[j].reshape(_mask_shape(L, j)) for j in range(L)]
-    return TileCollection(L, masks, collection_is_convex(masks))
+    return TileCollection(L, occupied)
 
 
 def write_choice(path, choice: ChoiceFunction) -> None:

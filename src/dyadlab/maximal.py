@@ -54,7 +54,7 @@ def slot_scales(resolution: int) -> np.ndarray:
     return np.repeat(np.arange(resolution + 1), 1 << np.arange(resolution + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaleChoice:
     """Cellwise constant stopping scale: kappa(x) = 2**-scales[x]."""
 
@@ -93,6 +93,21 @@ class ScaleChoice:
         slot.flags.writeable = False
         return slot
 
+    def average(self, values: np.ndarray) -> np.ndarray:
+        """The cell values of `linearized_maximal` for these."""
+        values = np.asarray(values, dtype=np.complex128)
+        return np.concatenate(scale_averages(values, self.resolution))[self.slot]
+
+    def average_adjoint(self, values: np.ndarray) -> np.ndarray:
+        """The cell values of `linearized_maximal_adjoint` for these."""
+        L, values = self.resolution, np.asarray(values, dtype=np.complex128)
+        sums = np.bincount(self.slot, values.real, minlength=(2 << L) - 1).astype(np.complex128)
+        sums.imag = np.bincount(self.slot, values.imag, minlength=(2 << L) - 1)
+        out = np.zeros(1 << L, dtype=np.complex128)
+        for k in range(L + 1):
+            out += np.repeat(sums[(1 << k) - 1 : (2 << k) - 1], 1 << (L - k)) * 2.0 ** (k - L)
+        return out
+
 
 def greedy_scales(f: GridSignal) -> ScaleChoice:
     """Stopping scales that make the linearized operator attain M|f|: per
@@ -112,8 +127,7 @@ def linearized_maximal(f: GridSignal, choice: ScaleChoice) -> GridSignal:
     """
     if f.resolution != choice.resolution:
         raise ValueError("resolution mismatch between signal and scale choice")
-    pyramid = np.concatenate(scale_averages(f.values, f.resolution))
-    return GridSignal(f.resolution, pyramid[choice.slot])
+    return GridSignal(f.resolution, choice.average(f.values))
 
 
 def linearized_maximal_adjoint(g: GridSignal, choice: ScaleChoice) -> GridSignal:
@@ -123,13 +137,7 @@ def linearized_maximal_adjoint(g: GridSignal, choice: ScaleChoice) -> GridSignal
     changes no bit of a sum that started at +0.0)."""
     if g.resolution != choice.resolution:
         raise ValueError("resolution mismatch between signal and scale choice")
-    L = g.resolution
-    sums = np.bincount(choice.slot, g.values.real, minlength=(2 << L) - 1).astype(np.complex128)
-    sums.imag = np.bincount(choice.slot, g.values.imag, minlength=(2 << L) - 1)
-    out = np.zeros(1 << L, dtype=np.complex128)
-    for k in range(L + 1):
-        out += np.repeat(sums[(1 << k) - 1 : (2 << k) - 1], 1 << (L - k)) * 2.0 ** (k - L)
-    return GridSignal(L, out)
+    return GridSignal(g.resolution, choice.average_adjoint(g.values))
 
 
 def maximal_level_set(marker: GridSet, threshold: float) -> GridSet:
@@ -209,13 +217,6 @@ class ForestBucket:
 class Decomposition:
     buckets: dict[tuple[int, int], ForestBucket]
     remainder: object
-
-    def covered(self) -> set:
-        out: set = set()
-        for bucket in self.buckets.values():
-            for tree in bucket.trees:
-                out |= tree.members
-        return out
 
 
 def bucket_decompose(

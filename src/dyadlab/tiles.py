@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -144,86 +145,93 @@ class BiTile:
     def __lt__(self, other: "BiTile") -> bool:
         return self != other and self <= other
 
-    def __ge__(self, other: "BiTile") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "BiTile") -> bool:
-        return other < self
-
 
 def all_bitiles(resolution: int) -> list[BiTile]:
-    out = []
-    for scale in range(resolution):
-        for offset in range(1 << scale):
-            for freq_index in range(1 << (resolution - scale - 1)):
-                out.append(BiTile(scale, offset, freq_index))
-    return out
+    """Every bi-tile at the resolution, in `bitile_key` order."""
+    return [BiTile(*index) for index in member_indices(TileCollection.all(resolution).occupied)]
 
 
 def _mask_shape(resolution: int, scale: int) -> tuple[int, int]:
     return (1 << scale, 1 << (resolution - scale - 1))
 
 
+def tile_slot(resolution: int, scale, offset, freq_index):
+    """Position of the bi-tile (scale k, offset n, freq_index m) in a flat
+    occupancy array: k 2**(L-1) + n 2**(L-k-1) + m, so row k of the
+    (L, 2**(L-1)) array is scale k's (2**k, 2**(L-k-1)) mask flattened, and
+    ascending slots are `bitile_key` order. Takes ints or integer arrays."""
+    L = resolution
+    return scale * ((1 << L) >> 1) + (offset << (L - 1 - scale)) + freq_index
+
+
 @dataclass(frozen=True, eq=False)
 class TileCollection:
-    """Finite set of bi-tiles at one resolution, with a convexity flag.
+    """Finite set of bi-tiles at one resolution.
 
-    The members are stored only as one read-only boolean occupancy mask per
-    scale k < L, shaped (2**k, 2**(L-k-1)) and indexed [offset, freq_index].
+    The members are stored only as one read-only boolean array `occupied`
+    shaped (L, 2**(L-1)), set at each member's `tile_slot`; `masks` views
+    row k as scale k's mask, shaped (2**k, 2**(L-k-1)) and indexed
+    [offset, freq_index].
     """
 
     resolution: int
-    masks: tuple[np.ndarray, ...] = field(repr=False)
-    convex: bool = False
+    occupied: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check_resolution(self.resolution)
-        masks = tuple(np.array(m, dtype=bool) for m in self.masks)
-        expected = [_mask_shape(self.resolution, k) for k in range(self.resolution)]
-        if [m.shape for m in masks] != expected:
+        L = check_resolution(self.resolution)
+        occupied = np.array(self.occupied, dtype=bool)
+        if occupied.shape != (L, (1 << L) >> 1):
+            raise ValueError(f"expected an occupancy array shaped {(L, (1 << L) >> 1)}, got {occupied.shape}")
+        occupied.setflags(write=False)
+        object.__setattr__(self, "occupied", occupied)
+
+    @classmethod
+    def from_masks(cls, resolution: int, masks) -> "TileCollection":
+        """The collection with scale k's (2**k, 2**(L-k-1)) mask as row k."""
+        L = check_resolution(resolution)
+        if [np.shape(m) for m in masks] != (expected := [_mask_shape(L, k) for k in range(L)]):
             raise ValueError(f"expected occupancy masks shaped {expected}")
-        for m in masks:
-            m.setflags(write=False)
-        object.__setattr__(self, "masks", masks)
+        return cls(L, np.concatenate([np.zeros(0, dtype=bool), *map(np.ravel, masks)]).reshape(L, (1 << L) >> 1))
 
     @classmethod
     def from_bitiles(cls, resolution: int, bitiles) -> "TileCollection":
-        masks = _masks_of(resolution, bitiles)
-        return cls(resolution, masks, collection_is_convex(masks))
+        L = check_resolution(resolution)
+        occupied = np.zeros((L, (1 << L) >> 1), dtype=bool)
+        for p in bitiles:
+            if not p.fits(L):
+                raise ValueError(f"bi-tile {p} does not fit resolution {L}")
+            occupied.reshape(-1)[tile_slot(L, p.scale, p.offset, p.freq_index)] = True
+        return cls(L, occupied)
 
     @classmethod
     def all(cls, resolution: int) -> "TileCollection":
-        shapes = (_mask_shape(resolution, k) for k in range(resolution))
-        return cls(resolution, tuple(np.ones(shape, dtype=bool) for shape in shapes), convex=True)
+        return cls(resolution, np.ones((resolution, (1 << resolution) >> 1), dtype=bool))
 
     @classmethod
     def convex_closure(cls, resolution: int, seed) -> "TileCollection":
-        return cls(resolution, _hull(_masks_of(resolution, seed)), convex=True)
+        return cls.from_masks(resolution, _hull(cls.from_bitiles(resolution, seed).masks))
+
+    @functools.cached_property
+    def masks(self) -> tuple[np.ndarray, ...]:
+        """Per scale k, row k of `occupied` viewed as scale k's mask."""
+        return tuple(row.reshape(_mask_shape(self.resolution, k)) for k, row in enumerate(self.occupied))
 
     @property
     def bitiles(self) -> frozenset[BiTile]:
-        """The members as bi-tile objects, built from the masks."""
-        return frozenset(_members(self.masks))
+        """The members as bi-tile objects, built from the occupancy array."""
+        return frozenset(BiTile(*index) for index in member_indices(self.occupied))
 
     def __len__(self) -> int:
-        return sum(int(np.count_nonzero(m)) for m in self.masks)
+        return int(np.count_nonzero(self.occupied))
 
 
-def _masks_of(resolution: int, bitiles) -> list[np.ndarray]:
-    check_resolution(resolution)
-    masks = [np.zeros(_mask_shape(resolution, k), dtype=bool) for k in range(resolution)]
-    for p in bitiles:
-        if not p.fits(resolution):
-            raise ValueError(f"bi-tile {p} does not fit resolution {resolution}")
-        masks[p.scale][p.offset, p.freq_index] = True
-    return masks
-
-
-def _members(masks):
-    """Members of per-scale masks as bi-tiles, in `bitile_key` order."""
-    for k, mask in enumerate(masks):
-        for offset, freq_index in zip(*np.nonzero(mask)):
-            yield BiTile(k, int(offset), int(freq_index))
+def member_indices(occupied: np.ndarray):
+    """(scale, offset, freq_index) of every set slot of an (L, 2**(L-1))
+    occupancy array, as ints in `bitile_key` order."""
+    L = len(occupied)
+    for k, row in enumerate(occupied):
+        offsets, freqs = np.nonzero(row.reshape(_mask_shape(L, k)))
+        yield from zip(itertools.repeat(k), offsets.tolist(), freqs.tolist())
 
 
 def _hull(masks) -> tuple[np.ndarray, ...]:
@@ -253,7 +261,7 @@ def collection_is_convex(masks) -> bool:
     return all(np.array_equal(h, m) for h, m in zip(_hull(masks), masks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiceFunction:
     """Cellwise constant integer frequency assignment N : cells -> [0, 2**L)."""
 
@@ -312,30 +320,42 @@ def bitile_key(p: BiTile) -> tuple[int, int, int]:
     return (p.scale, p.offset, p.freq_index)
 
 
-def _scale_coefficients(collection: TileCollection, f: GridSignal):
-    """Per scale k with members: k, the members' offsets and frequency
-    indices in `bitile_key` order, and <f, lower-packet> at each, gathered
-    from one fast transform of the scale."""
+def _coefficients(collection: TileCollection, f: GridSignal) -> tuple[np.ndarray, ...]:
+    """Every member's scale, offset and frequency index, in `bitile_key`
+    order, and <f, lower-packet> at each, gathered from one fast transform
+    per scale with members."""
     if f.resolution != collection.resolution:
         raise ValueError("resolution mismatch")
-    for k, mask in enumerate(collection.masks):
-        n, m = np.nonzero(mask)
-        if n.size:
-            yield k, n, m, packet_coefficients(f.values, f.resolution, k)[n, 2 * m]
+    parts = [
+        (np.full(n.size, k), n, m, packet_coefficients(f.values, f.resolution, k)[n, 2 * m])
+        for k, (n, m) in enumerate(map(np.nonzero, collection.masks))
+        if n.size
+    ]
+    empty = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=np.complex128),)
+    return tuple(np.concatenate(column) for column in zip(empty, *parts))
 
 
 def member_coefficients(collection: TileCollection, f: GridSignal) -> dict[BiTile, complex]:
     """<f, lower-packet of P> for every member, via per-scale fast transforms,
     in `bitile_key` order."""
-    out: dict[BiTile, complex] = {}
-    for k, n, m, coef in _scale_coefficients(collection, f):
-        members = (BiTile(k, offset, freq_index) for offset, freq_index in zip(n.tolist(), m.tolist()))
-        out.update(zip(members, coef.tolist()))
-    return out
+    scale, offset, freq, coef = (a.tolist() for a in _coefficients(collection, f))
+    return dict(zip(map(BiTile, scale, offset, freq), coef))
 
 
-def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+def upper_cells(choice: ChoiceFunction):
+    """Every (scale k < L, cell x) at which N(x) lies in the upper tile of
+    a bi-tile, that is N(x) >> k is odd, by scale, then cell: the arrays k,
+    x, the bi-tile's slot and W(x) = +-1, the sign of its upper packet at x."""
+    L = choice.resolution
+    tile_idx = choice.freqs >> np.arange(L)[:, None]
+    scale, cell = np.nonzero(tile_idx & 1)
+    odd = tile_idx[scale, cell]
+    slot = tile_slot(L, scale, cell >> (L - scale), odd >> 1)
+    # W_{2m+1} at the cell's place u in its block is the parity of
+    # (2m + 1) & bit_reverse(u), and the block gather holds bit_reverse(u)
+    # in its low L - k bits, the only bits 2m + 1 has
+    sign = 1.0 - 2.0 * (np.bitwise_count(odd & block_gathers(L)[scale, cell]) & 1)
+    return scale, cell, slot, sign
 
 
 class ModelSumPlan:
@@ -378,20 +398,9 @@ class ModelSumPlan:
         L = collection.resolution
         if choice.resolution != L:
             raise ValueError("resolution mismatch")
-        scales = np.arange(L)[:, None]
-        tile_idx = choice.freqs >> scales
-        m = tile_idx >> 1
-        index = ((np.arange(1 << L) >> (L - scales)) << (L - scales - 1)) + m
-        # each scale's mask holds 2**(L-1) bi-tiles, [n, m] at flat `index`;
-        # the empty array makes the join (0, 0) at L = 0
-        masks = np.concatenate((np.zeros(0, dtype=bool),) + collection.masks, axis=None)
-        present = np.take_along_axis(masks.reshape(L, (1 << L) >> 1), index, axis=1)
-        scale, cell = np.nonzero(((tile_idx & 1) == 1) & present)
-        odd = 2 * m[scale, cell] + 1
-        # W_{2m+1} at the cell's place u in its block is the parity of
-        # (2m + 1) & bit_reverse(u), and the block gather holds bit_reverse(u)
-        # in its low L - k bits, the only bits 2m + 1 has
-        signs = np.bitwise_count(odd & block_gathers(L)[scale, cell]) & 1
+        scale, cell, slot, sign = upper_cells(choice)
+        present = collection.occupied.ravel()[slot]
+        scale, cell, slot, sign = scale[present], cell[present], slot[present], sign[present]
         factors = np.array([2.0 ** (k / 2.0) for k in range(L)], dtype=np.float64)
         self.resolution = L
         self._count = 1
@@ -400,9 +409,10 @@ class ModelSumPlan:
         self._entry_factor = factors[self._entry_scale]
         self._term_entry = np.searchsorted(self._entry_scale, scale)
         self._cell = cell
-        self._index = index[scale, cell]
+        # a slot's place in its scale's row of 2**(L-1), n 2**(L-k-1) + m
+        self._index = slot & (((1 << L) >> 1) - 1)
         self._norm = (factors * cell_width(L))[scale]
-        self._upper = factors[scale] * (1.0 - 2.0 * signs)
+        self._upper = factors[scale] * sign
         self._work = None
 
     @classmethod
@@ -534,38 +544,51 @@ def adjoint_model_sum(g: GridSignal, choice: ChoiceFunction, collection: TileCol
 # trees, size and mass
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=None)
+def _tree_layout(resolution: int, top_scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per offset of a top at scale s < L <= 12, the ascending slots under it
+    with frequency index 0; and per slot, at scale k, the shift k + 1 that
+    takes a top frequency to the slot's column."""
+    L, s = resolution, top_scale
+    scale = np.repeat(np.arange(s, L), 1 << np.arange(L - s))
+    row = np.arange(scale.size) + 1 - (1 << (scale - s))
+    slots = tile_slot(L, scale, (np.arange(1 << s)[:, None] << (scale - s)) + row, 0)
+    slots.setflags(write=False)
+    return slots, scale + 1
+
+
+def _tree_slots(resolution: int, top: DyadicInterval, xi: int) -> np.ndarray:
+    """Ascending slots of every bi-tile whose spatial interval lies in the top
+    interval and whose frequency interval holds xi."""
+    if top.scale >= resolution or not 0 <= xi < 1 << resolution:
+        return np.zeros(0, dtype=np.int64)
+    slots, shift = _tree_layout(resolution, top.scale)
+    return slots[top.offset] + (xi >> shift)
+
+
+@dataclass(frozen=True, eq=False)
 class Tree:
     """Bi-tiles dominated by one top: spatial intervals inside the top
-    interval, top frequency inside every member's frequency interval."""
+    interval, top frequency inside every member's frequency interval. The
+    members are a `TileCollection`."""
 
     top_interval: DyadicInterval
     top_freq: int
-    members: frozenset[BiTile]
+    members: TileCollection
 
     def __post_init__(self):
-        s, offset = self.top_interval.scale, self.top_interval.offset
-        for p in self.members:
-            if p.scale < s or p.offset >> (p.scale - s) != offset:
+        stray = self.members.occupied.copy()
+        stray.reshape(-1)[_tree_slots(self.members.resolution, self.top_interval, self.top_freq)] = False
+        if stray.any():
+            k, offset, freq_index = next(member_indices(stray))
+            p, s = BiTile(k, offset, freq_index), self.top_interval.scale
+            if k < s or offset >> (k - s) != self.top_interval.offset:
                 raise ValueError(f"member {p} escapes the top interval")
-            if self.top_freq >> (p.scale + 1) != p.freq_index:
-                raise ValueError(f"top frequency misses member {p}")
+            raise ValueError(f"top frequency misses member {p}")
 
     @property
     def top_measure(self) -> float:
         return self.top_interval.length
-
-
-def _flat_copy(masks) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A writable copy of per-scale masks laid end to end in one flat array,
-    each scale in row-major order, so that members come in `bitile_key`
-    order and scale k starts at k * 2**(L-1); and per-scale views into it."""
-    flat = np.concatenate([m.ravel() for m in masks]) if masks else np.zeros(0, dtype=bool)
-    views, start = [], 0
-    for m in masks:
-        views.append(flat[start : start + m.size].reshape(m.shape))
-        start += m.size
-    return flat, views
 
 
 class _SizeTable:
@@ -597,14 +620,11 @@ class _SizeTable:
 
     def __init__(self, collection: TileCollection, f: GridSignal):
         L = collection.resolution
-        parts = list(_scale_coefficients(collection, f))
-        weights = [abs(c) ** 2 for *_, coef in parts for c in coef.tolist()]
+        scale, offset, freq, coef = _coefficients(collection, f)
+        weights = [abs(c) ** 2 for c in coef.tolist()]
         widths = np.array([(1 << (L - s)) + 1 for s in range(L)], dtype=np.int64)
         self._bases = np.concatenate([[0], np.cumsum(widths << np.arange(L))])
         self._widths = widths
-        scale = _joined([np.full(n.size, k) for k, n, _, _ in parts], np.int64)
-        offset = _joined([n for _, n, _, _ in parts], np.int64)
-        freq = _joined([m for _, _, m, _ in parts], np.int64)
         reps = scale + 1
         member = np.repeat(np.arange(scale.size), reps)
         s = np.arange(member.size) - np.repeat(np.cumsum(reps) - reps, reps)
@@ -612,25 +632,23 @@ class _SizeTable:
         row = self._bases[s] + (offset[member] >> shift) * widths[s]
         lo = row + ((2 * freq[member] + 1) << shift)
         w = np.array(weights, dtype=np.float64)[member]
-        # each entry's member as a position in the flat masks of `_flat_copy`
-        slot = scale * ((1 << L) >> 1) + (offset << (L - 1 - scale)) + freq
-        self._slots = slot[member]
+        self._slots = tile_slot(L, scale, offset, freq)[member]
         # interleaved per entry: (lo, +w), (hi, -w)
         self._keys = np.stack([lo, lo + (1 << shift)], axis=1)
         self._weights = np.stack([w, -w], axis=1)
 
-    def restricted(self, masks) -> "_SizeTable":
-        """The table of the sub-collection with these per-scale masks: the
-        entries of its members, in the same order."""
-        keep = _flat_copy(masks)[0][self._slots]
+    def restricted(self, collection: TileCollection) -> "_SizeTable":
+        """The table of a sub-collection: the entries of its members, in the
+        same order."""
+        keep = collection.occupied.ravel()[self._slots]
         sub = copy.copy(self)
         sub._slots, sub._keys, sub._weights = self._slots[keep], self._keys[keep], self._weights[keep]
         return sub
 
     def running(self, present=None) -> list[np.ndarray]:
         """Per scale s the block of running covering weights, over the
-        entries whose member is set in `present`, flat masks laid out as by
-        `_flat_copy` (default: every entry)."""
+        entries whose member is set in `present`, a flat occupancy array
+        (default: every entry)."""
         keys, weights = self._keys, self._weights
         if present is not None:
             keep = present[self._slots]
@@ -675,53 +693,41 @@ def size(collection: TileCollection, f: GridSignal, table: _SizeTable | None = N
     return math.sqrt(_peak(table.running()))
 
 
-def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> tuple[np.ndarray, ...]:
-    """Per scale k, the array over [offset, freq_index] of
-    |E ∩ {N in freq(P)} ∩ I_P| / |I_P| at members P, zero elsewhere."""
+def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> np.ndarray:
+    """|E ∩ {N in freq(P)} ∩ I_P| / |I_P| at each member P's slot, zero
+    elsewhere: an array shaped like the collection's `occupied`."""
     L = collection.resolution
     if not e.resolution == choice.resolution == L:
         raise ValueError(
             f"resolution mismatch: set at L={e.resolution} and choice at "
             f"L={choice.resolution} against a collection at L={L}"
         )
-    cells = np.arange(1 << L)
-    out = []
-    for k, mask in enumerate(collection.masks):
-        counts = np.zeros(_mask_shape(L, k), dtype=np.int64)
-        n = cells >> (L - k)
-        t = choice.freqs >> (k + 1)
-        np.add.at(counts, (n[e.mask], t[e.mask]), 1)
-        out.append(np.where(mask, counts * 2.0 ** (k - L), 0.0))
-    return tuple(out)
+    scales = np.arange(L)[:, None]
+    cells = np.flatnonzero(e.mask)
+    slots = tile_slot(L, scales, cells >> (L - scales), choice.freqs[cells] >> (scales + 1))
+    counts = np.bincount(slots.ravel(), minlength=collection.occupied.size).reshape(collection.occupied.shape)
+    return np.where(collection.occupied, counts * 2.0 ** (scales - L), 0.0)
 
 
-def _restricted_masses(table: tuple[np.ndarray, ...], collection: TileCollection) -> tuple[np.ndarray, ...]:
+def _restricted_masses(table: np.ndarray, collection: TileCollection) -> np.ndarray:
     """The member mass table of a sub-collection, from that of a collection
     holding it: a member's density does not depend on the other members."""
-    return tuple(np.where(mask, t, 0.0) for mask, t in zip(collection.masks, table))
+    return np.where(collection.occupied, table, 0.0)
 
 
-def mass(
-    collection: TileCollection, e: GridSet, choice: ChoiceFunction, table: tuple[np.ndarray, ...] | None = None
-) -> float:
+def mass(collection: TileCollection, e: GridSet, choice: ChoiceFunction, table: np.ndarray | None = None) -> float:
     """max over members of the stopping density |E_P ∩ I_P| / |I_P|.
 
     `table` is the collection's `member_mass_table`, built here when omitted.
     """
     table = member_mass_table(collection, e, choice) if table is None else table
-    return max((float(t.max()) for t in table), default=0.0)
+    return float(table.max(initial=0.0))
 
 
 def _sup_of_interval_min(collection: TileCollection, values: np.ndarray) -> float:
     """sup over members P of min over the cells of I_P of the values."""
-    L = collection.resolution
-    best = 0.0
-    for k, mask in enumerate(collection.masks):
-        occupied = mask.any(axis=1)
-        if occupied.any():
-            mins = values.reshape(1 << k, 1 << (L - k)).min(axis=1)
-            best = max(best, float(mins[occupied].max()))
-    return best
+    mins = (values.reshape(1 << k, -1).min(axis=1)[mask.any(axis=1)] for k, mask in enumerate(collection.masks))
+    return max((float(m.max()) for m in mins if m.size), default=0.0)
 
 
 def size_bound(collection: TileCollection, f: GridSignal) -> float:
@@ -749,18 +755,15 @@ class DecompositionStats:
     counting_constant: float
 
 
-def _take_tree(masks: list[np.ndarray], top: DyadicInterval, xi: int) -> frozenset[BiTile]:
-    """Clear from the per-scale masks, and return, every member whose spatial
-    interval lies in the top interval and whose frequency interval contains
-    xi: at each scale k those sit in one column, xi >> (k + 1)."""
-    picked = []
-    for k in range(top.scale, len(masks)):
-        rows = slice(top.offset << (k - top.scale), (top.offset + 1) << (k - top.scale))
-        col = xi >> (k + 1)
-        hits = np.flatnonzero(masks[k][rows, col])
-        picked.extend(BiTile(k, rows.start + int(i), col) for i in hits)
-        masks[k][rows, col] = False
-    return frozenset(picked)
+def _take_tree(present: np.ndarray, resolution: int, top: DyadicInterval, xi: int) -> Tree:
+    """Clear from the flat occupancy array `present`, and return as a tree,
+    every member whose spatial interval lies in the top interval and whose
+    frequency interval contains xi."""
+    slots = _tree_slots(resolution, top, xi)
+    occupied = np.zeros_like(present)
+    occupied[slots] = present[slots]
+    present[slots] = False
+    return Tree(top, xi, TileCollection(resolution, occupied.reshape(resolution, -1)))
 
 
 def size_decompose(
@@ -783,20 +786,20 @@ def size_decompose(
     running = table.running()
     sigma = math.sqrt(_peak(running))
     thr = sigma / 2.0 if threshold is None else threshold
-    present, current = _flat_copy(collection.masks)
+    present = collection.occupied.flatten()
     forest: list[Tree] = []
     tops_length = 0.0
 
     while (selection := _first_exceeding(running, thr)) is not None:
         top, xi = selection
-        forest.append(Tree(top, xi, _take_tree(current, top, xi)))
+        forest.append(_take_tree(present, collection.resolution, top, xi))
         tops_length += top.length
         running = table.running(present)
 
     norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
     stats = DecompositionStats(sigma, thr, tops_length, len(forest), constant)
-    return TileCollection(collection.resolution, current, collection.convex), forest, stats
+    return TileCollection(collection.resolution, present.reshape(collection.occupied.shape)), forest, stats
 
 
 def mass_decompose(
@@ -804,7 +807,7 @@ def mass_decompose(
     e: GridSet,
     choice: ChoiceFunction,
     threshold: float | None = None,
-    table: tuple[np.ndarray, ...] | None = None,
+    table: np.ndarray | None = None,
 ) -> tuple[TileCollection, list[Tree], DecompositionStats]:
     """Split off trees topped by heavy bi-tiles so the remainder has mass at
     most the threshold (default: half the input mass).
@@ -816,25 +819,26 @@ def mass_decompose(
     `member_mass_table`, built here when omitted.
     """
     table = member_mass_table(collection, e, choice) if table is None else table
-    mu = max((float(t.max()) for t in table), default=0.0)
+    mu = float(table.max(initial=0.0))
     thr = mu / 2.0 if threshold is None else threshold
-    current = [m.copy() for m in collection.masks]
+    L = collection.resolution
+    present = collection.occupied.flatten()
     forest: list[Tree] = []
     tops_length = 0.0
 
-    heavy = list(_members(tuple(m & (t > thr) for m, t in zip(current, table))))
-    for top in heavy:
-        if not current[top.scale][top.offset, top.freq_index]:
+    for k, offset, freq_index in member_indices(collection.occupied & (table > thr)):
+        if not present[tile_slot(L, k, offset, freq_index)]:
             continue
         # the members below a top are the tree under its interval and its
         # lowest frequency
-        forest.append(Tree(top.spatial, top.freq.lo, _take_tree(current, top.spatial, top.freq.lo)))
-        tops_length += top.spatial.length
+        top = DyadicInterval(k, offset)
+        forest.append(_take_tree(present, L, top, freq_index << (k + 1)))
+        tops_length += top.length
 
     e_measure = measure(e)
     constant = tops_length * mu / e_measure if e_measure > 0 else 0.0
     stats = DecompositionStats(mu, thr, tops_length, len(forest), constant)
-    return TileCollection(collection.resolution, current, collection.convex), forest, stats
+    return TileCollection(L, present.reshape(collection.occupied.shape)), forest, stats
 
 
 def full_decompose(
@@ -856,7 +860,7 @@ def full_decompose(
     """
     sizes = _SizeTable(collection, f)
     masses = member_mass_table(collection, e, choice)
-    size_table = functools.lru_cache(maxsize=1)(lambda c: sizes.restricted(c.masks))
+    size_table = functools.lru_cache(maxsize=1)(sizes.restricted)
     return bucket_decompose(
         collection,
         f,
@@ -868,6 +872,23 @@ def full_decompose(
     )
 
 
+def member_weights(collection: TileCollection, f: GridSignal, per_slot: np.ndarray) -> np.ndarray:
+    """|<f, P1>| 2**(k/2) per_slot[s] at the slot s of every member P, at
+    scale k, and zero elsewhere, as a flat array."""
+    L = collection.resolution
+    scale, offset, freq, coef = _coefficients(collection, f)
+    slots = tile_slot(L, scale, offset, freq)
+    out = np.zeros(collection.occupied.size)
+    heights = np.array([2.0 ** (k / 2.0) for k in range(L)], dtype=np.float64)
+    out[slots] = np.abs(coef) * heights[scale] * per_slot[slots]
+    return out
+
+
+def tree_sum(tree: Tree, values: np.ndarray) -> float:
+    """Per-slot values summed over the tree's members in `bitile_key` order."""
+    return sum(values[np.flatnonzero(tree.members.occupied)].tolist(), 0.0)
+
+
 def tree_estimate(
     tree: Tree,
     f: GridSignal,
@@ -875,17 +896,16 @@ def tree_estimate(
     choice: ChoiceFunction,
 ) -> RatioReport:
     """Single tree estimate: the absolute coefficient pairing against
-    |I_T| * size(tree) * mass(tree)."""
+    |I_T| * size(tree) * mass(tree). A member's pairing is 2**(k/2) |cell|
+    times the count of the cells of E whose N(x) lies in its upper tile,
+    each signed by the upper packet; one `bincount` gives every count."""
     L = f.resolution
-    as_collection = TileCollection.from_bitiles(L, tree.members)
-    coeffs = member_coefficients(as_collection, f)
-    lhs = 0.0
-    for p in tree.members:
-        psi = walsh_packet(p.upper, L).values.real
-        sel = e.mask & (p.upper.freq.lo <= choice.freqs) & (choice.freqs < p.upper.freq.hi)
-        pairing = float(np.sum(psi[sel]) * cell_width(L))
-        lhs += abs(coeffs[p]) * abs(pairing)
-    tree_size = size(as_collection, f)
-    tree_mass = mass(as_collection, e, choice)
+    collection = tree.members
+    _, cell, slot, sign = upper_cells(choice)
+    hit = e.mask[cell]
+    signed = np.bincount(slot[hit], sign[hit], minlength=collection.occupied.size)
+    lhs = tree_sum(tree, member_weights(collection, f, np.abs(signed) * cell_width(L)))
+    tree_size = size(collection, f)
+    tree_mass = mass(collection, e, choice)
     rhs = tree.top_measure * tree_size * tree_mass
     return RatioReport.from_sides(lhs, rhs, size=tree_size, mass=tree_mass, top_length=tree.top_measure)

@@ -202,7 +202,7 @@ def old_random_tile_tree(rng, resolution):
         ]
         keep = [p for p in compatible if rng.random() < 0.6]
         if keep:
-            return Tree(top, xi, frozenset(keep))
+            return Tree(top, xi, TileCollection.from_bitiles(resolution, keep))
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,7 +229,7 @@ def random_tile_tree(rng, resolution):
         draws = rng.random(compatible.size)
         keep = [bitiles[i] for i in compatible[draws < 0.6]]
         if keep:
-            return Tree(DyadicInterval(scale, offset), xi, frozenset(keep))
+            return Tree(DyadicInterval(scale, offset), xi, TileCollection.from_bitiles(resolution, keep))
 
 
 @pytest.mark.parametrize("resolution", [6, 8])
@@ -240,7 +240,7 @@ def test_tile_tree_sampler_matches_reference(resolution):
     for _ in range(200):
         tree, expected = random_tile_tree(fast, resolution), old_random_tile_tree(slow, resolution)
         assert (tree.top_interval, tree.top_freq) == (expected.top_interval, expected.top_freq)
-        assert list(tree.members) == list(expected.members)
+        assert tree.members.bitiles == expected.members.bitiles
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -263,7 +263,7 @@ def old_random_rect_tree(rng, resolution):
             if top.contains(r) and rng.random() < 0.7
         ]
         if members:
-            return RectTree(top, frozenset(members))
+            return RectTree(top, RectCollection.from_rects(resolution, vscale, members))
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,7 +282,7 @@ def rect_listing(resolution, vscale):
 def random_rect_tree(rng, resolution):
     """`old_random_rect_tree` with the containment test on integer arrays:
     the same draws in the same order, so the same trees and generator state."""
-    from dyadlab.biparam import RectTree
+    from dyadlab.biparam import RectCollection, RectTree
     from dyadlab.plane import DyadicRectangle
 
     while True:
@@ -297,7 +297,7 @@ def random_rect_tree(rng, resolution):
         members = [rects[i] for i in contained[draws < 0.7]]
         if members:
             top = DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny))
-            return RectTree(top, frozenset(members))
+            return RectTree(top, RectCollection.from_rects(resolution, vscale, members))
 
 
 @pytest.mark.parametrize("resolution", [6, 8])
@@ -306,7 +306,7 @@ def test_rect_tree_sampler_matches_reference(resolution):
     for _ in range(60):
         tree, expected = random_rect_tree(fast, resolution), old_random_rect_tree(slow, resolution)
         assert tree.top == expected.top
-        assert list(tree.members) == list(expected.members)
+        assert tree.members.rects == expected.members.rects
     assert fast.bit_generator.state == slow.bit_generator.state
 
 

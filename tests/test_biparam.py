@@ -520,14 +520,14 @@ class TestRectCombinatorics:
                     rects, oracle_rect_coefficients(rects, j, masked), threshold
                 )
                 assert remainder.rects == rest
-                assert [(t.top, t.members) for t in forest] == expected
+                assert [(t.top, t.members.rects) for t in forest] == expected
                 trees += len(forest)
             mu = rect_mass(collection, f_set, g_set)
             for threshold in (mu / 2, mu / 1.1):
                 remainder, forest = rect_mass_decompose(collection, f_set, g_set, threshold)
                 rest, expected = oracle_mass_decompose(rects, f_set, g_set, threshold)
                 assert remainder.rects == rest
-                assert [(t.top, t.members) for t in forest] == expected
+                assert [(t.top, t.members.rects) for t in forest] == expected
                 trees += len(forest)
         assert trees > 500
 
@@ -541,7 +541,8 @@ class TestRectCombinatorics:
             if not members:
                 continue
             g = random_grid2d(rng, L)
-            report = rect_tree_estimate(RectTree(top, members), f, g, h_prime, g_set)
+            tree = RectTree(top, RectCollection.from_rects(L, j, members))
+            report = rect_tree_estimate(tree, f, g, h_prime, g_set)
             cf = oracle_rect_coefficients(members, j, Grid2D(L, f.values * h_prime.mask))
             cg = oracle_rect_coefficients(members, j, Grid2D(L, g.values * g_set.mask))
             ascending = sum(abs(cf[r]) * abs(cg[r]) for r in sorted(members, key=rect_key))
@@ -598,7 +599,7 @@ class TestRectCombinatorics:
         members = frozenset(
             r for r in RectCollection.all_at_scale(resolution, 1).rects if top.contains(r)
         )
-        tree = RectTree(top, members)
+        tree = RectTree(top, RectCollection.from_rects(resolution, 1, members))
         zero = rect_tree_estimate(
             tree, Grid2D.zeros(resolution), Grid2D.zeros(resolution),
             GridSet2D.full(resolution), GridSet2D.full(resolution),
@@ -623,7 +624,7 @@ class TestRectCombinatorics:
         covered = set()
         for bucket in decomposition.buckets.values():
             trees = bucket.trees
-            union = set().union(*(t.members for t in trees)) if trees else set()
+            union = set().union(*(t.members.rects for t in trees))
             assert not covered & union
             covered |= union
             if union:
@@ -644,7 +645,7 @@ class TestRectCombinatorics:
         assert rect_is_convex(decomposition.remainder.rects)
         for bucket in decomposition.buckets.values():
             for tree in bucket.trees:
-                assert rect_is_convex(tree.members)
+                assert rect_is_convex(tree.members.rects)
 
 
 class TestPipeline:

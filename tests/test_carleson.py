@@ -39,7 +39,9 @@ from dyadlab.tiles import (
     ChoiceFunction,
     ModelSumPlan,
     TileCollection,
+    full_decompose,
     mass,
+    member_coefficients,
     model_sum,
     packet_coefficients,
     size_bound,
@@ -280,7 +282,55 @@ class TestCarving:
         assert caps["mass"] <= caps["mass_cap"] * (1 + 1e-12)
 
 
+def member_loop_buckets(f, g, e_set, f_set, op, retain=None) -> list[tuple[int, int, float, float]]:
+    """Per bucket of `restricted_pairing`: (n, m, majorant sum, count ratio),
+    each member's term computed by a loop over its tree's members as a
+    frozenset of `BiTile` objects."""
+    L = f.resolution
+    surviving = retain_meeting(op.collection, retain if retain is not None else op.b)
+    masked_f = GridSignal(L, f.values * op.b.mask)
+    decomposition = full_decompose(surviving, masked_f, GridSet(L, f_set.mask & op.a.mask), op.choice)
+    coeffs = member_coefficients(surviving, masked_f)
+    g_in_a = np.abs(g.values) * f_set.mask * op.a.mask
+    freqs = op.choice.freqs
+
+    def member_majorant(p) -> float:
+        sel_slice = p.spatial.cell_slice(L)
+        sel = (freqs[sel_slice] >= p.upper.freq.lo) & (freqs[sel_slice] < p.upper.freq.hi)
+        weight = float(np.sum((g_in_a[sel_slice] > 0)[sel]) * 2.0**-L)
+        return abs(coeffs[p]) * 2.0 ** (p.scale / 2.0) * weight
+
+    out = []
+    for (n, m), bucket in sorted(decomposition.buckets.items()):
+        total = 0.0
+        for tree in bucket.trees:
+            total += sum(member_majorant(p) for p in tree.members.bitiles)
+        out.append((n, m, total, bucket.count_ratio))
+    return out
+
+
 class TestRestrictedPairing:
+    @pytest.mark.parametrize("resolution", range(1, 8))
+    def test_buckets_equal_member_loop(self, resolution):
+        rng = np.random.default_rng(2200 + resolution)
+        n = 1 << resolution
+        for trial in range(4):
+            e_set, f_set, g_set = (random_grid_set(rng, resolution) for _ in range(3))
+            h_prime = carve_h(GridSet.full(resolution), g_set, 4.0)
+            collection = TileCollection.all(resolution) if trial % 2 else random_convex_collection(rng, resolution)
+            op = RestrictedOp(g_set, h_prime, random_choice(rng, resolution), collection)
+            # non-dyadic values, so that the order of the additions shows
+            f = GridSignal(resolution, e_set.mask * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.random(n)))
+            g = GridSignal(resolution, f_set.mask * rng.uniform(0, 1, n))
+            retain = None if trial < 2 else random_grid_set(rng, resolution)
+            report = restricted_pairing(f, g, e_set, f_set, op, t=2.5, retain=retain)
+            expected = member_loop_buckets(f, g, e_set, f_set, op, retain)
+            got = [(b.n, b.m, b.sum, b.count_bound_ratio) for b in report.buckets]
+            assert [(n_, m_, r) for n_, m_, _, r in got] == [(n_, m_, r) for n_, m_, _, r in expected]
+            for (*_, total, _), (*_, oracle, _) in zip(got, expected):
+                assert abs(total - oracle) <= 1e-14 * oracle
+            assert abs(report.rhs - sum(b[2] for b in expected)) <= 1e-14 * report.rhs
+
     def test_zero_signal(self):
         rng = np.random.default_rng(7)
         resolution = 5

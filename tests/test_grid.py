@@ -20,6 +20,8 @@ from dyadlab.grid import (
     measure,
     vector_lq_norm,
 )
+from dyadlab.maximal import ScaleChoice
+from dyadlab.tiles import ChoiceFunction
 from dyadlab.walsh import walsh_values
 
 
@@ -302,3 +304,28 @@ class TestValidation:
             GridSet.full(2) | GridSet2D.full(2)
         with pytest.raises(ValueError):
             a - GridSet.full(2)
+
+
+# one of each type that holds an array field, with a function making an
+# equal copy of it
+EQUALITY_CASES = [
+    (GridSignal.constant(3, 1.0), lambda x: GridSignal(3, x.values.copy())),
+    (Grid2D.constant(2, 1.0), lambda x: Grid2D(2, x.values.copy())),
+    (GridSet.full(3), lambda x: GridSet(3, x.mask.copy())),
+    (GridSet2D.full(2), lambda x: GridSet2D(2, x.mask.copy())),
+    (VectorSignal(3, np.ones((2, 8))), lambda x: VectorSignal(3, x.stack.copy())),
+    (ScaleChoice.constant(2, 1), lambda x: ScaleChoice(2, x.scales.copy())),
+    (ChoiceFunction.constant(2, 1), lambda x: ChoiceFunction(2, x.freqs.copy())),
+]
+
+
+@pytest.mark.parametrize("x, copy", EQUALITY_CASES, ids=[type(x).__name__ for x, _ in EQUALITY_CASES])
+def test_array_holders_compare_by_identity(x, copy):
+    # the generated __eq__ would compare the array fields and raise on the
+    # ambiguous truth value of an array
+    other = copy(x)
+    assert x == x
+    assert (x == other) is False and (x != other) is True
+    assert x in [x] and x not in [other]
+    assert hash(x) == hash(x)
+    assert len({x, other}) == 2

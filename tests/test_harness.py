@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -90,6 +91,29 @@ class TestReportSerialization:
         assert set(parsed) >= {"lhs", "rhs", "ratio", "buckets"}
         for bucket in parsed["buckets"]:
             assert set(bucket) == {"n", "m", "sum", "count_bound_ratio"}
+
+    def test_maximal_family_runs_on_arrays(self, monkeypatch):
+        # the operators apply the array forms of the linearized maximal
+        # operator and its adjoint, bit for bit, and wrap no GridSignal
+        from dyadlab.harness import maximal_operator_family
+        from dyadlab.maximal import linearized_maximal, linearized_maximal_adjoint
+
+        rng = np.random.default_rng(22)
+        family, choices = maximal_operator_family(rng, 6, 3)
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        expected = [
+            (linearized_maximal(GridSignal(6, v), ch).values, linearized_maximal_adjoint(GridSignal(6, v), ch).values)
+            for ch in choices
+        ]
+
+        def refuse(self):
+            raise AssertionError("a GridSignal was built")
+
+        monkeypatch.setattr(GridSignal, "__post_init__", refuse)
+        for op, (forward, backward) in zip(family.operators, expected, strict=True):
+            assert op.apply(v).tobytes() == forward.tobytes()
+            assert op.adjoint(v).tobytes() == backward.tobytes()
+            assert op.apply(v.real).tobytes() == op.apply(v.real + 0j).tobytes()
 
     def test_principle_report_json(self):
         from dyadlab.harness import maximal_operator_family
@@ -225,13 +249,23 @@ def loop_read_tile_collection(path, resolution: int) -> TileCollection:
     return TileCollection.from_bitiles(resolution, bitiles)
 
 
+def sorted_write_tile_collection(path, collection: TileCollection) -> None:
+    """The writer that `write_tile_collection` replaced, kept as its oracle:
+    one row per member of `collection.bitiles`, sorted."""
+    with io_module.open_new(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "n", "freq_offset"])
+        for p in sorted(collection.bitiles, key=lambda p: (p.scale, p.offset, p.freq_index)):
+            writer.writerow([p.scale, p.offset, p.freq_index])
+
+
 def _outcome(reader, path, resolution):
-    """A reader's error message, or its collection's masks and convex flag."""
+    """A reader's error message, or its collection's occupancy array."""
     try:
         collection = reader(path, resolution)
     except ValueError as exc:
         return str(exc)
-    return [m.tobytes() for m in collection.masks], collection.convex
+    return collection.occupied.shape, collection.occupied.tobytes()
 
 
 def _bad_tile_row(rng, resolution, earlier):
@@ -328,6 +362,19 @@ class TestIOErrors:
             path.write_text("k,n,freq_offset\n" + "".join(",".join(row) + "\n" for row in rows))
             expected = _outcome(loop_read_tile_collection, path, resolution)
             assert _outcome(read_tile_collection, path, resolution) == expected
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_tile_writer_equals_sorted_writer(self, tmp_path, resolution):
+        rng = np.random.default_rng(60 + resolution)
+        shape = (resolution, (1 << resolution) >> 1)
+        collections = [TileCollection(resolution, np.zeros(shape, dtype=bool)), TileCollection.all(resolution)]
+        collections += [TileCollection(resolution, rng.random(shape) < d) for d in (0.05, 0.3, 0.8)]
+        for case, collection in enumerate(collections):
+            ours, oracle = tmp_path / f"ours{case}.csv", tmp_path / f"oracle{case}.csv"
+            write_tile_collection(ours, collection)
+            sorted_write_tile_collection(oracle, collection)
+            assert ours.read_bytes() == oracle.read_bytes()
+            assert read_tile_collection(ours, resolution).occupied.tobytes() == collection.occupied.tobytes()
 
     @pytest.mark.parametrize(
         "reader, text, bad_row",

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -193,12 +195,31 @@ def dict_size_decompose(collection: TileCollection, f: GridSignal, threshold=Non
             p for p in remaining if top.contains(p.spatial) and p.freq.contains_point(xi)
         )
         remaining = [p for p in remaining if p not in members]
-        forest.append(Tree(top, xi, members))
+        forest.append(Tree(top, xi, TileCollection.from_bitiles(collection.resolution, members)))
         tops_length += top.length
     norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
     stats = DecompositionStats(sigma, thr, tops_length, len(forest), constant)
     return TileCollection.from_bitiles(collection.resolution, remaining), forest, stats
+
+
+def members_of(tree) -> list[BiTile]:
+    """A tree's members in `bitile_key` order, held as a collection or, by
+    the oracles, as a frozenset."""
+    members = tree.members.bitiles if isinstance(tree.members, TileCollection) else tree.members
+    return sorted(members, key=bitile_key)
+
+
+def forest_of(forest) -> list:
+    return [(t.top_interval, t.top_freq, members_of(t)) for t in forest]
+
+
+def buckets_of(decomposition) -> list:
+    """Every bucket's key, fields and trees, member for member, in order."""
+    return [
+        (key, b.n, b.m, b.size_cap, b.mass_cap, b.tops_measure, b.count_ratio, forest_of(b.trees))
+        for key, b in decomposition.buckets.items()
+    ]
 
 
 def size_cases(rng, resolution):
@@ -210,9 +231,9 @@ def size_cases(rng, resolution):
     yield TileCollection.from_bitiles(resolution, [])
     empty_scales = np.arange(resolution) % 2 == rng.integers(0, 2)
     masks = [(rng.random(shape) < 0.3) & ~empty for shape, empty in zip(shapes, empty_scales)]
-    yield TileCollection(resolution, masks)
+    yield TileCollection.from_masks(resolution, masks)
     for density in (0.01, 0.05, 0.2, 0.5):
-        seed = TileCollection(resolution, [rng.random(shape) < density for shape in shapes])
+        seed = TileCollection.from_masks(resolution, [rng.random(shape) < density for shape in shapes])
         yield TileCollection.convex_closure(resolution, seed.bitiles)
 
 
@@ -356,7 +377,7 @@ def plan_cases(rng, resolution):
             (rng.random(shape) < density) & ~empty
             for shape, empty in zip(shapes, empty_scales)
         ]
-        collections.append(TileCollection(resolution, masks))
+        collections.append(TileCollection.from_masks(resolution, masks))
     for collection in collections:
         yield random_choice(rng, resolution), collection
     # a constant choice sends every cell to one upper tile per scale
@@ -470,7 +491,7 @@ def random_tree(rng, resolution):
             continue
         keep = [p for p in compatible if rng.random() < 0.7]
         if keep:
-            return Tree(top, xi, frozenset(keep))
+            return Tree(top, xi, TileCollection.from_bitiles(resolution, keep))
 
 
 class TestTilesAndOrder:
@@ -1058,7 +1079,7 @@ class TestDecompositions:
                 assert [(t.top_interval, t.top_freq) for t in forest] == [
                     (t.top_interval, t.top_freq) for t in ref_forest
                 ]
-                assert [t.members for t in forest] == [t.members for t in ref_forest]
+                assert [t.members.bitiles for t in forest] == [t.members.bitiles for t in ref_forest]
                 assert masks_equal(small, ref_small)
 
     @pytest.mark.parametrize("resolution", range(1, 8))
@@ -1073,9 +1094,7 @@ class TestDecompositions:
                 patch.setattr(tiles_module, "size", dict_size)
                 patch.setattr(tiles_module, "size_decompose", dict_size_decompose)
                 reference = full_decompose(collection, f, e, choice)
-            assert list(decomposition.buckets) == list(reference.buckets)
-            for key, bucket in decomposition.buckets.items():
-                assert bucket == reference.buckets[key]
+            assert buckets_of(decomposition) == buckets_of(reference)
             assert masks_equal(decomposition.remainder, reference.remainder)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -1088,13 +1107,13 @@ class TestDecompositions:
         # halving holds exactly as computed
         assert size(small, f) <= stats.initial / 2 + 1e-13
         # partition: removed members and remainder tile the input
-        removed = set().union(*(t.members for t in forest)) if forest else set()
+        removed = set().union(*(t.members.bitiles for t in forest)) if forest else set()
         assert removed | set(small.bitiles) == set(collection.bitiles)
         assert not removed & set(small.bitiles)
         # remainder and every stored tree are convex
         assert collection_is_convex(small.masks)
         for tree in forest:
-            assert TileCollection.from_bitiles(resolution, tree.members).convex
+            assert collection_is_convex(tree.members.masks)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mass_postconditions(self, seed):
@@ -1105,11 +1124,11 @@ class TestDecompositions:
         choice = random_choice(rng, resolution)
         small, forest, stats = mass_decompose(collection, e, choice)
         assert mass(small, e, choice) <= stats.initial / 2 + 1e-15
-        removed = set().union(*(t.members for t in forest)) if forest else set()
+        removed = set().union(*(t.members.bitiles for t in forest)) if forest else set()
         assert removed | set(small.bitiles) == set(collection.bitiles)
         assert collection_is_convex(small.masks)
         for tree in forest:
-            assert TileCollection.from_bitiles(resolution, tree.members).convex
+            assert collection_is_convex(tree.members.masks)
         # incomparable-top counting: sum |I_T| < |E| / threshold exactly
         if stats.initial > 0 and measure(e) > 0:
             assert stats.tops_length <= measure(e) / stats.threshold * (1 + 1e-12)
@@ -1130,12 +1149,13 @@ class TestDecompositions:
         e = random_grid_set(rng, resolution)
         choice = random_choice(rng, resolution)
         decomposition = full_decompose(collection, f, e, choice)
-        covered = decomposition.covered()
+        trees = [t for bucket in decomposition.buckets.values() for t in bucket.trees]
+        covered = set().union(*(t.members.bitiles for t in trees))
         assert covered | set(decomposition.remainder.bitiles) == set(collection.bitiles)
         assert not covered & set(decomposition.remainder.bitiles)
         seen = []
         for (n, m), bucket in decomposition.buckets.items():
-            union = set().union(*(t.members for t in bucket.trees)) if bucket.trees else set()
+            union = set().union(*(t.members.bitiles for t in bucket.trees))
             for p in union:
                 assert p not in seen
             seen.extend(union)
@@ -1201,8 +1221,9 @@ class TestSharedTables:
                     assert all(same_bits(a, b) for a, b in zip(table.running(), fresh.running(), strict=True))
                     # a further subset, as size_decompose filters after a removal
                     masks = [m & (rng.random(m.shape) < 0.6) for m in c.masks]
-                    present = tiles_module._flat_copy(masks)[0]
-                    sub = tiles_module._SizeTable(TileCollection(resolution, masks), f)
+                    sub_collection = TileCollection.from_masks(resolution, masks)
+                    present = sub_collection.occupied.flatten()
+                    sub = tiles_module._SizeTable(sub_collection, f)
                     assert all(same_bits(a, b) for a, b in zip(table.running(present), sub.running(), strict=True))
 
     @pytest.mark.parametrize("resolution", range(9))
@@ -1240,7 +1261,7 @@ class TestTreeEstimate:
         # E covering the whole spatial interval pairs the indicator with a
         # mean-zero packet, so the pairing vanishes identically
         p = BiTile(1, 0, 1)
-        tree = Tree(p.spatial, p.upper.freq.lo, frozenset([p]))
+        tree = Tree(p.spatial, p.upper.freq.lo, TileCollection.from_bitiles(3, [p]))
         f = walsh_packet(p.lower, 3)
         e = GridSet.from_interval(3, p.spatial)
         choice = ChoiceFunction.constant(3, p.upper.freq.lo)
@@ -1250,7 +1271,7 @@ class TestTreeEstimate:
 
     def test_single_bitile_half_set(self):
         p = BiTile(1, 0, 1)
-        tree = Tree(p.spatial, p.upper.freq.lo, frozenset([p]))
+        tree = Tree(p.spatial, p.upper.freq.lo, TileCollection.from_bitiles(3, [p]))
         f = walsh_packet(p.lower, 3)
         e = GridSet(3, np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=bool))
         choice = ChoiceFunction.constant(3, p.upper.freq.lo)
@@ -1268,7 +1289,7 @@ class TestTreeEstimate:
         e = random_grid_set(rng, resolution)
         choice = random_choice(rng, resolution)
         direct = 0.0
-        for p in tree.members:
+        for p in tree.members.bitiles:
             coef = inner_product(f, walsh_packet(p.lower, resolution))
             psi = walsh_packet(p.upper, resolution).values.real
             sel = e.mask & (choice.freqs >= p.upper.freq.lo) & (choice.freqs < p.upper.freq.hi)
@@ -1282,7 +1303,6 @@ class TestCollections:
         rng = np.random.default_rng(13)
         for _ in range(10):
             collection = random_convex_collection(rng, 5)
-            assert collection.convex
             assert collection_is_convex(collection.masks)
             assert pairwise_is_convex(collection.bitiles)
 
@@ -1296,7 +1316,7 @@ class TestCollections:
         hi = BiTile(0, 0, 0)
         assert lo <= hi
         assert not pairwise_is_convex({lo, hi})
-        assert not TileCollection.from_bitiles(3, {lo, hi}).convex
+        assert not collection_is_convex(TileCollection.from_bitiles(3, {lo, hi}).masks)
 
     @pytest.mark.parametrize("resolution", [1, 2, 3])
     def test_convexity_and_closure_match_pairwise_on_every_subset(self, resolution):
@@ -1304,7 +1324,7 @@ class TestCollections:
         for bits in range(1 << len(tiles)):
             subset = [p for i, p in enumerate(tiles) if (bits >> i) & 1]
             collection = TileCollection.from_bitiles(resolution, subset)
-            assert collection.convex == pairwise_is_convex(subset)
+            assert collection_is_convex(collection.masks) == pairwise_is_convex(subset)
             closure = TileCollection.convex_closure(resolution, subset)
             assert closure.bitiles == pairwise_closure(subset)
 
@@ -1317,8 +1337,8 @@ class TestCollections:
             density = rng.choice([0.05, 0.15, 0.4])
             subset = [p for p in tiles if rng.random() < density]
             collection = TileCollection.from_bitiles(resolution, subset)
-            verdicts.add(collection.convex)
-            assert collection.convex == pairwise_is_convex(subset)
+            verdicts.add(collection_is_convex(collection.masks))
+            assert collection_is_convex(collection.masks) == pairwise_is_convex(subset)
             closure = TileCollection.convex_closure(resolution, subset)
             assert closure.bitiles == pairwise_closure(subset)
         assert verdicts == {True, False}
@@ -1349,7 +1369,9 @@ class TestCollections:
         with pytest.raises(ValueError):
             TileCollection.from_bitiles(3, [BiTile(1, 0, 2)])
         with pytest.raises(ValueError):
-            TileCollection(3, (np.ones((1, 4), dtype=bool),))
+            TileCollection.from_masks(3, (np.ones((1, 4), dtype=bool),))
+        with pytest.raises(ValueError):
+            TileCollection(3, np.ones((3, 8), dtype=bool))
 
     def test_tree_check_matches_interval_containment(self):
         # the integer check accepts a member exactly when its spatial
@@ -1361,7 +1383,7 @@ class TestCollections:
                 for p in all_bitiles(resolution):
                     fits = top.contains(p.spatial) and p.freq.contains_point(top_freq)
                     try:
-                        Tree(top, top_freq, frozenset([p]))
+                        Tree(top, top_freq, TileCollection.from_bitiles(resolution, [p]))
                     except ValueError:
                         assert not fits
                     else:
@@ -1370,6 +1392,316 @@ class TestCollections:
     def test_tree_validation(self):
         p = BiTile(1, 0, 1)
         with pytest.raises(ValueError):
-            Tree(DyadicInterval(2, 0), p.freq.lo, frozenset([p]))
+            Tree(DyadicInterval(2, 0), p.freq.lo, TileCollection.from_bitiles(3, [p]))
         with pytest.raises(ValueError):
-            Tree(p.spatial, p.freq.hi + 5, frozenset([p]))
+            Tree(p.spatial, p.freq.hi + 5, TileCollection.from_bitiles(3, [p]))
+
+
+# ---------------------------------------------------------------------------
+# frozenset oracles: trees as `Tree` held them before their members became a
+# collection, the per-scale take that built them, and the per-member loops
+# over them
+
+
+@dataclass(frozen=True)
+class FrozensetTree:
+    """A tree whose members are a frozenset of `BiTile` objects, checked
+    member by member."""
+
+    top_interval: DyadicInterval
+    top_freq: int
+    members: frozenset
+
+    def __post_init__(self):
+        s, offset = self.top_interval.scale, self.top_interval.offset
+        for p in self.members:
+            if p.scale < s or p.offset >> (p.scale - s) != offset:
+                raise ValueError(f"member {p} escapes the top interval")
+            if self.top_freq >> (p.scale + 1) != p.freq_index:
+                raise ValueError(f"top frequency misses member {p}")
+
+    @property
+    def top_measure(self) -> float:
+        return self.top_interval.length
+
+
+def flat_copy(masks) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A writable copy of per-scale masks laid end to end in one flat array,
+    and per-scale views into it."""
+    flat = np.concatenate([m.ravel() for m in masks]) if masks else np.zeros(0, dtype=bool)
+    views, start = [], 0
+    for m in masks:
+        views.append(flat[start : start + m.size].reshape(m.shape))
+        start += m.size
+    return flat, views
+
+
+def frozenset_take_tree(masks, top: DyadicInterval, xi: int) -> frozenset:
+    """Clear from the per-scale masks, and return, every member under the top
+    interval whose frequency interval contains xi, scale by scale."""
+    picked = []
+    for k in range(top.scale, len(masks)):
+        rows = slice(top.offset << (k - top.scale), (top.offset + 1) << (k - top.scale))
+        col = xi >> (k + 1)
+        hits = np.flatnonzero(masks[k][rows, col])
+        picked.extend(BiTile(k, rows.start + int(i), col) for i in hits)
+        masks[k][rows, col] = False
+    return frozenset(picked)
+
+
+def frozenset_size_decompose(collection, f, threshold=None, table=None):
+    """`size_decompose` over per-scale masks, taking frozenset trees."""
+    table = tiles_module._SizeTable(collection, f) if table is None else table
+    running = table.running()
+    sigma = math.sqrt(tiles_module._peak(running))
+    thr = sigma / 2.0 if threshold is None else threshold
+    present, current = flat_copy(collection.masks)
+    forest, tops_length = [], 0.0
+    while (selection := tiles_module._first_exceeding(running, thr)) is not None:
+        top, xi = selection
+        forest.append(FrozensetTree(top, xi, frozenset_take_tree(current, top, xi)))
+        tops_length += top.length
+        running = table.running(present)
+    norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
+    constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
+    stats = DecompositionStats(sigma, thr, tops_length, len(forest), constant)
+    return TileCollection.from_masks(collection.resolution, current), forest, stats
+
+
+def per_scale_mass_table(collection, e, choice) -> tuple[np.ndarray, ...]:
+    """The member mass table as one (2**k, 2**(L-k-1)) array per scale,
+    counted with `np.add.at`."""
+    L = collection.resolution
+    cells = np.arange(1 << L)
+    out = []
+    for k, mask in enumerate(collection.masks):
+        counts = np.zeros(mask.shape, dtype=np.int64)
+        np.add.at(counts, ((cells >> (L - k))[e.mask], (choice.freqs >> (k + 1))[e.mask]), 1)
+        out.append(np.where(mask, counts * 2.0 ** (k - L), 0.0))
+    return tuple(out)
+
+
+def frozenset_mass_decompose(collection, e, choice, threshold=None, table=None):
+    """`mass_decompose` over per-scale masks and tables, taking frozenset
+    trees under the heavy members, as `BiTile` objects in `bitile_key`
+    order; a table passed in is ignored."""
+    L = collection.resolution
+    table = per_scale_mass_table(collection, e, choice)
+    mu = max((float(t.max()) for t in table), default=0.0)
+    thr = mu / 2.0 if threshold is None else threshold
+    current = [m.copy() for m in collection.masks]
+    heavy = TileCollection.from_masks(L, [m & (t > thr) for m, t in zip(current, table)])
+    forest, tops_length = [], 0.0
+    for top in sorted(heavy.bitiles, key=bitile_key):
+        if current[top.scale][top.offset, top.freq_index]:
+            taken = frozenset_take_tree(current, top.spatial, top.freq.lo)
+            forest.append(FrozensetTree(top.spatial, top.freq.lo, taken))
+            tops_length += top.spatial.length
+    e_measure = measure(e)
+    constant = tops_length * mu / e_measure if e_measure > 0 else 0.0
+    stats = DecompositionStats(mu, thr, tops_length, len(forest), constant)
+    return TileCollection.from_masks(L, current), forest, stats
+
+
+def frozenset_tree_estimate(tree, f, e, choice) -> tuple[float, float]:
+    """(lhs, rhs) of `tree_estimate` by the per-member loop over the members
+    as a frozenset, each pairing summed over the packet's cells."""
+    L = f.resolution
+    coeffs = member_coefficients(tree.members, f)
+    lhs = 0.0
+    for p in tree.members.bitiles:
+        psi = walsh_packet(p.upper, L).values.real
+        sel = e.mask & (p.upper.freq.lo <= choice.freqs) & (choice.freqs < p.upper.freq.hi)
+        lhs += abs(coeffs[p]) * abs(float(np.sum(psi[sel]) * cell_width(L)))
+    return lhs, tree.top_measure * size(tree.members, f) * mass(tree.members, e, choice)
+
+
+def within(value: float, expected: float, rel: float = 1e-14) -> bool:
+    return abs(value - expected) <= rel * abs(expected)
+
+
+def mass_cases(rng, resolution):
+    """(set, choice) pairs: random ones, and the only ones at L = 0."""
+    if resolution == 0:
+        return [(GridSet.full(0), ChoiceFunction.constant(0, 0))]
+    return [(random_grid_set(rng, resolution), random_choice(rng, resolution)) for _ in range(2)]
+
+
+class TestFrozensetOracles:
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_forests_equal_frozenset_oracles(self, resolution):
+        rng = np.random.default_rng(1500 + resolution)
+        convexity = set()
+        # a member below another L - 1 >= 2 scales up, with nothing between
+        gap = [BiTile(0, 0, 0), BiTile(resolution - 1, 0, 0)] if resolution >= 3 else []
+        for collection in [*size_cases(rng, resolution), TileCollection.from_bitiles(resolution, gap)]:
+            convexity.add(collection_is_convex(collection.masks))
+            f = random_signal(rng, resolution, complex_values=True)
+            for threshold in (None, size(collection, f) / 5.0, 0.0):
+                small, forest, stats = size_decompose(collection, f, threshold)
+                ref_small, ref_forest, ref_stats = frozenset_size_decompose(collection, f, threshold)
+                assert stats == ref_stats
+                assert forest_of(forest) == forest_of(ref_forest)
+                assert masks_equal(small, ref_small)
+            for e, choice in mass_cases(rng, resolution):
+                for threshold in (None, mass(collection, e, choice) / 5.0, 0.0):
+                    small, forest, stats = mass_decompose(collection, e, choice, threshold)
+                    ref_small, ref_forest, ref_stats = frozenset_mass_decompose(collection, e, choice, threshold)
+                    assert stats == ref_stats
+                    assert forest_of(forest) == forest_of(ref_forest)
+                    assert masks_equal(small, ref_small)
+        # at L <= 2 every collection is convex: a member lies at most one
+        # scale below another
+        assert convexity == ({True, False} if resolution >= 3 else {True})
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_full_decompose_equals_frozenset_oracles(self, resolution, monkeypatch):
+        rng = np.random.default_rng(1600 + resolution)
+        for collection in size_cases(rng, resolution):
+            f = random_signal(rng, resolution, complex_values=True)
+            for e, choice in mass_cases(rng, resolution):
+                decomposition = full_decompose(collection, f, e, choice)
+                with monkeypatch.context() as patch:
+                    patch.setattr(tiles_module, "size_decompose", frozenset_size_decompose)
+                    patch.setattr(tiles_module, "mass_decompose", frozenset_mass_decompose)
+                    reference = full_decompose(collection, f, e, choice)
+                assert buckets_of(decomposition) == buckets_of(reference)
+                assert masks_equal(decomposition.remainder, reference.remainder)
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_mass_table_equals_per_scale_counts(self, resolution):
+        rng = np.random.default_rng(1700 + resolution)
+        for collection in size_cases(rng, resolution):
+            for e, choice in mass_cases(rng, resolution):
+                table = tiles_module.member_mass_table(collection, e, choice)
+                assert table.shape == collection.occupied.shape
+                expected = per_scale_mass_table(collection, e, choice)
+                assert all(same_bits(row.reshape(t.shape), t) for row, t in zip(table, expected, strict=True))
+
+    @pytest.mark.parametrize("resolution", range(1, 9))
+    def test_tree_estimate_equals_member_loop(self, resolution):
+        rng = np.random.default_rng(1800 + resolution)
+        trees = [random_tree(rng, resolution) for _ in range(6)]
+        collection = TileCollection.all(resolution)
+        f = random_signal(rng, resolution, complex_values=True)
+        e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
+        for bucket in full_decompose(collection, f, e, choice).buckets.values():
+            trees += bucket.trees
+        for tree in trees:
+            f = random_signal(rng, resolution, complex_values=True)
+            e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
+            report = tree_estimate(tree, f, e, choice)
+            lhs, rhs = frozenset_tree_estimate(tree, f, e, choice)
+            assert within(report.lhs, lhs) and report.rhs == rhs
+
+    def test_array_tree_check_equals_member_loop(self):
+        rng = np.random.default_rng(19)
+        resolution = 4
+        tiles = all_bitiles(resolution)
+        verdicts = set()
+        for _ in range(400):
+            scale = int(rng.integers(0, resolution + 1))
+            top = DyadicInterval(scale, int(rng.integers(0, 1 << scale)))
+            xi = int(rng.integers(-2, (1 << resolution) + 2))
+            # mostly bi-tiles under the top, now and then one anywhere
+            under = [p for p in tiles if top.contains(p.spatial) and p.freq.contains_point(xi)]
+            members = [p for p in tiles if (p in under and rng.random() < 0.5) or rng.random() < 0.02]
+            outcomes = []
+            for build in (
+                lambda: Tree(top, xi, TileCollection.from_bitiles(resolution, members)),
+                lambda: FrozensetTree(top, xi, frozenset(members)),
+            ):
+                try:
+                    build()
+                except ValueError:
+                    outcomes.append(False)
+                else:
+                    outcomes.append(True)
+            assert outcomes[0] == outcomes[1]
+            verdicts.add(outcomes[0])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "member, message",
+        [
+            (BiTile(0, 0, 1), "member BiTile\\(scale=0, offset=0, freq_index=1\\) escapes the top interval"),
+            (BiTile(2, 0, 1), "member BiTile\\(scale=2, offset=0, freq_index=1\\) escapes the top interval"),
+            (BiTile(2, 3, 0), "top frequency misses member BiTile\\(scale=2, offset=3, freq_index=0\\)"),
+        ],
+        ids=["above-the-top-scale", "outside-its-rows", "off-its-column"],
+    )
+    def test_escaping_member_raises(self, member, message):
+        # the top [1/2, 1) at scale 1 with xi = 12 holds, at each scale k from
+        # 1 to 3, the rows under [1/2, 1) in column 12 >> (k + 1)
+        top, xi = DyadicInterval(1, 1), 12
+        inside = [BiTile(1, 1, 3), BiTile(2, 2, 1), BiTile(2, 3, 1), BiTile(3, 5, 0)]
+        assert all(top.contains(p.spatial) and p.freq.contains_point(xi) for p in inside)
+        assert Tree(top, xi, TileCollection.from_bitiles(4, inside)).members.bitiles == set(inside)
+        with pytest.raises(ValueError, match=message):
+            Tree(top, xi, TileCollection.from_bitiles(4, [*inside, member]))
+
+    def test_decomposition_path_builds_no_bitile(self, monkeypatch):
+        from dyadlab.carleson import RestrictedOp, carve_h, restricted_pairing
+
+        rng = np.random.default_rng(20)
+        resolution = 6
+        collections = [TileCollection.all(resolution), random_convex_collection(rng, resolution)]
+        f = random_signal(rng, resolution, complex_values=True)
+        e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
+        g_set, f_set = random_grid_set(rng, resolution), random_grid_set(rng, resolution)
+        h_prime = carve_h(GridSet.full(resolution), g_set, 4.0)
+
+        def refuse(self):
+            raise AssertionError("a BiTile was built")
+
+        monkeypatch.setattr(BiTile, "__post_init__", refuse)
+        for collection in collections:
+            decomposition = full_decompose(collection, f, e, choice)
+            trees = [t for bucket in decomposition.buckets.values() for t in bucket.trees]
+            assert trees
+            size_decompose(collection, f)
+            mass_decompose(collection, e, choice)
+            for tree in trees:
+                tree_estimate(tree, f, e, choice)
+            op = RestrictedOp(g_set, h_prime, choice, collection)
+            indicator = GridSignal.indicator(resolution, e)
+            restricted_pairing(indicator, GridSignal.indicator(resolution, f_set), e, f_set, op, t=2.5)
+        with pytest.raises(AssertionError, match="a BiTile was built"):
+            BiTile(0, 0, 0)
+
+
+class TestOccupancyArray:
+    def test_one_array_field(self):
+        assert [f.name for f in dataclasses.fields(TileCollection)] == ["resolution", "occupied"]
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_slots_enumerate_bitiles_in_key_order(self, resolution):
+        tiles = all_bitiles(resolution)
+        assert tiles == sorted(tiles, key=bitile_key)
+        slots = [tiles_module.tile_slot(resolution, p.scale, p.offset, p.freq_index) for p in tiles]
+        assert slots == list(range(resolution * ((1 << resolution) >> 1)))
+        arrays = np.array([bitile_key(p) for p in tiles], dtype=np.int64).reshape(-1, 3).T
+        assert tiles_module.tile_slot(resolution, *arrays).tolist() == slots
+
+    @pytest.mark.parametrize("resolution", range(9))
+    def test_masks_are_read_only_views_of_the_rows(self, resolution):
+        rng = np.random.default_rng(2100 + resolution)
+        for collection in size_cases(rng, resolution):
+            assert collection.occupied.shape == (resolution, (1 << resolution) >> 1)
+            assert not collection.occupied.flags.writeable
+            assert collection.masks is collection.masks
+            for k, mask in enumerate(collection.masks):
+                assert mask.shape == (1 << k, 1 << (resolution - k - 1))
+                assert np.shares_memory(mask, collection.occupied)
+                assert np.array_equal(mask.ravel(), collection.occupied[k])
+                assert not mask.flags.writeable
+            assert TileCollection.from_bitiles(resolution, collection.bitiles).occupied.tobytes() == (
+                collection.occupied.tobytes()
+            )
+            assert len(collection) == len(collection.bitiles)
+
+    def test_constructor_copies_its_array(self):
+        occupied = np.ones((3, 4), dtype=bool)
+        collection = TileCollection(3, occupied)
+        occupied[0, 0] = False
+        assert collection.occupied.all() and occupied.flags.writeable
