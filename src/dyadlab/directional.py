@@ -189,9 +189,12 @@ class DirectionalAverager:
         """Stack of box averages of |values|, one slab per kernel."""
         spectrum = np.fft.fft2(np.abs(np.asarray(values)))
         out = np.empty((len(self.kernel_ffts),) + values.shape)
-        for s in stack_slices(len(self.kernel_ffts), values.size):
-            out[s] = np.fft.ifft2(spectrum * np.conj(self.kernel_ffts[s])).real
-        np.clip(out, 0.0, None, out)
+        stacks = stack_slices(len(self.kernel_ffts), values.size)
+        buf = np.empty((stacks[0].stop,) + values.shape, dtype=np.complex128)
+        for s in stacks:
+            work = np.conjugate(self.kernel_ffts[s], out=buf[: s.stop - s.start])
+            np.multiply(spectrum, work, out=work)
+            np.clip(_ifft2_into(work).real, 0.0, None, out=out[s])
         return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -203,10 +206,12 @@ class DirectionalAverager:
 
         The back-projection transforms, in stacks, only the kernels that win
         at some cell, and adds their parts in kernel order."""
+        _check_exponent(p)
         n = 1 << self.resolution
         rng = np.random.default_rng(seed)
         v = np.abs(rng.standard_normal((n, n))) + 0.1
         best = 0.0
+        buf = np.empty((stack_slices(len(self.kernel_ffts), n * n)[0].stop, n, n), np.complex128)
         for _ in range(iters):
             vn = lp_norm(v, p, self.resolution)
             if vn == 0:
@@ -215,20 +220,47 @@ class DirectionalAverager:
             slabs = self.all_averages(v)
             u = slabs.max(axis=0)
             best = max(best, lp_norm(u, p, self.resolution))
-            choice = slabs.argmax(axis=0)
+            choice = first_argmax(slabs)
             z = u ** (p - 1.0)
             winners = np.flatnonzero(np.bincount(choice.ravel(), minlength=len(self.kernel_ffts)))
             back = np.zeros((n, n))
             for s in stack_slices(len(winners), n * n):
                 sel = choice == winners[s, None, None]
-                parts = np.fft.ifft2(np.fft.fft2(z * sel) * self.kernel_ffts[winners[s]]).real
-                for part in parts:
-                    back += part
+                parts = np.fft.fft2(z * sel, out=buf[: s.stop - s.start])
+                parts *= self.kernel_ffts[winners[s]]
+                for part in _ifft2_into(parts):
+                    back += part.real
             back = np.clip(back, 0.0, None)
             v = back ** (1.0 / (p - 1.0))
             if not np.any(v > 0):
                 break
         return max(best, 1.0)
+
+
+def _check_exponent(p: float) -> None:
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must lie in (1, inf), got {p}")
+
+
+def _ifft2_into(buf: np.ndarray) -> np.ndarray:
+    """`np.fft.ifft2` of `buf` over its last two axes, written into `buf`:
+    `ifft2` itself accepts `out` and drops it (numpy 2.4.6 passes `out=None`
+    on), while `ifftn` runs the same one-axis transforms and writes it."""
+    return np.fft.ifftn(buf, axes=(-2, -1), out=buf)
+
+
+def first_argmax(slabs: np.ndarray) -> np.ndarray:
+    """`slabs.argmax(axis=0)` for NaN-free slabs, in one pass over the slabs.
+
+    A later slab wins a cell only when it is strictly larger than the
+    running maximum, so a tie (-0.0 and +0.0 included) keeps the first
+    slab, as `argmax` does."""
+    choice = np.zeros(slabs.shape[1:], dtype=np.intp)
+    top = slabs[0].copy()
+    for i in range(1, len(slabs)):
+        choice[slabs[i] > top] = i
+        np.maximum(top, slabs[i], out=top)
+    return choice
 
 
 def _averager_for(
@@ -288,7 +320,7 @@ def build_majorant_weight(
     p: float,
     terms: int,
     averager: DirectionalAverager | None = None,
-    norm_seed: int = 0,
+    norm: float | None = None,
 ) -> MajorantWeight:
     """w = sum_{k=0}^{terms} (2N)**-k M_Sigma^k g for nonnegative g.
 
@@ -296,14 +328,17 @@ def build_majorant_weight(
     the iterates themselves, so ||h_k||_p <= N**k ||g||_p holds term by term
     and the norm certificate is exact.  The recursion certificate carries the
     truncation tail (2N)**-terms ||h_{terms+1}||_inf plus a fixed 1e-9 margin
-    for the frequency-domain averaging roundoff.
+    for the frequency-domain averaging roundoff.  `norm` is the ascent's
+    estimate at p when the caller has measured it; without it the ascent
+    runs here, from seed 0.
     """
+    _check_exponent(p)
     L = g.resolution
     vals = g.values.real
     if np.any(vals < 0) or not np.any(vals > 0):
         raise ValueError("weight seed must be nonnegative and not identically zero")
     avg = _averager_for(averager, L, directions)
-    norm_est = avg.estimate_norm(p, iters=12, seed=norm_seed)
+    norm_est = avg.estimate_norm(p, iters=12) if norm is None else norm
 
     iterates = [vals]
     for _ in range(terms + 1):
@@ -488,17 +523,21 @@ def verify_directional(
     report.extra["exceptional_c"] = c_used
 
     # the band-times-half-plane multipliers, member j * (L + 1) + k, run as
-    # stacks through one fft2/ifft2 pair per apply
+    # stacks through one fft2/ifft2 pair per apply; they are real, so the
+    # adjoint multiplies by the same array
     bands = np.stack([band_window(L, k) for k in range(L + 1)])
     multipliers = np.concatenate([bands * halfplane_mask(L, v) for v in directions])
-    conjugates = np.conj(multipliers)
 
     def op_for(members):
-        m, m_conj = multipliers[members], conjugates[members]
-        return LinearOperator(
-            lambda x: np.fft.ifft2(np.fft.fft2(x) * m),
-            lambda x: np.fft.ifft2(np.fft.fft2(x) * m_conj),
-        ).localized(g.mask, h_prime.mask)
+        m = multipliers[members]
+        buf = np.empty(m.shape, dtype=np.complex128)
+
+        def multiply(x):
+            # hands back the work buffer: `localized` multiplies the result
+            # by its output mask at once, before the next apply rewrites it
+            return _ifft2_into(np.multiply(np.fft.fft2(x, out=buf), m, out=buf))
+
+        return LinearOperator(multiply, multiply).localized(g.mask, h_prime.mask)
 
     seeds = [seed + 31 * j + k for j in range(len(directions)) for k in range(L + 1)]
     norms = [res.norm for res in power_iterations(op_for, (n, n), seeds, iters=power_iters)]
@@ -526,8 +565,7 @@ def verify_weighted_directional(
     the measured norm of the directional maximal operator to the power
     |1 - 2/q|.
     """
-    if not 1 < p < math.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
+    _check_exponent(p)
     q = q if q is not None else 2.0 * p / (p - 1.0)
     if abs(1.0 - 2.0 / q) > 1.0 / p + 1e-12:
         raise ValueError(f"exponent q={q} outside the closed range for p={p}")
@@ -561,7 +599,7 @@ def verify_weighted_directional(
         g_dual = g_dual / lp_norm(g_dual, p, L)
 
     weight = build_majorant_weight(
-        Grid2D(L, g_dual.astype(np.complex128)), directions, p, terms, averager=avg, norm_seed=seed
+        Grid2D(L, g_dual.astype(np.complex128)), directions, p, terms, averager=avg, norm=norm_p
     )
     report.extra["weight"] = weight.certificates
     area = cell_width(L) ** 2

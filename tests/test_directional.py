@@ -13,6 +13,7 @@ from dyadlab.directional import (
     band_window,
     build_majorant_weight,
     directional_maximal,
+    first_argmax,
     halfplane_mask,
     halfplane_project,
     hilbert_transform,
@@ -189,6 +190,81 @@ class TestStackedAverager:
         assert stack_slices(2, 1 << 24) == [slice(0, 1), slice(1, 2)]
 
 
+class TestBufferedTransforms:
+    """The work-buffer transforms against numpy's allocating ones, bit for
+    bit. Every buffer starts as NaN, so a transform that drops `out` fails."""
+
+    @staticmethod
+    def assert_same_array(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("stack", [1, 5, 16])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_fft2_pair_matches_allocating_transforms(self, resolution, stack, real):
+        from dyadlab.directional import _ifft2_into
+
+        rng = np.random.default_rng(100 * resolution + stack)
+        n = 1 << resolution
+        x = rng.standard_normal((stack, n, n))
+        if not real:
+            x = x + 1j * rng.standard_normal((stack, n, n))
+        buf = np.full((stack, n, n), complex(math.nan, math.nan))
+        spectrum = np.fft.fft2(x, out=buf)
+        assert spectrum is buf
+        self.assert_same_array(buf, np.fft.fft2(x))
+        inverse = _ifft2_into(buf)
+        assert inverse is buf
+        self.assert_same_array(buf, np.fft.ifft2(np.fft.fft2(x)))
+        # a spectrum the transform did not make: the inverse alone
+        noise = rng.standard_normal((stack, n, n)) + 1j * rng.standard_normal((stack, n, n))
+        buf[...] = noise
+        self.assert_same_array(_ifft2_into(buf), np.fft.ifft2(noise))
+
+    def test_buffer_prefix_of_a_larger_stack(self):
+        # the averager writes a shorter last stack into a prefix of its buffer
+        from dyadlab.directional import _ifft2_into
+
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+        buf = np.full((16, 8, 8), complex(math.nan, math.nan))
+        part = np.fft.fft2(x, out=buf[:3])
+        self.assert_same_array(_ifft2_into(part), np.fft.ifft2(np.fft.fft2(x)))
+        assert np.isnan(buf[3:]).all()
+
+
+class TestFirstArgmax:
+    """The one-pass winner scan against `argmax(axis=0)`."""
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 181])
+    def test_ties_keep_the_first_slab(self, count):
+        rng = np.random.default_rng(count)
+        slabs = rng.integers(0, 3, size=(count, 16, 16)).astype(float)
+        got = first_argmax(slabs)
+        assert got.dtype == slabs.argmax(axis=0).dtype
+        assert np.array_equal(got, slabs.argmax(axis=0))
+
+    def test_signed_zero_ties(self):
+        rng = np.random.default_rng(1)
+        slabs = np.where(rng.random((9, 8, 8)) < 0.5, -0.0, 0.0)
+        assert np.signbit(slabs).any() and not np.signbit(slabs).all()
+        assert np.array_equal(first_argmax(slabs), np.zeros((8, 8), dtype=np.intp))
+        assert np.array_equal(first_argmax(slabs), slabs.argmax(axis=0))
+        # a zero of either sign after a tie of the other sign does not win
+        slabs[4, 2, 3] = 1.0
+        slabs[6, 2, 3] = 1.0
+        assert np.array_equal(first_argmax(slabs), slabs.argmax(axis=0))
+        assert first_argmax(slabs)[2, 3] == 4
+
+    def test_averages_of_the_estimator(self):
+        averager = DirectionalAverager(5, DirectionSet.uniform(8))
+        rng = np.random.default_rng(2)
+        slabs = averager.all_averages(np.abs(rng.standard_normal((32, 32))))
+        assert np.array_equal(first_argmax(slabs), slabs.argmax(axis=0))
+
+
 class TestHalfplane:
     def test_direction_validation(self):
         with pytest.raises(ValueError):
@@ -316,6 +392,12 @@ class TestDirectionalMaximal:
         averager = DirectionalAverager(4, DirectionSet.uniform(4))
         assert averager.estimate_norm(2.0, iters=6, seed=0) >= 1.0
 
+    @pytest.mark.parametrize("p", [1.0, 0.5, math.inf, -2.0, math.nan])
+    def test_norm_estimate_rejects_exponent(self, p):
+        averager = DirectionalAverager(3, DirectionSet.uniform(2))
+        with pytest.raises(ValueError, match="p must lie in"):
+            averager.estimate_norm(p, iters=2)
+
 
 class TestWeights:
     def test_constant_seed(self):
@@ -346,6 +428,33 @@ class TestWeights:
         dirs = DirectionSet.uniform(2)
         with pytest.raises(ValueError):
             build_majorant_weight(Grid2D.zeros(3), dirs, 2.0, terms=5)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, math.inf])
+    def test_rejects_exponent(self, p):
+        dirs = DirectionSet.uniform(2)
+        g = Grid2D.constant(3, 1.0)
+        with pytest.raises(ValueError, match="p must lie in"):
+            build_majorant_weight(g, dirs, p, terms=5)
+        with pytest.raises(ValueError, match="p must lie in"):
+            build_majorant_weight(g, dirs, p, terms=5, norm=1.5)
+
+    def test_given_norm_is_used(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        dirs = DirectionSet.uniform(4)
+        g = Grid2D(3, np.abs(rng.standard_normal((8, 8))))
+        averager = DirectionalAverager(3, dirs)
+        measured = averager.estimate_norm(2.0, iters=12, seed=0)
+        default = build_majorant_weight(g, dirs, 2.0, terms=8, averager=averager)
+
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("estimate_norm called although the norm was given")
+
+        monkeypatch.setattr(DirectionalAverager, "estimate_norm", no_ascent)
+        given = build_majorant_weight(g, dirs, 2.0, terms=8, averager=averager, norm=measured)
+        assert given.values.tobytes() == default.values.tobytes()
+        assert given.certificates == default.certificates
+        large = build_majorant_weight(g, dirs, 2.0, terms=8, averager=averager, norm=50.0)
+        assert large.norm_used == 50.0
 
 
 class TestMuckenhoupt:
@@ -525,6 +634,24 @@ class TestEquivalenceAndTheorems:
         assert report.extra["duality_pairing"] <= report.extra["weighted_pairing"] * (1 + 1e-9)
         assert report.extra["chain_constant"] <= 1.0 + 1e-9
         assert math.isfinite(report.ratio)
+
+    def test_one_ascent_per_weighted_call(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        dirs = DirectionSet.uniform(4)
+        fams = [random_plane(rng, 3) for _ in range(2)]
+        calls = []
+        real = DirectionalAverager.estimate_norm
+
+        def counted(self, p, iters=30, seed=0):
+            calls.append((p, iters, seed))
+            return real(self, p, iters=iters, seed=seed)
+
+        monkeypatch.setattr(DirectionalAverager, "estimate_norm", counted)
+        shared = DirectionalAverager(3, dirs)
+        for seed in (0, 3):
+            verify_weighted_directional(fams, dirs, p=1.5, terms=6, seed=seed)
+            verify_weighted_directional(fams, dirs, p=1.5, terms=6, seed=seed, averager=shared)
+        assert calls == [(1.5, 12, 0)] * 2 + [(1.5, 12, 3)] * 2
 
     def test_weighted_exponent_range(self):
         rng = np.random.default_rng(17)
