@@ -27,7 +27,7 @@ from .grid import (
     stack_slices,
 )
 from .maximal import dyadic_maximal
-from .principle import LinearOperator, power_iterations
+from .principle import LinearOperator, top_singular
 from .reports import RatioReport, safe_ratio
 
 
@@ -185,20 +185,32 @@ class DirectionalAverager:
             counts = np.array(self.kernel_counts[s], dtype=float)[:, None, None]
             self.kernel_ffts[s] = np.fft.fft2(block) / counts
 
-    def all_averages(self, values: np.ndarray) -> np.ndarray:
-        """Stack of box averages of |values|, one slab per kernel."""
+    def _average_stacks(self, values: np.ndarray):
+        """Yield each kernel stack `s` with the complex averages of |values|
+        over its kernels, in one work buffer that the next stack rewrites."""
         spectrum = np.fft.fft2(np.abs(np.asarray(values)))
-        out = np.empty((len(self.kernel_ffts),) + values.shape)
         stacks = stack_slices(len(self.kernel_ffts), values.size)
         buf = np.empty((stacks[0].stop,) + values.shape, dtype=np.complex128)
         for s in stacks:
             work = np.conjugate(self.kernel_ffts[s], out=buf[: s.stop - s.start])
             np.multiply(spectrum, work, out=work)
-            np.clip(_ifft2_into(work).real, 0.0, None, out=out[s])
+            yield s, _ifft2_into(work)
+
+    def all_averages(self, values: np.ndarray, fold=None):
+        """Box averages of |values|, one slab per kernel: the `(K, n, n)`
+        stack, or `fold` of the slabs handed over one at a time in kernel
+        order, which builds no stack."""
+        stacks = self._average_stacks(values)
+        if fold is not None:
+            return fold(slab for _, work in stacks for slab in np.clip(work.real, 0.0, None))
+        out = np.empty((len(self.kernel_ffts),) + values.shape)
+        for s, work in stacks:
+            np.clip(work.real, 0.0, None, out=out[s])
         return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.all_averages(values).max(axis=0)
+        """`all_averages(values).max(axis=0)`, bit for bit, without the stack."""
+        return self.all_averages(values, fold=lambda slabs: running_max(slabs)[0])
 
     def estimate_norm(self, p: float, iters: int = 30, seed: int = 0) -> float:
         """Family-relative lower estimate of the L^p operator norm via
@@ -217,10 +229,8 @@ class DirectionalAverager:
             if vn == 0:
                 break
             v = v / vn
-            slabs = self.all_averages(v)
-            u = slabs.max(axis=0)
+            u, choice = self.all_averages(v, fold=lambda slabs: running_max(slabs, winners=True))
             best = max(best, lp_norm(u, p, self.resolution))
-            choice = first_argmax(slabs)
             z = u ** (p - 1.0)
             winners = np.flatnonzero(np.bincount(choice.ravel(), minlength=len(self.kernel_ffts)))
             back = np.zeros((n, n))
@@ -249,18 +259,23 @@ def _ifft2_into(buf: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(buf, axes=(-2, -1), out=buf)
 
 
-def first_argmax(slabs: np.ndarray) -> np.ndarray:
-    """`slabs.argmax(axis=0)` for NaN-free slabs, in one pass over the slabs.
+def running_max(slabs, winners: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """`np.stack(slabs).max(axis=0)` of NaN-free slabs, from any iterable of
+    them, so no stack need be built; with `winners`, also its `argmax(axis=0)`.
 
+    The maximum is a running `np.maximum` in slab order, the pairwise maxima
+    the reduction takes, so it matches bit for bit, signed zeros included.
     A later slab wins a cell only when it is strictly larger than the
-    running maximum, so a tie (-0.0 and +0.0 included) keeps the first
-    slab, as `argmax` does."""
-    choice = np.zeros(slabs.shape[1:], dtype=np.intp)
-    top = slabs[0].copy()
-    for i in range(1, len(slabs)):
-        choice[slabs[i] > top] = i
-        np.maximum(top, slabs[i], out=top)
-    return choice
+    running maximum, so a tie (-0.0 and +0.0 included) keeps the first slab,
+    as `argmax` does."""
+    slabs = iter(slabs)
+    top = next(slabs).copy()
+    choice = np.zeros(top.shape, dtype=np.intp) if winners else None
+    for i, slab in enumerate(slabs, start=1):
+        if winners:
+            choice[slab > top] = i
+        np.maximum(top, slab, out=top)
+    return top, choice
 
 
 def _averager_for(
@@ -486,7 +501,9 @@ def verify_directional(
     S_k H_{v_j} through the two-set condition: the exceptional set removes the
     region where the directional maximal function of 1_G is large (threshold
     (|G|/|H|)**(1/2) times the measured norm), and the localized norms are
-    reported against the measure-ratio power alpha = 1/4.
+    reported against the measure-ratio power alpha = 1/4.  The localized
+    norms are `top_singular` runs capped at `power_iters` steps, and
+    `localized_unconverged` counts those that hit the cap.
     """
     if abs(1.0 - 2.0 / q) >= 1.0 / p:
         raise ValueError(f"exponent q={q} outside the admissible range for p={p}")
@@ -540,9 +557,11 @@ def verify_directional(
         return LinearOperator(multiply, multiply).localized(g.mask, h_prime.mask)
 
     seeds = [seed + 31 * j + k for j in range(len(directions)) for k in range(L + 1)]
-    norms = [res.norm for res in power_iterations(op_for, (n, n), seeds, iters=power_iters)]
+    results = top_singular(op_for, (n, n), seeds, max_steps=power_iters)
+    norms = [res.norm for res in results]
     alpha = 0.25
     report.extra["localized_norm_max"] = max(norms, default=0.0)
+    report.extra["localized_unconverged"] = sum(not res.converged for res in results)
     report.extra["condition_constant"] = safe_ratio(max(norms, default=0.0), ratio**alpha)
     report.extra["measure_ratio"] = ratio
     return report

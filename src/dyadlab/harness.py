@@ -296,6 +296,7 @@ def run_biparam(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
         caps.append(max(trial_caps, default=0.0))
         ok = ok and all(c <= 1.0 + 1e-12 for c in trial_caps)
         ok = ok and rep.extra["h_kept"] >= 0.5
+        ok = ok and rep.extra["localized_unconverged"] == 0
     ok = ok and all(math.isfinite(r) for r in ratios)
     report = {
         "theorem": "biparam",
@@ -324,6 +325,7 @@ def run_cordoba(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
         )
         ratios.append(rep.ratio)
         ok = ok and rep.extra["h_kept"] >= 0.5 and math.isfinite(rep.ratio)
+        ok = ok and rep.extra["localized_unconverged"] == 0
     report = {
         "theorem": "cordoba",
         "p": config.p,

@@ -3,11 +3,11 @@
 The engine certifies, on the grid, the hypotheses and bookkeeping of the
 two-set localization argument: the subset builders keep at least half the
 measure of each set, the localized operators have measured L2 -> L2 norms
-(power iteration with exact adjoints; `densify` writes out the matrix that
-tests check small grids against), the recursive three-way splitting loses a
-factor of at least two in product measure per level, and the geometric
-error budget halves per level because 3 * base(p)**(-min(1/p, 1/p')) is
-exactly one half.
+(power iteration or Golub-Kahan-Lanczos with exact adjoints; `densify`
+writes out the matrix that tests check small grids against), the recursive
+three-way splitting loses a factor of at least two in product measure per
+level, and the geometric error budget halves per level because
+3 * base(p)**(-min(1/p, 1/p')) is exactly one half.
 """
 
 from __future__ import annotations
@@ -127,6 +127,20 @@ class PowerIterationResult:
     top_vector: np.ndarray | None = None
 
 
+def _check_loop(cap_name: str, cap: int, tol: float) -> None:
+    if cap < 1:
+        raise ValueError(f"{cap_name} must be at least 1, got {cap}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+
+
+def _start_vector(seed, shape) -> np.ndarray:
+    """The unit complex Gaussian vector both norm loops start a member from."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return v / np.linalg.norm(np.ravel(v))
+
+
 def power_iterations(
     op_for: Callable[[list[int]], LinearOperator],
     shape,
@@ -149,6 +163,7 @@ def power_iterations(
     The Rayleigh quotient is monotone nondecreasing along the iteration; the
     returned flag records whether the relative increment fell below tol.
     """
+    _check_loop("iters", iters, tol)
     shape, seeds = tuple(shape), list(seeds)
     results: list[PowerIterationResult] = []
     for s in stack_slices(len(seeds), math.prod(shape)):
@@ -158,12 +173,7 @@ def power_iterations(
 
 
 def _power_stack(op_for, shape, members, seeds, iters, tol) -> list[PowerIterationResult]:
-    starts = []
-    for i in members:
-        rng = np.random.default_rng(seeds[i])
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        starts.append(v / np.linalg.norm(np.ravel(v)))
-    v = np.stack(starts)
+    v = np.stack([_start_vector(seeds[i], shape) for i in members])
     slab = (-1,) + (1,) * len(shape)
     done: dict[int, PowerIterationResult] = {}
     # per-row state of the members still in the stack
@@ -227,6 +237,132 @@ def power_iteration(
     `power_iterations`."""
     one = LinearOperator(lambda v: op.apply(v[0])[None], lambda v: op.adjoint(v[0])[None])
     return power_iterations(lambda members: one, shape, [seed], iters, tol)[0]
+
+
+@dataclass(frozen=True)
+class TopSingularResult:
+    """One member's measurement by `top_singular`: the largest Ritz value,
+    the steps taken (one apply and, after the first, one adjoint each) and
+    whether the Ritz value settled before the step cap."""
+
+    norm: float
+    steps: int
+    converged: bool
+
+
+def top_singular(
+    op_for: Callable[[list[int]], LinearOperator],
+    shape,
+    seeds,
+    tol: float = 1e-9,
+    max_steps: int = 200,
+) -> list[TopSingularResult]:
+    """Largest singular values of a family of operators by Golub-Kahan-
+    Lanczos bidiagonalization, run on stacks of members.
+
+    The contract is that of `power_iterations`: member i starts from the
+    same vector with its seed, `op_for(members)` returns the operator on a
+    `(len(members), *shape)` stack and is called again only when members
+    leave, every reduction runs on one member's slab, and so each result
+    equals a one-member run bit for bit.  Step k extends the bidiagonal B
+    of A on the Krylov space of A*A by one column; the norm is the square
+    root of the largest eigenvalue of B^T B (the top Ritz value), which A
+    attains on that space, so in exact arithmetic it is never below the
+    power iterate after as many applies (G. Golub and W. Kahan, SIAM J.
+    Numer. Anal. B 2, 1965; J. Kuczynski and H. Wozniakowski, SIAM J.
+    Matrix Anal. Appl. 13, 1992).  A member stops when its Ritz value moves
+    by at most tol relative, or when the recurrence breaks down on an
+    invariant space, where the value is exact.  No basis is kept, so there
+    is no reorthogonalization: rounding may let a copy of the top value
+    reappear, but the top Ritz value still converges to the norm.
+    """
+    _check_loop("max_steps", max_steps, tol)
+    shape, seeds = tuple(shape), list(seeds)
+    results: list[TopSingularResult] = []
+    for s in stack_slices(len(seeds), math.prod(shape)):
+        members = list(range(s.start, s.stop))
+        results.extend(_lanczos_stack(op_for, shape, members, seeds, tol, max_steps))
+    return results
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Each slab's 2-norm, reduced as the power loop's Rayleigh quotient is,
+    so the first Ritz value is the first power iterate."""
+    return np.sqrt([np.vdot(row, row).real for row in x.reshape(len(x), -1)])
+
+
+def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of B^T B per row, B upper bidiagonal with the
+    row's alphas on its diagonal and betas above it; B^T B is tridiagonal,
+    written into its lower triangle, the one `eigvalsh` reads."""
+    m, k = alphas.shape
+    i = np.arange(k)
+    t = np.zeros((m, k, k))
+    t[:, i, i] = alphas**2
+    t[:, i[1:], i[1:]] += betas**2
+    t[:, i[1:], i[:-1]] = alphas[:, :-1] * betas
+    return np.linalg.eigvalsh(t)[:, -1]
+
+
+def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps) -> list[TopSingularResult]:
+    slab = (-1,) + (1,) * len(shape)
+    op = op_for(members)
+    done: dict[int, TopSingularResult] = {}
+    # per-row state of the members still in the stack: the Lanczos vectors
+    # v and u, the bidiagonal so far and the last Ritz value; v and u are
+    # this loop's own, so each recurrence writes into the vector it replaces
+    # and leaves alone whatever the operator hands back
+    v = np.stack([_start_vector(seeds[i], shape) for i in members])
+    u = np.empty_like(v)
+    alphas = np.zeros((len(members), max_steps))
+    betas = np.zeros((len(members), max_steps))
+    lam = np.zeros(len(members))
+
+    def leave(rows, *stacks):
+        nonlocal members, op
+        keep = [r for r in range(len(members)) if r not in rows]
+        members = [members[r] for r in keep]
+        if members:
+            op = op_for(members)
+        return [s[keep] for s in stacks]
+
+    def extend(image, coef, last):
+        """last = image - coef * last in place, row by row; its row norms."""
+        np.subtract(image, np.multiply(last, coef.reshape(slab), out=last), out=last)
+        return _row_norms(last)
+
+    for k in range(1, max_steps + 1):
+        if k == 1:
+            np.copyto(u, op.apply(v))
+            alpha = _row_norms(u)
+        else:
+            beta = betas[:, k - 2] = extend(op.adjoint(u), alphas[:, k - 2], v)
+            if 0.0 in beta:
+                # A*A maps the Krylov space into itself: the last value is exact
+                stopped = np.flatnonzero(beta == 0.0)
+                for row in stopped:
+                    done[members[row]] = TopSingularResult(math.sqrt(lam[row]), k - 1, True)
+                v, u, alphas, betas, lam = leave(stopped, v, u, alphas, betas, lam)
+                if not members:
+                    break
+            np.divide(v, betas[:, k - 2].reshape(slab), out=v)
+            alpha = extend(op.apply(v), betas[:, k - 2], u)
+        alphas[:, k - 1] = alpha
+        lam_prev, lam = lam, _top_ritz(alphas[:, :k], betas[:, : k - 1])
+        settled = alpha == 0.0
+        if k > 1:
+            settled |= np.abs(lam - lam_prev) <= tol * lam
+        stopped = np.flatnonzero(settled)
+        for row in stopped:
+            done[members[row]] = TopSingularResult(math.sqrt(lam[row]), k, True)
+        if len(stopped):
+            v, u, alphas, betas, lam = leave(stopped, v, u, alphas, betas, lam)
+            if not members:
+                break
+        np.divide(u, alphas[:, k - 1].reshape(slab), out=u)
+    for row in range(len(members)):
+        done[members[row]] = TopSingularResult(math.sqrt(lam[row]), max_steps, False)
+    return [done[i] for i in sorted(done)]
 
 
 def densify(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:

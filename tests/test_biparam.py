@@ -31,7 +31,11 @@ from dyadlab.plane import (
     rectangle_level_set,
     strong_maximal,
 )
-from test_principle import assert_same_result, old_power_iteration
+from test_principle import (
+    assert_krylov_oracles,
+    assert_one_member_runs_match,
+    capture_top_singular,
+)
 
 
 def old_block_sums(values, scale, axis):
@@ -368,7 +372,10 @@ class TestFixedScalePlan:
         assert _plan(5, 2) is not _plan(5, 3)
 
     @pytest.mark.parametrize("resolution", [4, 5])
-    def test_localized_norms_match_closure_loop(self, monkeypatch, resolution):
+    def test_localized_norms_meet_the_oracles(self, monkeypatch, resolution):
+        # each scale's norm is never below power iteration of its closure
+        # pair at equal steps from its seed, within the dense SVD bounds at
+        # L = 4, and equal to its one-member run bit for bit
         import dyadlab.biparam as biparam
 
         rng = np.random.default_rng(64 + resolution)
@@ -378,17 +385,11 @@ class TestFixedScalePlan:
         g = random_set2d(rng, L, 0.25)
         h_prime = exceptional_complement_2d(h, g, certified_rectangle_threshold(h, g, eps))
         assert 0 < measure(h_prime) < 1
-        results = []
-        real = biparam.power_iteration
-
-        def recording(op, shape, **kwargs):
-            results.append((kwargs["seed"] - seed, real(op, shape, **kwargs)))
-            return results[-1][1]
-
-        monkeypatch.setattr(biparam, "power_iteration", recording)
-        verify_biparam(fams, p=3.0, eps=eps, seed=seed, h=h, g=g, power_iters=60)
-        assert [j for j, _ in results] == list(range(L))
-        for j, res in results:
+        captured = capture_top_singular(monkeypatch, biparam)
+        report = verify_biparam(fams, p=3.0, eps=eps, seed=seed, h=h, g=g, power_iters=60)
+        assert captured["seeds"] == [seed + j for j in range(L)]
+        assert captured["kwargs"] == {"max_steps": 60}
+        for j, res in enumerate(captured["results"]):
 
             def fwd(v, j=j):
                 return old_fixed_scale_operator(v * h_prime.mask, L, j) * g.mask
@@ -396,8 +397,10 @@ class TestFixedScalePlan:
             def adj(v, j=j):
                 return old_fixed_scale_operator(v * g.mask, L, j) * h_prime.mask
 
-            old = old_power_iteration(LinearOperator(fwd, adj), (n, n), iters=60, seed=seed + j)
-            assert_same_result(res, old)
+            assert_krylov_oracles(res, LinearOperator(fwd, adj), (n, n), seed + j, dense=L <= 4)
+        assert_one_member_runs_match(captured)
+        assert report.extra["localized_norms"] == [r.norm for r in captured["results"]]
+        assert report.extra["localized_unconverged"] == 0
 
 
 class TestExceptionalSet2D:
@@ -675,30 +678,44 @@ class TestPipeline:
         g = random_set2d(rng, L, 0.25)
         h_prime = exceptional_complement_2d(h, g, certified_rectangle_threshold(h, g, eps))
         assert 0 < measure(h_prime) < 1
-        captured = []
-        real = biparam.power_iteration
-
-        def recording(op, shape, **kwargs):
-            captured.append((op, kwargs["seed"] - seed))
-            return real(op, shape, **kwargs)
-
-        monkeypatch.setattr(biparam, "power_iteration", recording)
+        captured = capture_top_singular(monkeypatch, biparam)
         verify_biparam(fams, p=3.0, eps=eps, seed=seed, h=h, g=g, power_iters=5)
-        assert [j for _, j in captured] == [0, 1, 2, 3]
-        for local, j in captured:
-            # the closure pair verify_biparam built before the localized projection
-            def fwd(v, jj=j):
-                masked = Grid2D(L, np.asarray(v).reshape(n, n) * h_prime.mask)
-                return fixed_scale_operator(masked, jj).values * g.mask
+        assert captured["seeds"] == [seed + j for j in range(L)]
+        # every scale runs in one stack, which shrinks as scales converge
+        assert captured["calls"][0][0] == [0, 1, 2, 3]
+        for stack, local in captured["calls"]:
+            v = rng.standard_normal((len(stack), n, n)) + 1j * rng.standard_normal((len(stack), n, n))
+            out, back = local.apply(v), local.adjoint(v)
+            for row, j in enumerate(stack):
+                # the closure pair verify_biparam built before the localized projection
+                masked = Grid2D(L, v[row] * h_prime.mask)
+                assert np.array_equal(out[row], fixed_scale_operator(masked, j).values * g.mask)
+                masked = Grid2D(L, v[row] * g.mask)
+                assert np.array_equal(back[row], fixed_scale_operator(masked, j).values * h_prime.mask)
 
-            def adj(v, jj=j):
-                masked = Grid2D(L, np.asarray(v).reshape(n, n) * g.mask)
-                return fixed_scale_operator(masked, jj).values * h_prime.mask
+    def test_step_cap_reaches_ok(self, monkeypatch):
+        # at a cap of 2 steps the projections stop unconverged; the count
+        # reaches the report, and `verify biparam` fails its postcondition
+        import functools
 
-            for _ in range(3):
-                v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                assert np.array_equal(local.apply(v), fwd(v))
-                assert np.array_equal(local.adjoint(v), adj(v))
+        import dyadlab.biparam as biparam
+        from dyadlab.harness import ExperimentConfig, run_biparam, trial_generators
+
+        rng = np.random.default_rng(18)
+        fams = [random_grid2d(rng, 4) for _ in range(4)]
+        g = random_set2d(rng, 4, 0.25)
+        capped = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g, power_iters=2)
+        assert capped.extra["localized_unconverged"] > 0
+        full = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g)
+        assert full.extra["localized_unconverged"] == 0
+
+        config = ExperimentConfig(theorem="biparam", resolution=4, trials=2, eps=0.45)
+        assert run_biparam(config, trial_generators(0, 2)[0])[2] is True
+        monkeypatch.setattr(
+            biparam, "verify_biparam", functools.partial(biparam.verify_biparam, power_iters=2)
+        )
+        report, _, ok = run_biparam(config, trial_generators(0, 2)[0])
+        assert ok is False and report["ok"] is False
 
     def test_requires_resolution_one(self):
         with pytest.raises(ValueError, match="L >= 1"):

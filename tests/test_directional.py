@@ -13,11 +13,11 @@ from dyadlab.directional import (
     band_window,
     build_majorant_weight,
     directional_maximal,
-    first_argmax,
     halfplane_mask,
     halfplane_project,
     hilbert_transform,
     muckenhoupt_constants,
+    running_max,
     square_function_equivalence,
     verify_directional,
     verify_weighted_directional,
@@ -36,34 +36,16 @@ from dyadlab.grid import (
 from dyadlab.harness import random_signal
 from dyadlab.maximal import dyadic_maximal
 from dyadlab.principle import LinearOperator
-from test_principle import assert_same_result, old_power_iteration
+from test_principle import (
+    assert_krylov_oracles,
+    assert_one_member_runs_match,
+    capture_top_singular,
+)
 
 
 def random_plane(rng, resolution):
     n = 1 << resolution
     return Grid2D(resolution, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-
-
-def capture_stacked_power(monkeypatch):
-    """Record what verify_directional hands the stacked power iteration: the
-    seeds, every (members, operator) its op_for builds, and the results."""
-    import dyadlab.directional as directional
-
-    captured = {"calls": []}
-    real = directional.power_iterations
-
-    def recording(op_for, shape, seeds, **kwargs):
-        def op_for_recorded(members):
-            op = op_for(members)
-            captured["calls"].append((list(members), op))
-            return op
-
-        captured["seeds"] = list(seeds)
-        captured["results"] = real(op_for_recorded, shape, seeds, **kwargs)
-        return captured["results"]
-
-    monkeypatch.setattr(directional, "power_iterations", recording)
-    return captured
 
 
 def localization_sets(resolution, dirs, seed):
@@ -235,34 +217,65 @@ class TestBufferedTransforms:
         assert np.isnan(buf[3:]).all()
 
 
-class TestFirstArgmax:
-    """The one-pass winner scan against `argmax(axis=0)`."""
+class TestRunningMax:
+    """The one-pass maximum and winner scan against `max(axis=0)` and
+    `argmax(axis=0)` of the stacked slabs."""
+
+    @staticmethod
+    def assert_same_max(slabs):
+        top = running_max(iter(slabs))[0]
+        want = slabs.max(axis=0)
+        assert top.dtype == want.dtype and top.strides == want.strides
+        assert top.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("count", [1, 2, 7, 181])
     def test_ties_keep_the_first_slab(self, count):
         rng = np.random.default_rng(count)
         slabs = rng.integers(0, 3, size=(count, 16, 16)).astype(float)
-        got = first_argmax(slabs)
+        top, got = running_max(slabs, winners=True)
         assert got.dtype == slabs.argmax(axis=0).dtype
         assert np.array_equal(got, slabs.argmax(axis=0))
+        self.assert_same_max(slabs)
 
     def test_signed_zero_ties(self):
         rng = np.random.default_rng(1)
         slabs = np.where(rng.random((9, 8, 8)) < 0.5, -0.0, 0.0)
         assert np.signbit(slabs).any() and not np.signbit(slabs).all()
-        assert np.array_equal(first_argmax(slabs), np.zeros((8, 8), dtype=np.intp))
-        assert np.array_equal(first_argmax(slabs), slabs.argmax(axis=0))
+        winners = running_max(slabs, winners=True)[1]
+        assert np.array_equal(winners, np.zeros((8, 8), dtype=np.intp))
+        assert np.array_equal(winners, slabs.argmax(axis=0))
+        self.assert_same_max(slabs)
         # a zero of either sign after a tie of the other sign does not win
         slabs[4, 2, 3] = 1.0
         slabs[6, 2, 3] = 1.0
-        assert np.array_equal(first_argmax(slabs), slabs.argmax(axis=0))
-        assert first_argmax(slabs)[2, 3] == 4
+        winners = running_max(slabs, winners=True)[1]
+        assert np.array_equal(winners, slabs.argmax(axis=0))
+        assert winners[2, 3] == 4
+        self.assert_same_max(slabs)
 
     def test_averages_of_the_estimator(self):
         averager = DirectionalAverager(5, DirectionSet.uniform(8))
         rng = np.random.default_rng(2)
         slabs = averager.all_averages(np.abs(rng.standard_normal((32, 32))))
-        assert np.array_equal(first_argmax(slabs), slabs.argmax(axis=0))
+        assert np.array_equal(running_max(slabs, winners=True)[1], slabs.argmax(axis=0))
+        self.assert_same_max(slabs)
+
+    @pytest.mark.parametrize("resolution", [1, 3, 5, 6])
+    def test_apply_is_the_stack_maximum(self, resolution):
+        # bytes of the maximum over every kernel's averages, including an
+        # indicator input (exact zeros) and the zero input
+        averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
+        rng = np.random.default_rng(40 + resolution)
+        n = 1 << resolution
+        for values in (
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+            (rng.random((n, n)) < 0.25).astype(float),
+            np.zeros((n, n)),
+        ):
+            got = averager.apply(values)
+            want = averager.all_averages(values).max(axis=0)
+            assert got.dtype == want.dtype and got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
 
 
 class TestHalfplane:
@@ -556,16 +569,19 @@ class TestEquivalenceAndTheorems:
         assert report.extra["h_kept"] >= 0.5
 
     def test_localized_multiplier_matches_closure_oracle(self, monkeypatch):
+        import dyadlab.directional as directional
+
         rng = np.random.default_rng(16)
         L, n, seed = 4, 16, 7
         dirs = DirectionSet.uniform(4)
         fams = [random_plane(rng, L) for _ in range(2)]
-        captured = capture_stacked_power(monkeypatch)
+        captured = capture_top_singular(monkeypatch, directional)
         verify_directional(fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=3)
         g, h_prime = localization_sets(L, dirs, seed)
         assert 0 < h_prime.mask.mean() < 1
         members = len(dirs) * (L + 1)
         assert captured["seeds"] == [seed + 31 * j + k for j in range(len(dirs)) for k in range(L + 1)]
+        assert captured["kwargs"] == {"max_steps": 3}
         assert set().union(*(stack for stack, _ in captured["calls"])) == set(range(members))
         for stack, local in captured["calls"]:
             v = rng.standard_normal((len(stack), n, n)) + 1j * rng.standard_normal((len(stack), n, n))
@@ -577,12 +593,17 @@ class TestEquivalenceAndTheorems:
                 assert np.array_equal(back[row], adj(v[row]))
 
     @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
-    def test_stacked_norms_match_per_member_loop(self, monkeypatch, resolution):
+    def test_localized_norms_meet_the_oracles(self, monkeypatch, resolution):
+        # each multiplier's norm is never below power iteration of its
+        # closure pair at equal steps from its seed, within the dense SVD
+        # bounds up to L = 4, and equal to its one-member run bit for bit
+        import dyadlab.directional as directional
+
         rng = np.random.default_rng(20 + resolution)
         L, n, seed, iters = resolution, 1 << resolution, 3, 40
         dirs = DirectionSet.uniform(8)
         fams = [random_plane(rng, L) for _ in range(2)]
-        captured = capture_stacked_power(monkeypatch)
+        captured = capture_top_singular(monkeypatch, directional)
         report = verify_directional(fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=iters)
         g, h_prime = localization_sets(L, dirs, seed)
         results = captured["results"]
@@ -590,11 +611,38 @@ class TestEquivalenceAndTheorems:
         for index, res in enumerate(results):
             j, k = divmod(index, L + 1)
             fwd, adj = old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask)
-            old = old_power_iteration(
-                LinearOperator(fwd, adj), (n, n), iters=iters, seed=seed + 31 * j + k
+            assert_krylov_oracles(
+                res, LinearOperator(fwd, adj), (n, n), seed + 31 * j + k, dense=L <= 4
             )
-            assert_same_result(res, old)
+        assert_one_member_runs_match(captured)
         assert report.extra["localized_norm_max"] == max(r.norm for r in results)
+        unconverged = sum(not r.converged for r in results)
+        assert report.extra["localized_unconverged"] == unconverged
+
+    def test_step_cap_reaches_ok(self, monkeypatch):
+        # at a cap of 2 steps the multipliers stop unconverged; the count
+        # reaches the report, and `verify cordoba` fails its postcondition
+        import functools
+
+        import dyadlab.directional as directional
+        from dyadlab.harness import ExperimentConfig, run_cordoba, trial_generators
+
+        rng = np.random.default_rng(23)
+        dirs = DirectionSet.uniform(8)
+        fams = [random_plane(rng, 4) for _ in range(2)]
+        capped = verify_directional(fams, dirs, q=2.5, p=2.0, seed=1, power_iters=2)
+        assert capped.extra["localized_unconverged"] > 0
+        full = verify_directional(fams, dirs, q=2.5, p=2.0, seed=1)
+        assert full.extra["localized_unconverged"] == 0
+
+        config = ExperimentConfig(theorem="cordoba", resolution=4, trials=2, p=2.0, q=2.5)
+        assert run_cordoba(config, trial_generators(0, 2)[0])[2] is True
+        real = directional.verify_directional
+        monkeypatch.setattr(
+            directional, "verify_directional", functools.partial(real, power_iters=2)
+        )
+        report, _, ok = run_cordoba(config, trial_generators(0, 2)[0])
+        assert ok is False and report["ok"] is False
 
     def test_one_averager_serves_every_trial(self):
         rng = np.random.default_rng(21)

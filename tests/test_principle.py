@@ -28,9 +28,11 @@ from dyadlab.principle import (
     level_budget,
     measure_condition,
     PowerIterationResult,
+    TopSingularResult,
     power_iteration,
     power_iterations,
     splitting_cascade,
+    top_singular,
     trim_builder,
     vector_inequality_ratio,
 )
@@ -81,6 +83,51 @@ def assert_same_result(new, old):
     else:
         assert new.top_vector.shape == old.top_vector.shape
         assert np.array_equal(new.top_vector, old.top_vector)
+
+
+def assert_krylov_oracles(res, op, shape, seed, dense):
+    """The engine's oracles for one member's result: never below the power
+    iterate after as many steps from the same seed, and, when `dense`,
+    within [s (1 - 1e-8), s (1 + 1e-12)] of the top singular value s of the
+    written-out matrix.
+
+    Both loops round, so where both have reached s (a 4-cell operator at
+    L = 1 does so in three steps) the Ritz value may sit an ulp below the
+    power iterate: the first bound allows 4 ulps, relative, and no more."""
+    power = power_iteration(op, shape, iters=res.steps, tol=0.0, seed=seed)
+    assert res.norm >= power.norm * (1.0 - 4.0 * np.finfo(float).eps)
+    if dense:
+        matrix = densify(lambda x: op.apply(x.reshape(shape)), math.prod(shape))
+        top = float(np.linalg.svd(matrix, compute_uv=False)[0])
+        assert top * (1.0 - 1e-8) <= res.norm <= top * (1.0 + 1e-12)
+
+
+def capture_top_singular(monkeypatch, module):
+    """Record what `module` hands `top_singular`: its op_for, shape, seeds
+    and keywords, every (members, operator) op_for builds, and the results."""
+    captured = {"calls": []}
+
+    def recording(op_for, shape, seeds, **kwargs):
+        def op_for_recorded(members):
+            op = op_for(members)
+            captured["calls"].append((list(members), op))
+            return op
+
+        captured.update(op_for=op_for, shape=shape, seeds=list(seeds), kwargs=kwargs)
+        captured["results"] = top_singular(op_for_recorded, shape, seeds, **kwargs)
+        return captured["results"]
+
+    monkeypatch.setattr(module, "top_singular", recording)
+    return captured
+
+
+def assert_one_member_runs_match(captured):
+    """Each captured stacked result equals the one-member run of that
+    member, bit for bit."""
+    op_for, shape, kwargs = captured["op_for"], captured["shape"], captured["kwargs"]
+    for i, (res, seed) in enumerate(zip(captured["results"], captured["seeds"])):
+        alone = top_singular(lambda members, i=i: op_for([i]), shape, [seed], **kwargs)
+        assert alone == [res]
 
 
 def old_trim_builders(c):
@@ -521,7 +568,7 @@ class TestStackedPowerIteration:
             assert_same_result(res, old)
         assert results[1].iterations == 1 and results[1].top_vector is None
 
-    @pytest.mark.parametrize("iters", [0, 1, 2, 200])
+    @pytest.mark.parametrize("iters", [1, 2, 200])
     def test_one_member_call_matches_old_loop(self, iters):
         rng = np.random.default_rng(52)
         resolution = 6
@@ -532,3 +579,135 @@ class TestStackedPowerIteration:
             local = op.localized(g.mask, h.mask)
             new = power_iteration(local, (n,), iters=iters, seed=9 + j)
             assert_same_result(new, old_power_iteration(local, (n,), iters=iters, seed=9 + j))
+
+
+class TestLoopSettings:
+    """Both norm loops reject a step cap below one and a negative or NaN
+    tolerance, naming the argument; a cap of 0 used to return norm 0.0."""
+
+    @staticmethod
+    def diagonal():
+        d = np.arange(1.0, 5.0)
+        return LinearOperator(lambda v: v * d, lambda v: v * d)
+
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_power_iteration_rejects_cap(self, iters):
+        op = self.diagonal()
+        with pytest.raises(ValueError, match="iters"):
+            power_iteration(op, (4,), iters=iters)
+        with pytest.raises(ValueError, match="iters"):
+            power_iterations(lambda members: op, (4,), [0], iters=iters)
+
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_top_singular_rejects_cap(self, max_steps):
+        op = self.diagonal()
+        with pytest.raises(ValueError, match="max_steps"):
+            top_singular(lambda members: op, (4,), [0], max_steps=max_steps)
+
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
+    def test_rejects_tolerance(self, tol):
+        op = self.diagonal()
+        with pytest.raises(ValueError, match="tol"):
+            power_iteration(op, (4,), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            top_singular(lambda members: op, (4,), [0], tol=tol)
+
+    def test_smallest_settings_run(self):
+        op = self.diagonal()
+        assert power_iteration(op, (4,), iters=1, tol=0.0).iterations == 1
+        assert top_singular(lambda members: op, (4,), [0], tol=0.0, max_steps=1)[0].steps == 1
+
+
+class TestTopSingular:
+    """The stacked Golub-Kahan-Lanczos engine against dense SVD, against
+    power iteration at equal steps, and against its own one-member runs."""
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4])
+    def test_oracles_on_multipliers(self, resolution):
+        rng = np.random.default_rng(60 + resolution)
+        n = 1 << resolution
+        spectra = multiplier_family(rng, resolution, 9)
+        out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
+        seeds = [11 + i for i in range(len(spectra))]
+        results = top_singular(stacked_multiplier(spectra, out_mask, in_mask), (n, n), seeds)
+        assert all(res.converged for res in results)
+        for i, res in enumerate(results):
+            local = single_multiplier(spectra[i], out_mask, in_mask)
+            assert_krylov_oracles(res, local, (n, n), seeds[i], dense=True)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 10, 30])
+    def test_never_below_power_at_equal_steps(self, steps):
+        rng = np.random.default_rng(70)
+        resolution, n = 4, 16
+        spectra = multiplier_family(rng, resolution, 12)
+        out_mask, in_mask = rng.random((n, n)) < 0.5, rng.random((n, n)) < 0.5
+        results = top_singular(
+            stacked_multiplier(spectra, out_mask, in_mask), (n, n), range(12),
+            tol=0.0, max_steps=steps,
+        )
+        for i, res in enumerate(results):
+            power = power_iteration(
+                single_multiplier(spectra[i], out_mask, in_mask), (n, n),
+                iters=steps, tol=0.0, seed=i,
+            )
+            assert res.steps <= steps
+            assert res.norm >= power.norm
+
+    @pytest.mark.parametrize("resolution", [2, 4, 5, 6])
+    def test_stacked_equals_one_member(self, resolution):
+        rng = np.random.default_rng(80 + resolution)
+        n = 1 << resolution
+        cap = max(1, STACK_CELLS // (n * n))
+        spectra = multiplier_family(rng, resolution, min(cap, 20) + 3)
+        out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
+        seeds = [5 + 2 * i for i in range(len(spectra))]
+        calls = []
+        op_for = stacked_multiplier(spectra, out_mask, in_mask, calls)
+        results = top_singular(op_for, (n, n), seeds, max_steps=40)
+        assert len(results) == len(spectra)
+        assert all(len(members) <= cap for members in calls)
+        for i, res in enumerate(results):
+            alone = top_singular(lambda members, i=i: op_for([i]), (n, n), [seeds[i]], max_steps=40)
+            assert alone == [res]
+
+    def test_members_leave_when_they_converge(self):
+        rng = np.random.default_rng(90)
+        resolution, n = 5, 32
+        spectra = multiplier_family(rng, resolution, STACK_CELLS // (n * n))
+        ones = np.ones((n, n), dtype=bool)
+        calls = []
+        results = top_singular(
+            stacked_multiplier(spectra, ones, ones, calls), (n, n), range(len(spectra))
+        )
+        # member 1 is the zero multiplier: A v = 0 at the first step
+        assert results[1] == TopSingularResult(0.0, 1, True)
+        assert all(res.converged for res in results)
+        assert len({res.steps for res in results}) > 3
+        # the operator is rebuilt only when members leave, over shrinking stacks
+        assert calls[0] == list(range(len(spectra)))
+        assert all(set(b) < set(a) for a, b in zip(calls, calls[1:]))
+        # a multiplier's norm is its largest modulus: 1 at the planted cell
+        for i, res in enumerate(results):
+            if i != 1:
+                assert res.norm == pytest.approx(1.0, rel=1e-8, abs=0.0)
+
+    def test_invariant_space_is_exact(self):
+        # 2 x identity on one cell from seed 0: A*A maps the start vector to
+        # itself, the recurrence meets beta == 0 after one step, and the
+        # norm is exact; over 4 cells the next step settles instead
+        double = LinearOperator(lambda v: v * 2.0, lambda w: w * 2.0)
+        [res] = top_singular(lambda members: double, (1,), [0])
+        assert res == TopSingularResult(2.0, 1, True)
+        for res in top_singular(lambda members: double, (4,), range(8)):
+            assert res.converged and res.steps <= 2
+            assert res.norm == pytest.approx(2.0, rel=1e-15, abs=0.0)
+
+    def test_cap_reports_unconverged(self):
+        rng = np.random.default_rng(91)
+        resolution, n = 4, 16
+        spectra = multiplier_family(rng, resolution, 6)
+        ones = np.ones((n, n), dtype=bool)
+        results = top_singular(stacked_multiplier(spectra, ones, ones), (n, n), range(6), max_steps=2)
+        assert results[1].converged and results[1].norm == 0.0
+        unconverged = [res for i, res in enumerate(results) if i != 1]
+        assert all(not res.converged and res.steps == 2 for res in unconverged)
