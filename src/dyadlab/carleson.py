@@ -10,6 +10,7 @@ caps they force hold as stated, with explicit constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,13 +35,13 @@ from .tiles import (
     ModelSumPlan,
     TileCollection,
     full_decompose,
+    lower_coefficients,
     member_weights,
     model_sum,
-    packet_coefficients,
     tree_sum,
     upper_cells,
 )
-from .walsh import block_gathers
+from .walsh import bit_reversal
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,11 @@ class RestrictedOp:
             raise ValueError("restricted operator pieces must share one resolution")
         plan = ModelSumPlan(self.choice, self.collection)
         object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "operator", _localized(plan, self.a, self.b))
+        object.__setattr__(self, "operator", _localized(plan.apply, plan.adjoint, self.a, self.b))
 
 
-def _localized(plan: ModelSumPlan, a: GridSet, b: GridSet) -> LinearOperator:
-    return LinearOperator(plan.apply, plan.adjoint).localized(a.mask, b.mask)
+def _localized(apply, adjoint, a: GridSet, b: GridSet) -> LinearOperator:
+    return LinearOperator(apply, adjoint).localized(a.mask, b.mask)
 
 
 def carve_h(h: GridSet, g: GridSet, c: float = 4.0) -> GridSet:
@@ -114,7 +115,9 @@ def restricted_norm(
     L = a.resolution
 
     def op_for(plans: list[ModelSumPlan]):
-        return lambda members: _localized(ModelSumPlan.stack(plans[i] for i in members), a, b)
+        # the loop's stacks are complex (m, 2**L) arrays of its own, so the
+        # plan's unchecked kernels serve
+        return lambda members: _localized(*ModelSumPlan.stack(plans[i] for i in members).kernels(), a, b)
 
     results: list[PowerIterationResult] = []
     # the array of one numpy call is the stacked plan's block stack, up to
@@ -139,27 +142,44 @@ def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
         raise ValueError("resolution mismatch")
     L = f.resolution
     n = 1 << L
-    scales = []
-    for k, present in enumerate(collection.masks):
-        if present.any():
-            coef = packet_coefficients(f.values, L, k)[:, 0::2] * (2.0 ** (k / 2.0))
-            scales.append((k, coef, present, 2 * np.arange(1 << (L - k - 1)) + 1))
+    scales = [
+        (k, coef.reshape(present.shape) * (2.0 ** (k / 2.0)) * present)
+        for k, (coef, present) in enumerate(zip(lower_coefficients(f.values, L), collection.masks))
+        if present.any()
+    ]
     freqs = np.empty(n, dtype=np.int64)
     chunk = max(1, STACK_CELLS // n)
     for lo in range(0, n, chunk):
         cells = np.arange(lo, min(lo + chunk, n))
         total = np.zeros((cells.size, n), dtype=np.complex128)
-        for k, coef, present, odd in scales:
-            blocks = cells >> (L - k)
-            # packet value of the upper tile at every (cell, freq-index) pair;
-            # odd has only the low L - k bits, where the block gather holds
-            # the bit reversal of the cell's place in its block
-            rev_u = block_gathers(L)[k][cells]
-            signs = 1.0 - 2.0 * (np.bitwise_count(odd & rev_u[:, None]) & 1)
-            table = coef[blocks] * signs * present[blocks]
-            total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table[:, :, None]
+        for k, coef in scales:
+            # the mask (0/1) multiplied coef before the signs (+-1): exact
+            # products, which differ at most in the sign of a zero, and no
+            # zero sign survives in the total, a sum from +0
+            if chunk >= n:  # one chunk holds the grid (L <= 7): block b reads coef row b
+                table = coef[:, None, :] * _block_signs(L - k)
+            else:
+                table = coef[cells >> (L - k)] * _upper_signs(L - k, cells & ((1 << (L - k)) - 1))
+            total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table.reshape(cells.size, -1, 1)
         freqs[cells] = np.argmax(np.abs(total), axis=1)
     return ChoiceFunction(L, freqs)
+
+
+def _upper_signs(bits: int, places) -> np.ndarray:
+    """W_{2m+1} at the given places of a block of 2**bits cells, for every
+    m < 2**(bits-1), as int8 +-1: 2m + 1 has only the low bits, and the
+    place's bit reversal gives the parity."""
+    odd = 2 * np.arange(1 << (bits - 1)) + 1
+    return 1 - 2 * (np.bitwise_count(odd & bit_reversal(bits)[places, None]) & 1).astype(np.int8)
+
+
+@functools.cache
+def _block_signs(bits: int) -> np.ndarray:
+    """`_upper_signs` of a whole block, read-only, built once per length:
+    2.7 KB for every length up to 6 bits, 11 KB up to 7."""
+    signs = _upper_signs(bits, slice(None))
+    signs.setflags(write=False)
+    return signs
 
 
 def restricted_pairing(

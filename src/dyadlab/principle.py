@@ -194,8 +194,9 @@ def _power_stack(op_for, shape, members, seeds, iters, tol) -> list[PowerIterati
     for it in range(1, iters + 1):
         w = op.apply(v)
         stopped = []
-        for row in range(len(members)):
-            wr = w[row].ravel()
+        # one contiguous row per slab, the bytes raveling the slab alone
+        # gives: BLAS sums a strided vector in another order
+        for row, wr in enumerate(np.ascontiguousarray(w).reshape(len(members), -1)):
             lam_r = lam[row] = float(np.vdot(wr, wr).real)
             if lam_r == 0.0:
                 done[members[row]] = PowerIterationResult(0.0, it, True, None)
@@ -211,7 +212,9 @@ def _power_stack(op_for, shape, members, seeds, iters, tol) -> list[PowerIterati
             if not members:
                 break
         v = op.adjoint(w)
-        nv = [np.linalg.norm(v[row].ravel()) for row in range(len(members))]
+        # np.linalg.norm's formula for a complex vector (numpy 2.4.6), inline
+        rows = np.ascontiguousarray(v).reshape(len(members), -1)
+        nv = [math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) for x in rows]
         if 0.0 in nv:
             stopped = [row for row, norm in enumerate(nv) if norm == 0.0]
             for row in stopped:

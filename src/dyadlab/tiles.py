@@ -36,8 +36,6 @@ from .walsh import (
     butterfly_layout,
     butterfly_stages,
     butterfly_views,
-    walsh_analysis,
-    walsh_synthesis,
     walsh_values,
 )
 
@@ -300,19 +298,37 @@ def walsh_packet(tile: Tile, resolution: int) -> GridSignal:
     return GridSignal(L, values)
 
 
-def packet_coefficients(values: np.ndarray, resolution: int, scale: int) -> np.ndarray:
-    """coef[n, q] = <values, packet(scale, n, q)> for every offset and tile
-    frequency index at the given spatial scale."""
-    L, k = resolution, scale
-    blocks = np.asarray(values).reshape(1 << k, 1 << (L - k))
-    return walsh_analysis(blocks, axis=1) * (2.0 ** (k / 2.0) * cell_width(L))
+@functools.cache
+def _lower_layout(resolution: int):
+    """The gathers, stage lengths, final places and normalizations of
+    `lower_coefficients`, laid out as a one-member plan with every scale."""
+    L = resolution
+    order, _, active, final = butterfly_layout(tuple(range(L - 1, -1, -1)), (1 << L) >> 1)
+    perm = block_gathers(L).ravel()
+    even, odd = perm[0::2][order], perm[1::2][order]
+    norm = np.array([2.0 ** (k / 2.0) * cell_width(L) for k in range(L)])[:, None]
+    for a in (even, odd, norm):
+        a.setflags(write=False)
+    return even, odd, active, final, norm
 
 
-def packet_synthesis(coeffs: np.ndarray, resolution: int, scale: int) -> np.ndarray:
-    """sum over (n, q) of coeffs[n, q] * packet(scale, n, q), as cell values."""
-    L, k = resolution, scale
-    blocks = walsh_synthesis(np.asarray(coeffs), axis=1) * (2.0 ** (k / 2.0))
-    return blocks.reshape(1 << L)
+def lower_coefficients(values: np.ndarray, resolution: int) -> np.ndarray:
+    """<values, lower packet> of every bi-tile as an (L, 2**(L-1)) array in
+    `tile_slot` order: [k, n 2**(L-k-1) + m] pairs the values with
+    packet(scale k, offset n, frequency index 2m). One butterfly runs every
+    scale, as a plan does; each scale's sums, in order, are those of a Walsh
+    analysis of its blocks, so this is that transform's even entries times
+    2**(k/2) |cell|, bit for bit. Real values give float64, others complex128."""
+    L = resolution
+    even, odd, active, final, norm = _lower_layout(L)
+    flat = np.asarray(values)
+    flat = flat.astype(np.float64 if np.isrealobj(flat) else np.complex128, copy=False).reshape(1 << L)
+    work = np.empty((2, even.size), dtype=flat.dtype)
+    np.add(np.take(flat, even, out=work[1]), flat[odd], work[0])
+    butterfly_stages(butterfly_views(work, active))
+    out = work.reshape(-1)[final].reshape(L, (1 << L) >> 1)
+    out *= norm
+    return out
 
 
 def bitile_key(p: BiTile) -> tuple[int, int, int]:
@@ -322,21 +338,19 @@ def bitile_key(p: BiTile) -> tuple[int, int, int]:
 
 def _coefficients(collection: TileCollection, f: GridSignal) -> tuple[np.ndarray, ...]:
     """Every member's scale, offset and frequency index, in `bitile_key`
-    order, and <f, lower-packet> at each, gathered from one fast transform
-    per scale with members."""
+    order, and <f, lower-packet> at each, gathered from one all-scale
+    transform."""
     if f.resolution != collection.resolution:
         raise ValueError("resolution mismatch")
-    parts = [
-        (np.full(n.size, k), n, m, packet_coefficients(f.values, f.resolution, k)[n, 2 * m])
-        for k, (n, m) in enumerate(map(np.nonzero, collection.masks))
-        if n.size
-    ]
-    empty = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=np.complex128),)
-    return tuple(np.concatenate(column) for column in zip(empty, *parts))
+    L = f.resolution
+    scale, within = np.nonzero(collection.occupied)
+    bits = L - 1 - scale
+    coef = lower_coefficients(f.values, L)[scale, within]
+    return scale, within >> bits, within & ((1 << bits) - 1), coef
 
 
 def member_coefficients(collection: TileCollection, f: GridSignal) -> dict[BiTile, complex]:
-    """<f, lower-packet of P> for every member, via per-scale fast transforms,
+    """<f, lower-packet of P> for every member, via one all-scale transform,
     in `bitile_key` order."""
     scale, offset, freq, coef = (a.tolist() for a in _coefficients(collection, f))
     return dict(zip(map(BiTile, scale, offset, freq), coef))
@@ -376,7 +390,8 @@ class ModelSumPlan:
     per term, by scale, then cell: the entry, the cell, the flat index
     n * 2**(L-k-1) + m of the lower-tile coefficient in the scale's row of
     half blocks, the normalization and the upper value 2**(k/2) W(x). A
-    stack joins them; the layout waits for the first apply or adjoint.
+    stack joins them; the layout waits for the first apply, adjoint or
+    `kernels` call.
 
     The layout gives each entry one row of a stack of packet-coefficient
     blocks, shaped (2**k, 2**(L-k)) and flattened, by ascending scale, then
@@ -470,11 +485,14 @@ class ModelSumPlan:
         self._factor[part, member, 0] = self._entry_factor
         self._hit = member[self._term_entry] * n + self._cell
         coef = row_of[self._term_entry] * half + self._index
-        self._coef_start, self._coef_final = start[coef], final[coef]
+        self._coef_final = final[coef]
+        # bins 2i and 2i + 1 take the real and imaginary parts of a term for
+        # bin i: one bincount over the terms' float view adds as two did
+        self._hit_parts = (2 * self._hit[:, None] + np.arange(2)).ravel()
+        self._coef_start_parts = (2 * start[coef][:, None] + np.arange(2)).ravel()
 
     def _prepare(self, values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The values as an (m, 2**L) stack, and the shape to return; lays
-        the plan out on first use."""
+        """The values as an (m, 2**L) stack, and the shape to return."""
         values = np.asarray(values, dtype=np.complex128)
         m, n = self._count, 1 << self.resolution
         if values.shape != (m, n) and (m, values.shape) != (1, (n,)):
@@ -482,35 +500,43 @@ class ModelSumPlan:
                 f"expected 2**{self.resolution} cell values for each of {m} members, "
                 f"got shape {values.shape}"
             )
+        return values.reshape(m, n), values.shape
+
+    def kernels(self) -> tuple:
+        """The unchecked apply and adjoint of a complex128 (m, 2**L) stack,
+        for a caller that makes its own stacks; lays the plan out."""
         if self._work is None:
             self._layout()
-        return values.reshape(m, n), values.shape
+        return self._apply, self._adjoint
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
         f, shape = self._prepare(f)
-        flat = f.ravel()
-        # per member and scale: the packet coefficients of f, up to the
-        # normalization that packet_coefficients applies, here after the
-        # gather. Butterfly stage 0 pairs the gathered entries 2i and 2i+1,
-        # and its sums are the half spectrum's input
-        np.add(flat[self._even], flat[self._odd], out=self._start)
-        butterfly_stages(self._stages)
-        coef = self._work[self._coef_final] * self._norm
-        terms = coef * self._upper
-        out = np.empty(f.size, dtype=np.complex128)
-        out.real = np.bincount(self._hit, terms.real, minlength=f.size)
-        out.imag = np.bincount(self._hit, terms.imag, minlength=f.size)
-        return out.reshape(shape)
+        return self.kernels()[0](f).reshape(shape)
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         """sum over P of <g, psi_P> packet(P1), where psi_P = packet(P2)
         restricted to the choice-function preimage."""
         g, shape = self._prepare(g)
+        return self.kernels()[1](g).reshape(shape)
+
+    def _apply(self, f: np.ndarray) -> np.ndarray:
+        flat = f.ravel()
+        # per member and scale: the packet coefficients of f, up to the
+        # normalization that lower_coefficients applies, here after the
+        # gather. Butterfly stage 0 pairs the gathered entries 2i and 2i+1,
+        # and its sums are the half spectrum's input
+        np.add(flat[self._even], flat[self._odd], self._start)
+        butterfly_stages(self._stages)
+        coef = self._work[self._coef_final] * self._norm
+        terms = coef * self._upper
+        out = np.bincount(self._hit_parts, terms.view(np.float64), minlength=2 * f.size)
+        return out.view(np.complex128).reshape(f.shape)
+
+    def _adjoint(self, g: np.ndarray) -> np.ndarray:
         terms = g.ravel()[self._hit] * self._upper * cell_width(self.resolution)
-        start = self._start
-        start.real = np.bincount(self._coef_start, terms.real, minlength=start.size)
-        start.imag = np.bincount(self._coef_start, terms.imag, minlength=start.size)
+        start = self._start.view(np.float64)
+        start[:] = np.bincount(self._coef_start_parts, terms.view(np.float64), minlength=start.size)
         # the full transform would hold each coefficient c at an even
         # position beside a +0 at the odd one, and its stage 0 maps (c, +0)
         # to (c + 0, c - 0) = (c, c) exactly: x + 0 equals x for every x but
@@ -521,7 +547,7 @@ class ModelSumPlan:
         parts = self._work[self._gather] * self._factor
         # the reduce over the outer axis adds the parts one after another,
         # in ascending scale order, onto +0
-        return np.add.reduce(parts, axis=0, initial=0.0).reshape(shape)
+        return np.add.reduce(parts, axis=0, initial=0.0)
 
 
 def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:

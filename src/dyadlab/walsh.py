@@ -78,9 +78,10 @@ def butterfly_views(buffers: np.ndarray, active: tuple[int, ...]) -> list[tuple[
 
 def butterfly_stages(views: list[tuple[np.ndarray, ...]]) -> None:
     """Run the butterfly stages of `butterfly_views`, in order."""
+    # positional outputs: parsing out= costs more than these adds
     for a, b, top, bottom in views:
-        np.add(a, b, out=top)
-        np.subtract(a, b, out=bottom)
+        np.add(a, b, top)
+        np.subtract(a, b, bottom)
 
 
 @functools.lru_cache(maxsize=64)

@@ -43,10 +43,12 @@ from dyadlab.tiles import (
     mass,
     member_coefficients,
     model_sum,
-    packet_coefficients,
     size_bound,
 )
-from dyadlab.walsh import bit_reversal
+from dyadlab.grid import STACK_CELLS, stack_slices
+from dyadlab.walsh import bit_reversal, block_gathers
+from test_principle import assert_same_bits, old_power_iterations
+from test_tiles import packet_coefficients
 
 
 def old_restricted_pair(op: RestrictedOp):
@@ -153,6 +155,52 @@ def dense_greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunc
         col = nu >> (k + 1)
         total[:, upper_bit] += table[:, col[upper_bit]]
     return ChoiceFunction(L, np.argmax(np.abs(total), axis=1).astype(np.int64))
+
+
+def chunked_greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
+    """greedy_choice before the all-scale transform and the cached sign
+    tables: one packet transform per scale with members, and the signs and
+    the mask multiplied into every chunk's table."""
+    L = f.resolution
+    n = 1 << L
+    scales = []
+    for k, present in enumerate(collection.masks):
+        if present.any():
+            coef = packet_coefficients(f.values, L, k)[:, 0::2] * (2.0 ** (k / 2.0))
+            scales.append((k, coef, present, 2 * np.arange(1 << (L - k - 1)) + 1))
+    freqs = np.empty(n, dtype=np.int64)
+    chunk = max(1, STACK_CELLS // n)
+    for lo in range(0, n, chunk):
+        cells = np.arange(lo, min(lo + chunk, n))
+        total = np.zeros((cells.size, n), dtype=np.complex128)
+        for k, coef, present, odd in scales:
+            blocks = cells >> (L - k)
+            rev_u = block_gathers(L)[k][cells]
+            signs = 1.0 - 2.0 * (np.bitwise_count(odd & rev_u[:, None]) & 1)
+            table = coef[blocks] * signs * present[blocks]
+            total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table[:, :, None]
+        freqs[cells] = np.argmax(np.abs(total), axis=1)
+    return ChoiceFunction(L, freqs)
+
+
+def old_restricted_norm(ops, seeds, iters=200, tol=1e-9):
+    """restricted_norm before it called the plan kernels: the stacked plan's
+    checked apply and adjoint, localized, run by the old power loop."""
+    a, b = ops[0].a, ops[0].b
+    L = a.resolution
+
+    def op_for(plans):
+        def stacked(members):
+            plan = ModelSumPlan.stack(plans[i] for i in members)
+            return LinearOperator(plan.apply, plan.adjoint).localized(a.mask, b.mask)
+
+        return stacked
+
+    results = []
+    for s in stack_slices(len(ops), max(L, 1) << L):
+        plans = [op.plan for op in ops[s]]
+        results += old_power_iterations(op_for(plans), (1 << L,), seeds[s], iters=iters, tol=tol)
+    return results
 
 
 def assert_same_point(point, expected):
@@ -472,6 +520,33 @@ class TestNormDecay:
                 chosen = greedy_choice(f, collection)
                 assert np.array_equal(chosen.freqs, dense_greedy_choice(f, collection).freqs)
 
+    @pytest.mark.parametrize("resolution", range(0, 10))
+    def test_greedy_choice_equals_chunked_loop(self, resolution):
+        """The all-scale transform and, up to L = 7, the cached sign tables
+        pick what the per-scale transforms and per-chunk signs picked, on
+        signals with zeros of both signs; from L = 8 on the cells span
+        several chunks and the signs are built per chunk."""
+        rng = np.random.default_rng(540 + resolution)
+        n = 1 << resolution
+        full = TileCollection.all(resolution)
+        collections = [full, retain_meeting(full, GridSet(resolution, rng.random(n) < 0.3))]
+        if resolution >= 1:
+            collections.append(random_convex_collection(rng, resolution))
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        signals = [
+            GridSignal(resolution, values),
+            GridSignal(resolution, values * (rng.random(n) < 0.2)),
+            GridSignal(resolution, zeros + 1j * zeros[::-1]),
+            GridSignal(resolution, np.where(rng.random(n) < 0.5, zeros, values.real)),
+        ]
+        for collection in collections:
+            for f in signals:
+                chosen = greedy_choice(f, collection)
+                assert chosen.freqs.dtype == np.int64
+                assert np.array_equal(chosen.freqs, chunked_greedy_choice(f, collection).freqs)
+        assert (STACK_CELLS // n >= n) == (resolution <= 7)
+
     def test_greedy_choice_rejects_resolution_mismatch(self):
         for signal_l, collection_l in ((3, 0), (5, 4), (4, 5), (0, 3)):
             with pytest.raises(ValueError, match="resolution mismatch"):
@@ -555,6 +630,32 @@ class TestNormDecay:
         other = RestrictedOp(b, a, ops[0].choice, collection)
         with pytest.raises(ValueError, match="share A and B"):
             restricted_norm([ops[0], other], [1, 2])
+
+    @pytest.mark.parametrize("resolution", range(2, 9))
+    def test_restricted_norm_equals_old_loop(self, resolution):
+        """The kernels-direct stacked operator and the row-view loop give
+        the old loop's norm, iteration count, flag and top-vector bytes:
+        members leave at different steps, one member has no surviving
+        tile (the zero-norm exit) and a cap of 2 stops the rest."""
+        rng = np.random.default_rng(560 + resolution)
+        n = 1 << resolution
+        a, b = GridSet(resolution, rng.random(n) < 0.6), GridSet(resolution, rng.random(n) < 0.6)
+        collection = random_convex_collection(rng, resolution)
+        empty = TileCollection.from_bitiles(resolution, [])
+        choices = [random_choice(rng, resolution) for _ in range(4)]
+        choices.append(greedy_choice(random_signal(rng, resolution, complex_values=True), collection))
+        ops = [RestrictedOp(a, b, choice, collection) for choice in choices]
+        ops.insert(2, RestrictedOp(a, b, choices[0], empty))
+        ops.append(RestrictedOp(a, b, ChoiceFunction.constant(resolution, n - 1), TileCollection.all(resolution)))
+        seeds = [5, 5, 2, 7, 1, 8, 3]
+        for iters, tol in ((150, 1e-9), (2, 1e-9), (60, 1e-4)):
+            new = restricted_norm(ops, seeds, iters=iters, tol=tol)
+            old = old_restricted_norm(ops, seeds, iters=iters, tol=tol)
+            for res, expected in zip(new, old, strict=True):
+                assert_same_bits(res, expected)
+            assert new[2].norm == 0.0 and new[2].top_vector is None
+            if iters == 150:
+                assert len({res.iterations for res in new}) > 1
 
     def test_decay_reports_unconverged_runs(self):
         # two iterations never meet the 1e-9 tolerance: every power iteration

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dyadlab import harness
-from dyadlab.grid import STACK_CELLS, GridSet, GridSignal, VectorSignal, measure
+from dyadlab.grid import STACK_CELLS, GridSet, GridSignal, VectorSignal, measure, stack_slices
 from dyadlab.harness import (
     ExperimentConfig,
     maximal_operator_family,
@@ -29,6 +29,7 @@ from dyadlab.principle import (
     measure_condition,
     PowerIterationResult,
     TopSingularResult,
+    _start_vector,
     power_iteration,
     power_iterations,
     splitting_cascade,
@@ -72,6 +73,76 @@ def old_power_iteration(op, shape, iters=200, tol=1e-9, seed=0):
             return PowerIterationResult(math.sqrt(lam), it, True, None)
         v = v / nv
     return PowerIterationResult(math.sqrt(lam), iters, False, v)
+
+
+def old_power_iterations(op_for, shape, seeds, iters=200, tol=1e-9):
+    """power_iterations with the stack loop it ran before it read rows
+    through one reshaped view and wrote np.linalg.norm's sum out inline."""
+    shape, seeds = tuple(shape), list(seeds)
+    results = []
+    for s in stack_slices(len(seeds), math.prod(shape)):
+        results.extend(old_power_stack(op_for, shape, list(range(s.start, s.stop)), seeds, iters, tol))
+    return results
+
+
+def old_power_stack(op_for, shape, members, seeds, iters, tol):
+    v = np.stack([_start_vector(seeds[i], shape) for i in members])
+    slab = (-1,) + (1,) * len(shape)
+    done = {}
+    lam = [0.0] * len(members)
+    lam_prev = [-1.0] * len(members)
+    op = op_for(members)
+
+    def leave(rows, *stacks):
+        nonlocal members, lam, lam_prev, op
+        keep = [r for r in range(len(members)) if r not in rows]
+        members = [members[r] for r in keep]
+        lam = [lam[r] for r in keep]
+        lam_prev = [lam_prev[r] for r in keep]
+        if members:
+            op = op_for(members)
+        return [s[keep] for s in stacks]
+
+    for it in range(1, iters + 1):
+        w = op.apply(v)
+        stopped = []
+        for row in range(len(members)):
+            wr = w[row].ravel()
+            lam_r = lam[row] = float(np.vdot(wr, wr).real)
+            if lam_r == 0.0:
+                done[members[row]] = PowerIterationResult(0.0, it, True, None)
+            elif lam_prev[row] >= 0 and abs(lam_r - lam_prev[row]) <= tol * lam_r:
+                done[members[row]] = PowerIterationResult(math.sqrt(lam_r), it, True, v[row].copy())
+            else:
+                lam_prev[row] = lam_r
+                continue
+            stopped.append(row)
+        if stopped:
+            v, w = leave(stopped, v, w)
+            if not members:
+                break
+        v = op.adjoint(w)
+        nv = [np.linalg.norm(v[row].ravel()) for row in range(len(members))]
+        if 0.0 in nv:
+            stopped = [row for row, norm in enumerate(nv) if norm == 0.0]
+            for row in stopped:
+                done[members[row]] = PowerIterationResult(math.sqrt(lam[row]), it, True, None)
+            v, nv = leave(stopped, v, np.array(nv))
+            if not members:
+                break
+        v = v / (nv[0] if len(nv) == 1 else np.array(nv).reshape(slab))
+    for row in range(len(members)):
+        done[members[row]] = PowerIterationResult(math.sqrt(lam[row]), iters, False, v[row].copy())
+    return [done[i] for i in sorted(done)]
+
+
+def assert_same_bits(new, old):
+    """Equal results, the top vector compared on raw bytes."""
+    assert (new.norm, new.iterations, new.converged) == (old.norm, old.iterations, old.converged)
+    assert (new.top_vector is None) == (old.top_vector is None)
+    if old.top_vector is not None:
+        assert new.top_vector.shape == old.top_vector.shape
+        assert np.array_equal(new.top_vector.view(np.uint64), old.top_vector.view(np.uint64))
 
 
 def assert_same_result(new, old):
@@ -567,6 +638,44 @@ class TestStackedPowerIteration:
             )
             assert_same_result(res, old)
         assert results[1].iterations == 1 and results[1].top_vector is None
+
+    @pytest.mark.parametrize("iters", [2, 60])
+    def test_matches_old_stack_loop(self, iters):
+        """The same bytes as the stack loop before its row view and inline
+        norm: plane stacks with a zero member, members whose adjoint
+        vanishes, and operators that return strided or F-ordered stacks."""
+        rng = np.random.default_rng(53)
+        for resolution in (2, 3, 4):
+            n = 1 << resolution
+            spectra = multiplier_family(rng, resolution, 6)
+            out_mask, in_mask = rng.random((n, n)) < 0.7, rng.random((n, n)) < 0.7
+            op_for = stacked_multiplier(spectra, out_mask, in_mask)
+            seeds = range(4, 10)
+            for new, old in zip(
+                power_iterations(op_for, (n, n), seeds, iters=iters, tol=1e-6),
+                old_power_iterations(op_for, (n, n), seeds, iters=iters, tol=1e-6),
+                strict=True,
+            ):
+                assert_same_bits(new, old)
+        n = 32
+        diagonals = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+
+        def op_for(members):
+            d = diagonals[members]
+            dead = np.array([0.0 if i == 2 else 1.0 for i in members])[:, None]
+            # a strided apply and an F-ordered adjoint
+            return LinearOperator(
+                lambda v: np.repeat(v * d, 2, axis=1)[:, ::2],
+                lambda w: np.asfortranarray(w * np.conj(d) * dead),
+            )
+
+        seeds = [3, 1, 4, 1, 5]
+        for new, old in zip(
+            power_iterations(op_for, (n,), seeds, iters=iters),
+            old_power_iterations(op_for, (n,), seeds, iters=iters),
+            strict=True,
+        ):
+            assert_same_bits(new, old)
 
     @pytest.mark.parametrize("iters", [1, 2, 200])
     def test_one_member_call_matches_old_loop(self, iters):

@@ -42,8 +42,7 @@ from dyadlab.tiles import (
     mass_decompose,
     member_coefficients,
     model_sum,
-    packet_coefficients,
-    packet_synthesis,
+    lower_coefficients,
     size,
     size_bound,
     size_decompose,
@@ -62,6 +61,22 @@ from dyadlab.walsh import (
     walsh_analysis,
     walsh_synthesis,
 )
+
+
+def packet_coefficients(values: np.ndarray, resolution: int, scale: int) -> np.ndarray:
+    """coef[n, q] = <values, packet(scale, n, q)> for every offset and tile
+    frequency index at one spatial scale: the per-scale transform the
+    library ran before `lower_coefficients`, kept as the oracle."""
+    L, k = resolution, scale
+    blocks = np.asarray(values).reshape(1 << k, 1 << (L - k))
+    return walsh_analysis(blocks, axis=1) * (2.0 ** (k / 2.0) * cell_width(L))
+
+
+def packet_synthesis(coeffs: np.ndarray, resolution: int, scale: int) -> np.ndarray:
+    """sum over (n, q) of coeffs[n, q] * packet(scale, n, q), as cell values."""
+    L, k = resolution, scale
+    blocks = walsh_synthesis(np.asarray(coeffs), axis=1) * (2.0 ** (k / 2.0))
+    return blocks.reshape(1 << L)
 
 
 def order_interval(lo: BiTile, hi: BiTile) -> list[BiTile]:
@@ -441,9 +456,11 @@ def oracle_layout(resolution: int, members) -> dict[str, np.ndarray]:
             gather[j, i] = r * half + (oracle_block_gather(L, k) >> 1)
             out["_factor"][j, i] = factor
     coef = _joined(coef, np.int64)
+    hit = _joined(hits, np.int64)
     out.update(
-        _hit=_joined(hits, np.int64),
-        _coef_start=start[coef],
+        _hit=hit,
+        _hit_parts=np.stack([2 * hit, 2 * hit + 1], axis=1).ravel(),
+        _coef_start_parts=np.stack([2 * start[coef], 2 * start[coef] + 1], axis=1).ravel(),
         _coef_final=final[coef],
         _gather=np.append(final, 2 * size)[gather],
         _norm=_joined(norms, np.float64),
@@ -453,13 +470,15 @@ def oracle_layout(resolution: int, members) -> dict[str, np.ndarray]:
 
 
 def loop_adjoint(plan: ModelSumPlan, g: np.ndarray) -> np.ndarray:
-    """plan.adjoint with the scale parts added in a Python loop onto +0, as
-    the plan did before its reduce."""
+    """plan.adjoint with one bincount per part of the terms and the scale
+    parts added in a Python loop onto +0, as the plan did before its
+    interleaved bincount and its reduce."""
     g, shape = plan._prepare(g)
     terms = g.ravel()[plan._hit] * plan._upper * cell_width(plan.resolution)
+    coef_start = plan._coef_start_parts[0::2] >> 1
     start = plan._start
-    start.real = np.bincount(plan._coef_start, terms.real, minlength=start.size)
-    start.imag = np.bincount(plan._coef_start, terms.imag, minlength=start.size)
+    start.real = np.bincount(coef_start, terms.real, minlength=start.size)
+    start.imag = np.bincount(coef_start, terms.imag, minlength=start.size)
     butterfly_stages(plan._stages)
     parts = plan._work[plan._gather] * plan._factor
     out = np.zeros(g.shape, dtype=np.complex128)
@@ -552,6 +571,44 @@ class TestTilesAndOrder:
         for a, b, c in itertools.product(tiles, repeat=3):
             if a <= b and b <= c:
                 assert a <= c
+
+
+class TestLowerCoefficients:
+    """The all-scale transform against the per-scale packet transforms it
+    replaced, on raw bytes."""
+
+    @staticmethod
+    def inputs(rng, n):
+        """Real and complex values, values that are all +-0, and values
+        with zeros of both signs among nonzero entries."""
+        real = rng.standard_normal(n)
+        yield real
+        yield real + 1j * rng.standard_normal(n)
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        yield zeros
+        yield zeros + 1j * np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        mixed = np.where(rng.random(n) < 0.4, zeros, real)
+        yield mixed
+        yield mixed + 1j * np.where(rng.random(n) < 0.4, np.copysign(0.0, -real), real[::-1])
+        yield np.full(n, -0.0) + 1j * np.full(n, -0.0)
+
+    @pytest.mark.parametrize("resolution", range(0, 11))
+    def test_equals_per_scale_transforms(self, resolution):
+        rng = np.random.default_rng(1100 + resolution)
+        L, n = resolution, 1 << resolution
+        for values in self.inputs(rng, n):
+            got = lower_coefficients(values, L)
+            assert got.shape == (L, n >> 1)
+            for k in range(L):
+                expected = packet_coefficients(values, L, k)[:, 0::2]
+                assert same_bits(got[k], expected.ravel()), (k, values.dtype)
+
+    def test_reads_any_real_or_complex_input(self):
+        values = np.arange(8)
+        assert same_bits(lower_coefficients(values, 3), lower_coefficients(values.astype(float), 3))
+        assert lower_coefficients(values.astype(np.complex64), 3).dtype == np.complex128
+        with pytest.raises(ValueError):
+            lower_coefficients(np.zeros(6), 3)
 
 
 class TestModelSum:
@@ -841,6 +898,25 @@ class TestModelSumPlan:
         for out, copy in zip(outs, kept):
             assert same_bits(out, copy)
             assert not np.shares_memory(out, plan._work)
+
+    def test_kernels_equal_apply_and_adjoint(self):
+        """The unchecked kernels that restricted_norm calls give the bytes
+        of the checked entry points, which keep their shape check after
+        the kernels have laid the plan out."""
+        rng = np.random.default_rng(495)
+        L, n = 5, 32
+        collection = random_convex_collection(rng, L)
+        plan = ModelSumPlan.stack(ModelSumPlan(random_choice(rng, L), collection) for _ in range(3))
+        apply, adjoint = plan.kernels()
+        assert plan._work is not None
+        for f in signed_stacks(rng, 3, n):
+            assert same_bits(apply(f), plan.apply(f))
+            assert same_bits(adjoint(f), plan.adjoint(f))
+        for shape in ((n,), (2, n), (3, n // 2)):
+            with pytest.raises(ValueError, match=r"expected 2\*\*5 cell values for each of 3 members"):
+                plan.apply(np.zeros(shape))
+            with pytest.raises(ValueError, match=r"expected 2\*\*5 cell values for each of 3 members"):
+                plan.adjoint(np.zeros(shape))
 
     def test_stacked_plan_rejects_other_shapes(self):
         choices = [ChoiceFunction.constant(4, q) for q in (0, 8, 15)]
