@@ -627,7 +627,7 @@ class _SizeTable:
     top has scale s is a multiple of 2**s, so the tops at scale s share one
     block shaped (2**s, 2**(L-s) + 1), row the top's offset and column c
     standing for xi = c * 2**s; the blocks lie one after another in one flat
-    array. `running` scatter-adds +w at lo and -w at hi, entry by entry, and
+    array. `_running` scatter-adds +w at lo and -w at hi, entry by entry, and
     then takes the running sum along each row: at column c it holds the
     total weight of the top's entries whose interval covers xi.
 
@@ -639,9 +639,15 @@ class _SizeTable:
     the Python complex gathered from the packet transforms, squared; numpy's
     `np.abs(c) ** 2` rounds differently.
 
+    A block's running sums read only that block's events, so a scan that
+    stops at the first scale with a hit (`first_exceeding`) and the blocks
+    over every entry kept from the first call (`full`) give the same bits
+    as summing every block afresh.
+
     A member's weight and entries do not depend on the members around it, so
     the table of a sub-collection is this table with only that
-    sub-collection's entries, in the same order (`restricted`).
+    sub-collection's entries, in the same order (`restricted`); it sums its
+    own full blocks.
     """
 
     def __init__(self, collection: TileCollection, f: GridSignal):
@@ -662,6 +668,7 @@ class _SizeTable:
         # interleaved per entry: (lo, +w), (hi, -w)
         self._keys = np.stack([lo, lo + (1 << shift)], axis=1)
         self._weights = np.stack([w, -w], axis=1)
+        self._full = None
 
     def restricted(self, collection: TileCollection) -> "_SizeTable":
         """The table of a sub-collection: the entries of its members, in the
@@ -669,43 +676,48 @@ class _SizeTable:
         keep = collection.occupied.ravel()[self._slots]
         sub = copy.copy(self)
         sub._slots, sub._keys, sub._weights = self._slots[keep], self._keys[keep], self._weights[keep]
+        sub._full = None
         return sub
 
-    def running(self, present=None) -> list[np.ndarray]:
-        """Per scale s the block of running covering weights, over the
-        entries whose member is set in `present`, a flat occupancy array
+    def _running(self, keep=None):
+        """Per scale s, summed only when the caller reaches it, the block of
+        running covering weights over the entries selected by `keep`
         (default: every entry)."""
         keys, weights = self._keys, self._weights
-        if present is not None:
-            keep = present[self._slots]
+        if keep is not None:
             keys, weights = keys[keep], weights[keep]
         flat = np.bincount(keys.ravel(), weights.ravel(), minlength=int(self._bases[-1]))
         flat = flat.astype(np.float64, copy=False)
-        blocks = []
         for s, width in enumerate(self._widths):
             block = flat[self._bases[s] : self._bases[s + 1]].reshape(1 << s, width)
             np.cumsum(block, axis=1, out=block)
-            blocks.append(block)
-        return blocks
+            yield block
 
+    def full(self) -> tuple[list[np.ndarray], float]:
+        """The read-only blocks over every entry, and their peak: the max
+        over tops and xi of the covering weight over the top length. Built
+        on the first call and kept; `size` and `size_decompose` share them."""
+        if self._full is None:
+            blocks, peak = list(self._running()), 0.0
+            for s, block in enumerate(blocks):
+                block.setflags(write=False)
+                peak = max(peak, float(block.max()) / 2.0**-s)
+            self._full = blocks, peak
+        return self._full
 
-def _peak(running: list[np.ndarray]) -> float:
-    """max over tops and xi of the covering weight over the top length."""
-    best = 0.0
-    for s, block in enumerate(running):
-        best = max(best, float(block.max()) / 2.0**-s)
-    return best
-
-
-def _first_exceeding(running: list[np.ndarray], thr: float) -> tuple[DyadicInterval, int] | None:
-    """The first top in (scale, offset) order, and its lowest xi, at which
-    the covering weight exceeds thr**2 times the top length."""
-    for s, block in enumerate(running):
-        hit = np.flatnonzero(block > thr * thr * 2.0**-s)
-        if hit.size:
-            offset, col = divmod(int(hit[0]), block.shape[1])
-            return DyadicInterval(s, offset), col << s
-    return None
+    def first_exceeding(self, thr: float, present=None) -> tuple[DyadicInterval, int] | None:
+        """The first top in (scale, offset) order, and its lowest xi, at which
+        the covering weight over the entries whose member is set in
+        `present`, a flat occupancy array (default: every entry, from the
+        kept blocks), exceeds thr**2 times the top length. Each scale is
+        summed only when the scan reaches it."""
+        blocks = self.full()[0] if present is None else self._running(present[self._slots])
+        for s, block in enumerate(blocks):
+            hit = np.flatnonzero(block > thr * thr * 2.0**-s)
+            if hit.size:
+                offset, col = divmod(int(hit[0]), block.shape[1])
+                return DyadicInterval(s, offset), col << s
+        return None
 
 
 def size(collection: TileCollection, f: GridSignal, table: _SizeTable | None = None) -> float:
@@ -716,7 +728,7 @@ def size(collection: TileCollection, f: GridSignal, table: _SizeTable | None = N
     `table` is the collection's size table for f, built here when omitted.
     """
     table = _SizeTable(collection, f) if table is None else table
-    return math.sqrt(_peak(table.running()))
+    return math.sqrt(table.full()[1])
 
 
 def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> np.ndarray:
@@ -781,6 +793,11 @@ class DecompositionStats:
     counting_constant: float
 
 
+def _check_threshold(threshold: float | None) -> None:
+    if threshold is not None and not threshold >= 0.0:
+        raise ValueError(f"threshold must be a non-negative number, got {threshold!r}")
+
+
 def _take_tree(present: np.ndarray, resolution: int, top: DyadicInterval, xi: int) -> Tree:
     """Clear from the flat occupancy array `present`, and return as a tree,
     every member whose spatial interval lies in the top interval and whose
@@ -805,22 +822,23 @@ def size_decompose(
     leftmost then lowest frequency; each selection removes the full
     1-overlapping tree under its top, which keeps the remainder convex.
     `table` is the collection's size table for f, built here when omitted;
-    after each removal the covering weights are summed again over its
-    entries whose member remains.
+    the first scan reads its full blocks, and each scan after a removal sums
+    the weights of its entries whose member remains.
     """
+    _check_threshold(threshold)
     table = _SizeTable(collection, f) if table is None else table
-    running = table.running()
-    sigma = math.sqrt(_peak(running))
+    sigma = math.sqrt(table.full()[1])
     thr = sigma / 2.0 if threshold is None else threshold
     present = collection.occupied.flatten()
     forest: list[Tree] = []
     tops_length = 0.0
 
-    while (selection := _first_exceeding(running, thr)) is not None:
+    selection = table.first_exceeding(thr)
+    while selection is not None:
         top, xi = selection
         forest.append(_take_tree(present, collection.resolution, top, xi))
         tops_length += top.length
-        running = table.running(present)
+        selection = table.first_exceeding(thr, present)
 
     norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
@@ -844,6 +862,7 @@ def mass_decompose(
     sum |I_T| <= |E| / threshold exactly. `table` is the collection's
     `member_mass_table`, built here when omitted.
     """
+    _check_threshold(threshold)
     table = member_mass_table(collection, e, choice) if table is None else table
     mu = float(table.max(initial=0.0))
     thr = mu / 2.0 if threshold is None else threshold
@@ -881,8 +900,8 @@ def full_decompose(
     The size and mass tables are built once, for the whole collection; each
     collection met is given its tables restricted from those, which is bit
     for bit the same as building them for it. A bucket measures and splits
-    one collection by size, so its restricted size table is kept for the
-    split.
+    one collection by size, so its restricted size table, with its full
+    blocks and peak, is kept for the split.
     """
     sizes = _SizeTable(collection, f)
     masses = member_mass_table(collection, e, choice)

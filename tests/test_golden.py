@@ -59,31 +59,55 @@ def _cli_report(argv: list[str]) -> str:
         return (Path(out) / "report.json").read_text()
 
 
-def _decompose_csv() -> str:
-    """`dyadlab decompose` of every bi-tile at L=5 against a fixed signal,
-    set and choice, each written to a CSV file first."""
+def _decompose_forest(resolution: int, signal, e_set=None, choice=None) -> str:
+    """The forest CSV of `dyadlab decompose` of every bi-tile at the given
+    resolution against the signal, and the set and choice when given, each
+    written to a CSV file first."""
     from dyadlab.cli import main
-    from dyadlab.harness import random_choice, random_grid_set, random_signal
     from dyadlab.io import write_choice, write_grid_set, write_signal, write_tile_collection
     from dyadlab.tiles import TileCollection
 
-    rng = np.random.default_rng(71)
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        write_tile_collection(d / "tiles.csv", TileCollection.all(5))
-        write_signal(d / "signal.csv", random_signal(rng, 5, complex_values=True))
-        write_grid_set(d / "set.csv", random_grid_set(rng, 5))
-        write_choice(d / "choice.csv", random_choice(rng, 5))
-        argv = [
-            "decompose", str(d / "tiles.csv"), str(d / "signal.csv"), "--resolution", "5",
-            "--set-file", str(d / "set.csv"), "--choice-file", str(d / "choice.csv"),
-            "--out", str(d / "forest.csv"),
-        ]
+        write_tile_collection(d / "tiles.csv", TileCollection.all(resolution))
+        write_signal(d / "signal.csv", signal)
+        argv = ["decompose", str(d / "tiles.csv"), str(d / "signal.csv"), "--resolution", str(resolution)]
+        if e_set is not None:
+            write_grid_set(d / "set.csv", e_set)
+            write_choice(d / "choice.csv", choice)
+            argv += ["--set-file", str(d / "set.csv"), "--choice-file", str(d / "choice.csv")]
+        argv += ["--out", str(d / "forest.csv")]
         with contextlib.redirect_stdout(io.StringIO()):
             status = main(argv)
         if status != 0:
             raise AssertionError(f"decompose exited with status {status}")
         return (d / "forest.csv").read_text()
+
+
+def _decompose_csv() -> str:
+    """`dyadlab decompose` at L=5 against a fixed signal, set and choice."""
+    from dyadlab.harness import random_choice, random_grid_set, random_signal
+
+    rng = np.random.default_rng(71)
+    signal = random_signal(rng, 5, complex_values=True)
+    e_set = random_grid_set(rng, 5)
+    return _decompose_forest(5, signal, e_set, random_choice(rng, 5))
+
+
+def _decompose_benchmark_shape(resolution: int, seed: int, files: bool) -> str:
+    """`dyadlab decompose` in the shape of the decompose benchmark's ops: a
+    complex Gaussian signal in the cell basis and, with files, a set holding
+    each cell with probability 1/2 and a uniformly random choice."""
+    from dyadlab.grid import GridSet, GridSignal
+    from dyadlab.tiles import ChoiceFunction
+
+    rng = np.random.default_rng(seed)
+    n = 1 << resolution
+    signal = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if not files:
+        return _decompose_forest(resolution, signal)
+    e_set = GridSet(resolution, rng.random(n) < 0.5)
+    return _decompose_forest(resolution, signal, e_set, ChoiceFunction(resolution, rng.integers(0, n, size=n)))
 
 
 def _plane_inputs(resolution: int, seed: int):
@@ -182,8 +206,12 @@ LIBRARY_CASES = {
     "lib-rect-decompose": _rect_decompose,
     "lib-restricted-pairing": _restricted_pairing,
     "decompose": _decompose_csv,
+    # the decompose benchmark's two shapes: the full collection at L=8 with a
+    # set file and a choice file, and at L=7 without them
+    "decompose-L8": lambda: _decompose_benchmark_shape(8, 81, files=True),
+    "decompose-L7": lambda: _decompose_benchmark_shape(7, 82, files=False),
 }
-TEXT_CASES = {"decompose"}
+TEXT_CASES = {"decompose", "decompose-L8", "decompose-L7"}
 
 
 def golden_path(name: str) -> Path:

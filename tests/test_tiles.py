@@ -252,6 +252,44 @@ def size_cases(rng, resolution):
         yield TileCollection.convex_closure(resolution, seed.bitiles)
 
 
+def oracle_running(table, present=None) -> list[np.ndarray]:
+    """Per scale s the block of running covering weights of a size table,
+    over the entries whose member is set in `present`, a flat occupancy
+    array (default: every entry): every scale summed, as `size_decompose`
+    did after each removal before its scan stopped at the first hit."""
+    keys, weights = table._keys, table._weights
+    if present is not None:
+        keep = present[table._slots]
+        keys, weights = keys[keep], weights[keep]
+    flat = np.bincount(keys.ravel(), weights.ravel(), minlength=int(table._bases[-1]))
+    flat = flat.astype(np.float64, copy=False)
+    blocks = []
+    for s, width in enumerate(table._widths):
+        block = flat[table._bases[s] : table._bases[s + 1]].reshape(1 << s, width)
+        np.cumsum(block, axis=1, out=block)
+        blocks.append(block)
+    return blocks
+
+
+def oracle_peak(running: list[np.ndarray]) -> float:
+    """max over tops and xi of the covering weight over the top length."""
+    best = 0.0
+    for s, block in enumerate(running):
+        best = max(best, float(block.max()) / 2.0**-s)
+    return best
+
+
+def oracle_first_exceeding(running: list[np.ndarray], thr: float):
+    """The first top in (scale, offset) order, and its lowest xi, at which
+    the covering weight exceeds thr**2 times the top length."""
+    for s, block in enumerate(running):
+        hit = np.flatnonzero(block > thr * thr * 2.0**-s)
+        if hit.size:
+            offset, col = divmod(int(hit[0]), block.shape[1])
+            return DyadicInterval(s, offset), col << s
+    return None
+
+
 def masks_equal(a: TileCollection, b: TileCollection) -> bool:
     return len(a.masks) == len(b.masks) and all(
         np.array_equal(x, y) for x, y in zip(a.masks, b.masks)
@@ -1294,13 +1332,17 @@ class TestSharedTables:
                     assert tables.setdefault(id(c), table) is table
                 for c, table in met["size"]:
                     fresh = tiles_module._SizeTable(c, f)
-                    assert all(same_bits(a, b) for a, b in zip(table.running(), fresh.running(), strict=True))
+                    blocks, peak = table.full()
+                    assert all(same_bits(a, b) for a, b in zip(blocks, oracle_running(fresh), strict=True))
+                    assert same_bits(peak, oracle_peak(oracle_running(fresh)))
                     # a further subset, as size_decompose filters after a removal
                     masks = [m & (rng.random(m.shape) < 0.6) for m in c.masks]
                     sub_collection = TileCollection.from_masks(resolution, masks)
                     present = sub_collection.occupied.flatten()
                     sub = tiles_module._SizeTable(sub_collection, f)
-                    assert all(same_bits(a, b) for a, b in zip(table.running(present), sub.running(), strict=True))
+                    assert all(
+                        same_bits(a, b) for a, b in zip(oracle_running(table, present), oracle_running(sub), strict=True)
+                    )
 
     @pytest.mark.parametrize("resolution", range(9))
     def test_gathered_weights_equal_member_coefficients(self, resolution):
@@ -1324,6 +1366,124 @@ class TestSharedTables:
             for c, table in met["mass"]:
                 fresh = tiles_module.member_mass_table(c, e, choice)
                 assert all(same_bits(a, b) for a, b in zip(table, fresh, strict=True))
+
+
+def exact_root(value: float) -> float | None:
+    """A threshold t with t * t == value exactly, when sqrt(value) or one of
+    its two neighbours is one."""
+    if not value > 0.0:
+        return None
+    root = math.sqrt(value)
+    return next((t for t in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf)) if t * t == value), None)
+
+
+def tie_thresholds(blocks: list[np.ndarray], rng) -> list[float]:
+    """Thresholds t whose square times 2**-s equals a value of the block at
+    scale s exactly: the block's maximum and one random value, per scale."""
+    out = []
+    for s, block in enumerate(blocks):
+        for value in (float(block.max()), float(rng.choice(block.ravel()))):
+            t = exact_root(value / 2.0**-s)
+            if t is not None and t * t * 2.0**-s == value:
+                out.append(t)
+    return out
+
+
+class TestEarlyStoppingScan:
+    """`size_decompose` sums the scales of its size table only until the
+    scan finds a hit, and each table keeps its blocks over every entry; the
+    oracles sum every scale after every removal."""
+
+    @pytest.mark.parametrize("resolution", range(10))
+    def test_each_selection_equals_full_sum_oracle(self, resolution):
+        rng = np.random.default_rng(2000 + resolution)
+        peak_ties = 0
+        for collection in size_cases(rng, resolution):
+            for f in (random_signal(rng, resolution), random_signal(rng, resolution, complex_values=True)):
+                table = tiles_module._SizeTable(collection, f)
+                running = oracle_running(table)
+                sigma = math.sqrt(oracle_peak(running))
+                ties = tie_thresholds(running, rng)
+                ties = [ties[i] for i in rng.permutation(len(ties))[:4]]
+                for thr in (sigma / 2.0, 0.0, sigma * 1.5, math.nextafter(sigma, math.inf), *ties):
+                    present = collection.occupied.flatten()
+                    selection = table.first_exceeding(thr)
+                    while True:
+                        assert selection == oracle_first_exceeding(oracle_running(table, present), thr)
+                        if selection is None:
+                            break
+                        tiles_module._take_tree(present, resolution, *selection)
+                        selection = table.first_exceeding(thr, present)
+                    small, forest, stats = size_decompose(collection, f, thr, table)
+                    ref_small, ref_forest, ref_stats = frozenset_size_decompose(collection, f, thr)
+                    assert stats == ref_stats
+                    assert forest_of(forest) == forest_of(ref_forest)
+                    assert masks_equal(small, ref_small)
+                # a tie never selects: at the peak nothing is taken
+                peak_tie = exact_root(oracle_peak(running))
+                if peak_tie is not None:
+                    peak_ties += 1
+                    assert table.first_exceeding(peak_tie) is None
+                    assert not size_decompose(collection, f, peak_tie, table)[1]
+        assert peak_ties or resolution == 0
+
+    def test_restricted_table_sums_its_own_blocks(self):
+        rng = np.random.default_rng(2100)
+        f = random_signal(rng, 6, complex_values=True)
+        parent = tiles_module._SizeTable(TileCollection.all(6), f)
+        parent_blocks, _ = parent.full()
+        assert parent.full()[0] is parent_blocks
+        collection = random_convex_collection(rng, 6)
+        blocks, peak = parent.restricted(collection).full()
+        fresh = oracle_running(tiles_module._SizeTable(collection, f))
+        assert all(same_bits(a, b) for a, b in zip(blocks, fresh, strict=True))
+        assert peak == oracle_peak(fresh)
+        assert not any(np.shares_memory(a, b) for a, b in zip(blocks, parent_blocks))
+        assert not all(same_bits(a, b) for a, b in zip(blocks, parent_blocks))
+
+    def test_kept_blocks_are_read_only(self):
+        rng = np.random.default_rng(2200)
+        table = tiles_module._SizeTable(TileCollection.all(5), random_signal(rng, 5))
+        for block in table.full()[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                np.cumsum(block, axis=1, out=block)
+
+    @pytest.mark.parametrize("resolution", range(1, 8))
+    def test_full_blocks_summed_once_per_bucket(self, resolution, monkeypatch):
+        rng = np.random.default_rng(2300 + resolution)
+        collection = random_convex_collection(rng, resolution)
+        f = random_signal(rng, resolution, complex_values=True)
+        e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
+        calls = {"size": 0, "full sums": 0}
+        real_size, real_running = tiles_module.size, tiles_module._SizeTable._running
+
+        def count_size(*args):
+            calls["size"] += 1
+            return real_size(*args)
+
+        def count_running(table, keep=None):
+            calls["full sums"] += keep is None
+            return real_running(table, keep)
+
+        monkeypatch.setattr(tiles_module, "size", count_size)
+        monkeypatch.setattr(tiles_module._SizeTable, "_running", count_running)
+        decomposition = full_decompose(collection, f, e, choice)
+        assert decomposition.buckets
+        # size and the split of one bucket share its table's blocks
+        assert calls["full sums"] == calls["size"]
+
+    @pytest.mark.parametrize("threshold", [-0.05, -math.inf, math.nan])
+    def test_negative_or_nan_threshold_rejected(self, threshold):
+        rng = np.random.default_rng(2400)
+        collection = random_convex_collection(rng, 5)
+        f = random_signal(rng, 5, complex_values=True)
+        e, choice = random_grid_set(rng, 5), random_choice(rng, 5)
+        with pytest.raises(ValueError, match="threshold"):
+            size_decompose(collection, f, threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            mass_decompose(collection, e, choice, threshold)
 
 
 class TestTreeEstimate:
@@ -1528,16 +1688,16 @@ def frozenset_take_tree(masks, top: DyadicInterval, xi: int) -> frozenset:
 def frozenset_size_decompose(collection, f, threshold=None, table=None):
     """`size_decompose` over per-scale masks, taking frozenset trees."""
     table = tiles_module._SizeTable(collection, f) if table is None else table
-    running = table.running()
-    sigma = math.sqrt(tiles_module._peak(running))
+    running = oracle_running(table)
+    sigma = math.sqrt(oracle_peak(running))
     thr = sigma / 2.0 if threshold is None else threshold
     present, current = flat_copy(collection.masks)
     forest, tops_length = [], 0.0
-    while (selection := tiles_module._first_exceeding(running, thr)) is not None:
+    while (selection := oracle_first_exceeding(running, thr)) is not None:
         top, xi = selection
         forest.append(FrozensetTree(top, xi, frozenset_take_tree(current, top, xi)))
         tops_length += top.length
-        running = table.running(present)
+        running = oracle_running(table, present)
     norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
     stats = DecompositionStats(sigma, thr, tops_length, len(forest), constant)
