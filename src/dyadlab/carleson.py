@@ -19,7 +19,6 @@ import numpy as np
 from .grid import (
     GridSet,
     GridSignal,
-    STACK_CELLS,
     VectorSignal,
     bundle_norm,
     cell_width,
@@ -28,7 +27,7 @@ from .grid import (
     vector_lq_norm,
 )
 from .maximal import exceptional_complement
-from .principle import LinearOperator, PowerIterationResult, power_iterations
+from .principle import LinearOperator, TopSingularResult, top_singular
 from .reports import BucketStat, DecayReport, LadderPoint, RatioReport, safe_ratio
 from .tiles import (
     ChoiceFunction,
@@ -96,9 +95,11 @@ def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
 
 def restricted_norm(
     ops: list[RestrictedOp], seeds, iters: int = 200, tol: float = 1e-9
-) -> list[PowerIterationResult]:
+) -> list[TopSingularResult]:
     """L2 -> L2 norms of restricted operators that share A and B, each for
-    its fixed choice function, via power iteration with the exact adjoint.
+    its fixed choice function, with their top right Ritz vectors: Golub-
+    Kahan-Lanczos (`top_singular`) with the exact adjoint, capped at
+    `iters` steps.
 
     Operator i starts from seeds[i].  The operators run as stacks over one
     stacked model-sum plan, rebuilt only when a member stops, so each
@@ -115,19 +116,24 @@ def restricted_norm(
     L = a.resolution
 
     def op_for(plans: list[ModelSumPlan]):
-        # the loop's stacks are complex (m, 2**L) arrays of its own, so the
-        # plan's unchecked kernels serve
+        # the engine's stacks are complex (m, 2**L) arrays of its own, so
+        # the plan's unchecked kernels serve
         return lambda members: _localized(*ModelSumPlan.stack(plans[i] for i in members).kernels(), a, b)
 
-    results: list[PowerIterationResult] = []
+    results: list[TopSingularResult] = []
     # the array of one numpy call is the stacked plan's block stack, up to
     # L rows of 2**(L-1) cells per member (and none at L = 0); the cap
     # still counts 2**L cells a row, the figure it was measured at, and is
     # not re-tuned for the half spectrum
     for s in stack_slices(len(ops), max(L, 1) << L):
         plans = [op.plan for op in ops[s]]
-        results += power_iterations(op_for(plans), (1 << L,), seeds[s], iters=iters, tol=tol)
+        results += top_singular(op_for(plans), (1 << L,), seeds[s], tol=tol, max_steps=iters, vectors=True)
     return results
+
+
+# Bytes of one chunk of greedy_choice's complex (cell, frequency) sums: the
+# whole grid up to L = 9, 64 cells at L = 12
+CHUNK_BYTES = 1 << 22
 
 
 def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
@@ -135,8 +141,8 @@ def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
     magnitude of the partial model sum, scanning the finitely many upper
     frequency halves that can contain the candidate.
 
-    The sums are built a chunk of `STACK_CELLS` (cell, frequency) pairs at
-    a time, so memory does not grow as 4**L; each scale's table is added
+    The sums are built a chunk of `CHUNK_BYTES` of (cell, frequency) pairs
+    at a time, so memory does not grow as 4**L; each scale's table is added
     into the strided view of the frequencies whose bit k is set."""
     if f.resolution != collection.resolution:
         raise ValueError("resolution mismatch")
@@ -148,7 +154,7 @@ def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
         if present.any()
     ]
     freqs = np.empty(n, dtype=np.int64)
-    chunk = max(1, STACK_CELLS // n)
+    chunk = max(1, CHUNK_BYTES // (16 * n))
     for lo in range(0, n, chunk):
         cells = np.arange(lo, min(lo + chunk, n))
         total = np.zeros((cells.size, n), dtype=np.complex128)
@@ -303,11 +309,12 @@ def norm_decay_point(
 ) -> dict:
     """Measured norm of the restricted operator for one (G, H) pair, taking
     the worst choice function over a family that includes a greedy adversary
-    re-fit to the current top singular vector.
+    re-fit to the current top right Ritz vector.
 
-    Besides the norm, reports the iteration count and convergence flag of
-    the power iteration that gave it, and `unconverged`, the number of power
-    iterations of the point that stopped at the cap `iters` unconverged."""
+    Besides the norm, reports as `iterations` the Lanczos steps and the
+    convergence flag of the `restricted_norm` run that gave it, and
+    `unconverged`, the number of runs of the point that stopped at the cap
+    `iters` unconverged."""
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
@@ -362,7 +369,7 @@ def norm_decay_point(
         "ratio": ratio,
         "choice": best_choice,
         "kept": measure(keep),
-        "iterations": winner.iterations,
+        "iterations": winner.steps,
         "converged": winner.converged,
         "unconverged": unconverged,
     }
@@ -381,7 +388,7 @@ def norm_decay_ladder(
     slope.  The large set is the whole grid; the small set is drawn at the
     exact ladder measure (a ratio that rounds to no cell is rejected); for the
     g branch the roles are swapped.  The report's `unconverged` counts the
-    power iterations of the whole ladder that stopped unconverged."""
+    norm runs of the whole ladder that stopped unconverged."""
     rng = np.random.default_rng(seed)
     n = 1 << resolution
     counts = [round(ratio * n) for ratio in ratios]

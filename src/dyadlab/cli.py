@@ -158,7 +158,7 @@ def main(argv=None) -> int:
         for branch in branches:
             decay = norm_decay_ladder(args.resolution, ratios, seed=args.seed, branch=branch)
             report[branch] = decay.to_dict()
-            ok = ok and decay.slope >= 0.5 - args.epsilon
+            ok = ok and decay.slope >= 0.5 - args.epsilon and decay.extra["unconverged"] == 0
         gens, _ = trial_generators(args.seed, 1)
         fam = random_vector(gens[0], args.resolution, args.family_size)
         thm71 = verify_vector_carleson(fam, None, config.p)

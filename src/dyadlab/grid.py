@@ -19,7 +19,7 @@ import numpy as np
 MAX_RESOLUTION = 12
 
 # Cells in one stack of same-shape arrays sent through a single numpy call
-# (power iteration members, averaging kernels).  Stacking amortizes per-call
+# (norm-engine members, averaging kernels).  Stacking amortizes per-call
 # overhead on small grids and was measured to lose from 2**14-cell planes
 # (L = 7) up, where a stack holds one member: 16 members at L = 5, 4 at L = 6.
 STACK_CELLS = 1 << 14

@@ -294,7 +294,7 @@ def run_biparam(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
         ratios.append(rep.ratio)
         trial_caps = rep.extra.get("mass_cap_ratios", [])
         caps.append(max(trial_caps, default=0.0))
-        ok = ok and all(c <= 1.0 + 1e-12 for c in trial_caps)
+        ok = ok and all(c <= 1.0 for c in trial_caps)
         ok = ok and rep.extra["h_kept"] >= 0.5
         ok = ok and rep.extra["localized_unconverged"] == 0
     ok = ok and all(math.isfinite(r) for r in ratios)
@@ -413,7 +413,8 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
                 family, VectorSignal(config.resolution, fam.stack[:1]), config.q
             ).ratio
         )
-    ok = all(math.isfinite(r) for r in ratios)
+    unconverged = cond0.extra["unconverged"]
+    ok = unconverged == 0 and all(math.isfinite(r) for r in ratios)
     if ratios and baseline and max(baseline) > 0:
         ok = ok and max(ratios) <= 2.0 * max(baseline)
     principle = PrincipleReport(
@@ -434,6 +435,7 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
         "max_ratio": max(ratios, default=0.0),
         "max_baseline_ratio": max(baseline, default=0.0),
         "trials": len(ratios),
+        "unconverged": unconverged,
         "ok": ok,
     }
     return report, ratios, ok

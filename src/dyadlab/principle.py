@@ -3,17 +3,17 @@
 The engine certifies, on the grid, the hypotheses and bookkeeping of the
 two-set localization argument: the subset builders keep at least half the
 measure of each set, the localized operators have measured L2 -> L2 norms
-(power iteration or Golub-Kahan-Lanczos with exact adjoints; `densify`
-writes out the matrix that tests check small grids against), the recursive
-three-way splitting loses a factor of at least two in product measure per
-level, and the geometric error budget halves per level because
+(Golub-Kahan-Lanczos with exact adjoints; `densify` writes out the matrix
+that tests check small grids against), the recursive three-way splitting
+loses a factor of at least two in product measure per level, and the
+geometric error budget halves per level because
 3 * base(p)**(-min(1/p, 1/p')) is exactly one half.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -141,94 +141,6 @@ def _start_vector(seed, shape) -> np.ndarray:
     return v / np.linalg.norm(np.ravel(v))
 
 
-def power_iterations(
-    op_for: Callable[[list[int]], LinearOperator],
-    shape,
-    seeds,
-    iters: int = 200,
-    tol: float = 1e-9,
-) -> list[PowerIterationResult]:
-    """Largest singular values of a family of operators by power iteration
-    on A*A, run on stacks of members.
-
-    Member i starts from its own seed and `op_for(members)` returns the
-    operator acting on a `(len(members), *shape)` stack of the listed
-    members, one slab each; it is called again only when the membership
-    changes.  Every per-member reduction (Rayleigh quotient, norm) runs on
-    that member's slab alone and the normalization is elementwise, so each
-    result is the one a single-member run with that seed gives, bit for
-    bit.  A member leaves its stack as soon as it stops; the stacks are the
-    consecutive runs of members that `grid.stack_slices` gives.
-
-    The Rayleigh quotient is monotone nondecreasing along the iteration; the
-    returned flag records whether the relative increment fell below tol.
-    """
-    _check_loop("iters", iters, tol)
-    shape, seeds = tuple(shape), list(seeds)
-    results: list[PowerIterationResult] = []
-    for s in stack_slices(len(seeds), math.prod(shape)):
-        members = list(range(s.start, s.stop))
-        results.extend(_power_stack(op_for, shape, members, seeds, iters, tol))
-    return results
-
-
-def _power_stack(op_for, shape, members, seeds, iters, tol) -> list[PowerIterationResult]:
-    v = np.stack([_start_vector(seeds[i], shape) for i in members])
-    slab = (-1,) + (1,) * len(shape)
-    done: dict[int, PowerIterationResult] = {}
-    # per-row state of the members still in the stack
-    lam = [0.0] * len(members)
-    lam_prev = [-1.0] * len(members)
-    op = op_for(members)
-
-    def leave(rows, *stacks):
-        nonlocal members, lam, lam_prev, op
-        keep = [r for r in range(len(members)) if r not in rows]
-        members = [members[r] for r in keep]
-        lam = [lam[r] for r in keep]
-        lam_prev = [lam_prev[r] for r in keep]
-        if members:
-            op = op_for(members)
-        return [s[keep] for s in stacks]
-
-    for it in range(1, iters + 1):
-        w = op.apply(v)
-        stopped = []
-        # one contiguous row per slab, the bytes raveling the slab alone
-        # gives: BLAS sums a strided vector in another order
-        for row, wr in enumerate(np.ascontiguousarray(w).reshape(len(members), -1)):
-            lam_r = lam[row] = float(np.vdot(wr, wr).real)
-            if lam_r == 0.0:
-                done[members[row]] = PowerIterationResult(0.0, it, True, None)
-            elif lam_prev[row] >= 0 and abs(lam_r - lam_prev[row]) <= tol * lam_r:
-                top = v[row].copy()
-                done[members[row]] = PowerIterationResult(math.sqrt(lam_r), it, True, top)
-            else:
-                lam_prev[row] = lam_r
-                continue
-            stopped.append(row)
-        if stopped:
-            v, w = leave(stopped, v, w)
-            if not members:
-                break
-        v = op.adjoint(w)
-        # np.linalg.norm's formula for a complex vector (numpy 2.4.6), inline
-        rows = np.ascontiguousarray(v).reshape(len(members), -1)
-        nv = [math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) for x in rows]
-        if 0.0 in nv:
-            stopped = [row for row, norm in enumerate(nv) if norm == 0.0]
-            for row in stopped:
-                done[members[row]] = PowerIterationResult(math.sqrt(lam[row]), it, True, None)
-            v, nv = leave(stopped, v, np.array(nv))
-            if not members:
-                break
-        # one divisor per slab; a lone slab divides by the scalar itself
-        v = v / (nv[0] if len(nv) == 1 else np.array(nv).reshape(slab))
-    for row in range(len(members)):
-        done[members[row]] = PowerIterationResult(math.sqrt(lam[row]), iters, False, v[row].copy())
-    return [done[i] for i in sorted(done)]
-
-
 def power_iteration(
     op: LinearOperator,
     shape,
@@ -236,21 +148,43 @@ def power_iteration(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> PowerIterationResult:
-    """Largest singular value of one operator: the one-member stack of
-    `power_iterations`."""
-    one = LinearOperator(lambda v: op.apply(v[0])[None], lambda v: op.adjoint(v[0])[None])
-    return power_iterations(lambda members: one, shape, [seed], iters, tol)[0]
+    """Largest singular value of one operator by power iteration on A*A.
+
+    The library's norms run on `top_singular`; this plain loop is kept as
+    a reference.  The Rayleigh quotient is monotone nondecreasing along
+    the iteration; the flag records whether its relative increment fell
+    below tol.
+    """
+    _check_loop("iters", iters, tol)
+    v = _start_vector(seed, tuple(shape))
+    lam_prev, lam = -1.0, 0.0
+    for it in range(1, iters + 1):
+        w = op.apply(v)
+        lam = float(np.vdot(np.ravel(w), np.ravel(w)).real)
+        if lam == 0.0:
+            return PowerIterationResult(0.0, it, True, None)
+        if lam_prev >= 0 and abs(lam - lam_prev) <= tol * lam:
+            return PowerIterationResult(math.sqrt(lam), it, True, v)
+        lam_prev = lam
+        v = op.adjoint(w)
+        nv = np.linalg.norm(np.ravel(v))
+        if nv == 0.0:
+            return PowerIterationResult(math.sqrt(lam), it, True, None)
+        v = v / nv
+    return PowerIterationResult(math.sqrt(lam), iters, False, v)
 
 
 @dataclass(frozen=True)
 class TopSingularResult:
     """One member's measurement by `top_singular`: the largest Ritz value,
-    the steps taken (one apply and, after the first, one adjoint each) and
-    whether the Ritz value settled before the step cap."""
+    the steps taken (one apply and, after the first, one adjoint each),
+    whether the Ritz value settled before the step cap and, when asked
+    for and the norm is positive, the top right Ritz vector."""
 
     norm: float
     steps: int
     converged: bool
+    top_vector: np.ndarray | None = field(default=None, compare=False)
 
 
 def top_singular(
@@ -259,67 +193,96 @@ def top_singular(
     seeds,
     tol: float = 1e-9,
     max_steps: int = 200,
+    vectors: bool = False,
 ) -> list[TopSingularResult]:
     """Largest singular values of a family of operators by Golub-Kahan-
     Lanczos bidiagonalization, run on stacks of members.
 
-    The contract is that of `power_iterations`: member i starts from the
-    same vector with its seed, `op_for(members)` returns the operator on a
-    `(len(members), *shape)` stack and is called again only when members
-    leave, every reduction runs on one member's slab, and so each result
-    equals a one-member run bit for bit.  Step k extends the bidiagonal B
-    of A on the Krylov space of A*A by one column; the norm is the square
-    root of the largest eigenvalue of B^T B (the top Ritz value), which A
-    attains on that space, so in exact arithmetic it is never below the
-    power iterate after as many applies (G. Golub and W. Kahan, SIAM J.
-    Numer. Anal. B 2, 1965; J. Kuczynski and H. Wozniakowski, SIAM J.
-    Matrix Anal. Appl. 13, 1992).  A member stops when its Ritz value moves
-    by at most tol relative, or when the recurrence breaks down on an
-    invariant space, where the value is exact.  No basis is kept, so there
-    is no reorthogonalization: rounding may let a copy of the top value
-    reappear, but the top Ritz value still converges to the norm.
+    Member i starts from the unit complex Gaussian vector of its seed and
+    `op_for(members)` returns the operator acting on a `(len(members),
+    *shape)` stack of the listed members, one slab each; it is called again
+    only when members leave.  Every per-member reduction runs on that
+    member's slab alone, so each result equals a one-member run bit for
+    bit.  Step k extends the bidiagonal B of A on the Krylov space of A*A
+    by one column; the norm is the square root of the largest eigenvalue
+    of B^T B (the top Ritz value), which A attains on that space, so in
+    exact arithmetic it is never below the power iterate after as many
+    applies (G. Golub and W. Kahan, SIAM J. Numer. Anal. B 2, 1965;
+    J. Kuczynski and H. Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992).
+    A member stops when its Ritz value moves by at most tol relative, or
+    when the recurrence breaks down on an invariant space, where the value
+    is exact.  There is no reorthogonalization: rounding may let a copy of
+    the top value reappear, but the top Ritz value still converges to the
+    norm.  With `vectors`, the right Lanczos vectors V_k are kept and each
+    positive result carries V_k y, y the top eigenvector of B^T B.
     """
     _check_loop("max_steps", max_steps, tol)
     shape, seeds = tuple(shape), list(seeds)
     results: list[TopSingularResult] = []
     for s in stack_slices(len(seeds), math.prod(shape)):
         members = list(range(s.start, s.stop))
-        results.extend(_lanczos_stack(op_for, shape, members, seeds, tol, max_steps))
+        results.extend(_lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors))
     return results
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Each slab's 2-norm, reduced as the power loop's Rayleigh quotient is,
-    so the first Ritz value is the first power iterate."""
+    """Each slab's 2-norm, reduced as a power iteration's Rayleigh quotient
+    is, so the first Ritz value is the first power iterate."""
     return np.sqrt([np.vdot(row, row).real for row in x.reshape(len(x), -1)])
 
 
-def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of B^T B per row, B upper bidiagonal with the
-    row's alphas on its diagonal and betas above it; B^T B is tridiagonal,
-    written into its lower triangle, the one `eigvalsh` reads."""
+def _ritz_matrix(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """B^T B per row, B upper bidiagonal with the row's alphas on its
+    diagonal and betas above it; B^T B is tridiagonal, written into its
+    lower triangle, the one `eigvalsh` and `eigh` read."""
     m, k = alphas.shape
     i = np.arange(k)
     t = np.zeros((m, k, k))
     t[:, i, i] = alphas**2
     t[:, i[1:], i[1:]] += betas**2
     t[:, i[1:], i[:-1]] = alphas[:, :-1] * betas
-    return np.linalg.eigvalsh(t)[:, -1]
+    return t
 
 
-def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps) -> list[TopSingularResult]:
+def _ritz_vectors(alphas: np.ndarray, betas: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """V_k y per row, y the top eigenvector of B^T B and V_k the row's
+    first k Lanczos vectors in `basis`; the sum runs in step order, one
+    elementwise product and add per step, so each row's bytes are its own."""
+    y = np.linalg.eigh(_ritz_matrix(alphas, betas))[1][:, :, -1:]
+    x = basis[:, 0] * y[:, 0]
+    for j in range(1, y.shape[1]):
+        x += basis[:, j] * y[:, j]
+    return x
+
+
+def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors) -> list[TopSingularResult]:
     slab = (-1,) + (1,) * len(shape)
     op = op_for(members)
     done: dict[int, TopSingularResult] = {}
     # per-row state of the members still in the stack: the Lanczos vectors
-    # v and u, the bidiagonal so far and the last Ritz value; v and u are
-    # this loop's own, so each recurrence writes into the vector it replaces
-    # and leaves alone whatever the operator hands back
+    # v and u, the bidiagonal so far, the last Ritz value and the row of
+    # the member's kept vectors; v and u are this loop's own, so each
+    # recurrence writes into the vector it replaces and leaves alone
+    # whatever the operator hands back
     v = np.stack([_start_vector(seeds[i], shape) for i in members])
     u = np.empty_like(v)
     alphas = np.zeros((len(members), max_steps))
     betas = np.zeros((len(members), max_steps))
     lam = np.zeros(len(members))
+    place = np.arange(len(members))
+    # V_k of every member of the first stack, by its row there; the step
+    # axis doubles when full, since most members stop long before the cap
+    basis = np.empty((len(members), min(8, max_steps), v[0].size), complex) if vectors else None
+
+    def stop(rows, k, converged):
+        """Record the rows' results after k steps."""
+        tops = dict.fromkeys(rows)
+        positive = [row for row in rows if lam[row] > 0.0]
+        if vectors and positive:
+            x = _ritz_vectors(alphas[positive, :k], betas[positive, : k - 1], basis[place[positive], :k])
+            tops.update(zip(positive, x.reshape(len(positive), *shape)))
+        for row in rows:
+            done[members[row]] = TopSingularResult(math.sqrt(lam[row]), k, converged, tops[row])
 
     def leave(rows, *stacks):
         nonlocal members, op
@@ -335,36 +298,40 @@ def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps) -> list[TopSin
         return _row_norms(last)
 
     for k in range(1, max_steps + 1):
-        if k == 1:
-            np.copyto(u, op.apply(v))
-            alpha = _row_norms(u)
-        else:
+        if k > 1:
             beta = betas[:, k - 2] = extend(op.adjoint(u), alphas[:, k - 2], v)
             if 0.0 in beta:
                 # A*A maps the Krylov space into itself: the last value is exact
                 stopped = np.flatnonzero(beta == 0.0)
-                for row in stopped:
-                    done[members[row]] = TopSingularResult(math.sqrt(lam[row]), k - 1, True)
-                v, u, alphas, betas, lam = leave(stopped, v, u, alphas, betas, lam)
+                stop(stopped, k - 1, True)
+                v, u, alphas, betas, lam, place = leave(stopped, v, u, alphas, betas, lam, place)
                 if not members:
                     break
             np.divide(v, betas[:, k - 2].reshape(slab), out=v)
+        if vectors:
+            if k > basis.shape[1]:
+                grown = np.empty((len(basis), min(2 * basis.shape[1], max_steps), basis.shape[2]), complex)
+                grown[:, : k - 1] = basis
+                basis = grown
+            basis[place, k - 1] = v.reshape(len(v), -1)
+        if k == 1:
+            np.copyto(u, op.apply(v))
+            alpha = _row_norms(u)
+        else:
             alpha = extend(op.apply(v), betas[:, k - 2], u)
         alphas[:, k - 1] = alpha
-        lam_prev, lam = lam, _top_ritz(alphas[:, :k], betas[:, : k - 1])
+        lam_prev, lam = lam, np.linalg.eigvalsh(_ritz_matrix(alphas[:, :k], betas[:, : k - 1]))[:, -1]
         settled = alpha == 0.0
         if k > 1:
             settled |= np.abs(lam - lam_prev) <= tol * lam
         stopped = np.flatnonzero(settled)
-        for row in stopped:
-            done[members[row]] = TopSingularResult(math.sqrt(lam[row]), k, True)
         if len(stopped):
-            v, u, alphas, betas, lam = leave(stopped, v, u, alphas, betas, lam)
+            stop(stopped, k, True)
+            v, u, alphas, betas, lam, place = leave(stopped, v, u, alphas, betas, lam, place)
             if not members:
                 break
         np.divide(u, alphas[:, k - 1].reshape(slab), out=u)
-    for row in range(len(members)):
-        done[members[row]] = TopSingularResult(math.sqrt(lam[row]), max_steps, False)
+    stop(range(len(members)), max_steps, False)
     return [done[i] for i in sorted(done)]
 
 
@@ -398,9 +365,12 @@ def measure_condition(
     """Measured constant of the localized two-set bound at exponent p.
 
     For each family member, the norm of f -> T_j(f 1_{H'}) 1_{G'} is measured
-    by power iteration (restarted `trials` times) and normalized by
-    (|G|/|H|)**(1 - 2/p); the report carries the largest observed constant,
-    a probe-measured restricted weak-type constant, and its summed series.
+    by `top_singular` (`trials` runs from different seeds, all in one
+    stack, capped at `iters` steps) and normalized by (|G|/|H|)**(1 - 2/p);
+    the report carries the largest observed constant, a probe-measured
+    restricted weak-type constant, and its summed series.  Its `extra` has
+    each member's norm and Lanczos steps, and `unconverged`, the runs that
+    stopped at the cap.
     """
     if measure(h) <= 0 or measure(g) <= 0:
         raise ValueError("both sets need positive measure")
@@ -408,22 +378,25 @@ def measure_condition(
     h_sub, g_sub = builder(h, g)
     ratio = measure(g) / measure(h)
 
-    norms: list[float] = []
-    top_vectors: list[np.ndarray | None] = []
-    iterations = []
-    converged_all = True
-    n = h.mask.size
-    for j, op in enumerate(family.operators):
-        local = op.localized(g_sub.mask, h_sub.mask)
-        best = PowerIterationResult(0.0, 0, True, None)
-        for t in range(max(1, trials)):
-            res = power_iteration(local, (n,), iters=iters, tol=tol, seed=seed + 997 * t + j)
-            if res.norm > best.norm:
-                best = res
-        norms.append(best.norm)
-        top_vectors.append(best.top_vector)
-        iterations.append(best.iterations)
-        converged_all = converged_all and best.converged
+    local = [op.localized(g_sub.mask, h_sub.mask) for op in family.operators]
+    count = len(local)
+    # trial t of member j is run t * count + j, from seed + 997 t + j
+    runs = [j for _ in range(max(1, trials)) for j in range(count)]
+
+    def op_for(members):
+        ops = [local[runs[i]] for i in members]
+        return LinearOperator(
+            lambda v: np.stack([op.apply(row) for op, row in zip(ops, v)]),
+            lambda w: np.stack([op.adjoint(row) for op, row in zip(ops, w)]),
+        )
+
+    seeds = [seed + 997 * (i // count) + j for i, j in enumerate(runs)]
+    results = top_singular(op_for, (h.mask.size,), seeds, tol=tol, max_steps=iters, vectors=True)
+    # each member's best trial, the first of equal norms
+    best = [max(results[j::count], key=lambda res: res.norm) for j in range(count)]
+    norms = [res.norm for res in best]
+    top_vectors = [res.top_vector for res in best]
+    unconverged = sum(not res.converged for res in results)
 
     c_p = condition_constant(norms, ratio, p)
 
@@ -461,8 +434,9 @@ def measure_condition(
         levels=[],
         extra={
             "norms": norms,
-            "iterations": iterations,
-            "converged": converged_all,
+            "iterations": [res.steps for res in best],
+            "converged": unconverged == 0,
+            "unconverged": unconverged,
             "h_kept": measure(h_sub) / measure(h),
             "g_kept": measure(g_sub) / measure(g),
             "measure_ratio": ratio,
@@ -507,7 +481,7 @@ def splitting_cascade(
                 if product > 0.0:
                     children.append(pair)
         bound = base_product * 0.5**k
-        if max_product > bound * (1.0 + 1e-12):
+        if max_product > bound:
             raise AssertionError(
                 f"level {k} product measure {max_product} exceeds bound {bound}"
             )

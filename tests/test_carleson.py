@@ -34,7 +34,7 @@ from dyadlab.harness import (
     random_signal,
     random_vector,
 )
-from dyadlab.principle import LinearOperator, power_iteration
+from dyadlab.principle import LinearOperator, densify, power_iteration
 from dyadlab.tiles import (
     ChoiceFunction,
     ModelSumPlan,
@@ -45,9 +45,9 @@ from dyadlab.tiles import (
     model_sum,
     size_bound,
 )
-from dyadlab.grid import STACK_CELLS, stack_slices
+from dyadlab.grid import STACK_CELLS
 from dyadlab.walsh import bit_reversal, block_gathers
-from test_principle import assert_same_bits, old_power_iterations
+from test_principle import assert_same_krylov, one_member_run
 from test_tiles import packet_coefficients
 
 
@@ -78,8 +78,8 @@ def old_norm_decay_point(
     h, g, collection, seed=0, c=4.0, iters=150, adversary_rounds=2, branch="h"
 ):
     """The loop norm_decay_point ran before the choice family and each refit
-    round ran as one stack: one power iteration per choice function, in
-    family order, each chain refit right after its own run."""
+    round ran as one stack: one norm run per choice function, in family
+    order, each chain refit right after its own run."""
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
@@ -94,7 +94,7 @@ def old_norm_decay_point(
 
     def alone(choice, seed):
         op = RestrictedOp(a_set, b_set, choice, surviving)
-        return power_iteration(op.operator, (1 << L,), iters=iters, seed=seed)
+        return one_member_run(op.operator, (1 << L,), seed, max_steps=iters, vectors=True)
 
     winner = None
     best_choice = None
@@ -121,7 +121,7 @@ def old_norm_decay_point(
         "ratio": ratio,
         "choice": best_choice,
         "kept": measure(keep),
-        "iterations": winner.iterations,
+        "iterations": winner.steps,
         "converged": winner.converged,
         "unconverged": unconverged,
     }
@@ -183,24 +183,11 @@ def chunked_greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFu
     return ChoiceFunction(L, freqs)
 
 
-def old_restricted_norm(ops, seeds, iters=200, tol=1e-9):
-    """restricted_norm before it called the plan kernels: the stacked plan's
-    checked apply and adjoint, localized, run by the old power loop."""
-    a, b = ops[0].a, ops[0].b
-    L = a.resolution
-
-    def op_for(plans):
-        def stacked(members):
-            plan = ModelSumPlan.stack(plans[i] for i in members)
-            return LinearOperator(plan.apply, plan.adjoint).localized(a.mask, b.mask)
-
-        return stacked
-
-    results = []
-    for s in stack_slices(len(ops), max(L, 1) << L):
-        plans = [op.plan for op in ops[s]]
-        results += old_power_iterations(op_for(plans), (1 << L,), seeds[s], iters=iters, tol=tol)
-    return results
+def checked_plan_operator(op: RestrictedOp) -> LinearOperator:
+    """The operator restricted_norm ran before it called the plan kernels:
+    the plan's checked apply and adjoint, localized."""
+    plan = ModelSumPlan(op.choice, op.collection)
+    return LinearOperator(plan.apply, plan.adjoint).localized(op.a.mask, op.b.mask)
 
 
 def assert_same_point(point, expected):
@@ -265,9 +252,9 @@ class TestRestrictedOperator:
                     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                     assert np.array_equal(op.operator.apply(v), fwd(v))
                     assert np.array_equal(op.operator.adjoint(v), adj(v))
-                old = power_iteration(LinearOperator(fwd, adj), (n,), iters=60, seed=5)
+                old = one_member_run(LinearOperator(fwd, adj), (n,), 5, max_steps=60, vectors=True)
                 (new,) = restricted_norm([op], [5], iters=60)
-                assert (new.norm, new.iterations, new.converged) == (old.norm, old.iterations, old.converged)
+                assert_same_krylov(new, old)
 
 
 class TestCarving:
@@ -498,8 +485,8 @@ class TestNormDecay:
     @pytest.mark.parametrize("resolution", range(0, 10))
     def test_greedy_choice_equals_dense_table(self, resolution):
         """The chunked, strided greedy choice picks what the dense table
-        picked, ties included (the zero signal ties every frequency); from
-        L = 8 on the cells span several chunks."""
+        picked, ties included (the zero signal ties every frequency); up to
+        L = 9 one chunk holds the grid."""
         rng = np.random.default_rng(520 + resolution)
         n = 1 << resolution
         full = TileCollection.all(resolution)
@@ -522,10 +509,10 @@ class TestNormDecay:
 
     @pytest.mark.parametrize("resolution", range(0, 10))
     def test_greedy_choice_equals_chunked_loop(self, resolution):
-        """The all-scale transform and, up to L = 7, the cached sign tables
-        pick what the per-scale transforms and per-chunk signs picked, on
-        signals with zeros of both signs; from L = 8 on the cells span
-        several chunks and the signs are built per chunk."""
+        """The all-scale transform and, where one chunk holds the grid (up
+        to L = 9), the cached sign tables pick what the per-scale
+        transforms and per-chunk signs picked, on signals with zeros of
+        both signs; from L = 8 on the oracle's cells span several chunks."""
         rng = np.random.default_rng(540 + resolution)
         n = 1 << resolution
         full = TileCollection.all(resolution)
@@ -546,6 +533,26 @@ class TestNormDecay:
                 assert chosen.freqs.dtype == np.int64
                 assert np.array_equal(chosen.freqs, chunked_greedy_choice(f, collection).freqs)
         assert (STACK_CELLS // n >= n) == (resolution <= 7)
+
+    @pytest.mark.parametrize("resolution", [3, 8, 10])
+    def test_greedy_choice_any_chunk_size(self, monkeypatch, resolution):
+        """The chunk size changes no choice: chunks of one cell, of three
+        (the last one short), of half the grid and the default's (several
+        chunks at L = 10) pick what the oracle's chunks picked."""
+        import dyadlab.carleson as carleson
+
+        rng = np.random.default_rng(560 + resolution)
+        n = 1 << resolution
+        full = TileCollection.all(resolution)
+        collection = retain_meeting(full, GridSet(resolution, rng.random(n) < 0.5))
+        f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        expected = chunked_greedy_choice(f, collection).freqs
+        assert (carleson.CHUNK_BYTES // (16 * n) < n) == (resolution == 10)
+        for cells in (1, 3, n // 2, None):
+            if cells is not None:
+                monkeypatch.setattr(carleson, "CHUNK_BYTES", 16 * n * cells)
+            assert np.array_equal(greedy_choice(f, collection).freqs, expected)
+            monkeypatch.undo()
 
     def test_greedy_choice_rejects_resolution_mismatch(self):
         for signal_l, collection_l in ((3, 0), (5, 4), (4, 5), (0, 3)):
@@ -619,11 +626,8 @@ class TestNormDecay:
         for iters in iters:
             stacked = restricted_norm(ops, seeds, iters=iters)
             for op, seed, res in zip(ops, seeds, stacked):
-                alone = power_iteration(op.operator, (1 << resolution,), iters=iters, seed=seed)
-                assert (res.norm, res.iterations, res.converged) == (alone.norm, alone.iterations, alone.converged)
-                assert (res.top_vector is None) == (alone.top_vector is None)
-                if alone.top_vector is not None:
-                    assert np.array_equal(res.top_vector, alone.top_vector)
+                alone = one_member_run(op.operator, (1 << resolution,), seed, max_steps=iters, vectors=True)
+                assert_same_krylov(res, alone)
         assert restricted_norm([], []) == []
         with pytest.raises(ValueError, match="one seed per operator"):
             restricted_norm(ops, seeds[:-1])
@@ -632,11 +636,12 @@ class TestNormDecay:
             restricted_norm([ops[0], other], [1, 2])
 
     @pytest.mark.parametrize("resolution", range(2, 9))
-    def test_restricted_norm_equals_old_loop(self, resolution):
-        """The kernels-direct stacked operator and the row-view loop give
-        the old loop's norm, iteration count, flag and top-vector bytes:
-        members leave at different steps, one member has no surviving
-        tile (the zero-norm exit) and a cap of 2 stops the rest."""
+    def test_restricted_norm_equals_one_member_runs(self, resolution):
+        """The kernels-direct stacked operator gives each member's norm,
+        step count, flag and top-vector bytes of a one-member run of the
+        plan's checked apply and adjoint: members leave at different steps,
+        one member has no surviving tile (the zero-norm exit) and a cap of
+        2 stops the rest."""
         rng = np.random.default_rng(560 + resolution)
         n = 1 << resolution
         a, b = GridSet(resolution, rng.random(n) < 0.6), GridSet(resolution, rng.random(n) < 0.6)
@@ -650,12 +655,12 @@ class TestNormDecay:
         seeds = [5, 5, 2, 7, 1, 8, 3]
         for iters, tol in ((150, 1e-9), (2, 1e-9), (60, 1e-4)):
             new = restricted_norm(ops, seeds, iters=iters, tol=tol)
-            old = old_restricted_norm(ops, seeds, iters=iters, tol=tol)
-            for res, expected in zip(new, old, strict=True):
-                assert_same_bits(res, expected)
+            for res, op, seed in zip(new, ops, seeds, strict=True):
+                alone = one_member_run(checked_plan_operator(op), (n,), seed, tol=tol, max_steps=iters, vectors=True)
+                assert_same_krylov(res, alone)
             assert new[2].norm == 0.0 and new[2].top_vector is None
             if iters == 150:
-                assert len({res.iterations for res in new}) > 1
+                assert len({res.steps for res in new}) > 1
 
     def test_decay_reports_unconverged_runs(self):
         # two iterations never meet the 1e-9 tolerance: every power iteration
@@ -685,6 +690,49 @@ class TestNormDecay:
         resolution = 5
         ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5, branch="g", iters=40)
         assert len(ladder.ratio_ladder) == 2
+
+
+class TestDecayEngine:
+    """restricted_norm on the operators a decay ladder runs, against power
+    iteration, the dense SVD and the Ritz vector it returns."""
+
+    @staticmethod
+    def ladder_runs(monkeypatch, resolution):
+        import dyadlab.carleson as carleson
+
+        runs = []
+
+        def recording(ops, seeds, iters=200, tol=1e-9):
+            results = restricted_norm(ops, seeds, iters=iters, tol=tol)
+            runs.extend((op, seed, iters, tol, res) for op, seed, res in zip(ops, seeds, results))
+            return results
+
+        monkeypatch.setattr(carleson, "restricted_norm", recording)
+        ratios = [2.0**-i for i in range(1, resolution + 1)]
+        for branch in ("h", "g"):
+            norm_decay_ladder(resolution, ratios, seed=1, branch=branch)
+        return runs
+
+    @pytest.mark.parametrize("resolution", [4, 5])
+    def test_norms_meet_the_oracles(self, monkeypatch, resolution):
+        # each Krylov norm is at least the power iterate at the decay cap,
+        # less 1e-12 relative; its vector attains it within tol; at L = 4 it
+        # is the top singular value of the written-out matrix to 1e-9
+        runs = self.ladder_runs(monkeypatch, resolution)
+        n = 1 << resolution
+        assert len(runs) > 50 and all(res.converged for *_, res in runs)
+        for op, seed, iters, tol, res in runs:
+            power = power_iteration(op.operator, (n,), iters=iters, tol=tol, seed=seed)
+            assert res.norm >= power.norm * (1.0 - 1e-12)
+            if res.norm == 0.0:
+                assert res.top_vector is None
+            else:
+                x = res.top_vector
+                attained = np.linalg.norm(op.operator.apply(x)) / np.linalg.norm(x)
+                assert abs(attained - res.norm) <= tol * res.norm
+            if resolution == 4:
+                top = float(np.linalg.svd(densify(op.operator.apply, n), compute_uv=False)[0])
+                assert abs(res.norm - top) <= 1e-9 * top
 
 
 class TestVectorCarleson:

@@ -41,8 +41,7 @@ CLI_CASES = {
     "verify-carleson": ["verify", "carleson", *_BASE],
     "verify-principle": ["verify", "principle", *_BASE],
     "estimate-22": ["estimate-22", "--resolution", "5", "--ladder", "3", "--seed", "3"],
-    # the benchmark's decay configuration (L=6) and a deeper ladder at L=8,
-    # whose greedy choice runs in more than one chunk of cells
+    # the benchmark's decay configuration (L=6) and a deeper ladder at L=8
     "estimate-22-L6": ["estimate-22", "--resolution", "6", "--seed", "1"],
     "estimate-22-L8": ["estimate-22", "--resolution", "8", "--ladder", "4", "--seed", "1"],
 }

@@ -147,6 +147,29 @@ class TestReportSerialization:
         assert {"A1", "A2", "C21"} <= set(parsed)
 
 
+class TestExactMassCap:
+    """verify biparam checks each mass-cap ratio against 1 exactly: a ratio
+    of 1 passes, the next float above fails."""
+
+    @pytest.mark.parametrize("cap, ok", [(1.0, True), (float(np.nextafter(1.0, 2.0)), False)])
+    def test_cap_ratio_at_and_past_one(self, monkeypatch, cap, ok):
+        import dyadlab.biparam as biparam
+        from dyadlab.harness import run_biparam
+
+        real = biparam.verify_biparam
+
+        def capped(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.extra["mass_cap_ratios"] = [0.5, cap]
+            return report
+
+        monkeypatch.setattr(biparam, "verify_biparam", capped)
+        config = ExperimentConfig(theorem="biparam", resolution=4, trials=2, eps=0.45)
+        report, _, got = run_biparam(config, trial_generators(0, 2)[0])
+        assert got is ok and report["ok"] is ok
+        assert report["max_mass_cap_ratio"] == cap
+
+
 class TestConfigValidation:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError, match="theorem"):
@@ -673,6 +696,21 @@ class TestCLI:
         assert set(report) == {"h", "g"}
         for branch in report.values():
             assert set(branch["thm71"]) == {"lhs", "rhs", "ratio"}
+
+    def test_estimate22_fails_on_unconverged_runs(self, monkeypatch, capsys):
+        # the golden configuration exits 0; capped at two Lanczos steps its
+        # norm runs stop unconverged, the report counts them and the exit
+        # status is 1
+        import functools
+
+        import dyadlab.carleson as carleson
+
+        argv = ["estimate-22", "--resolution", "5", "--ladder", "3", "--seed", "3"]
+        assert main(argv) == 0
+        assert all(branch["unconverged"] == 0 for branch in json.loads(capsys.readouterr().out).values())
+        monkeypatch.setattr(carleson, "norm_decay_ladder", functools.partial(carleson.norm_decay_ladder, iters=2))
+        assert main(argv) == 1
+        assert all(branch["unconverged"] > 0 for branch in json.loads(capsys.readouterr().out).values())
 
     def test_estimate22_short_deterministic(self, tmp_path, capsys):
         code = main(

@@ -29,9 +29,9 @@ from dyadlab.principle import (
     measure_condition,
     PowerIterationResult,
     TopSingularResult,
+    _check_loop,
     _start_vector,
     power_iteration,
-    power_iterations,
     splitting_cascade,
     top_singular,
     trim_builder,
@@ -136,6 +136,89 @@ def old_power_stack(op_for, shape, members, seeds, iters, tol):
     return [done[i] for i in sorted(done)]
 
 
+def power_iterations(op_for, shape, seeds, iters=200, tol=1e-9):
+    """Largest singular values of a family of operators by power iteration
+    on A*A, run on stacks of members: the stacked loop the decay and
+    principle norms ran before `top_singular`, kept as an oracle.
+
+    Member i starts from its own seed and `op_for(members)` returns the
+    operator acting on a `(len(members), *shape)` stack of the listed
+    members, one slab each; it is called again only when the membership
+    changes.  Every per-member reduction (Rayleigh quotient, norm) runs on
+    that member's slab alone and the normalization is elementwise, so each
+    result is the one a single-member run with that seed gives, bit for
+    bit.  A member leaves its stack as soon as it stops; the stacks are the
+    consecutive runs of members that `grid.stack_slices` gives.
+
+    The Rayleigh quotient is monotone nondecreasing along the iteration; the
+    returned flag records whether the relative increment fell below tol.
+    """
+    _check_loop("iters", iters, tol)
+    shape, seeds = tuple(shape), list(seeds)
+    results = []
+    for s in stack_slices(len(seeds), math.prod(shape)):
+        members = list(range(s.start, s.stop))
+        results.extend(_power_stack(op_for, shape, members, seeds, iters, tol))
+    return results
+
+
+def _power_stack(op_for, shape, members, seeds, iters, tol):
+    v = np.stack([_start_vector(seeds[i], shape) for i in members])
+    slab = (-1,) + (1,) * len(shape)
+    done = {}
+    # per-row state of the members still in the stack
+    lam = [0.0] * len(members)
+    lam_prev = [-1.0] * len(members)
+    op = op_for(members)
+
+    def leave(rows, *stacks):
+        nonlocal members, lam, lam_prev, op
+        keep = [r for r in range(len(members)) if r not in rows]
+        members = [members[r] for r in keep]
+        lam = [lam[r] for r in keep]
+        lam_prev = [lam_prev[r] for r in keep]
+        if members:
+            op = op_for(members)
+        return [s[keep] for s in stacks]
+
+    for it in range(1, iters + 1):
+        w = op.apply(v)
+        stopped = []
+        # one contiguous row per slab, the bytes raveling the slab alone
+        # gives: BLAS sums a strided vector in another order
+        for row, wr in enumerate(np.ascontiguousarray(w).reshape(len(members), -1)):
+            lam_r = lam[row] = float(np.vdot(wr, wr).real)
+            if lam_r == 0.0:
+                done[members[row]] = PowerIterationResult(0.0, it, True, None)
+            elif lam_prev[row] >= 0 and abs(lam_r - lam_prev[row]) <= tol * lam_r:
+                top = v[row].copy()
+                done[members[row]] = PowerIterationResult(math.sqrt(lam_r), it, True, top)
+            else:
+                lam_prev[row] = lam_r
+                continue
+            stopped.append(row)
+        if stopped:
+            v, w = leave(stopped, v, w)
+            if not members:
+                break
+        v = op.adjoint(w)
+        # np.linalg.norm's formula for a complex vector (numpy 2.4.6), inline
+        rows = np.ascontiguousarray(v).reshape(len(members), -1)
+        nv = [math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) for x in rows]
+        if 0.0 in nv:
+            stopped = [row for row, norm in enumerate(nv) if norm == 0.0]
+            for row in stopped:
+                done[members[row]] = PowerIterationResult(math.sqrt(lam[row]), it, True, None)
+            v, nv = leave(stopped, v, np.array(nv))
+            if not members:
+                break
+        # one divisor per slab; a lone slab divides by the scalar itself
+        v = v / (nv[0] if len(nv) == 1 else np.array(nv).reshape(slab))
+    for row in range(len(members)):
+        done[members[row]] = PowerIterationResult(math.sqrt(lam[row]), iters, False, v[row].copy())
+    return [done[i] for i in sorted(done)]
+
+
 def assert_same_bits(new, old):
     """Equal results, the top vector compared on raw bytes."""
     assert (new.norm, new.iterations, new.converged) == (old.norm, old.iterations, old.converged)
@@ -194,11 +277,26 @@ def capture_top_singular(monkeypatch, module):
 
 def assert_one_member_runs_match(captured):
     """Each captured stacked result equals the one-member run of that
-    member, bit for bit."""
+    member, bit for bit, top vector included."""
     op_for, shape, kwargs = captured["op_for"], captured["shape"], captured["kwargs"]
     for i, (res, seed) in enumerate(zip(captured["results"], captured["seeds"])):
-        alone = top_singular(lambda members, i=i: op_for([i]), shape, [seed], **kwargs)
-        assert alone == [res]
+        [alone] = top_singular(lambda members, i=i: op_for([i]), shape, [seed], **kwargs)
+        assert_same_krylov(res, alone)
+
+
+def one_member_run(op, shape, seed, **kwargs):
+    """`top_singular` of one operator that acts on a lone array."""
+    stacked = LinearOperator(lambda v: op.apply(v[0])[None], lambda w: op.adjoint(w[0])[None])
+    return top_singular(lambda members: stacked, shape, [seed], **kwargs)[0]
+
+
+def assert_same_krylov(new, old):
+    """Equal `top_singular` results, the top vector compared on raw bytes."""
+    assert new == old
+    assert (new.top_vector is None) == (old.top_vector is None)
+    if old.top_vector is not None:
+        assert new.top_vector.shape == old.top_vector.shape
+        assert np.array_equal(new.top_vector.view(np.uint64), old.top_vector.view(np.uint64))
 
 
 def old_trim_builders(c):
@@ -527,9 +625,84 @@ class TestLocalizedOperator:
         h_sub, g_sub = builder(h, g)
         for j, op in enumerate(family.operators):
             fwd, adj = old_localized(op, h_sub.mask, g_sub.mask)
-            res = power_iteration(LinearOperator(fwd, adj), (1 << resolution,), seed=4 + j)
+            res = one_member_run(LinearOperator(fwd, adj), (1 << resolution,), 4 + j, vectors=True)
             assert report.extra["norms"][j] == res.norm
-            assert report.extra["iterations"][j] == res.iterations
+            assert report.extra["iterations"][j] == res.steps
+
+
+class TestMeasureConditionEngine:
+    """measure_condition runs every (member, trial) pair as one stack of
+    top_singular runs and reports the runs that stopped at the cap."""
+
+    def test_stacked_runs_equal_one_member_runs(self, monkeypatch):
+        import dyadlab.principle as principle
+
+        rng = np.random.default_rng(22)
+        resolution = 5
+        family, _ = maximal_operator_family(rng, resolution, 3)
+        h, g = random_grid_set(rng, resolution), random_grid_set(rng, resolution)
+        captured = capture_top_singular(monkeypatch, principle)
+        report = measure_condition(family, h, g, trim_builder(4.0, "h"), p=2.5, trials=3, seed=6)
+        # trial t of member j is run 3 t + j, seeded 6 + 997 t + j
+        assert captured["seeds"] == [6 + 997 * t + j for t in range(3) for j in range(3)]
+        assert captured["calls"][0][0] == list(range(9))
+        assert captured["kwargs"] == {"tol": 1e-9, "max_steps": 200, "vectors": True}
+        assert_one_member_runs_match(captured)
+        results = captured["results"]
+        assert all(res.top_vector is not None for res in results)
+        for j in range(3):
+            trials = results[j::3]
+            best = max(trials, key=lambda res: res.norm)
+            assert report.extra["norms"][j] == best.norm
+            assert report.extra["iterations"][j] == best.steps
+        assert report.extra["unconverged"] == 0 and report.extra["converged"]
+
+    def test_capped_runs_are_reported(self, monkeypatch):
+        import functools
+
+        rng = np.random.default_rng(23)
+        family, _ = maximal_operator_family(rng, 5, 2)
+        h, g = random_grid_set(rng, 5), random_grid_set(rng, 5)
+        capped = measure_condition(family, h, g, trim_builder(4.0, "h"), p=2.5, trials=2, iters=2)
+        assert capped.extra["unconverged"] > 0 and not capped.extra["converged"]
+
+        config = ExperimentConfig("principle", resolution=4, trials=2, p=1.5, q=2.0)
+        _, report, ok = harness.run(config)
+        assert ok and report["ok"] and report["unconverged"] == 0
+        monkeypatch.setattr(harness, "measure_condition", functools.partial(measure_condition, iters=2))
+        _, report, ok = harness.run(config)
+        assert report["unconverged"] > 0
+        assert ok is False and report["ok"] is False
+
+
+class TestExactCascadeBound:
+    """splitting_cascade compares the level's product measure with its
+    bound exactly: a product at the bound passes, one ulp above fails."""
+
+    @staticmethod
+    def run(monkeypatch, nudge):
+        import dyadlab.principle as principle
+
+        # H = G = [0, 1) at L = 1; the builder keeps G and the left half of
+        # H, so the pair (G', H - H') has product 1 * 1/2, the level-1 bound
+        half = np.array([True, False])
+        builder = SubsetBuilder(lambda h, g: (GridSet(1, h.mask & half), g), label="left")
+        if nudge:
+            exact = principle.measure
+            monkeypatch.setattr(
+                principle,
+                "measure",
+                lambda s: np.nextafter(exact(s), 1.0) if np.array_equal(s.mask, ~half) else exact(s),
+            )
+        return splitting_cascade(GridSet.full(1), GridSet.full(1), builder, p=2.0, k_max=1)
+
+    def test_at_the_bound_passes(self, monkeypatch):
+        [level] = self.run(monkeypatch, nudge=False)
+        assert level.max_product_measure == 0.5
+
+    def test_one_ulp_above_fails(self, monkeypatch):
+        with pytest.raises(AssertionError, match="exceeds bound"):
+            self.run(monkeypatch, nudge=True)
 
 
 def multiplier_family(rng, resolution, count):
@@ -778,6 +951,32 @@ class TestTopSingular:
         for i, res in enumerate(results):
             alone = top_singular(lambda members, i=i: op_for([i]), (n, n), [seeds[i]], max_steps=40)
             assert alone == [res]
+
+    @pytest.mark.parametrize("resolution", [2, 4, 5])
+    def test_top_vectors(self, resolution):
+        # asking for vectors leaves norms, steps and flags as they are; the
+        # stacked vectors equal the one-member runs' bytes, past the first
+        # growth of the kept basis; each vector attains its Ritz value
+        rng = np.random.default_rng(95 + resolution)
+        n = 1 << resolution
+        spectra = multiplier_family(rng, resolution, 7)
+        out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
+        op_for = stacked_multiplier(spectra, out_mask, in_mask)
+        seeds = [3 + i for i in range(len(spectra))]
+        plain = top_singular(op_for, (n, n), seeds, max_steps=40)
+        results = top_singular(op_for, (n, n), seeds, max_steps=40, vectors=True)
+        assert results == plain and all(res.top_vector is None for res in plain)
+        assert max(res.steps for res in results) > 8
+        for i, res in enumerate(results):
+            [alone] = top_singular(lambda members, i=i: op_for([i]), (n, n), [seeds[i]], max_steps=40, vectors=True)
+            assert_same_krylov(res, alone)
+            if res.norm == 0.0:
+                assert res.top_vector is None
+                continue
+            x = res.top_vector
+            assert x.shape == (n, n)
+            attained = np.linalg.norm(single_multiplier(spectra[i], out_mask, in_mask).apply(x)) / np.linalg.norm(x)
+            assert abs(attained - res.norm) <= 1e-9 * res.norm
 
     def test_members_leave_when_they_converge(self):
         rng = np.random.default_rng(90)
