@@ -147,11 +147,12 @@ class DirectionalAverager:
     For each direction the box sides run over the dyadic ladder
     {1, 1/2, ..., 2**-L}; a box holds the cells whose center displacement,
     wrapped to [-1/2, 1/2) per axis, lies inside it, so the anchor cell is
-    always a member.  Averages are circular correlations computed in the
-    frequency domain (every kernel is symmetric), clamped at zero.  The
-    distinct kernels' normalized spectra form one `(K, n, n)` array, and the
-    transforms run on the stacks of kernels `stack_slices` gives; each slab
-    of a stacked FFT equals the single-array transform bit for bit.
+    always a member.  Averages are circular correlations (conjugate kernel
+    spectra), clamped at zero; `estimate_norm` back-projects by their
+    adjoint, a convolution, so no kernel need be symmetric.  The kernels'
+    normalized real half spectra form one `(K, n, n//2+1)` array, and the
+    transforms run on the kernel stacks `stack_slices` gives; each slab of a
+    stacked FFT equals the single-array transform bit for bit.
     """
 
     def __init__(self, resolution: int, directions: DirectionSet):
@@ -161,10 +162,8 @@ class DirectionalAverager:
         n = 1 << resolution
         idx = np.arange(n)
         delta = (((idx + n // 2) % n) - n // 2) / n
-        dx = delta[:, None]
-        dy = delta[None, :]
-        kernels: list[np.ndarray] = []
-        seen = set()
+        dx, dy = delta[:, None], delta[None, :]
+        distinct: dict[bytes, np.ndarray] = {}
         for v in directions:
             px, py = v.perp
             along = dx * v.vx + dy * v.vy
@@ -173,28 +172,27 @@ class DirectionalAverager:
                 for ib in range(resolution + 1):
                     a, b = 2.0**-ia, 2.0**-ib
                     kernel = (np.abs(along) <= a / 2 + 1e-12) & (np.abs(across) <= b / 2 + 1e-12)
-                    key = kernel.tobytes()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    kernels.append(kernel)
+                    distinct.setdefault(kernel.tobytes(), kernel)
+        kernels = list(distinct.values())
         self.kernel_counts = [int(np.count_nonzero(k)) for k in kernels]
-        self.kernel_ffts = np.empty((len(kernels), n, n), dtype=np.complex128)
+        self.kernel_ffts = np.empty((len(kernels), n, n // 2 + 1), dtype=np.complex128)
         for s in stack_slices(len(kernels), n * n):
             block = np.stack(kernels[s]).astype(float)
             counts = np.array(self.kernel_counts[s], dtype=float)[:, None, None]
-            self.kernel_ffts[s] = np.fft.fft2(block) / counts
+            self.kernel_ffts[s] = np.fft.rfft2(block) / counts
 
     def _average_stacks(self, values: np.ndarray):
-        """Yield each kernel stack `s` with the complex averages of |values|
-        over its kernels, in one work buffer that the next stack rewrites."""
-        spectrum = np.fft.fft2(np.abs(np.asarray(values)))
+        """Yield each kernel stack `s` with the averages of |values| over its
+        kernels, in one real work buffer that the next stack rewrites."""
+        spectrum = np.fft.rfft2(np.abs(np.asarray(values)))
         stacks = stack_slices(len(self.kernel_ffts), values.size)
-        buf = np.empty((stacks[0].stop,) + values.shape, dtype=np.complex128)
+        buf = np.empty((stacks[0].stop,) + spectrum.shape, dtype=np.complex128)
+        avg = np.empty((stacks[0].stop,) + values.shape)
         for s in stacks:
             work = np.conjugate(self.kernel_ffts[s], out=buf[: s.stop - s.start])
             np.multiply(spectrum, work, out=work)
-            yield s, _ifft2_into(work)
+            # irfft2 drops `out` as ifft2 does; irfftn over the last two axes keeps it
+            yield s, np.fft.irfftn(work, s=values.shape, axes=(-2, -1), out=avg[: len(work)])
 
     def all_averages(self, values: np.ndarray, fold=None):
         """Box averages of |values|, one slab per kernel: the `(K, n, n)`
@@ -202,10 +200,10 @@ class DirectionalAverager:
         order, which builds no stack."""
         stacks = self._average_stacks(values)
         if fold is not None:
-            return fold(slab for _, work in stacks for slab in np.clip(work.real, 0.0, None))
+            return fold(slab for _, work in stacks for slab in np.clip(work, 0.0, None, out=work))
         out = np.empty((len(self.kernel_ffts),) + values.shape)
         for s, work in stacks:
-            np.clip(work.real, 0.0, None, out=out[s])
+            np.clip(work, 0.0, None, out=out[s])
         return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -217,13 +215,13 @@ class DirectionalAverager:
         linearized power ascent; every reported ratio is attained.
 
         The back-projection transforms, in stacks, only the kernels that win
-        at some cell, and adds their parts in kernel order."""
+        at some cell, and adds their spectra in kernel order before one irfft2."""
         _check_exponent(p)
         n = 1 << self.resolution
         rng = np.random.default_rng(seed)
         v = np.abs(rng.standard_normal((n, n))) + 0.1
         best = 0.0
-        buf = np.empty((stack_slices(len(self.kernel_ffts), n * n)[0].stop, n, n), np.complex128)
+        buf = np.empty_like(self.kernel_ffts[stack_slices(len(self.kernel_ffts), n * n)[0]])
         for _ in range(iters):
             vn = lp_norm(v, p, self.resolution)
             if vn == 0:
@@ -233,14 +231,14 @@ class DirectionalAverager:
             best = max(best, lp_norm(u, p, self.resolution))
             z = u ** (p - 1.0)
             winners = np.flatnonzero(np.bincount(choice.ravel(), minlength=len(self.kernel_ffts)))
-            back = np.zeros((n, n))
+            back = np.zeros_like(buf[0])
             for s in stack_slices(len(winners), n * n):
                 sel = choice == winners[s, None, None]
-                parts = np.fft.fft2(z * sel, out=buf[: s.stop - s.start])
+                parts = np.fft.rfft2(z * sel, out=buf[: s.stop - s.start])
                 parts *= self.kernel_ffts[winners[s]]
-                for part in _ifft2_into(parts):
-                    back += part.real
-            back = np.clip(back, 0.0, None)
+                for part in parts:
+                    back += part
+            back = np.clip(np.fft.irfft2(back, s=(n, n)), 0.0, None)
             v = back ** (1.0 / (p - 1.0))
             if not np.any(v > 0):
                 break

@@ -78,13 +78,13 @@ def old_multiplier_closures(resolution, direction, k, g_mask, h_mask):
     return fwd, adj
 
 
-def old_kernel_ffts(resolution, directions):
-    """The per-kernel spectrum list DirectionalAverager kept before the stack."""
+def box_kernels(resolution, directions):
+    """The distinct 0/1 box kernels of DirectionalAverager, in its order."""
     n = 1 << resolution
     idx = np.arange(n)
     delta = (((idx + n // 2) % n) - n // 2) / n
     dx, dy = delta[:, None], delta[None, :]
-    ffts, seen = [], set()
+    kernels, seen = [], set()
     for v in directions:
         px, py = v.perp
         along = dx * v.vx + dy * v.vy
@@ -96,21 +96,40 @@ def old_kernel_ffts(resolution, directions):
                 if kernel.tobytes() in seen:
                     continue
                 seen.add(kernel.tobytes())
-                ffts.append(np.fft.fft2(kernel.astype(float)) / int(np.count_nonzero(kernel)))
-    return ffts
+                kernels.append(kernel)
+    return kernels
 
 
-def old_all_averages(kernel_ffts, values):
-    spectrum = np.fft.fft2(np.abs(np.asarray(values)))
+def old_kernel_ffts(resolution, directions, transform=np.fft.rfft2):
+    """The per-kernel normalized spectra: real half spectra, or with
+    `np.fft.fft2` the full complex spectra the averager kept before."""
+    return [
+        transform(k.astype(float)) / int(np.count_nonzero(k))
+        for k in box_kernels(resolution, directions)
+    ]
+
+
+def old_all_averages(kernel_ffts, values, full=False):
+    """The averages kernel by kernel: rfft2/irfft2 on half spectra, or with
+    `full` fft2/ifft2 on full spectra."""
+    values = np.abs(np.asarray(values))
     out = np.empty((len(kernel_ffts),) + values.shape)
-    for i, kf in enumerate(kernel_ffts):
-        out[i] = np.fft.ifft2(spectrum * np.conj(kf)).real
+    if full:
+        spectrum = np.fft.fft2(values)
+        for i, kf in enumerate(kernel_ffts):
+            out[i] = np.fft.ifft2(spectrum * np.conj(kf)).real
+    else:
+        spectrum = np.fft.rfft2(values)
+        for i, kf in enumerate(kernel_ffts):
+            out[i] = np.fft.irfft2(spectrum * np.conj(kf), s=values.shape)
     np.clip(out, 0.0, None, out)
     return out
 
 
-def old_estimate_norm(kernel_ffts, resolution, p, iters, seed):
-    """The kernel-by-kernel back-projection loop of estimate_norm."""
+def old_estimate_norm(kernel_ffts, resolution, p, iters, seed, full=False):
+    """The kernel-by-kernel loop of estimate_norm: on half spectra, the
+    winners' parts summed in kernel order before one inverse transform, or
+    with `full` on full spectra, one inverse per winning kernel."""
     n = 1 << resolution
     rng = np.random.default_rng(seed)
     v = np.abs(rng.standard_normal((n, n))) + 0.1
@@ -120,17 +139,22 @@ def old_estimate_norm(kernel_ffts, resolution, p, iters, seed):
         if vn == 0:
             break
         v = v / vn
-        slabs = old_all_averages(kernel_ffts, v)
+        slabs = old_all_averages(kernel_ffts, v, full)
         u = slabs.max(axis=0)
         best = max(best, lp_norm(u, p, resolution))
         choice = slabs.argmax(axis=0)
         z = u ** (p - 1.0)
-        back = np.zeros((n, n))
+        back = np.zeros((n, n)) if full else np.zeros(kernel_ffts[0].shape, np.complex128)
         for i, kf in enumerate(kernel_ffts):
             sel = choice == i
             if not np.any(sel):
                 continue
-            back += np.fft.ifft2(np.fft.fft2(z * sel) * kf).real
+            if full:
+                back += np.fft.ifft2(np.fft.fft2(z * sel) * kf).real
+            else:
+                back += np.fft.rfft2(z * sel) * kf
+        if not full:
+            back = np.fft.irfft2(back, s=(n, n))
         back = np.clip(back, 0.0, None)
         v = back ** (1.0 / (p - 1.0))
         if not np.any(v > 0):
@@ -138,9 +162,30 @@ def old_estimate_norm(kernel_ffts, resolution, p, iters, seed):
     return max(best, 1.0)
 
 
+def exact_box_sums(kernels, values):
+    """Sums of integer-valued `values` over every kernel's box at every
+    cell, exact: each partial sum is an integer far below 2**53, so the
+    float products summed in any order are exact."""
+    n = values.shape[0]
+    flat = np.stack(kernels).reshape(len(kernels), -1).astype(float)
+    d0, d1 = np.divmod(np.arange(n * n), n)
+    out = np.empty((len(kernels), n * n))
+    for start in range(0, n * n, 512):
+        x0, x1 = np.divmod(np.arange(start, min(start + 512, n * n)), n)
+        shifted = values[(d0[:, None] + x0) % n, (d1[:, None] + x1) % n]
+        out[:, start : start + len(x0)] = flat @ shifted
+    return out.reshape(len(kernels), n, n)
+
+
+def rounding_bound(resolution, scale):
+    """The stated roundoff bound of the half-spectrum averages: a few ulps
+    per level of the length-2**L transforms, with room, at `scale`."""
+    return 64 * resolution * np.finfo(float).eps * scale
+
+
 class TestStackedAverager:
-    """The (K, n, n) kernel stack and its chunked transforms against the
-    kernel-by-kernel loops."""
+    """The (K, n, n//2+1) half-spectrum stack and its chunked transforms
+    against the kernel-by-kernel loops."""
 
     @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
     def test_matches_kernel_loop(self, resolution):
@@ -156,6 +201,68 @@ class TestStackedAverager:
             assert averager.estimate_norm(p, iters=12, seed=resolution) == old_estimate_norm(
                 old, resolution, p, 12, resolution
             )
+
+    @pytest.mark.parametrize("resolution", [1, 3, 5, 6])
+    def test_full_spectrum_loop_within_rounding(self, resolution):
+        # the complex fft2/ifft2 loop the averager ran before its half
+        # spectra: the same averages and norm estimates up to rounding
+        dirs = DirectionSet.uniform(8)
+        averager = DirectionalAverager(resolution, dirs)
+        full = old_kernel_ffts(resolution, dirs, np.fft.fft2)
+        rng = np.random.default_rng(50 + resolution)
+        n = 1 << resolution
+        values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        gap = np.abs(averager.all_averages(values) - old_all_averages(full, values, full=True))
+        assert gap.max() <= rounding_bound(resolution, np.abs(values).max())
+        for p in (2.0, 1.5):
+            half = averager.estimate_norm(p, iters=12, seed=resolution)
+            assert half == pytest.approx(
+                old_estimate_norm(full, resolution, p, 12, resolution, full=True),
+                rel=rounding_bound(resolution, 1.0),
+                abs=0,
+            )
+
+    @pytest.mark.parametrize("resolution", [2, 4, 5, 6])
+    def test_integer_inputs_meet_exact_averages(self, resolution):
+        # integer values make every box sum an exact integer, so sum / count
+        # is the exact average up to its own last-bit rounding
+        dirs = DirectionSet.uniform(8)
+        averager = DirectionalAverager(resolution, dirs)
+        n = 1 << resolution
+        values = np.random.default_rng(resolution).integers(0, 9, size=(n, n)).astype(float)
+        counts = np.array(averager.kernel_counts, dtype=float)[:, None, None]
+        exact = exact_box_sums(box_kernels(resolution, dirs), values) / counts
+        bound = rounding_bound(resolution, values.max())
+        assert np.abs(averager.all_averages(values) - exact).max() <= bound
+        # three orders of magnitude below build_majorant_weight's fixed 1e-9
+        # recursion margin
+        assert 1000 * bound <= 1e-9
+
+    def test_back_projection_is_the_adjoint(self):
+        # some kernels are not point-symmetric on the torus (the wrapped
+        # row and column): 12 of 129 at L = 5, 12 of 181 at L = 6
+        for resolution, count in ((5, 12), (6, 12)):
+            kernels = box_kernels(resolution, DirectionSet.uniform(8))
+            asymmetric = [
+                i
+                for i, k in enumerate(kernels)
+                if not np.array_equal(k, np.roll(k[::-1, ::-1], 1, axis=(0, 1)))
+            ]
+            assert len(asymmetric) == count
+        # <avg_k f, z> = <f, back_k z> on one at L = 6: the averages
+        # correlate with the kernel, and the back-projection of
+        # estimate_norm, its adjoint, convolves with it
+        averager = DirectionalAverager(6, DirectionSet.uniform(8))
+        k = asymmetric[0]
+        rng = np.random.default_rng(9)
+        f = rng.random((64, 64)) + 0.5
+        z = rng.random((64, 64)) + 0.5
+        avg_f = averager.all_averages(f)[k]
+        back_z = np.fft.irfft2(np.fft.rfft2(z) * averager.kernel_ffts[k], s=(64, 64))
+        bound = rounding_bound(6, f.sum() * z.max())
+        assert abs(np.vdot(avg_f, z) - np.vdot(f, back_z)) <= bound
+        # treating the kernel as symmetric, the average as its own adjoint, misses
+        assert abs(np.vdot(avg_f, z) - np.vdot(f, averager.all_averages(z)[k])) > 1000 * bound
 
     def test_kernel_stacks_cover_uneven_counts(self):
         # 129 kernels in stacks of 16 at L = 5, 181 in stacks of 4 at L = 6
@@ -205,8 +312,23 @@ class TestBufferedTransforms:
         buf[...] = noise
         self.assert_same_array(_ifft2_into(buf), np.fft.ifft2(noise))
 
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("stack", [1, 5, 16])
+    def test_rfft2_pair_matches_allocating_transforms(self, resolution, stack):
+        # the averager's half-spectrum pair: rfft2 keeps `out`, and so does
+        # irfftn over the last two axes, where irfft2 drops it
+        rng = np.random.default_rng(200 * resolution + stack)
+        n = 1 << resolution
+        x = rng.standard_normal((stack, n, n))
+        buf = np.full((stack, n, n // 2 + 1), complex(math.nan, math.nan))
+        assert np.fft.rfft2(x, out=buf) is buf
+        self.assert_same_array(buf, np.fft.rfft2(x))
+        real = np.full((stack, n, n), math.nan)
+        assert np.fft.irfftn(buf, s=(n, n), axes=(-2, -1), out=real) is real
+        self.assert_same_array(real, np.fft.irfft2(np.fft.rfft2(x), s=(n, n)))
+
     def test_buffer_prefix_of_a_larger_stack(self):
-        # the averager writes a shorter last stack into a prefix of its buffer
+        # the averager writes a shorter last stack into a prefix of its buffers
         from dyadlab.directional import _ifft2_into
 
         rng = np.random.default_rng(7)
@@ -215,6 +337,12 @@ class TestBufferedTransforms:
         part = np.fft.fft2(x, out=buf[:3])
         self.assert_same_array(_ifft2_into(part), np.fft.ifft2(np.fft.fft2(x)))
         assert np.isnan(buf[3:]).all()
+        half = np.full((16, 8, 5), complex(math.nan, math.nan))
+        part = np.fft.rfft2(x.real, out=half[:3])
+        real = np.full((16, 8, 8), math.nan)
+        inverse = np.fft.irfftn(part, s=(8, 8), axes=(-2, -1), out=real[:3])
+        self.assert_same_array(inverse, np.fft.irfft2(np.fft.rfft2(x.real), s=(8, 8)))
+        assert np.isnan(half[3:]).all() and np.isnan(real[3:]).all()
 
 
 class TestRunningMax:
