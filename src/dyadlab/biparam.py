@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, lp_norm, measure
-from .maximal import Decomposition, bucket_decompose
+from .maximal import Decomposition, bucket_decompose, slot_scales
 from .plane import (
     DyadicRectangle,
     certified_rectangle_threshold,
@@ -152,42 +152,41 @@ class RectCollection:
     """Rectangles sharing one vertical scale; ordered by inclusion within
     vertical strips, so trees are one-dimensional objects.
 
-    The members are stored only as one read-only boolean mask per horizontal
-    scale kx < L, shaped (2**kx, 2**vscale) and indexed [nx, ny].
+    The members are stored only as one read-only boolean array `occupied`,
+    shaped (2**L - 1, 2**vscale): the rectangle (kx, nx, ny) sits at
+    [2**kx - 1 + nx, ny], the `all_intervals` slot of its horizontal
+    interval. Ascending positions are (kx, nx, ny) order, and the children of
+    row s are rows 2s+1 and 2s+2.
     """
 
     resolution: int
     vscale: int
-    masks: tuple[np.ndarray, ...] = field(repr=False)
+    occupied: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        L, j = self.resolution, self.vscale
-        _check_scales(L, j)
-        masks = tuple(np.array(m, dtype=bool) for m in self.masks)
-        expected = [(1 << kx, 1 << j) for kx in range(L)]
-        if [m.shape for m in masks] != expected:
-            raise ValueError(f"expected rectangle masks shaped {expected}")
-        for m in masks:
-            m.setflags(write=False)
-        object.__setattr__(self, "masks", masks)
+        _check_scales(self.resolution, self.vscale)
+        occupied, shape = np.array(self.occupied, dtype=bool), _shape(self.resolution, self.vscale)
+        if occupied.shape != shape:
+            raise ValueError(f"expected rectangle occupancy shaped {shape}")
+        occupied.setflags(write=False)
+        object.__setattr__(self, "occupied", occupied)
 
     @classmethod
     def from_rects(cls, resolution: int, vscale: int, rects) -> "RectCollection":
         _check_scales(resolution, vscale)
-        masks = [np.zeros((1 << kx, 1 << vscale), dtype=bool) for kx in range(resolution)]
+        occupied = np.zeros(_shape(resolution, vscale), dtype=bool)
         for r in rects:
             if r.vertical.scale != vscale or r.horizontal.scale >= resolution:
                 raise ValueError(f"{r} does not fit vertical scale {vscale} below L={resolution}")
-            masks[r.horizontal.scale][r.horizontal.offset, r.vertical.offset] = True
-        return cls(resolution, vscale, tuple(masks))
+            occupied[_row(r.horizontal.scale, r.horizontal.offset), r.vertical.offset] = True
+        return cls(resolution, vscale, occupied)
 
     @classmethod
     @functools.lru_cache(maxsize=32)
     def all_at_scale(cls, resolution: int, vscale: int) -> "RectCollection":
         """Every rectangle at the vertical scale; the collection is immutable,
         so one build per (resolution, vscale) is shared with its `.rects`."""
-        masks = (np.ones((1 << kx, 1 << vscale), dtype=bool) for kx in range(resolution))
-        return cls(resolution, vscale, tuple(masks))
+        return cls(resolution, vscale, np.ones(_shape(resolution, vscale), dtype=bool))
 
     @functools.cached_property
     def rects(self) -> frozenset[DyadicRectangle]:
@@ -196,22 +195,45 @@ class RectCollection:
         filled straight from the generator iterates in another order for about
         half of all (L, vscale); code drawing one random number per member in
         `.rects` order depends on this one."""
-        return frozenset(set(_members(self.masks, self.vscale)))
+        return frozenset({_rect(row, ny, self.vscale) for row, ny in np.argwhere(self.occupied).tolist()})
 
     def __len__(self) -> int:
-        return sum(int(np.count_nonzero(m)) for m in self.masks)
+        return int(np.count_nonzero(self.occupied))
 
     def restrict_to_meeting(self, keep: GridSet2D) -> "RectCollection":
-        L, j = self.resolution, self.vscale
-        meets = (rectangle_averages(keep.mask, L, kx, j) > 0 for kx in range(L))
-        return RectCollection(L, j, tuple(m & hit for m, hit in zip(self.masks, meets)))
+        return replace(self, occupied=self.occupied & (_averages(self, keep.mask) > 0))
 
 
-def _members(masks, vscale: int):
-    """Members of per-scale masks as rectangles, in ascending (kx, nx, ny)."""
-    for kx, mask in enumerate(masks):
-        for nx, ny in zip(*(a.tolist() for a in np.nonzero(mask))):
-            yield DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny))
+def _shape(resolution: int, vscale: int) -> tuple[int, int]:
+    """One row per horizontal interval above the cells, one column per strip."""
+    return (1 << resolution) - 1, 1 << vscale
+
+
+def _row(kx: int, nx: int) -> int:
+    """Row of the horizontal interval (kx, nx): its `all_intervals` slot."""
+    return (1 << kx) - 1 + nx
+
+
+def _rect(row: int, ny: int, vscale: int) -> DyadicRectangle:
+    """The rectangle at [row, ny], inverting `_row`."""
+    kx = (row + 1).bit_length() - 1
+    return DyadicRectangle(DyadicInterval(kx, row - _row(kx, 0)), DyadicInterval(vscale, ny))
+
+
+def _subtree(row: int, rows: int):
+    """Row slices under `row`, its own first and one per finer scale: the
+    children of rows [lo, hi) are rows [2 lo + 1, 2 hi + 1)."""
+    lo, hi = row, row + 1
+    while lo < rows:
+        yield slice(lo, hi)
+        lo, hi = 2 * lo + 1, 2 * hi + 1
+
+
+def _averages(collection: RectCollection, mask: np.ndarray) -> np.ndarray:
+    """Average of a cell mask over every rectangle at the collection's
+    vertical scale, in its layout; each is an exact count * 2**(kx + vscale - 2L)."""
+    L, j = collection.resolution, collection.vscale
+    return np.concatenate([rectangle_averages(mask, L, kx, j) for kx in range(L)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,12 +246,14 @@ class RectTree:
 
     def __post_init__(self):
         c, top = self.members, self.top
-        kx, nx, j, ny = top.horizontal.scale, top.horizontal.offset, top.vertical.scale, top.vertical.offset
+        j, ny = top.vertical.scale, top.vertical.offset
         if c.vscale != j:
             raise ValueError(f"members at vertical scale {c.vscale} under a top at vertical scale {j}")
-        inside = (c.masks[k][nx << (k - kx) : (nx + 1) << (k - kx), ny] for k in range(kx, c.resolution))
-        if sum(int(np.count_nonzero(m)) for m in inside) < len(c):
-            r = next(r for r in _members(c.masks, c.vscale) if not top.contains(r))
+        outside = c.occupied.copy()
+        for rows in _subtree(_row(top.horizontal.scale, top.horizontal.offset), len(outside)):
+            outside[rows, ny] = False
+        if outside.any():
+            r = _rect(*np.argwhere(outside)[0].tolist(), c.vscale)
             raise ValueError(f"member {r} escapes the tree top")
 
     @property
@@ -237,33 +261,29 @@ class RectTree:
         return self.top.area
 
 
-def rect_coefficients(collection: RectCollection, f: Grid2D) -> tuple[np.ndarray, ...]:
-    """Per horizontal scale kx, <f, packet_R> at every member R = (kx, nx, ny)
-    of the (2**kx, 2**vscale) mask, and zero off the members."""
+def rect_coefficients(collection: RectCollection, f: Grid2D) -> np.ndarray:
+    """<f, packet_R> at every member R, in the collection's layout, and zero
+    off the members."""
     j = collection.vscale
-    return tuple(
-        haar_coefficients(f, kx, j) * mask if mask.any() else np.zeros(mask.shape, np.complex128)
-        for kx, mask in enumerate(collection.masks)
-    )
+    coeffs = np.concatenate([haar_coefficients(f, kx, j) for kx in range(collection.resolution)])
+    return coeffs * collection.occupied
 
 
-def _tree_sums(masks, coeffs) -> list[np.ndarray]:
-    """W[kx][nx, ny]: sum of |c_R|**2 over the members R below the rectangle
-    (kx, nx, ny) in its vertical strip, by one fine-to-coarse sweep
-    W_k = w_k + W_{k+1}[0::2] + W_{k+1}[1::2]."""
-    sums: list[np.ndarray] = []
-    for mask, c in zip(reversed(masks), reversed(coeffs)):
-        w = np.where(mask, np.abs(c) ** 2, 0.0)
-        if sums:
-            w = w + sums[-1][0::2] + sums[-1][1::2]
-        sums.append(w)
-    return sums[::-1]
+def _tree_sums(collection: RectCollection, occupied: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """W[s, ny] / |R|, the squared size of the strip tree under the rectangle
+    R at [s, ny]: W sums |c|**2 over the members of `occupied` below R, by
+    one fine-to-coarse sweep over the scales W[s] = w[s] + W[2s+1] + W[2s+2].
+    Dividing by |R| is exact, so comparing with t**2 is comparing W with
+    t**2 |R|."""
+    sums = np.where(occupied, np.abs(coeffs) ** 2, 0.0)
+    for rows in reversed(list(_subtree(0, len(sums) // 2))):
+        lo, hi = rows.start, rows.stop
+        sums[rows] = sums[rows] + sums[2 * lo + 1 : 2 * hi : 2] + sums[2 * lo + 2 : 2 * hi + 1 : 2]
+    return sums * np.ldexp(1.0, slot_scales(collection.resolution - 1)[:, None] + collection.vscale)
 
 
 def _size_of(collection: RectCollection, coeffs) -> float:
-    j = collection.vscale
-    sums = _tree_sums(collection.masks, coeffs)
-    return math.sqrt(max(float(w.max()) * 2.0 ** (kx + j) for kx, w in enumerate(sums)))
+    return math.sqrt(float(_tree_sums(collection, collection.occupied, coeffs).max()))
 
 
 def rect_size(collection: RectCollection, f: Grid2D, h_prime: GridSet2D) -> float:
@@ -272,66 +292,50 @@ def rect_size(collection: RectCollection, f: Grid2D, h_prime: GridSet2D) -> floa
     return _size_of(collection, rect_coefficients(collection, masked))
 
 
-def _densities(collection: RectCollection, f_set: GridSet2D, g_set: GridSet2D) -> list[np.ndarray]:
-    """|F ∩ G ∩ R| / |R| for every rectangle R at each horizontal scale;
-    each is an exact count * 2**(kx + vscale - 2L)."""
-    target = f_set.mask & g_set.mask
-    L, j = collection.resolution, collection.vscale
-    return [rectangle_averages(target, L, kx, j) for kx in range(L)]
-
-
 def rect_mass(collection: RectCollection, f_set: GridSet2D, g_set: GridSet2D) -> float:
     """max over members of |F ∩ G ∩ R| / |R|."""
-    dens = _densities(collection, f_set, g_set)
-    return max(float(d[m].max(initial=0.0)) for d, m in zip(dens, collection.masks))
+    dens = _averages(collection, f_set.mask & g_set.mask)
+    return float(dens[collection.occupied].max(initial=0.0))
 
 
-def _pairing(masks, coeffs_f, coeffs_g) -> float:
+def _pairing(occupied, coeffs_f, coeffs_g) -> float:
     """sum over members R of |<f, packet_R>| |<g, packet_R>|, added in
     ascending (kx, nx, ny) order."""
-    terms = [np.abs(cf[m]) * np.abs(cg[m]) for m, cf, cg in zip(masks, coeffs_f, coeffs_g)]
-    return sum(np.concatenate(terms).tolist())
+    return sum((np.abs(coeffs_f[occupied]) * np.abs(coeffs_g[occupied])).tolist())
 
 
-def _take_tree(masks: list[np.ndarray], vscale: int, kx: int, nx: int, ny: int) -> RectTree:
-    """Clear from the per-scale masks, and return as a tree under the top
-    (kx, nx, ny), every member inside the top: at each finer scale those
-    sit in one column ny."""
-    taken = [np.zeros_like(m) for m in masks]
-    for k in range(kx, len(masks)):
-        rows = slice(nx << (k - kx), (nx + 1) << (k - kx))
-        taken[k][rows, ny] = masks[k][rows, ny]
-        masks[k][rows, ny] = False
-    top = DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(vscale, ny))
-    return RectTree(top, RectCollection(len(masks), vscale, tuple(taken)))
+def _take_tree(collection: RectCollection, occupied: np.ndarray, row: int, ny: int) -> RectTree:
+    """Clear from `occupied`, a working copy of the collection's occupancy,
+    and return as a tree under the top at [row, ny], every member inside the
+    top: the rows under `row` in the one column ny."""
+    taken = np.zeros_like(occupied)
+    for rows in _subtree(row, len(occupied)):
+        taken[rows, ny] = occupied[rows, ny]
+        occupied[rows, ny] = False
+    return RectTree(_rect(row, ny, collection.vscale), replace(collection, occupied=taken))
 
 
 def rect_size_decompose(collection, coeffs, threshold):
     """Remove per-strip trees until no top exceeds the size threshold; the
     top taken first is the least (kx, nx, ny) above it."""
-    j = collection.vscale
-    masks = [m.copy() for m in collection.masks]
+    occupied = collection.occupied.copy()
     forest: list[RectTree] = []
-    while True:
-        sums = _tree_sums(masks, coeffs)
-        tops = [np.argwhere(w > threshold**2 * 2.0 ** -(kx + j)) for kx, w in enumerate(sums)]
-        kx = next((kx for kx, hits in enumerate(tops) if len(hits)), None)
-        if kx is None:
-            return RectCollection(collection.resolution, j, tuple(masks)), forest
-        forest.append(_take_tree(masks, j, kx, *tops[kx][0].tolist()))
+    while len(tops := np.argwhere(_tree_sums(collection, occupied, coeffs) > threshold**2)):
+        forest.append(_take_tree(collection, occupied, *tops[0].tolist()))
+    return replace(collection, occupied=occupied), forest
 
 
 def rect_mass_decompose(collection, f_set, g_set, threshold):
     """Remove down-sets under mass-heavy rectangles; tops end up pairwise
     incomparable, giving the exact counting bound sum |R_T| <= |F∩G|/thr."""
-    j = collection.vscale
-    masks = [m.copy() for m in collection.masks]
+    occupied = collection.occupied.copy()
+    heavy = occupied & (_averages(collection, f_set.mask & g_set.mask) > threshold)
     forest: list[RectTree] = []
     # coarse scales first: a heavy member below an earlier top is gone
-    for kx, dens in enumerate(_densities(collection, f_set, g_set)):
-        for nx, ny in np.argwhere(masks[kx] & (dens > threshold)).tolist():
-            forest.append(_take_tree(masks, j, kx, nx, ny))
-    return RectCollection(collection.resolution, j, tuple(masks)), forest
+    for row, ny in np.argwhere(heavy).tolist():
+        if occupied[row, ny]:
+            forest.append(_take_tree(collection, occupied, row, ny))
+    return replace(collection, occupied=occupied), forest
 
 
 def rect_full_decompose(
@@ -368,7 +372,7 @@ def rect_tree_estimate(
     L, collection = f.resolution, tree.members
     coeffs_f = rect_coefficients(collection, Grid2D(L, f.values * h_prime.mask))
     coeffs_g = rect_coefficients(collection, Grid2D(L, g.values * g_set.mask))
-    lhs = _pairing(collection.masks, coeffs_f, coeffs_g)
+    lhs = _pairing(collection.occupied, coeffs_f, coeffs_g)
     t_size = _size_of(collection, coeffs_f)
     t_mass = rect_mass(collection, GridSet2D(L, np.abs(g.values) > 0), g_set)
     rhs = tree.top_measure * t_size * t_mass
@@ -377,6 +381,9 @@ def rect_tree_estimate(
 
 # ---------------------------------------------------------------------------
 # the full pipeline
+
+# the lower target exponent of the restricted pairing, interpolated against p
+Q_LOW = 1.5
 
 
 def _interp_theta(p: float, q: float) -> float:
@@ -390,12 +397,9 @@ def verify_biparam(
     fams: list[Grid2D],
     p: float,
     eps: float = 0.1,
-    q_low: float = 1.5,
     seed: int = 0,
     h: GridSet2D | None = None,
     g: GridSet2D | None = None,
-    e_set: GridSet2D | None = None,
-    f_set: GridSet2D | None = None,
     power_iters: int = 120,
     scales: list[int] | None = None,
 ) -> RatioReport:
@@ -404,12 +408,13 @@ def verify_biparam(
 
     Steps: the vector inequality for the model operators; the exceptional set
     at the certified threshold (so the mass cap holds on every trial by
-    construction); the restricted pairing sums against both target exponents;
-    the log-convexity interpolation of the measured restricted constants; the
-    localized-operator norms against the two-set condition (`top_singular`
-    runs capped at `power_iters` steps, with `localized_unconverged`
-    counting those that hit the cap); and the band reduction back to the
-    scalar model sum.
+    construction); the restricted pairing sums of random sets E and F, each
+    holding a cell with probability 0.4, against both target exponents p and
+    `Q_LOW`; the log-convexity interpolation of the measured restricted
+    constants; the localized-operator norms against the two-set condition
+    (`top_singular` runs capped at `power_iters` steps, with
+    `localized_unconverged` counting those that hit the cap); and the band
+    reduction back to the scalar model sum.
     """
     if not 2 < p < math.inf:
         raise ValueError(f"p must lie in (2, inf), got {p}")
@@ -428,8 +433,7 @@ def verify_biparam(
     g = g if g is not None else random_set(0.25)
     if measure(g) == 0.0 or measure(h) == 0.0:
         raise ValueError("sets h and g need positive measure")
-    e_set = e_set if e_set is not None else random_set(0.4)
-    f_set = f_set if f_set is not None else random_set(0.4)
+    e_set, f_set = random_set(0.4), random_set(0.4)
 
     # vector inequality (members cycle through the available vertical scales
     # unless an explicit scale assignment is supplied)
@@ -454,9 +458,9 @@ def verify_biparam(
     # surviving collections: mass cap holds by construction
     mass_caps, restricted_ratios_p, restricted_ratios_q = [], [], []
     e_measure, f_measure = measure(e_set), measure(f_set)
-    p_conj, q_conj = p / (p - 1.0), q_low / (q_low - 1.0)
+    p_conj, q_conj = p / (p - 1.0), Q_LOW / (Q_LOW - 1.0)
     rhs_p = ratio ** ((1.0 - eps) / p) * e_measure ** (1.0 / p) * f_measure ** (1.0 / p_conj)
-    rhs_q = e_measure ** (1.0 / q_low) * f_measure ** (1.0 / q_conj)
+    rhs_q = e_measure ** (1.0 / Q_LOW) * f_measure ** (1.0 / q_conj)
     measured = []
     for j in sorted(set(scales)):
         collection = RectCollection.all_at_scale(L, j).restrict_to_meeting(h_prime)
@@ -466,7 +470,7 @@ def verify_biparam(
         mass_caps.append(safe_ratio(rect_mass(collection, f_set, g), threshold))
         coeffs_f = rect_coefficients(collection, Grid2D(L, e_set.mask & h_prime.mask))
         coeffs_g = rect_coefficients(collection, Grid2D(L, f_set.mask & g.mask))
-        pairing = _pairing(collection.masks, coeffs_f, coeffs_g)
+        pairing = _pairing(collection.occupied, coeffs_f, coeffs_g)
         restricted_ratios_p.append(safe_ratio(pairing, rhs_p))
         restricted_ratios_q.append(safe_ratio(pairing, rhs_q))
 
@@ -489,7 +493,7 @@ def verify_biparam(
     c16 = report.extra["restricted_ratio_q"] = max(restricted_ratios_q, default=0.0)
     report.extra["condition_constant"] = max(norm_constants, default=0.0)
 
-    theta = _interp_theta(p, q_low)
+    theta = _interp_theta(p, Q_LOW)
     report.extra["interp_theta"] = theta
     report.extra["interp_exponent"] = (1.0 - eps) * theta / p
     report.extra["interp_constant"] = c15**theta * c16 ** (1.0 - theta) if c15 and c16 else 0.0

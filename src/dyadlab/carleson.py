@@ -263,10 +263,10 @@ def collection_caps(
     h_prime: GridSet,
     e_for_mass: GridSet,
     choice: ChoiceFunction,
-    c: float = 4.0,
 ) -> dict:
     """Measured size/mass of the collection surviving the H' carving, against
-    the caps forced by the construction (mass <= c |G| / |H| exactly)."""
+    the caps forced by the construction (mass <= 4 |G| / |H| exactly, for the
+    carving constant 4 of `carve_h`)."""
     from .tiles import mass as tile_mass
     from .tiles import size_bound, mass_bound
 
@@ -274,7 +274,7 @@ def collection_caps(
     ratio = safe_ratio(measure(g), measure(h))
     return {
         "mass": tile_mass(surviving, e_for_mass, choice),
-        "mass_cap": c * ratio,
+        "mass_cap": 4.0 * ratio,
         "mass_bound": mass_bound(surviving, e_for_mass),
         "size_bound": size_bound(surviving, GridSignal(h.resolution, h.mask.astype(complex))),
         "surviving": len(surviving),
@@ -286,11 +286,11 @@ def _choice_family(
     resolution: int,
     rng: np.random.Generator,
     extra_signal: GridSignal | None = None,
-    randoms: int = 2,
 ) -> list[ChoiceFunction]:
+    """A constant choice, two random ones and, given a signal, its greedy one."""
     n = 1 << resolution
     family = [ChoiceFunction.constant(resolution, n // 2)]
-    for _ in range(randoms):
+    for _ in range(2):
         family.append(ChoiceFunction(resolution, rng.integers(0, n, size=n)))
     if extra_signal is not None:
         family.append(greedy_choice(extra_signal, op_collection))
@@ -302,14 +302,13 @@ def norm_decay_point(
     g: GridSet,
     collection: TileCollection,
     seed: int = 0,
-    c: float = 4.0,
     iters: int = 150,
-    adversary_rounds: int = 2,
     branch: str = "h",
 ) -> dict:
     """Measured norm of the restricted operator for one (G, H) pair, taking
     the worst choice function over a family that includes a greedy adversary
-    re-fit to the current top right Ritz vector.
+    re-fit, for up to two rounds, to the current top right Ritz vector; the
+    carving constant is `carve_h`'s 4.
 
     Besides the norm, reports as `iterations` the Lanczos steps and the
     convergence flag of the `restricted_norm` run that gave it, and
@@ -318,11 +317,11 @@ def norm_decay_point(
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
-        h_prime = carve_h(h, g, c)
+        h_prime = carve_h(h, g)
         a_set, b_set, keep = g, h_prime, h_prime
         ratio = safe_ratio(measure(g), measure(h))
     elif branch == "g":
-        g_prime = carve_g(g, h, c)
+        g_prime = carve_g(g, h)
         a_set, b_set, keep = g_prime, h, g_prime
         ratio = safe_ratio(measure(h), measure(g))
     else:
@@ -340,7 +339,7 @@ def norm_decay_point(
     chains = list(zip(results, family))
     unconverged = sum(not res.converged for res in results)
     active = [i for i, res in enumerate(results) if res.top_vector is not None]
-    for round_ in range(adversary_rounds):
+    for round_ in range(2):
         if not active:
             break
         refits = [
@@ -380,7 +379,6 @@ def norm_decay_ladder(
     ratios,
     seed: int = 0,
     branch: str = "h",
-    c: float = 4.0,
     iters: int = 150,
     collection: TileCollection | None = None,
 ) -> DecayReport:
@@ -403,9 +401,9 @@ def norm_decay_ladder(
         small = GridSet(resolution, mask)
         big = GridSet.full(resolution)
         if branch == "h":
-            point = norm_decay_point(big, small, collection, seed=seed + 7 * i, c=c, iters=iters, branch="h")
+            point = norm_decay_point(big, small, collection, seed=seed + 7 * i, iters=iters, branch="h")
         else:
-            point = norm_decay_point(small, big, collection, seed=seed + 7 * i, c=c, iters=iters, branch="g")
+            point = norm_decay_point(small, big, collection, seed=seed + 7 * i, iters=iters, branch="g")
         points.append(LadderPoint(math.log2(point["ratio"]), math.log2(max(point["norm"], 1e-300))))
         unconverged += point["unconverged"]
     xs = np.array([pt.log_ratio for pt in points])

@@ -119,10 +119,10 @@ def trial_generators(seed: int, trials: int):
 # random data
 
 
-def random_grid_set(rng: np.random.Generator, resolution: int, pieces: int = 6) -> GridSet:
-    """Union of random dyadic intervals; never empty."""
+def random_grid_set(rng: np.random.Generator, resolution: int) -> GridSet:
+    """Union of six random dyadic intervals; never empty."""
     mask = np.zeros(1 << resolution, dtype=bool)
-    for _ in range(max(1, pieces)):
+    for _ in range(6):
         scale = int(rng.integers(1, resolution + 1))
         offset = int(rng.integers(0, 1 << scale))
         width = 1 << (resolution - scale)
@@ -174,17 +174,16 @@ def random_convex_collection(
     resolution: int,
     seeds: int = 3,
     cap: int = 400,
-    top_scale_max: int = 3,
 ) -> TileCollection:
     """Convex closure of random tops with random descendant chains below
     them, resampled if the closure overflows the cap.
 
-    Top scales are drawn from a fixed coarse range so collections occupy a
-    comparable portion of the grid at every resolution, while the chains
-    reach down to the finest scales; this keeps measured decomposition
-    constants scale-comparable.
+    Top scales are drawn from the fixed coarse range 0..3 so collections
+    occupy a comparable portion of the grid at every resolution, while the
+    chains reach down to the finest scales; this keeps measured
+    decomposition constants scale-comparable.
     """
-    top_hi = min(top_scale_max, resolution - 1)
+    top_hi = min(3, resolution - 1)
     while True:
         picks = []
         for _ in range(max(1, seeds)):
@@ -265,13 +264,9 @@ def run_fs(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
         )
     ok = all(math.isfinite(r) for r in ratios)
     report = {
-        "theorem": "fs",
         "p": config.p,
         "family_size": config.family_size,
-        "max_ratio": max(ratios, default=0.0),
         "max_baseline_ratio": max(baseline, default=0.0),
-        "trials": len(ratios),
-        "ok": ok,
     }
     return report, ratios, ok
 
@@ -299,14 +294,10 @@ def run_biparam(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
         ok = ok and rep.extra["localized_unconverged"] == 0
     ok = ok and all(math.isfinite(r) for r in ratios)
     report = {
-        "theorem": "biparam",
         "p": config.p,
         "eps": config.eps,
         "family_size": config.family_size,
-        "max_ratio": max(ratios, default=0.0),
         "max_mass_cap_ratio": max(caps, default=0.0),
-        "trials": len(ratios),
-        "ok": ok,
     }
     return report, ratios, ok
 
@@ -327,13 +318,9 @@ def run_cordoba(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
         ok = ok and rep.extra["h_kept"] >= 0.5 and math.isfinite(rep.ratio)
         ok = ok and rep.extra["localized_unconverged"] == 0
     report = {
-        "theorem": "cordoba",
         "p": config.p,
         "q": config.q,
         "family_size": config.family_size,
-        "max_ratio": max(ratios, default=0.0),
-        "trials": len(ratios),
-        "ok": ok,
     }
     return report, ratios, ok
 
@@ -354,13 +341,9 @@ def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[flo
         certs = rep.extra["weight"]
         ok = ok and certs["norm_ok"] and certs["recursion_ok"] and math.isfinite(rep.ratio)
     report = {
-        "theorem": "cordoba-weighted",
         "p": config.p,
         "q": 2.0 * config.p / (config.p - 1.0),
         "family_size": config.family_size,
-        "max_ratio": max(ratios, default=0.0),
-        "trials": len(ratios),
-        "ok": ok,
     }
     return report, ratios, ok
 
@@ -376,12 +359,8 @@ def run_carleson(config: ExperimentConfig, gens) -> tuple[dict, list[float], boo
         ratios.append(rep.ratio)
     ok = all(math.isfinite(r) for r in ratios)
     report = {
-        "theorem": "carleson",
         "p": config.p,
         "family_size": config.family_size,
-        "max_ratio": max(ratios, default=0.0),
-        "trials": len(ratios),
-        "ok": ok,
     }
     return report, ratios, ok
 
@@ -430,13 +409,9 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
         extra={"C_p1": c_p1, "p1": p1},
     )
     report = {
-        "theorem": "principle",
         "principle": principle.to_dict(),
-        "max_ratio": max(ratios, default=0.0),
         "max_baseline_ratio": max(baseline, default=0.0),
-        "trials": len(ratios),
         "unconverged": unconverged,
-        "ok": ok,
     }
     return report, ratios, ok
 
@@ -453,13 +428,21 @@ RUNNERS = {
 
 def run(config: ExperimentConfig) -> tuple[RunManifest, dict, bool]:
     """Dispatch one experiment; returns (manifest, report, all postconditions
-    held).  Writes report.json, manifest.json and trials.csv when an output
-    directory is configured."""
+    held).  The report is the runner's own fields with the theorem, the
+    largest trial ratio, the trial count and `ok`.  Writes report.json,
+    manifest.json and trials.csv when an output directory is configured."""
     config.validate()
     gens, keys = trial_generators(config.seed, config.trials)
     start = time.perf_counter()
-    report, ratios, ok = RUNNERS[config.theorem](config, gens)
+    fields, ratios, ok = RUNNERS[config.theorem](config, gens)
     elapsed = time.perf_counter() - start
+    report = {
+        "theorem": config.theorem,
+        **fields,
+        "max_ratio": max(ratios, default=0.0),
+        "trials": len(ratios),
+        "ok": ok,
+    }
     manifest = RunManifest(
         config=asdict(config),
         trial_seeds=keys,

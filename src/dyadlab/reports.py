@@ -13,6 +13,19 @@ def safe_ratio(lhs: float, rhs: float) -> float:
     return 0.0 if lhs == 0 else math.inf
 
 
+class _Report:
+    """The wire format of every report: its fields by `asdict`, with `extra`
+    merged into the top level."""
+
+    def to_dict(self) -> dict:
+        out = asdict(self)
+        out.update(out.pop("extra"))
+        return out
+
+    def to_json(self, indent=None) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+
+
 @dataclass
 class BucketStat:
     n: int
@@ -22,7 +35,7 @@ class BucketStat:
 
 
 @dataclass
-class RatioReport:
+class RatioReport(_Report):
     """Two sides of an inequality plus per-bucket breakdowns where they exist."""
 
     lhs: float
@@ -41,19 +54,6 @@ class RatioReport:
             extra=dict(extra),
         )
 
-    def to_dict(self) -> dict:
-        out = {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "buckets": [asdict(b) for b in self.buckets],
-        }
-        out.update(self.extra)
-        return out
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
 
 @dataclass
 class LevelStat:
@@ -63,7 +63,7 @@ class LevelStat:
 
 
 @dataclass
-class PrincipleReport:
+class PrincipleReport(_Report):
     """Measured constants of the two-set condition and the vector conclusion."""
 
     p: float
@@ -77,24 +77,6 @@ class PrincipleReport:
     levels: list[LevelStat] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "C_p": self.C_p,
-            "B_p": self.B_p,
-            "A_p": self.A_p,
-            "q": self.q,
-            "lhs3": self.lhs3,
-            "rhs3": self.rhs3,
-            "ratio": self.ratio,
-            "levels": [asdict(l) for l in self.levels],
-        }
-        out.update(self.extra)
-        return out
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
 
 @dataclass
 class LadderPoint:
@@ -103,22 +85,10 @@ class LadderPoint:
 
 
 @dataclass
-class DecayReport:
+class DecayReport(_Report):
     """Operator-norm decay along a measure-ratio ladder, with the fitted slope."""
 
     ratio_ladder: list[LadderPoint] = field(default_factory=list)
     slope: float = 0.0
     intercept: float = 0.0
     extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "ratio_ladder": [asdict(pt) for pt in self.ratio_ladder],
-            "slope": self.slope,
-            "intercept": self.intercept,
-        }
-        out.update(self.extra)
-        return out
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)

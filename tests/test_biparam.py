@@ -6,6 +6,7 @@ import pytest
 from dyadlab.biparam import (
     RectCollection,
     RectTree,
+    _tree_sums,
     fixed_scale_operator,
     haar_coefficients,
     haar_synthesis,
@@ -20,7 +21,7 @@ from dyadlab.biparam import (
     verify_biparam,
     vertical_band_project,
 )
-from dyadlab.grid import DyadicInterval, Grid2D, GridSet2D, inner_product, lp_norm, measure
+from dyadlab.grid import DyadicInterval, Grid2D, GridSet2D, all_intervals, inner_product, lp_norm, measure
 from dyadlab.harness import random_grid2d, random_set2d
 from dyadlab.principle import LinearOperator
 from dyadlab.plane import (
@@ -143,6 +144,18 @@ def oracle_size(rects, vscale, f, h_prime):
     return math.sqrt(best)
 
 
+def row_sweep_sums(collection, coeffs):
+    """Tree sums over |R| of coefficients in the occupancy layout, by a
+    row-by-row fine-to-coarse sweep that adds to each row its left child's
+    sum and then its right child's, the order the size sweep keeps."""
+    sums = np.where(collection.occupied, np.abs(coeffs) ** 2, 0.0)
+    for s in reversed(range(len(sums) // 2)):
+        sums[s] = sums[s] + sums[2 * s + 1] + sums[2 * s + 2]
+    for s in range(len(sums)):
+        sums[s] *= 2.0 ** ((s + 1).bit_length() - 1 + collection.vscale)
+    return sums
+
+
 def oracle_mass(rects, f_set, g_set):
     target = f_set.mask & g_set.mask
     L = f_set.resolution
@@ -189,8 +202,10 @@ def oracle_mass_decompose(rects, f_set, g_set, threshold):
 
 
 def random_rect_collection(rng, resolution, vscale, density):
-    masks = tuple(rng.random((1 << kx, 1 << vscale)) < density for kx in range(resolution))
-    return RectCollection(resolution, vscale, masks)
+    """One draw per scale kx, shaped (2**kx, 2**vscale), stacked as the
+    occupancy rows of that scale."""
+    rows = [rng.random((1 << kx, 1 << vscale)) < density for kx in range(resolution)]
+    return RectCollection(resolution, vscale, np.concatenate(rows))
 
 
 def oracle_cases():
@@ -457,32 +472,34 @@ class TestRectCombinatorics:
 
     @pytest.mark.parametrize("vscale", [-1, 3, 4])
     def test_collection_rejects_vscale_out_of_range(self, vscale):
-        masks = tuple(np.zeros((1 << kx, 1 << max(vscale, 0)), dtype=bool) for kx in range(3))
+        occupied = np.zeros((7, 1 << max(vscale, 0)), dtype=bool)
         with pytest.raises(ValueError, match="out of range"):
-            RectCollection(3, vscale, masks)
+            RectCollection(3, vscale, occupied)
         with pytest.raises(ValueError, match="out of range"):
             RectCollection.from_rects(3, vscale, [])
 
-    @pytest.mark.parametrize(
-        "shapes",
-        [
-            [(1, 2), (2, 2)],
-            [(1, 2), (2, 2), (4, 2), (8, 2)],
-            [(1, 2), (2, 2), (2, 4)],
-            [(2, 1), (2, 2), (4, 2)],
-        ],
-    )
-    def test_collection_rejects_mask_shapes(self, shapes):
-        with pytest.raises(ValueError, match="shaped"):
-            RectCollection(3, 1, tuple(np.ones(shape, dtype=bool) for shape in shapes))
+    @pytest.mark.parametrize("shape", [(3, 2), (15, 2), (7, 4), (7, 1), (2, 7), (7,), (1, 7, 2)])
+    def test_collection_rejects_occupancy_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"shaped \(7, 2\)"):
+            RectCollection(3, 1, np.ones(shape, dtype=bool))
 
-    def test_masks_are_read_only_and_rects_derived(self):
+    def test_occupancy_is_read_only_and_rects_derived(self):
         collection = RectCollection.from_rects(3, 1, [rect(0, 0, 1, 1), rect(2, 3, 1, 0)])
         assert len(collection) == 2
         assert collection.rects == {rect(0, 0, 1, 1), rect(2, 3, 1, 0)}
         assert collection.rects is collection.rects
         with pytest.raises(ValueError):
-            collection.masks[0][0, 0] = True
+            collection.occupied[0, 0] = True
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 5])
+    def test_from_rects_places_members_at_interval_slots(self, resolution):
+        # the row of (kx, nx, ny) is the all_intervals slot of (kx, nx)
+        slots = list(all_intervals(resolution))
+        for vscale in range(resolution):
+            for r in RectCollection.all_at_scale(resolution, vscale).rects:
+                occupied = RectCollection.from_rects(resolution, vscale, [r]).occupied
+                row = slots.index(DyadicInterval(r.horizontal.scale, r.horizontal.offset))
+                assert np.argwhere(occupied).tolist() == [[row, r.vertical.offset]]
 
     def test_restrict_and_mass_match_oracle(self):
         for collection, f, h_prime, f_set, g_set in oracle_cases():
@@ -498,17 +515,21 @@ class TestRectCombinatorics:
             assert got == pytest.approx(
                 oracle_size(collection.rects, collection.vscale, f, h_prime), rel=1e-12, abs=1e-12
             )
+            coeffs = rect_coefficients(collection, Grid2D(f.resolution, f.values * h_prime.mask))
+            sums = _tree_sums(collection, collection.occupied, coeffs)
+            assert np.array_equal(sums, row_sweep_sums(collection, coeffs))
 
     def test_coefficients_match_oracle(self):
         for collection, f, _, _, _ in oracle_cases():
             coeffs = rect_coefficients(collection, f)
             expected = oracle_rect_coefficients(collection.rects, collection.vscale, f)
+            slot = (1 << np.arange(collection.resolution)) - 1
             got = {
-                r: coeffs[r.horizontal.scale][r.horizontal.offset, r.vertical.offset]
+                r: coeffs[slot[r.horizontal.scale] + r.horizontal.offset, r.vertical.offset]
                 for r in collection.rects
             }
             assert got == expected
-            assert sum(np.count_nonzero(c) for c in coeffs) <= len(collection)
+            assert np.count_nonzero(coeffs) <= len(collection)
 
     def test_decompositions_match_oracle(self):
         trees = 0
@@ -699,7 +720,7 @@ class TestPipeline:
         import functools
 
         import dyadlab.biparam as biparam
-        from dyadlab.harness import ExperimentConfig, run_biparam, trial_generators
+        from dyadlab.harness import ExperimentConfig, run
 
         rng = np.random.default_rng(18)
         fams = [random_grid2d(rng, 4) for _ in range(4)]
@@ -710,11 +731,11 @@ class TestPipeline:
         assert full.extra["localized_unconverged"] == 0
 
         config = ExperimentConfig(theorem="biparam", resolution=4, trials=2, eps=0.45)
-        assert run_biparam(config, trial_generators(0, 2)[0])[2] is True
+        assert run(config)[2] is True
         monkeypatch.setattr(
             biparam, "verify_biparam", functools.partial(biparam.verify_biparam, power_iters=2)
         )
-        report, _, ok = run_biparam(config, trial_generators(0, 2)[0])
+        _, report, ok = run(config)
         assert ok is False and report["ok"] is False
 
     def test_requires_resolution_one(self):

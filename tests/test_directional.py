@@ -753,7 +753,7 @@ class TestEquivalenceAndTheorems:
         import functools
 
         import dyadlab.directional as directional
-        from dyadlab.harness import ExperimentConfig, run_cordoba, trial_generators
+        from dyadlab.harness import ExperimentConfig, run
 
         rng = np.random.default_rng(23)
         dirs = DirectionSet.uniform(8)
@@ -764,12 +764,12 @@ class TestEquivalenceAndTheorems:
         assert full.extra["localized_unconverged"] == 0
 
         config = ExperimentConfig(theorem="cordoba", resolution=4, trials=2, p=2.0, q=2.5)
-        assert run_cordoba(config, trial_generators(0, 2)[0])[2] is True
+        assert run(config)[2] is True
         real = directional.verify_directional
         monkeypatch.setattr(
             directional, "verify_directional", functools.partial(real, power_iters=2)
         )
-        report, _, ok = run_cordoba(config, trial_generators(0, 2)[0])
+        _, report, ok = run(config)
         assert ok is False and report["ok"] is False
 
     def test_one_averager_serves_every_trial(self):

@@ -138,27 +138,29 @@ def _biparam() -> dict:
     return verify_biparam(fams, p=3.0, eps=0.45, seed=7, g=g).to_dict()
 
 
-def _rect_decompose() -> dict:
-    """`rect_full_decompose` at L=4 for every vertical scale, for a random
-    signal and for the indicator of a sparse set (whose zero coefficients
-    leave a remainder): per bucket the key, the tops (kx, nx, ny), the member
-    counts, the count ratio and both caps, and the remainder size."""
+def _rect_decompose(resolution: int) -> dict:
+    """`rect_full_decompose` at the resolution for every vertical scale, for
+    a random signal and for the indicator of a sparse set (whose zero
+    coefficients leave a remainder): per bucket the key, the tops
+    (kx, nx, ny), the member counts, the count ratio and both caps, and the
+    remainder size."""
     from dyadlab.biparam import RectCollection, rect_full_decompose
     from dyadlab.grid import Grid2D
     from dyadlab.harness import random_grid2d, random_set2d
 
+    L = resolution
     rng = np.random.default_rng(64)
-    f = random_grid2d(rng, 4)
-    sets = [random_set2d(rng, 4, density) for density in (0.7, 0.4, 0.5)]
+    f = random_grid2d(rng, L)
+    sets = [random_set2d(rng, L, density) for density in (0.7, 0.4, 0.5)]
     rng = np.random.default_rng(65)
-    e_set, *sparse_sets = (random_set2d(rng, 4, d) for d in (0.05, 0.5, 0.1, 0.3))
+    e_set, *sparse_sets = (random_set2d(rng, L, d) for d in (0.05, 0.5, 0.1, 0.3))
     out = {}
     for name, signal, (h_prime, f_set, g_set) in (
         ("signal", f, sets),
-        ("indicator", Grid2D(4, e_set.mask), sparse_sets),
+        ("indicator", Grid2D(L, e_set.mask), sparse_sets),
     ):
-        for j in range(4):
-            collection = RectCollection.all_at_scale(4, j).restrict_to_meeting(h_prime)
+        for j in range(L):
+            collection = RectCollection.all_at_scale(L, j).restrict_to_meeting(h_prime)
             decomposition = rect_full_decompose(collection, signal, h_prime, f_set, g_set)
             buckets = []
             for (n, m), bucket in decomposition.buckets.items():
@@ -202,7 +204,8 @@ LIBRARY_CASES = {
     "lib-directional-L5": lambda: _directional(5),
     "lib-weighted-directional": _weighted_directional,
     "lib-biparam": _biparam,
-    "lib-rect-decompose": _rect_decompose,
+    "lib-rect-decompose": lambda: _rect_decompose(4),
+    "lib-rect-decompose-L6": lambda: _rect_decompose(6),
     "lib-restricted-pairing": _restricted_pairing,
     "decompose": _decompose_csv,
     # the decompose benchmark's two shapes: the full collection at L=8 with a

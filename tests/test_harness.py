@@ -154,7 +154,6 @@ class TestExactMassCap:
     @pytest.mark.parametrize("cap, ok", [(1.0, True), (float(np.nextafter(1.0, 2.0)), False)])
     def test_cap_ratio_at_and_past_one(self, monkeypatch, cap, ok):
         import dyadlab.biparam as biparam
-        from dyadlab.harness import run_biparam
 
         real = biparam.verify_biparam
 
@@ -165,7 +164,7 @@ class TestExactMassCap:
 
         monkeypatch.setattr(biparam, "verify_biparam", capped)
         config = ExperimentConfig(theorem="biparam", resolution=4, trials=2, eps=0.45)
-        report, _, got = run_biparam(config, trial_generators(0, 2)[0])
+        _, report, got = run(config)
         assert got is ok and report["ok"] is ok
         assert report["max_mass_cap_ratio"] == cap
 
