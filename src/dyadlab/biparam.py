@@ -385,6 +385,9 @@ def rect_tree_estimate(
 # the lower target exponent of the restricted pairing, interpolated against p
 Q_LOW = 1.5
 
+# step cap of the localized-norm runs
+LOCALIZED_STEPS = 120
+
 
 def _interp_theta(p: float, q: float) -> float:
     """theta solving 1/2 = theta/p + (1-theta)/q."""
@@ -396,11 +399,9 @@ def _interp_theta(p: float, q: float) -> float:
 def verify_biparam(
     fams: list[Grid2D],
     p: float,
+    g: GridSet2D,
     eps: float = 0.1,
     seed: int = 0,
-    h: GridSet2D | None = None,
-    g: GridSet2D | None = None,
-    power_iters: int = 120,
     scales: list[int] | None = None,
 ) -> RatioReport:
     """Run the whole fixed-vertical-scale pipeline and report every measured
@@ -412,9 +413,10 @@ def verify_biparam(
     holding a cell with probability 0.4, against both target exponents p and
     `Q_LOW`; the log-convexity interpolation of the measured restricted
     constants; the localized-operator norms against the two-set condition
-    (`top_singular` runs capped at `power_iters` steps, with
+    (`top_singular` runs capped at `LOCALIZED_STEPS` steps, with
     `localized_unconverged` counting those that hit the cap); and the band
-    reduction back to the scalar model sum.
+    reduction back to the scalar model sum.  H is the whole square and G
+    the given set.
     """
     if not 2 < p < math.inf:
         raise ValueError(f"p must lie in (2, inf), got {p}")
@@ -429,10 +431,9 @@ def verify_biparam(
     def random_set(frac):
         return GridSet2D(L, rng.random((n, n)) < frac)
 
-    h = h if h is not None else GridSet2D(L, np.ones((n, n), dtype=bool))
-    g = g if g is not None else random_set(0.25)
-    if measure(g) == 0.0 or measure(h) == 0.0:
-        raise ValueError("sets h and g need positive measure")
+    h = GridSet2D.full(L)
+    if measure(g) == 0.0:
+        raise ValueError("set g needs positive measure")
     e_set, f_set = random_set(0.4), random_set(0.4)
 
     # vector inequality (members cycle through the available vertical scales
@@ -484,7 +485,7 @@ def verify_biparam(
 
         return LinearOperator(project, project).localized(g.mask, h_prime.mask)
 
-    results = top_singular(op_for, (n, n), [seed + j for j in measured], max_steps=power_iters)
+    results = top_singular(op_for, (n, n), [seed + j for j in measured], max_steps=LOCALIZED_STEPS)
     norm_constants = [res.norm**2 / ratio ** (1.0 - 2.0 / p) for res in results]
     report.extra["localized_norms"] = [res.norm for res in results]
     report.extra["localized_unconverged"] = sum(not res.converged for res in results)

@@ -73,16 +73,6 @@ def _localized(apply, adjoint, a: GridSet, b: GridSet) -> LinearOperator:
     return LinearOperator(apply, adjoint).localized(a.mask, b.mask)
 
 
-def carve_h(h: GridSet, g: GridSet, c: float = 4.0) -> GridSet:
-    """H minus {M 1_G >= c |G| / |H|}; keeps at least half of H for c >= 4."""
-    return exceptional_complement(h, g, c)
-
-
-def carve_g(g: GridSet, h: GridSet, c: float = 4.0) -> GridSet:
-    """G minus {M 1_H >= c |H| / |G|}; mirror of carve_h."""
-    return exceptional_complement(g, h, c)
-
-
 def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
     """Bi-tiles whose spatial interval meets the surviving set."""
     L = collection.resolution
@@ -93,9 +83,7 @@ def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
     return TileCollection.from_masks(L, kept)
 
 
-def restricted_norm(
-    ops: list[RestrictedOp], seeds, iters: int = 200, tol: float = 1e-9
-) -> list[TopSingularResult]:
+def restricted_norm(ops: list[RestrictedOp], seeds, iters: int = 200) -> list[TopSingularResult]:
     """L2 -> L2 norms of restricted operators that share A and B, each for
     its fixed choice function, with their top right Ritz vectors: Golub-
     Kahan-Lanczos (`top_singular`) with the exact adjoint, capped at
@@ -127,7 +115,7 @@ def restricted_norm(
     # not re-tuned for the half spectrum
     for s in stack_slices(len(ops), max(L, 1) << L):
         plans = [op.plan for op in ops[s]]
-        results += top_singular(op_for(plans), (1 << L,), seeds[s], tol=tol, max_steps=iters, vectors=True)
+        results += top_singular(op_for(plans), (1 << L,), seeds[s], max_steps=iters, vectors=True)
     return results
 
 
@@ -162,7 +150,7 @@ def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
             # the mask (0/1) multiplied coef before the signs (+-1): exact
             # products, which differ at most in the sign of a zero, and no
             # zero sign survives in the total, a sum from +0
-            if chunk >= n:  # one chunk holds the grid (L <= 7): block b reads coef row b
+            if chunk >= n:  # one chunk holds the grid (L <= 9): block b reads coef row b
                 table = coef[:, None, :] * _block_signs(L - k)
             else:
                 table = coef[cells >> (L - k)] * _upper_signs(L - k, cells & ((1 << (L - k)) - 1))
@@ -182,7 +170,7 @@ def _upper_signs(bits: int, places) -> np.ndarray:
 @functools.cache
 def _block_signs(bits: int) -> np.ndarray:
     """`_upper_signs` of a whole block, read-only, built once per length:
-    2.7 KB for every length up to 6 bits, 11 KB up to 7."""
+    2.7 KB for every length up to 6 bits, 11 KB up to 7, 171 KB up to 9."""
     signs = _upper_signs(bits, slice(None))
     signs.setflags(write=False)
     return signs
@@ -266,7 +254,7 @@ def collection_caps(
 ) -> dict:
     """Measured size/mass of the collection surviving the H' carving, against
     the caps forced by the construction (mass <= 4 |G| / |H| exactly, for the
-    carving constant 4 of `carve_h`)."""
+    carving constant 4 of `norm_decay_point`)."""
     from .tiles import mass as tile_mass
     from .tiles import size_bound, mass_bound
 
@@ -282,18 +270,14 @@ def collection_caps(
 
 
 def _choice_family(
-    op_collection: TileCollection,
-    resolution: int,
-    rng: np.random.Generator,
-    extra_signal: GridSignal | None = None,
+    op_collection: TileCollection, resolution: int, rng: np.random.Generator, signal: GridSignal
 ) -> list[ChoiceFunction]:
-    """A constant choice, two random ones and, given a signal, its greedy one."""
+    """A constant choice, two random ones and the greedy one of the signal."""
     n = 1 << resolution
     family = [ChoiceFunction.constant(resolution, n // 2)]
     for _ in range(2):
         family.append(ChoiceFunction(resolution, rng.integers(0, n, size=n)))
-    if extra_signal is not None:
-        family.append(greedy_choice(extra_signal, op_collection))
+    family.append(greedy_choice(signal, op_collection))
     return family
 
 
@@ -307,8 +291,9 @@ def norm_decay_point(
 ) -> dict:
     """Measured norm of the restricted operator for one (G, H) pair, taking
     the worst choice function over a family that includes a greedy adversary
-    re-fit, for up to two rounds, to the current top right Ritz vector; the
-    carving constant is `carve_h`'s 4.
+    re-fit, for up to two rounds, to the current top right Ritz vector.  The
+    h branch carves H to H minus {M 1_G >= 4 |G| / |H|}, the g branch G to
+    G minus {M 1_H >= 4 |H| / |G|}; each keeps at least half of its set.
 
     Besides the norm, reports as `iterations` the Lanczos steps and the
     convergence flag of the `restricted_norm` run that gave it, and
@@ -317,18 +302,18 @@ def norm_decay_point(
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
-        h_prime = carve_h(h, g)
+        h_prime = exceptional_complement(h, g, 4.0)
         a_set, b_set, keep = g, h_prime, h_prime
         ratio = safe_ratio(measure(g), measure(h))
     elif branch == "g":
-        g_prime = carve_g(g, h)
+        g_prime = exceptional_complement(g, h, 4.0)
         a_set, b_set, keep = g_prime, h, g_prime
         ratio = safe_ratio(measure(h), measure(g))
     else:
         raise ValueError(f"unknown branch {branch!r}")
     surviving = retain_meeting(collection, keep)
     probe = GridSignal(L, rng.standard_normal(1 << L))
-    family = _choice_family(surviving, L, rng, extra_signal=probe)
+    family = _choice_family(surviving, L, rng, probe)
     # chain i: the best (result, choice) so far for family member i, refit
     # while a round raises its norm; each round runs as one stack
     results = restricted_norm(
@@ -374,25 +359,19 @@ def norm_decay_point(
     }
 
 
-def norm_decay_ladder(
-    resolution: int,
-    ratios,
-    seed: int = 0,
-    branch: str = "h",
-    iters: int = 150,
-    collection: TileCollection | None = None,
-) -> DecayReport:
+def norm_decay_ladder(resolution: int, ratios, seed: int = 0, branch: str = "h") -> DecayReport:
     """Norm decay along a ladder of measure ratios, with the fitted log-log
-    slope.  The large set is the whole grid; the small set is drawn at the
-    exact ladder measure (a ratio that rounds to no cell is rejected); for the
-    g branch the roles are swapped.  The report's `unconverged` counts the
-    norm runs of the whole ladder that stopped unconverged."""
+    slope, over every bi-tile of the grid.  The large set is the whole grid;
+    the small set is drawn at the exact ladder measure (a ratio that rounds
+    to no cell is rejected); for the g branch the roles are swapped.  The
+    report's `unconverged` counts the norm runs of the whole ladder that
+    stopped unconverged."""
     rng = np.random.default_rng(seed)
     n = 1 << resolution
     counts = [round(ratio * n) for ratio in ratios]
     if any(count < 1 for count in counts):
         raise ValueError(f"ratio {min(ratios)} draws no cell at resolution {resolution}")
-    collection = collection or TileCollection.all(resolution)
+    collection = TileCollection.all(resolution)
     points = []
     unconverged = 0
     for i, count in enumerate(counts):
@@ -401,9 +380,9 @@ def norm_decay_ladder(
         small = GridSet(resolution, mask)
         big = GridSet.full(resolution)
         if branch == "h":
-            point = norm_decay_point(big, small, collection, seed=seed + 7 * i, iters=iters, branch="h")
+            point = norm_decay_point(big, small, collection, seed=seed + 7 * i, branch="h")
         else:
-            point = norm_decay_point(small, big, collection, seed=seed + 7 * i, iters=iters, branch="g")
+            point = norm_decay_point(small, big, collection, seed=seed + 7 * i, branch="g")
         points.append(LadderPoint(math.log2(point["ratio"]), math.log2(max(point["norm"], 1e-300))))
         unconverged += point["unconverged"]
     xs = np.array([pt.log_ratio for pt in points])

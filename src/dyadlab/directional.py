@@ -30,6 +30,13 @@ from .maximal import dyadic_maximal
 from .principle import LinearOperator, top_singular
 from .reports import RatioReport, safe_ratio
 
+# steps of `DirectionalAverager.estimate_norm`'s power ascent
+ASCENT_STEPS = 12
+# step cap of `verify_directional`'s localized-norm runs
+LOCALIZED_STEPS = 80
+# terms of the majorant weight of `verify_weighted_directional`
+WEIGHT_TERMS = 40
+
 
 @dataclass(frozen=True)
 class Direction:
@@ -210,9 +217,10 @@ class DirectionalAverager:
         """`all_averages(values).max(axis=0)`, bit for bit, without the stack."""
         return self.all_averages(values, fold=lambda slabs: running_max(slabs)[0])
 
-    def estimate_norm(self, p: float, iters: int = 30, seed: int = 0) -> float:
+    def estimate_norm(self, p: float, seed: int = 0) -> float:
         """Family-relative lower estimate of the L^p operator norm via
-        linearized power ascent; every reported ratio is attained.
+        `ASCENT_STEPS` steps of linearized power ascent; every reported
+        ratio is attained.
 
         The back-projection transforms, in stacks, only the kernels that win
         at some cell, and adds their spectra in kernel order before one irfft2."""
@@ -222,7 +230,7 @@ class DirectionalAverager:
         v = np.abs(rng.standard_normal((n, n))) + 0.1
         best = 0.0
         buf = np.empty_like(self.kernel_ffts[stack_slices(len(self.kernel_ffts), n * n)[0]])
-        for _ in range(iters):
+        for _ in range(ASCENT_STEPS):
             vn = lp_norm(v, p, self.resolution)
             if vn == 0:
                 break
@@ -276,19 +284,12 @@ def running_max(slabs, winners: bool = False) -> tuple[np.ndarray, np.ndarray | 
     return top, choice
 
 
-def _averager_for(
-    averager: DirectionalAverager | None, resolution: int, directions: DirectionSet
-) -> DirectionalAverager:
-    """The averager a caller passed, checked against the grid and the
-    directions it must average over, or a new one."""
-    if averager is None:
-        return DirectionalAverager(resolution, directions)
-    if averager.resolution != resolution or averager.directions != directions:
+def _check_averager(averager: DirectionalAverager, resolution: int) -> None:
+    """Reject an averager built for another grid than the data's."""
+    if averager.resolution != resolution:
         raise ValueError(
-            f"averager built for L={averager.resolution} over {len(averager.directions)} "
-            f"directions does not match L={resolution} over the {len(directions)} given"
+            f"averager built for L={averager.resolution} does not match the data at L={resolution}"
         )
-    return averager
 
 
 def directional_maximal(f: Grid2D, directions: DirectionSet) -> Grid2D:
@@ -328,44 +329,39 @@ class MajorantWeight:
 
 
 def build_majorant_weight(
-    g: Grid2D,
-    directions: DirectionSet,
-    p: float,
-    terms: int,
-    averager: DirectionalAverager | None = None,
-    norm: float | None = None,
+    g: Grid2D, averager: DirectionalAverager, p: float, terms: int, norm: float
 ) -> MajorantWeight:
-    """w = sum_{k=0}^{terms} (2N)**-k M_Sigma^k g for nonnegative g.
+    """w = sum_{k=0}^{terms} (2N)**-k M_Sigma^k g for nonnegative g, with
+    M_Sigma the averager's maximal operator.
 
-    N is the larger of the ascent-measured norm and the ratios realized by
-    the iterates themselves, so ||h_k||_p <= N**k ||g||_p holds term by term
-    and the norm certificate is exact.  The recursion certificate carries the
-    truncation tail (2N)**-terms ||h_{terms+1}||_inf plus a fixed 1e-9 margin
-    for the frequency-domain averaging roundoff.  `norm` is the ascent's
-    estimate at p when the caller has measured it; without it the ascent
-    runs here, from seed 0.
+    N is the larger of `norm`, the caller's ascent estimate at p
+    (`estimate_norm`), and the ratios realized by the iterates themselves,
+    so ||h_k||_p <= N**k ||g||_p holds term by term and the norm
+    certificate is exact.  The
+    recursion certificate carries the truncation tail (2N)**-terms
+    ||h_{terms+1}||_inf plus a fixed 1e-9 margin for the frequency-domain
+    averaging roundoff.
     """
     _check_exponent(p)
     L = g.resolution
     vals = g.values.real
     if np.any(vals < 0) or not np.any(vals > 0):
         raise ValueError("weight seed must be nonnegative and not identically zero")
-    avg = _averager_for(averager, L, directions)
-    norm_est = avg.estimate_norm(p, iters=12) if norm is None else norm
+    _check_averager(averager, L)
 
     iterates = [vals]
     for _ in range(terms + 1):
-        iterates.append(avg.apply(iterates[-1]))
+        iterates.append(averager.apply(iterates[-1]))
     norms = [lp_norm(h, p, L) for h in iterates]
     step_ratios = [
         norms[k + 1] / norms[k] for k in range(terms + 1) if norms[k] > 0
     ]
-    n_used = max([norm_est, 1.0] + step_ratios)
+    n_used = max([norm, 1.0] + step_ratios)
 
     w = np.zeros_like(vals)
     for k in range(terms + 1):
         w += (2.0 * n_used) ** -k * iterates[k]
-    mw = avg.apply(w)
+    mw = averager.apply(w)
     excess = float(np.max(mw - 2.0 * n_used * w))
     tail = (2.0 * n_used) ** -terms * float(np.max(iterates[terms + 1])) + 1e-9
     return MajorantWeight(
@@ -485,12 +481,10 @@ def directional_level_complement(
 
 def verify_directional(
     fams: list[Grid2D],
-    directions: DirectionSet,
+    averager: DirectionalAverager,
     q: float,
     p: float = 2.0,
     seed: int = 0,
-    power_iters: int = 80,
-    averager: DirectionalAverager | None = None,
 ) -> RatioReport:
     """Square-function bound for directional half-plane projections, plus the
     localized-operator route at p = 2.
@@ -499,15 +493,18 @@ def verify_directional(
     S_k H_{v_j} through the two-set condition: the exceptional set removes the
     region where the directional maximal function of 1_G is large (threshold
     (|G|/|H|)**(1/2) times the measured norm), and the localized norms are
-    reported against the measure-ratio power alpha = 1/4.  The localized
-    norms are `top_singular` runs capped at `power_iters` steps, and
-    `localized_unconverged` counts those that hit the cap.
+    reported against the measure-ratio power alpha = 1/4.  The directions
+    are the averager's.  The localized norms are `top_singular` runs capped
+    at `LOCALIZED_STEPS` steps, and `localized_unconverged` counts those
+    that hit the cap.
     """
-    if abs(1.0 - 2.0 / q) >= 1.0 / p:
+    if not (q > 0 and abs(1.0 - 2.0 / q) < 1.0 / p):
         raise ValueError(f"exponent q={q} outside the admissible range for p={p}")
     if not fams:
         raise ValueError("need at least one family member")
     L = fams[0].resolution
+    _check_averager(averager, L)
+    directions = averager.directions
     n = 1 << L
     stack_in = np.stack([f.values for f in fams])
     stack_out = np.stack(
@@ -520,8 +517,7 @@ def verify_directional(
     rhs = bundle_norm(stack_in, q, L)
     report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
 
-    averager = _averager_for(averager, L, directions)
-    norm_l2 = averager.estimate_norm(2.0, iters=12, seed=seed)
+    norm_l2 = averager.estimate_norm(2.0, seed=seed)
     report.extra["norm_MSigma"] = norm_l2
 
     rng = np.random.default_rng(seed)
@@ -555,7 +551,7 @@ def verify_directional(
         return LinearOperator(multiply, multiply).localized(g.mask, h_prime.mask)
 
     seeds = [seed + 31 * j + k for j in range(len(directions)) for k in range(L + 1)]
-    results = top_singular(op_for, (n, n), seeds, max_steps=power_iters)
+    results = top_singular(op_for, (n, n), seeds, max_steps=LOCALIZED_STEPS)
     norms = [res.norm for res in results]
     alpha = 0.25
     report.extra["localized_norm_max"] = max(norms, default=0.0)
@@ -566,30 +562,24 @@ def verify_directional(
 
 
 def verify_weighted_directional(
-    fams: list[Grid2D],
-    directions: DirectionSet,
-    p: float,
-    q: float | None = None,
-    terms: int = 40,
-    seed: int = 0,
-    averager: DirectionalAverager | None = None,
+    fams: list[Grid2D], averager: DirectionalAverager, p: float, seed: int = 0
 ) -> RatioReport:
-    """Endpoint square-function bound through the weight route.
+    """Endpoint square-function bound through the weight route, over the
+    averager's directions.
 
     At q = 2p' the dual extremal g of || sum |H_v f_j|^2 ||_{p'} seeds the
-    majorant weight; the per-direction weighted projection constants and the
-    assembled chain are all reported, and the final ratio is normalized by
-    the measured norm of the directional maximal operator to the power
-    |1 - 2/q|.
+    majorant weight of `WEIGHT_TERMS` terms; the per-direction weighted
+    projection constants and the assembled chain are all reported, and the
+    final ratio is normalized by the measured norm of the directional
+    maximal operator to the power |1 - 2/q| = 1/p.
     """
     _check_exponent(p)
-    q = q if q is not None else 2.0 * p / (p - 1.0)
-    if abs(1.0 - 2.0 / q) > 1.0 / p + 1e-12:
-        raise ValueError(f"exponent q={q} outside the closed range for p={p}")
+    q = 2.0 * p / (p - 1.0)
     if not fams:
         raise ValueError("need at least one family member")
     L = fams[0].resolution
-    avg = _averager_for(averager, L, directions)
+    _check_averager(averager, L)
+    directions = averager.directions
 
     stack_out = np.stack(
         [
@@ -599,7 +589,7 @@ def verify_weighted_directional(
     )
     stack_in = np.stack([f.values for f in fams])
     lhs = bundle_norm(stack_out, q, L)
-    norm_p = avg.estimate_norm(p, iters=12, seed=seed)
+    norm_p = averager.estimate_norm(p, seed=seed)
     rhs = norm_p ** abs(1.0 - 2.0 / q) * bundle_norm(stack_in, q, L)
     report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
     report.extra["norm_MSigma"] = norm_p
@@ -615,9 +605,8 @@ def verify_weighted_directional(
         g_dual = np.ones_like(big_f)
         g_dual = g_dual / lp_norm(g_dual, p, L)
 
-    weight = build_majorant_weight(
-        Grid2D(L, g_dual.astype(np.complex128)), directions, p, terms, averager=avg, norm=norm_p
-    )
+    g_weight = Grid2D(L, g_dual.astype(np.complex128))
+    weight = build_majorant_weight(g_weight, averager, p, WEIGHT_TERMS, norm_p)
     report.extra["weight"] = weight.certificates
     area = cell_width(L) ** 2
     pairing = float(np.sum(big_f * g_dual) * area)

@@ -79,7 +79,7 @@ class ExperimentConfig:
         if self.theorem == "cordoba":
             if not 1 < self.p < math.inf:
                 raise ValueError(f"cordoba needs 1 < p < inf, got p={self.p}")
-            if abs(1.0 - 2.0 / self.q) >= 1.0 / self.p:
+            if not (self.q > 0 and abs(1.0 - 2.0 / self.q) < 1.0 / self.p):
                 raise ValueError(
                     f"cordoba needs |1 - 2/q| < 1/p, got q={self.q}, p={self.p}"
                 )
@@ -186,7 +186,7 @@ def random_convex_collection(
     top_hi = min(3, resolution - 1)
     while True:
         picks = []
-        for _ in range(max(1, seeds)):
+        for _ in range(seeds):
             k = int(rng.integers(0, top_hi + 1))
             top = BiTile(
                 k,
@@ -244,7 +244,7 @@ def maximal_operator_family(
     the exact L2 bound 1 of the underlying averaging."""
     choices = [random_scale_choice(rng, resolution) for _ in range(members)]
     ops = [LinearOperator(ch.average, ch.average_adjoint) for ch in choices]
-    return OperatorFamily(ops, l2_bound=1.0), choices
+    return OperatorFamily(ops), choices
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +279,8 @@ def run_biparam(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
     caps = []
     for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
-        rep = verify_biparam(
-            fams,
-            config.p,
-            eps=config.eps,
-            seed=config.seed + i,
-            g=random_set2d(rng, config.resolution, 0.25),
-        )
+        g = random_set2d(rng, config.resolution, 0.25)
+        rep = verify_biparam(fams, config.p, g, eps=config.eps, seed=config.seed + i)
         ratios.append(rep.ratio)
         trial_caps = rep.extra.get("mass_cap_ratios", [])
         caps.append(max(trial_caps, default=0.0))
@@ -305,15 +300,12 @@ def run_biparam(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
 def run_cordoba(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
     from .directional import DirectionalAverager, DirectionSet, verify_directional
 
-    dirs = DirectionSet.uniform(8)
-    averager = DirectionalAverager(config.resolution, dirs)
+    averager = DirectionalAverager(config.resolution, DirectionSet.uniform(8))
     ratios = []
     ok = True
     for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
-        rep = verify_directional(
-            fams, dirs, config.q, config.p, seed=config.seed + i, averager=averager
-        )
+        rep = verify_directional(fams, averager, config.q, config.p, seed=config.seed + i)
         ratios.append(rep.ratio)
         ok = ok and rep.extra["h_kept"] >= 0.5 and math.isfinite(rep.ratio)
         ok = ok and rep.extra["localized_unconverged"] == 0
@@ -328,15 +320,12 @@ def run_cordoba(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
 def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
     from .directional import DirectionalAverager, DirectionSet, verify_weighted_directional
 
-    dirs = DirectionSet.uniform(8)
-    averager = DirectionalAverager(config.resolution, dirs)
+    averager = DirectionalAverager(config.resolution, DirectionSet.uniform(8))
     ratios = []
     ok = True
     for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
-        rep = verify_weighted_directional(
-            fams, dirs, config.p, seed=config.seed + i, averager=averager
-        )
+        rep = verify_weighted_directional(fams, averager, config.p, seed=config.seed + i)
         ratios.append(rep.ratio)
         certs = rep.extra["weight"]
         ok = ok and certs["norm_ok"] and certs["recursion_ok"] and math.isfinite(rep.ratio)
@@ -385,7 +374,7 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
         fam = random_vector(rng, config.resolution, config.family_size)
         conclusion = vector_inequality_ratio(family, fam, config.q)
         ratios.append(conclusion.ratio)
-        if not ratios or conclusion.ratio >= max(ratios):
+        if conclusion.ratio >= max(ratios):
             worst_sides = (conclusion.lhs, conclusion.rhs)
         baseline.append(
             vector_inequality_ratio(

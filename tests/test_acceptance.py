@@ -416,7 +416,6 @@ def test_criterion_7_biparam():
                 eps=0.1,
                 seed=7000 + 31 * scale + trial,
                 g=random_set2d(rng, resolution, 0.25),
-                power_iters=60,
                 scales=[scale],
             )
             caps_ok = caps_ok and all(c <= 1.0 + 1e-12 for c in rep.extra["mass_cap_ratios"])
@@ -433,7 +432,6 @@ def test_criterion_7_biparam():
                 eps=0.1,
                 seed=7500 + trial,
                 g=random_set2d(rng, resolution, 0.25),
-                power_iters=60,
             )
             caps_ok = caps_ok and all(c <= 1.0 + 1e-12 for c in rep.extra["mass_cap_ratios"])
             caps_ok = caps_ok and rep.extra["h_kept"] >= 0.5
@@ -478,12 +476,12 @@ def test_criterion_8_cordoba():
             and np.allclose(once.values + other.values, f.values, atol=1e-10)
         )
 
-    dirs = DirectionSet.uniform(8)
-    averager = DirectionalAverager(resolution, dirs)
+    averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
+    norm = averager.estimate_norm(2.0)
     weight_ok = True
     for _ in range(5):
         g = Grid2D(resolution, np.abs(rng.standard_normal((n, n))))
-        weight = build_majorant_weight(g, dirs, 2.0, terms=40, averager=averager)
+        weight = build_majorant_weight(g, averager, 2.0, 40, norm)
         certs = weight.certificates
         weight_ok = weight_ok and bool(np.all(g.values.real <= weight.values + 1e-15))
         weight_ok = weight_ok and weight.weight_norm <= 2.0 * weight.input_norm * (1 + 1e-12)
@@ -498,9 +496,7 @@ def test_criterion_8_cordoba():
     constants = []
     for trial in range(10):
         fams = [random_grid2d(rng, resolution) for _ in range(8)]
-        rep = verify_weighted_directional(
-            fams, dirs, p=2.0, terms=40, seed=8000 + trial, averager=averager
-        )
+        rep = verify_weighted_directional(fams, averager, p=2.0, seed=8000 + trial)
         constants.append(rep.ratio)
     stable = max(constants) / min(constants) < 4.0 and all(map(math.isfinite, constants))
 
@@ -522,7 +518,7 @@ def test_criterion_9_carleson_decay():
     ratios = [2.0**-i for i in range(1, 9)]
     slopes = {}
     for branch in ("h", "g"):
-        decay = norm_decay_ladder(9, ratios, seed=1009, branch=branch, iters=150)
+        decay = norm_decay_ladder(9, ratios, seed=1009, branch=branch)
         slopes[branch] = decay.slope
     elapsed = time.time() - start
     ok = all(s >= 0.5 - 0.1 for s in slopes.values()) and elapsed < 900

@@ -401,7 +401,8 @@ class TestFixedScalePlan:
         h_prime = exceptional_complement_2d(h, g, certified_rectangle_threshold(h, g, eps))
         assert 0 < measure(h_prime) < 1
         captured = capture_top_singular(monkeypatch, biparam)
-        report = verify_biparam(fams, p=3.0, eps=eps, seed=seed, h=h, g=g, power_iters=60)
+        monkeypatch.setattr(biparam, "LOCALIZED_STEPS", 60)
+        report = verify_biparam(fams, p=3.0, eps=eps, seed=seed, g=g)
         assert captured["seeds"] == [seed + j for j in range(L)]
         assert captured["kwargs"] == {"max_steps": 60}
         for j, res in enumerate(captured["results"]):
@@ -700,7 +701,8 @@ class TestPipeline:
         h_prime = exceptional_complement_2d(h, g, certified_rectangle_threshold(h, g, eps))
         assert 0 < measure(h_prime) < 1
         captured = capture_top_singular(monkeypatch, biparam)
-        verify_biparam(fams, p=3.0, eps=eps, seed=seed, h=h, g=g, power_iters=5)
+        monkeypatch.setattr(biparam, "LOCALIZED_STEPS", 5)
+        verify_biparam(fams, p=3.0, eps=eps, seed=seed, g=g)
         assert captured["seeds"] == [seed + j for j in range(L)]
         # every scale runs in one stack, which shrinks as scales converge
         assert captured["calls"][0][0] == [0, 1, 2, 3]
@@ -717,32 +719,28 @@ class TestPipeline:
     def test_step_cap_reaches_ok(self, monkeypatch):
         # at a cap of 2 steps the projections stop unconverged; the count
         # reaches the report, and `verify biparam` fails its postcondition
-        import functools
-
         import dyadlab.biparam as biparam
         from dyadlab.harness import ExperimentConfig, run
 
         rng = np.random.default_rng(18)
         fams = [random_grid2d(rng, 4) for _ in range(4)]
         g = random_set2d(rng, 4, 0.25)
-        capped = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g, power_iters=2)
-        assert capped.extra["localized_unconverged"] > 0
         full = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g)
         assert full.extra["localized_unconverged"] == 0
-
         config = ExperimentConfig(theorem="biparam", resolution=4, trials=2, eps=0.45)
         assert run(config)[2] is True
-        monkeypatch.setattr(
-            biparam, "verify_biparam", functools.partial(biparam.verify_biparam, power_iters=2)
-        )
+
+        monkeypatch.setattr(biparam, "LOCALIZED_STEPS", 2)
+        capped = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g)
+        assert capped.extra["localized_unconverged"] > 0
         _, report, ok = run(config)
         assert ok is False and report["ok"] is False
 
     def test_requires_resolution_one(self):
         with pytest.raises(ValueError, match="L >= 1"):
-            verify_biparam([Grid2D.zeros(0)], p=3.0)
+            verify_biparam([Grid2D.zeros(0)], p=3.0, g=GridSet2D.full(0))
 
     def test_requires_p_above_two(self):
         rng = np.random.default_rng(16)
         with pytest.raises(ValueError):
-            verify_biparam([random_grid2d(rng, 3)], p=2.0)
+            verify_biparam([random_grid2d(rng, 3)], p=2.0, g=GridSet2D.full(3))

@@ -1,14 +1,14 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+import dyadlab.carleson as carleson
 from dyadlab.carleson import (
     RestrictedOp,
     _choice_family,
-    carve_g,
-    carve_h,
     collection_caps,
     greedy_choice,
     norm_decay_ladder,
@@ -27,6 +27,7 @@ from dyadlab.grid import (
     inner_product,
     measure,
 )
+from dyadlab.maximal import exceptional_complement
 from dyadlab.harness import (
     random_choice,
     random_convex_collection,
@@ -83,11 +84,11 @@ def old_norm_decay_point(
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
-        h_prime = carve_h(h, g, c)
+        h_prime = exceptional_complement(h, g, c)
         a_set, b_set, keep = g, h_prime, h_prime
         ratio = safe_ratio(measure(g), measure(h))
     else:
-        g_prime = carve_g(g, h, c)
+        g_prime = exceptional_complement(g, h, c)
         a_set, b_set, keep = g_prime, h, g_prime
         ratio = safe_ratio(measure(h), measure(g))
     surviving = retain_meeting(collection, keep)
@@ -100,7 +101,7 @@ def old_norm_decay_point(
     best_choice = None
     unconverged = 0
     probe = GridSignal(L, rng.standard_normal(1 << L))
-    for idx, choice in enumerate(_choice_family(surviving, L, rng, extra_signal=probe)):
+    for idx, choice in enumerate(_choice_family(surviving, L, rng, probe)):
         res = alone(choice, seed + idx)
         unconverged += not res.converged
         vec = res.top_vector
@@ -260,12 +261,12 @@ class TestRestrictedOperator:
 class TestCarving:
     def test_empty_marker(self):
         h = GridSet.full(3)
-        assert np.array_equal(carve_h(h, GridSet.empty(3)).mask, h.mask)
+        assert np.array_equal(exceptional_complement(h, GridSet.empty(3), 4.0).mask, h.mask)
 
     def test_pinned_level_set(self):
         h = GridSet.full(3)
         g = GridSet.from_interval(3, DyadicInterval(3, 0))
-        kept = carve_h(h, g, 4.0)
+        kept = exceptional_complement(h, g, 4.0)
         assert np.array_equal(kept.mask, np.array([0, 0, 1, 1, 1, 1, 1, 1], dtype=bool))
 
     def test_half_measure_both_sides(self):
@@ -273,8 +274,8 @@ class TestCarving:
         for _ in range(30):
             h = random_grid_set(rng, 6)
             g = random_grid_set(rng, 6)
-            assert measure(carve_h(h, g, 4.0)) >= 0.5 * measure(h)
-            assert measure(carve_g(g, h, 4.0)) >= 0.5 * measure(g)
+            assert measure(exceptional_complement(h, g, 4.0)) >= 0.5 * measure(h)
+            assert measure(exceptional_complement(g, h, 4.0)) >= 0.5 * measure(g)
 
     def test_mass_cap_exact(self):
         # surviving collection after the H carve has mass at most 4 |G|/|H|
@@ -285,7 +286,7 @@ class TestCarving:
             h = GridSet.full(resolution)
             g = random_grid_set(rng, resolution)
             choice = random_choice(rng, resolution)
-            h_prime = carve_h(h, g, 4.0)
+            h_prime = exceptional_complement(h, g, 4.0)
             surviving = retain_meeting(collection, h_prime)
             cap = 4.0 * measure(g) / measure(h)
             assert mass(surviving, g, choice) <= cap * (1 + 1e-12)
@@ -300,7 +301,7 @@ class TestCarving:
         for _ in range(10):
             g = GridSet.full(resolution)
             h = random_grid_set(rng, resolution)
-            g_prime = carve_g(g, h, 4.0)
+            g_prime = exceptional_complement(g, h, 4.0)
             surviving = retain_meeting(collection, g_prime)
             f = GridSignal.indicator(resolution, h)
             bound = size_bound(surviving, f)
@@ -312,7 +313,7 @@ class TestCarving:
         collection = TileCollection.all(resolution)
         h = GridSet.full(resolution)
         g = random_grid_set(rng, resolution)
-        h_prime = carve_h(h, g, 4.0)
+        h_prime = exceptional_complement(h, g, 4.0)
         caps = collection_caps(collection, h, g, h_prime, g, random_choice(rng, resolution))
         assert caps["mass"] <= caps["mass_cap"] * (1 + 1e-12)
 
@@ -351,7 +352,7 @@ class TestRestrictedPairing:
         n = 1 << resolution
         for trial in range(4):
             e_set, f_set, g_set = (random_grid_set(rng, resolution) for _ in range(3))
-            h_prime = carve_h(GridSet.full(resolution), g_set, 4.0)
+            h_prime = exceptional_complement(GridSet.full(resolution), g_set, 4.0)
             collection = TileCollection.all(resolution) if trial % 2 else random_convex_collection(rng, resolution)
             op = RestrictedOp(g_set, h_prime, random_choice(rng, resolution), collection)
             # non-dyadic values, so that the order of the additions shows
@@ -391,7 +392,7 @@ class TestRestrictedPairing:
             f_set = random_grid_set(rng, resolution)
             g = random_grid_set(rng, resolution)
             h = GridSet.full(resolution)
-            h_prime = carve_h(h, g, 4.0)
+            h_prime = exceptional_complement(h, g, 4.0)
             op = RestrictedOp(g, h_prime, random_choice(rng, resolution), collection)
             report = restricted_pairing(
                 GridSignal.indicator(resolution, e),
@@ -448,7 +449,7 @@ class TestNormDecay:
         choice = random_choice(rng, resolution)
         (restricted,) = restricted_norm([RestrictedOp(full, full, choice, collection)], [1], iters=100)
         h = random_grid_set(rng, resolution)
-        h_prime = carve_h(full, h, 4.0)
+        h_prime = exceptional_complement(full, h, 4.0)
         (localized,) = restricted_norm([RestrictedOp(h, h_prime, choice, collection)], [1], iters=100)
         assert localized.norm <= restricted.norm * (1 + 1e-9)
 
@@ -466,8 +467,8 @@ class TestNormDecay:
                     return RestrictedOp(localized, full, choice, collection)
                 return RestrictedOp(full, localized, choice, collection)
 
-            (small_run,) = restricted_norm([op(small)], [2], iters=400, tol=1e-12)
-            (big_run,) = restricted_norm([op(big)], [2], iters=400, tol=1e-12)
+            small_run = one_member_run(op(small).operator, (1 << resolution,), 2, tol=1e-12, max_steps=400)
+            big_run = one_member_run(op(big).operator, (1 << resolution,), 2, tol=1e-12, max_steps=400)
             assert small_run.norm <= big_run.norm * (1 + 1e-6)
 
     def test_greedy_dominates_alternatives_pointwise(self):
@@ -539,8 +540,6 @@ class TestNormDecay:
         """The chunk size changes no choice: chunks of one cell, of three
         (the last one short), of half the grid and the default's (several
         chunks at L = 10) pick what the oracle's chunks picked."""
-        import dyadlab.carleson as carleson
-
         rng = np.random.default_rng(560 + resolution)
         n = 1 << resolution
         full = TileCollection.all(resolution)
@@ -569,9 +568,7 @@ class TestNormDecay:
         assert point["norm"] > 0 and point["kept"] >= 0.5 * measure(h)
         assert 1 <= point["iterations"] <= 60
         assert point["unconverged"] >= int(not point["converged"])
-        ladder = norm_decay_ladder(
-            resolution, [0.5, 0.25, 0.125], seed=4, iters=50, collection=collection
-        )
+        ladder = norm_decay_ladder(resolution, [0.5, 0.25, 0.125], seed=4)
         assert len(ladder.ratio_ladder) == 3
         assert math.isfinite(ladder.slope)
         assert ladder.extra["unconverged"] >= 0
@@ -653,16 +650,16 @@ class TestNormDecay:
         ops.insert(2, RestrictedOp(a, b, choices[0], empty))
         ops.append(RestrictedOp(a, b, ChoiceFunction.constant(resolution, n - 1), TileCollection.all(resolution)))
         seeds = [5, 5, 2, 7, 1, 8, 3]
-        for iters, tol in ((150, 1e-9), (2, 1e-9), (60, 1e-4)):
-            new = restricted_norm(ops, seeds, iters=iters, tol=tol)
+        for iters in (150, 2, 60):
+            new = restricted_norm(ops, seeds, iters=iters)
             for res, op, seed in zip(new, ops, seeds, strict=True):
-                alone = one_member_run(checked_plan_operator(op), (n,), seed, tol=tol, max_steps=iters, vectors=True)
+                alone = one_member_run(checked_plan_operator(op), (n,), seed, max_steps=iters, vectors=True)
                 assert_same_krylov(res, alone)
             assert new[2].norm == 0.0 and new[2].top_vector is None
             if iters == 150:
                 assert len({res.steps for res in new}) > 1
 
-    def test_decay_reports_unconverged_runs(self):
+    def test_decay_reports_unconverged_runs(self, monkeypatch):
         # two iterations never meet the 1e-9 tolerance: every power iteration
         # of the point (four choice functions, plus adversary refits) stops
         # at the cap, and the norm is reported anyway
@@ -675,20 +672,21 @@ class TestNormDecay:
         assert point["norm"] > 0
         assert point["iterations"] == 2 and not point["converged"]
         assert point["unconverged"] >= 4
-        ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5, iters=2, collection=collection)
+        monkeypatch.setattr(carleson, "norm_decay_point", functools.partial(norm_decay_point, iters=2))
+        ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5)
         assert ladder.extra["unconverged"] >= 8
         assert json.loads(ladder.to_json())["unconverged"] == ladder.extra["unconverged"]
 
     def test_ladder_rejects_ratio_without_a_cell(self):
         # at L=3 the ratio 2^-4 rounds to no cell, which must not become one
         with pytest.raises(ValueError, match="draws no cell"):
-            norm_decay_ladder(3, [0.5, 2.0**-4], seed=5, iters=5)
-        ladder = norm_decay_ladder(3, [0.5, 2.0**-3], seed=5, iters=5)
+            norm_decay_ladder(3, [0.5, 2.0**-4], seed=5)
+        ladder = norm_decay_ladder(3, [0.5, 2.0**-3], seed=5)
         assert [pt.log_ratio for pt in ladder.ratio_ladder] == [-1.0, -3.0]
 
     def test_g_branch_runs(self):
         resolution = 5
-        ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5, branch="g", iters=40)
+        ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5, branch="g")
         assert len(ladder.ratio_ladder) == 2
 
 
@@ -698,13 +696,11 @@ class TestDecayEngine:
 
     @staticmethod
     def ladder_runs(monkeypatch, resolution):
-        import dyadlab.carleson as carleson
-
         runs = []
 
-        def recording(ops, seeds, iters=200, tol=1e-9):
-            results = restricted_norm(ops, seeds, iters=iters, tol=tol)
-            runs.extend((op, seed, iters, tol, res) for op, seed, res in zip(ops, seeds, results))
+        def recording(ops, seeds, iters=200):
+            results = restricted_norm(ops, seeds, iters=iters)
+            runs.extend((op, seed, iters, res) for op, seed, res in zip(ops, seeds, results))
             return results
 
         monkeypatch.setattr(carleson, "restricted_norm", recording)
@@ -721,7 +717,8 @@ class TestDecayEngine:
         runs = self.ladder_runs(monkeypatch, resolution)
         n = 1 << resolution
         assert len(runs) > 50 and all(res.converged for *_, res in runs)
-        for op, seed, iters, tol, res in runs:
+        tol = 1e-9
+        for op, seed, iters, res in runs:
             power = power_iteration(op.operator, (n,), iters=iters, tol=tol, seed=seed)
             assert res.norm >= power.norm * (1.0 - 1e-12)
             if res.norm == 0.0:

@@ -54,7 +54,7 @@ def localization_sets(resolution, dirs, seed):
 
     n = 1 << resolution
     averager = DirectionalAverager(resolution, dirs)
-    norm_l2 = averager.estimate_norm(2.0, iters=12, seed=seed)
+    norm_l2 = averager.estimate_norm(2.0, seed=seed)
     g_mask = np.random.default_rng(seed).random((n, n)) < 0.25
     if not np.any(g_mask):
         g_mask[0, 0] = True
@@ -198,7 +198,7 @@ class TestStackedAverager:
         values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert np.array_equal(averager.all_averages(values), old_all_averages(old, values))
         for p in (2.0, 1.5):
-            assert averager.estimate_norm(p, iters=12, seed=resolution) == old_estimate_norm(
+            assert averager.estimate_norm(p, seed=resolution) == old_estimate_norm(
                 old, resolution, p, 12, resolution
             )
 
@@ -215,7 +215,7 @@ class TestStackedAverager:
         gap = np.abs(averager.all_averages(values) - old_all_averages(full, values, full=True))
         assert gap.max() <= rounding_bound(resolution, np.abs(values).max())
         for p in (2.0, 1.5):
-            half = averager.estimate_norm(p, iters=12, seed=resolution)
+            half = averager.estimate_norm(p, seed=resolution)
             assert half == pytest.approx(
                 old_estimate_norm(full, resolution, p, 12, resolution, full=True),
                 rel=rounding_bound(resolution, 1.0),
@@ -531,27 +531,28 @@ class TestDirectionalMaximal:
 
     def test_norm_estimate_at_least_one(self):
         averager = DirectionalAverager(4, DirectionSet.uniform(4))
-        assert averager.estimate_norm(2.0, iters=6, seed=0) >= 1.0
+        assert averager.estimate_norm(2.0, seed=0) >= 1.0
 
     @pytest.mark.parametrize("p", [1.0, 0.5, math.inf, -2.0, math.nan])
     def test_norm_estimate_rejects_exponent(self, p):
         averager = DirectionalAverager(3, DirectionSet.uniform(2))
         with pytest.raises(ValueError, match="p must lie in"):
-            averager.estimate_norm(p, iters=2)
+            averager.estimate_norm(p)
 
 
 class TestWeights:
     def test_constant_seed(self):
-        dirs = DirectionSet.uniform(4)
-        weight = build_majorant_weight(Grid2D.constant(4, 1.0), dirs, 2.0, terms=10)
+        averager = DirectionalAverager(4, DirectionSet.uniform(4))
+        norm = averager.estimate_norm(2.0)
+        weight = build_majorant_weight(Grid2D.constant(4, 1.0), averager, 2.0, 10, norm)
         assert np.all(weight.values <= 2.0 + 1e-12)
         assert np.allclose(weight.values, weight.values[0, 0])
 
     def test_certificates(self):
         rng = np.random.default_rng(5)
-        dirs = DirectionSet.uniform(4)
+        averager = DirectionalAverager(4, DirectionSet.uniform(4))
         g = Grid2D(4, np.abs(rng.standard_normal((16, 16))))
-        weight = build_majorant_weight(g, dirs, 2.0, terms=25)
+        weight = build_majorant_weight(g, averager, 2.0, 25, averager.estimate_norm(2.0))
         assert np.all(g.values.real <= weight.values + 1e-15)
         certs = weight.certificates
         assert certs["norm_ok"] and certs["recursion_ok"]
@@ -559,42 +560,35 @@ class TestWeights:
 
     def test_tail_shrinks_with_terms(self):
         rng = np.random.default_rng(6)
-        dirs = DirectionSet.uniform(2)
+        averager = DirectionalAverager(3, DirectionSet.uniform(2))
         g = Grid2D(3, np.abs(rng.standard_normal((8, 8))))
-        t10 = build_majorant_weight(g, dirs, 2.0, terms=10).tail_bound
-        t30 = build_majorant_weight(g, dirs, 2.0, terms=30).tail_bound
+        norm = averager.estimate_norm(2.0)
+        t10 = build_majorant_weight(g, averager, 2.0, 10, norm).tail_bound
+        t30 = build_majorant_weight(g, averager, 2.0, 30, norm).tail_bound
         assert t30 <= t10
 
     def test_rejects_bad_seed(self):
-        dirs = DirectionSet.uniform(2)
+        averager = DirectionalAverager(3, DirectionSet.uniform(2))
         with pytest.raises(ValueError):
-            build_majorant_weight(Grid2D.zeros(3), dirs, 2.0, terms=5)
+            build_majorant_weight(Grid2D.zeros(3), averager, 2.0, 5, 1.5)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, math.inf])
     def test_rejects_exponent(self, p):
-        dirs = DirectionSet.uniform(2)
+        averager = DirectionalAverager(3, DirectionSet.uniform(2))
         g = Grid2D.constant(3, 1.0)
         with pytest.raises(ValueError, match="p must lie in"):
-            build_majorant_weight(g, dirs, p, terms=5)
-        with pytest.raises(ValueError, match="p must lie in"):
-            build_majorant_weight(g, dirs, p, terms=5, norm=1.5)
+            build_majorant_weight(g, averager, p, 5, 1.5)
 
     def test_given_norm_is_used(self, monkeypatch):
         rng = np.random.default_rng(5)
-        dirs = DirectionSet.uniform(4)
         g = Grid2D(3, np.abs(rng.standard_normal((8, 8))))
-        averager = DirectionalAverager(3, dirs)
-        measured = averager.estimate_norm(2.0, iters=12, seed=0)
-        default = build_majorant_weight(g, dirs, 2.0, terms=8, averager=averager)
+        averager = DirectionalAverager(3, DirectionSet.uniform(4))
 
         def no_ascent(*args, **kwargs):
             raise AssertionError("estimate_norm called although the norm was given")
 
         monkeypatch.setattr(DirectionalAverager, "estimate_norm", no_ascent)
-        given = build_majorant_weight(g, dirs, 2.0, terms=8, averager=averager, norm=measured)
-        assert given.values.tobytes() == default.values.tobytes()
-        assert given.certificates == default.certificates
-        large = build_majorant_weight(g, dirs, 2.0, terms=8, averager=averager, norm=50.0)
+        large = build_majorant_weight(g, averager, 2.0, 8, 50.0)
         assert large.norm_used == 50.0
 
 
@@ -681,18 +675,19 @@ class TestEquivalenceAndTheorems:
         with pytest.raises(ValueError):
             square_function_equivalence([random_plane(rng, 3)], q=2.0, trials=2)
 
-    def test_directional_exponent_range(self):
+    @pytest.mark.parametrize("q", [5.0, 0.0, math.nan])
+    def test_directional_exponent_range(self, q):
         rng = np.random.default_rng(14)
         fams = [random_plane(rng, 3)]
-        with pytest.raises(ValueError):
-            verify_directional(fams, DirectionSet.uniform(2), q=5.0, p=2.0)
+        averager = DirectionalAverager(3, DirectionSet.uniform(2))
+        with pytest.raises(ValueError, match="outside the admissible range"):
+            verify_directional(fams, averager, q=q, p=2.0)
 
     def test_directional_near_l2_contraction(self):
         rng = np.random.default_rng(15)
         fams = [random_plane(rng, 3) for _ in range(3)]
-        report = verify_directional(
-            fams, DirectionSet.uniform(4), q=2.0 + 1e-9, p=2.0, seed=1, power_iters=20
-        )
+        averager = DirectionalAverager(3, DirectionSet.uniform(4))
+        report = verify_directional(fams, averager, q=2.0 + 1e-9, p=2.0, seed=1)
         assert report.ratio <= 1.0 + 1e-6
         assert report.extra["h_kept"] >= 0.5
 
@@ -704,7 +699,8 @@ class TestEquivalenceAndTheorems:
         dirs = DirectionSet.uniform(4)
         fams = [random_plane(rng, L) for _ in range(2)]
         captured = capture_top_singular(monkeypatch, directional)
-        verify_directional(fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=3)
+        monkeypatch.setattr(directional, "LOCALIZED_STEPS", 3)
+        verify_directional(fams, DirectionalAverager(L, dirs), q=2.5, p=2.0, seed=seed)
         g, h_prime = localization_sets(L, dirs, seed)
         assert 0 < h_prime.mask.mean() < 1
         members = len(dirs) * (L + 1)
@@ -728,11 +724,12 @@ class TestEquivalenceAndTheorems:
         import dyadlab.directional as directional
 
         rng = np.random.default_rng(20 + resolution)
-        L, n, seed, iters = resolution, 1 << resolution, 3, 40
+        L, n, seed = resolution, 1 << resolution, 3
         dirs = DirectionSet.uniform(8)
         fams = [random_plane(rng, L) for _ in range(2)]
         captured = capture_top_singular(monkeypatch, directional)
-        report = verify_directional(fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=iters)
+        monkeypatch.setattr(directional, "LOCALIZED_STEPS", 40)
+        report = verify_directional(fams, DirectionalAverager(L, dirs), q=2.5, p=2.0, seed=seed)
         g, h_prime = localization_sets(L, dirs, seed)
         results = captured["results"]
         assert len(results) == len(dirs) * (L + 1)
@@ -750,59 +747,57 @@ class TestEquivalenceAndTheorems:
     def test_step_cap_reaches_ok(self, monkeypatch):
         # at a cap of 2 steps the multipliers stop unconverged; the count
         # reaches the report, and `verify cordoba` fails its postcondition
-        import functools
-
         import dyadlab.directional as directional
         from dyadlab.harness import ExperimentConfig, run
 
         rng = np.random.default_rng(23)
-        dirs = DirectionSet.uniform(8)
+        averager = DirectionalAverager(4, DirectionSet.uniform(8))
         fams = [random_plane(rng, 4) for _ in range(2)]
-        capped = verify_directional(fams, dirs, q=2.5, p=2.0, seed=1, power_iters=2)
-        assert capped.extra["localized_unconverged"] > 0
-        full = verify_directional(fams, dirs, q=2.5, p=2.0, seed=1)
+        full = verify_directional(fams, averager, q=2.5, p=2.0, seed=1)
         assert full.extra["localized_unconverged"] == 0
-
         config = ExperimentConfig(theorem="cordoba", resolution=4, trials=2, p=2.0, q=2.5)
         assert run(config)[2] is True
-        real = directional.verify_directional
-        monkeypatch.setattr(
-            directional, "verify_directional", functools.partial(real, power_iters=2)
-        )
+
+        monkeypatch.setattr(directional, "LOCALIZED_STEPS", 2)
+        capped = verify_directional(fams, averager, q=2.5, p=2.0, seed=1)
+        assert capped.extra["localized_unconverged"] > 0
         _, report, ok = run(config)
         assert ok is False and report["ok"] is False
 
-    def test_one_averager_serves_every_trial(self):
+    def test_one_averager_serves_every_trial(self, monkeypatch):
+        import dyadlab.directional as directional
+
+        monkeypatch.setattr(directional, "LOCALIZED_STEPS", 10)
         rng = np.random.default_rng(21)
         dirs = DirectionSet.uniform(8)
         fams = [random_plane(rng, 4) for _ in range(2)]
         shared = DirectionalAverager(4, dirs)
         for seed in (0, 1):
-            own = verify_directional(fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=10)
-            reused = verify_directional(
-                fams, dirs, q=2.5, p=2.0, seed=seed, power_iters=10, averager=shared
-            )
+            own = verify_directional(fams, DirectionalAverager(4, dirs), q=2.5, p=2.0, seed=seed)
+            reused = verify_directional(fams, shared, q=2.5, p=2.0, seed=seed)
             assert own.to_json() == reused.to_json()
 
-    def test_mismatched_averager_rejected(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fams, other: verify_directional(fams, other, q=2.5, p=2.0),
+            lambda fams, other: verify_weighted_directional(fams, other, p=2.0),
+            lambda fams, other: build_majorant_weight(Grid2D.constant(3, 1.0), other, 2.0, 4, 1.5),
+        ],
+        ids=["verify_directional", "verify_weighted_directional", "build_majorant_weight"],
+    )
+    def test_averager_at_another_resolution_rejected(self, call):
         rng = np.random.default_rng(22)
-        dirs = DirectionSet.uniform(8)
         fams = [random_plane(rng, 3) for _ in range(2)]
-        g = Grid2D(3, np.ones((8, 8), dtype=np.complex128))
-        for other in (DirectionalAverager(3, DirectionSet.uniform(2)), DirectionalAverager(4, dirs)):
-            with pytest.raises(ValueError, match="does not match"):
-                verify_directional(fams, dirs, q=2.5, p=2.0, averager=other)
-            with pytest.raises(ValueError, match="does not match"):
-                verify_weighted_directional(fams, dirs, p=2.0, averager=other)
-            with pytest.raises(ValueError, match="does not match"):
-                build_majorant_weight(g, dirs, 2.0, 4, averager=other)
+        other = DirectionalAverager(4, DirectionSet.uniform(2))
+        with pytest.raises(ValueError, match="L=4 does not match the data at L=3"):
+            call(fams, other)
 
     def test_weighted_directional_report(self):
         rng = np.random.default_rng(16)
         fams = [random_plane(rng, 3) for _ in range(4)]
-        report = verify_weighted_directional(
-            fams, DirectionSet.uniform(4), p=2.0, terms=12, seed=2
-        )
+        averager = DirectionalAverager(3, DirectionSet.uniform(4))
+        report = verify_weighted_directional(fams, averager, p=2.0, seed=2)
         certs = report.extra["weight"]
         assert certs["norm_ok"] and certs["recursion_ok"]
         # the duality pairing is dominated by the weighted pairing, which the
@@ -818,22 +813,22 @@ class TestEquivalenceAndTheorems:
         calls = []
         real = DirectionalAverager.estimate_norm
 
-        def counted(self, p, iters=30, seed=0):
-            calls.append((p, iters, seed))
-            return real(self, p, iters=iters, seed=seed)
+        def counted(self, p, seed=0):
+            calls.append((p, seed))
+            return real(self, p, seed=seed)
 
         monkeypatch.setattr(DirectionalAverager, "estimate_norm", counted)
         shared = DirectionalAverager(3, dirs)
         for seed in (0, 3):
-            verify_weighted_directional(fams, dirs, p=1.5, terms=6, seed=seed)
-            verify_weighted_directional(fams, dirs, p=1.5, terms=6, seed=seed, averager=shared)
-        assert calls == [(1.5, 12, 0)] * 2 + [(1.5, 12, 3)] * 2
+            verify_weighted_directional(fams, DirectionalAverager(3, dirs), p=1.5, seed=seed)
+            verify_weighted_directional(fams, shared, p=1.5, seed=seed)
+        assert calls == [(1.5, 0)] * 2 + [(1.5, 3)] * 2
 
     def test_weighted_exponent_range(self):
         rng = np.random.default_rng(17)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p must lie in"):
             verify_weighted_directional(
-                [random_plane(rng, 3)], DirectionSet.uniform(2), p=2.0, q=10.0
+                [random_plane(rng, 3)], DirectionalAverager(3, DirectionSet.uniform(2)), p=1.0
             )
 
     def test_level_complement_dense_marker(self):

@@ -118,17 +118,19 @@ def _plane_inputs(resolution: int, seed: int):
 
 
 def _directional(resolution: int) -> dict:
-    from dyadlab.directional import DirectionSet, verify_directional
+    from dyadlab.directional import DirectionalAverager, DirectionSet, verify_directional
 
     fams, _ = _plane_inputs(resolution, 61)
-    return verify_directional(fams, DirectionSet.uniform(8), q=2.5, p=2.0, seed=5).to_dict()
+    averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
+    return verify_directional(fams, averager, q=2.5, p=2.0, seed=5).to_dict()
 
 
 def _weighted_directional() -> dict:
-    from dyadlab.directional import DirectionSet, verify_weighted_directional
+    from dyadlab.directional import DirectionalAverager, DirectionSet, verify_weighted_directional
 
     fams, _ = _plane_inputs(4, 62)
-    return verify_weighted_directional(fams, DirectionSet.uniform(8), p=2.0, seed=6).to_dict()
+    averager = DirectionalAverager(4, DirectionSet.uniform(8))
+    return verify_weighted_directional(fams, averager, p=2.0, seed=6).to_dict()
 
 
 def _biparam() -> dict:
@@ -185,14 +187,15 @@ def _rect_decompose(resolution: int) -> dict:
 def _restricted_pairing() -> dict:
     """`restricted_pairing` at L=5 with every bi-tile, a carved H' and a
     random choice; its buckets come from `full_decompose`."""
-    from dyadlab.carleson import RestrictedOp, carve_h, restricted_pairing
+    from dyadlab.carleson import RestrictedOp, restricted_pairing
     from dyadlab.grid import GridSet, GridSignal
     from dyadlab.harness import random_choice, random_grid_set
+    from dyadlab.maximal import exceptional_complement
     from dyadlab.tiles import TileCollection
 
     rng = np.random.default_rng(72)
     e_set, f_set, g_set = (random_grid_set(rng, 5) for _ in range(3))
-    h_prime = carve_h(GridSet.full(5), g_set, 4.0)
+    h_prime = exceptional_complement(GridSet.full(5), g_set, 4.0)
     op = RestrictedOp(g_set, h_prime, random_choice(rng, 5), TileCollection.all(5))
     f = GridSignal.indicator(5, e_set)
     g = GridSignal.indicator(5, f_set)

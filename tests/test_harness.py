@@ -130,7 +130,7 @@ class TestReportSerialization:
     def test_decay_report_json(self):
         from dyadlab.carleson import norm_decay_ladder
 
-        decay = norm_decay_ladder(5, [0.5, 0.25], seed=9, iters=30)
+        decay = norm_decay_ladder(5, [0.5, 0.25], seed=9)
         parsed = json.loads(decay.to_json())
         assert set(parsed) >= {"ratio_ladder", "slope", "intercept", "unconverged"}
         assert all(set(pt) == {"log_ratio", "log_norm"} for pt in parsed["ratio_ladder"])
@@ -559,6 +559,14 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "1 < p < inf" in err
 
+    @pytest.mark.parametrize("q", ["0", "nan"])
+    def test_cordoba_q_outside_the_window_exits_two(self, q, capsys):
+        # q = 0 would divide by zero in 2/q, and NaN fails every comparison
+        assert main(["verify", "cordoba", "--resolution", "3", "--trials", "1", "--q", q]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ")
+        assert f"cordoba needs |1 - 2/q| < 1/p, got q={float(q)}, p=2.0" in err
+
     def test_cordoba_weighted_ignores_q(self, tmp_path, capsys):
         # the runner works at q = 2p/(p-1) whatever --q says, so the default
         # q = 2.5 must not reject p = 10
@@ -707,7 +715,7 @@ class TestCLI:
         argv = ["estimate-22", "--resolution", "5", "--ladder", "3", "--seed", "3"]
         assert main(argv) == 0
         assert all(branch["unconverged"] == 0 for branch in json.loads(capsys.readouterr().out).values())
-        monkeypatch.setattr(carleson, "norm_decay_ladder", functools.partial(carleson.norm_decay_ladder, iters=2))
+        monkeypatch.setattr(carleson, "norm_decay_point", functools.partial(carleson.norm_decay_point, iters=2))
         assert main(argv) == 1
         assert all(branch["unconverged"] > 0 for branch in json.loads(capsys.readouterr().out).values())
 

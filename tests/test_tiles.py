@@ -1877,7 +1877,8 @@ class TestFrozensetOracles:
             Tree(top, xi, TileCollection.from_bitiles(4, [*inside, member]))
 
     def test_decomposition_path_builds_no_bitile(self, monkeypatch):
-        from dyadlab.carleson import RestrictedOp, carve_h, restricted_pairing
+        from dyadlab.carleson import RestrictedOp, restricted_pairing
+        from dyadlab.maximal import exceptional_complement
 
         rng = np.random.default_rng(20)
         resolution = 6
@@ -1885,7 +1886,7 @@ class TestFrozensetOracles:
         f = random_signal(rng, resolution, complex_values=True)
         e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
         g_set, f_set = random_grid_set(rng, resolution), random_grid_set(rng, resolution)
-        h_prime = carve_h(GridSet.full(resolution), g_set, 4.0)
+        h_prime = exceptional_complement(GridSet.full(resolution), g_set, 4.0)
 
         def refuse(self):
             raise AssertionError("a BiTile was built")
