@@ -90,8 +90,8 @@ def restricted_norm(ops: list[RestrictedOp], seeds, iters: int = 200) -> list[To
     `iters` steps.
 
     Operator i starts from seeds[i].  The operators run as stacks over one
-    stacked model-sum plan, rebuilt only when a member stops, so each
-    result is the one a run of that operator alone gives, bit for bit."""
+    stacked model-sum plan, laid out once per stack, so each result is the
+    one a run of that operator alone gives, bit for bit."""
     ops, seeds = list(ops), list(seeds)
     if len(seeds) != len(ops):
         raise ValueError(f"expected one seed per operator, got {len(seeds)} for {len(ops)}")
@@ -102,21 +102,45 @@ def restricted_norm(ops: list[RestrictedOp], seeds, iters: int = 200) -> list[To
         raise ValueError("restricted operators normed together must share A and B")
 
     L = a.resolution
-
-    def op_for(plans: list[ModelSumPlan]):
-        # the engine's stacks are complex (m, 2**L) arrays of its own, so
-        # the plan's unchecked kernels serve
-        return lambda members: _localized(*ModelSumPlan.stack(plans[i] for i in members).kernels(), a, b)
-
     results: list[TopSingularResult] = []
     # the array of one numpy call is the stacked plan's block stack, up to
     # L rows of 2**(L-1) cells per member (and none at L = 0); the cap
     # still counts 2**L cells a row, the figure it was measured at, and is
-    # not re-tuned for the half spectrum
+    # not re-tuned for the half spectrum. Each slice is one engine stack
     for s in stack_slices(len(ops), max(L, 1) << L):
-        plans = [op.plan for op in ops[s]]
-        results += top_singular(op_for(plans), (1 << L,), seeds[s], max_steps=iters, vectors=True)
+        op_for = _stack_op_for([op.plan for op in ops[s]], a, b)
+        results += top_singular(op_for, (1 << L,), seeds[s], max_steps=iters, vectors=True)
     return results
+
+
+def _stack_op_for(plans: list[ModelSumPlan], a: GridSet, b: GridSet):
+    """`top_singular`'s `op_for` for one stack of the plans, laid out once.
+
+    The first call gets the whole stack; a later one, after members left,
+    runs the same stacked kernels on a buffer whose rows of the members
+    that left stay zero and are never read.  A member's output row depends
+    on its input row alone, so its results are those of a stack without
+    the others, bit for bit."""
+    # the engine's stacks are complex (m, 2**L) arrays of its own, so the
+    # plan's unchecked kernels serve
+    apply, adjoint = ModelSumPlan.stack(plans).kernels()
+    whole = _localized(apply, adjoint, a, b)
+
+    def op_for(members):
+        if len(members) == len(plans):
+            return whole
+        full = np.zeros((len(plans), 1 << a.resolution), dtype=np.complex128)
+
+        def rows(kernel):
+            def run(x):
+                full[members] = x
+                return kernel(full)[members]
+
+            return run
+
+        return _localized(rows(apply), rows(adjoint), a, b)
+
+    return op_for
 
 
 # Bytes of one chunk of greedy_choice's complex (cell, frequency) sums: the

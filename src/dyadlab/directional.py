@@ -214,8 +214,15 @@ class DirectionalAverager:
         return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """`all_averages(values).max(axis=0)`, bit for bit, without the stack."""
-        return self.all_averages(values, fold=lambda slabs: running_max(slabs)[0])
+        """`all_averages(values).max(axis=0)`, bit for bit, without the stack:
+        the maximum of each kernel stack's raw averages, then one clip.  Max
+        is exact, and clipping at zero is monotone and sends every value up
+        to zero (-0.0 included) to +0.0, so clipping after the maximum gives
+        the bytes of the maximum of the clipped slabs."""
+        top = None
+        for _, work in self._average_stacks(values):
+            top = work.max(axis=0) if top is None else np.maximum(top, work.max(axis=0), out=top)
+        return np.clip(top, 0.0, None, out=top)
 
     def estimate_norm(self, p: float, seed: int = 0) -> float:
         """Family-relative lower estimate of the L^p operator norm via
@@ -235,7 +242,7 @@ class DirectionalAverager:
             if vn == 0:
                 break
             v = v / vn
-            u, choice = self.all_averages(v, fold=lambda slabs: running_max(slabs, winners=True))
+            u, choice = self.all_averages(v, fold=running_max)
             best = max(best, lp_norm(u, p, self.resolution))
             z = u ** (p - 1.0)
             winners = np.flatnonzero(np.bincount(choice.ravel(), minlength=len(self.kernel_ffts)))
@@ -265,9 +272,9 @@ def _ifft2_into(buf: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(buf, axes=(-2, -1), out=buf)
 
 
-def running_max(slabs, winners: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """`np.stack(slabs).max(axis=0)` of NaN-free slabs, from any iterable of
-    them, so no stack need be built; with `winners`, also its `argmax(axis=0)`.
+def running_max(slabs) -> tuple[np.ndarray, np.ndarray]:
+    """`np.stack(slabs).max(axis=0)` of NaN-free slabs and its
+    `argmax(axis=0)`, from any iterable of them, so no stack need be built.
 
     The maximum is a running `np.maximum` in slab order, the pairwise maxima
     the reduction takes, so it matches bit for bit, signed zeros included.
@@ -276,10 +283,9 @@ def running_max(slabs, winners: bool = False) -> tuple[np.ndarray, np.ndarray | 
     as `argmax` does."""
     slabs = iter(slabs)
     top = next(slabs).copy()
-    choice = np.zeros(top.shape, dtype=np.intp) if winners else None
+    choice = np.zeros(top.shape, dtype=np.intp)
     for i, slab in enumerate(slabs, start=1):
-        if winners:
-            choice[slab > top] = i
+        choice[slab > top] = i
         np.maximum(top, slab, out=top)
     return top, choice
 
@@ -498,6 +504,7 @@ def verify_directional(
     at `LOCALIZED_STEPS` steps, and `localized_unconverged` counts those
     that hit the cap.
     """
+    _check_exponent(p)
     if not (q > 0 and abs(1.0 - 2.0 / q) < 1.0 / p):
         raise ValueError(f"exponent q={q} outside the admissible range for p={p}")
     if not fams:

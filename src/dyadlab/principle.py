@@ -218,28 +218,18 @@ def top_singular(
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Each slab's 2-norm, reduced as a power iteration's Rayleigh quotient
-    is, so the first Ritz value is the first power iterate."""
-    return np.sqrt([np.vdot(row, row).real for row in x.reshape(len(x), -1)])
+    is, so the first Ritz value is the first power iterate: `vecdot`
+    conjugates its first argument and takes the `vdot` of each row."""
+    x = x.reshape(len(x), -1)
+    return np.sqrt(np.vecdot(x, x).real)
 
 
-def _ritz_matrix(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """B^T B per row, B upper bidiagonal with the row's alphas on its
-    diagonal and betas above it; B^T B is tridiagonal, written into its
-    lower triangle, the one `eigvalsh` and `eigh` read."""
-    m, k = alphas.shape
-    i = np.arange(k)
-    t = np.zeros((m, k, k))
-    t[:, i, i] = alphas**2
-    t[:, i[1:], i[1:]] += betas**2
-    t[:, i[1:], i[:-1]] = alphas[:, :-1] * betas
-    return t
-
-
-def _ritz_vectors(alphas: np.ndarray, betas: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """V_k y per row, y the top eigenvector of B^T B and V_k the row's
-    first k Lanczos vectors in `basis`; the sum runs in step order, one
-    elementwise product and add per step, so each row's bytes are its own."""
-    y = np.linalg.eigh(_ritz_matrix(alphas, betas))[1][:, :, -1:]
+def _ritz_vectors(ritz: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """V_k y per row, y the top eigenvector of the row's k x k B^T B in
+    `ritz` and V_k the row's first k Lanczos vectors in `basis`; the sum
+    runs in step order, one elementwise product and add per step, so each
+    row's bytes are its own."""
+    y = np.linalg.eigh(ritz)[1][:, :, -1:]
     x = basis[:, 0] * y[:, 0]
     for j in range(1, y.shape[1]):
         x += basis[:, j] * y[:, j]
@@ -251,18 +241,22 @@ def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors) -> li
     op = op_for(members)
     done: dict[int, TopSingularResult] = {}
     # per-row state of the members still in the stack: the Lanczos vectors
-    # v and u, the bidiagonal so far, the last Ritz value and the row of
-    # the member's kept vectors; v and u are this loop's own, so each
-    # recurrence writes into the vector it replaces and leaves alone
-    # whatever the operator hands back
-    v = np.stack([_start_vector(seeds[i], shape) for i in members])
+    # v and u, the last alpha and beta, B^T B so far, the last Ritz value
+    # and the row of the member's kept vectors; v and u are this loop's own,
+    # so each recurrence writes into the vector it replaces and leaves alone
+    # whatever the operator hands back. Members that share a seed share its
+    # start vector, drawn once
+    starts = {seed: _start_vector(seed, shape) for seed in {seeds[i] for i in members}}
+    v = np.stack([starts[seeds[i]] for i in members])
     u = np.empty_like(v)
-    alphas = np.zeros((len(members), max_steps))
-    betas = np.zeros((len(members), max_steps))
     lam = np.zeros(len(members))
     place = np.arange(len(members))
-    # V_k of every member of the first stack, by its row there; the step
-    # axis doubles when full, since most members stop long before the cap
+    # B^T B is tridiagonal: step k writes its k-th diagonal entry and the
+    # entry left of it, in the lower triangle that `eigvalsh` and `eigh`
+    # read, and every other entry stays zero. Its steps and those of V_k,
+    # kept by the row of the member in the first stack, double when full,
+    # since most members stop long before the cap
+    ritz = np.zeros((len(members), min(8, max_steps), min(8, max_steps)))
     basis = np.empty((len(members), min(8, max_steps), v[0].size), complex) if vectors else None
 
     def stop(rows, k, converged):
@@ -270,7 +264,7 @@ def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors) -> li
         tops = dict.fromkeys(rows)
         positive = [row for row in rows if lam[row] > 0.0]
         if vectors and positive:
-            x = _ritz_vectors(alphas[positive, :k], betas[positive, : k - 1], basis[place[positive], :k])
+            x = _ritz_vectors(ritz[positive, :k, :k], basis[place[positive], :k])
             tops.update(zip(positive, x.reshape(len(positive), *shape)))
         for row in rows:
             done[members[row]] = TopSingularResult(math.sqrt(lam[row]), k, converged, tops[row])
@@ -290,38 +284,42 @@ def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors) -> li
 
     for k in range(1, max_steps + 1):
         if k > 1:
-            beta = betas[:, k - 2] = extend(op.adjoint(u), alphas[:, k - 2], v)
+            beta = extend(op.adjoint(u), alpha, v)
             if 0.0 in beta:
                 # A*A maps the Krylov space into itself: the last value is exact
                 stopped = np.flatnonzero(beta == 0.0)
                 stop(stopped, k - 1, True)
-                v, u, alphas, betas, lam, place = leave(stopped, v, u, alphas, betas, lam, place)
+                v, u, alpha, beta, ritz, lam, place = leave(stopped, v, u, alpha, beta, ritz, lam, place)
                 if not members:
                     break
-            np.divide(v, betas[:, k - 2].reshape(slab), out=v)
+            np.divide(v, beta.reshape(slab), out=v)
+        if k > ritz.shape[1]:
+            grow = min(k - 1, max_steps - k + 1)
+            ritz = np.pad(ritz, ((0, 0), (0, grow), (0, grow)))
+            if vectors:
+                basis = np.pad(basis, ((0, 0), (0, grow), (0, 0)))
         if vectors:
-            if k > basis.shape[1]:
-                grown = np.empty((len(basis), min(2 * basis.shape[1], max_steps), basis.shape[2]), complex)
-                grown[:, : k - 1] = basis
-                basis = grown
             basis[place, k - 1] = v.reshape(len(v), -1)
         if k == 1:
             np.copyto(u, op.apply(v))
             alpha = _row_norms(u)
+            ritz[:, 0, 0] = alpha**2
         else:
-            alpha = extend(op.apply(v), betas[:, k - 2], u)
-        alphas[:, k - 1] = alpha
-        lam_prev, lam = lam, np.linalg.eigvalsh(_ritz_matrix(alphas[:, :k], betas[:, : k - 1]))[:, -1]
+            # B has the alphas on its diagonal and the betas above it
+            ritz[:, k - 1, k - 2] = alpha * beta
+            alpha = extend(op.apply(v), beta, u)
+            ritz[:, k - 1, k - 1] = alpha**2 + beta**2
+        lam_prev, lam = lam, np.linalg.eigvalsh(ritz[:, :k, :k])[:, -1]
         settled = alpha == 0.0
         if k > 1:
             settled |= np.abs(lam - lam_prev) <= tol * lam
         stopped = np.flatnonzero(settled)
         if len(stopped):
             stop(stopped, k, True)
-            v, u, alphas, betas, lam, place = leave(stopped, v, u, alphas, betas, lam, place)
+            v, u, alpha, ritz, lam, place = leave(stopped, v, u, alpha, ritz, lam, place)
             if not members:
                 break
-        np.divide(u, alphas[:, k - 1].reshape(slab), out=u)
+        np.divide(u, alpha.reshape(slab), out=u)
     stop(range(len(members)), max_steps, False)
     return [done[i] for i in sorted(done)]
 

@@ -46,9 +46,9 @@ from dyadlab.tiles import (
     model_sum,
     size_bound,
 )
-from dyadlab.grid import STACK_CELLS
+from dyadlab.grid import STACK_CELLS, stack_slices
 from dyadlab.walsh import bit_reversal, block_gathers
-from test_principle import assert_same_krylov, one_member_run
+from test_principle import assert_same_krylov, old_top_singular, one_member_run
 from test_tiles import packet_coefficients
 
 
@@ -730,6 +730,104 @@ class TestDecayEngine:
             if resolution == 4:
                 top = float(np.linalg.svd(densify(op.operator.apply, n), compute_uv=False)[0])
                 assert abs(res.norm - top) <= 1e-9 * top
+
+
+def old_restricted_norm(ops, seeds, iters=200):
+    """restricted_norm on the old engine, with the stacked plan stacked and
+    laid out again each time a member stops."""
+    a, b = ops[0].a, ops[0].b
+    L = a.resolution
+    results = []
+    for s in stack_slices(len(ops), max(L, 1) << L):
+        plans = [op.plan for op in ops[s]]
+
+        def op_for(members, plans=plans):
+            kernels = ModelSumPlan.stack(plans[i] for i in members).kernels()
+            return LinearOperator(*kernels).localized(a.mask, b.mask)
+
+        results += old_top_singular(op_for, (1 << L,), seeds[s], max_steps=iters, vectors=True)
+    return results
+
+
+def counting_layouts(monkeypatch):
+    """The member counts of the stacked plans laid out from now on."""
+    counts = []
+    layout = ModelSumPlan._layout
+
+    def counted(plan):
+        counts.append(plan._count)
+        layout(plan)
+
+    monkeypatch.setattr(ModelSumPlan, "_layout", counted)
+    return counts
+
+
+class TestOneLayoutPerStack:
+    """restricted_norm lays out one stacked plan per engine stack and serves
+    the members left after others stop from it, bit for bit."""
+
+    @staticmethod
+    def mixed_ops(resolution):
+        # members leave at different steps; member 2 has no surviving tile
+        # (the zero-norm exit); the seeds repeat
+        rng = np.random.default_rng(700 + resolution)
+        n = 1 << resolution
+        a, b = GridSet(resolution, rng.random(n) < 0.6), GridSet(resolution, rng.random(n) < 0.6)
+        collection = random_convex_collection(rng, resolution)
+        choices = [random_choice(rng, resolution) for _ in range(4)]
+        choices.append(greedy_choice(random_signal(rng, resolution, complex_values=True), collection))
+        ops = [RestrictedOp(a, b, choice, collection) for choice in choices]
+        ops.insert(2, RestrictedOp(a, b, choices[0], TileCollection.from_bitiles(resolution, [])))
+        return ops, [5, 5, 2, 5, 1, 8]
+
+    # at L=9 the six operators run as two stacks of three
+    @pytest.mark.parametrize("resolution", [3, 5, 7, 9])
+    def test_equals_old_engine(self, resolution):
+        ops, seeds = self.mixed_ops(resolution)
+        # 12 steps take the Ritz matrix past its first growth
+        for iters in (150, 12, 2):
+            new = restricted_norm(ops, seeds, iters=iters)
+            for res, expected in zip(new, old_restricted_norm(ops, seeds, iters=iters), strict=True):
+                assert_same_krylov(res, expected)
+            assert new[2].norm == 0.0 and new[2].top_vector is None
+            if iters == 150:
+                assert len({res.steps for res in new}) > 2
+
+    @pytest.mark.parametrize("resolution", [3, 5, 9])
+    def test_one_layout_per_stack(self, monkeypatch, resolution):
+        ops, seeds = self.mixed_ops(resolution)
+        counts = counting_layouts(monkeypatch)
+        results = restricted_norm(ops, seeds, iters=150)
+        assert len({res.steps for res in results}) > 2
+        stacks = stack_slices(len(ops), max(resolution, 1) << resolution)
+        assert counts == [s.stop - s.start for s in stacks]
+
+    @pytest.mark.parametrize("resolution", [4, 6])
+    def test_decay_points(self, monkeypatch, resolution):
+        # every restricted_norm call of a decay ladder equals the old
+        # engine's, and lays out one plan per top_singular stack
+        calls = []
+
+        def recording(ops, seeds, iters=200):
+            calls.append((list(ops), list(seeds), iters))
+            return restricted_norm(ops, seeds, iters=iters)
+
+        monkeypatch.setattr(carleson, "restricted_norm", recording)
+        ratios = [2.0**-i for i in range(1, resolution + 1)]
+        for branch in ("h", "g"):
+            norm_decay_ladder(resolution, ratios, seed=3, branch=branch)
+        assert any(len(set(seeds)) < len(seeds) for _, seeds, _ in calls)
+        left = 0
+        for ops, seeds, iters in calls:
+            stacks = len(stack_slices(len(ops), max(resolution, 1) << resolution))
+            counts = counting_layouts(monkeypatch)
+            new = restricted_norm(ops, seeds, iters=iters)
+            assert len(counts) == stacks
+            monkeypatch.undo()
+            left += len({res.steps for res in new}) > 1
+            for res, expected in zip(new, old_restricted_norm(ops, seeds, iters=iters), strict=True):
+                assert_same_krylov(res, expected)
+        assert left > 0
 
 
 class TestVectorCarleson:

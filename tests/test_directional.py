@@ -360,7 +360,7 @@ class TestRunningMax:
     def test_ties_keep_the_first_slab(self, count):
         rng = np.random.default_rng(count)
         slabs = rng.integers(0, 3, size=(count, 16, 16)).astype(float)
-        top, got = running_max(slabs, winners=True)
+        top, got = running_max(slabs)
         assert got.dtype == slabs.argmax(axis=0).dtype
         assert np.array_equal(got, slabs.argmax(axis=0))
         self.assert_same_max(slabs)
@@ -369,14 +369,14 @@ class TestRunningMax:
         rng = np.random.default_rng(1)
         slabs = np.where(rng.random((9, 8, 8)) < 0.5, -0.0, 0.0)
         assert np.signbit(slabs).any() and not np.signbit(slabs).all()
-        winners = running_max(slabs, winners=True)[1]
+        winners = running_max(slabs)[1]
         assert np.array_equal(winners, np.zeros((8, 8), dtype=np.intp))
         assert np.array_equal(winners, slabs.argmax(axis=0))
         self.assert_same_max(slabs)
         # a zero of either sign after a tie of the other sign does not win
         slabs[4, 2, 3] = 1.0
         slabs[6, 2, 3] = 1.0
-        winners = running_max(slabs, winners=True)[1]
+        winners = running_max(slabs)[1]
         assert np.array_equal(winners, slabs.argmax(axis=0))
         assert winners[2, 3] == 4
         self.assert_same_max(slabs)
@@ -385,26 +385,59 @@ class TestRunningMax:
         averager = DirectionalAverager(5, DirectionSet.uniform(8))
         rng = np.random.default_rng(2)
         slabs = averager.all_averages(np.abs(rng.standard_normal((32, 32))))
-        assert np.array_equal(running_max(slabs, winners=True)[1], slabs.argmax(axis=0))
+        assert np.array_equal(running_max(slabs)[1], slabs.argmax(axis=0))
         self.assert_same_max(slabs)
 
-    @pytest.mark.parametrize("resolution", [1, 3, 5, 6])
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
     def test_apply_is_the_stack_maximum(self, resolution):
-        # bytes of the maximum over every kernel's averages, including an
-        # indicator input (exact zeros) and the zero input
+        # bytes of the maximum over every kernel's averages and of the
+        # running-max fold of the clipped slabs, on inputs with zero regions
+        # (half the grid, a sparse input, an indicator with exact zeros) and
+        # the zero input: their averages reach zero and below, of either
+        # sign, so a clip that kept -0.0 or a maximum that picked the other
+        # zero would show in the bytes, which `np.array_equal` does not see
         averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
         rng = np.random.default_rng(40 + resolution)
         n = 1 << resolution
+        half = np.zeros((n, n))
+        half[: n // 2] = rng.random((n // 2, n))
         for values in (
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+            half,
+            np.where(rng.random((n, n)) < 0.1, rng.standard_normal((n, n)), 0.0),
             (rng.random((n, n)) < 0.25).astype(float),
             np.zeros((n, n)),
         ):
             got = averager.apply(values)
-            want = averager.all_averages(values).max(axis=0)
-            assert got.dtype == want.dtype and got.strides == want.strides
-            assert got.tobytes() == want.tobytes()
+            assert not np.signbit(got).any()
+            for want in (
+                averager.all_averages(values).max(axis=0),
+                averager.all_averages(values, fold=lambda slabs: running_max(slabs)[0]),
+            ):
+                assert got.dtype == want.dtype and got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+        raw = np.concatenate([work.copy() for _, work in averager._average_stacks(half)])
+        assert (raw <= 0.0).any()
 
+    def test_apply_on_signed_zeros(self, monkeypatch):
+        # raw averages of either sign at and around zero over three kernel
+        # stacks, cell (0, 0) -0.0 in every one: the single clip after the
+        # maximum must give the bytes of the clipped slabs' maximum
+        averager = DirectionalAverager(2, DirectionSet.uniform(4))
+        count = len(averager.kernel_ffts)
+        rng = np.random.default_rng(3)
+        raw = rng.choice(np.array([-0.0, 0.0, -1e-17, 1e-17, 0.5]), size=(count, 4, 4))
+        raw[:, 0, 0] = -0.0
+
+        def stacks(values):
+            for s in (slice(0, 2), slice(2, count - 1), slice(count - 1, count)):
+                yield s, raw[s].copy()
+
+        monkeypatch.setattr(averager, "_average_stacks", stacks)
+        values = np.zeros((4, 4))
+        got = averager.apply(values).tobytes()
+        assert got == averager.all_averages(values, fold=lambda slabs: running_max(slabs)[0]).tobytes()
+        assert got == averager.all_averages(values).max(axis=0).tobytes()
 
 class TestHalfplane:
     def test_direction_validation(self):
@@ -682,6 +715,15 @@ class TestEquivalenceAndTheorems:
         averager = DirectionalAverager(3, DirectionSet.uniform(2))
         with pytest.raises(ValueError, match="outside the admissible range"):
             verify_directional(fams, averager, q=q, p=2.0)
+
+    @pytest.mark.parametrize("p", [0.0, math.nan, -1.0])
+    def test_directional_rejects_p_first(self, p):
+        # a bad p is named before the q window, which divides by p
+        rng = np.random.default_rng(14)
+        fams = [random_plane(rng, 3)]
+        averager = DirectionalAverager(3, DirectionSet.uniform(2))
+        with pytest.raises(ValueError, match=r"p must lie in \(1, inf\)"):
+            verify_directional(fams, averager, q=2.5, p=p)
 
     def test_directional_near_l2_contraction(self):
         rng = np.random.default_rng(15)

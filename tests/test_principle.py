@@ -30,6 +30,7 @@ from dyadlab.principle import (
     PowerIterationResult,
     TopSingularResult,
     _check_loop,
+    _row_norms,
     _start_vector,
     power_iteration,
     splitting_cascade,
@@ -730,6 +731,123 @@ def single_multiplier(spectrum, out_mask, in_mask):
     ).localized(out_mask, in_mask)
 
 
+def old_row_norms(x):
+    """The row norms top_singular took before one `vecdot`: a loop of vdots."""
+    return np.sqrt([np.vdot(row, row).real for row in x.reshape(len(x), -1)])
+
+
+def old_ritz_matrix(alphas, betas):
+    """B^T B per row as top_singular rebuilt it twice a step before it grew
+    one matrix in place."""
+    m, k = alphas.shape
+    i = np.arange(k)
+    t = np.zeros((m, k, k))
+    t[:, i, i] = alphas**2
+    t[:, i[1:], i[1:]] += betas**2
+    t[:, i[1:], i[:-1]] = alphas[:, :-1] * betas
+    return t
+
+
+def old_ritz_vectors(alphas, betas, basis):
+    y = np.linalg.eigh(old_ritz_matrix(alphas, betas))[1][:, :, -1:]
+    x = basis[:, 0] * y[:, 0]
+    for j in range(1, y.shape[1]):
+        x += basis[:, j] * y[:, j]
+    return x
+
+
+def old_top_singular(op_for, shape, seeds, tol=1e-9, max_steps=200, vectors=False):
+    """top_singular with the stack loop it ran before it grew B^T B in place,
+    drew one start vector per distinct seed and took row norms by vecdot."""
+    shape, seeds = tuple(shape), list(seeds)
+    results = []
+    for s in stack_slices(len(seeds), math.prod(shape)):
+        members = list(range(s.start, s.stop))
+        results.extend(old_lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors))
+    return results
+
+
+def old_lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors):
+    slab = (-1,) + (1,) * len(shape)
+    op = op_for(members)
+    done = {}
+    v = np.stack([_start_vector(seeds[i], shape) for i in members])
+    u = np.empty_like(v)
+    alphas = np.zeros((len(members), max_steps))
+    betas = np.zeros((len(members), max_steps))
+    lam = np.zeros(len(members))
+    place = np.arange(len(members))
+    basis = np.empty((len(members), min(8, max_steps), v[0].size), complex) if vectors else None
+
+    def stop(rows, k, converged):
+        tops = dict.fromkeys(rows)
+        positive = [row for row in rows if lam[row] > 0.0]
+        if vectors and positive:
+            x = old_ritz_vectors(alphas[positive, :k], betas[positive, : k - 1], basis[place[positive], :k])
+            tops.update(zip(positive, x.reshape(len(positive), *shape)))
+        for row in rows:
+            done[members[row]] = TopSingularResult(math.sqrt(lam[row]), k, converged, tops[row])
+
+    def leave(rows, *stacks):
+        nonlocal members, op
+        keep = [r for r in range(len(members)) if r not in rows]
+        members = [members[r] for r in keep]
+        if members:
+            op = op_for(members)
+        return [s[keep] for s in stacks]
+
+    def extend(image, coef, last):
+        np.subtract(image, np.multiply(last, coef.reshape(slab), out=last), out=last)
+        return old_row_norms(last)
+
+    for k in range(1, max_steps + 1):
+        if k > 1:
+            beta = betas[:, k - 2] = extend(op.adjoint(u), alphas[:, k - 2], v)
+            if 0.0 in beta:
+                stopped = np.flatnonzero(beta == 0.0)
+                stop(stopped, k - 1, True)
+                v, u, alphas, betas, lam, place = leave(stopped, v, u, alphas, betas, lam, place)
+                if not members:
+                    break
+            np.divide(v, betas[:, k - 2].reshape(slab), out=v)
+        if vectors:
+            if k > basis.shape[1]:
+                grown = np.empty((len(basis), min(2 * basis.shape[1], max_steps), basis.shape[2]), complex)
+                grown[:, : k - 1] = basis
+                basis = grown
+            basis[place, k - 1] = v.reshape(len(v), -1)
+        if k == 1:
+            np.copyto(u, op.apply(v))
+            alpha = old_row_norms(u)
+        else:
+            alpha = extend(op.apply(v), betas[:, k - 2], u)
+        alphas[:, k - 1] = alpha
+        lam_prev, lam = lam, np.linalg.eigvalsh(old_ritz_matrix(alphas[:, :k], betas[:, : k - 1]))[:, -1]
+        settled = alpha == 0.0
+        if k > 1:
+            settled |= np.abs(lam - lam_prev) <= tol * lam
+        stopped = np.flatnonzero(settled)
+        if len(stopped):
+            stop(stopped, k, True)
+            v, u, alphas, betas, lam, place = leave(stopped, v, u, alphas, betas, lam, place)
+            if not members:
+                break
+        np.divide(u, alphas[:, k - 1].reshape(slab), out=u)
+    stop(range(len(members)), max_steps, False)
+    return [done[i] for i in sorted(done)]
+
+
+def assert_matches_old_engine(op_for, shape, seeds, **kwargs):
+    """top_singular equals the old engine on every member, top vectors by
+    their bytes; returns the results."""
+    new = top_singular(op_for, shape, seeds, **kwargs)
+    old = old_top_singular(op_for, shape, seeds, **kwargs)
+    assert len(new) == len(old) == len(seeds)
+    for res, expected in zip(new, old):
+        assert_same_krylov(res, expected)
+    return new
+
+
 class TestStackedPowerIteration:
     """power_iterations against the one-operator loop, member by member."""
 
@@ -1010,3 +1128,66 @@ class TestTopSingular:
         assert results[1].converged and results[1].norm == 0.0
         unconverged = [res for i, res in enumerate(results) if i != 1]
         assert all(not res.converged and res.steps == 2 for res in unconverged)
+
+
+class TestEngineOracle:
+    """top_singular against the loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("resolution", [2, 4, 5])
+    def test_plane_multiplier_stack(self, resolution):
+        # members stop at different steps, member 1 is the zero multiplier,
+        # seeds repeat, and a cap of 20 runs past the first growth of B^T B
+        rng = np.random.default_rng(130 + resolution)
+        n = 1 << resolution
+        spectra = multiplier_family(rng, resolution, 9)
+        out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
+        op_for = stacked_multiplier(spectra, out_mask, in_mask)
+        seeds = [4, 4, 9, 4, 2, 9, 7, 7, 1]
+        for max_steps in (200, 20, 8, 9, 1):
+            for vectors in (False, True):
+                results = assert_matches_old_engine(
+                    op_for, (n, n), seeds, max_steps=max_steps, vectors=vectors
+                )
+                assert results[1].norm == 0.0
+                if max_steps == 200:
+                    assert len({res.steps for res in results}) > 1
+                    assert max(res.steps for res in results) > 8
+
+    def test_cap_past_the_first_growth(self):
+        # at tol 0 a member settles only when its Ritz value stops moving
+        # at all, past 16 steps here, so the Ritz matrix and the kept basis
+        # grow from 8 to 16 and 32 steps
+        rng = np.random.default_rng(140)
+        n = 8
+        spectra = multiplier_family(rng, 3, 5)
+        ones = np.ones((n, n), dtype=bool)
+        results = assert_matches_old_engine(
+            stacked_multiplier(spectra, ones, ones), (n, n), [3, 3, 5, 6, 3],
+            tol=0.0, max_steps=40, vectors=True,
+        )
+        assert all(res.steps > 16 for i, res in enumerate(results) if i != 1)
+
+    def test_breakdown_and_zero_norm(self):
+        # beta == 0 after one step on one cell, alpha == 0 on the zero map
+        double = LinearOperator(lambda v: v * 2.0, lambda w: w * 2.0)
+        zero = LinearOperator(lambda v: v * 0.0, lambda w: w * 0.0)
+        for op in (double, zero):
+            for shape in ((1,), (4,)):
+                assert_matches_old_engine(lambda members: op, shape, [0, 0, 1], vectors=True)
+
+
+class TestRowNorms:
+    """`_row_norms` is one vecdot; it must keep the bytes of the vdot loop
+    at the engine's shapes, so a numpy whose vecdot reduces otherwise fails
+    here instead of moving every norm."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1 << L,) for L in range(1, 10)] + [(1 << L, 1 << L) for L in range(4, 7)],
+    )
+    def test_equals_vdot_loop(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        for m in (1, 3, 8):
+            x = rng.standard_normal((m, *shape)) + 1j * rng.standard_normal((m, *shape))
+            x *= 10.0 ** rng.integers(-3, 4, size=(m,) + (1,) * len(shape))
+            assert _row_norms(x).tobytes() == old_row_norms(x).tobytes()
