@@ -25,7 +25,7 @@ from .plane import (
     exceptional_complement_2d,
     rectangle_averages,
 )
-from .principle import LinearOperator, top_singular
+from .principle import OperatorFamily, top_singular
 from .reports import RatioReport, safe_ratio
 from .walsh import walsh_analysis, walsh_synthesis
 
@@ -477,15 +477,9 @@ def verify_biparam(
 
     # the fixed-scale operators are orthogonal projections, so self-adjoint;
     # the measured scales run as one stack, each slab through its own plan
-    def op_for(members):
-        projects = [_plan(L, measured[i]).project for i in members]
-
-        def project(x):
-            return np.stack([proj(slab) for proj, slab in zip(projects, x)])
-
-        return LinearOperator(project, project).localized(g.mask, h_prime.mask)
-
-    results = top_singular(op_for, (n, n), [seed + j for j in measured], max_steps=LOCALIZED_STEPS)
+    projects = [_plan(L, j).project for j in measured]
+    family = OperatorFamily.of(projects, projects)
+    results = top_singular(family, g.mask, h_prime.mask, [seed + j for j in measured], max_steps=LOCALIZED_STEPS)
     norm_constants = [res.norm**2 / ratio ** (1.0 - 2.0 / p) for res in results]
     report.extra["localized_norms"] = [res.norm for res in results]
     report.extra["localized_unconverged"] = sum(not res.converged for res in results)

@@ -27,7 +27,7 @@ from .grid import (
     vector_lq_norm,
 )
 from .maximal import exceptional_complement
-from .principle import LinearOperator, TopSingularResult, top_singular
+from .principle import OperatorFamily, TopSingularResult, top_singular
 from .reports import BucketStat, DecayReport, LadderPoint, RatioReport, safe_ratio
 from .tiles import (
     ChoiceFunction,
@@ -45,16 +45,14 @@ from .walsh import bit_reversal
 
 @dataclass(frozen=True)
 class RestrictedOp:
-    """Model sum localized between two sets: f -> 1_A T(f 1_B).  Its
-    `operator` acts on cell arrays, over the model-sum `plan` of its
-    (choice, collection) built once."""
+    """Model sum localized between two sets: f -> 1_A T(f 1_B), over the
+    model-sum `plan` of its (choice, collection) built once."""
 
     a: GridSet
     b: GridSet
     choice: ChoiceFunction
     collection: TileCollection
     plan: ModelSumPlan = field(init=False, repr=False, compare=False)
-    operator: LinearOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (
@@ -64,13 +62,7 @@ class RestrictedOp:
             == self.collection.resolution
         ):
             raise ValueError("restricted operator pieces must share one resolution")
-        plan = ModelSumPlan(self.choice, self.collection)
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "operator", _localized(plan.apply, plan.adjoint, self.a, self.b))
-
-
-def _localized(apply, adjoint, a: GridSet, b: GridSet) -> LinearOperator:
-    return LinearOperator(apply, adjoint).localized(a.mask, b.mask)
+        object.__setattr__(self, "plan", ModelSumPlan(self.choice, self.collection))
 
 
 def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
@@ -108,39 +100,34 @@ def restricted_norm(ops: list[RestrictedOp], seeds, iters: int = 200) -> list[To
     # still counts 2**L cells a row, the figure it was measured at, and is
     # not re-tuned for the half spectrum. Each slice is one engine stack
     for s in stack_slices(len(ops), max(L, 1) << L):
-        op_for = _stack_op_for([op.plan for op in ops[s]], a, b)
-        results += top_singular(op_for, (1 << L,), seeds[s], max_steps=iters, vectors=True)
+        family = _stack_family([op.plan for op in ops[s]])
+        results += top_singular(family, a.mask, b.mask, seeds[s], max_steps=iters, vectors=True)
     return results
 
 
-def _stack_op_for(plans: list[ModelSumPlan], a: GridSet, b: GridSet):
-    """`top_singular`'s `op_for` for one stack of the plans, laid out once.
+def _stack_family(plans: list[ModelSumPlan]) -> OperatorFamily:
+    """The plans as one family over their stacked plan, laid out once.
 
-    The first call gets the whole stack; a later one, after members left,
-    runs the same stacked kernels on a buffer whose rows of the members
-    that left stay zero and are never read.  A member's output row depends
-    on its input row alone, so its results are those of a stack without
-    the others, bit for bit."""
+    A call on every member runs the stacked kernels on the engine's stack
+    itself; a call on fewer, after members left, runs them on a buffer
+    whose rows of the members that left are never read.  A member's output
+    row depends on its input row alone, so its results are those of a stack
+    without the others, bit for bit."""
     # the engine's stacks are complex (m, 2**L) arrays of its own, so the
     # plan's unchecked kernels serve
     apply, adjoint = ModelSumPlan.stack(plans).kernels()
-    whole = _localized(apply, adjoint, a, b)
+    full = np.zeros((len(plans), 1 << plans[0].resolution), dtype=np.complex128)
 
-    def op_for(members):
-        if len(members) == len(plans):
-            return whole
-        full = np.zeros((len(plans), 1 << a.resolution), dtype=np.complex128)
+    def padded(kernel):
+        def run(rows, x):
+            if len(rows) == len(plans):
+                return kernel(x)
+            full[rows] = x
+            return kernel(full)[rows]
 
-        def rows(kernel):
-            def run(x):
-                full[members] = x
-                return kernel(full)[members]
+        return run
 
-            return run
-
-        return _localized(rows(apply), rows(adjoint), a, b)
-
-    return op_for
+    return OperatorFamily(len(plans), padded(apply), padded(adjoint))
 
 
 # Bytes of one chunk of greedy_choice's complex (cell, frequency) sums: the
@@ -226,9 +213,7 @@ def restricted_pairing(
         raise ValueError("g must be dominated by the indicator of F")
     keep = retain if retain is not None else op.b
     surviving = retain_meeting(op.collection, keep)
-    op0 = RestrictedOp(op.a, op.b, op.choice, surviving)
-
-    sf = op0.operator.apply(f.values)
+    sf = ModelSumPlan(op.choice, surviving).apply(f.values * op.b.mask) * op.a.mask
     pairing = abs(complex(np.sum(sf * np.conj(g.values)) * cell_width(L)))
 
     masked_f = GridSignal(L, f.values * op.b.mask)

@@ -27,7 +27,7 @@ from .grid import (
     stack_slices,
 )
 from .maximal import dyadic_maximal
-from .principle import LinearOperator, top_singular
+from .principle import OperatorFamily, top_singular
 from .reports import RatioReport, safe_ratio
 
 # steps of `DirectionalAverager.estimate_norm`'s power ascent
@@ -546,19 +546,13 @@ def verify_directional(
     bands = np.stack([band_window(L, k) for k in range(L + 1)])
     multipliers = np.concatenate([bands * halfplane_mask(L, v) for v in directions])
 
-    def op_for(members):
-        m = multipliers[members]
-        buf = np.empty(m.shape, dtype=np.complex128)
-
-        def multiply(x):
-            # hands back the work buffer: `localized` multiplies the result
-            # by its output mask at once, before the next apply rewrites it
-            return _ifft2_into(np.multiply(np.fft.fft2(x, out=buf), m, out=buf))
-
-        return LinearOperator(multiply, multiply).localized(g.mask, h_prime.mask)
+    def multiply(rows, x):
+        spectra = np.fft.fft2(x)
+        return _ifft2_into(np.multiply(spectra, multipliers[rows], out=spectra))
 
     seeds = [seed + 31 * j + k for j in range(len(directions)) for k in range(L + 1)]
-    results = top_singular(op_for, (n, n), seeds, max_steps=LOCALIZED_STEPS)
+    family = OperatorFamily(len(multipliers), multiply, multiply)
+    results = top_singular(family, g.mask, h_prime.mask, seeds, max_steps=LOCALIZED_STEPS)
     norms = [res.norm for res in results]
     alpha = 0.25
     report.extra["localized_norm_max"] = max(norms, default=0.0)

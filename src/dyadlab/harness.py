@@ -22,7 +22,6 @@ from . import __version__
 from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, lp_norm
 from .maximal import ScaleChoice, verify_vector_maximal
 from .principle import (
-    LinearOperator,
     OperatorFamily,
     condition_constant,
     measure_condition,
@@ -243,8 +242,8 @@ def maximal_operator_family(
     """Linearized stopping-scale operators: random scale choices; all share
     the exact L2 bound 1 of the underlying averaging."""
     choices = [random_scale_choice(rng, resolution) for _ in range(members)]
-    ops = [LinearOperator(ch.average, ch.average_adjoint) for ch in choices]
-    return OperatorFamily(ops), choices
+    family = OperatorFamily.of([ch.average for ch in choices], [ch.average_adjoint for ch in choices])
+    return family, choices
 
 
 # ---------------------------------------------------------------------------

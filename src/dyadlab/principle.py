@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,36 +45,27 @@ def level_budget(p: float, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class LinearOperator:
-    """A linear map on cell arrays together with its adjoint."""
-
-    apply: Callable[[np.ndarray], np.ndarray]
-    adjoint: Callable[[np.ndarray], np.ndarray]
-
-    def localized(self, out_mask: np.ndarray, in_mask: np.ndarray) -> "LinearOperator":
-        """The operator v -> T(v 1_in) 1_out, with adjoint v -> T*(v 1_out) 1_in.
-
-        Every two-set bound of the engine is a bound on such an operator.
-        The masks multiply the input before the map and the output after
-        it, so the arithmetic is that of writing the products out inline.
-        """
-        return LinearOperator(
-            lambda v: self.apply(v * in_mask) * out_mask,
-            lambda v: self.adjoint(v * out_mask) * in_mask,
-        )
-
-
-@dataclass
 class OperatorFamily:
-    """Finite family of linear operators."""
+    """A finite family of linear maps on cell arrays, with their adjoints,
+    applied to stacks: `apply(rows, x)` maps slab i of the stack x by member
+    rows[i], and `adjoint(rows, x)` by that member's adjoint."""
 
-    operators: list[LinearOperator]
+    size: int
+    apply: Callable[[Sequence[int], np.ndarray], np.ndarray]
+    adjoint: Callable[[Sequence[int], np.ndarray], np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return self.size
 
-    def apply(self, j: int, values: np.ndarray) -> np.ndarray:
-        return self.operators[j % len(self.operators)].apply(values)
+    @classmethod
+    def of(cls, maps: list, adjoints: list) -> "OperatorFamily":
+        """The family of maps[i] with adjoint adjoints[i], each run on its
+        own slab."""
+
+        def slabwise(fns):
+            return lambda rows, x: np.stack([fns[i](slab) for i, slab in zip(rows, x)])
+
+        return cls(len(maps), slabwise(maps), slabwise(adjoints))
 
 
 @dataclass
@@ -133,13 +124,14 @@ def _start_vector(seed, shape) -> np.ndarray:
 
 
 def power_iteration(
-    op: LinearOperator,
+    family: OperatorFamily,
     shape,
     iters: int = 200,
     tol: float = 1e-9,
     seed: int = 0,
 ) -> PowerIterationResult:
-    """Largest singular value of one operator by power iteration on A*A.
+    """Largest singular value of a family's member 0 by power iteration on
+    A*A, on a one-slab stack of `shape` cells.
 
     The library's norms run on `top_singular`; this plain loop is kept as
     a reference.  The Rayleigh quotient is monotone nondecreasing along
@@ -147,22 +139,22 @@ def power_iteration(
     below tol.
     """
     _check_loop("iters", iters, tol)
-    v = _start_vector(seed, tuple(shape))
+    v = _start_vector(seed, (1, *shape))
     lam_prev, lam = -1.0, 0.0
     for it in range(1, iters + 1):
-        w = op.apply(v)
+        w = family.apply([0], v)
         lam = float(np.vdot(np.ravel(w), np.ravel(w)).real)
         if lam == 0.0:
             return PowerIterationResult(0.0, it, True, None)
         if lam_prev >= 0 and abs(lam - lam_prev) <= tol * lam:
-            return PowerIterationResult(math.sqrt(lam), it, True, v)
+            return PowerIterationResult(math.sqrt(lam), it, True, v[0])
         lam_prev = lam
-        v = op.adjoint(w)
+        v = family.adjoint([0], w)
         nv = np.linalg.norm(np.ravel(v))
         if nv == 0.0:
             return PowerIterationResult(math.sqrt(lam), it, True, None)
         v = v / nv
-    return PowerIterationResult(math.sqrt(lam), iters, False, v)
+    return PowerIterationResult(math.sqrt(lam), iters, False, v[0])
 
 
 @dataclass(frozen=True)
@@ -179,40 +171,43 @@ class TopSingularResult:
 
 
 def top_singular(
-    op_for: Callable[[list[int]], LinearOperator],
-    shape,
+    family: OperatorFamily,
+    out_mask: np.ndarray,
+    in_mask: np.ndarray,
     seeds,
     tol: float = 1e-9,
     max_steps: int = 200,
     vectors: bool = False,
 ) -> list[TopSingularResult]:
-    """Largest singular values of a family of operators by Golub-Kahan-
-    Lanczos bidiagonalization, run on stacks of members.
+    """Largest singular values of a family's members localized by the
+    masks, v -> T_i(v 1_in) 1_out with adjoint v -> T_i*(v 1_out) 1_in, by
+    Golub-Kahan-Lanczos bidiagonalization, run on stacks of members.
 
-    Member i starts from the unit complex Gaussian vector of its seed and
-    `op_for(members)` returns the operator acting on a `(len(members),
-    *shape)` stack of the listed members, one slab each; it is called again
-    only when members leave.  Every per-member reduction runs on that
-    member's slab alone, so each result equals a one-member run bit for
-    bit.  Step k extends the bidiagonal B of A on the Krylov space of A*A
-    by one column; the norm is the square root of the largest eigenvalue
-    of B^T B (the top Ritz value), which A attains on that space, so in
-    exact arithmetic it is never below the power iterate after as many
-    applies (G. Golub and W. Kahan, SIAM J. Numer. Anal. B 2, 1965;
-    J. Kuczynski and H. Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992).
-    A member stops when its Ritz value moves by at most tol relative, or
-    when the recurrence breaks down on an invariant space, where the value
-    is exact.  There is no reorthogonalization: rounding may let a copy of
-    the top value reappear, but the top Ritz value still converges to the
-    norm.  With `vectors`, the right Lanczos vectors V_k are kept and each
-    positive result carries V_k y, y the top eigenvector of B^T B.
+    Member i starts from the unit complex Gaussian vector of seeds[i], and
+    members leave their stack as they stop.  Every per-member reduction
+    runs on that member's slab alone, so each result equals a one-member
+    run bit for bit.  Step k extends the bidiagonal B of A on the Krylov
+    space of A*A by one column; the norm is the square root of the largest
+    eigenvalue of B^T B (the top Ritz value), which A attains on that
+    space, so in exact arithmetic it is never below the power iterate
+    after as many applies (G. Golub and W. Kahan, SIAM J. Numer. Anal. B 2,
+    1965; J. Kuczynski and H. Wozniakowski, SIAM J. Matrix Anal. Appl. 13,
+    1992).  A member stops when its Ritz value moves by at most tol
+    relative, or when the recurrence breaks down on an invariant space,
+    where the value is exact.  There is no reorthogonalization: rounding
+    may let a copy of the top value reappear, but the top Ritz value still
+    converges to the norm.  With `vectors`, the right Lanczos vectors V_k
+    are kept and each positive result carries V_k y, y the top eigenvector
+    of B^T B.
     """
     _check_loop("max_steps", max_steps, tol)
-    shape, seeds = tuple(shape), list(seeds)
+    seeds = list(seeds)
+    if len(seeds) != len(family):
+        raise ValueError(f"expected one seed per family member, got {len(seeds)} for {len(family)}")
     results: list[TopSingularResult] = []
-    for s in stack_slices(len(seeds), math.prod(shape)):
+    for s in stack_slices(len(seeds), in_mask.size):
         members = list(range(s.start, s.stop))
-        results.extend(_lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors))
+        results.extend(_lanczos_stack(family, out_mask, in_mask, members, seeds, tol, max_steps, vectors))
     return results
 
 
@@ -236,15 +231,15 @@ def _ritz_vectors(ritz: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors) -> list[TopSingularResult]:
+def _lanczos_stack(family, out_mask, in_mask, members, seeds, tol, max_steps, vectors) -> list[TopSingularResult]:
+    shape = in_mask.shape
     slab = (-1,) + (1,) * len(shape)
-    op = op_for(members)
     done: dict[int, TopSingularResult] = {}
     # per-row state of the members still in the stack: the Lanczos vectors
     # v and u, the last alpha and beta, B^T B so far, the last Ritz value
     # and the row of the member's kept vectors; v and u are this loop's own,
     # so each recurrence writes into the vector it replaces and leaves alone
-    # whatever the operator hands back. Members that share a seed share its
+    # whatever the family hands back. Members that share a seed share its
     # start vector, drawn once
     starts = {seed: _start_vector(seed, shape) for seed in {seeds[i] for i in members}}
     v = np.stack([starts[seeds[i]] for i in members])
@@ -270,11 +265,9 @@ def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors) -> li
             done[members[row]] = TopSingularResult(math.sqrt(lam[row]), k, converged, tops[row])
 
     def leave(rows, *stacks):
-        nonlocal members, op
+        nonlocal members
         keep = [r for r in range(len(members)) if r not in rows]
         members = [members[r] for r in keep]
-        if members:
-            op = op_for(members)
         return [s[keep] for s in stacks]
 
     def extend(image, coef, last):
@@ -284,7 +277,7 @@ def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors) -> li
 
     for k in range(1, max_steps + 1):
         if k > 1:
-            beta = extend(op.adjoint(u), alpha, v)
+            beta = extend(family.adjoint(members, u * out_mask) * in_mask, alpha, v)
             if 0.0 in beta:
                 # A*A maps the Krylov space into itself: the last value is exact
                 stopped = np.flatnonzero(beta == 0.0)
@@ -301,13 +294,13 @@ def _lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors) -> li
         if vectors:
             basis[place, k - 1] = v.reshape(len(v), -1)
         if k == 1:
-            np.copyto(u, op.apply(v))
+            np.copyto(u, family.apply(members, v * in_mask) * out_mask)
             alpha = _row_norms(u)
             ritz[:, 0, 0] = alpha**2
         else:
             # B has the alphas on its diagonal and the betas above it
             ritz[:, k - 1, k - 2] = alpha * beta
-            alpha = extend(op.apply(v), beta, u)
+            alpha = extend(family.apply(members, v * in_mask) * out_mask, beta, u)
             ritz[:, k - 1, k - 1] = alpha**2 + beta**2
         lam_prev, lam = lam, np.linalg.eigvalsh(ritz[:, :k, :k])[:, -1]
         settled = alpha == 0.0
@@ -358,23 +351,17 @@ def measure_condition(
     Its `extra` has each member's norm and Lanczos steps, and
     `unconverged`, the runs that stopped at the cap.
     """
+    if not len(family):
+        raise ValueError("the operator family is empty")
     if measure(h) <= 0 or measure(g) <= 0:
         raise ValueError("both sets need positive measure")
     conjugate_exponent(p)
     h_sub, g_sub = builder(h, g)
     ratio = measure(g) / measure(h)
 
-    local = [op.localized(g_sub.mask, h_sub.mask) for op in family.operators]
-
-    def op_for(members):
-        ops = [local[i] for i in members]
-        return LinearOperator(
-            lambda v: np.stack([op.apply(row) for op, row in zip(ops, v)]),
-            lambda w: np.stack([op.adjoint(row) for op, row in zip(ops, w)]),
-        )
-
-    seeds = [seed + j for j in range(len(local))]
-    results = top_singular(op_for, (h.mask.size,), seeds, vectors=True)
+    j_count = len(family)
+    seeds = [seed + j for j in range(j_count)]
+    results = top_singular(family, g_sub.mask, h_sub.mask, seeds, vectors=True)
     norms = [res.norm for res in results]
     top_vectors = [res.top_vector for res in results]
     unconverged = sum(not res.converged for res in results)
@@ -382,7 +369,6 @@ def measure_condition(
     c_p = condition_constant(norms, ratio, p)
 
     # restricted weak-type probe: vector input with pointwise l2 at most 1_{H'}
-    j_count = max(1, len(family))
     probes = []
     flat = h_sub.mask.astype(np.complex128) / math.sqrt(j_count)
     probes.append([flat] * j_count)
@@ -397,7 +383,7 @@ def measure_condition(
     denom = measure(h) ** (1.0 / p) * measure(g) ** (1.0 / conjugate_exponent(p))
     b_p = 0.0
     for row in probes:
-        stack = np.vstack([family.apply(j, row[j]) for j in range(j_count)])
+        stack = family.apply(range(j_count), np.stack(row))
         # the integral over G' of the l2 bundle of the outputs
         integral = bundle_norm(stack * g_sub.mask, 1.0, resolution)
         b_p = max(b_p, integral / denom)
@@ -478,8 +464,11 @@ def splitting_cascade(
 
 def vector_inequality_ratio(family: OperatorFamily, fams: VectorSignal, q: float) -> RatioReport:
     """Both sides of the vector conclusion at exponent q: the l2 bundle of
-    T_j f_j against the l2 bundle of f_j, in L^q."""
-    stack = np.vstack([family.apply(j, fams.stack[j]) for j in range(len(fams))])
+    T_j f_j against the l2 bundle of f_j, in L^q; f_j goes to member j
+    modulo the family's size."""
+    if not len(family):
+        raise ValueError("the operator family is empty")
+    stack = family.apply([j % len(family) for j in range(len(fams))], fams.stack)
     lhs = bundle_norm(stack, q, fams.resolution)
     rhs = vector_lq_norm(fams, q)
     return RatioReport.from_sides(lhs, rhs, q=q, family_size=len(fams))

@@ -23,7 +23,6 @@ from dyadlab.biparam import (
 )
 from dyadlab.grid import DyadicInterval, Grid2D, GridSet2D, all_intervals, inner_product, lp_norm, measure
 from dyadlab.harness import random_grid2d, random_set2d
-from dyadlab.principle import LinearOperator
 from dyadlab.plane import (
     DyadicRectangle,
     all_rectangles,
@@ -33,6 +32,8 @@ from dyadlab.plane import (
     strong_maximal,
 )
 from test_principle import (
+    MapPair,
+    assert_closure_runs_match,
     assert_krylov_oracles,
     assert_one_member_runs_match,
     capture_top_singular,
@@ -413,7 +414,7 @@ class TestFixedScalePlan:
             def adj(v, j=j):
                 return old_fixed_scale_operator(v * g.mask, L, j) * h_prime.mask
 
-            assert_krylov_oracles(res, LinearOperator(fwd, adj), (n, n), seed + j, dense=L <= 4)
+            assert_krylov_oracles(res, MapPair(fwd, adj), (n, n), seed + j, dense=L <= 4)
         assert_one_member_runs_match(captured)
         assert report.extra["localized_norms"] == [r.norm for r in captured["results"]]
         assert report.extra["localized_unconverged"] == 0
@@ -694,7 +695,7 @@ class TestPipeline:
         import dyadlab.biparam as biparam
 
         rng = np.random.default_rng(17)
-        L, n, seed, eps = 4, 16, 40, 0.45
+        L, seed, eps = 4, 40, 0.45
         fams = [random_grid2d(rng, L) for _ in range(4)]
         h = GridSet2D.full(L)
         g = random_set2d(rng, L, 0.25)
@@ -705,16 +706,18 @@ class TestPipeline:
         verify_biparam(fams, p=3.0, eps=eps, seed=seed, g=g)
         assert captured["seeds"] == [seed + j for j in range(L)]
         # every scale runs in one stack, which shrinks as scales converge
-        assert captured["calls"][0][0] == [0, 1, 2, 3]
-        for stack, local in captured["calls"]:
-            v = rng.standard_normal((len(stack), n, n)) + 1j * rng.standard_normal((len(stack), n, n))
-            out, back = local.apply(v), local.adjoint(v)
-            for row, j in enumerate(stack):
-                # the closure pair verify_biparam built before the localized projection
-                masked = Grid2D(L, v[row] * h_prime.mask)
-                assert np.array_equal(out[row], fixed_scale_operator(masked, j).values * g.mask)
-                masked = Grid2D(L, v[row] * g.mask)
-                assert np.array_equal(back[row], fixed_scale_operator(masked, j).values * h_prime.mask)
+        assert captured["stacks"][0] == [0, 1, 2, 3]
+        assert np.array_equal(captured["out_mask"], g.mask)
+        assert np.array_equal(captured["in_mask"], h_prime.mask)
+
+        def closures(j):
+            # the closure pair verify_biparam built before the engine masked
+            return MapPair(
+                lambda v: fixed_scale_operator(Grid2D(L, v * h_prime.mask), j).values * g.mask,
+                lambda v: fixed_scale_operator(Grid2D(L, v * g.mask), j).values * h_prime.mask,
+            )
+
+        assert_closure_runs_match(captured, closures)
 
     def test_step_cap_reaches_ok(self, monkeypatch):
         # at a cap of 2 steps the projections stop unconverged; the count

@@ -35,7 +35,7 @@ from dyadlab.harness import (
     random_signal,
     random_vector,
 )
-from dyadlab.principle import LinearOperator, densify, power_iteration
+from dyadlab.principle import TopSingularResult, densify, power_iteration
 from dyadlab.tiles import (
     ChoiceFunction,
     ModelSumPlan,
@@ -48,13 +48,21 @@ from dyadlab.tiles import (
 )
 from dyadlab.grid import STACK_CELLS, stack_slices
 from dyadlab.walsh import bit_reversal, block_gathers
-from test_principle import assert_same_krylov, old_top_singular, one_member_run
+from test_principle import (
+    MapPair,
+    assert_same_krylov,
+    lone,
+    old_localized,
+    old_top_singular,
+    one_member_run,
+    rowwise,
+)
 from test_tiles import packet_coefficients
 
 
 def old_restricted_pair(op: RestrictedOp):
     """The apply_restricted / adjoint_restricted pair and the closures
-    restricted_norm built on them before RestrictedOp.operator."""
+    restricted_norm built on them before the engine masked."""
     L = op.a.resolution
     plan = ModelSumPlan(op.choice, op.collection)
 
@@ -95,7 +103,7 @@ def old_norm_decay_point(
 
     def alone(choice, seed):
         op = RestrictedOp(a_set, b_set, choice, surviving)
-        return one_member_run(op.operator, (1 << L,), seed, max_steps=iters, vectors=True)
+        return one_member_run(op.plan, a_set.mask, b_set.mask, seed, max_steps=iters, vectors=True)
 
     winner = None
     best_choice = None
@@ -184,11 +192,10 @@ def chunked_greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFu
     return ChoiceFunction(L, freqs)
 
 
-def checked_plan_operator(op: RestrictedOp) -> LinearOperator:
-    """The operator restricted_norm ran before it called the plan kernels:
-    the plan's checked apply and adjoint, localized."""
-    plan = ModelSumPlan(op.choice, op.collection)
-    return LinearOperator(plan.apply, plan.adjoint).localized(op.a.mask, op.b.mask)
+def restricted_operator(op: RestrictedOp) -> MapPair:
+    """f -> 1_A T(f 1_B) and its adjoint on lone arrays, over the plan's
+    checked apply and adjoint."""
+    return old_localized(op.plan, op.b.mask, op.a.mask)
 
 
 def assert_same_point(point, expected):
@@ -211,8 +218,8 @@ class TestRestrictedOperator:
         empty = GridSet.empty(resolution)
         full = GridSet.full(resolution)
         for a, b in ((empty, full), (full, empty)):
-            out = RestrictedOp(a, b, choice, collection).operator.apply(f.values)
-            assert np.all(out == 0.0)
+            (res,) = restricted_norm([RestrictedOp(a, b, choice, collection)], [1])
+            assert res == TopSingularResult(0.0, 1, True) and res.top_vector is None
 
     def test_full_sets_recover_model_sum(self):
         rng = np.random.default_rng(1)
@@ -221,7 +228,7 @@ class TestRestrictedOperator:
         f = random_signal(rng, resolution, complex_values=True)
         choice = random_choice(rng, resolution)
         full = GridSet.full(resolution)
-        out = RestrictedOp(full, full, choice, collection).operator.apply(f.values)
+        out = restricted_operator(RestrictedOp(full, full, choice, collection)).apply(f.values)
         assert np.array_equal(out, model_sum(f, choice, collection).values)
 
     def test_unfolds_identically(self):
@@ -236,7 +243,7 @@ class TestRestrictedOperator:
         direct = model_sum(
             GridSignal(resolution, f.values * b.mask), choice, collection
         ).values * a.mask
-        assert np.array_equal(op.operator.apply(f.values), direct)
+        assert np.array_equal(restricted_operator(op).apply(f.values), direct)
 
 
     def test_operator_matches_closure_oracle(self):
@@ -249,11 +256,13 @@ class TestRestrictedOperator:
                 b = random_grid_set(rng, resolution)
                 op = RestrictedOp(a, b, random_choice(rng, resolution), collection)
                 fwd, adj = old_restricted_pair(op)
+                local = restricted_operator(op)
                 for _ in range(3):
                     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                    assert np.array_equal(op.operator.apply(v), fwd(v))
-                    assert np.array_equal(op.operator.adjoint(v), adj(v))
-                old = one_member_run(LinearOperator(fwd, adj), (n,), 5, max_steps=60, vectors=True)
+                    assert np.array_equal(local.apply(v), fwd(v))
+                    assert np.array_equal(local.adjoint(v), adj(v))
+                # the engine's masking is the closures'
+                [old] = old_top_singular(lambda members: rowwise(MapPair(fwd, adj)), (n,), [5], max_steps=60, vectors=True)
                 (new,) = restricted_norm([op], [5], iters=60)
                 assert_same_krylov(new, old)
 
@@ -467,8 +476,9 @@ class TestNormDecay:
                     return RestrictedOp(localized, full, choice, collection)
                 return RestrictedOp(full, localized, choice, collection)
 
-            small_run = one_member_run(op(small).operator, (1 << resolution,), 2, tol=1e-12, max_steps=400)
-            big_run = one_member_run(op(big).operator, (1 << resolution,), 2, tol=1e-12, max_steps=400)
+            small_op, big_op = op(small), op(big)
+            small_run = one_member_run(small_op.plan, small_op.a.mask, small_op.b.mask, 2, tol=1e-12, max_steps=400)
+            big_run = one_member_run(big_op.plan, big_op.a.mask, big_op.b.mask, 2, tol=1e-12, max_steps=400)
             assert small_run.norm <= big_run.norm * (1 + 1e-6)
 
     def test_greedy_dominates_alternatives_pointwise(self):
@@ -623,7 +633,7 @@ class TestNormDecay:
         for iters in iters:
             stacked = restricted_norm(ops, seeds, iters=iters)
             for op, seed, res in zip(ops, seeds, stacked):
-                alone = one_member_run(op.operator, (1 << resolution,), seed, max_steps=iters, vectors=True)
+                alone = one_member_run(op.plan, a.mask, b.mask, seed, max_steps=iters, vectors=True)
                 assert_same_krylov(res, alone)
         assert restricted_norm([], []) == []
         with pytest.raises(ValueError, match="one seed per operator"):
@@ -653,7 +663,8 @@ class TestNormDecay:
         for iters in (150, 2, 60):
             new = restricted_norm(ops, seeds, iters=iters)
             for res, op, seed in zip(new, ops, seeds, strict=True):
-                alone = one_member_run(checked_plan_operator(op), (n,), seed, max_steps=iters, vectors=True)
+                plan = ModelSumPlan(op.choice, op.collection)
+                alone = one_member_run(plan, a.mask, b.mask, seed, max_steps=iters, vectors=True)
                 assert_same_krylov(res, alone)
             assert new[2].norm == 0.0 and new[2].top_vector is None
             if iters == 150:
@@ -719,16 +730,17 @@ class TestDecayEngine:
         assert len(runs) > 50 and all(res.converged for *_, res in runs)
         tol = 1e-9
         for op, seed, iters, res in runs:
-            power = power_iteration(op.operator, (n,), iters=iters, tol=tol, seed=seed)
+            local = restricted_operator(op)
+            power = power_iteration(lone(local), (n,), iters=iters, tol=tol, seed=seed)
             assert res.norm >= power.norm * (1.0 - 1e-12)
             if res.norm == 0.0:
                 assert res.top_vector is None
             else:
                 x = res.top_vector
-                attained = np.linalg.norm(op.operator.apply(x)) / np.linalg.norm(x)
+                attained = np.linalg.norm(local.apply(x)) / np.linalg.norm(x)
                 assert abs(attained - res.norm) <= tol * res.norm
             if resolution == 4:
-                top = float(np.linalg.svd(densify(op.operator.apply, n), compute_uv=False)[0])
+                top = float(np.linalg.svd(densify(local.apply, n), compute_uv=False)[0])
                 assert abs(res.norm - top) <= 1e-9 * top
 
 
@@ -743,7 +755,7 @@ def old_restricted_norm(ops, seeds, iters=200):
 
         def op_for(members, plans=plans):
             kernels = ModelSumPlan.stack(plans[i] for i in members).kernels()
-            return LinearOperator(*kernels).localized(a.mask, b.mask)
+            return old_localized(MapPair(*kernels), b.mask, a.mask)
 
         results += old_top_singular(op_for, (1 << L,), seeds[s], max_steps=iters, vectors=True)
     return results

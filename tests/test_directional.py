@@ -35,8 +35,9 @@ from dyadlab.grid import (
 )
 from dyadlab.harness import random_signal
 from dyadlab.maximal import dyadic_maximal
-from dyadlab.principle import LinearOperator
 from test_principle import (
+    MapPair,
+    assert_closure_runs_match,
     assert_krylov_oracles,
     assert_one_member_runs_match,
     capture_top_singular,
@@ -66,7 +67,7 @@ def localization_sets(resolution, dirs, seed):
 
 
 def old_multiplier_closures(resolution, direction, k, g_mask, h_mask):
-    """The closure pair verify_directional built before the localized multiplier."""
+    """The closure pair verify_directional built before the engine masked."""
     m = band_window(resolution, k) * halfplane_mask(resolution, direction)
 
     def fwd(x):
@@ -737,7 +738,7 @@ class TestEquivalenceAndTheorems:
         import dyadlab.directional as directional
 
         rng = np.random.default_rng(16)
-        L, n, seed = 4, 16, 7
+        L, seed = 4, 7
         dirs = DirectionSet.uniform(4)
         fams = [random_plane(rng, L) for _ in range(2)]
         captured = capture_top_singular(monkeypatch, directional)
@@ -748,15 +749,15 @@ class TestEquivalenceAndTheorems:
         members = len(dirs) * (L + 1)
         assert captured["seeds"] == [seed + 31 * j + k for j in range(len(dirs)) for k in range(L + 1)]
         assert captured["kwargs"] == {"max_steps": 3}
-        assert set().union(*(stack for stack, _ in captured["calls"])) == set(range(members))
-        for stack, local in captured["calls"]:
-            v = rng.standard_normal((len(stack), n, n)) + 1j * rng.standard_normal((len(stack), n, n))
-            out, back = local.apply(v), local.adjoint(v)
-            for row, index in enumerate(stack):
-                j, k = divmod(index, L + 1)
-                fwd, adj = old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask)
-                assert np.array_equal(out[row], fwd(v[row]))
-                assert np.array_equal(back[row], adj(v[row]))
+        assert set().union(*captured["stacks"]) == set(range(members))
+        assert np.array_equal(captured["out_mask"], g.mask)
+        assert np.array_equal(captured["in_mask"], h_prime.mask)
+
+        def closures(index):
+            j, k = divmod(index, L + 1)
+            return MapPair(*old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask))
+
+        assert_closure_runs_match(captured, closures)
 
     @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
     def test_localized_norms_meet_the_oracles(self, monkeypatch, resolution):
@@ -778,9 +779,7 @@ class TestEquivalenceAndTheorems:
         for index, res in enumerate(results):
             j, k = divmod(index, L + 1)
             fwd, adj = old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask)
-            assert_krylov_oracles(
-                res, LinearOperator(fwd, adj), (n, n), seed + 31 * j + k, dense=L <= 4
-            )
+            assert_krylov_oracles(res, MapPair(fwd, adj), (n, n), seed + 31 * j + k, dense=L <= 4)
         assert_one_member_runs_match(captured)
         assert report.extra["localized_norm_max"] == max(r.norm for r in results)
         unconverged = sum(not r.converged for r in results)

@@ -70,11 +70,11 @@ def _mass_decompose(tmp_path):
 
 
 def _power_iteration(tmp_path):
-    from dyadlab.principle import LinearOperator, power_iteration
+    from dyadlab.principle import OperatorFamily, power_iteration
 
     diagonal = np.arange(1.0, 9.0)
-    op = LinearOperator(lambda v: diagonal * v, lambda v: diagonal * v)
-    result = power_iteration(op, (8,), iters=3, seed=1)
+    family = OperatorFamily.of([lambda v: diagonal * v], [lambda v: diagonal * v])
+    result = power_iteration(family, (8,), iters=3, seed=1)
     return result, {"iterations": 3, "unconverged": 1}
 
 

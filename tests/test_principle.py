@@ -1,4 +1,5 @@
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from dyadlab.maximal import (
     linearized_maximal_adjoint,
 )
 from dyadlab.principle import (
-    LinearOperator,
     OperatorFamily,
     SubsetBuilder,
     condition_constant,
@@ -40,16 +40,54 @@ from dyadlab.principle import (
 )
 
 
+class MapPair(NamedTuple):
+    """A linear map with its adjoint, as the oracles below take it: on lone
+    arrays, or on stacks where an `op_for(members)` returns one."""
+
+    apply: Callable
+    adjoint: Callable
+
+
+def lone(op) -> OperatorFamily:
+    """The one-member family of a map on lone arrays and its adjoint."""
+    return OperatorFamily.of([op.apply], [op.adjoint])
+
+
+def member_of(family, i) -> OperatorFamily:
+    """Member i of a family as a one-member family."""
+    return OperatorFamily(1, lambda rows, x: family.apply([i], x), lambda rows, x: family.adjoint([i], x))
+
+
+def member_pair(family, i) -> MapPair:
+    """Member i of a family as a map on lone arrays."""
+    return MapPair(lambda v: family.apply([i], v[None])[0], lambda v: family.adjoint([i], v[None])[0])
+
+
+def rowwise(op) -> MapPair:
+    """A map on lone arrays run on each slab of a stack."""
+    return MapPair(
+        lambda v: np.stack([op.apply(row) for row in v]),
+        lambda w: np.stack([op.adjoint(row) for row in w]),
+    )
+
+
+def family_op_for(family, out_mask, in_mask):
+    """A family as the `op_for(members)` the old engines take: the stacked
+    map v -> T(v 1_in) 1_out of the listed members, with its adjoint."""
+
+    def op_for(members):
+        return MapPair(
+            lambda v: family.apply(members, v * in_mask) * out_mask,
+            lambda w: family.adjoint(members, w * out_mask) * in_mask,
+        )
+
+    return op_for
+
+
 def old_localized(op, h_mask, g_mask):
-    """The closure pair measure_condition built before LinearOperator.localized."""
-
-    def fwd(v):
-        return op.apply(v * h_mask) * g_mask
-
-    def adj(v):
-        return op.adjoint(v * g_mask) * h_mask
-
-    return fwd, adj
+    """The closure pair measure_condition built before the engine masked:
+    v -> T(v 1_H) 1_G and v -> T*(v 1_G) 1_H, on lone arrays."""
+    return MapPair(lambda v: op.apply(v * h_mask) * g_mask, lambda v: op.adjoint(v * g_mask) * h_mask)
 
 
 def old_power_iteration(op, shape, iters=200, tol=1e-9, seed=0):
@@ -249,7 +287,7 @@ def assert_krylov_oracles(res, op, shape, seed, dense):
     Both loops round, so where both have reached s (a 4-cell operator at
     L = 1 does so in three steps) the Ritz value may sit an ulp below the
     power iterate: the first bound allows 4 ulps, relative, and no more."""
-    power = power_iteration(op, shape, iters=res.steps, tol=0.0, seed=seed)
+    power = power_iteration(lone(op), shape, iters=res.steps, tol=0.0, seed=seed)
     assert res.norm >= power.norm * (1.0 - 4.0 * np.finfo(float).eps)
     if dense:
         matrix = densify(lambda x: op.apply(x.reshape(shape)), math.prod(shape))
@@ -258,18 +296,20 @@ def assert_krylov_oracles(res, op, shape, seed, dense):
 
 
 def capture_top_singular(monkeypatch, module):
-    """Record what `module` hands `top_singular`: its op_for, shape, seeds
-    and keywords, every (members, operator) op_for builds, and the results."""
-    captured = {"calls": []}
+    """Record what `module` hands `top_singular`: its family, masks, seeds
+    and keywords, the members of each stack the family is applied to, as
+    they change, and the results."""
+    captured = {"stacks": []}
 
-    def recording(op_for, shape, seeds, **kwargs):
-        def op_for_recorded(members):
-            op = op_for(members)
-            captured["calls"].append((list(members), op))
-            return op
+    def recording(family, out_mask, in_mask, seeds, **kwargs):
+        def apply(rows, x):
+            if captured["stacks"][-1:] != [list(rows)]:
+                captured["stacks"].append(list(rows))
+            return family.apply(rows, x)
 
-        captured.update(op_for=op_for, shape=shape, seeds=list(seeds), kwargs=kwargs)
-        captured["results"] = top_singular(op_for_recorded, shape, seeds, **kwargs)
+        spy = OperatorFamily(len(family), apply, family.adjoint)
+        captured.update(family=family, out_mask=out_mask, in_mask=in_mask, seeds=list(seeds), kwargs=kwargs)
+        captured["results"] = top_singular(spy, out_mask, in_mask, seeds, **kwargs)
         return captured["results"]
 
     monkeypatch.setattr(module, "top_singular", recording)
@@ -279,16 +319,27 @@ def capture_top_singular(monkeypatch, module):
 def assert_one_member_runs_match(captured):
     """Each captured stacked result equals the one-member run of that
     member, bit for bit, top vector included."""
-    op_for, shape, kwargs = captured["op_for"], captured["shape"], captured["kwargs"]
+    family, kwargs = captured["family"], captured["kwargs"]
+    masks = captured["out_mask"], captured["in_mask"]
     for i, (res, seed) in enumerate(zip(captured["results"], captured["seeds"])):
-        [alone] = top_singular(lambda members, i=i: op_for([i]), shape, [seed], **kwargs)
+        [alone] = top_singular(member_of(family, i), *masks, [seed], **kwargs)
         assert_same_krylov(res, alone)
 
 
-def one_member_run(op, shape, seed, **kwargs):
-    """`top_singular` of one operator that acts on a lone array."""
-    stacked = LinearOperator(lambda v: op.apply(v[0])[None], lambda w: op.adjoint(w[0])[None])
-    return top_singular(lambda members: stacked, shape, [seed], **kwargs)[0]
+def assert_closure_runs_match(captured, closures):
+    """Each captured result equals the old engine's run of the member's
+    hand-written localized closure pair on lone arrays, closures(i), bit
+    for bit: the engine's masking is the closures'."""
+    kwargs, shape = captured["kwargs"], captured["in_mask"].shape
+    for i, (res, seed) in enumerate(zip(captured["results"], captured["seeds"])):
+        op = rowwise(closures(i))
+        [old] = old_top_singular(lambda members: op, shape, [seed], **kwargs)
+        assert_same_krylov(res, old)
+
+
+def one_member_run(op, out_mask, in_mask, seed, **kwargs):
+    """`top_singular` of one map on lone arrays, localized by the masks."""
+    return top_singular(lone(op), out_mask, in_mask, [seed], **kwargs)[0]
 
 
 def assert_same_krylov(new, old):
@@ -316,11 +367,11 @@ def old_trim_builders(c):
 
 
 def identity_family(count=1):
-    return OperatorFamily([LinearOperator(lambda v: v, lambda v: v)] * count)
+    return OperatorFamily.of([lambda v: v] * count, [lambda v: v] * count)
 
 
 def zero_family():
-    return OperatorFamily([LinearOperator(lambda v: np.zeros_like(v), lambda v: np.zeros_like(v))])
+    return OperatorFamily.of([np.zeros_like], [np.zeros_like])
 
 
 class TestDecayScalars:
@@ -349,7 +400,7 @@ class TestPowerIteration:
         rng = np.random.default_rng(n)
         matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         res = power_iteration(
-            LinearOperator(lambda v: matrix @ v, lambda v: matrix.conj().T @ v),
+            lone(MapPair(lambda v: matrix @ v, lambda v: matrix.conj().T @ v)),
             (n,),
             iters=2000,
             tol=1e-14,
@@ -365,7 +416,7 @@ class TestPowerIteration:
         norms = []
         for iters in (1, 2, 4, 8, 16, 32, 64):
             res = power_iteration(
-                LinearOperator(lambda v: matrix @ v, lambda v: matrix.T @ v),
+                lone(MapPair(lambda v: matrix @ v, lambda v: matrix.T @ v)),
                 (n,),
                 iters=iters,
                 tol=0.0,
@@ -375,9 +426,7 @@ class TestPowerIteration:
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_zero_operator(self):
-        res = power_iteration(
-            LinearOperator(lambda v: np.zeros_like(v), lambda v: np.zeros_like(v)), (16,), seed=0
-        )
+        res = power_iteration(zero_family(), (16,), seed=0)
         assert res.norm == 0.0 and res.converged
 
     def test_densify_oracle(self):
@@ -458,7 +507,8 @@ class TestMeasureCondition:
         report = measure_condition(family, h, g, builder, p=3.0)
         h_sub, g_sub = builder(h, g)
         dense_best = 0.0
-        for op in family.operators:
+        for j in range(len(family)):
+            op = member_pair(family, j)
             matrix = densify(lambda v: op.apply(v * h_sub.mask) * g_sub.mask, 1 << resolution)
             dense_best = max(dense_best, float(np.linalg.svd(matrix, compute_uv=False)[0]))
         ratio_pow = (measure(g) / measure(h)) ** (1.0 - 2.0 / 3.0)
@@ -476,6 +526,16 @@ class TestMeasureCondition:
         keep_all = SubsetBuilder(lambda h, g: (h, g), label="keep")
         with pytest.raises(ValueError):
             measure_condition(identity_family(), GridSet.empty(4), GridSet.full(4), keep_all, 2.5)
+
+    def test_empty_family_is_rejected(self):
+        # it used to raise ZeroDivisionError from the probe's member cycle
+        keep_all = SubsetBuilder(lambda h, g: (h, g), label="keep")
+        empty = OperatorFamily.of([], [])
+        with pytest.raises(ValueError, match="operator family is empty"):
+            measure_condition(empty, GridSet.full(4), GridSet.full(4), keep_all, 2.5)
+        fam = random_vector(np.random.default_rng(24), 4, 2)
+        with pytest.raises(ValueError, match="operator family is empty"):
+            vector_inequality_ratio(empty, fam, 2.5)
 
 
 class TestSplittingCascade:
@@ -531,7 +591,7 @@ class TestVectorConclusion:
     def test_family_adjoints_are_transposes(self):
         rng = np.random.default_rng(16)
         family, _ = maximal_operator_family(rng, 4, 3)
-        for op in family.operators:
+        for op in (member_pair(family, j) for j in range(len(family))):
             forward = densify(op.apply, 16)
             backward = densify(op.adjoint, 16)
             assert np.allclose(backward, forward.conj().T, atol=1e-12)
@@ -541,7 +601,8 @@ class TestVectorConclusion:
         rng = np.random.default_rng(20)
         resolution = 5
         family, choices = maximal_operator_family(rng, resolution, 3)
-        for op, choice in zip(family.operators, choices):
+        for j, choice in enumerate(choices):
+            op = member_pair(family, j)
             v = rng.standard_normal(1 << resolution) + 1j * rng.standard_normal(1 << resolution)
             f = GridSignal(resolution, v)
             assert op.apply(v).tobytes() == linearized_maximal(f, choice).values.tobytes()
@@ -575,49 +636,57 @@ class TestConditionConstant:
         assert report["principle"]["p1"] == 3.0
 
 class TestLocalizedOperator:
+    """The engine localizes a family by itself: its runs equal the old
+    engine's runs of the hand-written closure pairs, bit for bit."""
+
     def test_adjoint_is_required(self):
         with pytest.raises(TypeError):
-            LinearOperator(lambda v: v)
+            OperatorFamily(1, lambda rows, x: x)
 
     def test_maximal_family_matches_closure_oracle(self):
         rng = np.random.default_rng(17)
         resolution = 5
         n = 1 << resolution
-        family, _ = maximal_operator_family(rng, resolution, 4)
-        for op in family.operators:
+        family, choices = maximal_operator_family(rng, resolution, 4)
+        for j, choice in enumerate(choices):
             h_mask = rng.random(n) < 0.5
             g_mask = rng.random(n) < 0.5
-            local = op.localized(g_mask, h_mask)
-            fwd, adj = old_localized(op, h_mask, g_mask)
-            for _ in range(3):
-                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                assert np.array_equal(local.apply(v), fwd(v))
-                assert np.array_equal(local.adjoint(v), adj(v))
+            closures = rowwise(old_localized(MapPair(choice.average, choice.average_adjoint), h_mask, g_mask))
+            for max_steps in (3, 200):
+                [new] = top_singular(member_of(family, j), g_mask, h_mask, [j], max_steps=max_steps, vectors=True)
+                [old] = old_top_singular(lambda members: closures, (n,), [j], max_steps=max_steps, vectors=True)
+                assert_same_krylov(new, old)
 
     def test_adjoint_is_conjugate_transpose(self):
+        # the engine's localized adjoint is the conjugate transpose of its
+        # localized apply, member by member
         rng = np.random.default_rng(18)
         resolution = 4
         n = 1 << resolution
-        family, _ = maximal_operator_family(rng, resolution, 3)
+        _, choices = maximal_operator_family(rng, resolution, 3)
         matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ops = [*family.operators, LinearOperator(lambda v: matrix @ v, lambda v: matrix.conj().T @ v)]
-        for op in ops:
-            local = op.localized(rng.random(n) < 0.5, rng.random(n) < 0.5)
-            forward = densify(local.apply, n)
-            assert np.allclose(densify(local.adjoint, n), forward.conj().T, rtol=0.0, atol=1e-12)
+        family = OperatorFamily.of(
+            [*(ch.average for ch in choices), lambda v: matrix @ v],
+            [*(ch.average_adjoint for ch in choices), lambda v: matrix.conj().T @ v],
+        )
+        for j in range(len(family)):
+            local = family_op_for(family, rng.random(n) < 0.5, rng.random(n) < 0.5)([j])
+            forward = densify(lambda v: local.apply(v[None])[0], n)
+            backward = densify(lambda v: local.adjoint(v[None])[0], n)
+            assert np.allclose(backward, forward.conj().T, rtol=0.0, atol=1e-12)
 
     def test_measure_condition_runs_the_localized_operator(self):
         rng = np.random.default_rng(19)
         resolution = 5
-        family, _ = maximal_operator_family(rng, resolution, 3)
+        family, choices = maximal_operator_family(rng, resolution, 3)
         h = random_grid_set(rng, resolution)
         g = random_grid_set(rng, resolution)
         builder = trim_builder(4.0, "h")
         report = measure_condition(family, h, g, builder, p=2.5, seed=4)
         h_sub, g_sub = builder(h, g)
-        for j, op in enumerate(family.operators):
-            fwd, adj = old_localized(op, h_sub.mask, g_sub.mask)
-            res = one_member_run(LinearOperator(fwd, adj), (1 << resolution,), 4 + j, vectors=True)
+        for j, choice in enumerate(choices):
+            closures = rowwise(old_localized(MapPair(choice.average, choice.average_adjoint), h_sub.mask, g_sub.mask))
+            [res] = old_top_singular(lambda members: closures, (1 << resolution,), [4 + j], vectors=True)
             assert report.extra["norms"][j] == res.norm
             assert report.extra["iterations"][j] == res.steps
 
@@ -637,7 +706,7 @@ class TestMeasureConditionEngine:
         report = measure_condition(family, h, g, trim_builder(4.0, "h"), p=2.5, seed=6)
         # member j is seeded 6 + j
         assert captured["seeds"] == [6, 7, 8]
-        assert captured["calls"][0][0] == [0, 1, 2]
+        assert captured["stacks"][0] == [0, 1, 2]
         assert captured["kwargs"] == {"vectors": True}
         assert_one_member_runs_match(captured)
         results = captured["results"]
@@ -711,24 +780,25 @@ def multiplier_family(rng, resolution, count):
     return spectra
 
 
-def stacked_multiplier(spectra, out_mask, in_mask, calls=None):
-    def op_for(members):
-        if calls is not None:
-            calls.append(list(members))
-        m = spectra[members]
-        return LinearOperator(
-            lambda x: np.fft.ifft2(np.fft.fft2(x) * m),
-            lambda x: np.fft.ifft2(np.fft.fft2(x) * np.conj(m)),
-        ).localized(out_mask, in_mask)
+def spectral_family(spectra, calls=None):
+    """The multipliers as a family; `calls` records the members of each
+    apply, once per change."""
 
-    return op_for
+    def apply(rows, x):
+        if calls is not None and calls[-1:] != [list(rows)]:
+            calls.append(list(rows))
+        return np.fft.ifft2(np.fft.fft2(x) * spectra[rows])
+
+    return OperatorFamily(len(spectra), apply, lambda rows, x: np.fft.ifft2(np.fft.fft2(x) * np.conj(spectra[rows])))
 
 
 def single_multiplier(spectrum, out_mask, in_mask):
-    return LinearOperator(
+    """One multiplier localized by the masks, on lone arrays."""
+    op = MapPair(
         lambda x: np.fft.ifft2(np.fft.fft2(x) * spectrum),
         lambda x: np.fft.ifft2(np.fft.fft2(x) * np.conj(spectrum)),
-    ).localized(out_mask, in_mask)
+    )
+    return old_localized(op, in_mask, out_mask)
 
 
 def old_row_norms(x):
@@ -837,11 +907,11 @@ def old_lanczos_stack(op_for, shape, members, seeds, tol, max_steps, vectors):
     return [done[i] for i in sorted(done)]
 
 
-def assert_matches_old_engine(op_for, shape, seeds, **kwargs):
+def assert_matches_old_engine(family, out_mask, in_mask, seeds, **kwargs):
     """top_singular equals the old engine on every member, top vectors by
     their bytes; returns the results."""
-    new = top_singular(op_for, shape, seeds, **kwargs)
-    old = old_top_singular(op_for, shape, seeds, **kwargs)
+    new = top_singular(family, out_mask, in_mask, seeds, **kwargs)
+    old = old_top_singular(family_op_for(family, out_mask, in_mask), in_mask.shape, seeds, **kwargs)
     assert len(new) == len(old) == len(seeds)
     for res, expected in zip(new, old):
         assert_same_krylov(res, expected)
@@ -862,7 +932,7 @@ class TestStackedPowerIteration:
             out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
             seeds = [7 + 3 * i for i in range(count)]
             calls = []
-            op_for = stacked_multiplier(spectra, out_mask, in_mask, calls)
+            op_for = family_op_for(spectral_family(spectra, calls), out_mask, in_mask)
             results = power_iterations(op_for, (n, n), seeds, iters=60, tol=1e-6)
             assert len(results) == count
             assert all(len(members) <= cap for members in calls)
@@ -883,14 +953,14 @@ class TestStackedPowerIteration:
         ones = np.ones((n, n), dtype=bool)
         calls = []
         results = power_iterations(
-            stacked_multiplier(spectra, ones, ones, calls), (n, n), range(len(spectra)),
+            family_op_for(spectral_family(spectra, calls), ones, ones), (n, n), range(len(spectra)),
             iters=80, tol=1e-8,
         )
         iterations = [r.iterations for r in results]
         assert results[1].norm == 0.0 and results[1].iterations == 1
         assert len(set(iterations)) > 3
         assert any(r.converged for r in results) and not all(r.converged for r in results)
-        # the operator is rebuilt only when members leave, over shrinking stacks
+        # the members change only when some leave, over shrinking stacks
         assert calls[0] == list(range(len(spectra)))
         assert all(set(b) < set(a) for a, b in zip(calls, calls[1:]))
         for i, res in enumerate(results):
@@ -909,14 +979,14 @@ class TestStackedPowerIteration:
         def op_for(members):
             d = diagonals[members]
             dead = np.array([0.0 if i == 1 else 1.0 for i in members])[:, None]
-            return LinearOperator(lambda v: v * d, lambda w: w * d * dead)
+            return MapPair(lambda v: v * d, lambda w: w * d * dead)
 
         results = power_iterations(op_for, (n,), [1, 2, 3], iters=50)
         for i, res in enumerate(results):
             d = diagonals[i]
             adjoint = (lambda w: w * 0.0) if i == 1 else (lambda w, d=d: w * d * 1.0)
             old = old_power_iteration(
-                LinearOperator(lambda v, d=d: v * d, adjoint), (n,), iters=50, seed=i + 1
+                MapPair(lambda v, d=d: v * d, adjoint), (n,), iters=50, seed=i + 1
             )
             assert_same_result(res, old)
         assert results[1].iterations == 1 and results[1].top_vector is None
@@ -931,7 +1001,7 @@ class TestStackedPowerIteration:
             n = 1 << resolution
             spectra = multiplier_family(rng, resolution, 6)
             out_mask, in_mask = rng.random((n, n)) < 0.7, rng.random((n, n)) < 0.7
-            op_for = stacked_multiplier(spectra, out_mask, in_mask)
+            op_for = family_op_for(spectral_family(spectra), out_mask, in_mask)
             seeds = range(4, 10)
             for new, old in zip(
                 power_iterations(op_for, (n, n), seeds, iters=iters, tol=1e-6),
@@ -946,7 +1016,7 @@ class TestStackedPowerIteration:
             d = diagonals[members]
             dead = np.array([0.0 if i == 2 else 1.0 for i in members])[:, None]
             # a strided apply and an F-ordered adjoint
-            return LinearOperator(
+            return MapPair(
                 lambda v: np.repeat(v * d, 2, axis=1)[:, ::2],
                 lambda w: np.asfortranarray(w * np.conj(d) * dead),
             )
@@ -964,11 +1034,11 @@ class TestStackedPowerIteration:
         rng = np.random.default_rng(52)
         resolution = 6
         n = 1 << resolution
-        family, _ = maximal_operator_family(rng, resolution, 3)
+        _, choices = maximal_operator_family(rng, resolution, 3)
         h, g = random_grid_set(rng, resolution), random_grid_set(rng, resolution)
-        for j, op in enumerate(family.operators):
-            local = op.localized(g.mask, h.mask)
-            new = power_iteration(local, (n,), iters=iters, seed=9 + j)
+        for j, choice in enumerate(choices):
+            local = old_localized(MapPair(choice.average, choice.average_adjoint), h.mask, g.mask)
+            new = power_iteration(lone(local), (n,), iters=iters, seed=9 + j)
             assert_same_result(new, old_power_iteration(local, (n,), iters=iters, seed=9 + j))
 
 
@@ -976,37 +1046,50 @@ class TestLoopSettings:
     """Both norm loops reject a step cap below one and a negative or NaN
     tolerance, naming the argument; a cap of 0 used to return norm 0.0."""
 
+    ones = np.ones(4, dtype=bool)
+
     @staticmethod
     def diagonal():
         d = np.arange(1.0, 5.0)
-        return LinearOperator(lambda v: v * d, lambda v: v * d)
+        return MapPair(lambda v: v * d, lambda v: v * d)
 
     @pytest.mark.parametrize("iters", [0, -3])
     def test_power_iteration_rejects_cap(self, iters):
         op = self.diagonal()
         with pytest.raises(ValueError, match="iters"):
-            power_iteration(op, (4,), iters=iters)
+            power_iteration(lone(op), (4,), iters=iters)
         with pytest.raises(ValueError, match="iters"):
             power_iterations(lambda members: op, (4,), [0], iters=iters)
 
     @pytest.mark.parametrize("max_steps", [0, -3])
     def test_top_singular_rejects_cap(self, max_steps):
-        op = self.diagonal()
         with pytest.raises(ValueError, match="max_steps"):
-            top_singular(lambda members: op, (4,), [0], max_steps=max_steps)
+            top_singular(lone(self.diagonal()), self.ones, self.ones, [0], max_steps=max_steps)
 
     @pytest.mark.parametrize("tol", [-1e-9, math.nan])
     def test_rejects_tolerance(self, tol):
         op = self.diagonal()
         with pytest.raises(ValueError, match="tol"):
-            power_iteration(op, (4,), tol=tol)
+            power_iteration(lone(op), (4,), tol=tol)
         with pytest.raises(ValueError, match="tol"):
-            top_singular(lambda members: op, (4,), [0], tol=tol)
+            top_singular(lone(op), self.ones, self.ones, [0], tol=tol)
 
     def test_smallest_settings_run(self):
         op = self.diagonal()
-        assert power_iteration(op, (4,), iters=1, tol=0.0).iterations == 1
-        assert top_singular(lambda members: op, (4,), [0], tol=0.0, max_steps=1)[0].steps == 1
+        assert power_iteration(lone(op), (4,), iters=1, tol=0.0).iterations == 1
+        assert top_singular(lone(op), self.ones, self.ones, [0], tol=0.0, max_steps=1)[0].steps == 1
+
+    @pytest.mark.parametrize("seeds", [[], [0, 1]])
+    def test_top_singular_rejects_seed_count(self, seeds):
+        with pytest.raises(ValueError, match="one seed per family member, got"):
+            top_singular(lone(self.diagonal()), self.ones, self.ones, seeds)
+
+    def test_power_iteration_runs_member_zero(self):
+        d = np.arange(1.0, 5.0)
+        pair = OperatorFamily.of([lambda v: v * d, np.zeros_like], [lambda v: v * d, np.zeros_like])
+        res = power_iteration(pair, (4,), tol=0.0, iters=5, seed=2)
+        assert_same_result(res, power_iteration(lone(self.diagonal()), (4,), tol=0.0, iters=5, seed=2))
+        assert res.norm > 0.0
 
 
 class TestTopSingular:
@@ -1020,7 +1103,7 @@ class TestTopSingular:
         spectra = multiplier_family(rng, resolution, 9)
         out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
         seeds = [11 + i for i in range(len(spectra))]
-        results = top_singular(stacked_multiplier(spectra, out_mask, in_mask), (n, n), seeds)
+        results = top_singular(spectral_family(spectra), out_mask, in_mask, seeds)
         assert all(res.converged for res in results)
         for i, res in enumerate(results):
             local = single_multiplier(spectra[i], out_mask, in_mask)
@@ -1032,13 +1115,10 @@ class TestTopSingular:
         resolution, n = 4, 16
         spectra = multiplier_family(rng, resolution, 12)
         out_mask, in_mask = rng.random((n, n)) < 0.5, rng.random((n, n)) < 0.5
-        results = top_singular(
-            stacked_multiplier(spectra, out_mask, in_mask), (n, n), range(12),
-            tol=0.0, max_steps=steps,
-        )
+        results = top_singular(spectral_family(spectra), out_mask, in_mask, range(12), tol=0.0, max_steps=steps)
         for i, res in enumerate(results):
             power = power_iteration(
-                single_multiplier(spectra[i], out_mask, in_mask), (n, n),
+                lone(single_multiplier(spectra[i], out_mask, in_mask)), (n, n),
                 iters=steps, tol=0.0, seed=i,
             )
             assert res.steps <= steps
@@ -1053,12 +1133,12 @@ class TestTopSingular:
         out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
         seeds = [5 + 2 * i for i in range(len(spectra))]
         calls = []
-        op_for = stacked_multiplier(spectra, out_mask, in_mask, calls)
-        results = top_singular(op_for, (n, n), seeds, max_steps=40)
+        family = spectral_family(spectra, calls)
+        results = top_singular(family, out_mask, in_mask, seeds, max_steps=40)
         assert len(results) == len(spectra)
         assert all(len(members) <= cap for members in calls)
         for i, res in enumerate(results):
-            alone = top_singular(lambda members, i=i: op_for([i]), (n, n), [seeds[i]], max_steps=40)
+            alone = top_singular(member_of(family, i), out_mask, in_mask, [seeds[i]], max_steps=40)
             assert alone == [res]
 
     @pytest.mark.parametrize("resolution", [2, 4, 5])
@@ -1070,14 +1150,14 @@ class TestTopSingular:
         n = 1 << resolution
         spectra = multiplier_family(rng, resolution, 7)
         out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
-        op_for = stacked_multiplier(spectra, out_mask, in_mask)
+        family = spectral_family(spectra)
         seeds = [3 + i for i in range(len(spectra))]
-        plain = top_singular(op_for, (n, n), seeds, max_steps=40)
-        results = top_singular(op_for, (n, n), seeds, max_steps=40, vectors=True)
+        plain = top_singular(family, out_mask, in_mask, seeds, max_steps=40)
+        results = top_singular(family, out_mask, in_mask, seeds, max_steps=40, vectors=True)
         assert results == plain and all(res.top_vector is None for res in plain)
         assert max(res.steps for res in results) > 8
         for i, res in enumerate(results):
-            [alone] = top_singular(lambda members, i=i: op_for([i]), (n, n), [seeds[i]], max_steps=40, vectors=True)
+            [alone] = top_singular(member_of(family, i), out_mask, in_mask, [seeds[i]], max_steps=40, vectors=True)
             assert_same_krylov(res, alone)
             if res.norm == 0.0:
                 assert res.top_vector is None
@@ -1093,14 +1173,12 @@ class TestTopSingular:
         spectra = multiplier_family(rng, resolution, STACK_CELLS // (n * n))
         ones = np.ones((n, n), dtype=bool)
         calls = []
-        results = top_singular(
-            stacked_multiplier(spectra, ones, ones, calls), (n, n), range(len(spectra))
-        )
+        results = top_singular(spectral_family(spectra, calls), ones, ones, range(len(spectra)))
         # member 1 is the zero multiplier: A v = 0 at the first step
         assert results[1] == TopSingularResult(0.0, 1, True)
         assert all(res.converged for res in results)
         assert len({res.steps for res in results}) > 3
-        # the operator is rebuilt only when members leave, over shrinking stacks
+        # the members change only when some leave, over shrinking stacks
         assert calls[0] == list(range(len(spectra)))
         assert all(set(b) < set(a) for a, b in zip(calls, calls[1:]))
         # a multiplier's norm is its largest modulus: 1 at the planted cell
@@ -1112,10 +1190,11 @@ class TestTopSingular:
         # 2 x identity on one cell from seed 0: A*A maps the start vector to
         # itself, the recurrence meets beta == 0 after one step, and the
         # norm is exact; over 4 cells the next step settles instead
-        double = LinearOperator(lambda v: v * 2.0, lambda w: w * 2.0)
-        [res] = top_singular(lambda members: double, (1,), [0])
+        one, four = np.ones(1, dtype=bool), np.ones(4, dtype=bool)
+        double = OperatorFamily(8, lambda rows, v: v * 2.0, lambda rows, w: w * 2.0)
+        [res] = top_singular(member_of(double, 0), one, one, [0])
         assert res == TopSingularResult(2.0, 1, True)
-        for res in top_singular(lambda members: double, (4,), range(8)):
+        for res in top_singular(double, four, four, range(8)):
             assert res.converged and res.steps <= 2
             assert res.norm == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
@@ -1124,7 +1203,7 @@ class TestTopSingular:
         resolution, n = 4, 16
         spectra = multiplier_family(rng, resolution, 6)
         ones = np.ones((n, n), dtype=bool)
-        results = top_singular(stacked_multiplier(spectra, ones, ones), (n, n), range(6), max_steps=2)
+        results = top_singular(spectral_family(spectra), ones, ones, range(6), max_steps=2)
         assert results[1].converged and results[1].norm == 0.0
         unconverged = [res for i, res in enumerate(results) if i != 1]
         assert all(not res.converged and res.steps == 2 for res in unconverged)
@@ -1141,12 +1220,12 @@ class TestEngineOracle:
         n = 1 << resolution
         spectra = multiplier_family(rng, resolution, 9)
         out_mask, in_mask = rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.6
-        op_for = stacked_multiplier(spectra, out_mask, in_mask)
+        family = spectral_family(spectra)
         seeds = [4, 4, 9, 4, 2, 9, 7, 7, 1]
         for max_steps in (200, 20, 8, 9, 1):
             for vectors in (False, True):
                 results = assert_matches_old_engine(
-                    op_for, (n, n), seeds, max_steps=max_steps, vectors=vectors
+                    family, out_mask, in_mask, seeds, max_steps=max_steps, vectors=vectors
                 )
                 assert results[1].norm == 0.0
                 if max_steps == 200:
@@ -1162,18 +1241,19 @@ class TestEngineOracle:
         spectra = multiplier_family(rng, 3, 5)
         ones = np.ones((n, n), dtype=bool)
         results = assert_matches_old_engine(
-            stacked_multiplier(spectra, ones, ones), (n, n), [3, 3, 5, 6, 3],
+            spectral_family(spectra), ones, ones, [3, 3, 5, 6, 3],
             tol=0.0, max_steps=40, vectors=True,
         )
         assert all(res.steps > 16 for i, res in enumerate(results) if i != 1)
 
     def test_breakdown_and_zero_norm(self):
         # beta == 0 after one step on one cell, alpha == 0 on the zero map
-        double = LinearOperator(lambda v: v * 2.0, lambda w: w * 2.0)
-        zero = LinearOperator(lambda v: v * 0.0, lambda w: w * 0.0)
-        for op in (double, zero):
-            for shape in ((1,), (4,)):
-                assert_matches_old_engine(lambda members: op, shape, [0, 0, 1], vectors=True)
+        double = OperatorFamily(3, lambda rows, v: v * 2.0, lambda rows, w: w * 2.0)
+        zero = OperatorFamily(3, lambda rows, v: v * 0.0, lambda rows, w: w * 0.0)
+        for family in (double, zero):
+            for cells in (1, 4):
+                ones = np.ones(cells, dtype=bool)
+                assert_matches_old_engine(family, ones, ones, [0, 0, 1], vectors=True)
 
 
 class TestRowNorms:

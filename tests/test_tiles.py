@@ -853,7 +853,7 @@ class TestModelSumPlan:
         stacked.apply(f)
         stacked.adjoint(f)
         assert laid_out == [stacked]
-        op.operator.adjoint(f[0])
+        op.plan.adjoint(f[0])
         assert laid_out == [stacked, op.plan]
         # restricted_norm lays out only the stacks it runs
         laid_out.clear()
