@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +45,12 @@ from .walsh import bit_reversal
 
 @dataclass(frozen=True)
 class RestrictedOp:
-    """Model sum localized between two sets: f -> 1_A T(f 1_B), over the
-    model-sum `plan` of its (choice, collection) built once."""
+    """Model sum localized between two sets: f -> 1_A T(f 1_B)."""
 
     a: GridSet
     b: GridSet
     choice: ChoiceFunction
     collection: TileCollection
-    plan: ModelSumPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (
@@ -62,7 +60,6 @@ class RestrictedOp:
             == self.collection.resolution
         ):
             raise ValueError("restricted operator pieces must share one resolution")
-        object.__setattr__(self, "plan", ModelSumPlan(self.choice, self.collection))
 
 
 def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
@@ -75,59 +72,60 @@ def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
     return TileCollection.from_masks(L, kept)
 
 
-def restricted_norm(ops: list[RestrictedOp], seeds, iters: int = 200) -> list[TopSingularResult]:
-    """L2 -> L2 norms of restricted operators that share A and B, each for
-    its fixed choice function, with their top right Ritz vectors: Golub-
-    Kahan-Lanczos (`top_singular`) with the exact adjoint, capped at
-    `iters` steps.
+def restricted_norm(
+    a: GridSet, b: GridSet, collection: TileCollection, choices, seeds, iters: int = 200
+) -> list[TopSingularResult]:
+    """L2 -> L2 norms of the restricted operators f -> 1_A T_N(f 1_B) over
+    one collection, one for each choice function N, with their top right
+    Ritz vectors: Golub-Kahan-Lanczos (`top_singular`) with the exact
+    adjoint, capped at `iters` steps.
 
-    Operator i starts from seeds[i].  The operators run as stacks over one
-    stacked model-sum plan, laid out once per stack, so each result is the
-    one a run of that operator alone gives, bit for bit."""
-    ops, seeds = list(ops), list(seeds)
-    if len(seeds) != len(ops):
-        raise ValueError(f"expected one seed per operator, got {len(seeds)} for {len(ops)}")
-    if not ops:
+    Operator i starts from seeds[i].  The operators run as stacks, each
+    over one model-sum plan of its choices, so each result is the one a run
+    of that operator alone gives, bit for bit."""
+    choices, seeds = list(choices), list(seeds)
+    if len(seeds) != len(choices):
+        raise ValueError(f"expected one seed per operator, got {len(seeds)} for {len(choices)}")
+    if not choices:
         return []
-    a, b = ops[0].a, ops[0].b
-    if not all(np.array_equal(op.a.mask, a.mask) and np.array_equal(op.b.mask, b.mask) for op in ops):
-        raise ValueError("restricted operators normed together must share A and B")
-
-    L = a.resolution
+    L = collection.resolution
+    if not a.resolution == b.resolution == L:
+        raise ValueError("restricted operator pieces must share one resolution")
     results: list[TopSingularResult] = []
-    # the array of one numpy call is the stacked plan's block stack, up to
-    # L rows of 2**(L-1) cells per member (and none at L = 0); the cap
-    # still counts 2**L cells a row, the figure it was measured at, and is
-    # not re-tuned for the half spectrum. Each slice is one engine stack
-    for s in stack_slices(len(ops), max(L, 1) << L):
-        family = _stack_family([op.plan for op in ops[s]])
+    # the array of one numpy call is the plan's block stack, up to L rows
+    # of 2**(L-1) cells per member (and none at L = 0); the cap still
+    # counts 2**L cells a row, the figure it was measured at, and is not
+    # re-tuned for the half spectrum. Each slice is one engine stack
+    for s in stack_slices(len(choices), max(L, 1) << L):
+        family = _stack_family(ModelSumPlan(choices[s], collection))
         results += top_singular(family, a.mask, b.mask, seeds[s], max_steps=iters, vectors=True)
     return results
 
 
-def _stack_family(plans: list[ModelSumPlan]) -> OperatorFamily:
-    """The plans as one family over their stacked plan, laid out once.
+def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
+    """The members of the plan as one family.
 
-    A call on every member runs the stacked kernels on the engine's stack
+    A call on every member runs the plan's kernels on the engine's stack
     itself; a call on fewer, after members left, runs them on a buffer
     whose rows of the members that left are never read.  A member's output
     row depends on its input row alone, so its results are those of a stack
     without the others, bit for bit."""
     # the engine's stacks are complex (m, 2**L) arrays of its own, so the
     # plan's unchecked kernels serve
-    apply, adjoint = ModelSumPlan.stack(plans).kernels()
-    full = np.zeros((len(plans), 1 << plans[0].resolution), dtype=np.complex128)
+    apply, adjoint = plan.kernels()
+    count = plan._count
+    full = np.zeros((count, 1 << plan.resolution), dtype=np.complex128)
 
     def padded(kernel):
         def run(rows, x):
-            if len(rows) == len(plans):
+            if len(rows) == count:
                 return kernel(x)
             full[rows] = x
             return kernel(full)[rows]
 
         return run
 
-    return OperatorFamily(len(plans), padded(apply), padded(adjoint))
+    return OperatorFamily(count, padded(apply), padded(adjoint))
 
 
 # Bytes of one chunk of greedy_choice's complex (cell, frequency) sums: the
@@ -213,7 +211,7 @@ def restricted_pairing(
         raise ValueError("g must be dominated by the indicator of F")
     keep = retain if retain is not None else op.b
     surviving = retain_meeting(op.collection, keep)
-    sf = ModelSumPlan(op.choice, surviving).apply(f.values * op.b.mask) * op.a.mask
+    sf = ModelSumPlan([op.choice], surviving).apply(f.values * op.b.mask) * op.a.mask
     pairing = abs(complex(np.sum(sf * np.conj(g.values)) * cell_width(L)))
 
     masked_f = GridSignal(L, f.values * op.b.mask)
@@ -222,7 +220,7 @@ def restricted_pairing(
 
     # a member P's term is |<f 1_B, P1>| 2**(k/2) |cell| times the count of
     # the cells of I_P in F ∩ A where g is nonzero and N lies in P2
-    _, cell, slot, _ = upper_cells(op.choice)
+    _, _, cell, slot, _ = upper_cells([op.choice])
     hit = (np.abs(g.values) * f_set.mask * op.a.mask > 0)[cell]
     counts = np.bincount(slot[hit], minlength=surviving.occupied.size)
     member_majorant = member_weights(surviving, masked_f, counts * cell_width(L))
@@ -326,9 +324,7 @@ def norm_decay_point(
     # chain i: the best (result, choice) so far for family member i, refit
     # while a round raises its norm; each round runs as one stack
     results = restricted_norm(
-        [RestrictedOp(a_set, b_set, choice, surviving) for choice in family],
-        [seed + idx for idx in range(len(family))],
-        iters=iters,
+        a_set, b_set, surviving, family, [seed + idx for idx in range(len(family))], iters=iters
     )
     chains = list(zip(results, family))
     unconverged = sum(not res.converged for res in results)
@@ -341,9 +337,7 @@ def norm_decay_point(
             for i in active
         ]
         results = restricted_norm(
-            [RestrictedOp(a_set, b_set, refit, surviving) for refit in refits],
-            [seed + 131 + round_] * len(active),
-            iters=iters,
+            a_set, b_set, surviving, refits, [seed + 131 + round_] * len(active), iters=iters
         )
         unconverged += sum(not res.converged for res in results)
         improving = []
@@ -410,17 +404,17 @@ def verify_vector_carleson(
     fams: VectorSignal,
     choices: list[ChoiceFunction] | None,
     p: float,
-    collection: TileCollection | None = None,
 ) -> RatioReport:
     """Both sides of the vector model-operator bound with per-member choice
-    functions, member j taking choice j modulo their number; when none are
-    supplied each member gets the greedy adversary fitted to itself."""
+    functions, member j taking choice j modulo their number, over every
+    bi-tile of the grid; when none are supplied each member gets the greedy
+    adversary fitted to itself."""
     if not 1 < p < math.inf:
         raise ValueError(f"p must lie in (1, inf), got {p}")
     if choices is not None and not choices:
         raise ValueError("choices must name at least one choice function")
     L = fams.resolution
-    collection = collection or TileCollection.all(L)
+    collection = TileCollection.all(L)
     if choices is None:
         choices = [greedy_choice(fams.member(j), collection) for j in range(len(fams))]
     stack = np.vstack(

@@ -26,7 +26,7 @@ from .grid import (
     measure,
     stack_slices,
 )
-from .maximal import dyadic_maximal
+from .maximal import dyadic_maximal, scale_averages
 from .principle import OperatorFamily, top_singular
 from .reports import RatioReport, safe_ratio
 
@@ -201,21 +201,16 @@ class DirectionalAverager:
             # irfft2 drops `out` as ifft2 does; irfftn over the last two axes keeps it
             yield s, np.fft.irfftn(work, s=values.shape, axes=(-2, -1), out=avg[: len(work)])
 
-    def all_averages(self, values: np.ndarray, fold=None):
-        """Box averages of |values|, one slab per kernel: the `(K, n, n)`
-        stack, or `fold` of the slabs handed over one at a time in kernel
-        order, which builds no stack."""
+    def all_averages(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The maximum over the kernels of the box averages of |values| and
+        the kernel attaining it: `running_max` of the clipped slabs, handed
+        over one at a time in kernel order, so no `(K, n, n)` stack is built."""
         stacks = self._average_stacks(values)
-        if fold is not None:
-            return fold(slab for _, work in stacks for slab in np.clip(work, 0.0, None, out=work))
-        out = np.empty((len(self.kernel_ffts),) + values.shape)
-        for s, work in stacks:
-            np.clip(work, 0.0, None, out=out[s])
-        return out
+        return running_max(slab for _, work in stacks for slab in np.clip(work, 0.0, None, out=work))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """`all_averages(values).max(axis=0)`, bit for bit, without the stack:
-        the maximum of each kernel stack's raw averages, then one clip.  Max
+        """`all_averages(values)[0]`, bit for bit, without the argmax: the
+        maximum of each kernel stack's raw averages, then one clip.  Max
         is exact, and clipping at zero is monotone and sends every value up
         to zero (-0.0 included) to +0.0, so clipping after the maximum gives
         the bytes of the maximum of the clipped slabs."""
@@ -242,7 +237,7 @@ class DirectionalAverager:
             if vn == 0:
                 break
             v = v / vn
-            u, choice = self.all_averages(v, fold=running_max)
+            u, choice = self.all_averages(v)
             best = max(best, lp_norm(u, p, self.resolution))
             z = u ** (p - 1.0)
             winners = np.flatnonzero(np.bincount(choice.ravel(), minlength=len(self.kernel_ffts)))
@@ -391,14 +386,8 @@ def muckenhoupt_constants(u: GridSignal) -> tuple[float, float]:
     L = u.resolution
     mu = dyadic_maximal(u).values.real
     a1 = float(np.max(mu / vals))
-    a2 = 0.0
-    cur_u = vals.copy()
-    cur_inv = 1.0 / vals
-    for k in range(L, -1, -1):
-        a2 = max(a2, float(np.max(cur_u * cur_inv)))
-        if k:
-            cur_u = 0.5 * (cur_u[0::2] + cur_u[1::2])
-            cur_inv = 0.5 * (cur_inv[0::2] + cur_inv[1::2])
+    pairs = zip(scale_averages(vals, L), scale_averages(1.0 / vals, L))
+    a2 = max(float(np.max(avg_u * avg_inv)) for avg_u, avg_inv in pairs)
     return a1, a2
 
 

@@ -339,11 +339,10 @@ def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[flo
 def run_carleson(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
     from .carleson import verify_vector_carleson
 
-    collection = TileCollection.all(config.resolution)
     ratios = []
     for rng in gens:
         fam = random_vector(rng, config.resolution, config.family_size)
-        rep = verify_vector_carleson(fam, None, config.p, collection=collection)
+        rep = verify_vector_carleson(fam, None, config.p)
         ratios.append(rep.ratio)
     ok = all(math.isfinite(r) for r in ratios)
     report = {

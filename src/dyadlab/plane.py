@@ -66,16 +66,16 @@ def strong_maximal(f: Grid2D) -> Grid2D:
     return Grid2D(L, out)
 
 
-def rectangle_level_set(marker: GridSet2D, threshold: float, strict: bool = True) -> GridSet2D:
-    """Union of all dyadic rectangles whose marker density exceeds (or, with
-    strict=False, reaches) the threshold."""
+def rectangle_level_set(marker: GridSet2D, threshold: float) -> GridSet2D:
+    """Union of all dyadic rectangles whose marker density exceeds the
+    threshold."""
     L = marker.resolution
     dens = marker.mask.astype(float)
     hit = np.zeros_like(marker.mask)
     for kx in range(L + 1):
         for ky in range(L + 1):
             avg = rectangle_averages(dens, L, kx, ky)
-            sel = avg > threshold if strict else avg >= threshold
+            sel = avg > threshold
             hit |= np.repeat(np.repeat(sel, 1 << (L - kx), axis=0), 1 << (L - ky), axis=1)
     return GridSet2D(L, hit)
 
@@ -85,7 +85,7 @@ def exceptional_complement_2d(base: GridSet2D, marker: GridSet2D, threshold: flo
     above the threshold; thresholds at or above 1 remove nothing."""
     if measure(marker) == 0.0 or threshold >= 1.0:
         return base
-    return base - rectangle_level_set(marker, threshold, strict=True)
+    return base - rectangle_level_set(marker, threshold)
 
 
 def certified_rectangle_threshold(base: GridSet2D, marker: GridSet2D, eps: float) -> float:

@@ -356,42 +356,42 @@ def member_coefficients(collection: TileCollection, f: GridSignal) -> dict[BiTil
     return dict(zip(map(BiTile, scale, offset, freq), coef))
 
 
-def upper_cells(choice: ChoiceFunction):
-    """Every (scale k < L, cell x) at which N(x) lies in the upper tile of
-    a bi-tile, that is N(x) >> k is odd, by scale, then cell: the arrays k,
-    x, the bi-tile's slot and W(x) = +-1, the sign of its upper packet at x."""
-    L = choice.resolution
-    tile_idx = choice.freqs >> np.arange(L)[:, None]
-    scale, cell = np.nonzero(tile_idx & 1)
-    odd = tile_idx[scale, cell]
+def upper_cells(choices):
+    """Every (member i, scale k < L, cell x) at which N_i(x) lies in the
+    upper tile of a bi-tile, that is N_i(x) >> k is odd, for choice
+    functions at one resolution, by member, then scale, then cell: the
+    arrays i, k, x, the bi-tile's slot and W(x) = +-1, the sign of its
+    upper packet at x."""
+    L = choices[0].resolution
+    tile_idx = np.stack([choice.freqs for choice in choices])[:, None, :] >> np.arange(L)[:, None]
+    member, scale, cell = np.nonzero(tile_idx & 1)
+    odd = tile_idx[member, scale, cell]
     slot = tile_slot(L, scale, cell >> (L - scale), odd >> 1)
     # W_{2m+1} at the cell's place u in its block is the parity of
     # (2m + 1) & bit_reverse(u), and the block gather holds bit_reverse(u)
     # in its low L - k bits, the only bits 2m + 1 has
     sign = 1.0 - 2.0 * (np.bitwise_count(odd & block_gathers(L)[scale, cell]) & 1)
-    return scale, cell, slot, sign
+    return member, scale, cell, slot, sign
 
 
 class ModelSumPlan:
-    """The model sum and its adjoint for a stack of (choice, collection)
-    members, with everything that depends only on those computed once, so
-    that each apply is one stacked fast transform, gathers and sums.
+    """The model sum and its adjoint for a stack of choice functions over
+    one tile collection, laid out once in the constructor, so that each
+    apply is one stacked fast transform, gathers and sums.
 
-    `ModelSumPlan(choice, collection)` is the one-member stack, and
-    `ModelSumPlan.stack(plans)` joins the members of several plans, in
+    `ModelSumPlan(choices, collection)` has one member per choice, in
     order. `apply` and `adjoint` take and return an (m, 2**L) array whose
     row i holds the cell values of member i; a one-member plan also takes a
     lone (2**L,) array and returns one.
 
     At scale k, a cell x receives the term of the member P whose upper tile
     holds N(x), if there is one: P sits at offset n = x >> (L - k) and
-    frequency index m = N(x) >> (k + 1), and N(x) >> k must be odd. A plan
-    keeps per-member arrays: the scales with such a cell (its entries) and,
-    per term, by scale, then cell: the entry, the cell, the flat index
-    n * 2**(L-k-1) + m of the lower-tile coefficient in the scale's row of
-    half blocks, the normalization and the upper value 2**(k/2) W(x). A
-    stack joins them; the layout waits for the first apply, adjoint or
-    `kernels` call.
+    frequency index m = N(x) >> (k + 1), and N(x) >> k must be odd. The
+    plan's entries are the (member, scale) pairs with such a cell, by
+    member, then scale. Its terms come by member, then scale, then cell,
+    each with its entry, its cell, the flat index n * 2**(L-k-1) + m of the
+    lower-tile coefficient in the scale's row of half blocks, the
+    normalization and the upper value 2**(k/2) W(x).
 
     The layout gives each entry one row of a stack of packet-coefficient
     blocks, shaped (2**k, 2**(L-k)) and flattened, by ascending scale, then
@@ -409,50 +409,31 @@ class ModelSumPlan:
     `adjoint` return fresh arrays.
     """
 
-    def __init__(self, choice: ChoiceFunction, collection: TileCollection):
-        L = collection.resolution
-        if choice.resolution != L:
+    def __init__(self, choices, collection: TileCollection):
+        L, n = collection.resolution, 1 << collection.resolution
+        half = n >> 1
+        if not choices:
+            raise ValueError("a model-sum plan needs at least one choice function")
+        if any(choice.resolution != L for choice in choices):
             raise ValueError("resolution mismatch")
-        scale, cell, slot, sign = upper_cells(choice)
+        member, scale, cell, slot, sign = upper_cells(choices)
         present = collection.occupied.ravel()[slot]
-        scale, cell, slot, sign = scale[present], cell[present], slot[present], sign[present]
+        member, scale, cell, slot, sign = (a[present] for a in (member, scale, cell, slot, sign))
         factors = np.array([2.0 ** (k / 2.0) for k in range(L)], dtype=np.float64)
         self.resolution = L
-        self._count = 1
-        self._entry_scale = np.flatnonzero(np.bincount(scale, minlength=L))
-        self._entry_member = np.zeros(self._entry_scale.size, dtype=np.int64)
+        self._count = len(choices)
+        # the terms of each (member, scale); the nonzero ones are the entries
+        counts = np.bincount(member * L + scale, minlength=self._count * L).reshape(self._count, L)
+        self._entry_member, self._entry_scale = np.nonzero(counts)
         self._entry_factor = factors[self._entry_scale]
-        self._term_entry = np.searchsorted(self._entry_scale, scale)
+        self._term_entry = np.searchsorted(self._entry_member * L + self._entry_scale, member * L + scale)
         self._cell = cell
         # a slot's place in its scale's row of 2**(L-1), n 2**(L-k-1) + m
-        self._index = slot & (((1 << L) >> 1) - 1)
+        self._index = slot & (half - 1)
         self._norm = (factors * cell_width(L))[scale]
         self._upper = factors[scale] * sign
-        self._work = None
 
-    @classmethod
-    def stack(cls, plans) -> "ModelSumPlan":
-        """One plan for the members of `plans`, in order, all at one
-        resolution."""
-        plans = list(plans)
-        resolutions = {plan.resolution for plan in plans}
-        if len(resolutions) != 1:
-            raise ValueError("a stacked plan needs at least one plan, all at one resolution")
-        members = np.cumsum([0] + [plan._count for plan in plans])
-        entries = np.cumsum([0] + [plan._entry_scale.size for plan in plans])
-        stacked = cls.__new__(cls)
-        stacked.resolution = resolutions.pop()
-        stacked._count = int(members[-1])
-        for name in ("_entry_scale", "_entry_factor", "_cell", "_index", "_norm", "_upper"):
-            setattr(stacked, name, np.concatenate([getattr(plan, name) for plan in plans]))
-        stacked._entry_member = np.concatenate([p._entry_member + i for p, i in zip(plans, members)])
-        stacked._term_entry = np.concatenate([p._term_entry + e for p, e in zip(plans, entries)])
-        stacked._work = None
-        return stacked
-
-    def _layout(self) -> None:
-        L, n = self.resolution, 1 << self.resolution
-        half = n >> 1
+        # the layout, over the entries
         member, scale = self._entry_member, self._entry_scale
         rows = np.lexsort((member, scale))
         row_of = np.empty_like(rows)
@@ -504,21 +485,19 @@ class ModelSumPlan:
 
     def kernels(self) -> tuple:
         """The unchecked apply and adjoint of a complex128 (m, 2**L) stack,
-        for a caller that makes its own stacks; lays the plan out."""
-        if self._work is None:
-            self._layout()
+        for a caller that makes its own stacks."""
         return self._apply, self._adjoint
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
         f, shape = self._prepare(f)
-        return self.kernels()[0](f).reshape(shape)
+        return self._apply(f).reshape(shape)
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         """sum over P of <g, psi_P> packet(P1), where psi_P = packet(P2)
         restricted to the choice-function preimage."""
         g, shape = self._prepare(g)
-        return self.kernels()[1](g).reshape(shape)
+        return self._adjoint(g).reshape(shape)
 
     def _apply(self, f: np.ndarray) -> np.ndarray:
         flat = f.ravel()
@@ -557,13 +536,13 @@ def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection)
     choice function pins down a single upper-half frequency interval there.
     Build a `ModelSumPlan` instead when applying one operator repeatedly.
     """
-    return GridSignal(f.resolution, ModelSumPlan(choice, collection).apply(f.values))
+    return GridSignal(f.resolution, ModelSumPlan([choice], collection).apply(f.values))
 
 
 def adjoint_model_sum(g: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:
     """Adjoint of the model sum: sum over P of <g, psi_P> packet(P1), where
     psi_P = packet(P2) restricted to the choice-function preimage."""
-    return GridSignal(g.resolution, ModelSumPlan(choice, collection).adjoint(g.values))
+    return GridSignal(g.resolution, ModelSumPlan([choice], collection).adjoint(g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +925,7 @@ def tree_estimate(
     each signed by the upper packet; one `bincount` gives every count."""
     L = f.resolution
     collection = tree.members
-    _, cell, slot, sign = upper_cells(choice)
+    _, _, cell, slot, sign = upper_cells([choice])
     hit = e.mask[cell]
     signed = np.bincount(slot[hit], sign[hit], minlength=collection.occupied.size)
     lhs = tree_sum(tree, member_weights(collection, f, np.abs(signed) * cell_width(L)))

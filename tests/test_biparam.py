@@ -433,7 +433,7 @@ class TestExceptionalSet2D:
         mask[0, :] = True
         marker = GridSet2D(resolution, mask)
         threshold = 0.4
-        level = rectangle_level_set(marker, threshold, strict=True)
+        level = rectangle_level_set(marker, threshold)
         expected = np.zeros((8, 8), dtype=bool)
         for r in all_rectangles(resolution):
             sx, sy = r.cell_slices(resolution)

@@ -64,7 +64,7 @@ def old_restricted_pair(op: RestrictedOp):
     """The apply_restricted / adjoint_restricted pair and the closures
     restricted_norm built on them before the engine masked."""
     L = op.a.resolution
-    plan = ModelSumPlan(op.choice, op.collection)
+    plan = ModelSumPlan([op.choice], op.collection)
 
     def apply_restricted(f):
         masked = GridSignal(f.resolution, f.values * op.b.mask)
@@ -102,8 +102,8 @@ def old_norm_decay_point(
     surviving = retain_meeting(collection, keep)
 
     def alone(choice, seed):
-        op = RestrictedOp(a_set, b_set, choice, surviving)
-        return one_member_run(op.plan, a_set.mask, b_set.mask, seed, max_steps=iters, vectors=True)
+        plan = ModelSumPlan([choice], surviving)
+        return one_member_run(plan, a_set.mask, b_set.mask, seed, max_steps=iters, vectors=True)
 
     winner = None
     best_choice = None
@@ -193,9 +193,9 @@ def chunked_greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFu
 
 
 def restricted_operator(op: RestrictedOp) -> MapPair:
-    """f -> 1_A T(f 1_B) and its adjoint on lone arrays, over the plan's
-    checked apply and adjoint."""
-    return old_localized(op.plan, op.b.mask, op.a.mask)
+    """f -> 1_A T(f 1_B) and its adjoint on lone arrays, over the checked
+    apply and adjoint of the operator's one-member plan."""
+    return old_localized(ModelSumPlan([op.choice], op.collection), op.b.mask, op.a.mask)
 
 
 def assert_same_point(point, expected):
@@ -218,7 +218,7 @@ class TestRestrictedOperator:
         empty = GridSet.empty(resolution)
         full = GridSet.full(resolution)
         for a, b in ((empty, full), (full, empty)):
-            (res,) = restricted_norm([RestrictedOp(a, b, choice, collection)], [1])
+            (res,) = restricted_norm(a, b, collection, [choice], [1])
             assert res == TopSingularResult(0.0, 1, True) and res.top_vector is None
 
     def test_full_sets_recover_model_sum(self):
@@ -263,7 +263,7 @@ class TestRestrictedOperator:
                     assert np.array_equal(local.adjoint(v), adj(v))
                 # the engine's masking is the closures'
                 [old] = old_top_singular(lambda members: rowwise(MapPair(fwd, adj)), (n,), [5], max_steps=60, vectors=True)
-                (new,) = restricted_norm([op], [5], iters=60)
+                (new,) = restricted_norm(a, b, collection, [op.choice], [5], iters=60)
                 assert_same_krylov(new, old)
 
 
@@ -456,10 +456,10 @@ class TestNormDecay:
         collection = TileCollection.all(resolution)
         full = GridSet.full(resolution)
         choice = random_choice(rng, resolution)
-        (restricted,) = restricted_norm([RestrictedOp(full, full, choice, collection)], [1], iters=100)
+        (restricted,) = restricted_norm(full, full, collection, [choice], [1], iters=100)
         h = random_grid_set(rng, resolution)
         h_prime = exceptional_complement(full, h, 4.0)
-        (localized,) = restricted_norm([RestrictedOp(h, h_prime, choice, collection)], [1], iters=100)
+        (localized,) = restricted_norm(h, h_prime, collection, [choice], [1], iters=100)
         assert localized.norm <= restricted.norm * (1 + 1e-9)
 
     def test_monotone_in_localization(self):
@@ -470,15 +470,13 @@ class TestNormDecay:
         small = random_grid_set(rng, resolution)
         big = GridSet(resolution, small.mask | random_grid_set(rng, resolution).mask)
         full = GridSet.full(resolution)
+        plan = ModelSumPlan([choice], collection)
         for a_side in (True, False):
-            def op(localized):
-                if a_side:
-                    return RestrictedOp(localized, full, choice, collection)
-                return RestrictedOp(full, localized, choice, collection)
+            def masks(localized):
+                return (localized.mask, full.mask) if a_side else (full.mask, localized.mask)
 
-            small_op, big_op = op(small), op(big)
-            small_run = one_member_run(small_op.plan, small_op.a.mask, small_op.b.mask, 2, tol=1e-12, max_steps=400)
-            big_run = one_member_run(big_op.plan, big_op.a.mask, big_op.b.mask, 2, tol=1e-12, max_steps=400)
+            small_run = one_member_run(plan, *masks(small), 2, tol=1e-12, max_steps=400)
+            big_run = one_member_run(plan, *masks(big), 2, tol=1e-12, max_steps=400)
             assert small_run.norm <= big_run.norm * (1 + 1e-6)
 
     def test_greedy_dominates_alternatives_pointwise(self):
@@ -627,48 +625,56 @@ class TestNormDecay:
         rng = np.random.default_rng(17)
         collection = random_convex_collection(rng, resolution)
         a, b = random_grid_set(rng, resolution), random_grid_set(rng, resolution)
-        ops = [RestrictedOp(a, b, random_choice(rng, resolution), collection) for _ in range(5)]
-        ops.append(RestrictedOp(a, b, ChoiceFunction.constant(resolution, 0), collection))
+        choices = [random_choice(rng, resolution) for _ in range(5)]
+        choices.append(ChoiceFunction.constant(resolution, 0))
         seeds = [3, 3, 8, 1, 4, 9]
         for iters in iters:
-            stacked = restricted_norm(ops, seeds, iters=iters)
-            for op, seed, res in zip(ops, seeds, stacked):
-                alone = one_member_run(op.plan, a.mask, b.mask, seed, max_steps=iters, vectors=True)
+            stacked = restricted_norm(a, b, collection, choices, seeds, iters=iters)
+            for choice, seed, res in zip(choices, seeds, stacked):
+                plan = ModelSumPlan([choice], collection)
+                alone = one_member_run(plan, a.mask, b.mask, seed, max_steps=iters, vectors=True)
                 assert_same_krylov(res, alone)
-        assert restricted_norm([], []) == []
+        assert restricted_norm(a, b, collection, [], []) == []
         with pytest.raises(ValueError, match="one seed per operator"):
-            restricted_norm(ops, seeds[:-1])
-        other = RestrictedOp(b, a, ops[0].choice, collection)
-        with pytest.raises(ValueError, match="share A and B"):
-            restricted_norm([ops[0], other], [1, 2])
+            restricted_norm(a, b, collection, choices, seeds[:-1])
+        coarse = resolution - 1
+        with pytest.raises(ValueError, match="share one resolution"):
+            restricted_norm(GridSet.full(coarse), b, collection, choices, seeds)
+        with pytest.raises(ValueError, match="share one resolution"):
+            restricted_norm(a, b, TileCollection.all(coarse), choices, seeds)
+        with pytest.raises(ValueError, match="resolution mismatch"):
+            restricted_norm(a, b, collection, [ChoiceFunction.constant(coarse, 0)], [1])
 
     @pytest.mark.parametrize("resolution", range(2, 9))
     def test_restricted_norm_equals_one_member_runs(self, resolution):
         """The kernels-direct stacked operator gives each member's norm,
         step count, flag and top-vector bytes of a one-member run of the
         plan's checked apply and adjoint: members leave at different steps,
-        one member has no surviving tile (the zero-norm exit) and a cap of
-        2 stops the rest."""
+        one member has no surviving term (the zero-norm exit) and a cap of
+        2 stops the rest; over the empty collection every member exits so."""
         rng = np.random.default_rng(560 + resolution)
         n = 1 << resolution
         a, b = GridSet(resolution, rng.random(n) < 0.6), GridSet(resolution, rng.random(n) < 0.6)
         collection = random_convex_collection(rng, resolution)
-        empty = TileCollection.from_bitiles(resolution, [])
         choices = [random_choice(rng, resolution) for _ in range(4)]
         choices.append(greedy_choice(random_signal(rng, resolution, complex_values=True), collection))
-        ops = [RestrictedOp(a, b, choice, collection) for choice in choices]
-        ops.insert(2, RestrictedOp(a, b, choices[0], empty))
-        ops.append(RestrictedOp(a, b, ChoiceFunction.constant(resolution, n - 1), TileCollection.all(resolution)))
+        # frequency 0 lies in a lower tile at every scale: no term at all
+        choices.insert(2, ChoiceFunction.constant(resolution, 0))
+        choices.append(ChoiceFunction.constant(resolution, n - 1))
+        empty = TileCollection.from_bitiles(resolution, [])
         seeds = [5, 5, 2, 7, 1, 8, 3]
         for iters in (150, 2, 60):
-            new = restricted_norm(ops, seeds, iters=iters)
-            for res, op, seed in zip(new, ops, seeds, strict=True):
-                plan = ModelSumPlan(op.choice, op.collection)
-                alone = one_member_run(plan, a.mask, b.mask, seed, max_steps=iters, vectors=True)
-                assert_same_krylov(res, alone)
-            assert new[2].norm == 0.0 and new[2].top_vector is None
-            if iters == 150:
-                assert len({res.steps for res in new}) > 1
+            for members in (collection, empty):
+                new = restricted_norm(a, b, members, choices, seeds, iters=iters)
+                for res, choice, seed in zip(new, choices, seeds, strict=True):
+                    plan = ModelSumPlan([choice], members)
+                    alone = one_member_run(plan, a.mask, b.mask, seed, max_steps=iters, vectors=True)
+                    assert_same_krylov(res, alone)
+                assert new[2].norm == 0.0 and new[2].top_vector is None
+                if members is empty:
+                    assert all(res.norm == 0.0 and res.top_vector is None for res in new)
+                elif iters == 150:
+                    assert len({res.steps for res in new}) > 1
 
     def test_decay_reports_unconverged_runs(self, monkeypatch):
         # two iterations never meet the 1e-9 tolerance: every power iteration
@@ -709,8 +715,9 @@ class TestDecayEngine:
     def ladder_runs(monkeypatch, resolution):
         runs = []
 
-        def recording(ops, seeds, iters=200):
-            results = restricted_norm(ops, seeds, iters=iters)
+        def recording(a, b, collection, choices, seeds, iters=200):
+            results = restricted_norm(a, b, collection, choices, seeds, iters=iters)
+            ops = [RestrictedOp(a, b, choice, collection) for choice in choices]
             runs.extend((op, seed, iters, res) for op, seed, res in zip(ops, seeds, results))
             return results
 
@@ -744,62 +751,61 @@ class TestDecayEngine:
                 assert abs(res.norm - top) <= 1e-9 * top
 
 
-def old_restricted_norm(ops, seeds, iters=200):
-    """restricted_norm on the old engine, with the stacked plan stacked and
-    laid out again each time a member stops."""
-    a, b = ops[0].a, ops[0].b
-    L = a.resolution
+def old_restricted_norm(a, b, collection, choices, seeds, iters=200):
+    """restricted_norm on the old engine, with a plan of the members still
+    running built again each time a member stops."""
+    L = collection.resolution
     results = []
-    for s in stack_slices(len(ops), max(L, 1) << L):
-        plans = [op.plan for op in ops[s]]
+    for s in stack_slices(len(choices), max(L, 1) << L):
 
-        def op_for(members, plans=plans):
-            kernels = ModelSumPlan.stack(plans[i] for i in members).kernels()
+        def op_for(members, stack=choices[s]):
+            kernels = ModelSumPlan([stack[i] for i in members], collection).kernels()
             return old_localized(MapPair(*kernels), b.mask, a.mask)
 
         results += old_top_singular(op_for, (1 << L,), seeds[s], max_steps=iters, vectors=True)
     return results
 
 
-def counting_layouts(monkeypatch):
-    """The member counts of the stacked plans laid out from now on."""
+def counting_plans(monkeypatch):
+    """The member counts of the model-sum plans built from now on."""
     counts = []
-    layout = ModelSumPlan._layout
+    init = ModelSumPlan.__init__
 
-    def counted(plan):
+    def counted(plan, choices, collection):
+        init(plan, choices, collection)
         counts.append(plan._count)
-        layout(plan)
 
-    monkeypatch.setattr(ModelSumPlan, "_layout", counted)
+    monkeypatch.setattr(ModelSumPlan, "__init__", counted)
     return counts
 
 
 class TestOneLayoutPerStack:
-    """restricted_norm lays out one stacked plan per engine stack and serves
-    the members left after others stop from it, bit for bit."""
+    """restricted_norm builds, and so lays out, one model-sum plan per
+    engine stack and serves the members left after others stop from it,
+    bit for bit."""
 
     @staticmethod
-    def mixed_ops(resolution):
-        # members leave at different steps; member 2 has no surviving tile
-        # (the zero-norm exit); the seeds repeat
+    def mixed_norm(resolution):
+        # the arguments of a restricted_norm call whose members leave at
+        # different steps; member 2 has no surviving term (the zero-norm
+        # exit); the seeds repeat
         rng = np.random.default_rng(700 + resolution)
         n = 1 << resolution
         a, b = GridSet(resolution, rng.random(n) < 0.6), GridSet(resolution, rng.random(n) < 0.6)
         collection = random_convex_collection(rng, resolution)
         choices = [random_choice(rng, resolution) for _ in range(4)]
         choices.append(greedy_choice(random_signal(rng, resolution, complex_values=True), collection))
-        ops = [RestrictedOp(a, b, choice, collection) for choice in choices]
-        ops.insert(2, RestrictedOp(a, b, choices[0], TileCollection.from_bitiles(resolution, [])))
-        return ops, [5, 5, 2, 5, 1, 8]
+        choices.insert(2, ChoiceFunction.constant(resolution, 0))
+        return a, b, collection, choices, [5, 5, 2, 5, 1, 8]
 
     # at L=9 the six operators run as two stacks of three
     @pytest.mark.parametrize("resolution", [3, 5, 7, 9])
     def test_equals_old_engine(self, resolution):
-        ops, seeds = self.mixed_ops(resolution)
+        *args, seeds = self.mixed_norm(resolution)
         # 12 steps take the Ritz matrix past its first growth
         for iters in (150, 12, 2):
-            new = restricted_norm(ops, seeds, iters=iters)
-            for res, expected in zip(new, old_restricted_norm(ops, seeds, iters=iters), strict=True):
+            new = restricted_norm(*args, seeds, iters=iters)
+            for res, expected in zip(new, old_restricted_norm(*args, seeds, iters=iters), strict=True):
                 assert_same_krylov(res, expected)
             assert new[2].norm == 0.0 and new[2].top_vector is None
             if iters == 150:
@@ -807,37 +813,37 @@ class TestOneLayoutPerStack:
 
     @pytest.mark.parametrize("resolution", [3, 5, 9])
     def test_one_layout_per_stack(self, monkeypatch, resolution):
-        ops, seeds = self.mixed_ops(resolution)
-        counts = counting_layouts(monkeypatch)
-        results = restricted_norm(ops, seeds, iters=150)
+        *args, seeds = self.mixed_norm(resolution)
+        counts = counting_plans(monkeypatch)
+        results = restricted_norm(*args, seeds, iters=150)
         assert len({res.steps for res in results}) > 2
-        stacks = stack_slices(len(ops), max(resolution, 1) << resolution)
+        stacks = stack_slices(len(seeds), max(resolution, 1) << resolution)
         assert counts == [s.stop - s.start for s in stacks]
 
     @pytest.mark.parametrize("resolution", [4, 6])
     def test_decay_points(self, monkeypatch, resolution):
         # every restricted_norm call of a decay ladder equals the old
-        # engine's, and lays out one plan per top_singular stack
+        # engine's, and builds one plan per top_singular stack
         calls = []
 
-        def recording(ops, seeds, iters=200):
-            calls.append((list(ops), list(seeds), iters))
-            return restricted_norm(ops, seeds, iters=iters)
+        def recording(*args, iters=200):
+            calls.append((args, iters))
+            return restricted_norm(*args, iters=iters)
 
         monkeypatch.setattr(carleson, "restricted_norm", recording)
         ratios = [2.0**-i for i in range(1, resolution + 1)]
         for branch in ("h", "g"):
             norm_decay_ladder(resolution, ratios, seed=3, branch=branch)
-        assert any(len(set(seeds)) < len(seeds) for _, seeds, _ in calls)
+        assert any(len(set(args[-1])) < len(args[-1]) for args, _ in calls)
         left = 0
-        for ops, seeds, iters in calls:
-            stacks = len(stack_slices(len(ops), max(resolution, 1) << resolution))
-            counts = counting_layouts(monkeypatch)
-            new = restricted_norm(ops, seeds, iters=iters)
+        for args, iters in calls:
+            stacks = len(stack_slices(len(args[-1]), max(resolution, 1) << resolution))
+            counts = counting_plans(monkeypatch)
+            new = restricted_norm(*args, iters=iters)
             assert len(counts) == stacks
             monkeypatch.undo()
             left += len({res.steps for res in new}) > 1
-            for res, expected in zip(new, old_restricted_norm(ops, seeds, iters=iters), strict=True):
+            for res, expected in zip(new, old_restricted_norm(*args, iters=iters), strict=True):
                 assert_same_krylov(res, expected)
         assert left > 0
 
@@ -855,12 +861,8 @@ class TestVectorCarleson:
         f = random_signal(rng, resolution)
         collection = TileCollection.all(resolution)
         choice = [greedy_choice(f, collection)]
-        one = verify_vector_carleson(
-            VectorSignal.from_signals([f]), choice, 3.0, collection=collection
-        )
-        many = verify_vector_carleson(
-            VectorSignal.from_signals([f] * 9), choice * 9, 3.0, collection=collection
-        )
+        one = verify_vector_carleson(VectorSignal.from_signals([f]), choice, 3.0)
+        many = verify_vector_carleson(VectorSignal.from_signals([f] * 9), choice * 9, 3.0)
         assert many.ratio == pytest.approx(one.ratio, rel=1e-12)
 
     def test_rejects_bad_p(self):

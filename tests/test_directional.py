@@ -127,6 +127,16 @@ def old_all_averages(kernel_ffts, values, full=False):
     return out
 
 
+def average_stack(averager, values):
+    """The (K, n, n) stack of clipped box averages, one slab per kernel,
+    from the averager's kernel stacks: each stack is clipped in a copy,
+    since the next one rewrites its buffer."""
+    out = np.empty((len(averager.kernel_ffts),) + np.shape(values))
+    for s, work in averager._average_stacks(values):
+        out[s] = np.clip(work, 0.0, None)
+    return out
+
+
 def old_estimate_norm(kernel_ffts, resolution, p, iters, seed, full=False):
     """The kernel-by-kernel loop of estimate_norm: on half spectra, the
     winners' parts summed in kernel order before one inverse transform, or
@@ -197,7 +207,11 @@ class TestStackedAverager:
         rng = np.random.default_rng(30 + resolution)
         n = 1 << resolution
         values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert np.array_equal(averager.all_averages(values), old_all_averages(old, values))
+        slabs = average_stack(averager, values)
+        assert np.array_equal(slabs, old_all_averages(old, values))
+        top, winners = averager.all_averages(values)
+        assert np.array_equal(top, slabs.max(axis=0))
+        assert np.array_equal(winners, slabs.argmax(axis=0))
         for p in (2.0, 1.5):
             assert averager.estimate_norm(p, seed=resolution) == old_estimate_norm(
                 old, resolution, p, 12, resolution
@@ -213,7 +227,7 @@ class TestStackedAverager:
         rng = np.random.default_rng(50 + resolution)
         n = 1 << resolution
         values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        gap = np.abs(averager.all_averages(values) - old_all_averages(full, values, full=True))
+        gap = np.abs(average_stack(averager, values) - old_all_averages(full, values, full=True))
         assert gap.max() <= rounding_bound(resolution, np.abs(values).max())
         for p in (2.0, 1.5):
             half = averager.estimate_norm(p, seed=resolution)
@@ -234,7 +248,7 @@ class TestStackedAverager:
         counts = np.array(averager.kernel_counts, dtype=float)[:, None, None]
         exact = exact_box_sums(box_kernels(resolution, dirs), values) / counts
         bound = rounding_bound(resolution, values.max())
-        assert np.abs(averager.all_averages(values) - exact).max() <= bound
+        assert np.abs(average_stack(averager, values) - exact).max() <= bound
         # three orders of magnitude below build_majorant_weight's fixed 1e-9
         # recursion margin
         assert 1000 * bound <= 1e-9
@@ -258,12 +272,12 @@ class TestStackedAverager:
         rng = np.random.default_rng(9)
         f = rng.random((64, 64)) + 0.5
         z = rng.random((64, 64)) + 0.5
-        avg_f = averager.all_averages(f)[k]
+        avg_f = average_stack(averager, f)[k]
         back_z = np.fft.irfft2(np.fft.rfft2(z) * averager.kernel_ffts[k], s=(64, 64))
         bound = rounding_bound(6, f.sum() * z.max())
         assert abs(np.vdot(avg_f, z) - np.vdot(f, back_z)) <= bound
         # treating the kernel as symmetric, the average as its own adjoint, misses
-        assert abs(np.vdot(avg_f, z) - np.vdot(f, averager.all_averages(z)[k])) > 1000 * bound
+        assert abs(np.vdot(avg_f, z) - np.vdot(f, average_stack(averager, z)[k])) > 1000 * bound
 
     def test_kernel_stacks_cover_uneven_counts(self):
         # 129 kernels in stacks of 16 at L = 5, 181 in stacks of 4 at L = 6
@@ -385,9 +399,13 @@ class TestRunningMax:
     def test_averages_of_the_estimator(self):
         averager = DirectionalAverager(5, DirectionSet.uniform(8))
         rng = np.random.default_rng(2)
-        slabs = averager.all_averages(np.abs(rng.standard_normal((32, 32))))
+        values = np.abs(rng.standard_normal((32, 32)))
+        slabs = average_stack(averager, values)
         assert np.array_equal(running_max(slabs)[1], slabs.argmax(axis=0))
         self.assert_same_max(slabs)
+        top, winners = averager.all_averages(values)
+        assert top.tobytes() == slabs.max(axis=0).tobytes()
+        assert np.array_equal(winners, slabs.argmax(axis=0))
 
     @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
     def test_apply_is_the_stack_maximum(self, resolution):
@@ -411,10 +429,7 @@ class TestRunningMax:
         ):
             got = averager.apply(values)
             assert not np.signbit(got).any()
-            for want in (
-                averager.all_averages(values).max(axis=0),
-                averager.all_averages(values, fold=lambda slabs: running_max(slabs)[0]),
-            ):
+            for want in (average_stack(averager, values).max(axis=0), averager.all_averages(values)[0]):
                 assert got.dtype == want.dtype and got.strides == want.strides
                 assert got.tobytes() == want.tobytes()
         raw = np.concatenate([work.copy() for _, work in averager._average_stacks(half)])
@@ -437,8 +452,8 @@ class TestRunningMax:
         monkeypatch.setattr(averager, "_average_stacks", stacks)
         values = np.zeros((4, 4))
         got = averager.apply(values).tobytes()
-        assert got == averager.all_averages(values, fold=lambda slabs: running_max(slabs)[0]).tobytes()
-        assert got == averager.all_averages(values).max(axis=0).tobytes()
+        assert got == averager.all_averages(values)[0].tobytes()
+        assert got == average_stack(averager, values).max(axis=0).tobytes()
 
 class TestHalfplane:
     def test_direction_validation(self):

@@ -22,7 +22,6 @@ from dyadlab.harness import (
     random_signal,
 )
 from dyadlab import tiles as tiles_module
-from dyadlab.carleson import RestrictedOp, restricted_norm
 from dyadlab.tiles import (
     BiTile,
     ChoiceFunction,
@@ -46,6 +45,7 @@ from dyadlab.tiles import (
     size,
     size_bound,
     size_decompose,
+    tile_slot,
     tree_estimate,
     walsh_packet,
 )
@@ -525,6 +525,74 @@ def loop_adjoint(plan: ModelSumPlan, g: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+PLAN_ARRAYS = ("_entry_scale", "_entry_member", "_entry_factor", "_term_entry", "_cell", "_index", "_norm", "_upper")
+LAYOUT_ARRAYS = ("_even", "_odd", "_gather", "_factor", "_hit", "_coef_final", "_hit_parts", "_coef_start_parts")
+
+
+def stacked_member_plan(choices, collection) -> ModelSumPlan:
+    """A plan built as before one constructor took every choice: a
+    one-member plan's arrays per choice, joined with their member and entry
+    offsets, then laid out by the deferred layout of that time."""
+    L, n = collection.resolution, 1 << collection.resolution
+    half = n >> 1
+    factors = np.array([2.0 ** (k / 2.0) for k in range(L)], dtype=np.float64)
+    members = []
+    for choice in choices:
+        tile_idx = choice.freqs >> np.arange(L)[:, None]
+        scale, cell = np.nonzero(tile_idx & 1)
+        odd = tile_idx[scale, cell]
+        slot = tile_slot(L, scale, cell >> (L - scale), odd >> 1)
+        sign = 1.0 - 2.0 * (np.bitwise_count(odd & block_gathers(L)[scale, cell]) & 1)
+        present = collection.occupied.ravel()[slot]
+        scale, cell, slot, sign = scale[present], cell[present], slot[present], sign[present]
+        entry_scale = np.flatnonzero(np.bincount(scale, minlength=L))
+        members.append(
+            dict(
+                _entry_scale=entry_scale,
+                _entry_member=np.zeros(entry_scale.size, dtype=np.int64),
+                _entry_factor=factors[entry_scale],
+                _term_entry=np.searchsorted(entry_scale, scale),
+                _cell=cell,
+                _index=slot & (half - 1),
+                _norm=(factors * cell_width(L))[scale],
+                _upper=factors[scale] * sign,
+            )
+        )
+    plan = ModelSumPlan.__new__(ModelSumPlan)
+    plan.resolution, plan._count = L, len(members)
+    entries = np.cumsum([0] + [m["_entry_scale"].size for m in members])
+    for name in ("_entry_scale", "_entry_factor", "_cell", "_index", "_norm", "_upper"):
+        setattr(plan, name, np.concatenate([m[name] for m in members]))
+    plan._entry_member = np.concatenate([m["_entry_member"] + i for i, m in enumerate(members)])
+    plan._term_entry = np.concatenate([m["_term_entry"] + e for m, e in zip(members, entries)])
+
+    member, scale = plan._entry_member, plan._entry_scale
+    rows = np.lexsort((member, scale))
+    row_of = np.empty_like(rows)
+    row_of[rows] = np.arange(rows.size)
+    order, start, active, final = butterfly_layout(tuple((L - 1 - scale[rows]).tolist()), half)
+    gathers = block_gathers(L)
+    perm = (member[rows, None] * n + gathers[scale[rows]]).ravel()
+    plan._even, plan._odd = perm[0::2][order], perm[1::2][order]
+    size = order.size
+    plan._work = np.zeros(2 * size + 1, dtype=np.complex128)
+    buffers = plan._work[:-1].reshape(2, size)
+    plan._start = buffers[0]
+    plan._stages = butterfly_views(buffers, active)
+    part = np.arange(member.size) - np.searchsorted(member, member)
+    gather = np.full((int(part.max(initial=-1)) + 1, plan._count, n), size)
+    gather[part, member] = row_of[:, None] * half + (gathers[scale] >> 1)
+    plan._gather = np.append(final, 2 * size)[gather]
+    plan._factor = np.zeros(gather.shape[:2] + (1,))
+    plan._factor[part, member, 0] = plan._entry_factor
+    plan._hit = member[plan._term_entry] * n + plan._cell
+    coef = row_of[plan._term_entry] * half + plan._index
+    plan._coef_final = final[coef]
+    plan._hit_parts = (2 * plan._hit[:, None] + np.arange(2)).ravel()
+    plan._coef_start_parts = (2 * start[coef][:, None] + np.arange(2)).ravel()
+    return plan
+
+
 def random_small_convex(rng, resolution, max_members=12):
     while True:
         collection = random_convex_collection(rng, resolution, seeds=2, cap=max_members)
@@ -708,7 +776,7 @@ class TestModelSumPlan:
         rng = np.random.default_rng(100 + resolution)
         n = 1 << resolution
         for choice, collection in exact_cases(rng, resolution):
-            plan = ModelSumPlan(choice, collection)
+            plan = ModelSumPlan([choice], collection)
             for (values,) in signed_stacks(rng, 1, n):
                 f = GridSignal(resolution, values)
                 assert same_bits(plan.apply(f.values), oracle_model_sum(f, choice, collection))
@@ -721,7 +789,7 @@ class TestModelSumPlan:
         rng = np.random.default_rng(200 + resolution)
         n = 1 << resolution
         for choice, collection in plan_cases(rng, resolution):
-            plan = ModelSumPlan(choice, collection)
+            plan = ModelSumPlan([choice], collection)
             f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             g = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             lhs = inner_product(GridSignal(resolution, plan.apply(f.values)), g)
@@ -733,7 +801,7 @@ class TestModelSumPlan:
         rng = np.random.default_rng(300 + resolution)
         n = 1 << resolution
         for choice, collection in plan_cases(rng, resolution):
-            plan = ModelSumPlan(choice, collection)
+            plan = ModelSumPlan([choice], collection)
             expected = np.zeros((n, n), dtype=np.complex128)
             for p in collection.bitiles:
                 lower = walsh_packet(p.lower, resolution).values
@@ -760,26 +828,26 @@ class TestModelSumPlan:
                 # n-1 lies in an upper tile at every scale
                 ChoiceFunction.constant(resolution, n - 1),
             ]
-            plans = [ModelSumPlan(choice, collection) for choice in choices]
-            stacked = ModelSumPlan.stack(plans)
-            nested = ModelSumPlan.stack([ModelSumPlan.stack(plans[:2]), ModelSumPlan.stack(plans[2:])])
+            plans = [ModelSumPlan([choice], collection) for choice in choices]
+            stacked = ModelSumPlan(choices, collection)
             for f in signed_stacks(rng, len(plans), n):
-                for plan in (stacked, nested):
-                    forward, backward = plan.apply(f), plan.adjoint(f)
-                    assert forward.shape == backward.shape == f.shape
-                    for row, member in enumerate(plans):
-                        assert same_bits(forward[row], member.apply(f[row]))
-                        assert same_bits(backward[row], member.adjoint(f[row]))
+                forward, backward = stacked.apply(f), stacked.adjoint(f)
+                assert forward.shape == backward.shape == f.shape
+                for row, member in enumerate(plans):
+                    assert same_bits(forward[row], member.apply(f[row]))
+                    assert same_bits(backward[row], member.adjoint(f[row]))
                 # a one-member plan takes its row as a lone array or a (1, n) stack
                 assert same_bits(plans[0].apply(f[:1]), plans[0].apply(f[0])[None])
                 assert same_bits(plans[0].adjoint(f[:1]), plans[0].adjoint(f[0])[None])
 
     @pytest.mark.parametrize("resolution", range(0, 8))
     def test_layout_equals_per_term_oracle(self, resolution):
-        """Every array of the vectorized layout equals the per-term one bit
-        for bit, on whole stacks, stacks of stacks, one-member plans, the
-        member-dropping restacks of restricted_norm and random stacks; and
-        the adjoint's reduce gives the bytes of the loop it replaced."""
+        """Every array of the vectorized layout, as the constructor leaves
+        it, equals the per-term one bit for bit, on one-member plans, whole
+        stacks, subsets of their members in order, and random stacks with
+        repeated members over every case's collection (the empty one
+        included); and the adjoint's reduce gives the bytes of the loop it
+        replaced."""
         rng = np.random.default_rng(420 + resolution)
         n = 1 << resolution
         cases = list(exact_cases(rng, resolution))
@@ -791,23 +859,50 @@ class TestModelSumPlan:
             random_choice(rng, resolution),
             ChoiceFunction.constant(resolution, n - 1),
         ]
-        members = [(choice, collection) for choice in choices]
-        plans = [ModelSumPlan(choice, collection) for choice in choices]
-        stacks = [(plan, [pair]) for plan, pair in zip(plans, members)]
-        stacks.append((ModelSumPlan.stack([ModelSumPlan.stack(plans[:2]), ModelSumPlan.stack(plans[2:])]), members))
-        # restricted_norm restacks the members still running, in order
-        for kept in ([0, 1, 2, 3, 4], [1, 2, 3, 4], [0, 2, 4], [1, 3], [1], [4]):
-            stacks.append((ModelSumPlan.stack(plans[i] for i in kept), [members[i] for i in kept]))
-        # members of other collections, repeated members, empty collections
-        for _ in range(4):
-            picked = [cases[i] for i in rng.integers(0, len(cases), size=int(rng.integers(1, 7)))]
-            stacks.append((ModelSumPlan.stack(ModelSumPlan(c, k) for c, k in picked), picked))
-        for plan, stacked in stacks:
-            plan.apply(np.zeros((len(stacked), n)))
+        stacks = [[choice] for choice in choices]
+        for kept in ([0, 1, 2, 3, 4], [1, 2, 3, 4], [0, 2, 4], [1, 3]):
+            stacks.append([choices[i] for i in kept])
+        stacks = [(stack, collection) for stack in stacks]
+        for choice, other in cases:
+            picked = rng.integers(0, len(choices), size=int(rng.integers(1, 7)))
+            stacks.append(([choice] + [choices[i] for i in picked], other))
+        for stack, members in stacks:
+            plan = ModelSumPlan(stack, members)
+            stacked = [(choice, members) for choice in stack]
             for name, expected in oracle_layout(resolution, stacked).items():
                 assert same_bits(getattr(plan, name), expected), name
             for g in signed_stacks(rng, len(stacked), n):
                 assert same_bits(plan.adjoint(g), loop_adjoint(plan, g))
+
+    @pytest.mark.parametrize("resolution", range(0, 10))
+    def test_construction_equals_stacked_member_plans(self, resolution):
+        """One vectorized pass over every choice builds the arrays, the
+        layout and the outputs of one-member plans joined in order, byte
+        for byte: over the empty, the full and random collections, with
+        constant, random and repeated choices."""
+        rng = np.random.default_rng(520 + resolution)
+        n = 1 << resolution
+        collections = [TileCollection.from_bitiles(resolution, []), TileCollection.all(resolution)]
+        if resolution:
+            masks = [rng.random(mask.shape) < 0.5 for mask in collections[1].masks]
+            collections += [random_convex_collection(rng, resolution), TileCollection.from_masks(resolution, masks)]
+        constants = [ChoiceFunction.constant(resolution, q) for q in sorted({0, n // 2, n - 1})]
+        for collection in collections:
+            randoms = [random_choice(rng, resolution) for _ in range(3)]
+            stacks = [[choice] for choice in constants + randoms[:1]]
+            stacks += [constants + randoms, randoms + randoms[:1] + randoms, [randoms[0]] * 4]
+            picked = rng.integers(0, len(constants + randoms), size=6)
+            stacks.append([(constants + randoms)[i] for i in picked])
+            for choices in stacks:
+                plan = ModelSumPlan(choices, collection)
+                expected = stacked_member_plan(choices, collection)
+                assert plan._count == expected._count == len(choices)
+                for name in PLAN_ARRAYS + LAYOUT_ARRAYS:
+                    assert same_bits(getattr(plan, name), getattr(expected, name)), name
+                assert plan._work.shape == expected._work.shape
+                for f in signed_stacks(rng, len(choices), n):
+                    assert same_bits(plan.apply(f), expected.apply(f))
+                    assert same_bits(plan.adjoint(f), expected.adjoint(f))
 
     @pytest.mark.parametrize("resolution", [0, 1, 6, 12])
     def test_adjoint_reduce_adds_like_the_loop(self, resolution):
@@ -827,40 +922,10 @@ class TestModelSumPlan:
         if resolution == 12:
             collection = TileCollection.all(resolution)
             choices = [ChoiceFunction.constant(resolution, n - 1), random_choice(rng, resolution)]
-            plan = ModelSumPlan.stack(ModelSumPlan(choice, collection) for choice in choices)
+            plan = ModelSumPlan(choices, collection)
             for g in signed_stacks(rng, 2, n):
                 assert same_bits(plan.adjoint(g), loop_adjoint(plan, g))
             assert plan._gather.shape == (resolution, 2, n)
-
-    def test_layout_waits_for_the_first_apply(self, monkeypatch):
-        laid_out = []
-        layout = ModelSumPlan._layout
-
-        def counting(plan):
-            laid_out.append(plan)
-            layout(plan)
-
-        monkeypatch.setattr(ModelSumPlan, "_layout", counting)
-        rng = np.random.default_rng(490)
-        L, n = 4, 16
-        collection = TileCollection.all(L)
-        a, b = GridSet(L, rng.random(n) < 0.5), GridSet.full(L)
-        op = RestrictedOp(a, b, random_choice(rng, L), collection)
-        plan = ModelSumPlan(random_choice(rng, L), collection)
-        stacked = ModelSumPlan.stack([op.plan, plan])
-        assert laid_out == []
-        f = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        stacked.apply(f)
-        stacked.adjoint(f)
-        assert laid_out == [stacked]
-        op.plan.adjoint(f[0])
-        assert laid_out == [stacked, op.plan]
-        # restricted_norm lays out only the stacks it runs
-        laid_out.clear()
-        ops = [RestrictedOp(a, b, random_choice(rng, L), collection) for _ in range(3)]
-        restricted_norm(ops, [1, 2, 3], iters=5)
-        assert laid_out and not any(p is op.plan for p in laid_out for op in ops)
-        assert all(op.plan._work is None for op in ops)
 
     @pytest.mark.parametrize("resolution", range(0, 8))
     def test_planned_stages_follow_the_row_oracle(self, resolution):
@@ -871,7 +936,7 @@ class TestModelSumPlan:
         n, half = 1 << resolution, (1 << resolution) >> 1
         for choice, collection in exact_cases(rng, resolution):
             choices = [choice, random_choice(rng, resolution), ChoiceFunction.constant(resolution, n - 1)]
-            plan = ModelSumPlan.stack(ModelSumPlan(c, collection) for c in choices)
+            plan = ModelSumPlan(choices, collection)
             rows = sorted(zip(plan._entry_scale.tolist(), plan._entry_member.tolist()))
             bits = [resolution - k for k, _ in rows]
             order, start, active, final = butterfly_layout(tuple(b - 1 for b in bits), half)
@@ -924,7 +989,7 @@ class TestModelSumPlan:
         rng = np.random.default_rng(480 + members)
         L, n = 5, 32
         collection = TileCollection.all(L)
-        plan = ModelSumPlan.stack(ModelSumPlan(random_choice(rng, L), collection) for _ in range(members))
+        plan = ModelSumPlan([random_choice(rng, L) for _ in range(members)], collection)
         shape = (n,) if members == 1 else (members, n)
         f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         outs = [plan.apply(f), plan.adjoint(f)]
@@ -939,14 +1004,12 @@ class TestModelSumPlan:
 
     def test_kernels_equal_apply_and_adjoint(self):
         """The unchecked kernels that restricted_norm calls give the bytes
-        of the checked entry points, which keep their shape check after
-        the kernels have laid the plan out."""
+        of the checked entry points, which keep their shape check."""
         rng = np.random.default_rng(495)
         L, n = 5, 32
         collection = random_convex_collection(rng, L)
-        plan = ModelSumPlan.stack(ModelSumPlan(random_choice(rng, L), collection) for _ in range(3))
+        plan = ModelSumPlan([random_choice(rng, L) for _ in range(3)], collection)
         apply, adjoint = plan.kernels()
-        assert plan._work is not None
         for f in signed_stacks(rng, 3, n):
             assert same_bits(apply(f), plan.apply(f))
             assert same_bits(adjoint(f), plan.adjoint(f))
@@ -958,22 +1021,22 @@ class TestModelSumPlan:
 
     def test_stacked_plan_rejects_other_shapes(self):
         choices = [ChoiceFunction.constant(4, q) for q in (0, 8, 15)]
-        stacked = ModelSumPlan.stack(ModelSumPlan(choice, TileCollection.all(4)) for choice in choices)
+        stacked = ModelSumPlan(choices, TileCollection.all(4))
         for shape in ((16,), (48,), (2, 16), (4, 16), (3, 8), (3, 16, 1), (1, 3, 16)):
             with pytest.raises(ValueError, match=r"expected 2\*\*4 cell values for each of 3 members"):
                 stacked.apply(np.zeros(shape))
             with pytest.raises(ValueError, match=r"expected 2\*\*4 cell values for each of 3 members"):
                 stacked.adjoint(np.zeros(shape))
-        with pytest.raises(ValueError, match="one resolution"):
-            ModelSumPlan.stack([stacked, ModelSumPlan(ChoiceFunction.constant(3, 0), TileCollection.all(3))])
-        with pytest.raises(ValueError, match="at least one plan"):
-            ModelSumPlan.stack([])
+        with pytest.raises(ValueError, match="resolution mismatch"):
+            ModelSumPlan(choices + [ChoiceFunction.constant(3, 0)], TileCollection.all(4))
+        with pytest.raises(ValueError, match="at least one choice function"):
+            ModelSumPlan([], TileCollection.all(4))
 
     def test_resolution_mismatch(self):
         with pytest.raises(ValueError):
-            ModelSumPlan(ChoiceFunction.constant(3, 0), TileCollection.all(4))
+            ModelSumPlan([ChoiceFunction.constant(3, 0)], TileCollection.all(4))
         choice, collection = ChoiceFunction.constant(4, 0), TileCollection.all(4)
-        plan = ModelSumPlan(choice, collection)
+        plan = ModelSumPlan([choice], collection)
         with pytest.raises(ValueError, match=r"expected 2\*\*4 cell values"):
             plan.apply(np.zeros(8))
         with pytest.raises(ValueError, match=r"expected 2\*\*4 cell values"):
