@@ -40,7 +40,7 @@ from .tiles import (
     tree_sum,
     upper_cells,
 )
-from .walsh import bit_reversal
+from .walsh import bit_reversal, walsh_values
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,28 @@ def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
     return TileCollection.from_masks(L, kept)
 
 
+# The largest resolution at which restricted_norm writes the operators out
+# and takes their SVD; above it the Krylov engine runs. Full estimate-22
+# ladders of both branches at seed 1, best of 3 with one BLAS thread on a
+# 2-core AMD EPYC, dense against Krylov: 0.02 against 0.05 s at L=6, 0.05
+# against 0.08 s at L=7, 0.21 against 0.19 s at L=8 and, at ladder 4, 0.67
+# against 0.36 s at L=9
+DENSE_RESOLUTION = 7
+
+
 def restricted_norm(
     a: GridSet, b: GridSet, collection: TileCollection, choices, seeds, iters: int = 200
 ) -> list[TopSingularResult]:
     """L2 -> L2 norms of the restricted operators f -> 1_A T_N(f 1_B) over
     one collection, one for each choice function N, with their top right
-    Ritz vectors: Golub-Kahan-Lanczos (`top_singular`) with the exact
-    adjoint, capped at `iters` steps.
+    singular vectors.
 
-    Operator i starts from seeds[i].  The operators run as stacks, each
-    over one model-sum plan of its choices, so each result is the one a run
-    of that operator alone gives, bit for bit."""
+    Up to `DENSE_RESOLUTION` the norms are exact: `restricted_matrices`
+    writes the operators out and one batched SVD measures them (see
+    `_dense_norms`); the results take 0 steps, converge and carry
+    `norm_upper`, and `seeds` and `iters` are not read.  Above it,
+    Golub-Kahan-Lanczos (`top_singular`) with the exact adjoint runs,
+    capped at `iters` steps, operator i from seeds[i] (see `_krylov_norms`)."""
     choices, seeds = list(choices), list(seeds)
     if len(seeds) != len(choices):
         raise ValueError(f"expected one seed per operator, got {len(seeds)} for {len(choices)}")
@@ -91,6 +102,93 @@ def restricted_norm(
     L = collection.resolution
     if not a.resolution == b.resolution == L:
         raise ValueError("restricted operator pieces must share one resolution")
+    if L <= DENSE_RESOLUTION:
+        return _dense_norms(a, b, collection, choices)
+    return _krylov_norms(a, b, collection, choices, seeds, iters)
+
+
+def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choices) -> np.ndarray:
+    """The restricted operators f -> 1_A T_N(f 1_B) written out, one real
+    (|A|, |B|) matrix per choice function N, stacked: row x and column y
+    run over the cells of A and of B in ascending order.
+
+    Entry [x, y] sums, over the scales k < L, 2**(k-L) W_{2m+1}(x) W_{2m}(y)
+    for the member P whose upper tile holds N(x), when P is in the
+    collection and y lies in its interval, m being P's frequency index and
+    each W read on the interval's 2**(L-k) cells.  So every entry is a sum
+    of at most L distinct signed powers of two, exact in float64, where a
+    model-sum plan rounds the product of its two factors 2**(k/2)."""
+    L = collection.resolution
+    if any(choice.resolution != L for choice in choices):
+        raise ValueError("resolution mismatch")
+    member, scale, cell, slot, sign = upper_cells(choices)
+    keep = collection.occupied.ravel()[slot] & a.mask[cell]
+    member, scale, cell, slot, sign = (x[keep] for x in (member, scale, cell, slot, sign))
+    rank = np.cumsum(a.mask) - 1
+    out = np.zeros((len(choices), int(np.count_nonzero(a.mask)), 1 << L))
+    for k in range(L):
+        at = scale == k
+        width = 1 << (L - k)
+        # the slot's low L - k - 1 bits are P's frequency index m; no
+        # (member, row) pair repeats within one scale
+        lower = _lower_walsh_rows(L - k)[slot[at] & ((width >> 1) - 1)]
+        blocks = out.reshape(len(choices), -1, 1 << k, width)
+        blocks[member[at], rank[cell[at]], cell[at] >> (L - k)] += (sign[at] * 2.0 ** (k - L))[:, None] * lower
+    return out[:, :, b.mask]
+
+
+@functools.cache
+def _lower_walsh_rows(bits: int) -> np.ndarray:
+    """W_{2m} on a block of 2**bits cells, row m for every m < 2**(bits-1),
+    read-only and built once per length: 21 KB up to 6 bits, 87 KB up to 7."""
+    rows = walsh_values(2 * np.arange((1 << bits) >> 1), bits)
+    rows.setflags(write=False)
+    return rows
+
+
+def _dense_norms(a: GridSet, b: GridSet, collection: TileCollection, choices) -> list[TopSingularResult]:
+    """`restricted_norm` by one batched LAPACK SVD of `restricted_matrices`
+    (G. Golub and W. Kahan, SIAM J. Numer. Anal. B 2, 1965; J. Demmel and
+    W. Kahan, SIAM J. Sci. Stat. Comput. 11, 1990): the norm is sigma_1,
+    the top vector the first right singular vector placed on B (none when
+    sigma_1 is 0), with 0 steps and converged.
+
+    `norm_upper` is sigma_1 + p eps ||S||_F, rounded up one ulp (sigma_1
+    itself for the zero matrix, whose SVD is exact).  The
+    computed SVD is the exact one of S + E with ||E||_2 <= p(m, n) eps
+    ||S||_2, so by Weyl's inequality sigma_1 lies within that of its
+    computed value (LAPACK Users' Guide, 3rd ed., 1999, section 4.9); the
+    guide names p only a modestly growing function of the shape m x n,
+    and this bound takes p = max(m, n).  ||S||_F bounds ||S||_2 and is
+    exact up to its square root: each entry is a multiple of 2**-L below
+    1 in magnitude, so the squares and their sum, a multiple of 2**-2L
+    below 4**L, need at most 4L <= 48 bits."""
+    matrices = restricted_matrices(a, b, collection, choices)
+    if matrices.size == 0:
+        # an empty A or B: the operators are zero
+        return [TopSingularResult(0.0, 0, True, None, 0.0) for _ in choices]
+    _, sigma, vh = np.linalg.svd(matrices, full_matrices=False)
+    flat = matrices.reshape(len(matrices), -1)
+    slack = max(matrices.shape[1:]) * np.finfo(np.float64).eps * np.sqrt(np.vecdot(flat, flat))
+    results = []
+    for top, v, delta in zip(sigma[:, 0].tolist(), vh[:, 0], slack.tolist()):
+        vector = None
+        if top > 0.0:
+            vector = np.zeros(b.mask.size)
+            vector[b.mask] = v
+        # a zero matrix has the exact sigma_1 0, and nothing to round
+        upper = float(np.nextafter(top + delta, math.inf)) if delta else top
+        results.append(TopSingularResult(top, 0, True, vector, upper))
+    return results
+
+
+def _krylov_norms(
+    a: GridSet, b: GridSet, collection: TileCollection, choices: list, seeds: list, iters: int
+) -> list[TopSingularResult]:
+    """`restricted_norm` by Golub-Kahan-Lanczos: the operators run as
+    stacks, each over one model-sum plan of its choices, so each result is
+    the one a run of that operator alone gives, bit for bit."""
+    L = collection.resolution
     results: list[TopSingularResult] = []
     # the array of one numpy call is the plan's block stack, up to L rows
     # of 2**(L-1) cells per member (and none at L = 0); the cap still
@@ -303,9 +401,10 @@ def norm_decay_point(
     G minus {M 1_H >= 4 |H| / |G|}; each keeps at least half of its set.
 
     Besides the norm, reports as `iterations` the Lanczos steps and the
-    convergence flag of the `restricted_norm` run that gave it, and
-    `unconverged`, the number of runs of the point that stopped at the cap
-    `iters` unconverged."""
+    convergence flag of the `restricted_norm` run that gave it (0 steps and
+    converged on the dense path), its upper bound `norm_upper` (None on the
+    Krylov path) and `unconverged`, the number of runs of the point that
+    stopped at the cap `iters` unconverged."""
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
@@ -358,6 +457,7 @@ def norm_decay_point(
         "kept": measure(keep),
         "iterations": winner.steps,
         "converged": winner.converged,
+        "norm_upper": winner.norm_upper,
         "unconverged": unconverged,
     }
 

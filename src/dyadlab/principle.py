@@ -162,12 +162,16 @@ class TopSingularResult:
     """One member's measurement by `top_singular`: the largest Ritz value,
     the steps taken (one apply and, after the first, one adjoint each),
     whether the Ritz value settled before the step cap and, when asked
-    for and the norm is positive, the top right Ritz vector."""
+    for and the norm is positive, the top right Ritz vector.  A dense
+    measurement (`carleson.restricted_norm` at small resolutions) takes no
+    step, and also carries `norm_upper`, an upper bound on the norm from
+    the SVD's stated backward error; a Ritz value is only a lower bound."""
 
     norm: float
     steps: int
     converged: bool
     top_vector: np.ndarray | None = field(default=None, compare=False)
+    norm_upper: float | None = None
 
 
 def top_singular(

@@ -36,11 +36,13 @@ def bit_reversal(bits: int) -> np.ndarray:
     return rev
 
 
-def walsh_values(m: int, bits: int) -> np.ndarray:
-    """W_m sampled on the 2**bits cells of [0, 1), values in {-1, +1}."""
-    if not 0 <= m < (1 << bits):
+def walsh_values(m, bits: int) -> np.ndarray:
+    """W_m sampled on the 2**bits cells of [0, 1), values in {-1, +1}; for
+    an array of indices, one row per index."""
+    m = np.asarray(m, dtype=np.int64)
+    if np.any((m < 0) | (m >= (1 << bits))):
         raise ValueError(f"Walsh index {m} out of range for {bits} bits")
-    signs = np.bitwise_count(np.int64(m) & bit_reversal(bits)) & 1
+    signs = np.bitwise_count(m[..., None] & bit_reversal(bits)) & 1
     return 1.0 - 2.0 * signs
 
 

@@ -13,6 +13,7 @@ from dyadlab.carleson import (
     greedy_choice,
     norm_decay_ladder,
     norm_decay_point,
+    restricted_matrices,
     restricted_norm,
     restricted_pairing,
     retain_meeting,
@@ -132,8 +133,19 @@ def old_norm_decay_point(
         "kept": measure(keep),
         "iterations": winner.steps,
         "converged": winner.converged,
+        "norm_upper": None,
         "unconverged": unconverged,
     }
+
+
+@pytest.fixture
+def krylov_path():
+    """restricted_norm on the Krylov engine at every resolution, as it runs
+    above carleson.DENSE_RESOLUTION; a context of its own, so a test's
+    monkeypatch.undo() keeps it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(carleson, "DENSE_RESOLUTION", -1)
+        yield
 
 
 def dense_greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
@@ -209,6 +221,7 @@ def assert_same_point(point, expected):
 
 
 class TestRestrictedOperator:
+    @pytest.mark.usefixtures("krylov_path")
     def test_empty_sets_kill(self):
         rng = np.random.default_rng(0)
         resolution = 4
@@ -246,6 +259,7 @@ class TestRestrictedOperator:
         assert np.array_equal(restricted_operator(op).apply(f.values), direct)
 
 
+    @pytest.mark.usefixtures("krylov_path")
     def test_operator_matches_closure_oracle(self):
         rng = np.random.default_rng(3)
         resolution = 5
@@ -566,6 +580,7 @@ class TestNormDecay:
             with pytest.raises(ValueError, match="resolution mismatch"):
                 greedy_choice(GridSignal.zeros(signal_l), TileCollection.all(collection_l))
 
+    @pytest.mark.usefixtures("krylov_path")
     def test_decay_point_and_short_ladder(self):
         rng = np.random.default_rng(12)
         resolution = 6
@@ -581,6 +596,7 @@ class TestNormDecay:
         assert math.isfinite(ladder.slope)
         assert ladder.extra["unconverged"] >= 0
 
+    @pytest.mark.usefixtures("krylov_path")
     @pytest.mark.parametrize("branch", ["h", "g"])
     @pytest.mark.parametrize("resolution", range(3, 7))
     def test_point_equals_sequential_loop(self, resolution, branch):
@@ -600,6 +616,7 @@ class TestNormDecay:
                     expected = old_norm_decay_point(h, g, collection, seed=seed, iters=iters, branch=branch)
                     assert_same_point(point, expected)
 
+    @pytest.mark.usefixtures("krylov_path")
     @pytest.mark.parametrize("branch", ["h", "g"])
     def test_point_without_surviving_tiles(self, branch):
         resolution = 4
@@ -610,6 +627,7 @@ class TestNormDecay:
         assert_same_point(point, old_norm_decay_point(h, g, empty, seed=2, branch=branch))
         assert (point["norm"], point["iterations"], point["converged"], point["unconverged"]) == (0.0, 1, True, 0)
 
+    @pytest.mark.usefixtures("krylov_path")
     @pytest.mark.parametrize("resolution", [0, 1, 2])
     def test_small_point_equals_sequential_loop(self, resolution):
         collection = TileCollection.all(resolution)
@@ -620,6 +638,7 @@ class TestNormDecay:
 
     # at L=9 a stacked plan's block stack holds up to 9 * 2**9 cells, so
     # six operators run as stacks of 3 and 3 under grid.STACK_CELLS
+    @pytest.mark.usefixtures("krylov_path")
     @pytest.mark.parametrize("resolution, iters", [(5, (200, 7)), (9, (4,))])
     def test_stacked_norms_equal_runs_alone(self, resolution, iters):
         rng = np.random.default_rng(17)
@@ -645,6 +664,7 @@ class TestNormDecay:
         with pytest.raises(ValueError, match="resolution mismatch"):
             restricted_norm(a, b, collection, [ChoiceFunction.constant(coarse, 0)], [1])
 
+    @pytest.mark.usefixtures("krylov_path")
     @pytest.mark.parametrize("resolution", range(2, 9))
     def test_restricted_norm_equals_one_member_runs(self, resolution):
         """The kernels-direct stacked operator gives each member's norm,
@@ -676,6 +696,7 @@ class TestNormDecay:
                 elif iters == 150:
                     assert len({res.steps for res in new}) > 1
 
+    @pytest.mark.usefixtures("krylov_path")
     def test_decay_reports_unconverged_runs(self, monkeypatch):
         # two iterations never meet the 1e-9 tolerance: every power iteration
         # of the point (four choice functions, plus adversary refits) stops
@@ -707,9 +728,10 @@ class TestNormDecay:
         assert len(ladder.ratio_ladder) == 2
 
 
+@pytest.mark.usefixtures("krylov_path")
 class TestDecayEngine:
-    """restricted_norm on the operators a decay ladder runs, against power
-    iteration, the dense SVD and the Ritz vector it returns."""
+    """restricted_norm's Krylov path on the operators a decay ladder runs,
+    against power iteration, the dense SVD and the Ritz vector it returns."""
 
     @staticmethod
     def ladder_runs(monkeypatch, resolution):
@@ -779,6 +801,7 @@ def counting_plans(monkeypatch):
     return counts
 
 
+@pytest.mark.usefixtures("krylov_path")
 class TestOneLayoutPerStack:
     """restricted_norm builds, and so lays out, one model-sum plan per
     engine stack and serves the members left after others stop from it,
@@ -846,6 +869,145 @@ class TestOneLayoutPerStack:
             for res, expected in zip(new, old_restricted_norm(*args, iters=iters), strict=True):
                 assert_same_krylov(res, expected)
         assert left > 0
+
+
+def dense_cases(rng, resolution):
+    """(collection, choices) pairs over an empty, a full, a random convex and
+    a random collection, each with a constant, a random and a greedy choice,
+    and (A, B) pairs: random, empty against full, full against empty, and
+    full."""
+    L, n = resolution, 1 << resolution
+    collections = [
+        TileCollection.from_bitiles(L, []),
+        TileCollection.all(L),
+        random_convex_collection(rng, L) if L else TileCollection.all(L),
+        TileCollection(L, rng.random((L, n >> 1)) < 0.5),
+    ]
+    cases = []
+    for collection in collections:
+        signal = random_signal(rng, L, complex_values=True)
+        choices = [ChoiceFunction.constant(L, n - 1), random_choice(rng, L), greedy_choice(signal, collection)]
+        cases.append((collection, choices))
+    empty, full = GridSet.empty(L), GridSet.full(L)
+    sets = [(GridSet(L, rng.random(n) < 0.6), GridSet(L, rng.random(n) < 0.6)), (empty, full), (full, empty), (full, full)]
+    return cases, sets
+
+
+class TestDenseNorms:
+    """restricted_norm's dense path, up to carleson.DENSE_RESOLUTION: the
+    written-out operators, their SVD and the upper bound it states."""
+
+    @pytest.mark.parametrize("resolution", range(0, carleson.DENSE_RESOLUTION + 1))
+    def test_matrices_and_norms_meet_the_plan(self, resolution):
+        # each matrix is the plan's apply written out, the norm its first
+        # singular value (0, with no vector, for an empty set), and a
+        # stacked call gives each one-choice call
+        rng = np.random.default_rng(900 + resolution)
+        n = 1 << resolution
+        cases, sets = dense_cases(rng, resolution)
+        for collection, choices in cases:
+            plans = [densify(ModelSumPlan([choice], collection).apply, n) for choice in choices]
+            for a, b in sets:
+                matrices = restricted_matrices(a, b, collection, choices)
+                assert matrices.dtype == np.float64
+                assert matrices.shape == (len(choices), np.count_nonzero(a.mask), np.count_nonzero(b.mask))
+                stacked = restricted_norm(a, b, collection, choices, [0] * len(choices))
+                for matrix, plan, res, choice in zip(matrices, plans, stacked, choices, strict=True):
+                    expected = plan[a.mask][:, b.mask]
+                    assert np.all(np.abs(matrix - expected) <= 1e-15)
+                    top = np.linalg.svd(expected, compute_uv=False)[:1].max(initial=0.0)
+                    assert abs(res.norm - top) <= 1e-12 * top
+                    assert (res.steps, res.converged) == (0, True)
+                    assert res.norm <= res.norm_upper
+                    if not (a.mask.any() and b.mask.any()):
+                        assert res == TopSingularResult(0.0, 0, True, None, 0.0) and res.top_vector is None
+                    (alone,) = restricted_norm(a, b, collection, [choice], [7])
+                    assert alone == res
+                    assert (alone.top_vector is None) == (res.top_vector is None)
+                    if res.top_vector is not None:
+                        assert np.array_equal(alone.top_vector, res.top_vector)
+
+    @pytest.mark.parametrize("resolution", [2, 5, carleson.DENSE_RESOLUTION])
+    def test_top_vector_attains_the_norm(self, resolution):
+        rng = np.random.default_rng(950 + resolution)
+        cases, sets = dense_cases(rng, resolution)
+        a, b = sets[0]
+        for collection, choices in cases:
+            for res, choice in zip(restricted_norm(a, b, collection, choices, [1, 2, 3]), choices):
+                if res.norm == 0.0:
+                    assert res.top_vector is None and res.norm_upper == 0.0
+                    continue
+                x = res.top_vector
+                assert x.shape == (1 << resolution,) and not np.any(x[~b.mask])
+                local = restricted_operator(RestrictedOp(a, b, choice, collection))
+                attained = np.linalg.norm(local.apply(x)) / np.linalg.norm(x)
+                assert abs(attained - res.norm) <= 1e-12 * res.norm
+
+    def test_checks(self):
+        resolution = 5
+        a = b = GridSet.full(resolution)
+        collection = TileCollection.all(resolution)
+        choices = [ChoiceFunction.constant(resolution, 3)]
+        assert restricted_norm(a, b, collection, [], []) == []
+        with pytest.raises(ValueError, match="one seed per operator"):
+            restricted_norm(a, b, collection, choices, [])
+        with pytest.raises(ValueError, match="share one resolution"):
+            restricted_norm(GridSet.full(4), b, collection, choices, [1])
+        with pytest.raises(ValueError, match="resolution mismatch"):
+            restricted_norm(a, b, collection, [ChoiceFunction.constant(4, 0)], [1])
+
+    @pytest.mark.parametrize("resolution", range(4, 10))
+    def test_krylov_norms_lie_below_the_dense_bound(self, resolution):
+        # the dense path called directly, also above the cutoff: every
+        # converged Ritz value lies at or below the dense upper bound,
+        # on random and on decay-shaped (A, B) pairs
+        rng = np.random.default_rng(980 + resolution)
+        L, n = resolution, 1 << resolution
+        full = GridSet.full(L)
+        small = GridSet(L, rng.random(n) < 0.25)
+        pairs = [
+            (GridSet(L, rng.random(n) < 0.6), GridSet(L, rng.random(n) < 0.6)),
+            (small, exceptional_complement(full, small, 4.0)),
+        ]
+        seen = 0
+        for collection in (TileCollection.all(L), random_convex_collection(rng, L)):
+            signal = random_signal(rng, L, complex_values=True)
+            choices = [random_choice(rng, L) for _ in range(2)]
+            choices += [ChoiceFunction.constant(L, n // 2), greedy_choice(signal, collection)]
+            for a, b in pairs:
+                dense = carleson._dense_norms(a, b, collection, choices)
+                krylov = carleson._krylov_norms(a, b, collection, choices, [3, 4, 5, 6], 200)
+                for d, k in zip(dense, krylov, strict=True):
+                    assert d.norm <= d.norm_upper
+                    if k.converged:
+                        seen += 1
+                        assert k.norm <= d.norm_upper
+        assert seen >= 12
+
+    @pytest.mark.parametrize("branch", ["h", "g"])
+    @pytest.mark.parametrize("resolution", [3, 6])
+    def test_decay_points(self, resolution, branch):
+        # a point takes no Lanczos step, and the winner's norm is the first
+        # singular value of its choice's written-out operator (to 1e-12: an
+        # SVD without vectors may round differently)
+        rng = np.random.default_rng(990 + resolution)
+        n = 1 << resolution
+        full = GridSet.full(resolution)
+        collection = TileCollection.all(resolution)
+        for seed in range(3):
+            small = GridSet(resolution, rng.random(n) < 2.0 ** -(seed + 1))
+            h, g = (full, small) if branch == "h" else (small, full)
+            point = norm_decay_point(h, g, collection, seed=seed, branch=branch)
+            assert (point["iterations"], point["converged"], point["unconverged"]) == (0, True, 0)
+            assert point["norm"] <= point["norm_upper"]
+            if branch == "h":
+                a, b = g, exceptional_complement(h, g, 4.0)
+            else:
+                a, b = exceptional_complement(g, h, 4.0), h
+            surviving = retain_meeting(collection, b if branch == "h" else a)
+            (matrix,) = restricted_matrices(a, b, surviving, [point["choice"]])
+            top = np.linalg.svd(matrix, compute_uv=False)[:1].max(initial=0.0)
+            assert abs(point["norm"] - top) <= 1e-12 * top
 
 
 class TestVectorCarleson:

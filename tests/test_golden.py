@@ -12,10 +12,13 @@ restricted pairing, which no CLI report shows.
 A golden is only meaningful on the numpy it was recorded with (FFT and
 reduction kernels may round differently elsewhere), so `recorded_with.json`
 stores that version per file and a case skips when the installed numpy
-differs.  A change that moves a number on purpose re-records the files and
-says which numbers moved and why:
+differs.  The goldens are recorded under OpenBLAS's Haswell kernel, which
+`tests/conftest.py` pins before numpy loads: the SkylakeX kernel of
+AVX-512 hosts rounds the decay fits' `lstsq` and the dense line norms'
+SVD differently.  A change that moves a number on purpose re-records the
+files, under the same kernel, and says which numbers moved and why:
 
-    PYTHONPATH=src python tests/test_golden.py --record [name ...]
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_golden.py --record [name ...]
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -41,8 +45,11 @@ CLI_CASES = {
     "verify-carleson": ["verify", "carleson", *_BASE],
     "verify-principle": ["verify", "principle", *_BASE],
     "estimate-22": ["estimate-22", "--resolution", "5", "--ladder", "3", "--seed", "3"],
-    # the benchmark's decay configuration (L=6) and a deeper ladder at L=8
+    # the benchmark's decay configuration (L=6), the largest resolution of
+    # the dense norms (L=7, carleson.DENSE_RESOLUTION) and a deeper ladder
+    # at L=8, the first of the Krylov engine
     "estimate-22-L6": ["estimate-22", "--resolution", "6", "--seed", "1"],
+    "estimate-22-L7": ["estimate-22", "--resolution", "7", "--seed", "1"],
     "estimate-22-L8": ["estimate-22", "--resolution", "8", "--ladder", "4", "--seed", "1"],
 }
 
@@ -259,5 +266,7 @@ def record(names: list[str]) -> None:
 if __name__ == "__main__":
     args = sys.argv[1:]
     if not args or args[0] != "--record":
-        raise SystemExit("usage: python tests/test_golden.py --record [name ...]")
+        raise SystemExit("usage: OPENBLAS_CORETYPE=Haswell python tests/test_golden.py --record [name ...]")
+    if os.environ.get("OPENBLAS_CORETYPE") != "Haswell":
+        raise SystemExit("record the goldens under OPENBLAS_CORETYPE=Haswell, the kernel tests/conftest.py pins")
     record(args[1:] or [*CLI_CASES, *LIBRARY_CASES])
