@@ -27,12 +27,12 @@ from .plane import (
 )
 from .principle import OperatorFamily, top_singular
 from .reports import RatioReport, safe_ratio
-from .walsh import walsh_analysis, walsh_synthesis
 
 
 class _FixedScalePlan:
     """Tensor Haar analysis and synthesis at one vertical scale j on a
-    2**L grid, for every horizontal scale kx < L.
+    2**L grid, for every horizontal scale kx < L; the projections onto
+    whole scales take the closed form of `_fixed_scale_project` instead.
 
     Analysis sums dyadic blocks along the rows and then along a transposed
     view of the columns, the same strided views and reductions as moving the
@@ -65,13 +65,6 @@ class _FixedScalePlan:
         n = 1 << self.resolution
         scaled = coeffs * 2.0 ** ((kx + self.j) / 2.0)
         return (scaled[:, None, :, None] * self.signs[kx]).reshape(n, n)
-
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Sum over kx of the scale-(kx, j) packet expansions of values."""
-        out = np.zeros_like(values)
-        for kx in range(self.resolution):
-            out += self.synthesis(self.analysis(values, kx), kx)
-        return out
 
 
 def _haar_half_signs(length: int) -> np.ndarray:
@@ -122,7 +115,36 @@ def fixed_scale_operator(f: Grid2D, j: int) -> Grid2D:
     the vertical-scale-j packet span.
     """
     _check_scales(f.resolution, j)
-    return Grid2D(f.resolution, _plan(f.resolution, j).project(f.values))
+    return Grid2D(f.resolution, _fixed_scale_project(f.values, j))
+
+
+def _vertical_difference(values: np.ndarray, j: int) -> np.ndarray:
+    """d with (E_{j+1} - E_j) values = +d on the lower half of each vertical
+    interval of length 2**-j and -d on its upper half, shaped (2**L, 2**j):
+    E_s is the average along y (axis 1) over dyadic intervals of length
+    2**-s, and the difference of a half's average from its parent's is half
+    the difference of the two halves' averages."""
+    n = values.shape[0]
+    half = n >> (j + 1)
+    sums = values.reshape(n, 2 << j, half).sum(axis=2)
+    return (sums[:, 0::2] - sums[:, 1::2]) / (2 * half)
+
+
+def _write_halves(d: np.ndarray) -> np.ndarray:
+    """The (2**L, 2**L) grid holding +d[x, ny] on the lower half of the
+    vertical interval ny and -d[x, ny] on its upper half."""
+    n, strips = d.shape
+    return (d[:, :, None, None] * _haar_half_signs(n // strips).reshape(2, -1)).reshape(n, n)
+
+
+def _fixed_scale_project(values: np.ndarray, j: int) -> np.ndarray:
+    """The vertical-scale-j model operator in closed form,
+    (I - E_0) (x) (E_{j+1} - E_j): the Haar functions of every horizontal
+    scale span the mean-zero functions along x, and those of vertical scale
+    j span the range of E_{j+1} - E_j along y (F. Schipp, W. R. Wade and
+    P. Simon, *Walsh Series*, 1990)."""
+    d = _vertical_difference(values, j)
+    return _write_halves(d - d.mean(axis=0))
 
 
 def vertical_band_project(f: Grid2D, band: int) -> Grid2D:
@@ -132,15 +154,16 @@ def vertical_band_project(f: Grid2D, band: int) -> Grid2D:
     frequencies in [2**(b-1), 2**b).  The bands partition [0, 2**L), so they
     sum to the identity exactly.  Band b+1 matches the vertical-scale-b model
     operator: its packets have vertical spectrum exactly [2**b, 2**(b+1)).
+    The Walsh-Paley functions below 2**b span the functions constant on the
+    vertical intervals of length 2**-b, so band 0 is E_0 and band b >= 1 is
+    E_b - E_{b-1}, in the closed form of `_vertical_difference`.
     """
     L = f.resolution
     if not 0 <= band <= L:
         raise ValueError(f"band {band} out of range for resolution {L}")
-    spectrum = walsh_analysis(f.values, axis=1)
-    eta = np.arange(1 << L)
-    keep = (eta == 0) if band == 0 else (eta >= 1 << (band - 1)) & (eta < 1 << band)
-    spectrum[:, ~keep] = 0.0
-    return Grid2D(L, walsh_synthesis(spectrum, axis=1) * 2.0**-L)
+    if band == 0:
+        return Grid2D(L, np.repeat(f.values.mean(axis=1, keepdims=True), 1 << L, axis=1))
+    return Grid2D(L, _write_halves(_vertical_difference(f.values, band - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +499,9 @@ def verify_biparam(
         restricted_ratios_q.append(safe_ratio(pairing, rhs_q))
 
     # the fixed-scale operators are orthogonal projections, so self-adjoint;
-    # the measured scales run as one stack, each slab through its own plan
-    projects = [_plan(L, j).project for j in measured]
+    # the measured scales run as one stack, each slab through its own scale's
+    # closed form
+    projects = [functools.partial(_fixed_scale_project, j=j) for j in measured]
     family = OperatorFamily.of(projects, projects)
     results = top_singular(family, g.mask, h_prime.mask, [seed + j for j in measured], max_steps=LOCALIZED_STEPS)
     norm_constants = [res.norm**2 / ratio ** (1.0 - 2.0 / p) for res in results]

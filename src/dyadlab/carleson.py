@@ -231,27 +231,37 @@ def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
 CHUNK_BYTES = 1 << 22
 
 
-def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
+def greedy_choice(f: GridSignal, collection: TileCollection, where: GridSet) -> ChoiceFunction:
     """Adversarial choice function: at each cell, the frequency maximizing the
     magnitude of the partial model sum, scanning the finitely many upper
     frequency halves that can contain the candidate.
 
+    Only the cells of `where` are fitted and every other cell gets
+    frequency 0, which lies in no upper tile, so it adds no term to a model
+    sum: an operator read only on `where`, as f -> 1_A T_N(f 1_B) is on A,
+    is that of the choice fitted at every cell.
+
     The sums are built a chunk of `CHUNK_BYTES` of (cell, frequency) pairs
     at a time, so memory does not grow as 4**L; each scale's table is added
-    into the strided view of the frequencies whose bit k is set."""
-    if f.resolution != collection.resolution:
-        raise ValueError("resolution mismatch")
+    into the strided view of the frequencies whose bit k is set. A cell's
+    sums depend on that cell alone, so they do not depend on which other
+    cells are fitted."""
     L = f.resolution
+    if collection.resolution != L or where.resolution != L:
+        raise ValueError("resolution mismatch")
     n = 1 << L
     scales = [
         (k, coef.reshape(present.shape) * (2.0 ** (k / 2.0)) * present)
         for k, (coef, present) in enumerate(zip(lower_coefficients(f.values, L), collection.masks))
         if present.any()
     ]
-    freqs = np.empty(n, dtype=np.int64)
     chunk = max(1, CHUNK_BYTES // (16 * n))
-    for lo in range(0, n, chunk):
-        cells = np.arange(lo, min(lo + chunk, n))
+    # while one chunk holds the grid (L <= 9) the whole grid is fitted, one
+    # broadcast table per scale, and the cells off `where` are zeroed at the end
+    fitted = np.arange(n) if chunk >= n else np.flatnonzero(where.mask)
+    freqs = np.zeros(n, dtype=np.int64)
+    for lo in range(0, fitted.size, chunk):
+        cells = fitted[lo : lo + chunk]
         total = np.zeros((cells.size, n), dtype=np.complex128)
         for k, coef in scales:
             # the mask (0/1) multiplied coef before the signs (+-1): exact
@@ -263,7 +273,7 @@ def greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFunction:
                 table = coef[cells >> (L - k)] * _upper_signs(L - k, cells & ((1 << (L - k)) - 1))
             total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table.reshape(cells.size, -1, 1)
         freqs[cells] = np.argmax(np.abs(total), axis=1)
-    return ChoiceFunction(L, freqs)
+    return ChoiceFunction(L, freqs * where.mask)
 
 
 def _upper_signs(bits: int, places) -> np.ndarray:
@@ -375,14 +385,15 @@ def collection_caps(
 
 
 def _choice_family(
-    op_collection: TileCollection, resolution: int, rng: np.random.Generator, signal: GridSignal
+    op_collection: TileCollection, resolution: int, rng: np.random.Generator, signal: GridSignal, a_set: GridSet
 ) -> list[ChoiceFunction]:
-    """A constant choice, two random ones and the greedy one of the signal."""
+    """A constant choice, two random ones and the greedy one of the signal,
+    fitted on A, the only cells the restricted operator reads it at."""
     n = 1 << resolution
     family = [ChoiceFunction.constant(resolution, n // 2)]
     for _ in range(2):
         family.append(ChoiceFunction(resolution, rng.integers(0, n, size=n)))
-    family.append(greedy_choice(signal, op_collection))
+    family.append(greedy_choice(signal, op_collection, a_set))
     return family
 
 
@@ -404,7 +415,8 @@ def norm_decay_point(
     convergence flag of the `restricted_norm` run that gave it (0 steps and
     converged on the dense path), its upper bound `norm_upper` (None on the
     Krylov path) and `unconverged`, the number of runs of the point that
-    stopped at the cap `iters` unconverged."""
+    stopped at the cap `iters` unconverged.  The greedy choices are fitted
+    on A alone, so a returned greedy `choice` is 0 off A."""
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
@@ -419,7 +431,7 @@ def norm_decay_point(
         raise ValueError(f"unknown branch {branch!r}")
     surviving = retain_meeting(collection, keep)
     probe = GridSignal(L, rng.standard_normal(1 << L))
-    family = _choice_family(surviving, L, rng, probe)
+    family = _choice_family(surviving, L, rng, probe, a_set)
     # chain i: the best (result, choice) so far for family member i, refit
     # while a round raises its norm; each round runs as one stack
     results = restricted_norm(
@@ -432,7 +444,7 @@ def norm_decay_point(
         if not active:
             break
         refits = [
-            greedy_choice(GridSignal(L, chains[i][0].top_vector * b_set.mask), surviving)
+            greedy_choice(GridSignal(L, chains[i][0].top_vector * b_set.mask), surviving, a_set)
             for i in active
         ]
         results = restricted_norm(
@@ -516,7 +528,7 @@ def verify_vector_carleson(
     L = fams.resolution
     collection = TileCollection.all(L)
     if choices is None:
-        choices = [greedy_choice(fams.member(j), collection) for j in range(len(fams))]
+        choices = [greedy_choice(fams.member(j), collection, GridSet.full(L)) for j in range(len(fams))]
     stack = np.vstack(
         [
             model_sum(fams.member(j), choices[j % len(choices)], collection).values

@@ -23,6 +23,7 @@ from dyadlab.biparam import (
 )
 from dyadlab.grid import DyadicInterval, Grid2D, GridSet2D, all_intervals, inner_product, lp_norm, measure
 from dyadlab.harness import random_grid2d, random_set2d
+from dyadlab.walsh import walsh_analysis, walsh_synthesis
 from dyadlab.plane import (
     DyadicRectangle,
     all_rectangles,
@@ -77,6 +78,51 @@ def old_fixed_scale_operator(values, resolution, j):
         coef = old_haar_coefficients(values, resolution, kx, j)
         out += old_haar_synthesis(coef, resolution, kx, j)
     return out
+
+
+def old_vertical_band_project(values, resolution, band):
+    """The Walsh analysis/synthesis band restriction that preceded the closed
+    form: zero every vertical frequency outside the band."""
+    spectrum = walsh_analysis(values, axis=1)
+    eta = np.arange(1 << resolution)
+    keep = (eta == 0) if band == 0 else (eta >= 1 << (band - 1)) & (eta < 1 << band)
+    spectrum[:, ~keep] = 0.0
+    return walsh_synthesis(spectrum, axis=1) * 2.0**-resolution
+
+
+def exact_expectation_numerators(values, s):
+    """n E_s f as integers, for an integer array f on an n x n grid: E_s
+    averages along y (axis 1) over the dyadic intervals of length 2**-s,
+    n >> s cells each, so n times an average is the block sum times 2**s."""
+    n = values.shape[1]
+    sums = values.reshape(n, 1 << s, n >> s).sum(axis=2)
+    return np.repeat(sums, n >> s, axis=1) << s
+
+
+def exact_fixed_scale_numerators(values, j):
+    """n**2 (I - E_0) (x) (E_{j+1} - E_j) f as integers: the scale-j model
+    operator as a tensor of conditional expectations, with the mean along
+    x (axis 0) taken last."""
+    n = values.shape[0]
+    band = exact_expectation_numerators(values, j + 1) - exact_expectation_numerators(values, j)
+    return n * band - band.sum(axis=0)
+
+
+def exact_band_numerators(values, band):
+    """n times vertical band `band` of an integer array: E_0 f for band 0,
+    (E_b - E_{b-1}) f for band b >= 1."""
+    if band == 0:
+        return exact_expectation_numerators(values, 0)
+    return exact_expectation_numerators(values, band) - exact_expectation_numerators(values, band - 1)
+
+
+def small_integer_grid(rng, resolution):
+    """A complex grid with integer parts in [-8, 8]: every sum the
+    projections take is an exact integer, and every quotient an exact
+    dyadic rational."""
+    n = 1 << resolution
+    re, im = rng.integers(-8, 9, size=(2, n, n))
+    return re, im, Grid2D(resolution, re + 1j * im)
 
 
 def old_all_at_scale(resolution, vscale):
@@ -354,8 +400,56 @@ class TestModelOperator:
             assert np.allclose(direct.values, banded.values, atol=1e-10)
 
 
+class TestClosedFormProjections:
+    """The fixed-scale operator and the vertical bands as tensors of
+    conditional expectations, against exact integer oracles and the Haar and
+    Walsh expansions they replaced."""
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6, 7])
+    def test_fixed_scale_operator_is_exact(self, resolution):
+        # |numerator| <= 32 n**2 < 2**53 and n**2 is a power of two, so the
+        # oracle's quotient is the exact rational, and the closed form must
+        # equal it bit for bit
+        n = 1 << resolution
+        re, im, f = small_integer_grid(np.random.default_rng(90 + resolution), resolution)
+        for j in range(resolution):
+            out = fixed_scale_operator(f, j).values
+            assert np.array_equal(out.real, exact_fixed_scale_numerators(re, j) / n**2)
+            assert np.array_equal(out.imag, exact_fixed_scale_numerators(im, j) / n**2)
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6, 7])
+    def test_vertical_bands_are_exact(self, resolution):
+        n = 1 << resolution
+        re, im, f = small_integer_grid(np.random.default_rng(100 + resolution), resolution)
+        for band in range(resolution + 1):
+            out = vertical_band_project(f, band).values
+            assert np.array_equal(out.real, exact_band_numerators(re, band) / n)
+            assert np.array_equal(out.imag, exact_band_numerators(im, band) / n)
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_within_rounding_of_the_expansions(self, resolution):
+        # the closed form against the sum of L Haar analysis/synthesis pairs
+        # and the Walsh band restriction, within 2 L eps max|f|; the largest
+        # deviation seen over L = 1..8 is 0.36 L eps max|f|
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(110 + resolution)
+        n = 1 << resolution
+        for f in (
+            random_grid2d(rng, resolution),
+            Grid2D(resolution, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
+        ):
+            bound = 2 * resolution * eps * np.abs(f.values).max()
+            for j in range(resolution):
+                old = old_fixed_scale_operator(f.values, resolution, j)
+                assert np.abs(fixed_scale_operator(f, j).values - old).max() <= bound
+            for band in range(resolution + 1):
+                old = old_vertical_band_project(f.values, resolution, band)
+                assert np.abs(vertical_band_project(f, band).values - old).max() <= bound
+
+
 class TestFixedScalePlan:
-    """The cached per-(L, j) plan against the moveaxis/repeat formulas."""
+    """The cached per-(L, j) plan's Haar analysis and synthesis against the
+    moveaxis/repeat formulas."""
 
     @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6, 7])
     def test_matches_moveaxis_path(self, resolution):
@@ -370,9 +464,6 @@ class TestFixedScalePlan:
                 assert np.array_equal(
                     haar_synthesis(c, resolution, kx, j), old_haar_synthesis(c, resolution, kx, j)
                 )
-            assert np.array_equal(
-                fixed_scale_operator(f, j).values, old_fixed_scale_operator(f.values, resolution, j)
-            )
 
     def test_synthesis_rejects_transposed_coefficients(self):
         # at L=3, kx=1, ky=2 the coefficients are (2, 4); a (4, 2) array

@@ -46,6 +46,7 @@ from dyadlab.tiles import (
     member_coefficients,
     model_sum,
     size_bound,
+    upper_cells,
 )
 from dyadlab.grid import STACK_CELLS, stack_slices
 from dyadlab.walsh import bit_reversal, block_gathers
@@ -89,7 +90,8 @@ def old_norm_decay_point(
 ):
     """The loop norm_decay_point ran before the choice family and each refit
     round ran as one stack: one norm run per choice function, in family
-    order, each chain refit right after its own run."""
+    order, each chain refit right after its own run, and every greedy choice
+    fitted on the whole grid."""
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
@@ -110,14 +112,14 @@ def old_norm_decay_point(
     best_choice = None
     unconverged = 0
     probe = GridSignal(L, rng.standard_normal(1 << L))
-    for idx, choice in enumerate(_choice_family(surviving, L, rng, probe)):
+    for idx, choice in enumerate(_choice_family(surviving, L, rng, probe, GridSet.full(L))):
         res = alone(choice, seed + idx)
         unconverged += not res.converged
         vec = res.top_vector
         for round_ in range(adversary_rounds):
             if vec is None:
                 break
-            refit = greedy_choice(GridSignal(L, np.asarray(vec) * b_set.mask), surviving)
+            refit = greedy_choice(GridSignal(L, np.asarray(vec) * b_set.mask), surviving, GridSet.full(L))
             res2 = alone(refit, seed + 131 + round_)
             unconverged += not res2.converged
             if res2.norm > res.norm:
@@ -210,12 +212,23 @@ def restricted_operator(op: RestrictedOp) -> MapPair:
     return old_localized(ModelSumPlan([op.choice], op.collection), op.b.mask, op.a.mask)
 
 
-def assert_same_point(point, expected):
+def decay_a_set(h, g, branch):
+    """The set A that norm_decay_point's restricted operators read their
+    choice on: G on the h branch, G carved against H on the g branch."""
+    return g if branch == "h" else exceptional_complement(g, h, 4.0)
+
+
+def assert_same_point(point, expected, a_set):
+    """The point equals the oracle's, whose greedy choices are fitted on the
+    whole grid: its choice agrees on A, and off A it is the oracle's (a
+    constant or random winner) or 0 (a greedy winner, fitted on A alone)."""
     assert point.keys() == expected.keys()
     for key, value in expected.items():
         if key == "choice":
+            got, on_a = point[key].freqs, a_set.mask
             assert point[key].resolution == value.resolution
-            assert np.array_equal(point[key].freqs, value.freqs)
+            assert np.array_equal(got[on_a], value.freqs[on_a])
+            assert np.array_equal(got[~on_a], value.freqs[~on_a]) or not got[~on_a].any()
         else:
             assert point[key] == value, key
 
@@ -498,7 +511,7 @@ class TestNormDecay:
         resolution = 5
         collection = TileCollection.all(resolution)
         f = random_signal(rng, resolution, complex_values=True)
-        adversary = greedy_choice(f, collection)
+        adversary = greedy_choice(f, collection, GridSet.full(resolution))
         out_best = np.abs(model_sum(f, adversary, collection).values)
         for _ in range(10):
             other = random_choice(rng, resolution)
@@ -527,7 +540,7 @@ class TestNormDecay:
         ]
         for collection in collections:
             for f in signals:
-                chosen = greedy_choice(f, collection)
+                chosen = greedy_choice(f, collection, GridSet.full(resolution))
                 assert np.array_equal(chosen.freqs, dense_greedy_choice(f, collection).freqs)
 
     @pytest.mark.parametrize("resolution", range(0, 10))
@@ -552,7 +565,7 @@ class TestNormDecay:
         ]
         for collection in collections:
             for f in signals:
-                chosen = greedy_choice(f, collection)
+                chosen = greedy_choice(f, collection, GridSet.full(resolution))
                 assert chosen.freqs.dtype == np.int64
                 assert np.array_equal(chosen.freqs, chunked_greedy_choice(f, collection).freqs)
         assert (STACK_CELLS // n >= n) == (resolution <= 7)
@@ -572,13 +585,62 @@ class TestNormDecay:
         for cells in (1, 3, n // 2, None):
             if cells is not None:
                 monkeypatch.setattr(carleson, "CHUNK_BYTES", 16 * n * cells)
-            assert np.array_equal(greedy_choice(f, collection).freqs, expected)
+            assert np.array_equal(greedy_choice(f, collection, GridSet.full(resolution)).freqs, expected)
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("resolution", range(13))
+    def test_greedy_choice_where(self, resolution):
+        """Fitted on a set, the choice is the whole grid's on the set and 0
+        off it: for the empty and the full set, random sets of nine tenths,
+        a half and a tenth and, from L = 10 up, where the grid runs in chunks,
+        sets whose cells fill one chunk, fill it and one cell more, and
+        straddle the grid's own chunk edges."""
+        rng = np.random.default_rng(580 + resolution)
+        n = 1 << resolution
+        collection = retain_meeting(TileCollection.all(resolution), GridSet(resolution, rng.random(n) < 0.5))
+        f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        whole = greedy_choice(f, collection, GridSet.full(resolution)).freqs
+        chunk = carleson.CHUNK_BYTES // (16 * n)
+        assert (chunk < n) == (resolution >= 10)
+        masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), *(rng.random(n) < p for p in (0.9, 0.5, 0.1))]
+        if chunk < n:
+            edges = np.arange(chunk, n, chunk)
+            for size in (chunk, chunk + 1):
+                masks.append(np.isin(np.arange(n), rng.choice(n, size=size, replace=False)))
+            masks.append(np.isin(np.arange(n), np.concatenate([edges - 1, edges])))
+        for mask in masks:
+            chosen = greedy_choice(f, collection, GridSet(resolution, mask)).freqs
+            assert np.array_equal(chosen[mask], whole[mask])
+            assert not chosen[~mask].any()
+
+    @pytest.mark.parametrize("resolution", range(1, 9))
+    def test_choice_fitted_on_a_leaves_the_restricted_operator(self, resolution):
+        """1_A T_N(f 1_B) and its adjoint read N on A alone: the greedy
+        choice fitted on A, 0 elsewhere, gives the operator of the one
+        fitted on the whole grid, bit for bit, and frequency 0 adds no plan
+        term."""
+        rng = np.random.default_rng(600 + resolution)
+        n = 1 << resolution
+        collection = TileCollection.all(resolution)
+        a_set, b_set = (GridSet(resolution, rng.random(n) < 0.4) for _ in range(2))
+        f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        whole, on_a = greedy_choice(f, collection, GridSet.full(resolution)), greedy_choice(f, collection, a_set)
+        assert upper_cells([on_a])[2].tolist() == [x for x in upper_cells([whole])[2].tolist() if a_set.mask[x]]
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        def restricted(choice):
+            plan = ModelSumPlan([choice], collection)
+            return plan.apply(x * b_set.mask) * a_set.mask, plan.adjoint(x * a_set.mask) * b_set.mask
+
+        for got, want in zip(restricted(on_a), restricted(whole)):
+            assert np.array_equal(got, want)
 
     def test_greedy_choice_rejects_resolution_mismatch(self):
         for signal_l, collection_l in ((3, 0), (5, 4), (4, 5), (0, 3)):
             with pytest.raises(ValueError, match="resolution mismatch"):
-                greedy_choice(GridSignal.zeros(signal_l), TileCollection.all(collection_l))
+                greedy_choice(GridSignal.zeros(signal_l), TileCollection.all(collection_l), GridSet.full(signal_l))
+        with pytest.raises(ValueError, match="resolution mismatch"):
+            greedy_choice(GridSignal.zeros(3), TileCollection.all(3), GridSet.full(4))
 
     @pytest.mark.usefixtures("krylov_path")
     def test_decay_point_and_short_ladder(self):
@@ -614,7 +676,7 @@ class TestNormDecay:
                 for iters in (150, 12):
                     point = norm_decay_point(h, g, collection, seed=seed, iters=iters, branch=branch)
                     expected = old_norm_decay_point(h, g, collection, seed=seed, iters=iters, branch=branch)
-                    assert_same_point(point, expected)
+                    assert_same_point(point, expected, decay_a_set(h, g, branch))
 
     @pytest.mark.usefixtures("krylov_path")
     @pytest.mark.parametrize("branch", ["h", "g"])
@@ -624,7 +686,7 @@ class TestNormDecay:
         g = GridSet.from_interval(resolution, DyadicInterval(2, 1))
         empty = TileCollection.from_bitiles(resolution, [])
         point = norm_decay_point(h, g, empty, seed=2, branch=branch)
-        assert_same_point(point, old_norm_decay_point(h, g, empty, seed=2, branch=branch))
+        assert_same_point(point, old_norm_decay_point(h, g, empty, seed=2, branch=branch), decay_a_set(h, g, branch))
         assert (point["norm"], point["iterations"], point["converged"], point["unconverged"]) == (0.0, 1, True, 0)
 
     @pytest.mark.usefixtures("krylov_path")
@@ -634,7 +696,8 @@ class TestNormDecay:
         full = GridSet.full(resolution)
         for branch in ("h", "g"):
             point = norm_decay_point(full, full, collection, seed=4, iters=40, branch=branch)
-            assert_same_point(point, old_norm_decay_point(full, full, collection, seed=4, iters=40, branch=branch))
+            expected = old_norm_decay_point(full, full, collection, seed=4, iters=40, branch=branch)
+            assert_same_point(point, expected, decay_a_set(full, full, branch))
 
     # at L=9 a stacked plan's block stack holds up to 9 * 2**9 cells, so
     # six operators run as stacks of 3 and 3 under grid.STACK_CELLS
@@ -677,7 +740,8 @@ class TestNormDecay:
         a, b = GridSet(resolution, rng.random(n) < 0.6), GridSet(resolution, rng.random(n) < 0.6)
         collection = random_convex_collection(rng, resolution)
         choices = [random_choice(rng, resolution) for _ in range(4)]
-        choices.append(greedy_choice(random_signal(rng, resolution, complex_values=True), collection))
+        signal = random_signal(rng, resolution, complex_values=True)
+        choices.append(greedy_choice(signal, collection, GridSet.full(resolution)))
         # frequency 0 lies in a lower tile at every scale: no term at all
         choices.insert(2, ChoiceFunction.constant(resolution, 0))
         choices.append(ChoiceFunction.constant(resolution, n - 1))
@@ -817,7 +881,8 @@ class TestOneLayoutPerStack:
         a, b = GridSet(resolution, rng.random(n) < 0.6), GridSet(resolution, rng.random(n) < 0.6)
         collection = random_convex_collection(rng, resolution)
         choices = [random_choice(rng, resolution) for _ in range(4)]
-        choices.append(greedy_choice(random_signal(rng, resolution, complex_values=True), collection))
+        signal = random_signal(rng, resolution, complex_values=True)
+        choices.append(greedy_choice(signal, collection, GridSet.full(resolution)))
         choices.insert(2, ChoiceFunction.constant(resolution, 0))
         return a, b, collection, choices, [5, 5, 2, 5, 1, 8]
 
@@ -886,7 +951,8 @@ def dense_cases(rng, resolution):
     cases = []
     for collection in collections:
         signal = random_signal(rng, L, complex_values=True)
-        choices = [ChoiceFunction.constant(L, n - 1), random_choice(rng, L), greedy_choice(signal, collection)]
+        greedy = greedy_choice(signal, collection, GridSet.full(L))
+        choices = [ChoiceFunction.constant(L, n - 1), random_choice(rng, L), greedy]
         cases.append((collection, choices))
     empty, full = GridSet.empty(L), GridSet.full(L)
     sets = [(GridSet(L, rng.random(n) < 0.6), GridSet(L, rng.random(n) < 0.6)), (empty, full), (full, empty), (full, full)]
@@ -973,7 +1039,7 @@ class TestDenseNorms:
         for collection in (TileCollection.all(L), random_convex_collection(rng, L)):
             signal = random_signal(rng, L, complex_values=True)
             choices = [random_choice(rng, L) for _ in range(2)]
-            choices += [ChoiceFunction.constant(L, n // 2), greedy_choice(signal, collection)]
+            choices += [ChoiceFunction.constant(L, n // 2), greedy_choice(signal, collection, GridSet.full(L))]
             for a, b in pairs:
                 dense = carleson._dense_norms(a, b, collection, choices)
                 krylov = carleson._krylov_norms(a, b, collection, choices, [3, 4, 5, 6], 200)
@@ -1022,7 +1088,7 @@ class TestVectorCarleson:
         resolution = 5
         f = random_signal(rng, resolution)
         collection = TileCollection.all(resolution)
-        choice = [greedy_choice(f, collection)]
+        choice = [greedy_choice(f, collection, GridSet.full(resolution))]
         one = verify_vector_carleson(VectorSignal.from_signals([f]), choice, 3.0)
         many = verify_vector_carleson(VectorSignal.from_signals([f] * 9), choice * 9, 3.0)
         assert many.ratio == pytest.approx(one.ratio, rel=1e-12)

@@ -46,11 +46,13 @@ CLI_CASES = {
     "verify-principle": ["verify", "principle", *_BASE],
     "estimate-22": ["estimate-22", "--resolution", "5", "--ladder", "3", "--seed", "3"],
     # the benchmark's decay configuration (L=6), the largest resolution of
-    # the dense norms (L=7, carleson.DENSE_RESOLUTION) and a deeper ladder
-    # at L=8, the first of the Krylov engine
+    # the dense norms (L=7, carleson.DENSE_RESOLUTION), a deeper ladder at
+    # L=8, the first of the Krylov engine, and the full ladder at L=10, the
+    # first resolution whose greedy choice runs in chunks
     "estimate-22-L6": ["estimate-22", "--resolution", "6", "--seed", "1"],
     "estimate-22-L7": ["estimate-22", "--resolution", "7", "--seed", "1"],
     "estimate-22-L8": ["estimate-22", "--resolution", "8", "--ladder", "4", "--seed", "1"],
+    "estimate-22-L10": ["estimate-22", "--resolution", "10", "--seed", "1"],
 }
 
 
