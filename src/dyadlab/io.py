@@ -7,7 +7,6 @@ header).
 
 from __future__ import annotations
 
-import cmath
 import csv
 import os
 import stat
@@ -78,19 +77,75 @@ def _resolution_for(count: int, path, axes: int = 1) -> int:
     return resolution
 
 
-def _claim_index(path, row_number, index, seen: np.ndarray) -> None:
-    """Reject a cell index (an int, or a (row, col) pair for a 2D `seen`)
-    outside `seen` or already seen; with one row per cell this also rules out
-    missing indices."""
-    cell = index if isinstance(index, tuple) else (index,)
-    if not all(0 <= i < n for i, n in zip(cell, seen.shape)) or seen[cell]:
-        _fail(path, row_number, f"index {index} out of range or repeated")
-    seen[cell] = True
+def _field_problem(row, types, kind: str) -> str | None:
+    """Why a data row cannot be parsed as `types`, one per field, checked in
+    the order field count, then each field in turn; None if it can."""
+    if len(row) != len(types):
+        return _width_problem(row, len(types), kind)
+    try:
+        for parse, field in zip(types, row):
+            parse(field)
+    except ValueError as exc:
+        return f"bad {kind} row {row!r} ({exc})"
+    return None
 
 
-def _claim_finite(path, row_number, value: complex) -> None:
-    if not cmath.isfinite(value):
-        _fail(path, row_number, f"value {value} is not finite")
+def _columns(rows, types) -> tuple[list[np.ndarray], int]:
+    """Per type, its column over the leading rows that parse as `types`,
+    parsed with one comprehension into an array, and the number of those
+    rows."""
+    try:
+        if all(len(row) == len(types) for row in rows):
+            return [_array([parse(row[i]) for row in rows], parse) for i, parse in enumerate(types)], len(rows)
+    except ValueError:
+        pass
+    parsed = next(i for i, row in enumerate(rows) if _field_problem(row, types, "") is not None)
+    return _columns(rows[:parsed], types)
+
+
+def _array(values: list, parse) -> np.ndarray:
+    """Floats as float64; ints as int64, where a value beyond int64, which
+    passes no range check, becomes -1."""
+    if parse is float:
+        return np.array(values, dtype=np.float64)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if abs(v) < 1 << 62 else -1 for v in values], dtype=np.int64)
+
+
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """Per entry, whether an earlier entry holds the same value."""
+    _, first = np.unique(values, return_index=True)
+    repeated = np.ones(values.size, dtype=bool)
+    repeated[first] = False
+    return repeated
+
+
+def _unclaimed(index: np.ndarray, count: int) -> np.ndarray:
+    """Per row, whether its cell index lies outside [0, count) or repeats an
+    earlier row's; with one row per cell this also rules out missing
+    cells."""
+    return (index < 0) | (index >= count) | _repeats(index)
+
+
+def _check_rows(path, rows, types, kind: str, parsed: int, checks) -> None:
+    """Fail at the first bad data row, if any. The `parsed` leading rows are
+    flagged by `checks`, pairs (flags over those rows, the message for a
+    flagged row) in the order the checks of one row run, and a flagged row
+    is named by its first check; the row after them fails `_field_problem`.
+    A check's flags need only be right on a row whose earlier rows pass
+    every check and which passes the checks before it."""
+    flagged = np.zeros(parsed, dtype=bool)
+    for flags, _ in checks:
+        flagged |= flags
+    bad = int(np.argmax(flagged)) if flagged.any() else parsed
+    if bad == len(rows):
+        return
+    row = rows[bad]
+    if bad == parsed:
+        _fail(path, bad + 1, _field_problem(row, types, kind))
+    _fail(path, bad + 1, next(message for flags, message in checks if flags[bad])(row))
 
 
 def write_signal(path, signal: GridSignal) -> None:
@@ -104,17 +159,15 @@ def write_signal(path, signal: GridSignal) -> None:
 def read_signal(path) -> GridSignal:
     rows = _open_rows(path, ["index", "re", "im"])
     resolution = _resolution_for(len(rows), path)
+    types = (int, float, float)
+    (index, re, im), parsed = _columns(rows, types)
+    _check_rows(path, rows, types, "signal", parsed, [
+        (_unclaimed(index, len(rows)), lambda row: f"index {int(row[0])} out of range or repeated"),
+        (~(np.isfinite(re) & np.isfinite(im)), lambda row: f"value {float(row[1]) + 1j * float(row[2])} is not finite"),
+    ])  # fmt: skip
     values = np.zeros(len(rows), dtype=np.complex128)
-    seen = np.zeros(len(rows), dtype=bool)
-    for number, row in _numbered(path, rows, 3, "signal"):
-        try:
-            index = int(row[0])
-            value = float(row[1]) + 1j * float(row[2])
-        except ValueError as exc:
-            _fail(path, number, f"bad signal row {row!r} ({exc})")
-        _claim_index(path, number, index, seen)
-        _claim_finite(path, number, value)
-        values[index] = value
+    # rounds, and signs its zeros, as float(re) + 1j * float(im) does
+    values[index] = re + 1j * im
     return GridSignal(resolution, values)
 
 
@@ -129,18 +182,14 @@ def write_grid_set(path, s: GridSet) -> None:
 def read_grid_set(path) -> GridSet:
     rows = _open_rows(path, ["index", "member"])
     resolution = _resolution_for(len(rows), path)
+    types = (int, int)
+    (index, member), parsed = _columns(rows, types)
+    _check_rows(path, rows, types, "set", parsed, [
+        ((member != 0) & (member != 1), lambda row: f"member must be 0 or 1, got {int(row[1])}"),
+        (_unclaimed(index, len(rows)), lambda row: f"index {int(row[0])} out of range or repeated"),
+    ])  # fmt: skip
     mask = np.zeros(len(rows), dtype=bool)
-    seen = np.zeros(len(rows), dtype=bool)
-    for number, row in _numbered(path, rows, 2, "set"):
-        try:
-            index = int(row[0])
-            member = int(row[1])
-        except ValueError as exc:
-            _fail(path, number, f"bad set row {row!r} ({exc})")
-        if member not in (0, 1):
-            _fail(path, number, f"member must be 0 or 1, got {member}")
-        _claim_index(path, number, index, seen)
-        mask[index] = bool(member)
+    mask[index] = member == 1
     return GridSet(resolution, mask)
 
 
@@ -151,63 +200,35 @@ def write_tile_collection(path, collection: TileCollection) -> None:
         writer.writerows(member_indices(collection.occupied))
 
 
-def _leading_int_rows(rows, width: int) -> tuple[list[int], int]:
-    """The fields of the leading rows that have `width` fields, each one
-    `int` accepts, in order, and the number of those rows."""
-    values: list[int] = []
-    for count, row in enumerate(rows):
-        if len(row) != width:
-            return values, count
-        try:
-            values += [int(x) for x in row]
-        except ValueError:
-            return values, count
-    return values, len(rows)
-
-
-def _tile_row_problem(row, resolution: int) -> str:
-    """Why a data row is not a new bi-tile of the resolution, checked in the
-    order field count, integer fields, bi-tile data, fit; a row that passes
-    all four repeats an earlier one."""
-    if len(row) != 3:
-        return _width_problem(row, 3, "bi-tile")
+def _tile_problem(row, resolution: int) -> str:
+    """Why a data row of integers is no bi-tile that fits the resolution."""
     try:
-        p = BiTile(*map(int, row))
+        BiTile(*map(int, row))
     except ValueError as exc:
         return f"bad bi-tile row {row!r} ({exc})"
-    if not p.fits(resolution):
-        return f"bi-tile {row!r} does not fit resolution {resolution}"
-    return f"bi-tile {row!r} is repeated"
+    return f"bi-tile {row!r} does not fit resolution {resolution}"
 
 
 def read_tile_collection(path, resolution: int) -> TileCollection:
     """The bi-tiles of a k,n,freq_offset file as a collection. The rows are
-    parsed into one (N, 3) integer array, whose fit and repeats are checked
-    as arrays; the first bad row fails with its number."""
+    parsed into integer columns, whose fit and repeats are checked as
+    arrays; the first bad row fails with its number."""
     check_resolution(resolution)
     L = resolution
     rows = _open_rows(path, ["k", "n", "freq_offset"])
-    values, parsed = _leading_int_rows(rows, 3)
-    try:
-        table = np.array(values, dtype=np.int64)
-    except OverflowError:
-        # a value beyond int64 fits no resolution; -1 marks it as bad
-        table = np.array([v if abs(v) < 1 << 62 else -1 for v in values], dtype=np.int64)
-    table = table.reshape(parsed, 3)
-    scale, offset, freq = table.T
+    types = (int, int, int)
+    (scale, offset, freq), parsed = _columns(rows, types)
     known = (0 <= scale) & (scale < L)
     k = np.where(known, scale, 0)
     limits = 1 << np.arange(max(L, 1))  # 2**j; at L=0 no scale is known
     fits = known & (0 <= offset) & (offset < limits[k]) & (0 <= freq) & (freq < limits[L - 1 - k])
-    bad = parsed if fits.all() else int(np.argmin(fits))
-    slots = tile_slot(L, *table[:bad].T)
-    _, first = np.unique(slots, return_index=True)
-    if first.size < bad:
-        repeated = np.ones(bad, dtype=bool)
-        repeated[first] = False
-        bad = int(np.argmax(repeated))
-    if bad < len(rows):
-        _fail(path, bad + 1, _tile_row_problem(rows[bad], L))
+    # a row that does not fit stands for the bi-tile (0, 0, 0): its repeat
+    # flags are read only before the first row that fails the fit
+    slots = tile_slot(L, *(np.where(fits, column, 0) for column in (scale, offset, freq)))
+    _check_rows(path, rows, types, "bi-tile", parsed, [
+        (~fits, lambda row: _tile_problem(row, L)),
+        (_repeats(slots), lambda row: f"bi-tile {row!r} is repeated"),
+    ])  # fmt: skip
     occupied = np.zeros((L, (1 << L) >> 1), dtype=bool)
     occupied.reshape(-1)[slots] = True
     return TileCollection(L, occupied)
@@ -224,18 +245,15 @@ def write_choice(path, choice: ChoiceFunction) -> None:
 def read_choice(path) -> ChoiceFunction:
     rows = _open_rows(path, ["index", "freq"])
     resolution = _resolution_for(len(rows), path)
-    freqs = np.zeros(len(rows), dtype=np.int64)
-    seen = np.zeros(len(rows), dtype=bool)
-    for number, row in _numbered(path, rows, 2, "choice"):
-        try:
-            index = int(row[0])
-            freq = int(row[1])
-        except ValueError as exc:
-            _fail(path, number, f"bad choice row {row!r} ({exc})")
-        _claim_index(path, number, index, seen)
-        if not 0 <= freq < len(rows):
-            _fail(path, number, f"frequency {freq} outside [0, {len(rows)})")
-        freqs[index] = freq
+    types = (int, int)
+    (index, freq), parsed = _columns(rows, types)
+    n = len(rows)
+    _check_rows(path, rows, types, "choice", parsed, [
+        (_unclaimed(index, n), lambda row: f"index {int(row[0])} out of range or repeated"),
+        ((freq < 0) | (freq >= n), lambda row: f"frequency {int(row[1])} outside [0, {n})"),
+    ])  # fmt: skip
+    freqs = np.zeros(n, dtype=np.int64)
+    freqs[index] = freq
     return ChoiceFunction(resolution, freqs)
 
 
@@ -254,17 +272,17 @@ def read_grid2d(path) -> Grid2D:
     rows = _open_rows(path, ["row", "col", "re", "im"])
     resolution = _resolution_for(len(rows), path, axes=2)
     side = 1 << resolution
+    types = (int, int, float, float)
+    (r, c, re, im), parsed = _columns(rows, types)
+    inside = (0 <= r) & (r < side) & (0 <= c) & (c < side)
+    # a row outside the grid stands for the cell (0, 0)
+    cell = np.where(inside, r, 0) * side + np.where(inside, c, 0)
+    _check_rows(path, rows, types, "plane", parsed, [
+        (~inside | _repeats(cell), lambda row: f"index {(int(row[0]), int(row[1]))} out of range or repeated"),
+        (~(np.isfinite(re) & np.isfinite(im)), lambda row: f"value {float(row[2]) + 1j * float(row[3])} is not finite"),
+    ])  # fmt: skip
     values = np.zeros((side, side), dtype=np.complex128)
-    seen = np.zeros((side, side), dtype=bool)
-    for number, row in _numbered(path, rows, 4, "plane"):
-        try:
-            cell = (int(row[0]), int(row[1]))
-            value = float(row[2]) + 1j * float(row[3])
-        except ValueError as exc:
-            _fail(path, number, f"bad plane row {row!r} ({exc})")
-        _claim_index(path, number, cell, seen)
-        _claim_finite(path, number, value)
-        values[cell] = value
+    values[r, c] = re + 1j * im
     return Grid2D(resolution, values)
 
 

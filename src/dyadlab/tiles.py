@@ -627,6 +627,12 @@ class _SizeTable:
     the table of a sub-collection is this table with only that
     sub-collection's entries, in the same order (`restricted`); it sums its
     own full blocks.
+
+    Both `restricted` and a scan over the remaining members pick entries
+    with `np.compress(keep, a, axis=0)`: the same rows, in the same order,
+    as `a[keep]`, so every key meets its events in the same order, but
+    without the cost of boolean row indexing of the (E, 2) arrays (at L=8,
+    E = 4,608: 3.7 us per array against 22-25 us on a 2-core EPYC).
     """
 
     def __init__(self, collection: TileCollection, f: GridSignal):
@@ -654,7 +660,8 @@ class _SizeTable:
         same order."""
         keep = collection.occupied.ravel()[self._slots]
         sub = copy.copy(self)
-        sub._slots, sub._keys, sub._weights = self._slots[keep], self._keys[keep], self._weights[keep]
+        entries = self._slots, self._keys, self._weights
+        sub._slots, sub._keys, sub._weights = (np.compress(keep, a, axis=0) for a in entries)
         sub._full = None
         return sub
 
@@ -664,7 +671,7 @@ class _SizeTable:
         (default: every entry)."""
         keys, weights = self._keys, self._weights
         if keep is not None:
-            keys, weights = keys[keep], weights[keep]
+            keys, weights = np.compress(keep, keys, axis=0), np.compress(keep, weights, axis=0)
         flat = np.bincount(keys.ravel(), weights.ravel(), minlength=int(self._bases[-1]))
         flat = flat.astype(np.float64, copy=False)
         for s, width in enumerate(self._widths):

@@ -221,11 +221,13 @@ LIBRARY_CASES = {
     "lib-restricted-pairing": _restricted_pairing,
     "decompose": _decompose_csv,
     # the decompose benchmark's two shapes: the full collection at L=8 with a
-    # set file and a choice file, and at L=7 without them
+    # set file and a choice file, and at L=7 without them; and the L=8 shape
+    # at L=10, whose size table holds 28,160 entries
     "decompose-L8": lambda: _decompose_benchmark_shape(8, 81, files=True),
     "decompose-L7": lambda: _decompose_benchmark_shape(7, 82, files=False),
+    "decompose-L10": lambda: _decompose_benchmark_shape(10, 83, files=True),
 }
-TEXT_CASES = {"decompose", "decompose-L8", "decompose-L7"}
+TEXT_CASES = {"decompose", "decompose-L8", "decompose-L7", "decompose-L10"}
 
 
 def golden_path(name: str) -> Path:

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import json
 
@@ -252,14 +253,106 @@ class TestIORoundTrips:
         assert [(v.vx, v.vy) for v in back] == [(v.vx, v.vy) for v in dirs]
 
 
+def _loop_numbered(path, rows, width: int, kind: str):
+    """(row number, row) over the data rows; a row whose field count is not
+    the header's fails."""
+    for number, row in enumerate(rows, start=1):
+        if len(row) != width:
+            io_module._fail(path, number, f"bad {kind} row {row!r} (expected {width} fields, got {len(row)})")
+        yield number, row
+
+
+def _loop_claim(path, number, index, seen):
+    if not 0 <= index < seen.size or seen[index]:
+        io_module._fail(path, number, f"index {index} out of range or repeated")
+    seen[index] = True
+
+
+def loop_read_signal(path) -> GridSignal:
+    """The row loop that `read_signal` replaced, kept as its oracle."""
+    rows = io_module._open_rows(path, ["index", "re", "im"])
+    resolution = io_module._resolution_for(len(rows), path)
+    values = np.zeros(len(rows), dtype=np.complex128)
+    seen = np.zeros(len(rows), dtype=bool)
+    for number, row in _loop_numbered(path, rows, 3, "signal"):
+        try:
+            index = int(row[0])
+            value = float(row[1]) + 1j * float(row[2])
+        except ValueError as exc:
+            io_module._fail(path, number, f"bad signal row {row!r} ({exc})")
+        _loop_claim(path, number, index, seen)
+        if not cmath.isfinite(value):
+            io_module._fail(path, number, f"value {value} is not finite")
+        values[index] = value
+    return GridSignal(resolution, values)
+
+
+def loop_read_grid_set(path) -> GridSet:
+    """The row loop that `read_grid_set` replaced, kept as its oracle."""
+    rows = io_module._open_rows(path, ["index", "member"])
+    resolution = io_module._resolution_for(len(rows), path)
+    mask = np.zeros(len(rows), dtype=bool)
+    seen = np.zeros(len(rows), dtype=bool)
+    for number, row in _loop_numbered(path, rows, 2, "set"):
+        try:
+            index = int(row[0])
+            member = int(row[1])
+        except ValueError as exc:
+            io_module._fail(path, number, f"bad set row {row!r} ({exc})")
+        if member not in (0, 1):
+            io_module._fail(path, number, f"member must be 0 or 1, got {member}")
+        _loop_claim(path, number, index, seen)
+        mask[index] = bool(member)
+    return GridSet(resolution, mask)
+
+
+def loop_read_choice(path) -> ChoiceFunction:
+    """The row loop that `read_choice` replaced, kept as its oracle."""
+    rows = io_module._open_rows(path, ["index", "freq"])
+    resolution = io_module._resolution_for(len(rows), path)
+    freqs = np.zeros(len(rows), dtype=np.int64)
+    seen = np.zeros(len(rows), dtype=bool)
+    for number, row in _loop_numbered(path, rows, 2, "choice"):
+        try:
+            index = int(row[0])
+            freq = int(row[1])
+        except ValueError as exc:
+            io_module._fail(path, number, f"bad choice row {row!r} ({exc})")
+        _loop_claim(path, number, index, seen)
+        if not 0 <= freq < len(rows):
+            io_module._fail(path, number, f"frequency {freq} outside [0, {len(rows)})")
+        freqs[index] = freq
+    return ChoiceFunction(resolution, freqs)
+
+
+def loop_read_grid2d(path) -> Grid2D:
+    """The row loop that `read_grid2d` replaced, kept as its oracle."""
+    rows = io_module._open_rows(path, ["row", "col", "re", "im"])
+    resolution = io_module._resolution_for(len(rows), path, axes=2)
+    side = 1 << resolution
+    values = np.zeros((side, side), dtype=np.complex128)
+    seen = np.zeros((side, side), dtype=bool)
+    for number, row in _loop_numbered(path, rows, 4, "plane"):
+        try:
+            cell = (int(row[0]), int(row[1]))
+            value = float(row[2]) + 1j * float(row[3])
+        except ValueError as exc:
+            io_module._fail(path, number, f"bad plane row {row!r} ({exc})")
+        if not all(0 <= i < side for i in cell) or seen[cell]:
+            io_module._fail(path, number, f"index {cell} out of range or repeated")
+        seen[cell] = True
+        if not cmath.isfinite(value):
+            io_module._fail(path, number, f"value {value} is not finite")
+        values[cell] = value
+    return Grid2D(resolution, values)
+
+
 def loop_read_tile_collection(path, resolution: int) -> TileCollection:
     """The row loop that `read_tile_collection` replaced, kept as its oracle,
     with the field-count check every reader now makes first in a row."""
     rows = io_module._open_rows(path, ["k", "n", "freq_offset"])
     bitiles = set()
-    for number, row in enumerate(rows, start=1):
-        if len(row) != 3:
-            io_module._fail(path, number, f"bad bi-tile row {row!r} (expected 3 fields, got {len(row)})")
+    for number, row in _loop_numbered(path, rows, 3, "bi-tile"):
         try:
             p = BiTile(int(row[0]), int(row[1]), int(row[2]))
         except (IndexError, ValueError) as exc:
@@ -282,13 +375,59 @@ def sorted_write_tile_collection(path, collection: TileCollection) -> None:
             writer.writerow([p.scale, p.offset, p.freq_index])
 
 
-def _outcome(reader, path, resolution):
-    """A reader's error message, or its collection's occupancy array."""
+def _outcome(read, path):
+    """The error message of `read`, a reader that returns an array, or the
+    array's dtype, shape and bytes."""
     try:
-        collection = reader(path, resolution)
+        array = read(path)
     except ValueError as exc:
         return str(exc)
-    return collection.occupied.shape, collection.occupied.tobytes()
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+# per reader of a file with one row per cell: the reader and its row loop,
+# each returning its array, the header, and a seed
+CELL_READERS = {
+    "signal": (lambda p: read_signal(p).values, lambda p: loop_read_signal(p).values, "index,re,im", 70),
+    "set": (lambda p: read_grid_set(p).mask, lambda p: loop_read_grid_set(p).mask, "index,member", 80),
+    "choice": (lambda p: read_choice(p).freqs, lambda p: loop_read_choice(p).freqs, "index,freq", 90),
+    "plane": (lambda p: read_grid2d(p).values, lambda p: loop_read_grid2d(p).values, "row,col,re,im", 100),
+}
+
+
+def _cell_rows(rng, kind, resolution):
+    """The rows of a valid file of the kind at the resolution, in a random
+    order."""
+    n = 1 << resolution
+    if kind == "plane":
+        z = rng.standard_normal((n * n, 2))
+        rows = [[str(i // n), str(i % n), repr(float(a)), repr(float(b))] for i, (a, b) in enumerate(z)]
+    elif kind == "signal":
+        rows = [[str(i), repr(float(a)), repr(float(b))] for i, (a, b) in enumerate(rng.standard_normal((n, 2)))]
+    elif kind == "set":
+        rows = [[str(i), str(int(m))] for i, m in enumerate(rng.random(n) < 0.5)]
+    else:
+        rows = [[str(i), str(int(f))] for i, f in enumerate(rng.integers(0, n, size=n))]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def _mutate_cell_row(rng, rows):
+    """Change one random row in place: drop or add a field, blank it, or set
+    one field to a malformed, non-finite, out-of-range or repeated value, or
+    to a value spelled another way (-0.0, a leading space or plus sign, an
+    underscore)."""
+    r = int(rng.integers(len(rows)))
+    row, n = rows[r], len(rows)
+    c = int(rng.integers(max(len(row), 1)))
+    field = row[c] if row else "1"
+    other = rows[int(rng.integers(n))]
+    values = [
+        "x", "", "1.5", "1e999", "nan", "inf", "-inf", "0.0", "-0.0", "-0", "2", "-1", str(n),
+        str(1 << 70), str(-(1 << 70)), f" {field}", f"+{field}", f"{field[:1]}_{field[1:]}",
+        other[c] if c < len(other) else "0",
+    ]  # fmt: skip
+    changes = [row[:-1], [*row, "0"], []] + [row[:c] + [v] + row[c + 1 :] for v in values]
+    rows[r] = changes[int(rng.integers(len(changes)))]
 
 
 def _bad_tile_row(rng, resolution, earlier):
@@ -303,7 +442,7 @@ def _bad_tile_row(rng, resolution, earlier):
         [str(k), str(n), "-1"], [str(k), str(n), str(freqs)], [str(k), str(n), str(1 << 70)],
         [str(k), "x", str(q)], [str(k), str(n), "1.5"], ["", str(n), str(q)],
         [str(k), str(n)], [str(k), str(n), str(q), "5"], [],
-        [f" {k}", f"+{n}", str(q)],
+        [f" {k}", f"+{n}", str(q)], ["-0", f"0_{n}", str(q)], [str(k), str(n), str(-(1 << 70))],
     ]  # fmt: skip
     if earlier:
         choices.append(list(earlier[int(rng.integers(len(earlier)))]))
@@ -383,8 +522,29 @@ class TestIOErrors:
                 spot = int(rng.integers(len(rows) + 1))
                 rows.insert(spot, _bad_tile_row(rng, resolution, rows[:spot]))
             path.write_text("k,n,freq_offset\n" + "".join(",".join(row) + "\n" for row in rows))
-            expected = _outcome(loop_read_tile_collection, path, resolution)
-            assert _outcome(read_tile_collection, path, resolution) == expected
+            expected = _outcome(lambda p: loop_read_tile_collection(p, resolution).occupied, path)
+            assert _outcome(lambda p: read_tile_collection(p, resolution).occupied, path) == expected
+
+    @pytest.mark.parametrize("kind", CELL_READERS)
+    @pytest.mark.parametrize("resolution", range(6))
+    def test_cell_reader_equals_row_loop(self, tmp_path, kind, resolution):
+        read, loop_read, header, seed = CELL_READERS[kind]
+        rng = np.random.default_rng(seed + resolution)
+        for case in range(120):
+            path = tmp_path / f"{kind}{case}.csv"  # a new file: rewriting one can stall on writeback
+            rows = _cell_rows(rng, kind, resolution)
+            for _ in range(int(rng.integers(4))):
+                _mutate_cell_row(rng, rows)
+            path.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows))
+            assert _outcome(read, path) == _outcome(loop_read, path)
+
+    def test_signal_zero_signs_equal_row_loop(self, tmp_path):
+        zeros = ["0.0", "-0.0", "1.5", "-1.5"]
+        rows = [f"{i},{re},{im}\n" for i, (re, im) in enumerate((re, im) for re in zeros for im in zeros)]
+        path = tmp_path / "signal.csv"
+        path.write_text("index,re,im\n" + "".join(rows))
+        read, loop_read, *_ = CELL_READERS["signal"]
+        assert _outcome(read, path) == _outcome(loop_read, path)
 
     @pytest.mark.parametrize("resolution", range(9))
     def test_tile_writer_equals_sorted_writer(self, tmp_path, resolution):

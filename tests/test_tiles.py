@@ -1407,6 +1407,42 @@ class TestSharedTables:
                         same_bits(a, b) for a, b in zip(oracle_running(table, present), oracle_running(sub), strict=True)
                     )
 
+    @pytest.mark.parametrize("resolution", [9, 10, 11])
+    def test_compressed_entries_equal_oracle_above_l8(self, resolution):
+        # the scans and restrictions pick entries with np.compress; the
+        # oracle picks them by boolean row indexing
+        rng = np.random.default_rng(1500 + resolution)
+        collection = TileCollection.all(resolution)
+        table = tiles_module._SizeTable(collection, random_signal(rng, resolution, complex_values=True))
+        for density in (0.02, 0.5, 0.98):
+            present = collection.occupied.flatten() & (rng.random(collection.occupied.size) < density)
+            running = oracle_running(table, present)
+            assert all(same_bits(a, b) for a, b in zip(table._running(present[table._slots]), running, strict=True))
+            for thr in (0.0, *tie_thresholds(running, rng)[:6]):
+                assert table.first_exceeding(thr, present) == oracle_first_exceeding(running, thr)
+            sub = table.restricted(TileCollection(resolution, present.reshape(collection.occupied.shape)))
+            blocks, peak = sub.full()
+            assert all(same_bits(a, b) for a, b in zip(blocks, running, strict=True))
+            assert same_bits(peak, oracle_peak(running))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("resolution", [9, 10, 11])
+    def test_size_decompose_equals_oracle_above_l8(self, resolution, seed):
+        rng = np.random.default_rng([1600 + resolution, seed])
+        collection = TileCollection.all(resolution)
+        f = random_signal(rng, resolution, complex_values=True)
+        table = tiles_module._SizeTable(collection, f)
+        small, forest, _ = size_decompose(collection, f, table=table)
+        # the oracle sums every entry whose member remains, after every removal
+        thr = math.sqrt(oracle_peak(oracle_running(table))) / 2.0
+        present = collection.occupied.flatten()
+        tops = []
+        while (selection := oracle_first_exceeding(oracle_running(table, present), thr)) is not None:
+            tree = tiles_module._take_tree(present, resolution, *selection)
+            tops.append((selection, tree.members.occupied.tobytes()))
+        assert [((t.top_interval, t.top_freq), t.members.occupied.tobytes()) for t in forest] == tops
+        assert small.occupied.tobytes() == present.tobytes()
+
     @pytest.mark.parametrize("resolution", range(9))
     def test_gathered_weights_equal_member_coefficients(self, resolution):
         rng = np.random.default_rng(1300 + resolution)
