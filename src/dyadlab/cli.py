@@ -9,6 +9,7 @@ Exit status is 0 exactly when every asserted postcondition held.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,6 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--plot", action="store_true", help="emit a PNG of the ratio ladder")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: parsing reads it and
+    never changes it, and each call gets a fresh namespace."""
+    return build_parser()
 
 
 def _common_flags(cmd: argparse.ArgumentParser) -> None:
@@ -115,7 +123,7 @@ def _plot_ladder(report: dict, out_dir: Path) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if args.command == "decompose":
         try:

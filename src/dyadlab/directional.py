@@ -232,13 +232,16 @@ class DirectionalAverager:
         v = np.abs(rng.standard_normal((n, n))) + 0.1
         best = 0.0
         buf = np.empty_like(self.kernel_ffts[stack_slices(len(self.kernel_ffts), n * n)[0]])
-        for _ in range(ASCENT_STEPS):
+        for step in range(ASCENT_STEPS):
             vn = lp_norm(v, p, self.resolution)
             if vn == 0:
                 break
             v = v / vn
             u, choice = self.all_averages(v)
             best = max(best, lp_norm(u, p, self.resolution))
+            if step == ASCENT_STEPS - 1:
+                # the last back-projection would feed no further step
+                break
             z = u ** (p - 1.0)
             winners = np.flatnonzero(np.bincount(choice.ravel(), minlength=len(self.kernel_ffts)))
             back = np.zeros_like(buf[0])

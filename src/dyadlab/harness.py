@@ -499,7 +499,7 @@ def run_decompose(
                     tree.top_interval.scale,
                     tree.top_interval.offset,
                     tree.top_freq,
-                    len(tree.members),
+                    len(tree.slots),
                     repr(bucket.count_ratio),
                 ]
             )

@@ -575,21 +575,38 @@ def _tree_slots(resolution: int, top: DyadicInterval, xi: int) -> np.ndarray:
 class Tree:
     """Bi-tiles dominated by one top: spatial intervals inside the top
     interval, top frequency inside every member's frequency interval. The
-    members are a `TileCollection`."""
+    members are held only as their ascending `tile_slot`s at the resolution,
+    that is in `bitile_key` order, in a read-only array: a subset of
+    `_tree_slots(resolution, top_interval, top_freq)`. `from_members` builds
+    a tree from a collection and checks that it is one; `members` builds
+    the collection back on each call."""
 
     top_interval: DyadicInterval
     top_freq: int
-    members: TileCollection
+    resolution: int
+    slots: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        stray = self.members.occupied.copy()
-        stray.reshape(-1)[_tree_slots(self.members.resolution, self.top_interval, self.top_freq)] = False
+    @classmethod
+    def from_members(cls, top_interval: DyadicInterval, top_freq: int, members: TileCollection) -> "Tree":
+        stray = members.occupied.copy()
+        stray.reshape(-1)[_tree_slots(members.resolution, top_interval, top_freq)] = False
         if stray.any():
             k, offset, freq_index = next(member_indices(stray))
-            p, s = BiTile(k, offset, freq_index), self.top_interval.scale
-            if k < s or offset >> (k - s) != self.top_interval.offset:
+            p, s = BiTile(k, offset, freq_index), top_interval.scale
+            if k < s or offset >> (k - s) != top_interval.offset:
                 raise ValueError(f"member {p} escapes the top interval")
             raise ValueError(f"top frequency misses member {p}")
+        slots = np.flatnonzero(members.occupied)
+        slots.setflags(write=False)
+        return cls(top_interval, top_freq, members.resolution, slots)
+
+    @property
+    def members(self) -> TileCollection:
+        """The members as a collection, built on each call."""
+        L = self.resolution
+        occupied = np.zeros((L, (1 << L) >> 1), dtype=bool)
+        occupied.reshape(-1)[self.slots] = True
+        return TileCollection(L, occupied)
 
     @property
     def top_measure(self) -> float:
@@ -606,9 +623,9 @@ class _SizeTable:
     top has scale s is a multiple of 2**s, so the tops at scale s share one
     block shaped (2**s, 2**(L-s) + 1), row the top's offset and column c
     standing for xi = c * 2**s; the blocks lie one after another in one flat
-    array. `_running` scatter-adds +w at lo and -w at hi, entry by entry, and
-    then takes the running sum along each row: at column c it holds the
-    total weight of the top's entries whose interval covers xi.
+    array. `_summed` scatter-adds +w at lo and -w at hi, entry by entry, and
+    `_block` takes the running sum along each row of one block: at column c
+    it holds the total weight of the top's entries whose interval covers xi.
 
     Results equal bit for bit those of accumulating the events per endpoint
     and walking the endpoints in ascending order, one top at a time (the
@@ -629,10 +646,13 @@ class _SizeTable:
     own full blocks.
 
     Both `restricted` and a scan over the remaining members pick entries
-    with `np.compress(keep, a, axis=0)`: the same rows, in the same order,
-    as `a[keep]`, so every key meets its events in the same order, but
-    without the cost of boolean row indexing of the (E, 2) arrays (at L=8,
-    E = 4,608: 3.7 us per array against 22-25 us on a 2-core EPYC).
+    with `a.compress(keep, axis=0)`: the same rows, in the same order, as
+    `a[keep]`, so every key meets its events in the same order, but without
+    the cost of boolean row indexing of the (E, 2) arrays (at L=8, E =
+    4,608: 3.7 us per array against 22-25 us on a 2-core EPYC). Most scans
+    hit at scale 0 and cost a few numpy calls, not a pass over the data, so
+    the scan calls the ndarray methods itself and finds its first hit with
+    one `argmax` of the comparison.
     """
 
     def __init__(self, collection: TileCollection, f: GridSignal):
@@ -640,19 +660,19 @@ class _SizeTable:
         scale, offset, freq, coef = _coefficients(collection, f)
         weights = [abs(c) ** 2 for c in coef.tolist()]
         widths = np.array([(1 << (L - s)) + 1 for s in range(L)], dtype=np.int64)
-        self._bases = np.concatenate([[0], np.cumsum(widths << np.arange(L))])
-        self._widths = widths
+        bases = np.concatenate([[0], np.cumsum(widths << np.arange(L))])
         reps = scale + 1
         member = np.repeat(np.arange(scale.size), reps)
         s = np.arange(member.size) - np.repeat(np.cumsum(reps) - reps, reps)
         shift = scale[member] - s
-        row = self._bases[s] + (offset[member] >> shift) * widths[s]
+        row = bases[s] + (offset[member] >> shift) * widths[s]
         lo = row + ((2 * freq[member] + 1) << shift)
         w = np.array(weights, dtype=np.float64)[member]
         self._slots = tile_slot(L, scale, offset, freq)[member]
         # interleaved per entry: (lo, +w), (hi, -w)
         self._keys = np.stack([lo, lo + (1 << shift)], axis=1)
         self._weights = np.stack([w, -w], axis=1)
+        self._bases, self._widths = bases.tolist(), widths.tolist()
         self._full = None
 
     def restricted(self, collection: TileCollection) -> "_SizeTable":
@@ -661,32 +681,36 @@ class _SizeTable:
         keep = collection.occupied.ravel()[self._slots]
         sub = copy.copy(self)
         entries = self._slots, self._keys, self._weights
-        sub._slots, sub._keys, sub._weights = (np.compress(keep, a, axis=0) for a in entries)
+        sub._slots, sub._keys, sub._weights = (a.compress(keep, axis=0) for a in entries)
         sub._full = None
         return sub
 
-    def _running(self, keep=None):
-        """Per scale s, summed only when the caller reaches it, the block of
-        running covering weights over the entries selected by `keep`
-        (default: every entry)."""
+    def _summed(self, keep=None) -> np.ndarray:
+        """The flat float array of per-endpoint event sums over the entries
+        selected by the boolean array `keep` (default: every entry); with no
+        entry `bincount` gives integers."""
         keys, weights = self._keys, self._weights
         if keep is not None:
-            keys, weights = np.compress(keep, keys, axis=0), np.compress(keep, weights, axis=0)
-        flat = np.bincount(keys.ravel(), weights.ravel(), minlength=int(self._bases[-1]))
-        flat = flat.astype(np.float64, copy=False)
-        for s, width in enumerate(self._widths):
-            block = flat[self._bases[s] : self._bases[s + 1]].reshape(1 << s, width)
-            np.cumsum(block, axis=1, out=block)
-            yield block
+            keys, weights = keys.compress(keep, axis=0), weights.compress(keep, axis=0)
+        flat = np.bincount(keys.ravel(), weights.ravel(), minlength=self._bases[-1])
+        return flat.astype(np.float64, copy=False)
+
+    def _block(self, flat: np.ndarray, s: int) -> np.ndarray:
+        """Scale s's block of `flat`, running-summed along each row in place."""
+        block = flat[self._bases[s] : self._bases[s + 1]].reshape(1 << s, self._widths[s])
+        block.cumsum(axis=1, out=block)
+        return block
 
     def full(self) -> tuple[list[np.ndarray], float]:
         """The read-only blocks over every entry, and their peak: the max
         over tops and xi of the covering weight over the top length. Built
         on the first call and kept; `size` and `size_decompose` share them."""
         if self._full is None:
-            blocks, peak = list(self._running()), 0.0
-            for s, block in enumerate(blocks):
+            flat, blocks, peak = self._summed(), [], 0.0
+            for s in range(len(self._widths)):
+                block = self._block(flat, s)
                 block.setflags(write=False)
+                blocks.append(block)
                 peak = max(peak, float(block.max()) / 2.0**-s)
             self._full = blocks, peak
         return self._full
@@ -697,11 +721,17 @@ class _SizeTable:
         `present`, a flat occupancy array (default: every entry, from the
         kept blocks), exceeds thr**2 times the top length. Each scale is
         summed only when the scan reaches it."""
-        blocks = self.full()[0] if present is None else self._running(present[self._slots])
-        for s, block in enumerate(blocks):
-            hit = np.flatnonzero(block > thr * thr * 2.0**-s)
-            if hit.size:
-                offset, col = divmod(int(hit[0]), block.shape[1])
+        cap = thr * thr
+        if present is None:
+            blocks = self.full()[0]
+        else:
+            flat = self._summed(present.take(self._slots))
+        for s in range(len(self._widths)):
+            block = blocks[s] if present is None else self._block(flat, s)
+            hit = block > cap * 2.0**-s
+            first = int(hit.argmax())
+            if hit.item(first):
+                offset, col = divmod(first, block.shape[1])
                 return DyadicInterval(s, offset), col << s
         return None
 
@@ -789,10 +819,10 @@ def _take_tree(present: np.ndarray, resolution: int, top: DyadicInterval, xi: in
     every member whose spatial interval lies in the top interval and whose
     frequency interval contains xi."""
     slots = _tree_slots(resolution, top, xi)
-    occupied = np.zeros_like(present)
-    occupied[slots] = present[slots]
+    slots = slots.compress(present.take(slots))
     present[slots] = False
-    return Tree(top, xi, TileCollection(resolution, occupied.reshape(resolution, -1)))
+    slots.setflags(write=False)
+    return Tree(top, xi, resolution, slots)
 
 
 def size_decompose(
@@ -917,7 +947,7 @@ def member_weights(collection: TileCollection, f: GridSignal, per_slot: np.ndarr
 
 def tree_sum(tree: Tree, values: np.ndarray) -> float:
     """Per-slot values summed over the tree's members in `bitile_key` order."""
-    return sum(values[np.flatnonzero(tree.members.occupied)].tolist(), 0.0)
+    return sum(values.take(tree.slots).tolist(), 0.0)
 
 
 def tree_estimate(

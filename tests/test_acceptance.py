@@ -202,7 +202,7 @@ def old_random_tile_tree(rng, resolution):
         ]
         keep = [p for p in compatible if rng.random() < 0.6]
         if keep:
-            return Tree(top, xi, TileCollection.from_bitiles(resolution, keep))
+            return Tree.from_members(top, xi, TileCollection.from_bitiles(resolution, keep))
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,7 +229,7 @@ def random_tile_tree(rng, resolution):
         draws = rng.random(compatible.size)
         keep = [bitiles[i] for i in compatible[draws < 0.6]]
         if keep:
-            return Tree(DyadicInterval(scale, offset), xi, TileCollection.from_bitiles(resolution, keep))
+            return Tree.from_members(DyadicInterval(scale, offset), xi, TileCollection.from_bitiles(resolution, keep))
 
 
 @pytest.mark.parametrize("resolution", [6, 8])

@@ -699,6 +699,33 @@ class TestCLI:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["verify", "fs", *flag])
 
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        # main builds its parser once per process; parsing never changes it,
+        # so no flag or default of one call reaches the next
+        from dyadlab import cli
+
+        assert cli._parser() is cli._parser()
+        argvs = [
+            ["decompose", "col.csv", "sig.csv", "--resolution", "3", "--set-file", "set.csv"],
+            ["verify", "fs", "--seed", "4", "--out", "fs"],
+            ["estimate-22", "--resolution", "3", "--ladder", "2"],
+        ]
+        parsed = [vars(cli._parser().parse_args(argv)) for argv in argvs]
+        assert parsed == [vars(build_parser().parse_args(argv)) for argv in argvs]
+        assert "set_file" not in parsed[1] and "theorem" not in parsed[2]
+        assert parsed[2]["out"] is None and parsed[2]["seed"] == 0
+        # the same three commands through main, in a row, then a bad flag
+        col, sig = tmp_path / "col.csv", tmp_path / "sig.csv"
+        write_tile_collection(col, TileCollection.all(3))
+        write_signal(sig, random_signal(np.random.default_rng(6), 3))
+        assert main(["decompose", str(col), str(sig), "--resolution", "3", "--out", str(tmp_path / "dec.csv")]) == 0
+        assert main(["verify", "fs", "--resolution", "3", "--trials", "1", "--out", str(tmp_path / "fs")]) == 0
+        assert main(["estimate-22", "--resolution", "3", "--ladder", "2", "--branch", "h"]) in (0, 1)
+        with pytest.raises(SystemExit) as raised:
+            main(["verify", "fs", "--s", "2"])
+        assert raised.value.code == 2
+        assert vars(cli._parser().parse_args(["verify", "fs"])) == vars(build_parser().parse_args(["verify", "fs"]))
+
     def test_verify_exit_zero(self, tmp_path, capsys):
         code = main(
             [

@@ -210,7 +210,7 @@ def dict_size_decompose(collection: TileCollection, f: GridSignal, threshold=Non
             p for p in remaining if top.contains(p.spatial) and p.freq.contains_point(xi)
         )
         remaining = [p for p in remaining if p not in members]
-        forest.append(Tree(top, xi, TileCollection.from_bitiles(collection.resolution, members)))
+        forest.append(Tree.from_members(top, xi, TileCollection.from_bitiles(collection.resolution, members)))
         tops_length += top.length
     norm_sq = lp_norm(f.values, 2.0, f.resolution) ** 2
     constant = tops_length * sigma**2 / norm_sq if norm_sq > 0 else 0.0
@@ -616,7 +616,7 @@ def random_tree(rng, resolution):
             continue
         keep = [p for p in compatible if rng.random() < 0.7]
         if keep:
-            return Tree(top, xi, TileCollection.from_bitiles(resolution, keep))
+            return Tree.from_members(top, xi, TileCollection.from_bitiles(resolution, keep))
 
 
 class TestTilesAndOrder:
@@ -1417,7 +1417,9 @@ class TestSharedTables:
         for density in (0.02, 0.5, 0.98):
             present = collection.occupied.flatten() & (rng.random(collection.occupied.size) < density)
             running = oracle_running(table, present)
-            assert all(same_bits(a, b) for a, b in zip(table._running(present[table._slots]), running, strict=True))
+            flat = table._summed(present.take(table._slots))
+            blocks = [table._block(flat, s) for s in range(resolution)]
+            assert all(same_bits(a, b) for a, b in zip(blocks, running, strict=True))
             for thr in (0.0, *tie_thresholds(running, rng)[:6]):
                 assert table.first_exceeding(thr, present) == oracle_first_exceeding(running, thr)
             sub = table.restricted(TileCollection(resolution, present.reshape(collection.occupied.shape)))
@@ -1433,14 +1435,15 @@ class TestSharedTables:
         f = random_signal(rng, resolution, complex_values=True)
         table = tiles_module._SizeTable(collection, f)
         small, forest, _ = size_decompose(collection, f, table=table)
-        # the oracle sums every entry whose member remains, after every removal
+        # the oracle sums every entry whose member remains, after every
+        # removal, and takes occupancy trees
         thr = math.sqrt(oracle_peak(oracle_running(table))) / 2.0
         present = collection.occupied.flatten()
         tops = []
         while (selection := oracle_first_exceeding(oracle_running(table, present), thr)) is not None:
-            tree = tiles_module._take_tree(present, resolution, *selection)
-            tops.append((selection, tree.members.occupied.tobytes()))
-        assert [((t.top_interval, t.top_freq), t.members.occupied.tobytes()) for t in forest] == tops
+            tree = occupancy_take_tree(present, resolution, *selection)
+            tops.append((selection, member_slots(tree)))
+        assert [((t.top_interval, t.top_freq), member_slots(t)) for t in forest] == tops
         assert small.occupied.tobytes() == present.tobytes()
 
     @pytest.mark.parametrize("resolution", range(9))
@@ -1556,18 +1559,18 @@ class TestEarlyStoppingScan:
         f = random_signal(rng, resolution, complex_values=True)
         e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
         calls = {"size": 0, "full sums": 0}
-        real_size, real_running = tiles_module.size, tiles_module._SizeTable._running
+        real_size, real_summed = tiles_module.size, tiles_module._SizeTable._summed
 
         def count_size(*args):
             calls["size"] += 1
             return real_size(*args)
 
-        def count_running(table, keep=None):
+        def count_summed(table, keep=None):
             calls["full sums"] += keep is None
-            return real_running(table, keep)
+            return real_summed(table, keep)
 
         monkeypatch.setattr(tiles_module, "size", count_size)
-        monkeypatch.setattr(tiles_module._SizeTable, "_running", count_running)
+        monkeypatch.setattr(tiles_module._SizeTable, "_summed", count_summed)
         decomposition = full_decompose(collection, f, e, choice)
         assert decomposition.buckets
         # size and the split of one bucket share its table's blocks
@@ -1596,7 +1599,7 @@ class TestTreeEstimate:
         # E covering the whole spatial interval pairs the indicator with a
         # mean-zero packet, so the pairing vanishes identically
         p = BiTile(1, 0, 1)
-        tree = Tree(p.spatial, p.upper.freq.lo, TileCollection.from_bitiles(3, [p]))
+        tree = Tree.from_members(p.spatial, p.upper.freq.lo, TileCollection.from_bitiles(3, [p]))
         f = walsh_packet(p.lower, 3)
         e = GridSet.from_interval(3, p.spatial)
         choice = ChoiceFunction.constant(3, p.upper.freq.lo)
@@ -1606,7 +1609,7 @@ class TestTreeEstimate:
 
     def test_single_bitile_half_set(self):
         p = BiTile(1, 0, 1)
-        tree = Tree(p.spatial, p.upper.freq.lo, TileCollection.from_bitiles(3, [p]))
+        tree = Tree.from_members(p.spatial, p.upper.freq.lo, TileCollection.from_bitiles(3, [p]))
         f = walsh_packet(p.lower, 3)
         e = GridSet(3, np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=bool))
         choice = ChoiceFunction.constant(3, p.upper.freq.lo)
@@ -1718,7 +1721,7 @@ class TestCollections:
                 for p in all_bitiles(resolution):
                     fits = top.contains(p.spatial) and p.freq.contains_point(top_freq)
                     try:
-                        Tree(top, top_freq, TileCollection.from_bitiles(resolution, [p]))
+                        Tree.from_members(top, top_freq, TileCollection.from_bitiles(resolution, [p]))
                     except ValueError:
                         assert not fits
                     else:
@@ -1727,9 +1730,9 @@ class TestCollections:
     def test_tree_validation(self):
         p = BiTile(1, 0, 1)
         with pytest.raises(ValueError):
-            Tree(DyadicInterval(2, 0), p.freq.lo, TileCollection.from_bitiles(3, [p]))
+            Tree.from_members(DyadicInterval(2, 0), p.freq.lo, TileCollection.from_bitiles(3, [p]))
         with pytest.raises(ValueError):
-            Tree(p.spatial, p.freq.hi + 5, TileCollection.from_bitiles(3, [p]))
+            Tree.from_members(p.spatial, p.freq.hi + 5, TileCollection.from_bitiles(3, [p]))
 
 
 # ---------------------------------------------------------------------------
@@ -1943,7 +1946,8 @@ class TestFrozensetOracles:
             members = [p for p in tiles if (p in under and rng.random() < 0.5) or rng.random() < 0.02]
             outcomes = []
             for build in (
-                lambda: Tree(top, xi, TileCollection.from_bitiles(resolution, members)),
+                lambda: Tree.from_members(top, xi, TileCollection.from_bitiles(resolution, members)),
+                lambda: OccupancyTree(top, xi, TileCollection.from_bitiles(resolution, members)),
                 lambda: FrozensetTree(top, xi, frozenset(members)),
             ):
                 try:
@@ -1952,7 +1956,7 @@ class TestFrozensetOracles:
                     outcomes.append(False)
                 else:
                     outcomes.append(True)
-            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] == outcomes[1] == outcomes[2]
             verdicts.add(outcomes[0])
         assert verdicts == {True, False}
 
@@ -1967,13 +1971,15 @@ class TestFrozensetOracles:
     )
     def test_escaping_member_raises(self, member, message):
         # the top [1/2, 1) at scale 1 with xi = 12 holds, at each scale k from
-        # 1 to 3, the rows under [1/2, 1) in column 12 >> (k + 1)
+        # 1 to 3, the rows under [1/2, 1) in column 12 >> (k + 1); a slot tree
+        # and the occupancy oracle raise the same message
         top, xi = DyadicInterval(1, 1), 12
         inside = [BiTile(1, 1, 3), BiTile(2, 2, 1), BiTile(2, 3, 1), BiTile(3, 5, 0)]
         assert all(top.contains(p.spatial) and p.freq.contains_point(xi) for p in inside)
-        assert Tree(top, xi, TileCollection.from_bitiles(4, inside)).members.bitiles == set(inside)
-        with pytest.raises(ValueError, match=message):
-            Tree(top, xi, TileCollection.from_bitiles(4, [*inside, member]))
+        for build in (Tree.from_members, OccupancyTree):
+            assert build(top, xi, TileCollection.from_bitiles(4, inside)).members.bitiles == set(inside)
+            with pytest.raises(ValueError, match=message):
+                build(top, xi, TileCollection.from_bitiles(4, [*inside, member]))
 
     def test_decomposition_path_builds_no_bitile(self, monkeypatch):
         from dyadlab.carleson import RestrictedOp, restricted_pairing
@@ -2041,3 +2047,120 @@ class TestOccupancyArray:
         collection = TileCollection(3, occupied)
         occupied[0, 0] = False
         assert collection.occupied.all() and occupied.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# occupancy oracle: trees as `Tree` held them before they became slot
+# arrays, one (L, 2**(L-1)) occupancy collection per tree, and the take that
+# built them
+
+
+@dataclass(frozen=True, eq=False)
+class OccupancyTree:
+    """A tree whose members are a `TileCollection`, checked by clearing the
+    tree's slots from a copy of its occupancy array."""
+
+    top_interval: DyadicInterval
+    top_freq: int
+    members: TileCollection
+
+    def __post_init__(self):
+        stray = self.members.occupied.copy()
+        stray.reshape(-1)[tiles_module._tree_slots(self.members.resolution, self.top_interval, self.top_freq)] = False
+        if stray.any():
+            k, offset, freq_index = next(tiles_module.member_indices(stray))
+            p, s = BiTile(k, offset, freq_index), self.top_interval.scale
+            if k < s or offset >> (k - s) != self.top_interval.offset:
+                raise ValueError(f"member {p} escapes the top interval")
+            raise ValueError(f"top frequency misses member {p}")
+
+    @property
+    def top_measure(self) -> float:
+        return self.top_interval.length
+
+
+def occupancy_take_tree(present: np.ndarray, resolution: int, top: DyadicInterval, xi: int) -> OccupancyTree:
+    """Clear from the flat occupancy array `present`, and return as an
+    occupancy tree, every member under the top interval whose frequency
+    interval contains xi."""
+    slots = tiles_module._tree_slots(resolution, top, xi)
+    occupied = np.zeros_like(present)
+    occupied[slots] = present[slots]
+    present[slots] = False
+    return OccupancyTree(top, xi, TileCollection(resolution, occupied.reshape(resolution, -1)))
+
+
+def member_slots(tree) -> list[int]:
+    """The ascending slots of a tree's members, held as slots or, by the
+    oracle, as an occupancy collection."""
+    if isinstance(tree, OccupancyTree):
+        return np.flatnonzero(tree.members.occupied).tolist()
+    return tree.slots.tolist()
+
+
+def slot_forest(decomposition) -> list:
+    """Every bucket's key and count ratio, and its trees' tops, top
+    frequencies and member slots, in order."""
+    return [
+        (key, b.count_ratio, [(t.top_interval, t.top_freq, member_slots(t)) for t in b.trees])
+        for key, b in decomposition.buckets.items()
+    ]
+
+
+def decompose_shape(resolution: int, seed, files: bool):
+    """The inputs of `dyadlab decompose` in the shape of the decompose
+    benchmark's ops, as the decompose goldens draw them: every bi-tile, a
+    complex Gaussian signal in the cell basis and, with files, a set holding
+    each cell with probability 1/2 and a uniformly random choice; without,
+    the full set and the zero choice, the CLI's defaults."""
+    rng = np.random.default_rng(seed)
+    n = 1 << resolution
+    signal = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    e, choice = GridSet.full(resolution), ChoiceFunction.constant(resolution, 0)
+    if files:
+        e = GridSet(resolution, rng.random(n) < 0.5)
+        choice = ChoiceFunction(resolution, rng.integers(0, n, size=n))
+    return TileCollection.all(resolution), signal, e, choice
+
+
+class TestSlotTrees:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("resolution", range(1, 11))
+    def test_full_decompose_equals_occupancy_oracle(self, resolution, seed, monkeypatch):
+        for files in (False, True):
+            collection, f, e, choice = decompose_shape(resolution, [2500 + resolution, seed], files)
+            decomposition = full_decompose(collection, f, e, choice)
+            with monkeypatch.context() as patch:
+                patch.setattr(tiles_module, "_take_tree", occupancy_take_tree)
+                reference = full_decompose(collection, f, e, choice)
+            assert all(isinstance(t, OccupancyTree) for b in reference.buckets.values() for t in b.trees)
+            assert slot_forest(decomposition) == slot_forest(reference)
+            assert decomposition.remainder.occupied.tobytes() == reference.remainder.occupied.tobytes()
+
+    def test_forest_storage_is_one_slot_per_bitile_at_most(self):
+        # the decompose-L10 golden's input shape: each member lands in at
+        # most one tree, so the forest holds at most one int64 slot per
+        # bi-tile of the input, where occupancy trees held L 2**(L-1) bytes
+        # each
+        collection, f, e, choice = decompose_shape(10, 83, files=True)
+        trees = [t for b in full_decompose(collection, f, e, choice).buckets.values() for t in b.trees]
+        assert len(trees) > 100
+        assert sum(t.slots.nbytes for t in trees) <= 8 * collection.occupied.size
+        taken = np.concatenate([t.slots for t in trees])
+        assert np.unique(taken).size == taken.size
+
+    @pytest.mark.parametrize("resolution", range(1, 9))
+    def test_slots_ascend_read_only_and_rebuild_members(self, resolution):
+        rng = np.random.default_rng(2600 + resolution)
+        for collection in size_cases(rng, resolution):
+            f = random_signal(rng, resolution, complex_values=True)
+            e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
+            for bucket in full_decompose(collection, f, e, choice).buckets.values():
+                for tree in bucket.trees:
+                    assert tree.resolution == resolution and tree.slots.dtype == np.int64
+                    assert np.all(np.diff(tree.slots) > 0) and not tree.slots.flags.writeable
+                    # the members pass the occupancy oracle's check and
+                    # round-trip through the checked constructor
+                    OccupancyTree(tree.top_interval, tree.top_freq, tree.members)
+                    rebuilt = Tree.from_members(tree.top_interval, tree.top_freq, tree.members)
+                    assert rebuilt.slots.tolist() == tree.slots.tolist()
