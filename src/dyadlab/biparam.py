@@ -29,54 +29,11 @@ from .principle import OperatorFamily, top_singular
 from .reports import RatioReport, safe_ratio
 
 
-class _FixedScalePlan:
-    """Tensor Haar analysis and synthesis at one vertical scale j on a
-    2**L grid, for every horizontal scale kx < L; the projections onto
-    whole scales take the closed form of `_fixed_scale_project` instead.
-
-    Analysis sums dyadic blocks along the rows and then along a transposed
-    view of the columns, the same strided views and reductions as moving the
-    axis to the front, so the coefficients are those of the axis-by-axis
-    formula bit for bit.  Synthesis is one broadcast product of the scaled
-    coefficients with the sign tensor sx (x) sy of the packets, shaped
-    (rx, 1, ry) against blocks (2**kx, rx, 2**j, ry): repetition commutes
-    with elementwise products and the signs are +-1, so every nonzero value
-    equals repeating the coefficients and multiplying by each sign in turn.
-    """
-
-    def __init__(self, resolution: int, j: int):
-        self.resolution, self.j = resolution, j
-        self.area = cell_width(resolution) ** 2
-        sy = _haar_half_signs(1 << (resolution - j))
-        self.signs = [
-            _haar_half_signs(1 << (resolution - kx))[:, None, None] * sy
-            for kx in range(resolution)
-        ]
-
-    def analysis(self, values: np.ndarray, kx: int) -> np.ndarray:
-        n = 1 << self.resolution
-        rows = values.reshape(2 << kx, n >> (kx + 1), n).sum(axis=1)
-        rows = (rows[0::2] - rows[1::2]) * 2.0 ** (kx / 2.0)
-        cols = rows.T.reshape(2 << self.j, n >> (self.j + 1), 1 << kx).sum(axis=1)
-        cols = (cols[0::2] - cols[1::2]) * 2.0 ** (self.j / 2.0)
-        return cols.T * self.area
-
-    def synthesis(self, coeffs: np.ndarray, kx: int) -> np.ndarray:
-        n = 1 << self.resolution
-        scaled = coeffs * 2.0 ** ((kx + self.j) / 2.0)
-        return (scaled[:, None, :, None] * self.signs[kx]).reshape(n, n)
-
-
 def _haar_half_signs(length: int) -> np.ndarray:
-    """+1 on the left half of a block, -1 on the right; int8 keeps a plan at
-    2 * 4**L / 2**j bytes, and the cast to complex is exact."""
+    """+1 on the left half of a block, -1 on the right; int8, and the cast
+    to complex is exact."""
     half = length >> 1
     return np.repeat(np.array([1, -1], dtype=np.int8), half)
-
-
-@functools.lru_cache(maxsize=64)
-def _plan(resolution: int, j: int) -> _FixedScalePlan:
-    return _FixedScalePlan(resolution, j)
 
 
 def _check_scales(resolution: int, *scales: int) -> None:
@@ -85,18 +42,38 @@ def _check_scales(resolution: int, *scales: int) -> None:
 
 
 def haar_coefficients(f: Grid2D, kx: int, ky: int) -> np.ndarray:
-    """coef[nx, ny] = <f, haar_I x haar_J> over all rectangles at (kx, ky)."""
-    _check_scales(f.resolution, kx, ky)
-    return _plan(f.resolution, ky).analysis(f.values, kx)
+    """coef[nx, ny] = <f, haar_I x haar_J> over all rectangles at (kx, ky).
+
+    Sums dyadic blocks along the rows and then along a transposed view of
+    the columns, the same strided views and reductions as moving the axis
+    to the front, so the coefficients are those of the axis-by-axis formula
+    bit for bit."""
+    L = f.resolution
+    _check_scales(L, kx, ky)
+    n = 1 << L
+    rows = f.values.reshape(2 << kx, n >> (kx + 1), n).sum(axis=1)
+    rows = (rows[0::2] - rows[1::2]) * 2.0 ** (kx / 2.0)
+    cols = rows.T.reshape(2 << ky, n >> (ky + 1), 1 << kx).sum(axis=1)
+    cols = (cols[0::2] - cols[1::2]) * 2.0 ** (ky / 2.0)
+    return cols.T * cell_width(L) ** 2
 
 
 def haar_synthesis(coeffs: np.ndarray, resolution: int, kx: int, ky: int) -> np.ndarray:
-    """sum over (nx, ny) of coeffs[nx, ny] times the tensor Haar packet."""
+    """sum over (nx, ny) of coeffs[nx, ny] times the tensor Haar packet.
+
+    One broadcast product of the scaled coefficients with the sign tensor
+    sx (x) sy of the packets, shaped (rx, 1, ry) against blocks (2**kx, rx,
+    2**ky, ry): repetition commutes with elementwise products and the signs
+    are +-1, so every nonzero value equals repeating the coefficients and
+    multiplying by each sign in turn."""
     _check_scales(resolution, kx, ky)
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (1 << kx, 1 << ky):
         raise ValueError(f"expected coefficients shaped {(1 << kx, 1 << ky)}, got {coeffs.shape}")
-    return _plan(resolution, ky).synthesis(coeffs, kx)
+    n = 1 << resolution
+    signs = _haar_half_signs(1 << (resolution - kx))[:, None, None] * _haar_half_signs(1 << (resolution - ky))
+    scaled = coeffs * 2.0 ** ((kx + ky) / 2.0)
+    return (scaled[:, None, :, None] * signs).reshape(n, n)
 
 
 def tensor_packet(rect: DyadicRectangle, resolution: int) -> Grid2D:

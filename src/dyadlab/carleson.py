@@ -226,8 +226,8 @@ def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
     return OperatorFamily(count, padded(apply), padded(adjoint))
 
 
-# Bytes of one chunk of greedy_choice's complex (cell, frequency) sums: the
-# whole grid up to L = 9, 64 cells at L = 12
+# Bytes of one chunk of greedy_choice's complex (cell, frequency) sums, 64
+# cells at L = 12, and of the int64 parities of one slab of `_upper_signs`
 CHUNK_BYTES = 1 << 22
 
 
@@ -242,10 +242,11 @@ def greedy_choice(f: GridSignal, collection: TileCollection, where: GridSet) -> 
     is that of the choice fitted at every cell.
 
     The sums are built a chunk of `CHUNK_BYTES` of (cell, frequency) pairs
-    at a time, so memory does not grow as 4**L; each scale's table is added
-    into the strided view of the frequencies whose bit k is set. A cell's
-    sums depend on that cell alone, so they do not depend on which other
-    cells are fitted."""
+    at a time, so memory does not grow as 4**L.  A scale's table is the
+    coefficient row of the cell's block times the signs of the cell's place
+    in it (`_upper_signs`), added into the strided view of the frequencies
+    whose bit k is set.  A cell's sums depend on that cell alone, so they do
+    not depend on which other cells are fitted."""
     L = f.resolution
     if collection.resolution != L or where.resolution != L:
         raise ValueError("resolution mismatch")
@@ -256,9 +257,7 @@ def greedy_choice(f: GridSignal, collection: TileCollection, where: GridSet) -> 
         if present.any()
     ]
     chunk = max(1, CHUNK_BYTES // (16 * n))
-    # while one chunk holds the grid (L <= 9) the whole grid is fitted, one
-    # broadcast table per scale, and the cells off `where` are zeroed at the end
-    fitted = np.arange(n) if chunk >= n else np.flatnonzero(where.mask)
+    fitted = np.flatnonzero(where.mask)
     freqs = np.zeros(n, dtype=np.int64)
     for lo in range(0, fitted.size, chunk):
         cells = fitted[lo : lo + chunk]
@@ -266,29 +265,30 @@ def greedy_choice(f: GridSignal, collection: TileCollection, where: GridSet) -> 
         for k, coef in scales:
             # the mask (0/1) multiplied coef before the signs (+-1): exact
             # products, which differ at most in the sign of a zero, and no
-            # zero sign survives in the total, a sum from +0
-            if chunk >= n:  # one chunk holds the grid (L <= 9): block b reads coef row b
-                table = coef[:, None, :] * _block_signs(L - k)
-            else:
-                table = coef[cells >> (L - k)] * _upper_signs(L - k, cells & ((1 << (L - k)) - 1))
+            # zero sign survives in the total, a sum from +0; the gathered
+            # rows are a copy, so the signs multiply them in place
+            table = coef[cells >> (L - k)]
+            table *= _upper_signs(L - k)[cells & ((1 << (L - k)) - 1)]
             total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table.reshape(cells.size, -1, 1)
         freqs[cells] = np.argmax(np.abs(total), axis=1)
-    return ChoiceFunction(L, freqs * where.mask)
-
-
-def _upper_signs(bits: int, places) -> np.ndarray:
-    """W_{2m+1} at the given places of a block of 2**bits cells, for every
-    m < 2**(bits-1), as int8 +-1: 2m + 1 has only the low bits, and the
-    place's bit reversal gives the parity."""
-    odd = 2 * np.arange(1 << (bits - 1)) + 1
-    return 1 - 2 * (np.bitwise_count(odd & bit_reversal(bits)[places, None]) & 1).astype(np.int8)
+    return ChoiceFunction(L, freqs)
 
 
 @functools.cache
-def _block_signs(bits: int) -> np.ndarray:
-    """`_upper_signs` of a whole block, read-only, built once per length:
-    2.7 KB for every length up to 6 bits, 11 KB up to 7, 171 KB up to 9."""
-    signs = _upper_signs(bits, slice(None))
+def _upper_signs(bits: int) -> np.ndarray:
+    """W_{2m+1} on a block of 2**bits cells, row u the block's cell u and
+    column m every m < 2**(bits-1), as read-only int8 +-1 built once per
+    length: 2**(2 bits - 1) bytes, 171 KB for every length up to 9 bits and
+    10.7 MiB up to 12.  2m + 1 has only the low bits, and the cell's bit
+    reversal gives the parity; the int64 parities are taken a slab of
+    `CHUNK_BYTES` at a time, never all at once (64 MB at 12 bits)."""
+    half = 1 << (bits - 1)
+    odd = 2 * np.arange(half) + 1
+    rev = bit_reversal(bits)
+    signs = np.empty((1 << bits, half), dtype=np.int8)
+    step = max(1, CHUNK_BYTES // (8 * half))
+    for lo in range(0, 1 << bits, step):
+        signs[lo : lo + step] = 1 - 2 * (np.bitwise_count(odd & rev[lo : lo + step, None]) & 1).astype(np.int8)
     signs.setflags(write=False)
     return signs
 

@@ -15,23 +15,19 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, lp_norm
 from .maximal import ScaleChoice, verify_vector_maximal
-from .principle import (
-    OperatorFamily,
-    condition_constant,
-    measure_condition,
-    splitting_cascade,
-    trim_builder,
-    vector_inequality_ratio,
-)
 from .reports import PrincipleReport
 from .tiles import BiTile, ChoiceFunction, Tile, TileCollection, full_decompose, member_indices, walsh_packet
 from .walsh import walsh_synthesis
+
+if TYPE_CHECKING:
+    from .principle import OperatorFamily
 
 THEOREMS = ("fs", "biparam", "cordoba", "cordoba-weighted", "carleson", "principle")
 
@@ -241,6 +237,8 @@ def maximal_operator_family(
 ) -> tuple[OperatorFamily, list[ScaleChoice]]:
     """Linearized stopping-scale operators: random scale choices; all share
     the exact L2 bound 1 of the underlying averaging."""
+    from .principle import OperatorFamily
+
     choices = [random_scale_choice(rng, resolution) for _ in range(members)]
     family = OperatorFamily.of([ch.average for ch in choices], [ch.average_adjoint for ch in choices])
     return family, choices
@@ -353,6 +351,14 @@ def run_carleson(config: ExperimentConfig, gens) -> tuple[dict, list[float], boo
 
 
 def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
+    from .principle import (
+        condition_constant,
+        measure_condition,
+        splitting_cascade,
+        trim_builder,
+        vector_inequality_ratio,
+    )
+
     p0 = config.p
     p1 = config.p1 if config.p1 is not None else 2.0 * config.q - config.p
     setup = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed + 10**6)))

@@ -142,13 +142,9 @@ def linearized_maximal_adjoint(g: GridSignal, choice: ScaleChoice) -> GridSignal
 
 def maximal_level_set(marker: GridSet, threshold: float) -> GridSet:
     """{M 1_marker >= threshold}; equals the union of all dyadic intervals
-    whose marker density is at least the threshold."""
-    L = marker.resolution
-    avgs = scale_averages(marker.mask.astype(float), L)
-    hit = np.zeros(1 << L, dtype=bool)
-    for k in range(L + 1):
-        hit |= np.repeat(avgs[k] >= threshold, 1 << (L - k))
-    return GridSet(L, hit)
+    whose marker density is at least the threshold, since M takes the exact
+    maximum of those densities."""
+    return GridSet(marker.resolution, dyadic_maximal(marker.indicator()).values.real >= threshold)
 
 
 def exceptional_complement(base: GridSet, marker: GridSet, c: float = 4.0) -> GridSet:

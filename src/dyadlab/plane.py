@@ -68,16 +68,9 @@ def strong_maximal(f: Grid2D) -> Grid2D:
 
 def rectangle_level_set(marker: GridSet2D, threshold: float) -> GridSet2D:
     """Union of all dyadic rectangles whose marker density exceeds the
-    threshold."""
-    L = marker.resolution
-    dens = marker.mask.astype(float)
-    hit = np.zeros_like(marker.mask)
-    for kx in range(L + 1):
-        for ky in range(L + 1):
-            avg = rectangle_averages(dens, L, kx, ky)
-            sel = avg > threshold
-            hit |= np.repeat(np.repeat(sel, 1 << (L - kx), axis=0), 1 << (L - ky), axis=1)
-    return GridSet2D(L, hit)
+    threshold: {M* 1_marker > threshold}, since M* takes the exact maximum
+    of those densities."""
+    return GridSet2D(marker.resolution, strong_maximal(marker.indicator()).values.real > threshold)
 
 
 def exceptional_complement_2d(base: GridSet2D, marker: GridSet2D, threshold: float) -> GridSet2D:

@@ -29,6 +29,7 @@ from dyadlab.plane import (
     all_rectangles,
     certified_rectangle_threshold,
     exceptional_complement_2d,
+    rectangle_averages,
     rectangle_level_set,
     strong_maximal,
 )
@@ -281,6 +282,20 @@ def oracle_strong_maximal(f: Grid2D) -> np.ndarray:
     return out
 
 
+def loop_rectangle_level_set(marker: GridSet2D, threshold: float) -> GridSet2D:
+    """rectangle_level_set as first written: the union, scale pair by scale
+    pair, of the dyadic rectangles whose marker density exceeds the
+    threshold."""
+    L = marker.resolution
+    dens = marker.mask.astype(float)
+    hit = np.zeros_like(marker.mask)
+    for kx in range(L + 1):
+        for ky in range(L + 1):
+            sel = rectangle_averages(dens, L, kx, ky) > threshold
+            hit |= np.repeat(np.repeat(sel, 1 << (L - kx), axis=0), 1 << (L - ky), axis=1)
+    return GridSet2D(L, hit)
+
+
 def oracle_rect_size(collection, f, h_prime) -> float:
     """Exhaustive subset enumeration with the smallest in-strip hull."""
     masked = Grid2D(f.resolution, f.values * h_prime.mask)
@@ -448,7 +463,7 @@ class TestClosedFormProjections:
 
 
 class TestFixedScalePlan:
-    """The cached per-(L, j) plan's Haar analysis and synthesis against the
+    """The strided Haar analysis and the broadcast synthesis against the
     moveaxis/repeat formulas."""
 
     @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6, 7])
@@ -471,12 +486,6 @@ class TestFixedScalePlan:
         with pytest.raises(ValueError, match=r"\(2, 4\)"):
             haar_synthesis(np.ones((4, 2)), 3, 1, 2)
         assert haar_synthesis(np.ones((2, 4)), 3, 1, 2).shape == (8, 8)
-
-    def test_plan_is_built_once_per_scale(self):
-        from dyadlab.biparam import _plan
-
-        assert _plan(5, 2) is _plan(5, 2)
-        assert _plan(5, 2) is not _plan(5, 3)
 
     @pytest.mark.parametrize("resolution", [4, 5])
     def test_localized_norms_meet_the_oracles(self, monkeypatch, resolution):
@@ -531,6 +540,20 @@ class TestExceptionalSet2D:
             if mask[sx, sy].mean() > threshold:
                 expected[sx, sy] = True
         assert np.array_equal(level.mask, expected)
+
+    def test_level_set_equals_rectangle_loop(self):
+        """{M* 1_marker > t} picks what the union of the rectangles above t
+        picked, for densities from 0 to 1 and thresholds at 0, one cell's
+        share, 1/2, 1, 1.5 and random ones: the strong maximal function
+        takes their exact maximum."""
+        rng = np.random.default_rng(14)
+        for resolution in range(8):
+            n = 1 << resolution
+            for density in (0.0, 0.1, 0.5, 0.9, 1.0, rng.random()):
+                marker = GridSet2D(resolution, rng.random((n, n)) < density)
+                for threshold in (0.0, 4.0**-resolution, 0.5, 1.0, 1.5, *rng.random(2)):
+                    level = rectangle_level_set(marker, threshold)
+                    assert np.array_equal(level.mask, loop_rectangle_level_set(marker, threshold).mask)
 
     def test_threshold_at_one_removes_nothing(self):
         base = GridSet2D.full(3)

@@ -49,7 +49,7 @@ from dyadlab.tiles import (
     upper_cells,
 )
 from dyadlab.grid import STACK_CELLS, stack_slices
-from dyadlab.walsh import bit_reversal, block_gathers
+from dyadlab.walsh import bit_reversal, block_gathers, walsh_values
 from test_principle import (
     MapPair,
     assert_same_krylov,
@@ -545,8 +545,8 @@ class TestNormDecay:
 
     @pytest.mark.parametrize("resolution", range(0, 10))
     def test_greedy_choice_equals_chunked_loop(self, resolution):
-        """The all-scale transform and, where one chunk holds the grid (up
-        to L = 9), the cached sign tables pick what the per-scale
+        """The all-scale transform and the sign tables cached per block
+        length, read at each cell's place, pick what the per-scale
         transforms and per-chunk signs picked, on signals with zeros of
         both signs; from L = 8 on the oracle's cells span several chunks."""
         rng = np.random.default_rng(540 + resolution)
@@ -591,10 +591,10 @@ class TestNormDecay:
     @pytest.mark.parametrize("resolution", range(13))
     def test_greedy_choice_where(self, resolution):
         """Fitted on a set, the choice is the whole grid's on the set and 0
-        off it: for the empty and the full set, random sets of nine tenths,
-        a half and a tenth and, from L = 10 up, where the grid runs in chunks,
-        sets whose cells fill one chunk, fill it and one cell more, and
-        straddle the grid's own chunk edges."""
+        off it: for the empty and the full set, one cell, random sets of
+        nineteen twentieths, nine tenths, a half and a tenth and, from L = 10
+        up, where the grid runs in chunks, sets whose cells fill one chunk,
+        fill it and one cell more, and straddle the grid's own chunk edges."""
         rng = np.random.default_rng(580 + resolution)
         n = 1 << resolution
         collection = retain_meeting(TileCollection.all(resolution), GridSet(resolution, rng.random(n) < 0.5))
@@ -602,7 +602,8 @@ class TestNormDecay:
         whole = greedy_choice(f, collection, GridSet.full(resolution)).freqs
         chunk = carleson.CHUNK_BYTES // (16 * n)
         assert (chunk < n) == (resolution >= 10)
-        masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), *(rng.random(n) < p for p in (0.9, 0.5, 0.1))]
+        masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.arange(n) == rng.integers(n)]
+        masks += [rng.random(n) < p for p in (0.95, 0.9, 0.5, 0.1)]
         if chunk < n:
             edges = np.arange(chunk, n, chunk)
             for size in (chunk, chunk + 1):
@@ -634,6 +635,25 @@ class TestNormDecay:
 
         for got, want in zip(restricted(on_a), restricted(whole)):
             assert np.array_equal(got, want)
+
+    def test_sign_tables(self):
+        """The sign table of a block length is W_{2m+1} at every cell of the
+        block, column m, as read-only int8 of 2**(2 bits - 1) bytes, built
+        once per length."""
+        for bits in range(1, 11):
+            signs = carleson._upper_signs(bits)
+            assert np.array_equal(signs, walsh_values(2 * np.arange(1 << (bits - 1)) + 1, bits).T)
+            assert signs.dtype == np.int8 and not signs.flags.writeable
+            assert signs.nbytes == 2 ** (2 * bits - 1)
+            assert carleson._upper_signs(bits) is signs
+
+    def test_sign_table_slabs(self, monkeypatch):
+        """Built a slab of rows at a time, of one row or of three (the last
+        slab short), the table is the one built in one piece."""
+        whole = carleson._upper_signs.__wrapped__(6)
+        for rows in (1, 3):
+            monkeypatch.setattr(carleson, "CHUNK_BYTES", 8 * 32 * rows)
+            assert np.array_equal(carleson._upper_signs.__wrapped__(6), whole)
 
     def test_greedy_choice_rejects_resolution_mismatch(self):
         for signal_l, collection_l in ((3, 0), (5, 4), (4, 5), (0, 3)):

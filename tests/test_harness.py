@@ -1,6 +1,10 @@
 import cmath
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -725,6 +729,16 @@ class TestCLI:
             main(["verify", "fs", "--s", "2"])
         assert raised.value.code == 2
         assert vars(cli._parser().parse_args(["verify", "fs"])) == vars(build_parser().parse_args(["verify", "fs"]))
+
+    def test_cli_import_leaves_out_the_principle_module(self):
+        # decompose never calls the norm engine, so importing the CLI must
+        # not import (and, without bytecode caches, compile) its module
+        import dyadlab
+
+        paths = [str(Path(dyadlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        code = "import sys, dyadlab.cli; sys.exit('dyadlab.principle' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_verify_exit_zero(self, tmp_path, capsys):
         code = main(

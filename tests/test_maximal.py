@@ -52,6 +52,17 @@ def brute_force_maximal(f: GridSignal) -> np.ndarray:
     return out
 
 
+def loop_level_set(marker: GridSet, threshold: float) -> GridSet:
+    """maximal_level_set as first written: the union, scale by scale, of
+    the dyadic intervals whose marker density is at least the threshold."""
+    L = marker.resolution
+    avgs = scale_averages(marker.mask.astype(float), L)
+    hit = np.zeros(1 << L, dtype=bool)
+    for k in range(L + 1):
+        hit |= np.repeat(avgs[k] >= threshold, 1 << (L - k))
+    return GridSet(L, hit)
+
+
 def random_bits_set(rng, resolution: int) -> GridSet:
     """Cells drawn at a random density, so sets may be empty or full."""
     return GridSet(resolution, rng.random(1 << resolution) < rng.random())
@@ -372,6 +383,19 @@ class TestExceptionalComplement:
             if d >= 0.5:
                 expected[interval.cell_slice(5)] = True
         assert np.array_equal(level.mask, expected)
+
+    def test_level_set_equals_interval_loop(self):
+        """{M 1_marker >= t} picks what the union of the intervals at or
+        above t picked, for densities from 0 to 1 and thresholds at 0, one
+        cell's share, 1/2, 1, 1.5 and random ones: the maximal function
+        takes their exact maximum."""
+        rng = np.random.default_rng(13)
+        for resolution in range(9):
+            for density in (0.0, 0.1, 0.5, 0.9, 1.0, rng.random()):
+                marker = GridSet(resolution, rng.random(1 << resolution) < density)
+                for threshold in (0.0, 2.0**-resolution, 0.5, 1.0, 1.5, *rng.random(2)):
+                    level = maximal_level_set(marker, threshold)
+                    assert np.array_equal(level.mask, loop_level_set(marker, threshold).mask)
 
     def test_requires_positive_base(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from dyadlab import harness
+from dyadlab import harness, principle
 from dyadlab.grid import STACK_CELLS, GridSet, GridSignal, VectorSignal, measure, stack_slices
 from dyadlab.harness import (
     ExperimentConfig,
@@ -630,7 +630,8 @@ class TestConditionConstant:
             calls.append(args[4])
             return measure_condition(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "measure_condition", counting)
+        # run_principle imports the engine's functions when it runs
+        monkeypatch.setattr(principle, "measure_condition", counting)
         _, report, _ = harness.run(ExperimentConfig("principle", resolution=4, trials=1, p=2.0, q=2.5))
         assert calls == [2.0]
         assert report["principle"]["p1"] == 3.0
