@@ -34,8 +34,12 @@ from .reports import RatioReport, safe_ratio
 ASCENT_STEPS = 12
 # step cap of `verify_directional`'s localized-norm runs
 LOCALIZED_STEPS = 80
-# terms of the majorant weight of `verify_weighted_directional`
+# cap on the terms of the majorant weight of `verify_weighted_directional`;
+# the series stops earlier, at its first certified tail (T = 16-17 at L = 4-7)
 WEIGHT_TERMS = 40
+# roundoff margin of the majorant weight's recursion certificate: its stop
+# test and its `tail_bound` both read it
+RECURSION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -308,9 +312,9 @@ def directional_maximal(f: Grid2D, directions: DirectionSet) -> Grid2D:
 
 @dataclass
 class MajorantWeight:
-    """Truncated geometric majorant sum_k (2N)**-k M_Sigma^k g with its
-    certificates: g <= w pointwise, ||w||_p <= 2 ||g||_p, and
-    M_Sigma w <= 2 N w + tail."""
+    """Truncated geometric majorant sum_{k<=terms} (2N)**-k M_Sigma^k g with
+    its certificates: g <= w pointwise, ||w||_p <= 2 ||g||_p, and
+    M_Sigma w <= 2 N w + tail.  `terms` is the T where the series stopped."""
 
     values: np.ndarray
     terms: int
@@ -324,6 +328,7 @@ class MajorantWeight:
     @property
     def certificates(self) -> dict:
         return {
+            "terms": self.terms,
             "norm_used": self.norm_used,
             "tail_bound": self.tail_bound,
             "excess": self.excess,
@@ -335,47 +340,55 @@ class MajorantWeight:
 def build_majorant_weight(
     g: Grid2D, averager: DirectionalAverager, p: float, terms: int, norm: float
 ) -> MajorantWeight:
-    """w = sum_{k=0}^{terms} (2N)**-k M_Sigma^k g for nonnegative g, with
-    M_Sigma the averager's maximal operator.
+    """w = sum_{k=0}^{T} (2N)**-k h_k for real nonnegative g, with h_k =
+    M_Sigma^k g the iterates of the averager's maximal operator.
 
-    N is the larger of `norm`, the caller's ascent estimate at p
-    (`estimate_norm`), and the ratios realized by the iterates themselves,
-    so ||h_k||_p <= N**k ||g||_p holds term by term and the norm
-    certificate is exact.  The
-    recursion certificate carries the truncation tail (2N)**-terms
-    ||h_{terms+1}||_inf plus a fixed 1e-9 margin for the frequency-domain
-    averaging roundoff.
+    The averager runs one iterate at a time.  After each h_{k+1}, N is the
+    largest of `norm`, the caller's ascent estimate at p (`estimate_norm`),
+    1 and every step ratio ||h_{j+1}||_p / ||h_j||_p so far; T is the first
+    k whose truncation tail (2N)**-k max h_{k+1} is at most
+    `RECURSION_MARGIN`, or `terms` if none is.  Both certificates hold at
+    any T: ||h_k||_p <= N**k ||g||_p for k <= T, so ||w||_p <= 2 ||g||_p;
+    and by sublinearity M_Sigma w <= sum_{k<=T} (2N)**-k h_{k+1}
+    <= 2N w + (2N)**-T h_{T+1}.  The recursion certificate's `tail_bound`
+    is that truncation tail plus `RECURSION_MARGIN` for the
+    frequency-domain averaging roundoff.
     """
     _check_exponent(p)
     L = g.resolution
+    if np.any(g.values.imag != 0):
+        raise ValueError("weight seed must be real")
     vals = g.values.real
     if np.any(vals < 0) or not np.any(vals > 0):
         raise ValueError("weight seed must be nonnegative and not identically zero")
     _check_averager(averager, L)
+    if terms < 0:
+        raise ValueError(f"terms must be nonnegative, got {terms}")
 
-    iterates = [vals]
-    for _ in range(terms + 1):
+    iterates, norms = [vals], [lp_norm(vals, p, L)]
+    n_used = max(norm, 1.0)
+    for k in range(terms + 1):
         iterates.append(averager.apply(iterates[-1]))
-    norms = [lp_norm(h, p, L) for h in iterates]
-    step_ratios = [
-        norms[k + 1] / norms[k] for k in range(terms + 1) if norms[k] > 0
-    ]
-    n_used = max([norm, 1.0] + step_ratios)
+        norms.append(lp_norm(iterates[-1], p, L))
+        if norms[k] > 0:
+            n_used = max(n_used, norms[k + 1] / norms[k])
+        truncation = (2.0 * n_used) ** -k * float(np.max(iterates[-1]))
+        if truncation <= RECURSION_MARGIN or k == terms:
+            break
 
     w = np.zeros_like(vals)
-    for k in range(terms + 1):
-        w += (2.0 * n_used) ** -k * iterates[k]
+    for j, h in enumerate(iterates[:-1]):
+        w += (2.0 * n_used) ** -j * h
     mw = averager.apply(w)
     excess = float(np.max(mw - 2.0 * n_used * w))
-    tail = (2.0 * n_used) ** -terms * float(np.max(iterates[terms + 1])) + 1e-9
     return MajorantWeight(
         values=w,
-        terms=terms,
+        terms=k,
         p=p,
         norm_used=n_used,
-        tail_bound=tail,
+        tail_bound=truncation + RECURSION_MARGIN,
         excess=excess,
-        input_norm=lp_norm(vals, p, L),
+        input_norm=norms[0],
         weight_norm=lp_norm(w, p, L),
     )
 
@@ -383,6 +396,8 @@ def build_majorant_weight(
 def muckenhoupt_constants(u: GridSignal) -> tuple[float, float]:
     """(A1, A2) of a positive weight over all dyadic intervals: A1 is the
     supremum of Mu/u, A2 the supremum of avg(u) avg(1/u)."""
+    if np.any(u.values.imag != 0):
+        raise ValueError("weight must be real")
     vals = u.values.real
     if np.any(vals <= 0):
         raise ValueError("weight must be strictly positive")
@@ -561,10 +576,11 @@ def verify_weighted_directional(
     averager's directions.
 
     At q = 2p' the dual extremal g of || sum |H_v f_j|^2 ||_{p'} seeds the
-    majorant weight of `WEIGHT_TERMS` terms; the per-direction weighted
-    projection constants and the assembled chain are all reported, and the
-    final ratio is normalized by the measured norm of the directional
-    maximal operator to the power |1 - 2/q| = 1/p.
+    majorant weight, whose series stops at its first certified tail after
+    at most `WEIGHT_TERMS` terms (`weight["terms"]` says where); the
+    per-direction weighted projection constants and the assembled chain are
+    all reported, and the final ratio is normalized by the measured norm of
+    the directional maximal operator to the power |1 - 2/q| = 1/p.
     """
     _check_exponent(p)
     q = 2.0 * p / (p - 1.0)

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadlab import directional
 from dyadlab.directional import (
+    RECURSION_MARGIN,
+    WEIGHT_TERMS,
     Direction,
     DirectionSet,
     DirectionalAverager,
+    MajorantWeight,
     annular_band,
     band_window,
     build_majorant_weight,
@@ -249,9 +253,9 @@ class TestStackedAverager:
         exact = exact_box_sums(box_kernels(resolution, dirs), values) / counts
         bound = rounding_bound(resolution, values.max())
         assert np.abs(average_stack(averager, values) - exact).max() <= bound
-        # three orders of magnitude below build_majorant_weight's fixed 1e-9
-        # recursion margin
-        assert 1000 * bound <= 1e-9
+        # three orders of magnitude below build_majorant_weight's recursion
+        # margin
+        assert 1000 * bound <= RECURSION_MARGIN
 
     def test_back_projection_is_the_adjoint(self):
         # some kernels are not point-symmetric on the torus (the wrapped
@@ -589,6 +593,113 @@ class TestDirectionalMaximal:
             averager.estimate_norm(p)
 
 
+def fixed_series_weight(g, averager, p, terms, norm):
+    """The majorant weight summed over a fixed `terms + 1` iterates, with N
+    over every step ratio up to h_{terms+1}: the series before it stopped at
+    its certified tail, kept as the oracle."""
+    L = g.resolution
+    vals = g.values.real
+    iterates = [vals]
+    for _ in range(terms + 1):
+        iterates.append(averager.apply(iterates[-1]))
+    norms = [lp_norm(h, p, L) for h in iterates]
+    step_ratios = [norms[k + 1] / norms[k] for k in range(terms + 1) if norms[k] > 0]
+    n_used = max([norm, 1.0] + step_ratios)
+    w = np.zeros_like(vals)
+    for k in range(terms + 1):
+        w += (2.0 * n_used) ** -k * iterates[k]
+    mw = averager.apply(w)
+    excess = float(np.max(mw - 2.0 * n_used * w))
+    tail = (2.0 * n_used) ** -terms * float(np.max(iterates[terms + 1])) + RECURSION_MARGIN
+    return MajorantWeight(
+        values=w,
+        terms=terms,
+        p=p,
+        norm_used=n_used,
+        tail_bound=tail,
+        excess=excess,
+        input_norm=lp_norm(vals, p, L),
+        weight_norm=lp_norm(w, p, L),
+    )
+
+
+def weight_seed(rng, resolution, p):
+    """A nonnegative seed normalized in L^p, as the dual extremal is."""
+    n = 1 << resolution
+    vals = np.abs(rng.standard_normal((n, n))) ** 2
+    return Grid2D(resolution, vals / lp_norm(vals, p, resolution))
+
+
+# (resolution, p, seed) of the stopped-series cases
+SERIES_CASES = [(3, 2.0, 0), (4, 2.0, 1), (4, 1.5, 2), (5, 2.0, 3), (5, 3.0, 4)]
+
+
+class TestStoppedSeries:
+    @pytest.mark.parametrize("resolution, p, seed", SERIES_CASES)
+    def test_matches_fixed_series(self, resolution, p, seed):
+        averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
+        norm = averager.estimate_norm(p, seed=seed)
+        g = weight_seed(np.random.default_rng(seed), resolution, p)
+        stopped = build_majorant_weight(g, averager, p, WEIGHT_TERMS, norm)
+        full = fixed_series_weight(g, averager, p, WEIGHT_TERMS, norm)
+        assert stopped.terms < WEIGHT_TERMS
+        assert stopped.norm_used == full.norm_used
+        # the terms past T sum to at most (2N)**-T max h_{T+1} / (2N - 1),
+        # since the averages never exceed their input's maximum
+        assert np.all(np.abs(stopped.values - full.values) <= stopped.tail_bound)
+        assert np.all(g.values.real <= stopped.values)
+        certs = stopped.certificates
+        assert certs["terms"] == stopped.terms
+        assert certs["norm_ok"] and certs["recursion_ok"]
+
+    @pytest.mark.parametrize("resolution, p, seed", SERIES_CASES)
+    @pytest.mark.parametrize("given_norm", [False, True])
+    def test_stops_at_first_certified_tail(self, resolution, p, seed, given_norm):
+        # with norm 1, N is set by the step ratios alone
+        averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
+        norm = averager.estimate_norm(p, seed=seed) if given_norm else 1.0
+        g = weight_seed(np.random.default_rng(seed), resolution, p)
+        weight = build_majorant_weight(g, averager, p, WEIGHT_TERMS, norm)
+        iterates = [g.values.real]
+        for _ in range(WEIGHT_TERMS + 1):
+            iterates.append(averager.apply(iterates[-1]))
+        norms = [lp_norm(h, p, resolution) for h in iterates]
+        tails = []
+        for k in range(WEIGHT_TERMS + 1):
+            n_k = max([norm, 1.0] + [norms[j + 1] / norms[j] for j in range(k + 1)])
+            tails.append((2.0 * n_k) ** -k * float(np.max(iterates[k + 1])))
+        T = weight.terms
+        assert 0 < T < WEIGHT_TERMS
+        assert tails[T] <= RECURSION_MARGIN < tails[T - 1]
+        assert weight.tail_bound == tails[T] + RECURSION_MARGIN
+
+    @pytest.mark.parametrize("resolution, p, seed", SERIES_CASES)
+    @pytest.mark.parametrize("cap", [0, 1, 5, 12])
+    def test_cap_below_stop_is_fixed_series(self, resolution, p, seed, cap):
+        averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
+        norm = averager.estimate_norm(p, seed=seed)
+        g = weight_seed(np.random.default_rng(seed), resolution, p)
+        capped = build_majorant_weight(g, averager, p, cap, norm)
+        full = fixed_series_weight(g, averager, p, cap, norm)
+        assert capped.terms == cap
+        assert capped.values.tobytes() == full.values.tobytes()
+        assert capped.certificates == full.certificates
+
+    @pytest.mark.parametrize("resolution", [3, 4])
+    def test_verify_with_fixed_series(self, resolution, monkeypatch):
+        rng = np.random.default_rng(40 + resolution)
+        fams = [random_plane(rng, resolution) for _ in range(4)]
+        averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
+        stopped = verify_weighted_directional(fams, averager, p=2.0, seed=resolution)
+        monkeypatch.setattr(directional, "build_majorant_weight", fixed_series_weight)
+        full = verify_weighted_directional(fams, averager, p=2.0, seed=resolution)
+        assert full.extra["weight"]["terms"] == WEIGHT_TERMS
+        assert stopped.extra["weight"]["terms"] < WEIGHT_TERMS
+        for key in ("ratio", "lhs", "rhs"):
+            assert getattr(stopped, key) == getattr(full, key)
+        assert stopped.extra["norm_MSigma"] == full.extra["norm_MSigma"]
+
+
 class TestWeights:
     def test_constant_seed(self):
         averager = DirectionalAverager(4, DirectionSet.uniform(4))
@@ -620,6 +731,23 @@ class TestWeights:
         averager = DirectionalAverager(3, DirectionSet.uniform(2))
         with pytest.raises(ValueError):
             build_majorant_weight(Grid2D.zeros(3), averager, 2.0, 5, 1.5)
+
+    def test_rejects_complex_seed(self):
+        # the imaginary part used to be dropped and the certificates
+        # reported for the real part alone
+        averager = DirectionalAverager(3, DirectionSet.uniform(2))
+        v = np.abs(np.random.default_rng(3).standard_normal((8, 8)))
+        with pytest.raises(ValueError, match="weight seed must be real"):
+            build_majorant_weight(Grid2D(3, v + 1j * v), averager, 2.0, 5, 1.5)
+        tiny = v.astype(complex)
+        tiny[2, 5] += 1e-300j
+        with pytest.raises(ValueError, match="weight seed must be real"):
+            build_majorant_weight(Grid2D(3, tiny), averager, 2.0, 5, 1.5)
+
+    def test_rejects_negative_terms(self):
+        averager = DirectionalAverager(3, DirectionSet.uniform(2))
+        with pytest.raises(ValueError, match="terms must be nonnegative"):
+            build_majorant_weight(Grid2D.constant(3, 1.0), averager, 2.0, -1, 1.5)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, math.inf])
     def test_rejects_exponent(self, p):
@@ -676,6 +804,11 @@ class TestMuckenhoupt:
         with pytest.raises(ValueError):
             muckenhoupt_constants(GridSignal.zeros(3))
 
+    def test_complex_weight_rejected(self):
+        v = np.exp(np.random.default_rng(11).standard_normal(16))
+        with pytest.raises(ValueError, match="weight must be real"):
+            muckenhoupt_constants(GridSignal(4, v + 1j * v))
+
 
 class TestWeightedHilbert:
     def test_flat_weight_contraction(self):
@@ -687,6 +820,14 @@ class TestWeightedHilbert:
     def test_zero_signal(self):
         report = weighted_hilbert_ratio(GridSignal.zeros(4), GridSignal.constant(4, 2.0))
         assert report.lhs == 0.0
+
+    def test_complex_weight_rejected(self):
+        rng = np.random.default_rng(12)
+        f = random_signal(rng, 4, complex_values=True)
+        u = np.exp(rng.standard_normal(16)).astype(complex)
+        u[7] += 0.5j
+        with pytest.raises(ValueError, match="weight must be real"):
+            weighted_hilbert_ratio(f, GridSignal(4, u))
 
     def test_random_panel_bounded(self):
         rng = np.random.default_rng(10)
