@@ -10,7 +10,6 @@ caps they force hold as stated, with explicit constants.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ from .tiles import (
     tree_sum,
     upper_cells,
 )
-from .walsh import bit_reversal, walsh_values
+from .walsh import walsh_matrix
 
 
 @dataclass(frozen=True)
@@ -131,19 +130,10 @@ def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choi
         width = 1 << (L - k)
         # the slot's low L - k - 1 bits are P's frequency index m; no
         # (member, row) pair repeats within one scale
-        lower = _lower_walsh_rows(L - k)[slot[at] & ((width >> 1) - 1)]
+        lower = walsh_matrix(L - k)[0::2][slot[at] & ((width >> 1) - 1)]
         blocks = out.reshape(len(choices), -1, 1 << k, width)
         blocks[member[at], rank[cell[at]], cell[at] >> (L - k)] += (sign[at] * 2.0 ** (k - L))[:, None] * lower
     return out[:, :, b.mask]
-
-
-@functools.cache
-def _lower_walsh_rows(bits: int) -> np.ndarray:
-    """W_{2m} on a block of 2**bits cells, row m for every m < 2**(bits-1),
-    read-only and built once per length: 21 KB up to 6 bits, 87 KB up to 7."""
-    rows = walsh_values(2 * np.arange((1 << bits) >> 1), bits)
-    rows.setflags(write=False)
-    return rows
 
 
 def _dense_norms(a: GridSet, b: GridSet, collection: TileCollection, choices) -> list[TopSingularResult]:
@@ -227,7 +217,7 @@ def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
 
 
 # Bytes of one chunk of greedy_choice's complex (cell, frequency) sums, 64
-# cells at L = 12, and of the int64 parities of one slab of `_upper_signs`
+# cells at L = 12
 CHUNK_BYTES = 1 << 22
 
 
@@ -242,55 +232,46 @@ def greedy_choice(f: GridSignal, collection: TileCollection, where: GridSet) -> 
     is that of the choice fitted at every cell.
 
     The sums are built a chunk of `CHUNK_BYTES` of (cell, frequency) pairs
-    at a time, so memory does not grow as 4**L.  A scale's table is the
-    coefficient row of the cell's block times the signs of the cell's place
-    in it (`_upper_signs`), added into the strided view of the frequencies
-    whose bit k is set.  A cell's sums depend on that cell alone, so they do
-    not depend on which other cells are fitted."""
+    at a time, so memory does not grow as 4**L.  At scale k a cell u' + t
+    2**(L-k-1) of its block has the upper packet signs W_{2m+1}(cell) =
+    (-1)**t W_m(u') on L - k - 1 bits, so a scale's table is the
+    coefficient row of the cell's block, negated when t is 1, times row u'
+    of `walsh_matrix(L - k - 1)`, added into the strided view of the
+    frequencies whose bit k is set.  A cell's sums depend on that cell
+    alone, so they do not depend on which other cells are fitted."""
     L = f.resolution
     if collection.resolution != L or where.resolution != L:
         raise ValueError("resolution mismatch")
     n = 1 << L
-    scales = [
-        (k, coef.reshape(present.shape) * (2.0 ** (k / 2.0)) * present)
-        for k, (coef, present) in enumerate(zip(lower_coefficients(f.values, L), collection.masks))
-        if present.any()
-    ]
+    scales = np.flatnonzero(collection.occupied.any(axis=1))
+    # the scalar pow of each height, which numpy's vector power (SIMD on
+    # some CPUs) need not round the same
+    heights = np.array([2.0 ** (k / 2.0) for k in scales.tolist()])
+    coefs = lower_coefficients(f.values, L)[scales] * heights[:, None] * collection.occupied[scales]
+    # row i holds scale k = scales[i] as 2**(k+1) blocks of 2**(L-k-1)
+    # coefficients: the 2**k blocks, then their negatives
+    signed = np.concatenate((coefs, -coefs), axis=1)
+    shifts = (L - scales)[:, None]
     chunk = max(1, CHUNK_BYTES // (16 * n))
     fitted = np.flatnonzero(where.mask)
     freqs = np.zeros(n, dtype=np.int64)
     for lo in range(0, fitted.size, chunk):
         cells = fitted[lo : lo + chunk]
+        # per scale, each cell's block, moved to the negatives when t is 1
+        rows = (cells >> shifts) + (((cells >> (shifts - 1)) & 1) << scales[:, None])
         total = np.zeros((cells.size, n), dtype=np.complex128)
-        for k, coef in scales:
-            # the mask (0/1) multiplied coef before the signs (+-1): exact
-            # products, which differ at most in the sign of a zero, and no
-            # zero sign survives in the total, a sum from +0; the gathered
-            # rows are a copy, so the signs multiply them in place
-            table = coef[cells >> (L - k)]
-            table *= _upper_signs(L - k)[cells & ((1 << (L - k)) - 1)]
-            total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table.reshape(cells.size, -1, 1)
+        for k, coef, row in zip(scales.tolist(), signed, rows):
+            # the mask (0/1) and the negation multiplied coef before the
+            # signs (+-1): exact products, which differ at most in the sign
+            # of a zero, and no zero sign survives in the total, a sum from
+            # +0; the gathered rows are a copy, so the signs multiply them
+            # in place
+            width = 1 << (L - k - 1)
+            table = coef.reshape(-1, width)[row]
+            table *= walsh_matrix(L - k - 1)[cells & (width - 1)]
+            total.reshape(cells.size, width, 2, 1 << k)[:, :, 1, :] += table.reshape(cells.size, -1, 1)
         freqs[cells] = np.argmax(np.abs(total), axis=1)
     return ChoiceFunction(L, freqs)
-
-
-@functools.cache
-def _upper_signs(bits: int) -> np.ndarray:
-    """W_{2m+1} on a block of 2**bits cells, row u the block's cell u and
-    column m every m < 2**(bits-1), as read-only int8 +-1 built once per
-    length: 2**(2 bits - 1) bytes, 171 KB for every length up to 9 bits and
-    10.7 MiB up to 12.  2m + 1 has only the low bits, and the cell's bit
-    reversal gives the parity; the int64 parities are taken a slab of
-    `CHUNK_BYTES` at a time, never all at once (64 MB at 12 bits)."""
-    half = 1 << (bits - 1)
-    odd = 2 * np.arange(half) + 1
-    rev = bit_reversal(bits)
-    signs = np.empty((1 << bits, half), dtype=np.int8)
-    step = max(1, CHUNK_BYTES // (8 * half))
-    for lo in range(0, 1 << bits, step):
-        signs[lo : lo + step] = 1 - 2 * (np.bitwise_count(odd & rev[lo : lo + step, None]) & 1).astype(np.int8)
-    signs.setflags(write=False)
-    return signs
 
 
 def restricted_pairing(

@@ -70,30 +70,16 @@ def _common_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--out", default=None)
 
 
-_DEFAULT_P = {
-    "fs": 3.0,
-    "biparam": 3.0,
-    "cordoba": 2.0,
-    "cordoba-weighted": 2.0,
-    "carleson": 3.0,
-    "principle": 1.5,
-}
-_DEFAULT_Q = {"cordoba": 2.5, "principle": 2.0}
-
-
 def _config_from_args(args) -> ExperimentConfig:
     # estimate-22 validates as the carleson theorem, whose bound it checks
-    theorem = getattr(args, "theorem", "carleson")
-    p = args.p if args.p is not None else _DEFAULT_P.get(theorem, 3.0)
-    q = args.q if args.q is not None else _DEFAULT_Q.get(theorem, 2.5)
     return ExperimentConfig(
-        theorem=theorem,
+        theorem=getattr(args, "theorem", "carleson"),
         resolution=args.resolution,
         trials=args.trials,
         seed=args.seed,
         family_size=args.family_size,
-        p=p,
-        q=q,
+        p=args.p,
+        q=args.q,
         eps=args.epsilon,
         p1=args.p1,
         out=args.out,

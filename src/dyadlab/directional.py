@@ -492,6 +492,20 @@ def directional_level_complement(
         c *= 2.0
 
 
+def _projection_stacks(fams: list[Grid2D], averager: DirectionalAverager) -> tuple[int, np.ndarray, np.ndarray]:
+    """The resolution of a nonempty family on the averager's grid, its
+    values stacked, and the stack of member j projected to the half-plane
+    of the averager's direction j modulo their number."""
+    if not fams:
+        raise ValueError("need at least one family member")
+    L = fams[0].resolution
+    _check_averager(averager, L)
+    members = averager.directions.members
+    stack_in = np.stack([f.values for f in fams])
+    stack_out = np.stack([halfplane_project(f, members[j % len(members)]).values for j, f in enumerate(fams)])
+    return L, stack_in, stack_out
+
+
 def verify_directional(
     fams: list[Grid2D],
     averager: DirectionalAverager,
@@ -514,19 +528,9 @@ def verify_directional(
     _check_exponent(p)
     if not (q > 0 and abs(1.0 - 2.0 / q) < 1.0 / p):
         raise ValueError(f"exponent q={q} outside the admissible range for p={p}")
-    if not fams:
-        raise ValueError("need at least one family member")
-    L = fams[0].resolution
-    _check_averager(averager, L)
+    L, stack_in, stack_out = _projection_stacks(fams, averager)
     directions = averager.directions
     n = 1 << L
-    stack_in = np.stack([f.values for f in fams])
-    stack_out = np.stack(
-        [
-            halfplane_project(fams[j], directions.members[j % len(directions)]).values
-            for j in range(len(fams))
-        ]
-    )
     lhs = bundle_norm(stack_out, q, L)
     rhs = bundle_norm(stack_in, q, L)
     report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
@@ -584,19 +588,7 @@ def verify_weighted_directional(
     """
     _check_exponent(p)
     q = 2.0 * p / (p - 1.0)
-    if not fams:
-        raise ValueError("need at least one family member")
-    L = fams[0].resolution
-    _check_averager(averager, L)
-    directions = averager.directions
-
-    stack_out = np.stack(
-        [
-            halfplane_project(fams[j], directions.members[j % len(directions)]).values
-            for j in range(len(fams))
-        ]
-    )
-    stack_in = np.stack([f.values for f in fams])
+    L, stack_in, stack_out = _projection_stacks(fams, averager)
     lhs = bundle_norm(stack_out, q, L)
     norm_p = averager.estimate_norm(p, seed=seed)
     rhs = norm_p ** abs(1.0 - 2.0 / q) * bundle_norm(stack_in, q, L)

@@ -89,12 +89,6 @@ class DyadicInterval:
             raise ValueError("ancestor scale must be coarser")
         return DyadicInterval(scale, self.offset >> (self.scale - scale))
 
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        return (
-            DyadicInterval(self.scale + 1, 2 * self.offset),
-            DyadicInterval(self.scale + 1, 2 * self.offset + 1),
-        )
-
     def cell_slice(self, resolution: int) -> slice:
         """Index range of the grid cells making up the interval."""
         if self.scale > resolution:
@@ -108,14 +102,9 @@ class DyadicInterval:
         return mask
 
 
-def intervals_at_scale(scale: int):
-    return (DyadicInterval(scale, n) for n in range(1 << scale))
-
-
 def all_intervals(resolution: int):
     """All dyadic intervals of [0,1) down to single cells, coarse to fine."""
-    for scale in range(resolution + 1):
-        yield from intervals_at_scale(scale)
+    return (DyadicInterval(scale, offset) for scale in range(resolution + 1) for offset in range(1 << scale))
 
 
 def _shape(resolution: int, ndim: int) -> tuple[int, ...]:
@@ -167,9 +156,6 @@ class GridSignal:
 
     def __len__(self) -> int:
         return self.values.size
-
-    def abs(self) -> np.ndarray:
-        return np.abs(self.values)
 
 
 class Grid2D(GridSignal):

@@ -29,7 +29,17 @@ from .walsh import walsh_synthesis
 if TYPE_CHECKING:
     from .principle import OperatorFamily
 
-THEOREMS = ("fs", "biparam", "cordoba", "cordoba-weighted", "carleson", "principle")
+# the exponents (p, q) each theorem runs at when none are given; estimate-22
+# runs at carleson's
+DEFAULT_EXPONENTS = {
+    "fs": (3.0, 2.5),
+    "biparam": (3.0, 2.5),
+    "cordoba": (2.0, 2.5),
+    "cordoba-weighted": (2.0, 2.5),
+    "carleson": (3.0, 2.5),
+    "principle": (1.5, 2.0),
+}
+THEOREMS = tuple(DEFAULT_EXPONENTS)
 
 # bumped whenever any CSV column layout changes; recorded in every manifest
 CSV_SCHEMA = 1
@@ -42,11 +52,18 @@ class ExperimentConfig:
     trials: int = 10
     seed: int = 0
     family_size: int = 4
-    p: float = 3.0
-    q: float = 2.5
+    p: float | None = None
+    q: float | None = None
     eps: float = 0.1
     p1: float | None = None
     out: str | None = None
+
+    def __post_init__(self):
+        # an exponent left out is the theorem's default, so the manifest
+        # records numbers; an unknown theorem keeps None and fails validate
+        p, q = DEFAULT_EXPONENTS.get(self.theorem, (None, None))
+        self.p = p if self.p is None else self.p
+        self.q = q if self.q is None else self.q
 
     def validate(self) -> None:
         """Total validation; every rejection names the violated range."""

@@ -46,6 +46,24 @@ def walsh_values(m, bits: int) -> np.ndarray:
     return 1.0 - 2.0 * signs
 
 
+@functools.cache
+def walsh_matrix(bits: int) -> np.ndarray:
+    """The Paley Walsh matrix on 2**bits cells: W_m(cell u) at row m and
+    column u, as read-only int8 +-1 of 4**bits bytes, built once per bit
+    count.  It is symmetric, since popcount(m & rev(u)) = popcount(rev(m) &
+    u).  Built by doubling: with m = 2m' + m0 and u = t 2**(bits-1) + u',
+    rev(u) = 2 rev(u') + t, so W_m(u) = (-1)**(m0 t) W_m'(u') on bits - 1."""
+    table = np.ones((1 << bits,) * 2, dtype=np.int8)
+    if bits:
+        half = walsh_matrix(bits - 1)
+        # axes (m', m0, t, u')
+        quarters = table.reshape(len(half), 2, 2, len(half))
+        quarters[:, 0, 0] = quarters[:, 0, 1] = quarters[:, 1, 0] = half
+        np.negative(half, out=quarters[:, 1, 1])
+    table.setflags(write=False)
+    return table
+
+
 def _bits(n: int) -> int:
     if n < 1 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")

@@ -46,10 +46,11 @@ from dyadlab.tiles import (
     member_coefficients,
     model_sum,
     size_bound,
+    lower_coefficients,
     upper_cells,
 )
 from dyadlab.grid import STACK_CELLS, stack_slices
-from dyadlab.walsh import bit_reversal, block_gathers, walsh_values
+from dyadlab.walsh import bit_reversal, block_gathers, walsh_matrix, walsh_values
 from test_principle import (
     MapPair,
     assert_same_krylov,
@@ -204,6 +205,68 @@ def chunked_greedy_choice(f: GridSignal, collection: TileCollection) -> ChoiceFu
             total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table[:, :, None]
         freqs[cells] = np.argmax(np.abs(total), axis=1)
     return ChoiceFunction(L, freqs)
+
+
+@functools.cache
+def upper_signs(bits: int) -> np.ndarray:
+    """The sign table greedy_choice read before `walsh.walsh_matrix`:
+    W_{2m+1} on a block of 2**bits cells, row u the block's cell u and
+    column m every m < 2**(bits-1), as read-only int8 +-1."""
+    odd = 2 * np.arange(1 << (bits - 1)) + 1
+    signs = (1 - 2 * (np.bitwise_count(odd & bit_reversal(bits)[:, None]) & 1)).astype(np.int8)
+    signs.setflags(write=False)
+    return signs
+
+
+@functools.cache
+def lower_walsh_rows(bits: int) -> np.ndarray:
+    """The rows restricted_matrices read before `walsh.walsh_matrix`: W_{2m}
+    on a block of 2**bits cells, row m for every m < 2**(bits-1)."""
+    rows = walsh_values(2 * np.arange((1 << bits) >> 1), bits)
+    rows.setflags(write=False)
+    return rows
+
+
+def sign_table_greedy_choice(f: GridSignal, collection: TileCollection, where: GridSet) -> ChoiceFunction:
+    """greedy_choice over the sign tables of `upper_signs`: a scale's table
+    is the coefficient row of the cell's block times row u of the table of
+    its block length, u the cell's place in the block."""
+    L = f.resolution
+    n = 1 << L
+    scales = [
+        (k, coef.reshape(present.shape) * (2.0 ** (k / 2.0)) * present)
+        for k, (coef, present) in enumerate(zip(lower_coefficients(f.values, L), collection.masks))
+        if present.any()
+    ]
+    chunk = max(1, carleson.CHUNK_BYTES // (16 * n))
+    fitted = np.flatnonzero(where.mask)
+    freqs = np.zeros(n, dtype=np.int64)
+    for lo in range(0, fitted.size, chunk):
+        cells = fitted[lo : lo + chunk]
+        total = np.zeros((cells.size, n), dtype=np.complex128)
+        for k, coef in scales:
+            table = coef[cells >> (L - k)]
+            table *= upper_signs(L - k)[cells & ((1 << (L - k)) - 1)]
+            total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table.reshape(cells.size, -1, 1)
+        freqs[cells] = np.argmax(np.abs(total), axis=1)
+    return ChoiceFunction(L, freqs)
+
+
+def walsh_rows_restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choices) -> np.ndarray:
+    """restricted_matrices over the float64 rows of `lower_walsh_rows`."""
+    L = collection.resolution
+    member, scale, cell, slot, sign = upper_cells(choices)
+    keep = collection.occupied.ravel()[slot] & a.mask[cell]
+    member, scale, cell, slot, sign = (x[keep] for x in (member, scale, cell, slot, sign))
+    rank = np.cumsum(a.mask) - 1
+    out = np.zeros((len(choices), int(np.count_nonzero(a.mask)), 1 << L))
+    for k in range(L):
+        at = scale == k
+        width = 1 << (L - k)
+        lower = lower_walsh_rows(L - k)[slot[at] & ((width >> 1) - 1)]
+        blocks = out.reshape(len(choices), -1, 1 << k, width)
+        blocks[member[at], rank[cell[at]], cell[at] >> (L - k)] += (sign[at] * 2.0 ** (k - L))[:, None] * lower
+    return out[:, :, b.mask]
 
 
 def restricted_operator(op: RestrictedOp) -> MapPair:
@@ -545,8 +608,8 @@ class TestNormDecay:
 
     @pytest.mark.parametrize("resolution", range(0, 10))
     def test_greedy_choice_equals_chunked_loop(self, resolution):
-        """The all-scale transform and the sign tables cached per block
-        length, read at each cell's place, pick what the per-scale
+        """The all-scale transform and the Walsh matrices cached per bit
+        count, read at each cell's place, pick what the per-scale
         transforms and per-chunk signs picked, on signals with zeros of
         both signs; from L = 8 on the oracle's cells span several chunks."""
         rng = np.random.default_rng(540 + resolution)
@@ -637,23 +700,56 @@ class TestNormDecay:
             assert np.array_equal(got, want)
 
     def test_sign_tables(self):
-        """The sign table of a block length is W_{2m+1} at every cell of the
-        block, column m, as read-only int8 of 2**(2 bits - 1) bytes, built
-        once per length."""
+        """Row u' of walsh_matrix(bits - 1), negated when the place's top bit
+        t is set, is row u = u' + t 2**(bits-1) of the old sign table of a
+        block of 2**bits cells, and the even rows of walsh_matrix(bits) are
+        the old lower rows."""
         for bits in range(1, 11):
-            signs = carleson._upper_signs(bits)
-            assert np.array_equal(signs, walsh_values(2 * np.arange(1 << (bits - 1)) + 1, bits).T)
-            assert signs.dtype == np.int8 and not signs.flags.writeable
-            assert signs.nbytes == 2 ** (2 * bits - 1)
-            assert carleson._upper_signs(bits) is signs
+            half = 1 << (bits - 1)
+            u = np.arange(1 << bits)
+            upper = walsh_matrix(bits - 1)[u & (half - 1)] * np.where(u >= half, -1, 1)[:, None]
+            assert np.array_equal(upper, upper_signs(bits))
+            assert np.array_equal(upper_signs(bits), walsh_values(2 * np.arange(half) + 1, bits).T)
+            assert np.array_equal(walsh_matrix(bits)[0::2], lower_walsh_rows(bits))
 
-    def test_sign_table_slabs(self, monkeypatch):
-        """Built a slab of rows at a time, of one row or of three (the last
-        slab short), the table is the one built in one piece."""
-        whole = carleson._upper_signs.__wrapped__(6)
-        for rows in (1, 3):
-            monkeypatch.setattr(carleson, "CHUNK_BYTES", 8 * 32 * rows)
-            assert np.array_equal(carleson._upper_signs.__wrapped__(6), whole)
+    @pytest.mark.parametrize("resolution", range(1, 11))
+    def test_greedy_choice_equals_sign_tables(self, resolution):
+        """The choice read from walsh_matrix is the one read from the old
+        sign tables, byte for byte, fitted on the whole grid, on half of it
+        and on one cell, over signals with zeros of both signs."""
+        rng = np.random.default_rng(640 + resolution)
+        n = 1 << resolution
+        full = TileCollection.all(resolution)
+        collections = [
+            full,
+            retain_meeting(full, GridSet(resolution, rng.random(n) < 0.3)),
+            random_convex_collection(rng, resolution),
+        ]
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        signals = [
+            GridSignal(resolution, values),
+            GridSignal(resolution, values * (rng.random(n) < 0.2)),
+            GridSignal(resolution, np.where(rng.random(n) < 0.5, zeros, values.real)),
+        ]
+        wheres = [GridSet.full(resolution), GridSet(resolution, rng.random(n) < 0.5)]
+        wheres.append(GridSet(resolution, np.arange(n) == rng.integers(n)))
+        for collection in collections:
+            for f in signals:
+                for where in wheres:
+                    got = greedy_choice(f, collection, where).freqs
+                    assert got.tobytes() == sign_table_greedy_choice(f, collection, where).freqs.tobytes()
+
+    @pytest.mark.parametrize("resolution", range(1, 8))
+    def test_restricted_matrices_equal_walsh_rows(self, resolution):
+        """The matrices read from walsh_matrix's even rows are those read
+        from the old float64 lower rows, byte for byte."""
+        rng = np.random.default_rng(660 + resolution)
+        cases, sets = dense_cases(rng, resolution)
+        for collection, choices in cases:
+            for a, b in sets:
+                got = restricted_matrices(a, b, collection, choices)
+                assert got.tobytes() == walsh_rows_restricted_matrices(a, b, collection, choices).tobytes()
 
     def test_greedy_choice_rejects_resolution_mismatch(self):
         for signal_l, collection_l in ((3, 0), (5, 4), (4, 5), (0, 3)):

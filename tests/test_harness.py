@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dyadlab import io as io_module
-from dyadlab.cli import build_parser, main
+from dyadlab.cli import _config_from_args, build_parser, main
 from dyadlab.grid import MAX_RESOLUTION, Grid2D, GridSet, GridSignal
 from dyadlab.harness import (
+    DEFAULT_EXPONENTS,
+    THEOREMS,
     ExperimentConfig,
     run,
     random_convex_collection,
@@ -185,13 +188,27 @@ class TestConfigValidation:
             ExperimentConfig(theorem="fs", resolution=13).validate()
 
     def test_resolution_zero_only_where_defined(self):
-        exponents = {"principle": {"p": 1.5, "q": 2.0}}
         for theorem in ("biparam", "principle"):
             with pytest.raises(ValueError, match=f"{theorem} needs resolution 1 <= L <= 12"):
-                ExperimentConfig(theorem, resolution=0, **exponents.get(theorem, {})).validate()
-            ExperimentConfig(theorem, resolution=1, **exponents.get(theorem, {})).validate()
+                ExperimentConfig(theorem, resolution=0).validate()
+            ExperimentConfig(theorem, resolution=1).validate()
         for theorem in ("fs", "cordoba", "cordoba-weighted", "carleson"):
             ExperimentConfig(theorem, resolution=0).validate()
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_library_defaults_are_the_cli_defaults(self, theorem):
+        """A config with no exponents takes its theorem's defaults, which
+        validate, are numbers in the manifest and are the CLI's, as is
+        estimate-22's carleson config."""
+        config = ExperimentConfig(theorem)
+        config.validate()
+        assert (config.p, config.q) == DEFAULT_EXPONENTS[theorem]
+        assert asdict(config)["p"] == config.p and asdict(config)["q"] == config.q
+        assert _config_from_args(build_parser().parse_args(["verify", theorem])) == config
+        if theorem == "carleson":
+            assert _config_from_args(build_parser().parse_args(["estimate-22"])) == config
+        explicit = ExperimentConfig(theorem, p=4.0, q=3.0)
+        assert (explicit.p, explicit.q) == (4.0, 3.0)
 
     def test_fs_exponent(self):
         with pytest.raises(ValueError, match="1 < p < inf"):

@@ -59,7 +59,9 @@ from dyadlab.walsh import (
     butterfly_views,
     hadamard,
     walsh_analysis,
+    walsh_matrix,
     walsh_synthesis,
+    walsh_values,
 )
 
 
@@ -1141,6 +1143,19 @@ class TestModelSumPlan:
             assert not rev.flags.writeable
             with pytest.raises(ValueError):
                 rev[0] = 1
+
+    def test_walsh_matrix(self):
+        """The doubled int8 matrix is W_m(cell u) at [m, u], symmetric,
+        read-only, 4**bits bytes and built once per bit count."""
+        for bits in range(0, 11):
+            table = walsh_matrix(bits)
+            assert np.array_equal(table, walsh_values(np.arange(1 << bits), bits))
+            assert np.array_equal(table, table.T)
+            assert table.dtype == np.int8 and table.nbytes == 4**bits
+            assert walsh_matrix(bits) is table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = -1
 
 
 class TestSizeAndMass:
