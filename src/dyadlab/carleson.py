@@ -122,17 +122,22 @@ def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choi
         raise ValueError("resolution mismatch")
     member, scale, cell, slot, sign = upper_cells(choices)
     keep = collection.occupied.ravel()[slot] & a.mask[cell]
-    member, scale, cell, slot, sign = (x[keep] for x in (member, scale, cell, slot, sign))
-    rank = np.cumsum(a.mask) - 1
-    out = np.zeros((len(choices), int(np.count_nonzero(a.mask)), 1 << L))
-    for k in range(L):
-        at = scale == k
-        width = 1 << (L - k)
-        # the slot's low L - k - 1 bits are P's frequency index m; no
-        # (member, row) pair repeats within one scale
-        lower = walsh_matrix(L - k)[0::2][slot[at] & ((width >> 1) - 1)]
-        blocks = out.reshape(len(choices), -1, 1 << k, width)
-        blocks[member[at], rank[cell[at]], cell[at] >> (L - k)] += (sign[at] * 2.0 ** (k - L))[:, None] * lower
+    # the terms by scale, each scale's a slice
+    at = np.flatnonzero(keep)[np.argsort(scale[keep], kind="stable")]
+    member, scale, cell, slot, sign = (x[at] for x in (member, scale, cell, slot, sign))
+    bounds = np.cumsum(np.bincount(scale, minlength=L)).tolist()
+    rows = int(np.count_nonzero(a.mask))
+    # per term: its (member, row of x, block) among the 2**(L-k)-cell
+    # blocks of the output, P's frequency index m (the slot's low L - k - 1
+    # bits) and the exact power of two sign * 2**(k-L)
+    target = ((member * rows + (np.cumsum(a.mask) - 1)[cell]) << scale) + (cell >> (L - scale))
+    freq = slot & ((1 << (L - 1 - scale)) - 1)
+    factor = np.ldexp(sign, scale - L)
+    out = np.zeros((len(choices), rows, 1 << L))
+    for k, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
+        # no (member, row) pair repeats within one scale
+        lower = walsh_matrix(L - k)[0::2][freq[lo:hi]]
+        out.reshape(-1, 1 << (L - k))[target[lo:hi]] += factor[lo:hi, None] * lower
     return out[:, :, b.mask]
 
 
@@ -216,62 +221,91 @@ def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
     return OperatorFamily(count, padded(apply), padded(adjoint))
 
 
-# Bytes of one chunk of greedy_choice's complex (cell, frequency) sums, 64
-# cells at L = 12
+# Bytes of one chunk of greedy_choice's complex (pair, frequency) sums at
+# most, 64 (member, cell) pairs at L = 12; a chunk holds more pairs than
+# one member's grid only within STACK_CHUNK_BYTES, so a stacked fit takes
+# no more memory than a fit of one member from L = 8 up, and a refit round
+# of the decay ladder at L = 6 is one chunk
 CHUNK_BYTES = 1 << 22
+STACK_CHUNK_BYTES = 1 << 20
 
 
-def greedy_choice(f: GridSignal, collection: TileCollection, where: GridSet) -> ChoiceFunction:
-    """Adversarial choice function: at each cell, the frequency maximizing the
-    magnitude of the partial model sum, scanning the finitely many upper
-    frequency halves that can contain the candidate.
+def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -> list[ChoiceFunction]:
+    """Adversarial choice functions, one per member of the stack f: at each
+    cell, the frequency maximizing the magnitude of the member's partial
+    model sum, scanning the finitely many upper frequency halves that can
+    contain the candidate.
 
     Only the cells of `where` are fitted and every other cell gets
     frequency 0, which lies in no upper tile, so it adds no term to a model
     sum: an operator read only on `where`, as f -> 1_A T_N(f 1_B) is on A,
     is that of the choice fitted at every cell.
 
-    The sums are built a chunk of `CHUNK_BYTES` of (cell, frequency) pairs
-    at a time, so memory does not grow as 4**L.  At scale k a cell u' + t
-    2**(L-k-1) of its block has the upper packet signs W_{2m+1}(cell) =
-    (-1)**t W_m(u') on L - k - 1 bits, so a scale's table is the
-    coefficient row of the cell's block, negated when t is 1, times row u'
-    of `walsh_matrix(L - k - 1)`, added into the strided view of the
-    frequencies whose bit k is set.  A cell's sums depend on that cell
-    alone, so they do not depend on which other cells are fitted."""
+    One butterfly gives every member's coefficients, and the sums are built
+    a chunk of at most `CHUNK_BYTES` of (pair, frequency) entries at a
+    time, the (member, cell) pairs taken member by member, so memory does
+    not grow as 4**L, nor with the members past `STACK_CHUNK_BYTES`.  At
+    scale k a cell u' + t 2**(L-k-1) of its block has the upper packet
+    signs W_{2m+1}(cell) = (-1)**t W_m(u') on L - k - 1 bits, so a scale's
+    table is the coefficient row of the cell's block in its member's
+    coefficients, negated when t is 1, times row u' of
+    `walsh_matrix(L - k - 1)`, added into the strided view of the
+    frequencies whose bit k is set.  A pair's sums depend on that member
+    and cell alone, so each member's choice is the one of a stack of that
+    member alone, fitted on any set holding the cell, bit for bit."""
     L = f.resolution
     if collection.resolution != L or where.resolution != L:
         raise ValueError("resolution mismatch")
-    n = 1 << L
+    n, members = 1 << L, len(f)
     scales = np.flatnonzero(collection.occupied.any(axis=1))
     # the scalar pow of each height, which numpy's vector power (SIMD on
     # some CPUs) need not round the same
     heights = np.array([2.0 ** (k / 2.0) for k in scales.tolist()])
-    coefs = lower_coefficients(f.values, L)[scales] * heights[:, None] * collection.occupied[scales]
-    # row i holds scale k = scales[i] as 2**(k+1) blocks of 2**(L-k-1)
-    # coefficients: the 2**k blocks, then their negatives
-    signed = np.concatenate((coefs, -coefs), axis=1)
+    # row i holds scale k = scales[i], each member's 2**(k+1) blocks of
+    # 2**(L-k-1) coefficients in turn: its 2**k blocks, then their negatives
+    half = n >> 1
+    signed = np.empty((scales.size, members, 2 * half), dtype=np.complex128)
+    coefs = signed[:, :, :half]
+    weights = heights[:, None] * collection.occupied[scales]
+    np.multiply(lower_coefficients(f.stack, L)[:, scales].transpose(1, 0, 2), weights[:, None], coefs)
+    np.negative(coefs, signed[:, :, half:])
     shifts = (L - scales)[:, None]
-    chunk = max(1, CHUNK_BYTES // (16 * n))
-    fitted = np.flatnonzero(where.mask)
-    freqs = np.zeros(n, dtype=np.int64)
-    for lo in range(0, fitted.size, chunk):
-        cells = fitted[lo : lo + chunk]
-        # per scale, each cell's block, moved to the negatives when t is 1
-        rows = (cells >> shifts) + (((cells >> (shifts - 1)) & 1) << scales[:, None])
-        total = np.zeros((cells.size, n), dtype=np.complex128)
-        for k, coef, row in zip(scales.tolist(), signed, rows):
-            # the mask (0/1) and the negation multiplied coef before the
-            # signs (+-1): exact products, which differ at most in the sign
-            # of a zero, and no zero sign survives in the total, a sum from
-            # +0; the gathered rows are a copy, so the signs multiply them
-            # in place
+    chunk = max(1, min(CHUNK_BYTES // (16 * n), max(n, STACK_CHUNK_BYTES // (16 * n))))
+    # the (member, cell) pairs, member by member, as member 2**L + cell
+    pairs = (np.arange(members)[:, None] * n + np.flatnonzero(where.mask)).ravel()
+    freqs = np.zeros((members, n), dtype=np.int64)
+    # one buffer of sums serves every chunk, so no chunk's sums are
+    # allocated while the last chunk's are held
+    sums = np.empty((min(chunk, pairs.size), n), dtype=np.complex128)
+    for lo in range(0, pairs.size, chunk):
+        pair = pairs[lo : lo + chunk]
+        cells = pair & (n - 1)
+        # per scale, each pair's row: the cell's block among its member's
+        # 2**(k+1), moved to the negatives when t is 1
+        rows = (cells >> shifts) + ((((pair >> L) << 1) + ((cells >> (shifts - 1)) & 1)) << scales[:, None])
+        # per scale, each cell's place u' in its half block
+        places = cells & ((1 << (shifts - 1)) - 1)
+        total = sums[: pair.size]
+        total.fill(0.0)
+        for k, coef, row, place in zip(scales.tolist(), signed, rows, places):
+            # the mask (0/1), with the heights, and the negation multiplied
+            # coef before the signs (+-1): exact products, which differ at
+            # most in the sign of a zero, and no zero sign survives in the
+            # total, a sum from +0; the gathered rows are a copy, so the
+            # signs multiply them in place
             width = 1 << (L - k - 1)
             table = coef.reshape(-1, width)[row]
-            table *= walsh_matrix(L - k - 1)[cells & (width - 1)]
-            total.reshape(cells.size, width, 2, 1 << k)[:, :, 1, :] += table.reshape(cells.size, -1, 1)
-        freqs[cells] = np.argmax(np.abs(total), axis=1)
-    return ChoiceFunction(L, freqs)
+            table *= walsh_matrix(L - k - 1)[place]
+            upper = total.reshape(cells.size, width, 2, 1 << k)[:, :, 1, :]
+            if 1 << k < min(width, 16):
+                # runs of 2**k frequencies are short: one add per place in
+                # the run, each over the width, costs fewer loop steps
+                for j in range(1 << k):
+                    upper[:, :, j] += table
+            else:
+                upper += table[:, :, None]
+        freqs.reshape(-1)[pair] = np.argmax(np.abs(total), axis=1)
+    return [ChoiceFunction(L, row) for row in freqs]
 
 
 def restricted_pairing(
@@ -366,16 +400,15 @@ def collection_caps(
 
 
 def _choice_family(
-    op_collection: TileCollection, resolution: int, rng: np.random.Generator, signal: GridSignal, a_set: GridSet
+    op_collection: TileCollection, resolution: int, rng: np.random.Generator, probes: VectorSignal, a_set: GridSet
 ) -> list[ChoiceFunction]:
-    """A constant choice, two random ones and the greedy one of the signal,
-    fitted on A, the only cells the restricted operator reads it at."""
+    """A constant choice, two random ones and the greedy ones of the probes,
+    fitted on A, the only cells the restricted operator reads them at."""
     n = 1 << resolution
     family = [ChoiceFunction.constant(resolution, n // 2)]
     for _ in range(2):
         family.append(ChoiceFunction(resolution, rng.integers(0, n, size=n)))
-    family.append(greedy_choice(signal, op_collection, a_set))
-    return family
+    return family + greedy_choice(probes, op_collection, a_set)
 
 
 def norm_decay_point(
@@ -411,10 +444,11 @@ def norm_decay_point(
     else:
         raise ValueError(f"unknown branch {branch!r}")
     surviving = retain_meeting(collection, keep)
-    probe = GridSignal(L, rng.standard_normal(1 << L))
+    probe = VectorSignal(L, rng.standard_normal((1, 1 << L)))
     family = _choice_family(surviving, L, rng, probe, a_set)
     # chain i: the best (result, choice) so far for family member i, refit
-    # while a round raises its norm; each round runs as one stack
+    # while a round raises its norm; each round fits its greedy choices and
+    # runs its norms as one stack each
     results = restricted_norm(
         a_set, b_set, surviving, family, [seed + idx for idx in range(len(family))], iters=iters
     )
@@ -424,10 +458,8 @@ def norm_decay_point(
     for round_ in range(2):
         if not active:
             break
-        refits = [
-            greedy_choice(GridSignal(L, chains[i][0].top_vector * b_set.mask), surviving, a_set)
-            for i in active
-        ]
+        tops = np.array([chains[i][0].top_vector for i in active]) * b_set.mask
+        refits = greedy_choice(VectorSignal(L, tops), surviving, a_set)
         results = restricted_norm(
             a_set, b_set, surviving, refits, [seed + 131 + round_] * len(active), iters=iters
         )
@@ -509,7 +541,7 @@ def verify_vector_carleson(
     L = fams.resolution
     collection = TileCollection.all(L)
     if choices is None:
-        choices = [greedy_choice(fams.member(j), collection, GridSet.full(L)) for j in range(len(fams))]
+        choices = greedy_choice(fams, collection, GridSet.full(L))
     stack = np.vstack(
         [
             model_sum(fams.member(j), choices[j % len(choices)], collection).values

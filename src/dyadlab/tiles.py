@@ -315,18 +315,31 @@ def _lower_layout(resolution: int):
 def lower_coefficients(values: np.ndarray, resolution: int) -> np.ndarray:
     """<values, lower packet> of every bi-tile as an (L, 2**(L-1)) array in
     `tile_slot` order: [k, n 2**(L-k-1) + m] pairs the values with
-    packet(scale k, offset n, frequency index 2m). One butterfly runs every
-    scale, as a plan does; each scale's sums, in order, are those of a Walsh
-    analysis of its blocks, so this is that transform's even entries times
-    2**(k/2) |cell|, bit for bit. Real values give float64, others complex128."""
+    packet(scale k, offset n, frequency index 2m); an (m, 2**L) stack of
+    signals gives one such array per row, (m, L, 2**(L-1)). One butterfly
+    runs every scale of every row, as a plan does; each scale's sums, in
+    order, are those of a Walsh analysis of its blocks, so this is that
+    transform's even entries times 2**(k/2) |cell|, bit for bit. Real
+    values give float64, others complex128."""
     L = resolution
     even, odd, active, final, norm = _lower_layout(L)
-    flat = np.asarray(values)
-    flat = flat.astype(np.float64 if np.isrealobj(flat) else np.complex128, copy=False).reshape(1 << L)
-    work = np.empty((2, even.size), dtype=flat.dtype)
-    np.add(np.take(flat, even, out=work[1]), flat[odd], work[0])
-    butterfly_stages(butterfly_views(work, active))
-    out = work.reshape(-1)[final].reshape(L, (1 << L) >> 1)
+    values = np.asarray(values)
+    if values.ndim not in (1, 2) or values.shape[-1] != 1 << L:
+        raise ValueError(f"expected a signal or a stack of signals of {1 << L} cells, got shape {values.shape}")
+    values = values.astype(np.float64 if np.isrealobj(values) else np.complex128, copy=False)
+    shape = values.shape[:-1]
+    if shape == (1,):
+        # a one-row stack runs as a lone signal: one-dimensional stages
+        # cost less per call
+        values = values[0]
+    stack = values.shape[:-1]
+    # a row's two buffers sit side by side, so its final places index them
+    # as one; the stages run on every row at once
+    work = np.empty(stack + (2, even.size), dtype=values.dtype)
+    buffers = work.swapaxes(0, -2)
+    np.add(np.take(values, even, axis=-1, out=buffers[1]), values[..., odd], buffers[0])
+    butterfly_stages(butterfly_views(buffers, active))
+    out = work.reshape(stack + (-1,))[..., final].reshape(shape + (L, (1 << L) >> 1))
     out *= norm
     return out
 

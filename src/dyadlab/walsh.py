@@ -88,11 +88,13 @@ def block_gathers(resolution: int) -> np.ndarray:
 def butterfly_views(buffers: np.ndarray, active: tuple[int, ...]) -> list[tuple[np.ndarray, ...]]:
     """Per butterfly stage j, the views (a, b, top, bottom) of the two rows
     of `buffers`: a and b are the halves of the first active[j] entries of
-    row j % 2, and top and bottom the even and odd ones of row (j + 1) % 2."""
+    row j % 2, and top and bottom the even and odd ones of row (j + 1) % 2.
+    Rows may be stacks themselves, laid out along axes after the first: a
+    view takes its entries along the last axis, from every row of a stack."""
     views = []
     for j, size in enumerate(active):
         src, dst = buffers[j & 1], buffers[~j & 1]
-        views.append((src[: size // 2], src[size // 2 : size], dst[0:size:2], dst[1:size:2]))
+        views.append((src[..., : size // 2], src[..., size // 2 : size], dst[..., 0:size:2], dst[..., 1:size:2]))
     return views
 
 

@@ -112,7 +112,7 @@ def old_norm_decay_point(
     winner = None
     best_choice = None
     unconverged = 0
-    probe = GridSignal(L, rng.standard_normal(1 << L))
+    probe = VectorSignal(L, rng.standard_normal((1, 1 << L)))
     for idx, choice in enumerate(_choice_family(surviving, L, rng, probe, GridSet.full(L))):
         res = alone(choice, seed + idx)
         unconverged += not res.converged
@@ -120,7 +120,7 @@ def old_norm_decay_point(
         for round_ in range(adversary_rounds):
             if vec is None:
                 break
-            refit = greedy_choice(GridSignal(L, np.asarray(vec) * b_set.mask), surviving, GridSet.full(L))
+            refit = sign_table_greedy_choice(GridSignal(L, np.asarray(vec) * b_set.mask), surviving, GridSet.full(L))
             res2 = alone(refit, seed + 131 + round_)
             unconverged += not res2.converged
             if res2.norm > res.norm:
@@ -250,6 +250,68 @@ def sign_table_greedy_choice(f: GridSignal, collection: TileCollection, where: G
             total.reshape(cells.size, 1 << (L - k - 1), 2, 1 << k)[:, :, 1, :] += table.reshape(cells.size, -1, 1)
         freqs[cells] = np.argmax(np.abs(total), axis=1)
     return ChoiceFunction(L, freqs)
+
+
+def per_chain_norm_decay_point(h, g, collection, seed=0, iters=150, branch="h"):
+    """norm_decay_point before a refit round fitted its greedy choices as
+    one stack: the probe's choice and each chain's refit fitted one signal
+    at a time, by the per-signal oracle `sign_table_greedy_choice`, and the
+    carving, the family, the norm runs and their seeds as there."""
+    L = h.resolution
+    n = 1 << L
+    rng = np.random.default_rng(seed)
+    if branch == "h":
+        h_prime = exceptional_complement(h, g, 4.0)
+        a_set, b_set, keep = g, h_prime, h_prime
+        ratio = safe_ratio(measure(g), measure(h))
+    else:
+        g_prime = exceptional_complement(g, h, 4.0)
+        a_set, b_set, keep = g_prime, h, g_prime
+        ratio = safe_ratio(measure(h), measure(g))
+    surviving = retain_meeting(collection, keep)
+    probe = GridSignal(L, rng.standard_normal(n))
+    family = [ChoiceFunction.constant(L, n // 2)]
+    for _ in range(2):
+        family.append(ChoiceFunction(L, rng.integers(0, n, size=n)))
+    family.append(sign_table_greedy_choice(probe, surviving, a_set))
+    results = restricted_norm(
+        a_set, b_set, surviving, family, [seed + idx for idx in range(len(family))], iters=iters
+    )
+    chains = list(zip(results, family))
+    unconverged = sum(not res.converged for res in results)
+    active = [i for i, res in enumerate(results) if res.top_vector is not None]
+    for round_ in range(2):
+        if not active:
+            break
+        refits = [
+            sign_table_greedy_choice(GridSignal(L, chains[i][0].top_vector * b_set.mask), surviving, a_set)
+            for i in active
+        ]
+        results = restricted_norm(
+            a_set, b_set, surviving, refits, [seed + 131 + round_] * len(active), iters=iters
+        )
+        unconverged += sum(not res.converged for res in results)
+        improving = []
+        for i, refit, res in zip(active, refits, results):
+            if res.norm > chains[i][0].norm:
+                chains[i] = (res, refit)
+                if res.top_vector is not None:
+                    improving.append(i)
+        active = improving
+    winner, best_choice = chains[0]
+    for res, choice in chains[1:]:
+        if res.norm > winner.norm:
+            winner, best_choice = res, choice
+    return {
+        "norm": winner.norm,
+        "ratio": ratio,
+        "choice": best_choice,
+        "kept": measure(keep),
+        "iterations": winner.steps,
+        "converged": winner.converged,
+        "norm_upper": winner.norm_upper,
+        "unconverged": unconverged,
+    }
 
 
 def walsh_rows_restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choices) -> np.ndarray:
@@ -574,7 +636,7 @@ class TestNormDecay:
         resolution = 5
         collection = TileCollection.all(resolution)
         f = random_signal(rng, resolution, complex_values=True)
-        adversary = greedy_choice(f, collection, GridSet.full(resolution))
+        (adversary,) = greedy_choice(VectorSignal.from_signals([f]), collection, GridSet.full(resolution))
         out_best = np.abs(model_sum(f, adversary, collection).values)
         for _ in range(10):
             other = random_choice(rng, resolution)
@@ -602,8 +664,8 @@ class TestNormDecay:
             GridSignal.zeros(resolution),
         ]
         for collection in collections:
-            for f in signals:
-                chosen = greedy_choice(f, collection, GridSet.full(resolution))
+            stacked = greedy_choice(VectorSignal.from_signals(signals), collection, GridSet.full(resolution))
+            for f, chosen in zip(signals, stacked, strict=True):
                 assert np.array_equal(chosen.freqs, dense_greedy_choice(f, collection).freqs)
 
     @pytest.mark.parametrize("resolution", range(0, 10))
@@ -627,8 +689,8 @@ class TestNormDecay:
             GridSignal(resolution, np.where(rng.random(n) < 0.5, zeros, values.real)),
         ]
         for collection in collections:
-            for f in signals:
-                chosen = greedy_choice(f, collection, GridSet.full(resolution))
+            stacked = greedy_choice(VectorSignal.from_signals(signals), collection, GridSet.full(resolution))
+            for f, chosen in zip(signals, stacked, strict=True):
                 assert chosen.freqs.dtype == np.int64
                 assert np.array_equal(chosen.freqs, chunked_greedy_choice(f, collection).freqs)
         assert (STACK_CELLS // n >= n) == (resolution <= 7)
@@ -648,7 +710,8 @@ class TestNormDecay:
         for cells in (1, 3, n // 2, None):
             if cells is not None:
                 monkeypatch.setattr(carleson, "CHUNK_BYTES", 16 * n * cells)
-            assert np.array_equal(greedy_choice(f, collection, GridSet.full(resolution)).freqs, expected)
+            (chosen,) = greedy_choice(VectorSignal.from_signals([f]), collection, GridSet.full(resolution))
+            assert np.array_equal(chosen.freqs, expected)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("resolution", range(13))
@@ -662,7 +725,8 @@ class TestNormDecay:
         n = 1 << resolution
         collection = retain_meeting(TileCollection.all(resolution), GridSet(resolution, rng.random(n) < 0.5))
         f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        whole = greedy_choice(f, collection, GridSet.full(resolution)).freqs
+        stack = VectorSignal.from_signals([f])
+        whole = greedy_choice(stack, collection, GridSet.full(resolution))[0].freqs
         chunk = carleson.CHUNK_BYTES // (16 * n)
         assert (chunk < n) == (resolution >= 10)
         masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.arange(n) == rng.integers(n)]
@@ -673,7 +737,7 @@ class TestNormDecay:
                 masks.append(np.isin(np.arange(n), rng.choice(n, size=size, replace=False)))
             masks.append(np.isin(np.arange(n), np.concatenate([edges - 1, edges])))
         for mask in masks:
-            chosen = greedy_choice(f, collection, GridSet(resolution, mask)).freqs
+            chosen = greedy_choice(stack, collection, GridSet(resolution, mask))[0].freqs
             assert np.array_equal(chosen[mask], whole[mask])
             assert not chosen[~mask].any()
 
@@ -688,7 +752,9 @@ class TestNormDecay:
         collection = TileCollection.all(resolution)
         a_set, b_set = (GridSet(resolution, rng.random(n) < 0.4) for _ in range(2))
         f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        whole, on_a = greedy_choice(f, collection, GridSet.full(resolution)), greedy_choice(f, collection, a_set)
+        stack = VectorSignal.from_signals([f])
+        (whole,) = greedy_choice(stack, collection, GridSet.full(resolution))
+        (on_a,) = greedy_choice(stack, collection, a_set)
         assert upper_cells([on_a])[2].tolist() == [x for x in upper_cells([whole])[2].tolist() if a_set.mask[x]]
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
@@ -735,10 +801,73 @@ class TestNormDecay:
         wheres = [GridSet.full(resolution), GridSet(resolution, rng.random(n) < 0.5)]
         wheres.append(GridSet(resolution, np.arange(n) == rng.integers(n)))
         for collection in collections:
-            for f in signals:
-                for where in wheres:
-                    got = greedy_choice(f, collection, where).freqs
-                    assert got.tobytes() == sign_table_greedy_choice(f, collection, where).freqs.tobytes()
+            for where in wheres:
+                stacked = greedy_choice(VectorSignal.from_signals(signals), collection, where)
+                for f, got in zip(signals, stacked, strict=True):
+                    assert got.freqs.tobytes() == sign_table_greedy_choice(f, collection, where).freqs.tobytes()
+
+    @pytest.mark.parametrize("resolution", range(0, 10))
+    def test_stacked_greedy_choice_equals_sign_tables(self, monkeypatch, resolution):
+        """Each member of a stacked fit is the per-signal oracle's choice,
+        byte for byte: stacks of one real and of one complex row, of two
+        and of five mixed rows, fitted on the empty set, one cell, a random
+        set and the grid, in chunks of the default size, of one pair and
+        of three pairs, which split a member's cells."""
+        rng = np.random.default_rng(1200 + resolution)
+        n = 1 << resolution
+        collection = retain_meeting(TileCollection.all(resolution), GridSet(resolution, rng.random(n) < 0.5))
+        wheres = [
+            GridSet.empty(resolution),
+            GridSet(resolution, np.arange(n) == rng.integers(n)),
+            GridSet(resolution, rng.random(n) < 0.5),
+            GridSet.full(resolution),
+        ]
+        for members, real_rows in ((1, [0]), (1, []), (2, [1]), (5, [0, 2, 3])):
+            values = rng.standard_normal((members, n)) + 1j * rng.standard_normal((members, n))
+            values[real_rows] = values[real_rows].real
+            stack = VectorSignal(resolution, values)
+            for where in wheres:
+                expected = [
+                    sign_table_greedy_choice(stack.member(j), collection, where).freqs.tobytes()
+                    for j in range(members)
+                ]
+                for pairs in (None, 1, 3):
+                    if pairs is not None:
+                        monkeypatch.setattr(carleson, "CHUNK_BYTES", 16 * n * pairs)
+                    got = greedy_choice(stack, collection, where)
+                    monkeypatch.undo()
+                    assert [choice.freqs.tobytes() for choice in got] == expected
+
+    @pytest.mark.parametrize("branch", ["h", "g"])
+    @pytest.mark.parametrize("resolution", range(3, 9))
+    def test_point_equals_per_chain_refits(self, monkeypatch, resolution, branch):
+        """One stacked fit per refit round gives the point that fitting each
+        chain's refit alone gives, bit for bit: the dense norms up to L = 7,
+        the Krylov engine at L = 8, and some round fits several chains."""
+        assert (resolution <= carleson.DENSE_RESOLUTION) == (resolution <= 7)
+        stacks = []
+
+        def recorded(f, collection, where):
+            stacks.append(len(f))
+            return greedy_choice(f, collection, where)
+
+        monkeypatch.setattr(carleson, "greedy_choice", recorded)
+        rng = np.random.default_rng(1220 + resolution)
+        n = 1 << resolution
+        full = GridSet.full(resolution)
+        collection = TileCollection.all(resolution)
+        for seed in range(3):
+            small = GridSet(resolution, rng.random(n) < 2.0 ** -(seed + 1))
+            h, g = (full, small) if branch == "h" else (small, full)
+            point = norm_decay_point(h, g, collection, seed=seed, branch=branch)
+            expected = per_chain_norm_decay_point(h, g, collection, seed=seed, branch=branch)
+            assert point.keys() == expected.keys()
+            for key, value in expected.items():
+                if key == "choice":
+                    assert point[key].freqs.tobytes() == value.freqs.tobytes()
+                else:
+                    assert point[key] == value, key
+        assert max(stacks) > 1
 
     @pytest.mark.parametrize("resolution", range(1, 8))
     def test_restricted_matrices_equal_walsh_rows(self, resolution):
@@ -754,9 +883,10 @@ class TestNormDecay:
     def test_greedy_choice_rejects_resolution_mismatch(self):
         for signal_l, collection_l in ((3, 0), (5, 4), (4, 5), (0, 3)):
             with pytest.raises(ValueError, match="resolution mismatch"):
-                greedy_choice(GridSignal.zeros(signal_l), TileCollection.all(collection_l), GridSet.full(signal_l))
+                stack = VectorSignal(signal_l, np.zeros((2, 1 << signal_l)))
+                greedy_choice(stack, TileCollection.all(collection_l), GridSet.full(signal_l))
         with pytest.raises(ValueError, match="resolution mismatch"):
-            greedy_choice(GridSignal.zeros(3), TileCollection.all(3), GridSet.full(4))
+            greedy_choice(VectorSignal(3, np.zeros((1, 8))), TileCollection.all(3), GridSet.full(4))
 
     @pytest.mark.usefixtures("krylov_path")
     def test_decay_point_and_short_ladder(self):
@@ -857,7 +987,7 @@ class TestNormDecay:
         collection = random_convex_collection(rng, resolution)
         choices = [random_choice(rng, resolution) for _ in range(4)]
         signal = random_signal(rng, resolution, complex_values=True)
-        choices.append(greedy_choice(signal, collection, GridSet.full(resolution)))
+        choices += greedy_choice(VectorSignal.from_signals([signal]), collection, GridSet.full(resolution))
         # frequency 0 lies in a lower tile at every scale: no term at all
         choices.insert(2, ChoiceFunction.constant(resolution, 0))
         choices.append(ChoiceFunction.constant(resolution, n - 1))
@@ -998,7 +1128,7 @@ class TestOneLayoutPerStack:
         collection = random_convex_collection(rng, resolution)
         choices = [random_choice(rng, resolution) for _ in range(4)]
         signal = random_signal(rng, resolution, complex_values=True)
-        choices.append(greedy_choice(signal, collection, GridSet.full(resolution)))
+        choices += greedy_choice(VectorSignal.from_signals([signal]), collection, GridSet.full(resolution))
         choices.insert(2, ChoiceFunction.constant(resolution, 0))
         return a, b, collection, choices, [5, 5, 2, 5, 1, 8]
 
@@ -1067,7 +1197,7 @@ def dense_cases(rng, resolution):
     cases = []
     for collection in collections:
         signal = random_signal(rng, L, complex_values=True)
-        greedy = greedy_choice(signal, collection, GridSet.full(L))
+        (greedy,) = greedy_choice(VectorSignal.from_signals([signal]), collection, GridSet.full(L))
         choices = [ChoiceFunction.constant(L, n - 1), random_choice(rng, L), greedy]
         cases.append((collection, choices))
     empty, full = GridSet.empty(L), GridSet.full(L)
@@ -1155,7 +1285,8 @@ class TestDenseNorms:
         for collection in (TileCollection.all(L), random_convex_collection(rng, L)):
             signal = random_signal(rng, L, complex_values=True)
             choices = [random_choice(rng, L) for _ in range(2)]
-            choices += [ChoiceFunction.constant(L, n // 2), greedy_choice(signal, collection, GridSet.full(L))]
+            choices.append(ChoiceFunction.constant(L, n // 2))
+            choices += greedy_choice(VectorSignal.from_signals([signal]), collection, GridSet.full(L))
             for a, b in pairs:
                 dense = carleson._dense_norms(a, b, collection, choices)
                 krylov = carleson._krylov_norms(a, b, collection, choices, [3, 4, 5, 6], 200)
@@ -1204,7 +1335,7 @@ class TestVectorCarleson:
         resolution = 5
         f = random_signal(rng, resolution)
         collection = TileCollection.all(resolution)
-        choice = [greedy_choice(f, collection, GridSet.full(resolution))]
+        choice = greedy_choice(VectorSignal.from_signals([f]), collection, GridSet.full(resolution))
         one = verify_vector_carleson(VectorSignal.from_signals([f]), choice, 3.0)
         many = verify_vector_carleson(VectorSignal.from_signals([f] * 9), choice * 9, 3.0)
         assert many.ratio == pytest.approx(one.ratio, rel=1e-12)

@@ -711,12 +711,31 @@ class TestLowerCoefficients:
                 expected = packet_coefficients(values, L, k)[:, 0::2]
                 assert same_bits(got[k], expected.ravel()), (k, values.dtype)
 
+    @pytest.mark.parametrize("resolution", range(0, 11))
+    def test_stack_rows_equal_single_signals(self, resolution):
+        """Each row of a stacked transform is the transform of that row
+        alone, bit for bit, for stacks of one, two and seven signals of
+        every input kind, real and complex."""
+        rng = np.random.default_rng(1120 + resolution)
+        L, n = resolution, 1 << resolution
+        rows = list(self.inputs(rng, n))
+        for members in (1, 2, 7):
+            picked = [rows[i] for i in rng.integers(len(rows), size=members)]
+            for stack in (np.array([row.real for row in picked]), np.array(picked, dtype=np.complex128)):
+                got = lower_coefficients(stack, L)
+                assert got.shape == (members, L, n >> 1)
+                for row, coef in zip(stack, got, strict=True):
+                    assert same_bits(coef, lower_coefficients(row, L))
+
     def test_reads_any_real_or_complex_input(self):
         values = np.arange(8)
         assert same_bits(lower_coefficients(values, 3), lower_coefficients(values.astype(float), 3))
         assert lower_coefficients(values.astype(np.complex64), 3).dtype == np.complex128
         with pytest.raises(ValueError):
             lower_coefficients(np.zeros(6), 3)
+        for shape in ((2, 4), (1, 2, 8), ()):
+            with pytest.raises(ValueError):
+                lower_coefficients(np.zeros(shape), 3)
 
 
 class TestModelSum:
