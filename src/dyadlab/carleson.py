@@ -165,16 +165,15 @@ def _dense_norms(a: GridSet, b: GridSet, collection: TileCollection, choices) ->
     _, sigma, vh = np.linalg.svd(matrices, full_matrices=False)
     flat = matrices.reshape(len(matrices), -1)
     slack = max(matrices.shape[1:]) * np.finfo(np.float64).eps * np.sqrt(np.vecdot(flat, flat))
-    results = []
-    for top, v, delta in zip(sigma[:, 0].tolist(), vh[:, 0], slack.tolist()):
-        vector = None
-        if top > 0.0:
-            vector = np.zeros(b.mask.size)
-            vector[b.mask] = v
-        # a zero matrix has the exact sigma_1 0, and nothing to round
-        upper = float(np.nextafter(top + delta, math.inf)) if delta else top
-        results.append(TopSingularResult(top, 0, True, vector, upper))
-    return results
+    top = sigma[:, 0]
+    # a zero matrix has the exact sigma_1 0, and nothing to round
+    upper = np.where(slack > 0.0, np.nextafter(top + slack, math.inf), top)
+    vectors = np.zeros((len(matrices), b.mask.size))
+    vectors[:, b.mask] = vh[:, 0]
+    return [
+        TopSingularResult(t, 0, True, vector if t > 0.0 else None, u)
+        for t, vector, u in zip(top.tolist(), vectors, upper.tolist())
+    ]
 
 
 def _krylov_norms(

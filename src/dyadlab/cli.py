@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
+from .grid import MAX_RESOLUTION
 from .harness import THEOREMS, ExperimentConfig, run, run_decompose
 
 
@@ -28,7 +28,17 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviated flags: a removed flag such as --s must not turn into --seed
     verify = sub.add_parser("verify", allow_abbrev=False, help="run one verification experiment")
     verify.add_argument("theorem", choices=THEOREMS)
-    _common_flags(verify)
+    verify.add_argument("--resolution", type=int, default=6)
+    verify.add_argument("--trials", type=int, default=10)
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--family-size", type=int, default=4)
+    # every theorem reads p; one that reads no q, p1 or epsilon rejects it
+    # (harness.THEOREMS)
+    verify.add_argument("--p", type=float, default=None)
+    verify.add_argument("--q", type=float, default=None)
+    verify.add_argument("--p1", type=float, default=None)
+    verify.add_argument("--epsilon", type=float, default=None)
+    verify.add_argument("--out", default=None)
 
     decompose = sub.add_parser(
         "decompose", allow_abbrev=False, help="bucket a tile collection into forests"
@@ -43,7 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     estimate = sub.add_parser(
         "estimate-22", allow_abbrev=False, help="restricted-norm decay ladder"
     )
-    _common_flags(estimate)
+    estimate.add_argument("--resolution", type=int, default=6)
+    estimate.add_argument("--seed", type=int, default=0)
+    estimate.add_argument("--epsilon", type=float, default=0.1, help="each slope must reach 1/2 - epsilon")
+    estimate.add_argument("--out", default=None)
     estimate.add_argument("--ladder", type=int, help="ratios 2^-1 .. 2^-ladder (<= L, default L)")
     estimate.add_argument("--branch", choices=("h", "g", "both"), default="both")
     estimate.add_argument("--plot", action="store_true", help="emit a PNG of the ratio ladder")
@@ -58,22 +71,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _common_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--resolution", type=int, default=6)
-    cmd.add_argument("--trials", type=int, default=10)
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--p", type=float, default=None)
-    cmd.add_argument("--q", type=float, default=None)
-    cmd.add_argument("--p1", type=float, default=None)
-    cmd.add_argument("--epsilon", type=float, default=0.1)
-    cmd.add_argument("--family-size", type=int, default=4)
-    cmd.add_argument("--out", default=None)
+def _invalid(problem: str) -> int:
+    print(f"invalid configuration: {problem}", file=sys.stderr)
+    return 2
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    # estimate-22 validates as the carleson theorem, whose bound it checks
     return ExperimentConfig(
-        theorem=getattr(args, "theorem", "carleson"),
+        theorem=args.theorem,
         resolution=args.resolution,
         trials=args.trials,
         seed=args.seed,
@@ -108,6 +113,40 @@ def _plot_ladder(report: dict, out_dir: Path) -> None:
     plt.close(fig)
 
 
+def _estimate22(args) -> int:
+    ladder = args.resolution if args.ladder is None else args.ladder
+    if not 0 <= args.resolution <= MAX_RESOLUTION:
+        return _invalid(f"resolution must satisfy 0 <= L <= {MAX_RESOLUTION}, got {args.resolution}")
+    if not 2 <= ladder <= args.resolution:
+        return _invalid(
+            f"the ladder needs at least 2 ratios to fit a slope, got {ladder}, and at most "
+            f"the resolution {args.resolution}, since a ratio below 2^-L draws no cell"
+        )
+
+    from .carleson import norm_decay_ladder
+    from .io import open_new
+
+    ratios = [2.0**-i for i in range(1, ladder + 1)]
+    branches = ("h", "g") if args.branch == "both" else (args.branch,)
+    report = {}
+    ok = True
+    for branch in branches:
+        decay = norm_decay_ladder(args.resolution, ratios, seed=args.seed, branch=branch)
+        report[branch] = decay.to_dict()
+        ok = ok and decay.slope >= 0.5 - args.epsilon and decay.extra["unconverged"] == 0
+    print(json.dumps(report, sort_keys=True, indent=2))
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open_new(out_dir / "report.json") as fh:
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        if args.plot:
+            _plot_ladder(report, out_dir)
+    elif args.plot:
+        _plot_ladder(report, Path("."))
+    return 0 if ok else 1
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
@@ -127,54 +166,13 @@ def main(argv=None) -> int:
         print(json.dumps(summary, sort_keys=True))
         return 0
 
+    if args.command == "estimate-22":
+        return _estimate22(args)
     config = _config_from_args(args)
-    ladder = args.resolution if getattr(args, "ladder", None) is None else args.ladder
     try:
         config.validate()
-        if args.command == "estimate-22" and not 2 <= ladder <= args.resolution:
-            raise ValueError(
-                f"the ladder needs at least 2 ratios to fit a slope, got {ladder}, and at most "
-                f"the resolution {args.resolution}, since a ratio below 2^-L draws no cell"
-            )
     except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "estimate-22":
-        from .carleson import norm_decay_ladder, verify_vector_carleson
-        from .harness import random_vector, trial_generators
-        from .io import open_new
-
-        ratios = [2.0**-i for i in range(1, ladder + 1)]
-        branches = ("h", "g") if args.branch == "both" else (args.branch,)
-        report = {}
-        ok = True
-        for branch in branches:
-            decay = norm_decay_ladder(args.resolution, ratios, seed=args.seed, branch=branch)
-            report[branch] = decay.to_dict()
-            ok = ok and decay.slope >= 0.5 - args.epsilon and decay.extra["unconverged"] == 0
-        gens, _ = trial_generators(args.seed, 1)
-        fam = random_vector(gens[0], args.resolution, args.family_size)
-        thm71 = verify_vector_carleson(fam, None, config.p)
-        for branch in branches:
-            report[branch]["thm71"] = {
-                "lhs": thm71.lhs,
-                "rhs": thm71.rhs,
-                "ratio": thm71.ratio,
-            }
-        ok = ok and math.isfinite(thm71.ratio)
-        print(json.dumps(report, sort_keys=True, indent=2))
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with open_new(out_dir / "report.json") as fh:
-                fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-            if args.plot:
-                _plot_ladder(report, out_dir)
-        elif args.plot:
-            _plot_ladder(report, Path("."))
-        return 0 if ok else 1
-
+        return _invalid(str(exc))
     _, report, ok = run(config)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0 if ok else 1

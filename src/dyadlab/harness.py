@@ -29,18 +29,6 @@ from .walsh import walsh_synthesis
 if TYPE_CHECKING:
     from .principle import OperatorFamily
 
-# the exponents (p, q) each theorem runs at when none are given; estimate-22
-# runs at carleson's
-DEFAULT_EXPONENTS = {
-    "fs": (3.0, 2.5),
-    "biparam": (3.0, 2.5),
-    "cordoba": (2.0, 2.5),
-    "cordoba-weighted": (2.0, 2.5),
-    "carleson": (3.0, 2.5),
-    "principle": (1.5, 2.0),
-}
-THEOREMS = tuple(DEFAULT_EXPONENTS)
-
 # bumped whenever any CSV column layout changes; recorded in every manifest
 CSV_SCHEMA = 1
 
@@ -54,21 +42,28 @@ class ExperimentConfig:
     family_size: int = 4
     p: float | None = None
     q: float | None = None
-    eps: float = 0.1
+    eps: float | None = None
     p1: float | None = None
     out: str | None = None
 
     def __post_init__(self):
-        # an exponent left out is the theorem's default, so the manifest
-        # records numbers; an unknown theorem keeps None and fails validate
-        p, q = DEFAULT_EXPONENTS.get(self.theorem, (None, None))
-        self.p = p if self.p is None else self.p
-        self.q = q if self.q is None else self.q
+        # a parameter the theorem reads and that is left out takes its
+        # default, so the manifest records numbers; one it does not read
+        # stays None, and validate rejects it when given
+        _, defaults = THEOREMS.get(self.theorem, (None, {}))
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
+        if "p1" in defaults and self.p1 is None:
+            self.p1 = 2.0 * self.q - self.p
 
     def validate(self) -> None:
         """Total validation; every rejection names the violated range."""
         if self.theorem not in THEOREMS:
-            raise ValueError(f"theorem must be one of {THEOREMS}, got {self.theorem!r}")
+            raise ValueError(f"theorem must be one of {tuple(THEOREMS)}, got {self.theorem!r}")
+        for name, flag in (("q", "--q"), ("p1", "--p1"), ("eps", "--epsilon")):
+            if name not in THEOREMS[self.theorem][1] and getattr(self, name) is not None:
+                raise ValueError(f"{self.theorem} reads no {flag}")
         if not 0 <= self.resolution <= MAX_RESOLUTION:
             raise ValueError(
                 f"resolution must satisfy 0 <= L <= {MAX_RESOLUTION}, got {self.resolution}"
@@ -100,12 +95,10 @@ class ExperimentConfig:
             raise ValueError(f"cordoba-weighted needs 1 < p < inf, got p={self.p}")
         if self.theorem == "carleson" and not 1 < self.p < math.inf:
             raise ValueError(f"carleson needs 1 < p < inf, got p={self.p}")
-        if self.theorem == "principle":
-            p1 = self.p1 if self.p1 is not None else 2.0 * self.q - self.p
-            if not 1 < self.p < self.q < p1 < math.inf:
-                raise ValueError(
-                    f"principle needs 1 < p0 < q < p1, got p0={self.p}, q={self.q}, p1={p1}"
-                )
+        if self.theorem == "principle" and not 1 < self.p < self.q < self.p1 < math.inf:
+            raise ValueError(
+                f"principle needs 1 < p0 < q < p1, got p0={self.p}, q={self.q}, p1={self.p1}"
+            )
 
 
 @dataclass
@@ -376,8 +369,7 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
         vector_inequality_ratio,
     )
 
-    p0 = config.p
-    p1 = config.p1 if config.p1 is not None else 2.0 * config.q - config.p
+    p0, p1 = config.p, config.p1
     setup = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed + 10**6)))
     family, _ = maximal_operator_family(setup, config.resolution, config.family_size)
     h = random_grid_set(setup, config.resolution)
@@ -426,13 +418,15 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
     return report, ratios, ok
 
 
-RUNNERS = {
-    "fs": run_fs,
-    "biparam": run_biparam,
-    "cordoba": run_cordoba,
-    "cordoba-weighted": run_cordoba_weighted,
-    "carleson": run_carleson,
-    "principle": run_principle,
+# each theorem's runner and the default of every parameter the runner
+# reads; principle's p1 defaults to 2q - p
+THEOREMS = {
+    "fs": (run_fs, {"p": 3.0}),
+    "biparam": (run_biparam, {"p": 3.0, "eps": 0.1}),
+    "cordoba": (run_cordoba, {"p": 2.0, "q": 2.5}),
+    "cordoba-weighted": (run_cordoba_weighted, {"p": 2.0}),
+    "carleson": (run_carleson, {"p": 3.0}),
+    "principle": (run_principle, {"p": 1.5, "q": 2.0, "p1": None}),
 }
 
 
@@ -444,7 +438,7 @@ def run(config: ExperimentConfig) -> tuple[RunManifest, dict, bool]:
     config.validate()
     gens, keys = trial_generators(config.seed, config.trials)
     start = time.perf_counter()
-    fields, ratios, ok = RUNNERS[config.theorem](config, gens)
+    fields, ratios, ok = THEOREMS[config.theorem][0](config, gens)
     elapsed = time.perf_counter() - start
     report = {
         "theorem": config.theorem,

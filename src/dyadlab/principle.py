@@ -279,6 +279,13 @@ def _lanczos_stack(family, out_mask, in_mask, members, seeds, tol, max_steps, ve
         np.subtract(image, np.multiply(last, coef.reshape(slab), out=last), out=last)
         return _row_norms(last)
 
+    def scale(stack, norms):
+        """stack /= norms by row, in place, on a contiguous complex stack: as
+        numpy's complex division by a real, each part times 1 / norm (bar
+        the sign of a zero part, which no norm or modulus reads)."""
+        rows = stack.view(np.float64).reshape(len(stack), -1)
+        np.multiply(rows, (1.0 / norms)[:, None], out=rows)
+
     for k in range(1, max_steps + 1):
         if k > 1:
             beta = extend(family.adjoint(members, u * out_mask) * in_mask, alpha, v)
@@ -289,7 +296,7 @@ def _lanczos_stack(family, out_mask, in_mask, members, seeds, tol, max_steps, ve
                 v, u, alpha, beta, ritz, lam, place = leave(stopped, v, u, alpha, beta, ritz, lam, place)
                 if not members:
                     break
-            np.divide(v, beta.reshape(slab), out=v)
+            scale(v, beta)
         if k > ritz.shape[1]:
             grow = min(k - 1, max_steps - k + 1)
             ritz = np.pad(ritz, ((0, 0), (0, grow), (0, grow)))
@@ -316,7 +323,7 @@ def _lanczos_stack(family, out_mask, in_mask, members, seeds, tol, max_steps, ve
             v, u, alpha, ritz, lam, place = leave(stopped, v, u, alpha, ritz, lam, place)
             if not members:
                 break
-        np.divide(u, alpha.reshape(slab), out=u)
+        scale(u, alpha)
     stop(range(len(members)), max_steps, False)
     return [done[i] for i in sorted(done)]
 

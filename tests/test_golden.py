@@ -257,6 +257,27 @@ def test_golden_report(name):
     assert produce(name) == golden_path(name).read_text()
 
 
+# the Thm 7.1 ratio that the estimate-22 goldens carried in a `thm71` block,
+# per (resolution, seed) of their configurations: estimate-22 measured it on
+# the family of `verify carleson --trials 1`, which now alone reports it
+THM71_RATIOS = {
+    (5, 3): 1.3637216544799298,
+    (6, 1): 1.3462335099106169,
+    (7, 1): 1.3940421031015295,
+    (8, 1): 1.4356435663025915,
+    (10, 1): 1.4841150294711973,
+}
+
+
+@pytest.mark.parametrize("resolution, seed", THM71_RATIOS)
+def test_verify_carleson_measures_the_estimate22_thm71_ratio(resolution, seed):
+    recorded = _recorded_with().get("estimate-22")
+    if recorded != np.__version__:
+        pytest.skip(f"ratios recorded with numpy {recorded}, installed numpy is {np.__version__}")
+    argv = ["verify", "carleson", "--resolution", str(resolution), "--trials", "1", "--seed", str(seed)]
+    assert json.loads(_cli_report(argv))["max_ratio"] == THM71_RATIOS[resolution, seed]
+
+
 def record(names: list[str]) -> None:
     GOLDEN.mkdir(exist_ok=True)
     versions = _recorded_with()

@@ -14,7 +14,6 @@ from dyadlab import io as io_module
 from dyadlab.cli import _config_from_args, build_parser, main
 from dyadlab.grid import MAX_RESOLUTION, Grid2D, GridSet, GridSignal
 from dyadlab.harness import (
-    DEFAULT_EXPONENTS,
     THEOREMS,
     ExperimentConfig,
     run,
@@ -197,18 +196,19 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_library_defaults_are_the_cli_defaults(self, theorem):
-        """A config with no exponents takes its theorem's defaults, which
-        validate, are numbers in the manifest and are the CLI's, as is
-        estimate-22's carleson config."""
+        """A config with no parameters takes the defaults of those its
+        theorem reads, which validate, are numbers in the manifest and are
+        the CLI's; every parameter the theorem does not read stays None."""
         config = ExperimentConfig(theorem)
         config.validate()
-        assert (config.p, config.q) == DEFAULT_EXPONENTS[theorem]
-        assert asdict(config)["p"] == config.p and asdict(config)["q"] == config.q
+        _, defaults = THEOREMS[theorem]
+        expected = {name: None for name in ("q", "eps", "p1")} | defaults
+        if theorem == "principle":
+            expected["p1"] = 2.0 * expected["q"] - expected["p"]
+        assert {name: asdict(config)[name] for name in expected} == expected
         assert _config_from_args(build_parser().parse_args(["verify", theorem])) == config
-        if theorem == "carleson":
-            assert _config_from_args(build_parser().parse_args(["estimate-22"])) == config
-        explicit = ExperimentConfig(theorem, p=4.0, q=3.0)
-        assert (explicit.p, explicit.q) == (4.0, 3.0)
+        explicit = ExperimentConfig(theorem, p=4.0)
+        assert explicit.p == 4.0 and explicit.q == expected["q"]
 
     def test_fs_exponent(self):
         with pytest.raises(ValueError, match="1 < p < inf"):
@@ -787,13 +787,14 @@ class TestCLI:
         assert f"cordoba needs |1 - 2/q| < 1/p, got q={float(q)}, p=2.0" in err
 
     def test_cordoba_weighted_ignores_q(self, tmp_path, capsys):
-        # the runner works at q = 2p/(p-1) whatever --q says, so the default
-        # q = 2.5 must not reject p = 10
+        # the runner works at q = 2p/(p-1) and reads no --q, so no default q
+        # may reject p = 10, and the manifest records none
         out = tmp_path / "cw"
         args = ["verify", "cordoba-weighted", "--p", "10", "--trials", "1", "--resolution", "3"]
         assert main([*args, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["q"] == 2.0 * 10.0 / 9.0
+        assert json.loads((out / "manifest.json").read_text())["config"]["q"] is None
         assert main(["verify", "cordoba-weighted", "--p", "1.0"]) == 2
         assert "cordoba-weighted needs 1 < p < inf, got p=1.0" in capsys.readouterr().err
 
@@ -808,8 +809,8 @@ class TestCLI:
             (["--resolution", "13"], "resolution must satisfy 0 <= L <= 12, got 13"),
             (["--ladder", "0"], "at least 2 ratios to fit a slope, got 0"),
             (["--ladder", "1"], "at least 2 ratios to fit a slope, got 1"),
-            (["--family-size", "0"], "family size must be at least 1, got 0"),
-            (["--p", "0.5"], "1 < p < inf, got p=0.5"),
+            (["--resolution", "-1"], "resolution must satisfy 0 <= L <= 12, got -1"),
+            (["--ladder", "-1"], "at least 2 ratios to fit a slope, got -1"),
             # the small set at ratio 2^-ladder must hold at least one cell
             (["--resolution", "0"], "got 2, and at most the resolution 0"),
             (["--resolution", "4", "--ladder", "5"], "got 5, and at most the resolution 4"),
@@ -915,13 +916,57 @@ class TestCLI:
         header = "n,m,tree,top_scale,top_offset,top_freq,members,count_ratio"
         assert out.read_text().splitlines() == [header, *forest]
 
-    def test_estimate22_reports_thm71_per_branch(self, capsys):
+    @pytest.mark.parametrize("flag", ["--trials", "--p", "--q", "--p1", "--family-size"])
+    def test_estimate22_rejects_verify_flags(self, flag, tmp_path, capsys):
+        # the ladder reads none of them; they set the Thm 7.1 run, which is
+        # verify carleson's
+        out = tmp_path / "est"
+        with pytest.raises(SystemExit) as raised:
+            main(["estimate-22", "--resolution", "3", "--ladder", "2", flag, "3", "--out", str(out)])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} 3" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_estimate22_reports_the_ladder_per_branch(self, capsys):
         code = main(["estimate-22", "--resolution", "4", "--ladder", "2", "--seed", "1"])
         report = json.loads(capsys.readouterr().out)
         assert code in (0, 1)
         assert set(report) == {"h", "g"}
-        for branch in report.values():
-            assert set(branch["thm71"]) == {"lhs", "rhs", "ratio"}
+        for name, branch in report.items():
+            assert set(branch) == {"branch", "intercept", "ratio_ladder", "resolution", "slope", "unconverged"}
+            assert branch["branch"] == name and len(branch["ratio_ladder"]) == 2
+
+    # the flags besides --p that each theorem reads
+    READS = {
+        "fs": (),
+        "biparam": ("--epsilon",),
+        "cordoba": ("--q",),
+        "cordoba-weighted": (),
+        "carleson": (),
+        "principle": ("--q", "--p1"),
+    }
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    @pytest.mark.parametrize("flag, value", [("--q", "2.2"), ("--p1", "3"), ("--epsilon", "0.45")])
+    def test_verify_takes_only_the_flags_it_reads(self, theorem, flag, value, tmp_path, capsys):
+        """A flag the theorem reads runs and is recorded; one it does not
+        read exits 2, names the flag and writes nothing. The manifest
+        records None for every parameter the theorem does not read."""
+        out = tmp_path / "out"
+        argv = ["verify", theorem, "--resolution", "3", "--trials", "1", flag, value, "--out", str(out)]
+        names = {"--q": "q", "--p1": "p1", "--epsilon": "eps"}
+        if flag not in self.READS[theorem]:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"invalid configuration: {theorem} reads no {flag}\n"
+            assert captured.out == "" and not out.exists()
+            return
+        assert main(argv) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config[names[flag]] == float(value)
+        unread = [name for other, name in names.items() if other not in self.READS[theorem]]
+        assert unread and all(config[name] is None for name in unread)
 
     def test_estimate22_fails_on_unconverged_runs(self, monkeypatch, capsys):
         # the golden configuration exits 0; on the Krylov engine (which
