@@ -14,7 +14,6 @@ from .grid import (
     interval_cutoff,
     lp_norm,
     measure,
-    vector_lq_norm,
 )
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "interval_cutoff",
     "lp_norm",
     "measure",
-    "vector_lq_norm",
     "__version__",
 ]

@@ -23,7 +23,6 @@ from .grid import (
     cell_width,
     measure,
     stack_slices,
-    vector_lq_norm,
 )
 from .maximal import exceptional_complement
 from .principle import OperatorFamily, TopSingularResult, top_singular
@@ -36,6 +35,7 @@ from .tiles import (
     lower_coefficients,
     member_weights,
     model_sum,
+    packet_heights,
     tree_sum,
     upper_cells,
 )
@@ -115,8 +115,8 @@ def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choi
     for the member P whose upper tile holds N(x), when P is in the
     collection and y lies in its interval, m being P's frequency index and
     each W read on the interval's 2**(L-k) cells.  So every entry is a sum
-    of at most L distinct signed powers of two, exact in float64, where a
-    model-sum plan rounds the product of its two factors 2**(k/2)."""
+    of at most L distinct signed powers of two, exact in float64, and a
+    model-sum plan on the unit vectors gives it byte for byte."""
     L = collection.resolution
     if any(choice.resolution != L for choice in choices):
         raise ValueError("resolution mismatch")
@@ -257,15 +257,12 @@ def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -
         raise ValueError("resolution mismatch")
     n, members = 1 << L, len(f)
     scales = np.flatnonzero(collection.occupied.any(axis=1))
-    # the scalar pow of each height, which numpy's vector power (SIMD on
-    # some CPUs) need not round the same
-    heights = np.array([2.0 ** (k / 2.0) for k in scales.tolist()])
     # row i holds scale k = scales[i], each member's 2**(k+1) blocks of
     # 2**(L-k-1) coefficients in turn: its 2**k blocks, then their negatives
     half = n >> 1
     signed = np.empty((scales.size, members, 2 * half), dtype=np.complex128)
     coefs = signed[:, :, :half]
-    weights = heights[:, None] * collection.occupied[scales]
+    weights = packet_heights(L)[scales, None] * collection.occupied[scales]
     np.multiply(lower_coefficients(f.stack, L)[:, scales].transpose(1, 0, 2), weights[:, None], coefs)
     np.negative(coefs, signed[:, :, half:])
     shifts = (L - scales)[:, None]
@@ -548,5 +545,5 @@ def verify_vector_carleson(
         ]
     )
     lhs = bundle_norm(stack, p, L)
-    rhs = vector_lq_norm(fams, p)
+    rhs = bundle_norm(fams.stack, p, fams.resolution)
     return RatioReport.from_sides(lhs, rhs, p=p, family_size=len(fams))

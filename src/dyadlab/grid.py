@@ -289,11 +289,6 @@ def bundle_norm(stack, q: float, resolution: int) -> float:
     return lp_norm(np.sqrt(np.sum(np.abs(stack) ** 2, axis=0)), q, resolution)
 
 
-def vector_lq_norm(fam: VectorSignal, q: float) -> float:
-    """L^q norm of the pointwise l2 bundle (squares inside)."""
-    return bundle_norm(fam.stack, q, fam.resolution)
-
-
 def interval_cutoff(interval: DyadicInterval, x, power: float = 1.0):
     """(1 + ((x - c(I)) / |I|)**2)**(-power/2); even about c(I), peak 1."""
     x = np.asarray(x, dtype=float)

@@ -328,7 +328,7 @@ def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[flo
     from .directional import DirectionalAverager, DirectionSet, verify_weighted_directional
 
     averager = DirectionalAverager(config.resolution, DirectionSet.uniform(8))
-    ratios = []
+    ratios, weights = [], []
     ok = True
     for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
@@ -336,10 +336,12 @@ def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[flo
         ratios.append(rep.ratio)
         certs = rep.extra["weight"]
         ok = ok and certs["norm_ok"] and certs["recursion_ok"] and math.isfinite(rep.ratio)
+        weights.append({key: certs[key] for key in ("terms", "tail_bound", "excess")})
     report = {
         "p": config.p,
         "q": 2.0 * config.p / (config.p - 1.0),
         "family_size": config.family_size,
+        "weights": weights,
     }
     return report, ratios, ok
 

@@ -23,7 +23,6 @@ from .grid import (
     check_resolution,
     lp_norm,
     measure,
-    vector_lq_norm,
 )
 from .reports import BucketStat, RatioReport
 
@@ -335,5 +334,5 @@ def verify_vector_maximal(fam: VectorSignal, p: float) -> RatioReport:
         [dyadic_maximal(fam.member(j)).values.real for j in range(len(fam))]
     )
     lhs = bundle_norm(maximal_stack, p, fam.resolution)
-    rhs = vector_lq_norm(fam, p)
+    rhs = bundle_norm(fam.stack, p, fam.resolution)
     return RatioReport.from_sides(lhs, rhs, family_size=len(fam), p=p)

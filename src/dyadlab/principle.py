@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridSet, VectorSignal, bundle_norm, measure, stack_slices, vector_lq_norm
+from .grid import GridSet, VectorSignal, bundle_norm, measure, stack_slices
 from .maximal import exceptional_complement
 from .reports import LevelStat, PrincipleReport, RatioReport
 
@@ -481,5 +481,5 @@ def vector_inequality_ratio(family: OperatorFamily, fams: VectorSignal, q: float
         raise ValueError("the operator family is empty")
     stack = family.apply([j % len(family) for j in range(len(fams))], fams.stack)
     lhs = bundle_norm(stack, q, fams.resolution)
-    rhs = vector_lq_norm(fams, q)
+    rhs = bundle_norm(fams.stack, q, fams.resolution)
     return RatioReport.from_sides(lhs, rhs, q=q, family_size=len(fams))

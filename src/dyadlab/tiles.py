@@ -285,6 +285,17 @@ class ChoiceFunction:
 # packets and transforms
 
 
+@functools.cache
+def packet_heights(resolution: int) -> np.ndarray:
+    """2**(k/2), the height of a packet of scale k, for k = 0, ...,
+    resolution, read-only. Each is Python's scalar pow, which numpy's
+    vector power (SIMD on some CPUs) need not round the same, so every
+    packet, coefficient and weight scales by the same bytes on any host."""
+    heights = np.array([2.0 ** (k / 2.0) for k in range(resolution + 1)])
+    heights.setflags(write=False)
+    return heights
+
+
 def walsh_packet(tile: Tile, resolution: int) -> GridSignal:
     """L2-normalized Walsh wave packet of the tile: supported on the spatial
     interval, Walsh spectrum exactly the frequency interval, norm one."""
@@ -293,8 +304,7 @@ def walsh_packet(tile: Tile, resolution: int) -> GridSignal:
     L = resolution
     k = tile.scale
     values = np.zeros(1 << L, dtype=np.complex128)
-    block = walsh_values(tile.freq_index, L - k) * 2.0 ** (k / 2.0)
-    values[tile.spatial.cell_slice(L)] = block
+    values[tile.spatial.cell_slice(L)] = walsh_values(tile.freq_index, L - k) * packet_heights(L)[k]
     return GridSignal(L, values)
 
 
@@ -306,7 +316,7 @@ def _lower_layout(resolution: int):
     order, _, active, final = butterfly_layout(tuple(range(L - 1, -1, -1)), (1 << L) >> 1)
     perm = block_gathers(L).ravel()
     even, odd = perm[0::2][order], perm[1::2][order]
-    norm = np.array([2.0 ** (k / 2.0) * cell_width(L) for k in range(L)])[:, None]
+    norm = (packet_heights(L)[:L] * cell_width(L))[:, None]
     for a in (even, odd, norm):
         a.setflags(write=False)
     return even, odd, active, final, norm
@@ -403,8 +413,11 @@ class ModelSumPlan:
     plan's entries are the (member, scale) pairs with such a cell, by
     member, then scale. Its terms come by member, then scale, then cell,
     each with its entry, its cell, the flat index n * 2**(L-k-1) + m of the
-    lower-tile coefficient in the scale's row of half blocks, the
-    normalization and the upper value 2**(k/2) W(x).
+    lower-tile coefficient in the scale's row of half blocks, and the
+    factor W(x) 2**(k-L) that apply and adjoint share: both packet heights
+    2**(k/2) and the cell width in one exact power of two, the factor of
+    `carleson.restricted_matrices`' entries, which the plan gives byte for
+    byte on unit vectors.
 
     The layout gives each entry one row of a stack of packet-coefficient
     blocks, shaped (2**k, 2**(L-k)) and flattened, by ascending scale, then
@@ -432,19 +445,16 @@ class ModelSumPlan:
         member, scale, cell, slot, sign = upper_cells(choices)
         present = collection.occupied.ravel()[slot]
         member, scale, cell, slot, sign = (a[present] for a in (member, scale, cell, slot, sign))
-        factors = np.array([2.0 ** (k / 2.0) for k in range(L)], dtype=np.float64)
         self.resolution = L
         self._count = len(choices)
         # the terms of each (member, scale); the nonzero ones are the entries
         counts = np.bincount(member * L + scale, minlength=self._count * L).reshape(self._count, L)
         self._entry_member, self._entry_scale = np.nonzero(counts)
-        self._entry_factor = factors[self._entry_scale]
         self._term_entry = np.searchsorted(self._entry_member * L + self._entry_scale, member * L + scale)
         self._cell = cell
         # a slot's place in its scale's row of 2**(L-1), n 2**(L-k-1) + m
         self._index = slot & (half - 1)
-        self._norm = (factors * cell_width(L))[scale]
-        self._upper = factors[scale] * sign
+        self._term_factor = np.ldexp(sign, scale - L)
 
         # the layout, over the entries
         member, scale = self._entry_member, self._entry_scale
@@ -466,17 +476,15 @@ class ModelSumPlan:
         self._stages = butterfly_views(buffers, active)
         # the adjoint's part j of member i is its j-th scale's row, through
         # the same gather; a member with fewer scales reads the zero just
-        # past the buffers instead (with a factor 0). Adding +0 changes no
-        # value but -0, and a sum that starts at +0 never becomes -0, so
-        # the padding leaves every sum unchanged bit for bit. Indices are
-        # those of the in-place stack until the end, with `size` for the zero
+        # past the buffers instead. Adding +0 changes no value but -0, and a
+        # sum that starts at +0 never becomes -0, so the padding leaves every
+        # sum unchanged bit for bit. Indices are those of the in-place stack
+        # until the end, with `size` for the zero
         part = np.arange(member.size) - np.searchsorted(member, member)
         gather = np.full((int(part.max(initial=-1)) + 1, self._count, n), size)
         # full-length position p of a block reads half position p >> 1
         gather[part, member] = row_of[:, None] * half + (gathers[scale] >> 1)
         self._gather = np.append(final, 2 * size)[gather]
-        self._factor = np.zeros(gather.shape[:2] + (1,))
-        self._factor[part, member, 0] = self._entry_factor
         self._hit = member[self._term_entry] * n + self._cell
         coef = row_of[self._term_entry] * half + self._index
         self._coef_final = final[coef]
@@ -520,13 +528,12 @@ class ModelSumPlan:
         # and its sums are the half spectrum's input
         np.add(flat[self._even], flat[self._odd], self._start)
         butterfly_stages(self._stages)
-        coef = self._work[self._coef_final] * self._norm
-        terms = coef * self._upper
+        terms = self._work[self._coef_final] * self._term_factor
         out = np.bincount(self._hit_parts, terms.view(np.float64), minlength=2 * f.size)
         return out.view(np.complex128).reshape(f.shape)
 
     def _adjoint(self, g: np.ndarray) -> np.ndarray:
-        terms = g.ravel()[self._hit] * self._upper * cell_width(self.resolution)
+        terms = g.ravel()[self._hit] * self._term_factor
         start = self._start.view(np.float64)
         start[:] = np.bincount(self._coef_start_parts, terms.view(np.float64), minlength=start.size)
         # the full transform would hold each coefficient c at an even
@@ -534,12 +541,12 @@ class ModelSumPlan:
         # to (c + 0, c - 0) = (c, c) exactly: x + 0 equals x for every x but
         # -0, and a bincount sum starts at +0 and never returns -0. Both
         # halves then run the same stages, so the full transform's entry p
-        # is the half transform's entry p >> 1
+        # is the half transform's entry p >> 1. A power of two scales the
+        # terms as exactly before the stages' sums as after them
         butterfly_stages(self._stages)
-        parts = self._work[self._gather] * self._factor
         # the reduce over the outer axis adds the parts one after another,
         # in ascending scale order, onto +0
-        return np.add.reduce(parts, axis=0, initial=0.0)
+        return np.add.reduce(self._work[self._gather], axis=0, initial=0.0)
 
 
 def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:
@@ -953,8 +960,7 @@ def member_weights(collection: TileCollection, f: GridSignal, per_slot: np.ndarr
     scale, offset, freq, coef = _coefficients(collection, f)
     slots = tile_slot(L, scale, offset, freq)
     out = np.zeros(collection.occupied.size)
-    heights = np.array([2.0 ** (k / 2.0) for k in range(L)], dtype=np.float64)
-    out[slots] = np.abs(coef) * heights[scale] * per_slot[slots]
+    out[slots] = np.abs(coef) * packet_heights(L)[scale] * per_slot[slots]
     return out
 
 

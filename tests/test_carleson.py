@@ -60,7 +60,7 @@ from test_principle import (
     one_member_run,
     rowwise,
 )
-from test_tiles import packet_coefficients
+from test_tiles import packet_coefficients, same_bits
 
 
 def old_restricted_pair(op: RestrictedOp):
@@ -1211,9 +1211,9 @@ class TestDenseNorms:
 
     @pytest.mark.parametrize("resolution", range(0, carleson.DENSE_RESOLUTION + 1))
     def test_matrices_and_norms_meet_the_plan(self, resolution):
-        # each matrix is the plan's apply written out, the norm its first
-        # singular value (0, with no vector, for an empty set), and a
-        # stacked call gives each one-choice call
+        # each matrix is the plan's apply written out, byte for byte, the
+        # norm its first singular value (0, with no vector, for an empty
+        # set), and a stacked call gives each one-choice call
         rng = np.random.default_rng(900 + resolution)
         n = 1 << resolution
         cases, sets = dense_cases(rng, resolution)
@@ -1226,7 +1226,7 @@ class TestDenseNorms:
                 stacked = restricted_norm(a, b, collection, choices, [0] * len(choices))
                 for matrix, plan, res, choice in zip(matrices, plans, stacked, choices, strict=True):
                     expected = plan[a.mask][:, b.mask]
-                    assert np.all(np.abs(matrix - expected) <= 1e-15)
+                    assert same_bits(expected, matrix.astype(np.complex128))
                     top = np.linalg.svd(expected, compute_uv=False)[:1].max(initial=0.0)
                     assert abs(res.norm - top) <= 1e-12 * top
                     assert (res.steps, res.converged) == (0, True)
@@ -1238,6 +1238,48 @@ class TestDenseNorms:
                     assert (alone.top_vector is None) == (res.top_vector is None)
                     if res.top_vector is not None:
                         assert np.array_equal(alone.top_vector, res.top_vector)
+
+    @pytest.mark.parametrize("resolution", range(0, carleson.DENSE_RESOLUTION + 1))
+    def test_stacked_plan_on_unit_vectors_gives_the_matrices(self, resolution):
+        # the plan and the written-out operators share one factor W(x)
+        # 2**(k-L) per term, so a stacked plan's apply on the unit vectors,
+        # and its adjoint transposed, give every matrix byte for byte
+        rng = np.random.default_rng(930 + resolution)
+        L, n = resolution, 1 << resolution
+        units = np.eye(n, dtype=np.complex128)
+        full = GridSet.full(L)
+        for collection in (TileCollection.all(L), random_convex_collection(rng, L) if L else TileCollection.all(L)):
+            for members in range(1, 5):
+                choices = [random_choice(rng, L) for _ in range(members)]
+                plan = ModelSumPlan(choices, collection)
+                # [i, x, y]: column y is the apply of unit y, row x the
+                # adjoint of unit x
+                forward = np.stack([plan.apply(np.tile(e, (members, 1))) for e in units], axis=2)
+                backward = np.stack([plan.adjoint(np.tile(e, (members, 1))) for e in units], axis=1)
+                for a, b in ((GridSet(L, rng.random(n) < 0.6), GridSet(L, rng.random(n) < 0.6)), (full, full)):
+                    expected = restricted_matrices(a, b, collection, choices).astype(np.complex128)
+                    for dense in (forward, backward):
+                        assert same_bits(dense[:, a.mask][:, :, b.mask], expected)
+
+    @pytest.mark.parametrize("resolution", range(1, 11))
+    def test_plan_is_exact_on_integers(self, resolution):
+        # the written-out operators times 2**L are integer matrices, and
+        # on integer inputs the plan's apply and adjoint times 2**L are
+        # their exact integer products, above the dense cutoff too
+        rng = np.random.default_rng(960 + resolution)
+        L, n = resolution, 1 << resolution
+        full = GridSet.full(L)
+        for collection in (TileCollection.all(L), random_convex_collection(rng, L)):
+            choices = [random_choice(rng, L), random_choice(rng, L), ChoiceFunction.constant(L, n - 1)]
+            scaled = np.ldexp(restricted_matrices(full, full, collection, choices), L)
+            matrices = scaled.astype(np.int64)
+            assert np.array_equal(matrices, scaled)
+            plan = ModelSumPlan(choices, collection)
+            f = rng.integers(-64, 65, size=(len(choices), n))
+            forward = np.einsum("ixy,iy->ix", matrices, f)
+            backward = np.einsum("ixy,ix->iy", matrices, f)
+            assert same_bits(plan.apply(f) * 2.0**L, forward.astype(np.complex128))
+            assert same_bits(plan.adjoint(f) * 2.0**L, backward.astype(np.complex128))
 
     @pytest.mark.parametrize("resolution", [2, 5, carleson.DENSE_RESOLUTION])
     def test_top_vector_attains_the_norm(self, resolution):

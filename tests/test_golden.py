@@ -262,10 +262,10 @@ def test_golden_report(name):
 # the family of `verify carleson --trials 1`, which now alone reports it
 THM71_RATIOS = {
     (5, 3): 1.3637216544799298,
-    (6, 1): 1.3462335099106169,
+    (6, 1): 1.3462335099106166,
     (7, 1): 1.3940421031015295,
-    (8, 1): 1.4356435663025915,
-    (10, 1): 1.4841150294711973,
+    (8, 1): 1.4356435663025913,
+    (10, 1): 1.4841150294711971,
 }
 
 

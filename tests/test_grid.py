@@ -18,7 +18,6 @@ from dyadlab.grid import (
     interval_cutoff,
     lp_norm,
     measure,
-    vector_lq_norm,
 )
 from dyadlab.maximal import ScaleChoice
 from dyadlab.tiles import ChoiceFunction
@@ -199,20 +198,20 @@ class TestVectorLqNorm:
         f = GridSignal(4, rng.standard_normal(16))
         fam = VectorSignal.from_signals([f])
         for q in (1.5, 2.0, 3.0):
-            assert abs(vector_lq_norm(fam, q) - lp_norm(f.values, q, f.resolution)) < 1e-12
+            assert abs(bundle_norm(fam.stack, q, fam.resolution) - lp_norm(f.values, q, f.resolution)) < 1e-12
 
     def test_copies_scale_by_sqrt(self):
         rng = np.random.default_rng(1)
         f = GridSignal(4, rng.standard_normal(16))
         fam = VectorSignal.from_signals([f] * 9)
-        assert abs(vector_lq_norm(fam, 2.5) - 3.0 * lp_norm(f.values, 2.5, f.resolution)) < 1e-12
+        assert abs(bundle_norm(fam.stack, 2.5, fam.resolution) - 3.0 * lp_norm(f.values, 2.5, f.resolution)) < 1e-12
 
     def test_disjoint_indicators(self):
         a = GridSignal.indicator(3, DyadicInterval(2, 0))
         b = GridSignal.indicator(3, DyadicInterval(1, 1))
         fam = VectorSignal.from_signals([a, b])
         expected = math.sqrt(0.25 + 0.5)
-        assert abs(vector_lq_norm(fam, 2.0) - expected) < 1e-12
+        assert abs(bundle_norm(fam.stack, 2.0, fam.resolution) - expected) < 1e-12
 
     def test_needs_members(self):
         with pytest.raises(ValueError):

@@ -74,13 +74,6 @@ def packet_coefficients(values: np.ndarray, resolution: int, scale: int) -> np.n
     return walsh_analysis(blocks, axis=1) * (2.0 ** (k / 2.0) * cell_width(L))
 
 
-def packet_synthesis(coeffs: np.ndarray, resolution: int, scale: int) -> np.ndarray:
-    """sum over (n, q) of coeffs[n, q] * packet(scale, n, q), as cell values."""
-    L, k = resolution, scale
-    blocks = walsh_synthesis(np.asarray(coeffs), axis=1) * (2.0 ** (k / 2.0))
-    return blocks.reshape(1 << L)
-
-
 def order_interval(lo: BiTile, hi: BiTile) -> list[BiTile]:
     """All bi-tiles P with lo <= P <= hi (one per intermediate scale)."""
     if not lo <= hi:
@@ -323,25 +316,28 @@ def _oracle_upper_hits(choice: ChoiceFunction, collection: TileCollection):
 
 
 def oracle_model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection):
-    """Reference model sum, evaluated anew on every call."""
+    """Reference model sum, evaluated anew on every call: each term is an
+    unnormalized Walsh coefficient times W(x) 2**(k-L), the two packet
+    heights and the cell width in one exact power of two."""
     L = f.resolution
     out = np.zeros(1 << L, dtype=np.complex128)
     for k, valid, n, m, w in _oracle_upper_hits(choice, collection):
-        coef = packet_coefficients(f.values, L, k)
-        out[valid] += coef[n, 2 * m] * (2.0 ** (k / 2.0)) * w
+        coef = walsh_analysis(f.values.reshape(1 << k, 1 << (L - k)), axis=1)
+        out[valid] += coef[n, 2 * m] * np.ldexp(w, k - L)
     return out
 
 
 def oracle_adjoint_model_sum(g: GridSignal, choice: ChoiceFunction, collection: TileCollection):
-    """Reference adjoint model sum, evaluated anew on every call."""
+    """Reference adjoint model sum, evaluated anew on every call, with the
+    model sum's one factor W(x) 2**(k-L) per term."""
     L = g.resolution
     out = np.zeros(1 << L, dtype=np.complex128)
     for k, valid, n, m, w in _oracle_upper_hits(choice, collection):
         pair = np.zeros((1 << k, 1 << (L - k - 1)), dtype=np.complex128)
-        np.add.at(pair, (n, m), g.values[valid] * (2.0 ** (k / 2.0)) * w * cell_width(L))
+        np.add.at(pair, (n, m), g.values[valid] * np.ldexp(w, k - L))
         coef = np.zeros((1 << k, 1 << (L - k)), dtype=np.complex128)
         coef[:, 0::2] = pair
-        out += packet_synthesis(coef, L, k)
+        out += walsh_synthesis(coef, axis=1).reshape(1 << L)
     return out
 
 
@@ -441,7 +437,8 @@ def plan_cases(rng, resolution):
 
 def oracle_scale_terms(choice: ChoiceFunction, collection: TileCollection):
     """Per scale with a hit, the (scale, hit cells, coefficient indices,
-    upper values) of one member, as the plan built them scale by scale."""
+    factors W(x) 2**(k-L)) of one member, as the plan built them scale by
+    scale."""
     L = collection.resolution
     cells = np.arange(1 << L)
     terms = []
@@ -453,8 +450,8 @@ def oracle_scale_terms(choice: ChoiceFunction, collection: TileCollection):
         if not hit.size:
             continue
         within = (1 << (L - k)) - 1
-        upper = 2.0 ** (k / 2.0) * walsh_values_at(2 * m[hit] + 1, hit & within, L - k)
-        terms.append((k, hit, (n[hit] << (L - k - 1)) + m[hit], upper))
+        factor = np.ldexp(walsh_values_at(2 * m[hit] + 1, hit & within, L - k), k - L)
+        terms.append((k, hit, (n[hit] << (L - k - 1)) + m[hit], factor))
     return tuple(terms)
 
 
@@ -483,18 +480,15 @@ def oracle_layout(resolution: int, members) -> dict[str, np.ndarray]:
     size = order.size
     depth = max(len(terms) for terms in members)
     gather = np.full((depth, len(members), n), size)
-    out = {"_even": perm[0::2][order], "_odd": perm[1::2][order], "_factor": np.zeros((depth, len(members), 1))}
-    hits, coef, norms, uppers = [], [], [], []
+    out = {"_even": perm[0::2][order], "_odd": perm[1::2][order]}
+    hits, coef, factors = [], [], []
     for i, terms in enumerate(members):
-        for j, (k, hit, index, upper) in enumerate(terms):
+        for j, (k, hit, index, factor) in enumerate(terms):
             r = row_of[k, i]
-            factor = 2.0 ** (k / 2.0)
             hits.append(i * n + hit)
             coef.append(r * half + index)
-            norms.append(np.full(hit.size, factor * cell_width(L)))
-            uppers.append(upper)
+            factors.append(factor)
             gather[j, i] = r * half + (oracle_block_gather(L, k) >> 1)
-            out["_factor"][j, i] = factor
     coef = _joined(coef, np.int64)
     hit = _joined(hits, np.int64)
     out.update(
@@ -503,8 +497,7 @@ def oracle_layout(resolution: int, members) -> dict[str, np.ndarray]:
         _coef_start_parts=np.stack([2 * start[coef], 2 * start[coef] + 1], axis=1).ravel(),
         _coef_final=final[coef],
         _gather=np.append(final, 2 * size)[gather],
-        _norm=_joined(norms, np.float64),
-        _upper=_joined(uppers, np.float64),
+        _term_factor=_joined(factors, np.float64),
     )
     return out
 
@@ -514,21 +507,21 @@ def loop_adjoint(plan: ModelSumPlan, g: np.ndarray) -> np.ndarray:
     parts added in a Python loop onto +0, as the plan did before its
     interleaved bincount and its reduce."""
     g, shape = plan._prepare(g)
-    terms = g.ravel()[plan._hit] * plan._upper * cell_width(plan.resolution)
+    terms = g.ravel()[plan._hit] * plan._term_factor
     coef_start = plan._coef_start_parts[0::2] >> 1
     start = plan._start
     start.real = np.bincount(coef_start, terms.real, minlength=start.size)
     start.imag = np.bincount(coef_start, terms.imag, minlength=start.size)
     butterfly_stages(plan._stages)
-    parts = plan._work[plan._gather] * plan._factor
+    parts = plan._work[plan._gather]
     out = np.zeros(g.shape, dtype=np.complex128)
     for part in parts:
         out += part
     return out.reshape(shape)
 
 
-PLAN_ARRAYS = ("_entry_scale", "_entry_member", "_entry_factor", "_term_entry", "_cell", "_index", "_norm", "_upper")
-LAYOUT_ARRAYS = ("_even", "_odd", "_gather", "_factor", "_hit", "_coef_final", "_hit_parts", "_coef_start_parts")
+PLAN_ARRAYS = ("_entry_scale", "_entry_member", "_term_entry", "_cell", "_index", "_term_factor")
+LAYOUT_ARRAYS = ("_even", "_odd", "_gather", "_hit", "_coef_final", "_hit_parts", "_coef_start_parts")
 
 
 def stacked_member_plan(choices, collection) -> ModelSumPlan:
@@ -537,7 +530,6 @@ def stacked_member_plan(choices, collection) -> ModelSumPlan:
     offsets, then laid out by the deferred layout of that time."""
     L, n = collection.resolution, 1 << collection.resolution
     half = n >> 1
-    factors = np.array([2.0 ** (k / 2.0) for k in range(L)], dtype=np.float64)
     members = []
     for choice in choices:
         tile_idx = choice.freqs >> np.arange(L)[:, None]
@@ -552,18 +544,16 @@ def stacked_member_plan(choices, collection) -> ModelSumPlan:
             dict(
                 _entry_scale=entry_scale,
                 _entry_member=np.zeros(entry_scale.size, dtype=np.int64),
-                _entry_factor=factors[entry_scale],
                 _term_entry=np.searchsorted(entry_scale, scale),
                 _cell=cell,
                 _index=slot & (half - 1),
-                _norm=(factors * cell_width(L))[scale],
-                _upper=factors[scale] * sign,
+                _term_factor=np.ldexp(sign, scale - L),
             )
         )
     plan = ModelSumPlan.__new__(ModelSumPlan)
     plan.resolution, plan._count = L, len(members)
     entries = np.cumsum([0] + [m["_entry_scale"].size for m in members])
-    for name in ("_entry_scale", "_entry_factor", "_cell", "_index", "_norm", "_upper"):
+    for name in ("_entry_scale", "_cell", "_index", "_term_factor"):
         setattr(plan, name, np.concatenate([m[name] for m in members]))
     plan._entry_member = np.concatenate([m["_entry_member"] + i for i, m in enumerate(members)])
     plan._term_entry = np.concatenate([m["_term_entry"] + e for m, e in zip(members, entries)])
@@ -585,8 +575,6 @@ def stacked_member_plan(choices, collection) -> ModelSumPlan:
     gather = np.full((int(part.max(initial=-1)) + 1, plan._count, n), size)
     gather[part, member] = row_of[:, None] * half + (gathers[scale] >> 1)
     plan._gather = np.append(final, 2 * size)[gather]
-    plan._factor = np.zeros(gather.shape[:2] + (1,))
-    plan._factor[part, member, 0] = plan._entry_factor
     plan._hit = member[plan._term_entry] * n + plan._cell
     coef = row_of[plan._term_entry] * half + plan._index
     plan._coef_final = final[coef]
@@ -726,6 +714,13 @@ class TestLowerCoefficients:
                 assert got.shape == (members, L, n >> 1)
                 for row, coef in zip(stack, got, strict=True):
                     assert same_bits(coef, lower_coefficients(row, L))
+
+    def test_packet_heights_are_one_cached_scalar_pow_table(self):
+        for resolution in range(0, 13):
+            heights = tiles_module.packet_heights(resolution)
+            assert heights is tiles_module.packet_heights(resolution)
+            assert not heights.flags.writeable
+            assert heights.tolist() == [2.0 ** (k / 2.0) for k in range(resolution + 1)]
 
     def test_reads_any_real_or_complex_input(self):
         values = np.arange(8)
