@@ -385,10 +385,6 @@ def rect_tree_estimate(
 # the lower target exponent of the restricted pairing, interpolated against p
 Q_LOW = 1.5
 
-# step cap of the localized-norm runs
-LOCALIZED_STEPS = 120
-
-
 def _interp_theta(p: float, q: float) -> float:
     """theta solving 1/2 = theta/p + (1-theta)/q."""
     if p == q:
@@ -400,7 +396,7 @@ def verify_biparam(
     fams: list[Grid2D],
     p: float,
     g: GridSet2D,
-    eps: float = 0.1,
+    eps: float,
     seed: int = 0,
     scales: list[int] | None = None,
 ) -> RatioReport:
@@ -413,8 +409,8 @@ def verify_biparam(
     holding a cell with probability 0.4, against both target exponents p and
     `Q_LOW`; the log-convexity interpolation of the measured restricted
     constants; the localized-operator norms against the two-set condition
-    (`top_singular` runs capped at `LOCALIZED_STEPS` steps, with
-    `localized_unconverged` counting those that hit the cap); and the band
+    (`top_singular` runs at the engine's step cap, with
+    `localized_unconverged` counting those that hit it); and the band
     reduction back to the scalar model sum.  H is the whole square and G
     the given set.
     """
@@ -480,7 +476,7 @@ def verify_biparam(
     # closed form
     projects = [functools.partial(_fixed_scale_project, j=j) for j in measured]
     family = OperatorFamily.of(projects, projects)
-    results = top_singular(family, g.mask, h_prime.mask, [seed + j for j in measured], max_steps=LOCALIZED_STEPS)
+    results = top_singular(family, g.mask, h_prime.mask, [seed + j for j in measured])
     norm_constants = [res.norm**2 / ratio ** (1.0 - 2.0 / p) for res in results]
     report.extra["localized_norms"] = [res.norm for res in results]
     report.extra["localized_unconverged"] = sum(not res.converged for res in results)

@@ -24,8 +24,8 @@ from .grid import (
     measure,
     stack_slices,
 )
-from .maximal import exceptional_complement
-from .principle import OperatorFamily, TopSingularResult, top_singular
+from .maximal import CARVING, exceptional_complement
+from .principle import STEP_CAP, OperatorFamily, TopSingularResult, top_singular
 from .reports import BucketStat, DecayReport, LadderPoint, RatioReport, safe_ratio
 from .tiles import (
     ChoiceFunction,
@@ -34,7 +34,6 @@ from .tiles import (
     full_decompose,
     lower_coefficients,
     member_weights,
-    model_sum,
     packet_heights,
     tree_sum,
     upper_cells,
@@ -81,7 +80,7 @@ DENSE_RESOLUTION = 7
 
 
 def restricted_norm(
-    a: GridSet, b: GridSet, collection: TileCollection, choices, seeds, iters: int = 200
+    a: GridSet, b: GridSet, collection: TileCollection, choices, seeds, iters: int = STEP_CAP
 ) -> list[TopSingularResult]:
     """L2 -> L2 norms of the restricted operators f -> 1_A T_N(f 1_B) over
     one collection, one for each choice function N, with their top right
@@ -379,8 +378,8 @@ def collection_caps(
     choice: ChoiceFunction,
 ) -> dict:
     """Measured size/mass of the collection surviving the H' carving, against
-    the caps forced by the construction (mass <= 4 |G| / |H| exactly, for the
-    carving constant 4 of `norm_decay_point`)."""
+    the caps forced by the construction (mass <= c |G| / |H| exactly, for the
+    carving constant c = `CARVING` of `norm_decay_point`)."""
     from .tiles import mass as tile_mass
     from .tiles import size_bound, mass_bound
 
@@ -388,7 +387,7 @@ def collection_caps(
     ratio = safe_ratio(measure(g), measure(h))
     return {
         "mass": tile_mass(surviving, e_for_mass, choice),
-        "mass_cap": 4.0 * ratio,
+        "mass_cap": CARVING * ratio,
         "mass_bound": mass_bound(surviving, e_for_mass),
         "size_bound": size_bound(surviving, GridSignal(h.resolution, h.mask.astype(complex))),
         "surviving": len(surviving),
@@ -412,14 +411,15 @@ def norm_decay_point(
     g: GridSet,
     collection: TileCollection,
     seed: int = 0,
-    iters: int = 150,
+    iters: int = STEP_CAP,
     branch: str = "h",
 ) -> dict:
     """Measured norm of the restricted operator for one (G, H) pair, taking
     the worst choice function over a family that includes a greedy adversary
     re-fit, for up to two rounds, to the current top right Ritz vector.  The
-    h branch carves H to H minus {M 1_G >= 4 |G| / |H|}, the g branch G to
-    G minus {M 1_H >= 4 |H| / |G|}; each keeps at least half of its set.
+    h branch carves H to H minus {M 1_G >= c |G| / |H|}, the g branch G to
+    G minus {M 1_H >= c |H| / |G|}, c = `CARVING`; each keeps at least half
+    of its set.
 
     Besides the norm, reports as `iterations` the Lanczos steps and the
     convergence flag of the `restricted_norm` run that gave it (0 steps and
@@ -430,11 +430,11 @@ def norm_decay_point(
     L = h.resolution
     rng = np.random.default_rng(seed)
     if branch == "h":
-        h_prime = exceptional_complement(h, g, 4.0)
+        h_prime = exceptional_complement(h, g)
         a_set, b_set, keep = g, h_prime, h_prime
         ratio = safe_ratio(measure(g), measure(h))
     elif branch == "g":
-        g_prime = exceptional_complement(g, h, 4.0)
+        g_prime = exceptional_complement(g, h)
         a_set, b_set, keep = g_prime, h, g_prime
         ratio = safe_ratio(measure(h), measure(g))
     else:
@@ -529,7 +529,8 @@ def verify_vector_carleson(
     """Both sides of the vector model-operator bound with per-member choice
     functions, member j taking choice j modulo their number, over every
     bi-tile of the grid; when none are supplied each member gets the greedy
-    adversary fitted to itself."""
+    adversary fitted to itself.  One model-sum plan holds every member, and
+    each member's output is the one `model_sum` gives it, bit for bit."""
     if not 1 < p < math.inf:
         raise ValueError(f"p must lie in (1, inf), got {p}")
     if choices is not None and not choices:
@@ -538,12 +539,7 @@ def verify_vector_carleson(
     collection = TileCollection.all(L)
     if choices is None:
         choices = greedy_choice(fams, collection, GridSet.full(L))
-    stack = np.vstack(
-        [
-            model_sum(fams.member(j), choices[j % len(choices)], collection).values
-            for j in range(len(fams))
-        ]
-    )
-    lhs = bundle_norm(stack, p, L)
+    plan = ModelSumPlan([choices[j % len(choices)] for j in range(len(fams))], collection)
+    lhs = bundle_norm(plan.apply(fams.stack), p, L)
     rhs = bundle_norm(fams.stack, p, fams.resolution)
     return RatioReport.from_sides(lhs, rhs, p=p, family_size=len(fams))

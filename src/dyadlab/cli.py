@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .grid import MAX_RESOLUTION
+from .grid import check_resolution
 from .harness import THEOREMS, ExperimentConfig, run, run_decompose
 
 
@@ -28,17 +28,18 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviated flags: a removed flag such as --s must not turn into --seed
     verify = sub.add_parser("verify", allow_abbrev=False, help="run one verification experiment")
     verify.add_argument("theorem", choices=THEOREMS)
-    verify.add_argument("--resolution", type=int, default=6)
-    verify.add_argument("--trials", type=int, default=10)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--family-size", type=int, default=4)
-    # every theorem reads p; one that reads no q, p1 or epsilon rejects it
-    # (harness.THEOREMS)
-    verify.add_argument("--p", type=float, default=None)
-    verify.add_argument("--q", type=float, default=None)
-    verify.add_argument("--p1", type=float, default=None)
-    verify.add_argument("--epsilon", type=float, default=None)
-    verify.add_argument("--out", default=None)
+    # no defaults: a flag left out takes ExperimentConfig's default, or its
+    # theorem's (harness.THEOREMS); every theorem reads p, and one that
+    # reads no q, p1 or epsilon rejects it
+    verify.add_argument("--resolution", type=int)
+    verify.add_argument("--trials", type=int)
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--family-size", type=int)
+    verify.add_argument("--p", type=float)
+    verify.add_argument("--q", type=float)
+    verify.add_argument("--p1", type=float)
+    verify.add_argument("--epsilon", type=float)
+    verify.add_argument("--out")
 
     decompose = sub.add_parser(
         "decompose", allow_abbrev=False, help="bucket a tile collection into forests"
@@ -53,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     estimate = sub.add_parser(
         "estimate-22", allow_abbrev=False, help="restricted-norm decay ladder"
     )
-    estimate.add_argument("--resolution", type=int, default=6)
-    estimate.add_argument("--seed", type=int, default=0)
+    estimate.add_argument("--resolution", type=int, default=ExperimentConfig.resolution)
+    estimate.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     estimate.add_argument("--epsilon", type=float, default=0.1, help="each slope must reach 1/2 - epsilon")
     estimate.add_argument("--out", default=None)
     estimate.add_argument("--ladder", type=int, help="ratios 2^-1 .. 2^-ladder (<= L, default L)")
@@ -77,18 +78,11 @@ def _invalid(problem: str) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        theorem=args.theorem,
-        resolution=args.resolution,
-        trials=args.trials,
-        seed=args.seed,
-        family_size=args.family_size,
-        p=args.p,
-        q=args.q,
-        eps=args.epsilon,
-        p1=args.p1,
-        out=args.out,
-    )
+    """The `verify` config of the flags that were given; each flag is the
+    config field of its name, --epsilon the field `eps`."""
+    given = {"eps" if flag == "epsilon" else flag: value for flag, value in vars(args).items() if value is not None}
+    del given["command"], given["theorem"]
+    return ExperimentConfig(args.theorem, **given)
 
 
 def _plot_ladder(report: dict, out_dir: Path) -> None:
@@ -115,8 +109,10 @@ def _plot_ladder(report: dict, out_dir: Path) -> None:
 
 def _estimate22(args) -> int:
     ladder = args.resolution if args.ladder is None else args.ladder
-    if not 0 <= args.resolution <= MAX_RESOLUTION:
-        return _invalid(f"resolution must satisfy 0 <= L <= {MAX_RESOLUTION}, got {args.resolution}")
+    try:
+        check_resolution(args.resolution)
+    except ValueError as exc:
+        return _invalid(str(exc))
     if not 2 <= ladder <= args.resolution:
         return _invalid(
             f"the ladder needs at least 2 ratios to fit a slope, got {ladder}, and at most "

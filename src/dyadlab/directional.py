@@ -32,8 +32,6 @@ from .reports import RatioReport, safe_ratio
 
 # steps of `DirectionalAverager.estimate_norm`'s power ascent
 ASCENT_STEPS = 12
-# step cap of `verify_directional`'s localized-norm runs
-LOCALIZED_STEPS = 80
 # cap on the terms of the majorant weight of `verify_weighted_directional`;
 # the series stops earlier, at its first certified tail (T = 16-17 at L = 4-7)
 WEIGHT_TERMS = 40
@@ -510,7 +508,7 @@ def verify_directional(
     fams: list[Grid2D],
     averager: DirectionalAverager,
     q: float,
-    p: float = 2.0,
+    p: float,
     seed: int = 0,
 ) -> RatioReport:
     """Square-function bound for directional half-plane projections, plus the
@@ -521,9 +519,9 @@ def verify_directional(
     region where the directional maximal function of 1_G is large (threshold
     (|G|/|H|)**(1/2) times the measured norm), and the localized norms are
     reported against the measure-ratio power alpha = 1/4.  The directions
-    are the averager's.  The localized norms are `top_singular` runs capped
-    at `LOCALIZED_STEPS` steps, and `localized_unconverged` counts those
-    that hit the cap.
+    are the averager's.  The localized norms are `top_singular` runs at the
+    engine's step cap, and `localized_unconverged` counts those that hit
+    it.
     """
     _check_exponent(p)
     if not (q > 0 and abs(1.0 - 2.0 / q) < 1.0 / p):
@@ -563,7 +561,7 @@ def verify_directional(
 
     seeds = [seed + 31 * j + k for j in range(len(directions)) for k in range(L + 1)]
     family = OperatorFamily(len(multipliers), multiply, multiply)
-    results = top_singular(family, g.mask, h_prime.mask, seeds, max_steps=LOCALIZED_STEPS)
+    results = top_singular(family, g.mask, h_prime.mask, seeds)
     norms = [res.norm for res in results]
     alpha = 0.25
     report.extra["localized_norm_max"] = max(norms, default=0.0)

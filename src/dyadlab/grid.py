@@ -35,7 +35,7 @@ def stack_slices(count: int, cells: int) -> list[slice]:
 def check_resolution(resolution) -> int:
     resolution = int(resolution)
     if not 0 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be in [0, {MAX_RESOLUTION}], got {resolution}")
+        raise ValueError(f"resolution must satisfy 0 <= L <= {MAX_RESOLUTION}, got {resolution}")
     return resolution
 
 

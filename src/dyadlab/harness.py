@@ -15,13 +15,13 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, lp_norm
-from .maximal import ScaleChoice, verify_vector_maximal
+from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_resolution, lp_norm
+from .maximal import CARVING, ScaleChoice, verify_vector_maximal
 from .reports import PrincipleReport
 from .tiles import BiTile, ChoiceFunction, Tile, TileCollection, full_decompose, member_indices, walsh_packet
 from .walsh import walsh_synthesis
@@ -50,7 +50,7 @@ class ExperimentConfig:
         # a parameter the theorem reads and that is left out takes its
         # default, so the manifest records numbers; one it does not read
         # stays None, and validate rejects it when given
-        _, defaults = THEOREMS.get(self.theorem, (None, {}))
+        defaults = THEOREMS[self.theorem].defaults if self.theorem in THEOREMS else {}
         for name, value in defaults.items():
             if getattr(self, name) is None:
                 setattr(self, name, value)
@@ -61,44 +61,32 @@ class ExperimentConfig:
         """Total validation; every rejection names the violated range."""
         if self.theorem not in THEOREMS:
             raise ValueError(f"theorem must be one of {tuple(THEOREMS)}, got {self.theorem!r}")
+        row = THEOREMS[self.theorem]
         for name, flag in (("q", "--q"), ("p1", "--p1"), ("eps", "--epsilon")):
-            if name not in THEOREMS[self.theorem][1] and getattr(self, name) is not None:
+            if name not in row.defaults and getattr(self, name) is not None:
                 raise ValueError(f"{self.theorem} reads no {flag}")
-        if not 0 <= self.resolution <= MAX_RESOLUTION:
+        check_resolution(self.resolution)
+        if self.resolution < row.min_resolution:
             raise ValueError(
-                f"resolution must satisfy 0 <= L <= {MAX_RESOLUTION}, got {self.resolution}"
-            )
-        if self.theorem in ("biparam", "principle") and self.resolution < 1:
-            raise ValueError(
-                f"{self.theorem} needs resolution 1 <= L <= {MAX_RESOLUTION}, got {self.resolution}"
+                f"{self.theorem} needs resolution {row.min_resolution} <= L <= {MAX_RESOLUTION}, got {self.resolution}"
             )
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
         if self.family_size < 1:
             raise ValueError(f"family size must be at least 1, got {self.family_size}")
-        if self.theorem == "fs" and not 1 < self.p < math.inf:
-            raise ValueError(f"fs needs 1 < p < inf, got p={self.p}")
-        if self.theorem == "biparam":
-            if not 2 < self.p < math.inf:
-                raise ValueError(f"biparam needs 2 < p < inf, got p={self.p}")
-            if not 0 < self.eps < 0.5:
-                raise ValueError(f"biparam needs 0 < eps < 1/2, got eps={self.eps}")
-        if self.theorem == "cordoba":
-            if not 1 < self.p < math.inf:
-                raise ValueError(f"cordoba needs 1 < p < inf, got p={self.p}")
-            if not (self.q > 0 and abs(1.0 - 2.0 / self.q) < 1.0 / self.p):
+        # the table's lower bound of p, which principle orders with its q and
+        # p1; then the ranges of biparam's eps and cordoba's q window
+        if self.theorem == "principle":
+            if not row.p_above < self.p < self.q < self.p1 < math.inf:
                 raise ValueError(
-                    f"cordoba needs |1 - 2/q| < 1/p, got q={self.q}, p={self.p}"
+                    f"principle needs {row.p_above} < p0 < q < p1, got p0={self.p}, q={self.q}, p1={self.p1}"
                 )
-        # cordoba-weighted runs at q = 2p/(p-1), where |1 - 2/q| = 1/p holds
-        if self.theorem == "cordoba-weighted" and not 1 < self.p < math.inf:
-            raise ValueError(f"cordoba-weighted needs 1 < p < inf, got p={self.p}")
-        if self.theorem == "carleson" and not 1 < self.p < math.inf:
-            raise ValueError(f"carleson needs 1 < p < inf, got p={self.p}")
-        if self.theorem == "principle" and not 1 < self.p < self.q < self.p1 < math.inf:
-            raise ValueError(
-                f"principle needs 1 < p0 < q < p1, got p0={self.p}, q={self.q}, p1={self.p1}"
-            )
+        elif not row.p_above < self.p < math.inf:
+            raise ValueError(f"{self.theorem} needs {row.p_above} < p < inf, got p={self.p}")
+        if self.theorem == "biparam" and not 0 < self.eps < 0.5:
+            raise ValueError(f"biparam needs 0 < eps < 1/2, got eps={self.eps}")
+        if self.theorem == "cordoba" and not (self.q > 0 and abs(1.0 - 2.0 / self.q) < 1.0 / self.p):
+            raise ValueError(f"cordoba needs |1 - 2/q| < 1/p, got q={self.q}, p={self.p}")
 
 
 @dataclass
@@ -376,11 +364,11 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
     family, _ = maximal_operator_family(setup, config.resolution, config.family_size)
     h = random_grid_set(setup, config.resolution)
     g = random_grid_set(setup, config.resolution)
-    builder = trim_builder(4.0, "h")
+    builder = trim_builder(CARVING, "h")
     cond0 = measure_condition(family, h, g, builder, p0, seed=config.seed)
     # the measured norms do not depend on the exponent
     c_p1 = condition_constant(cond0.extra["norms"], cond0.extra["measure_ratio"], p1)
-    levels = splitting_cascade(h, g, trim_builder(4.0, "both"), p0, k_max=10)
+    levels = splitting_cascade(h, g, trim_builder(CARVING, "both"), p0, k_max=10)
 
     ratios = []
     baseline = []
@@ -420,15 +408,25 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
     return report, ratios, ok
 
 
-# each theorem's runner and the default of every parameter the runner
-# reads; principle's p1 defaults to 2q - p
+class Theorem(NamedTuple):
+    """A `verify` theorem: its runner, the default of every parameter the
+    runner reads, the open lower bound of its exponent p (p0 for
+    principle, whose p1 defaults to 2q - p) and its lowest resolution."""
+
+    run: Callable
+    defaults: dict
+    p_above: int
+    min_resolution: int
+
+
+# cordoba-weighted runs at q = 2p/(p-1), where |1 - 2/q| = 1/p holds
 THEOREMS = {
-    "fs": (run_fs, {"p": 3.0}),
-    "biparam": (run_biparam, {"p": 3.0, "eps": 0.1}),
-    "cordoba": (run_cordoba, {"p": 2.0, "q": 2.5}),
-    "cordoba-weighted": (run_cordoba_weighted, {"p": 2.0}),
-    "carleson": (run_carleson, {"p": 3.0}),
-    "principle": (run_principle, {"p": 1.5, "q": 2.0, "p1": None}),
+    "fs": Theorem(run_fs, {"p": 3.0}, 1, 0),
+    "biparam": Theorem(run_biparam, {"p": 3.0, "eps": 0.1}, 2, 1),
+    "cordoba": Theorem(run_cordoba, {"p": 2.0, "q": 2.5}, 1, 0),
+    "cordoba-weighted": Theorem(run_cordoba_weighted, {"p": 2.0}, 1, 0),
+    "carleson": Theorem(run_carleson, {"p": 3.0}, 1, 0),
+    "principle": Theorem(run_principle, {"p": 1.5, "q": 2.0, "p1": None}, 1, 1),
 }
 
 
@@ -440,7 +438,7 @@ def run(config: ExperimentConfig) -> tuple[RunManifest, dict, bool]:
     config.validate()
     gens, keys = trial_generators(config.seed, config.trials)
     start = time.perf_counter()
-    fields, ratios, ok = THEOREMS[config.theorem][0](config, gens)
+    fields, ratios, ok = THEOREMS[config.theorem].run(config, gens)
     elapsed = time.perf_counter() - start
     report = {
         "theorem": config.theorem,

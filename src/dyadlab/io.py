@@ -47,19 +47,6 @@ def _fail(path, row_number, message):
     raise ValueError(f"{path}: row {row_number}: {message}")
 
 
-def _width_problem(row, width: int, kind: str) -> str:
-    return f"bad {kind} row {row!r} (expected {width} fields, got {len(row)})"
-
-
-def _numbered(path, rows, width: int, kind: str):
-    """(row number, row) over the data rows; a row whose field count is not
-    the header's fails."""
-    for number, row in enumerate(rows, start=1):
-        if len(row) != width:
-            _fail(path, number, _width_problem(row, width, kind))
-        yield number, row
-
-
 def _resolution_for(count: int, path, axes: int = 1) -> int:
     """The resolution L of a file with one row per cell of a grid with
     `axes` axes, so that count = 2**(axes * L); L above MAX_RESOLUTION is
@@ -81,7 +68,7 @@ def _field_problem(row, types, kind: str) -> str | None:
     """Why a data row cannot be parsed as `types`, one per field, checked in
     the order field count, then each field in turn; None if it can."""
     if len(row) != len(types):
-        return _width_problem(row, len(types), kind)
+        return f"bad {kind} row {row!r} (expected {len(types)} fields, got {len(row)})"
     try:
         for parse, field in zip(types, row):
             parse(field)
@@ -294,19 +281,28 @@ def write_directions(path, directions) -> None:
             writer.writerow([repr(v.vx), repr(v.vy)])
 
 
+def _direction_problem(row) -> str | None:
+    """Why a row of two floats is no `Direction`, in the words of its
+    check; None if it is one."""
+    from .directional import Direction
+
+    try:
+        Direction(float(row[0]), float(row[1]))
+    except ValueError as exc:
+        return f"bad direction row {row!r} ({exc})"
+    return None
+
+
 def read_directions(path):
     from .directional import Direction, DirectionSet
 
     rows = _open_rows(path, ["vx", "vy"])
-    members = []
-    seen = set()
-    for number, row in _numbered(path, rows, 2, "direction"):
-        try:
-            v = Direction(float(row[0]), float(row[1]))
-        except ValueError as exc:
-            _fail(path, number, f"bad direction row {row!r} ({exc})")
-        if (v.vx, v.vy) in seen:
-            _fail(path, number, f"direction {row!r} is repeated")
-        seen.add((v.vx, v.vy))
-        members.append(v)
-    return DirectionSet(tuple(members))
+    types = (float, float)
+    (vx, vy), parsed = _columns(rows, types)
+    valid = np.array([_direction_problem(row) is None for row in rows[:parsed]], dtype=bool)
+    # a direction repeats when both components compare equal, -0.0 to 0.0
+    _check_rows(path, rows, types, "direction", parsed, [
+        (~valid, _direction_problem),
+        (_repeats(np.column_stack((vx, vy)).view(np.complex128).ravel()), lambda row: f"direction {row!r} is repeated"),
+    ])  # fmt: skip
+    return DirectionSet(tuple(Direction(x, y) for x, y in zip(vx.tolist(), vy.tolist())))

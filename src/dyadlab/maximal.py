@@ -98,7 +98,11 @@ class ScaleChoice:
         return np.concatenate(scale_averages(values, self.resolution))[self.slot]
 
     def average_adjoint(self, values: np.ndarray) -> np.ndarray:
-        """The cell values of `linearized_maximal_adjoint` for these."""
+        """T* g = sum over dyadic I of (1/|I|) <g, 1_{V_I}> 1_I, the adjoint
+        of `average`: one `bincount` of g over the slots, real and imaginary
+        parts apart, spread back over the intervals scale by scale (a scale
+        no cell stops at adds +0.0, which changes no bit of a sum that
+        started at +0.0)."""
         L, values = self.resolution, np.asarray(values, dtype=np.complex128)
         sums = np.bincount(self.slot, values.real, minlength=(2 << L) - 1).astype(np.complex128)
         sums.imag = np.bincount(self.slot, values.imag, minlength=(2 << L) - 1)
@@ -129,16 +133,6 @@ def linearized_maximal(f: GridSignal, choice: ScaleChoice) -> GridSignal:
     return GridSignal(f.resolution, choice.average(f.values))
 
 
-def linearized_maximal_adjoint(g: GridSignal, choice: ScaleChoice) -> GridSignal:
-    """T* g = sum over dyadic I of (1/|I|) <g, 1_{V_I}> 1_I: one `bincount`
-    of g over the slots, real and imaginary parts apart, spread back over
-    the intervals scale by scale (a scale no cell stops at adds +0.0, which
-    changes no bit of a sum that started at +0.0)."""
-    if g.resolution != choice.resolution:
-        raise ValueError("resolution mismatch between signal and scale choice")
-    return GridSignal(g.resolution, choice.average_adjoint(g.values))
-
-
 def maximal_level_set(marker: GridSet, threshold: float) -> GridSet:
     """{M 1_marker >= threshold}; equals the union of all dyadic intervals
     whose marker density is at least the threshold, since M takes the exact
@@ -146,7 +140,12 @@ def maximal_level_set(marker: GridSet, threshold: float) -> GridSet:
     return GridSet(marker.resolution, dyadic_maximal(marker.indicator()).values.real >= threshold)
 
 
-def exceptional_complement(base: GridSet, marker: GridSet, c: float = 4.0) -> GridSet:
+# the carving constant of every exceptional set on the line: the decay
+# points, the principle's subset builders and the mass cap they force
+CARVING = 4.0
+
+
+def exceptional_complement(base: GridSet, marker: GridSet, c: float = CARVING) -> GridSet:
     """base minus the union of dyadic intervals where the marker density is at
     least c * |marker| / |base|.
 

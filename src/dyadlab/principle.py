@@ -101,6 +101,14 @@ def trim_builder(c: float, sides: str) -> SubsetBuilder:
     return SubsetBuilder(build, label=f"trim-{sides}(c={c})")
 
 
+# the step cap of every norm run of the library: the engine grows its arrays
+# toward it and stops there, so a run that settles earlier takes the same
+# steps, and gives the same bytes, under any larger cap. The slowest runs
+# measured take 69-70 steps (verify cordoba at L = 6, 7) and 75 (verify
+# biparam at L = 7)
+STEP_CAP = 200
+
+
 @dataclass
 class PowerIterationResult:
     norm: float
@@ -126,7 +134,7 @@ def _start_vector(seed, shape) -> np.ndarray:
 def power_iteration(
     family: OperatorFamily,
     shape,
-    iters: int = 200,
+    iters: int = STEP_CAP,
     tol: float = 1e-9,
     seed: int = 0,
 ) -> PowerIterationResult:
@@ -180,7 +188,7 @@ def top_singular(
     in_mask: np.ndarray,
     seeds,
     tol: float = 1e-9,
-    max_steps: int = 200,
+    max_steps: int = STEP_CAP,
     vectors: bool = False,
 ) -> list[TopSingularResult]:
     """Largest singular values of a family's members localized by the

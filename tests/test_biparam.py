@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -502,7 +503,7 @@ class TestFixedScalePlan:
         h_prime = exceptional_complement_2d(h, g, certified_rectangle_threshold(h, g, eps))
         assert 0 < measure(h_prime) < 1
         captured = capture_top_singular(monkeypatch, biparam)
-        monkeypatch.setattr(biparam, "LOCALIZED_STEPS", 60)
+        monkeypatch.setattr(biparam, "top_singular", functools.partial(biparam.top_singular, max_steps=60))
         report = verify_biparam(fams, p=3.0, eps=eps, seed=seed, g=g)
         assert captured["seeds"] == [seed + j for j in range(L)]
         assert captured["kwargs"] == {"max_steps": 60}
@@ -801,8 +802,8 @@ class TestPipeline:
         rng = np.random.default_rng(15)
         f = random_grid2d(rng, 4)
         g = random_set2d(rng, 4, 0.25)
-        one = verify_biparam([f], p=3.0, seed=3, g=g)
-        four = verify_biparam([f] * 4, p=3.0, seed=3, g=g)
+        one = verify_biparam([f], p=3.0, eps=0.1, seed=3, g=g)
+        four = verify_biparam([f] * 4, p=3.0, eps=0.1, seed=3, g=g)
         assert math.isfinite(one.ratio) and math.isfinite(four.ratio)
 
     def test_localized_projection_matches_closure_oracle(self, monkeypatch):
@@ -816,7 +817,7 @@ class TestPipeline:
         h_prime = exceptional_complement_2d(h, g, certified_rectangle_threshold(h, g, eps))
         assert 0 < measure(h_prime) < 1
         captured = capture_top_singular(monkeypatch, biparam)
-        monkeypatch.setattr(biparam, "LOCALIZED_STEPS", 5)
+        monkeypatch.setattr(biparam, "top_singular", functools.partial(biparam.top_singular, max_steps=5))
         verify_biparam(fams, p=3.0, eps=eps, seed=seed, g=g)
         assert captured["seeds"] == [seed + j for j in range(L)]
         # every scale runs in one stack, which shrinks as scales converge
@@ -847,7 +848,7 @@ class TestPipeline:
         config = ExperimentConfig(theorem="biparam", resolution=4, trials=2, eps=0.45)
         assert run(config)[2] is True
 
-        monkeypatch.setattr(biparam, "LOCALIZED_STEPS", 2)
+        monkeypatch.setattr(biparam, "top_singular", functools.partial(biparam.top_singular, max_steps=2))
         capped = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g)
         assert capped.extra["localized_unconverged"] > 0
         _, report, ok = run(config)
@@ -855,9 +856,9 @@ class TestPipeline:
 
     def test_requires_resolution_one(self):
         with pytest.raises(ValueError, match="L >= 1"):
-            verify_biparam([Grid2D.zeros(0)], p=3.0, g=GridSet2D.full(0))
+            verify_biparam([Grid2D.zeros(0)], p=3.0, eps=0.1, g=GridSet2D.full(0))
 
     def test_requires_p_above_two(self):
         rng = np.random.default_rng(16)
         with pytest.raises(ValueError):
-            verify_biparam([random_grid2d(rng, 3)], p=2.0, g=GridSet2D.full(3))
+            verify_biparam([random_grid2d(rng, 3)], p=2.0, eps=0.1, g=GridSet2D.full(3))

@@ -1382,6 +1382,27 @@ class TestVectorCarleson:
         many = verify_vector_carleson(VectorSignal.from_signals([f] * 9), choice * 9, 3.0)
         assert many.ratio == pytest.approx(one.ratio, rel=1e-12)
 
+    @pytest.mark.parametrize("resolution", range(1, 9))
+    def test_one_plan_gives_each_member_its_model_sum(self, monkeypatch, resolution):
+        # the left side sums the stack of one plan over every member; each
+        # row is that member's own model_sum, bit for bit, for given choices
+        # cycling over more members than choices and for the greedy ones
+        rng = np.random.default_rng(17 + resolution)
+        L = resolution
+        fams = random_vector(rng, L, 5)
+        collection = TileCollection.all(L)
+        stacks = []
+        real_bundle_norm = carleson.bundle_norm
+        monkeypatch.setattr(carleson, "bundle_norm", lambda x, *args: stacks.append(x) or real_bundle_norm(x, *args))
+        given = [random_choice(rng, L) for _ in range(3)]
+        greedy = greedy_choice(fams, collection, GridSet.full(L))
+        for choices, supplied in ((given, given), (greedy, None)):
+            stacks.clear()
+            report = verify_vector_carleson(fams, supplied, 3.0)
+            expected = [model_sum(fams.member(j), choices[j % len(choices)], collection).values for j in range(5)]
+            assert same_bits(stacks[0], np.stack(expected))
+            assert report.lhs == real_bundle_norm(np.stack(expected), 3.0, L)
+
     def test_rejects_bad_p(self):
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError):

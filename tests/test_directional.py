@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -898,7 +899,7 @@ class TestEquivalenceAndTheorems:
         dirs = DirectionSet.uniform(4)
         fams = [random_plane(rng, L) for _ in range(2)]
         captured = capture_top_singular(monkeypatch, directional)
-        monkeypatch.setattr(directional, "LOCALIZED_STEPS", 3)
+        monkeypatch.setattr(directional, "top_singular", functools.partial(directional.top_singular, max_steps=3))
         verify_directional(fams, DirectionalAverager(L, dirs), q=2.5, p=2.0, seed=seed)
         g, h_prime = localization_sets(L, dirs, seed)
         assert 0 < h_prime.mask.mean() < 1
@@ -927,7 +928,7 @@ class TestEquivalenceAndTheorems:
         dirs = DirectionSet.uniform(8)
         fams = [random_plane(rng, L) for _ in range(2)]
         captured = capture_top_singular(monkeypatch, directional)
-        monkeypatch.setattr(directional, "LOCALIZED_STEPS", 40)
+        monkeypatch.setattr(directional, "top_singular", functools.partial(directional.top_singular, max_steps=40))
         report = verify_directional(fams, DirectionalAverager(L, dirs), q=2.5, p=2.0, seed=seed)
         g, h_prime = localization_sets(L, dirs, seed)
         results = captured["results"]
@@ -955,7 +956,7 @@ class TestEquivalenceAndTheorems:
         config = ExperimentConfig(theorem="cordoba", resolution=4, trials=2, p=2.0, q=2.5)
         assert run(config)[2] is True
 
-        monkeypatch.setattr(directional, "LOCALIZED_STEPS", 2)
+        monkeypatch.setattr(directional, "top_singular", functools.partial(directional.top_singular, max_steps=2))
         capped = verify_directional(fams, averager, q=2.5, p=2.0, seed=1)
         assert capped.extra["localized_unconverged"] > 0
         _, report, ok = run(config)
@@ -964,7 +965,7 @@ class TestEquivalenceAndTheorems:
     def test_one_averager_serves_every_trial(self, monkeypatch):
         import dyadlab.directional as directional
 
-        monkeypatch.setattr(directional, "LOCALIZED_STEPS", 10)
+        monkeypatch.setattr(directional, "top_singular", functools.partial(directional.top_singular, max_steps=10))
         rng = np.random.default_rng(21)
         dirs = DirectionSet.uniform(8)
         fams = [random_plane(rng, 4) for _ in range(2)]

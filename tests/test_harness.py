@@ -103,13 +103,13 @@ class TestReportSerialization:
         # the operators apply the array forms of the linearized maximal
         # operator and its adjoint, bit for bit, and wrap no GridSignal
         from dyadlab.harness import maximal_operator_family
-        from dyadlab.maximal import linearized_maximal, linearized_maximal_adjoint
+        from dyadlab.maximal import linearized_maximal
 
         rng = np.random.default_rng(22)
         family, choices = maximal_operator_family(rng, 6, 3)
         v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         expected = [
-            (linearized_maximal(GridSignal(6, v), ch).values, linearized_maximal_adjoint(GridSignal(6, v), ch).values)
+            (linearized_maximal(GridSignal(6, v), ch).values, ch.average_adjoint(v))
             for ch in choices
         ]
 
@@ -201,7 +201,7 @@ class TestConfigValidation:
         the CLI's; every parameter the theorem does not read stays None."""
         config = ExperimentConfig(theorem)
         config.validate()
-        _, defaults = THEOREMS[theorem]
+        defaults = THEOREMS[theorem].defaults
         expected = {name: None for name in ("q", "eps", "p1")} | defaults
         if theorem == "principle":
             expected["p1"] = 2.0 * expected["q"] - expected["p"]

@@ -23,7 +23,6 @@ from dyadlab.maximal import (
     greedy_scales,
     interval_size_mass,
     linearized_maximal,
-    linearized_maximal_adjoint,
     maximal_level_set,
     restricted_double_sum,
     scale_averages,
@@ -321,7 +320,7 @@ class TestLinearizedMaximal:
         for _ in range(4):
             choice = random_scale_choice(rng, resolution)
             for values in signed_zero_inputs(rng, resolution):
-                out = linearized_maximal_adjoint(GridSignal(resolution, values), choice).values
+                out = choice.average_adjoint(values)
                 assert same_bits(out, oracle_adjoint(values, choice))
 
     @pytest.mark.parametrize("resolution", range(6))
@@ -331,16 +330,13 @@ class TestLinearizedMaximal:
             choice = random_scale_choice(rng, resolution)
             n = 1 << resolution
             fwd = densify(lambda v: linearized_maximal(GridSignal(resolution, v), choice).values, n)
-            adj = densify(
-                lambda v: linearized_maximal_adjoint(GridSignal(resolution, v), choice).values, n
-            )
+            adj = densify(choice.average_adjoint, n)
             assert np.array_equal(adj, fwd.conj().T)
 
     def test_resolution_mismatch_rejected(self):
         choice = ScaleChoice.constant(3, 1)
-        for operator in (linearized_maximal, linearized_maximal_adjoint):
-            with pytest.raises(ValueError, match="resolution mismatch"):
-                operator(GridSignal.zeros(2), choice)
+        with pytest.raises(ValueError, match="resolution mismatch"):
+            linearized_maximal(GridSignal.zeros(2), choice)
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from dyadlab.grid import STACK_CELLS, GridSet, GridSignal, VectorSignal, measure
 from dyadlab.harness import (
     ExperimentConfig,
     maximal_operator_family,
+    random_grid2d,
     random_grid_set,
     random_signal,
     random_vector,
@@ -16,9 +17,9 @@ from dyadlab.harness import (
 from dyadlab.maximal import (
     exceptional_complement,
     linearized_maximal,
-    linearized_maximal_adjoint,
 )
 from dyadlab.principle import (
+    STEP_CAP,
     OperatorFamily,
     SubsetBuilder,
     condition_constant,
@@ -606,7 +607,7 @@ class TestVectorConclusion:
             v = rng.standard_normal(1 << resolution) + 1j * rng.standard_normal(1 << resolution)
             f = GridSignal(resolution, v)
             assert op.apply(v).tobytes() == linearized_maximal(f, choice).values.tobytes()
-            assert op.adjoint(v).tobytes() == linearized_maximal_adjoint(f, choice).values.tobytes()
+            assert op.adjoint(v).tobytes() == choice.average_adjoint(v).tobytes()
 
 
 class TestConditionConstant:
@@ -1255,6 +1256,55 @@ class TestEngineOracle:
             for cells in (1, 4):
                 ones = np.ones(cells, dtype=bool)
                 assert_matches_old_engine(family, ones, ones, [0, 0, 1], vectors=True)
+
+
+class TestStepCap:
+    """The engine's one step cap: a run that settles before a cap takes the
+    same steps and gives the same bytes under any larger one, and no run of
+    a golden configuration comes near it."""
+
+    def test_settled_runs_keep_their_bytes_under_larger_caps(self, monkeypatch):
+        # the band-times-half-plane multipliers of verify_directional at L=6
+        # from seed 1 settle at up to 69 steps: past 64, where caps of 80 and
+        # 200 grow B^T B and the kept basis to different widths; its four
+        # slowest members run under each cap
+        from dyadlab import directional
+
+        rng = np.random.default_rng(3)
+        fams = [random_grid2d(rng, 6) for _ in range(2)]
+        averager = directional.DirectionalAverager(6, directional.DirectionSet.uniform(8))
+        captured = capture_top_singular(monkeypatch, directional)
+        directional.verify_directional(fams, averager, q=2.5, p=2.0, seed=1)
+        family, masks, results = captured["family"], (captured["out_mask"], captured["in_mask"]), captured["results"]
+        assert all(res.converged for res in results)
+        slowest = sorted(range(len(results)), key=lambda i: results[i].steps)[-4:]
+        assert results[slowest[-1]].steps > 64
+        for i in slowest:
+            caps = (results[i].steps, 80, 120, 150, STEP_CAP)
+            member, seed = member_of(family, i), captured["seeds"][i]
+            runs = [top_singular(member, *masks, [seed], max_steps=cap, vectors=True)[0] for cap in caps]
+            for run in runs:
+                assert run == results[i]
+                assert_same_krylov(run, runs[-1])
+
+    def test_golden_runs_take_at_most_half_the_cap(self, monkeypatch):
+        from dyadlab import biparam, carleson, directional
+        from test_golden import CLI_CASES, _cli_report
+
+        runs = []
+
+        def recording(*args, **kwargs):
+            results = top_singular(*args, **kwargs)
+            runs.append((kwargs.get("max_steps", STEP_CAP), max(res.steps for res in results)))
+            return results
+
+        for module in (principle, carleson, biparam, directional):
+            monkeypatch.setattr(module, "top_singular", recording)
+        for argv in CLI_CASES.values():
+            _cli_report(argv)
+        assert {cap for cap, _ in runs} == {STEP_CAP}
+        assert max(steps for _, steps in runs) > 32
+        assert all(2 * steps <= cap for cap, steps in runs)
 
 
 class TestRowNorms:
