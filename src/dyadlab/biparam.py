@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, lp_norm, measure
+from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, check_exponent, lp_norm, measure
 from .maximal import Decomposition, bucket_decompose, slot_scales
 from .plane import (
     DyadicRectangle,
@@ -56,32 +56,6 @@ def haar_coefficients(f: Grid2D, kx: int, ky: int) -> np.ndarray:
     cols = rows.T.reshape(2 << ky, n >> (ky + 1), 1 << kx).sum(axis=1)
     cols = (cols[0::2] - cols[1::2]) * 2.0 ** (ky / 2.0)
     return cols.T * cell_width(L) ** 2
-
-
-def haar_synthesis(coeffs: np.ndarray, resolution: int, kx: int, ky: int) -> np.ndarray:
-    """sum over (nx, ny) of coeffs[nx, ny] times the tensor Haar packet.
-
-    One broadcast product of the scaled coefficients with the sign tensor
-    sx (x) sy of the packets, shaped (rx, 1, ry) against blocks (2**kx, rx,
-    2**ky, ry): repetition commutes with elementwise products and the signs
-    are +-1, so every nonzero value equals repeating the coefficients and
-    multiplying by each sign in turn."""
-    _check_scales(resolution, kx, ky)
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != (1 << kx, 1 << ky):
-        raise ValueError(f"expected coefficients shaped {(1 << kx, 1 << ky)}, got {coeffs.shape}")
-    n = 1 << resolution
-    signs = _haar_half_signs(1 << (resolution - kx))[:, None, None] * _haar_half_signs(1 << (resolution - ky))
-    scaled = coeffs * 2.0 ** ((kx + ky) / 2.0)
-    return (scaled[:, None, :, None] * signs).reshape(n, n)
-
-
-def tensor_packet(rect: DyadicRectangle, resolution: int) -> Grid2D:
-    """Tensor Haar packet of one rectangle, unit L2 norm."""
-    kx, ky = rect.horizontal.scale, rect.vertical.scale
-    coeffs = np.zeros((1 << kx, 1 << ky), dtype=np.complex128)
-    coeffs[rect.horizontal.offset, rect.vertical.offset] = 1.0
-    return Grid2D(resolution, haar_synthesis(coeffs, resolution, kx, ky))
 
 
 def fixed_scale_operator(f: Grid2D, j: int) -> Grid2D:
@@ -412,15 +386,18 @@ def verify_biparam(
     (`top_singular` runs at the engine's step cap, with
     `localized_unconverged` counting those that hit it); and the band
     reduction back to the scalar model sum.  H is the whole square and G
-    the given set.
+    the given set.  The lowest p and resolution are those of the `biparam`
+    row of `harness.THEOREMS`.
     """
-    if not 2 < p < math.inf:
-        raise ValueError(f"p must lie in (2, inf), got {p}")
+    from .harness import THEOREMS
+
+    row = THEOREMS["biparam"]
+    check_exponent(p, above=row.p_above)
     if not fams:
         raise ValueError("need at least one family member")
     L = fams[0].resolution
-    if L < 1:
-        raise ValueError(f"biparam needs resolution L >= 1, got {L}")
+    if L < row.min_resolution:
+        raise ValueError(f"biparam needs resolution L >= {row.min_resolution}, got {L}")
     n = 1 << L
     rng = np.random.default_rng(seed)
 

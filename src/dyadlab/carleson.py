@@ -21,6 +21,7 @@ from .grid import (
     VectorSignal,
     bundle_norm,
     cell_width,
+    check_exponent,
     measure,
     stack_slices,
 )
@@ -531,8 +532,7 @@ def verify_vector_carleson(
     bi-tile of the grid; when none are supplied each member gets the greedy
     adversary fitted to itself.  One model-sum plan holds every member, and
     each member's output is the one `model_sum` gives it, bit for bit."""
-    if not 1 < p < math.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
+    check_exponent(p)
     if choices is not None and not choices:
         raise ValueError("choices must name at least one choice function")
     L = fams.resolution

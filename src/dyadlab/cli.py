@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .grid import check_resolution
-from .harness import THEOREMS, ExperimentConfig, run, run_decompose
+from .harness import THEOREMS, ExperimentConfig, check_seed, run, run_decompose
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.add_argument("--resolution", type=int, default=ExperimentConfig.resolution)
     estimate.add_argument("--seed", type=int, default=ExperimentConfig.seed)
-    estimate.add_argument("--epsilon", type=float, default=0.1, help="each slope must reach 1/2 - epsilon")
+    estimate.add_argument(
+        "--epsilon", type=float, default=0.1, help="each slope must reach 1/2 - epsilon, 0 <= epsilon < 1/2"
+    )
     estimate.add_argument("--out", default=None)
     estimate.add_argument("--ladder", type=int, help="ratios 2^-1 .. 2^-ladder (<= L, default L)")
     estimate.add_argument("--branch", choices=("h", "g", "both"), default="both")
@@ -111,8 +113,11 @@ def _estimate22(args) -> int:
     ladder = args.resolution if args.ladder is None else args.ladder
     try:
         check_resolution(args.resolution)
+        check_seed(args.seed)
     except ValueError as exc:
         return _invalid(str(exc))
+    if not 0 <= args.epsilon < 0.5:
+        return _invalid(f"epsilon must satisfy 0 <= epsilon < 1/2, got {args.epsilon}")
     if not 2 <= ladder <= args.resolution:
         return _invalid(
             f"the ladder needs at least 2 ratios to fit a slope, got {ladder}, and at most "

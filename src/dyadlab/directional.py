@@ -21,6 +21,7 @@ from .grid import (
     GridSignal,
     bundle_norm,
     cell_width,
+    check_exponent,
     check_resolution,
     lp_norm,
     measure,
@@ -141,11 +142,6 @@ def band_window(resolution: int, k: int) -> np.ndarray:
     return w
 
 
-def annular_band(f: Grid2D, k: int) -> Grid2D:
-    spectrum = np.fft.fft2(f.values)
-    return Grid2D(f.resolution, np.fft.ifft2(spectrum * band_window(f.resolution, k)))
-
-
 # ---------------------------------------------------------------------------
 # the finite rotated-box family and its maximal operator
 
@@ -228,7 +224,7 @@ class DirectionalAverager:
 
         The back-projection transforms, in stacks, only the kernels that win
         at some cell, and adds their spectra in kernel order before one irfft2."""
-        _check_exponent(p)
+        check_exponent(p)
         n = 1 << self.resolution
         rng = np.random.default_rng(seed)
         v = np.abs(rng.standard_normal((n, n))) + 0.1
@@ -258,11 +254,6 @@ class DirectionalAverager:
             if not np.any(v > 0):
                 break
         return max(best, 1.0)
-
-
-def _check_exponent(p: float) -> None:
-    if not 1 < p < math.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
 
 
 def _ifft2_into(buf: np.ndarray) -> np.ndarray:
@@ -296,12 +287,6 @@ def _check_averager(averager: DirectionalAverager, resolution: int) -> None:
         raise ValueError(
             f"averager built for L={averager.resolution} does not match the data at L={resolution}"
         )
-
-
-def directional_maximal(f: Grid2D, directions: DirectionSet) -> Grid2D:
-    """Largest average of |f| over the finite rotated-box family at each cell."""
-    averager = DirectionalAverager(f.resolution, directions)
-    return Grid2D(f.resolution, averager.apply(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +337,7 @@ def build_majorant_weight(
     is that truncation tail plus `RECURSION_MARGIN` for the
     frequency-domain averaging roundoff.
     """
-    _check_exponent(p)
+    check_exponent(p)
     L = g.resolution
     if np.any(g.values.imag != 0):
         raise ValueError("weight seed must be real")
@@ -407,65 +392,8 @@ def muckenhoupt_constants(u: GridSignal) -> tuple[float, float]:
     return a1, a2
 
 
-def hilbert_transform(f: GridSignal) -> GridSignal:
-    """Discrete Hilbert transform: frequency multiplier -i sign(xi), with the
-    zero and Nyquist frequencies annihilated."""
-    n = len(f)
-    spectrum = np.fft.fft(f.values)
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    multiplier = -1j * np.sign(freqs)
-    if n % 2 == 0:
-        multiplier[n // 2] = 0.0
-    return GridSignal(f.resolution, np.fft.ifft(spectrum * multiplier))
-
-
-def weighted_hilbert_ratio(f: GridSignal, u: GridSignal) -> RatioReport:
-    """Measured constant of the weighted L2 bound for the Hilbert transform:
-    int |Hf|^2 u against A1(u)**2 int |f|^2 u."""
-    a1, a2 = muckenhoupt_constants(u)
-    w = u.values.real
-    hf = hilbert_transform(f).values
-    width = 2.0 ** -f.resolution
-    lhs = float(np.sum(np.abs(hf) ** 2 * w) * width)
-    rhs = a1**2 * float(np.sum(np.abs(f.values) ** 2 * w) * width)
-    report = RatioReport.from_sides(lhs, rhs, A1=a1, A2=a2)
-    report.extra["C21"] = report.ratio
-    return report
-
-
 # ---------------------------------------------------------------------------
-# square-function equivalence and the two theorems
-
-
-def square_function_equivalence(
-    fams: list[Grid2D], q: float, trials: int, seed: int = 0
-) -> RatioReport:
-    """Monte-Carlo check of the doubly indexed randomization identity:
-    E || sum_{k,j} r_k r'_j S_k f_j ||_q^q against the square function
-    || (sum_{k,j} |S_k f_j|^2)^(1/2) ||_q^q; reports the sample ratio range."""
-    if q <= 2:
-        raise ValueError(f"q must exceed 2, got {q}")
-    if not fams:
-        raise ValueError("need at least one family member")
-    L = fams[0].resolution
-    rng = np.random.default_rng(seed)
-    pieces = np.stack(
-        [[annular_band(f, k).values for k in range(L + 1)] for f in fams]
-    )  # (J, K, n, n)
-    square = float(
-        np.sum(np.sum(np.abs(pieces) ** 2, axis=(0, 1)) ** (q / 2.0)) * cell_width(L) ** 2
-    )
-    samples = []
-    for _ in range(max(1, trials)):
-        rj = rng.choice([-1.0, 1.0], size=pieces.shape[0])
-        rk = rng.choice([-1.0, 1.0], size=pieces.shape[1])
-        mix = np.einsum("j,k,jkxy->xy", rj, rk, pieces)
-        samples.append(float(np.sum(np.abs(mix) ** q) * cell_width(L) ** 2))
-    mean = float(np.mean(samples))
-    report = RatioReport.from_sides(mean, square, q=q, trials=len(samples))
-    report.extra["ratio_lo"] = safe_ratio(min(samples), square)
-    report.extra["ratio_hi"] = safe_ratio(max(samples), square)
-    return report
+# the two theorems
 
 
 def directional_level_complement(
@@ -523,7 +451,7 @@ def verify_directional(
     engine's step cap, and `localized_unconverged` counts those that hit
     it.
     """
-    _check_exponent(p)
+    check_exponent(p)
     if not (q > 0 and abs(1.0 - 2.0 / q) < 1.0 / p):
         raise ValueError(f"exponent q={q} outside the admissible range for p={p}")
     L, stack_in, stack_out = _projection_stacks(fams, averager)
@@ -584,7 +512,7 @@ def verify_weighted_directional(
     all reported, and the final ratio is normalized by the measured norm of
     the directional maximal operator to the power |1 - 2/q| = 1/p.
     """
-    _check_exponent(p)
+    check_exponent(p)
     q = 2.0 * p / (p - 1.0)
     L, stack_in, stack_out = _projection_stacks(fams, averager)
     lhs = bundle_norm(stack_out, q, L)

@@ -11,6 +11,7 @@ counting-measure identities on the grid reproduce the Lebesgue ones exactly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -37,6 +38,12 @@ def check_resolution(resolution) -> int:
     if not 0 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must satisfy 0 <= L <= {MAX_RESOLUTION}, got {resolution}")
     return resolution
+
+
+def check_exponent(value: float, name: str = "p", above: float = 1) -> None:
+    """Reject an exponent outside the open range (above, inf)."""
+    if not above < value < math.inf:
+        raise ValueError(f"{name} must lie in ({above}, inf), got {value}")
 
 
 def cell_width(resolution: int) -> float:

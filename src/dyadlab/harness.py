@@ -20,10 +20,10 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_resolution, lp_norm
+from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_resolution
 from .maximal import CARVING, ScaleChoice, verify_vector_maximal
 from .reports import PrincipleReport
-from .tiles import BiTile, ChoiceFunction, Tile, TileCollection, full_decompose, member_indices, walsh_packet
+from .tiles import ChoiceFunction, full_decompose
 from .walsh import walsh_synthesis
 
 if TYPE_CHECKING:
@@ -72,6 +72,7 @@ class ExperimentConfig:
             )
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
+        check_seed(self.seed)
         if self.family_size < 1:
             raise ValueError(f"family size must be at least 1, got {self.family_size}")
         # the table's lower bound of p, which principle orders with its q and
@@ -98,6 +99,12 @@ class RunManifest:
 
     def to_json(self, indent=2) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=indent)
+
+
+def check_seed(seed: int) -> None:
+    """Reject a negative root seed, which `np.random.SeedSequence` refuses."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 def trial_generators(seed: int, trials: int):
@@ -153,81 +160,8 @@ def random_set2d(rng: np.random.Generator, resolution: int, density: float = 0.3
     return GridSet2D(resolution, mask)
 
 
-def random_choice(rng: np.random.Generator, resolution: int) -> ChoiceFunction:
-    n = 1 << resolution
-    return ChoiceFunction(resolution, rng.integers(0, n, size=n))
-
-
 def random_scale_choice(rng: np.random.Generator, resolution: int) -> ScaleChoice:
     return ScaleChoice(resolution, rng.integers(0, resolution + 1, size=1 << resolution))
-
-
-def random_convex_collection(
-    rng: np.random.Generator,
-    resolution: int,
-    seeds: int = 3,
-    cap: int = 400,
-) -> TileCollection:
-    """Convex closure of random tops with random descendant chains below
-    them, resampled if the closure overflows the cap.
-
-    Top scales are drawn from the fixed coarse range 0..3 so collections
-    occupy a comparable portion of the grid at every resolution, while the
-    chains reach down to the finest scales; this keeps measured
-    decomposition constants scale-comparable.
-    """
-    top_hi = min(3, resolution - 1)
-    while True:
-        picks = []
-        for _ in range(seeds):
-            k = int(rng.integers(0, top_hi + 1))
-            top = BiTile(
-                k,
-                int(rng.integers(0, 1 << k)),
-                int(rng.integers(0, 1 << (resolution - k - 1))),
-            )
-            picks.append(top)
-            for _ in range(int(rng.integers(1, 4))):
-                k2 = int(rng.integers(k, resolution))
-                offset = (top.offset << (k2 - k)) + int(rng.integers(0, 1 << (k2 - k)))
-                picks.append(BiTile(k2, offset, top.freq.lo >> (k2 + 1)))
-        collection = TileCollection.convex_closure(resolution, picks)
-        if len(collection) <= cap:
-            return collection
-
-
-def collection_spanning_signal(
-    rng: np.random.Generator, collection: TileCollection
-) -> GridSignal:
-    """Gaussian combination of the collection's own lower packets, unit L2
-    norm; keeps decomposition constants scale-comparable because the signal
-    energy lives where the collection can see it."""
-    values = np.zeros(1 << collection.resolution, dtype=np.complex128)
-    for k, offset, freq_index in member_indices(collection.occupied):
-        g = complex(rng.standard_normal(), rng.standard_normal())
-        values += g * walsh_packet(Tile(k, offset, 2 * freq_index), collection.resolution).values
-    norm = lp_norm(values, 2.0, collection.resolution)
-    if norm == 0.0:
-        return random_signal(rng, collection.resolution)
-    return GridSignal(collection.resolution, values / norm)
-
-
-def collection_adapted_choice(
-    rng: np.random.Generator, collection: TileCollection
-) -> ChoiceFunction:
-    """Choice function sampling the collection's own frequency intervals: at
-    each cell, a uniform frequency from a random member whose spatial
-    interval covers the cell (uniform over the lattice elsewhere)."""
-    L, n = collection.resolution, 1 << collection.resolution
-    freqs = rng.integers(0, n, size=n)
-    members = np.array(list(member_indices(collection.occupied)), dtype=np.int64).reshape(-1, 3)
-    for cell in range(n):
-        # the members covering the cell, in `bitile_key` order
-        candidates = members[cell >> (L - members[:, 0]) == members[:, 1]]
-        if len(candidates):
-            k, _, m = candidates[int(rng.integers(0, len(candidates)))].tolist()
-            freqs[cell] = int(rng.integers(m << (k + 1), (m + 1) << (k + 1)))
-    return ChoiceFunction(L, freqs)
 
 
 def maximal_operator_family(

@@ -20,6 +20,7 @@ from .grid import (
     GridSignal,
     VectorSignal,
     bundle_norm,
+    check_exponent,
     check_resolution,
     lp_norm,
     measure,
@@ -283,8 +284,7 @@ def restricted_double_sum(
     sum |J| / min(2**n |E|, 2**m |F|), and the total against
     (|G|/|H|)**(1/s) * |E|**(1/s) * |F|**(1/s').
     """
-    if not 1 < s < math.inf:
-        raise ValueError(f"s must lie in (1, inf), got {s}")
+    check_exponent(s, "s")
     L = e.resolution
     sizes, masses = interval_size_mass(e, h_prime, f_set, g, choice)
     lengths = np.ldexp(1.0, -slot_scales(L))
@@ -327,8 +327,7 @@ def verify_vector_maximal(fam: VectorSignal, p: float) -> RatioReport:
     M f_j; the ratio is the quantity whose uniform boundedness in the family
     size is the content of the inequality.
     """
-    if not 1 < p < math.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
+    check_exponent(p)
     maximal_stack = np.vstack(
         [dyadic_maximal(fam.member(j)).values.real for j in range(len(fam))]
     )

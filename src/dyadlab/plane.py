@@ -35,14 +35,6 @@ class DyadicRectangle:
         )
 
 
-def all_rectangles(resolution: int):
-    for kx in range(resolution + 1):
-        for nx in range(1 << kx):
-            for ky in range(resolution + 1):
-                for ny in range(1 << ky):
-                    yield DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(ky, ny))
-
-
 def rectangle_averages(values: np.ndarray, resolution: int, kx: int, ky: int) -> np.ndarray:
     """Averages over every dyadic rectangle at scale pair (kx, ky)."""
     n = 1 << resolution

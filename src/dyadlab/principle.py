@@ -3,8 +3,7 @@
 The engine certifies, on the grid, the hypotheses and bookkeeping of the
 two-set localization argument: the subset builders keep at least half the
 measure of each set, the localized operators have measured L2 -> L2 norms
-(Golub-Kahan-Lanczos with exact adjoints; `densify` writes out the matrix
-that tests check small grids against), the recursive three-way splitting
+(Golub-Kahan-Lanczos with exact adjoints), the recursive three-way splitting
 loses a factor of at least two in product measure per level, and the
 geometric error budget halves per level because
 3 * base(p)**(-min(1/p, 1/p')) is exactly one half.
@@ -18,14 +17,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridSet, VectorSignal, bundle_norm, measure, stack_slices
+from .grid import GridSet, VectorSignal, bundle_norm, check_exponent, measure, stack_slices
 from .maximal import exceptional_complement
 from .reports import LevelStat, PrincipleReport, RatioReport
 
 
 def conjugate_exponent(p: float) -> float:
-    if not 1 < p < math.inf:
-        raise ValueError(f"exponent must lie in (1, inf), got {p}")
+    check_exponent(p, "exponent")
     return p / (p - 1.0)
 
 
@@ -334,16 +332,6 @@ def _lanczos_stack(family, out_mask, in_mask, members, seeds, tol, max_steps, ve
         scale(u, alpha)
     stop(range(len(members)), max_steps, False)
     return [done[i] for i in sorted(done)]
-
-
-def densify(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """Matrix of a linear map on C^n in the cell basis; oracle for small grids."""
-    cols = []
-    for i in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[i] = 1.0
-        cols.append(np.ravel(apply(e)))
-    return np.stack(cols, axis=1)
 
 
 def condition_constant(norms: list[float], ratio: float, p: float) -> float:

@@ -36,7 +36,6 @@ from .walsh import (
     butterfly_layout,
     butterfly_stages,
     butterfly_views,
-    walsh_values,
 )
 
 
@@ -144,11 +143,6 @@ class BiTile:
         return self != other and self <= other
 
 
-def all_bitiles(resolution: int) -> list[BiTile]:
-    """Every bi-tile at the resolution, in `bitile_key` order."""
-    return [BiTile(*index) for index in member_indices(TileCollection.all(resolution).occupied)]
-
-
 def _mask_shape(resolution: int, scale: int) -> tuple[int, int]:
     return (1 << scale, 1 << (resolution - scale - 1))
 
@@ -157,7 +151,7 @@ def tile_slot(resolution: int, scale, offset, freq_index):
     """Position of the bi-tile (scale k, offset n, freq_index m) in a flat
     occupancy array: k 2**(L-1) + n 2**(L-k-1) + m, so row k of the
     (L, 2**(L-1)) array is scale k's (2**k, 2**(L-k-1)) mask flattened, and
-    ascending slots are `bitile_key` order. Takes ints or integer arrays."""
+    ascending slots are (k, n, m) order. Takes ints or integer arrays."""
     L = resolution
     return scale * ((1 << L) >> 1) + (offset << (L - 1 - scale)) + freq_index
 
@@ -225,7 +219,7 @@ class TileCollection:
 
 def member_indices(occupied: np.ndarray):
     """(scale, offset, freq_index) of every set slot of an (L, 2**(L-1))
-    occupancy array, as ints in `bitile_key` order."""
+    occupancy array, as ints in ascending `tile_slot` order."""
     L = len(occupied)
     for k, row in enumerate(occupied):
         offsets, freqs = np.nonzero(row.reshape(_mask_shape(L, k)))
@@ -296,18 +290,6 @@ def packet_heights(resolution: int) -> np.ndarray:
     return heights
 
 
-def walsh_packet(tile: Tile, resolution: int) -> GridSignal:
-    """L2-normalized Walsh wave packet of the tile: supported on the spatial
-    interval, Walsh spectrum exactly the frequency interval, norm one."""
-    if not tile.fits(resolution):
-        raise ValueError(f"tile {tile} does not fit resolution {resolution}")
-    L = resolution
-    k = tile.scale
-    values = np.zeros(1 << L, dtype=np.complex128)
-    values[tile.spatial.cell_slice(L)] = walsh_values(tile.freq_index, L - k) * packet_heights(L)[k]
-    return GridSignal(L, values)
-
-
 @functools.cache
 def _lower_layout(resolution: int):
     """The gathers, stage lengths, final places and normalizations of
@@ -354,13 +336,8 @@ def lower_coefficients(values: np.ndarray, resolution: int) -> np.ndarray:
     return out
 
 
-def bitile_key(p: BiTile) -> tuple[int, int, int]:
-    """Deterministic total order used wherever bi-tiles are enumerated."""
-    return (p.scale, p.offset, p.freq_index)
-
-
 def _coefficients(collection: TileCollection, f: GridSignal) -> tuple[np.ndarray, ...]:
-    """Every member's scale, offset and frequency index, in `bitile_key`
+    """Every member's scale, offset and frequency index, in `tile_slot`
     order, and <f, lower-packet> at each, gathered from one all-scale
     transform."""
     if f.resolution != collection.resolution:
@@ -374,7 +351,7 @@ def _coefficients(collection: TileCollection, f: GridSignal) -> tuple[np.ndarray
 
 def member_coefficients(collection: TileCollection, f: GridSignal) -> dict[BiTile, complex]:
     """<f, lower-packet of P> for every member, via one all-scale transform,
-    in `bitile_key` order."""
+    in `tile_slot` order."""
     scale, offset, freq, coef = (a.tolist() for a in _coefficients(collection, f))
     return dict(zip(map(BiTile, scale, offset, freq), coef))
 
@@ -596,7 +573,7 @@ class Tree:
     """Bi-tiles dominated by one top: spatial intervals inside the top
     interval, top frequency inside every member's frequency interval. The
     members are held only as their ascending `tile_slot`s at the resolution,
-    that is in `bitile_key` order, in a read-only array: a subset of
+    that is in (k, n, m) order, in a read-only array: a subset of
     `_tree_slots(resolution, top_interval, top_freq)`. `from_members` builds
     a tree from a collection and checks that it is one; `members` builds
     the collection back on each call."""
@@ -636,7 +613,7 @@ class Tree:
 class _SizeTable:
     """Covering weights of every admissible top of a collection's members.
 
-    An entry is one (member P, ancestor top I) pair: members in `bitile_key`
+    An entry is one (member P, ancestor top I) pair: members in `tile_slot`
     order, then ancestor scales s = 0..k. It carries the weight
     w = |<f, P1>|**2 of its member on the upper frequency interval
     [lo, hi) = [(2m+1) 2**k, (2m+2) 2**k). Every endpoint of an entry whose
@@ -965,7 +942,7 @@ def member_weights(collection: TileCollection, f: GridSignal, per_slot: np.ndarr
 
 
 def tree_sum(tree: Tree, values: np.ndarray) -> float:
-    """Per-slot values summed over the tree's members in `bitile_key` order."""
+    """Per-slot values summed over the tree's members in `tile_slot` order."""
     return sum(values.take(tree.slots).tolist(), 0.0)
 
 

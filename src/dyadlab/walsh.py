@@ -36,16 +36,6 @@ def bit_reversal(bits: int) -> np.ndarray:
     return rev
 
 
-def walsh_values(m, bits: int) -> np.ndarray:
-    """W_m sampled on the 2**bits cells of [0, 1), values in {-1, +1}; for
-    an array of indices, one row per index."""
-    m = np.asarray(m, dtype=np.int64)
-    if np.any((m < 0) | (m >= (1 << bits))):
-        raise ValueError(f"Walsh index {m} out of range for {bits} bits")
-    signs = np.bitwise_count(m[..., None] & bit_reversal(bits)) & 1
-    return 1.0 - 2.0 * signs
-
-
 @functools.cache
 def walsh_matrix(bits: int) -> np.ndarray:
     """The Paley Walsh matrix on 2**bits cells: W_m(cell u) at row m and
@@ -176,11 +166,6 @@ def _hadamard_moved(a: np.ndarray, axis: int, analysis: bool = False) -> np.ndar
     work[0].reshape(lines.shape)[... if analysis else rev] = lines
     butterfly_stages(butterfly_views(work, (lines.size,) * bits))
     return np.take(work[bits & 1].reshape(lines.shape[1:] + lines.shape[:1]), rev, axis=-1)
-
-
-def hadamard(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized Hadamard butterfly along one axis (length a power of two)."""
-    return np.moveaxis(_hadamard_moved(a, axis), -1, axis)
 
 
 def walsh_analysis(values: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -16,11 +16,7 @@ from dyadlab.grid import (
     measure,
 )
 from dyadlab.harness import (
-    collection_adapted_choice,
-    collection_spanning_signal,
     maximal_operator_family,
-    random_choice,
-    random_convex_collection,
     random_grid2d,
     random_grid_set,
     random_set2d,
@@ -38,13 +34,19 @@ from dyadlab.principle import (
 from dyadlab.tiles import (
     TileCollection,
     Tree,
-    all_bitiles,
     mass,
     mass_decompose,
     member_coefficients,
     size,
     size_decompose,
     tree_estimate,
+)
+from oracles import (
+    all_bitiles,
+    collection_adapted_choice,
+    collection_spanning_signal,
+    random_choice,
+    random_convex_collection,
 )
 
 

@@ -10,7 +10,6 @@ from dyadlab.biparam import (
     _tree_sums,
     fixed_scale_operator,
     haar_coefficients,
-    haar_synthesis,
     rect_coefficients,
     rect_full_decompose,
     rect_mass,
@@ -18,7 +17,6 @@ from dyadlab.biparam import (
     rect_size,
     rect_size_decompose,
     rect_tree_estimate,
-    tensor_packet,
     verify_biparam,
     vertical_band_project,
 )
@@ -27,13 +25,13 @@ from dyadlab.harness import random_grid2d, random_set2d
 from dyadlab.walsh import walsh_analysis, walsh_synthesis
 from dyadlab.plane import (
     DyadicRectangle,
-    all_rectangles,
     certified_rectangle_threshold,
     exceptional_complement_2d,
     rectangle_averages,
     rectangle_level_set,
     strong_maximal,
 )
+from oracles import all_rectangles, haar_synthesis, tensor_packet
 from test_principle import (
     MapPair,
     assert_closure_runs_match,

@@ -29,14 +29,8 @@ from dyadlab.grid import (
     measure,
 )
 from dyadlab.maximal import exceptional_complement
-from dyadlab.harness import (
-    random_choice,
-    random_convex_collection,
-    random_grid_set,
-    random_signal,
-    random_vector,
-)
-from dyadlab.principle import TopSingularResult, densify, power_iteration
+from dyadlab.harness import random_grid_set, random_signal, random_vector
+from dyadlab.principle import TopSingularResult, power_iteration
 from dyadlab.tiles import (
     ChoiceFunction,
     ModelSumPlan,
@@ -50,7 +44,8 @@ from dyadlab.tiles import (
     upper_cells,
 )
 from dyadlab.grid import STACK_CELLS, stack_slices
-from dyadlab.walsh import bit_reversal, block_gathers, walsh_matrix, walsh_values
+from dyadlab.walsh import bit_reversal, block_gathers, walsh_matrix
+from oracles import densify, random_choice, random_convex_collection, walsh_values
 from test_principle import (
     MapPair,
     assert_same_krylov,
@@ -567,7 +562,8 @@ class TestRestrictedPairing:
             assert report.extra["model_majorant"] >= 0.0
 
     def test_one_bitile_matches_tree_sum(self):
-        from dyadlab.tiles import BiTile, walsh_packet
+        from dyadlab.tiles import BiTile
+        from oracles import walsh_packet
 
         resolution = 4
         p = BiTile(1, 0, 1)

@@ -94,7 +94,8 @@ def _decompose_forest(resolution: int, signal, e_set=None, choice=None) -> str:
 
 def _decompose_csv() -> str:
     """`dyadlab decompose` at L=5 against a fixed signal, set and choice."""
-    from dyadlab.harness import random_choice, random_grid_set, random_signal
+    from dyadlab.harness import random_grid_set, random_signal
+    from oracles import random_choice
 
     rng = np.random.default_rng(71)
     signal = random_signal(rng, 5, complex_values=True)
@@ -198,7 +199,8 @@ def _restricted_pairing() -> dict:
     random choice; its buckets come from `full_decompose`."""
     from dyadlab.carleson import RestrictedOp, restricted_pairing
     from dyadlab.grid import GridSet, GridSignal
-    from dyadlab.harness import random_choice, random_grid_set
+    from dyadlab.harness import random_grid_set
+    from oracles import random_choice
     from dyadlab.maximal import exceptional_complement
     from dyadlab.tiles import TileCollection
 

@@ -19,9 +19,13 @@ from dyadlab.grid import (
     lp_norm,
     measure,
 )
-from dyadlab.maximal import ScaleChoice
+from dyadlab.biparam import verify_biparam
+from dyadlab.carleson import verify_vector_carleson
+from dyadlab.directional import DirectionalAverager, DirectionSet
+from dyadlab.maximal import ScaleChoice, restricted_double_sum, verify_vector_maximal
+from dyadlab.principle import conjugate_exponent
 from dyadlab.tiles import ChoiceFunction
-from dyadlab.walsh import walsh_values
+from oracles import walsh_values
 
 
 def interval_strategy(max_scale=6):
@@ -328,3 +332,37 @@ def test_array_holders_compare_by_identity(x, copy):
     assert x in [x] and x not in [other]
     assert hash(x) == hash(x)
     assert len({x, other}) == 2
+
+
+
+def _biparam(p, resolution):
+    return verify_biparam([Grid2D.constant(resolution, 1.0)], p, GridSet2D.full(resolution), eps=0.1)
+
+
+_FAM, _FULL = VectorSignal(2, np.ones((1, 4))), GridSet.full(2)
+
+# every library guard of an exponent's open range, and verify_biparam's
+# lowest resolution, which its theorem row holds: a call it rejects and the
+# exact message
+GUARDS = {
+    "conjugate_exponent": (lambda: conjugate_exponent(1.0), "exponent must lie in (1, inf), got 1.0"),
+    "estimate_norm": (
+        lambda: DirectionalAverager(2, DirectionSet.uniform(2)).estimate_norm(math.inf),
+        "p must lie in (1, inf), got inf",
+    ),
+    "verify_vector_carleson": (lambda: verify_vector_carleson(_FAM, None, 1.0), "p must lie in (1, inf), got 1.0"),
+    "verify_vector_maximal": (lambda: verify_vector_maximal(_FAM, math.nan), "p must lie in (1, inf), got nan"),
+    "restricted_double_sum": (
+        lambda: restricted_double_sum(_FULL, _FULL, _FULL, _FULL, ScaleChoice.constant(2, 0), 1.0),
+        "s must lie in (1, inf), got 1.0",
+    ),
+    "verify_biparam-p": (lambda: _biparam(2.0, 2), "p must lie in (2, inf), got 2.0"),
+    "verify_biparam-resolution": (lambda: _biparam(3.0, 0), "biparam needs resolution L >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", GUARDS.values(), ids=GUARDS)
+def test_exponent_guards_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -17,7 +17,6 @@ from dyadlab.harness import (
     THEOREMS,
     ExperimentConfig,
     run,
-    random_convex_collection,
     random_grid_set,
     random_signal,
     trial_generators,
@@ -37,7 +36,8 @@ from dyadlab.io import (
     write_signal,
     write_tile_collection,
 )
-from dyadlab.tiles import BiTile, ChoiceFunction, TileCollection, all_bitiles
+from dyadlab.tiles import BiTile, ChoiceFunction, TileCollection
+from oracles import all_bitiles, random_convex_collection
 
 
 class TestDeterminism:
@@ -142,17 +142,6 @@ class TestReportSerialization:
         parsed = json.loads(decay.to_json())
         assert set(parsed) >= {"ratio_ladder", "slope", "intercept", "unconverged"}
         assert all(set(pt) == {"log_ratio", "log_norm"} for pt in parsed["ratio_ladder"])
-
-    def test_directional_report_fields(self):
-        from dyadlab.directional import DirectionSet, weighted_hilbert_ratio
-        from dyadlab.harness import random_signal
-
-        rng = np.random.default_rng(22)
-        f = random_signal(rng, 5, complex_values=True)
-        u = GridSignal(5, np.exp(0.3 * rng.standard_normal(32)))
-        report = weighted_hilbert_ratio(f, u)
-        parsed = json.loads(report.to_json())
-        assert {"A1", "A2", "C21"} <= set(parsed)
 
 
 class TestExactMassCap:
@@ -814,6 +803,12 @@ class TestCLI:
             # the small set at ratio 2^-ladder must hold at least one cell
             (["--resolution", "0"], "got 2, and at most the resolution 0"),
             (["--resolution", "4", "--ladder", "5"], "got 5, and at most the resolution 4"),
+            (["--seed", "-1"], "seed must be nonnegative, got -1"),
+            # a nan gate fails every slope and an infinite one passes every slope
+            (["--epsilon", "nan"], "epsilon must satisfy 0 <= epsilon < 1/2, got nan"),
+            (["--epsilon", "inf"], "epsilon must satisfy 0 <= epsilon < 1/2, got inf"),
+            (["--epsilon", "-1"], "epsilon must satisfy 0 <= epsilon < 1/2, got -1.0"),
+            (["--epsilon", "0.5"], "epsilon must satisfy 0 <= epsilon < 1/2, got 0.5"),
         ],
     )
     def test_estimate22_invalid_flags_exit_two(self, flags, message, tmp_path, capsys):
@@ -829,6 +824,17 @@ class TestCLI:
         assert main(["estimate-22", "--resolution", str(resolution), "--branch", "h"]) in (0, 1)
         ladder = json.loads(capsys.readouterr().out)["h"]["ratio_ladder"]
         assert [pt["log_ratio"] for pt in ladder] == [-float(i) for i in range(1, resolution + 1)]
+
+    @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "0"], ["--epsilon", "0.1"], ["--epsilon", "0.49"]])
+    def test_estimate22_accepts_epsilon_in_range(self, epsilon, capsys):
+        assert main(["estimate-22", "--resolution", "3", "--ladder", "2", "--branch", "h", *epsilon]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["h"]["ratio_ladder"]
+
+    @pytest.mark.parametrize("theorem", ["fs", "principle"])
+    def test_negative_seed_exits_two(self, theorem, capsys):
+        # numpy's SeedSequence would raise on it only once the run starts
+        assert main(["verify", theorem, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "invalid configuration: seed must be nonnegative, got -1\n"
 
     def test_estimate22_smallest_valid_ladder(self, capsys):
         assert main(["estimate-22", "--resolution", "3", "--ladder", "2", "--branch", "h"]) in (0, 1)

@@ -28,8 +28,8 @@ from dyadlab.maximal import (
     scale_averages,
     verify_vector_maximal,
 )
-from dyadlab.principle import densify
 from dyadlab.reports import BucketStat, RatioReport
+from oracles import densify
 
 
 def tree_average(values: np.ndarray) -> float:

@@ -38,7 +38,8 @@ def test_traced_layer_resolves(target):
 
 
 def _tile_inputs():
-    from dyadlab.harness import random_choice, random_grid_set, random_signal
+    from dyadlab.harness import random_grid_set, random_signal
+    from oracles import random_choice
     from dyadlab.tiles import TileCollection
 
     rng = np.random.default_rng(3)

@@ -25,7 +25,6 @@ from dyadlab.principle import (
     condition_constant,
     conjugate_exponent,
     decay_base,
-    densify,
     level_budget,
     measure_condition,
     PowerIterationResult,
@@ -39,6 +38,7 @@ from dyadlab.principle import (
     trim_builder,
     vector_inequality_ratio,
 )
+from oracles import densify
 
 
 class MapPair(NamedTuple):

@@ -15,12 +15,7 @@ from dyadlab.grid import (
     lp_norm,
     measure,
 )
-from dyadlab.harness import (
-    random_choice,
-    random_convex_collection,
-    random_grid_set,
-    random_signal,
-)
+from dyadlab.harness import random_grid_set, random_signal
 from dyadlab import tiles as tiles_module
 from dyadlab.tiles import (
     BiTile,
@@ -32,8 +27,6 @@ from dyadlab.tiles import (
     TileCollection,
     Tree,
     adjoint_model_sum,
-    all_bitiles,
-    bitile_key,
     collection_is_convex,
     full_decompose,
     mass,
@@ -47,9 +40,7 @@ from dyadlab.tiles import (
     size_decompose,
     tile_slot,
     tree_estimate,
-    walsh_packet,
 )
-from dyadlab.principle import densify
 from dyadlab.walsh import (
     bit_reversal,
     bit_reverse,
@@ -57,10 +48,18 @@ from dyadlab.walsh import (
     butterfly_layout,
     butterfly_stages,
     butterfly_views,
-    hadamard,
     walsh_analysis,
     walsh_matrix,
     walsh_synthesis,
+)
+from oracles import (
+    all_bitiles,
+    bitile_key,
+    densify,
+    hadamard,
+    random_choice,
+    random_convex_collection,
+    walsh_packet,
     walsh_values,
 )
 
