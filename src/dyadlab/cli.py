@@ -3,7 +3,9 @@
 Subcommands: `verify <theorem>` runs one verification experiment and writes
 its report; `decompose` buckets a tile collection file; `estimate-22`
 measures the restricted-operator norm decay along a measure-ratio ladder.
-Exit status is 0 exactly when every asserted postcondition held.
+Exit status is 0 exactly when every asserted postcondition held, 1 when
+one failed, and 2 on an invalid configuration, malformed input or a path
+the operating system refuses.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 from .grid import check_resolution
 from .harness import THEOREMS, ExperimentConfig, check_seed, run, run_decompose
+from .io import json_text, write_json, write_ladder_plot
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,28 +90,6 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(args.theorem, **given)
 
 
-def _plot_ladder(report: dict, out_dir: Path) -> None:
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("plotting requires matplotlib (install the 'plot' extra)", file=sys.stderr)
-        return
-    fig, ax = plt.subplots()
-    for branch, decay in report.items():
-        xs = [pt["log_ratio"] for pt in decay["ratio_ladder"]]
-        ys = [pt["log_norm"] for pt in decay["ratio_ladder"]]
-        ax.plot(xs, ys, marker="o", label=f"{branch} (slope {decay['slope']:.3f})")
-    ax.set_xlabel("log2 measure ratio")
-    ax.set_ylabel("log2 operator norm")
-    ax.legend()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fig.savefig(out_dir / "ratio_ladder.png", dpi=120)
-    plt.close(fig)
-
-
 def _estimate22(args) -> int:
     ladder = args.resolution if args.ladder is None else args.ladder
     try:
@@ -125,8 +106,10 @@ def _estimate22(args) -> int:
         )
 
     from .carleson import norm_decay_ladder
-    from .io import open_new
 
+    out_dir = Path(args.out or ".")
+    if args.out:
+        out_dir.mkdir(parents=True, exist_ok=True)
     ratios = [2.0**-i for i in range(1, ladder + 1)]
     branches = ("h", "g") if args.branch == "both" else (args.branch,)
     report = {}
@@ -135,48 +118,44 @@ def _estimate22(args) -> int:
         decay = norm_decay_ladder(args.resolution, ratios, seed=args.seed, branch=branch)
         report[branch] = decay.to_dict()
         ok = ok and decay.slope >= 0.5 - args.epsilon and decay.extra["unconverged"] == 0
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json_text(report), end="")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open_new(out_dir / "report.json") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        if args.plot:
-            _plot_ladder(report, out_dir)
-    elif args.plot:
-        _plot_ladder(report, Path("."))
+        write_json(out_dir / "report.json", report)
+    if args.plot:
+        write_ladder_plot(out_dir / "ratio_ladder.png", report)
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _decompose(args) -> int:
+    summary = run_decompose(
+        args.collection, args.signal, args.resolution, args.out, set_file=args.set_file, choice_file=args.choice_file
+    )
+    print(json.dumps(summary, sort_keys=True))
+    return 0
 
-    if args.command == "decompose":
-        try:
-            summary = run_decompose(
-                args.collection,
-                args.signal,
-                args.resolution,
-                args.out,
-                set_file=args.set_file,
-                choice_file=args.choice_file,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(summary, sort_keys=True))
-        return 0
 
-    if args.command == "estimate-22":
-        return _estimate22(args)
+def _verify(args) -> int:
     config = _config_from_args(args)
     try:
         config.validate()
     except ValueError as exc:
         return _invalid(str(exc))
     _, report, ok = run(config)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json_text(report), end="")
     return 0 if ok else 1
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    command = {"decompose": _decompose, "estimate-22": _estimate22, "verify": _verify}[args.command]
+    # a path the operating system refuses, such as a missing input file or an
+    # --out under a regular file, exits 2, and so does a malformed input file
+    refused = (OSError, ValueError) if args.command == "decompose" else OSError
+    try:
+        return command(args)
+    except refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

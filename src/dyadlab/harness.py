@@ -1,16 +1,21 @@
-"""Experiment configuration, deterministic orchestration, and report files.
+"""Experiment configuration and deterministic orchestration.
 
-All randomness descends from the manifest seed through spawned counter-based
-(Philox) generators, one per trial, so every reported number is reproducible
-bit for bit from the configuration alone.  Wall-clock timings live only in
-the manifest, never in the report, which keeps report files byte-identical
-across replays.
+Every draw descends from the configured seed, so every reported number is
+reproducible bit for bit from the configuration alone. Each trial's data
+comes from its own counter-based (Philox) generator, spawned from the seed,
+whose spawn key the manifest records. Three other sources read the seed
+directly. In trial i, `verify_biparam`, `verify_directional` and
+`verify_weighted_directional`, with the `DirectionalAverager.estimate_norm`
+they call, draw from `np.random.default_rng(config.seed + i)`.
+`run_principle`'s setup (its operator family and sets) draws from a Philox
+generator seeded with `config.seed + 10**6`. Each localized norm run starts
+from a per-member seed derived from its caller's. Wall-clock timings live
+only in the manifest, never in the report, which keeps report files
+byte-identical across replays; `io.write_run` writes the files.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -21,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_resolution
+from .io import CSV_SCHEMA, read_choice, read_grid_set, read_signal, read_tile_collection, write_forests, write_run
 from .maximal import CARVING, ScaleChoice, verify_vector_maximal
 from .reports import PrincipleReport
 from .tiles import ChoiceFunction, full_decompose
@@ -28,9 +34,6 @@ from .walsh import walsh_synthesis
 
 if TYPE_CHECKING:
     from .principle import OperatorFamily
-
-# bumped whenever any CSV column layout changes; recorded in every manifest
-CSV_SCHEMA = 1
 
 
 @dataclass
@@ -96,9 +99,6 @@ class RunManifest:
     trial_seeds: list[list[int]]
     versions: dict
     wall_clock: dict = field(default_factory=dict)
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=indent)
 
 
 def check_seed(seed: int) -> None:
@@ -367,9 +367,12 @@ THEOREMS = {
 def run(config: ExperimentConfig) -> tuple[RunManifest, dict, bool]:
     """Dispatch one experiment; returns (manifest, report, all postconditions
     held).  The report is the runner's own fields with the theorem, the
-    largest trial ratio, the trial count and `ok`.  Writes report.json,
-    manifest.json and trials.csv when an output directory is configured."""
+    largest trial ratio, the trial count and `ok`.  When an output directory
+    is configured, creates it before the run and writes report.json,
+    manifest.json and trials.csv there after it."""
     config.validate()
+    if config.out:
+        Path(config.out).mkdir(parents=True, exist_ok=True)
     gens, keys = trial_generators(config.seed, config.trials)
     start = time.perf_counter()
     fields, ratios, ok = THEOREMS[config.theorem].run(config, gens)
@@ -388,23 +391,8 @@ def run(config: ExperimentConfig) -> tuple[RunManifest, dict, bool]:
         wall_clock={config.theorem: elapsed},
     )
     if config.out:
-        write_outputs(Path(config.out), config, manifest, report, ratios)
+        write_run(config.out, report, asdict(manifest), ratios)
     return manifest, report, ok
-
-
-def write_outputs(out_dir: Path, config, manifest, report: dict, ratios: list[float]) -> None:
-    from .io import open_new
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open_new(out_dir / "report.json") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    with open_new(out_dir / "manifest.json") as fh:
-        fh.write(manifest.to_json() + "\n")
-    with open_new(out_dir / "trials.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "ratio"])
-        for i, r in enumerate(ratios):
-            writer.writerow([i, repr(float(r))])
 
 
 def _at_resolution(data, path, resolution: int):
@@ -426,8 +414,6 @@ def run_decompose(
     """Decompose a tile collection file against a signal file; emits the
     (n, m) bucket forests with tops and counting ratios as CSV. The signal,
     set and choice files must be at the given resolution."""
-    from .io import open_new, read_choice, read_grid_set, read_signal, read_tile_collection
-
     collection = read_tile_collection(collection_file, resolution)
     signal = _at_resolution(read_signal(signal_file), signal_file, resolution)
     if set_file is not None:
@@ -439,27 +425,7 @@ def run_decompose(
     else:
         choice = ChoiceFunction.constant(resolution, 0)
     decomposition = full_decompose(collection, signal, e_set, choice)
-    rows = []
-    for (n, m), bucket in sorted(decomposition.buckets.items()):
-        for t_index, tree in enumerate(bucket.trees):
-            rows.append(
-                [
-                    n,
-                    m,
-                    t_index,
-                    tree.top_interval.scale,
-                    tree.top_interval.offset,
-                    tree.top_freq,
-                    len(tree.slots),
-                    repr(bucket.count_ratio),
-                ]
-            )
-    with open_new(out_file, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "m", "tree", "top_scale", "top_offset", "top_freq", "members", "count_ratio"]
-        )
-        writer.writerows(rows)
+    write_forests(out_file, decomposition)
     return {
         "buckets": len(decomposition.buckets),
         "trees": sum(len(b.trees) for b in decomposition.buckets.values()),

@@ -1,20 +1,35 @@
-"""CSV readers and writers for signals, sets, tile collections, plane grids,
-choice functions and direction sets.
-
-Malformed input reports the offending data row (1-based, excluding the
-header).
+"""Every file format: CSV readers and writers for signals, sets, tile
+collections, plane grids, choice functions and direction sets, and the
+writers of every file a command emits. Each CSV header is one constant that
+its reader and its writer share. Malformed input reports the offending data
+row (1-based, excluding the header).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 import stat
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSignal, check_resolution
 from .tiles import BiTile, ChoiceFunction, TileCollection, member_indices, tile_slot
+
+# bumped whenever any CSV column layout changes; recorded in every manifest
+CSV_SCHEMA = 1
+
+SIGNAL_HEADER = ("index", "re", "im")
+SET_HEADER = ("index", "member")
+TILE_HEADER = ("k", "n", "freq_offset")
+CHOICE_HEADER = ("index", "freq")
+PLANE_HEADER = ("row", "col", "re", "im")
+DIRECTION_HEADER = ("vx", "vy")
+FOREST_HEADER = ("n", "m", "tree", "top_scale", "top_offset", "top_freq", "members", "count_ratio")
+TRIALS_HEADER = ("trial", "ratio")
 
 
 def open_new(path, newline=None):
@@ -35,10 +50,29 @@ def open_new(path, newline=None):
     return open(path, "w", newline=newline)
 
 
-def _open_rows(path, expected_header):
+def write_csv(path, header: tuple[str, ...], rows) -> None:
+    """The header, then each row, as `csv.writer` writes them."""
+    with open_new(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def json_text(data) -> str:
+    """The encoding of every report: keys sorted, indented by 2, with one
+    trailing newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, data) -> None:
+    with open_new(path) as fh:
+        fh.write(json_text(data))
+
+
+def _open_rows(path, expected_header: tuple[str, ...]):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != expected_header:
+    if not rows or tuple(c.strip() for c in rows[0]) != expected_header:
         raise ValueError(f"{path}: expected header {','.join(expected_header)}")
     return rows[1:]
 
@@ -136,15 +170,12 @@ def _check_rows(path, rows, types, kind: str, parsed: int, checks) -> None:
 
 
 def write_signal(path, signal: GridSignal) -> None:
-    with open_new(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, value in enumerate(signal.values):
-            writer.writerow([i, repr(float(value.real)), repr(float(value.imag))])
+    rows = ((i, repr(float(value.real)), repr(float(value.imag))) for i, value in enumerate(signal.values))
+    write_csv(path, SIGNAL_HEADER, rows)
 
 
 def read_signal(path) -> GridSignal:
-    rows = _open_rows(path, ["index", "re", "im"])
+    rows = _open_rows(path, SIGNAL_HEADER)
     resolution = _resolution_for(len(rows), path)
     types = (int, float, float)
     (index, re, im), parsed = _columns(rows, types)
@@ -159,15 +190,11 @@ def read_signal(path) -> GridSignal:
 
 
 def write_grid_set(path, s: GridSet) -> None:
-    with open_new(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "member"])
-        for i, member in enumerate(s.mask):
-            writer.writerow([i, int(member)])
+    write_csv(path, SET_HEADER, ((i, int(member)) for i, member in enumerate(s.mask)))
 
 
 def read_grid_set(path) -> GridSet:
-    rows = _open_rows(path, ["index", "member"])
+    rows = _open_rows(path, SET_HEADER)
     resolution = _resolution_for(len(rows), path)
     types = (int, int)
     (index, member), parsed = _columns(rows, types)
@@ -181,10 +208,7 @@ def read_grid_set(path) -> GridSet:
 
 
 def write_tile_collection(path, collection: TileCollection) -> None:
-    with open_new(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "n", "freq_offset"])
-        writer.writerows(member_indices(collection.occupied))
+    write_csv(path, TILE_HEADER, member_indices(collection.occupied))
 
 
 def _tile_problem(row, resolution: int) -> str:
@@ -202,7 +226,7 @@ def read_tile_collection(path, resolution: int) -> TileCollection:
     arrays; the first bad row fails with its number."""
     check_resolution(resolution)
     L = resolution
-    rows = _open_rows(path, ["k", "n", "freq_offset"])
+    rows = _open_rows(path, TILE_HEADER)
     types = (int, int, int)
     (scale, offset, freq), parsed = _columns(rows, types)
     known = (0 <= scale) & (scale < L)
@@ -221,16 +245,24 @@ def read_tile_collection(path, resolution: int) -> TileCollection:
     return TileCollection(L, occupied)
 
 
+def write_forests(path, decomposition) -> None:
+    """The trees of a `full_decompose` decomposition, bucket by bucket in
+    (n, m) order: each tree's top bi-tile scale, offset and frequency, its
+    member count and its bucket's counting ratio."""
+    rows = []
+    for (n, m), bucket in sorted(decomposition.buckets.items()):
+        for t, tree in enumerate(bucket.trees):
+            top = tree.top_interval
+            rows.append((n, m, t, top.scale, top.offset, tree.top_freq, len(tree.slots), repr(bucket.count_ratio)))
+    write_csv(path, FOREST_HEADER, rows)
+
+
 def write_choice(path, choice: ChoiceFunction) -> None:
-    with open_new(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "freq"])
-        for i, value in enumerate(choice.freqs):
-            writer.writerow([i, int(value)])
+    write_csv(path, CHOICE_HEADER, ((i, int(value)) for i, value in enumerate(choice.freqs)))
 
 
 def read_choice(path) -> ChoiceFunction:
-    rows = _open_rows(path, ["index", "freq"])
+    rows = _open_rows(path, CHOICE_HEADER)
     resolution = _resolution_for(len(rows), path)
     types = (int, int)
     (index, freq), parsed = _columns(rows, types)
@@ -245,18 +277,12 @@ def read_choice(path) -> ChoiceFunction:
 
 
 def write_grid2d(path, f: Grid2D) -> None:
-    with open_new(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "re", "im"])
-        n = 1 << f.resolution
-        for r in range(n):
-            for c in range(n):
-                value = f.values[r, c]
-                writer.writerow([r, c, repr(float(value.real)), repr(float(value.imag))])
+    rows = ((r, c, repr(float(value.real)), repr(float(value.imag))) for (r, c), value in np.ndenumerate(f.values))
+    write_csv(path, PLANE_HEADER, rows)
 
 
 def read_grid2d(path) -> Grid2D:
-    rows = _open_rows(path, ["row", "col", "re", "im"])
+    rows = _open_rows(path, PLANE_HEADER)
     resolution = _resolution_for(len(rows), path, axes=2)
     side = 1 << resolution
     types = (int, int, float, float)
@@ -274,11 +300,7 @@ def read_grid2d(path) -> Grid2D:
 
 
 def write_directions(path, directions) -> None:
-    with open_new(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vx", "vy"])
-        for v in directions:
-            writer.writerow([repr(v.vx), repr(v.vy)])
+    write_csv(path, DIRECTION_HEADER, ((repr(v.vx), repr(v.vy)) for v in directions))
 
 
 def _direction_problem(row) -> str | None:
@@ -296,7 +318,7 @@ def _direction_problem(row) -> str | None:
 def read_directions(path):
     from .directional import Direction, DirectionSet
 
-    rows = _open_rows(path, ["vx", "vy"])
+    rows = _open_rows(path, DIRECTION_HEADER)
     types = (float, float)
     (vx, vy), parsed = _columns(rows, types)
     valid = np.array([_direction_problem(row) is None for row in rows[:parsed]], dtype=bool)
@@ -306,3 +328,35 @@ def read_directions(path):
         (_repeats(np.column_stack((vx, vy)).view(np.complex128).ravel()), lambda row: f"direction {row!r} is repeated"),
     ])  # fmt: skip
     return DirectionSet(tuple(Direction(x, y) for x, y in zip(vx.tolist(), vy.tolist())))
+
+
+def write_ladder_plot(path, report: dict) -> None:
+    """A PNG of `estimate-22`'s report: per branch, the log2 operator norm
+    against the log2 measure ratio, with the fitted slope."""
+    try:
+        import matplotlib
+
+        matplotlib.use("Agg")
+        import matplotlib.pyplot as plt
+    except ImportError:
+        print("plotting requires matplotlib (install the 'plot' extra)", file=sys.stderr)
+        return
+    fig, ax = plt.subplots()
+    for branch, decay in report.items():
+        xs = [pt["log_ratio"] for pt in decay["ratio_ladder"]]
+        ys = [pt["log_norm"] for pt in decay["ratio_ladder"]]
+        ax.plot(xs, ys, marker="o", label=f"{branch} (slope {decay['slope']:.3f})")
+    ax.set_xlabel("log2 measure ratio")
+    ax.set_ylabel("log2 operator norm")
+    ax.legend()
+    fig.savefig(path, dpi=120)
+    plt.close(fig)
+
+
+def write_run(out_dir, report: dict, manifest: dict, ratios) -> None:
+    """`verify`'s files in the existing directory `out_dir`: report.json,
+    manifest.json and trials.csv, one row per trial ratio."""
+    out_dir = Path(out_dir)
+    write_json(out_dir / "report.json", report)
+    write_json(out_dir / "manifest.json", manifest)
+    write_csv(out_dir / "trials.csv", TRIALS_HEADER, ((i, repr(float(r))) for i, r in enumerate(ratios)))

@@ -1,8 +1,7 @@
-"""Report containers and their JSON wire formats."""
+"""Report containers and their wire formats, which `io.json_text` encodes."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -21,9 +20,6 @@ class _Report:
         out = asdict(self)
         out.update(out.pop("extra"))
         return out
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
 @dataclass

@@ -121,7 +121,10 @@ def butterfly_layout(
     stage 0; `start`, its inverse; `active`, the number of entries each
     stage reads; and `final`, the flat index into the two buffers of each P
     after its row's last stage. The arrays are read-only and built once
-    per stack shape: the 48 ops of the decay benchmark at L=6 meet 34.
+    per stack shape: `estimate-22 --resolution 9 --ladder 8 --seed 1` asks
+    for 73 layouts of 18 shapes (55 hits, which would take 47 ms of its
+    1 s to rebuild), `verify carleson --resolution 8` for 11 of 2 (9 hits,
+    5 ms of 90 ms), measured on a 2-core AMD EPYC.
     """
     size = len(stages) * half
     s = np.repeat(np.asarray(stages, dtype=np.int64), half)

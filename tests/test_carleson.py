@@ -19,6 +19,7 @@ from dyadlab.carleson import (
     retain_meeting,
     verify_vector_carleson,
 )
+from dyadlab.io import json_text
 from dyadlab.reports import safe_ratio
 from dyadlab.grid import (
     DyadicInterval,
@@ -1019,7 +1020,7 @@ class TestNormDecay:
         monkeypatch.setattr(carleson, "norm_decay_point", functools.partial(norm_decay_point, iters=2))
         ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5)
         assert ladder.extra["unconverged"] >= 8
-        assert json.loads(ladder.to_json())["unconverged"] == ladder.extra["unconverged"]
+        assert json.loads(json_text(ladder.to_dict()))["unconverged"] == ladder.extra["unconverged"]
 
     def test_ladder_rejects_ratio_without_a_cell(self):
         # at L=3 the ratio 2^-4 rounds to no cell, which must not become one

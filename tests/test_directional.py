@@ -33,6 +33,7 @@ from dyadlab.grid import (
     measure,
     stack_slices,
 )
+from dyadlab.io import json_text
 from dyadlab.maximal import dyadic_maximal
 from oracles import annular_band
 from test_principle import (
@@ -914,7 +915,7 @@ class TestEquivalenceAndTheorems:
         for seed in (0, 1):
             own = verify_directional(fams, DirectionalAverager(4, dirs), q=2.5, p=2.0, seed=seed)
             reused = verify_directional(fams, shared, q=2.5, p=2.0, seed=seed)
-            assert own.to_json() == reused.to_json()
+            assert json_text(own.to_dict()) == json_text(reused.to_dict())
 
     @pytest.mark.parametrize(
         "call",

@@ -1,8 +1,8 @@
 """Golden reports, compared byte for byte.
 
 Each case runs a fixed, small configuration and serializes its report with
-`json.dumps(..., sort_keys=True, indent=2)`; the bytes must equal the file
-under `tests/golden/`.  The CLI cases are the `report.json` files that
+`dyadlab.io.json_text`, the encoding of every report file; the bytes must
+equal the file under `tests/golden/`.  The CLI cases are the `report.json` files that
 `dyadlab verify` and `dyadlab estimate-22` write, and the forest CSV that
 `dyadlab decompose` writes for fixed input files; the library cases keep the
 whole `extra` dict of the plane pipelines, which the CLI reports reduce to a
@@ -241,7 +241,9 @@ def produce(name: str) -> str:
         return _cli_report(CLI_CASES[name])
     if name in TEXT_CASES:
         return LIBRARY_CASES[name]()
-    return json.dumps(LIBRARY_CASES[name](), sort_keys=True, indent=2) + "\n"
+    from dyadlab.io import json_text
+
+    return json_text(LIBRARY_CASES[name]())
 
 
 def _recorded_with() -> dict:

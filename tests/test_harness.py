@@ -22,6 +22,7 @@ from dyadlab.harness import (
     trial_generators,
 )
 from dyadlab.io import (
+    json_text,
     open_new,
     read_choice,
     read_directions,
@@ -78,7 +79,7 @@ class TestDeterminism:
         manifest, _, _ = run(ExperimentConfig(theorem="fs", resolution=5, trials=1, seed=0))
         assert manifest.versions["csv_schema"] == 1
         assert "dyadlab" in manifest.versions and "numpy" in manifest.versions
-        json.loads(manifest.to_json())
+        json.loads(json_text(asdict(manifest)))
 
 
 class TestReportSerialization:
@@ -94,7 +95,7 @@ class TestReportSerialization:
         h_prime = exceptional_complement(h, g, 4.0)
         choice = ScaleChoice(5, rng.integers(0, 6, size=32))
         report = restricted_double_sum(e, f_set, h_prime, g, choice, 2.0, h=h)
-        parsed = json.loads(report.to_json())
+        parsed = json.loads(json_text(report.to_dict()))
         assert set(parsed) >= {"lhs", "rhs", "ratio", "buckets"}
         for bucket in parsed["buckets"]:
             assert set(bucket) == {"n", "m", "sum", "count_bound_ratio"}
@@ -132,14 +133,14 @@ class TestReportSerialization:
         h = random_grid_set(rng, 5)
         g = random_grid_set(rng, 5)
         report = measure_condition(family, h, g, trim_builder(4.0, "h"), 2.5)
-        parsed = json.loads(report.to_json())
+        parsed = json.loads(json_text(report.to_dict()))
         assert set(parsed) >= {"p", "C_p", "B_p", "A_p", "q", "lhs3", "rhs3", "ratio", "levels"}
 
     def test_decay_report_json(self):
         from dyadlab.carleson import norm_decay_ladder
 
         decay = norm_decay_ladder(5, [0.5, 0.25], seed=9)
-        parsed = json.loads(decay.to_json())
+        parsed = json.loads(json_text(decay.to_dict()))
         assert set(parsed) >= {"ratio_ladder", "slope", "intercept", "unconverged"}
         assert all(set(pt) == {"log_ratio", "log_norm"} for pt in parsed["ratio_ladder"])
 
@@ -280,7 +281,7 @@ def _loop_claim(path, number, index, seen):
 
 def loop_read_signal(path) -> GridSignal:
     """The row loop that `read_signal` replaced, kept as its oracle."""
-    rows = io_module._open_rows(path, ["index", "re", "im"])
+    rows = io_module._open_rows(path, io_module.SIGNAL_HEADER)
     resolution = io_module._resolution_for(len(rows), path)
     values = np.zeros(len(rows), dtype=np.complex128)
     seen = np.zeros(len(rows), dtype=bool)
@@ -299,7 +300,7 @@ def loop_read_signal(path) -> GridSignal:
 
 def loop_read_grid_set(path) -> GridSet:
     """The row loop that `read_grid_set` replaced, kept as its oracle."""
-    rows = io_module._open_rows(path, ["index", "member"])
+    rows = io_module._open_rows(path, io_module.SET_HEADER)
     resolution = io_module._resolution_for(len(rows), path)
     mask = np.zeros(len(rows), dtype=bool)
     seen = np.zeros(len(rows), dtype=bool)
@@ -318,7 +319,7 @@ def loop_read_grid_set(path) -> GridSet:
 
 def loop_read_choice(path) -> ChoiceFunction:
     """The row loop that `read_choice` replaced, kept as its oracle."""
-    rows = io_module._open_rows(path, ["index", "freq"])
+    rows = io_module._open_rows(path, io_module.CHOICE_HEADER)
     resolution = io_module._resolution_for(len(rows), path)
     freqs = np.zeros(len(rows), dtype=np.int64)
     seen = np.zeros(len(rows), dtype=bool)
@@ -337,7 +338,7 @@ def loop_read_choice(path) -> ChoiceFunction:
 
 def loop_read_grid2d(path) -> Grid2D:
     """The row loop that `read_grid2d` replaced, kept as its oracle."""
-    rows = io_module._open_rows(path, ["row", "col", "re", "im"])
+    rows = io_module._open_rows(path, io_module.PLANE_HEADER)
     resolution = io_module._resolution_for(len(rows), path, axes=2)
     side = 1 << resolution
     values = np.zeros((side, side), dtype=np.complex128)
@@ -360,7 +361,7 @@ def loop_read_grid2d(path) -> Grid2D:
 def loop_read_tile_collection(path, resolution: int) -> TileCollection:
     """The row loop that `read_tile_collection` replaced, kept as its oracle,
     with the field-count check every reader now makes first in a row."""
-    rows = io_module._open_rows(path, ["k", "n", "freq_offset"])
+    rows = io_module._open_rows(path, io_module.TILE_HEADER)
     bitiles = set()
     for number, row in _loop_numbered(path, rows, 3, "bi-tile"):
         try:
@@ -702,6 +703,10 @@ class TestOpenNew:
         assert target.read_text() == "newer\n"
 
 
+def _never_runs(*args, **kwargs):
+    raise AssertionError("the experiment ran")
+
+
 class TestCLI:
     def test_only_estimate22_takes_plot(self):
         assert build_parser().parse_args(["estimate-22", "--plot"]).plot
@@ -865,6 +870,45 @@ class TestCLI:
         code = main(["decompose", str(bad), str(sig), "--resolution", "4", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("refused", ["collection", "out"])
+    def test_decompose_refused_path_exits_two(self, refused, tmp_path, capsys):
+        # a missing input file and an --out naming a directory print the
+        # operating system's message, as malformed input prints its row
+        col, sig, out = tmp_path / "col.csv", tmp_path / "sig.csv", tmp_path / "forest.csv"
+        write_tile_collection(col, TileCollection.all(3))
+        write_signal(sig, GridSignal.constant(3, 1.0))
+        if refused == "collection":
+            col = tmp_path / "missing.csv"
+        else:
+            out.mkdir()
+        assert main(["decompose", str(col), str(sig), "--resolution", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        path = col if refused == "collection" else out
+        assert captured.err.startswith("error: [Errno ") and captured.err.endswith(f": '{path}'\n")
+        assert captured.out == ""
+
+    def test_verify_out_under_a_file_exits_two_before_the_run(self, tmp_path, monkeypatch, capsys):
+        from dyadlab import harness
+
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "out"
+        monkeypatch.setitem(harness.THEOREMS, "fs", harness.THEOREMS["fs"]._replace(run=_never_runs))
+        assert main(["verify", "fs", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno ") and captured.err.endswith(f": '{out}'\n")
+        assert captured.out == ""
+
+    def test_estimate22_out_under_a_file_exits_two_before_the_run(self, tmp_path, monkeypatch, capsys):
+        from dyadlab import carleson
+
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "out"
+        monkeypatch.setattr(carleson, "norm_decay_ladder", _never_runs)
+        assert main(["estimate-22", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno ") and captured.err.endswith(f": '{out}'\n")
+        assert captured.out == ""
 
     def test_decompose_signal_above_maximum_resolution_exits_two(self, tmp_path, capsys):
         col, sig = tmp_path / "col.csv", tmp_path / "sig.csv"

@@ -28,6 +28,7 @@ from dyadlab.maximal import (
     scale_averages,
     verify_vector_maximal,
 )
+from dyadlab.io import json_text
 from dyadlab.reports import BucketStat, RatioReport
 from oracles import densify
 
@@ -527,7 +528,7 @@ class TestRestrictedDoubleSum:
             h = h if trial % 2 else None
             report = restricted_double_sum(e, f_set, h_prime, g, choice, s, h=h)
             expected = oracle_double_sum(e, f_set, h_prime, g, choice, s, h=h)
-            assert report.to_json() == expected.to_json()
+            assert json_text(report.to_dict()) == json_text(expected.to_dict())
 
     def test_maximal_members_skip_nested_classmates(self):
         # E = F = G = H' full and kappa = (1, 1, 1/2, 1/4): [0, 1) and
