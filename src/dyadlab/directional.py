@@ -437,6 +437,7 @@ def verify_directional(
     averager: DirectionalAverager,
     q: float,
     p: float,
+    norm: float,
     seed: int = 0,
 ) -> RatioReport:
     """Square-function bound for directional half-plane projections, plus the
@@ -445,11 +446,12 @@ def verify_directional(
     Reports both sides of the vector inequality at q, and wires the family
     S_k H_{v_j} through the two-set condition: the exceptional set removes the
     region where the directional maximal function of 1_G is large (threshold
-    (|G|/|H|)**(1/2) times the measured norm), and the localized norms are
-    reported against the measure-ratio power alpha = 1/4.  The directions
-    are the averager's.  The localized norms are `top_singular` runs at the
-    engine's step cap, and `localized_unconverged` counts those that hit
-    it.
+    (|G|/|H|)**(1/2) times `norm`, the caller's measure of the averager's
+    L^2 norm, such as `averager.estimate_norm(2.0)`), and the localized
+    norms are reported against the measure-ratio power alpha = 1/4.  The
+    directions are the averager's.  The localized norms are `top_singular`
+    runs at the engine's step cap, and `localized_unconverged` counts those
+    that hit it.
     """
     check_exponent(p)
     if not (q > 0 and abs(1.0 - 2.0 / q) < 1.0 / p):
@@ -461,8 +463,7 @@ def verify_directional(
     rhs = bundle_norm(stack_in, q, L)
     report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
 
-    norm_l2 = averager.estimate_norm(2.0, seed=seed)
-    report.extra["norm_MSigma"] = norm_l2
+    report.extra["norm_MSigma"] = norm
 
     rng = np.random.default_rng(seed)
     g_mask = rng.random((n, n)) < 0.25
@@ -472,22 +473,23 @@ def verify_directional(
     h = GridSet2D(L, np.ones((n, n), dtype=bool))
     ratio = measure(g) / measure(h)
     h_prime, c_used = directional_level_complement(
-        h, g, averager, math.sqrt(ratio) * norm_l2
+        h, g, averager, math.sqrt(ratio) * norm
     )
     report.extra["h_kept"] = safe_ratio(measure(h_prime), measure(h))
     report.extra["exceptional_c"] = c_used
 
-    # the band-times-half-plane multipliers, member j * (L + 1) + k, run as
-    # stacks through one fft2/ifft2 pair per apply; they are real, so the
-    # adjoint multiplies by the same array
-    bands = np.stack([band_window(L, k) for k in range(L + 1)])
-    multipliers = np.concatenate([bands * halfplane_mask(L, v) for v in directions])
+    # the band-times-half-plane multipliers run as stacks through one
+    # fft2/ifft2 pair per apply; they are real, so the adjoint multiplies by
+    # the same array.  They are band-major, member k * len(directions) + j,
+    # so a stack holds bands whose runs take similar step counts
+    halves = np.stack([halfplane_mask(L, v) for v in directions])
+    multipliers = np.concatenate([band_window(L, k) * halves for k in range(L + 1)])
 
     def multiply(rows, x):
         spectra = np.fft.fft2(x)
         return _ifft2_into(np.multiply(spectra, multipliers[rows], out=spectra))
 
-    seeds = [seed + 31 * j + k for j in range(len(directions)) for k in range(L + 1)]
+    seeds = [seed + 31 * j + k for k in range(L + 1) for j in range(len(directions))]
     family = OperatorFamily(len(multipliers), multiply, multiply)
     results = top_singular(family, g.mask, h_prime.mask, seeds)
     norms = [res.norm for res in results]
@@ -500,7 +502,7 @@ def verify_directional(
 
 
 def verify_weighted_directional(
-    fams: list[Grid2D], averager: DirectionalAverager, p: float, seed: int = 0
+    fams: list[Grid2D], averager: DirectionalAverager, p: float, norm: float
 ) -> RatioReport:
     """Endpoint square-function bound through the weight route, over the
     averager's directions.
@@ -509,17 +511,17 @@ def verify_weighted_directional(
     majorant weight, whose series stops at its first certified tail after
     at most `WEIGHT_TERMS` terms (`weight["terms"]` says where); the
     per-direction weighted projection constants and the assembled chain are
-    all reported, and the final ratio is normalized by the measured norm of
-    the directional maximal operator to the power |1 - 2/q| = 1/p.
+    all reported, and the final ratio is normalized by `norm`, the caller's
+    measure of the averager's L^p norm (such as `averager.estimate_norm(p)`),
+    to the power |1 - 2/q| = 1/p; `norm` is also the weight's N.
     """
     check_exponent(p)
     q = 2.0 * p / (p - 1.0)
     L, stack_in, stack_out = _projection_stacks(fams, averager)
     lhs = bundle_norm(stack_out, q, L)
-    norm_p = averager.estimate_norm(p, seed=seed)
-    rhs = norm_p ** abs(1.0 - 2.0 / q) * bundle_norm(stack_in, q, L)
+    rhs = norm ** abs(1.0 - 2.0 / q) * bundle_norm(stack_in, q, L)
     report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
-    report.extra["norm_MSigma"] = norm_p
+    report.extra["norm_MSigma"] = norm
 
     # dual extremal of ||F||_{p'} for F = sum |H_v f_j|^2, normalized in L^p
     big_f = np.sum(np.abs(stack_out) ** 2, axis=0)
@@ -533,7 +535,7 @@ def verify_weighted_directional(
         g_dual = g_dual / lp_norm(g_dual, p, L)
 
     g_weight = Grid2D(L, g_dual.astype(np.complex128))
-    weight = build_majorant_weight(g_weight, averager, p, WEIGHT_TERMS, norm_p)
+    weight = build_majorant_weight(g_weight, averager, p, WEIGHT_TERMS, norm)
     report.extra["weight"] = weight.certificates
     area = cell_width(L) ** 2
     pairing = float(np.sum(big_f * g_dual) * area)

@@ -3,10 +3,11 @@
 Every draw descends from the configured seed, so every reported number is
 reproducible bit for bit from the configuration alone. Each trial's data
 comes from its own counter-based (Philox) generator, spawned from the seed,
-whose spawn key the manifest records. Three other sources read the seed
-directly. In trial i, `verify_biparam`, `verify_directional` and
-`verify_weighted_directional`, with the `DirectionalAverager.estimate_norm`
-they call, draw from `np.random.default_rng(config.seed + i)`.
+whose spawn key the manifest records. Four other sources read the seed
+directly. In trial i, `verify_biparam` and `verify_directional` draw from
+`np.random.default_rng(config.seed + i)`. The two Cordoba runners measure
+the averager's norm once per run, by `DirectionalAverager.estimate_norm`
+from `np.random.default_rng(config.seed)`, and pass it to every trial.
 `run_principle`'s setup (its operator family and sets) draws from a Philox
 generator seeded with `config.seed + 10**6`. Each localized norm run starts
 from a per-member seed derived from its caller's. Wall-clock timings live
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_resolution
-from .io import CSV_SCHEMA, read_choice, read_grid_set, read_signal, read_tile_collection, write_forests, write_run
+from .io import CSV_SCHEMA, check_output_path, read_choice, read_grid_set, read_signal, read_tile_collection, write_forests, write_run
 from .maximal import CARVING, ScaleChoice, verify_vector_maximal
 from .reports import PrincipleReport
 from .tiles import ChoiceFunction, full_decompose
@@ -230,11 +231,13 @@ def run_cordoba(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
     from .directional import DirectionalAverager, DirectionSet, verify_directional
 
     averager = DirectionalAverager(config.resolution, DirectionSet.uniform(8))
+    # ||M_Sigma||_2, a constant of the direction set: measured once per run
+    norm = averager.estimate_norm(2.0, seed=config.seed)
     ratios = []
     ok = True
     for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
-        rep = verify_directional(fams, averager, config.q, config.p, seed=config.seed + i)
+        rep = verify_directional(fams, averager, config.q, config.p, norm, seed=config.seed + i)
         ratios.append(rep.ratio)
         ok = ok and rep.extra["h_kept"] >= 0.5 and math.isfinite(rep.ratio)
         ok = ok and rep.extra["localized_unconverged"] == 0
@@ -250,11 +253,13 @@ def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[flo
     from .directional import DirectionalAverager, DirectionSet, verify_weighted_directional
 
     averager = DirectionalAverager(config.resolution, DirectionSet.uniform(8))
+    # ||M_Sigma||_p, a constant of the direction set: measured once per run
+    norm = averager.estimate_norm(config.p, seed=config.seed)
     ratios, weights = [], []
     ok = True
-    for i, rng in enumerate(gens):
+    for rng in gens:
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
-        rep = verify_weighted_directional(fams, averager, config.p, seed=config.seed + i)
+        rep = verify_weighted_directional(fams, averager, config.p, norm)
         ratios.append(rep.ratio)
         certs = rep.extra["weight"]
         ok = ok and certs["norm_ok"] and certs["recursion_ok"] and math.isfinite(rep.ratio)
@@ -413,7 +418,9 @@ def run_decompose(
 ) -> dict:
     """Decompose a tile collection file against a signal file; emits the
     (n, m) bucket forests with tops and counting ratios as CSV. The signal,
-    set and choice files must be at the given resolution."""
+    set and choice files must be at the given resolution. An output path
+    the operating system would refuse is refused before any input is read."""
+    check_output_path(out_file)
     collection = read_tile_collection(collection_file, resolution)
     signal = _at_resolution(read_signal(signal_file), signal_file, resolution)
     if set_file is not None:

@@ -8,6 +8,7 @@ row (1-based, excluding the header).
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import stat
@@ -48,6 +49,21 @@ def open_new(path, newline=None):
         if stat.S_ISREG(info.st_mode) and info.st_nlink == 1:
             os.unlink(path)
     return open(path, "w", newline=newline)
+
+
+def check_output_path(path) -> None:
+    """Raise the `OSError` that opening `path` for writing would raise when
+    it names a directory or its parent is missing or not a directory, and
+    create nothing, so a command can refuse its output before any work."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        parent_is_dir = stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    if not parent_is_dir:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def write_csv(path, header: tuple[str, ...], rows) -> None:

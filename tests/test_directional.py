@@ -687,9 +687,10 @@ class TestStoppedSeries:
         rng = np.random.default_rng(40 + resolution)
         fams = [random_plane(rng, resolution) for _ in range(4)]
         averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
-        stopped = verify_weighted_directional(fams, averager, p=2.0, seed=resolution)
+        norm = averager.estimate_norm(2.0, seed=resolution)
+        stopped = verify_weighted_directional(fams, averager, 2.0, norm)
         monkeypatch.setattr(directional, "build_majorant_weight", fixed_series_weight)
-        full = verify_weighted_directional(fams, averager, p=2.0, seed=resolution)
+        full = verify_weighted_directional(fams, averager, 2.0, norm)
         assert full.extra["weight"]["terms"] == WEIGHT_TERMS
         assert stopped.extra["weight"]["terms"] < WEIGHT_TERMS
         for key in ("ratio", "lhs", "rhs"):
@@ -814,7 +815,7 @@ class TestEquivalenceAndTheorems:
         fams = [random_plane(rng, 3)]
         averager = DirectionalAverager(3, DirectionSet.uniform(2))
         with pytest.raises(ValueError, match="outside the admissible range"):
-            verify_directional(fams, averager, q=q, p=2.0)
+            verify_directional(fams, averager, q=q, p=2.0, norm=1.5)
 
     @pytest.mark.parametrize("p", [0.0, math.nan, -1.0])
     def test_directional_rejects_p_first(self, p):
@@ -823,13 +824,14 @@ class TestEquivalenceAndTheorems:
         fams = [random_plane(rng, 3)]
         averager = DirectionalAverager(3, DirectionSet.uniform(2))
         with pytest.raises(ValueError, match=r"p must lie in \(1, inf\)"):
-            verify_directional(fams, averager, q=2.5, p=p)
+            verify_directional(fams, averager, q=2.5, p=p, norm=1.5)
 
     def test_directional_near_l2_contraction(self):
         rng = np.random.default_rng(15)
         fams = [random_plane(rng, 3) for _ in range(3)]
         averager = DirectionalAverager(3, DirectionSet.uniform(4))
-        report = verify_directional(fams, averager, q=2.0 + 1e-9, p=2.0, seed=1)
+        norm = averager.estimate_norm(2.0, seed=1)
+        report = verify_directional(fams, averager, q=2.0 + 1e-9, p=2.0, norm=norm, seed=1)
         assert report.ratio <= 1.0 + 1e-6
         assert report.extra["h_kept"] >= 0.5
 
@@ -842,18 +844,20 @@ class TestEquivalenceAndTheorems:
         fams = [random_plane(rng, L) for _ in range(2)]
         captured = capture_top_singular(monkeypatch, directional)
         monkeypatch.setattr(directional, "top_singular", functools.partial(directional.top_singular, max_steps=3))
-        verify_directional(fams, DirectionalAverager(L, dirs), q=2.5, p=2.0, seed=seed)
+        averager = DirectionalAverager(L, dirs)
+        verify_directional(fams, averager, q=2.5, p=2.0, norm=averager.estimate_norm(2.0, seed=seed), seed=seed)
         g, h_prime = localization_sets(L, dirs, seed)
         assert 0 < h_prime.mask.mean() < 1
         members = len(dirs) * (L + 1)
-        assert captured["seeds"] == [seed + 31 * j + k for j in range(len(dirs)) for k in range(L + 1)]
+        # band-major: member k * len(dirs) + j is band k of direction j
+        assert captured["seeds"] == [seed + 31 * j + k for k in range(L + 1) for j in range(len(dirs))]
         assert captured["kwargs"] == {"max_steps": 3}
         assert set().union(*captured["stacks"]) == set(range(members))
         assert np.array_equal(captured["out_mask"], g.mask)
         assert np.array_equal(captured["in_mask"], h_prime.mask)
 
         def closures(index):
-            j, k = divmod(index, L + 1)
+            k, j = divmod(index, len(dirs))
             return MapPair(*old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask))
 
         assert_closure_runs_match(captured, closures)
@@ -871,12 +875,14 @@ class TestEquivalenceAndTheorems:
         fams = [random_plane(rng, L) for _ in range(2)]
         captured = capture_top_singular(monkeypatch, directional)
         monkeypatch.setattr(directional, "top_singular", functools.partial(directional.top_singular, max_steps=40))
-        report = verify_directional(fams, DirectionalAverager(L, dirs), q=2.5, p=2.0, seed=seed)
+        averager = DirectionalAverager(L, dirs)
+        norm = averager.estimate_norm(2.0, seed=seed)
+        report = verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=seed)
         g, h_prime = localization_sets(L, dirs, seed)
         results = captured["results"]
         assert len(results) == len(dirs) * (L + 1)
         for index, res in enumerate(results):
-            j, k = divmod(index, L + 1)
+            k, j = divmod(index, len(dirs))
             fwd, adj = old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask)
             assert_krylov_oracles(res, MapPair(fwd, adj), (n, n), seed + 31 * j + k, dense=L <= 4)
         assert_one_member_runs_match(captured)
@@ -893,13 +899,14 @@ class TestEquivalenceAndTheorems:
         rng = np.random.default_rng(23)
         averager = DirectionalAverager(4, DirectionSet.uniform(8))
         fams = [random_plane(rng, 4) for _ in range(2)]
-        full = verify_directional(fams, averager, q=2.5, p=2.0, seed=1)
+        norm = averager.estimate_norm(2.0, seed=1)
+        full = verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=1)
         assert full.extra["localized_unconverged"] == 0
         config = ExperimentConfig(theorem="cordoba", resolution=4, trials=2, p=2.0, q=2.5)
         assert run(config)[2] is True
 
         monkeypatch.setattr(directional, "top_singular", functools.partial(directional.top_singular, max_steps=2))
-        capped = verify_directional(fams, averager, q=2.5, p=2.0, seed=1)
+        capped = verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=1)
         assert capped.extra["localized_unconverged"] > 0
         _, report, ok = run(config)
         assert ok is False and report["ok"] is False
@@ -913,15 +920,18 @@ class TestEquivalenceAndTheorems:
         fams = [random_plane(rng, 4) for _ in range(2)]
         shared = DirectionalAverager(4, dirs)
         for seed in (0, 1):
-            own = verify_directional(fams, DirectionalAverager(4, dirs), q=2.5, p=2.0, seed=seed)
-            reused = verify_directional(fams, shared, q=2.5, p=2.0, seed=seed)
+            own_averager = DirectionalAverager(4, dirs)
+            own_norm = own_averager.estimate_norm(2.0, seed=seed)
+            own = verify_directional(fams, own_averager, q=2.5, p=2.0, norm=own_norm, seed=seed)
+            norm = shared.estimate_norm(2.0, seed=seed)
+            reused = verify_directional(fams, shared, q=2.5, p=2.0, norm=norm, seed=seed)
             assert json_text(own.to_dict()) == json_text(reused.to_dict())
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda fams, other: verify_directional(fams, other, q=2.5, p=2.0),
-            lambda fams, other: verify_weighted_directional(fams, other, p=2.0),
+            lambda fams, other: verify_directional(fams, other, q=2.5, p=2.0, norm=1.5),
+            lambda fams, other: verify_weighted_directional(fams, other, p=2.0, norm=1.5),
             lambda fams, other: build_majorant_weight(Grid2D.constant(3, 1.0), other, 2.0, 4, 1.5),
         ],
         ids=["verify_directional", "verify_weighted_directional", "build_majorant_weight"],
@@ -937,7 +947,7 @@ class TestEquivalenceAndTheorems:
         rng = np.random.default_rng(16)
         fams = [random_plane(rng, 3) for _ in range(4)]
         averager = DirectionalAverager(3, DirectionSet.uniform(4))
-        report = verify_weighted_directional(fams, averager, p=2.0, seed=2)
+        report = verify_weighted_directional(fams, averager, 2.0, averager.estimate_norm(2.0, seed=2))
         certs = report.extra["weight"]
         assert certs["norm_ok"] and certs["recursion_ok"]
         # the duality pairing is dominated by the weighted pairing, which the
@@ -946,29 +956,26 @@ class TestEquivalenceAndTheorems:
         assert report.extra["chain_constant"] <= 1.0 + 1e-9
         assert math.isfinite(report.ratio)
 
-    def test_one_ascent_per_weighted_call(self, monkeypatch):
+    def test_no_ascent_per_call(self, monkeypatch):
+        # both theorems read the norm their caller measured, and report it
         rng = np.random.default_rng(18)
-        dirs = DirectionSet.uniform(4)
         fams = [random_plane(rng, 3) for _ in range(2)]
-        calls = []
-        real = DirectionalAverager.estimate_norm
+        averager = DirectionalAverager(3, DirectionSet.uniform(4))
 
-        def counted(self, p, seed=0):
-            calls.append((p, seed))
-            return real(self, p, seed=seed)
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("estimate_norm called although the norm was given")
 
-        monkeypatch.setattr(DirectionalAverager, "estimate_norm", counted)
-        shared = DirectionalAverager(3, dirs)
-        for seed in (0, 3):
-            verify_weighted_directional(fams, DirectionalAverager(3, dirs), p=1.5, seed=seed)
-            verify_weighted_directional(fams, shared, p=1.5, seed=seed)
-        assert calls == [(1.5, 0)] * 2 + [(1.5, 3)] * 2
+        monkeypatch.setattr(DirectionalAverager, "estimate_norm", no_ascent)
+        plain = verify_directional(fams, averager, q=2.5, p=2.0, norm=1.75, seed=3)
+        weighted = verify_weighted_directional(fams, averager, p=1.5, norm=1.25)
+        assert plain.extra["norm_MSigma"] == 1.75
+        assert weighted.extra["norm_MSigma"] == 1.25 <= weighted.extra["weight"]["norm_used"]
 
     def test_weighted_exponent_range(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError, match="p must lie in"):
             verify_weighted_directional(
-                [random_plane(rng, 3)], DirectionalAverager(3, DirectionSet.uniform(2)), p=1.0
+                [random_plane(rng, 3)], DirectionalAverager(3, DirectionSet.uniform(2)), p=1.0, norm=1.5
             )
 
     def test_level_complement_dense_marker(self):
@@ -984,3 +991,49 @@ class TestEquivalenceAndTheorems:
         averager = DirectionalAverager(resolution, DirectionSet.uniform(2))
         kept, c = directional_level_complement(h, g, averager, 0.9)
         assert measure(kept) >= 0.5 * measure(h)
+
+
+class TestOneAscentPerRun:
+    """The Cordoba runners measure ||M_Sigma|| once per run, from the run's
+    seed, and pass it to every trial; trial 0 reads the run's seed too, so
+    it keeps the bytes of a one-trial run."""
+
+    @staticmethod
+    def run_recorded(theorem, trials, p=3.0):
+        """(each estimate_norm call as (p, seed, value), each trial's report,
+        the run's report) of `verify <theorem>` at L=3 from seed 5."""
+        from dyadlab.harness import ExperimentConfig, run
+
+        name = {"cordoba": "verify_directional", "cordoba-weighted": "verify_weighted_directional"}[theorem]
+        real_norm, real_verify = DirectionalAverager.estimate_norm, getattr(directional, name)
+        calls, reports = [], []
+
+        def counted(self, p, seed=0):
+            calls.append((p, seed, real_norm(self, p, seed=seed)))
+            return calls[-1][2]
+
+        def recorded(*args, **kwargs):
+            reports.append(real_verify(*args, **kwargs))
+            return reports[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DirectionalAverager, "estimate_norm", counted)
+            mp.setattr(directional, name, recorded)
+            _, report, _ = run(ExperimentConfig(theorem=theorem, resolution=3, trials=trials, seed=5, p=p))
+        return calls, reports, report
+
+    # cordoba's exceptional set reads the L^2 norm whatever its p
+    @pytest.mark.parametrize("theorem, ascent_p", [("cordoba", 2.0), ("cordoba-weighted", 3.0)])
+    def test_one_ascent_per_run(self, theorem, ascent_p):
+        calls, reports, _ = self.run_recorded(theorem, 3)
+        assert [(p, seed) for p, seed, _ in calls] == [(ascent_p, 5)]
+        assert len(reports) == 3
+        assert [rep.extra["norm_MSigma"] for rep in reports] == [calls[0][2]] * 3
+
+    @pytest.mark.parametrize("theorem", ["cordoba", "cordoba-weighted"])
+    def test_trial_zero_matches_a_one_trial_run(self, theorem):
+        _, three, report3 = self.run_recorded(theorem, 3)
+        _, one, report1 = self.run_recorded(theorem, 1)
+        assert json_text(three[0].to_dict()) == json_text(one[0].to_dict())
+        if theorem == "cordoba-weighted":
+            assert json_text(report3["weights"][0]) == json_text(report1["weights"][0])

@@ -132,7 +132,8 @@ def _directional(resolution: int) -> dict:
 
     fams, _ = _plane_inputs(resolution, 61)
     averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
-    return verify_directional(fams, averager, q=2.5, p=2.0, seed=5).to_dict()
+    norm = averager.estimate_norm(2.0, seed=5)
+    return verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=5).to_dict()
 
 
 def _weighted_directional() -> dict:
@@ -140,7 +141,7 @@ def _weighted_directional() -> dict:
 
     fams, _ = _plane_inputs(4, 62)
     averager = DirectionalAverager(4, DirectionSet.uniform(8))
-    return verify_weighted_directional(fams, averager, p=2.0, seed=6).to_dict()
+    return verify_weighted_directional(fams, averager, p=2.0, norm=averager.estimate_norm(2.0, seed=6)).to_dict()
 
 
 def _biparam() -> dict:

@@ -872,21 +872,42 @@ class TestCLI:
         assert "row 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("refused", ["collection", "out"])
-    def test_decompose_refused_path_exits_two(self, refused, tmp_path, capsys):
+    def test_decompose_refused_path_exits_two(self, refused, tmp_path, monkeypatch, capsys):
         # a missing input file and an --out naming a directory print the
-        # operating system's message, as malformed input prints its row
+        # operating system's message, as malformed input prints its row;
+        # no decomposition runs, and a refused --out reads no input
+        from dyadlab import harness
+
         col, sig, out = tmp_path / "col.csv", tmp_path / "sig.csv", tmp_path / "forest.csv"
         write_tile_collection(col, TileCollection.all(3))
         write_signal(sig, GridSignal.constant(3, 1.0))
+        monkeypatch.setattr(harness, "full_decompose", _never_runs)
         if refused == "collection":
             col = tmp_path / "missing.csv"
         else:
             out.mkdir()
+            monkeypatch.setattr(harness, "read_tile_collection", _never_runs)
         assert main(["decompose", str(col), str(sig), "--resolution", "3", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         path = col if refused == "collection" else out
         assert captured.err.startswith("error: [Errno ") and captured.err.endswith(f": '{path}'\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("parent", ["missing", "plain"])
+    def test_decompose_out_parent_refused_before_the_inputs(self, parent, tmp_path, monkeypatch, capsys):
+        # an --out whose parent is missing or a regular file names the error
+        # opening it would raise, before any input file is read
+        from dyadlab import harness
+
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / parent / "forest.csv"
+        monkeypatch.setattr(harness, "read_tile_collection", _never_runs)
+        argv = ["decompose", str(tmp_path / "col.csv"), str(tmp_path / "sig.csv"), "--resolution", "3"]
+        assert main([*argv, "--out", str(out)]) == 2
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        assert capsys.readouterr().err == f"error: {opened.value}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["plain"]
 
     def test_verify_out_under_a_file_exits_two_before_the_run(self, tmp_path, monkeypatch, capsys):
         from dyadlab import harness

@@ -1274,7 +1274,7 @@ class TestStepCap:
         fams = [random_grid2d(rng, 6) for _ in range(2)]
         averager = directional.DirectionalAverager(6, directional.DirectionSet.uniform(8))
         captured = capture_top_singular(monkeypatch, directional)
-        directional.verify_directional(fams, averager, q=2.5, p=2.0, seed=1)
+        directional.verify_directional(fams, averager, q=2.5, p=2.0, norm=averager.estimate_norm(2.0, seed=1), seed=1)
         family, masks, results = captured["family"], (captured["out_mask"], captured["in_mask"]), captured["results"]
         assert all(res.converged for res in results)
         slowest = sorted(range(len(results)), key=lambda i: results[i].steps)[-4:]
