@@ -25,8 +25,8 @@ from .plane import (
     exceptional_complement_2d,
     rectangle_averages,
 )
-from .principle import OperatorFamily, top_singular
-from .reports import RatioReport, safe_ratio
+from .principle import OperatorFamily, condition_constant, top_singular
+from .reports import ratio_report, safe_ratio
 
 
 def _haar_half_signs(length: int) -> np.ndarray:
@@ -340,7 +340,7 @@ def rect_tree_estimate(
     g: Grid2D,
     h_prime: GridSet2D,
     g_set: GridSet2D,
-) -> RatioReport:
+) -> dict:
     """Single rectangle-tree estimate: coefficient pairing against
     |R_T| size(T) mass(T), with the dual set F read off the support of g."""
     L, collection = f.resolution, tree.members
@@ -350,7 +350,7 @@ def rect_tree_estimate(
     t_size = _size_of(collection, coeffs_f)
     t_mass = rect_mass(collection, GridSet2D(L, np.abs(g.values) > 0), g_set)
     rhs = tree.top_measure * t_size * t_mass
-    return RatioReport.from_sides(lhs, rhs, size=t_size, mass=t_mass, top_area=tree.top_measure)
+    return ratio_report(lhs, rhs, size=t_size, mass=t_mass, top_area=tree.top_measure)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def verify_biparam(
     eps: float,
     seed: int = 0,
     scales: list[int] | None = None,
-) -> RatioReport:
+) -> dict:
     """Run the whole fixed-vertical-scale pipeline and report every measured
     quantity.
 
@@ -419,15 +419,15 @@ def verify_biparam(
     stack_out = np.stack([fixed_scale_operator(f, j).values for f, j in zip(fams, scales)])
     lhs = bundle_norm(stack_out, p, L)
     rhs = bundle_norm(stack_in, p, L)
-    report = RatioReport.from_sides(lhs, rhs, family_size=len(fams), p=p, eps=eps)
+    report = ratio_report(lhs, rhs, family_size=len(fams), p=p, eps=eps)
 
     # exceptional set with the per-instance certified threshold
     ratio = measure(g) / measure(h)
     threshold = certified_rectangle_threshold(h, g, eps)
     h_prime = exceptional_complement_2d(h, g, threshold)
-    report.extra["c_eps"] = threshold / ratio ** (1.0 - eps)
-    report.extra["mass_threshold"] = threshold
-    report.extra["h_kept"] = safe_ratio(measure(h_prime), measure(h))
+    report["c_eps"] = threshold / ratio ** (1.0 - eps)
+    report["mass_threshold"] = threshold
+    report["h_kept"] = safe_ratio(measure(h_prime), measure(h))
 
     # surviving collections: mass cap holds by construction
     mass_caps, restricted_ratios_p, restricted_ratios_q = [], [], []
@@ -454,18 +454,18 @@ def verify_biparam(
     projects = [functools.partial(_fixed_scale_project, j=j) for j in measured]
     family = OperatorFamily.of(projects, projects)
     results = top_singular(family, g.mask, h_prime.mask, [seed + j for j in measured])
-    norm_constants = [res.norm**2 / ratio ** (1.0 - 2.0 / p) for res in results]
-    report.extra["localized_norms"] = [res.norm for res in results]
-    report.extra["localized_unconverged"] = sum(not res.converged for res in results)
-    report.extra["mass_cap_ratios"] = mass_caps
-    c15 = report.extra["restricted_ratio_p"] = max(restricted_ratios_p, default=0.0)
-    c16 = report.extra["restricted_ratio_q"] = max(restricted_ratios_q, default=0.0)
-    report.extra["condition_constant"] = max(norm_constants, default=0.0)
+    norms = [res.norm for res in results]
+    report["localized_norms"] = norms
+    report["localized_unconverged"] = sum(not res.converged for res in results)
+    report["mass_cap_ratios"] = mass_caps
+    c15 = report["restricted_ratio_p"] = max(restricted_ratios_p, default=0.0)
+    c16 = report["restricted_ratio_q"] = max(restricted_ratios_q, default=0.0)
+    report["condition_constant"] = condition_constant(norms, ratio, p)
 
     theta = _interp_theta(p, Q_LOW)
-    report.extra["interp_theta"] = theta
-    report.extra["interp_exponent"] = (1.0 - eps) * theta / p
-    report.extra["interp_constant"] = c15**theta * c16 ** (1.0 - theta) if c15 and c16 else 0.0
+    report["interp_theta"] = theta
+    report["interp_exponent"] = (1.0 - eps) * theta / p
+    report["interp_constant"] = c15**theta * c16 ** (1.0 - theta) if c15 and c16 else 0.0
 
     # band reduction: the scalar model sum applied through band restrictions
     f0 = fams[0]
@@ -474,8 +474,8 @@ def verify_biparam(
     for j in range(L):
         total += fixed_scale_operator(f0, j).values
         total_banded += fixed_scale_operator(vertical_band_project(f0, j + 1), j).values
-    report.extra["band_reduction_gap"] = float(np.max(np.abs(total - total_banded)))
-    report.extra["scalar_model_ratio"] = safe_ratio(
+    report["band_reduction_gap"] = float(np.max(np.abs(total - total_banded)))
+    report["scalar_model_ratio"] = safe_ratio(
         lp_norm(total, p, L), lp_norm(f0.values, p, L)
     )
     return report

@@ -27,7 +27,7 @@ from .grid import (
 )
 from .maximal import CARVING, exceptional_complement
 from .principle import STEP_CAP, OperatorFamily, TopSingularResult, top_singular
-from .reports import BucketStat, DecayReport, LadderPoint, RatioReport, safe_ratio
+from .reports import ratio_report, safe_ratio
 from .tiles import (
     ChoiceFunction,
     ModelSumPlan,
@@ -205,7 +205,7 @@ def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
     # the engine's stacks are complex (m, 2**L) arrays of its own, so the
     # plan's unchecked kernels serve
     apply, adjoint = plan.kernels()
-    count = plan._count
+    count = len(plan)
     full = np.zeros((count, 1 << plan.resolution), dtype=np.complex128)
 
     def padded(kernel):
@@ -312,7 +312,7 @@ def restricted_pairing(
     op: RestrictedOp,
     t: float,
     retain: GridSet | None = None,
-) -> RatioReport:
+) -> dict:
     """The pairing <S(f), g> against its bucketed double-sum majorants.
 
     Requires |f| <= 1_E and |g| <= 1_F.  The collection is restricted to
@@ -360,14 +360,17 @@ def restricted_pairing(
             * (2.0 ** (2 * n) * e_measure) ** (1.0 / t)
         )
         model_majorant += model_term
-        stats.append(BucketStat(n, m, bucket_sum, bucket.count_ratio))
+        stats.append({"n": n, "m": m, "sum": bucket_sum, "count_bound_ratio": bucket.count_ratio})
 
-    report = RatioReport.from_sides(pairing, majorant, buckets=stats)
-    report.extra["model_majorant"] = model_majorant
-    report.extra["model_ratio"] = safe_ratio(majorant, model_majorant)
-    report.extra["surviving"] = len(surviving)
-    report.extra["t"] = t
-    return report
+    return ratio_report(
+        pairing,
+        majorant,
+        buckets=stats,
+        model_majorant=model_majorant,
+        model_ratio=safe_ratio(majorant, model_majorant),
+        surviving=len(surviving),
+        t=t,
+    )
 
 
 def collection_caps(
@@ -484,7 +487,7 @@ def norm_decay_point(
     }
 
 
-def norm_decay_ladder(resolution: int, ratios, seed: int = 0, branch: str = "h") -> DecayReport:
+def norm_decay_ladder(resolution: int, ratios, seed: int = 0, branch: str = "h") -> dict:
     """Norm decay along a ladder of measure ratios, with the fitted log-log
     slope, over every bi-tile of the grid.  The large set is the whole grid;
     the small set is drawn at the exact ladder measure (a ratio that rounds
@@ -508,25 +511,27 @@ def norm_decay_ladder(resolution: int, ratios, seed: int = 0, branch: str = "h")
             point = norm_decay_point(big, small, collection, seed=seed + 7 * i, branch="h")
         else:
             point = norm_decay_point(small, big, collection, seed=seed + 7 * i, branch="g")
-        points.append(LadderPoint(math.log2(point["ratio"]), math.log2(max(point["norm"], 1e-300))))
+        points.append({"log_ratio": math.log2(point["ratio"]), "log_norm": math.log2(max(point["norm"], 1e-300))})
         unconverged += point["unconverged"]
-    xs = np.array([pt.log_ratio for pt in points])
-    ys = np.array([pt.log_norm for pt in points])
+    xs = np.array([pt["log_ratio"] for pt in points])
+    ys = np.array([pt["log_norm"] for pt in points])
     design = np.vstack([xs, np.ones_like(xs)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return DecayReport(
-        ratio_ladder=points,
-        slope=float(slope),
-        intercept=float(intercept),
-        extra={"branch": branch, "resolution": resolution, "unconverged": unconverged},
-    )
+    return {
+        "ratio_ladder": points,
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "branch": branch,
+        "resolution": resolution,
+        "unconverged": unconverged,
+    }
 
 
 def verify_vector_carleson(
     fams: VectorSignal,
     choices: list[ChoiceFunction] | None,
     p: float,
-) -> RatioReport:
+) -> dict:
     """Both sides of the vector model-operator bound with per-member choice
     functions, member j taking choice j modulo their number, over every
     bi-tile of the grid; when none are supplied each member gets the greedy
@@ -542,4 +547,4 @@ def verify_vector_carleson(
     plan = ModelSumPlan([choices[j % len(choices)] for j in range(len(fams))], collection)
     lhs = bundle_norm(plan.apply(fams.stack), p, L)
     rhs = bundle_norm(fams.stack, p, fams.resolution)
-    return RatioReport.from_sides(lhs, rhs, p=p, family_size=len(fams))
+    return ratio_report(lhs, rhs, p=p, family_size=len(fams))

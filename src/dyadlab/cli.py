@@ -116,8 +116,8 @@ def _estimate22(args) -> int:
     ok = True
     for branch in branches:
         decay = norm_decay_ladder(args.resolution, ratios, seed=args.seed, branch=branch)
-        report[branch] = decay.to_dict()
-        ok = ok and decay.slope >= 0.5 - args.epsilon and decay.extra["unconverged"] == 0
+        report[branch] = decay
+        ok = ok and decay["slope"] >= 0.5 - args.epsilon and decay["unconverged"] == 0
     print(json_text(report), end="")
     if args.out:
         write_json(out_dir / "report.json", report)

@@ -29,7 +29,7 @@ from .grid import (
 )
 from .maximal import dyadic_maximal, scale_averages
 from .principle import OperatorFamily, top_singular
-from .reports import RatioReport, safe_ratio
+from .reports import ratio_report, safe_ratio
 
 # steps of `DirectionalAverager.estimate_norm`'s power ascent
 ASCENT_STEPS = 12
@@ -439,7 +439,7 @@ def verify_directional(
     p: float,
     norm: float,
     seed: int = 0,
-) -> RatioReport:
+) -> dict:
     """Square-function bound for directional half-plane projections, plus the
     localized-operator route at p = 2.
 
@@ -461,9 +461,7 @@ def verify_directional(
     n = 1 << L
     lhs = bundle_norm(stack_out, q, L)
     rhs = bundle_norm(stack_in, q, L)
-    report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
-
-    report.extra["norm_MSigma"] = norm
+    report = ratio_report(lhs, rhs, q=q, p=p, family_size=len(fams), norm_MSigma=norm)
 
     rng = np.random.default_rng(seed)
     g_mask = rng.random((n, n)) < 0.25
@@ -475,8 +473,8 @@ def verify_directional(
     h_prime, c_used = directional_level_complement(
         h, g, averager, math.sqrt(ratio) * norm
     )
-    report.extra["h_kept"] = safe_ratio(measure(h_prime), measure(h))
-    report.extra["exceptional_c"] = c_used
+    report["h_kept"] = safe_ratio(measure(h_prime), measure(h))
+    report["exceptional_c"] = c_used
 
     # the band-times-half-plane multipliers run as stacks through one
     # fft2/ifft2 pair per apply; they are real, so the adjoint multiplies by
@@ -494,16 +492,16 @@ def verify_directional(
     results = top_singular(family, g.mask, h_prime.mask, seeds)
     norms = [res.norm for res in results]
     alpha = 0.25
-    report.extra["localized_norm_max"] = max(norms, default=0.0)
-    report.extra["localized_unconverged"] = sum(not res.converged for res in results)
-    report.extra["condition_constant"] = safe_ratio(max(norms, default=0.0), ratio**alpha)
-    report.extra["measure_ratio"] = ratio
+    report["localized_norm_max"] = max(norms, default=0.0)
+    report["localized_unconverged"] = sum(not res.converged for res in results)
+    report["condition_constant"] = safe_ratio(max(norms, default=0.0), ratio**alpha)
+    report["measure_ratio"] = ratio
     return report
 
 
 def verify_weighted_directional(
     fams: list[Grid2D], averager: DirectionalAverager, p: float, norm: float
-) -> RatioReport:
+) -> dict:
     """Endpoint square-function bound through the weight route, over the
     averager's directions.
 
@@ -520,8 +518,7 @@ def verify_weighted_directional(
     L, stack_in, stack_out = _projection_stacks(fams, averager)
     lhs = bundle_norm(stack_out, q, L)
     rhs = norm ** abs(1.0 - 2.0 / q) * bundle_norm(stack_in, q, L)
-    report = RatioReport.from_sides(lhs, rhs, q=q, p=p, family_size=len(fams))
-    report.extra["norm_MSigma"] = norm
+    report = ratio_report(lhs, rhs, q=q, p=p, family_size=len(fams), norm_MSigma=norm)
 
     # dual extremal of ||F||_{p'} for F = sum |H_v f_j|^2, normalized in L^p
     big_f = np.sum(np.abs(stack_out) ** 2, axis=0)
@@ -536,7 +533,7 @@ def verify_weighted_directional(
 
     g_weight = Grid2D(L, g_dual.astype(np.complex128))
     weight = build_majorant_weight(g_weight, averager, p, WEIGHT_TERMS, norm)
-    report.extra["weight"] = weight.certificates
+    report["weight"] = weight.certificates
     area = cell_width(L) ** 2
     pairing = float(np.sum(big_f * g_dual) * area)
     pairing_w = float(np.sum(big_f * weight.values) * area)
@@ -548,11 +545,11 @@ def verify_weighted_directional(
     weighted_input = float(
         np.sum(np.sum(np.abs(stack_in) ** 2, axis=0) * weight.values) * area
     )
-    report.extra["duality_pairing"] = pairing
-    report.extra["weighted_pairing"] = pairing_w
-    report.extra["per_direction_constants"] = per_direction
-    report.extra["weighted_input"] = weighted_input
-    report.extra["chain_constant"] = safe_ratio(
+    report["duality_pairing"] = pairing
+    report["weighted_pairing"] = pairing_w
+    report["per_direction_constants"] = per_direction
+    report["weighted_input"] = weighted_input
+    report["chain_constant"] = safe_ratio(
         pairing_w, max(per_direction, default=0.0) * weighted_input
     )
     return report

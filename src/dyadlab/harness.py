@@ -29,7 +29,6 @@ from . import __version__
 from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_resolution
 from .io import CSV_SCHEMA, check_output_path, read_choice, read_grid_set, read_signal, read_tile_collection, write_forests, write_run
 from .maximal import CARVING, ScaleChoice, verify_vector_maximal
-from .reports import PrincipleReport
 from .tiles import ChoiceFunction, full_decompose
 from .walsh import walsh_synthesis
 
@@ -186,11 +185,11 @@ def run_fs(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
     baseline = []
     for rng in gens:
         fam = random_vector(rng, config.resolution, config.family_size)
-        ratios.append(verify_vector_maximal(fam, config.p).ratio)
+        ratios.append(verify_vector_maximal(fam, config.p)["ratio"])
         baseline.append(
             verify_vector_maximal(
                 VectorSignal(config.resolution, fam.stack[:1]), config.p
-            ).ratio
+            )["ratio"]
         )
     ok = all(math.isfinite(r) for r in ratios)
     report = {
@@ -211,12 +210,12 @@ def run_biparam(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
         g = random_set2d(rng, config.resolution, 0.25)
         rep = verify_biparam(fams, config.p, g, eps=config.eps, seed=config.seed + i)
-        ratios.append(rep.ratio)
-        trial_caps = rep.extra.get("mass_cap_ratios", [])
+        ratios.append(rep["ratio"])
+        trial_caps = rep["mass_cap_ratios"]
         caps.append(max(trial_caps, default=0.0))
         ok = ok and all(c <= 1.0 for c in trial_caps)
-        ok = ok and rep.extra["h_kept"] >= 0.5
-        ok = ok and rep.extra["localized_unconverged"] == 0
+        ok = ok and rep["h_kept"] >= 0.5
+        ok = ok and rep["localized_unconverged"] == 0
     ok = ok and all(math.isfinite(r) for r in ratios)
     report = {
         "p": config.p,
@@ -238,9 +237,9 @@ def run_cordoba(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool
     for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
         rep = verify_directional(fams, averager, config.q, config.p, norm, seed=config.seed + i)
-        ratios.append(rep.ratio)
-        ok = ok and rep.extra["h_kept"] >= 0.5 and math.isfinite(rep.ratio)
-        ok = ok and rep.extra["localized_unconverged"] == 0
+        ratios.append(rep["ratio"])
+        ok = ok and rep["h_kept"] >= 0.5 and math.isfinite(rep["ratio"])
+        ok = ok and rep["localized_unconverged"] == 0
     report = {
         "p": config.p,
         "q": config.q,
@@ -260,9 +259,9 @@ def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[flo
     for rng in gens:
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
         rep = verify_weighted_directional(fams, averager, config.p, norm)
-        ratios.append(rep.ratio)
-        certs = rep.extra["weight"]
-        ok = ok and certs["norm_ok"] and certs["recursion_ok"] and math.isfinite(rep.ratio)
+        ratios.append(rep["ratio"])
+        certs = rep["weight"]
+        ok = ok and certs["norm_ok"] and certs["recursion_ok"] and math.isfinite(rep["ratio"])
         weights.append({key: certs[key] for key in ("terms", "tail_bound", "excess")})
     report = {
         "p": config.p,
@@ -280,7 +279,7 @@ def run_carleson(config: ExperimentConfig, gens) -> tuple[dict, list[float], boo
     for rng in gens:
         fam = random_vector(rng, config.resolution, config.family_size)
         rep = verify_vector_carleson(fam, None, config.p)
-        ratios.append(rep.ratio)
+        ratios.append(rep["ratio"])
     ok = all(math.isfinite(r) for r in ratios)
     report = {
         "p": config.p,
@@ -306,7 +305,7 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
     builder = trim_builder(CARVING, "h")
     cond0 = measure_condition(family, h, g, builder, p0, seed=config.seed)
     # the measured norms do not depend on the exponent
-    c_p1 = condition_constant(cond0.extra["norms"], cond0.extra["measure_ratio"], p1)
+    c_p1 = condition_constant(cond0["norms"], cond0["measure_ratio"], p1)
     levels = splitting_cascade(h, g, trim_builder(CARVING, "both"), p0, k_max=10)
 
     ratios = []
@@ -315,32 +314,32 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
     for rng in gens:
         fam = random_vector(rng, config.resolution, config.family_size)
         conclusion = vector_inequality_ratio(family, fam, config.q)
-        ratios.append(conclusion.ratio)
-        if conclusion.ratio >= max(ratios):
-            worst_sides = (conclusion.lhs, conclusion.rhs)
+        ratios.append(conclusion["ratio"])
+        if conclusion["ratio"] >= max(ratios):
+            worst_sides = (conclusion["lhs"], conclusion["rhs"])
         baseline.append(
             vector_inequality_ratio(
                 family, VectorSignal(config.resolution, fam.stack[:1]), config.q
-            ).ratio
+            )["ratio"]
         )
-    unconverged = cond0.extra["unconverged"]
+    unconverged = cond0["unconverged"]
     ok = unconverged == 0 and all(math.isfinite(r) for r in ratios)
     if ratios and baseline and max(baseline) > 0:
         ok = ok and max(ratios) <= 2.0 * max(baseline)
-    principle = PrincipleReport(
-        p=p0,
-        C_p=cond0.C_p,
-        B_p=cond0.B_p,
-        A_p=cond0.A_p,
-        q=config.q,
-        lhs3=worst_sides[0],
-        rhs3=worst_sides[1],
-        ratio=max(ratios, default=0.0),
-        levels=levels,
-        extra={"C_p1": c_p1, "p1": p1},
-    )
     report = {
-        "principle": principle.to_dict(),
+        "principle": {
+            "p": p0,
+            "C_p": cond0["C_p"],
+            "B_p": cond0["B_p"],
+            "A_p": cond0["A_p"],
+            "q": config.q,
+            "lhs3": worst_sides[0],
+            "rhs3": worst_sides[1],
+            "ratio": max(ratios, default=0.0),
+            "levels": levels,
+            "C_p1": c_p1,
+            "p1": p1,
+        },
         "max_baseline_ratio": max(baseline, default=0.0),
         "unconverged": unconverged,
     }

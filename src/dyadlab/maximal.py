@@ -25,7 +25,7 @@ from .grid import (
     lp_norm,
     measure,
 )
-from .reports import BucketStat, RatioReport
+from .reports import ratio_report
 
 
 def scale_averages(values: np.ndarray, resolution: int) -> list[np.ndarray]:
@@ -276,7 +276,7 @@ def restricted_double_sum(
     choice: ScaleChoice,
     s: float,
     h: GridSet | None = None,
-) -> RatioReport:
+) -> dict:
     """Full double sum over dyadic intervals meeting H' of
     size(I) * mass(I) * |I|, bucketed by the dyadic classes of size and mass.
 
@@ -307,20 +307,18 @@ def restricted_double_sum(
     for (n, m), in_class, top in zip(classes.tolist(), members, tops):
         cap = min(2.0**n * e_measure, 2.0**m * f_measure)
         ratio = _ordered_sum(lengths[top]) / cap if cap > 0 else math.inf
-        stats.append(BucketStat(n, m, _ordered_sum(terms[in_class]), ratio))
+        stats.append({"n": n, "m": m, "sum": _ordered_sum(terms[in_class]), "count_bound_ratio": ratio})
 
     h_measure = measure(h) if h is not None else measure(h_prime)
     rhs = 0.0
     if h_measure > 0 and e_measure > 0 and f_measure > 0:
         rhs = (measure(g) / h_measure) ** (1.0 / s) * e_measure ** (1.0 / s)
         rhs *= f_measure ** (1.0 / (s / (s - 1.0)))
-    report = RatioReport.from_sides(_ordered_sum(terms[live]), rhs, buckets=stats)
-    report.extra["h_measure_used"] = h_measure
-    report.extra["classes"] = {f"{b.n},{b.m}": b.sum for b in stats}
-    return report
+    classes = {f"{b['n']},{b['m']}": b["sum"] for b in stats}
+    return ratio_report(_ordered_sum(terms[live]), rhs, buckets=stats, h_measure_used=h_measure, classes=classes)
 
 
-def verify_vector_maximal(fam: VectorSignal, p: float) -> RatioReport:
+def verify_vector_maximal(fam: VectorSignal, p: float) -> dict:
     """Both sides of the vector maximal inequality at exponent p.
 
     lhs = || (sum_j |M f_j|^2)^(1/2) ||_p, rhs the same with f_j in place of
@@ -333,4 +331,4 @@ def verify_vector_maximal(fam: VectorSignal, p: float) -> RatioReport:
     )
     lhs = bundle_norm(maximal_stack, p, fam.resolution)
     rhs = bundle_norm(fam.stack, p, fam.resolution)
-    return RatioReport.from_sides(lhs, rhs, family_size=len(fam), p=p)
+    return ratio_report(lhs, rhs, family_size=len(fam), p=p)

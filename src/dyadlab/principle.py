@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import GridSet, VectorSignal, bundle_norm, check_exponent, measure, stack_slices
 from .maximal import exceptional_complement
-from .reports import LevelStat, PrincipleReport, RatioReport
+from .reports import ratio_report
 
 
 def conjugate_exponent(p: float) -> float:
@@ -347,7 +347,7 @@ def measure_condition(
     builder: SubsetBuilder,
     p: float,
     seed: int = 0,
-) -> PrincipleReport:
+) -> dict:
     """Measured constant of the localized two-set bound at exponent p.
 
     For each family member j, the norm of f -> T_j(f 1_{H'}) 1_{G'} is
@@ -355,8 +355,8 @@ def measure_condition(
     stack at the engine's step cap and tolerance, and normalized by
     (|G|/|H|)**(1 - 2/p); the report carries the largest observed constant,
     a probe-measured restricted weak-type constant, and its summed series.
-    Its `extra` has each member's norm and Lanczos steps, and
-    `unconverged`, the runs that stopped at the cap.
+    It also has each member's norm and Lanczos steps, and `unconverged`,
+    the runs that stopped at the cap.
     """
     if not len(family):
         raise ValueError("the operator family is empty")
@@ -396,26 +396,19 @@ def measure_condition(
         b_p = max(b_p, integral / denom)
     series = sum(b_p * level_budget(p, k) for k in range(64))
 
-    return PrincipleReport(
-        p=p,
-        C_p=c_p,
-        B_p=b_p,
-        A_p=series,
-        q=0.0,
-        lhs3=0.0,
-        rhs3=0.0,
-        ratio=0.0,
-        levels=[],
-        extra={
-            "norms": norms,
-            "iterations": [res.steps for res in results],
-            "converged": unconverged == 0,
-            "unconverged": unconverged,
-            "h_kept": measure(h_sub) / measure(h),
-            "g_kept": measure(g_sub) / measure(g),
-            "measure_ratio": ratio,
-        },
-    )
+    return {
+        "p": p,
+        "C_p": c_p,
+        "B_p": b_p,
+        "A_p": series,
+        "norms": norms,
+        "iterations": [res.steps for res in results],
+        "converged": unconverged == 0,
+        "unconverged": unconverged,
+        "h_kept": measure(h_sub) / measure(h),
+        "g_kept": measure(g_sub) / measure(g),
+        "measure_ratio": ratio,
+    }
 
 
 def splitting_cascade(
@@ -424,7 +417,7 @@ def splitting_cascade(
     builder: SubsetBuilder,
     p: float,
     k_max: int,
-) -> list[LevelStat]:
+) -> list[dict]:
     """Run the recursive three-way splitting for k_max levels.
 
     Each pair (G*, H*) splits into (G*-G', H'), (G', H*-H'), (G*-G', H*-H');
@@ -437,7 +430,7 @@ def splitting_cascade(
         raise ValueError("k_max must be at least 1")
     base_product = measure(g) * measure(h)
     pairs: list[tuple[GridSet, GridSet]] = [(g, h)]
-    levels: list[LevelStat] = []
+    levels = []
     for k in range(1, k_max + 1):
         children: list[tuple[GridSet, GridSet]] = []
         max_product = 0.0
@@ -459,17 +452,17 @@ def splitting_cascade(
             raise AssertionError(
                 f"level {k} product measure {max_product} exceeds bound {bound}"
             )
-        levels.append(LevelStat(k=k, max_product_measure=max_product, budget=level_budget(p, k)))
+        levels.append({"k": k, "max_product_measure": max_product, "budget": level_budget(p, k)})
         pairs = children
         if not pairs:
             # remaining levels are exactly zero
             for kk in range(k + 1, k_max + 1):
-                levels.append(LevelStat(k=kk, max_product_measure=0.0, budget=level_budget(p, kk)))
+                levels.append({"k": kk, "max_product_measure": 0.0, "budget": level_budget(p, kk)})
             break
     return levels
 
 
-def vector_inequality_ratio(family: OperatorFamily, fams: VectorSignal, q: float) -> RatioReport:
+def vector_inequality_ratio(family: OperatorFamily, fams: VectorSignal, q: float) -> dict:
     """Both sides of the vector conclusion at exponent q: the l2 bundle of
     T_j f_j against the l2 bundle of f_j, in L^q; f_j goes to member j
     modulo the family's size."""
@@ -478,4 +471,4 @@ def vector_inequality_ratio(family: OperatorFamily, fams: VectorSignal, q: float
     stack = family.apply([j % len(family) for j in range(len(fams))], fams.stack)
     lhs = bundle_norm(stack, q, fams.resolution)
     rhs = bundle_norm(fams.stack, q, fams.resolution)
-    return RatioReport.from_sides(lhs, rhs, q=q, family_size=len(fams))
+    return ratio_report(lhs, rhs, q=q, family_size=len(fams))

@@ -30,7 +30,7 @@ from .grid import (
     measure,
 )
 from .maximal import Decomposition, bucket_decompose, dyadic_maximal
-from .reports import RatioReport
+from .reports import ratio_report
 from .walsh import (
     block_gathers,
     butterfly_layout,
@@ -469,6 +469,10 @@ class ModelSumPlan:
         # bin i: one bincount over the terms' float view adds as two did
         self._hit_parts = (2 * self._hit[:, None] + np.arange(2)).ravel()
         self._coef_start_parts = (2 * start[coef][:, None] + np.arange(2)).ravel()
+
+    def __len__(self) -> int:
+        """The number of members, one per choice function."""
+        return self._count
 
     def _prepare(self, values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         """The values as an (m, 2**L) stack, and the shape to return."""
@@ -951,7 +955,7 @@ def tree_estimate(
     f: GridSignal,
     e: GridSet,
     choice: ChoiceFunction,
-) -> RatioReport:
+) -> dict:
     """Single tree estimate: the absolute coefficient pairing against
     |I_T| * size(tree) * mass(tree). A member's pairing is 2**(k/2) |cell|
     times the count of the cells of E whose N(x) lies in its upper tile,
@@ -965,4 +969,4 @@ def tree_estimate(
     tree_size = size(collection, f)
     tree_mass = mass(collection, e, choice)
     rhs = tree.top_measure * tree_size * tree_mass
-    return RatioReport.from_sides(lhs, rhs, size=tree_size, mass=tree_mass, top_length=tree.top_measure)
+    return ratio_report(lhs, rhs, size=tree_size, mass=tree_mass, top_length=tree.top_measure)

@@ -326,7 +326,7 @@ def test_criterion_4_tree_estimates():
             f = random_signal(rng, resolution, complex_values=True)
             e = random_grid_set(rng, resolution)
             choice = random_choice(rng, resolution)
-            worst_tile = max(worst_tile, tree_estimate(tree, f, e, choice).ratio)
+            worst_tile = max(worst_tile, tree_estimate(tree, f, e, choice)["ratio"])
         tile_max[resolution] = worst_tile
         worst_rect = 0.0
         for _ in range(500):
@@ -335,7 +335,7 @@ def test_criterion_4_tree_estimates():
             g = random_grid2d(rng, resolution)
             h_prime = random_set2d(rng, resolution, 0.7)
             g_set = random_set2d(rng, resolution, 0.7)
-            worst_rect = max(worst_rect, rect_tree_estimate(tree, f, g, h_prime, g_set).ratio)
+            worst_rect = max(worst_rect, rect_tree_estimate(tree, f, g, h_prime, g_set)["ratio"])
         rect_max[resolution] = worst_rect
     tile_drift = max(tile_max.values()) / min(tile_max.values())
     rect_drift = max(rect_max.values()) / min(rect_max.values())
@@ -365,8 +365,8 @@ def test_criterion_5_principle_internals():
         levels = splitting_cascade(h, g, builder, p=2.0, k_max=10)
         base = measure(g) * measure(h)
         for stat in levels:
-            cascade_ok = cascade_ok and stat.max_product_measure <= base * 0.5**stat.k + 1e-15
-            cascade_ok = cascade_ok and abs(stat.budget - 0.5**stat.k) < 1e-12
+            cascade_ok = cascade_ok and stat["max_product_measure"] <= base * 0.5**stat["k"] + 1e-15
+            cascade_ok = cascade_ok and abs(stat["budget"] - 0.5**stat["k"]) < 1e-12
     elapsed = time.time() - start
     ok = identity_ok and cascade_ok and elapsed < 10
     report_line(
@@ -389,7 +389,7 @@ def test_criterion_6_fs_uniformity():
                 worst = 0.0
                 for _ in range(50):
                     fam = random_vector(rng, resolution, members)
-                    worst = max(worst, verify_vector_maximal(fam, p).ratio)
+                    worst = max(worst, verify_vector_maximal(fam, p)["ratio"])
                 sups[members] = worst
             uniform = max(sups.values()) <= 2.0 * sups[1]
             ok = ok and uniform
@@ -420,9 +420,9 @@ def test_criterion_7_biparam():
                 g=random_set2d(rng, resolution, 0.25),
                 scales=[scale],
             )
-            caps_ok = caps_ok and all(c <= 1.0 + 1e-12 for c in rep.extra["mass_cap_ratios"])
-            caps_ok = caps_ok and rep.extra["h_kept"] >= 0.5
-            baseline = max(baseline, rep.ratio)
+            caps_ok = caps_ok and all(c <= 1.0 + 1e-12 for c in rep["mass_cap_ratios"])
+            caps_ok = caps_ok and rep["h_kept"] >= 0.5
+            baseline = max(baseline, rep["ratio"])
     sups = {1: baseline}
     for members in (4, 8):
         worst = 0.0
@@ -435,9 +435,9 @@ def test_criterion_7_biparam():
                 seed=7500 + trial,
                 g=random_set2d(rng, resolution, 0.25),
             )
-            caps_ok = caps_ok and all(c <= 1.0 + 1e-12 for c in rep.extra["mass_cap_ratios"])
-            caps_ok = caps_ok and rep.extra["h_kept"] >= 0.5
-            worst = max(worst, rep.ratio)
+            caps_ok = caps_ok and all(c <= 1.0 + 1e-12 for c in rep["mass_cap_ratios"])
+            caps_ok = caps_ok and rep["h_kept"] >= 0.5
+            worst = max(worst, rep["ratio"])
         sups[members] = worst
     uniform = max(sups.values()) <= 2.0 * sups[1]
     elapsed = time.time() - start
@@ -499,7 +499,7 @@ def test_criterion_8_cordoba():
     for trial in range(10):
         fams = [random_grid2d(rng, resolution) for _ in range(8)]
         rep = verify_weighted_directional(fams, averager, p=2.0, norm=norm)
-        constants.append(rep.ratio)
+        constants.append(rep["ratio"])
     stable = max(constants) / min(constants) < 4.0 and all(map(math.isfinite, constants))
 
     elapsed = time.time() - start
@@ -521,7 +521,7 @@ def test_criterion_9_carleson_decay():
     slopes = {}
     for branch in ("h", "g"):
         decay = norm_decay_ladder(9, ratios, seed=1009, branch=branch)
-        slopes[branch] = decay.slope
+        slopes[branch] = decay["slope"]
     elapsed = time.time() - start
     ok = all(s >= 0.5 - 0.1 for s in slopes.values()) and elapsed < 900
     report_line(
@@ -544,18 +544,18 @@ def test_criterion_10_principle_end_to_end():
     cond0 = measure_condition(family, h, g, builder, p0, seed=10)
     cond1 = measure_condition(family, h, g, builder, p1, seed=11)
     conditions_ok = (
-        math.isfinite(cond0.C_p)
-        and math.isfinite(cond1.C_p)
-        and cond0.extra["converged"]
-        and cond1.extra["converged"]
-        and cond0.extra["h_kept"] >= 0.5
+        math.isfinite(cond0["C_p"])
+        and math.isfinite(cond1["C_p"])
+        and cond0["converged"]
+        and cond1["converged"]
+        and cond0["h_kept"] >= 0.5
     )
     sups = {}
     for members in (1, 4, 16):
         worst = 0.0
         for _ in range(30):
             fam = random_vector(rng, resolution, members)
-            worst = max(worst, vector_inequality_ratio(family, fam, q).ratio)
+            worst = max(worst, vector_inequality_ratio(family, fam, q)["ratio"])
         sups[members] = worst
     uniform = max(sups.values()) <= 2.0 * sups[1] and all(
         math.isfinite(v) for v in sups.values()
@@ -566,5 +566,5 @@ def test_criterion_10_principle_end_to_end():
         10,
         "end-to-end interpolation engine",
         ok,
-        f"C_p0={cond0.C_p:.3f}, C_p1={cond1.C_p:.3f}, sups={ {k: round(v, 3) for k, v in sups.items()} }, {elapsed:.1f}s",
+        f"C_p0={cond0['C_p']:.3f}, C_p1={cond1['C_p']:.3f}, sups={ {k: round(v, 3) for k, v in sups.items()} }, {elapsed:.1f}s",
     )

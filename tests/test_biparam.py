@@ -515,8 +515,8 @@ class TestFixedScalePlan:
 
             assert_krylov_oracles(res, MapPair(fwd, adj), (n, n), seed + j, dense=L <= 4)
         assert_one_member_runs_match(captured)
-        assert report.extra["localized_norms"] == [r.norm for r in captured["results"]]
-        assert report.extra["localized_unconverged"] == 0
+        assert report["localized_norms"] == [r.norm for r in captured["results"]]
+        assert report["localized_unconverged"] == 0
 
 
 class TestExceptionalSet2D:
@@ -685,15 +685,15 @@ class TestRectCombinatorics:
             cf = oracle_rect_coefficients(members, j, Grid2D(L, f.values * h_prime.mask))
             cg = oracle_rect_coefficients(members, j, Grid2D(L, g.values * g_set.mask))
             ascending = sum(abs(cf[r]) * abs(cg[r]) for r in sorted(members, key=rect_key))
-            assert report.lhs == ascending
+            assert report["lhs"] == ascending
             # the frozenset order that the pairing followed before
             unordered = sum(abs(cf[r]) * abs(cg[r]) for r in members)
-            assert report.lhs == pytest.approx(unordered, rel=1e-14)
-            assert report.extra["size"] == pytest.approx(
+            assert report["lhs"] == pytest.approx(unordered, rel=1e-14)
+            assert report["size"] == pytest.approx(
                 oracle_size(members, j, f, h_prime), rel=1e-12, abs=1e-12
             )
             support = GridSet2D(L, np.abs(g.values) > 0)
-            assert report.extra["mass"] == oracle_mass(members, support, g_set)
+            assert report["mass"] == oracle_mass(members, support, g_set)
 
     def test_full_decompose_computes_coefficients_once(self, monkeypatch):
         import dyadlab.biparam as biparam
@@ -743,13 +743,13 @@ class TestRectCombinatorics:
             tree, Grid2D.zeros(resolution), Grid2D.zeros(resolution),
             GridSet2D.full(resolution), GridSet2D.full(resolution),
         )
-        assert zero.lhs == 0.0
+        assert zero["lhs"] == 0.0
         f = random_grid2d(rng, resolution)
         g = random_grid2d(rng, resolution)
         report = rect_tree_estimate(
             tree, f, g, GridSet2D.full(resolution), GridSet2D.full(resolution)
         )
-        assert math.isfinite(report.ratio)
+        assert math.isfinite(report["ratio"])
 
     def test_full_decompose_partition_and_caps(self):
         rng = np.random.default_rng(12)
@@ -792,9 +792,9 @@ class TestPipeline:
         rng = np.random.default_rng(14)
         fams = [random_grid2d(rng, 4) for _ in range(4)]
         report = verify_biparam(fams, p=3.0, eps=0.1, seed=2, g=random_set2d(rng, 4, 0.25))
-        assert all(c <= 1.0 + 1e-12 for c in report.extra["mass_cap_ratios"])
-        assert report.extra["h_kept"] >= 0.5
-        assert math.isfinite(report.ratio)
+        assert all(c <= 1.0 + 1e-12 for c in report["mass_cap_ratios"])
+        assert report["h_kept"] >= 0.5
+        assert math.isfinite(report["ratio"])
 
     def test_copies_scale_invariance(self):
         rng = np.random.default_rng(15)
@@ -802,7 +802,7 @@ class TestPipeline:
         g = random_set2d(rng, 4, 0.25)
         one = verify_biparam([f], p=3.0, eps=0.1, seed=3, g=g)
         four = verify_biparam([f] * 4, p=3.0, eps=0.1, seed=3, g=g)
-        assert math.isfinite(one.ratio) and math.isfinite(four.ratio)
+        assert math.isfinite(one["ratio"]) and math.isfinite(four["ratio"])
 
     def test_localized_projection_matches_closure_oracle(self, monkeypatch):
         import dyadlab.biparam as biparam
@@ -842,13 +842,13 @@ class TestPipeline:
         fams = [random_grid2d(rng, 4) for _ in range(4)]
         g = random_set2d(rng, 4, 0.25)
         full = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g)
-        assert full.extra["localized_unconverged"] == 0
+        assert full["localized_unconverged"] == 0
         config = ExperimentConfig(theorem="biparam", resolution=4, trials=2, eps=0.45)
         assert run(config)[2] is True
 
         monkeypatch.setattr(biparam, "top_singular", functools.partial(biparam.top_singular, max_steps=2))
         capped = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g)
-        assert capped.extra["localized_unconverged"] > 0
+        assert capped["localized_unconverged"] > 0
         _, report, ok = run(config)
         assert ok is False and report["ok"] is False
 

@@ -691,11 +691,11 @@ class TestStoppedSeries:
         stopped = verify_weighted_directional(fams, averager, 2.0, norm)
         monkeypatch.setattr(directional, "build_majorant_weight", fixed_series_weight)
         full = verify_weighted_directional(fams, averager, 2.0, norm)
-        assert full.extra["weight"]["terms"] == WEIGHT_TERMS
-        assert stopped.extra["weight"]["terms"] < WEIGHT_TERMS
+        assert full["weight"]["terms"] == WEIGHT_TERMS
+        assert stopped["weight"]["terms"] < WEIGHT_TERMS
         for key in ("ratio", "lhs", "rhs"):
-            assert getattr(stopped, key) == getattr(full, key)
-        assert stopped.extra["norm_MSigma"] == full.extra["norm_MSigma"]
+            assert stopped[key] == full[key]
+        assert stopped["norm_MSigma"] == full["norm_MSigma"]
 
 
 class TestWeights:
@@ -832,8 +832,8 @@ class TestEquivalenceAndTheorems:
         averager = DirectionalAverager(3, DirectionSet.uniform(4))
         norm = averager.estimate_norm(2.0, seed=1)
         report = verify_directional(fams, averager, q=2.0 + 1e-9, p=2.0, norm=norm, seed=1)
-        assert report.ratio <= 1.0 + 1e-6
-        assert report.extra["h_kept"] >= 0.5
+        assert report["ratio"] <= 1.0 + 1e-6
+        assert report["h_kept"] >= 0.5
 
     def test_localized_multiplier_matches_closure_oracle(self, monkeypatch):
         import dyadlab.directional as directional
@@ -886,9 +886,9 @@ class TestEquivalenceAndTheorems:
             fwd, adj = old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask)
             assert_krylov_oracles(res, MapPair(fwd, adj), (n, n), seed + 31 * j + k, dense=L <= 4)
         assert_one_member_runs_match(captured)
-        assert report.extra["localized_norm_max"] == max(r.norm for r in results)
+        assert report["localized_norm_max"] == max(r.norm for r in results)
         unconverged = sum(not r.converged for r in results)
-        assert report.extra["localized_unconverged"] == unconverged
+        assert report["localized_unconverged"] == unconverged
 
     def test_step_cap_reaches_ok(self, monkeypatch):
         # at a cap of 2 steps the multipliers stop unconverged; the count
@@ -901,13 +901,13 @@ class TestEquivalenceAndTheorems:
         fams = [random_plane(rng, 4) for _ in range(2)]
         norm = averager.estimate_norm(2.0, seed=1)
         full = verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=1)
-        assert full.extra["localized_unconverged"] == 0
+        assert full["localized_unconverged"] == 0
         config = ExperimentConfig(theorem="cordoba", resolution=4, trials=2, p=2.0, q=2.5)
         assert run(config)[2] is True
 
         monkeypatch.setattr(directional, "top_singular", functools.partial(directional.top_singular, max_steps=2))
         capped = verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=1)
-        assert capped.extra["localized_unconverged"] > 0
+        assert capped["localized_unconverged"] > 0
         _, report, ok = run(config)
         assert ok is False and report["ok"] is False
 
@@ -925,7 +925,7 @@ class TestEquivalenceAndTheorems:
             own = verify_directional(fams, own_averager, q=2.5, p=2.0, norm=own_norm, seed=seed)
             norm = shared.estimate_norm(2.0, seed=seed)
             reused = verify_directional(fams, shared, q=2.5, p=2.0, norm=norm, seed=seed)
-            assert json_text(own.to_dict()) == json_text(reused.to_dict())
+            assert json_text(own) == json_text(reused)
 
     @pytest.mark.parametrize(
         "call",
@@ -948,13 +948,13 @@ class TestEquivalenceAndTheorems:
         fams = [random_plane(rng, 3) for _ in range(4)]
         averager = DirectionalAverager(3, DirectionSet.uniform(4))
         report = verify_weighted_directional(fams, averager, 2.0, averager.estimate_norm(2.0, seed=2))
-        certs = report.extra["weight"]
+        certs = report["weight"]
         assert certs["norm_ok"] and certs["recursion_ok"]
         # the duality pairing is dominated by the weighted pairing, which the
         # per-direction constants control
-        assert report.extra["duality_pairing"] <= report.extra["weighted_pairing"] * (1 + 1e-9)
-        assert report.extra["chain_constant"] <= 1.0 + 1e-9
-        assert math.isfinite(report.ratio)
+        assert report["duality_pairing"] <= report["weighted_pairing"] * (1 + 1e-9)
+        assert report["chain_constant"] <= 1.0 + 1e-9
+        assert math.isfinite(report["ratio"])
 
     def test_no_ascent_per_call(self, monkeypatch):
         # both theorems read the norm their caller measured, and report it
@@ -968,8 +968,8 @@ class TestEquivalenceAndTheorems:
         monkeypatch.setattr(DirectionalAverager, "estimate_norm", no_ascent)
         plain = verify_directional(fams, averager, q=2.5, p=2.0, norm=1.75, seed=3)
         weighted = verify_weighted_directional(fams, averager, p=1.5, norm=1.25)
-        assert plain.extra["norm_MSigma"] == 1.75
-        assert weighted.extra["norm_MSigma"] == 1.25 <= weighted.extra["weight"]["norm_used"]
+        assert plain["norm_MSigma"] == 1.75
+        assert weighted["norm_MSigma"] == 1.25 <= weighted["weight"]["norm_used"]
 
     def test_weighted_exponent_range(self):
         rng = np.random.default_rng(17)
@@ -1028,12 +1028,12 @@ class TestOneAscentPerRun:
         calls, reports, _ = self.run_recorded(theorem, 3)
         assert [(p, seed) for p, seed, _ in calls] == [(ascent_p, 5)]
         assert len(reports) == 3
-        assert [rep.extra["norm_MSigma"] for rep in reports] == [calls[0][2]] * 3
+        assert [rep["norm_MSigma"] for rep in reports] == [calls[0][2]] * 3
 
     @pytest.mark.parametrize("theorem", ["cordoba", "cordoba-weighted"])
     def test_trial_zero_matches_a_one_trial_run(self, theorem):
         _, three, report3 = self.run_recorded(theorem, 3)
         _, one, report1 = self.run_recorded(theorem, 1)
-        assert json_text(three[0].to_dict()) == json_text(one[0].to_dict())
+        assert json_text(three[0]) == json_text(one[0])
         if theorem == "cordoba-weighted":
             assert json_text(report3["weights"][0]) == json_text(report1["weights"][0])

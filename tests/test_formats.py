@@ -49,11 +49,15 @@ def _fixed_run(config, gens):
 
 
 def _fixed_ladder(resolution, ratios, seed, branch):
-    from dyadlab.reports import DecayReport, LadderPoint
-
-    points = [LadderPoint(log_ratio=-float(i), log_norm=1 / 3 - 0.5 * i) for i in range(1, len(ratios) + 1)]
-    extra = {"branch": branch, "resolution": resolution, "unconverged": 0}
-    return DecayReport(ratio_ladder=points, slope=0.5, intercept=1 / 3, extra=extra)
+    points = [{"log_ratio": -float(i), "log_norm": 1 / 3 - 0.5 * i} for i in range(1, len(ratios) + 1)]
+    return {
+        "ratio_ladder": points,
+        "slope": 0.5,
+        "intercept": 1 / 3,
+        "branch": branch,
+        "resolution": resolution,
+        "unconverged": 0,
+    }
 
 
 def write_formats(out: Path) -> None:

@@ -5,7 +5,7 @@ Each case runs a fixed, small configuration and serializes its report with
 equal the file under `tests/golden/`.  The CLI cases are the `report.json` files that
 `dyadlab verify` and `dyadlab estimate-22` write, and the forest CSV that
 `dyadlab decompose` writes for fixed input files; the library cases keep the
-whole `extra` dict of the plane pipelines, which the CLI reports reduce to a
+whole report of the plane pipelines, which the CLI reports reduce to a
 maximum, and the buckets of the rectangle decomposition and of the
 restricted pairing, which no CLI report shows.
 
@@ -133,7 +133,7 @@ def _directional(resolution: int) -> dict:
     fams, _ = _plane_inputs(resolution, 61)
     averager = DirectionalAverager(resolution, DirectionSet.uniform(8))
     norm = averager.estimate_norm(2.0, seed=5)
-    return verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=5).to_dict()
+    return verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=5)
 
 
 def _weighted_directional() -> dict:
@@ -141,14 +141,14 @@ def _weighted_directional() -> dict:
 
     fams, _ = _plane_inputs(4, 62)
     averager = DirectionalAverager(4, DirectionSet.uniform(8))
-    return verify_weighted_directional(fams, averager, p=2.0, norm=averager.estimate_norm(2.0, seed=6)).to_dict()
+    return verify_weighted_directional(fams, averager, p=2.0, norm=averager.estimate_norm(2.0, seed=6))
 
 
 def _biparam() -> dict:
     from dyadlab.biparam import verify_biparam
 
     fams, g = _plane_inputs(4, 63)
-    return verify_biparam(fams, p=3.0, eps=0.45, seed=7, g=g).to_dict()
+    return verify_biparam(fams, p=3.0, eps=0.45, seed=7, g=g)
 
 
 def _rect_decompose(resolution: int) -> dict:
@@ -211,7 +211,7 @@ def _restricted_pairing() -> dict:
     op = RestrictedOp(g_set, h_prime, random_choice(rng, 5), TileCollection.all(5))
     f = GridSignal.indicator(5, e_set)
     g = GridSignal.indicator(5, f_set)
-    return restricted_pairing(f, g, e_set, f_set, op, t=2.5).to_dict()
+    return restricted_pairing(f, g, e_set, f_set, op, t=2.5)
 
 
 LIBRARY_CASES = {

@@ -29,7 +29,7 @@ from dyadlab.maximal import (
     verify_vector_maximal,
 )
 from dyadlab.io import json_text
-from dyadlab.reports import BucketStat, RatioReport
+from dyadlab.reports import ratio_report
 from oracles import densify
 
 
@@ -153,7 +153,7 @@ def oracle_maximal_members(intervals):
     return sorted(kept, key=lambda i: (i.scale, i.offset))
 
 
-def oracle_double_sum(e, f_set, h_prime, g, choice, s, h=None) -> RatioReport:
+def oracle_double_sum(e, f_set, h_prime, g, choice, s, h=None) -> dict:
     L = e.resolution
     members: dict = {}
     sums: dict = {}
@@ -174,7 +174,8 @@ def oracle_double_sum(e, f_set, h_prime, g, choice, s, h=None) -> RatioReport:
     for n, m in sorted(sums):
         tops_length = sum(j.length for j in oracle_maximal_members(members[(n, m)]))
         cap = min(2.0**n * e_measure, 2.0**m * f_measure)
-        stats.append(BucketStat(n, m, sums[(n, m)], tops_length / cap if cap > 0 else math.inf))
+        ratio = tops_length / cap if cap > 0 else math.inf
+        stats.append({"n": n, "m": m, "sum": sums[(n, m)], "count_bound_ratio": ratio})
     h_measure = measure(h) if h is not None else measure(h_prime)
     rhs = 0.0
     if h_measure > 0 and e_measure > 0 and f_measure > 0:
@@ -183,10 +184,8 @@ def oracle_double_sum(e, f_set, h_prime, g, choice, s, h=None) -> RatioReport:
             * e_measure ** (1.0 / s)
             * f_measure ** (1.0 / (s / (s - 1.0)))
         )
-    report = RatioReport.from_sides(total, rhs, buckets=stats)
-    report.extra["h_measure_used"] = h_measure
-    report.extra["classes"] = {f"{n},{m}": sums[(n, m)] for (n, m) in sorted(sums)}
-    return report
+    classes = {f"{n},{m}": sums[(n, m)] for (n, m) in sorted(sums)}
+    return ratio_report(total, rhs, buckets=stats, h_measure_used=h_measure, classes=classes)
 
 
 class TestDyadicMaximal:
@@ -469,7 +468,7 @@ class TestRestrictedDoubleSum:
         report = restricted_double_sum(
             GridSet.empty(4), full, full, full, ScaleChoice.constant(4, 2), 2.0
         )
-        assert report.lhs == 0.0
+        assert report["lhs"] == 0.0
 
     def test_single_active_interval(self):
         # kappa == 1 everywhere: only the unit interval carries mass, so the
@@ -480,7 +479,7 @@ class TestRestrictedDoubleSum:
         full = GridSet.full(resolution)
         choice = ScaleChoice.constant(resolution, 0)
         report = restricted_double_sum(e, f_set, full, full, choice, 2.0, h=full)
-        assert report.lhs == pytest.approx(0.5 * 0.25, abs=1e-15)
+        assert report["lhs"] == pytest.approx(0.5 * 0.25, abs=1e-15)
 
     def test_bucket_counting_bound(self):
         # maximal intervals in each class obey the disjointness counting
@@ -495,9 +494,9 @@ class TestRestrictedDoubleSum:
             h_prime = exceptional_complement(h, g, 4.0)
             choice = random_scale_choice(rng, resolution)
             report = restricted_double_sum(e, f_set, h_prime, g, choice, 2.0, h=h)
-            for bucket in report.buckets:
-                assert bucket.count_bound_ratio <= 2.0 + 1e-9
-                assert bucket.count_bound_ratio <= 4.0
+            for bucket in report["buckets"]:
+                assert bucket["count_bound_ratio"] <= 2.0 + 1e-9
+                assert bucket["count_bound_ratio"] <= 4.0
 
     def test_bucket_sum_estimate(self):
         # per-bucket sums against 2^-n-m min(2^n|E|, 2^m|F|): the measured
@@ -512,11 +511,11 @@ class TestRestrictedDoubleSum:
             h_prime = exceptional_complement(h, g, 4.0)
             choice = random_scale_choice(rng, resolution)
             report = restricted_double_sum(e, f_set, h_prime, g, choice, 2.0, h=h)
-            for bucket in report.buckets:
-                cap = 2.0 ** (-bucket.n - bucket.m) * min(
-                    2.0**bucket.n * measure(e), 2.0**bucket.m * measure(f_set)
+            for bucket in report["buckets"]:
+                cap = 2.0 ** (-bucket["n"] - bucket["m"]) * min(
+                    2.0**bucket["n"] * measure(e), 2.0**bucket["m"] * measure(f_set)
                 )
-                assert bucket.sum <= (resolution + 1) * cap * (1 + 1e-9)
+                assert bucket["sum"] <= (resolution + 1) * cap * (1 + 1e-9)
 
     @pytest.mark.parametrize("resolution", range(8))
     def test_matches_per_interval_loop(self, resolution):
@@ -528,7 +527,7 @@ class TestRestrictedDoubleSum:
             h = h if trial % 2 else None
             report = restricted_double_sum(e, f_set, h_prime, g, choice, s, h=h)
             expected = oracle_double_sum(e, f_set, h_prime, g, choice, s, h=h)
-            assert json_text(report.to_dict()) == json_text(expected.to_dict())
+            assert json_text(report) == json_text(expected)
 
     def test_maximal_members_skip_nested_classmates(self):
         # E = F = G = H' full and kappa = (1, 1, 1/2, 1/4): [0, 1) and
@@ -537,11 +536,11 @@ class TestRestrictedDoubleSum:
         full = GridSet.full(2)
         choice = ScaleChoice(2, [0, 0, 1, 2])
         report = restricted_double_sum(full, full, full, full, choice, 2.0)
-        assert [(b.n, b.m, b.sum, b.count_bound_ratio) for b in report.buckets] == [
+        assert [(b["n"], b["m"], b["sum"], b["count_bound_ratio"]) for b in report["buckets"]] == [
             (0, 0, 0.25, 0.25),
             (0, 1, 0.75, 1.0),
         ]
-        assert report.lhs == 1.0
+        assert report["lhs"] == 1.0
 
     def test_requires_valid_s(self):
         full = GridSet.full(3)
@@ -554,14 +553,14 @@ class TestVectorMaximal:
         rng = np.random.default_rng(31)
         fam = VectorSignal.from_signals([random_signal(rng, 6)])
         report = verify_vector_maximal(fam, 2.5)
-        assert math.isfinite(report.ratio) and report.ratio > 0
+        assert math.isfinite(report["ratio"]) and report["ratio"] > 0
 
     def test_copies_invariant(self):
         rng = np.random.default_rng(32)
         f = random_signal(rng, 6)
         one = verify_vector_maximal(VectorSignal.from_signals([f]), 3.0)
         many = verify_vector_maximal(VectorSignal.from_signals([f] * 16), 3.0)
-        assert many.ratio == pytest.approx(one.ratio, rel=1e-12)
+        assert many["ratio"] == pytest.approx(one["ratio"], rel=1e-12)
 
     def test_requires_p_range(self):
         rng = np.random.default_rng(33)

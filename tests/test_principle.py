@@ -487,16 +487,16 @@ class TestMeasureCondition:
         report = measure_condition(identity_family(), h, g, keep_all, p=3.0)
         # localized identity between disjoint equal-measure sets has norm 0;
         # with overlapping sets the norm is 1
-        assert report.C_p == 0.0
+        assert report["C_p"] == 0.0
         overlap = measure_condition(identity_family(), h, h, keep_all, p=3.0)
-        assert overlap.C_p == pytest.approx(1.0, abs=1e-9)
+        assert overlap["C_p"] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_family(self):
         h = GridSet.full(4)
         g = GridSet.full(4)
         keep_all = SubsetBuilder(lambda h, g: (h, g), label="keep")
         report = measure_condition(zero_family(), h, g, keep_all, p=2.5)
-        assert report.C_p == 0.0 and report.B_p == 0.0
+        assert report["C_p"] == 0.0 and report["B_p"] == 0.0
 
     def test_power_iteration_matches_dense_oracle(self):
         rng = np.random.default_rng(8)
@@ -513,7 +513,7 @@ class TestMeasureCondition:
             matrix = densify(lambda v: op.apply(v * h_sub.mask) * g_sub.mask, 1 << resolution)
             dense_best = max(dense_best, float(np.linalg.svd(matrix, compute_uv=False)[0]))
         ratio_pow = (measure(g) / measure(h)) ** (1.0 - 2.0 / 3.0)
-        assert report.C_p == pytest.approx(dense_best**2 / ratio_pow, abs=1e-6)
+        assert report["C_p"] == pytest.approx(dense_best**2 / ratio_pow, abs=1e-6)
 
     def test_series_doubles_b(self):
         rng = np.random.default_rng(9)
@@ -521,7 +521,7 @@ class TestMeasureCondition:
         h = random_grid_set(rng, 5)
         g = random_grid_set(rng, 5)
         report = measure_condition(family, h, g, trim_builder(4.0, "h"), p=2.5)
-        assert report.A_p == pytest.approx(2.0 * report.B_p, rel=1e-12)
+        assert report["A_p"] == pytest.approx(2.0 * report["B_p"], rel=1e-12)
 
     def test_requires_positive_measures(self):
         keep_all = SubsetBuilder(lambda h, g: (h, g), label="keep")
@@ -545,9 +545,9 @@ class TestSplittingCascade:
         h = random_grid_set(rng, 6)
         g = random_grid_set(rng, 6)
         levels = splitting_cascade(h, g, trim_builder(4.0, "both"), p=2.0, k_max=1)
-        assert levels[0].k == 1
-        assert levels[0].max_product_measure <= 0.5 * measure(g) * measure(h) + 1e-15
-        assert levels[0].budget == pytest.approx(0.5, abs=1e-12)
+        assert levels[0]["k"] == 1
+        assert levels[0]["max_product_measure"] <= 0.5 * measure(g) * measure(h) + 1e-15
+        assert levels[0]["budget"] == pytest.approx(0.5, abs=1e-12)
 
     def test_ten_levels_random(self):
         rng = np.random.default_rng(11)
@@ -558,8 +558,8 @@ class TestSplittingCascade:
             assert len(levels) == 10
             base = measure(g) * measure(h)
             for stat in levels:
-                assert stat.max_product_measure <= base * 0.5**stat.k + 1e-15
-                assert stat.budget == pytest.approx(0.5**stat.k, abs=1e-12)
+                assert stat["max_product_measure"] <= base * 0.5**stat["k"] + 1e-15
+                assert stat["budget"] == pytest.approx(0.5**stat["k"], abs=1e-12)
 
     def test_one_sided_builder_chain(self):
         rng = np.random.default_rng(12)
@@ -578,7 +578,7 @@ class TestVectorConclusion:
         rng = np.random.default_rng(13)
         fam = random_vector(rng, 5, 1)
         report = vector_inequality_ratio(identity_family(), fam, 2.5)
-        assert report.ratio == pytest.approx(1.0, abs=1e-12)
+        assert report["ratio"] == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicates_invariant(self):
         rng = np.random.default_rng(14)
@@ -587,7 +587,7 @@ class TestVectorConclusion:
         f = random_signal(rng, resolution)
         one = vector_inequality_ratio(family, VectorSignal.from_signals([f]), 2.5)
         many = vector_inequality_ratio(family, VectorSignal.from_signals([f] * 9), 2.5)
-        assert many.ratio == pytest.approx(one.ratio, rel=1e-12)
+        assert many["ratio"] == pytest.approx(one["ratio"], rel=1e-12)
 
     def test_family_adjoints_are_transposes(self):
         rng = np.random.default_rng(16)
@@ -618,11 +618,11 @@ class TestConditionConstant:
         h, g = random_grid_set(rng, resolution), random_grid_set(rng, resolution)
         builder = trim_builder(4.0, "h")
         first = measure_condition(family, h, g, builder, 2.0, seed=3)
-        norms, ratio = first.extra["norms"], first.extra["measure_ratio"]
-        assert condition_constant(norms, ratio, 2.0) == first.C_p
+        norms, ratio = first["norms"], first["measure_ratio"]
+        assert condition_constant(norms, ratio, 2.0) == first["C_p"]
         for p1 in (2.5, 3.0, 7.0):
             again = measure_condition(family, h, g, builder, p1, seed=3)
-            assert condition_constant(norms, ratio, p1) == again.C_p
+            assert condition_constant(norms, ratio, p1) == again["C_p"]
 
     def test_verify_principle_measures_once(self, monkeypatch):
         calls = []
@@ -689,8 +689,8 @@ class TestLocalizedOperator:
         for j, choice in enumerate(choices):
             closures = rowwise(old_localized(MapPair(choice.average, choice.average_adjoint), h_sub.mask, g_sub.mask))
             [res] = old_top_singular(lambda members: closures, (1 << resolution,), [4 + j], vectors=True)
-            assert report.extra["norms"][j] == res.norm
-            assert report.extra["iterations"][j] == res.steps
+            assert report["norms"][j] == res.norm
+            assert report["iterations"][j] == res.steps
 
 
 class TestMeasureConditionEngine:
@@ -713,9 +713,9 @@ class TestMeasureConditionEngine:
         assert_one_member_runs_match(captured)
         results = captured["results"]
         assert all(res.top_vector is not None for res in results)
-        assert report.extra["norms"] == [res.norm for res in results]
-        assert report.extra["iterations"] == [res.steps for res in results]
-        assert report.extra["unconverged"] == 0 and report.extra["converged"]
+        assert report["norms"] == [res.norm for res in results]
+        assert report["iterations"] == [res.steps for res in results]
+        assert report["unconverged"] == 0 and report["converged"]
 
     def test_capped_runs_are_reported(self, monkeypatch):
         import functools
@@ -732,7 +732,7 @@ class TestMeasureConditionEngine:
         family, _ = maximal_operator_family(rng, 5, 2)
         h, g = random_grid_set(rng, 5), random_grid_set(rng, 5)
         capped = measure_condition(family, h, g, trim_builder(4.0, "h"), p=2.5)
-        assert capped.extra["unconverged"] > 0 and not capped.extra["converged"]
+        assert capped["unconverged"] > 0 and not capped["converged"]
         _, report, ok = harness.run(config)
         assert report["unconverged"] > 0
         assert ok is False and report["ok"] is False
@@ -761,7 +761,7 @@ class TestExactCascadeBound:
 
     def test_at_the_bound_passes(self, monkeypatch):
         [level] = self.run(monkeypatch, nudge=False)
-        assert level.max_product_measure == 0.5
+        assert level["max_product_measure"] == 0.5
 
     def test_one_ulp_above_fails(self, monkeypatch):
         with pytest.raises(AssertionError, match="exceeds bound"):

@@ -571,7 +571,7 @@ def stacked_member_plan(choices, collection) -> ModelSumPlan:
     plan._start = buffers[0]
     plan._stages = butterfly_views(buffers, active)
     part = np.arange(member.size) - np.searchsorted(member, member)
-    gather = np.full((int(part.max(initial=-1)) + 1, plan._count, n), size)
+    gather = np.full((int(part.max(initial=-1)) + 1, len(plan), n), size)
     gather[part, member] = row_of[:, None] * half + (gathers[scale] >> 1)
     plan._gather = np.append(final, 2 * size)[gather]
     plan._hit = member[plan._term_entry] * n + plan._cell
@@ -911,7 +911,7 @@ class TestModelSumPlan:
             for choices in stacks:
                 plan = ModelSumPlan(choices, collection)
                 expected = stacked_member_plan(choices, collection)
-                assert plan._count == expected._count == len(choices)
+                assert len(plan) == len(expected) == len(choices)
                 for name in PLAN_ARRAYS + LAYOUT_ARRAYS:
                     assert same_bits(getattr(plan, name), getattr(expected, name)), name
                 assert plan._work.shape == expected._work.shape
@@ -1621,7 +1621,7 @@ class TestTreeEstimate:
         rng = np.random.default_rng(12)
         tree = random_tree(rng, 5)
         report = tree_estimate(tree, GridSignal.zeros(5), GridSet.full(5), random_choice(rng, 5))
-        assert report.lhs == 0.0
+        assert report["lhs"] == 0.0
 
     def test_single_bitile_oscillation_cancels(self):
         # E covering the whole spatial interval pairs the indicator with a
@@ -1632,8 +1632,8 @@ class TestTreeEstimate:
         e = GridSet.from_interval(3, p.spatial)
         choice = ChoiceFunction.constant(3, p.upper.freq.lo)
         report = tree_estimate(tree, f, e, choice)
-        assert report.lhs == pytest.approx(0.0, abs=1e-15)
-        assert report.rhs == pytest.approx(p.spatial.length * math.sqrt(2.0), abs=1e-12)
+        assert report["lhs"] == pytest.approx(0.0, abs=1e-15)
+        assert report["rhs"] == pytest.approx(p.spatial.length * math.sqrt(2.0), abs=1e-12)
 
     def test_single_bitile_half_set(self):
         p = BiTile(1, 0, 1)
@@ -1644,7 +1644,7 @@ class TestTreeEstimate:
         psi = walsh_packet(p.upper, 3).values.real
         expected = abs(psi[0]) * 0.125
         report = tree_estimate(tree, f, e, choice)
-        assert report.lhs == pytest.approx(expected, abs=1e-13)
+        assert report["lhs"] == pytest.approx(expected, abs=1e-13)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_direct_sum(self, seed):
@@ -1661,7 +1661,7 @@ class TestTreeEstimate:
             sel = e.mask & (choice.freqs >= p.upper.freq.lo) & (choice.freqs < p.upper.freq.hi)
             direct += abs(coef) * abs(float(np.sum(psi[sel]) * 2.0**-resolution))
         report = tree_estimate(tree, f, e, choice)
-        assert report.lhs == pytest.approx(direct, abs=1e-12)
+        assert report["lhs"] == pytest.approx(direct, abs=1e-12)
 
 
 class TestCollections:
@@ -1958,7 +1958,7 @@ class TestFrozensetOracles:
             e, choice = random_grid_set(rng, resolution), random_choice(rng, resolution)
             report = tree_estimate(tree, f, e, choice)
             lhs, rhs = frozenset_tree_estimate(tree, f, e, choice)
-            assert within(report.lhs, lhs) and report.rhs == rhs
+            assert within(report["lhs"], lhs) and report["rhs"] == rhs
 
     def test_array_tree_check_equals_member_loop(self):
         rng = np.random.default_rng(19)
