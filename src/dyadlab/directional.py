@@ -168,16 +168,20 @@ class DirectionalAverager:
         idx = np.arange(n)
         delta = (((idx + n // 2) % n) - n // 2) / n
         dx, dy = delta[:, None], delta[None, :]
+        # box (ia, ib) holds |along| <= 2**-ia / 2 and |across| <= 2**-ib / 2,
+        # up to a roundoff margin; a direction's (L+1)**2 boxes come from one
+        # comparison per side and one broadcast `&`, deduplicated in
+        # (direction, ia, ib) order
+        half_sides = np.array([2.0**-i / 2 + 1e-12 for i in range(resolution + 1)])[:, None, None]
         distinct: dict[bytes, np.ndarray] = {}
         for v in directions:
             px, py = v.perp
-            along = dx * v.vx + dy * v.vy
-            across = dx * px + dy * py
-            for ia in range(resolution + 1):
-                for ib in range(resolution + 1):
-                    a, b = 2.0**-ia, 2.0**-ib
-                    kernel = (np.abs(along) <= a / 2 + 1e-12) & (np.abs(across) <= b / 2 + 1e-12)
-                    distinct.setdefault(kernel.tobytes(), kernel)
+            along = np.abs(dx * v.vx + dy * v.vy) <= half_sides
+            across = np.abs(dx * px + dy * py) <= half_sides
+            for kernel in (along[:, None] & across[None, :]).reshape(-1, n, n):
+                key = kernel.tobytes()
+                if key not in distinct:
+                    distinct[key] = kernel.copy()
         kernels = list(distinct.values())
         self.kernel_counts = [int(np.count_nonzero(k)) for k in kernels]
         self.kernel_ffts = np.empty((len(kernels), n, n // 2 + 1), dtype=np.complex128)
@@ -261,6 +265,19 @@ def _ifft2_into(buf: np.ndarray) -> np.ndarray:
     `ifft2` itself accepts `out` and drops it (numpy 2.4.6 passes `out=None`
     on), while `ifftn` runs the same one-axis transforms and writes it."""
     return np.fft.ifftn(buf, axes=(-2, -1), out=buf)
+
+
+def _member_gather(multipliers: np.ndarray):
+    """rows -> multipliers[rows], gathered again only when the rows change:
+    an engine stack applies the same members until some leave it."""
+    last: list = [None, None]
+
+    def gather(rows):
+        if last[0] != list(rows):
+            last[:] = list(rows), multipliers[rows]
+        return last[1]
+
+    return gather
 
 
 def running_max(slabs) -> tuple[np.ndarray, np.ndarray]:
@@ -432,6 +449,41 @@ def _projection_stacks(fams: list[Grid2D], averager: DirectionalAverager) -> tup
     return L, stack_in, stack_out
 
 
+def _multiplier_family(resolution: int, directions: DirectionSet, in_mask: np.ndarray) -> OperatorFamily:
+    """The band-times-half-plane multipliers M of `verify_directional` as
+    one family, for the engine to localize to the input set `in_mask`.
+
+    Members are band-major, k * len(directions) + j for band k and
+    direction j, so a stack holds bands whose runs take similar step
+    counts.  M is real, so M* = M, and with U the unitary DFT a member is
+    U* M U.  On the whole square 1_G U* M U has the singular values of
+    1_G U* M, U being unitary, so the family runs in frequency space: U* M
+    with adjoint M U, one transform per apply and one per adjoint.  On a
+    proper subset H' it keeps U* M U, one fft2/ifft2 pair each way, since
+    U 1_H' U* is a convolution.  Each map transforms in place the array the
+    engine hands it, and a stack's multipliers are gathered once per member
+    set.  The frequency-space form's right Lanczos vectors are U times the
+    spatial ones; `verify_directional` reads none."""
+    halves = np.stack([halfplane_mask(resolution, v) for v in directions])
+    multipliers = np.concatenate([band_window(resolution, k) * halves for k in range(resolution + 1)])
+    gather = _member_gather(multipliers)
+
+    def multiply(rows, x):
+        spectra = np.fft.fft2(x, out=x)
+        return _ifft2_into(np.multiply(spectra, gather(rows), out=spectra))
+
+    def synthesize(rows, x):
+        return np.fft.ifftn(np.multiply(x, gather(rows), out=x), axes=(-2, -1), norm="ortho", out=x)
+
+    def analyze(rows, x):
+        spectra = np.fft.fftn(x, axes=(-2, -1), norm="ortho", out=x)
+        return np.multiply(spectra, gather(rows), out=spectra)
+
+    if in_mask.all():
+        return OperatorFamily(len(multipliers), synthesize, analyze)
+    return OperatorFamily(len(multipliers), multiply, multiply)
+
+
 def verify_directional(
     fams: list[Grid2D],
     averager: DirectionalAverager,
@@ -476,19 +528,8 @@ def verify_directional(
     report["h_kept"] = safe_ratio(measure(h_prime), measure(h))
     report["exceptional_c"] = c_used
 
-    # the band-times-half-plane multipliers run as stacks through one
-    # fft2/ifft2 pair per apply; they are real, so the adjoint multiplies by
-    # the same array.  They are band-major, member k * len(directions) + j,
-    # so a stack holds bands whose runs take similar step counts
-    halves = np.stack([halfplane_mask(L, v) for v in directions])
-    multipliers = np.concatenate([band_window(L, k) * halves for k in range(L + 1)])
-
-    def multiply(rows, x):
-        spectra = np.fft.fft2(x)
-        return _ifft2_into(np.multiply(spectra, multipliers[rows], out=spectra))
-
+    family = _multiplier_family(L, directions, h_prime.mask)
     seeds = [seed + 31 * j + k for k in range(L + 1) for j in range(len(directions))]
-    family = OperatorFamily(len(multipliers), multiply, multiply)
     results = top_singular(family, g.mask, h_prime.mask, seeds)
     norms = [res.norm for res in results]
     alpha = 0.25

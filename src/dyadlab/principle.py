@@ -209,11 +209,19 @@ def top_singular(
     converges to the norm.  With `vectors`, the right Lanczos vectors V_k
     are kept and each positive result carries V_k y, y the top eigenvector
     of B^T B.
+
+    A member may overwrite the array it is given: `family.apply` and
+    `family.adjoint` get the engine's masked copy, which the engine does
+    not read again.  The engine masks the array a member returns in
+    place, so that array must be held nowhere else.
     """
     _check_loop("max_steps", max_steps, tol)
     seeds = list(seeds)
     if len(seeds) != len(family):
         raise ValueError(f"expected one seed per family member, got {len(seeds)} for {len(family)}")
+    # cast once: the product of a complex array and a bool mask casts the
+    # mask to complex128 itself, so the products keep their bits
+    out_mask, in_mask = out_mask.astype(np.complex128), in_mask.astype(np.complex128)
     results: list[TopSingularResult] = []
     for s in stack_slices(len(seeds), in_mask.size):
         members = list(range(s.start, s.stop))
@@ -280,6 +288,11 @@ def _lanczos_stack(family, out_mask, in_mask, members, seeds, tol, max_steps, ve
         members = [members[r] for r in keep]
         return [s[keep] for s in stacks]
 
+    def masked(run, x, mask):
+        """run(members, x), masked in place."""
+        image = run(members, x)
+        return np.multiply(image, mask, out=image)
+
     def extend(image, coef, last):
         """last = image - coef * last in place, row by row; its row norms."""
         np.subtract(image, np.multiply(last, coef.reshape(slab), out=last), out=last)
@@ -294,7 +307,7 @@ def _lanczos_stack(family, out_mask, in_mask, members, seeds, tol, max_steps, ve
 
     for k in range(1, max_steps + 1):
         if k > 1:
-            beta = extend(family.adjoint(members, u * out_mask) * in_mask, alpha, v)
+            beta = extend(masked(family.adjoint, u * out_mask, in_mask), alpha, v)
             if 0.0 in beta:
                 # A*A maps the Krylov space into itself: the last value is exact
                 stopped = np.flatnonzero(beta == 0.0)
@@ -311,13 +324,13 @@ def _lanczos_stack(family, out_mask, in_mask, members, seeds, tol, max_steps, ve
         if vectors:
             basis[place, k - 1] = v.reshape(len(v), -1)
         if k == 1:
-            np.copyto(u, family.apply(members, v * in_mask) * out_mask)
+            np.copyto(u, masked(family.apply, v * in_mask, out_mask))
             alpha = _row_norms(u)
             ritz[:, 0, 0] = alpha**2
         else:
             # B has the alphas on its diagonal and the betas above it
             ritz[:, k - 1, k - 2] = alpha * beta
-            alpha = extend(family.apply(members, v * in_mask) * out_mask, beta, u)
+            alpha = extend(masked(family.apply, v * in_mask, out_mask), beta, u)
             ritz[:, k - 1, k - 1] = alpha**2 + beta**2
         lam_prev, lam = lam, np.linalg.eigvalsh(ritz[:, :k, :k])[:, -1]
         settled = alpha == 0.0

@@ -162,6 +162,29 @@ def annular_band(f: Grid2D, k: int) -> Grid2D:
     return Grid2D(f.resolution, np.fft.ifft2(spectrum * band_window(f.resolution, k)))
 
 
+def box_kernels(resolution, directions):
+    """The distinct 0/1 box kernels of DirectionalAverager, in its order,
+    built box by box."""
+    n = 1 << resolution
+    idx = np.arange(n)
+    delta = (((idx + n // 2) % n) - n // 2) / n
+    dx, dy = delta[:, None], delta[None, :]
+    kernels, seen = [], set()
+    for v in directions:
+        px, py = v.perp
+        along = dx * v.vx + dy * v.vy
+        across = dx * px + dy * py
+        for ia in range(resolution + 1):
+            for ib in range(resolution + 1):
+                a, b = 2.0**-ia, 2.0**-ib
+                kernel = (np.abs(along) <= a / 2 + 1e-12) & (np.abs(across) <= b / 2 + 1e-12)
+                if kernel.tobytes() in seen:
+                    continue
+                seen.add(kernel.tobytes())
+                kernels.append(kernel)
+    return kernels
+
+
 def densify(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
     """Matrix of a linear map on C^n in the cell basis; oracle for small grids."""
     cols = []

@@ -1,5 +1,6 @@
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +34,10 @@ from dyadlab.grid import (
     measure,
     stack_slices,
 )
-from dyadlab.io import json_text
+from dyadlab.io import json_text, read_directions
 from dyadlab.maximal import dyadic_maximal
-from oracles import annular_band
+from dyadlab.principle import OperatorFamily, top_singular
+from oracles import annular_band, box_kernels
 from test_principle import (
     MapPair,
     assert_closure_runs_match,
@@ -80,26 +82,18 @@ def old_multiplier_closures(resolution, direction, k, g_mask, h_mask):
     return fwd, adj
 
 
-def box_kernels(resolution, directions):
-    """The distinct 0/1 box kernels of DirectionalAverager, in its order."""
-    n = 1 << resolution
-    idx = np.arange(n)
-    delta = (((idx + n // 2) % n) - n // 2) / n
-    dx, dy = delta[:, None], delta[None, :]
-    kernels, seen = [], set()
-    for v in directions:
-        px, py = v.perp
-        along = dx * v.vx + dy * v.vy
-        across = dx * px + dy * py
-        for ia in range(resolution + 1):
-            for ib in range(resolution + 1):
-                a, b = 2.0**-ia, 2.0**-ib
-                kernel = (np.abs(along) <= a / 2 + 1e-12) & (np.abs(across) <= b / 2 + 1e-12)
-                if kernel.tobytes() in seen:
-                    continue
-                seen.add(kernel.tobytes())
-                kernels.append(kernel)
-    return kernels
+def frequency_closures(resolution, direction, k, g_mask):
+    """The frequency-space member on the whole square, 1_G U* M with
+    adjoint M U 1_G, written out on lone arrays."""
+    m = band_window(resolution, k) * halfplane_mask(resolution, direction)
+
+    def fwd(y):
+        return np.fft.ifft2(m * np.asarray(y), norm="ortho") * g_mask
+
+    def adj(z):
+        return m * np.fft.fft2(np.asarray(z) * g_mask, norm="ortho")
+
+    return fwd, adj
 
 
 def old_kernel_ffts(resolution, directions, transform=np.fft.rfft2):
@@ -217,6 +211,20 @@ class TestStackedAverager:
             assert averager.estimate_norm(p, seed=resolution) == old_estimate_norm(
                 old, resolution, p, 12, resolution
             )
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("source", ["uniform-8", "directions.csv"])
+    def test_kernels_match_the_box_loop(self, resolution, source):
+        # the broadcast construction of the boxes against the box-by-box
+        # loop, byte for byte: the counts, and the spectra of the kernels
+        # the loop keeps, in its order
+        if source == "uniform-8":
+            dirs = DirectionSet.uniform(8)
+        else:
+            dirs = read_directions(Path(__file__).parent / "formats" / source)
+        averager = DirectionalAverager(resolution, dirs)
+        assert averager.kernel_counts == [int(np.count_nonzero(k)) for k in box_kernels(resolution, dirs)]
+        assert averager.kernel_ffts.tobytes() == np.stack(old_kernel_ffts(resolution, dirs)).tobytes()
 
     @pytest.mark.parametrize("resolution", [1, 3, 5, 6])
     def test_full_spectrum_loop_within_rounding(self, resolution):
@@ -866,7 +874,9 @@ class TestEquivalenceAndTheorems:
     def test_localized_norms_meet_the_oracles(self, monkeypatch, resolution):
         # each multiplier's norm is never below power iteration of its
         # closure pair at equal steps from its seed, within the dense SVD
-        # bounds up to L = 4, and equal to its one-member run bit for bit
+        # bounds up to L = 4, and equal to its one-member run bit for bit;
+        # the pair is the form that ran, in frequency space on the whole
+        # square (here at L = 5 and 6), so both start from the same vector
         import dyadlab.directional as directional
 
         rng = np.random.default_rng(20 + resolution)
@@ -881,10 +891,15 @@ class TestEquivalenceAndTheorems:
         g, h_prime = localization_sets(L, dirs, seed)
         results = captured["results"]
         assert len(results) == len(dirs) * (L + 1)
+        whole = bool(h_prime.mask.all())
+        assert whole == (L >= 5)
         for index, res in enumerate(results):
             k, j = divmod(index, len(dirs))
-            fwd, adj = old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask)
-            assert_krylov_oracles(res, MapPair(fwd, adj), (n, n), seed + 31 * j + k, dense=L <= 4)
+            if whole:
+                pair = frequency_closures(L, dirs.members[j], k, g.mask)
+            else:
+                pair = old_multiplier_closures(L, dirs.members[j], k, g.mask, h_prime.mask)
+            assert_krylov_oracles(res, MapPair(*pair), (n, n), seed + 31 * j + k, dense=L <= 4)
         assert_one_member_runs_match(captured)
         assert report["localized_norm_max"] == max(r.norm for r in results)
         unconverged = sum(not r.converged for r in results)
@@ -991,6 +1006,122 @@ class TestEquivalenceAndTheorems:
         averager = DirectionalAverager(resolution, DirectionSet.uniform(2))
         kept, c = directional_level_complement(h, g, averager, 0.9)
         assert measure(kept) >= 0.5 * measure(h)
+
+
+def count_transforms(monkeypatch) -> dict:
+    """Count, from here on, the calls of numpy's complex 2D transforms
+    under `np.fft`, the names the multiplier families call."""
+    counts = {"calls": 0}
+    for name in ("fft2", "ifft2", "fftn", "ifftn"):
+
+        def counted(*args, _real=getattr(np.fft, name), **kwargs):
+            counts["calls"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+class TestFrequencySpaceFamily:
+    """On the whole square the multipliers run as 1_G U* M, in frequency
+    space, with the singular values of the spatial 1_G U* M U."""
+
+    @staticmethod
+    def input_mask(resolution, whole):
+        n = 1 << resolution
+        if whole:
+            return np.ones((n, n), dtype=bool)
+        return np.random.default_rng(resolution).random((n, n)) < 0.75
+
+    @pytest.mark.parametrize("resolution", [1, 3, 5])
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_adjoint_pairing(self, resolution, whole):
+        # <A x, y> = <x, A* y> to rounding, member by member, in one stack
+        dirs = DirectionSet.uniform(8)
+        family = directional._multiplier_family(resolution, dirs, self.input_mask(resolution, whole))
+        rows = list(range(len(family)))
+        rng = np.random.default_rng(40 + resolution)
+        n = 1 << resolution
+        x, y = (rng.standard_normal((len(rows), n, n)) + 1j * rng.standard_normal((len(rows), n, n)) for _ in "xy")
+        ax, ay = family.apply(rows, x.copy()), family.adjoint(rows, y.copy())
+        for i in rows:
+            gap = abs(np.vdot(y[i], ax[i]) - np.vdot(ay[i], x[i]))
+            assert gap <= 1e-13 * np.linalg.norm(x[i]) * np.linalg.norm(y[i])
+
+    @pytest.mark.parametrize("resolution", [3, 4, 5])
+    def test_norms_meet_the_spatial_family(self, resolution):
+        # every member's norm within the engine's tolerance of the spatial
+        # closure pair's, and, at as many steps from the same seed, never
+        # below the power iterate of the frequency-space pair; up to L = 4
+        # within the dense SVD bounds of that pair, whose singular values
+        # are the spatial ones
+        L, n, seed = resolution, 1 << resolution, 3
+        dirs = DirectionSet.uniform(8)
+        whole = self.input_mask(L, True)
+        g_mask = np.random.default_rng(seed).random((n, n)) < 0.25
+        seeds = [seed + 31 * j + k for k in range(L + 1) for j in range(len(dirs))]
+        freq = top_singular(directional._multiplier_family(L, dirs, whole), g_mask, whole, seeds)
+        pairs = [old_multiplier_closures(L, dirs.members[j], k, g_mask, whole) for k in range(L + 1) for j in range(len(dirs))]
+        spatial = top_singular(OperatorFamily.of(*zip(*pairs)), whole, whole, seeds)
+        assert all(res.converged for res in freq + spatial)
+        for index, (res, other) in enumerate(zip(freq, spatial)):
+            k, j = divmod(index, len(dirs))
+            assert res.norm == pytest.approx(other.norm, rel=1e-9, abs=0)
+            pair = MapPair(*frequency_closures(L, dirs.members[j], k, g_mask))
+            assert_krylov_oracles(res, pair, (n, n), seeds[index], dense=L <= 4)
+
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_overwriting_maps_match_copying_ones(self, whole):
+        # both families transform the engine's array in place: the results
+        # are those of maps that copy their input first, bit for bit
+        L, n = 4, 16
+        dirs = DirectionSet.uniform(8)
+        in_mask = self.input_mask(L, whole)
+        g_mask = np.random.default_rng(5).random((n, n)) < 0.25
+        family = directional._multiplier_family(L, dirs, in_mask)
+        copying = OperatorFamily(
+            len(family),
+            lambda rows, x: family.apply(rows, x.copy()),
+            lambda rows, x: family.adjoint(rows, x.copy()),
+        )
+        seeds = list(range(len(family)))
+        got = top_singular(family, g_mask, in_mask, seeds, max_steps=30)
+        want = top_singular(copying, g_mask, in_mask, seeds, max_steps=30)
+        assert got == want
+
+    @pytest.mark.parametrize("seed, whole", [(2, [True, True]), (8, [False, False]), (14, [False, False])])
+    def test_branch_follows_the_exceptional_set(self, monkeypatch, seed, whole):
+        # the benchmark's cordoba ops at L = 5 with seeds 2, 8 and 14: per
+        # Lanczos step, one apply and one adjoint, two transforms when the
+        # exceptional set is empty and four when it is not
+        from dyadlab.harness import ExperimentConfig, run
+        transforms = count_transforms(monkeypatch)
+        real_top_singular = directional.top_singular
+        trials = []
+
+        def recording(family, out_mask, in_mask, seeds, **kwargs):
+            counts = {"apply": set(), "adjoint": set()}
+
+            def counted(name, call):
+                def run_counted(rows, x):
+                    before = transforms["calls"]
+                    out = call(rows, x)
+                    counts[name].add(transforms["calls"] - before)
+                    return out
+
+                return run_counted
+
+            spy = OperatorFamily(len(family), counted("apply", family.apply), counted("adjoint", family.adjoint))
+            trials.append((bool(in_mask.all()), counts))
+            return real_top_singular(spy, out_mask, in_mask, seeds, **kwargs)
+
+        monkeypatch.setattr(directional, "top_singular", recording)
+        ok = run(ExperimentConfig(theorem="cordoba", resolution=5, trials=2, seed=seed))[2]
+        assert ok is True
+        assert [on_whole for on_whole, _ in trials] == whole
+        for on_whole, counts in trials:
+            each = 1 if on_whole else 2
+            assert counts == {"apply": {each}, "adjoint": {each}}
 
 
 class TestOneAscentPerRun:

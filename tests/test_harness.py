@@ -82,23 +82,8 @@ class TestDeterminism:
         json.loads(json_text(asdict(manifest)))
 
 
-class TestReportSerialization:
-    def test_ratio_report_json(self):
-        rng = np.random.default_rng(20)
-        from dyadlab.maximal import restricted_double_sum, ScaleChoice
-        from dyadlab.maximal import exceptional_complement
-
-        e = random_grid_set(rng, 5)
-        f_set = random_grid_set(rng, 5)
-        h = random_grid_set(rng, 5)
-        g = random_grid_set(rng, 5)
-        h_prime = exceptional_complement(h, g, 4.0)
-        choice = ScaleChoice(5, rng.integers(0, 6, size=32))
-        report = restricted_double_sum(e, f_set, h_prime, g, choice, 2.0, h=h)
-        parsed = json.loads(json_text(report))
-        assert set(parsed) >= {"lhs", "rhs", "ratio", "buckets"}
-        for bucket in parsed["buckets"]:
-            assert set(bucket) == {"n", "m", "sum", "count_bound_ratio"}
+class TestMaximalOperatorFamily:
+    """`harness.maximal_operator_family`, the family `verify principle` measures."""
 
     def test_maximal_family_runs_on_arrays(self, monkeypatch):
         # the operators apply the array forms of the linearized maximal
@@ -123,26 +108,6 @@ class TestReportSerialization:
             assert family.apply([j], v[None]).tobytes() == forward.tobytes()
             assert family.adjoint([j], v[None]).tobytes() == backward.tobytes()
             assert family.apply([j], v.real[None]).tobytes() == family.apply([j], v.real[None] + 0j).tobytes()
-
-    def test_principle_report_json(self):
-        from dyadlab.harness import maximal_operator_family
-        from dyadlab.principle import measure_condition, trim_builder
-
-        rng = np.random.default_rng(21)
-        family, _ = maximal_operator_family(rng, 5, 2)
-        h = random_grid_set(rng, 5)
-        g = random_grid_set(rng, 5)
-        report = measure_condition(family, h, g, trim_builder(4.0, "h"), 2.5)
-        parsed = json.loads(json_text(report))
-        assert set(parsed) >= {"p", "C_p", "B_p", "A_p"}
-
-    def test_decay_report_json(self):
-        from dyadlab.carleson import norm_decay_ladder
-
-        decay = norm_decay_ladder(5, [0.5, 0.25], seed=9)
-        parsed = json.loads(json_text(decay))
-        assert set(parsed) >= {"ratio_ladder", "slope", "intercept", "unconverged"}
-        assert all(set(pt) == {"log_ratio", "log_norm"} for pt in parsed["ratio_ladder"])
 
 
 class TestExactMassCap:
