@@ -3,9 +3,9 @@
 Subcommands: `verify <theorem>` runs one verification experiment and writes
 its report; `decompose` buckets a tile collection file; `estimate-22`
 measures the restricted-operator norm decay along a measure-ratio ladder.
-Exit status is 0 exactly when every asserted postcondition held, 1 when
-one failed, and 2 on an invalid configuration, malformed input or a path
-the operating system refuses.
+Exit status is 0 exactly when every certificate of the run held, 1 when
+one failed (stderr names it), and 2 on an invalid configuration,
+malformed input or a path the operating system refuses.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 from .grid import check_resolution
 from .harness import THEOREMS, ExperimentConfig, check_seed, run, run_decompose
 from .io import json_text, write_json, write_ladder_plot
+from .reports import certificate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,6 +83,15 @@ def _invalid(problem: str) -> int:
     return 2
 
 
+def _status(certificates: list[dict]) -> int:
+    """0 when every certificate holds; else 1, after naming each failed one
+    with its value and bound on stderr."""
+    failed = [cert for cert in certificates if not cert["holds"]]
+    for cert in failed:
+        print(f"certificate {cert['name']} failed: value {cert['value']!r}, bound {cert['bound']!r}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _config_from_args(args) -> ExperimentConfig:
     """The `verify` config of the flags that were given; each flag is the
     config field of its name, --epsilon the field `eps`."""
@@ -112,18 +122,19 @@ def _estimate22(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     ratios = [2.0**-i for i in range(1, ladder + 1)]
     branches = ("h", "g") if args.branch == "both" else (args.branch,)
-    report = {}
-    ok = True
+    report, certificates = {}, []
     for branch in branches:
-        decay = norm_decay_ladder(args.resolution, ratios, seed=args.seed, branch=branch)
-        report[branch] = decay
-        ok = ok and decay["slope"] >= 0.5 - args.epsilon and decay["unconverged"] == 0
+        decay = report[branch] = norm_decay_ladder(args.resolution, ratios, seed=args.seed, branch=branch)
+        certificates += [
+            certificate(f"slope[{branch}]", decay["slope"], 0.5 - args.epsilon, "theorem", ">="),
+            certificate(f"unconverged[{branch}]", decay["unconverged"], 0, "postcondition"),
+        ]
     print(json_text(report), end="")
     if args.out:
         write_json(out_dir / "report.json", report)
     if args.plot:
         write_ladder_plot(out_dir / "ratio_ladder.png", report)
-    return 0 if ok else 1
+    return _status(certificates)
 
 
 def _decompose(args) -> int:
@@ -140,9 +151,9 @@ def _verify(args) -> int:
         config.validate()
     except ValueError as exc:
         return _invalid(str(exc))
-    _, report, ok = run(config)
+    _, report, _ = run(config)
     print(json_text(report), end="")
-    return 0 if ok else 1
+    return _status(report["certificates"])
 
 
 def main(argv=None) -> int:

@@ -22,6 +22,7 @@ from .grid import (
     bundle_norm,
     cell_width,
     check_exponent,
+    check_q_window,
     check_resolution,
     lp_norm,
     measure,
@@ -29,7 +30,7 @@ from .grid import (
 )
 from .maximal import dyadic_maximal, scale_averages
 from .principle import OperatorFamily, top_singular
-from .reports import ratio_report, safe_ratio
+from .reports import certificate, ratio_report, safe_ratio
 
 # steps of `DirectionalAverager.estimate_norm`'s power ascent
 ASCENT_STEPS = 12
@@ -325,15 +326,25 @@ class MajorantWeight:
     input_norm: float
     weight_norm: float
 
+    def checks(self, suffix: str = "") -> list[dict]:
+        """The two certificates, named `weight_norm` and `weight_recursion`
+        plus `suffix`: ||w||_p <= 2 ||g||_p, with a relative slack of 1e-12
+        for the float norms, and max(M_Sigma w - 2N w) <= `tail_bound`."""
+        return [
+            certificate(f"weight_norm{suffix}", self.weight_norm, 2.0 * self.input_norm * (1 + 1e-12), "postcondition"),
+            certificate(f"weight_recursion{suffix}", self.excess, self.tail_bound, "postcondition"),
+        ]
+
     @property
     def certificates(self) -> dict:
+        norm, recursion = self.checks()
         return {
             "terms": self.terms,
             "norm_used": self.norm_used,
             "tail_bound": self.tail_bound,
             "excess": self.excess,
-            "norm_ok": self.weight_norm <= 2.0 * self.input_norm * (1 + 1e-12),
-            "recursion_ok": self.excess <= self.tail_bound,
+            "norm_ok": norm["holds"],
+            "recursion_ok": recursion["holds"],
         }
 
 
@@ -506,8 +517,7 @@ def verify_directional(
     that hit it.
     """
     check_exponent(p)
-    if not (q > 0 and abs(1.0 - 2.0 / q) < 1.0 / p):
-        raise ValueError(f"exponent q={q} outside the admissible range for p={p}")
+    check_q_window(q, p)
     L, stack_in, stack_out = _projection_stacks(fams, averager)
     directions = averager.directions
     n = 1 << L
@@ -542,7 +552,7 @@ def verify_directional(
 
 def verify_weighted_directional(
     fams: list[Grid2D], averager: DirectionalAverager, p: float, norm: float
-) -> dict:
+) -> tuple[dict, MajorantWeight]:
     """Endpoint square-function bound through the weight route, over the
     averager's directions.
 
@@ -552,7 +562,9 @@ def verify_weighted_directional(
     per-direction weighted projection constants and the assembled chain are
     all reported, and the final ratio is normalized by `norm`, the caller's
     measure of the averager's L^p norm (such as `averager.estimate_norm(p)`),
-    to the power |1 - 2/q| = 1/p; `norm` is also the weight's N.
+    to the power |1 - 2/q| = 1/p; `norm` is also the weight's N.  Returns
+    the report and the weight, whose `checks` give its certificates as
+    values and bounds.
     """
     check_exponent(p)
     q = 2.0 * p / (p - 1.0)
@@ -593,4 +605,4 @@ def verify_weighted_directional(
     report["chain_constant"] = safe_ratio(
         pairing_w, max(per_direction, default=0.0) * weighted_input
     )
-    return report
+    return report, weight

@@ -46,6 +46,12 @@ def check_exponent(value: float, name: str = "p", above: float = 1) -> None:
         raise ValueError(f"{name} must lie in ({above}, inf), got {value}")
 
 
+def check_q_window(q: float, p: float) -> None:
+    """Reject a q outside the Cordoba window: q > 0 and |1 - 2/q| < 1/p."""
+    if not (q > 0 and abs(1.0 - 2.0 / q) < 1.0 / p):
+        raise ValueError(f"cordoba needs |1 - 2/q| < 1/p, got q={q}, p={p}")
+
+
 def cell_width(resolution: int) -> float:
     return 2.0 ** -resolution
 

@@ -26,9 +26,10 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_resolution
+from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_q_window, check_resolution
 from .io import CSV_SCHEMA, check_output_path, read_choice, read_grid_set, read_signal, read_tile_collection, write_forests, write_run
 from .maximal import CARVING, ScaleChoice, verify_vector_maximal
+from .reports import certificate
 from .tiles import ChoiceFunction, full_decompose
 from .walsh import walsh_synthesis
 
@@ -89,8 +90,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.theorem} needs {row.p_above} < p < inf, got p={self.p}")
         if self.theorem == "biparam" and not 0 < self.eps < 0.5:
             raise ValueError(f"biparam needs 0 < eps < 1/2, got eps={self.eps}")
-        if self.theorem == "cordoba" and not (self.q > 0 and abs(1.0 - 2.0 / self.q) < 1.0 / self.p):
-            raise ValueError(f"cordoba needs |1 - 2/q| < 1/p, got q={self.q}, p={self.p}")
+        if self.theorem == "cordoba":
+            check_q_window(self.q, self.p)
 
 
 @dataclass
@@ -180,115 +181,87 @@ def maximal_operator_family(
 # per-theorem runners
 
 
-def run_fs(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
-    ratios = []
-    baseline = []
+def run_fs(config: ExperimentConfig, gens) -> tuple[dict, list[float], list[dict]]:
+    ratios, baseline = [], []
     for rng in gens:
         fam = random_vector(rng, config.resolution, config.family_size)
         ratios.append(verify_vector_maximal(fam, config.p)["ratio"])
-        baseline.append(
-            verify_vector_maximal(
-                VectorSignal(config.resolution, fam.stack[:1]), config.p
-            )["ratio"]
-        )
-    ok = all(math.isfinite(r) for r in ratios)
-    report = {
-        "p": config.p,
-        "family_size": config.family_size,
-        "max_baseline_ratio": max(baseline, default=0.0),
-    }
-    return report, ratios, ok
+        baseline.append(verify_vector_maximal(VectorSignal(config.resolution, fam.stack[:1]), config.p)["ratio"])
+    report = {"p": config.p, "family_size": config.family_size, "max_baseline_ratio": max(baseline, default=0.0)}
+    return report, ratios, []
 
 
-def run_biparam(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
+def _localized_certificates(reps: list[dict]) -> list[dict]:
+    """At the worst trial, H' keeps half of H and no localized norm run stopped at the step cap."""
+    kept = min((rep["h_kept"] for rep in reps), default=1.0)
+    unconverged = max((rep["localized_unconverged"] for rep in reps), default=0)
+    return [
+        certificate("h_kept", kept, 0.5, "postcondition", ">="),
+        certificate("localized_unconverged", unconverged, 0, "postcondition"),
+    ]
+
+
+def run_biparam(config: ExperimentConfig, gens) -> tuple[dict, list[float], list[dict]]:
     from .biparam import verify_biparam
 
-    ratios = []
-    ok = True
-    caps = []
+    reps = []
     for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
         g = random_set2d(rng, config.resolution, 0.25)
-        rep = verify_biparam(fams, config.p, g, eps=config.eps, seed=config.seed + i)
-        ratios.append(rep["ratio"])
-        trial_caps = rep["mass_cap_ratios"]
-        caps.append(max(trial_caps, default=0.0))
-        ok = ok and all(c <= 1.0 for c in trial_caps)
-        ok = ok and rep["h_kept"] >= 0.5
-        ok = ok and rep["localized_unconverged"] == 0
-    ok = ok and all(math.isfinite(r) for r in ratios)
-    report = {
-        "p": config.p,
-        "eps": config.eps,
-        "family_size": config.family_size,
-        "max_mass_cap_ratio": max(caps, default=0.0),
-    }
-    return report, ratios, ok
+        reps.append(verify_biparam(fams, config.p, g, eps=config.eps, seed=config.seed + i))
+    cap = max((c for rep in reps for c in rep["mass_cap_ratios"]), default=0.0)
+    report = {"p": config.p, "eps": config.eps, "family_size": config.family_size, "max_mass_cap_ratio": cap}
+    certificates = [certificate("mass_cap_ratio", cap, 1.0, "postcondition"), *_localized_certificates(reps)]
+    return report, [rep["ratio"] for rep in reps], certificates
 
 
-def run_cordoba(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
+def run_cordoba(config: ExperimentConfig, gens) -> tuple[dict, list[float], list[dict]]:
     from .directional import DirectionalAverager, DirectionSet, verify_directional
 
     averager = DirectionalAverager(config.resolution, DirectionSet.uniform(8))
     # ||M_Sigma||_2, a constant of the direction set: measured once per run
     norm = averager.estimate_norm(2.0, seed=config.seed)
-    ratios = []
-    ok = True
+    reps = []
     for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
-        rep = verify_directional(fams, averager, config.q, config.p, norm, seed=config.seed + i)
-        ratios.append(rep["ratio"])
-        ok = ok and rep["h_kept"] >= 0.5 and math.isfinite(rep["ratio"])
-        ok = ok and rep["localized_unconverged"] == 0
-    report = {
-        "p": config.p,
-        "q": config.q,
-        "family_size": config.family_size,
-    }
-    return report, ratios, ok
+        reps.append(verify_directional(fams, averager, config.q, config.p, norm, seed=config.seed + i))
+    report = {"p": config.p, "q": config.q, "family_size": config.family_size}
+    return report, [rep["ratio"] for rep in reps], _localized_certificates(reps)
 
 
-def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
+def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[float], list[dict]]:
     from .directional import DirectionalAverager, DirectionSet, verify_weighted_directional
 
     averager = DirectionalAverager(config.resolution, DirectionSet.uniform(8))
     # ||M_Sigma||_p, a constant of the direction set: measured once per run
     norm = averager.estimate_norm(config.p, seed=config.seed)
-    ratios, weights = [], []
-    ok = True
-    for rng in gens:
+    ratios, weights, certificates = [], [], []
+    for i, rng in enumerate(gens):
         fams = [random_grid2d(rng, config.resolution) for _ in range(config.family_size)]
-        rep = verify_weighted_directional(fams, averager, config.p, norm)
+        rep, weight = verify_weighted_directional(fams, averager, config.p, norm)
         ratios.append(rep["ratio"])
-        certs = rep["weight"]
-        ok = ok and certs["norm_ok"] and certs["recursion_ok"] and math.isfinite(rep["ratio"])
-        weights.append({key: certs[key] for key in ("terms", "tail_bound", "excess")})
+        weights.append({key: rep["weight"][key] for key in ("terms", "tail_bound", "excess")})
+        certificates += weight.checks(f"[{i}]")
     report = {
         "p": config.p,
         "q": 2.0 * config.p / (config.p - 1.0),
         "family_size": config.family_size,
         "weights": weights,
     }
-    return report, ratios, ok
+    return report, ratios, certificates
 
 
-def run_carleson(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
+def run_carleson(config: ExperimentConfig, gens) -> tuple[dict, list[float], list[dict]]:
     from .carleson import verify_vector_carleson
 
-    ratios = []
-    for rng in gens:
-        fam = random_vector(rng, config.resolution, config.family_size)
-        rep = verify_vector_carleson(fam, None, config.p)
-        ratios.append(rep["ratio"])
-    ok = all(math.isfinite(r) for r in ratios)
-    report = {
-        "p": config.p,
-        "family_size": config.family_size,
-    }
-    return report, ratios, ok
+    ratios = [
+        verify_vector_carleson(random_vector(rng, config.resolution, config.family_size), None, config.p)["ratio"]
+        for rng in gens
+    ]
+    return {"p": config.p, "family_size": config.family_size}, ratios, []
 
 
-def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bool]:
+def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], list[dict]]:
     from .principle import (
         condition_constant,
         measure_condition,
@@ -308,8 +281,7 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
     c_p1 = condition_constant(cond0["norms"], cond0["measure_ratio"], p1)
     levels = splitting_cascade(h, g, trim_builder(CARVING, "both"), p0, k_max=10)
 
-    ratios = []
-    baseline = []
+    ratios, baseline = [], []
     worst_sides = (0.0, 0.0)
     for rng in gens:
         fam = random_vector(rng, config.resolution, config.family_size)
@@ -317,15 +289,8 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
         ratios.append(conclusion["ratio"])
         if conclusion["ratio"] >= max(ratios):
             worst_sides = (conclusion["lhs"], conclusion["rhs"])
-        baseline.append(
-            vector_inequality_ratio(
-                family, VectorSignal(config.resolution, fam.stack[:1]), config.q
-            )["ratio"]
-        )
-    unconverged = cond0["unconverged"]
-    ok = unconverged == 0 and all(math.isfinite(r) for r in ratios)
-    if ratios and baseline and max(baseline) > 0:
-        ok = ok and max(ratios) <= 2.0 * max(baseline)
+        one_member = VectorSignal(config.resolution, fam.stack[:1])
+        baseline.append(vector_inequality_ratio(family, one_member, config.q)["ratio"])
     report = {
         "principle": {
             "p": p0,
@@ -341,9 +306,14 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], bo
             "p1": p1,
         },
         "max_baseline_ratio": max(baseline, default=0.0),
-        "unconverged": unconverged,
+        "unconverged": cond0["unconverged"],
     }
-    return report, ratios, ok
+    certificates = [
+        certificate("unconverged", report["unconverged"], 0, "postcondition"),
+        # the family's ratio within twice the one-member baseline's
+        certificate("baseline_factor", report["principle"]["ratio"], 2.0 * report["max_baseline_ratio"], "heuristic"),
+    ]
+    return report, ratios, certificates
 
 
 class Theorem(NamedTuple):
@@ -369,24 +339,29 @@ THEOREMS = {
 
 
 def run(config: ExperimentConfig) -> tuple[RunManifest, dict, bool]:
-    """Dispatch one experiment; returns (manifest, report, all postconditions
-    held).  The report is the runner's own fields with the theorem, the
-    largest trial ratio, the trial count and `ok`.  When an output directory
-    is configured, creates it before the run and writes report.json,
-    manifest.json and trials.csv there after it."""
+    """Dispatch one experiment; returns (manifest, report, `ok`).  The report
+    is the runner's own fields with the theorem, the largest trial ratio, the
+    trial count, the certificates (the runner's, after the finiteness of the
+    trial ratios) and `ok`, their conjunction, set here alone.  When an
+    output directory is configured, creates it before the run and writes
+    report.json, manifest.json and trials.csv there after it."""
     config.validate()
     if config.out:
         Path(config.out).mkdir(parents=True, exist_ok=True)
     gens, keys = trial_generators(config.seed, config.trials)
     start = time.perf_counter()
-    fields, ratios, ok = THEOREMS[config.theorem].run(config, gens)
+    fields, ratios, certificates = THEOREMS[config.theorem].run(config, gens)
     elapsed = time.perf_counter() - start
+    nonfinite = sum(not math.isfinite(r) for r in ratios)
+    certificates = [certificate("nonfinite_ratios", nonfinite, 0, "postcondition"), *certificates]
+    ok = all(cert["holds"] for cert in certificates)
     report = {
         "theorem": config.theorem,
         **fields,
         "max_ratio": max(ratios, default=0.0),
         "trials": len(ratios),
         "ok": ok,
+        "certificates": certificates,
     }
     manifest = RunManifest(
         config=asdict(config),

@@ -148,7 +148,8 @@ def power_iteration(
     v = _start_vector(seed, (1, *shape))
     lam_prev, lam = -1.0, 0.0
     for it in range(1, iters + 1):
-        w = family.apply([0], v)
+        # a copy: a family may overwrite its input, and v is the top vector returned
+        w = family.apply([0], v.copy())
         lam = float(np.vdot(np.ravel(w), np.ravel(w)).real)
         if lam == 0.0:
             return PowerIterationResult(0.0, it, True, None)

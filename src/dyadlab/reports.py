@@ -18,3 +18,13 @@ def ratio_report(lhs: float, rhs: float, buckets=(), **fields) -> dict:
     `ratio` is a TypeError, not a silent overwrite."""
     lhs, rhs = float(lhs), float(rhs)
     return dict(lhs=lhs, rhs=rhs, ratio=safe_ratio(lhs, rhs), buckets=list(buckets), **fields)
+
+
+def certificate(name: str, value, bound, kind: str, comparison: str = "<=") -> dict:
+    """One named check of a run: whether `value` stands in `comparison`
+    (`<=` or `>=`) to `bound`, compared as given, with no tolerance, so a
+    NaN never holds and any slack is written into the bound. `kind` says
+    what the bound is: a `theorem` of the paper, a `postcondition` the
+    construction guarantees, or a `heuristic`."""
+    holds = {"<=": value <= bound, ">=": value >= bound}[comparison]
+    return {"name": name, "value": value, "bound": bound, "kind": kind, "holds": bool(holds)}

@@ -498,7 +498,7 @@ def test_criterion_8_cordoba():
     constants = []
     for trial in range(10):
         fams = [random_grid2d(rng, resolution) for _ in range(8)]
-        rep = verify_weighted_directional(fams, averager, p=2.0, norm=norm)
+        rep, _ = verify_weighted_directional(fams, averager, p=2.0, norm=norm)
         constants.append(rep["ratio"])
     stable = max(constants) / min(constants) < 4.0 and all(map(math.isfinite, constants))
 

@@ -43,9 +43,18 @@ FILES = [
 
 
 def _fixed_run(config, gens):
-    """A verify runner's fields, trial ratios and outcome, fixed: the ratios
-    a third, a negative zero and a float that prints with an exponent."""
-    return {"p": config.p, "family_size": config.family_size, "max_baseline_ratio": 0.1}, [1 / 3, -0.0, 1e300], True
+    """A verify runner's fields, trial ratios and certificates, fixed: the
+    ratios a third, a negative zero and a float that prints with an
+    exponent, and one holding certificate of each kind."""
+    from dyadlab.reports import certificate
+
+    certificates = [
+        certificate("at_bound", 1.0, 1.0, "theorem"),
+        certificate("count", 0, 0, "postcondition"),
+        certificate("at_least", 0.5, 1 / 3, "heuristic", ">="),
+    ]
+    fields = {"p": config.p, "family_size": config.family_size, "max_baseline_ratio": 0.1}
+    return fields, [1 / 3, -0.0, 1e300], certificates
 
 
 def _fixed_ladder(resolution, ratios, seed, branch):

@@ -24,6 +24,7 @@ files, under the same kernel, and says which numbers moved and why:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -141,7 +142,7 @@ def _weighted_directional() -> dict:
 
     fams, _ = _plane_inputs(4, 62)
     averager = DirectionalAverager(4, DirectionSet.uniform(8))
-    return verify_weighted_directional(fams, averager, p=2.0, norm=averager.estimate_norm(2.0, seed=6))
+    return verify_weighted_directional(fams, averager, p=2.0, norm=averager.estimate_norm(2.0, seed=6))[0]
 
 
 def _biparam() -> dict:
@@ -260,6 +261,29 @@ def test_golden_report(name):
     if recorded != np.__version__:
         pytest.skip(f"golden recorded with numpy {recorded}, installed numpy is {np.__version__}")
     assert produce(name) == golden_path(name).read_text()
+
+
+# the sha256 digests (first 16 hex digits) of the verify goldens as recorded
+# before reports carried `certificates`: with that key removed, each golden
+# must still encode to those bytes, so the certificates moved no other
+# field; a change that moves a verify number on purpose records its digest
+BEFORE_CERTIFICATES = {
+    "verify-fs": "38c6c6c3f9cc7ea5",
+    "verify-biparam": "a84585807eccef72",
+    "verify-cordoba": "4516575f8805c0b7",
+    "verify-cordoba-weighted": "25d6b0f1748964ad",
+    "verify-carleson": "fb331cfac97c7417",
+    "verify-principle": "799b52e989011352",
+}
+
+
+@pytest.mark.parametrize("name", BEFORE_CERTIFICATES)
+def test_verify_golden_differs_by_certificates_alone(name):
+    from dyadlab.io import json_text
+
+    report = json.loads(golden_path(name).read_text())
+    assert report.pop("certificates")[0]["name"] == "nonfinite_ratios"
+    assert hashlib.sha256(json_text(report).encode()).hexdigest()[:16] == BEFORE_CERTIFICATES[name]
 
 
 # the Thm 7.1 ratio that the estimate-22 goldens carried in a `thm71` block,

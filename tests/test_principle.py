@@ -426,6 +426,19 @@ class TestPowerIteration:
             norms.append(res.norm)
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
+    def test_in_place_family_keeps_the_top_vector(self):
+        # verify_directional's multipliers transform the array they are
+        # handed; the run returns the top vector of a family that copies
+        from dyadlab.directional import DirectionSet, _multiplier_family
+
+        family = _multiplier_family(3, DirectionSet.uniform(8), np.ones((8, 8), dtype=bool))
+        copying = OperatorFamily(
+            len(family), lambda rows, x: family.apply(rows, x.copy()), lambda rows, x: family.adjoint(rows, x.copy())
+        )
+        in_place, copied = (power_iteration(member_of(f, 9), (8, 8), seed=1) for f in (family, copying))
+        assert (in_place.norm, in_place.iterations) == (copied.norm, copied.iterations)
+        assert np.array_equal(in_place.top_vector, copied.top_vector)
+
     def test_zero_operator(self):
         res = power_iteration(zero_family(), (16,), seed=0)
         assert res.norm == 0.0 and res.converged

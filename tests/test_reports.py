@@ -1,7 +1,8 @@
 """The report schema.
 
 Every library function that returns a report returns a plain dict, built by
-`reports.ratio_report` or spelled out where it is returned, and
+`reports.ratio_report` or spelled out where it is returned
+(`verify_weighted_directional` returns its majorant weight with it), and
 `io.json_text` writes that dict as it is.  The keys of each report are
 pinned here, at L = 4, as `tests/formats/` pins the files the commands
 write: a key that a change adds, drops or renames fails this test.
@@ -103,7 +104,7 @@ def _verify_weighted_directional():
     from dyadlab.directional import verify_weighted_directional
 
     fams, _, averager = _plane(5)
-    return verify_weighted_directional(fams, averager, 2.0, averager.estimate_norm(2.0, seed=5))
+    return verify_weighted_directional(fams, averager, 2.0, averager.estimate_norm(2.0, seed=5))[0]
 
 
 def _verify_biparam():
