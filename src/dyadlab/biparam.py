@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, check_exponent, lp_norm, measure
+from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, check_exponent, check_positive_measure, lp_norm, measure
 from .maximal import Decomposition, bucket_decompose, slot_scales
 from .plane import (
     DyadicRectangle,
@@ -405,8 +405,7 @@ def verify_biparam(
         return GridSet2D(L, rng.random((n, n)) < frac)
 
     h = GridSet2D.full(L)
-    if measure(g) == 0.0:
-        raise ValueError("set g needs positive measure")
+    check_positive_measure(g=g)
     e_set, f_set = random_set(0.4), random_set(0.4)
 
     # vector inequality (members cycle through the available vertical scales

@@ -22,6 +22,7 @@ from .grid import (
     bundle_norm,
     cell_width,
     check_exponent,
+    check_same_grid,
     measure,
     stack_slices,
 )
@@ -52,18 +53,12 @@ class RestrictedOp:
     collection: TileCollection
 
     def __post_init__(self):
-        if not (
-            self.a.resolution
-            == self.b.resolution
-            == self.choice.resolution
-            == self.collection.resolution
-        ):
-            raise ValueError("restricted operator pieces must share one resolution")
+        check_same_grid(a=self.a, b=self.b, choice=self.choice, collection=self.collection)
 
 
 def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
     """Bi-tiles whose spatial interval meets the surviving set."""
-    L = collection.resolution
+    L = check_same_grid(collection=collection, keep=keep)
     kept = tuple(
         mask & keep.mask.reshape(1 << k, 1 << (L - k)).any(axis=1)[:, None]
         for k, mask in enumerate(collection.masks)
@@ -98,10 +93,7 @@ def restricted_norm(
         raise ValueError(f"expected one seed per operator, got {len(seeds)} for {len(choices)}")
     if not choices:
         return []
-    L = collection.resolution
-    if not a.resolution == b.resolution == L:
-        raise ValueError("restricted operator pieces must share one resolution")
-    if L <= DENSE_RESOLUTION:
+    if check_same_grid(a=a, b=b, collection=collection) <= DENSE_RESOLUTION:
         return _dense_norms(a, b, collection, choices)
     return _krylov_norms(a, b, collection, choices, seeds, iters)
 
@@ -117,9 +109,7 @@ def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choi
     each W read on the interval's 2**(L-k) cells.  So every entry is a sum
     of at most L distinct signed powers of two, exact in float64, and a
     model-sum plan on the unit vectors gives it byte for byte."""
-    L = collection.resolution
-    if any(choice.resolution != L for choice in choices):
-        raise ValueError("resolution mismatch")
+    L = check_same_grid(*choices, a=a, b=b, collection=collection)
     member, scale, cell, slot, sign = upper_cells(choices)
     keep = collection.occupied.ravel()[slot] & a.mask[cell]
     # the terms by scale, each scale's a slice
@@ -252,9 +242,7 @@ def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -
     frequencies whose bit k is set.  A pair's sums depend on that member
     and cell alone, so each member's choice is the one of a stack of that
     member alone, fitted on any set holding the cell, bit for bit."""
-    L = f.resolution
-    if collection.resolution != L or where.resolution != L:
-        raise ValueError("resolution mismatch")
+    L = check_same_grid(f=f, collection=collection, where=where)
     n, members = 1 << L, len(f)
     scales = np.flatnonzero(collection.occupied.any(axis=1))
     # row i holds scale k = scales[i], each member's 2**(k+1) blocks of
@@ -323,7 +311,7 @@ def restricted_pairing(
     """
     if not t > 2:
         raise ValueError(f"t must exceed 2, got {t}")
-    L = f.resolution
+    L = check_same_grid(f=f, g=g, e_set=e_set, f_set=f_set, op=op.collection)
     if np.any(np.abs(f.values) > e_set.mask + 1e-12):
         raise ValueError("f must be dominated by the indicator of E")
     if np.any(np.abs(g.values) > f_set.mask + 1e-12):

@@ -151,7 +151,7 @@ def _verify(args) -> int:
         config.validate()
     except ValueError as exc:
         return _invalid(str(exc))
-    _, report, _ = run(config)
+    _, report = run(config)
     print(json_text(report), end="")
     return _status(report["certificates"])
 

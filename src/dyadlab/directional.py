@@ -24,6 +24,7 @@ from .grid import (
     check_exponent,
     check_q_window,
     check_resolution,
+    check_same_grid,
     lp_norm,
     measure,
     stack_slices,
@@ -299,14 +300,6 @@ def running_max(slabs) -> tuple[np.ndarray, np.ndarray]:
     return top, choice
 
 
-def _check_averager(averager: DirectionalAverager, resolution: int) -> None:
-    """Reject an averager built for another grid than the data's."""
-    if averager.resolution != resolution:
-        raise ValueError(
-            f"averager built for L={averager.resolution} does not match the data at L={resolution}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # weights
 
@@ -366,13 +359,12 @@ def build_majorant_weight(
     frequency-domain averaging roundoff.
     """
     check_exponent(p)
-    L = g.resolution
+    L = check_same_grid(g=g, averager=averager)
     if np.any(g.values.imag != 0):
         raise ValueError("weight seed must be real")
     vals = g.values.real
     if np.any(vals < 0) or not np.any(vals > 0):
         raise ValueError("weight seed must be nonnegative and not identically zero")
-    _check_averager(averager, L)
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms}")
 
@@ -437,6 +429,7 @@ def directional_level_complement(
     one, the level set is empty (box averages of an indicator never exceed
     one) and h is returned whole.
     """
+    check_same_grid(h=h, g=g, averager=averager)
     field_vals = averager.apply(g.mask.astype(float))
     c = 1.0
     while True:
@@ -452,8 +445,7 @@ def _projection_stacks(fams: list[Grid2D], averager: DirectionalAverager) -> tup
     of the averager's direction j modulo their number."""
     if not fams:
         raise ValueError("need at least one family member")
-    L = fams[0].resolution
-    _check_averager(averager, L)
+    L = check_same_grid(*fams, averager=averager)
     members = averager.directions.members
     stack_in = np.stack([f.values for f in fams])
     stack_out = np.stack([halfplane_project(f, members[j % len(members)]).values for j, f in enumerate(fams)])

@@ -52,6 +52,31 @@ def check_q_window(q: float, p: float) -> None:
         raise ValueError(f"cordoba needs |1 - 2/q| < 1/p, got q={q}, p={p}")
 
 
+def check_same_grid(*objs, **named) -> int:
+    """Reject arguments on different grids: each must have the same
+    `resolution`, and the same `ndim` where it has one. Returns that
+    resolution. The error names each argument with its L, a positional one
+    by its type and place."""
+    every = (*objs, *named.values())
+    resolution = every[0].resolution
+    ndims = {obj.ndim for obj in every if hasattr(obj, "ndim")}
+    if len(ndims) > 1 or any(obj.resolution != resolution for obj in every):
+        labels = [f"{type(obj).__name__} {i}" for i, obj in enumerate(objs)] + list(named)
+        grids = [
+            f"{label} at L={obj.resolution}" + (f" on {obj.ndim} axes" if len(ndims) > 1 and hasattr(obj, "ndim") else "")
+            for label, obj in zip(labels, every)
+        ]
+        raise ValueError(f"resolution mismatch: {', '.join(grids)}")
+    return resolution
+
+
+def check_positive_measure(**sets) -> None:
+    """Reject a set of measure 0, naming it."""
+    for name, s in sets.items():
+        if not s.mask.any():
+            raise ValueError(f"set {name} needs positive measure")
+
+
 def cell_width(resolution: int) -> float:
     return 2.0 ** -resolution
 
@@ -205,20 +230,16 @@ class GridSet:
     def from_interval(cls, resolution: int, interval: DyadicInterval) -> "GridSet":
         return cls(resolution, interval.indicator(resolution))
 
-    def _check_mate(self, other: "GridSet"):
-        if self.ndim != other.ndim or self.resolution != other.resolution:
-            raise ValueError("grid sets must share their number of axes and resolution")
-
     def __and__(self, other: "GridSet") -> "GridSet":
-        self._check_mate(other)
+        check_same_grid(self, other)
         return type(self)(self.resolution, self.mask & other.mask)
 
     def __or__(self, other: "GridSet") -> "GridSet":
-        self._check_mate(other)
+        check_same_grid(self, other)
         return type(self)(self.resolution, self.mask | other.mask)
 
     def __sub__(self, other: "GridSet") -> "GridSet":
-        self._check_mate(other)
+        check_same_grid(self, other)
         return type(self)(self.resolution, self.mask & ~other.mask)
 
     def __invert__(self) -> "GridSet":
@@ -263,11 +284,7 @@ class VectorSignal:
         signals = list(signals)
         if not signals:
             raise ValueError("vector signal needs at least one member")
-        resolution = signals[0].resolution
-        for s in signals:
-            if s.resolution != resolution:
-                raise ValueError("vector signal members must share one resolution")
-        return cls(resolution, np.vstack([s.values for s in signals]))
+        return cls(check_same_grid(*signals), np.vstack([s.values for s in signals]))
 
     def __len__(self) -> int:
         return self.stack.shape[0]
@@ -279,8 +296,7 @@ class VectorSignal:
 def inner_product(f: GridSignal, g: GridSignal) -> complex:
     """sum over cells of f * conj(g) * cell measure, for two line or two
     plane signals; conjugation is on the second slot."""
-    if f.ndim != g.ndim or f.resolution != g.resolution:
-        raise ValueError("resolution mismatch in inner product")
+    check_same_grid(f=f, g=g)
     return complex(np.sum(f.values * np.conj(g.values)) * cell_width(f.resolution) ** f.ndim)
 
 
@@ -288,7 +304,7 @@ def lp_norm(values, p: float, resolution: int) -> float:
     """(sum_i |v_i|**p * cell measure)**(1/p) over the cells of a line or
     plane grid, with cell measure cell_width(resolution) ** values.ndim;
     sup-norm when p is infinite."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
     a = np.abs(np.asarray(values))
     if np.isinf(p):

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_q_window, check_resolution
+from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_q_window, check_resolution, check_same_grid
 from .io import CSV_SCHEMA, check_output_path, read_choice, read_grid_set, read_signal, read_tile_collection, write_forests, write_run
 from .maximal import CARVING, ScaleChoice, verify_vector_maximal
 from .reports import certificate
@@ -92,14 +92,6 @@ class ExperimentConfig:
             raise ValueError(f"biparam needs 0 < eps < 1/2, got eps={self.eps}")
         if self.theorem == "cordoba":
             check_q_window(self.q, self.p)
-
-
-@dataclass
-class RunManifest:
-    config: dict
-    trial_seeds: list[list[int]]
-    versions: dict
-    wall_clock: dict = field(default_factory=dict)
 
 
 def check_seed(seed: int) -> None:
@@ -338,13 +330,14 @@ THEOREMS = {
 }
 
 
-def run(config: ExperimentConfig) -> tuple[RunManifest, dict, bool]:
-    """Dispatch one experiment; returns (manifest, report, `ok`).  The report
-    is the runner's own fields with the theorem, the largest trial ratio, the
-    trial count, the certificates (the runner's, after the finiteness of the
-    trial ratios) and `ok`, their conjunction, set here alone.  When an
-    output directory is configured, creates it before the run and writes
-    report.json, manifest.json and trials.csv there after it."""
+def run(config: ExperimentConfig) -> tuple[dict, dict]:
+    """Dispatch one experiment; returns (manifest, report).  The manifest
+    holds the config, the trial spawn keys, the versions and the wall clock.
+    The report is the runner's own fields with the theorem, the largest
+    trial ratio, the trial count, the certificates (the runner's, after the
+    finiteness of the trial ratios) and `ok`, their conjunction, set here
+    alone.  When an output directory is configured, creates it before the
+    run and writes report.json, manifest.json and trials.csv there after it."""
     config.validate()
     if config.out:
         Path(config.out).mkdir(parents=True, exist_ok=True)
@@ -354,32 +347,23 @@ def run(config: ExperimentConfig) -> tuple[RunManifest, dict, bool]:
     elapsed = time.perf_counter() - start
     nonfinite = sum(not math.isfinite(r) for r in ratios)
     certificates = [certificate("nonfinite_ratios", nonfinite, 0, "postcondition"), *certificates]
-    ok = all(cert["holds"] for cert in certificates)
     report = {
         "theorem": config.theorem,
         **fields,
         "max_ratio": max(ratios, default=0.0),
         "trials": len(ratios),
-        "ok": ok,
+        "ok": all(cert["holds"] for cert in certificates),
         "certificates": certificates,
     }
-    manifest = RunManifest(
-        config=asdict(config),
-        trial_seeds=keys,
-        versions={"dyadlab": __version__, "numpy": np.__version__, "csv_schema": CSV_SCHEMA},
-        wall_clock={config.theorem: elapsed},
-    )
+    manifest = {
+        "config": asdict(config),
+        "trial_seeds": keys,
+        "versions": {"dyadlab": __version__, "numpy": np.__version__, "csv_schema": CSV_SCHEMA},
+        "wall_clock": {config.theorem: elapsed},
+    }
     if config.out:
-        write_run(config.out, report, asdict(manifest), ratios)
-    return manifest, report, ok
-
-
-def _at_resolution(data, path, resolution: int):
-    if data.resolution != resolution:
-        raise ValueError(
-            f"resolution mismatch: {path} is at resolution {data.resolution}, the decomposition at {resolution}"
-        )
-    return data
+        write_run(config.out, report, manifest, ratios)
+    return manifest, report
 
 
 def run_decompose(
@@ -396,15 +380,11 @@ def run_decompose(
     the operating system would refuse is refused before any input is read."""
     check_output_path(out_file)
     collection = read_tile_collection(collection_file, resolution)
-    signal = _at_resolution(read_signal(signal_file), signal_file, resolution)
-    if set_file is not None:
-        e_set = _at_resolution(read_grid_set(set_file), set_file, resolution)
-    else:
-        e_set = GridSet.full(resolution)
-    if choice_file is not None:
-        choice = _at_resolution(read_choice(choice_file), choice_file, resolution)
-    else:
-        choice = ChoiceFunction.constant(resolution, 0)
+    signal = read_signal(signal_file)
+    e_set = GridSet.full(resolution) if set_file is None else read_grid_set(set_file)
+    choice = ChoiceFunction.constant(resolution, 0) if choice_file is None else read_choice(choice_file)
+    files = {signal_file: signal, set_file: e_set, choice_file: choice}
+    check_same_grid(decomposition=collection, **{str(path): data for path, data in files.items() if path is not None})
     decomposition = full_decompose(collection, signal, e_set, choice)
     write_forests(out_file, decomposition)
     return {

@@ -21,7 +21,9 @@ from .grid import (
     VectorSignal,
     bundle_norm,
     check_exponent,
+    check_positive_measure,
     check_resolution,
+    check_same_grid,
     lp_norm,
     measure,
 )
@@ -129,9 +131,7 @@ def linearized_maximal(f: GridSignal, choice: ScaleChoice) -> GridSignal:
     exactly one term because the stopping sets V_I tile the grid, so T is one
     gather from the averages pyramid at the cells' slots.
     """
-    if f.resolution != choice.resolution:
-        raise ValueError("resolution mismatch between signal and scale choice")
-    return GridSignal(f.resolution, choice.average(f.values))
+    return GridSignal(check_same_grid(f=f, choice=choice), choice.average(f.values))
 
 
 def maximal_level_set(marker: GridSet, threshold: float) -> GridSet:
@@ -153,12 +153,11 @@ def exceptional_complement(base: GridSet, marker: GridSet, c: float = CARVING) -
     For c >= 4 the weak (1,1) bound (constant 1) removes at most |base|/c, so
     the remainder keeps at least half the measure of the base.
     """
+    check_same_grid(base=base, marker=marker)
     if measure(marker) == 0.0:
         return base
-    base_measure = measure(base)
-    if base_measure == 0.0:
-        raise ValueError("base set must have positive measure")
-    threshold = c * measure(marker) / base_measure
+    check_positive_measure(base=base)
+    threshold = c * measure(marker) / measure(base)
     return base - maximal_level_set(marker, threshold)
 
 
@@ -171,7 +170,7 @@ def interval_size_mass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """size(I) = |E ∩ H' ∩ I| / |I| and mass(I) = |F ∩ G ∩ V_I| / |I| for
     every dyadic I, as pyramids in `all_intervals` (slot) order."""
-    L = e.resolution
+    L = check_same_grid(e=e, h_prime=h_prime, f_set=f_set, g=g, choice=choice)
     sizes = np.concatenate(scale_averages((e.mask & h_prime.mask).astype(float), L))
     counts = np.bincount(choice.slot[f_set.mask & g.mask], minlength=(2 << L) - 1)
     return sizes, counts / (1 << (L - slot_scales(L)))

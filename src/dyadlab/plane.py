@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicInterval, Grid2D, GridSet2D, cell_width, measure
+from .grid import DyadicInterval, Grid2D, GridSet2D, cell_width, check_positive_measure, check_same_grid, measure
 
 
 @dataclass(frozen=True, order=True)
@@ -68,6 +68,7 @@ def rectangle_level_set(marker: GridSet2D, threshold: float) -> GridSet2D:
 def exceptional_complement_2d(base: GridSet2D, marker: GridSet2D, threshold: float) -> GridSet2D:
     """base minus the union of dyadic rectangles with marker density strictly
     above the threshold; thresholds at or above 1 remove nothing."""
+    check_same_grid(base=base, marker=marker)
     if measure(marker) == 0.0 or threshold >= 1.0:
         return base
     return base - rectangle_level_set(marker, threshold)
@@ -82,9 +83,9 @@ def certified_rectangle_threshold(base: GridSet2D, marker: GridSet2D, eps: float
     """
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+    check_same_grid(base=base, marker=marker)
+    check_positive_measure(base=base)
     base_measure = measure(base)
-    if base_measure <= 0:
-        raise ValueError("base set must have positive measure")
     p = 1.0 / (1.0 - eps)
     field_vals = strong_maximal(Grid2D(marker.resolution, marker.mask.astype(np.complex128)))
     integral = float(np.sum(field_vals.values.real**p) * cell_width(marker.resolution) ** 2)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridSet, VectorSignal, bundle_norm, check_exponent, measure, stack_slices
+from .grid import GridSet, VectorSignal, bundle_norm, check_exponent, check_positive_measure, measure, stack_slices
 from .maximal import exceptional_complement
 from .reports import ratio_report
 
@@ -374,8 +374,7 @@ def measure_condition(
     """
     if not len(family):
         raise ValueError("the operator family is empty")
-    if measure(h) <= 0 or measure(g) <= 0:
-        raise ValueError("both sets need positive measure")
+    check_positive_measure(h=h, g=g)
     conjugate_exponent(p)
     h_sub, g_sub = builder(h, g)
     ratio = measure(g) / measure(h)

@@ -26,6 +26,7 @@ from .grid import (
     GridSignal,
     cell_width,
     check_resolution,
+    check_same_grid,
     lp_norm,
     measure,
 )
@@ -340,9 +341,7 @@ def _coefficients(collection: TileCollection, f: GridSignal) -> tuple[np.ndarray
     """Every member's scale, offset and frequency index, in `tile_slot`
     order, and <f, lower-packet> at each, gathered from one all-scale
     transform."""
-    if f.resolution != collection.resolution:
-        raise ValueError("resolution mismatch")
-    L = f.resolution
+    L = check_same_grid(f=f, collection=collection)
     scale, within = np.nonzero(collection.occupied)
     bits = L - 1 - scale
     coef = lower_coefficients(f.values, L)[scale, within]
@@ -417,8 +416,7 @@ class ModelSumPlan:
         half = n >> 1
         if not choices:
             raise ValueError("a model-sum plan needs at least one choice function")
-        if any(choice.resolution != L for choice in choices):
-            raise ValueError("resolution mismatch")
+        check_same_grid(*choices, collection=collection)
         member, scale, cell, slot, sign = upper_cells(choices)
         present = collection.occupied.ravel()[slot]
         member, scale, cell, slot, sign = (a[present] for a in (member, scale, cell, slot, sign))
@@ -751,12 +749,7 @@ def size(collection: TileCollection, f: GridSignal, table: _SizeTable | None = N
 def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunction) -> np.ndarray:
     """|E ∩ {N in freq(P)} ∩ I_P| / |I_P| at each member P's slot, zero
     elsewhere: an array shaped like the collection's `occupied`."""
-    L = collection.resolution
-    if not e.resolution == choice.resolution == L:
-        raise ValueError(
-            f"resolution mismatch: set at L={e.resolution} and choice at "
-            f"L={choice.resolution} against a collection at L={L}"
-        )
+    L = check_same_grid(collection=collection, e=e, choice=choice)
     scales = np.arange(L)[:, None]
     cells = np.flatnonzero(e.mask)
     slots = tile_slot(L, scales, cells >> (L - scales), choice.freqs[cells] >> (scales + 1))
@@ -960,7 +953,7 @@ def tree_estimate(
     |I_T| * size(tree) * mass(tree). A member's pairing is 2**(k/2) |cell|
     times the count of the cells of E whose N(x) lies in its upper tile,
     each signed by the upper packet; one `bincount` gives every count."""
-    L = f.resolution
+    L = check_same_grid(tree=tree, f=f, e=e, choice=choice)
     collection = tree.members
     _, _, cell, slot, sign = upper_cells([choice])
     hit = e.mask[cell]

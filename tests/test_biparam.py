@@ -844,13 +844,13 @@ class TestPipeline:
         full = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g)
         assert full["localized_unconverged"] == 0
         config = ExperimentConfig(theorem="biparam", resolution=4, trials=2, eps=0.45)
-        assert run(config)[2] is True
+        assert run(config)[1]["ok"] is True
 
         monkeypatch.setattr(biparam, "top_singular", functools.partial(biparam.top_singular, max_steps=2))
         capped = verify_biparam(fams, p=3.0, eps=0.45, seed=2, g=g)
         assert capped["localized_unconverged"] > 0
-        _, report, ok = run(config)
-        assert ok is False and report["ok"] is False
+        _, report = run(config)
+        assert report["ok"] is False
 
     def test_requires_resolution_one(self):
         with pytest.raises(ValueError, match="L >= 1"):

@@ -963,9 +963,9 @@ class TestNormDecay:
         with pytest.raises(ValueError, match="one seed per operator"):
             restricted_norm(a, b, collection, choices, seeds[:-1])
         coarse = resolution - 1
-        with pytest.raises(ValueError, match="share one resolution"):
+        with pytest.raises(ValueError, match="resolution mismatch"):
             restricted_norm(GridSet.full(coarse), b, collection, choices, seeds)
-        with pytest.raises(ValueError, match="share one resolution"):
+        with pytest.raises(ValueError, match="resolution mismatch"):
             restricted_norm(a, b, TileCollection.all(coarse), choices, seeds)
         with pytest.raises(ValueError, match="resolution mismatch"):
             restricted_norm(a, b, collection, [ChoiceFunction.constant(coarse, 0)], [1])
@@ -1302,7 +1302,7 @@ class TestDenseNorms:
         assert restricted_norm(a, b, collection, [], []) == []
         with pytest.raises(ValueError, match="one seed per operator"):
             restricted_norm(a, b, collection, choices, [])
-        with pytest.raises(ValueError, match="share one resolution"):
+        with pytest.raises(ValueError, match="resolution mismatch"):
             restricted_norm(GridSet.full(4), b, collection, choices, [1])
         with pytest.raises(ValueError, match="resolution mismatch"):
             restricted_norm(a, b, collection, [ChoiceFunction.constant(4, 0)], [1])

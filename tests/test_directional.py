@@ -918,13 +918,13 @@ class TestEquivalenceAndTheorems:
         full = verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=1)
         assert full["localized_unconverged"] == 0
         config = ExperimentConfig(theorem="cordoba", resolution=4, trials=2, p=2.0, q=2.5)
-        assert run(config)[2] is True
+        assert run(config)[1]["ok"] is True
 
         monkeypatch.setattr(directional, "top_singular", functools.partial(directional.top_singular, max_steps=2))
         capped = verify_directional(fams, averager, q=2.5, p=2.0, norm=norm, seed=1)
         assert capped["localized_unconverged"] > 0
-        _, report, ok = run(config)
-        assert ok is False and report["ok"] is False
+        _, report = run(config)
+        assert report["ok"] is False
 
     def test_one_averager_serves_every_trial(self, monkeypatch):
         import dyadlab.directional as directional
@@ -955,7 +955,7 @@ class TestEquivalenceAndTheorems:
         rng = np.random.default_rng(22)
         fams = [random_plane(rng, 3) for _ in range(2)]
         other = DirectionalAverager(4, DirectionSet.uniform(2))
-        with pytest.raises(ValueError, match="L=4 does not match the data at L=3"):
+        with pytest.raises(ValueError, match="resolution mismatch: .*averager at L=4"):
             call(fams, other)
 
     def test_weighted_directional_report(self):
@@ -1116,7 +1116,7 @@ class TestFrequencySpaceFamily:
             return real_top_singular(spy, out_mask, in_mask, seeds, **kwargs)
 
         monkeypatch.setattr(directional, "top_singular", recording)
-        ok = run(ExperimentConfig(theorem="cordoba", resolution=5, trials=2, seed=seed))[2]
+        ok = run(ExperimentConfig(theorem="cordoba", resolution=5, trials=2, seed=seed))[1]["ok"]
         assert ok is True
         assert [on_whole for on_whole, _ in trials] == whole
         for on_whole, counts in trials:
@@ -1152,7 +1152,7 @@ class TestOneAscentPerRun:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(DirectionalAverager, "estimate_norm", counted)
             mp.setattr(directional, name, recorded)
-            _, report, _ = run(ExperimentConfig(theorem=theorem, resolution=3, trials=trials, seed=5, p=p))
+            _, report = run(ExperimentConfig(theorem=theorem, resolution=3, trials=trials, seed=5, p=p))
         return calls, reports, report
 
     # cordoba's exceptional set reads the L^2 norm whatever its p

@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,17 +16,41 @@ from dyadlab.grid import (
     VectorSignal,
     all_intervals,
     bundle_norm,
+    check_same_grid,
     inner_product,
     interval_cutoff,
     lp_norm,
     measure,
 )
 from dyadlab.biparam import verify_biparam
-from dyadlab.carleson import verify_vector_carleson
-from dyadlab.directional import DirectionalAverager, DirectionSet
-from dyadlab.maximal import ScaleChoice, restricted_double_sum, verify_vector_maximal
-from dyadlab.principle import conjugate_exponent
-from dyadlab.tiles import ChoiceFunction
+from dyadlab.carleson import (
+    RestrictedOp,
+    greedy_choice,
+    restricted_matrices,
+    restricted_norm,
+    restricted_pairing,
+    retain_meeting,
+    verify_vector_carleson,
+)
+from dyadlab.directional import (
+    DirectionalAverager,
+    DirectionSet,
+    build_majorant_weight,
+    directional_level_complement,
+    verify_directional,
+)
+from dyadlab.harness import maximal_operator_family, run_decompose
+from dyadlab.maximal import (
+    ScaleChoice,
+    exceptional_complement,
+    interval_size_mass,
+    linearized_maximal,
+    restricted_double_sum,
+    verify_vector_maximal,
+)
+from dyadlab.plane import certified_rectangle_threshold, exceptional_complement_2d
+from dyadlab.principle import conjugate_exponent, measure_condition, trim_builder
+from dyadlab.tiles import BiTile, ChoiceFunction, ModelSumPlan, TileCollection, Tree, mass, size, tree_estimate
 from oracles import walsh_values
 
 
@@ -171,11 +197,13 @@ class TestLpNorm:
         assert lp_norm(values, math.inf, 2) == 3.0
 
     def test_invalid_p(self):
-        for p in (0.0, -1.0, -math.inf):
+        for p in (0.0, -1.0, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 lp_norm(GridSignal.constant(2, 1.0).values, p, 2)
             with pytest.raises(ValueError):
                 lp_norm(np.ones((4, 4)), p, 2)
+            with pytest.raises(ValueError):
+                bundle_norm(np.ones((2, 8)), p, 3)
 
     @pytest.mark.parametrize("resolution", range(7))
     def test_bit_identical_to_line_and_plane_norms(self, resolution):
@@ -366,3 +394,87 @@ def test_exponent_guards_keep_their_messages(call, message):
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == message
+
+
+# every entry point that combines grids, called with one argument a level
+# finer than the others, and every one that needs a set of positive measure,
+# called with an empty one: the guard's error, and no other
+C, F = 3, 4
+_LINE, _LINE_F, _PLANE, _PLANE_F = GridSet.full(C), GridSet.full(F), GridSet2D.full(C), GridSet2D.full(F)
+_F, _TILES = GridSignal.constant(C, 1.0), TileCollection.all(C)
+_CHOICE, _CHOICE_F = ChoiceFunction.constant(C, 1), ChoiceFunction.constant(F, 1)
+_AVERAGER = DirectionalAverager(C, DirectionSet.uniform(2))
+_TREE = Tree.from_members(DyadicInterval(0, 0), 0, TileCollection.from_bitiles(C, [BiTile(0, 0, 0)]))
+_FORMATS = Path(__file__).with_name("formats")
+
+GRID_GUARDS = {
+    "GridSet.__and__": lambda: _LINE & _LINE_F,
+    "GridSet.__or__": lambda: _PLANE | _PLANE_F,
+    "GridSet.__sub__": lambda: _LINE - _LINE_F,
+    "VectorSignal.from_signals": lambda: VectorSignal.from_signals([_F, GridSignal.constant(F, 1.0)]),
+    "inner_product": lambda: inner_product(_F, GridSignal.constant(F, 1.0)),
+    "RestrictedOp": lambda: RestrictedOp(_LINE, _LINE, _CHOICE, TileCollection.all(F)),
+    "retain_meeting": lambda: retain_meeting(_TILES, _LINE_F),
+    "restricted_pairing": lambda: restricted_pairing(
+        GridSignal.constant(F, 0.5), _F, _LINE, _LINE, RestrictedOp(_LINE, _LINE, _CHOICE, _TILES), 3.0
+    ),
+    "restricted_norm": lambda: restricted_norm(_LINE, _LINE_F, _TILES, [_CHOICE], [0]),
+    "restricted_matrices": lambda: restricted_matrices(_LINE, _LINE, _TILES, [_CHOICE_F]),
+    "greedy_choice": lambda: greedy_choice(VectorSignal(C, np.ones((1, 1 << C))), _TILES, _LINE_F),
+    "build_majorant_weight": lambda: build_majorant_weight(Grid2D.constant(F, 1.0), _AVERAGER, 2.0, 4, 1.5),
+    "directional_level_complement": lambda: directional_level_complement(_PLANE, _PLANE_F, _AVERAGER, 0.5),
+    "verify_directional": lambda: verify_directional([Grid2D.constant(F, 1.0)], _AVERAGER, q=2.5, p=2.0, norm=1.5),
+    "linearized_maximal": lambda: linearized_maximal(_F, ScaleChoice.constant(F, 0)),
+    "exceptional_complement": lambda: exceptional_complement(_LINE, GridSet.empty(F)),
+    "interval_size_mass": lambda: interval_size_mass(_LINE, _LINE, _LINE, _LINE, ScaleChoice.constant(F, 0)),
+    "exceptional_complement_2d": lambda: exceptional_complement_2d(_PLANE, GridSet2D.empty(F), 0.5),
+    "certified_rectangle_threshold": lambda: certified_rectangle_threshold(_PLANE, _PLANE_F, 0.1),
+    "size": lambda: size(_TILES, GridSignal.constant(F, 1.0)),
+    "ModelSumPlan": lambda: ModelSumPlan([_CHOICE_F], _TILES),
+    "mass": lambda: mass(_TILES, _LINE_F, _CHOICE),
+    "tree_estimate": lambda: tree_estimate(_TREE, _F, _LINE, _CHOICE_F),
+    "run_decompose": lambda: run_decompose(_FORMATS / "tiles.csv", _FORMATS / "signal.csv", F, os.devnull),
+}
+
+
+@pytest.mark.parametrize("call", GRID_GUARDS.values(), ids=GRID_GUARDS)
+def test_grid_guard_rejects_a_finer_argument(call):
+    with pytest.raises(ValueError) as raised:
+        call()
+    message = str(raised.value)
+    assert message.startswith("resolution mismatch: ")
+    assert f"at L={C}" in message and f"at L={F}" in message
+
+
+MEASURE_GUARDS = {
+    "exceptional_complement": (lambda: exceptional_complement(GridSet.empty(C), _LINE), "base"),
+    "certified_rectangle_threshold": (lambda: certified_rectangle_threshold(GridSet2D.empty(C), _PLANE, 0.1), "base"),
+    "measure_condition": (
+        lambda: measure_condition(
+            maximal_operator_family(np.random.default_rng(0), C, 1)[0],
+            GridSet.empty(C),
+            _LINE,
+            trim_builder(4.0, "h"),
+            2.5,
+        ),
+        "h",
+    ),
+    "verify_biparam": (lambda: verify_biparam([Grid2D.constant(C, 1.0)], 3.0, GridSet2D.empty(C), eps=0.1), "g"),
+}
+
+
+@pytest.mark.parametrize("call, name", MEASURE_GUARDS.values(), ids=MEASURE_GUARDS)
+def test_measure_guard_rejects_an_empty_set(call, name):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == f"set {name} needs positive measure"
+
+
+def test_grid_guard_names_each_argument():
+    with pytest.raises(ValueError) as raised:
+        GridSet.full(2) | GridSet2D.full(2)
+    assert str(raised.value) == "resolution mismatch: GridSet 0 at L=2 on 1 axes, GridSet2D 1 at L=2 on 2 axes"
+    with pytest.raises(ValueError) as raised:
+        check_same_grid(_CHOICE, e=_LINE_F)
+    assert str(raised.value) == f"resolution mismatch: ChoiceFunction 0 at L={C}, e at L={F}"
+    assert check_same_grid(_F, f=_LINE, choice=_CHOICE) == C

@@ -55,8 +55,8 @@ class TestDeterminism:
         assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
 
     def test_different_seeds_differ(self):
-        _, report_a, _ = run(ExperimentConfig(theorem="fs", resolution=5, trials=3, seed=1))
-        _, report_b, _ = run(ExperimentConfig(theorem="fs", resolution=5, trials=3, seed=2))
+        _, report_a = run(ExperimentConfig(theorem="fs", resolution=5, trials=3, seed=1))
+        _, report_b = run(ExperimentConfig(theorem="fs", resolution=5, trials=3, seed=2))
         assert report_a["max_ratio"] != report_b["max_ratio"]
 
     def test_trial_generators_are_independent_and_reproducible(self):
@@ -69,17 +69,17 @@ class TestDeterminism:
         assert len(set(draws_a)) == len(draws_a)
 
     def test_zero_trials(self):
-        manifest, report, ok = run(
+        manifest, report = run(
             ExperimentConfig(theorem="fs", resolution=5, trials=0, seed=0)
         )
-        assert ok and report["trials"] == 0
-        assert manifest.trial_seeds == []
+        assert report["ok"] and report["trials"] == 0
+        assert manifest["trial_seeds"] == []
 
     def test_manifest_carries_versions_and_schema(self):
-        manifest, _, _ = run(ExperimentConfig(theorem="fs", resolution=5, trials=1, seed=0))
-        assert manifest.versions["csv_schema"] == 1
-        assert "dyadlab" in manifest.versions and "numpy" in manifest.versions
-        json.loads(json_text(asdict(manifest)))
+        manifest, _ = run(ExperimentConfig(theorem="fs", resolution=5, trials=1, seed=0))
+        assert manifest["versions"]["csv_schema"] == 1
+        assert "dyadlab" in manifest["versions"] and "numpy" in manifest["versions"]
+        json.loads(json_text(manifest))
 
 
 class TestMaximalOperatorFamily:
@@ -127,8 +127,8 @@ class TestExactMassCap:
 
         monkeypatch.setattr(biparam, "verify_biparam", capped)
         config = ExperimentConfig(theorem="biparam", resolution=4, trials=2, eps=0.45)
-        _, report, got = run(config)
-        assert got is ok and report["ok"] is ok
+        _, report = run(config)
+        assert report["ok"] is ok
         assert report["max_mass_cap_ratio"] == cap
 
 
@@ -912,7 +912,7 @@ class TestCLI:
         write_signal(sig, GridSignal.constant(2, 1.0))
         out = tmp_path / "o.csv"
         assert main(["decompose", str(col), str(sig), "--resolution", "3", "--out", str(out)]) == 2
-        assert "sig.csv is at resolution 2, the decomposition at 3" in capsys.readouterr().err
+        assert f"error: resolution mismatch: decomposition at L=3, {sig} at L=2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

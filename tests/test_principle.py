@@ -646,7 +646,7 @@ class TestConditionConstant:
 
         # run_principle imports the engine's functions when it runs
         monkeypatch.setattr(principle, "measure_condition", counting)
-        _, report, _ = harness.run(ExperimentConfig("principle", resolution=4, trials=1, p=2.0, q=2.5))
+        _, report = harness.run(ExperimentConfig("principle", resolution=4, trials=1, p=2.0, q=2.5))
         assert calls == [2.0]
         assert report["principle"]["p1"] == 3.0
 
@@ -736,8 +736,8 @@ class TestMeasureConditionEngine:
         import dyadlab.principle as principle
 
         config = ExperimentConfig("principle", resolution=4, trials=2, p=1.5, q=2.0)
-        _, report, ok = harness.run(config)
-        assert ok and report["ok"] and report["unconverged"] == 0
+        _, report = harness.run(config)
+        assert report["ok"] and report["unconverged"] == 0
 
         # an engine capped at 2 steps stops every run unconverged
         monkeypatch.setattr(principle, "top_singular", functools.partial(top_singular, max_steps=2))
@@ -746,9 +746,9 @@ class TestMeasureConditionEngine:
         h, g = random_grid_set(rng, 5), random_grid_set(rng, 5)
         capped = measure_condition(family, h, g, trim_builder(4.0, "h"), p=2.5)
         assert capped["unconverged"] > 0 and not capped["converged"]
-        _, report, ok = harness.run(config)
+        _, report = harness.run(config)
         assert report["unconverged"] > 0
-        assert ok is False and report["ok"] is False
+        assert report["ok"] is False
 
 
 class TestExactCascadeBound:

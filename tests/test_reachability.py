@@ -252,3 +252,39 @@ def test_helpers_serve_only_listed_names_and_methods(helper):
     for referrer in referrers:
         is_method = referrer.count(".") == 2
         assert is_method or referrer in LIBRARY_API, f"{helper} is named by {referrer}, neither listed nor a method"
+
+
+def _is_resolution(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "resolution"
+
+
+def _resolution_comparisons(tree: ast.Module) -> list[int]:
+    """Lines of the comparisons between two resolutions: operands that are
+    `.resolution` attributes, a parameter named `resolution`, or names a
+    function binds to a `.resolution`, as `L = collection.resolution` does."""
+    found = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.Lambda)):
+            continue
+        bound = {arg.arg for arg in function.args.args if arg.arg == "resolution"}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    bound |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_resolution(v)}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if sum(_is_resolution(o) or (isinstance(o, ast.Name) and o.id in bound) for o in operands) >= 2:
+                    found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_grid_compares_resolutions():
+    # the rule that inputs share one grid is grid.check_same_grid's alone
+    compared = {module: _resolution_comparisons(tree) for module, tree in _trees().items() if module != "grid"}
+    assert not any(compared.values()), f"resolutions compared outside grid: {compared}"
+    # the scan sees the guard's own comparison
+    assert _resolution_comparisons(_trees()["grid"])
