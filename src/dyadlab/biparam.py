@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, check_exponent, check_positive_measure, lp_norm, measure
+from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, check_exponent, check_positive_measure, check_same_grid, conjugate_exponent, lp_norm, measure
 from .maximal import Decomposition, bucket_decompose, slot_scales
 from .plane import (
     DyadicRectangle,
@@ -395,7 +395,7 @@ def verify_biparam(
     check_exponent(p, above=row.p_above)
     if not fams:
         raise ValueError("need at least one family member")
-    L = fams[0].resolution
+    L = check_same_grid(*fams, g=g)
     if L < row.min_resolution:
         raise ValueError(f"biparam needs resolution L >= {row.min_resolution}, got {L}")
     n = 1 << L
@@ -431,7 +431,7 @@ def verify_biparam(
     # surviving collections: mass cap holds by construction
     mass_caps, restricted_ratios_p, restricted_ratios_q = [], [], []
     e_measure, f_measure = measure(e_set), measure(f_set)
-    p_conj, q_conj = p / (p - 1.0), Q_LOW / (Q_LOW - 1.0)
+    p_conj, q_conj = conjugate_exponent(p), conjugate_exponent(Q_LOW)
     rhs_p = ratio ** ((1.0 - eps) / p) * e_measure ** (1.0 / p) * f_measure ** (1.0 / p_conj)
     rhs_q = e_measure ** (1.0 / Q_LOW) * f_measure ** (1.0 / q_conj)
     measured = []

@@ -23,6 +23,7 @@ from .grid import (
     cell_width,
     check_exponent,
     check_same_grid,
+    conjugate_exponent,
     measure,
     stack_slices,
 )
@@ -332,7 +333,7 @@ def restricted_pairing(
     counts = np.bincount(slot[hit], minlength=surviving.occupied.size)
     member_majorant = member_weights(surviving, masked_f, counts * cell_width(L))
 
-    t_conj = t / (t - 1.0)
+    t_conj = conjugate_exponent(t)
     e_measure, f_measure = measure(e_set), measure(f_set)
     stats = []
     majorant = 0.0

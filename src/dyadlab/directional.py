@@ -25,6 +25,7 @@ from .grid import (
     check_q_window,
     check_resolution,
     check_same_grid,
+    conjugate_exponent,
     lp_norm,
     measure,
     stack_slices,
@@ -559,15 +560,15 @@ def verify_weighted_directional(
     values and bounds.
     """
     check_exponent(p)
-    q = 2.0 * p / (p - 1.0)
+    p_conj = conjugate_exponent(p)
+    q = 2.0 * p_conj
     L, stack_in, stack_out = _projection_stacks(fams, averager)
     lhs = bundle_norm(stack_out, q, L)
-    rhs = norm ** abs(1.0 - 2.0 / q) * bundle_norm(stack_in, q, L)
+    rhs = norm ** (1.0 / p) * bundle_norm(stack_in, q, L)
     report = ratio_report(lhs, rhs, q=q, p=p, family_size=len(fams), norm_MSigma=norm)
 
     # dual extremal of ||F||_{p'} for F = sum |H_v f_j|^2, normalized in L^p
     big_f = np.sum(np.abs(stack_out) ** 2, axis=0)
-    p_conj = p / (p - 1.0)
     f_norm = lp_norm(big_f, p_conj, L)
     if f_norm > 0:
         g_dual = (big_f / f_norm) ** (p_conj / p)

@@ -46,6 +46,12 @@ def check_exponent(value: float, name: str = "p", above: float = 1) -> None:
         raise ValueError(f"{name} must lie in ({above}, inf), got {value}")
 
 
+def conjugate_exponent(p: float) -> float:
+    """The exponent p' = p/(p - 1) with 1/p + 1/p' = 1, for p in (1, inf)."""
+    check_exponent(p, "exponent")
+    return p / (p - 1.0)
+
+
 def check_q_window(q: float, p: float) -> None:
     """Reject a q outside the Cordoba window: q > 0 and |1 - 2/q| < 1/p."""
     if not (q > 0 and abs(1.0 - 2.0 / q) < 1.0 / p):

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_q_window, check_resolution, check_same_grid
+from .grid import MAX_RESOLUTION, Grid2D, GridSet, GridSet2D, GridSignal, VectorSignal, check_q_window, check_resolution, check_same_grid, conjugate_exponent
 from .io import CSV_SCHEMA, check_output_path, read_choice, read_grid_set, read_signal, read_tile_collection, write_forests, write_run
 from .maximal import CARVING, ScaleChoice, verify_vector_maximal
 from .reports import certificate
@@ -236,7 +236,7 @@ def run_cordoba_weighted(config: ExperimentConfig, gens) -> tuple[dict, list[flo
         certificates += weight.checks(f"[{i}]")
     report = {
         "p": config.p,
-        "q": 2.0 * config.p / (config.p - 1.0),
+        "q": 2.0 * conjugate_exponent(config.p),
         "family_size": config.family_size,
         "weights": weights,
     }
@@ -271,7 +271,7 @@ def run_principle(config: ExperimentConfig, gens) -> tuple[dict, list[float], li
     cond0 = measure_condition(family, h, g, builder, p0, seed=config.seed)
     # the measured norms do not depend on the exponent
     c_p1 = condition_constant(cond0["norms"], cond0["measure_ratio"], p1)
-    levels = splitting_cascade(h, g, trim_builder(CARVING, "both"), p0, k_max=10)
+    levels = splitting_cascade(h, g, trim_builder(CARVING, "both"), k_max=10)
 
     ratios, baseline = [], []
     worst_sides = (0.0, 0.0)

@@ -24,6 +24,7 @@ from .grid import (
     check_positive_measure,
     check_resolution,
     check_same_grid,
+    conjugate_exponent,
     lp_norm,
     measure,
 )
@@ -284,7 +285,7 @@ def restricted_double_sum(
     (|G|/|H|)**(1/s) * |E|**(1/s) * |F|**(1/s').
     """
     check_exponent(s, "s")
-    L = e.resolution
+    L = e.resolution if h is None else check_same_grid(e=e, h=h)
     sizes, masses = interval_size_mass(e, h_prime, f_set, g, choice)
     lengths = np.ldexp(1.0, -slot_scales(L))
     terms = sizes * masses * lengths
@@ -312,7 +313,7 @@ def restricted_double_sum(
     rhs = 0.0
     if h_measure > 0 and e_measure > 0 and f_measure > 0:
         rhs = (measure(g) / h_measure) ** (1.0 / s) * e_measure ** (1.0 / s)
-        rhs *= f_measure ** (1.0 / (s / (s - 1.0)))
+        rhs *= f_measure ** (1.0 / conjugate_exponent(s))
     classes = {f"{b['n']},{b['m']}": b["sum"] for b in stats}
     return ratio_report(_ordered_sum(terms[live]), rhs, buckets=stats, h_measure_used=h_measure, classes=classes)
 

@@ -5,8 +5,9 @@ two-set localization argument: the subset builders keep at least half the
 measure of each set, the localized operators have measured L2 -> L2 norms
 (Golub-Kahan-Lanczos with exact adjoints), the recursive three-way splitting
 loses a factor of at least two in product measure per level, and the
-geometric error budget halves per level because
-3 * base(p)**(-min(1/p, 1/p')) is exactly one half.
+geometric error budget halves per level: its factor
+3 * 6**(-max(p, p') * min(1/p, 1/p')) is 3 * 6**-1 = 1/2 at every p, since
+max(p, p') * min(1/p, 1/p') = 1, so the budget of level k is exactly 2**-k.
 """
 
 from __future__ import annotations
@@ -17,29 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridSet, VectorSignal, bundle_norm, check_exponent, check_positive_measure, measure, stack_slices
+from .grid import GridSet, VectorSignal, bundle_norm, check_positive_measure, conjugate_exponent, measure, stack_slices
 from .maximal import exceptional_complement
 from .reports import ratio_report
-
-
-def conjugate_exponent(p: float) -> float:
-    check_exponent(p, "exponent")
-    return p / (p - 1.0)
-
-
-def decay_base(p: float) -> float:
-    """6**max(p, p'), the base of the splitting error decay."""
-    return 6.0 ** max(p, conjugate_exponent(p))
-
-
-def level_budget(p: float, k: int) -> float:
-    """Error budget at splitting level k: (3 * base**(-min(1/p, 1/p')))**k.
-
-    Since max(p, p') * min(1/p, 1/p') = 1 the bracket is exactly 1/2, so the
-    budget halves per level.
-    """
-    factor = 3.0 * decay_base(p) ** (-min(1.0 / p, 1.0 / conjugate_exponent(p)))
-    return factor**k
 
 
 @dataclass(frozen=True)
@@ -407,7 +388,7 @@ def measure_condition(
         # the integral over G' of the l2 bundle of the outputs
         integral = bundle_norm(stack * g_sub.mask, 1.0, resolution)
         b_p = max(b_p, integral / denom)
-    series = sum(b_p * level_budget(p, k) for k in range(64))
+    series = sum(b_p * 0.5**k for k in range(64))
 
     return {
         "p": p,
@@ -428,7 +409,6 @@ def splitting_cascade(
     h: GridSet,
     g: GridSet,
     builder: SubsetBuilder,
-    p: float,
     k_max: int,
 ) -> list[dict]:
     """Run the recursive three-way splitting for k_max levels.
@@ -465,12 +445,12 @@ def splitting_cascade(
             raise AssertionError(
                 f"level {k} product measure {max_product} exceeds bound {bound}"
             )
-        levels.append({"k": k, "max_product_measure": max_product, "budget": level_budget(p, k)})
+        levels.append({"k": k, "max_product_measure": max_product, "budget": 0.5**k})
         pairs = children
         if not pairs:
             # remaining levels are exactly zero
             for kk in range(k + 1, k_max + 1):
-                levels.append({"k": kk, "max_product_measure": 0.0, "budget": level_budget(p, kk)})
+                levels.append({"k": kk, "max_product_measure": 0.0, "budget": 0.5**kk})
             break
     return levels
 

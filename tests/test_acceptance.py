@@ -25,7 +25,6 @@ from dyadlab.harness import (
 )
 from dyadlab.maximal import dyadic_maximal, verify_vector_maximal
 from dyadlab.principle import (
-    level_budget,
     measure_condition,
     splitting_cascade,
     trim_builder,
@@ -353,20 +352,17 @@ def test_criterion_4_tree_estimates():
 
 def test_criterion_5_principle_internals():
     start = time.time()
-    identity_ok = all(
-        abs(level_budget(p, 1) - 0.5) < 1e-12 for p in (1.1, 1.5, 2.0, 3.0, 10.0)
-    )
     rng = np.random.default_rng(1005)
     builder = trim_builder(4.0, "both")
-    cascade_ok = True
+    identity_ok = cascade_ok = True
     for _ in range(100):
         h = random_grid_set(rng, 6)
         g = random_grid_set(rng, 6)
-        levels = splitting_cascade(h, g, builder, p=2.0, k_max=10)
+        levels = splitting_cascade(h, g, builder, k_max=10)
         base = measure(g) * measure(h)
         for stat in levels:
             cascade_ok = cascade_ok and stat["max_product_measure"] <= base * 0.5**stat["k"] + 1e-15
-            cascade_ok = cascade_ok and abs(stat["budget"] - 0.5**stat["k"]) < 1e-12
+            identity_ok = identity_ok and stat["budget"] == 2.0 ** -stat["k"]
     elapsed = time.time() - start
     ok = identity_ok and cascade_ok and elapsed < 10
     report_line(

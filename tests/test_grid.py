@@ -17,6 +17,7 @@ from dyadlab.grid import (
     all_intervals,
     bundle_norm,
     check_same_grid,
+    conjugate_exponent,
     inner_product,
     interval_cutoff,
     lp_norm,
@@ -49,7 +50,7 @@ from dyadlab.maximal import (
     verify_vector_maximal,
 )
 from dyadlab.plane import certified_rectangle_threshold, exceptional_complement_2d
-from dyadlab.principle import conjugate_exponent, measure_condition, trim_builder
+from dyadlab.principle import measure_condition, trim_builder
 from dyadlab.tiles import BiTile, ChoiceFunction, ModelSumPlan, TileCollection, Tree, mass, size, tree_estimate
 from oracles import walsh_values
 
@@ -427,8 +428,15 @@ GRID_GUARDS = {
     "linearized_maximal": lambda: linearized_maximal(_F, ScaleChoice.constant(F, 0)),
     "exceptional_complement": lambda: exceptional_complement(_LINE, GridSet.empty(F)),
     "interval_size_mass": lambda: interval_size_mass(_LINE, _LINE, _LINE, _LINE, ScaleChoice.constant(F, 0)),
+    "restricted_double_sum": lambda: restricted_double_sum(
+        _LINE, _LINE, _LINE, _LINE, ScaleChoice.constant(C, 0), 3.0, h=GridSet.empty(F)
+    ),
     "exceptional_complement_2d": lambda: exceptional_complement_2d(_PLANE, GridSet2D.empty(F), 0.5),
     "certified_rectangle_threshold": lambda: certified_rectangle_threshold(_PLANE, _PLANE_F, 0.1),
+    "verify_biparam": lambda: verify_biparam([Grid2D.constant(C, 1.0)], 3.0, _PLANE_F, eps=0.1),
+    "verify_biparam-family": lambda: verify_biparam(
+        [Grid2D.constant(C, 1.0), Grid2D.constant(F, 1.0)], 3.0, _PLANE, eps=0.1
+    ),
     "size": lambda: size(_TILES, GridSignal.constant(F, 1.0)),
     "ModelSumPlan": lambda: ModelSumPlan([_CHOICE_F], _TILES),
     "mass": lambda: mass(_TILES, _LINE_F, _CHOICE),

@@ -757,6 +757,15 @@ class TestCLI:
         assert main(["verify", "cordoba-weighted", "--p", "1.0"]) == 2
         assert "cordoba-weighted needs 1 < p < inf, got p=1.0" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_principle_near_one_exits_zero(self, capsys):
+        # a level budget worked out through 6**max(p0, p0') overflowed a
+        # float at p0 = 1.002; the budget is 2**-k at every p0
+        code = main(["verify", "principle", "--p", "1.002", "--resolution", "6", "--trials", "2"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [level["budget"] for level in report["principle"]["levels"]] == [2.0**-k for k in range(1, 11)]
+
     @pytest.mark.parametrize("theorem", ["biparam", "principle"])
     def test_resolution_zero_exits_two(self, theorem, capsys):
         assert main(["verify", theorem, "--resolution", "0"]) == 2

@@ -288,3 +288,38 @@ def test_only_grid_compares_resolutions():
     assert not any(compared.values()), f"resolutions compared outside grid: {compared}"
     # the scan sees the guard's own comparison
     assert _resolution_comparisons(_trees()["grid"])
+
+
+def _conjugates(tree: ast.Module) -> list[int]:
+    """Lines of the conjugate exponents written out: divisions x / (x - 1)
+    whose numerator is x or a product with the factor x, as in
+    2 * p / (p - 1)."""
+
+    def factors(node: ast.AST) -> list[str]:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return factors(node.left) + factors(node.right)
+        return [ast.dump(node)]
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            below = node.right
+            if (
+                isinstance(below, ast.BinOp)
+                and isinstance(below.op, ast.Sub)
+                and isinstance(below.right, ast.Constant)
+                and below.right.value == 1
+                and ast.dump(below.left) in factors(node.left)
+            ):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_grid_writes_a_conjugate_exponent():
+    # p' = p/(p - 1) is grid.conjugate_exponent's alone
+    written = {module: _conjugates(tree) for module, tree in _trees().items() if module != "grid"}
+    assert not any(written.values()), f"conjugate exponents written outside grid: {written}"
+    # the scan sees the helper's own division, and 1/(p - 1), the exponent
+    # of estimate_norm's dual step, is no conjugate
+    assert _conjugates(_trees()["grid"])
+    assert not _conjugates(ast.parse("v = back ** (1.0 / (p - 1.0))"))
