@@ -175,10 +175,11 @@ def _krylov_norms(
     the one a run of that operator alone gives, bit for bit."""
     L = collection.resolution
     results: list[TopSingularResult] = []
-    # the array of one numpy call is the plan's block stack, up to L rows
-    # of 2**(L-1) cells per member (and none at L = 0); the cap still
-    # counts 2**L cells a row, the figure it was measured at, and is not
-    # re-tuned for the half spectrum. Each slice is one engine stack
+    # the array of one numpy call is the plan's block stack, L rows of
+    # 2**(L-1) cells per member; the cap counts 2**L cells a row, the
+    # figure it was measured at, and `lower_coefficients` slices its
+    # stacks by it too, so plans and coefficients share small layouts.
+    # Each slice is one engine stack
     for s in stack_slices(len(choices), max(L, 1) << L):
         family = _stack_family(ModelSumPlan(choices[s], collection))
         results += top_singular(family, a.mask, b.mask, seeds[s], max_steps=iters, vectors=True)
@@ -189,8 +190,9 @@ def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
     """The members of the plan as one family.
 
     A call on every member runs the plan's kernels on the engine's stack
-    itself; a call on fewer, after members left, runs them on a buffer
-    whose rows of the members that left are never read.  A member's output
+    itself; a call on fewer, after members left, runs them through the
+    same layout, L rows a member, on a buffer whose rows of the members
+    that left are never read.  A member's output
     row depends on its input row alone, so its results are those of a stack
     without the others, bit for bit."""
     # the engine's stacks are complex (m, 2**L) arrays of its own, so the

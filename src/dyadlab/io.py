@@ -256,9 +256,7 @@ def read_tile_collection(path, resolution: int) -> TileCollection:
         (~fits, lambda row: _tile_problem(row, L)),
         (_repeats(slots), lambda row: f"bi-tile {row!r} is repeated"),
     ])  # fmt: skip
-    occupied = np.zeros((L, (1 << L) >> 1), dtype=bool)
-    occupied.reshape(-1)[slots] = True
-    return TileCollection(L, occupied)
+    return TileCollection.from_slots(L, slots)
 
 
 def write_forests(path, decomposition) -> None:

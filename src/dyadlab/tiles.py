@@ -29,6 +29,7 @@ from .grid import (
     check_same_grid,
     lp_norm,
     measure,
+    stack_slices,
 )
 from .maximal import Decomposition, bucket_decompose, dyadic_maximal
 from .reports import ratio_report
@@ -187,14 +188,23 @@ class TileCollection:
         return cls(L, np.concatenate([np.zeros(0, dtype=bool), *map(np.ravel, masks)]).reshape(L, (1 << L) >> 1))
 
     @classmethod
-    def from_bitiles(cls, resolution: int, bitiles) -> "TileCollection":
+    def from_slots(cls, resolution: int, slots) -> "TileCollection":
+        """The collection whose members sit at the given `tile_slot`s, each
+        in range(L 2**(L-1))."""
         L = check_resolution(resolution)
         occupied = np.zeros((L, (1 << L) >> 1), dtype=bool)
+        occupied.reshape(-1)[np.asarray(slots, dtype=np.int64)] = True
+        return cls(L, occupied)
+
+    @classmethod
+    def from_bitiles(cls, resolution: int, bitiles) -> "TileCollection":
+        L = check_resolution(resolution)
+        slots = []
         for p in bitiles:
             if not p.fits(L):
                 raise ValueError(f"bi-tile {p} does not fit resolution {L}")
-            occupied.reshape(-1)[tile_slot(L, p.scale, p.offset, p.freq_index)] = True
-        return cls(L, occupied)
+            slots.append(tile_slot(L, p.scale, p.offset, p.freq_index))
+        return cls.from_slots(L, slots)
 
     @classmethod
     def all(cls, resolution: int) -> "TileCollection":
@@ -291,50 +301,58 @@ def packet_heights(resolution: int) -> np.ndarray:
     return heights
 
 
-@functools.cache
-def _lower_layout(resolution: int):
-    """The gathers, stage lengths, final places and normalizations of
-    `lower_coefficients`, laid out as a one-member plan with every scale."""
-    L = resolution
-    order, _, active, final = butterfly_layout(tuple(range(L - 1, -1, -1)), (1 << L) >> 1)
-    perm = block_gathers(L).ravel()
+@functools.lru_cache(maxsize=64)
+def _packet_layout(resolution: int, members: int) -> tuple:
+    """The butterfly layout of the packet coefficients of an (m, 2**L)
+    stack: the block of scale k of member i is row k m + i of 2**(L-1)
+    half-block entries, scale-major, so the blocks are longest first and
+    each stage runs on a prefix of the rows.
+
+    Returns the stage-0 gathers `even` and `odd` into the flat stack, the
+    stage lengths `active` of `butterfly_views`, and for each coefficient
+    (k m + i) 2**(L-1) + j, its place `start` in the first buffer before
+    stage 0 and its flat place `final` in the two buffers after the last
+    stage of its row. The arrays are read-only and depend on (L, m)
+    alone, so plans and `lower_coefficients` of one shape share them;
+    the cache keeps 64 shapes."""
+    L, n = resolution, 1 << resolution
+    # a scale lies below L, so every block has an even length 2**(L-k) and
+    # L-k-1 butterfly stages at half length
+    order, start, active, final = butterfly_layout(tuple(L - 1 - k for k in range(L) for _ in range(members)), n >> 1)
+    perm = (np.arange(members)[:, None] * n + block_gathers(L)[:, None, :]).ravel()
     even, odd = perm[0::2][order], perm[1::2][order]
-    norm = (packet_heights(L)[:L] * cell_width(L))[:, None]
-    for a in (even, odd, norm):
+    for a in (even, odd):
         a.setflags(write=False)
-    return even, odd, active, final, norm
+    return even, odd, active, start, final
 
 
 def lower_coefficients(values: np.ndarray, resolution: int) -> np.ndarray:
     """<values, lower packet> of every bi-tile as an (L, 2**(L-1)) array in
     `tile_slot` order: [k, n 2**(L-k-1) + m] pairs the values with
     packet(scale k, offset n, frequency index 2m); an (m, 2**L) stack of
-    signals gives one such array per row, (m, L, 2**(L-1)). One butterfly
-    runs every scale of every row, as a plan does; each scale's sums, in
-    order, are those of a Walsh analysis of its blocks, so this is that
-    transform's even entries times 2**(k/2) |cell|, bit for bit. Real
-    values give float64, others complex128."""
-    L = resolution
-    even, odd, active, final, norm = _lower_layout(L)
+    signals gives one such array per row, (m, L, 2**(L-1)). The rows run
+    through the `_packet_layout` of a plan, in the stacks `stack_slices`
+    gives at L rows of 2**L cells a member, as the Krylov plans do; each
+    scale's sums, in order, are those of a Walsh analysis of its blocks,
+    so this is that transform's even entries times 2**(k/2) |cell|, bit
+    for bit. Real values give float64, others complex128."""
+    L, n = resolution, 1 << resolution
     values = np.asarray(values)
-    if values.ndim not in (1, 2) or values.shape[-1] != 1 << L:
-        raise ValueError(f"expected a signal or a stack of signals of {1 << L} cells, got shape {values.shape}")
-    values = values.astype(np.float64 if np.isrealobj(values) else np.complex128, copy=False)
-    shape = values.shape[:-1]
-    if shape == (1,):
-        # a one-row stack runs as a lone signal: one-dimensional stages
-        # cost less per call
-        values = values[0]
-    stack = values.shape[:-1]
-    # a row's two buffers sit side by side, so its final places index them
-    # as one; the stages run on every row at once
-    work = np.empty(stack + (2, even.size), dtype=values.dtype)
-    buffers = work.swapaxes(0, -2)
-    np.add(np.take(values, even, axis=-1, out=buffers[1]), values[..., odd], buffers[0])
-    butterfly_stages(butterfly_views(buffers, active))
-    out = work.reshape(stack + (-1,))[..., final].reshape(shape + (L, (1 << L) >> 1))
-    out *= norm
-    return out
+    if values.ndim not in (1, 2) or values.shape[-1] != n:
+        raise ValueError(f"expected a signal or a stack of signals of {n} cells, got shape {values.shape}")
+    stack = values.astype(np.float64 if np.isrealobj(values) else np.complex128, copy=False).reshape(-1, n)
+    out = np.empty((len(stack), L, n >> 1), dtype=stack.dtype)
+    for s in stack_slices(len(stack), max(L, 1) << L):
+        part = stack[s]
+        even, odd, active, _, final = _packet_layout(L, len(part))
+        flat = part.ravel()
+        work = np.empty((2, even.size), dtype=stack.dtype)
+        np.add(np.take(flat, even, out=work[1]), flat[odd], work[0])
+        butterfly_stages(butterfly_views(work, active))
+        # the layout is scale-major, the output member-major
+        out[s] = work.ravel()[final.reshape(L, len(part), n >> 1).swapaxes(0, 1)]
+    out *= (packet_heights(L)[:L] * cell_width(L))[:, None]
+    return out.reshape(values.shape[:-1] + (L, n >> 1))
 
 
 def _coefficients(collection: TileCollection, f: GridSignal) -> tuple[np.ndarray, ...]:
@@ -386,29 +404,24 @@ class ModelSumPlan:
     At scale k, a cell x receives the term of the member P whose upper tile
     holds N(x), if there is one: P sits at offset n = x >> (L - k) and
     frequency index m = N(x) >> (k + 1), and N(x) >> k must be odd. The
-    plan's entries are the (member, scale) pairs with such a cell, by
-    member, then scale. Its terms come by member, then scale, then cell,
-    each with its entry, its cell, the flat index n * 2**(L-k-1) + m of the
-    lower-tile coefficient in the scale's row of half blocks, and the
-    factor W(x) 2**(k-L) that apply and adjoint share: both packet heights
-    2**(k/2) and the cell width in one exact power of two, the factor of
+    plan's terms come by member, then scale, then cell, each with its
+    cell, the place of the lower-tile coefficient it reads in the
+    `_packet_layout` of the stack's shape, and the factor W(x) 2**(k-L)
+    that apply and adjoint share: both packet heights 2**(k/2) and the
+    cell width in one exact power of two, the factor of
     `carleson.restricted_matrices`' entries, which the plan gives byte for
     byte on unit vectors.
 
-    The layout gives each entry one row of a stack of packet-coefficient
-    blocks, shaped (2**k, 2**(L-k)) and flattened, by ascending scale, then
-    member, so their blocks are longest first and each stage of the block
-    transform runs on a prefix of the stack. Each member's arithmetic and
-    its order are those of its own per-scale evaluation, so outputs are
-    equal bit for bit: every sum starts from zero and adds its terms by
-    ascending scale, and within one scale by ascending cell.
-
-    The sum reads only the lower-tile coefficients, at the even positions
-    2m of a block, so the plan keeps the half spectrum: position m of a
+    The layout holds every (scale, member) block of the stack, with terms
+    or without, and plans of one shape share it. Each member's arithmetic
+    and its order are those of its own per-scale evaluation, so outputs
+    are equal bit for bit: every sum starts from zero and adds its terms
+    by ascending scale, and within one scale by ascending cell. The sum
+    reads only the lower-tile coefficients, at the even positions 2m of a
+    block, so the layout keeps the half spectrum: position m of a
     half-length block. The butterflies run on one-dimensional views of two
-    work buffers the plan owns, in the order of `butterfly_layout`, so a
-    plan must not be applied from two threads at once; `apply` and
-    `adjoint` return fresh arrays.
+    work buffers the plan owns, so a plan must not be applied from two
+    threads at once; `apply` and `adjoint` return fresh arrays.
     """
 
     def __init__(self, choices, collection: TileCollection):
@@ -421,52 +434,27 @@ class ModelSumPlan:
         present = collection.occupied.ravel()[slot]
         member, scale, cell, slot, sign = (a[present] for a in (member, scale, cell, slot, sign))
         self.resolution = L
-        self._count = len(choices)
-        # the terms of each (member, scale); the nonzero ones are the entries
-        counts = np.bincount(member * L + scale, minlength=self._count * L).reshape(self._count, L)
-        self._entry_member, self._entry_scale = np.nonzero(counts)
-        self._term_entry = np.searchsorted(self._entry_member * L + self._entry_scale, member * L + scale)
-        self._cell = cell
-        # a slot's place in its scale's row of 2**(L-1), n 2**(L-k-1) + m
-        self._index = slot & (half - 1)
-        self._term_factor = np.ldexp(sign, scale - L)
-
-        # the layout, over the entries
-        member, scale = self._entry_member, self._entry_scale
-        rows = np.lexsort((member, scale))
-        row_of = np.empty_like(rows)
-        row_of[rows] = np.arange(rows.size)
-        # a member's scales lie below L, so every block has an even length
-        # 2**(L-k) and L-k-1 butterfly stages at half length
-        order, start, active, final = butterfly_layout(tuple((L - 1 - scale[rows]).tolist()), half)
-        gathers = block_gathers(L)
-        perm = (member[rows, None] * n + gathers[scale[rows]]).ravel()
-        self._even, self._odd = perm[0::2][order], perm[1::2][order]
-        # two work buffers for the stages, then the zero of the adjoint
-        # gather's padding
-        size = order.size
-        self._work = np.zeros(2 * size + 1, dtype=np.complex128)
-        buffers = self._work[:-1].reshape(2, size)
+        self._count = m = len(choices)
+        self._even, self._odd, active, start, final = _packet_layout(L, m)
+        size = self._even.size
+        self._work = np.zeros(2 * size, dtype=np.complex128)
+        buffers = self._work.reshape(2, size)
         self._start = buffers[0]
         self._stages = butterfly_views(buffers, active)
-        # the adjoint's part j of member i is its j-th scale's row, through
-        # the same gather; a member with fewer scales reads the zero just
-        # past the buffers instead. Adding +0 changes no value but -0, and a
-        # sum that starts at +0 never becomes -0, so the padding leaves every
-        # sum unchanged bit for bit. Indices are those of the in-place stack
-        # until the end, with `size` for the zero
-        part = np.arange(member.size) - np.searchsorted(member, member)
-        gather = np.full((int(part.max(initial=-1)) + 1, self._count, n), size)
-        # full-length position p of a block reads half position p >> 1
-        gather[part, member] = row_of[:, None] * half + (gathers[scale] >> 1)
-        self._gather = np.append(final, 2 * size)[gather]
-        self._hit = member[self._term_entry] * n + self._cell
-        coef = row_of[self._term_entry] * half + self._index
+        # a term reads its slot's place in the scale's row of 2**(L-1) in
+        # the layout's row k m + i, for scale k of member i
+        coef = (scale * m + member) * half + (slot & (half - 1))
         self._coef_final = final[coef]
+        self._hit = member * n + cell
+        self._term_factor = np.ldexp(sign, scale - L)
         # bins 2i and 2i + 1 take the real and imaginary parts of a term for
         # bin i: one bincount over the terms' float view adds as two did
         self._hit_parts = (2 * self._hit[:, None] + np.arange(2)).ravel()
         self._coef_start_parts = (2 * start[coef][:, None] + np.arange(2)).ravel()
+        # the adjoint's part k of member i is row k m + i, where full-length
+        # position p of a block reads half position p >> 1
+        rows = np.arange(L)[:, None, None] * m + np.arange(m)[:, None]
+        self._gather = final[rows * half + (block_gathers(L)[:, None, :] >> 1)]
 
     def __len__(self) -> int:
         """The number of members, one per choice function."""
@@ -523,8 +511,11 @@ class ModelSumPlan:
         # is the half transform's entry p >> 1. A power of two scales the
         # terms as exactly before the stages' sums as after them
         butterfly_stages(self._stages)
-        # the reduce over the outer axis adds the parts one after another,
-        # in ascending scale order, onto +0
+        # the reduce over the outer axis adds the scale rows one after
+        # another, in ascending scale order, onto +0. A row without terms
+        # holds +0s, and adding +0 changes no value but -0, which a sum that
+        # starts at +0 never becomes, so such rows leave every sum unchanged
+        # bit for bit
         return np.add.reduce(self._work[self._gather], axis=0, initial=0.0)
 
 
@@ -602,10 +593,7 @@ class Tree:
     @property
     def members(self) -> TileCollection:
         """The members as a collection, built on each call."""
-        L = self.resolution
-        occupied = np.zeros((L, (1 << L) >> 1), dtype=bool)
-        occupied.reshape(-1)[self.slots] = True
-        return TileCollection(L, occupied)
+        return TileCollection.from_slots(self.resolution, self.slots)
 
     @property
     def top_measure(self) -> float:
@@ -667,7 +655,7 @@ class _SizeTable:
         row = bases[s] + (offset[member] >> shift) * widths[s]
         lo = row + ((2 * freq[member] + 1) << shift)
         w = np.array(weights, dtype=np.float64)[member]
-        self._slots = tile_slot(L, scale, offset, freq)[member]
+        self._slots = np.flatnonzero(collection.occupied)[member]
         # interleaved per entry: (lo, +w), (hi, -w)
         self._keys = np.stack([lo, lo + (1 << shift)], axis=1)
         self._weights = np.stack([w, -w], axis=1)
@@ -930,11 +918,10 @@ def full_decompose(
 def member_weights(collection: TileCollection, f: GridSignal, per_slot: np.ndarray) -> np.ndarray:
     """|<f, P1>| 2**(k/2) per_slot[s] at the slot s of every member P, at
     scale k, and zero elsewhere, as a flat array."""
-    L = collection.resolution
-    scale, offset, freq, coef = _coefficients(collection, f)
-    slots = tile_slot(L, scale, offset, freq)
+    scale, _, _, coef = _coefficients(collection, f)
+    slots = np.flatnonzero(collection.occupied)
     out = np.zeros(collection.occupied.size)
-    out[slots] = np.abs(coef) * packet_heights(L)[scale] * per_slot[slots]
+    out[slots] = np.abs(coef) * packet_heights(collection.resolution)[scale] * per_slot[slots]
     return out
 
 

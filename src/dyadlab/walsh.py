@@ -9,6 +9,9 @@ index, which makes packets of disjoint phase-plane tiles exactly orthogonal.
 
 Every transform, here and in the model-sum plans, runs one butterfly kernel:
 the constant-geometry stages of `butterfly_layout` (Pease, J. ACM 15(2), 1968).
+A layout depends on the shape of a stack alone; `tiles._packet_layout` keeps
+one per (resolution, members) shape, and the generic transforms here need
+none.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ def butterfly_stages(views: list[tuple[np.ndarray, ...]]) -> None:
         np.subtract(a, b, bottom)
 
 
-@functools.lru_cache(maxsize=64)
 def butterfly_layout(
     stages: tuple[int, ...], half: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
@@ -120,11 +122,7 @@ def butterfly_layout(
     Returns `order`, the index P of each entry of the first buffer before
     stage 0; `start`, its inverse; `active`, the number of entries each
     stage reads; and `final`, the flat index into the two buffers of each P
-    after its row's last stage. The arrays are read-only and built once
-    per stack shape: `estimate-22 --resolution 9 --ladder 8 --seed 1` asks
-    for 73 layouts of 18 shapes (55 hits, which would take 47 ms of its
-    1 s to rebuild), `verify carleson --resolution 8` for 11 of 2 (9 hits,
-    5 ms of 90 ms), measured on a 2-core AMD EPYC.
+    after its row's last stage. The arrays are read-only.
     """
     size = len(stages) * half
     s = np.repeat(np.asarray(stages, dtype=np.int64), half)
@@ -133,6 +131,12 @@ def butterfly_layout(
     for t in reversed(range(max(stages, default=0))):
         keys += [np.where(t < s, (q >> t) & 1, 0), s == t]
     order = np.lexsort(keys)
+    # the keys, 2 max(stages) + 1 arrays of the stack's size, are freed
+    # before the arrays kept and the stages' labels are made: a smaller
+    # peak, and the kept arrays pack lower in the heap
+    del keys
+    start = np.empty_like(order)
+    start[order] = np.arange(size)
     active = tuple(int(np.count_nonzero(s > j)) for j in range(max(stages, default=0)))
     # follow the index P of every entry through the stages; the rows that a
     # stage ends are the tail of what it writes
@@ -145,8 +149,6 @@ def butterfly_layout(
         top[:], bottom[:] = a, b
         done = slice(ends[j + 1], ends[j])
         final[labels[~j & 1, done]] = (~j & 1) * size + np.arange(size)[done]
-    start = np.empty_like(order)
-    start[order] = np.arange(size)
     for a in (order, start, final):
         a.setflags(write=False)
     return order, start, active, final

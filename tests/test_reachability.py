@@ -323,3 +323,9 @@ def test_only_grid_writes_a_conjugate_exponent():
     # of estimate_norm's dual step, is no conjugate
     assert _conjugates(_trees()["grid"])
     assert not _conjugates(ast.parse("v = back ** (1.0 / (p - 1.0))"))
+
+
+def test_only_the_packet_layout_calls_butterfly_layout():
+    # one butterfly layout per stack shape: tiles._packet_layout builds and
+    # caches it for every plan and for lower_coefficients
+    assert _referrers("walsh", "butterfly_layout") == {"tiles._packet_layout"}

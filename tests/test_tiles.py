@@ -6,10 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from dyadlab.carleson import greedy_choice
 from dyadlab.grid import (
     DyadicInterval,
     GridSet,
     GridSignal,
+    VectorSignal,
     cell_width,
     inner_product,
     lp_norm,
@@ -467,27 +469,24 @@ def _joined(parts, dtype):
 
 def oracle_layout(resolution: int, members) -> dict[str, np.ndarray]:
     """The plan arrays of a stack of (choice, collection) members, laid out
-    term by term as the plan did before its layout was deferred and
-    vectorized."""
+    term by term: the block of scale k of member i is row k m + i, with
+    terms or without, and the adjoint reads every scale's row."""
     L, n = resolution, 1 << resolution
     half = n >> 1
     members = [oracle_scale_terms(choice, collection) for choice, collection in members]
-    rows = sorted((k, i) for i, terms in enumerate(members) for k, *_ in terms)
-    row_of = {key: r for r, key in enumerate(rows)}
+    rows = [(k, i) for k in range(L) for i in range(len(members))]
     order, start, active, final = butterfly_layout(tuple(L - k - 1 for k, _ in rows), half)
     perm = _joined([i * n + oracle_block_gather(L, k) for k, i in rows], np.int64)
-    size = order.size
-    depth = max(len(terms) for terms in members)
-    gather = np.full((depth, len(members), n), size)
+    gather = np.zeros((L, len(members), n), dtype=np.int64)
+    for r, (k, i) in enumerate(rows):
+        gather[k, i] = r * half + (oracle_block_gather(L, k) >> 1)
     out = {"_even": perm[0::2][order], "_odd": perm[1::2][order]}
     hits, coef, factors = [], [], []
     for i, terms in enumerate(members):
-        for j, (k, hit, index, factor) in enumerate(terms):
-            r = row_of[k, i]
+        for k, hit, index, factor in terms:
             hits.append(i * n + hit)
-            coef.append(r * half + index)
+            coef.append((k * len(members) + i) * half + index)
             factors.append(factor)
-            gather[j, i] = r * half + (oracle_block_gather(L, k) >> 1)
     coef = _joined(coef, np.int64)
     hit = _joined(hits, np.int64)
     out.update(
@@ -495,7 +494,7 @@ def oracle_layout(resolution: int, members) -> dict[str, np.ndarray]:
         _hit_parts=np.stack([2 * hit, 2 * hit + 1], axis=1).ravel(),
         _coef_start_parts=np.stack([2 * start[coef], 2 * start[coef] + 1], axis=1).ravel(),
         _coef_final=final[coef],
-        _gather=np.append(final, 2 * size)[gather],
+        _gather=final[gather],
         _term_factor=_joined(factors, np.float64),
     )
     return out
@@ -519,14 +518,12 @@ def loop_adjoint(plan: ModelSumPlan, g: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-PLAN_ARRAYS = ("_entry_scale", "_entry_member", "_term_entry", "_cell", "_index", "_term_factor")
-LAYOUT_ARRAYS = ("_even", "_odd", "_gather", "_hit", "_coef_final", "_hit_parts", "_coef_start_parts")
-
-
 def stacked_member_plan(choices, collection) -> ModelSumPlan:
     """A plan built as before one constructor took every choice: a
     one-member plan's arrays per choice, joined with their member and entry
-    offsets, then laid out by the deferred layout of that time."""
+    offsets, then laid out over its entries alone, the (member, scale)
+    pairs with a term, with a padded adjoint gather whose missing scales
+    read a zero past the work buffers. It runs under the plan's methods."""
     L, n = collection.resolution, 1 << collection.resolution
     half = n >> 1
     members = []
@@ -891,10 +888,11 @@ class TestModelSumPlan:
 
     @pytest.mark.parametrize("resolution", range(0, 10))
     def test_construction_equals_stacked_member_plans(self, resolution):
-        """One vectorized pass over every choice builds the arrays, the
-        layout and the outputs of one-member plans joined in order, byte
-        for byte: over the empty, the full and random collections, with
-        constant, random and repeated choices."""
+        """One vectorized pass over every choice builds the term arrays
+        and the outputs of one-member plans joined in order and laid out
+        over their entries alone, byte for byte: over the empty, the full
+        and random collections, with constant, random and repeated
+        choices."""
         rng = np.random.default_rng(520 + resolution)
         n = 1 << resolution
         collections = [TileCollection.from_bitiles(resolution, []), TileCollection.all(resolution)]
@@ -912,9 +910,9 @@ class TestModelSumPlan:
                 plan = ModelSumPlan(choices, collection)
                 expected = stacked_member_plan(choices, collection)
                 assert len(plan) == len(expected) == len(choices)
-                for name in PLAN_ARRAYS + LAYOUT_ARRAYS:
+                # the term arrays, which do not depend on the layout
+                for name in ("_hit", "_hit_parts", "_term_factor"):
                     assert same_bits(getattr(plan, name), getattr(expected, name)), name
-                assert plan._work.shape == expected._work.shape
                 for f in signed_stacks(rng, len(choices), n):
                     assert same_bits(plan.apply(f), expected.apply(f))
                     assert same_bits(plan.adjoint(f), expected.adjoint(f))
@@ -944,18 +942,23 @@ class TestModelSumPlan:
 
     @pytest.mark.parametrize("resolution", range(0, 8))
     def test_planned_stages_follow_the_row_oracle(self, resolution):
-        """Each butterfly stage of the plan's layout computes the even
-        entries of the in-place multi-row transform after as many stages,
-        bit for bit, and a plan's work holds that transform after an apply."""
+        """Each butterfly stage of the plan's layout, row k m + i for scale
+        k of member i, computes the even entries of the in-place multi-row
+        transform after as many stages, bit for bit, and a plan's work holds
+        that transform after an apply."""
         rng = np.random.default_rng(450 + resolution)
         n, half = 1 << resolution, (1 << resolution) >> 1
         for choice, collection in exact_cases(rng, resolution):
             choices = [choice, random_choice(rng, resolution), ChoiceFunction.constant(resolution, n - 1)]
             plan = ModelSumPlan(choices, collection)
-            rows = sorted(zip(plan._entry_scale.tolist(), plan._entry_member.tolist()))
+            rows = [(k, i) for k in range(resolution) for i in range(len(choices))]
             bits = [resolution - k for k, _ in rows]
             order, start, active, final = butterfly_layout(tuple(b - 1 for b in bits), half)
             assert same_bits(start[order], np.arange(order.size))
+            layout = tiles_module._packet_layout(resolution, len(choices))
+            assert layout[2] == active
+            for got, expected in zip(layout[3:], (start, final)):
+                assert same_bits(got, expected)
             for stack in signed_stacks(rng, len(rows), n):
                 work = np.zeros((2, order.size), dtype=np.complex128)
                 labels = np.zeros((2, order.size), dtype=np.int64)
@@ -998,6 +1001,41 @@ class TestModelSumPlan:
             assert np.array_equal(start, rev[q] * lines + r)
             assert np.array_equal(final, (bits & 1) * lines * n + r * n + rev[q])
             assert active == ((lines * n,) * bits if lines else ())
+
+    def test_plans_and_lower_coefficients_share_one_layout(self):
+        """The layout depends on (L, members) alone: two plans of one shape
+        over other collections and choices, and `lower_coefficients` of a
+        stack of that many rows, build it once and read the same arrays."""
+        rng = np.random.default_rng(490)
+        L, members = 5, 3
+        tiles_module._packet_layout.cache_clear()
+        plans = [
+            ModelSumPlan([random_choice(rng, L) for _ in range(members)], collection)
+            for collection in (random_convex_collection(rng, L), TileCollection.all(L))
+        ]
+        lower_coefficients(rng.standard_normal((members, 1 << L)), L)
+        info = tiles_module._packet_layout.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        even, odd, _, start, final = tiles_module._packet_layout(L, members)
+        for plan in plans:
+            assert plan._even is even and plan._odd is odd
+        for a in (even, odd, start, final):
+            assert not a.flags.writeable
+
+    def test_greedy_fit_at_l12_caches_only_one_member_layouts(self):
+        """`lower_coefficients` runs a 4-member stack at L=12 in the stacks
+        of `stack_slices`, one member each, so the only layout it caches
+        holds one member."""
+        rng = np.random.default_rng(12)
+        L, n = 12, 1 << 12
+        stack = VectorSignal(L, rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+        where = GridSet(L, np.arange(n) % 1024 == 0)
+        tiles_module._packet_layout.cache_clear()
+        greedy_choice(stack, TileCollection.all(L), where)
+        info = tiles_module._packet_layout.cache_info()
+        assert info.currsize == 1
+        tiles_module._packet_layout(L, 1)
+        assert tiles_module._packet_layout.cache_info().hits == info.hits + 1
 
     @pytest.mark.parametrize("members", [1, 3])
     def test_returned_arrays_do_not_alias_the_work(self, members):
@@ -2068,6 +2106,8 @@ class TestOccupancyArray:
             assert TileCollection.from_bitiles(resolution, collection.bitiles).occupied.tobytes() == (
                 collection.occupied.tobytes()
             )
+            slots = np.flatnonzero(collection.occupied)
+            assert TileCollection.from_slots(resolution, slots).occupied.tobytes() == collection.occupied.tobytes()
             assert len(collection) == len(collection.bitiles)
 
     def test_constructor_copies_its_array(self):
