@@ -189,15 +189,13 @@ def _krylov_norms(
 def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
     """The members of the plan as one family.
 
-    A call on every member runs the plan's kernels on the engine's stack
-    itself; a call on fewer, after members left, runs them through the
-    same layout, L rows a member, on a buffer whose rows of the members
-    that left are never read.  A member's output
-    row depends on its input row alone, so its results are those of a stack
-    without the others, bit for bit."""
-    # the engine's stacks are complex (m, 2**L) arrays of its own, so the
-    # plan's unchecked kernels serve
-    apply, adjoint = plan.kernels()
+    A call on every member runs the plan's apply or adjoint on the
+    engine's stack itself, a complex (m, 2**L) array that they take
+    without a copy; a call on fewer, after members left, runs them through
+    the same layout, L rows a member, on a buffer whose rows of the
+    members that left are never read.  A member's output row depends on
+    its input row alone, so its results are those of a stack without the
+    others, bit for bit."""
     count = len(plan)
     full = np.zeros((count, 1 << plan.resolution), dtype=np.complex128)
 
@@ -210,7 +208,7 @@ def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
 
         return run
 
-    return OperatorFamily(count, padded(apply), padded(adjoint))
+    return OperatorFamily(count, padded(plan.apply), padded(plan.adjoint))
 
 
 # Bytes of one chunk of greedy_choice's complex (pair, frequency) sums at
@@ -321,7 +319,7 @@ def restricted_pairing(
         raise ValueError("g must be dominated by the indicator of F")
     keep = retain if retain is not None else op.b
     surviving = retain_meeting(op.collection, keep)
-    sf = ModelSumPlan([op.choice], surviving).apply(f.values * op.b.mask) * op.a.mask
+    sf = ModelSumPlan([op.choice], surviving).apply((f.values * op.b.mask)[None])[0] * op.a.mask
     pairing = abs(complex(np.sum(sf * np.conj(g.values)) * cell_width(L)))
 
     masked_f = GridSignal(L, f.values * op.b.mask)

@@ -326,33 +326,37 @@ def _packet_layout(resolution: int, members: int) -> tuple:
     return even, odd, active, start, final
 
 
-def lower_coefficients(values: np.ndarray, resolution: int) -> np.ndarray:
-    """<values, lower packet> of every bi-tile as an (L, 2**(L-1)) array in
-    `tile_slot` order: [k, n 2**(L-k-1) + m] pairs the values with
-    packet(scale k, offset n, frequency index 2m); an (m, 2**L) stack of
-    signals gives one such array per row, (m, L, 2**(L-1)). The rows run
-    through the `_packet_layout` of a plan, in the stacks `stack_slices`
-    gives at L rows of 2**L cells a member, as the Krylov plans do; each
+def lower_coefficients(stack: np.ndarray, resolution: int) -> np.ndarray:
+    """<values, lower packet> of every bi-tile, for each row of an
+    (m, 2**L) stack of signals, as an (m, L, 2**(L-1)) array whose row i
+    is in `tile_slot` order: [i, k, n 2**(L-k-1) + q] pairs row i with
+    packet(scale k, offset n, frequency index 2q). The rows run through
+    the `_packet_layout` of a plan, in the stacks `stack_slices` gives at
+    L rows of 2**L cells a member, as the Krylov plans do, and every stack
+    runs in one work buffer, allocated once per call for the largest; each
     scale's sums, in order, are those of a Walsh analysis of its blocks,
     so this is that transform's even entries times 2**(k/2) |cell|, bit
     for bit. Real values give float64, others complex128."""
     L, n = resolution, 1 << resolution
-    values = np.asarray(values)
-    if values.ndim not in (1, 2) or values.shape[-1] != n:
-        raise ValueError(f"expected a signal or a stack of signals of {n} cells, got shape {values.shape}")
-    stack = values.astype(np.float64 if np.isrealobj(values) else np.complex128, copy=False).reshape(-1, n)
+    stack = np.asarray(stack)
+    if stack.ndim != 2 or stack.shape[1] != n:
+        raise ValueError(f"expected an (m, 2**{L}) stack of signals, got shape {stack.shape}")
+    stack = stack.astype(np.float64 if np.isrealobj(stack) else np.complex128, copy=False)
     out = np.empty((len(stack), L, n >> 1), dtype=stack.dtype)
-    for s in stack_slices(len(stack), max(L, 1) << L):
+    slices = stack_slices(len(stack), max(L, 1) << L)
+    # the first stack is the largest
+    buffer = np.empty(2 * (slices[0].stop if slices else 0) * L * (n >> 1), dtype=stack.dtype)
+    for s in slices:
         part = stack[s]
         even, odd, active, _, final = _packet_layout(L, len(part))
         flat = part.ravel()
-        work = np.empty((2, even.size), dtype=stack.dtype)
+        work = buffer[: 2 * even.size].reshape(2, even.size)
         np.add(np.take(flat, even, out=work[1]), flat[odd], work[0])
         butterfly_stages(butterfly_views(work, active))
         # the layout is scale-major, the output member-major
         out[s] = work.ravel()[final.reshape(L, len(part), n >> 1).swapaxes(0, 1)]
     out *= (packet_heights(L)[:L] * cell_width(L))[:, None]
-    return out.reshape(values.shape[:-1] + (L, n >> 1))
+    return out
 
 
 def _coefficients(collection: TileCollection, f: GridSignal) -> tuple[np.ndarray, ...]:
@@ -362,7 +366,7 @@ def _coefficients(collection: TileCollection, f: GridSignal) -> tuple[np.ndarray
     L = check_same_grid(f=f, collection=collection)
     scale, within = np.nonzero(collection.occupied)
     bits = L - 1 - scale
-    coef = lower_coefficients(f.values, L)[scale, within]
+    coef = lower_coefficients(f.values[None], L)[0, scale, within]
     return scale, within >> bits, within & ((1 << bits) - 1), coef
 
 
@@ -397,9 +401,9 @@ class ModelSumPlan:
     apply is one stacked fast transform, gathers and sums.
 
     `ModelSumPlan(choices, collection)` has one member per choice, in
-    order. `apply` and `adjoint` take and return an (m, 2**L) array whose
-    row i holds the cell values of member i; a one-member plan also takes a
-    lone (2**L,) array and returns one.
+    order. `apply` and `adjoint` take and return a complex (m, 2**L) stack
+    whose row i holds the cell values of member i; any other shape raises
+    `ValueError`.
 
     At scale k, a cell x receives the term of the member P whose upper tile
     holds N(x), if there is one: P sits at offset n = x >> (L - k) and
@@ -460,34 +464,20 @@ class ModelSumPlan:
         """The number of members, one per choice function."""
         return self._count
 
-    def _prepare(self, values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The values as an (m, 2**L) stack, and the shape to return."""
+    def _stack(self, values: np.ndarray) -> np.ndarray:
+        """The values as a complex128 (m, 2**L) stack, without a copy when
+        they are one."""
         values = np.asarray(values, dtype=np.complex128)
-        m, n = self._count, 1 << self.resolution
-        if values.shape != (m, n) and (m, values.shape) != (1, (n,)):
+        if values.shape != (self._count, 1 << self.resolution):
             raise ValueError(
-                f"expected 2**{self.resolution} cell values for each of {m} members, "
+                f"expected 2**{self.resolution} cell values for each of {self._count} members, "
                 f"got shape {values.shape}"
             )
-        return values.reshape(m, n), values.shape
-
-    def kernels(self) -> tuple:
-        """The unchecked apply and adjoint of a complex128 (m, 2**L) stack,
-        for a caller that makes its own stacks."""
-        return self._apply, self._adjoint
+        return values
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
-        f, shape = self._prepare(f)
-        return self._apply(f).reshape(shape)
-
-    def adjoint(self, g: np.ndarray) -> np.ndarray:
-        """sum over P of <g, psi_P> packet(P1), where psi_P = packet(P2)
-        restricted to the choice-function preimage."""
-        g, shape = self._prepare(g)
-        return self._adjoint(g).reshape(shape)
-
-    def _apply(self, f: np.ndarray) -> np.ndarray:
+        f = self._stack(f)
         flat = f.ravel()
         # per member and scale: the packet coefficients of f, up to the
         # normalization that lower_coefficients applies, here after the
@@ -499,8 +489,10 @@ class ModelSumPlan:
         out = np.bincount(self._hit_parts, terms.view(np.float64), minlength=2 * f.size)
         return out.view(np.complex128).reshape(f.shape)
 
-    def _adjoint(self, g: np.ndarray) -> np.ndarray:
-        terms = g.ravel()[self._hit] * self._term_factor
+    def adjoint(self, g: np.ndarray) -> np.ndarray:
+        """sum over P of <g, psi_P> packet(P1), where psi_P = packet(P2)
+        restricted to the choice-function preimage."""
+        terms = self._stack(g).ravel()[self._hit] * self._term_factor
         start = self._start.view(np.float64)
         start[:] = np.bincount(self._coef_start_parts, terms.view(np.float64), minlength=start.size)
         # the full transform would hold each coefficient c at an even
@@ -526,13 +518,13 @@ def model_sum(f: GridSignal, choice: ChoiceFunction, collection: TileCollection)
     choice function pins down a single upper-half frequency interval there.
     Build a `ModelSumPlan` instead when applying one operator repeatedly.
     """
-    return GridSignal(f.resolution, ModelSumPlan([choice], collection).apply(f.values))
+    return GridSignal(f.resolution, ModelSumPlan([choice], collection).apply(f.values[None])[0])
 
 
 def adjoint_model_sum(g: GridSignal, choice: ChoiceFunction, collection: TileCollection) -> GridSignal:
     """Adjoint of the model sum: sum over P of <g, psi_P> packet(P1), where
     psi_P = packet(P2) restricted to the choice-function preimage."""
-    return GridSignal(g.resolution, ModelSumPlan([choice], collection).adjoint(g.values))
+    return GridSignal(g.resolution, ModelSumPlan([choice], collection).adjoint(g.values[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -56,14 +56,14 @@ from test_principle import (
     one_member_run,
     rowwise,
 )
-from test_tiles import packet_coefficients, same_bits
+from test_tiles import lone_maps, packet_coefficients, same_bits
 
 
 def old_restricted_pair(op: RestrictedOp):
     """The apply_restricted / adjoint_restricted pair and the closures
     restricted_norm built on them before the engine masked."""
     L = op.a.resolution
-    plan = ModelSumPlan([op.choice], op.collection)
+    plan = lone_maps(ModelSumPlan([op.choice], op.collection))
 
     def apply_restricted(f):
         masked = GridSignal(f.resolution, f.values * op.b.mask)
@@ -102,7 +102,7 @@ def old_norm_decay_point(
     surviving = retain_meeting(collection, keep)
 
     def alone(choice, seed):
-        plan = ModelSumPlan([choice], surviving)
+        plan = lone_maps(ModelSumPlan([choice], surviving))
         return one_member_run(plan, a_set.mask, b_set.mask, seed, max_steps=iters, vectors=True)
 
     winner = None
@@ -231,7 +231,7 @@ def sign_table_greedy_choice(f: GridSignal, collection: TileCollection, where: G
     n = 1 << L
     scales = [
         (k, coef.reshape(present.shape) * (2.0 ** (k / 2.0)) * present)
-        for k, (coef, present) in enumerate(zip(lower_coefficients(f.values, L), collection.masks))
+        for k, (coef, present) in enumerate(zip(lower_coefficients(f.values[None], L)[0], collection.masks))
         if present.any()
     ]
     chunk = max(1, carleson.CHUNK_BYTES // (16 * n))
@@ -330,7 +330,7 @@ def walsh_rows_restricted_matrices(a: GridSet, b: GridSet, collection: TileColle
 def restricted_operator(op: RestrictedOp) -> MapPair:
     """f -> 1_A T(f 1_B) and its adjoint on lone arrays, over the checked
     apply and adjoint of the operator's one-member plan."""
-    return old_localized(ModelSumPlan([op.choice], op.collection), op.b.mask, op.a.mask)
+    return old_localized(lone_maps(ModelSumPlan([op.choice], op.collection)), op.b.mask, op.a.mask)
 
 
 def decay_a_set(h, g, branch):
@@ -619,7 +619,7 @@ class TestNormDecay:
         small = random_grid_set(rng, resolution)
         big = GridSet(resolution, small.mask | random_grid_set(rng, resolution).mask)
         full = GridSet.full(resolution)
-        plan = ModelSumPlan([choice], collection)
+        plan = lone_maps(ModelSumPlan([choice], collection))
         for a_side in (True, False):
             def masks(localized):
                 return (localized.mask, full.mask) if a_side else (full.mask, localized.mask)
@@ -756,7 +756,7 @@ class TestNormDecay:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
         def restricted(choice):
-            plan = ModelSumPlan([choice], collection)
+            plan = lone_maps(ModelSumPlan([choice], collection))
             return plan.apply(x * b_set.mask) * a_set.mask, plan.adjoint(x * a_set.mask) * b_set.mask
 
         for got, want in zip(restricted(on_a), restricted(whole)):
@@ -956,7 +956,7 @@ class TestNormDecay:
         for iters in iters:
             stacked = restricted_norm(a, b, collection, choices, seeds, iters=iters)
             for choice, seed, res in zip(choices, seeds, stacked):
-                plan = ModelSumPlan([choice], collection)
+                plan = lone_maps(ModelSumPlan([choice], collection))
                 alone = one_member_run(plan, a.mask, b.mask, seed, max_steps=iters, vectors=True)
                 assert_same_krylov(res, alone)
         assert restricted_norm(a, b, collection, [], []) == []
@@ -973,9 +973,9 @@ class TestNormDecay:
     @pytest.mark.usefixtures("krylov_path")
     @pytest.mark.parametrize("resolution", range(2, 9))
     def test_restricted_norm_equals_one_member_runs(self, resolution):
-        """The kernels-direct stacked operator gives each member's norm,
-        step count, flag and top-vector bytes of a one-member run of the
-        plan's checked apply and adjoint: members leave at different steps,
+        """The stacked operator gives each member's norm, step count, flag
+        and top-vector bytes of a one-member run of the plan's apply and
+        adjoint on row 0 of (1, 2**L) stacks: members leave at different steps,
         one member has no surviving term (the zero-norm exit) and a cap of
         2 stops the rest; over the empty collection every member exits so."""
         rng = np.random.default_rng(560 + resolution)
@@ -994,7 +994,7 @@ class TestNormDecay:
             for members in (collection, empty):
                 new = restricted_norm(a, b, members, choices, seeds, iters=iters)
                 for res, choice, seed in zip(new, choices, seeds, strict=True):
-                    plan = ModelSumPlan([choice], members)
+                    plan = lone_maps(ModelSumPlan([choice], members))
                     alone = one_member_run(plan, a.mask, b.mask, seed, max_steps=iters, vectors=True)
                     assert_same_krylov(res, alone)
                 assert new[2].norm == 0.0 and new[2].top_vector is None
@@ -1088,8 +1088,7 @@ def old_restricted_norm(a, b, collection, choices, seeds, iters=200):
     for s in stack_slices(len(choices), max(L, 1) << L):
 
         def op_for(members, stack=choices[s]):
-            kernels = ModelSumPlan([stack[i] for i in members], collection).kernels()
-            return old_localized(MapPair(*kernels), b.mask, a.mask)
+            return old_localized(ModelSumPlan([stack[i] for i in members], collection), b.mask, a.mask)
 
         results += old_top_singular(op_for, (1 << L,), seeds[s], max_steps=iters, vectors=True)
     return results
@@ -1215,7 +1214,7 @@ class TestDenseNorms:
         n = 1 << resolution
         cases, sets = dense_cases(rng, resolution)
         for collection, choices in cases:
-            plans = [densify(ModelSumPlan([choice], collection).apply, n) for choice in choices]
+            plans = [densify(lone_maps(ModelSumPlan([choice], collection)).apply, n) for choice in choices]
             for a, b in sets:
                 matrices = restricted_matrices(a, b, collection, choices)
                 assert matrices.dtype == np.float64

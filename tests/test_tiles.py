@@ -64,6 +64,7 @@ from oracles import (
     walsh_packet,
     walsh_values,
 )
+from test_principle import MapPair
 
 
 def packet_coefficients(values: np.ndarray, resolution: int, scale: int) -> np.ndarray:
@@ -500,11 +501,17 @@ def oracle_layout(resolution: int, members) -> dict[str, np.ndarray]:
     return out
 
 
+def lone_maps(plan: ModelSumPlan) -> MapPair:
+    """A one-member plan's apply and adjoint on lone arrays: each passes its
+    array as a (1, 2**L) stack and returns row 0."""
+    return MapPair(lambda v: plan.apply(v[None])[0], lambda v: plan.adjoint(v[None])[0])
+
+
 def loop_adjoint(plan: ModelSumPlan, g: np.ndarray) -> np.ndarray:
     """plan.adjoint with one bincount per part of the terms and the scale
     parts added in a Python loop onto +0, as the plan did before its
     interleaved bincount and its reduce."""
-    g, shape = plan._prepare(g)
+    g = plan._stack(g)
     terms = g.ravel()[plan._hit] * plan._term_factor
     coef_start = plan._coef_start_parts[0::2] >> 1
     start = plan._start
@@ -515,7 +522,7 @@ def loop_adjoint(plan: ModelSumPlan, g: np.ndarray) -> np.ndarray:
     out = np.zeros(g.shape, dtype=np.complex128)
     for part in parts:
         out += part
-    return out.reshape(shape)
+    return out
 
 
 def stacked_member_plan(choices, collection) -> ModelSumPlan:
@@ -689,17 +696,19 @@ class TestLowerCoefficients:
         rng = np.random.default_rng(1100 + resolution)
         L, n = resolution, 1 << resolution
         for values in self.inputs(rng, n):
-            got = lower_coefficients(values, L)
-            assert got.shape == (L, n >> 1)
+            got = lower_coefficients(values[None], L)
+            assert got.shape == (1, L, n >> 1)
             for k in range(L):
                 expected = packet_coefficients(values, L, k)[:, 0::2]
-                assert same_bits(got[k], expected.ravel()), (k, values.dtype)
+                assert same_bits(got[0, k], expected.ravel()), (k, values.dtype)
 
-    @pytest.mark.parametrize("resolution", range(0, 11))
+    @pytest.mark.parametrize("resolution", [*range(0, 11), 12])
     def test_stack_rows_equal_single_signals(self, resolution):
         """Each row of a stacked transform is the transform of that row
         alone, bit for bit, for stacks of one, two and seven signals of
-        every input kind, real and complex."""
+        every input kind, real and complex. From L=10 up each row is a
+        stack of its own, and the stacks of one call share a work
+        buffer."""
         rng = np.random.default_rng(1120 + resolution)
         L, n = resolution, 1 << resolution
         rows = list(self.inputs(rng, n))
@@ -709,7 +718,7 @@ class TestLowerCoefficients:
                 got = lower_coefficients(stack, L)
                 assert got.shape == (members, L, n >> 1)
                 for row, coef in zip(stack, got, strict=True):
-                    assert same_bits(coef, lower_coefficients(row, L))
+                    assert same_bits(coef, lower_coefficients(row[None], L)[0])
 
     def test_packet_heights_are_one_cached_scalar_pow_table(self):
         for resolution in range(0, 13):
@@ -719,13 +728,13 @@ class TestLowerCoefficients:
             assert heights.tolist() == [2.0 ** (k / 2.0) for k in range(resolution + 1)]
 
     def test_reads_any_real_or_complex_input(self):
-        values = np.arange(8)
+        values = np.arange(8)[None]
         assert same_bits(lower_coefficients(values, 3), lower_coefficients(values.astype(float), 3))
         assert lower_coefficients(values.astype(np.complex64), 3).dtype == np.complex128
-        with pytest.raises(ValueError):
-            lower_coefficients(np.zeros(6), 3)
-        for shape in ((2, 4), (1, 2, 8), ()):
-            with pytest.raises(ValueError):
+        assert lower_coefficients(np.zeros((0, 8)), 3).shape == (0, 3, 4)
+        # a lone signal is no stack
+        for shape in ((8,), (6,), (2, 4), (1, 2, 8), ()):
+            with pytest.raises(ValueError, match=r"expected an \(m, 2\*\*3\) stack of signals"):
                 lower_coefficients(np.zeros(shape), 3)
 
 
@@ -788,7 +797,7 @@ class TestModelSumPlan:
         rng = np.random.default_rng(100 + resolution)
         n = 1 << resolution
         for choice, collection in exact_cases(rng, resolution):
-            plan = ModelSumPlan([choice], collection)
+            plan = lone_maps(ModelSumPlan([choice], collection))
             for (values,) in signed_stacks(rng, 1, n):
                 f = GridSignal(resolution, values)
                 assert same_bits(plan.apply(f.values), oracle_model_sum(f, choice, collection))
@@ -801,7 +810,7 @@ class TestModelSumPlan:
         rng = np.random.default_rng(200 + resolution)
         n = 1 << resolution
         for choice, collection in plan_cases(rng, resolution):
-            plan = ModelSumPlan([choice], collection)
+            plan = lone_maps(ModelSumPlan([choice], collection))
             f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             g = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             lhs = inner_product(GridSignal(resolution, plan.apply(f.values)), g)
@@ -813,7 +822,7 @@ class TestModelSumPlan:
         rng = np.random.default_rng(300 + resolution)
         n = 1 << resolution
         for choice, collection in plan_cases(rng, resolution):
-            plan = ModelSumPlan([choice], collection)
+            plan = lone_maps(ModelSumPlan([choice], collection))
             expected = np.zeros((n, n), dtype=np.complex128)
             for p in collection.bitiles:
                 lower = walsh_packet(p.lower, resolution).values
@@ -846,11 +855,8 @@ class TestModelSumPlan:
                 forward, backward = stacked.apply(f), stacked.adjoint(f)
                 assert forward.shape == backward.shape == f.shape
                 for row, member in enumerate(plans):
-                    assert same_bits(forward[row], member.apply(f[row]))
-                    assert same_bits(backward[row], member.adjoint(f[row]))
-                # a one-member plan takes its row as a lone array or a (1, n) stack
-                assert same_bits(plans[0].apply(f[:1]), plans[0].apply(f[0])[None])
-                assert same_bits(plans[0].adjoint(f[:1]), plans[0].adjoint(f[0])[None])
+                    assert same_bits(forward[row], member.apply(f[row][None])[0])
+                    assert same_bits(backward[row], member.adjoint(f[row][None])[0])
 
     @pytest.mark.parametrize("resolution", range(0, 8))
     def test_layout_equals_per_term_oracle(self, resolution):
@@ -1043,7 +1049,7 @@ class TestModelSumPlan:
         L, n = 5, 32
         collection = TileCollection.all(L)
         plan = ModelSumPlan([random_choice(rng, L) for _ in range(members)], collection)
-        shape = (n,) if members == 1 else (members, n)
+        shape = (members, n)
         f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         outs = [plan.apply(f), plan.adjoint(f)]
         kept = [out.copy() for out in outs]
@@ -1055,22 +1061,23 @@ class TestModelSumPlan:
             assert same_bits(out, copy)
             assert not np.shares_memory(out, plan._work)
 
-    def test_kernels_equal_apply_and_adjoint(self):
-        """The unchecked kernels that restricted_norm calls give the bytes
-        of the checked entry points, which keep their shape check."""
+    def test_apply_and_adjoint_reject_a_lone_array(self):
+        """A plan of one member or of three takes an (m, 2**L) stack only:
+        a lone 2**L array, the one-member case included, raises the shape
+        error, and a stack the engine made is read without a copy."""
         rng = np.random.default_rng(495)
         L, n = 5, 32
         collection = random_convex_collection(rng, L)
-        plan = ModelSumPlan([random_choice(rng, L) for _ in range(3)], collection)
-        apply, adjoint = plan.kernels()
-        for f in signed_stacks(rng, 3, n):
-            assert same_bits(apply(f), plan.apply(f))
-            assert same_bits(adjoint(f), plan.adjoint(f))
-        for shape in ((n,), (2, n), (3, n // 2)):
-            with pytest.raises(ValueError, match=r"expected 2\*\*5 cell values for each of 3 members"):
-                plan.apply(np.zeros(shape))
-            with pytest.raises(ValueError, match=r"expected 2\*\*5 cell values for each of 3 members"):
-                plan.adjoint(np.zeros(shape))
+        for members in (1, 3):
+            plan = ModelSumPlan([random_choice(rng, L) for _ in range(members)], collection)
+            message = rf"expected 2\*\*5 cell values for each of {members} members"
+            for shape in ((n,), (members * n,), (2, n), (members, n // 2)):
+                with pytest.raises(ValueError, match=message):
+                    plan.apply(np.zeros(shape))
+                with pytest.raises(ValueError, match=message):
+                    plan.adjoint(np.zeros(shape))
+            stack = np.zeros((members, n), dtype=np.complex128)
+            assert plan._stack(stack) is stack
 
     def test_stacked_plan_rejects_other_shapes(self):
         choices = [ChoiceFunction.constant(4, q) for q in (0, 8, 15)]
