@@ -130,7 +130,8 @@ def _field_problem(row, types, kind: str) -> str | None:
 def _columns(rows, types) -> tuple[list[np.ndarray], int]:
     """Per type, its column over the leading rows that parse as `types`,
     parsed with one comprehension into an array, and the number of those
-    rows."""
+    rows. `np.loadtxt` is not used: it strips `#` comments and skips blank
+    lines, so it would accept files the readers reject."""
     try:
         if all(len(row) == len(types) for row in rows):
             return [_array([parse(row[i]) for row in rows], parse) for i, parse in enumerate(types)], len(rows)

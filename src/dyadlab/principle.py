@@ -66,9 +66,13 @@ class SubsetBuilder:
 
 def trim_builder(c: float, sides: str) -> SubsetBuilder:
     """Prune the dyadic intervals dense in the other set from H (sides "h"),
-    from G ("g"), or from both against each other ("both", which exercises
-    all three residual branches of the splitting); an unpruned set is kept
-    whole."""
+    from G ("g"), or from both against each other ("both"); an unpruned set
+    is kept whole.
+
+    `exceptional_complement(base, marker, c)` removes nothing unless
+    c |marker| / |base| <= 1, since no density exceeds 1. So with c =
+    `CARVING` = 4, one "both" split carves H only when |G| <= |H| / 4 and
+    G only when |H| <= |G| / 4: never both sets at once."""
     if sides not in ("h", "g", "both"):
         raise ValueError(f"sides must be 'h', 'g' or 'both', got {sides!r}")
 
@@ -186,7 +190,11 @@ def top_singular(
     1965; J. Kuczynski and H. Wozniakowski, SIAM J. Matrix Anal. Appl. 13,
     1992).  A member stops when its Ritz value moves by at most tol
     relative, or when the recurrence breaks down on an invariant space,
-    where the value is exact.  There is no reorthogonalization: rounding
+    where the value is exact.  Only an exact breakdown stops it (alpha or
+    beta exactly 0.0): at a near-breakdown, beta about 1e-16, the next
+    Lanczos vector is the rounding residue normalized and the run goes on,
+    so where the top singular value is repeated the top vector depends on
+    the operator's last bits.  There is no reorthogonalization: rounding
     may let a copy of the top value reappear, but the top Ritz value still
     converges to the norm.  With `vectors`, the right Lanczos vectors V_k
     are kept and each positive result carries V_k y, y the top eigenvector

@@ -480,10 +480,9 @@ def test_criterion_8_cordoba():
     for _ in range(5):
         g = Grid2D(resolution, np.abs(rng.standard_normal((n, n))))
         weight = build_majorant_weight(g, averager, 2.0, 40, norm)
-        certs = weight.certificates
         weight_ok = weight_ok and bool(np.all(g.values.real <= weight.values + 1e-15))
         weight_ok = weight_ok and weight.weight_norm <= 2.0 * weight.input_norm * (1 + 1e-12)
-        weight_ok = weight_ok and certs["recursion_ok"] and weight.tail_bound < 1e-6
+        weight_ok = weight_ok and all(cert["holds"] for cert in weight.checks()) and weight.tail_bound < 1e-6
 
     a2_ok = True
     for _ in range(100):

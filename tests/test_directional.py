@@ -679,9 +679,8 @@ class TestStoppedSeries:
         # since the averages never exceed their input's maximum
         assert np.all(np.abs(stopped.values - full.values) <= stopped.tail_bound)
         assert np.all(g.values.real <= stopped.values)
-        certs = stopped.certificates
-        assert certs["terms"] == stopped.terms
-        assert certs["norm_ok"] and certs["recursion_ok"]
+        assert stopped.certificates["terms"] == stopped.terms
+        assert all(cert["holds"] for cert in stopped.checks())
 
     @pytest.mark.parametrize("resolution, p, seed", SERIES_CASES)
     @pytest.mark.parametrize("given_norm", [False, True])
@@ -746,8 +745,7 @@ class TestWeights:
         g = Grid2D(4, np.abs(rng.standard_normal((16, 16))))
         weight = build_majorant_weight(g, averager, 2.0, 25, averager.estimate_norm(2.0))
         assert np.all(g.values.real <= weight.values + 1e-15)
-        certs = weight.certificates
-        assert certs["norm_ok"] and certs["recursion_ok"]
+        assert all(cert["holds"] for cert in weight.checks())
         assert weight.weight_norm <= 2.0 * weight.input_norm * (1 + 1e-12)
 
     def test_tail_shrinks_with_terms(self):
@@ -988,9 +986,9 @@ class TestEquivalenceAndTheorems:
         rng = np.random.default_rng(16)
         fams = [random_plane(rng, 3) for _ in range(4)]
         averager = DirectionalAverager(3, DirectionSet.uniform(4))
-        report, _ = verify_weighted_directional(fams, averager, 2.0, averager.estimate_norm(2.0, seed=2))
-        certs = report["weight"]
-        assert certs["norm_ok"] and certs["recursion_ok"]
+        report, weight = verify_weighted_directional(fams, averager, 2.0, averager.estimate_norm(2.0, seed=2))
+        assert report["weight"] == weight.certificates
+        assert all(cert["holds"] for cert in weight.checks())
         # the duality pairing is dominated by the weighted pairing, which the
         # per-direction constants control
         assert report["duality_pairing"] <= report["weighted_pairing"] * (1 + 1e-9)

@@ -15,6 +15,7 @@ from dyadlab.harness import (
     random_vector,
 )
 from dyadlab.maximal import (
+    CARVING,
     exceptional_complement,
     linearized_maximal,
 )
@@ -468,6 +469,27 @@ class TestSubsetBuilders:
                     assert np.array_equal(got[1].mask, want[1].mask)
         with pytest.raises(ValueError, match="sides"):
             trim_builder(4.0, "hg")
+
+    def test_both_sides_never_carve_both_sets(self):
+        # exceptional_complement carves only where c |marker| / |base| <= 1,
+        # so at c = CARVING one split carves H or G, never both
+        rng = np.random.default_rng(20)
+        builder = trim_builder(CARVING, "both")
+        carved = {"h": 0, "g": 0}
+        for _ in range(600):
+            resolution = int(rng.integers(1, 7))
+            n = 1 << resolution
+            h, g = (GridSet(resolution, rng.random(n) < rng.random()) for _ in range(2))
+            if not (h.mask.any() and g.mask.any()):
+                continue
+            h_sub, g_sub = builder(h, g)
+            h_carved = not np.array_equal(h_sub.mask, h.mask)
+            g_carved = not np.array_equal(g_sub.mask, g.mask)
+            assert not (h_carved and g_carved)
+            carved["h"] += h_carved
+            carved["g"] += g_carved
+        # both branches are reached, so the property is not vacuous
+        assert carved["h"] > 0 and carved["g"] > 0
 
     def test_violating_builder_raises(self):
         bad = SubsetBuilder(lambda h, g: (GridSet.empty(h.resolution), g), label="bad")

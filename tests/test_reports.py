@@ -60,7 +60,7 @@ SCHEMA = {
     "restricted_double_sum": [*RATIO, "classes", "h_measure_used"],
     "norm_decay_ladder": ["branch", "intercept", "ratio_ladder", "resolution", "slope", "unconverged"],
 }
-WEIGHT = ["excess", "norm_ok", "norm_used", "recursion_ok", "tail_bound", "terms"]
+WEIGHT = ["excess", "norm_used", "tail_bound", "terms"]
 # the reports whose buckets are filled; the other ratio reports have none
 BUCKETED = {"restricted_pairing", "restricted_double_sum"}
 
