@@ -10,6 +10,7 @@ caps they force hold as stated, with explicit constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ from .tiles import (
     tree_sum,
     upper_cells,
 )
-from .walsh import walsh_matrix
+from .walsh import bit_reversal, walsh_matrix
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,12 @@ def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
 
 # The largest resolution at which restricted_norm writes the operators out
 # and takes their SVD; above it the Krylov engine runs. Full estimate-22
-# ladders of both branches at seed 1, best of 3 with one BLAS thread on a
-# 2-core AMD EPYC, dense against Krylov: 0.02 against 0.05 s at L=6, 0.05
-# against 0.08 s at L=7, 0.21 against 0.19 s at L=8 and, at ladder 4, 0.67
-# against 0.36 s at L=9
+# --seed 1 ladders of both branches, best of 3 with one BLAS thread on a
+# 2-core Intel Xeon, dense against Krylov, the ranges of two runs: 0.04
+# against 0.10 s at L=6, 0.06-0.09 against 0.11-0.18 s at L=7, 0.29-0.33
+# against 0.23-0.36 s at L=8, 1.5-1.6 against 0.74-1.0 s at L=9 and, at
+# ladder 4, 1.0-1.3 against 0.47-0.65 s at L=9. L=8 is close to even,
+# and moving the cutoff there would move every L=8 golden
 DENSE_RESOLUTION = 7
 
 
@@ -99,6 +102,51 @@ def restricted_norm(
     return _krylov_norms(a, b, collection, choices, seeds, iters)
 
 
+# Bytes of the (term, column) packets one chunk of restricted_matrices
+# gathers at most: every call of the decay ladder up to DENSE_RESOLUTION
+# is one chunk, and at L = 10 the chunks hold 1 MB against the 25 MB of
+# three full-grid matrices
+TERM_CHUNK_BYTES = 1 << 20
+
+
+@functools.cache
+def _term_tables(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only tables `restricted_matrices` reads its terms from,
+    built once per resolution: (cell_slots, freq_slots, bits, signed,
+    packets).
+
+    At scale k, the term of frequency N at cell x is that of the bi-tile
+    at slot k 2**(L-1) + (x >> (L-k)) 2**(L-k-1) + (N >> (k+1)), row x of
+    the (2**L, L) `cell_slots` plus row N of `freq_slots`, and it is
+    present when bit k of N, row N of `bits`, is 1.  Its upper packet's
+    sign W_{N >> k}(u), u the cell's place in its block of 2**(L-k)
+    cells, is (-1)**popcount((N & rev(x)) >> k), since the block's bit
+    reversal of u is rev(x) >> k on L bits; so row N & rev(x) of `signed`
+    holds the sign times 2**k at each scale k.  Row s of the (L 2**(L-1),
+    2**L) int16 `packets` is the lower packet W_{2m} of slot s on its
+    interval, 0 off it, in the type the contraction reads: L 4**L bytes,
+    115 KB at L = 7 and 10.5 MB at L = 10, against the 8 4**L bytes of one
+    full-grid matrix; the other tables take L 2**L entries each."""
+    L = resolution
+    n, half = 1 << L, (1 << L) >> 1
+    k = np.arange(L)
+    values = np.arange(n)[:, None]
+    cell_slots = k * half + ((values >> (L - k)) << (L - 1 - k))
+    freq_slots = values >> (k + 1)
+    bits = ((values >> k) & 1).astype(np.int16)
+    signed = (1 - 2 * (np.bitwise_count(values >> k) & 1).astype(np.int16)) << k.astype(np.int16)
+    packets = np.zeros((L, half, n), dtype=np.int16)
+    for scale in range(L):
+        # axes (offset, freq_index, block, place): each offset's own block
+        blocks = packets[scale].reshape(1 << scale, half >> scale, 1 << scale, n >> scale)
+        offsets = np.arange(1 << scale)
+        blocks[offsets, :, offsets] = walsh_matrix(L - scale)[0::2]
+    tables = (cell_slots, freq_slots, bits, signed, packets.reshape(L * half, n))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choices) -> np.ndarray:
     """The restricted operators f -> 1_A T_N(f 1_B) written out, one real
     (|A|, |B|) matrix per choice function N, stacked: row x and column y
@@ -109,27 +157,34 @@ def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choi
     collection and y lies in its interval, m being P's frequency index and
     each W read on the interval's 2**(L-k) cells.  So every entry is a sum
     of at most L distinct signed powers of two, exact in float64, and a
-    model-sum plan on the unit vectors gives it byte for byte."""
+    model-sum plan on the unit vectors gives it byte for byte.
+
+    Each row's L terms, their slots and signed weights 2**k W_{2m+1}(x),
+    are read from `_term_tables`, the weights masked by the collection;
+    the rows of their lower packets on B are gathered and the weights
+    contracted with them in integers, a chunk of at most
+    `TERM_CHUNK_BYTES` of packets at a time, and scaled by 2**-L once.
+    An entry without terms is +0.0."""
     L = check_same_grid(*choices, a=a, b=b, collection=collection)
-    member, scale, cell, slot, sign = upper_cells(choices)
-    keep = collection.occupied.ravel()[slot] & a.mask[cell]
-    # the terms by scale, each scale's a slice
-    at = np.flatnonzero(keep)[np.argsort(scale[keep], kind="stable")]
-    member, scale, cell, slot, sign = (x[at] for x in (member, scale, cell, slot, sign))
-    bounds = np.cumsum(np.bincount(scale, minlength=L)).tolist()
-    rows = int(np.count_nonzero(a.mask))
-    # per term: its (member, row of x, block) among the 2**(L-k)-cell
-    # blocks of the output, P's frequency index m (the slot's low L - k - 1
-    # bits) and the exact power of two sign * 2**(k-L)
-    target = ((member * rows + (np.cumsum(a.mask) - 1)[cell]) << scale) + (cell >> (L - scale))
-    freq = slot & ((1 << (L - 1 - scale)) - 1)
-    factor = np.ldexp(sign, scale - L)
-    out = np.zeros((len(choices), rows, 1 << L))
-    for k, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
-        # no (member, row) pair repeats within one scale
-        lower = walsh_matrix(L - k)[0::2][freq[lo:hi]]
-        out.reshape(-1, 1 << (L - k))[target[lo:hi]] += factor[lo:hi, None] * lower
-    return out[:, :, b.mask]
+    cell_slots, freq_slots, bits, signed, packets = _term_tables(L)
+    rows = np.flatnonzero(a.mask)
+    # per (member, row of x) and scale: the term's slot and its weight;
+    # `take` gathers rows faster than an index, and `compress` leaves the
+    # packets on B C-ordered, so each gathered row is one copy
+    freqs = np.array([choice.freqs for choice in choices]).take(rows, axis=1)
+    slots = (freq_slots.take(freqs, axis=0) + cell_slots.take(rows, axis=0)).reshape(freqs.size, L)
+    weights = signed.take(freqs & bit_reversal(L).take(rows), axis=0) * bits.take(freqs, axis=0)
+    weights = weights.reshape(freqs.size, L) * collection.occupied.take(slots)
+    columns = packets.compress(b.mask, axis=1)
+    out = np.empty((len(choices), rows.size, columns.shape[1]))
+    flat = out.reshape(len(slots), columns.shape[1])
+    step = max(1, TERM_CHUNK_BYTES // max(1, L * columns.itemsize * columns.shape[1]))
+    for lo in range(0, len(flat), step):
+        chunk = slice(lo, lo + step)
+        # |sum| < 2**L, exact in int16
+        terms = np.einsum("pk,pkc->pc", weights[chunk], columns.take(slots[chunk], axis=0))
+        np.multiply(terms, 2.0**-L, out=flat[chunk])
+    return out
 
 
 def _dense_norms(a: GridSet, b: GridSet, collection: TileCollection, choices) -> list[TopSingularResult]:
@@ -482,7 +537,10 @@ def norm_decay_ladder(resolution: int, ratios, seed: int = 0, branch: str = "h")
     the small set is drawn at the exact ladder measure (a ratio that rounds
     to no cell is rejected); for the g branch the roles are swapped.  The
     report's `unconverged` counts the norm runs of the whole ladder that
-    stopped unconverged."""
+    stopped unconverged.  Each ladder point carries, besides its logs, the
+    winning run's `norm_upper` (None on the Krylov path), its Lanczos
+    `steps` (0 on the dense path) and its `converged` flag, as
+    `norm_decay_point` reports them."""
     rng = np.random.default_rng(seed)
     n = 1 << resolution
     counts = [round(ratio * n) for ratio in ratios]
@@ -500,7 +558,15 @@ def norm_decay_ladder(resolution: int, ratios, seed: int = 0, branch: str = "h")
             point = norm_decay_point(big, small, collection, seed=seed + 7 * i, branch="h")
         else:
             point = norm_decay_point(small, big, collection, seed=seed + 7 * i, branch="g")
-        points.append({"log_ratio": math.log2(point["ratio"]), "log_norm": math.log2(max(point["norm"], 1e-300))})
+        points.append(
+            {
+                "log_ratio": math.log2(point["ratio"]),
+                "log_norm": math.log2(max(point["norm"], 1e-300)),
+                "norm_upper": point["norm_upper"],
+                "steps": point["iterations"],
+                "converged": point["converged"],
+            }
+        )
         unconverged += point["unconverged"]
     xs = np.array([pt["log_ratio"] for pt in points])
     ys = np.array([pt["log_norm"] for pt in points])

@@ -331,7 +331,10 @@ class MajorantWeight:
         ]
 
     @property
-    def certificates(self) -> dict:
+    def series(self) -> dict:
+        """Where the series stopped and how: `terms`, `norm_used`,
+        `tail_bound` and `excess`, the report's `weight`; `checks` gives
+        the certificates."""
         return {
             "terms": self.terms,
             "norm_used": self.norm_used,
@@ -578,7 +581,7 @@ def verify_weighted_directional(
 
     g_weight = Grid2D(L, g_dual.astype(np.complex128))
     weight = build_majorant_weight(g_weight, averager, p, WEIGHT_TERMS, norm)
-    report["weight"] = weight.certificates
+    report["weight"] = weight.series
     area = cell_width(L) ** 2
     pairing = float(np.sum(big_f * g_dual) * area)
     pairing_w = float(np.sum(big_f * weight.values) * area)

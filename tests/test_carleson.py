@@ -866,16 +866,49 @@ class TestNormDecay:
                     assert point[key] == value, key
         assert max(stacks) > 1
 
-    @pytest.mark.parametrize("resolution", range(1, 8))
+    @pytest.mark.parametrize("resolution", range(0, 8))
     def test_restricted_matrices_equal_walsh_rows(self, resolution):
-        """The matrices read from walsh_matrix's even rows are those read
-        from the old float64 lower rows, byte for byte."""
+        """The matrices read from the term tables are those of a per-scale
+        scatter over `upper_cells` and the float64 lower rows, byte for
+        byte, zeros as +0.0: over `dense_cases`, collections missing whole
+        scales, the constant choices 0 and 2**L - 1, and empty sets."""
         rng = np.random.default_rng(660 + resolution)
+        L, n = resolution, 1 << resolution
         cases, sets = dense_cases(rng, resolution)
+        constants = [ChoiceFunction.constant(L, 0), ChoiceFunction.constant(L, n - 1)]
+        cases.append((TileCollection.all(L), constants))
+        # every other scale emptied, from the coarsest or the next one
+        for first in (0, 1):
+            occupied = rng.random((L, n >> 1)) < 0.7
+            occupied[first::2] = False
+            cases.append((TileCollection(L, occupied), [*constants, random_choice(rng, L)]))
+        sets += [(GridSet.empty(L), GridSet.empty(L)), (GridSet.empty(L), GridSet(L, rng.random(n) < 0.5))]
         for collection, choices in cases:
             for a, b in sets:
                 got = restricted_matrices(a, b, collection, choices)
                 assert got.tobytes() == walsh_rows_restricted_matrices(a, b, collection, choices).tobytes()
+
+    def test_restricted_matrices_in_chunks(self, monkeypatch):
+        """A chunk of one (member, row) pair at a time gives the bytes of
+        the one chunk a call of the decay ladder takes."""
+        rng = np.random.default_rng(668)
+        for L in (1, 4, 7):
+            cases, sets = dense_cases(rng, L)
+            whole = [restricted_matrices(a, b, c, choices) for c, choices in cases for a, b in sets]
+            monkeypatch.setattr(carleson, "TERM_CHUNK_BYTES", 1)
+            chunked = [restricted_matrices(a, b, c, choices) for c, choices in cases for a, b in sets]
+            monkeypatch.undo()
+            assert [m.tobytes() for m in chunked] == [m.tobytes() for m in whole]
+
+    def test_term_tables_are_small_and_read_only(self):
+        # built once per resolution, and 0.5 MB at most at L = 7
+        for L in range(0, carleson.DENSE_RESOLUTION + 1):
+            tables = carleson._term_tables(L)
+            assert carleson._term_tables(L) is tables
+            assert not any(table.flags.writeable for table in tables)
+            with pytest.raises(ValueError, match="read-only"):
+                tables[-1][...] = 0
+        assert sum(table.nbytes for table in carleson._term_tables(7)) <= 500_000
 
     def test_greedy_choice_rejects_resolution_mismatch(self):
         for signal_l, collection_l in ((3, 0), (5, 4), (4, 5), (0, 3)):

@@ -679,7 +679,7 @@ class TestStoppedSeries:
         # since the averages never exceed their input's maximum
         assert np.all(np.abs(stopped.values - full.values) <= stopped.tail_bound)
         assert np.all(g.values.real <= stopped.values)
-        assert stopped.certificates["terms"] == stopped.terms
+        assert stopped.series["terms"] == stopped.terms
         assert all(cert["holds"] for cert in stopped.checks())
 
     @pytest.mark.parametrize("resolution, p, seed", SERIES_CASES)
@@ -713,7 +713,7 @@ class TestStoppedSeries:
         full = fixed_series_weight(g, averager, p, cap, norm)
         assert capped.terms == cap
         assert capped.values.tobytes() == full.values.tobytes()
-        assert capped.certificates == full.certificates
+        assert capped.series == full.series
 
     @pytest.mark.parametrize("resolution", [3, 4])
     def test_verify_with_fixed_series(self, resolution, monkeypatch):
@@ -987,7 +987,7 @@ class TestEquivalenceAndTheorems:
         fams = [random_plane(rng, 3) for _ in range(4)]
         averager = DirectionalAverager(3, DirectionSet.uniform(4))
         report, weight = verify_weighted_directional(fams, averager, 2.0, averager.estimate_norm(2.0, seed=2))
-        assert report["weight"] == weight.certificates
+        assert report["weight"] == weight.series
         assert all(cert["holds"] for cert in weight.checks())
         # the duality pairing is dominated by the weighted pairing, which the
         # per-direction constants control

@@ -30,7 +30,7 @@ from dyadlab.reports import ratio_report
 L = 4
 RATIO = ["buckets", "lhs", "ratio", "rhs"]
 BUCKET = ["count_bound_ratio", "m", "n", "sum"]
-LADDER_POINT = ["log_norm", "log_ratio"]
+LADDER_POINT = ["converged", "log_norm", "log_ratio", "norm_upper", "steps"]
 
 SCHEMA = {
     "verify_vector_maximal": [*RATIO, "family_size", "p"],
