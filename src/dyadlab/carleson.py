@@ -39,6 +39,7 @@ from .tiles import (
     lower_coefficients,
     member_weights,
     packet_heights,
+    term_tables,
     tree_sum,
     upper_cells,
 )
@@ -110,41 +111,23 @@ TERM_CHUNK_BYTES = 1 << 20
 
 
 @functools.cache
-def _term_tables(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only tables `restricted_matrices` reads its terms from,
-    built once per resolution: (cell_slots, freq_slots, bits, signed,
-    packets).
-
-    At scale k, the term of frequency N at cell x is that of the bi-tile
-    at slot k 2**(L-1) + (x >> (L-k)) 2**(L-k-1) + (N >> (k+1)), row x of
-    the (2**L, L) `cell_slots` plus row N of `freq_slots`, and it is
-    present when bit k of N, row N of `bits`, is 1.  Its upper packet's
-    sign W_{N >> k}(u), u the cell's place in its block of 2**(L-k)
-    cells, is (-1)**popcount((N & rev(x)) >> k), since the block's bit
-    reversal of u is rev(x) >> k on L bits; so row N & rev(x) of `signed`
-    holds the sign times 2**k at each scale k.  Row s of the (L 2**(L-1),
-    2**L) int16 `packets` is the lower packet W_{2m} of slot s on its
-    interval, 0 off it, in the type the contraction reads: L 4**L bytes,
-    115 KB at L = 7 and 10.5 MB at L = 10, against the 8 4**L bytes of one
-    full-grid matrix; the other tables take L 2**L entries each."""
+def _packets(resolution: int) -> np.ndarray:
+    """The read-only (L 2**(L-1), 2**L) int16 table whose row s is the
+    lower packet W_{2m} of the bi-tile at `tile_slot` s on its interval,
+    0 off it, in the type `restricted_matrices` contracts in, built once
+    per resolution: L 4**L bytes, 115 KB at L = 7 and 10.5 MB at L = 10,
+    against the 8 4**L bytes of one full-grid matrix."""
     L = resolution
     n, half = 1 << L, (1 << L) >> 1
-    k = np.arange(L)
-    values = np.arange(n)[:, None]
-    cell_slots = k * half + ((values >> (L - k)) << (L - 1 - k))
-    freq_slots = values >> (k + 1)
-    bits = ((values >> k) & 1).astype(np.int16)
-    signed = (1 - 2 * (np.bitwise_count(values >> k) & 1).astype(np.int16)) << k.astype(np.int16)
     packets = np.zeros((L, half, n), dtype=np.int16)
     for scale in range(L):
         # axes (offset, freq_index, block, place): each offset's own block
         blocks = packets[scale].reshape(1 << scale, half >> scale, 1 << scale, n >> scale)
         offsets = np.arange(1 << scale)
         blocks[offsets, :, offsets] = walsh_matrix(L - scale)[0::2]
-    tables = (cell_slots, freq_slots, bits, signed, packets.reshape(L * half, n))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    packets = packets.reshape(L * half, n)
+    packets.setflags(write=False)
+    return packets
 
 
 def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choices) -> np.ndarray:
@@ -160,13 +143,13 @@ def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choi
     model-sum plan on the unit vectors gives it byte for byte.
 
     Each row's L terms, their slots and signed weights 2**k W_{2m+1}(x),
-    are read from `_term_tables`, the weights masked by the collection;
-    the rows of their lower packets on B are gathered and the weights
-    contracted with them in integers, a chunk of at most
+    are read from `tiles.term_tables`, the weights masked by the
+    collection; the rows of their `_packets` on B are gathered and the
+    weights contracted with them in integers, a chunk of at most
     `TERM_CHUNK_BYTES` of packets at a time, and scaled by 2**-L once.
     An entry without terms is +0.0."""
     L = check_same_grid(*choices, a=a, b=b, collection=collection)
-    cell_slots, freq_slots, bits, signed, packets = _term_tables(L)
+    cell_slots, freq_slots, bits, signed = term_tables(L)
     rows = np.flatnonzero(a.mask)
     # per (member, row of x) and scale: the term's slot and its weight;
     # `take` gathers rows faster than an index, and `compress` leaves the
@@ -175,7 +158,7 @@ def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choi
     slots = (freq_slots.take(freqs, axis=0) + cell_slots.take(rows, axis=0)).reshape(freqs.size, L)
     weights = signed.take(freqs & bit_reversal(L).take(rows), axis=0) * bits.take(freqs, axis=0)
     weights = weights.reshape(freqs.size, L) * collection.occupied.take(slots)
-    columns = packets.compress(b.mask, axis=1)
+    columns = _packets(L).compress(b.mask, axis=1)
     out = np.empty((len(choices), rows.size, columns.shape[1]))
     flat = out.reshape(len(slots), columns.shape[1])
     step = max(1, TERM_CHUNK_BYTES // max(1, L * columns.itemsize * columns.shape[1]))
@@ -295,8 +278,10 @@ def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -
     table is the coefficient row of the cell's block in its member's
     coefficients, negated when t is 1, times row u' of
     `walsh_matrix(L - k - 1)`, added into the strided view of the
-    frequencies whose bit k is set.  A pair's sums depend on that member
-    and cell alone, so each member's choice is the one of a stack of that
+    frequencies whose bit k is set; every N is swept at each scale, since
+    reading its terms per (N, x) from `tiles.term_tables` would turn these
+    strided adds into gathers.  A pair's sums depend on that member and
+    cell alone, so each member's choice is the one of a stack of that
     member alone, fitted on any set holding the cell, bit for bit."""
     L = check_same_grid(f=f, collection=collection, where=where)
     n, members = 1 << L, len(f)
@@ -540,12 +525,19 @@ def norm_decay_ladder(resolution: int, ratios, seed: int = 0, branch: str = "h")
     stopped unconverged.  Each ladder point carries, besides its logs, the
     winning run's `norm_upper` (None on the Krylov path), its Lanczos
     `steps` (0 on the dense path) and its `converged` flag, as
-    `norm_decay_point` reports them."""
+    `norm_decay_point` reports them.  A ratio above 1 or not finite, and a
+    ladder of fewer than two distinct cell counts, whose slope no fit
+    determines, raise `ValueError` before any draw."""
     rng = np.random.default_rng(seed)
     n = 1 << resolution
+    for ratio in ratios:
+        if not (math.isfinite(ratio) and ratio <= 1.0):
+            raise ValueError(f"ratio {ratio} is not a finite measure ratio of at most 1")
     counts = [round(ratio * n) for ratio in ratios]
     if any(count < 1 for count in counts):
         raise ValueError(f"ratio {min(ratios)} draws no cell at resolution {resolution}")
+    if len(set(counts)) < 2:
+        raise ValueError(f"the ladder needs at least two distinct cell counts to fit a slope, got {sorted(set(counts))}")
     collection = TileCollection.all(resolution)
     points = []
     unconverged = 0

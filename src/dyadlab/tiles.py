@@ -34,6 +34,7 @@ from .grid import (
 from .maximal import Decomposition, bucket_decompose, dyadic_maximal
 from .reports import ratio_report
 from .walsh import (
+    bit_reversal,
     block_gathers,
     butterfly_layout,
     butterfly_stages,
@@ -156,6 +157,29 @@ def tile_slot(resolution: int, scale, offset, freq_index):
     ascending slots are (k, n, m) order. Takes ints or integer arrays."""
     L = resolution
     return scale * ((1 << L) >> 1) + (offset << (L - 1 - scale)) + freq_index
+
+
+@functools.cache
+def term_tables(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The model sum's terms as read-only (2**L, L) tables, built once per
+    resolution: at scale k, the term of frequency N at cell x is present
+    when bit k of N, bits[N, k], is 1; its bi-tile, whose upper tile holds
+    N, sits at `tile_slot` cell_slots[x, k] + freq_slots[N, k]; and
+    signed[N & rev(x), k] is 2**k times its upper packet's sign W_{N >> k}
+    at x's place u in its block, (-1)**popcount((N & rev(x)) >> k), since
+    the block's bit reversal of u is rev(x) >> k.  `bits` and `signed` are
+    int16; the four take 983,040 bytes at L = 12."""
+    L, k = resolution, np.arange(resolution)
+    values = np.arange(1 << L)[:, None]
+    tables = (
+        tile_slot(L, k, values >> (L - k), 0),
+        values >> (k + 1),
+        ((values >> k) & 1).astype(np.int16),
+        (1 - 2 * (np.bitwise_count(values >> k) & 1).astype(np.int16)) << k.astype(np.int16),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,19 +403,16 @@ def member_coefficients(collection: TileCollection, f: GridSignal) -> dict[BiTil
 
 def upper_cells(choices):
     """Every (member i, scale k < L, cell x) at which N_i(x) lies in the
-    upper tile of a bi-tile, that is N_i(x) >> k is odd, for choice
-    functions at one resolution, by member, then scale, then cell: the
-    arrays i, k, x, the bi-tile's slot and W(x) = +-1, the sign of its
-    upper packet at x."""
+    upper tile of a bi-tile, for choice functions at one resolution, by
+    member, then scale, then cell, read from `term_tables`: the arrays i,
+    k, x, the bi-tile's slot and W(x) = +-1, its upper packet's sign at x."""
     L = choices[0].resolution
-    tile_idx = np.stack([choice.freqs for choice in choices])[:, None, :] >> np.arange(L)[:, None]
-    member, scale, cell = np.nonzero(tile_idx & 1)
-    odd = tile_idx[member, scale, cell]
-    slot = tile_slot(L, scale, cell >> (L - scale), odd >> 1)
-    # W_{2m+1} at the cell's place u in its block is the parity of
-    # (2m + 1) & bit_reverse(u), and the block gather holds bit_reverse(u)
-    # in its low L - k bits, the only bits 2m + 1 has
-    sign = 1.0 - 2.0 * (np.bitwise_count(odd & block_gathers(L)[scale, cell]) & 1)
+    cell_slots, freq_slots, bits, signed = term_tables(L)
+    freqs = np.stack([choice.freqs for choice in choices])
+    member, scale, cell = np.nonzero(bits[freqs].transpose(0, 2, 1))
+    freq = freqs[member, cell]
+    slot = cell_slots[cell, scale] + freq_slots[freq, scale]
+    sign = (signed[freq & bit_reversal(L)[cell], scale] >> scale).astype(np.float64)
     return member, scale, cell, slot, sign
 
 
@@ -406,15 +427,13 @@ class ModelSumPlan:
     `ValueError`.
 
     At scale k, a cell x receives the term of the member P whose upper tile
-    holds N(x), if there is one: P sits at offset n = x >> (L - k) and
-    frequency index m = N(x) >> (k + 1), and N(x) >> k must be odd. The
-    plan's terms come by member, then scale, then cell, each with its
-    cell, the place of the lower-tile coefficient it reads in the
-    `_packet_layout` of the stack's shape, and the factor W(x) 2**(k-L)
-    that apply and adjoint share: both packet heights 2**(k/2) and the
-    cell width in one exact power of two, the factor of
-    `carleson.restricted_matrices`' entries, which the plan gives byte for
-    byte on unit vectors.
+    holds N(x), if there is one. The plan lists its terms from `upper_cells`,
+    by member, then scale, then cell, each with its cell, the place of the
+    lower-tile coefficient it reads in the `_packet_layout` of the stack's
+    shape, and the factor W(x) 2**(k-L) that apply and adjoint share: both
+    packet heights 2**(k/2) and the cell width in one exact power of two,
+    the factor of `carleson.restricted_matrices`' entries, which the plan
+    gives byte for byte on unit vectors.
 
     The layout holds every (scale, member) block of the stack, with terms
     or without, and plans of one shape share it. Each member's arithmetic
@@ -730,11 +749,11 @@ def member_mass_table(collection: TileCollection, e: GridSet, choice: ChoiceFunc
     """|E ∩ {N in freq(P)} ∩ I_P| / |I_P| at each member P's slot, zero
     elsewhere: an array shaped like the collection's `occupied`."""
     L = check_same_grid(collection=collection, e=e, choice=choice)
-    scales = np.arange(L)[:, None]
+    cell_slots, freq_slots, _, _ = term_tables(L)
     cells = np.flatnonzero(e.mask)
-    slots = tile_slot(L, scales, cells >> (L - scales), choice.freqs[cells] >> (scales + 1))
+    slots = cell_slots[cells] + freq_slots[choice.freqs[cells]]
     counts = np.bincount(slots.ravel(), minlength=collection.occupied.size).reshape(collection.occupied.shape)
-    return np.where(collection.occupied, counts * 2.0 ** (scales - L), 0.0)
+    return np.where(collection.occupied, counts * 2.0 ** (np.arange(L)[:, None] - L), 0.0)
 
 
 def _restricted_masses(table: np.ndarray, collection: TileCollection) -> np.ndarray:

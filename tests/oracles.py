@@ -9,8 +9,8 @@ from dyadlab.directional import band_window
 from dyadlab.grid import DyadicInterval, Grid2D, GridSignal, lp_norm
 from dyadlab.harness import random_signal
 from dyadlab.plane import DyadicRectangle
-from dyadlab.tiles import BiTile, ChoiceFunction, Tile, TileCollection, member_indices, packet_heights
-from dyadlab.walsh import _hadamard_moved, bit_reversal
+from dyadlab.tiles import BiTile, ChoiceFunction, Tile, TileCollection, member_indices, packet_heights, tile_slot
+from dyadlab.walsh import _hadamard_moved, bit_reversal, block_gathers
 
 
 def walsh_values(m, bits: int) -> np.ndarray:
@@ -53,6 +53,24 @@ def walsh_packet(tile: Tile, resolution: int) -> GridSignal:
 def random_choice(rng: np.random.Generator, resolution: int) -> ChoiceFunction:
     n = 1 << resolution
     return ChoiceFunction(resolution, rng.integers(0, n, size=n))
+
+
+def oracle_upper_cells(choices):
+    """`tiles.upper_cells` from a tile-index stack and the block gathers,
+    without `tiles.term_tables`: every (member i, scale k < L, cell x) at
+    which N_i(x) lies in the upper tile of a bi-tile, that is N_i(x) >> k
+    is odd, by member, then scale, then cell: the arrays i, k, x, the
+    bi-tile's slot and W(x) = +-1, the sign of its upper packet at x."""
+    L = choices[0].resolution
+    tile_idx = np.stack([choice.freqs for choice in choices])[:, None, :] >> np.arange(L)[:, None]
+    member, scale, cell = np.nonzero(tile_idx & 1)
+    odd = tile_idx[member, scale, cell]
+    slot = tile_slot(L, scale, cell >> (L - scale), odd >> 1)
+    # W_{2m+1} at the cell's place u in its block is the parity of
+    # (2m + 1) & bit_reverse(u), and the block gather holds bit_reverse(u)
+    # in its low L - k bits, the only bits 2m + 1 has
+    sign = 1.0 - 2.0 * (np.bitwise_count(odd & block_gathers(L)[scale, cell]) & 1)
+    return member, scale, cell, slot, sign
 
 
 def random_convex_collection(

@@ -42,11 +42,11 @@ from dyadlab.tiles import (
     model_sum,
     size_bound,
     lower_coefficients,
-    upper_cells,
+    term_tables,
 )
 from dyadlab.grid import STACK_CELLS, stack_slices
 from dyadlab.walsh import bit_reversal, block_gathers, walsh_matrix
-from oracles import densify, random_choice, random_convex_collection, walsh_values
+from oracles import densify, oracle_upper_cells, random_choice, random_convex_collection, walsh_values
 from test_principle import (
     MapPair,
     assert_same_krylov,
@@ -313,7 +313,7 @@ def per_chain_norm_decay_point(h, g, collection, seed=0, iters=150, branch="h"):
 def walsh_rows_restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choices) -> np.ndarray:
     """restricted_matrices over the float64 rows of `lower_walsh_rows`."""
     L = collection.resolution
-    member, scale, cell, slot, sign = upper_cells(choices)
+    member, scale, cell, slot, sign = oracle_upper_cells(choices)
     keep = collection.occupied.ravel()[slot] & a.mask[cell]
     member, scale, cell, slot, sign = (x[keep] for x in (member, scale, cell, slot, sign))
     rank = np.cumsum(a.mask) - 1
@@ -752,7 +752,9 @@ class TestNormDecay:
         stack = VectorSignal.from_signals([f])
         (whole,) = greedy_choice(stack, collection, GridSet.full(resolution))
         (on_a,) = greedy_choice(stack, collection, a_set)
-        assert upper_cells([on_a])[2].tolist() == [x for x in upper_cells([whole])[2].tolist() if a_set.mask[x]]
+        assert oracle_upper_cells([on_a])[2].tolist() == [
+            x for x in oracle_upper_cells([whole])[2].tolist() if a_set.mask[x]
+        ]
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
         def restricted(choice):
@@ -869,9 +871,9 @@ class TestNormDecay:
     @pytest.mark.parametrize("resolution", range(0, 8))
     def test_restricted_matrices_equal_walsh_rows(self, resolution):
         """The matrices read from the term tables are those of a per-scale
-        scatter over `upper_cells` and the float64 lower rows, byte for
-        byte, zeros as +0.0: over `dense_cases`, collections missing whole
-        scales, the constant choices 0 and 2**L - 1, and empty sets."""
+        scatter over `oracle_upper_cells` and the float64 lower rows, byte
+        for byte, zeros as +0.0: over `dense_cases`, collections missing
+        whole scales, the constant choices 0 and 2**L - 1, and empty sets."""
         rng = np.random.default_rng(660 + resolution)
         L, n = resolution, 1 << resolution
         cases, sets = dense_cases(rng, resolution)
@@ -901,14 +903,18 @@ class TestNormDecay:
             assert [m.tobytes() for m in chunked] == [m.tobytes() for m in whole]
 
     def test_term_tables_are_small_and_read_only(self):
-        # built once per resolution, and 0.5 MB at most at L = 7
+        # the term tables and the packets are built once per resolution and
+        # take 0.5 MB at most together at L = 7; model-sum plans build the
+        # term tables at every L up to 12, where they take 983,040 bytes
         for L in range(0, carleson.DENSE_RESOLUTION + 1):
-            tables = carleson._term_tables(L)
-            assert carleson._term_tables(L) is tables
-            assert not any(table.flags.writeable for table in tables)
-            with pytest.raises(ValueError, match="read-only"):
-                tables[-1][...] = 0
-        assert sum(table.nbytes for table in carleson._term_tables(7)) <= 500_000
+            tables = (*term_tables(L), carleson._packets(L))
+            assert term_tables(L) is term_tables(L) and carleson._packets(L) is tables[-1]
+            for table in tables:
+                assert not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[...] = 0
+        assert sum(table.nbytes for table in term_tables(7)) + carleson._packets(7).nbytes <= 500_000
+        assert sum(table.nbytes for table in term_tables(12)) <= 983_040
 
     def test_greedy_choice_rejects_resolution_mismatch(self):
         for signal_l, collection_l in ((3, 0), (5, 4), (4, 5), (0, 3)):
@@ -1061,6 +1067,20 @@ class TestNormDecay:
             norm_decay_ladder(3, [0.5, 2.0**-4], seed=5)
         ladder = norm_decay_ladder(3, [0.5, 2.0**-3], seed=5)
         assert [pt["log_ratio"] for pt in ladder["ratio_ladder"]] == [-1.0, -3.0]
+
+    @pytest.mark.parametrize("ratio", [2.0, math.nan, math.inf, -math.inf])
+    def test_ladder_rejects_a_ratio_that_is_no_measure_ratio(self, ratio):
+        # rejected before any draw, in place of a numpy error from the draw
+        # (2.0) or from rounding (nan)
+        with pytest.raises(ValueError, match=f"ratio {ratio} is not a finite measure ratio"):
+            norm_decay_ladder(4, [0.5, ratio], seed=5)
+
+    @pytest.mark.parametrize("ratios", [[0.5], [0.5, 0.5], [0.25, 0.26]])
+    def test_ladder_rejects_fewer_than_two_cell_counts(self, ratios):
+        # one cell count fixes no slope: lstsq would return its minimum-norm
+        # solution through the one point
+        with pytest.raises(ValueError, match="at least two distinct cell counts"):
+            norm_decay_ladder(4, ratios, seed=5)
 
     def test_g_branch_runs(self):
         resolution = 5

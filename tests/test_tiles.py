@@ -40,8 +40,10 @@ from dyadlab.tiles import (
     size,
     size_bound,
     size_decompose,
+    term_tables,
     tile_slot,
     tree_estimate,
+    upper_cells,
 )
 from dyadlab.walsh import (
     bit_reversal,
@@ -59,6 +61,7 @@ from oracles import (
     bitile_key,
     densify,
     hadamard,
+    oracle_upper_cells,
     random_choice,
     random_convex_collection,
     walsh_packet,
@@ -2122,6 +2125,44 @@ class TestOccupancyArray:
         collection = TileCollection(3, occupied)
         occupied[0, 0] = False
         assert collection.occupied.all() and occupied.flags.writeable
+
+    @pytest.mark.parametrize("resolution", range(7))
+    def test_term_tables_by_brute_force(self, resolution):
+        """At every (N, x, k): the slot is `tile_slot` of the bi-tile over
+        x whose upper tile holds N, the bit is bit k of N, and where it is
+        set, the sign is the Walsh function N >> k at x's place in its
+        block."""
+        L, n = resolution, 1 << resolution
+        cell_slots, freq_slots, bits, signed = term_tables(L)
+        assert [table.shape for table in term_tables(L)] == [(n, L)] * 4
+        x = np.arange(n)
+        rev = bit_reversal(L)
+        for N in range(n):
+            for k in range(L):
+                slots = cell_slots[x, k] + freq_slots[N, k]
+                assert slots.tolist() == tile_slot(L, k, x >> (L - k), N >> (k + 1)).tolist()
+                assert bits[N, k] == (N >> k) & 1
+                if bits[N, k]:
+                    signs = signed[N & rev, k] >> k
+                    assert signs.tolist() == walsh_values(N >> k, L - k)[x % (1 << (L - k))].tolist()
+
+    @pytest.mark.parametrize("resolution", range(13))
+    def test_upper_cells_equal_the_oracle(self, resolution):
+        """The five arrays of `upper_cells`, dtypes included, are those of
+        the tile-index stack and block gathers of `oracle_upper_cells`, on
+        random choices and the constant choices 0 and 2**L - 1."""
+        rng = np.random.default_rng(2130 + resolution)
+        L, n = resolution, 1 << resolution
+        members = 1 if L >= 11 else 3
+        cases = [
+            [random_choice(rng, L) for _ in range(members)],
+            [ChoiceFunction.constant(L, 0)],
+            [ChoiceFunction.constant(L, n - 1)],
+        ]
+        for choices in cases:
+            got, expected = upper_cells(choices), oracle_upper_cells(choices)
+            assert [a.dtype for a in got] == [a.dtype for a in expected]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
 # ---------------------------------------------------------------------------
