@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, check_exponent, check_positive_measure, check_same_grid, conjugate_exponent, lp_norm, measure
+from .grid import DyadicInterval, Grid2D, GridSet2D, bundle_norm, cell_width, check_exponent, check_positive_measure, check_same_grid, conjugate_exponent, lp_norm, measure, ordered_sum
 from .maximal import Decomposition, bucket_decompose, slot_scales
 from .plane import (
     DyadicRectangle,
@@ -275,7 +275,7 @@ def rect_mass(collection: RectCollection, f_set: GridSet2D, g_set: GridSet2D) ->
 def _pairing(occupied, coeffs_f, coeffs_g) -> float:
     """sum over members R of |<f, packet_R>| |<g, packet_R>|, added in
     ascending (kx, nx, ny) order."""
-    return sum((np.abs(coeffs_f[occupied]) * np.abs(coeffs_g[occupied])).tolist())
+    return ordered_sum(np.abs(coeffs_f[occupied]) * np.abs(coeffs_g[occupied]))
 
 
 def _take_tree(collection: RectCollection, occupied: np.ndarray, row: int, ny: int) -> RectTree:

@@ -26,6 +26,7 @@ from .grid import (
     check_same_grid,
     conjugate_exponent,
     measure,
+    ordered_sum,
     stack_slices,
 )
 from .maximal import CARVING, exceptional_complement
@@ -40,7 +41,6 @@ from .tiles import (
     member_weights,
     packet_heights,
     term_tables,
-    tree_sum,
     upper_cells,
 )
 from .walsh import bit_reversal, walsh_matrix
@@ -381,7 +381,7 @@ def restricted_pairing(
     for (n, m), bucket in sorted(decomposition.buckets.items()):
         bucket_sum = 0.0
         for tree in bucket.trees:
-            bucket_sum += tree_sum(tree, member_majorant)
+            bucket_sum += ordered_sum(member_majorant[tree.slots])
         majorant += bucket_sum
         model_term = (
             2.0 ** (-n - m)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .grid import check_resolution
 from .harness import THEOREMS, ExperimentConfig, check_seed, run, run_decompose
-from .io import json_text, write_json, write_ladder_plot
+from .io import json_text, write_json
 from .reports import certificate
 
 
@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--out", default=None)
     estimate.add_argument("--ladder", type=int, help="ratios 2^-1 .. 2^-ladder (<= L, default L)")
     estimate.add_argument("--branch", choices=("h", "g", "both"), default="both")
-    estimate.add_argument("--plot", action="store_true", help="emit a PNG of the ratio ladder")
 
     return parser
 
@@ -117,9 +116,8 @@ def _estimate22(args) -> int:
 
     from .carleson import norm_decay_ladder
 
-    out_dir = Path(args.out or ".")
     if args.out:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     ratios = [2.0**-i for i in range(1, ladder + 1)]
     branches = ("h", "g") if args.branch == "both" else (args.branch,)
     report, certificates = {}, []
@@ -131,9 +129,7 @@ def _estimate22(args) -> int:
         ]
     print(json_text(report), end="")
     if args.out:
-        write_json(out_dir / "report.json", report)
-    if args.plot:
-        write_ladder_plot(out_dir / "ratio_ladder.png", report)
+        write_json(Path(args.out) / "report.json", report)
     return _status(certificates)
 
 

@@ -40,6 +40,19 @@ def check_resolution(resolution) -> int:
     return resolution
 
 
+def integer_entries(values, name: str) -> np.ndarray:
+    """`values` as a new int64 array. numpy's cast would truncate 0.5 to 0
+    and turn nan or inf into some integer, so an entry that the cast
+    changes is rejected, by value; integral values of any dtype pass."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        ints = values.astype(np.int64)
+    changed = ints != values
+    if changed.any():
+        raise ValueError(f"{name} must be integers, got {values[changed][0].item()!r}")
+    return ints
+
+
 def check_exponent(value: float, name: str = "p", above: float = 1) -> None:
     """Reject an exponent outside the open range (above, inf)."""
     if not above < value < math.inf:
@@ -85,6 +98,13 @@ def check_positive_measure(**sets) -> None:
 
 def cell_width(resolution: int) -> float:
     return 2.0 ** -resolution
+
+
+def ordered_sum(values) -> float:
+    """0.0 + values[0] + values[1] + ..., added left to right: the package's
+    one float sum. The builtin `sum` adds floats with compensation from
+    Python 3.12 on, so its last digit depends on the interpreter."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 @dataclass(frozen=True, order=True)

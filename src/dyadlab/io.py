@@ -12,7 +12,6 @@ import errno
 import json
 import os
 import stat
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -343,29 +342,6 @@ def read_directions(path):
         (_repeats(np.column_stack((vx, vy)).view(np.complex128).ravel()), lambda row: f"direction {row!r} is repeated"),
     ])  # fmt: skip
     return DirectionSet(tuple(Direction(x, y) for x, y in zip(vx.tolist(), vy.tolist())))
-
-
-def write_ladder_plot(path, report: dict) -> None:
-    """A PNG of `estimate-22`'s report: per branch, the log2 operator norm
-    against the log2 measure ratio, with the fitted slope."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("plotting requires matplotlib (install the 'plot' extra)", file=sys.stderr)
-        return
-    fig, ax = plt.subplots()
-    for branch, decay in report.items():
-        xs = [pt["log_ratio"] for pt in decay["ratio_ladder"]]
-        ys = [pt["log_norm"] for pt in decay["ratio_ladder"]]
-        ax.plot(xs, ys, marker="o", label=f"{branch} (slope {decay['slope']:.3f})")
-    ax.set_xlabel("log2 measure ratio")
-    ax.set_ylabel("log2 operator norm")
-    ax.legend()
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
 
 
 def write_run(out_dir, report: dict, manifest: dict, ratios) -> None:

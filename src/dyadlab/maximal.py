@@ -25,8 +25,10 @@ from .grid import (
     check_resolution,
     check_same_grid,
     conjugate_exponent,
+    integer_entries,
     lp_norm,
     measure,
+    ordered_sum,
 )
 from .reports import ratio_report
 
@@ -66,7 +68,7 @@ class ScaleChoice:
 
     def __post_init__(self):
         check_resolution(self.resolution)
-        scales = np.array(self.scales, dtype=np.int64)
+        scales = integer_entries(self.scales, "scales")
         n = 1 << self.resolution
         if scales.shape != (n,):
             raise ValueError(f"expected {n} scale entries, got shape {scales.shape}")
@@ -247,7 +249,7 @@ def bucket_decompose(
         if mu > 0:
             current, forest = split_mass(current, 2.0 ** -(m + 1))
             trees.extend(forest)
-        tops_measure = sum(t.top_measure for t in trees)
+        tops_measure = ordered_sum([t.top_measure for t in trees])
         cap = min(2.0 ** (2 * n) * norm_sq, 2.0**m * e_measure)
         buckets[(n, m)] = ForestBucket(
             n=n,
@@ -261,11 +263,6 @@ def bucket_decompose(
         n_prev, m_prev = n, m
 
     return Decomposition(buckets=buckets, remainder=current)
-
-
-def _ordered_sum(values: np.ndarray) -> float:
-    """0.0 + values[0] + values[1] + ..., added left to right."""
-    return float(np.cumsum(np.append(0.0, values))[-1])
 
 
 def restricted_double_sum(
@@ -306,8 +303,8 @@ def restricted_double_sum(
     stats = []
     for (n, m), in_class, top in zip(classes.tolist(), members, tops):
         cap = min(2.0**n * e_measure, 2.0**m * f_measure)
-        ratio = _ordered_sum(lengths[top]) / cap if cap > 0 else math.inf
-        stats.append({"n": n, "m": m, "sum": _ordered_sum(terms[in_class]), "count_bound_ratio": ratio})
+        ratio = ordered_sum(lengths[top]) / cap if cap > 0 else math.inf
+        stats.append({"n": n, "m": m, "sum": ordered_sum(terms[in_class]), "count_bound_ratio": ratio})
 
     h_measure = measure(h) if h is not None else measure(h_prime)
     rhs = 0.0
@@ -315,7 +312,7 @@ def restricted_double_sum(
         rhs = (measure(g) / h_measure) ** (1.0 / s) * e_measure ** (1.0 / s)
         rhs *= f_measure ** (1.0 / conjugate_exponent(s))
     classes = {f"{b['n']},{b['m']}": b["sum"] for b in stats}
-    return ratio_report(_ordered_sum(terms[live]), rhs, buckets=stats, h_measure_used=h_measure, classes=classes)
+    return ratio_report(ordered_sum(terms[live]), rhs, buckets=stats, h_measure_used=h_measure, classes=classes)
 
 
 def verify_vector_maximal(fam: VectorSignal, p: float) -> dict:

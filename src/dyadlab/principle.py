@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridSet, VectorSignal, bundle_norm, check_positive_measure, conjugate_exponent, measure, stack_slices
+from .grid import GridSet, VectorSignal, bundle_norm, check_positive_measure, conjugate_exponent, measure, ordered_sum, stack_slices
 from .maximal import exceptional_complement
 from .reports import ratio_report
 
@@ -396,7 +396,7 @@ def measure_condition(
         # the integral over G' of the l2 bundle of the outputs
         integral = bundle_norm(stack * g_sub.mask, 1.0, resolution)
         b_p = max(b_p, integral / denom)
-    series = sum(b_p * 0.5**k for k in range(64))
+    series = ordered_sum([b_p * 0.5**k for k in range(64)])
 
     return {
         "p": p,

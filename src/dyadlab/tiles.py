@@ -27,8 +27,10 @@ from .grid import (
     cell_width,
     check_resolution,
     check_same_grid,
+    integer_entries,
     lp_norm,
     measure,
+    ordered_sum,
     stack_slices,
 )
 from .maximal import Decomposition, bucket_decompose, dyadic_maximal
@@ -217,7 +219,11 @@ class TileCollection:
         in range(L 2**(L-1))."""
         L = check_resolution(resolution)
         occupied = np.zeros((L, (1 << L) >> 1), dtype=bool)
-        occupied.reshape(-1)[np.asarray(slots, dtype=np.int64)] = True
+        slots = integer_entries(slots, "slots")
+        outside = slots[(slots < 0) | (slots >= occupied.size)]
+        if outside.size:
+            raise ValueError(f"slot {outside[0]} outside range({occupied.size}) at resolution {L}")
+        occupied.reshape(-1)[slots] = True
         return cls(L, occupied)
 
     @classmethod
@@ -297,7 +303,7 @@ class ChoiceFunction:
 
     def __post_init__(self):
         check_resolution(self.resolution)
-        freqs = np.asarray(self.freqs, dtype=np.int64)
+        freqs = integer_entries(self.freqs, "frequencies")
         n = 1 << self.resolution
         if freqs.shape != (n,):
             raise ValueError(f"expected {n} frequency entries, got shape {freqs.shape}")
@@ -936,11 +942,6 @@ def member_weights(collection: TileCollection, f: GridSignal, per_slot: np.ndarr
     return out
 
 
-def tree_sum(tree: Tree, values: np.ndarray) -> float:
-    """Per-slot values summed over the tree's members in `tile_slot` order."""
-    return sum(values.take(tree.slots).tolist(), 0.0)
-
-
 def tree_estimate(
     tree: Tree,
     f: GridSignal,
@@ -956,7 +957,7 @@ def tree_estimate(
     _, _, cell, slot, sign = upper_cells([choice])
     hit = e.mask[cell]
     signed = np.bincount(slot[hit], sign[hit], minlength=collection.occupied.size)
-    lhs = tree_sum(tree, member_weights(collection, f, np.abs(signed) * cell_width(L)))
+    lhs = ordered_sum(member_weights(collection, f, np.abs(signed) * cell_width(L))[tree.slots])
     tree_size = size(collection, f)
     tree_mass = mass(collection, e, choice)
     rhs = tree.top_measure * tree_size * tree_mass

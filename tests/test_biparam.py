@@ -860,3 +860,44 @@ class TestPipeline:
         rng = np.random.default_rng(16)
         with pytest.raises(ValueError):
             verify_biparam([random_grid2d(rng, 3)], p=2.0, eps=0.1, g=GridSet2D.full(3))
+
+
+_ESCAPING = DyadicRectangle(DyadicInterval(1, 1), DyadicInterval(0, 0))
+
+# the guards of the bi-parameter pipeline and of the certified threshold: a
+# call each rejects, and its message
+BIPARAM_GUARDS = {
+    "vertical_band_project": (
+        lambda: vertical_band_project(Grid2D.constant(2, 1.0), 3),
+        "band 3 out of range for resolution 2",
+    ),
+    "RectTree-vscale": (
+        lambda: RectTree(DyadicRectangle(DyadicInterval(0, 0), DyadicInterval(1, 0)), RectCollection.from_rects(2, 0, [])),
+        "members at vertical scale 0 under a top at vertical scale 1",
+    ),
+    "RectTree-escape": (
+        lambda: RectTree(
+            DyadicRectangle(DyadicInterval(1, 0), DyadicInterval(0, 0)), RectCollection.from_rects(2, 0, [_ESCAPING])
+        ),
+        f"member {_ESCAPING} escapes the tree top",
+    ),
+    "verify_biparam-family": (
+        lambda: verify_biparam([], 3.0, GridSet2D.full(2), eps=0.1),
+        "need at least one family member",
+    ),
+    "verify_biparam-scales": (
+        lambda: verify_biparam([Grid2D.constant(2, 1.0)], 3.0, GridSet2D.full(2), eps=0.1, scales=[2]),
+        "scale assignment must give each member a scale below L",
+    ),
+    "certified_rectangle_threshold": (
+        lambda: certified_rectangle_threshold(GridSet2D.full(2), GridSet2D.full(2), 0.5),
+        "eps must lie in (0, 1/2), got 0.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BIPARAM_GUARDS.values(), ids=BIPARAM_GUARDS)
+def test_input_guards_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -1461,3 +1461,32 @@ class TestVectorCarleson:
         rng = np.random.default_rng(16)
         with pytest.raises(ValueError, match="at least one choice function"):
             verify_vector_carleson(random_vector(rng, 4, 2), [], 2.5)
+
+
+_FULL3 = GridSet.full(3)
+_OP3 = RestrictedOp(_FULL3, _FULL3, ChoiceFunction.constant(3, 0), TileCollection.all(3))
+_ONES3 = GridSignal.constant(3, 1.0)
+
+# the guards of the restricted pairing and the decay point: a call each
+# rejects, and its message
+CARLESON_GUARDS = {
+    "restricted_pairing-t": (
+        lambda: restricted_pairing(_ONES3, _ONES3, _FULL3, _FULL3, _OP3, t=2.0),
+        "t must exceed 2, got 2.0",
+    ),
+    "restricted_pairing-g": (
+        lambda: restricted_pairing(_ONES3, _ONES3, _FULL3, GridSet.empty(3), _OP3, t=2.5),
+        "g must be dominated by the indicator of F",
+    ),
+    "norm_decay_point": (
+        lambda: norm_decay_point(_FULL3, _FULL3, TileCollection.all(3), branch="x"),
+        "unknown branch 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", CARLESON_GUARDS.values(), ids=CARLESON_GUARDS)
+def test_input_guards_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

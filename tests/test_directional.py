@@ -15,6 +15,7 @@ from dyadlab.directional import (
     DirectionSet,
     DirectionalAverager,
     MajorantWeight,
+    _projection_stacks,
     band_window,
     build_majorant_weight,
     halfplane_mask,
@@ -1194,3 +1195,21 @@ class TestOneAscentPerRun:
         assert json_text(three[0]) == json_text(one[0])
         if theorem == "cordoba-weighted":
             assert json_text(report3["weights"][0]) == json_text(report1["weights"][0])
+
+
+# the guards of the band windows and the projected family: a call each
+# rejects, and its message
+DIRECTIONAL_GUARDS = {
+    "band_window": (lambda: band_window(2, 3), "band index 3 out of range for resolution 2"),
+    "_projection_stacks": (
+        lambda: _projection_stacks([], DirectionalAverager(2, DirectionSet.uniform(2))),
+        "need at least one family member",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", DIRECTIONAL_GUARDS.values(), ids=DIRECTIONAL_GUARDS)
+def test_input_guards_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -23,10 +23,12 @@ files, under the same kernel, and says which numbers moved and why:
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -260,6 +262,63 @@ def test_golden_report(name):
         pytest.fail(f"no golden recorded for {name}")
     if recorded != np.__version__:
         pytest.skip(f"golden recorded with numpy {recorded}, installed numpy is {np.__version__}")
+    assert produce(name) == golden_path(name).read_text()
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin `sum` as CPython 3.12 computes it (gh-100425): a run of
+    ints from an int start is added exactly; from the first float on, exact
+    floats are added with Neumaier's compensation, ints that fit a C long
+    are added to the sum uncompensated, and the compensation is added once
+    at the end, or before the first other item, when it is finite and
+    nonzero; every other item goes through `+`."""
+    items, result = iter(iterable), start
+    if type(result) is int:
+        for item in items:
+            if type(item) in (int, bool):
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int) and -(2**63) <= item < 2**63:
+                total += float(item)
+            else:
+                result = (total + c if c and math.isfinite(c) else total) + item
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for item in items:
+        result = result + item
+    return result
+
+
+def test_compensated_sum_is_python_312s():
+    # 3.11 adds these left to right to 0.9999999999999999 and 0.0
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1e100, 1.0, -1e100, 1.0]) == 2.0
+    assert compensated_sum([math.inf, 1.0]) == math.inf
+    assert compensated_sum([1, True, 2]) == 4 and type(compensated_sum([1, 2.5])) is float
+    if sys.version_info >= (3, 12):
+        values = np.random.default_rng(0).standard_normal(1000).tolist()
+        assert compensated_sum(values) == sum(values)
+
+
+@pytest.mark.parametrize("name", [*CLI_CASES, *LIBRARY_CASES])
+def test_golden_report_under_compensated_sum(name, monkeypatch):
+    # the bytes of a report do not depend on the interpreter's `sum`
+    recorded = _recorded_with().get(name)
+    if recorded != np.__version__:
+        pytest.skip(f"golden recorded with numpy {recorded}, installed numpy is {np.__version__}")
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     assert produce(name) == golden_path(name).read_text()
 
 

@@ -486,3 +486,18 @@ def test_grid_guard_names_each_argument():
         check_same_grid(_CHOICE, e=_LINE_F)
     assert str(raised.value) == f"resolution mismatch: ChoiceFunction 0 at L={C}, e at L={F}"
     assert check_same_grid(_F, f=_LINE, choice=_CHOICE) == C
+
+
+# the guards of the grid types: a call each rejects, and its message
+GRID_TYPE_GUARDS = {
+    "DyadicInterval.ancestor": (lambda: DyadicInterval(1, 0).ancestor(2), "ancestor scale must be coarser"),
+    "VectorSignal-shape": (lambda: VectorSignal(2, np.ones((0, 4))), "expected nonempty (J, 4) stack, got shape (0, 4)"),
+    "VectorSignal-finite": (lambda: VectorSignal(2, [[math.nan, 0, 0, 0]]), "signal values must be finite"),
+}
+
+
+@pytest.mark.parametrize("call, message", GRID_TYPE_GUARDS.values(), ids=GRID_TYPE_GUARDS)
+def test_input_guards_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -673,11 +673,11 @@ def _never_runs(*args, **kwargs):
 
 
 class TestCLI:
-    def test_only_estimate22_takes_plot(self):
-        assert build_parser().parse_args(["estimate-22", "--plot"]).plot
-        for flag in (["--plot"], ["--s", "2"], ["--t", "3"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["verify", "fs", *flag])
+    def test_no_command_takes_plot_s_or_t(self):
+        for command in (["estimate-22"], ["verify", "fs"]):
+            for flag in (["--plot"], ["--s", "2"], ["--t", "3"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([*command, *flag])
 
     def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
         # main builds its parser once per process; parsing never changes it,
@@ -1060,3 +1060,21 @@ class TestCLI:
         )
         report2 = json.loads(capsys.readouterr().out)
         assert report2["h"]["slope"] == report["h"]["slope"]
+
+
+# the guards of ExperimentConfig.validate that no flag test reaches: a
+# configuration each rejects, and its message
+CONFIG_GUARDS = {
+    "trials": (lambda: ExperimentConfig("fs", resolution=4, trials=-1).validate(), "trials must be nonnegative, got -1"),
+    "family_size": (
+        lambda: ExperimentConfig("fs", resolution=4, family_size=0).validate(),
+        "family size must be at least 1, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", CONFIG_GUARDS.values(), ids=CONFIG_GUARDS)
+def test_input_guards_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -567,3 +567,27 @@ class TestVectorMaximal:
         fam = VectorSignal.from_signals([random_signal(rng, 4)])
         with pytest.raises(ValueError):
             verify_vector_maximal(fam, 1.0)
+
+
+@pytest.mark.parametrize("scales", [[0.5] * 4, [np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]])
+def test_scale_choice_rejects_entries_that_are_no_integers(scales):
+    with pytest.raises(ValueError, match="^scales must be integers, got "):
+        ScaleChoice(2, scales)
+    # integral values of any dtype are scales
+    for dtype in (np.float64, np.uint8, np.int32):
+        choice = ScaleChoice(2, np.array([0, 1, 2, 2], dtype=dtype))
+        assert choice.scales.dtype == np.int64 and choice.scales.tolist() == [0, 1, 2, 2]
+
+
+# the guards of ScaleChoice: a call each rejects, and its message
+SCALE_CHOICE_GUARDS = {
+    "shape": (lambda: ScaleChoice(2, [0, 0, 0]), "expected 4 scale entries, got shape (3,)"),
+    "range": (lambda: ScaleChoice(2, [0, 0, 0, 3]), "scales must lie in [0, resolution]"),
+}
+
+
+@pytest.mark.parametrize("call, message", SCALE_CHOICE_GUARDS.values(), ids=SCALE_CHOICE_GUARDS)
+def test_input_guards_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

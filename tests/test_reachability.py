@@ -63,7 +63,6 @@ LIBRARY_API = {
     "biparam._tree_sums": HELPER,
     "biparam.rect_mass_decompose": HELPER,
     "biparam.rect_size_decompose": HELPER,
-    "maximal._ordered_sum": HELPER,
     "maximal.interval_size_mass": HELPER,
     "maximal.slot_scales": HELPER,
     "tiles._hull": HELPER,
@@ -71,7 +70,6 @@ LIBRARY_API = {
     "tiles.mass_bound": HELPER,
     "tiles.member_weights": HELPER,
     "tiles.size_bound": HELPER,
-    "tiles.tree_sum": HELPER,
     "maximal.linearized_maximal": TRACER,
     "principle.power_iteration": TRACER,
     "tiles.adjoint_model_sum": TRACER,
@@ -135,7 +133,7 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         extra = ["--epsilon", "0.45"] if theorem == "biparam" else []
         runs.append((["verify", theorem, "--resolution", "4", "--trials", "2", "--out", str(tmp / theorem)] + extra, 0))
     runs += [
-        (["estimate-22", "--resolution", "5", "--out", str(tmp / "estimate-L5"), "--plot"], 0),
+        (["estimate-22", "--resolution", "5", "--out", str(tmp / "estimate-L5")], 0),
         (["estimate-22", "--resolution", "8", "--ladder", "2"], 0),
         (decompose + ["--out", str(tmp / "plain.csv")], 0),
         (decompose + ["--set-file", str(e_set), "--choice-file", str(choice), "--out", str(tmp / "files.csv")], 0),
@@ -323,6 +321,38 @@ def test_only_grid_writes_a_conjugate_exponent():
     # of estimate_norm's dual step, is no conjugate
     assert _conjugates(_trees()["grid"])
     assert not _conjugates(ast.parse("v = back ** (1.0 / (p - 1.0))"))
+
+
+def _float_sums(tree: ast.Module) -> list[int]:
+    """Lines of the builtin `sum` calls whose items are not counts; a count
+    is a generator of `not ...` or of `len(...)` items."""
+
+    def counts(node: ast.AST) -> bool:
+        item = getattr(node, "elt", None)
+        return isinstance(node, ast.GeneratorExp) and (
+            (isinstance(item, ast.UnaryOp) and isinstance(item.op, ast.Not))
+            or (isinstance(item, ast.Call) and isinstance(item.func, ast.Name) and item.func.id == "len")
+        )
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+        and not (len(node.args) == 1 and not node.keywords and counts(node.args[0]))
+    )
+
+
+def test_only_counts_take_the_builtin_sum():
+    # the builtin sum adds floats with compensation from Python 3.12 on, so
+    # every float sum is grid.ordered_sum, which adds left to right
+    found = {module: _float_sums(tree) for module, tree in _trees().items()}
+    assert not any(found.values()), f"builtin sum over items that are not counts: {found}"
+    # the scan sees a float sum, with or without a start, and passes counts
+    assert _float_sums(ast.parse("m = sum(t.top_measure for t in trees)")) == [1]
+    assert _float_sums(ast.parse("s = sum(values.tolist(), 0.0)")) == [1]
+    assert not _float_sums(ast.parse("n = sum(not r.converged for r in results) + sum(len(b) for b in bs)"))
 
 
 def test_only_the_packet_layout_calls_butterfly_layout():

@@ -2126,6 +2126,15 @@ class TestOccupancyArray:
         occupied[0, 0] = False
         assert collection.occupied.all() and occupied.flags.writeable
 
+    @pytest.mark.parametrize("slot", [-1, 12])
+    def test_from_slots_rejects_a_slot_outside_the_array(self, slot):
+        # at L=3 the slots are range(12); numpy would read -1 as slot 11
+        with pytest.raises(ValueError, match=f"^slot {slot} outside range\\(12\\) at resolution 3$"):
+            TileCollection.from_slots(3, [0, slot])
+        with pytest.raises(ValueError, match="^slots must be integers, got 1.5$"):
+            TileCollection.from_slots(3, [0, 1.5])
+        assert TileCollection.from_slots(3, [0, 11]).occupied.reshape(-1).nonzero()[0].tolist() == [0, 11]
+
     @pytest.mark.parametrize("resolution", range(7))
     def test_term_tables_by_brute_force(self, resolution):
         """At every (N, x, k): the slot is `tile_slot` of the bi-tile over
@@ -2280,3 +2289,30 @@ class TestSlotTrees:
                     OccupancyTree(tree.top_interval, tree.top_freq, tree.members)
                     rebuilt = Tree.from_members(tree.top_interval, tree.top_freq, tree.members)
                     assert rebuilt.slots.tolist() == tree.slots.tolist()
+
+
+@pytest.mark.parametrize("freqs", [[0.5] * 8, [np.nan] + [0.0] * 7, [np.inf] + [0.0] * 7])
+def test_choice_function_rejects_entries_that_are_no_integers(freqs):
+    with pytest.raises(ValueError, match="^frequencies must be integers, got "):
+        ChoiceFunction(3, freqs)
+    # integral values of any dtype are frequencies
+    for dtype in (np.float64, np.float32, np.uint8, np.int32):
+        choice = ChoiceFunction(3, np.arange(8, dtype=dtype))
+        assert choice.freqs.dtype == np.int64 and choice.freqs.tolist() == list(range(8))
+
+
+# the guards of the tile data types: a call each rejects, and its message
+TILE_GUARDS = {
+    "FreqInterval": (lambda: FreqInterval(0, -1), "frequency interval needs nonnegative bits and index"),
+    "Tile-offset": (lambda: Tile(1, 2, 0), "bad tile spatial data"),
+    "Tile-freq": (lambda: Tile(1, 0, -1), "bad tile frequency index"),
+    "ChoiceFunction-shape": (lambda: ChoiceFunction(2, [0, 0, 0]), "expected 4 frequency entries, got shape (3,)"),
+    "ChoiceFunction-range": (lambda: ChoiceFunction(2, [0, 0, 0, 4]), "frequencies must lie in [0, 2**L)"),
+}
+
+
+@pytest.mark.parametrize("call, message", TILE_GUARDS.values(), ids=TILE_GUARDS)
+def test_input_guards_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
