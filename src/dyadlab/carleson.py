@@ -74,8 +74,8 @@ def retain_meeting(collection: TileCollection, keep: GridSet) -> TileCollection:
 # --seed 1 ladders of both branches, best of 3 with one BLAS thread on a
 # 2-core Intel Xeon, dense against Krylov, the ranges of two runs: 0.04
 # against 0.10 s at L=6, 0.06-0.09 against 0.11-0.18 s at L=7, 0.29-0.33
-# against 0.23-0.36 s at L=8, 1.5-1.6 against 0.74-1.0 s at L=9 and, at
-# ladder 4, 1.0-1.3 against 0.47-0.65 s at L=9. L=8 is close to even,
+# against 0.23-0.36 s at L=8, 1.31-1.35 against 0.74-0.75 s at L=9 and,
+# at ladder 4, 1.17-1.20 against 0.48-0.50 s at L=9. L=8 is close to even,
 # and moving the cutoff there would move every L=8 golden
 DENSE_RESOLUTION = 7
 
@@ -103,11 +103,15 @@ def restricted_norm(
     return _krylov_norms(a, b, collection, choices, seeds, iters)
 
 
-# Bytes of the (term, column) packets one chunk of restricted_matrices
-# gathers at most: every call of the decay ladder up to DENSE_RESOLUTION
-# is one chunk, and at L = 10 the chunks hold 1 MB against the 25 MB of
-# three full-grid matrices
-TERM_CHUNK_BYTES = 1 << 20
+# Bytes of one chunk at most: of the (term, column) packets that
+# restricted_matrices gathers, and of greedy_choice's complex (pair,
+# frequency) sums.  Up to L = 8 a greedy chunk holds one member's whole
+# grid, and a refit round of the decay ladder at L = 6 (6 members) is one
+# chunk; from L = 9 up a chunk splits one member's grid, 16 pairs at
+# L = 12.  Every restricted_matrices call of the ladder up to
+# DENSE_RESOLUTION (at most 6 choices, |A| <= 2**(L-1), |B| <= 2**L) is
+# one chunk
+CHUNK_BYTES = 1 << 20
 
 
 @functools.cache
@@ -146,7 +150,7 @@ def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choi
     are read from `tiles.term_tables`, the weights masked by the
     collection; the rows of their `_packets` on B are gathered and the
     weights contracted with them in integers, a chunk of at most
-    `TERM_CHUNK_BYTES` of packets at a time, and scaled by 2**-L once.
+    `CHUNK_BYTES` of packets at a time, and scaled by 2**-L once.
     An entry without terms is +0.0."""
     L = check_same_grid(*choices, a=a, b=b, collection=collection)
     cell_slots, freq_slots, bits, signed = term_tables(L)
@@ -161,7 +165,7 @@ def restricted_matrices(a: GridSet, b: GridSet, collection: TileCollection, choi
     columns = _packets(L).compress(b.mask, axis=1)
     out = np.empty((len(choices), rows.size, columns.shape[1]))
     flat = out.reshape(len(slots), columns.shape[1])
-    step = max(1, TERM_CHUNK_BYTES // max(1, L * columns.itemsize * columns.shape[1]))
+    step = max(1, CHUNK_BYTES // max(1, L * columns.itemsize * columns.shape[1]))
     for lo in range(0, len(flat), step):
         chunk = slice(lo, lo + step)
         # |sum| < 2**L, exact in int16
@@ -249,15 +253,6 @@ def _stack_family(plan: ModelSumPlan) -> OperatorFamily:
     return OperatorFamily(count, padded(plan.apply), padded(plan.adjoint))
 
 
-# Bytes of one chunk of greedy_choice's complex (pair, frequency) sums at
-# most, 64 (member, cell) pairs at L = 12; a chunk holds more pairs than
-# one member's grid only within STACK_CHUNK_BYTES, so a stacked fit takes
-# no more memory than a fit of one member from L = 8 up, and a refit round
-# of the decay ladder at L = 6 is one chunk
-CHUNK_BYTES = 1 << 22
-STACK_CHUNK_BYTES = 1 << 20
-
-
 def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -> list[ChoiceFunction]:
     """Adversarial choice functions, one per member of the stack f: at each
     cell, the frequency maximizing the magnitude of the member's partial
@@ -271,10 +266,10 @@ def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -
 
     One butterfly gives every member's coefficients, and the sums are built
     a chunk of at most `CHUNK_BYTES` of (pair, frequency) entries at a
-    time, the (member, cell) pairs taken member by member, so memory does
-    not grow as 4**L, nor with the members past `STACK_CHUNK_BYTES`.  At
-    scale k a cell u' + t 2**(L-k-1) of its block has the upper packet
-    signs W_{2m+1}(cell) = (-1)**t W_m(u') on L - k - 1 bits, so a scale's
+    time, the (member, cell) pairs taken member by member, so their memory
+    grows neither as 4**L nor with the members.  At scale k a cell
+    u' + t 2**(L-k-1) of its block has the upper packet signs
+    W_{2m+1}(cell) = (-1)**t W_m(u') on L - k - 1 bits, so a scale's
     table is the coefficient row of the cell's block in its member's
     coefficients, negated when t is 1, times row u' of
     `walsh_matrix(L - k - 1)`, added into the strided view of the
@@ -295,7 +290,7 @@ def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -
     np.multiply(lower_coefficients(f.stack, L)[:, scales].transpose(1, 0, 2), weights[:, None], coefs)
     np.negative(coefs, signed[:, :, half:])
     shifts = (L - scales)[:, None]
-    chunk = max(1, min(CHUNK_BYTES // (16 * n), max(n, STACK_CHUNK_BYTES // (16 * n))))
+    chunk = max(1, CHUNK_BYTES // (16 * n))
     # the (member, cell) pairs, member by member, as member 2**L + cell
     pairs = (np.arange(members)[:, None] * n + np.flatnonzero(where.mask)).ravel()
     freqs = np.zeros((members, n), dtype=np.int64)
@@ -454,7 +449,7 @@ def norm_decay_point(
     G minus {M 1_H >= c |H| / |G|}, c = `CARVING`; each keeps at least half
     of its set.
 
-    Besides the norm, reports as `iterations` the Lanczos steps and the
+    Besides the norm, reports as `steps` the Lanczos steps and the
     convergence flag of the `restricted_norm` run that gave it (0 steps and
     converged on the dense path), its upper bound `norm_upper` (None on the
     Krylov path) and `unconverged`, the number of runs of the point that
@@ -500,16 +495,13 @@ def norm_decay_point(
                 if res.top_vector is not None:
                     improving.append(i)
         active = improving
-    winner, best_choice = chains[0]
-    for res, choice in chains[1:]:
-        if res.norm > winner.norm:
-            winner, best_choice = res, choice
+    winner, best_choice = max(chains, key=lambda chain: chain[0].norm)
     return {
         "norm": winner.norm,
         "ratio": ratio,
         "choice": best_choice,
         "kept": measure(keep),
-        "iterations": winner.steps,
+        "steps": winner.steps,
         "converged": winner.converged,
         "norm_upper": winner.norm_upper,
         "unconverged": unconverged,
@@ -555,7 +547,7 @@ def norm_decay_ladder(resolution: int, ratios, seed: int = 0, branch: str = "h")
                 "log_ratio": math.log2(point["ratio"]),
                 "log_norm": math.log2(max(point["norm"], 1e-300)),
                 "norm_upper": point["norm_upper"],
-                "steps": point["iterations"],
+                "steps": point["steps"],
                 "converged": point["converged"],
             }
         )

@@ -358,7 +358,7 @@ def measure_condition(
     stack at the engine's step cap and tolerance, and normalized by
     (|G|/|H|)**(1 - 2/p); the report carries the largest observed constant,
     a probe-measured restricted weak-type constant, and its summed series.
-    It also has each member's norm and Lanczos steps, and `unconverged`,
+    It also has each member's norm and Lanczos `steps`, and `unconverged`,
     the runs that stopped at the cap.
     """
     if not len(family):
@@ -404,7 +404,7 @@ def measure_condition(
         "B_p": b_p,
         "A_p": series,
         "norms": norms,
-        "iterations": [res.steps for res in results],
+        "steps": [res.steps for res in results],
         "converged": unconverged == 0,
         "unconverged": unconverged,
         "h_kept": measure(h_sub) / measure(h),

@@ -130,7 +130,7 @@ def old_norm_decay_point(
         "ratio": ratio,
         "choice": best_choice,
         "kept": measure(keep),
-        "iterations": winner.steps,
+        "steps": winner.steps,
         "converged": winner.converged,
         "norm_upper": None,
         "unconverged": unconverged,
@@ -303,7 +303,7 @@ def per_chain_norm_decay_point(h, g, collection, seed=0, iters=150, branch="h"):
         "ratio": ratio,
         "choice": best_choice,
         "kept": measure(keep),
-        "iterations": winner.steps,
+        "steps": winner.steps,
         "converged": winner.converged,
         "norm_upper": winner.norm_upper,
         "unconverged": unconverged,
@@ -644,7 +644,7 @@ class TestNormDecay:
     def test_greedy_choice_equals_dense_table(self, resolution):
         """The chunked, strided greedy choice picks what the dense table
         picked, ties included (the zero signal ties every frequency); up to
-        L = 9 one chunk holds the grid."""
+        L = 8 one chunk holds the grid."""
         rng = np.random.default_rng(520 + resolution)
         n = 1 << resolution
         full = TileCollection.all(resolution)
@@ -692,18 +692,18 @@ class TestNormDecay:
                 assert np.array_equal(chosen.freqs, chunked_greedy_choice(f, collection).freqs)
         assert (STACK_CELLS // n >= n) == (resolution <= 7)
 
-    @pytest.mark.parametrize("resolution", [3, 8, 10])
+    @pytest.mark.parametrize("resolution", [3, 8, 9, 10])
     def test_greedy_choice_any_chunk_size(self, monkeypatch, resolution):
         """The chunk size changes no choice: chunks of one cell, of three
         (the last one short), of half the grid and the default's (several
-        chunks at L = 10) pick what the oracle's chunks picked."""
+        chunks from L = 9) pick what the oracle's chunks picked."""
         rng = np.random.default_rng(560 + resolution)
         n = 1 << resolution
         full = TileCollection.all(resolution)
         collection = retain_meeting(full, GridSet(resolution, rng.random(n) < 0.5))
         f = GridSignal(resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
         expected = chunked_greedy_choice(f, collection).freqs
-        assert (carleson.CHUNK_BYTES // (16 * n) < n) == (resolution == 10)
+        assert (carleson.CHUNK_BYTES // (16 * n) < n) == (resolution >= 9)
         for cells in (1, 3, n // 2, None):
             if cells is not None:
                 monkeypatch.setattr(carleson, "CHUNK_BYTES", 16 * n * cells)
@@ -715,7 +715,7 @@ class TestNormDecay:
     def test_greedy_choice_where(self, resolution):
         """Fitted on a set, the choice is the whole grid's on the set and 0
         off it: for the empty and the full set, one cell, random sets of
-        nineteen twentieths, nine tenths, a half and a tenth and, from L = 10
+        nineteen twentieths, nine tenths, a half and a tenth and, from L = 9
         up, where the grid runs in chunks, sets whose cells fill one chunk,
         fill it and one cell more, and straddle the grid's own chunk edges."""
         rng = np.random.default_rng(580 + resolution)
@@ -725,7 +725,7 @@ class TestNormDecay:
         stack = VectorSignal.from_signals([f])
         whole = greedy_choice(stack, collection, GridSet.full(resolution))[0].freqs
         chunk = carleson.CHUNK_BYTES // (16 * n)
-        assert (chunk < n) == (resolution >= 10)
+        assert (chunk < n) == (resolution >= 9)
         masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.arange(n) == rng.integers(n)]
         masks += [rng.random(n) < p for p in (0.95, 0.9, 0.5, 0.1)]
         if chunk < n:
@@ -897,10 +897,54 @@ class TestNormDecay:
         for L in (1, 4, 7):
             cases, sets = dense_cases(rng, L)
             whole = [restricted_matrices(a, b, c, choices) for c, choices in cases for a, b in sets]
-            monkeypatch.setattr(carleson, "TERM_CHUNK_BYTES", 1)
+            monkeypatch.setattr(carleson, "CHUNK_BYTES", 1)
             chunked = [restricted_matrices(a, b, c, choices) for c, choices in cases for a, b in sets]
             monkeypatch.undo()
             assert [m.tobytes() for m in chunked] == [m.tobytes() for m in whole]
+
+    def test_one_chunk_budget(self, monkeypatch):
+        """CHUNK_BYTES gives the chunks its comment states.  A greedy fit of
+        one member's whole grid is one chunk up to L = 8 and splits from
+        L = 9, each chunk an equal share of the grid whose sums stay within
+        the budget up to L = 12; a refit round of the decay ladder at L = 6
+        (6 members) is one chunk; and a restricted_matrices call of the
+        ladder up to DENSE_RESOLUTION, at its largest (6 choices,
+        |A| = 2**(L-1), |B| = 2**L), is one chunk."""
+        rng = np.random.default_rng(690)
+        # greedy_choice reads one Walsh matrix a scale and chunk, and
+        # restricted_matrices contracts once a chunk
+        calls = {"walsh": 0, "einsum": 0}
+
+        def counting(name, fn):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(carleson, "walsh_matrix", counting("walsh", walsh_matrix))
+        monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
+
+        def greedy_chunks(L, members):
+            n = 1 << L
+            values = rng.standard_normal((members, n)) + 1j * rng.standard_normal((members, n))
+            calls["walsh"] = 0
+            greedy_choice(VectorSignal(L, values), TileCollection.all(L), GridSet.full(L))
+            assert calls["walsh"] % L == 0
+            return calls["walsh"] // L
+
+        for L in range(1, 13):
+            n = 1 << L
+            chunks = greedy_chunks(L, 1)
+            assert (chunks == 1) == (L <= 8)
+            assert n % chunks == 0 and 16 * n * (n // chunks) <= carleson.CHUNK_BYTES
+        assert greedy_chunks(6, 6) == 1
+        for L in range(1, carleson.DENSE_RESOLUTION + 1):
+            n = 1 << L
+            choices = [random_choice(rng, L) for _ in range(6)]
+            calls["einsum"] = 0
+            restricted_matrices(GridSet(L, np.arange(n) < n // 2), GridSet.full(L), TileCollection.all(L), choices)
+            assert calls["einsum"] == 1
 
     def test_term_tables_are_small_and_read_only(self):
         # the term tables and the packets are built once per resolution and
@@ -933,7 +977,7 @@ class TestNormDecay:
         g = random_grid_set(rng, resolution)
         point = norm_decay_point(h, g, collection, seed=3, iters=60)
         assert point["norm"] > 0 and point["kept"] >= 0.5 * measure(h)
-        assert 1 <= point["iterations"] <= 60
+        assert 1 <= point["steps"] <= 60
         assert point["unconverged"] >= int(not point["converged"])
         ladder = norm_decay_ladder(resolution, [0.5, 0.25, 0.125], seed=4)
         assert len(ladder["ratio_ladder"]) == 3
@@ -969,7 +1013,7 @@ class TestNormDecay:
         empty = TileCollection.from_bitiles(resolution, [])
         point = norm_decay_point(h, g, empty, seed=2, branch=branch)
         assert_same_point(point, old_norm_decay_point(h, g, empty, seed=2, branch=branch), decay_a_set(h, g, branch))
-        assert (point["norm"], point["iterations"], point["converged"], point["unconverged"]) == (0.0, 1, True, 0)
+        assert (point["norm"], point["steps"], point["converged"], point["unconverged"]) == (0.0, 1, True, 0)
 
     @pytest.mark.usefixtures("krylov_path")
     @pytest.mark.parametrize("resolution", [0, 1, 2])
@@ -1054,7 +1098,7 @@ class TestNormDecay:
         g = random_grid_set(rng, resolution)
         point = norm_decay_point(h, g, collection, seed=3, iters=2)
         assert point["norm"] > 0
-        assert point["iterations"] == 2 and not point["converged"]
+        assert point["steps"] == 2 and not point["converged"]
         assert point["unconverged"] >= 4
         monkeypatch.setattr(carleson, "norm_decay_point", functools.partial(norm_decay_point, iters=2))
         ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5)
@@ -1402,7 +1446,7 @@ class TestDenseNorms:
             small = GridSet(resolution, rng.random(n) < 2.0 ** -(seed + 1))
             h, g = (full, small) if branch == "h" else (small, full)
             point = norm_decay_point(h, g, collection, seed=seed, branch=branch)
-            assert (point["iterations"], point["converged"], point["unconverged"]) == (0, True, 0)
+            assert (point["steps"], point["converged"], point["unconverged"]) == (0, True, 0)
             assert point["norm"] <= point["norm_upper"]
             if branch == "h":
                 a, b = g, exceptional_complement(h, g, 4.0)

@@ -715,7 +715,7 @@ class TestLocalizedOperator:
             closures = rowwise(old_localized(MapPair(choice.average, choice.average_adjoint), h_sub.mask, g_sub.mask))
             [res] = old_top_singular(lambda members: closures, (1 << resolution,), [4 + j], vectors=True)
             assert report["norms"][j] == res.norm
-            assert report["iterations"][j] == res.steps
+            assert report["steps"][j] == res.steps
 
 
 class TestMeasureConditionEngine:
@@ -739,7 +739,7 @@ class TestMeasureConditionEngine:
         results = captured["results"]
         assert all(res.top_vector is not None for res in results)
         assert report["norms"] == [res.norm for res in results]
-        assert report["iterations"] == [res.steps for res in results]
+        assert report["steps"] == [res.steps for res in results]
         assert report["unconverged"] == 0 and report["converged"]
 
     def test_capped_runs_are_reported(self, monkeypatch):

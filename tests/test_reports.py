@@ -51,8 +51,8 @@ SCHEMA = {
         "scalar_model_ratio",
     ],
     "measure_condition": [
-        "A_p", "B_p", "C_p", "converged", "g_kept", "h_kept", "iterations", "measure_ratio", "norms",
-        "p", "unconverged",
+        "A_p", "B_p", "C_p", "converged", "g_kept", "h_kept", "measure_ratio", "norms", "p", "steps",
+        "unconverged",
     ],
     "tree_estimate": [*RATIO, "mass", "size", "top_length"],
     "rect_tree_estimate": [*RATIO, "mass", "size", "top_area"],
