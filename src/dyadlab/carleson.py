@@ -37,9 +37,8 @@ from .tiles import (
     ModelSumPlan,
     TileCollection,
     full_decompose,
-    lower_coefficients,
     member_weights,
-    packet_heights,
+    packet_sums,
     term_tables,
     upper_cells,
 )
@@ -219,7 +218,7 @@ def _krylov_norms(
     results: list[TopSingularResult] = []
     # the array of one numpy call is the plan's block stack, L rows of
     # 2**(L-1) cells per member; the cap counts 2**L cells a row, the
-    # figure it was measured at, and `lower_coefficients` slices its
+    # figure it was measured at, and `packet_sums` slices its
     # stacks by it too, so plans and coefficients share small layouts.
     # Each slice is one engine stack
     for s in stack_slices(len(choices), max(L, 1) << L):
@@ -264,15 +263,18 @@ def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -
     sum: an operator read only on `where`, as f -> 1_A T_N(f 1_B) is on A,
     is that of the choice fitted at every cell.
 
-    One butterfly gives every member's coefficients, and the sums are built
-    a chunk of at most `CHUNK_BYTES` of (pair, frequency) entries at a
-    time, the (member, cell) pairs taken member by member, so their memory
-    grows neither as 4**L nor with the members.  At scale k a cell
+    One butterfly gives the packet sums of every member rounded to
+    multiples of 2**-26, and a term is one times the exact 2**(k-L), so a
+    (pair, frequency) sum is a multiple of 2**(-26-L) of size at most
+    L max|f|: it is exact, in any order of the scales, while
+    L max|f| < 2**(27-L), about 2,700 at L = 12.  The sums are built a
+    chunk of at most `CHUNK_BYTES` of (pair, frequency) entries at a time,
+    the (member, cell) pairs taken member by member, so their memory grows
+    neither as 4**L nor with the members.  At scale k a cell
     u' + t 2**(L-k-1) of its block has the upper packet signs
-    W_{2m+1}(cell) = (-1)**t W_m(u') on L - k - 1 bits, so a scale's
-    table is the coefficient row of the cell's block in its member's
-    coefficients, negated when t is 1, times row u' of
-    `walsh_matrix(L - k - 1)`, added into the strided view of the
+    W_{2m+1}(cell) = (-1)**t W_m(u') on L - k - 1 bits, so a scale's table
+    is the term row of the cell's block, negated when t is 1, times row u'
+    of `walsh_matrix(L - k - 1)`, added into the strided view of the
     frequencies whose bit k is set; every N is swept at each scale, since
     reading its terms per (N, x) from `tiles.term_tables` would turn these
     strided adds into gathers.  A pair's sums depend on that member and
@@ -286,8 +288,9 @@ def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -
     half = n >> 1
     signed = np.empty((scales.size, members, 2 * half), dtype=np.complex128)
     coefs = signed[:, :, :half]
-    weights = packet_heights(L)[scales, None] * collection.occupied[scales]
-    np.multiply(lower_coefficients(f.stack, L)[:, scales].transpose(1, 0, 2), weights[:, None], coefs)
+    weights = np.ldexp(1.0, scales - L)[:, None] * collection.occupied[scales]
+    stack = np.round(f.stack * 2.0**26) * 2.0**-26
+    np.multiply(packet_sums(stack, L)[:, scales].transpose(1, 0, 2), weights[:, None], coefs)
     np.negative(coefs, signed[:, :, half:])
     shifts = (L - scales)[:, None]
     chunk = max(1, CHUNK_BYTES // (16 * n))
@@ -308,7 +311,7 @@ def greedy_choice(f: VectorSignal, collection: TileCollection, where: GridSet) -
         total = sums[: pair.size]
         total.fill(0.0)
         for k, coef, row, place in zip(scales.tolist(), signed, rows, places):
-            # the mask (0/1), with the heights, and the negation multiplied
+            # the mask (0/1), with 2**(k-L), and the negation multiplied
             # coef before the signs (+-1): exact products, which differ at
             # most in the sign of a zero, and no zero sign survives in the
             # total, a sum from +0; the gathered rows are a copy, so the

@@ -160,8 +160,11 @@ def random_scale_choice(rng: np.random.Generator, resolution: int) -> ScaleChoic
 def maximal_operator_family(
     rng: np.random.Generator, resolution: int, members: int
 ) -> tuple[OperatorFamily, list[ScaleChoice]]:
-    """Linearized stopping-scale operators: random scale choices; all share
-    the exact L2 bound 1 of the underlying averaging."""
+    """Linearized stopping-scale operators: random scale choices. Each
+    member is pointwise at most the dyadic maximal function of |f|, whose
+    L2 norm is at most 2 by Doob's inequality, so each member's L2 norm is
+    at most 2; a linearized average is no contraction, and the norms
+    exceed 1 from L = 2 (1.11-1.25 for `verify principle`'s default)."""
     from .principle import OperatorFamily
 
     choices = [random_scale_choice(rng, resolution) for _ in range(members)]

@@ -84,8 +84,10 @@ class ScaleChoice:
     @classmethod
     def from_lengths(cls, resolution: int, lengths) -> "ScaleChoice":
         lengths = np.asarray(lengths, dtype=float)
-        scales = np.round(-np.log2(lengths)).astype(np.int64)
-        if not np.all(2.0**-scales == lengths):
+        # the log, the cast and the power take lengths in (0, 1] alone
+        dyadic = (lengths > 0) & (lengths <= 1)
+        scales = np.round(-np.log2(np.where(dyadic, lengths, 1.0))).astype(np.int64)
+        if not (dyadic.all() and np.all(2.0**-scales == lengths)):
             raise ValueError("every length must be a dyadic 2**-k at the grid resolution")
         return cls(resolution, scales)
 

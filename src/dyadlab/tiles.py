@@ -170,15 +170,16 @@ def term_tables(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     signed[N & rev(x), k] is 2**k times its upper packet's sign W_{N >> k}
     at x's place u in its block, (-1)**popcount((N & rev(x)) >> k), since
     the block's bit reversal of u is rev(x) >> k.  `bits` and `signed` are
-    int16; the four take 983,040 bytes at L = 12."""
-    L, k = resolution, np.arange(resolution)
-    values = np.arange(1 << L)[:, None]
-    tables = (
-        tile_slot(L, k, values >> (L - k), 0),
-        values >> (k + 1),
-        ((values >> k) & 1).astype(np.int16),
-        (1 - 2 * (np.bitwise_count(values >> k) & 1).astype(np.int16)) << k.astype(np.int16),
-    )
+    int16; the four take 983,040 bytes at L = 12, written a scale at a
+    time from int32 values, so that no temporary is as large as a table."""
+    L, n = resolution, 1 << resolution
+    values = np.arange(n, dtype=np.int32)
+    tables = tuple(np.empty((n, L), dtype=dtype) for dtype in (np.int64, np.int64, np.int16, np.int16))
+    for k in range(L):
+        tables[0][:, k] = tile_slot(L, k, values >> (L - k), 0)
+        tables[1][:, k] = values >> (k + 1)
+        tables[2][:, k] = (values >> k) & 1
+        tables[3][:, k] = (1 - 2 * (np.bitwise_count(values >> k) & 1).astype(np.int16)) << k
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -343,7 +344,7 @@ def _packet_layout(resolution: int, members: int) -> tuple:
     (k m + i) 2**(L-1) + j, its place `start` in the first buffer before
     stage 0 and its flat place `final` in the two buffers after the last
     stage of its row. The arrays are read-only and depend on (L, m)
-    alone, so plans and `lower_coefficients` of one shape share them;
+    alone, so plans and `packet_sums` of one shape share them;
     the cache keeps 64 shapes."""
     L, n = resolution, 1 << resolution
     # a scale lies below L, so every block has an even length 2**(L-k) and
@@ -356,17 +357,18 @@ def _packet_layout(resolution: int, members: int) -> tuple:
     return even, odd, active, start, final
 
 
-def lower_coefficients(stack: np.ndarray, resolution: int) -> np.ndarray:
-    """<values, lower packet> of every bi-tile, for each row of an
-    (m, 2**L) stack of signals, as an (m, L, 2**(L-1)) array whose row i
-    is in `tile_slot` order: [i, k, n 2**(L-k-1) + q] pairs row i with
-    packet(scale k, offset n, frequency index 2q). The rows run through
-    the `_packet_layout` of a plan, in the stacks `stack_slices` gives at
-    L rows of 2**L cells a member, as the Krylov plans do, and every stack
-    runs in one work buffer, allocated once per call for the largest; each
-    scale's sums, in order, are those of a Walsh analysis of its blocks,
-    so this is that transform's even entries times 2**(k/2) |cell|, bit
-    for bit. Real values give float64, others complex128."""
+def packet_sums(stack: np.ndarray, resolution: int) -> np.ndarray:
+    """The raw Walsh sums of every bi-tile's lower packet, for each row of
+    an (m, 2**L) stack of signals, as an (m, L, 2**(L-1)) array whose row
+    i is in `tile_slot` order: [i, k, n 2**(L-k-1) + q] is <row i,
+    packet(scale k, offset n, frequency index 2q)> over 2**(k/2) |cell|,
+    a factor a model-sum term folds with its other packet's into 2**(k-L).
+    The rows run through the `_packet_layout` of a plan, in the stacks
+    `stack_slices` gives at L rows of 2**L cells a member, as the Krylov
+    plans do, and every stack runs in one work buffer, allocated once per
+    call for the largest; each scale's sums, in order, are those of a
+    Walsh analysis of its blocks, so this is that transform's even
+    entries, bit for bit. Real values give float64, others complex128."""
     L, n = resolution, 1 << resolution
     stack = np.asarray(stack)
     if stack.ndim != 2 or stack.shape[1] != n:
@@ -385,18 +387,17 @@ def lower_coefficients(stack: np.ndarray, resolution: int) -> np.ndarray:
         butterfly_stages(butterfly_views(work, active))
         # the layout is scale-major, the output member-major
         out[s] = work.ravel()[final.reshape(L, len(part), n >> 1).swapaxes(0, 1)]
-    out *= (packet_heights(L)[:L] * cell_width(L))[:, None]
     return out
 
 
 def _coefficients(collection: TileCollection, f: GridSignal) -> tuple[np.ndarray, ...]:
     """Every member's scale, offset and frequency index, in `tile_slot`
-    order, and <f, lower-packet> at each, gathered from one all-scale
-    transform."""
+    order, and <f, lower-packet> at each, its `packet_sums` entry times
+    2**(k/2) |cell|: the only place these inner products are formed."""
     L = check_same_grid(f=f, collection=collection)
     scale, within = np.nonzero(collection.occupied)
     bits = L - 1 - scale
-    coef = lower_coefficients(f.values[None], L)[0, scale, within]
+    coef = packet_sums(f.values[None], L)[0, scale, within] * (packet_heights(L)[:L] * cell_width(L))[scale]
     return scale, within >> bits, within & ((1 << bits) - 1), coef
 
 
@@ -436,10 +437,9 @@ class ModelSumPlan:
     holds N(x), if there is one. The plan lists its terms from `upper_cells`,
     by member, then scale, then cell, each with its cell, the place of the
     lower-tile coefficient it reads in the `_packet_layout` of the stack's
-    shape, and the factor W(x) 2**(k-L) that apply and adjoint share: both
-    packet heights 2**(k/2) and the cell width in one exact power of two,
-    the factor of `carleson.restricted_matrices`' entries, which the plan
-    gives byte for byte on unit vectors.
+    shape, and the factor W(x) 2**(k-L) of every model-sum term, which
+    apply and adjoint share, so the plan gives the entries of
+    `carleson.restricted_matrices` byte for byte on unit vectors.
 
     The layout holds every (scale, member) block of the stack, with terms
     or without, and plans of one shape share it. Each member's arithmetic
@@ -504,9 +504,9 @@ class ModelSumPlan:
         """sum over members P of <f, packet(P1)> packet(P2)(x) 1{N(x) in freq(P2)}."""
         f = self._stack(f)
         flat = f.ravel()
-        # per member and scale: the packet coefficients of f, up to the
-        # normalization that lower_coefficients applies, here after the
-        # gather. Butterfly stage 0 pairs the gathered entries 2i and 2i+1,
+        # per member and scale: the packet sums of f, as `packet_sums`
+        # gives them, normalized by the terms' factor after the gather.
+        # Butterfly stage 0 pairs the gathered entries 2i and 2i+1,
         # and its sums are the half spectrum's input
         np.add(flat[self._even], flat[self._odd], self._start)
         butterfly_stages(self._stages)
@@ -933,13 +933,12 @@ def full_decompose(
 
 
 def member_weights(collection: TileCollection, f: GridSignal, per_slot: np.ndarray) -> np.ndarray:
-    """|<f, P1>| 2**(k/2) per_slot[s] at the slot s of every member P, at
-    scale k, and zero elsewhere, as a flat array."""
-    scale, _, _, coef = _coefficients(collection, f)
-    slots = np.flatnonzero(collection.occupied)
-    out = np.zeros(collection.occupied.size)
-    out[slots] = np.abs(coef) * packet_heights(collection.resolution)[scale] * per_slot[slots]
-    return out
+    """|<f, P1>| 2**(k/2) per_slot[s], that is |`packet_sums` entry|
+    2**(k-L) per_slot[s], at the slot s of every member P, at scale k, and
+    zero elsewhere, as a flat array."""
+    L = check_same_grid(f=f, collection=collection)
+    factors = np.where(collection.occupied, np.ldexp(1.0, np.arange(L) - L)[:, None], 0.0)
+    return (np.abs(packet_sums(f.values[None], L)[0]) * factors).ravel() * per_slot
 
 
 def tree_estimate(

@@ -1,5 +1,6 @@
 """Fixtures the goldens draw their inputs through, and the oracles that tests check the library against."""
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -21,6 +22,14 @@ def walsh_values(m, bits: int) -> np.ndarray:
         raise ValueError(f"Walsh index {m} out of range for {bits} bits")
     signs = np.bitwise_count(m[..., None] & bit_reversal(bits)) & 1
     return 1.0 - 2.0 * signs
+
+
+@functools.cache
+def walsh_rows(bits: int) -> np.ndarray:
+    """Every W_m on 2**bits cells, row m, read-only."""
+    rows = walsh_values(np.arange(1 << bits), bits)
+    rows.setflags(write=False)
+    return rows
 
 
 def hadamard(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -71,6 +80,35 @@ def oracle_upper_cells(choices):
     # in its low L - k bits, the only bits 2m + 1 has
     sign = 1.0 - 2.0 * (np.bitwise_count(odd & block_gathers(L)[scale, cell]) & 1)
     return member, scale, cell, slot, sign
+
+
+def greedy_sum_tables(row: np.ndarray, collection: TileCollection, cells: np.ndarray, orders) -> list[np.ndarray]:
+    """The sums `carleson.greedy_choice` compares for one signal, once for
+    each order of the scales in `orders`: a (cells, 2**L) table whose
+    entry (x, N) is the model sum at cell x of the constant choice N, read
+    from the row rounded to multiples of 2**-26, with the terms added onto
+    +0 scale by scale in that order. At scale k every N = (2m + 1) 2**k + j,
+    j < 2**k, takes the term of the bi-tile (k, x's block, m), zero unless
+    it is a member: the raw sum of the rounded row against W_{2m} over the
+    block, from a matrix product, times W_{2m+1} at x's place and the
+    exact 2**(k-L)."""
+    L, n = collection.resolution, 1 << collection.resolution
+    rounded = np.round(np.asarray(row) * 2.0**26) * 2.0**-26
+    terms = {}
+    for k in set().union(*orders):
+        half, walsh = 1 << (L - k - 1), walsh_rows(L - k)
+        raw = walsh[0::2] @ rounded.reshape(1 << k, 2 * half).T
+        block = cells >> (L - k)
+        signs = walsh[1::2, cells & (2 * half - 1)]
+        terms[k] = raw[:, block] * collection.occupied[k].reshape(1 << k, half).T[:, block] * (signs * 2.0 ** (k - L))
+    tables = []
+    for scales in orders:
+        # frequency-major, so that every add runs along the cells
+        table = np.zeros((n, cells.size), dtype=np.complex128)
+        for k in scales:
+            table.reshape(1 << (L - k - 1), 2, 1 << k, cells.size)[:, 1] += terms[k][:, None, :]
+        tables.append(table.T)
+    return tables
 
 
 def random_convex_collection(

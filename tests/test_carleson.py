@@ -41,12 +41,19 @@ from dyadlab.tiles import (
     member_coefficients,
     model_sum,
     size_bound,
-    lower_coefficients,
+    packet_sums,
     term_tables,
 )
 from dyadlab.grid import STACK_CELLS, stack_slices
 from dyadlab.walsh import bit_reversal, block_gathers, walsh_matrix
-from oracles import densify, oracle_upper_cells, random_choice, random_convex_collection, walsh_values
+from oracles import (
+    densify,
+    greedy_sum_tables,
+    oracle_upper_cells,
+    random_choice,
+    random_convex_collection,
+    walsh_values,
+)
 from test_principle import (
     MapPair,
     assert_same_krylov,
@@ -56,6 +63,7 @@ from test_principle import (
     one_member_run,
     rowwise,
 )
+from test_golden import CLI_CASES, _cli_report
 from test_tiles import lone_maps, packet_coefficients, same_bits
 
 
@@ -224,14 +232,16 @@ def lower_walsh_rows(bits: int) -> np.ndarray:
 
 
 def sign_table_greedy_choice(f: GridSignal, collection: TileCollection, where: GridSet) -> ChoiceFunction:
-    """greedy_choice over the sign tables of `upper_signs`: a scale's table
-    is the coefficient row of the cell's block times row u of the table of
-    its block length, u the cell's place in the block."""
+    """greedy_choice over the sign tables of `upper_signs`, on f rounded to
+    multiples of 2**-26: a scale's table is the packet-sum row of the
+    cell's block times 2**(k-L) times row u of the table of its block
+    length, u the cell's place in the block."""
     L = f.resolution
     n = 1 << L
+    rounded = np.round(f.values * 2.0**26) * 2.0**-26
     scales = [
-        (k, coef.reshape(present.shape) * (2.0 ** (k / 2.0)) * present)
-        for k, (coef, present) in enumerate(zip(lower_coefficients(f.values[None], L)[0], collection.masks))
+        (k, coef.reshape(present.shape) * 2.0 ** (k - L) * present)
+        for k, (coef, present) in enumerate(zip(packet_sums(rounded[None], L)[0], collection.masks))
         if present.any()
     ]
     chunk = max(1, carleson.CHUNK_BYTES // (16 * n))
@@ -1130,6 +1140,44 @@ class TestNormDecay:
         resolution = 5
         ladder = norm_decay_ladder(resolution, [0.5, 0.25], seed=5, branch="g")
         assert len(ladder["ratio_ladder"]) == 2
+
+
+class TestExactGreedySums:
+    """The greedy fits of the `estimate-22` golden configurations sum each
+    term as a packet sum times 2**(k-L) on a 2**-26 grid, so their sums
+    are exact and do not depend on the order of the scales."""
+
+    @pytest.mark.parametrize("name", [name for name in CLI_CASES if name.startswith("estimate-22")])
+    def test_refits_are_order_free(self, monkeypatch, name):
+        """Every fit of the run, the probe's and each refit's: the tables of
+        ascending and descending scales are the same bytes, each choice is
+        the first argmax of its table and 0 off the fitted cells, and at
+        L <= 5 the table is the model sum of every constant choice on the
+        rounded input, bit for bit."""
+        fits = []
+
+        def recorded(f, collection, where):
+            choices = greedy_choice(f, collection, where)
+            fits.append((f, collection, where, choices))
+            return choices
+
+        monkeypatch.setattr(carleson, "greedy_choice", recorded)
+        _cli_report(CLI_CASES[name])
+        assert fits
+        for f, collection, where, choices in fits:
+            L, n = collection.resolution, 1 << collection.resolution
+            cells = np.flatnonzero(where.mask)
+            scales = np.flatnonzero(collection.occupied.any(axis=1)).tolist()
+            constant = ModelSumPlan([ChoiceFunction.constant(L, N) for N in range(n)], collection) if L <= 5 else None
+            for row, choice in zip(f.stack, choices, strict=True):
+                table, descending = greedy_sum_tables(row, collection, cells, [scales, scales[::-1]])
+                assert table.tobytes() == descending.tobytes()
+                assert np.array_equal(choice.freqs[cells], np.argmax(np.abs(table), axis=1))
+                assert not choice.freqs[~where.mask].any()
+                if constant is not None:
+                    rounded = np.round(row * 2.0**26) * 2.0**-26
+                    sums = constant.apply(np.repeat(rounded[None], n, axis=0).astype(np.complex128))
+                    assert sums.T[cells].tobytes() == table.tobytes()
 
 
 @pytest.mark.usefixtures("krylov_path")

@@ -110,6 +110,23 @@ class TestMaximalOperatorFamily:
             assert family.apply([j], v.real[None]).tobytes() == family.apply([j], v.real[None] + 0j).tobytes()
 
 
+    @pytest.mark.parametrize("resolution", range(7))
+    def test_members_lie_below_doob_bound(self, resolution):
+        """The default family of `verify principle`: each member's top
+        singular value, from the SVD of its dense matrix, is at most 2, the
+        L2 bound of the dyadic maximal function, and above 1 from L = 2;
+        at L <= 1 a member can be the identity or the full average."""
+        from dyadlab.harness import maximal_operator_family
+
+        config = ExperimentConfig(theorem="principle")
+        setup = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed + 10**6)))
+        family, _ = maximal_operator_family(setup, resolution, config.family_size)
+        eye = np.eye(1 << resolution, dtype=np.complex128)
+        for j in range(len(family)):
+            top = np.linalg.svd(family.apply([j] * len(eye), eye).T, compute_uv=False)[0]
+            assert (1.0 < top if resolution >= 2 else 1.0 <= top) and top <= 2.0
+
+
 class TestExactMassCap:
     """verify biparam checks each mass-cap ratio against 1 exactly: a ratio
     of 1 passes, the next float above fails."""

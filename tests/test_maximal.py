@@ -342,6 +342,15 @@ class TestLinearizedMaximal:
         with pytest.raises(ValueError):
             ScaleChoice.from_lengths(2, [0.3, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("length", [0.0, -0.25, math.nan, math.inf, 2.0, 1.7e308])
+    def test_non_positive_and_non_finite_lengths_rejected(self, length):
+        # under -W error, as the suite runs, log2, the int cast or the power
+        # raised a RuntimeWarning on 0.0, -0.25, nan, inf and 1.7e308 before
+        # any check, and 0.0 and 2.0 otherwise got the message of the scale
+        # range
+        with pytest.raises(ValueError, match=r"^every length must be a dyadic 2\*\*-k at the grid resolution$"):
+            ScaleChoice.from_lengths(2, [1.0, length, 0.5, 0.25])
+
 
 class TestExceptionalComplement:
     def test_empty_marker(self):

@@ -357,5 +357,5 @@ def test_only_counts_take_the_builtin_sum():
 
 def test_only_the_packet_layout_calls_butterfly_layout():
     # one butterfly layout per stack shape: tiles._packet_layout builds and
-    # caches it for every plan and for lower_coefficients
+    # caches it for every plan and for packet_sums
     assert _referrers("walsh", "butterfly_layout") == {"tiles._packet_layout"}

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from dyadlab.tiles import (
     mass_decompose,
     member_coefficients,
     model_sum,
-    lower_coefficients,
+    packet_sums,
     size,
     size_bound,
     size_decompose,
@@ -73,7 +74,7 @@ from test_principle import MapPair
 def packet_coefficients(values: np.ndarray, resolution: int, scale: int) -> np.ndarray:
     """coef[n, q] = <values, packet(scale, n, q)> for every offset and tile
     frequency index at one spatial scale: the per-scale transform the
-    library ran before `lower_coefficients`, kept as the oracle."""
+    library ran before `packet_sums`, kept as the oracle."""
     L, k = resolution, scale
     blocks = np.asarray(values).reshape(1 << k, 1 << (L - k))
     return walsh_analysis(blocks, axis=1) * (2.0 ** (k / 2.0) * cell_width(L))
@@ -699,11 +700,15 @@ class TestLowerCoefficients:
         rng = np.random.default_rng(1100 + resolution)
         L, n = resolution, 1 << resolution
         for values in self.inputs(rng, n):
-            got = lower_coefficients(values[None], L)
+            got = packet_sums(values[None], L)
             assert got.shape == (1, L, n >> 1)
             for k in range(L):
-                expected = packet_coefficients(values, L, k)[:, 0::2]
+                expected = walsh_analysis(values.reshape(1 << k, 1 << (L - k)), axis=1)[:, 0::2]
                 assert same_bits(got[0, k], expected.ravel()), (k, values.dtype)
+            # the inner products, formed in `_coefficients` alone
+            coef = tiles_module._coefficients(TileCollection.all(L), GridSignal(L, values))[3]
+            expected = [packet_coefficients(values, L, k)[:, 0::2].ravel() for k in range(L)]
+            assert same_bits(coef, np.concatenate([np.zeros(0, coef.dtype), *expected]))
 
     @pytest.mark.parametrize("resolution", [*range(0, 11), 12])
     def test_stack_rows_equal_single_signals(self, resolution):
@@ -718,10 +723,10 @@ class TestLowerCoefficients:
         for members in (1, 2, 7):
             picked = [rows[i] for i in rng.integers(len(rows), size=members)]
             for stack in (np.array([row.real for row in picked]), np.array(picked, dtype=np.complex128)):
-                got = lower_coefficients(stack, L)
+                got = packet_sums(stack, L)
                 assert got.shape == (members, L, n >> 1)
                 for row, coef in zip(stack, got, strict=True):
-                    assert same_bits(coef, lower_coefficients(row[None], L)[0])
+                    assert same_bits(coef, packet_sums(row[None], L)[0])
 
     def test_packet_heights_are_one_cached_scalar_pow_table(self):
         for resolution in range(0, 13):
@@ -732,13 +737,13 @@ class TestLowerCoefficients:
 
     def test_reads_any_real_or_complex_input(self):
         values = np.arange(8)[None]
-        assert same_bits(lower_coefficients(values, 3), lower_coefficients(values.astype(float), 3))
-        assert lower_coefficients(values.astype(np.complex64), 3).dtype == np.complex128
-        assert lower_coefficients(np.zeros((0, 8)), 3).shape == (0, 3, 4)
+        assert same_bits(packet_sums(values, 3), packet_sums(values.astype(float), 3))
+        assert packet_sums(values.astype(np.complex64), 3).dtype == np.complex128
+        assert packet_sums(np.zeros((0, 8)), 3).shape == (0, 3, 4)
         # a lone signal is no stack
         for shape in ((8,), (6,), (2, 4), (1, 2, 8), ()):
             with pytest.raises(ValueError, match=r"expected an \(m, 2\*\*3\) stack of signals"):
-                lower_coefficients(np.zeros(shape), 3)
+                packet_sums(np.zeros(shape), 3)
 
 
 class TestModelSum:
@@ -1013,7 +1018,7 @@ class TestModelSumPlan:
 
     def test_plans_and_lower_coefficients_share_one_layout(self):
         """The layout depends on (L, members) alone: two plans of one shape
-        over other collections and choices, and `lower_coefficients` of a
+        over other collections and choices, and `packet_sums` of a
         stack of that many rows, build it once and read the same arrays."""
         rng = np.random.default_rng(490)
         L, members = 5, 3
@@ -1022,7 +1027,7 @@ class TestModelSumPlan:
             ModelSumPlan([random_choice(rng, L) for _ in range(members)], collection)
             for collection in (random_convex_collection(rng, L), TileCollection.all(L))
         ]
-        lower_coefficients(rng.standard_normal((members, 1 << L)), L)
+        packet_sums(rng.standard_normal((members, 1 << L)), L)
         info = tiles_module._packet_layout.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
         even, odd, _, start, final = tiles_module._packet_layout(L, members)
@@ -1032,7 +1037,7 @@ class TestModelSumPlan:
             assert not a.flags.writeable
 
     def test_greedy_fit_at_l12_caches_only_one_member_layouts(self):
-        """`lower_coefficients` runs a 4-member stack at L=12 in the stacks
+        """`packet_sums` runs a 4-member stack at L=12 in the stacks
         of `stack_slices`, one member each, so the only layout it caches
         holds one member."""
         rng = np.random.default_rng(12)
@@ -2154,6 +2159,30 @@ class TestOccupancyArray:
                 if bits[N, k]:
                     signs = signed[N & rev, k] >> k
                     assert signs.tolist() == walsh_values(N >> k, L - k)[x % (1 << (L - k))].tolist()
+
+    def test_term_tables_build_without_full_size_temporaries(self):
+        """At every L up to 12 the tables are the bytes and dtypes of the
+        whole-array construction, and at L = 12 building them peaks within
+        1.1 times the bytes they keep, as tracemalloc counts numpy's
+        allocations (1.47 times with the whole-array temporaries)."""
+        for L in range(13):
+            k, values = np.arange(L), np.arange(1 << L)[:, None]
+            expected = (
+                tile_slot(L, k, values >> (L - k), 0),
+                values >> (k + 1),
+                ((values >> k) & 1).astype(np.int16),
+                (1 - 2 * (np.bitwise_count(values >> k) & 1).astype(np.int16)) << k.astype(np.int16),
+            )
+            for got, want in zip(term_tables(L), expected, strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        tracemalloc.start()
+        try:
+            tables = term_tables.__wrapped__(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(table.nbytes for table in tables)
+        assert kept == 983_040 and peak <= 1.1 * kept
 
     @pytest.mark.parametrize("resolution", range(13))
     def test_upper_cells_equal_the_oracle(self, resolution):
